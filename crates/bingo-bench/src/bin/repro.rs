@@ -116,7 +116,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "transport",
         description:
-            "Serialized wire round-trip vs in-process forwarding; scoped vs wholesale invalidation",
+            "Serialized wire round-trip vs in-process forwarding; snapshot caches under churn",
         run: experiments::transport,
     },
 ];

@@ -7,10 +7,9 @@
 //! matter: the walk output must be **bit-identical** (the `identical`
 //! column), the per-forward wire cost (`bytes_per_fwd`) with the handle
 //! hit rate that keeps it low, and the throughput delta — the price of
-//! making the accounted bytes real bytes. Two final rows put scoped
-//! context invalidation against the wholesale-flush baseline under
-//! structural churn: the hit-rate gap is the win the two-process demo
-//! gates on.
+//! making the accounted bytes real bytes. A final row runs the snapshot
+//! caches under structural churn: scoped invalidation evicts only the
+//! touched vertices, so the handle hit rate must stay high across epochs.
 
 use crate::common::{timed, ExperimentConfig, ResultTable};
 use bingo_graph::{Bias, DynamicGraph, UpdateBatch, UpdateEvent, VertexId};
@@ -70,8 +69,8 @@ fn run_waves(service: &WalkService, config: &ExperimentConfig) -> Vec<Vec<Vertex
     paths
 }
 
-/// Serialized round-trip vs in-process forwarding, plus the scoped vs
-/// wholesale invalidation gap under churn.
+/// Serialized round-trip vs in-process forwarding, plus the snapshot
+/// caches' hit rate under structural churn.
 pub fn transport(config: &ExperimentConfig) -> ResultTable {
     let mut table = ResultTable::new(
         "Transport: serialized wire round-trip vs in-process forwarding",
@@ -124,61 +123,47 @@ pub fn transport(config: &ExperimentConfig) -> ResultTable {
         }
     }
 
-    // Scoped vs wholesale invalidation under structural churn: one
-    // touched vertex per shard per round, a walk wave between rounds.
-    for scoped in [true, false] {
-        let graph = chord_graph();
-        let mut cfg = ServiceConfig {
-            num_shards: 4,
-            seed: config.seed,
-            ..ServiceConfig::default()
-        };
-        cfg.engine.scoped_context_invalidation = scoped;
-        let service = WalkService::build(&graph, cfg).expect("service builds");
-        let starts: Vec<VertexId> = (0..NUM_VERTICES as VertexId).collect();
-        let span = NUM_VERTICES as u32 / 4;
-        let (_, elapsed) = timed(|| {
-            for round in 0..CHURN_ROUNDS {
-                service.wait(service.submit(spec(config), &starts).expect("submit"));
-                let events: Vec<UpdateEvent> = (0..4)
-                    .map(|shard| {
-                        let src = shard * span + round;
-                        UpdateEvent::Insert {
-                            src,
-                            dst: (src + 17 + round) % NUM_VERTICES as u32,
-                            bias: Bias::from_int(1),
-                        }
-                    })
-                    .collect();
-                let receipt = service.ingest(&UpdateBatch::new(events));
-                service.sync(receipt);
-            }
-        });
-        let stats = service.shutdown();
-        let fwd = stats.total_forwards();
-        table.push_row(vec![
-            if scoped {
-                "scoped-inval"
-            } else {
-                "wholesale-inval"
-            }
-            .to_string(),
-            "4".to_string(),
-            stats.total_walks_completed().to_string(),
-            format!(
-                "{:.1}",
-                stats.total_steps() as f64 / elapsed.as_secs_f64().max(1e-9) / 1e3
-            ),
-            fwd.to_string(),
-            stats.total_context_bytes().to_string(),
-            format!(
-                "{:.1}",
-                stats.total_context_bytes() as f64 / fwd.max(1) as f64
-            ),
-            format!("{:.3}", stats.handle_hit_rate()),
-            "-".to_string(),
-        ]);
-    }
+    // Scoped invalidation under structural churn: one touched vertex per
+    // shard per round, a walk wave between rounds.
+    let service = build(config, 4, TransportMode::InProcess);
+    let starts: Vec<VertexId> = (0..NUM_VERTICES as VertexId).collect();
+    let span = NUM_VERTICES as u32 / 4;
+    let (_, elapsed) = timed(|| {
+        for round in 0..CHURN_ROUNDS {
+            service.wait(service.submit(spec(config), &starts).expect("submit"));
+            let events: Vec<UpdateEvent> = (0..4)
+                .map(|shard| {
+                    let src = shard * span + round;
+                    UpdateEvent::Insert {
+                        src,
+                        dst: (src + 17 + round) % NUM_VERTICES as u32,
+                        bias: Bias::from_int(1),
+                    }
+                })
+                .collect();
+            let receipt = service.ingest(&UpdateBatch::new(events));
+            service.sync(receipt);
+        }
+    });
+    let stats = service.shutdown();
+    let fwd = stats.total_forwards();
+    table.push_row(vec![
+        "scoped-inval".to_string(),
+        "4".to_string(),
+        stats.total_walks_completed().to_string(),
+        format!(
+            "{:.1}",
+            stats.total_steps() as f64 / elapsed.as_secs_f64().max(1e-9) / 1e3
+        ),
+        fwd.to_string(),
+        stats.total_context_bytes().to_string(),
+        format!(
+            "{:.1}",
+            stats.total_context_bytes() as f64 / fwd.max(1) as f64
+        ),
+        format!("{:.3}", stats.handle_hit_rate()),
+        "-".to_string(),
+    ]);
     table
 }
 
@@ -187,13 +172,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serialized_rows_are_bit_identical_and_scoped_beats_wholesale() {
+    fn serialized_rows_are_bit_identical_and_churn_keeps_handles_hitting() {
         let config = ExperimentConfig {
             walk_length: 8,
             ..ExperimentConfig::default()
         };
         let table = transport(&config);
-        assert_eq!(table.rows.len(), 8, "3 shard pairs + 2 churn rows");
+        assert_eq!(table.rows.len(), 7, "3 shard pairs + the churn row");
         for row in &table.rows {
             if row[0] == "serialized" {
                 assert_eq!(row[8], "yes", "serialized must match in-process: {row:?}");
@@ -206,16 +191,11 @@ mod tests {
                 assert_eq!(row[5], "0", "no frames in-process: {row:?}");
             }
         }
-        let hit = |mode: &str| -> f64 {
-            table.rows.iter().find(|r| r[0] == mode).expect("churn row")[7]
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            hit("scoped-inval") > hit("wholesale-inval"),
-            "scoped invalidation must keep caches warmer: {} vs {}",
-            hit("scoped-inval"),
-            hit("wholesale-inval")
-        );
+        let churn = table.rows.last().expect("churn row");
+        assert_eq!(churn[0], "scoped-inval");
+        let hit: f64 = churn[7].parse().unwrap();
+        // 0.949 on this workload; flushing every snapshot a structurally
+        // updated shard owns (the retired wholesale policy) measured 0.692.
+        assert!(hit > 0.9, "churn must not cool the snapshot caches: {hit}");
     }
 }

@@ -39,14 +39,6 @@ pub struct BingoConfig {
     /// (every fingerprint is encoded on demand). Only read on the
     /// forwarded-context path, so first-order workloads are unaffected.
     pub context_hot_hubs: usize,
-    /// Scope hot-hub fingerprint invalidation to the vertices a structural
-    /// update actually touched (the update paths know their source-vertex
-    /// sets): untouched hubs keep their `Arc`-shared snapshots and touched
-    /// hot hubs are re-encoded in place, instead of flushing the whole hot
-    /// set on every structural mutation. Disable to reproduce the old
-    /// wholesale-flush behavior (the baseline the `repro transport`
-    /// experiment compares against).
-    pub scoped_context_invalidation: bool,
 }
 
 impl Default for BingoConfig {
@@ -59,7 +51,6 @@ impl Default for BingoConfig {
             lambda: Lambda::Auto,
             reclassify_on_streaming: true,
             context_hot_hubs: 64,
-            scoped_context_invalidation: true,
         }
     }
 }

@@ -14,11 +14,9 @@
 //! snapshots of the vertices it touched: the update paths know their
 //! source-vertex sets, so untouched hubs keep serving `Arc` clones across
 //! epochs and touched hot hubs are re-encoded in place
-//! (`ContextProvider::invalidate_vertices`). Wholesale flushes (the
-//! pre-scoping behavior, kept behind
-//! `BingoConfig::scoped_context_invalidation = false` as the measurable
-//! baseline) rebuild the hot set lazily on the next request, so workloads
-//! that never capture context (first-order walks) never pay for it.
+//! (`ContextProvider::invalidate_vertices`). The hot set itself is built
+//! lazily on the first request, so workloads that never capture context
+//! (first-order walks) never pay for it.
 //!
 //! The provider is owned by [`BingoEngine`](crate::BingoEngine) and used
 //! through [`BingoEngine::context_fingerprint`](crate::BingoEngine::context_fingerprint).
@@ -36,10 +34,10 @@ pub struct ContextProviderStats {
     pub hot_hits: u64,
     /// Fingerprint requests that built a cold vertex's snapshot on demand.
     pub cold_builds: u64,
-    /// Times the hot set was (re)built after an invalidation.
+    /// Times the hot set was built (once per engine: invalidation is
+    /// scoped, so nothing ever flushes it).
     pub hot_rebuilds: u64,
-    /// Hot snapshots evicted individually by scoped invalidation (vs the
-    /// whole-set flushes counted via `hot_rebuilds`).
+    /// Hot snapshots evicted by a structural update of their vertex.
     pub scoped_evictions: u64,
     /// Hot snapshots re-encoded in place after a scoped eviction.
     pub hot_refreshes: u64,
@@ -49,7 +47,7 @@ pub struct ContextProviderStats {
 ///
 /// Lookups go through `&self` so concurrent walkers holding a shared
 /// engine lock can serve fingerprints; the hit/miss tallies are atomics
-/// for the same reason. Installing or invalidating the hot set still
+/// for the same reason. Installing the hot set or evicting from it still
 /// requires `&mut` — sharded deployments do both under their exclusive
 /// engine lock (see [`BingoEngine::warm_context`](crate::BingoEngine::warm_context)).
 #[derive(Debug, Default)]
@@ -57,7 +55,7 @@ pub(crate) struct ContextProvider {
     /// Snapshots of the top-k owned vertices by degree, valid for the
     /// current engine generation.
     hot: HashMap<VertexId, Arc<Vec<VertexId>>>,
-    /// Whether `hot` reflects the current generation.
+    /// Whether `hot` has been installed.
     built: bool,
     /// Atomic so `&self` lookups can tally; monotonic counters only, no
     /// ordering relationship with the fingerprints themselves.
@@ -86,14 +84,7 @@ impl Clone for ContextProvider {
 }
 
 impl ContextProvider {
-    /// Drop every snapshot; the hot set is rebuilt on the next
-    /// [`ContextProvider::install_hot`].
-    pub(crate) fn invalidate(&mut self) {
-        self.hot.clear();
-        self.built = false;
-    }
-
-    /// Scoped invalidation: drop only the snapshots of `touched` vertices,
+    /// Drop only the snapshots of `touched` vertices,
     /// returning the ids that were actually hot. The rest of the hot set —
     /// whose adjacency the update did not change — stays valid, and `built`
     /// stays `true`, so untouched hubs keep serving `Arc` clones across
@@ -122,7 +113,7 @@ impl ContextProvider {
         self.built
     }
 
-    /// Install a freshly built hot set for the current generation.
+    /// Install the freshly built hot set.
     pub(crate) fn install_hot(&mut self, hot: HashMap<VertexId, Arc<Vec<VertexId>>>) {
         self.hot = hot;
         self.built = true;

@@ -54,8 +54,8 @@ pub struct BingoEngine {
     num_edges: usize,
     stats: EngineStats,
     /// Hot-hub fingerprint cache for the forwarded-context path; lazily
-    /// built, invalidated by every structural edge mutation (bias-only
-    /// reweights keep it).
+    /// built, and a structural edge mutation evicts only the vertices it
+    /// touched (bias-only reweights evict nothing).
     context: ContextProvider,
 }
 
@@ -271,21 +271,19 @@ impl BingoEngine {
 
     /// The adjacency fingerprint of `v` for the forwarded-context path:
     /// hot hubs (the top [`BingoConfig::context_hot_hubs`] owned vertices
-    /// by degree, snapshotted once per engine generation and invalidated by
-    /// every structural edge mutation) are served as `Arc` clones; cold
-    /// vertices are
-    /// encoded on demand. Returns the fingerprint and whether it came from
-    /// the hot cache. `None` when this engine does not own `v`.
+    /// by degree, snapshotted once and re-encoded in place when a
+    /// structural edge mutation touches them) are served as `Arc` clones;
+    /// cold vertices are encoded on demand. Returns the fingerprint and
+    /// whether it came from the hot cache. `None` when this engine does not own `v`.
     pub fn context_fingerprint(&mut self, v: VertexId) -> Option<(Arc<Vec<VertexId>>, bool)> {
         self.local(v)?;
         self.warm_context();
         self.context_fingerprint_shared(v)
     }
 
-    /// Build and install the hot-hub fingerprint set for the current engine
-    /// generation, if it is not already built. Sharded deployments call
-    /// this under their exclusive engine lock (at build time and after
-    /// every structural update batch) so the concurrent read path —
+    /// Build and install the hot-hub fingerprint set, if it is not already
+    /// built. Sharded deployments call this once at build time, while they
+    /// still hold the engine exclusively, so the concurrent read path —
     /// [`BingoEngine::context_fingerprint_shared`] — never needs `&mut`.
     pub fn warm_context(&mut self) {
         if !self.context.is_built() {
@@ -298,9 +296,7 @@ impl BingoEngine {
     /// [`BingoEngine::context_fingerprint`] through a shared reference:
     /// serves hot hubs installed by an earlier [`BingoEngine::warm_context`]
     /// and falls back to an on-demand cold build otherwise. Unlike the
-    /// `&mut` entry point it never (re)builds the hot set — readers that
-    /// race a structural invalidation degrade to cold builds until the
-    /// next `warm_context`, they never observe a stale fingerprint.
+    /// `&mut` entry point it never builds the hot set.
     pub fn context_fingerprint_shared(&self, v: VertexId) -> Option<(Arc<Vec<VertexId>>, bool)> {
         let i = self.local(v)?;
         if let Some(fp) = self.context.get(v) {
@@ -317,16 +313,10 @@ impl BingoEngine {
 
     /// Invalidate context fingerprints after a structural mutation of the
     /// out-adjacency of `touched` (owned, deduplicated source vertices).
-    /// With [`BingoConfig::scoped_context_invalidation`] the eviction is
-    /// scoped: only the touched vertices' snapshots drop, and evicted hot
-    /// hubs are re-encoded in place, so untouched hubs keep their shared
-    /// `Arc`s across structural epochs. With the knob off (the measurable
-    /// baseline) the whole hot set flushes and is rebuilt lazily.
+    /// Only the touched vertices' snapshots drop, and evicted hot hubs are
+    /// re-encoded in place, so untouched hubs keep their shared `Arc`s
+    /// across structural epochs.
     fn invalidate_context_for(&mut self, touched: &[VertexId]) {
-        if !self.config.scoped_context_invalidation {
-            self.context.invalidate();
-            return;
-        }
         if !self.context.is_built() {
             // Nothing cached yet — the first warm_context builds from the
             // already-updated adjacency.
@@ -988,14 +978,6 @@ mod tests {
             ..BingoConfig::default()
         };
         let mut scoped = BingoEngine::build(&graph, config).unwrap();
-        let mut wholesale = BingoEngine::build(
-            &graph,
-            BingoConfig {
-                scoped_context_invalidation: false,
-                ..config
-            },
-        )
-        .unwrap();
 
         let mut by_degree: Vec<VertexId> = (0..200u32).collect();
         by_degree.sort_by_key(|&v| std::cmp::Reverse(scoped.degree(v)));
@@ -1003,10 +985,8 @@ mod tests {
         let (fp_a, hot_a) = scoped.context_fingerprint(hub_a).unwrap();
         let (_, hot_b) = scoped.context_fingerprint(hub_b).unwrap();
         assert!(hot_a && hot_b, "both top hubs in a 16-entry hot set");
-        wholesale.warm_context();
 
-        // A batch touching only hub_b must leave hub_a's Arc untouched
-        // under scoped invalidation — and flush it under wholesale.
+        // A batch touching only hub_b must leave hub_a's Arc untouched.
         let dst = (0..200u32).find(|&d| !scoped.has_edge(hub_b, d)).unwrap();
         let batch = UpdateBatch::new(vec![UpdateEvent::Insert {
             src: hub_b,
@@ -1014,7 +994,6 @@ mod tests {
             bias: Bias::from_int(2),
         }]);
         scoped.apply_batch(&batch);
-        wholesale.apply_batch(&batch);
 
         let (fp_a2, hot_a2) = scoped.context_fingerprint_shared(hub_a).unwrap();
         assert!(hot_a2, "untouched hub stays hot without a re-warm");
@@ -1023,17 +1002,10 @@ mod tests {
         assert!(hot_b2, "touched hub was refreshed in place");
         assert!(fp_b2.binary_search(&dst).is_ok(), "refresh sees the insert");
 
-        // Wholesale flush: until the next warm_context, even the untouched
-        // hub degrades to a cold build — the miss cost scoping removes.
-        let (_, wholesale_hot) = wholesale.context_fingerprint_shared(hub_a).unwrap();
-        assert!(!wholesale_hot, "wholesale flush dropped the untouched hub");
-
         let s = scoped.context_provider_stats();
         assert_eq!(s.hot_rebuilds, 1);
         assert_eq!(s.scoped_evictions, 1);
         assert_eq!(s.hot_refreshes, 1);
-        let w = wholesale.context_provider_stats();
-        assert_eq!(w.scoped_evictions, 0, "knob off never scopes");
     }
 
     #[test]

@@ -326,6 +326,7 @@ fn render_status(inner: &ServerInner) -> String {
         );
         svc.field_num("transport_bytes_sent", stats.total_transport_bytes_sent());
         svc.field_num("transport_bytes_recv", stats.total_transport_bytes_recv());
+        svc.field_num("transport_fallbacks", stats.total_transport_fallbacks());
         let total_steps = stats.total_steps().max(1);
         let mut shards = JsonArray::new();
         for sh in &stats.per_shard {

@@ -38,17 +38,19 @@
 //!   served too: a forwarding shard attaches the model-declared context —
 //!   a membership snapshot of the walker's previous vertex — so the
 //!   receiving shard answers membership queries without cross-shard edge
-//!   lookups. Snapshots are compact and cheap: the engine pre-builds hot
-//!   hubs once per epoch (`bingo_core::context`), each shard encodes a
-//!   `(vertex, epoch)` snapshot at most once per
-//!   [`ServiceConfig::context_encoding`] (exact / delta-varint / opt-in
-//!   Bloom — see `bingo_walks::model` for the wire formats), and what
+//!   lookups. Snapshots are exact and cheap: the engine pre-builds hot
+//!   hubs once and re-encodes only the ones a structural update touches
+//!   (`bingo_core::context`), each shard captures a `(vertex, epoch)`
+//!   snapshot — the sorted adjacency behind an `Arc`, see
+//!   `bingo_walks::model` for the wire format — at most once, and what
 //!   ships is **negotiated with the receiver's snapshot cache**: a
 //!   `(vertex, epoch)` the receiver already holds goes as a true 16-byte
 //!   handle ([`CONTEXT_HANDLE_BYTES`]), a miss ships the body and seeds
-//!   the receiver. A missing capture is **not** silently served as "no
-//!   edge": the fallback is counted per shard (`context_misses`) and
-//!   asserted on in debug builds. Finished walks are collected by ticket
+//!   the receiver. A structural update batch evicts exactly the vertices
+//!   it touched from both cache tiers; everything else stays warm. A
+//!   missing capture is **not** silently served as "no edge": the
+//!   fallback is counted per shard (`context_misses`) and asserted on in
+//!   debug builds. Finished walks are collected by ticket
 //!   and can be deposited into a
 //!   [`WalkStore`](bingo_walks::walk_store::WalkStore).
 //! * The **distribution boundary is pluggable** (see the [`transport`]
@@ -60,7 +62,9 @@
 //!   forwarding path works across process boundaries
 //!   ([`WalkService::build_with_transport`]; proven by
 //!   `examples/two_process_demo.rs` over a loopback `TcpStream`). Walk
-//!   output is bit-identical to the in-process mode.
+//!   output is bit-identical to the in-process mode, and a frame that
+//!   fails to arrive intact degrades that one forward to the in-process
+//!   walker, counted as `service.transport.fallbacks`.
 //! * The [`WalkClient`] facade serves the same [`WalkRequest`]s from
 //!   either a sharded service or a plain in-process
 //!   [`BingoEngine`](bingo_core::BingoEngine) — one front-end, two
@@ -271,16 +275,17 @@ pub use service::{
 pub use stats::{ServiceStats, ShardStatsSnapshot};
 pub use transport::{LoopbackTransport, ShardTransport, TransportMode};
 
-// The context-encoding knob of `ServiceConfig` and the tenant metadata of
-// `WalkRequest` live in `bingo-walks` (walk-model layer); re-exported so
-// service users configure them without a direct `bingo-walks` dependency.
-pub use bingo_walks::{ContextEncoding, ContextMembership, TenantId, TicketMeta};
+// The tenant metadata of `WalkRequest` lives in `bingo-walks` (walk-model
+// layer); re-exported so service users configure it without a direct
+// `bingo-walks` dependency.
+pub use bingo_walks::{TenantId, TicketMeta};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bingo_graph::{Bias, DynamicGraph, UpdateBatch, UpdateEvent};
     use bingo_walks::{DeepWalkConfig, Node2VecConfig, PprConfig, WalkSpec};
+    use std::sync::Arc;
 
     fn ring_graph(n: usize) -> DynamicGraph {
         let mut g = DynamicGraph::new(n);
@@ -866,7 +871,6 @@ mod tests {
     fn custom_models_run_on_the_service() {
         use bingo_walks::model::{StepSampler, Transition, WalkModel, WalkState};
         use rand::RngCore;
-        use std::sync::Arc;
 
         /// A fixed-length walk that stops early at even-numbered vertices
         /// after the half-way point — exercising a model the built-in enum
@@ -1103,73 +1107,107 @@ mod tests {
 
     #[test]
     fn scoped_invalidation_keeps_untouched_snapshots_warm() {
-        // Scoped mode evicts only the vertices a structural batch touched;
-        // the wholesale baseline flushes everything a structurally-updated
-        // shard owns. The batch touches one vertex per shard (the router
-        // splits it by owner), so under wholesale EVERY shard flushes and
-        // both cache tiers end empty, while scoped eviction drops at most
-        // the four touched vertices.
-        let run = |scoped: bool| {
-            let graph = ring_graph(16);
-            let engine = bingo_core::BingoConfig {
-                scoped_context_invalidation: scoped,
-                ..Default::default()
-            };
-            let service = WalkService::build(
-                &graph,
-                ServiceConfig {
-                    num_shards: 4,
-                    engine,
-                    ..ServiceConfig::default()
-                },
-            )
-            .unwrap();
-            let starts: Vec<u32> = (0..16).collect();
-            service.wait(service.submit(node2vec(10), &starts).unwrap());
-            let before = service.snapshot_cache_occupancy();
-            // One touched vertex in each shard's uniform 4-vertex range.
-            let events: Vec<UpdateEvent> = [0u32, 4, 8, 12]
-                .iter()
-                .map(|&src| UpdateEvent::Insert {
-                    src,
-                    dst: (src + 7) % 16,
-                    bias: Bias::from_int(1),
-                })
-                .collect();
-            let receipt = service.ingest(&UpdateBatch::new(events));
-            service.sync(receipt);
-            let after = service.snapshot_cache_occupancy();
-            service.shutdown();
-            (before, after)
-        };
-        let (scoped_before, scoped_after) = run(true);
+        // A structural batch evicts only the vertices it touched. The
+        // batch touches one vertex per shard (the router splits it by
+        // owner), so at most four snapshots may leave the sender tier.
+        let graph = ring_graph(16);
+        let service = WalkService::build(
+            &graph,
+            ServiceConfig {
+                num_shards: 4,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let starts: Vec<u32> = (0..16).collect();
+        service.wait(service.submit(node2vec(10), &starts).unwrap());
+        let before = service.snapshot_cache_occupancy();
+        // One touched vertex in each shard's uniform 4-vertex range.
+        let events: Vec<UpdateEvent> = [0u32, 4, 8, 12]
+            .iter()
+            .map(|&src| UpdateEvent::Insert {
+                src,
+                dst: (src + 7) % 16,
+                bias: Bias::from_int(1),
+            })
+            .collect();
+        let receipt = service.ingest(&UpdateBatch::new(events));
+        service.sync(receipt);
+        let after = service.snapshot_cache_occupancy();
+        service.shutdown();
         assert!(
-            scoped_before.0 > 0 && scoped_before.1 > 0,
-            "walks populated both cache tiers: {scoped_before:?}"
-        );
-        // At most the four touched vertices may leave the sender tier.
-        assert!(
-            scoped_after.0 + 4 >= scoped_before.0,
-            "scoped eviction dropped more than the touched vertices: \
-             {scoped_before:?} -> {scoped_after:?}"
+            before.0 > 0 && before.1 > 0,
+            "walks populated both cache tiers: {before:?}"
         );
         assert!(
-            scoped_after.0 > 0,
-            "untouched snapshots survive a scoped eviction"
+            after.0 + 4 >= before.0,
+            "scoped eviction dropped more than the touched vertices: {before:?} -> {after:?}"
         );
-        let (wholesale_before, wholesale_after) = run(false);
+        assert!(after.0 > 0, "untouched snapshots survive a scoped eviction");
+    }
+
+    /// Run node2vec over every vertex of a 24-ring on 4 serialized shards
+    /// with `carrier`, returning the paths and the final stats.
+    fn run_with_carrier(carrier: Arc<dyn ShardTransport>) -> (Vec<Vec<u32>>, ServiceStats) {
+        let graph = ring_graph(24);
+        let starts: Vec<u32> = (0..24).collect();
+        let service = WalkService::build_with_transport(
+            &graph,
+            ServiceConfig {
+                num_shards: 4,
+                transport: TransportMode::Serialized,
+                ..ServiceConfig::default()
+            },
+            bingo_telemetry::Telemetry::disabled(),
+            carrier,
+        )
+        .unwrap();
+        let results = service.wait(service.submit(node2vec(12), &starts).unwrap());
+        (results.paths, service.shutdown())
+    }
+
+    #[test]
+    fn failing_carrier_falls_back_and_counts_every_forward() {
+        struct DeadTransport;
+        impl ShardTransport for DeadTransport {
+            fn name(&self) -> &'static str {
+                "dead"
+            }
+            fn carry(&self, _to: usize, _frame: Vec<u8>) -> std::io::Result<Vec<u8>> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+        }
+        let (reference, _) = run_with_carrier(Arc::new(LoopbackTransport));
+        let (paths, stats) = run_with_carrier(Arc::new(DeadTransport));
+        assert_eq!(paths, reference, "every walk completes on the fallback");
+        assert!(stats.total_forwards() > 0, "ring walks cross shards");
         assert_eq!(
-            wholesale_before, scoped_before,
-            "identical workload populates identically"
+            stats.total_transport_fallbacks(),
+            stats.total_forwards(),
+            "each billed-but-undelivered forward is counted"
         );
-        assert_eq!(
-            wholesale_after,
-            (0, 0),
-            "wholesale invalidation empties both cache tiers"
-        );
-        assert!(
-            scoped_after.0 > wholesale_after.0,
-            "scoped keeps snapshots the wholesale baseline throws away"
-        );
+        assert!(stats.total_transport_bytes_sent() > 0);
+        assert_eq!(stats.total_transport_bytes_recv(), 0);
+    }
+
+    #[test]
+    fn frame_naming_another_walker_is_rejected_not_absorbed() {
+        // Flip a bit in the frame's walker-index field (offset 9..13): the
+        // frame still decodes, but to a walker that was never sent. Filing
+        // it would index past the ticket's 24 result slots.
+        struct IndexCorruptingTransport;
+        impl ShardTransport for IndexCorruptingTransport {
+            fn name(&self) -> &'static str {
+                "index-corrupting"
+            }
+            fn carry(&self, _to: usize, mut frame: Vec<u8>) -> std::io::Result<Vec<u8>> {
+                frame[10] ^= 0x40;
+                Ok(frame)
+            }
+        }
+        let (reference, _) = run_with_carrier(Arc::new(LoopbackTransport));
+        let (paths, stats) = run_with_carrier(Arc::new(IndexCorruptingTransport));
+        assert_eq!(paths, reference, "mis-addressed frames never reach a slot");
+        assert_eq!(stats.total_transport_fallbacks(), stats.total_forwards());
     }
 }

@@ -22,9 +22,9 @@
 //! owner uses. Engines stay shard-owned behind a `RwLock`: walker visits
 //! hold a read guard, update batches hold the write guard, so a steal can
 //! never observe a torn update and per-shard epoch ordering is preserved
-//! (thieves stop at the first non-walker message). `BINGO_STEAL=off`
-//! disables stealing without changing any walk output — paths depend only
-//! on each walker's private RNG and the engine epoch it sampled under.
+//! (thieves stop at the first non-walker message). Stealing is always on
+//! and never changes walk output — paths depend only on each walker's
+//! private RNG and the engine epoch it sampled under.
 
 use crate::stats::{ServiceStats, ShardCounters};
 use crate::transport::{LoopbackTransport, ShardTransport, TransportMode};
@@ -35,10 +35,7 @@ use bingo_sampling::rng::{Pcg64, SplitMix64};
 use bingo_telemetry::{names, FlightEventKind, Gauge, Histogram, Telemetry, TraceStage};
 use bingo_walks::walk_store::WalkStore;
 use bingo_walks::wire::{self, ContextHandle, FrameContext, WalkerFrame};
-use bingo_walks::{
-    CarriedContext, ContextEncoding, ContextMembership, ContextRequirement, SharedWalkModel,
-    WalkCursor, WalkSpec,
-};
+use bingo_walks::{CarriedContext, ContextRequirement, SharedWalkModel, WalkCursor, WalkSpec};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
@@ -178,20 +175,6 @@ pub struct ServiceConfig {
     pub max_inbox: usize,
     /// How the vertex space is split into shards.
     pub partition: PartitionStrategy,
-    /// Wire encoding of the membership snapshots attached to forwarded
-    /// second-order walkers. The default ([`ContextEncoding::Exact`]) keeps
-    /// membership answers bit-identical to a single engine;
-    /// [`ContextEncoding::Delta`] shrinks the bytes without changing
-    /// answers; [`ContextEncoding::Bloom`] is smallest but approximate
-    /// (see `bingo_walks::model` for the format table).
-    pub context_encoding: ContextEncoding,
-    /// Whether idle shard tasks steal forwarded-walker batches from hot
-    /// shards' inboxes. `None` (the default) reads the `BINGO_STEAL`
-    /// environment variable (`off`/`0`/`false` disables, anything else —
-    /// including unset — enables); `Some(_)` overrides the environment.
-    /// Stealing never changes walk output, only which shard task executes
-    /// a visit, so this is purely a load-balance/latency knob.
-    pub steal: Option<bool>,
     /// How forwarded walkers cross the shard boundary. The default
     /// ([`TransportMode::InProcess`]) moves them as in-process
     /// allocations; [`TransportMode::Serialized`] round-trips every
@@ -211,23 +194,9 @@ impl Default for ServiceConfig {
             record_epochs: false,
             max_inbox: 0,
             partition: PartitionStrategy::Uniform,
-            context_encoding: ContextEncoding::Exact,
-            steal: None,
             transport: TransportMode::default(),
         }
     }
-}
-
-/// Resolve the effective stealing switch: an explicit
-/// [`ServiceConfig::steal`] wins; otherwise `BINGO_STEAL=off|0|false`
-/// disables and anything else enables.
-fn resolve_steal(config: &ServiceConfig) -> bool {
-    config.steal.unwrap_or_else(|| {
-        !matches!(
-            std::env::var("BINGO_STEAL").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
 }
 
 /// Messages one shard-task activation processes before re-enqueueing
@@ -293,8 +262,7 @@ pub struct ContextTrace {
     /// The vertex whose out-adjacency was captured (the walker's previous
     /// vertex at forward time).
     pub vertex: VertexId,
-    /// The sorted adjacency fingerprint the snapshot represents (decoded;
-    /// empty for the one-way Bloom encoding).
+    /// The sorted adjacency fingerprint the snapshot holds.
     pub adjacency: Vec<VertexId>,
     /// Shard that owned `vertex` and captured the snapshot.
     pub shard: usize,
@@ -468,10 +436,9 @@ struct RouterState {
 /// step can never observe a partially applied ("torn") update, and the
 /// per-shard epoch counter totally orders steps against update batches.
 /// Idle shard tasks steal forwarded-walker batches from hot shards'
-/// inboxes (disable with `BINGO_STEAL=off` or [`ServiceConfig::steal`]);
-/// a stolen visit runs against the owning shard's engine through the same
-/// epoch-checked read path, so stealing moves CPU work without moving
-/// ownership.
+/// inboxes; a stolen visit runs against the owning shard's engine through
+/// the same epoch-checked read path, so stealing moves CPU work without
+/// moving ownership.
 ///
 /// Walks are submitted either as built-in [`WalkSpec`]s
 /// ([`WalkService::submit`]) or as arbitrary
@@ -479,8 +446,8 @@ struct RouterState {
 /// ([`WalkService::submit_model`]). Second-order models (node2vec) are
 /// fully supported: when a walker crosses a shard boundary, the owning
 /// shard captures a membership snapshot of the previous vertex's adjacency
-/// (encoded per [`ServiceConfig::context_encoding`], built at most once per
-/// `(vertex, epoch)` and `Arc`-shared across the wave) and forwards it with
+/// (built at most once per `(vertex, epoch)` and `Arc`-shared across the
+/// wave) and forwards it with
 /// the cursor, so the receiving shard can answer the model's membership
 /// queries without a cross-shard edge lookup.
 pub struct WalkService {
@@ -590,9 +557,11 @@ impl WalkService {
     /// never encodes a frame): every cross-shard forward is encoded,
     /// handed to `carrier`, and rebuilt from the bytes it returns — the
     /// hook the two-process demo uses to route forwards through a real
-    /// loopback `TcpStream`. A carrier error (or undecodable bytes) falls
-    /// back to forwarding the original in-process walker, so no walk is
-    /// ever lost to the transport.
+    /// loopback `TcpStream`. A carrier error (or undecodable or
+    /// mis-addressed bytes) falls back to forwarding the original
+    /// in-process walker, counted per shard as
+    /// `service.transport.fallbacks`, so no walk is ever lost to the
+    /// transport.
     pub fn build_with_transport(
         graph: &DynamicGraph,
         config: ServiceConfig,
@@ -661,11 +630,8 @@ impl WalkService {
             counters: counters.clone(),
             done_tx,
             record_epochs: config.record_epochs,
-            context_encoding: config.context_encoding,
-            steal: resolve_steal(&config),
             serialized: config.transport == TransportMode::Serialized,
             carrier,
-            scoped_invalidation: config.engine.scoped_context_invalidation,
             models: Mutex::new_named(HashMap::new(), "service.models"),
             telemetry: telemetry.clone(),
             hists,
@@ -1381,10 +1347,9 @@ struct ShardState {
     /// Sender-side encode cache: snapshots captured on this shard, stamped
     /// with their capture epoch and reused by every walker forwarded in
     /// the same wave. Entry presence implies validity — structural update
-    /// batches evict exactly the vertices they touched (scoped mode) or
-    /// clear the map (wholesale baseline), while bias-only batches and
-    /// empty epoch ticks keep it warm (fingerprints are membership sets,
-    /// which reweights never alter). One slot per vertex, so occupancy is
+    /// batches evict exactly the vertices they touched, while bias-only
+    /// batches and empty epoch ticks keep it warm (fingerprints are
+    /// membership sets, which reweights never alter). One slot per vertex, so occupancy is
     /// bounded by the shard's forwarded-vertex set no matter how many
     /// epochs pass. Locked only while the engine lock is already held
     /// (order: engine → ctx_cache).
@@ -1441,11 +1406,6 @@ struct ServiceShared {
     counters: Vec<Arc<ShardCounters>>,
     done_tx: Sender<FinishedWalk>,
     record_epochs: bool,
-    /// Wire encoding for captured membership snapshots.
-    context_encoding: ContextEncoding,
-    /// Whether idle shard tasks steal walker batches (resolved once at
-    /// build from [`ServiceConfig::steal`] / `BINGO_STEAL`).
-    steal: bool,
     /// Whether forwarded walkers round-trip through the wire format
     /// ([`TransportMode::Serialized`]).
     serialized: bool,
@@ -1453,12 +1413,6 @@ struct ServiceShared {
     /// ([`LoopbackTransport`] unless
     /// [`WalkService::build_with_transport`] plugged a real one).
     carrier: Arc<dyn ShardTransport>,
-    /// Whether snapshot-cache eviction is scoped to the vertices a
-    /// structural batch touched (mirrors
-    /// [`BingoConfig::scoped_context_invalidation`], which the engines
-    /// apply to their hot-hub sets — this flag applies the same policy to
-    /// the service-level encode and receiver caches).
-    scoped_invalidation: bool,
     /// Walk models of outstanding tickets, so the serialized forward path
     /// can rebuild a cursor from a decoded frame (frames carry the path,
     /// not the model). Registered at submit, removed at collection.
@@ -1489,7 +1443,7 @@ impl ServiceShared {
         }
         self.counters[shard].on_enqueue();
         self.schedule(shard);
-        if self.steal && depth >= STEAL_THRESHOLD {
+        if depth >= STEAL_THRESHOLD {
             self.wake_helpers(shard);
         }
     }
@@ -1586,7 +1540,7 @@ impl ServiceShared {
             rayon::spawn(move || shared.run_shard_task(shard_id));
             return;
         }
-        if self.steal && self.try_steal(shard_id) {
+        if self.try_steal(shard_id) {
             // Stolen visits may have forwarded walkers back to this shard
             // (and the victim may still be hot): look again.
             let shared = Arc::clone(&self);
@@ -1733,51 +1687,34 @@ impl ServiceShared {
             .collect();
         touched.sort_unstable();
         touched.dedup();
-        let structural = !touched.is_empty();
         let me = &self.shards[shard_id];
         let mut engine = me.engine.write();
-        if structural {
+        if !touched.is_empty() {
             // Snapshots captured under the previous epoch may describe
             // adjacencies this batch changes: evict them from this
             // shard's encode cache AND from every peer's receiver-side
             // handle cache (which holds copies keyed to this shard), so a
             // stale `(vertex, epoch)` can never satisfy a handle offer.
-            // Scoped mode drops exactly the touched vertices — every
-            // other entry stays warm across the epoch advance — while the
-            // wholesale baseline flushes everything this shard owns.
-            // Bias-only batches and empty epoch ticks evict nothing.
-            // (Lock order: engine → ctx_cache / engine → rx_cache, same
-            // as the capture path; the two caches are never held
-            // together.)
-            if self.scoped_invalidation {
-                {
-                    let mut cache = me.context_cache.lock();
-                    for &v in &touched {
-                        cache.remove(&v);
-                    }
+            // Exactly the touched vertices drop — every other entry stays
+            // warm across the epoch advance — and bias-only batches and
+            // empty epoch ticks evict nothing. (Lock order: engine →
+            // ctx_cache / engine → rx_cache, same as the capture path;
+            // the two caches are never held together.)
+            {
+                let mut cache = me.context_cache.lock();
+                for &v in &touched {
+                    cache.remove(&v);
                 }
-                for peer in &self.shards {
-                    let mut rx = peer.rx_cache.lock();
-                    for &v in &touched {
-                        rx.remove(&(shard_id as u32, v));
-                    }
-                }
-            } else {
-                me.context_cache.lock().clear();
-                for peer in &self.shards {
-                    peer.rx_cache
-                        .lock()
-                        .retain(|&(owner, _), _| owner != shard_id as u32);
+            }
+            for peer in &self.shards {
+                let mut rx = peer.rx_cache.lock();
+                for &v in &touched {
+                    rx.remove(&(shard_id as u32, v));
                 }
             }
         }
+        // The engine evicts and re-encodes the touched hot hubs itself.
         let outcome = engine.apply_batch(&batch);
-        if structural {
-            // Structural mutations invalidated the engine's hot-hub
-            // fingerprint set; rebuild it while we still hold the write
-            // guard, because the shared read path cannot.
-            engine.warm_context();
-        }
         let c = &self.counters[shard_id];
         c.updates_applied
             .add((outcome.inserted + outcome.deleted) as u64);
@@ -1800,19 +1737,19 @@ impl ServiceShared {
     /// previous vertex — which this shard owns, because it just sampled the
     /// step that left it.
     ///
-    /// Snapshots are encoded per [`ServiceConfig::context_encoding`], built
-    /// at most once per `(vertex, epoch)` (hot hubs come pre-built from the
-    /// engine's context provider) and reused by every walker forwarded in
-    /// the same wave. What actually ships is then **negotiated with the
-    /// receiver's snapshot cache**: a snapshot the receiver already holds
-    /// at the same `(vertex, epoch)` ships as a true
+    /// Snapshots are built at most once per `(vertex, epoch)` (hot hubs
+    /// come pre-built from the engine's context provider) and reused by
+    /// every walker forwarded in the same wave. What actually ships is
+    /// then **negotiated with the receiver's snapshot cache**: a snapshot
+    /// the receiver already holds at the same `(vertex, epoch)` ships as a true
     /// [`CONTEXT_HANDLE_BYTES`] [`ContextHandle`]; otherwise the encoded
     /// body ships and seeds the receiver's cache (resolved synchronously
     /// here, so the "body request" costs no separate hop in-process —
     /// counted as `service.context.body_request` either way). Bodies no
     /// larger than a handle always ship inline. Byte accounting
-    /// distinguishes the exact-`Vec` baseline (`context_bytes_raw`) from
-    /// the bytes the negotiated wire frame carries
+    /// distinguishes the body-on-every-forward baseline
+    /// (`context_bytes_raw`) from the bytes the negotiated wire frame
+    /// carries
     /// (`context_bytes_forwarded` — real frame bytes in serialized mode).
     ///
     /// Returns the negotiation outcome when a snapshot was attached,
@@ -1849,8 +1786,11 @@ impl ServiceShared {
             match cache.get(&prev) {
                 Some(&(stamp, ref cached)) => (stamp, cached.clone(), true),
                 None => {
-                    let (raw, _hot) = engine.context_fingerprint_shared(prev)?;
-                    let ctx = self.context_encoding.encode(prev, raw);
+                    let (adjacency, _hot) = engine.context_fingerprint_shared(prev)?;
+                    let ctx = CarriedContext {
+                        vertex: prev,
+                        adjacency,
+                    };
                     let stamp = c.epoch.get_acquire();
                     cache.insert(prev, (stamp, ctx.clone()));
                     (stamp, ctx, false)
@@ -1884,8 +1824,7 @@ impl ServiceShared {
         } else {
             (body_len, None)
         };
-        c.context_bytes_raw
-            .add(CarriedContext::exact_wire_len(ctx.membership.len()) as u64);
+        c.context_bytes_raw.add(body_len as u64);
         c.context_bytes_forwarded.add(bytes_sent as u64);
         if cache_hit {
             c.context_cache_hits.inc();
@@ -1895,7 +1834,7 @@ impl ServiceShared {
         if self.record_epochs {
             walker.contexts.push(ContextTrace {
                 vertex: ctx.vertex,
-                adjacency: ctx.membership.decoded().unwrap_or_default(),
+                adjacency: ctx.adjacency.as_ref().clone(),
                 shard: owner_shard,
                 epoch: c.epoch.get_acquire(),
                 bytes_sent,
@@ -1925,9 +1864,11 @@ impl ServiceShared {
     /// diagnostics, not walk state, and a real remote protocol would ship
     /// it on a side channel if at all.
     ///
-    /// Any failure — carrier error, undecodable bytes, unknown ticket, a
+    /// Any failure — carrier error, undecodable bytes, a frame that
+    /// decodes to another walker's `(ticket, index)`, unknown ticket, a
     /// handle whose snapshot was evicted mid-flight — falls back to the
-    /// original in-process walker: the forward degrades to zero-copy
+    /// original in-process walker and is counted as
+    /// `service.transport.fallbacks`: the forward degrades to zero-copy
     /// instead of losing the walk (the attach-time context is still on
     /// its cursor, so even the evicted-handle race keeps the membership
     /// answers intact).
@@ -1962,18 +1903,36 @@ impl ServiceShared {
         self.counters[owner_shard]
             .transport_bytes_sent
             .add(sent as u64);
-        let Ok(delivered) = self.carrier.carry(to, buf) else {
-            return walker;
-        };
-        let Ok((decoded, _)) = wire::decode_walker(&delivered) else {
-            return walker;
-        };
-        let Some(model) = self.models.lock().get(&decoded.ticket).cloned() else {
-            return walker;
-        };
-        let Some(mut cursor) = WalkCursor::resume(model, decoded.path) else {
-            return walker;
-        };
+        match self.rebuild_from_wire(to, &mut walker, buf) {
+            Some(rebuilt) => rebuilt,
+            None => {
+                self.counters[owner_shard].transport_fallbacks.inc();
+                walker
+            }
+        }
+    }
+
+    /// The receiving half of [`ServiceShared::round_trip`]: carry `frame`
+    /// to shard `to` and rebuild `sent`'s successor from the delivered
+    /// bytes. `None` means the bytes were not usable and `sent` is
+    /// untouched; on success `sent`'s out-of-band diagnostics move onto
+    /// the rebuilt walker.
+    fn rebuild_from_wire(
+        &self,
+        to: usize,
+        sent: &mut Walker,
+        frame: Vec<u8>,
+    ) -> Option<Box<Walker>> {
+        let delivered = self.carrier.carry(to, frame).ok()?;
+        let (decoded, _) = wire::decode_walker(&delivered).ok()?;
+        // The collector files a finished walk under the frame's own
+        // `(ticket, index)`: a frame that names any walker but the one
+        // sent would land in (or past) another walker's result slot.
+        if (decoded.ticket, decoded.index) != (sent.ticket, sent.index) {
+            return None;
+        }
+        let model = self.models.lock().get(&decoded.ticket).cloned()?;
+        let mut cursor = WalkCursor::resume(model, decoded.path)?;
         match decoded.context {
             FrameContext::Inline(ctx) => {
                 cursor.set_forward_context(ctx);
@@ -1986,30 +1945,26 @@ impl ServiceShared {
                         _ => None,
                     }
                 };
-                match resolved.or_else(|| walker.cursor.state().carried_context().cloned()) {
-                    Some(ctx) => {
-                        cursor.set_forward_context(ctx);
-                    }
-                    None => return walker,
-                }
+                let ctx = resolved.or_else(|| sent.cursor.state().carried_context().cloned())?;
+                cursor.set_forward_context(ctx);
             }
             FrameContext::None => {}
         }
         self.counters[to]
             .transport_bytes_recv
             .add(delivered.len() as u64);
-        Box::new(Walker {
+        Some(Box::new(Walker {
             ticket: decoded.ticket,
             index: decoded.index,
             cursor,
             rng: Pcg64::from_raw_parts(decoded.rng_state, decoded.rng_inc),
             hops: decoded.hops,
-            trace: std::mem::take(&mut walker.trace),
-            contexts: std::mem::take(&mut walker.contexts),
+            trace: std::mem::take(&mut sent.trace),
+            contexts: std::mem::take(&mut sent.contexts),
             context_misses: decoded.context_misses,
             sampled: decoded.sampled,
-            sent_at: walker.sent_at.take(),
-        })
+            sent_at: sent.sent_at.take(),
+        }))
     }
 
     /// Run one walker visit: sample steps against `owner_shard`'s engine

@@ -44,8 +44,8 @@ pub(crate) struct ShardCounters {
     /// walkers: the encoded payload the first time a `(vertex, epoch)`
     /// snapshot ships, a small handle for every reuse.
     pub context_bytes_forwarded: Counter,
-    /// Bytes the exact-`Vec` wire format (no caching, no compact encoding)
-    /// would have shipped for the same forwards — the baseline
+    /// Bytes shipping the full snapshot body on every forward (no handle
+    /// negotiation) would have cost for the same forwards — the baseline
     /// `context_bytes_forwarded` is measured against.
     pub context_bytes_raw: Counter,
     /// Forwards whose membership snapshot was reused from this shard's
@@ -77,6 +77,10 @@ pub(crate) struct ShardCounters {
     /// Bytes of walker frames delivered *to* this shard by the transport
     /// and successfully decoded (serialized mode only).
     pub transport_bytes_recv: Counter,
+    /// Serialized forwards out of this shard that fell back to the
+    /// in-process walker after their frame was billed to
+    /// `transport_bytes_sent` (carrier error or unusable bytes).
+    pub transport_fallbacks: Counter,
     /// Submissions rejected because this shard's inbox was at its
     /// configured `max_inbox` bound.
     pub saturated_rejections: Counter,
@@ -123,6 +127,7 @@ impl ShardCounters {
                 .counter_with(names::SERVICE_CONTEXT_BODY_REQUEST, labels),
             transport_bytes_sent: telemetry.counter_with(names::TRANSPORT_BYTES_SENT, labels),
             transport_bytes_recv: telemetry.counter_with(names::TRANSPORT_BYTES_RECV, labels),
+            transport_fallbacks: telemetry.counter_with(names::SERVICE_TRANSPORT_FALLBACKS, labels),
             saturated_rejections: telemetry
                 .counter_with(names::SERVICE_SHARD_SATURATED_REJECTIONS, labels),
             stolen_batches: telemetry.counter_with(names::SERVICE_SHARD_STOLEN_BATCHES, labels),
@@ -171,6 +176,7 @@ impl ShardCounters {
             context_body_requests: self.context_body_requests.get(),
             transport_bytes_sent: self.transport_bytes_sent.get(),
             transport_bytes_recv: self.transport_bytes_recv.get(),
+            transport_fallbacks: self.transport_fallbacks.get(),
             saturated_rejections: self.saturated_rejections.get(),
             stolen_batches: self.stolen_batches.get(),
             stolen_walkers: self.stolen_walkers.get(),
@@ -233,6 +239,9 @@ pub struct ShardStatsSnapshot {
     /// Walker-frame bytes delivered to this shard and decoded (serialized
     /// mode only).
     pub transport_bytes_recv: u64,
+    /// Serialized forwards out of this shard that fell back to the
+    /// in-process walker (frame sent, not usable on arrival).
+    pub transport_fallbacks: u64,
     /// Submissions rejected at this shard's inbox bound.
     pub saturated_rejections: u64,
     /// Walker batches this shard drained from a hot peer's inbox
@@ -287,7 +296,7 @@ impl ServiceStats {
     }
 
     /// Total bytes of forwarded-context snapshots actually materialized on
-    /// the wire between shards (after snapshot reuse and compact encoding).
+    /// the wire between shards (after handle negotiation).
     pub fn total_context_bytes(&self) -> u64 {
         self.per_shard
             .iter()
@@ -379,6 +388,12 @@ impl ServiceStats {
     /// only).
     pub fn total_transport_bytes_recv(&self) -> u64 {
         self.per_shard.iter().map(|s| s.transport_bytes_recv).sum()
+    }
+
+    /// Total serialized forwards that fell back to the in-process walker
+    /// — the forwards behind any `bytes_sent` − `bytes_recv` gap.
+    pub fn total_transport_fallbacks(&self) -> u64 {
+        self.per_shard.iter().map(|s| s.transport_fallbacks).sum()
     }
 
     /// Total submissions rejected for inbox saturation.
@@ -524,13 +539,14 @@ impl ServiceStats {
         ));
         out.push_str(&format!(
             "negotiation: {} handle offers, {} hits ({:.1}% handle hit rate), \
-             {} body requests; transport {} bytes sent / {} bytes recv\n",
+             {} body requests; transport {} bytes sent / {} bytes recv, {} fallbacks\n",
             self.total_handle_offers(),
             self.total_handle_hits(),
             100.0 * self.handle_hit_rate(),
             self.total_body_requests(),
             self.total_transport_bytes_sent(),
             self.total_transport_bytes_recv(),
+            self.total_transport_fallbacks(),
         ));
         out
     }
@@ -709,6 +725,7 @@ mod tests {
                     context_handle_hits: 45,
                     context_body_requests: 15,
                     transport_bytes_sent: 4096,
+                    transport_fallbacks: 3,
                     ..Default::default()
                 },
                 ShardStatsSnapshot {
@@ -731,6 +748,8 @@ mod tests {
         let rendered = stats.render();
         assert!(rendered.contains("75.0% handle hit rate"));
         assert!(rendered.contains("4096 bytes sent"));
+        assert_eq!(stats.total_transport_fallbacks(), 3);
+        assert!(rendered.contains("3 fallbacks"));
         // No offers at all: the rate is defined as zero, not NaN.
         assert_eq!(ServiceStats::default().handle_hit_rate(), 0.0);
     }

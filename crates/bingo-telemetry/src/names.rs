@@ -29,6 +29,7 @@
 //! | `service.context.body_request` | counter | offered handles that shipped the body |
 //! | `transport.bytes_sent` | counter | encoded walker-frame bytes handed to the transport |
 //! | `transport.bytes_recv` | counter | walker-frame bytes delivered and decoded |
+//! | `service.transport.fallbacks` | counter | serialized forwards that degraded to the in-process walker |
 //! | `service.submit_ns` | histogram | submit call → all walkers enqueued |
 //! | `service.shard.step_batch_ns` | histogram | one walker visit on a shard |
 //! | `service.shard.inbox_dwell_ns` | histogram | message enqueue → dequeue |
@@ -109,6 +110,12 @@ pub const TRANSPORT_BYTES_SENT: &str = "transport.bytes_sent";
 /// `transport.bytes_recv` — walker-frame bytes delivered and decoded
 /// (counter; serialized mode only).
 pub const TRANSPORT_BYTES_RECV: &str = "transport.bytes_recv";
+/// `service.transport.fallbacks` — serialized forwards whose frame was
+/// sent but not usable on arrival (carrier error, undecodable or
+/// mis-addressed bytes, unknown ticket, unresolvable handle), so the
+/// original in-process walker was forwarded instead (counter). Explains
+/// any `transport.bytes_sent` − `transport.bytes_recv` gap.
+pub const SERVICE_TRANSPORT_FALLBACKS: &str = "service.transport.fallbacks";
 /// `service.submit_ns` — submit-call latency (histogram).
 pub const SERVICE_SUBMIT_NS: &str = "service.submit_ns";
 /// `service.shard.step_batch_ns` — one walker visit (histogram).

@@ -64,8 +64,7 @@ pub use apps::{
 };
 pub use engine::{WalkEngine, WalkResults};
 pub use model::{
-    BloomFingerprint, CarriedContext, ContextEncoding, ContextMembership, ContextRequirement,
-    ContextSnapshot, DeltaFingerprint, SharedWalkModel, StepSampler, Transition, WalkModel,
+    CarriedContext, ContextRequirement, SharedWalkModel, StepSampler, Transition, WalkModel,
     WalkState,
 };
 pub use tenancy::{TenantId, TicketMeta};

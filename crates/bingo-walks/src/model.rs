@@ -29,58 +29,26 @@
 //! problem that previously forced the service to reject node2vec
 //! submissions.
 //!
-//! ### Carried-context wire formats
+//! ### Carried-context wire format
 //!
-//! A [`CarriedContext`] is the pair `(vertex, membership)` where the
-//! membership structure is one of three versioned representations
-//! ([`ContextSnapshot`]), all queried through the [`ContextMembership`]
-//! trait:
-//!
-//! | version | variant | exact? | payload |
-//! |--------:|---------|--------|---------|
-//! | 1 | [`ContextSnapshot::Exact`] | yes | the sorted, deduplicated out-neighbor ids as raw `VertexId`s (4 bytes each) — PR-2's original format |
-//! | 2 | [`ContextSnapshot::Delta`] | yes | LEB128 varints of the gaps between consecutive sorted ids ([`DeltaFingerprint`]); ~4–8× smaller on clustered id ranges, identical membership answers |
-//! | 3 | [`ContextSnapshot::Bloom`] | **no** | a Bloom filter ([`BloomFingerprint`]) sized at a configured bits-per-key; no false negatives, but a tunable false-*positive* rate |
-//!
-//! The wire envelope is one version byte plus the 4-byte snapshot vertex id
-//! plus a 4-byte payload length, followed by the payload
-//! ([`CarriedContext::byte_len`] counts all of it). Encodings are selected
-//! by [`ContextEncoding`] (a deployment knob, not a per-walker one);
-//! [`ContextEncoding::Exact`] is the default so sharded and single-engine
-//! runs answer membership queries *identically*. `Delta` is also exact —
-//! it changes only the byte size. `Bloom` is opt-in because a false
-//! positive makes node2vec misclassify a distance-2 candidate as
-//! distance 1 with probability ≈ the filter's false-positive rate, which
-//! slightly biases the transition distribution (analytic chi-square
-//! equivalence holds only for the exact representations).
-//!
-//! ### Wire-format specification
+//! A [`CarriedContext`] is the pair `(vertex, adjacency)`: the sorted,
+//! deduplicated out-neighbor ids of the snapshotted vertex behind an
+//! `Arc`, so sharded and single-engine runs answer membership queries
+//! *identically* and a hot snapshot is shared by every walker forwarded
+//! in the same wave without a copy.
 //!
 //! All integers are **fixed-width little-endian**; nothing on the wire is
-//! `usize` or otherwise platform-dependent, and every count is explicit so
-//! a decoder never trusts container iteration order. The codecs live in
-//! [`crate::wire`]; `byte_len()` here reports *exactly* the number of
-//! bytes [`crate::wire::encode_context`] emits.
-//!
-//! Context envelope (every version, [`CONTEXT_ENVELOPE_BYTES`] = 9):
+//! `usize` or otherwise platform-dependent. The codecs live in
+//! [`crate::wire`]; [`CarriedContext::byte_len`] reports *exactly* the
+//! number of bytes [`crate::wire::encode_context`] emits
+//! ([`CONTEXT_ENVELOPE_BYTES`] = 9 of envelope plus the payload):
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
-//! | 0 | 1 | wire version (1 = exact, 2 = delta, 3 = Bloom) |
+//! | 0 | 1 | wire version (always 1; a decoder rejects anything else) |
 //! | 1 | 4 | snapshot vertex id (`u32` LE) |
-//! | 5 | 4 | payload length in bytes (`u32` LE) |
-//! | 9 | n | version-specific payload |
-//!
-//! Payloads:
-//!
-//! * **v1 exact** — the sorted, strictly increasing neighbor ids, each a
-//!   `u32` LE (payload length is `4 × entries`; the count is implied).
-//! * **v2 delta** — a `u32` LE entry count, then the LEB128 varint gap
-//!   stream ([`DeltaFingerprint`]): first varint is the first id, each
-//!   subsequent varint a strictly positive gap.
-//! * **v3 Bloom** — a `u32` LE entry count, a `u8` probe-hash count
-//!   (1–16), a `u32` LE filter word count, then that many `u64` LE filter
-//!   words ([`BloomFingerprint`]; the filter has `64 × words` bits).
+//! | 5 | 4 | payload length in bytes (`u32` LE, `4 × entries`) |
+//! | 9 | n | the sorted, strictly increasing neighbor ids, each a `u32` LE |
 //!
 //! Walker frames (the whole forwarded walker, version-prefixed the same
 //! way) and the 16-byte snapshot *handle* that replaces a payload when the
@@ -172,7 +140,6 @@
 
 use crate::TransitionSampler;
 use bingo_graph::VertexId;
-use bingo_sampling::rng::SplitMix64;
 use rand::RngCore;
 use std::cell::Cell;
 use std::sync::Arc;
@@ -203,418 +170,6 @@ pub enum Transition {
     Terminate,
 }
 
-/// How a forwarded-context membership snapshot is encoded on the wire.
-///
-/// A deployment-level knob (the sharded service reads it from its config):
-/// every snapshot captured by a service uses the same encoding, so the
-/// receiving side never has to negotiate. See the module docs for the
-/// format table and the exactness caveats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ContextEncoding {
-    /// Version 1: the sorted adjacency ids verbatim (exact, the default).
-    #[default]
-    Exact,
-    /// Version 2: delta-encoded LEB128 varints over the sorted ids (exact,
-    /// ~4–8× smaller on clustered id ranges).
-    Delta,
-    /// Version 3: a Bloom filter with the given bits-per-key budget
-    /// (approximate — false positives at roughly `0.6185^bits_per_key`;
-    /// never false negatives). Opt-in: it trades a small distribution bias
-    /// in second-order models for the smallest wire size.
-    Bloom {
-        /// Filter bits budgeted per adjacency entry (clamped to ≥ 1;
-        /// 10 gives ≈ 1% false positives).
-        bits_per_key: u8,
-    },
-}
-
-impl ContextEncoding {
-    /// Encode `adjacency` (the sorted, deduplicated out-neighbors of
-    /// `vertex`, shared behind an `Arc` so hot snapshots are reused without
-    /// copying) into a carried context in this encoding.
-    pub fn encode(&self, vertex: VertexId, adjacency: Arc<Vec<VertexId>>) -> CarriedContext {
-        let membership = match *self {
-            ContextEncoding::Exact => ContextSnapshot::Exact(adjacency),
-            ContextEncoding::Delta => {
-                ContextSnapshot::Delta(Arc::new(DeltaFingerprint::encode(&adjacency)))
-            }
-            ContextEncoding::Bloom { bits_per_key } => {
-                ContextSnapshot::Bloom(Arc::new(BloomFingerprint::build(&adjacency, bits_per_key)))
-            }
-        };
-        CarriedContext { vertex, membership }
-    }
-}
-
-/// Membership-query surface shared by every carried-context representation.
-///
-/// [`WalkState::prev_adjacent`] answers second-order membership through
-/// this trait, so models are agnostic to which wire format travelled with
-/// the walker.
-pub trait ContextMembership {
-    /// Whether `candidate` is (possibly: for approximate representations)
-    /// a member of the snapshotted adjacency.
-    fn contains(&self, candidate: VertexId) -> bool;
-
-    /// Payload wire size in bytes (excluding the shared envelope).
-    fn byte_len(&self) -> usize;
-
-    /// Number of adjacency entries the snapshot represents.
-    fn len(&self) -> usize;
-
-    /// Whether the snapshot is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `false` for representations that can return false positives.
-    fn is_exact(&self) -> bool;
-
-    /// Wire-format version tag (1 = exact, 2 = delta, 3 = Bloom).
-    fn wire_version(&self) -> u8;
-}
-
-impl ContextMembership for Vec<VertexId> {
-    fn contains(&self, candidate: VertexId) -> bool {
-        self.binary_search(&candidate).is_ok()
-    }
-
-    fn byte_len(&self) -> usize {
-        std::mem::size_of::<VertexId>() * self.len()
-    }
-
-    fn len(&self) -> usize {
-        Vec::len(self)
-    }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
-
-    fn wire_version(&self) -> u8 {
-        1
-    }
-}
-
-/// Version-2 membership payload: the gaps between consecutive sorted ids,
-/// LEB128-varint encoded. Exact (decodes back to the original fingerprint);
-/// membership is a linear decode with early exit, `O(d)` worst case —
-/// acceptable because node2vec issues a handful of queries per step and the
-/// decode touches ~1 byte per neighbor on clustered graphs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaFingerprint {
-    bytes: Vec<u8>,
-    len: usize,
-}
-
-impl DeltaFingerprint {
-    /// Delta-encode a sorted, deduplicated id slice.
-    pub fn encode(sorted: &[VertexId]) -> Self {
-        debug_assert!(
-            sorted.windows(2).all(|w| w[0] < w[1]),
-            "input sorted+deduped"
-        );
-        let mut bytes = Vec::with_capacity(sorted.len() + sorted.len() / 2);
-        let mut prev = 0u32;
-        for (i, &v) in sorted.iter().enumerate() {
-            // First entry stores the id itself; the rest store strictly
-            // positive gaps.
-            let mut gap = if i == 0 { v } else { v - prev };
-            prev = v;
-            loop {
-                let byte = (gap & 0x7F) as u8;
-                gap >>= 7;
-                if gap == 0 {
-                    bytes.push(byte);
-                    break;
-                }
-                bytes.push(byte | 0x80);
-            }
-        }
-        DeltaFingerprint {
-            bytes,
-            len: sorted.len(),
-        }
-    }
-
-    /// Iterate the decoded ids in ascending order.
-    fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
-        let mut pos = 0usize;
-        let mut prev = 0u32;
-        let mut first = true;
-        std::iter::from_fn(move || {
-            if pos >= self.bytes.len() {
-                return None;
-            }
-            let mut gap = 0u32;
-            let mut shift = 0u32;
-            loop {
-                let byte = self.bytes[pos];
-                pos += 1;
-                gap |= u32::from(byte & 0x7F) << shift;
-                if byte & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
-            }
-            prev = if first { gap } else { prev + gap };
-            first = false;
-            Some(prev)
-        })
-    }
-
-    /// Decode back to the sorted id vector (tests, trace recording).
-    pub fn decode(&self) -> Vec<VertexId> {
-        self.iter().collect()
-    }
-
-    /// The raw varint gap stream and entry count, for the wire codec.
-    pub fn wire_parts(&self) -> (&[u8], usize) {
-        (&self.bytes, self.len)
-    }
-
-    /// Rebuild a fingerprint from wire parts, validating that the varint
-    /// stream is well-formed: exactly `len` entries, strictly increasing,
-    /// every value within `u32`, no trailing bytes. Returns `None` on any
-    /// violation, so corrupted wire bytes can never panic a membership
-    /// query.
-    pub fn from_wire_parts(bytes: Vec<u8>, len: usize) -> Option<Self> {
-        let mut pos = 0usize;
-        let mut prev = 0u32;
-        let mut decoded = 0usize;
-        while pos < bytes.len() {
-            let mut gap: u64 = 0;
-            let mut shift = 0u32;
-            loop {
-                let byte = *bytes.get(pos)?;
-                pos += 1;
-                if shift >= 32 && byte & 0x7F != 0 {
-                    return None; // value overflows u32
-                }
-                gap |= u64::from(byte & 0x7F) << shift.min(63);
-                if byte & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
-                if shift > 63 {
-                    return None; // runaway continuation bits
-                }
-            }
-            let gap = u32::try_from(gap).ok()?;
-            if decoded > 0 && gap == 0 {
-                return None; // duplicate (gaps must be strictly positive)
-            }
-            prev = if decoded == 0 {
-                gap
-            } else {
-                prev.checked_add(gap)?
-            };
-            decoded += 1;
-        }
-        if decoded != len {
-            return None;
-        }
-        Some(DeltaFingerprint { bytes, len })
-    }
-}
-
-impl ContextMembership for DeltaFingerprint {
-    fn contains(&self, candidate: VertexId) -> bool {
-        for v in self.iter() {
-            if v == candidate {
-                return true;
-            }
-            if v > candidate {
-                return false;
-            }
-        }
-        false
-    }
-
-    fn byte_len(&self) -> usize {
-        // u32 entry-count prefix + the varint gap stream (see the
-        // wire-format spec in the module docs).
-        std::mem::size_of::<u32>() + self.bytes.len()
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
-
-    fn wire_version(&self) -> u8 {
-        2
-    }
-}
-
-/// Version-3 membership payload: a Bloom filter over the adjacency ids with
-/// SplitMix64 double hashing. No false negatives; false positives at
-/// roughly `0.6185^bits_per_key`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BloomFingerprint {
-    bits: Vec<u64>,
-    num_bits: u64,
-    hashes: u32,
-    len: usize,
-}
-
-impl BloomFingerprint {
-    /// Build a filter over `items` with `bits_per_key` filter bits per
-    /// entry (clamped to ≥ 1) and the matching optimal hash count.
-    pub fn build(items: &[VertexId], bits_per_key: u8) -> Self {
-        let bpk = usize::from(bits_per_key.max(1));
-        let num_bits = (items.len().max(1) * bpk).next_multiple_of(64) as u64;
-        let hashes = ((bpk as f64) * std::f64::consts::LN_2)
-            .round()
-            .clamp(1.0, 16.0) as u32;
-        let mut filter = BloomFingerprint {
-            bits: vec![0u64; (num_bits / 64) as usize],
-            num_bits,
-            hashes,
-            len: items.len(),
-        };
-        for &v in items {
-            let (h1, h2) = Self::hash_pair(v);
-            for i in 0..filter.hashes {
-                let bit = h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % filter.num_bits;
-                filter.bits[(bit / 64) as usize] |= 1 << (bit % 64);
-            }
-        }
-        filter
-    }
-
-    fn hash_pair(v: VertexId) -> (u64, u64) {
-        let mut sm = SplitMix64::new(u64::from(v));
-        (sm.next(), sm.next() | 1)
-    }
-
-    /// The configured number of probe hashes.
-    pub fn num_hashes(&self) -> u32 {
-        self.hashes
-    }
-
-    /// The raw filter words, probe-hash count, and entry count, for the
-    /// wire codec.
-    pub fn wire_parts(&self) -> (&[u64], u32, usize) {
-        (&self.bits, self.hashes, self.len)
-    }
-
-    /// Rebuild a filter from wire parts, validating the Bloom invariants
-    /// (at least one word, 1–16 probe hashes). Returns `None` on any
-    /// violation, so corrupted wire bytes can never panic a membership
-    /// probe (`contains` reduces probe positions modulo `64 × words`,
-    /// which the word check keeps nonzero).
-    pub fn from_wire_parts(bits: Vec<u64>, hashes: u32, len: usize) -> Option<Self> {
-        if bits.is_empty() || !(1..=16).contains(&hashes) {
-            return None;
-        }
-        let num_bits = (bits.len() as u64) * 64;
-        Some(BloomFingerprint {
-            bits,
-            num_bits,
-            hashes,
-            len,
-        })
-    }
-}
-
-impl ContextMembership for BloomFingerprint {
-    fn contains(&self, candidate: VertexId) -> bool {
-        let (h1, h2) = Self::hash_pair(candidate);
-        (0..self.hashes).all(|i| {
-            let bit = h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % self.num_bits;
-            self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
-        })
-    }
-
-    fn byte_len(&self) -> usize {
-        // u32 entry count + u8 probe-hash count + u32 word count + the
-        // filter words (see the wire-format spec in the module docs).
-        std::mem::size_of::<u32>() * 2 + 1 + self.bits.len() * std::mem::size_of::<u64>()
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-
-    fn wire_version(&self) -> u8 {
-        3
-    }
-}
-
-/// A versioned membership snapshot: the payload of a [`CarriedContext`].
-///
-/// Every variant holds its representation behind an `Arc`, so a hot
-/// vertex's snapshot is captured once per epoch and shared by every walker
-/// forwarded in the same wave — attaching it to another walker is an `Arc`
-/// clone, not a `Vec` copy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ContextSnapshot {
-    /// v1: sorted, deduplicated out-neighbor ids (binary-searchable).
-    Exact(Arc<Vec<VertexId>>),
-    /// v2: delta-varint encoded sorted ids (exact, compact).
-    Delta(Arc<DeltaFingerprint>),
-    /// v3: Bloom filter (approximate, smallest).
-    Bloom(Arc<BloomFingerprint>),
-}
-
-impl ContextSnapshot {
-    /// The decoded sorted adjacency, for exact representations (`None` for
-    /// Bloom, which is one-way).
-    pub fn decoded(&self) -> Option<Vec<VertexId>> {
-        match self {
-            ContextSnapshot::Exact(adj) => Some(adj.as_ref().clone()),
-            ContextSnapshot::Delta(d) => Some(d.decode()),
-            ContextSnapshot::Bloom(_) => None,
-        }
-    }
-}
-
-impl ContextMembership for ContextSnapshot {
-    fn contains(&self, candidate: VertexId) -> bool {
-        match self {
-            ContextSnapshot::Exact(adj) => adj.as_ref().contains(candidate),
-            ContextSnapshot::Delta(d) => d.contains(candidate),
-            ContextSnapshot::Bloom(b) => b.contains(candidate),
-        }
-    }
-
-    fn byte_len(&self) -> usize {
-        match self {
-            ContextSnapshot::Exact(adj) => ContextMembership::byte_len(adj.as_ref()),
-            ContextSnapshot::Delta(d) => d.byte_len(),
-            ContextSnapshot::Bloom(b) => b.byte_len(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ContextSnapshot::Exact(adj) => adj.len(),
-            ContextSnapshot::Delta(d) => ContextMembership::len(d.as_ref()),
-            ContextSnapshot::Bloom(b) => ContextMembership::len(b.as_ref()),
-        }
-    }
-
-    fn is_exact(&self) -> bool {
-        !matches!(self, ContextSnapshot::Bloom(_))
-    }
-
-    fn wire_version(&self) -> u8 {
-        match self {
-            ContextSnapshot::Exact(_) => 1,
-            ContextSnapshot::Delta(_) => 2,
-            ContextSnapshot::Bloom(_) => 3,
-        }
-    }
-}
-
 /// Bytes of the shared wire envelope: one version byte, the snapshot
 /// vertex id, and the payload length (see the wire-format spec in the
 /// module docs).
@@ -623,33 +178,49 @@ pub const CONTEXT_ENVELOPE_BYTES: usize =
 
 /// A membership snapshot of one vertex's out-adjacency, captured by the
 /// shard that owns it and carried with a forwarded walker. See the module
-/// docs for the wire formats.
+/// docs for the wire format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CarriedContext {
     /// The vertex whose adjacency was snapshotted.
     pub vertex: VertexId,
-    /// The versioned membership representation.
-    pub membership: ContextSnapshot,
+    /// The sorted, deduplicated out-neighbor ids (binary-searchable).
+    /// Behind an `Arc` so a hot vertex's snapshot is captured once per
+    /// epoch and attaching it to another walker is a pointer clone.
+    pub adjacency: Arc<Vec<VertexId>>,
 }
 
 impl CarriedContext {
-    /// Build a version-1 (exact) context from a sorted, deduplicated
-    /// adjacency vector.
+    /// Build a context from a sorted, deduplicated adjacency vector.
     pub fn exact(vertex: VertexId, adjacency: Vec<VertexId>) -> Self {
         CarriedContext {
             vertex,
-            membership: ContextSnapshot::Exact(Arc::new(adjacency)),
+            adjacency: Arc::new(adjacency),
         }
+    }
+
+    /// Whether `candidate` is an out-neighbor of the snapshotted vertex.
+    pub fn contains(&self, candidate: VertexId) -> bool {
+        self.adjacency.binary_search(&candidate).is_ok()
+    }
+
+    /// Number of adjacency entries the snapshot holds.
+    pub fn len(&self) -> usize {
+        self.adjacency.len()
+    }
+
+    /// Whether the snapshotted vertex has no out-neighbors.
+    pub fn is_empty(&self) -> bool {
+        self.adjacency.is_empty()
     }
 
     /// Wire size of this context in bytes: envelope plus payload.
     pub fn byte_len(&self) -> usize {
-        CONTEXT_ENVELOPE_BYTES + self.membership.byte_len()
+        Self::exact_wire_len(self.len())
     }
 
-    /// Wire size the version-1 (exact `Vec<VertexId>`) format would need
-    /// for a snapshot of `neighbors` entries — the baseline against which
-    /// compact encodings and snapshot reuse are accounted.
+    /// Wire size of a snapshot of `neighbors` entries — the per-forward
+    /// baseline against which snapshot reuse and handle negotiation are
+    /// accounted.
     pub fn exact_wire_len(neighbors: usize) -> usize {
         CONTEXT_ENVELOPE_BYTES + std::mem::size_of::<VertexId>() * neighbors
     }
@@ -727,7 +298,7 @@ impl WalkState {
         };
         if let Some(ctx) = &self.carried {
             if ctx.vertex == prev {
-                return ctx.membership.contains(candidate);
+                return ctx.contains(candidate);
             }
         }
         if !sampler.owns_vertex(prev) {
@@ -1245,79 +816,6 @@ mod tests {
         state.set_carried(CarriedContext::exact(0, vec![3]));
         assert!(!state.prev_adjacent(3, &sampler));
         assert_eq!(state.context_misses(), 1);
-    }
-
-    #[test]
-    fn delta_fingerprint_round_trips_and_answers_membership() {
-        let ids: Vec<VertexId> = vec![0, 1, 5, 6, 7, 130, 131, 4000, 1_000_000];
-        let delta = DeltaFingerprint::encode(&ids);
-        assert_eq!(delta.decode(), ids);
-        assert_eq!(ContextMembership::len(&delta), ids.len());
-        for &v in &ids {
-            assert!(delta.contains(v), "member {v}");
-        }
-        for v in [2, 4, 129, 132, 999_999, 1_000_001] {
-            assert!(!delta.contains(v), "non-member {v}");
-        }
-        assert!(delta.is_exact());
-        assert_eq!(delta.wire_version(), 2);
-        // Clustered ids encode in ~1 byte per entry vs 4 for the exact Vec.
-        let clustered: Vec<VertexId> = (500..564).collect();
-        let delta = DeltaFingerprint::encode(&clustered);
-        let exact_payload = ContextMembership::byte_len(&clustered);
-        assert!(
-            delta.byte_len() * 3 < exact_payload,
-            "delta {} vs exact {exact_payload} bytes",
-            delta.byte_len()
-        );
-        assert!(DeltaFingerprint::encode(&[]).decode().is_empty());
-    }
-
-    #[test]
-    fn bloom_fingerprint_has_no_false_negatives_and_few_false_positives() {
-        let ids: Vec<VertexId> = (0..512).map(|i| i * 7 + 3).collect();
-        let bloom = BloomFingerprint::build(&ids, 10);
-        for &v in &ids {
-            assert!(bloom.contains(v), "no false negatives ({v})");
-        }
-        assert!(!bloom.is_exact());
-        assert_eq!(bloom.wire_version(), 3);
-        assert!(bloom.num_hashes() >= 1);
-        let false_positives = (100_000..110_000).filter(|&v| bloom.contains(v)).count();
-        assert!(
-            false_positives < 500,
-            "≈1% expected at 10 bits/key, saw {false_positives}/10000"
-        );
-        // The filter is far smaller than the exact payload.
-        assert!(bloom.byte_len() < ContextMembership::byte_len(&ids));
-    }
-
-    #[test]
-    fn context_encodings_agree_on_membership() {
-        let ids: Vec<VertexId> = vec![2, 9, 17, 33, 64, 65, 900];
-        let adjacency = Arc::new(ids.clone());
-        let exact = ContextEncoding::Exact.encode(7, adjacency.clone());
-        let delta = ContextEncoding::Delta.encode(7, adjacency.clone());
-        let bloom = ContextEncoding::Bloom { bits_per_key: 12 }.encode(7, adjacency);
-        assert_eq!(exact.membership.wire_version(), 1);
-        assert_eq!(delta.membership.wire_version(), 2);
-        assert_eq!(bloom.membership.wire_version(), 3);
-        for &v in &ids {
-            assert!(exact.membership.contains(v));
-            assert!(delta.membership.contains(v));
-            assert!(bloom.membership.contains(v), "no false negatives");
-        }
-        assert!(!exact.membership.contains(3));
-        assert!(!delta.membership.contains(3));
-        assert_eq!(exact.membership.decoded().as_deref(), Some(&ids[..]));
-        assert_eq!(delta.membership.decoded().as_deref(), Some(&ids[..]));
-        assert_eq!(bloom.membership.decoded(), None, "Bloom is one-way");
-        assert!(delta.byte_len() < exact.byte_len());
-        assert_eq!(
-            exact.byte_len(),
-            CarriedContext::exact_wire_len(ids.len()),
-            "v1 wire size matches the accounting baseline"
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   [`WireError`], never panics, and never allocates proportionally to a
 //!   length field that the remaining buffer cannot back.
 //!
-//! The carried-context envelope and payloads are specified in the
+//! The carried-context envelope and payload are specified in the
 //! [`crate::model`] module docs. The walker frame (version 1):
 //!
 //! | offset | size | field |
@@ -41,12 +41,9 @@
 //! resumes the *exact* random stream: a serialized hop is bit-identical
 //! to an in-process hop.
 
-use crate::model::{
-    BloomFingerprint, CarriedContext, ContextMembership, ContextSnapshot, DeltaFingerprint,
-};
+use crate::model::CarriedContext;
 use bingo_graph::VertexId;
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a wire buffer failed to decode. Decoders return this for every
 /// malformed input — truncation and corruption are recoverable protocol
@@ -129,10 +126,6 @@ impl<'a> Reader<'a> {
         raw.copy_from_slice(self.take(16)?);
         Ok(u128::from_le_bytes(raw))
     }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
 }
 
 /// Narrow an in-memory length to its `u32` wire representation. Lengths
@@ -147,38 +140,21 @@ fn len_u32(len: usize) -> u32 {
 // Carried-context codec
 // ---------------------------------------------------------------------------
 
+/// The only carried-context envelope version: the sorted adjacency ids
+/// verbatim. Versions 2 and 3 named retired encodings and are rejected.
+const CONTEXT_WIRE_VERSION: u8 = 1;
+
 /// Append the wire encoding of `ctx` to `buf`, returning the number of
 /// bytes written — always exactly [`CarriedContext::byte_len`], which is
 /// what makes the service's byte accounting honest.
 pub fn encode_context(ctx: &CarriedContext, buf: &mut Vec<u8>) -> usize {
     let start = buf.len();
-    buf.push(ctx.membership.wire_version());
+    buf.push(CONTEXT_WIRE_VERSION);
     buf.extend_from_slice(&ctx.vertex.to_le_bytes());
-    let len_at = buf.len();
-    buf.extend_from_slice(&[0u8; 4]); // payload length, patched below
-    match &ctx.membership {
-        ContextSnapshot::Exact(adj) => {
-            for &v in adj.iter() {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        ContextSnapshot::Delta(delta) => {
-            let (stream, entries) = delta.wire_parts();
-            buf.extend_from_slice(&len_u32(entries).to_le_bytes());
-            buf.extend_from_slice(stream);
-        }
-        ContextSnapshot::Bloom(bloom) => {
-            let (words, hashes, entries) = bloom.wire_parts();
-            buf.extend_from_slice(&len_u32(entries).to_le_bytes());
-            buf.push(hashes as u8);
-            buf.extend_from_slice(&len_u32(words.len()).to_le_bytes());
-            for &w in words {
-                buf.extend_from_slice(&w.to_le_bytes());
-            }
-        }
+    buf.extend_from_slice(&len_u32(4 * ctx.len()).to_le_bytes());
+    for &v in ctx.adjacency.iter() {
+        buf.extend_from_slice(&v.to_le_bytes());
     }
-    let payload_len = len_u32(buf.len() - len_at - 4);
-    buf[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
     debug_assert_eq!(
         buf.len() - start,
         ctx.byte_len(),
@@ -195,55 +171,22 @@ pub fn decode_context(bytes: &[u8]) -> Result<(CarriedContext, usize), WireError
     let vertex: VertexId = r.u32()?;
     let payload_len = r.u32()? as usize;
     let payload = r.take(payload_len)?;
-    let membership = match version {
-        1 => {
-            if !payload_len.is_multiple_of(4) {
-                return Err(WireError::Corrupt("v1 payload not a whole number of ids"));
-            }
-            let mut ids: Vec<VertexId> = Vec::with_capacity(payload_len / 4);
-            for chunk in payload.chunks_exact(4) {
-                let mut raw = [0u8; 4];
-                raw.copy_from_slice(chunk);
-                ids.push(u32::from_le_bytes(raw));
-            }
-            if !ids.windows(2).all(|w| w[0] < w[1]) {
-                return Err(WireError::Corrupt("v1 ids not strictly increasing"));
-            }
-            ContextSnapshot::Exact(Arc::new(ids))
-        }
-        2 => {
-            let mut pr = Reader::new(payload);
-            let entries = pr.u32()? as usize;
-            let stream = pr.take(pr.remaining())?;
-            let delta = DeltaFingerprint::from_wire_parts(stream.to_vec(), entries)
-                .ok_or(WireError::Corrupt("v2 varint stream invalid"))?;
-            ContextSnapshot::Delta(Arc::new(delta))
-        }
-        3 => {
-            let mut pr = Reader::new(payload);
-            let entries = pr.u32()? as usize;
-            let hashes = u32::from(pr.u8()?);
-            let num_words = pr.u32()? as usize;
-            let want = num_words
-                .checked_mul(8)
-                .ok_or(WireError::Corrupt("v3 word count overflows"))?;
-            let raw = pr.take(want)?;
-            if pr.remaining() != 0 {
-                return Err(WireError::Corrupt("v3 trailing payload bytes"));
-            }
-            let mut words: Vec<u64> = Vec::with_capacity(num_words);
-            for chunk in raw.chunks_exact(8) {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(chunk);
-                words.push(u64::from_le_bytes(w));
-            }
-            let bloom = BloomFingerprint::from_wire_parts(words, hashes, entries)
-                .ok_or(WireError::Corrupt("v3 filter invariants violated"))?;
-            ContextSnapshot::Bloom(Arc::new(bloom))
-        }
-        v => return Err(WireError::BadVersion(v)),
-    };
-    Ok((CarriedContext { vertex, membership }, r.pos))
+    if version != CONTEXT_WIRE_VERSION {
+        return Err(WireError::BadVersion(version));
+    }
+    if !payload_len.is_multiple_of(4) {
+        return Err(WireError::Corrupt("payload not a whole number of ids"));
+    }
+    let mut ids: Vec<VertexId> = Vec::with_capacity(payload_len / 4);
+    for chunk in payload.chunks_exact(4) {
+        let mut raw = [0u8; 4];
+        raw.copy_from_slice(chunk);
+        ids.push(u32::from_le_bytes(raw));
+    }
+    if !ids.windows(2).all(|w| w[0] < w[1]) {
+        return Err(WireError::Corrupt("ids not strictly increasing"));
+    }
+    Ok((CarriedContext::exact(vertex, ids), r.pos))
 }
 
 // ---------------------------------------------------------------------------
@@ -442,7 +385,7 @@ pub fn decode_walker(bytes: &[u8]) -> Result<(WalkerFrame, usize), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ContextEncoding, CONTEXT_ENVELOPE_BYTES};
+    use crate::model::CONTEXT_ENVELOPE_BYTES;
     use bingo_sampling::rng::Pcg64;
     use rand::{Rng, SeedableRng};
 
@@ -456,15 +399,7 @@ mod tests {
 
     fn random_context(rng: &mut Pcg64) -> CarriedContext {
         let ids = random_sorted_ids(rng, 200);
-        let vertex = rng.gen_range(0..1_000_000u32);
-        let encoding = match rng.gen_range(0..3u8) {
-            0 => ContextEncoding::Exact,
-            1 => ContextEncoding::Delta,
-            _ => ContextEncoding::Bloom {
-                bits_per_key: rng.gen_range(1..=16u8),
-            },
-        };
-        encoding.encode(vertex, Arc::new(ids))
+        CarriedContext::exact(rng.gen_range(0..1_000_000u32), ids)
     }
 
     fn random_frame(rng: &mut Pcg64) -> WalkerFrame {
@@ -492,19 +427,14 @@ mod tests {
     }
 
     #[test]
-    fn context_round_trips_for_all_versions_on_random_inputs() {
+    fn context_round_trips_on_random_inputs() {
         let mut rng = Pcg64::seed_from_u64(0xC0DEC);
         for _ in 0..200 {
             let ctx = random_context(&mut rng);
             let mut buf = Vec::new();
             let written = encode_context(&ctx, &mut buf);
             assert_eq!(written, buf.len());
-            assert_eq!(
-                written,
-                ctx.byte_len(),
-                "byte_len must be the exact wire size (v{})",
-                ctx.membership.wire_version()
-            );
+            assert_eq!(written, ctx.byte_len(), "byte_len is the exact wire size");
             let (decoded, consumed) = decode_context(&buf).expect("round trip");
             assert_eq!(consumed, buf.len());
             assert_eq!(decoded, ctx);
@@ -563,13 +493,29 @@ mod tests {
         let mut bad = buf.clone();
         bad[5..9].copy_from_slice(&11u32.to_le_bytes());
         assert!(decode_context(&bad).is_err());
-        // A delta whose entry count disagrees with its varint stream.
-        let delta = ContextEncoding::Delta.encode(1, Arc::new(vec![10, 20, 30]));
-        let mut buf = Vec::new();
-        encode_context(&delta, &mut buf);
-        buf[CONTEXT_ENVELOPE_BYTES..CONTEXT_ENVELOPE_BYTES + 4]
-            .copy_from_slice(&7u32.to_le_bytes());
-        assert!(matches!(decode_context(&buf), Err(WireError::Corrupt(_))));
+    }
+
+    #[test]
+    fn retired_context_versions_are_rejected_as_bad_version() {
+        // Well-formed envelopes of the retired delta (v2: entry count +
+        // LEB128 gap stream) and Bloom (v3: entry count, probe count, word
+        // count, filter words) encodings: a peer still speaking them gets
+        // a typed version error, never a misparse as v1 ids.
+        let delta_payload: Vec<u8> = [&3u32.to_le_bytes()[..], &[10, 10, 10]].concat();
+        let bloom_payload: Vec<u8> = [
+            &3u32.to_le_bytes()[..],
+            &[7],
+            &1u32.to_le_bytes(),
+            &0x8421u64.to_le_bytes(),
+        ]
+        .concat();
+        for (version, payload) in [(2u8, delta_payload), (3u8, bloom_payload)] {
+            let mut buf = vec![version];
+            buf.extend_from_slice(&1u32.to_le_bytes());
+            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&payload);
+            assert_eq!(decode_context(&buf), Err(WireError::BadVersion(version)));
+        }
     }
 
     #[test]

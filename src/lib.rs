@@ -109,9 +109,9 @@ pub mod prelude {
     };
     pub use bingo_telemetry::{Telemetry, TelemetryConfig};
     pub use bingo_walks::{
-        CarriedContext, ContextEncoding, ContextMembership, ContextRequirement, DeepWalkConfig,
-        Node2VecConfig, PprConfig, SharedWalkModel, StepSampler, Transition, TransitionSampler,
-        WalkCursor, WalkEngine, WalkModel, WalkSpec, WalkState,
+        CarriedContext, ContextRequirement, DeepWalkConfig, Node2VecConfig, PprConfig,
+        SharedWalkModel, StepSampler, Transition, TransitionSampler, WalkCursor, WalkEngine,
+        WalkModel, WalkSpec, WalkState,
     };
     pub use rand::SeedableRng;
 }

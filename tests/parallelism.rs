@@ -112,16 +112,15 @@ fn walk_engine_results_are_thread_count_independent() {
 }
 
 /// One sharded node2vec wave (second-order, so walkers are forwarded with
-/// carried context) under a pinned team size and an explicit steal policy.
-/// Returns the result paths, slotted by walker index.
-fn service_walk_paths(graph: &DynamicGraph, threads: usize, steal: bool) -> Vec<Vec<VertexId>> {
+/// carried context) under a pinned team size and shard count. Returns the
+/// result paths, slotted by walker index.
+fn service_walk_paths(graph: &DynamicGraph, threads: usize, shards: usize) -> Vec<Vec<VertexId>> {
     rayon::with_threads(threads, || {
         let service = WalkService::build(
             graph,
             ServiceConfig {
-                num_shards: 4,
+                num_shards: shards,
                 seed: 0x57EA_11CE,
-                steal: Some(steal),
                 ..ServiceConfig::default()
             },
         )
@@ -139,21 +138,21 @@ fn service_walk_paths(graph: &DynamicGraph, threads: usize, steal: bool) -> Vec<
 }
 
 #[test]
-fn service_results_are_thread_count_and_steal_independent() {
+fn service_results_are_thread_and_shard_count_independent() {
     // Walk paths depend only on the per-walker RNG stream and the engine
     // state at the observed epoch — never on which shard task (owner or
-    // thief) executed the visit, or on how many workers the pool has.
+    // thief) executed the visit, on how many workers the pool has, or on
+    // how the vertex space is sharded. The reference is a 1-shard service:
+    // it never forwards a walker and has no peer to steal from.
     let graph = test_graph(240, 1900, 0x0577_EA11);
-    let baseline = service_walk_paths(&graph, 1, false);
+    let baseline = service_walk_paths(&graph, 1, 1);
     assert_eq!(baseline.len(), graph.num_vertices());
     for threads in [1, 2, 4, 8] {
-        for steal in [false, true] {
-            assert_eq!(
-                service_walk_paths(&graph, threads, steal),
-                baseline,
-                "WalkResults diverged at {threads} threads, steal={steal}"
-            );
-        }
+        assert_eq!(
+            service_walk_paths(&graph, threads, 4),
+            baseline,
+            "4-shard WalkResults diverged from 1 shard at {threads} threads"
+        );
     }
 }
 
@@ -176,9 +175,6 @@ fn hot_shard_batches_are_stolen_by_idle_peers() {
         ServiceConfig {
             num_shards: 4,
             seed: 0x57EA,
-            // Explicit: the CI matrix runs this suite with BINGO_STEAL=off,
-            // and the config override outranks the environment.
-            steal: Some(true),
             ..ServiceConfig::default()
         },
     )

@@ -558,67 +558,60 @@ fn sharded_node2vec_across_two_boundaries_matches_analytic_distribution() {
     let critical = chi_square_critical_999(fanout.len() - 1) * 1.5;
     let trials = 60_000;
 
-    // Both exact encodings must reproduce the distribution; Delta changes
-    // the wire bytes but not the membership answers.
-    for encoding in [ContextEncoding::Exact, ContextEncoding::Delta] {
-        let service = WalkService::build(
-            &graph,
-            ServiceConfig {
-                num_shards: 4,
-                seed: 0x2B0D ^ u64::from(encoding == ContextEncoding::Delta),
-                record_epochs: true,
-                context_encoding: encoding,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let starts = vec![0 as VertexId; trials];
-        let results = service.wait(service.submit(spec, &starts).unwrap());
-        let mut counts = vec![0usize; fanout.len()];
-        let mut via = 0usize;
-        for path in &results.paths {
-            if path.len() == 4 && path[1] == HUB1 && path[2] == HUB2 {
-                counts[slot[&path[3]]] += 1;
-                via += 1;
-            }
+    let service = WalkService::build(
+        &graph,
+        ServiceConfig {
+            num_shards: 4,
+            seed: 0x2B0D,
+            record_epochs: true,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let starts = vec![0 as VertexId; trials];
+    let results = service.wait(service.submit(spec, &starts).unwrap());
+    let mut counts = vec![0usize; fanout.len()];
+    let mut via = 0usize;
+    for path in &results.paths {
+        if path.len() == 4 && path[1] == HUB1 && path[2] == HUB2 {
+            counts[slot[&path[3]]] += 1;
+            via += 1;
         }
-        assert!(
-            via > trials * 8 / 10,
-            "most walks route 0→HUB1→HUB2 ({via})"
-        );
-        let stat = chi_square(&counts, &probs);
-        assert!(
-            stat < critical,
-            "{encoding:?}: two-boundary node2vec off: chi2 {stat:.2} vs {critical:.2} ({counts:?})"
-        );
-
-        // The walkers that took the 0→HUB1→HUB2 spine were forwarded twice
-        // with a capture each time: context for vertex 0 (captured on
-        // shard 0), consumed at HUB1, then context for HUB1 re-captured on
-        // shard 1 for the forward to shard 2.
-        let recaptured = results
-            .contexts
-            .iter()
-            .filter(|ctxs| {
-                ctxs.iter().any(|c| c.vertex == 0) && ctxs.iter().any(|c| c.vertex == HUB1)
-            })
-            .count();
-        assert!(
-            recaptured > trials / 2,
-            "consecutive boundary crossings re-capture context ({recaptured})"
-        );
-
-        let stats = service.shutdown();
-        assert_eq!(
-            stats.total_context_misses(),
-            0,
-            "no membership query fell back to a non-owning engine"
-        );
-        assert!(
-            stats.total_context_cache_hits() > 0,
-            "snapshots were reused"
-        );
     }
+    assert!(
+        via > trials * 8 / 10,
+        "most walks route 0→HUB1→HUB2 ({via})"
+    );
+    let stat = chi_square(&counts, &probs);
+    assert!(
+        stat < critical,
+        "two-boundary node2vec off: chi2 {stat:.2} vs {critical:.2} ({counts:?})"
+    );
+
+    // The walkers that took the 0→HUB1→HUB2 spine were forwarded twice
+    // with a capture each time: context for vertex 0 (captured on
+    // shard 0), consumed at HUB1, then context for HUB1 re-captured on
+    // shard 1 for the forward to shard 2.
+    let recaptured = results
+        .contexts
+        .iter()
+        .filter(|ctxs| ctxs.iter().any(|c| c.vertex == 0) && ctxs.iter().any(|c| c.vertex == HUB1))
+        .count();
+    assert!(
+        recaptured > trials / 2,
+        "consecutive boundary crossings re-capture context ({recaptured})"
+    );
+
+    let stats = service.shutdown();
+    assert_eq!(
+        stats.total_context_misses(),
+        0,
+        "no membership query fell back to a non-owning engine"
+    );
+    assert!(
+        stats.total_context_cache_hits() > 0,
+        "snapshots were reused"
+    );
 
     // Single engine, same analytic expectation.
     let single = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
