@@ -12,7 +12,9 @@ use rand::Rng;
 
 /// Figure 11 — memory consumption of the baseline (all-regular, "BS") vs the
 /// group-adaptive design ("GA"), overall and per group kind, plus the ratio
-/// of group kinds per dataset.
+/// of group kinds per dataset. The last column is the verdict CI gates on:
+/// the adaptive design must need strictly fewer sampling bytes than the
+/// baseline on every dataset.
 pub fn fig11(config: &ExperimentConfig) -> ResultTable {
     let mut table = ResultTable::new(
         "Figure 11: adaptive group representation — memory (MiB) BS vs GA",
@@ -29,6 +31,7 @@ pub fn fig11(config: &ExperimentConfig) -> ResultTable {
             "ratio_regular",
             "ratio_sparse",
             "ratio_one_element",
+            "GA_lt_BS",
         ],
     );
     for dataset in StandinDataset::all() {
@@ -55,6 +58,12 @@ pub fn fig11(config: &ExperimentConfig) -> ResultTable {
             format!("{:.3}", ratios[1]),
             format!("{:.3}", ratios[2]),
             format!("{:.3}", ratios[3]),
+            if ga.sampling_bytes() < bs.sampling_bytes() {
+                "PASS"
+            } else {
+                "FAIL"
+            }
+            .to_string(),
         ]);
     }
     table
@@ -210,6 +219,7 @@ mod tests {
             );
             let ratios: f64 = row[8..12].iter().map(|s| s.parse::<f64>().unwrap()).sum();
             assert!((ratios - 1.0).abs() < 0.01);
+            assert_eq!(row[12], "PASS", "GA must need fewer bytes than BS: {row:?}");
         }
     }
 

@@ -11,7 +11,7 @@ use crate::config::BingoConfig;
 use crate::context::{ContextProvider, ContextProviderStats};
 use crate::memory::MemoryReport;
 use crate::stats::{ConversionMatrix, EngineStats};
-use crate::vertex_space::VertexSpace;
+use crate::vertex_space::{VertexSpace, VertexUpdateOutcome};
 use crate::{BingoError, Result};
 use bingo_graph::{Bias, DynamicGraph, UpdateBatch, UpdateEvent, VertexId};
 use rand::Rng;
@@ -53,6 +53,9 @@ pub struct BingoEngine {
     config: BingoConfig,
     num_edges: usize,
     stats: EngineStats,
+    /// Group-representation checks and conversions of every update so far
+    /// (Table 4); the spaces report them per update and keep none.
+    conversions: ConversionMatrix,
     /// Hot-hub fingerprint cache for the forwarded-context path; lazily
     /// built, and a structural edge mutation evicts only the vertices it
     /// touched (bias-only reweights evict nothing).
@@ -97,31 +100,52 @@ impl BingoEngine {
                 VertexSpace::build(adj, config)
             })
             .collect();
-        let num_edges = spaces.iter().map(VertexSpace::degree).sum();
-        Ok(BingoEngine {
+        Ok(Self::from_spaces(
             spaces,
-            vertex_base: range.start,
+            range.start,
             global_vertices,
             config,
-            num_edges,
-            stats: EngineStats::default(),
-            context: ContextProvider::default(),
-        })
+        ))
     }
 
     /// Build an engine over an empty graph with `num_vertices` vertices.
     pub fn empty(num_vertices: usize, config: BingoConfig) -> Self {
+        let spaces = (0..num_vertices)
+            .map(|_| VertexSpace::build(Default::default(), config))
+            .collect();
+        Self::from_spaces(spaces, 0, num_vertices, config)
+    }
+
+    fn from_spaces(
+        spaces: Vec<VertexSpace>,
+        vertex_base: usize,
+        global_vertices: usize,
+        config: BingoConfig,
+    ) -> Self {
+        // Building a space is its first full and inter-group rebuild.
+        let stats = EngineStats {
+            inter_rebuilds: spaces.iter().map(VertexSpace::inter_rebuilds).sum(),
+            full_rebuilds: spaces.iter().map(VertexSpace::full_rebuilds).sum(),
+            ..EngineStats::default()
+        };
         BingoEngine {
-            spaces: (0..num_vertices)
-                .map(|_| VertexSpace::build(Default::default(), config))
-                .collect(),
-            vertex_base: 0,
-            global_vertices: num_vertices,
+            num_edges: spaces.iter().map(VertexSpace::degree).sum(),
+            spaces,
+            vertex_base,
+            global_vertices,
             config,
-            num_edges: 0,
-            stats: EngineStats::default(),
+            stats,
+            conversions: ConversionMatrix::new(),
             context: ContextProvider::default(),
         }
+    }
+
+    /// Fold what an update did to one vertex into the engine-wide rebuild
+    /// counters and conversion matrix.
+    fn absorb(&mut self, outcome: &VertexUpdateOutcome) {
+        self.stats.inter_rebuilds += u64::from(outcome.inter_rebuilds);
+        self.stats.full_rebuilds += u64::from(outcome.full_rebuilds);
+        self.conversions.merge(&outcome.conversions);
     }
 
     /// Number of vertices in the global vertex-id space. Equals the number
@@ -338,7 +362,8 @@ impl BingoEngine {
                 num_vertices: self.global_vertices,
             });
         }
-        self.vertex_space_mut(src)?.insert(dst, bias)?;
+        let outcome = self.vertex_space_mut(src)?.insert(dst, bias)?;
+        self.absorb(&outcome);
         self.num_edges += 1;
         self.stats.insertions += 1;
         self.invalidate_context_for(&[src]);
@@ -347,7 +372,8 @@ impl BingoEngine {
 
     /// Streaming edge deletion (`O(K)` for the affected vertex).
     pub fn delete_edge(&mut self, src: VertexId, dst: VertexId) -> Result<()> {
-        self.vertex_space_mut(src)?.delete(dst)?;
+        let (_, outcome) = self.vertex_space_mut(src)?.delete(dst)?;
+        self.absorb(&outcome);
         self.num_edges -= 1;
         self.stats.deletions += 1;
         self.invalidate_context_for(&[src]);
@@ -359,7 +385,9 @@ impl BingoEngine {
     /// Context fingerprints stay valid: they are membership sets over the
     /// neighbor ids, which a bias change never alters.
     pub fn update_bias(&mut self, src: VertexId, dst: VertexId, bias: Bias) -> Result<()> {
-        self.vertex_space_mut(src)?.update_bias(dst, bias)
+        let outcome = self.vertex_space_mut(src)?.update_bias(dst, bias)?;
+        self.absorb(&outcome);
+        Ok(())
     }
 
     /// Add a new isolated vertex and return its id. Vertex insertion is one
@@ -377,8 +405,10 @@ impl BingoEngine {
             self.global_vertices,
             "add_vertex on an interior shard engine would steal ids from the next shard"
         );
-        self.spaces
-            .push(VertexSpace::build(Default::default(), self.config));
+        let space = VertexSpace::build(Default::default(), self.config);
+        self.stats.inter_rebuilds += space.inter_rebuilds();
+        self.stats.full_rebuilds += space.full_rebuilds();
+        self.spaces.push(space);
         self.global_vertices = self.vertex_base + self.spaces.len();
         (self.vertex_base + self.spaces.len() - 1) as VertexId
     }
@@ -394,6 +424,7 @@ impl BingoEngine {
         let space = self.vertex_space_mut(v)?;
         let dsts: Vec<VertexId> = space.adjacency().edges().iter().map(|e| e.dst).collect();
         let outcome = space.apply_batch(&[], &dsts);
+        self.absorb(&outcome);
         self.num_edges -= outcome.deleted;
         self.stats.deletions += outcome.deleted as u64;
         self.invalidate_context_for(&[v]);
@@ -425,82 +456,121 @@ impl BingoEngine {
     /// Apply a batch of updates in parallel (§5.2): events are grouped by
     /// source vertex, every touched vertex ingests its insertions and
     /// deletions, and each vertex rebuilds its sampling space exactly once.
+    /// The cost depends on the batch, not on how many vertices the engine
+    /// owns.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> BatchOutcome {
-        // CPU-side reordering step of Figure 10(a): per-vertex work lists.
-        type VertexOps = Option<(Vec<(VertexId, Bias)>, Vec<VertexId>)>;
-        let mut per_vertex: Vec<VertexOps> = vec![None; self.spaces.len()];
+        // CPU-side reordering step of Figure 10(a). One key per owned event,
+        // local source above the event's position in the batch, so a plain
+        // sort groups the events by vertex and keeps each vertex's in batch
+        // order.
+        let events = batch.events();
+        assert!(
+            events.len() <= u32::MAX as usize,
+            "batch positions must fit the low half of a sort key"
+        );
+        let mut keys: Vec<u64> = Vec::with_capacity(events.len());
+        for (at, event) in events.iter().enumerate() {
+            if let Some(src) = self.local(event.src()) {
+                keys.push((src as u64) << 32 | at as u64);
+            }
+        }
+        keys.sort_unstable();
+
+        // Per-vertex work lists, back to back. Every owned source an event
+        // names gets a run, whatever becomes of the event: each one
+        // rebuilds once.
+        let mut inserts: Vec<(VertexId, Bias)> = Vec::with_capacity(keys.len());
+        let mut deletes: Vec<VertexId> = Vec::with_capacity(keys.len());
+        // (local source, end of its inserts, end of its deletes), ascending.
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
         // The vertices whose neighbor-id membership this batch changes —
         // exactly the fingerprint-invalidation scope (bias-only touches
-        // keep membership intact and stay out of it).
+        // keep membership intact and stay out of it). Ascending, distinct.
         let mut structural_srcs: Vec<VertexId> = Vec::new();
-        let mut structural = false;
-        for event in batch.events() {
-            let Some(src) = self.local(event.src()) else {
-                continue;
-            };
+        for key in keys {
+            let (src, event) = ((key >> 32) as usize, &events[key as u32 as usize]);
+            if runs.last().map(|run| run.0) != Some(src) {
+                runs.push((src, 0, 0));
+            }
             // Destinations are validated like insert_edge does on the
             // streaming path: an insert to a vertex outside the global id
             // space would create an edge no walk could ever follow.
             let valid_dst = |dst: VertexId| (dst as usize) < self.global_vertices;
-            let entry = per_vertex[src].get_or_insert_with(|| (Vec::new(), Vec::new()));
-            match *event {
+            let structural = match *event {
                 UpdateEvent::Insert { dst, bias, .. } => {
                     if valid_dst(dst) {
-                        entry.0.push((dst, bias));
-                        structural = true;
-                        structural_srcs.push(event.src());
+                        inserts.push((dst, bias));
                     }
+                    valid_dst(dst)
                 }
                 UpdateEvent::Delete { dst, .. } => {
-                    entry.1.push(dst);
-                    structural = true;
-                    structural_srcs.push(event.src());
+                    deletes.push(dst);
+                    true
                 }
                 UpdateEvent::UpdateBias { dst, bias, .. } => {
                     // Reweights keep the neighbor-id set intact, so they do
                     // not count as structural for fingerprint invalidation.
                     if valid_dst(dst) {
-                        entry.1.push(dst);
-                        entry.0.push((dst, bias));
+                        deletes.push(dst);
+                        inserts.push((dst, bias));
                     }
+                    false
                 }
+            };
+            if structural && structural_srcs.last() != Some(&event.src()) {
+                structural_srcs.push(event.src());
             }
+            let run = runs.last_mut().expect("pushed above");
+            (run.1, run.2) = (inserts.len(), deletes.len());
         }
 
-        // Parallel per-vertex ingestion (the GPU kernel launch). Most
-        // vertices are untouched by a typical batch (`ops` is `None`), so
-        // the per-item cost is near zero for the bulk of the scan —
-        // `with_min_len` keeps the splitter from paying task-dispatch
-        // overhead on sub-thousand slices of mostly-empty work.
-        let outcomes: Vec<_> = self
-            .spaces
-            .par_iter_mut()
-            .zip(per_vertex.par_iter())
-            .with_min_len(1024)
-            .filter_map(|(space, ops)| {
-                ops.as_ref()
-                    .map(|(inserts, deletes)| space.apply_batch(inserts, deletes))
-            })
-            .collect();
+        // Carve the touched spaces out of the owned slice, each with its
+        // run of the two lists.
+        let mut work = Vec::with_capacity(runs.len());
+        let (mut spaces, mut base) = (&mut self.spaces[..], 0);
+        let (mut inserts_from, mut deletes_from) = (0, 0);
+        for &(src, inserts_to, deletes_to) in &runs {
+            let (space, later_spaces) = std::mem::take(&mut spaces)[src - base..]
+                .split_first_mut()
+                .expect("touched sources are owned");
+            (spaces, base) = (later_spaces, src + 1);
+            work.push((
+                space,
+                &inserts[inserts_from..inserts_to],
+                &deletes[deletes_from..deletes_to],
+            ));
+            (inserts_from, deletes_from) = (inserts_to, deletes_to);
+        }
 
-        let mut total = BatchOutcome {
-            touched_vertices: outcomes.len(),
-            ..BatchOutcome::default()
+        // Parallel per-vertex ingestion (the GPU kernel launch). The fold is
+        // element-wise integer addition, so the chunked tree-combine the
+        // `reduce` contract allows is exact. A vertex rebuilds from scratch
+        // at most once per batch, so the summed rebuilds count vertices.
+        // A low-degree vertex takes about half a microsecond and waking the
+        // team about a hundred, so a batch touching fewer than 512 vertices
+        // stays on the caller's thread.
+        let applied = work
+            .into_par_iter()
+            .with_min_len(512)
+            .map(|(space, inserts, deletes)| space.apply_batch(inserts, deletes))
+            .reduce(VertexUpdateOutcome::default, |mut a, b| {
+                a.merge(&b);
+                a
+            });
+        self.absorb(&applied);
+        let total = BatchOutcome {
+            inserted: applied.inserted,
+            deleted: applied.deleted,
+            missing_deletes: applied.missing_deletes,
+            full_rebuilds: applied.full_rebuilds as usize,
+            touched_vertices: runs.len(),
         };
-        for o in outcomes {
-            total.inserted += o.inserted;
-            total.deleted += o.deleted;
-            total.missing_deletes += o.missing_deletes;
-            if o.full_rebuild {
-                total.full_rebuilds += 1;
-            }
-        }
         self.num_edges += total.inserted;
         self.num_edges -= total.deleted;
         self.stats.insertions += total.inserted as u64;
         self.stats.deletions += total.deleted as u64;
         self.stats.batches += 1;
-        if structural {
+        if !structural_srcs.is_empty() {
             // Inserts/deletes change neighbor-id membership, so cached
             // fingerprints of touched vertices are stale. Empty flushes and
             // bias-only batches leave the hot set intact — epoch ticks
@@ -508,8 +578,6 @@ impl BingoEngine {
             // exactly which source vertices it touched, so invalidation is
             // scoped to them (`split_by_owner`-style locality) instead of
             // flushing every hub the batch never went near.
-            structural_srcs.sort_unstable();
-            structural_srcs.dedup();
             self.invalidate_context_for(&structural_srcs);
         }
         total
@@ -522,23 +590,25 @@ impl BingoEngine {
     /// addition of byte and group counters, which is associative and
     /// commutative, so the chunked tree-combine is exact.
     pub fn memory_report(&self) -> MemoryReport {
-        self.spaces
+        let mut report = self
+            .spaces
             .par_iter()
             .with_min_len(256)
             .map(VertexSpace::memory_report)
             .reduce(MemoryReport::default, |mut a, b| {
                 a.merge(&b);
                 a
-            })
+            });
+        // Each space counts its own inline bytes; the vector's spare
+        // capacity is nobody's but the engine's.
+        report.structure_bytes +=
+            (self.spaces.capacity() - self.spaces.len()) * std::mem::size_of::<VertexSpace>();
+        report
     }
 
     /// Aggregate group-conversion statistics (Table 4).
     pub fn conversion_matrix(&self) -> ConversionMatrix {
-        let mut total = ConversionMatrix::new();
-        for s in &self.spaces {
-            total.merge(s.conversions());
-        }
-        total
+        self.conversions
     }
 
     /// Reconstruct a [`DynamicGraph`] snapshot of the engine's current state
@@ -1036,5 +1106,122 @@ mod tests {
         engine.apply_streaming(&batch);
         let conversions = engine.conversion_matrix();
         assert!(conversions.checks > 0);
+    }
+
+    /// Σ over owned vertices of the per-space rebuild counters.
+    fn summed_rebuilds(engine: &BingoEngine) -> (u64, u64) {
+        (0..engine.num_vertices() as VertexId)
+            .map(|v| engine.vertex_space(v).unwrap())
+            .fold((0, 0), |(inter, full), s| {
+                (inter + s.inter_rebuilds(), full + s.full_rebuilds())
+            })
+    }
+
+    #[test]
+    fn engine_stats_sum_the_per_vertex_rebuild_counters() {
+        let graph = random_graph(41, 120, 1800);
+        let mut setup = graph.clone();
+        let mut rng = Pcg64::seed_from_u64(42);
+        let stream =
+            UpdateStreamBuilder::new(UpdateKind::Mixed, 400).build(&mut setup, 900, &mut rng);
+        let mut engine = BingoEngine::build(&setup, BingoConfig::default()).unwrap();
+        assert_eq!(engine.stats().inter_rebuilds, 120);
+        assert_eq!(engine.stats().full_rebuilds, 120);
+
+        let (streamed, batched) = stream.events().split_at(450);
+        engine.apply_streaming(&UpdateBatch::new(streamed.to_vec()));
+        // A bias rewrite is a delete plus an insert; a float arriving at an
+        // integer vertex rebuilds it from scratch.
+        let dst = engine.vertex_space(7).unwrap().adjacency().edges()[0].dst;
+        engine.update_bias(7, dst, Bias::from_int(9)).unwrap();
+        engine.insert_edge(7, 8, Bias::from_float(0.5)).unwrap();
+        let mut events = batched.to_vec();
+        events.push(UpdateEvent::Insert {
+            src: 9,
+            dst: 10,
+            bias: Bias::from_float(1.5),
+        });
+        let outcome = engine.apply_batch(&UpdateBatch::new(events));
+        assert_eq!(outcome.full_rebuilds, 1);
+        let v = engine.add_vertex();
+        engine.insert_edge(v, 0, Bias::from_int(3)).unwrap();
+        engine.delete_vertex_out_edges(3).unwrap();
+
+        let (inter, full) = summed_rebuilds(&engine);
+        assert_eq!(engine.stats().inter_rebuilds, inter);
+        assert_eq!(engine.stats().full_rebuilds, full);
+        assert_eq!(full, 121 + 2, "two λ changes and one new vertex");
+        assert!(inter > 121 + 450);
+        assert!(engine.conversion_matrix().checks > 0);
+        engine.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn batches_touch_only_their_sources_and_keep_per_vertex_event_order() {
+        let graph = random_graph(51, 80, 1200);
+        let mut setup = graph.clone();
+        let mut rng = Pcg64::seed_from_u64(52);
+        let stream =
+            UpdateStreamBuilder::new(UpdateKind::Mixed, 300).build(&mut setup, 500, &mut rng);
+        let mut events = stream.into_events();
+        // Duplicate inserts and a rewrite between them make the order of one
+        // vertex's events visible in its adjacency list.
+        for bias in [3, 5] {
+            events.push(UpdateEvent::Insert {
+                src: 11,
+                dst: 12,
+                bias: Bias::from_int(bias),
+            });
+            events.push(UpdateEvent::UpdateBias {
+                src: 11,
+                dst: 12,
+                bias: Bias::from_int(bias + 1),
+            });
+        }
+        // An insert to a destination outside the id space is dropped, but
+        // its source still counts as touched and rebuilds once.
+        events.push(UpdateEvent::Insert {
+            src: 13,
+            dst: 80,
+            bias: Bias::from_int(1),
+        });
+
+        let mut whole = BingoEngine::build(&setup, BingoConfig::default()).unwrap();
+        let mut by_vertex = whole.clone();
+        let outcome = whole.apply_batch(&UpdateBatch::new(events.clone()));
+
+        // The reference: one batch per source vertex, its events in order.
+        let mut sources: Vec<VertexId> = events.iter().map(UpdateEvent::src).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        let mut expected = BatchOutcome::default();
+        for &src in &sources {
+            let own: Vec<UpdateEvent> = events.iter().filter(|e| e.src() == src).copied().collect();
+            let o = by_vertex.apply_batch(&UpdateBatch::new(own));
+            assert_eq!(o.touched_vertices, 1);
+            expected.inserted += o.inserted;
+            expected.deleted += o.deleted;
+            expected.missing_deletes += o.missing_deletes;
+            expected.full_rebuilds += o.full_rebuilds;
+            expected.touched_vertices += 1;
+        }
+        assert_eq!(outcome, expected);
+        assert_eq!(outcome.touched_vertices, sources.len());
+        for v in 0..80 {
+            let (a, b) = (
+                whole.vertex_space(v).unwrap(),
+                by_vertex.vertex_space(v).unwrap(),
+            );
+            assert_eq!(a.adjacency(), b.adjacency(), "edges of {v}");
+            assert_eq!(a.inter_rebuilds(), b.inter_rebuilds(), "rebuilds of {v}");
+            let touched = sources.binary_search(&v).is_ok();
+            assert_eq!(a.inter_rebuilds(), 1 + u64::from(touched));
+        }
+        assert_eq!(whole.conversion_matrix(), by_vertex.conversion_matrix());
+        assert_eq!(
+            whole.stats().inter_rebuilds,
+            by_vertex.stats().inter_rebuilds
+        );
+        whole.check_invariants().unwrap();
     }
 }

@@ -14,13 +14,36 @@
 //! * **Sparse** (fewer than β% of the degree) — a compact member list
 //!   located by linear scan, avoiding the full-size inverted index.
 //!
+//! All groups of one vertex live in one table (`GroupTable`): a 32-byte header
+//! per group over a single `u32` arena that holds every member list and
+//! inverted index as a segment. Dense and one-element groups are header
+//! only. The header also carries the group's bucket of the inter-group
+//! alias table, so a sample reads one header and at most one arena word.
+//!
+//! ```text
+//! headers  [ 2^0 | 2^1 | 2^2 | ... ]   kind, count, segment offsets, bucket
+//!              |           |  \
+//! arena    [ members 2^0 | members 2^2 | inverted 2^2 | hole | ... ]
+//! ```
+//!
+//! A segment that outgrows its capacity moves to the arena's tail and
+//! leaves a hole; nothing is ever shifted, so an insert or delete costs
+//! `O(1)` amortised words per group. Holes (and capacity the segments no
+//! longer use) are squeezed out when they outweigh the live words.
+//!
 //! The *decimal group* (§4.3) stores the fractional remainders of λ-scaled
 //! floating-point biases and is sampled by inverse-transform on demand.
 
+use crate::radix::MAX_GROUPS;
+use bingo_sampling::validate_weights;
 use rand::Rng;
 
 /// Sentinel for "not present" entries of an inverted index.
 const INVALID: u32 = u32::MAX;
+
+/// Arena words a vertex may waste before holes are worth squeezing out;
+/// keeps low-degree vertices from compacting over a handful of words.
+const RECLAIM_SLACK_WORDS: usize = 16;
 
 /// The adaptive representation categories of Equation 9, plus `Empty` for
 /// groups that currently hold no edges.
@@ -72,67 +95,66 @@ impl GroupKind {
     }
 }
 
-/// Internal storage of a radix group.
-#[derive(Debug, Clone, PartialEq)]
-enum GroupRepr {
-    Empty,
-    Dense {
-        count: usize,
-    },
-    OneElement {
-        neighbor: u32,
-    },
-    Sparse {
-        members: Vec<u32>,
-    },
-    Regular {
-        members: Vec<u32>,
-        inverted: Vec<u32>,
-    },
+/// Fixed-size header of one radix group. The group's bit is its position
+/// in the table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct GroupSlot {
+    /// Inter-group alias bucket: probability of keeping this group when its
+    /// bucket is drawn.
+    prob: f64,
+    /// Number of edges in the group.
+    count: u32,
+    /// Start of the member segment in the arena. A one-element group keeps
+    /// its single neighbor index here instead.
+    off: u32,
+    /// Capacity of the member segment, in words.
+    cap: u32,
+    /// Start of the inverted-index segment (regular groups only).
+    inv_off: u32,
+    /// Length of the inverted index: neighbor indices at or beyond it are
+    /// absent (regular groups only).
+    inv_cap: u32,
+    kind: GroupKind,
+    /// Inter-group alias bucket: the group drawn when `prob` rejects.
+    alias: u8,
 }
 
-/// One radix group of a vertex's sampling space.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RadixGroup {
-    bit: u8,
-    repr: GroupRepr,
-}
+impl GroupSlot {
+    const EMPTY: GroupSlot = GroupSlot {
+        prob: 1.0,
+        count: 0,
+        off: 0,
+        cap: 0,
+        inv_off: 0,
+        inv_cap: 0,
+        kind: GroupKind::Empty,
+        alias: 0,
+    };
 
-impl RadixGroup {
-    /// Create an empty group for radix bit `bit`.
-    pub fn new(bit: u8) -> Self {
-        RadixGroup {
-            bit,
-            repr: GroupRepr::Empty,
-        }
-    }
-
-    /// Build a group of the requested kind from an explicit member list.
-    pub fn from_members(bit: u8, kind: GroupKind, members: Vec<u32>) -> Self {
-        let repr = match kind {
-            GroupKind::Empty => GroupRepr::Empty,
-            GroupKind::Dense => GroupRepr::Dense {
-                count: members.len(),
-            },
-            GroupKind::OneElement => match members.first() {
-                Some(&n) => GroupRepr::OneElement { neighbor: n },
-                None => GroupRepr::Empty,
-            },
-            GroupKind::Sparse => GroupRepr::Sparse { members },
-            GroupKind::Regular => {
-                let mut inverted = Vec::new();
-                for (pos, &m) in members.iter().enumerate() {
-                    if m as usize >= inverted.len() {
-                        inverted.resize(m as usize + 1, INVALID);
-                    }
-                    inverted[m as usize] = pos as u32;
-                }
-                GroupRepr::Regular { members, inverted }
-            }
+    /// Drop the group's contents, keeping its inter-group bucket (the next
+    /// `rebuild_inter` rewrites it). Its arena segments become holes.
+    fn clear(&mut self) {
+        *self = GroupSlot {
+            prob: self.prob,
+            alias: self.alias,
+            ..GroupSlot::EMPTY
         };
-        RadixGroup { bit, repr }
     }
+}
 
+fn weight_of(count: u32, bit: usize) -> f64 {
+    count as f64 * (1u64 << bit) as f64
+}
+
+/// Read-only view of one radix group of a vertex.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupView<'a> {
+    bit: u8,
+    slot: &'a GroupSlot,
+    arena: &'a [u32],
+}
+
+impl<'a> GroupView<'a> {
     /// The radix bit this group represents.
     pub fn bit(&self) -> u8 {
         self.bit
@@ -140,48 +162,30 @@ impl RadixGroup {
 
     /// Current representation kind.
     pub fn kind(&self) -> GroupKind {
-        match &self.repr {
-            GroupRepr::Empty => GroupKind::Empty,
-            GroupRepr::Dense { .. } => GroupKind::Dense,
-            GroupRepr::OneElement { .. } => GroupKind::OneElement,
-            GroupRepr::Sparse { .. } => GroupKind::Sparse,
-            GroupRepr::Regular { .. } => GroupKind::Regular,
-        }
+        self.slot.kind
     }
 
     /// Number of edges in the group.
     pub fn cardinality(&self) -> usize {
-        match &self.repr {
-            GroupRepr::Empty => 0,
-            GroupRepr::Dense { count } => *count,
-            GroupRepr::OneElement { .. } => 1,
-            GroupRepr::Sparse { members } => members.len(),
-            GroupRepr::Regular { members, .. } => members.len(),
-        }
+        self.slot.count as usize
     }
 
     /// Group bias `W(p_k) = |G_k| · 2^k` (Equation 4).
     pub fn weight(&self) -> f64 {
-        self.cardinality() as f64 * (1u64 << self.bit) as f64
+        weight_of(self.slot.count, self.bit as usize)
     }
 
-    /// Whether the group currently tracks explicit members (everything but
-    /// dense and empty groups).
-    pub fn has_member_list(&self) -> bool {
-        matches!(
-            self.repr,
-            GroupRepr::OneElement { .. } | GroupRepr::Sparse { .. } | GroupRepr::Regular { .. }
-        )
-    }
-
-    /// Explicit member list, if one is kept.
-    pub fn members(&self) -> Option<Vec<u32>> {
-        match &self.repr {
-            GroupRepr::Empty => Some(Vec::new()),
-            GroupRepr::Dense { .. } => None,
-            GroupRepr::OneElement { neighbor } => Some(vec![*neighbor]),
-            GroupRepr::Sparse { members } => Some(members.clone()),
-            GroupRepr::Regular { members, .. } => Some(members.clone()),
+    /// Explicit member list in sampling order, if one is kept (everything
+    /// but dense groups).
+    pub fn members(&self) -> Option<&'a [u32]> {
+        let s = self.slot;
+        match s.kind {
+            GroupKind::Empty => Some(&[]),
+            GroupKind::Dense => None,
+            GroupKind::OneElement => Some(std::slice::from_ref(&s.off)),
+            GroupKind::Sparse | GroupKind::Regular => {
+                Some(&self.arena[s.off as usize..(s.off + s.count) as usize])
+            }
         }
     }
 
@@ -189,178 +193,708 @@ impl RadixGroup {
     /// answer `None` because membership is determined by the bias bit, which
     /// the group does not store.
     pub fn contains(&self, idx: u32) -> Option<bool> {
-        match &self.repr {
-            GroupRepr::Empty => Some(false),
-            GroupRepr::Dense { .. } => None,
-            GroupRepr::OneElement { neighbor } => Some(*neighbor == idx),
-            GroupRepr::Sparse { members } => Some(members.contains(&idx)),
-            GroupRepr::Regular { inverted, .. } => {
-                Some((idx as usize) < inverted.len() && inverted[idx as usize] != INVALID)
+        let s = self.slot;
+        match s.kind {
+            GroupKind::Regular => {
+                Some(idx < s.inv_cap && self.arena[(s.inv_off + idx) as usize] != INVALID)
+            }
+            _ => self.members().map(|m| m.contains(&idx)),
+        }
+    }
+
+    /// Bytes this group's representation needs (the Figure 11 breakdown):
+    /// a counter for dense groups, the neighbor index for one-element
+    /// groups, the arena segments for sparse and regular groups.
+    pub fn memory_bytes(&self) -> usize {
+        let s = self.slot;
+        let words = match s.kind {
+            GroupKind::Empty => 0,
+            GroupKind::Dense | GroupKind::OneElement => 1,
+            GroupKind::Sparse => s.cap,
+            GroupKind::Regular => s.cap + s.inv_cap,
+        };
+        words as usize * std::mem::size_of::<u32>()
+    }
+}
+
+/// Every radix group of one vertex: headers, the arena their segments live
+/// in, and the inter-group alias table spread over the headers.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupTable {
+    slots: Vec<GroupSlot>,
+    /// Member lists and inverted indices. `arena.len()` is the tail where
+    /// relocated segments land; words no live segment covers are holes.
+    arena: Vec<u32>,
+    /// Alias bucket of the decimal group, the table's last candidate.
+    tail_prob: f64,
+    inter_rebuilds: u32,
+    tail_alias: u8,
+    /// Whether the groups carry any weight, i.e. the alias table is usable.
+    has_inter: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Arena words copied by relocations, compactions and arena growth on
+    /// this thread; the `O(K)`-per-event test reads it.
+    pub(crate) static RELOCATED_WORDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+fn note_relocated(_words: usize) {
+    #[cfg(test)]
+    RELOCATED_WORDS.with(|c| c.set(c.get() + _words as u64));
+}
+
+/// Capacity a full segment of `cap` words moves to when it must hold
+/// `needed`.
+fn grown(cap: u32, needed: u32) -> u32 {
+    (cap + cap / 2).max(needed).max(4)
+}
+
+/// Capacity a segment with `used` live words gets at compaction: a quarter
+/// of headroom, so the next insert does not relocate it straight away.
+fn with_headroom(used: u32) -> u32 {
+    used + used / 4
+}
+
+impl GroupTable {
+    pub(crate) fn new() -> Self {
+        GroupTable {
+            slots: Vec::new(),
+            arena: Vec::new(),
+            tail_prob: 1.0,
+            inter_rebuilds: 0,
+            tail_alias: 0,
+            has_inter: false,
+        }
+    }
+
+    /// Number of groups (K).
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub(crate) fn inter_rebuilds(&self) -> u32 {
+        self.inter_rebuilds
+    }
+
+    pub(crate) fn view(&self, bit: usize) -> GroupView<'_> {
+        GroupView {
+            bit: bit as u8,
+            slot: &self.slots[bit],
+            arena: &self.arena,
+        }
+    }
+
+    pub(crate) fn views(&self) -> impl ExactSizeIterator<Item = GroupView<'_>> {
+        (0..self.slots.len()).map(|bit| self.view(bit))
+    }
+
+    pub(crate) fn kind(&self, bit: usize) -> GroupKind {
+        self.slots[bit].kind
+    }
+
+    pub(crate) fn cardinality(&self, bit: usize) -> usize {
+        self.slots[bit].count as usize
+    }
+
+    /// Sum of all group biases.
+    pub(crate) fn total_weight(&self) -> f64 {
+        self.slots
+            .iter()
+            .enumerate()
+            .map(|(bit, s)| weight_of(s.count, bit))
+            .sum()
+    }
+
+    /// Rebuild every group from scratch for a vertex of `degree` edges,
+    /// where `integer_of(idx)` is the scaled integer bias of edge `idx` and
+    /// `classify(cardinality)` the representation a group of that size
+    /// gets. Counts first, then fills an arena allocated at exact size, in
+    /// neighbor-index order. The inter-group table is left for the caller
+    /// to rebuild.
+    pub(crate) fn rebuild(
+        &mut self,
+        degree: usize,
+        integer_of: impl Fn(usize) -> u64,
+        classify: impl Fn(usize) -> GroupKind,
+    ) {
+        assert!(
+            degree < INVALID as usize,
+            "neighbor indices must fit below the u32 sentinel"
+        );
+        let mut counts = [0u32; MAX_GROUPS];
+        // Largest member of each group: sizes its inverted index.
+        let mut last = [0u32; MAX_GROUPS];
+        let mut all_bits = 0u64;
+        for idx in 0..degree {
+            let w = integer_of(idx);
+            all_bits |= w;
+            for bit in crate::radix::decompose(w) {
+                counts[bit as usize] += 1;
+                last[bit as usize] = idx as u32;
+            }
+        }
+        let k = crate::radix::groups_for_max_bias(all_bits);
+
+        self.slots.clear();
+        self.slots.reserve_exact(k);
+        let mut words = 0usize;
+        for bit in 0..k {
+            let count = counts[bit];
+            let mut slot = GroupSlot {
+                count,
+                kind: classify(count as usize),
+                ..GroupSlot::EMPTY
+            };
+            match slot.kind {
+                GroupKind::Empty | GroupKind::Dense => {}
+                GroupKind::OneElement => slot.off = last[bit],
+                GroupKind::Sparse | GroupKind::Regular => {
+                    slot.off = words as u32;
+                    slot.cap = count;
+                    words += count as usize;
+                    if slot.kind == GroupKind::Regular {
+                        slot.inv_off = words as u32;
+                        slot.inv_cap = last[bit] + 1;
+                        words += slot.inv_cap as usize;
+                    }
+                }
+            }
+            self.slots.push(slot);
+        }
+        assert!(
+            words < u32::MAX as usize,
+            "group arena must stay addressable by u32 offsets"
+        );
+        self.arena = vec![INVALID; words];
+
+        if words > 0 {
+            let mut cursor = [0u32; MAX_GROUPS];
+            for idx in 0..degree {
+                for bit in crate::radix::decompose(integer_of(idx)) {
+                    let slot = &self.slots[bit as usize];
+                    if slot.cap == 0 {
+                        continue;
+                    }
+                    let pos = cursor[bit as usize];
+                    cursor[bit as usize] += 1;
+                    self.arena[(slot.off + pos) as usize] = idx as u32;
+                    if slot.kind == GroupKind::Regular {
+                        self.arena[slot.inv_off as usize + idx] = pos;
+                    }
+                }
             }
         }
     }
 
-    /// Add the edge with neighbor index `idx` to the group.
+    /// Make sure groups `0..bits` exist.
+    pub(crate) fn ensure(&mut self, bits: usize) {
+        if self.slots.len() < bits {
+            self.slots.resize(bits, GroupSlot::EMPTY);
+        }
+    }
+
+    /// Reserve `words` fresh words at the arena's tail, filled with the
+    /// inverted-index sentinel, and return their offset. The arena grows by
+    /// half its capacity at a time, so the copy a reallocation makes is
+    /// paid for by the words appended since the last one.
+    fn alloc(&mut self, words: u32) -> u32 {
+        let off = self.arena.len();
+        let end = off + words as usize;
+        assert!(
+            end < u32::MAX as usize,
+            "group arena must stay addressable by u32 offsets"
+        );
+        if end > self.arena.capacity() {
+            note_relocated(off);
+            let additional = (words as usize).max(self.arena.capacity() / 2);
+            self.arena.reserve_exact(additional);
+        }
+        self.arena.resize(end, INVALID);
+        off as u32
+    }
+
+    /// Move a segment to a fresh `new_cap`-word segment at the tail,
+    /// copying its first `used` words. The old words become a hole.
+    fn relocate(&mut self, off: u32, used: u32, new_cap: u32) -> u32 {
+        let new_off = self.alloc(new_cap);
+        self.arena
+            .copy_within(off as usize..(off + used) as usize, new_off as usize);
+        note_relocated(used as usize);
+        new_off
+    }
+
+    /// Append `idx` to the member segment of `slot`, relocating it first if
+    /// it is full. Returns the position `idx` landed at.
+    fn push_member(&mut self, slot: &mut GroupSlot, idx: u32) -> u32 {
+        if slot.count == slot.cap {
+            let cap = grown(slot.cap, slot.count + 1);
+            slot.off = self.relocate(slot.off, slot.count, cap);
+            slot.cap = cap;
+        }
+        let pos = slot.count;
+        self.arena[(slot.off + pos) as usize] = idx;
+        slot.count += 1;
+        pos
+    }
+
+    /// Point the inverted index of the regular group `slot` at `pos` for
+    /// neighbor `idx`, growing the index if `idx` lies beyond it.
+    fn set_inverted(&mut self, slot: &mut GroupSlot, idx: u32, pos: u32) {
+        if idx >= slot.inv_cap {
+            let cap = grown(slot.inv_cap, idx + 1);
+            slot.inv_off = self.relocate(slot.inv_off, slot.inv_cap, cap);
+            slot.inv_cap = cap;
+        }
+        self.arena[(slot.inv_off + idx) as usize] = pos;
+    }
+
+    /// Position of neighbor `idx` in the member segment of `slot` (sparse
+    /// groups scan, regular groups look it up).
+    fn position(&self, slot: &GroupSlot, idx: u32) -> Option<u32> {
+        match slot.kind {
+            GroupKind::Sparse => self.arena[slot.off as usize..(slot.off + slot.count) as usize]
+                .iter()
+                .position(|&m| m == idx)
+                .map(|p| p as u32),
+            GroupKind::Regular if idx < slot.inv_cap => {
+                Some(self.arena[(slot.inv_off + idx) as usize]).filter(|&p| p != INVALID)
+            }
+            _ => None,
+        }
+    }
+
+    /// Add the edge with neighbor index `idx` to group `bit`.
     ///
     /// The caller is responsible for only inserting edges whose bias has
     /// this group's bit set. Representations are *not* reclassified here;
     /// that happens in the rebuild/reclassify step.
-    pub fn insert(&mut self, idx: u32) {
-        match &mut self.repr {
-            GroupRepr::Empty => {
-                self.repr = GroupRepr::OneElement { neighbor: idx };
+    pub(crate) fn insert(&mut self, bit: usize, idx: u32) {
+        let mut slot = self.slots[bit];
+        match slot.kind {
+            GroupKind::Empty => {
+                slot.kind = GroupKind::OneElement;
+                slot.off = idx;
+                slot.count = 1;
             }
-            GroupRepr::Dense { count } => {
-                *count += 1;
+            GroupKind::Dense => slot.count += 1,
+            GroupKind::OneElement => {
+                let first = slot.off;
+                slot.kind = GroupKind::Sparse;
+                slot.off = self.alloc(2);
+                slot.cap = 2;
+                self.arena[slot.off as usize] = first;
+                self.arena[slot.off as usize + 1] = idx;
+                slot.count = 2;
             }
-            GroupRepr::OneElement { neighbor } => {
-                self.repr = GroupRepr::Sparse {
-                    members: vec![*neighbor, idx],
-                };
+            GroupKind::Sparse => {
+                self.push_member(&mut slot, idx);
             }
-            GroupRepr::Sparse { members } => {
-                members.push(idx);
-            }
-            GroupRepr::Regular { members, inverted } => {
-                let pos = members.len() as u32;
-                members.push(idx);
-                if idx as usize >= inverted.len() {
-                    inverted.resize(idx as usize + 1, INVALID);
-                }
-                inverted[idx as usize] = pos;
+            GroupKind::Regular => {
+                let pos = self.push_member(&mut slot, idx);
+                self.set_inverted(&mut slot, idx, pos);
             }
         }
+        self.slots[bit] = slot;
     }
 
-    /// Remove the edge with neighbor index `idx` from the group.
+    /// Remove the edge with neighbor index `idx` from group `bit`: the
+    /// group's tail member takes its place.
     ///
     /// Returns `true` if an entry was removed. Dense groups only decrement
     /// their counter (the caller has already checked membership via the bias
     /// bit).
-    pub fn remove(&mut self, idx: u32) -> bool {
-        match &mut self.repr {
-            GroupRepr::Empty => false,
-            GroupRepr::Dense { count } => {
-                if *count > 0 {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.repr = GroupRepr::Empty;
-                    }
-                    true
-                } else {
-                    false
-                }
-            }
-            GroupRepr::OneElement { neighbor } => {
-                if *neighbor == idx {
-                    self.repr = GroupRepr::Empty;
-                    true
-                } else {
-                    false
-                }
-            }
-            GroupRepr::Sparse { members } => match members.iter().position(|&m| m == idx) {
-                Some(pos) => {
-                    members.swap_remove(pos);
-                    if members.is_empty() {
-                        self.repr = GroupRepr::Empty;
-                    }
-                    true
-                }
-                None => false,
-            },
-            GroupRepr::Regular { members, inverted } => {
-                if idx as usize >= inverted.len() || inverted[idx as usize] == INVALID {
+    pub(crate) fn remove(&mut self, bit: usize, idx: u32) -> bool {
+        let mut slot = self.slots[bit];
+        match slot.kind {
+            GroupKind::Empty => return false,
+            GroupKind::Dense => slot.count -= 1,
+            GroupKind::OneElement => {
+                if slot.off != idx {
                     return false;
                 }
-                let pos = inverted[idx as usize] as usize;
-                members.swap_remove(pos);
-                inverted[idx as usize] = INVALID;
-                if pos < members.len() {
-                    // The previous tail member now lives at `pos`.
-                    let moved = members[pos];
-                    inverted[moved as usize] = pos as u32;
+                slot.count = 0;
+            }
+            GroupKind::Sparse | GroupKind::Regular => {
+                let Some(pos) = self.position(&slot, idx) else {
+                    return false;
+                };
+                slot.count -= 1;
+                let moved = self.arena[(slot.off + slot.count) as usize];
+                self.arena[(slot.off + pos) as usize] = moved;
+                if slot.kind == GroupKind::Regular {
+                    self.arena[(slot.inv_off + idx) as usize] = INVALID;
+                    if pos < slot.count {
+                        self.arena[(slot.inv_off + moved) as usize] = pos;
+                    }
                 }
-                if members.is_empty() {
-                    self.repr = GroupRepr::Empty;
-                }
-                true
             }
         }
+        if slot.count == 0 {
+            slot.clear();
+        }
+        self.slots[bit] = slot;
+        true
     }
 
     /// The neighbor index of a member changed (the adjacency list swap-moved
-    /// the edge from `old_idx` to `new_idx`); update the group accordingly.
-    pub fn remap(&mut self, old_idx: u32, new_idx: u32) {
+    /// the edge from `old_idx` to `new_idx`); update group `bit` accordingly.
+    pub(crate) fn remap(&mut self, bit: usize, old_idx: u32, new_idx: u32) {
         if old_idx == new_idx {
             return;
         }
-        match &mut self.repr {
-            GroupRepr::Empty | GroupRepr::Dense { .. } => {}
-            GroupRepr::OneElement { neighbor } => {
-                if *neighbor == old_idx {
-                    *neighbor = new_idx;
+        let mut slot = self.slots[bit];
+        match slot.kind {
+            GroupKind::Empty | GroupKind::Dense => {}
+            GroupKind::OneElement => {
+                if slot.off == old_idx {
+                    slot.off = new_idx;
                 }
             }
-            GroupRepr::Sparse { members } => {
-                if let Some(pos) = members.iter().position(|&m| m == old_idx) {
-                    members[pos] = new_idx;
-                }
-            }
-            GroupRepr::Regular { members, inverted } => {
-                if old_idx as usize >= inverted.len() || inverted[old_idx as usize] == INVALID {
+            GroupKind::Sparse | GroupKind::Regular => {
+                let Some(pos) = self.position(&slot, old_idx) else {
                     return;
+                };
+                self.arena[(slot.off + pos) as usize] = new_idx;
+                if slot.kind == GroupKind::Regular {
+                    self.arena[(slot.inv_off + old_idx) as usize] = INVALID;
+                    self.set_inverted(&mut slot, new_idx, pos);
                 }
-                let pos = inverted[old_idx as usize] as usize;
-                members[pos] = new_idx;
-                inverted[old_idx as usize] = INVALID;
-                if new_idx as usize >= inverted.len() {
-                    inverted.resize(new_idx as usize + 1, INVALID);
-                }
-                inverted[new_idx as usize] = pos as u32;
+            }
+        }
+        self.slots[bit] = slot;
+    }
+
+    /// Uniformly sample a member of group `bit`. Dense groups return
+    /// `None`: they carry no member list, so the caller must fall back to
+    /// rejection sampling over the adjacency list (§5.1).
+    #[inline]
+    pub(crate) fn sample_member<R: Rng + ?Sized>(&self, bit: usize, rng: &mut R) -> Option<u32> {
+        let slot = &self.slots[bit];
+        match slot.kind {
+            GroupKind::Empty | GroupKind::Dense => None,
+            GroupKind::OneElement => Some(slot.off),
+            GroupKind::Sparse | GroupKind::Regular => {
+                let pos = rng.gen_range(0..slot.count as usize);
+                Some(self.arena[slot.off as usize + pos])
             }
         }
     }
 
-    /// Uniformly sample a member. Dense groups return `None`: they carry no
-    /// member list, so the caller must fall back to rejection sampling over
-    /// the adjacency list (§5.1).
-    pub fn sample_uniform<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<u32> {
-        match &self.repr {
-            GroupRepr::Empty | GroupRepr::Dense { .. } => None,
-            GroupRepr::OneElement { neighbor } => Some(*neighbor),
-            GroupRepr::Sparse { members } => Some(members[rng.gen_range(0..members.len())]),
-            GroupRepr::Regular { members, .. } => Some(members[rng.gen_range(0..members.len())]),
+    /// Build the inverted index of a sparse-laid-out `slot` and make it
+    /// regular.
+    fn add_inverted(&mut self, slot: &mut GroupSlot) {
+        let members = slot.off as usize..(slot.off + slot.count) as usize;
+        let max = self.arena[members.clone()].iter().copied().max();
+        slot.inv_cap = max.map_or(0, |m| m + 1);
+        slot.inv_off = self.alloc(slot.inv_cap);
+        for (pos, at) in members.enumerate() {
+            let member = self.arena[at];
+            self.arena[(slot.inv_off + member) as usize] = pos as u32;
         }
+        slot.kind = GroupKind::Regular;
     }
 
-    /// Convert the group to the requested kind.
+    /// Convert group `bit` to the requested representation, keeping its
+    /// members in order.
     ///
-    /// For conversions out of the dense representation the caller must
-    /// provide the explicit member list (obtained by scanning the adjacency
-    /// list), because dense groups do not store one.
-    pub fn convert_to(&mut self, kind: GroupKind, members_if_dense: Option<Vec<u32>>) {
-        if kind == self.kind() {
+    /// Dense groups store no members, so converting out of one recovers
+    /// them by testing every neighbor index below `degree` with
+    /// `is_member`.
+    pub(crate) fn convert(
+        &mut self,
+        bit: usize,
+        kind: GroupKind,
+        degree: usize,
+        is_member: impl Fn(usize) -> bool,
+    ) {
+        let mut slot = self.slots[bit];
+        if slot.kind == kind || slot.kind == GroupKind::Empty {
+            // An empty group has no members to re-represent.
             return;
         }
-        let members = match self.members() {
-            Some(m) => m,
-            None => members_if_dense.unwrap_or_default(),
-        };
-        *self = RadixGroup::from_members(self.bit, kind, members);
+        if matches!(kind, GroupKind::Empty | GroupKind::Dense) {
+            let count = slot.count;
+            slot.clear();
+            if kind == GroupKind::Dense {
+                slot.kind = kind;
+                slot.count = count;
+            }
+            self.slots[bit] = slot;
+            return;
+        }
+        // The target keeps explicit members: lay them out as a sparse
+        // segment first.
+        match slot.kind {
+            GroupKind::Dense if kind == GroupKind::OneElement => {
+                match (0..degree).find(|&i| is_member(i)) {
+                    Some(only) => {
+                        slot.kind = kind;
+                        slot.count = 1;
+                        slot.off = only as u32;
+                    }
+                    None => slot.clear(),
+                }
+                self.slots[bit] = slot;
+                return;
+            }
+            GroupKind::Dense => {
+                slot.off = self.alloc(slot.count);
+                slot.cap = slot.count;
+                let mut found = 0;
+                for idx in (0..degree)
+                    .filter(|&i| is_member(i))
+                    .take(slot.cap as usize)
+                {
+                    self.arena[(slot.off + found) as usize] = idx as u32;
+                    found += 1;
+                }
+                slot.count = found;
+            }
+            GroupKind::OneElement => {
+                let only = slot.off;
+                slot.off = self.alloc(1);
+                slot.cap = 1;
+                self.arena[slot.off as usize] = only;
+            }
+            GroupKind::Regular => {
+                slot.inv_off = 0;
+                slot.inv_cap = 0;
+            }
+            GroupKind::Sparse | GroupKind::Empty => {}
+        }
+        slot.kind = GroupKind::Sparse;
+        match kind {
+            GroupKind::Regular => self.add_inverted(&mut slot),
+            GroupKind::OneElement => {
+                if slot.count == 0 {
+                    slot.clear();
+                } else {
+                    slot.off = self.arena[slot.off as usize];
+                    slot.cap = 0;
+                    slot.kind = kind;
+                }
+            }
+            _ => {}
+        }
+        self.slots[bit] = slot;
     }
 
-    /// Heap bytes used by this group's structures.
-    pub fn memory_bytes(&self) -> usize {
-        match &self.repr {
-            GroupRepr::Empty => 0,
-            GroupRepr::Dense { .. } => std::mem::size_of::<usize>(),
-            GroupRepr::OneElement { .. } => std::mem::size_of::<u32>(),
-            GroupRepr::Sparse { members } => members.capacity() * std::mem::size_of::<u32>(),
-            GroupRepr::Regular { members, inverted } => {
-                (members.capacity() + inverted.capacity()) * std::mem::size_of::<u32>()
+    /// Arena words the groups need for a vertex of `degree` edges: every
+    /// member, and for a regular group the inverted entries a neighbor
+    /// index can still reach.
+    fn live_words(&self, degree: usize) -> usize {
+        self.slots
+            .iter()
+            .map(|s| match s.kind {
+                GroupKind::Sparse => s.count as usize,
+                GroupKind::Regular => s.count as usize + (s.inv_cap as usize).min(degree),
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Squeeze holes and unused segment capacity out of the arena once it
+    /// is more than twice what the groups need, by copying the live words
+    /// into a fresh arena. Every member is below `degree`, so inverted
+    /// indices shrink to that length; each segment gets a quarter of
+    /// headroom, so the next insert does not relocate it straight away.
+    /// Each compaction is paid for by the relocations and removals that
+    /// built up the waste, which keeps streaming updates `O(K)` amortised.
+    pub(crate) fn reclaim(&mut self, degree: usize) {
+        let live = self.live_words(degree);
+        if self.arena.capacity() <= 2 * live + RECLAIM_SLACK_WORDS {
+            return;
+        }
+        let mut packed: Vec<u32> = Vec::with_capacity(live + live / 4);
+        let mut pack = |from: u32, used: u32| {
+            let (off, cap) = (packed.len() as u32, with_headroom(used));
+            packed.extend_from_slice(&self.arena[from as usize..(from + used) as usize]);
+            packed.resize((off + cap) as usize, INVALID);
+            (off, cap)
+        };
+        for slot in &mut self.slots {
+            if matches!(slot.kind, GroupKind::Sparse | GroupKind::Regular) {
+                (slot.off, slot.cap) = pack(slot.off, slot.count);
+            }
+            if slot.kind == GroupKind::Regular {
+                (slot.inv_off, slot.inv_cap) = pack(slot.inv_off, slot.inv_cap.min(degree as u32));
             }
         }
+        self.arena = packed;
+        note_relocated(live);
+    }
+
+    /// Rebuild the inter-group alias table in place over the group biases
+    /// and the decimal group's weight (Vose's algorithm, the same
+    /// construction as `bingo_sampling::AliasTable`). `O(K)`, no
+    /// allocation.
+    pub(crate) fn rebuild_inter(&mut self, decimal_weight: f64) {
+        self.inter_rebuilds = self.inter_rebuilds.wrapping_add(1);
+        let k = self.slots.len();
+        let mut weights = [0.0f64; MAX_GROUPS + 1];
+        for (bit, slot) in self.slots.iter().enumerate() {
+            weights[bit] = weight_of(slot.count, bit);
+        }
+        weights[k] = decimal_weight;
+        let weights = &weights[..=k];
+        let total: f64 = weights.iter().sum();
+        self.has_inter = total > 0.0 && validate_weights(weights).is_ok();
+        if !self.has_inter {
+            return;
+        }
+        let avg = total / weights.len() as f64;
+        // Partition candidates into "small" (below average) and "large".
+        let mut small = [(0u8, 0.0f64); MAX_GROUPS + 1];
+        let mut large = [(0u8, 0.0f64); MAX_GROUPS + 1];
+        let (mut n_small, mut n_large) = (0, 0);
+        for (i, &w) in weights.iter().enumerate() {
+            if w < avg {
+                small[n_small] = (i as u8, w);
+                n_small += 1;
+            } else {
+                large[n_large] = (i as u8, w);
+                n_large += 1;
+            }
+        }
+        while n_small > 0 && n_large > 0 {
+            n_small -= 1;
+            n_large -= 1;
+            let (si, sw) = small[n_small];
+            let (li, lw) = large[n_large];
+            self.set_bucket(si, sw / avg, li);
+            let remaining = lw - (avg - sw);
+            if remaining < avg {
+                small[n_small] = (li, remaining);
+                n_small += 1;
+            } else {
+                large[n_large] = (li, remaining);
+                n_large += 1;
+            }
+        }
+        // Whatever is left fills its bucket entirely (prob 1.0).
+        for &(i, _) in small[..n_small].iter().chain(&large[..n_large]) {
+            self.set_bucket(i, 1.0, i);
+        }
+    }
+
+    fn set_bucket(&mut self, i: u8, prob: f64, alias: u8) {
+        match self.slots.get_mut(i as usize) {
+            Some(slot) => {
+                slot.prob = prob;
+                slot.alias = alias;
+            }
+            None => {
+                self.tail_prob = prob;
+                self.tail_alias = alias;
+            }
+        }
+    }
+
+    /// Whether the inter-group table can be sampled (the vertex carries
+    /// weight).
+    #[inline]
+    pub(crate) fn has_inter(&self) -> bool {
+        self.has_inter
+    }
+
+    /// Draw a group from the inter-group alias table: a bit in `0..len()`,
+    /// or `len()` for the decimal group. Only meaningful while
+    /// [`GroupTable::has_inter`] holds.
+    #[inline]
+    pub(crate) fn sample_group<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let i = rng.gen_range(0..self.slots.len() + 1);
+        let (prob, alias) = match self.slots.get(i) {
+            Some(slot) => (slot.prob, slot.alias),
+            None => (self.tail_prob, self.tail_alias),
+        };
+        if rng.gen::<f64>() < prob {
+            i
+        } else {
+            alias as usize
+        }
+    }
+
+    /// Bytes the inter-group table needs: an 8-byte probability and a
+    /// 1-byte alias per candidate (the groups plus the decimal group).
+    pub(crate) fn inter_bytes(&self) -> usize {
+        if self.has_inter {
+            (self.slots.len() + 1) * (std::mem::size_of::<f64>() + std::mem::size_of::<u8>())
+        } else {
+            0
+        }
+    }
+
+    /// Heap bytes the table holds: headers and the arena, at capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<GroupSlot>()
+            + self.arena.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Arena capacity, in words.
+    #[cfg(test)]
+    pub(crate) fn arena_capacity(&self) -> usize {
+        self.arena.capacity()
+    }
+
+    /// Check the arena layout: segments lie inside the arena and do not
+    /// overlap, every member is a neighbor index below `degree`, and every
+    /// inverted index is the exact inverse of its member list.
+    pub(crate) fn check_layout(&self, degree: usize) -> Result<(), String> {
+        let mut segments: Vec<(usize, usize, usize)> = Vec::new();
+        for (bit, s) in self.slots.iter().enumerate() {
+            match s.kind {
+                GroupKind::Empty if s.count != 0 => {
+                    return Err(format!("group 2^{bit}: empty with count {}", s.count));
+                }
+                GroupKind::OneElement if s.count != 1 || s.off as usize >= degree => {
+                    return Err(format!("group 2^{bit}: bad one-element header {s:?}"));
+                }
+                GroupKind::Sparse | GroupKind::Regular => {
+                    if s.count == 0 || s.count > s.cap {
+                        return Err(format!("group 2^{bit}: count {} cap {}", s.count, s.cap));
+                    }
+                    segments.push((s.off as usize, s.cap as usize, bit));
+                    if s.kind == GroupKind::Regular {
+                        segments.push((s.inv_off as usize, s.inv_cap as usize, bit));
+                    }
+                }
+                _ => {}
+            }
+        }
+        segments.sort_unstable();
+        let mut end = 0;
+        for &(off, cap, bit) in &segments {
+            if off < end || off + cap > self.arena.len() {
+                return Err(format!(
+                    "group 2^{bit}: segment {off}+{cap} overlaps or leaves the arena"
+                ));
+            }
+            end = off + cap;
+        }
+        for (bit, s) in self.slots.iter().enumerate() {
+            let Some(members) = self.view(bit).members() else {
+                continue;
+            };
+            if let Some(&m) = members.iter().find(|&&m| m as usize >= degree) {
+                return Err(format!("group 2^{bit}: member {m} out of range"));
+            }
+            if s.kind != GroupKind::Regular {
+                continue;
+            }
+            let inverted = &self.arena[s.inv_off as usize..(s.inv_off + s.inv_cap) as usize];
+            for (pos, &m) in members.iter().enumerate() {
+                if inverted.get(m as usize) != Some(&(pos as u32)) {
+                    return Err(format!("group 2^{bit}: inverted index misses member {m}"));
+                }
+            }
+            if inverted.iter().filter(|&&p| p != INVALID).count() != members.len() {
+                return Err(format!("group 2^{bit}: inverted index has stale entries"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -376,8 +910,13 @@ pub struct DecimalGroup {
 
 impl DecimalGroup {
     /// Create an empty decimal group.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        DecimalGroup {
+            members: Vec::new(),
+            fractions: Vec::new(),
+            inverted: Vec::new(),
+            total: 0.0,
+        }
     }
 
     /// Number of edges with a fractional remainder.
@@ -479,7 +1018,26 @@ impl DecimalGroup {
 mod tests {
     use super::*;
     use bingo_sampling::rng::Pcg64;
+    use bingo_sampling::{AliasTable, Sampler};
     use rand::SeedableRng;
+
+    /// A one-group table holding `members` in the given representation.
+    fn table_of(kind: GroupKind, members: &[u32]) -> GroupTable {
+        let degree = members.iter().max().map_or(0, |&m| m as usize + 1);
+        let mut t = GroupTable::new();
+        t.rebuild(
+            degree,
+            |idx| u64::from(members.contains(&(idx as u32))),
+            |_| kind,
+        );
+        t
+    }
+
+    #[test]
+    fn header_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<GroupSlot>(), 32);
+        assert!(std::mem::size_of::<GroupTable>() <= 64);
+    }
 
     #[test]
     fn classify_follows_equation_9() {
@@ -500,126 +1058,217 @@ mod tests {
 
     #[test]
     fn empty_group_behaviour() {
-        let mut g = RadixGroup::new(3);
-        assert_eq!(g.kind(), GroupKind::Empty);
-        assert_eq!(g.cardinality(), 0);
-        assert_eq!(g.weight(), 0.0);
-        assert!(!g.remove(5));
+        let mut t = GroupTable::new();
+        t.ensure(4);
+        assert_eq!(t.kind(3), GroupKind::Empty);
+        assert_eq!(t.cardinality(3), 0);
+        assert_eq!(t.view(3).weight(), 0.0);
+        assert_eq!(t.view(3).bit(), 3);
+        assert!(!t.remove(3, 5));
         let mut rng = Pcg64::seed_from_u64(1);
-        assert_eq!(g.sample_uniform(&mut rng), None);
+        assert_eq!(t.sample_member(3, &mut rng), None);
     }
 
     #[test]
     fn insert_progression_empty_one_sparse() {
-        let mut g = RadixGroup::new(0);
-        g.insert(4);
-        assert_eq!(g.kind(), GroupKind::OneElement);
-        g.insert(7);
-        assert_eq!(g.kind(), GroupKind::Sparse);
-        assert_eq!(g.cardinality(), 2);
-        assert_eq!(g.weight(), 2.0);
-        assert_eq!(g.contains(4), Some(true));
-        assert_eq!(g.contains(9), Some(false));
+        let mut t = GroupTable::new();
+        t.ensure(1);
+        t.insert(0, 4);
+        assert_eq!(t.kind(0), GroupKind::OneElement);
+        t.insert(0, 7);
+        assert_eq!(t.kind(0), GroupKind::Sparse);
+        assert_eq!(t.cardinality(0), 2);
+        assert_eq!(t.view(0).weight(), 2.0);
+        assert_eq!(t.view(0).contains(4), Some(true));
+        assert_eq!(t.view(0).contains(9), Some(false));
+        assert_eq!(t.view(0).members(), Some(&[4, 7][..]));
+        t.check_layout(8).unwrap();
     }
 
     #[test]
     fn regular_group_inverted_index_consistency() {
-        let mut g = RadixGroup::from_members(2, GroupKind::Regular, vec![0, 3, 5]);
-        assert_eq!(g.kind(), GroupKind::Regular);
-        assert_eq!(g.cardinality(), 3);
-        assert_eq!(g.weight(), 12.0);
-        assert_eq!(g.contains(3), Some(true));
+        let mut t = table_of(GroupKind::Regular, &[0, 3, 5]);
+        assert_eq!(t.kind(0), GroupKind::Regular);
+        assert_eq!(t.cardinality(0), 3);
+        assert_eq!(t.view(0).contains(3), Some(true));
         // Remove the head; the tail member (5) must take its place.
-        assert!(g.remove(0));
-        assert_eq!(g.contains(0), Some(false));
-        assert_eq!(g.contains(5), Some(true));
-        assert_eq!(g.cardinality(), 2);
-        // Insert a new member and check it is findable.
-        g.insert(9);
-        assert_eq!(g.contains(9), Some(true));
-        assert!(g.remove(9));
-        assert!(!g.remove(9));
+        assert!(t.remove(0, 0));
+        assert_eq!(t.view(0).contains(0), Some(false));
+        assert_eq!(t.view(0).contains(5), Some(true));
+        assert_eq!(t.view(0).members(), Some(&[5, 3][..]));
+        // Insert a new member beyond the inverted index and check it is
+        // findable.
+        t.insert(0, 9);
+        assert_eq!(t.view(0).contains(9), Some(true));
+        t.check_layout(10).unwrap();
+        assert!(t.remove(0, 9));
+        assert!(!t.remove(0, 9));
     }
 
     #[test]
     fn regular_group_remap_updates_indices() {
-        let mut g = RadixGroup::from_members(1, GroupKind::Regular, vec![2, 6]);
-        g.remap(6, 1);
-        assert_eq!(g.contains(6), Some(false));
-        assert_eq!(g.contains(1), Some(true));
+        let mut t = table_of(GroupKind::Regular, &[2, 6]);
+        t.remap(0, 6, 1);
+        assert_eq!(t.view(0).contains(6), Some(false));
+        assert_eq!(t.view(0).contains(1), Some(true));
         // Remapping an absent index is a no-op.
-        g.remap(42, 3);
-        assert_eq!(g.cardinality(), 2);
+        t.remap(0, 42, 3);
+        assert_eq!(t.cardinality(0), 2);
+        t.check_layout(7).unwrap();
     }
 
     #[test]
     fn sparse_and_one_element_remap() {
-        let mut s = RadixGroup::from_members(0, GroupKind::Sparse, vec![1, 2, 3]);
-        s.remap(2, 9);
-        assert_eq!(s.contains(9), Some(true));
-        assert_eq!(s.contains(2), Some(false));
-        let mut o = RadixGroup::from_members(0, GroupKind::OneElement, vec![4]);
-        o.remap(4, 8);
-        assert_eq!(o.contains(8), Some(true));
+        let mut s = table_of(GroupKind::Sparse, &[1, 2, 3]);
+        s.remap(0, 2, 9);
+        assert_eq!(s.view(0).contains(9), Some(true));
+        assert_eq!(s.view(0).contains(2), Some(false));
+        let mut o = table_of(GroupKind::OneElement, &[4]);
+        o.remap(0, 4, 8);
+        assert_eq!(o.view(0).contains(8), Some(true));
     }
 
     #[test]
     fn dense_group_counts_only() {
-        let mut g = RadixGroup::from_members(0, GroupKind::Dense, vec![0, 1, 2, 3, 4]);
-        assert_eq!(g.kind(), GroupKind::Dense);
-        assert_eq!(g.cardinality(), 5);
-        assert_eq!(g.contains(0), None);
-        assert!(g.members().is_none());
-        g.insert(9);
-        assert_eq!(g.cardinality(), 6);
-        assert!(g.remove(9));
-        assert_eq!(g.cardinality(), 5);
+        let mut t = table_of(GroupKind::Dense, &[0, 1, 2, 3, 4]);
+        assert_eq!(t.kind(0), GroupKind::Dense);
+        assert_eq!(t.cardinality(0), 5);
+        assert_eq!(t.view(0).contains(0), None);
+        assert!(t.view(0).members().is_none());
+        assert_eq!(t.heap_bytes(), std::mem::size_of::<GroupSlot>());
+        t.insert(0, 9);
+        assert_eq!(t.cardinality(0), 6);
+        assert!(t.remove(0, 9));
+        assert_eq!(t.cardinality(0), 5);
         let mut rng = Pcg64::seed_from_u64(2);
-        assert_eq!(g.sample_uniform(&mut rng), None);
+        assert_eq!(t.sample_member(0, &mut rng), None);
         // Draining a dense group turns it empty.
         for _ in 0..5 {
-            assert!(g.remove(0));
+            assert!(t.remove(0, 0));
         }
-        assert_eq!(g.kind(), GroupKind::Empty);
+        assert_eq!(t.kind(0), GroupKind::Empty);
     }
 
     #[test]
     fn uniform_sampling_covers_all_members() {
-        let g = RadixGroup::from_members(0, GroupKind::Regular, vec![10, 20, 30]);
+        let t = table_of(GroupKind::Regular, &[10, 20, 30]);
         let mut rng = Pcg64::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..1000 {
-            seen.insert(g.sample_uniform(&mut rng).unwrap());
+            seen.insert(t.sample_member(0, &mut rng).unwrap());
         }
         assert_eq!(seen.len(), 3);
     }
 
     #[test]
     fn conversion_between_kinds_preserves_members() {
-        let mut g = RadixGroup::from_members(2, GroupKind::Sparse, vec![1, 4, 6]);
-        g.convert_to(GroupKind::Regular, None);
-        assert_eq!(g.kind(), GroupKind::Regular);
-        assert_eq!(g.contains(4), Some(true));
-        g.convert_to(GroupKind::Dense, None);
-        assert_eq!(g.kind(), GroupKind::Dense);
-        assert_eq!(g.cardinality(), 3);
-        // Converting out of dense needs the member list from the caller.
-        g.convert_to(GroupKind::Sparse, Some(vec![1, 4, 6]));
-        assert_eq!(g.kind(), GroupKind::Sparse);
-        assert_eq!(g.contains(6), Some(true));
+        let members = [1u32, 4, 6];
+        let is_member = |i: usize| members.contains(&(i as u32));
+        let mut t = table_of(GroupKind::Sparse, &members);
+        t.convert(0, GroupKind::Regular, 7, is_member);
+        assert_eq!(t.kind(0), GroupKind::Regular);
+        assert_eq!(t.view(0).contains(4), Some(true));
+        t.check_layout(7).unwrap();
+        t.convert(0, GroupKind::Dense, 7, is_member);
+        assert_eq!(t.kind(0), GroupKind::Dense);
+        assert_eq!(t.cardinality(0), 3);
+        // Converting out of dense recovers the members from the predicate.
+        t.convert(0, GroupKind::Sparse, 7, is_member);
+        assert_eq!(t.kind(0), GroupKind::Sparse);
+        assert_eq!(t.view(0).members(), Some(&members[..]));
         // Converting to the same kind is a no-op.
-        g.convert_to(GroupKind::Sparse, None);
-        assert_eq!(g.cardinality(), 3);
+        t.convert(0, GroupKind::Sparse, 7, is_member);
+        assert_eq!(t.cardinality(0), 3);
+        t.convert(0, GroupKind::Regular, 7, is_member);
+        t.convert(0, GroupKind::Sparse, 7, is_member);
+        assert_eq!(t.view(0).members(), Some(&members[..]));
+        t.check_layout(7).unwrap();
+    }
+
+    #[test]
+    fn one_element_conversions_round_trip() {
+        let mut t = table_of(GroupKind::OneElement, &[5]);
+        t.convert(0, GroupKind::Regular, 6, |i| i == 5);
+        assert_eq!(t.kind(0), GroupKind::Regular);
+        assert_eq!(t.view(0).contains(5), Some(true));
+        t.check_layout(6).unwrap();
+        t.convert(0, GroupKind::OneElement, 6, |i| i == 5);
+        assert_eq!(t.view(0).members(), Some(&[5][..]));
+        t.convert(0, GroupKind::Dense, 6, |i| i == 5);
+        t.convert(0, GroupKind::OneElement, 6, |i| i == 5);
+        assert_eq!(t.view(0).members(), Some(&[5][..]));
     }
 
     #[test]
     fn memory_ordering_regular_vs_sparse_vs_dense() {
         let members: Vec<u32> = (0..50).collect();
-        let regular = RadixGroup::from_members(0, GroupKind::Regular, members.clone());
-        let sparse = RadixGroup::from_members(0, GroupKind::Sparse, members.clone());
-        let dense = RadixGroup::from_members(0, GroupKind::Dense, members);
-        assert!(regular.memory_bytes() > sparse.memory_bytes());
-        assert!(sparse.memory_bytes() > dense.memory_bytes());
+        let regular = table_of(GroupKind::Regular, &members);
+        let sparse = table_of(GroupKind::Sparse, &members);
+        let dense = table_of(GroupKind::Dense, &members);
+        assert!(regular.view(0).memory_bytes() > sparse.view(0).memory_bytes());
+        assert!(sparse.view(0).memory_bytes() > dense.view(0).memory_bytes());
+        // The build allocates the arena at exact size.
+        assert_eq!(regular.arena_capacity(), 100);
+        assert_eq!(sparse.arena_capacity(), 50);
+        assert_eq!(dense.arena_capacity(), 0);
+    }
+
+    #[test]
+    fn relocated_segments_leave_holes_that_reclaim_squeezes_out() {
+        let members: Vec<u32> = (0..64).collect();
+        let mut t = table_of(GroupKind::Regular, &members);
+        for idx in 64..200 {
+            t.insert(0, idx);
+            t.check_layout(idx as usize + 1).unwrap();
+        }
+        assert!(t.arena.len() > 400, "relocations left holes behind");
+        for idx in 8..200 {
+            assert!(t.remove(0, idx));
+        }
+        t.reclaim(8);
+        t.check_layout(8).unwrap();
+        assert_eq!(t.view(0).members().unwrap().len(), 8);
+        assert!(t.arena_capacity() <= 2 * t.live_words(8) + RECLAIM_SLACK_WORDS);
+        assert_eq!(
+            t.arena_capacity(),
+            20,
+            "members and inverted, a quarter of headroom each"
+        );
+    }
+
+    #[test]
+    fn inter_table_matches_the_reference_alias_table() {
+        // Same buckets as `AliasTable` means the same group for the same
+        // two RNG draws, for any weights.
+        let mut rng = Pcg64::seed_from_u64(77);
+        for case in 0..200 {
+            let k = 1 + case % 20;
+            let mut t = GroupTable::new();
+            t.ensure(k);
+            for bit in 0..k {
+                for idx in 0..rng.gen_range(0..6u32) {
+                    t.insert(bit, idx);
+                }
+            }
+            let decimal = if case % 3 == 0 {
+                0.0
+            } else {
+                rng.gen::<f64>() * 3.0
+            };
+            t.rebuild_inter(decimal);
+            let mut weights: Vec<f64> = t.views().map(|g| g.weight()).collect();
+            weights.push(decimal);
+            let Ok(reference) = AliasTable::new(&weights) else {
+                assert!(!t.has_inter());
+                continue;
+            };
+            assert!(t.has_inter());
+            let mut a = Pcg64::seed_from_u64(case as u64);
+            let mut b = a.clone();
+            for _ in 0..500 {
+                assert_eq!(t.sample_group(&mut a), reference.sample(&mut b));
+            }
+        }
     }
 
     #[test]

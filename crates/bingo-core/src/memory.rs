@@ -4,6 +4,12 @@
 //! representation (dense / one-element / sparse / regular) and compares the
 //! group-adaptive design against the all-regular baseline. [`MemoryReport`]
 //! carries the same breakdown; the benchmark harness prints it per dataset.
+//!
+//! The breakdown counts what each representation *needs*. What the engine
+//! additionally *occupies* — the inline per-vertex structs, the rest of the
+//! group headers, arena holes and slack — is reported as
+//! [`MemoryReport::structure_bytes`], so that
+//! [`MemoryReport::resident_bytes`] matches what the allocator handed out.
 
 use crate::group::GroupKind;
 
@@ -26,6 +32,10 @@ pub struct MemoryReport {
     pub regular_bytes: usize,
     /// Decimal-group structures (floating-point remainders).
     pub decimal_bytes: usize,
+    /// Everything the sampling spaces occupy beyond the fields above: the
+    /// inline `VertexSpace` structs, group headers, and arena words no group
+    /// uses (holes and slack).
+    pub structure_bytes: usize,
     /// Number of groups of each kind: `[dense, regular, sparse, one-element]`.
     pub group_counts: [usize; 4],
 }
@@ -45,6 +55,12 @@ impl MemoryReport {
     /// Total bytes including the graph adjacency storage.
     pub fn total_bytes(&self) -> usize {
         self.sampling_bytes() + self.adjacency_bytes
+    }
+
+    /// Bytes actually held: `total_bytes()` plus the structure overhead.
+    /// This is the figure to compare against allocator statistics or RSS.
+    pub fn resident_bytes(&self) -> usize {
+        self.total_bytes() + self.structure_bytes
     }
 
     /// Bytes attributed to a particular group kind.
@@ -115,6 +131,7 @@ impl MemoryReport {
         self.sparse_bytes += other.sparse_bytes;
         self.regular_bytes += other.regular_bytes;
         self.decimal_bytes += other.decimal_bytes;
+        self.structure_bytes += other.structure_bytes;
         for i in 0..4 {
             self.group_counts[i] += other.group_counts[i];
         }
@@ -137,8 +154,10 @@ mod tests {
         r.add_group(GroupKind::Sparse, 5);
         r.add_group(GroupKind::OneElement, 2);
         r.decimal_bytes = 3;
+        r.structure_bytes = 39;
         assert_eq!(r.sampling_bytes(), 61);
         assert_eq!(r.total_bytes(), 161);
+        assert_eq!(r.resident_bytes(), 200);
         assert_eq!(r.bytes_for(GroupKind::Regular), 40);
         assert_eq!(r.count_for(GroupKind::Dense), 1);
         assert_eq!(r.bytes_for(GroupKind::Empty), 0);
@@ -171,7 +190,9 @@ mod tests {
         let mut b = MemoryReport::default();
         b.add_group(GroupKind::Sparse, 8);
         b.decimal_bytes = 4;
+        b.structure_bytes = 7;
         a.merge(&b);
+        assert_eq!(a.structure_bytes, 7);
         assert_eq!(a.sparse_bytes, 16);
         assert_eq!(a.count_for(GroupKind::Sparse), 2);
         assert_eq!(a.decimal_bytes, 4);

@@ -9,44 +9,85 @@
 //! * `O(K)` streaming insertion and deletion (K = number of radix groups).
 //! * Batched application of many updates with a single rebuild at the end,
 //!   using the two-phase delete-and-swap compaction for the deletions.
+//!
+//! The space is 128 bytes inline and owns at most three heap blocks for an
+//! all-integer vertex (an isolated vertex owns none):
+//!
+//! ```text
+//! VertexSpace (128 B)
+//!  ├─ group headers   32 B × K     kind, count, segment offsets, alias bucket
+//!  ├─ group arena     4 B × words  member lists and inverted indices
+//!  ├─ adjacency       24 B × d     destination and bias per edge
+//!  └─ decimal group   boxed, only while some bias has a fraction
+//! ```
+//!
+//! It keeps no statistics beyond its two rebuild counters: every mutation
+//! returns a [`VertexUpdateOutcome`] with the conversions and rebuilds it
+//! caused, for the caller (normally the engine) to accumulate.
 
 use crate::config::{BingoConfig, Lambda};
 use crate::fixed::{choose_lambda, ScaledBias};
-use crate::group::{DecimalGroup, GroupKind, RadixGroup};
+use crate::group::{DecimalGroup, GroupKind, GroupTable, GroupView};
 use crate::memory::MemoryReport;
 use crate::radix;
 use crate::stats::ConversionMatrix;
 use crate::{BingoError, Result};
 use bingo_graph::adjacency::{AdjacencyList, Edge};
 use bingo_graph::{Bias, VertexId};
-use bingo_sampling::{AliasTable, Sampler};
 use rand::Rng;
 
-/// Outcome of applying a batch of updates to one vertex.
+/// What one update — a streaming operation or a per-vertex batch — did to
+/// a vertex's sampling space.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VertexBatchOutcome {
+pub struct VertexUpdateOutcome {
     /// Edges inserted.
     pub inserted: usize,
     /// Edges deleted.
     pub deleted: usize,
     /// Deletions that referenced edges not present in the graph.
     pub missing_deletes: usize,
-    /// Whether the whole space had to be rebuilt from scratch (λ change).
-    pub full_rebuild: bool,
+    /// Rebuilds of the whole space from scratch (λ changes).
+    pub full_rebuilds: u32,
+    /// Rebuilds of the inter-group alias table.
+    pub inter_rebuilds: u32,
+    /// Representation checks and conversions performed (Table 4).
+    pub conversions: ConversionMatrix,
 }
 
+impl VertexUpdateOutcome {
+    /// Add another outcome's counts to this one.
+    pub fn merge(&mut self, other: &VertexUpdateOutcome) {
+        self.inserted += other.inserted;
+        self.deleted += other.deleted;
+        self.missing_deletes += other.missing_deletes;
+        self.full_rebuilds += other.full_rebuilds;
+        self.inter_rebuilds += other.inter_rebuilds;
+        self.conversions.merge(&other.conversions);
+    }
+}
+
+/// The decimal group of a vertex none of whose biases has a fraction.
+static NO_DECIMAL: DecimalGroup = DecimalGroup::new();
+
 /// The sampling space of a single vertex.
+///
+/// The representation thresholds are copied out of the [`BingoConfig`] the
+/// space was built with, so a standalone space needs nothing else to mutate
+/// itself; a fixed λ is simply the space's λ.
 #[derive(Debug, Clone)]
 pub struct VertexSpace {
     adj: AdjacencyList,
-    groups: Vec<RadixGroup>,
-    decimal: DecimalGroup,
-    inter: Option<AliasTable>,
+    groups: GroupTable,
+    /// Present only while some scaled bias has a fractional remainder.
+    decimal: Option<Box<DecimalGroup>>,
     lambda: f64,
-    config: BingoConfig,
-    conversions: ConversionMatrix,
-    inter_rebuilds: u64,
-    full_rebuilds: u64,
+    alpha_percent: f64,
+    beta_percent: f64,
+    full_rebuilds: u32,
+    adaptive: bool,
+    reclassify_on_streaming: bool,
+    /// `Lambda::Auto`: λ follows the biases instead of staying fixed.
+    lambda_auto: bool,
 }
 
 impl VertexSpace {
@@ -54,14 +95,18 @@ impl VertexSpace {
     pub fn build(adj: AdjacencyList, config: BingoConfig) -> Self {
         let mut space = VertexSpace {
             adj,
-            groups: Vec::new(),
-            decimal: DecimalGroup::new(),
-            inter: None,
-            lambda: 1.0,
-            config,
-            conversions: ConversionMatrix::new(),
-            inter_rebuilds: 0,
+            groups: GroupTable::new(),
+            decimal: None,
+            lambda: match config.lambda {
+                Lambda::Fixed(l) => l.max(1.0),
+                Lambda::Auto => 1.0,
+            },
+            alpha_percent: config.alpha_percent,
+            beta_percent: config.beta_percent,
             full_rebuilds: 0,
+            adaptive: config.adaptive,
+            reclassify_on_streaming: config.reclassify_on_streaming,
+            lambda_auto: config.lambda == Lambda::Auto,
         };
         space.rebuild_from_scratch();
         space
@@ -87,45 +132,64 @@ impl VertexSpace {
         self.groups.len()
     }
 
-    /// The radix groups (for inspection in tests and experiments).
-    pub fn groups(&self) -> &[RadixGroup] {
-        &self.groups
+    /// The radix groups in bit order (for inspection in tests and
+    /// experiments).
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = GroupView<'_>> {
+        self.groups.views()
+    }
+
+    /// The radix group of bit `bit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit >= num_groups()`.
+    pub fn group(&self, bit: usize) -> GroupView<'_> {
+        self.groups.view(bit)
     }
 
     /// The decimal group.
     pub fn decimal_group(&self) -> &DecimalGroup {
-        &self.decimal
-    }
-
-    /// Group-conversion statistics accumulated by this vertex.
-    pub fn conversions(&self) -> &ConversionMatrix {
-        &self.conversions
+        self.decimal.as_deref().unwrap_or(&NO_DECIMAL)
     }
 
     /// Number of inter-group alias rebuilds performed.
     pub fn inter_rebuilds(&self) -> u64 {
-        self.inter_rebuilds
+        u64::from(self.groups.inter_rebuilds())
     }
 
     /// Number of full space rebuilds performed.
     pub fn full_rebuilds(&self) -> u64 {
-        self.full_rebuilds
+        u64::from(self.full_rebuilds)
     }
 
-    fn resolve_lambda(&self) -> f64 {
+    /// An empty outcome, and the rebuild counters to diff against once the
+    /// update is done.
+    fn begin(&self) -> (VertexUpdateOutcome, [u32; 2]) {
+        (
+            VertexUpdateOutcome::default(),
+            [self.groups.inter_rebuilds(), self.full_rebuilds],
+        )
+    }
+
+    fn finish(&self, mut outcome: VertexUpdateOutcome, before: [u32; 2]) -> VertexUpdateOutcome {
+        outcome.inter_rebuilds = self.groups.inter_rebuilds().wrapping_sub(before[0]);
+        outcome.full_rebuilds = self.full_rebuilds.wrapping_sub(before[1]);
+        outcome
+    }
+
+    /// λ for the current biases, and whether the decimal group can be
+    /// non-empty under it.
+    fn resolve_lambda(&self) -> (f64, bool) {
         let has_float = self.adj.edges().iter().any(|e| !e.bias.is_integral());
-        match self.config.lambda {
-            Lambda::Fixed(l) => l.max(1.0),
-            Lambda::Auto => {
-                if has_float {
-                    let biases: Vec<f64> =
-                        self.adj.edges().iter().map(|e| e.bias.value()).collect();
-                    choose_lambda(&biases, 2.0)
-                } else {
-                    1.0
-                }
-            }
-        }
+        let lambda = if !self.lambda_auto {
+            self.lambda
+        } else if has_float {
+            let biases: Vec<f64> = self.adj.edges().iter().map(|e| e.bias.value()).collect();
+            choose_lambda(&biases, 2.0)
+        } else {
+            1.0
+        };
+        (lambda, has_float || (lambda - 1.0).abs() >= f64::EPSILON)
     }
 
     fn scaled(&self, edge: &Edge) -> ScaledBias {
@@ -134,130 +198,82 @@ impl VertexSpace {
 
     /// Rebuild groups, decimal group, λ and the inter-group alias table from
     /// the adjacency list. `O(d · K)`.
-    pub fn rebuild_from_scratch(&mut self) {
-        self.full_rebuilds += 1;
-        self.lambda = self.resolve_lambda();
-        self.decimal = DecimalGroup::new();
-        // Collect members per bit.
-        let mut max_bits = 0usize;
-        let scaled: Vec<ScaledBias> = self
-            .adj
-            .edges()
-            .iter()
-            .map(|e| {
-                let s = ScaledBias::new(e.bias, self.lambda);
-                max_bits = max_bits.max(radix::groups_for_max_bias(s.integer));
-                s
-            })
-            .collect();
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); max_bits];
-        for (idx, s) in scaled.iter().enumerate() {
-            for bit in radix::decompose(s.integer) {
-                members[bit as usize].push(idx as u32);
-            }
-            if s.has_fraction() {
-                self.decimal.insert(idx as u32, s.fraction);
+    fn rebuild_from_scratch(&mut self) {
+        self.full_rebuilds = self.full_rebuilds.wrapping_add(1);
+        let (lambda, may_have_fractions) = self.resolve_lambda();
+        self.lambda = lambda;
+        let edges = self.adj.edges();
+        let (adaptive, alpha, beta) = (self.adaptive, self.alpha_percent, self.beta_percent);
+        self.groups.rebuild(
+            edges.len(),
+            |idx| ScaledBias::new(edges[idx].bias, lambda).integer,
+            |cardinality| classify(adaptive, alpha, beta, cardinality, edges.len()),
+        );
+        self.decimal = None;
+        if may_have_fractions {
+            for (idx, edge) in edges.iter().enumerate() {
+                let s = ScaledBias::new(edge.bias, lambda);
+                if s.has_fraction() {
+                    self.decimal
+                        .get_or_insert_with(Box::default)
+                        .insert(idx as u32, s.fraction);
+                }
             }
         }
-        let degree = self.adj.degree();
-        self.groups = members
-            .into_iter()
-            .enumerate()
-            .map(|(bit, m)| {
-                let kind = self.classify(m.len(), degree);
-                RadixGroup::from_members(bit as u8, kind, m)
-            })
-            .collect();
         self.rebuild_inter();
     }
 
-    fn classify(&self, cardinality: usize, degree: usize) -> GroupKind {
-        if !self.config.adaptive {
-            return if cardinality == 0 {
-                GroupKind::Empty
-            } else {
-                GroupKind::Regular
-            };
-        }
-        GroupKind::classify(
-            cardinality,
-            degree,
-            self.config.alpha_percent,
-            self.config.beta_percent,
-        )
+    fn decimal_weight(&self) -> f64 {
+        self.decimal.as_ref().map_or(0.0, |d| d.weight())
     }
 
     /// Rebuild only the inter-group alias table. `O(K)`.
-    pub fn rebuild_inter(&mut self) {
-        self.inter_rebuilds += 1;
-        let mut weights: Vec<f64> = self.groups.iter().map(RadixGroup::weight).collect();
-        weights.push(self.decimal.weight());
-        let total: f64 = weights.iter().sum();
-        self.inter = if total > 0.0 {
-            AliasTable::new(&weights).ok()
-        } else {
-            None
-        };
+    fn rebuild_inter(&mut self) {
+        self.groups.rebuild_inter(self.decimal_weight());
     }
 
     /// Reclassify every group's representation against the current degree,
-    /// converting representations and recording the conversions (Table 4).
-    pub fn reclassify(&mut self) {
+    /// converting representations and recording the conversions (Table 4),
+    /// then let the group arena reclaim the holes relocations left behind.
+    fn reclassify(&mut self, conversions: &mut ConversionMatrix) {
         let degree = self.adj.degree();
         let lambda = self.lambda;
-        for gi in 0..self.groups.len() {
-            self.conversions.record_check();
-            let current = self.groups[gi].kind();
-            let desired = self.classify(self.groups[gi].cardinality(), degree);
+        let (adaptive, alpha, beta) = (self.adaptive, self.alpha_percent, self.beta_percent);
+        for bit in 0..self.groups.len() {
+            conversions.record_check();
+            let current = self.groups.kind(bit);
+            let cardinality = self.groups.cardinality(bit);
+            let desired = classify(adaptive, alpha, beta, cardinality, degree);
             if current == desired {
                 continue;
             }
-            // Converting out of a dense group requires scanning the
-            // adjacency list to recover the member list.
-            let members_if_dense = if current == GroupKind::Dense {
-                let bit = self.groups[gi].bit();
-                Some(
-                    self.adj
-                        .edges()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| {
-                            radix::in_group(ScaledBias::new(e.bias, lambda).integer, bit)
-                        })
-                        .map(|(i, _)| i as u32)
-                        .collect(),
-                )
-            } else {
-                None
-            };
-            self.groups[gi].convert_to(desired, members_if_dense);
-            self.conversions.record(current, desired);
+            // Converting out of a dense group scans the adjacency list to
+            // recover the member list.
+            let edges = self.adj.edges();
+            self.groups.convert(bit, desired, degree, |i| {
+                radix::in_group(ScaledBias::new(edges[i].bias, lambda).integer, bit as u8)
+            });
+            conversions.record(current, desired);
         }
-    }
-
-    fn ensure_groups(&mut self, bits: usize) {
-        while self.groups.len() < bits {
-            let bit = self.groups.len() as u8;
-            self.groups.push(RadixGroup::new(bit));
-        }
+        self.groups.reclaim(degree);
     }
 
     /// Insert the new edge into the radix groups without touching the
     /// inter-group alias table. Returns `true` when the insertion requires a
     /// full rebuild (a floating-point bias arrived while λ = 1).
     fn insert_into_groups(&mut self, idx: u32, bias: Bias) -> bool {
-        if !bias.is_integral() && (self.lambda - 1.0).abs() < f64::EPSILON {
-            if let Lambda::Auto = self.config.lambda {
-                return true;
-            }
+        if !bias.is_integral() && (self.lambda - 1.0).abs() < f64::EPSILON && self.lambda_auto {
+            return true;
         }
         let s = ScaledBias::new(bias, self.lambda);
-        self.ensure_groups(radix::groups_for_max_bias(s.integer));
+        self.groups.ensure(radix::groups_for_max_bias(s.integer));
         for bit in radix::decompose(s.integer) {
-            self.groups[bit as usize].insert(idx);
+            self.groups.insert(bit as usize, idx);
         }
         if s.has_fraction() {
-            self.decimal.insert(idx, s.fraction);
+            self.decimal
+                .get_or_insert_with(Box::default)
+                .insert(idx, s.fraction);
         }
         false
     }
@@ -265,20 +281,22 @@ impl VertexSpace {
     /// Streaming insertion of an edge (§4.2): append to the adjacency list,
     /// update the affected groups, rebuild the inter-group alias table.
     /// `O(K)`.
-    pub fn insert(&mut self, dst: VertexId, bias: Bias) -> Result<()> {
+    pub fn insert(&mut self, dst: VertexId, bias: Bias) -> Result<VertexUpdateOutcome> {
         if !bias.is_valid() {
             return Err(BingoError::InvalidBias { dst });
         }
+        let (mut outcome, before) = self.begin();
+        outcome.inserted = 1;
         let idx = self.adj.push(Edge::new(dst, bias)) as u32;
         if self.insert_into_groups(idx, bias) {
             self.rebuild_from_scratch();
-            return Ok(());
+            return Ok(self.finish(outcome, before));
         }
-        if self.config.reclassify_on_streaming {
-            self.reclassify();
+        if self.reclassify_on_streaming {
+            self.reclassify(&mut outcome.conversions);
         }
         self.rebuild_inter();
-        Ok(())
+        Ok(self.finish(outcome, before))
     }
 
     /// Remove the edge at neighbor index `idx` from all group structures
@@ -290,12 +308,17 @@ impl VertexSpace {
         };
         let s = self.scaled(&edge);
         for bit in radix::decompose(s.integer) {
-            if let Some(group) = self.groups.get_mut(bit as usize) {
-                group.remove(idx);
+            if (bit as usize) < self.groups.len() {
+                self.groups.remove(bit as usize, idx);
             }
         }
         if s.has_fraction() {
-            self.decimal.remove(idx);
+            if let Some(decimal) = self.decimal.as_mut() {
+                decimal.remove(idx);
+                if decimal.is_empty() {
+                    self.decimal = None;
+                }
+            }
         }
     }
 
@@ -308,26 +331,31 @@ impl VertexSpace {
         };
         let s = self.scaled(&edge);
         for bit in radix::decompose(s.integer) {
-            if let Some(group) = self.groups.get_mut(bit as usize) {
-                group.remap(old_idx, new_idx);
+            if (bit as usize) < self.groups.len() {
+                self.groups.remap(bit as usize, old_idx, new_idx);
             }
         }
         if s.has_fraction() {
-            self.decimal.remap(old_idx, new_idx);
+            if let Some(decimal) = self.decimal.as_mut() {
+                decimal.remap(old_idx, new_idx);
+            }
         }
     }
 
     /// Streaming deletion of the edge at neighbor index `idx` (§4.2):
     /// locate the edge in its groups via the inverted indices, swap it with
     /// each group's tail, swap-delete it from the adjacency list, and remap
-    /// the adjacency entry that moved into the hole. `O(K)`.
-    pub fn delete_at(&mut self, idx: usize) -> Result<Edge> {
+    /// the adjacency entry that moved into the hole. `O(K)`. Returns the
+    /// removed edge.
+    pub fn delete_at(&mut self, idx: usize) -> Result<(Edge, VertexUpdateOutcome)> {
         if idx >= self.adj.degree() {
             return Err(BingoError::NeighborIndexOutOfRange {
                 index: idx,
                 degree: self.adj.degree(),
             });
         }
+        let (mut outcome, before) = self.begin();
+        outcome.deleted = 1;
         self.remove_from_groups(idx as u32);
         let out = self
             .adj
@@ -336,15 +364,16 @@ impl VertexSpace {
         if let Some(old_last) = out.moved_from {
             self.remap_groups(old_last as u32, idx as u32);
         }
-        if self.config.reclassify_on_streaming {
-            self.reclassify();
+        if self.reclassify_on_streaming {
+            self.reclassify(&mut outcome.conversions);
         }
         self.rebuild_inter();
-        Ok(out.removed)
+        Ok((out.removed, self.finish(outcome, before)))
     }
 
-    /// Streaming deletion of the first edge pointing at `dst`.
-    pub fn delete(&mut self, dst: VertexId) -> Result<Edge> {
+    /// Streaming deletion of the first edge pointing at `dst`. Returns the
+    /// removed edge.
+    pub fn delete(&mut self, dst: VertexId) -> Result<(Edge, VertexUpdateOutcome)> {
         let idx = self.adj.find(dst).ok_or(BingoError::EdgeNotFound { dst })?;
         self.delete_at(idx)
     }
@@ -353,12 +382,13 @@ impl VertexSpace {
     ///
     /// Implemented as delete + insert of the same destination, which is how
     /// the paper describes bias updates (§4.2).
-    pub fn update_bias(&mut self, dst: VertexId, bias: Bias) -> Result<()> {
+    pub fn update_bias(&mut self, dst: VertexId, bias: Bias) -> Result<VertexUpdateOutcome> {
         if !bias.is_valid() {
             return Err(BingoError::InvalidBias { dst });
         }
-        self.delete(dst)?;
-        self.insert(dst, bias)
+        let (_, mut outcome) = self.delete(dst)?;
+        outcome.merge(&self.insert(dst, bias)?);
+        Ok(outcome)
     }
 
     /// Apply a per-vertex batch of updates: all insertions first, then all
@@ -368,8 +398,8 @@ impl VertexSpace {
         &mut self,
         inserts: &[(VertexId, Bias)],
         deletes: &[VertexId],
-    ) -> VertexBatchOutcome {
-        let mut outcome = VertexBatchOutcome::default();
+    ) -> VertexUpdateOutcome {
+        let (mut outcome, before) = self.begin();
 
         // Phase 1: insertions (append + group updates, no rebuild yet).
         let mut needs_full_rebuild = false;
@@ -418,40 +448,39 @@ impl VertexSpace {
         // Phase 3: one rebuild for the whole batch.
         if needs_full_rebuild {
             self.rebuild_from_scratch();
-            outcome.full_rebuild = true;
         } else {
-            self.reclassify();
+            self.reclassify(&mut outcome.conversions);
             self.rebuild_inter();
         }
-        outcome
+        self.finish(outcome, before)
     }
 
     /// Total (λ-scaled) sampling weight of the vertex.
     pub fn total_weight(&self) -> f64 {
-        self.groups.iter().map(RadixGroup::weight).sum::<f64>() + self.decimal.weight()
+        self.groups.total_weight() + self.decimal_weight()
     }
 
     /// Sample a neighbor index in `O(1)` expected time (Theorem 4.1
     /// guarantees the distribution equals the bias-proportional one).
     pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
-        let inter = self.inter.as_ref()?;
+        if !self.groups.has_inter() {
+            return None;
+        }
         // Bounded retry: a sampled group can only be empty due to floating
         // point drift in the alias table; retry a few times before giving up.
         for _ in 0..64 {
-            let g = inter.sample(rng);
+            let g = self.groups.sample_group(rng);
             if g == self.groups.len() {
-                if let Some(idx) = self.decimal.sample(rng) {
+                if let Some(idx) = self.decimal.as_ref().and_then(|d| d.sample(rng)) {
                     return Some(idx as usize);
                 }
                 continue;
             }
-            let group = &self.groups[g];
-            match group.kind() {
+            match self.groups.kind(g) {
                 GroupKind::Empty => continue,
                 GroupKind::Dense => {
                     // Bounded rejection sampling over the raw adjacency list:
                     // the acceptance rate is > α% by construction (§5.1).
-                    let bit = group.bit();
                     let degree = self.adj.degree();
                     if degree == 0 {
                         continue;
@@ -459,13 +488,13 @@ impl VertexSpace {
                     loop {
                         let i = rng.gen_range(0..degree);
                         let edge = self.adj.edge(i).expect("index within degree");
-                        if radix::in_group(self.scaled(edge).integer, bit) {
+                        if radix::in_group(self.scaled(edge).integer, g as u8) {
                             return Some(i);
                         }
                     }
                 }
                 _ => {
-                    if let Some(idx) = group.sample_uniform(rng) {
+                    if let Some(idx) = self.groups.sample_member(g, rng) {
                         return Some(idx as usize);
                     }
                 }
@@ -481,21 +510,31 @@ impl VertexSpace {
             .map(|e| e.dst)
     }
 
-    /// Memory accounting for this vertex (Figure 11 breakdown).
+    /// Memory accounting for this vertex (Figure 11 breakdown). The
+    /// per-representation fields count what each structure needs, as they
+    /// always have; `structure_bytes` is everything else the space occupies
+    /// (the inline struct, the rest of the group headers, arena holes and
+    /// slack), so `resident_bytes()` is what the allocator handed out.
     pub fn memory_report(&self) -> MemoryReport {
         let mut report = MemoryReport {
             adjacency_bytes: self.adj.memory_bytes(),
-            inter_group_bytes: self
-                .inter
-                .as_ref()
-                .map(AliasTable::memory_bytes)
-                .unwrap_or(0),
-            decimal_bytes: self.decimal.memory_bytes(),
+            inter_group_bytes: self.groups.inter_bytes(),
+            decimal_bytes: self.decimal_group().memory_bytes(),
             ..MemoryReport::default()
         };
-        for g in &self.groups {
+        for g in self.groups.views() {
             report.add_group(g.kind(), g.memory_bytes());
         }
+        let boxed_decimal = self
+            .decimal
+            .as_ref()
+            .map_or(0, |d| std::mem::size_of_val(&**d));
+        let resident = std::mem::size_of::<Self>()
+            + self.adj.memory_bytes()
+            + self.groups.heap_bytes()
+            + boxed_decimal
+            + report.decimal_bytes;
+        report.structure_bytes = resident - report.total_bytes();
         report
     }
 
@@ -517,8 +556,10 @@ impl VertexSpace {
     /// property-based tests; returns a description of the first violation.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let degree = self.adj.degree();
+        // 0. The group arena is laid out consistently.
+        self.groups.check_layout(degree)?;
         // 1. Group cardinalities and memberships match the adjacency biases.
-        for g in &self.groups {
+        for g in self.groups.views() {
             let bit = g.bit();
             let expected: Vec<u32> = self
                 .adj
@@ -535,17 +576,13 @@ impl VertexSpace {
                     expected.len()
                 ));
             }
-            if let Some(mut members) = g.members() {
+            if let Some(members) = g.members() {
+                let mut members = members.to_vec();
                 members.sort_unstable();
-                let mut exp = expected.clone();
-                exp.sort_unstable();
-                if members != exp {
-                    return Err(format!("group 2^{bit}: members {members:?} != {exp:?}"));
-                }
-                for &m in &members {
-                    if m as usize >= degree {
-                        return Err(format!("group 2^{bit}: member {m} out of range"));
-                    }
+                if members != expected {
+                    return Err(format!(
+                        "group 2^{bit}: members {members:?} != {expected:?}"
+                    ));
                 }
             }
         }
@@ -556,15 +593,15 @@ impl VertexSpace {
             .iter()
             .map(|e| self.scaled(e).fraction)
             .sum();
-        if (self.decimal.weight() - expected_fraction).abs() > 1e-6 {
+        if (self.decimal_weight() - expected_fraction).abs() > 1e-6 {
             return Err(format!(
                 "decimal weight {} != expected {expected_fraction}",
-                self.decimal.weight()
+                self.decimal_weight()
             ));
         }
         // 3. The inter-group table exists exactly when there is weight.
         let has_weight = self.total_weight() > 0.0;
-        if has_weight != self.inter.is_some() {
+        if has_weight != self.groups.has_inter() {
             return Err("inter-group alias table presence mismatch".to_string());
         }
         // 4. Total scaled weight equals λ × total bias.
@@ -578,6 +615,26 @@ impl VertexSpace {
         }
         Ok(())
     }
+}
+
+/// The representation a group of `cardinality` edges gets on a vertex of
+/// `degree` edges. With adaptation off (the "BS" baseline) every non-empty
+/// group is regular.
+fn classify(
+    adaptive: bool,
+    alpha_percent: f64,
+    beta_percent: f64,
+    cardinality: usize,
+    degree: usize,
+) -> GroupKind {
+    if !adaptive {
+        return if cardinality == 0 {
+            GroupKind::Empty
+        } else {
+            GroupKind::Regular
+        };
+    }
+    GroupKind::classify(cardinality, degree, alpha_percent, beta_percent)
 }
 
 #[cfg(test)]
@@ -599,12 +656,12 @@ mod tests {
         // 2^2 = {0, 1}; group biases 2, 2, 8.
         let space = vertex2_space(BingoConfig::baseline());
         assert_eq!(space.num_groups(), 3);
-        assert_eq!(space.groups()[0].cardinality(), 2);
-        assert_eq!(space.groups()[1].cardinality(), 1);
-        assert_eq!(space.groups()[2].cardinality(), 2);
-        assert_eq!(space.groups()[0].weight(), 2.0);
-        assert_eq!(space.groups()[1].weight(), 2.0);
-        assert_eq!(space.groups()[2].weight(), 8.0);
+        assert_eq!(space.group(0).cardinality(), 2);
+        assert_eq!(space.group(1).cardinality(), 1);
+        assert_eq!(space.group(2).cardinality(), 2);
+        assert_eq!(space.group(0).weight(), 2.0);
+        assert_eq!(space.group(1).weight(), 2.0);
+        assert_eq!(space.group(2).weight(), 8.0);
         assert_eq!(space.total_weight(), 12.0);
         assert_eq!(space.lambda(), 1.0);
         space.check_invariants().unwrap();
@@ -651,9 +708,9 @@ mod tests {
         let mut space = vertex2_space(BingoConfig::baseline());
         space.insert(3, Bias::from_int(3)).unwrap();
         assert_eq!(space.degree(), 4);
-        assert_eq!(space.groups()[0].cardinality(), 3);
-        assert_eq!(space.groups()[1].cardinality(), 2);
-        assert_eq!(space.groups()[2].cardinality(), 2);
+        assert_eq!(space.group(0).cardinality(), 3);
+        assert_eq!(space.group(1).cardinality(), 2);
+        assert_eq!(space.group(2).cardinality(), 2);
         assert_eq!(space.total_weight(), 15.0);
         space.check_invariants().unwrap();
 
@@ -667,13 +724,15 @@ mod tests {
     fn streaming_delete_matches_paper_figure_6() {
         // Delete edge (2, 1, 5): groups 2^0 and 2^2 lose neighbor index 0.
         let mut space = vertex2_space(BingoConfig::baseline());
-        let removed = space.delete(1).unwrap();
+        let (removed, outcome) = space.delete(1).unwrap();
+        assert_eq!(outcome.deleted, 1);
+        assert_eq!(outcome.inter_rebuilds, 1);
         assert_eq!(removed.dst, 1);
         assert_eq!(removed.bias.value(), 5.0);
         assert_eq!(space.degree(), 2);
-        assert_eq!(space.groups()[0].cardinality(), 1);
-        assert_eq!(space.groups()[1].cardinality(), 1);
-        assert_eq!(space.groups()[2].cardinality(), 1);
+        assert_eq!(space.group(0).cardinality(), 1);
+        assert_eq!(space.group(1).cardinality(), 1);
+        assert_eq!(space.group(2).cardinality(), 1);
         assert_eq!(space.total_weight(), 7.0);
         space.check_invariants().unwrap();
         // Deleting a missing edge fails cleanly.
@@ -731,9 +790,9 @@ mod tests {
         assert_eq!(space.lambda(), 10.0);
         // Integer parts 5, 7, 3 → groups 2^0 {5,7,3}, 2^1 {7,3}, 2^2 {5,7}.
         assert_eq!(space.num_groups(), 3);
-        assert_eq!(space.groups()[0].cardinality(), 3);
-        assert_eq!(space.groups()[1].cardinality(), 2);
-        assert_eq!(space.groups()[2].cardinality(), 2);
+        assert_eq!(space.group(0).cardinality(), 3);
+        assert_eq!(space.group(1).cardinality(), 2);
+        assert_eq!(space.group(2).cardinality(), 2);
         assert_eq!(space.decimal_group().cardinality(), 3);
         assert!((space.decimal_group().weight() - 1.0).abs() < 1e-9);
         space.check_invariants().unwrap();
@@ -772,6 +831,25 @@ mod tests {
     }
 
     #[test]
+    fn the_decimal_box_goes_when_the_last_fraction_does() {
+        let config = BingoConfig {
+            lambda: Lambda::Fixed(10.0),
+            ..BingoConfig::default()
+        };
+        let mut space = vertex2_space(config);
+        assert!(space.decimal.is_none());
+        space.insert(3, Bias::from_float(0.25)).unwrap();
+        space.insert(0, Bias::from_float(0.75)).unwrap();
+        assert_eq!(space.decimal_group().cardinality(), 2);
+        space.delete(3).unwrap();
+        assert!(space.decimal.is_some());
+        space.apply_batch(&[], &[0]);
+        assert!(space.decimal.is_none());
+        assert_eq!(space.memory_report().decimal_bytes, 0);
+        space.check_invariants().unwrap();
+    }
+
+    #[test]
     fn adaptive_classification_creates_dense_and_one_element_groups() {
         // 10 edges, 9 odd biases (dense 2^0 group), one huge bias for a
         // one-element group.
@@ -781,8 +859,8 @@ mod tests {
         }
         adj.push(Edge::new(9, Bias::from_int(1 << 12)));
         let space = VertexSpace::build(adj, BingoConfig::default());
-        assert_eq!(space.groups()[0].kind(), GroupKind::Dense);
-        assert_eq!(space.groups()[12].kind(), GroupKind::OneElement);
+        assert_eq!(space.group(0).kind(), GroupKind::Dense);
+        assert_eq!(space.group(12).kind(), GroupKind::OneElement);
         space.check_invariants().unwrap();
 
         // Distribution must still match despite the dense representation.
@@ -875,13 +953,16 @@ mod tests {
         adj.push(Edge::new(0, Bias::from_int(1)));
         adj.push(Edge::new(1, Bias::from_int(1)));
         let mut space = VertexSpace::build(adj, BingoConfig::default());
-        assert_eq!(space.groups()[0].kind(), GroupKind::Dense);
+        assert_eq!(space.group(0).kind(), GroupKind::Dense);
+        let mut total = VertexUpdateOutcome::default();
         for i in 2..40u32 {
-            space.insert(i, Bias::from_int(2)).unwrap();
+            total.merge(&space.insert(i, Bias::from_int(2)).unwrap());
         }
         // Group 2^0 now holds 2 of 40 edges (5%) → sparse.
-        assert_eq!(space.groups()[0].kind(), GroupKind::Sparse);
-        assert!(space.conversions().total_conversions() > 0);
+        assert_eq!(space.group(0).kind(), GroupKind::Sparse);
+        assert!(total.conversions.total_conversions() > 0);
+        assert_eq!(total.inserted, 38);
+        assert_eq!(total.inter_rebuilds, 38);
         space.check_invariants().unwrap();
     }
 
@@ -892,11 +973,114 @@ mod tests {
         let counted: usize = report.group_counts.iter().sum();
         let non_empty = space
             .groups()
-            .iter()
             .filter(|g| g.kind() != GroupKind::Empty)
             .count();
         assert_eq!(counted, non_empty);
         assert!(report.adjacency_bytes > 0);
         assert!(report.inter_group_bytes > 0);
+    }
+
+    #[test]
+    fn the_space_stays_within_128_bytes() {
+        // 2^18 vertices hold 32 MiB of these inline; the engine owns the
+        // config and the conversion matrix so that a space need not.
+        assert!(std::mem::size_of::<VertexSpace>() <= 128);
+    }
+
+    /// A degree-`degree` vertex whose eight radix groups each hold about a
+    /// quarter of the edges, i.e. are all regular.
+    fn regular_hub(degree: u32, rng: &mut Pcg64) -> VertexSpace {
+        let mut adj = AdjacencyList::with_capacity(degree as usize);
+        for dst in 0..degree {
+            adj.push(Edge::new(dst, quarter_bits_bias(rng)));
+        }
+        let space = VertexSpace::build(adj, BingoConfig::default());
+        assert!(space.groups().all(|g| g.kind() == GroupKind::Regular));
+        space
+    }
+
+    /// An 8-bit bias with every bit set with probability 1/4.
+    fn quarter_bits_bias(rng: &mut Pcg64) -> Bias {
+        use rand::Rng;
+        loop {
+            let w = rng.gen::<u32>() & rng.gen::<u32>() & 0xFF;
+            if w != 0 {
+                return Bias::from_int(u64::from(w));
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_updates_on_a_hub_relocate_o_k_words_per_event() {
+        use crate::group::RELOCATED_WORDS;
+        use rand::Rng;
+        const DEGREE: u32 = 1 << 16;
+        const EVENTS: u32 = 10_000;
+        let mut rng = Pcg64::seed_from_u64(0x4B);
+        let mut space = regular_hub(DEGREE, &mut rng);
+        let k = space.num_groups() as u64;
+        // Words the groups occupy before the first event.
+        let built = (space.groups.heap_bytes() / 4) as u64;
+        RELOCATED_WORDS.with(|c| c.set(0));
+
+        for i in 0..EVENTS {
+            space
+                .insert(DEGREE + i, quarter_bits_bias(&mut rng))
+                .unwrap();
+            if i % 1000 == 0 {
+                space.check_invariants().unwrap();
+            }
+        }
+        for i in 0..EVENTS {
+            let idx = rng.gen_range(0..space.degree());
+            space.delete_at(idx).unwrap();
+            if i % 1000 == 0 {
+                space.check_invariants().unwrap();
+            }
+        }
+        space.check_invariants().unwrap();
+
+        // The exact-size build leaves no room, so the first touches move
+        // every segment once and squeeze the holes out once (a few times
+        // what was built). From then on segments have headroom and an event
+        // moves a bounded number of words per group, amortised — an `O(d)`
+        // shift per event would be three orders of magnitude over this.
+        let relocated = RELOCATED_WORDS.with(|c| c.get());
+        let events = 2 * u64::from(EVENTS);
+        assert!(
+            relocated <= 6 * built + 32 * k * events,
+            "{relocated} words relocated over {events} events on {k} groups ({built} words built)"
+        );
+    }
+
+    #[test]
+    fn delete_heavy_churn_hands_arena_holes_back() {
+        use rand::Rng;
+        let mut rng = Pcg64::seed_from_u64(0xD1);
+        let mut space = regular_hub(4096, &mut rng);
+        // Grow first, so relocations leave holes behind, then delete nine
+        // edges in ten.
+        for i in 0..2048 {
+            space.insert(4096 + i, quarter_bits_bias(&mut rng)).unwrap();
+        }
+        while space.degree() > 600 {
+            let idx = rng.gen_range(0..space.degree());
+            space.delete_at(idx).unwrap();
+        }
+        space.check_invariants().unwrap();
+        let live: usize = space
+            .groups()
+            .map(|g| match g.kind() {
+                GroupKind::Sparse => g.cardinality(),
+                GroupKind::Regular => g.cardinality() + space.degree(),
+                _ => 0,
+            })
+            .sum();
+        assert!(live > 0);
+        let capacity = space.groups.arena_capacity();
+        assert!(
+            capacity <= 2 * live + 16,
+            "arena holds {capacity} words for {live} live ones"
+        );
     }
 }

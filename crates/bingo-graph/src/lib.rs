@@ -5,8 +5,6 @@
 //! The paper builds its sampling structures on top of Hornet-style dynamic
 //! adjacency arrays on the GPU; this crate provides the CPU equivalent:
 //!
-//! * [`block_pool`] — power-of-two block pool allocator that recycles
-//!   adjacency storage across updates (Hornet's memory manager).
 //! * [`adjacency`] — per-vertex dynamic adjacency arrays with `O(1)`
 //!   amortized append and `O(1)` swap-delete.
 //! * [`DynamicGraph`] — the mutable weighted graph: edge insertion, deletion
@@ -27,7 +25,6 @@
 
 pub mod adjacency;
 pub mod bias;
-pub mod block_pool;
 pub mod compaction;
 pub mod csr;
 pub mod datasets;
@@ -39,7 +36,6 @@ pub mod updates;
 
 pub use adjacency::{AdjacencyList, Edge};
 pub use bias::Bias;
-pub use block_pool::BlockPool;
 pub use compaction::two_phase_delete_and_swap;
 pub use csr::CsrGraph;
 pub use datasets::{DatasetSpec, StandinDataset};

@@ -335,8 +335,9 @@ where
     /// result equals the plain sequential left fold; for a non-associative
     /// `op` the grouping (but nothing else — chunk boundaries are
     /// thread-count-independent) shows through, exactly as it would under
-    /// rayon. Audit note: the only `reduce` consumer in this workspace is
-    /// `BingoEngine::memory_report`, whose `MemoryReport::merge` is
+    /// rayon. Audit note: the `reduce` consumers in this workspace are
+    /// `BingoEngine::memory_report` (`MemoryReport::merge`) and
+    /// `BingoEngine::apply_batch` (`VertexUpdateOutcome::merge`); both are
     /// integer-wise addition — associative and commutative.
     pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> P::Out
     where
