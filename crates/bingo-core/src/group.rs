@@ -15,7 +15,7 @@
 //!   located by linear scan, avoiding the full-size inverted index.
 //!
 //! All groups of one vertex live in one table (`GroupTable`): a 32-byte header
-//! per group over a single `u32` arena that holds every member list and
+//! per group over a single arena that holds every member list and
 //! inverted index as a segment. Dense and one-element groups are header
 //! only. The header also carries the group's bucket of the inter-group
 //! alias table, so a sample reads one header and at most one arena word.
@@ -31,6 +31,16 @@
 //! `O(1)` amortised words per group. Holes (and capacity the segments no
 //! longer use) are squeezed out when they outweigh the live words.
 //!
+//! An arena word holds a neighbor index or a position in a member list,
+//! both below the vertex degree. The arena is a buffer of `u16` halves: a
+//! *narrow* table (degree below `NARROW_LIMIT` = 2^16 − 1, i.e. almost
+//! every vertex) stores one half per word, a *wide* table two, low half
+//! first. The width is chosen from the degree alone, and only by a rebuild
+//! from scratch: the caller asks `GroupTable::fits` before an insert and
+//! rebuilds when the answer is no (the one promotion), and a wide table
+//! goes back to narrow only when it is rebuilt below `DEMOTE_BELOW` = 2^15
+//! edges, so a hub hovering at the limit does not flip-flop.
+//!
 //! The *decimal group* (§4.3) stores the fractional remainders of λ-scaled
 //! floating-point biases and is sampled by inverse-transform on demand.
 
@@ -38,8 +48,43 @@ use crate::radix::MAX_GROUPS;
 use bingo_sampling::validate_weights;
 use rand::Rng;
 
-/// Sentinel for "not present" entries of an inverted index.
+/// Sentinel for "not present" entries of an inverted index: all ones, in
+/// either width. Writing it narrow truncates it to `u16::MAX`; reading
+/// compares against [`invalid`].
 const INVALID: u32 = u32::MAX;
+
+/// Degrees from here on need wide words: a narrow word must hold every
+/// neighbor index and position below the degree and still leave
+/// `u16::MAX` free for the sentinel.
+const NARROW_LIMIT: usize = u16::MAX as usize;
+
+/// A wide table rebuilt from scratch below this degree becomes narrow again.
+const DEMOTE_BELOW: usize = 1 << 15;
+
+/// The sentinel as [`word`] reads it back.
+#[inline]
+fn invalid(wide: bool) -> u32 {
+    if wide {
+        INVALID
+    } else {
+        u32::from(u16::MAX)
+    }
+}
+
+/// Word `i` of an arena.
+#[inline]
+fn word(arena: &[u16], wide: bool, i: usize) -> u32 {
+    if wide {
+        u32::from(arena[2 * i]) | u32::from(arena[2 * i + 1]) << 16
+    } else {
+        u32::from(arena[i])
+    }
+}
+
+/// Words `off..off + len` of an arena.
+fn words(arena: &[u16], wide: bool, off: u32, len: u32) -> impl Iterator<Item = u32> + '_ {
+    (off as usize..(off + len) as usize).map(move |i| word(arena, wide, i))
+}
 
 /// Arena words a vertex may waste before holes are worth squeezing out;
 /// keeps low-degree vertices from compacting over a handful of words.
@@ -150,8 +195,9 @@ fn weight_of(count: u32, bit: usize) -> f64 {
 #[derive(Debug, Clone, Copy)]
 pub struct GroupView<'a> {
     bit: u8,
+    wide: bool,
     slot: &'a GroupSlot,
-    arena: &'a [u32],
+    arena: &'a [u16],
 }
 
 impl<'a> GroupView<'a> {
@@ -177,16 +223,18 @@ impl<'a> GroupView<'a> {
 
     /// Explicit member list in sampling order, if one is kept (everything
     /// but dense groups).
-    pub fn members(&self) -> Option<&'a [u32]> {
+    pub fn members(&self) -> Option<impl Iterator<Item = u32> + 'a> {
         let s = self.slot;
-        match s.kind {
-            GroupKind::Empty => Some(&[]),
-            GroupKind::Dense => None,
-            GroupKind::OneElement => Some(std::slice::from_ref(&s.off)),
-            GroupKind::Sparse | GroupKind::Regular => {
-                Some(&self.arena[s.off as usize..(s.off + s.count) as usize])
-            }
-        }
+        let (only, listed) = match s.kind {
+            GroupKind::Empty => (None, 0),
+            GroupKind::Dense => return None,
+            GroupKind::OneElement => (Some(s.off), 0),
+            GroupKind::Sparse | GroupKind::Regular => (None, s.count),
+        };
+        Some(
+            only.into_iter()
+                .chain(words(self.arena, self.wide, s.off, listed)),
+        )
     }
 
     /// Whether neighbor index `idx` is stored in this group. Dense groups
@@ -195,25 +243,28 @@ impl<'a> GroupView<'a> {
     pub fn contains(&self, idx: u32) -> Option<bool> {
         let s = self.slot;
         match s.kind {
-            GroupKind::Regular => {
-                Some(idx < s.inv_cap && self.arena[(s.inv_off + idx) as usize] != INVALID)
-            }
-            _ => self.members().map(|m| m.contains(&idx)),
+            GroupKind::Regular => Some(
+                idx < s.inv_cap
+                    && word(self.arena, self.wide, (s.inv_off + idx) as usize)
+                        != invalid(self.wide),
+            ),
+            _ => self.members().map(|mut m| m.any(|m| m == idx)),
         }
     }
 
     /// Bytes this group's representation needs (the Figure 11 breakdown):
     /// a counter for dense groups, the neighbor index for one-element
-    /// groups, the arena segments for sparse and regular groups.
+    /// groups (both `u32` header fields), the arena segments — at the
+    /// table's word size — for sparse and regular groups.
     pub fn memory_bytes(&self) -> usize {
         let s = self.slot;
         let words = match s.kind {
-            GroupKind::Empty => 0,
-            GroupKind::Dense | GroupKind::OneElement => 1,
+            GroupKind::Empty => return 0,
+            GroupKind::Dense | GroupKind::OneElement => return std::mem::size_of::<u32>(),
             GroupKind::Sparse => s.cap,
             GroupKind::Regular => s.cap + s.inv_cap,
         };
-        words as usize * std::mem::size_of::<u32>()
+        words as usize * word_bytes(self.wide)
     }
 }
 
@@ -222,15 +273,23 @@ impl<'a> GroupView<'a> {
 #[derive(Debug, Clone)]
 pub(crate) struct GroupTable {
     slots: Vec<GroupSlot>,
-    /// Member lists and inverted indices. `arena.len()` is the tail where
-    /// relocated segments land; words no live segment covers are holes.
-    arena: Vec<u32>,
+    /// Member lists and inverted indices, one `u16` half per word (two when
+    /// `wide`). The arena's end is the tail where relocated segments land;
+    /// words no live segment covers are holes.
+    arena: Vec<u16>,
     /// Alias bucket of the decimal group, the table's last candidate.
     tail_prob: f64,
     inter_rebuilds: u32,
     tail_alias: u8,
     /// Whether the groups carry any weight, i.e. the alias table is usable.
     has_inter: bool,
+    /// Whether an arena word is two halves. Set by `rebuild` only.
+    wide: bool,
+}
+
+/// Bytes of one arena word.
+fn word_bytes(wide: bool) -> usize {
+    std::mem::size_of::<u16>() << usize::from(wide)
 }
 
 #[cfg(test)]
@@ -267,7 +326,53 @@ impl GroupTable {
             inter_rebuilds: 0,
             tail_alias: 0,
             has_inter: false,
+            wide: false,
         }
+    }
+
+    /// Whether the table, at its current width, can index a vertex of
+    /// `degree` edges. When it cannot, the caller rebuilds from scratch.
+    pub(crate) fn fits(&self, degree: usize) -> bool {
+        self.wide || degree < NARROW_LIMIT
+    }
+
+    /// Whether arena words are 32 bits.
+    #[cfg(test)]
+    pub(crate) fn is_wide(&self) -> bool {
+        self.wide
+    }
+
+    /// Arena halves per word, as a shift.
+    #[inline]
+    fn shift(&self) -> usize {
+        usize::from(self.wide)
+    }
+
+    #[inline]
+    fn word(&self, i: u32) -> u32 {
+        word(&self.arena, self.wide, i as usize)
+    }
+
+    #[inline]
+    fn set_word(&mut self, i: u32, value: u32) {
+        let i = i as usize;
+        if self.wide {
+            self.arena[2 * i] = value as u16;
+            self.arena[2 * i + 1] = (value >> 16) as u16;
+        } else {
+            debug_assert!(value == INVALID || value < u32::from(u16::MAX));
+            self.arena[i] = value as u16;
+        }
+    }
+
+    /// Arena length, in words.
+    fn arena_len(&self) -> usize {
+        self.arena.len() >> self.shift()
+    }
+
+    /// Arena capacity, in words.
+    pub(crate) fn arena_capacity(&self) -> usize {
+        self.arena.capacity() >> self.shift()
     }
 
     /// Number of groups (K).
@@ -282,6 +387,7 @@ impl GroupTable {
     pub(crate) fn view(&self, bit: usize) -> GroupView<'_> {
         GroupView {
             bit: bit as u8,
+            wide: self.wide,
             slot: &self.slots[bit],
             arena: &self.arena,
         }
@@ -312,8 +418,8 @@ impl GroupTable {
     /// where `integer_of(idx)` is the scaled integer bias of edge `idx` and
     /// `classify(cardinality)` the representation a group of that size
     /// gets. Counts first, then fills an arena allocated at exact size, in
-    /// neighbor-index order. The inter-group table is left for the caller
-    /// to rebuild.
+    /// neighbor-index order. This is the one place the word width is
+    /// chosen. The inter-group table is left for the caller to rebuild.
     pub(crate) fn rebuild(
         &mut self,
         degree: usize,
@@ -324,6 +430,7 @@ impl GroupTable {
             degree < INVALID as usize,
             "neighbor indices must fit below the u32 sentinel"
         );
+        self.wide = degree >= NARROW_LIMIT || (self.wide && degree >= DEMOTE_BELOW);
         let mut counts = [0u32; MAX_GROUPS];
         // Largest member of each group: sizes its inverted index.
         let mut last = [0u32; MAX_GROUPS];
@@ -368,21 +475,21 @@ impl GroupTable {
             words < u32::MAX as usize,
             "group arena must stay addressable by u32 offsets"
         );
-        self.arena = vec![INVALID; words];
+        self.arena = vec![u16::MAX; words << self.shift()];
 
         if words > 0 {
             let mut cursor = [0u32; MAX_GROUPS];
             for idx in 0..degree {
                 for bit in crate::radix::decompose(integer_of(idx)) {
-                    let slot = &self.slots[bit as usize];
+                    let slot = self.slots[bit as usize];
                     if slot.cap == 0 {
                         continue;
                     }
                     let pos = cursor[bit as usize];
                     cursor[bit as usize] += 1;
-                    self.arena[(slot.off + pos) as usize] = idx as u32;
+                    self.set_word(slot.off + pos, idx as u32);
                     if slot.kind == GroupKind::Regular {
-                        self.arena[slot.inv_off as usize + idx] = pos;
+                        self.set_word(slot.inv_off + idx as u32, pos);
                     }
                 }
             }
@@ -401,18 +508,18 @@ impl GroupTable {
     /// half its capacity at a time, so the copy a reallocation makes is
     /// paid for by the words appended since the last one.
     fn alloc(&mut self, words: u32) -> u32 {
-        let off = self.arena.len();
+        let off = self.arena_len();
         let end = off + words as usize;
         assert!(
             end < u32::MAX as usize,
             "group arena must stay addressable by u32 offsets"
         );
-        if end > self.arena.capacity() {
+        if end > self.arena_capacity() {
             note_relocated(off);
-            let additional = (words as usize).max(self.arena.capacity() / 2);
-            self.arena.reserve_exact(additional);
+            let additional = (words as usize).max(self.arena_capacity() / 2);
+            self.arena.reserve_exact(additional << self.shift());
         }
-        self.arena.resize(end, INVALID);
+        self.arena.resize(end << self.shift(), u16::MAX);
         off as u32
     }
 
@@ -420,8 +527,11 @@ impl GroupTable {
     /// copying its first `used` words. The old words become a hole.
     fn relocate(&mut self, off: u32, used: u32, new_cap: u32) -> u32 {
         let new_off = self.alloc(new_cap);
-        self.arena
-            .copy_within(off as usize..(off + used) as usize, new_off as usize);
+        let s = self.shift();
+        self.arena.copy_within(
+            (off as usize) << s..((off + used) as usize) << s,
+            (new_off as usize) << s,
+        );
         note_relocated(used as usize);
         new_off
     }
@@ -435,7 +545,7 @@ impl GroupTable {
             slot.cap = cap;
         }
         let pos = slot.count;
-        self.arena[(slot.off + pos) as usize] = idx;
+        self.set_word(slot.off + pos, idx);
         slot.count += 1;
         pos
     }
@@ -448,19 +558,18 @@ impl GroupTable {
             slot.inv_off = self.relocate(slot.inv_off, slot.inv_cap, cap);
             slot.inv_cap = cap;
         }
-        self.arena[(slot.inv_off + idx) as usize] = pos;
+        self.set_word(slot.inv_off + idx, pos);
     }
 
     /// Position of neighbor `idx` in the member segment of `slot` (sparse
     /// groups scan, regular groups look it up).
     fn position(&self, slot: &GroupSlot, idx: u32) -> Option<u32> {
         match slot.kind {
-            GroupKind::Sparse => self.arena[slot.off as usize..(slot.off + slot.count) as usize]
-                .iter()
-                .position(|&m| m == idx)
+            GroupKind::Sparse => words(&self.arena, self.wide, slot.off, slot.count)
+                .position(|m| m == idx)
                 .map(|p| p as u32),
             GroupKind::Regular if idx < slot.inv_cap => {
-                Some(self.arena[(slot.inv_off + idx) as usize]).filter(|&p| p != INVALID)
+                Some(self.word(slot.inv_off + idx)).filter(|&p| p != invalid(self.wide))
             }
             _ => None,
         }
@@ -471,7 +580,16 @@ impl GroupTable {
     /// The caller is responsible for only inserting edges whose bias has
     /// this group's bit set. Representations are *not* reclassified here;
     /// that happens in the rebuild/reclassify step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` does not fit the table's words, i.e. the caller
+    /// skipped [`GroupTable::fits`].
     pub(crate) fn insert(&mut self, bit: usize, idx: u32) {
+        assert!(
+            self.fits(idx as usize + 1),
+            "neighbor index {idx} needs a wide table"
+        );
         let mut slot = self.slots[bit];
         match slot.kind {
             GroupKind::Empty => {
@@ -485,8 +603,8 @@ impl GroupTable {
                 slot.kind = GroupKind::Sparse;
                 slot.off = self.alloc(2);
                 slot.cap = 2;
-                self.arena[slot.off as usize] = first;
-                self.arena[slot.off as usize + 1] = idx;
+                self.set_word(slot.off, first);
+                self.set_word(slot.off + 1, idx);
                 slot.count = 2;
             }
             GroupKind::Sparse => {
@@ -522,12 +640,12 @@ impl GroupTable {
                     return false;
                 };
                 slot.count -= 1;
-                let moved = self.arena[(slot.off + slot.count) as usize];
-                self.arena[(slot.off + pos) as usize] = moved;
+                let moved = self.word(slot.off + slot.count);
+                self.set_word(slot.off + pos, moved);
                 if slot.kind == GroupKind::Regular {
-                    self.arena[(slot.inv_off + idx) as usize] = INVALID;
+                    self.set_word(slot.inv_off + idx, INVALID);
                     if pos < slot.count {
-                        self.arena[(slot.inv_off + moved) as usize] = pos;
+                        self.set_word(slot.inv_off + moved, pos);
                     }
                 }
             }
@@ -557,9 +675,9 @@ impl GroupTable {
                 let Some(pos) = self.position(&slot, old_idx) else {
                     return;
                 };
-                self.arena[(slot.off + pos) as usize] = new_idx;
+                self.set_word(slot.off + pos, new_idx);
                 if slot.kind == GroupKind::Regular {
-                    self.arena[(slot.inv_off + old_idx) as usize] = INVALID;
+                    self.set_word(slot.inv_off + old_idx, INVALID);
                     self.set_inverted(&mut slot, new_idx, pos);
                 }
             }
@@ -578,7 +696,7 @@ impl GroupTable {
             GroupKind::OneElement => Some(slot.off),
             GroupKind::Sparse | GroupKind::Regular => {
                 let pos = rng.gen_range(0..slot.count as usize);
-                Some(self.arena[slot.off as usize + pos])
+                Some(self.word(slot.off + pos as u32))
             }
         }
     }
@@ -586,13 +704,12 @@ impl GroupTable {
     /// Build the inverted index of a sparse-laid-out `slot` and make it
     /// regular.
     fn add_inverted(&mut self, slot: &mut GroupSlot) {
-        let members = slot.off as usize..(slot.off + slot.count) as usize;
-        let max = self.arena[members.clone()].iter().copied().max();
+        let max = words(&self.arena, self.wide, slot.off, slot.count).max();
         slot.inv_cap = max.map_or(0, |m| m + 1);
         slot.inv_off = self.alloc(slot.inv_cap);
-        for (pos, at) in members.enumerate() {
-            let member = self.arena[at];
-            self.arena[(slot.inv_off + member) as usize] = pos as u32;
+        for pos in 0..slot.count {
+            let member = self.word(slot.off + pos);
+            self.set_word(slot.inv_off + member, pos);
         }
         slot.kind = GroupKind::Regular;
     }
@@ -648,7 +765,7 @@ impl GroupTable {
                     .filter(|&i| is_member(i))
                     .take(slot.cap as usize)
                 {
-                    self.arena[(slot.off + found) as usize] = idx as u32;
+                    self.set_word(slot.off + found, idx as u32);
                     found += 1;
                 }
                 slot.count = found;
@@ -657,7 +774,7 @@ impl GroupTable {
                 let only = slot.off;
                 slot.off = self.alloc(1);
                 slot.cap = 1;
-                self.arena[slot.off as usize] = only;
+                self.set_word(slot.off, only);
             }
             GroupKind::Regular => {
                 slot.inv_off = 0;
@@ -672,7 +789,7 @@ impl GroupTable {
                 if slot.count == 0 {
                     slot.clear();
                 } else {
-                    slot.off = self.arena[slot.off as usize];
+                    slot.off = self.word(slot.off);
                     slot.cap = 0;
                     slot.kind = kind;
                 }
@@ -705,14 +822,17 @@ impl GroupTable {
     /// built up the waste, which keeps streaming updates `O(K)` amortised.
     pub(crate) fn reclaim(&mut self, degree: usize) {
         let live = self.live_words(degree);
-        if self.arena.capacity() <= 2 * live + RECLAIM_SLACK_WORDS {
+        if self.arena_capacity() <= 2 * live + RECLAIM_SLACK_WORDS {
             return;
         }
-        let mut packed: Vec<u32> = Vec::with_capacity(live + live / 4);
+        let s = self.shift();
+        let mut packed: Vec<u16> = Vec::with_capacity((live + live / 4) << s);
         let mut pack = |from: u32, used: u32| {
-            let (off, cap) = (packed.len() as u32, with_headroom(used));
-            packed.extend_from_slice(&self.arena[from as usize..(from + used) as usize]);
-            packed.resize((off + cap) as usize, INVALID);
+            let (off, cap) = ((packed.len() >> s) as u32, with_headroom(used));
+            packed.extend_from_slice(
+                &self.arena[(from as usize) << s..((from + used) as usize) << s],
+            );
+            packed.resize(((off + cap) as usize) << s, u16::MAX);
             (off, cap)
         };
         for slot in &mut self.slots {
@@ -830,13 +950,7 @@ impl GroupTable {
     /// Heap bytes the table holds: headers and the arena, at capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<GroupSlot>()
-            + self.arena.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Arena capacity, in words.
-    #[cfg(test)]
-    pub(crate) fn arena_capacity(&self) -> usize {
-        self.arena.capacity()
+            + self.arena.capacity() * std::mem::size_of::<u16>()
     }
 
     /// Check the arena layout: segments lie inside the arena and do not
@@ -867,7 +981,7 @@ impl GroupTable {
         segments.sort_unstable();
         let mut end = 0;
         for &(off, cap, bit) in &segments {
-            if off < end || off + cap > self.arena.len() {
+            if off < end || off + cap > self.arena_len() {
                 return Err(format!(
                     "group 2^{bit}: segment {off}+{cap} overlaps or leaves the arena"
                 ));
@@ -878,20 +992,21 @@ impl GroupTable {
             let Some(members) = self.view(bit).members() else {
                 continue;
             };
-            if let Some(&m) = members.iter().find(|&&m| m as usize >= degree) {
-                return Err(format!("group 2^{bit}: member {m} out of range"));
-            }
-            if s.kind != GroupKind::Regular {
-                continue;
-            }
-            let inverted = &self.arena[s.inv_off as usize..(s.inv_off + s.inv_cap) as usize];
-            for (pos, &m) in members.iter().enumerate() {
-                if inverted.get(m as usize) != Some(&(pos as u32)) {
+            for (pos, m) in members.enumerate() {
+                if m as usize >= degree {
+                    return Err(format!("group 2^{bit}: member {m} out of range"));
+                }
+                if s.kind == GroupKind::Regular
+                    && !(m < s.inv_cap && self.word(s.inv_off + m) == pos as u32)
+                {
                     return Err(format!("group 2^{bit}: inverted index misses member {m}"));
                 }
             }
-            if inverted.iter().filter(|&&p| p != INVALID).count() != members.len() {
-                return Err(format!("group 2^{bit}: inverted index has stale entries"));
+            if s.kind == GroupKind::Regular {
+                let inverted = words(&self.arena, self.wide, s.inv_off, s.inv_cap);
+                if inverted.filter(|&p| p != invalid(self.wide)).count() != s.count as usize {
+                    return Err(format!("group 2^{bit}: inverted index has stale entries"));
+                }
             }
         }
         Ok(())
@@ -1033,6 +1148,10 @@ mod tests {
         t
     }
 
+    fn members_of(t: &GroupTable, bit: usize) -> Option<Vec<u32>> {
+        t.view(bit).members().map(Iterator::collect)
+    }
+
     #[test]
     fn header_is_32_bytes() {
         assert_eq!(std::mem::size_of::<GroupSlot>(), 32);
@@ -1081,7 +1200,7 @@ mod tests {
         assert_eq!(t.view(0).weight(), 2.0);
         assert_eq!(t.view(0).contains(4), Some(true));
         assert_eq!(t.view(0).contains(9), Some(false));
-        assert_eq!(t.view(0).members(), Some(&[4, 7][..]));
+        assert_eq!(members_of(&t, 0), Some(vec![4, 7]));
         t.check_layout(8).unwrap();
     }
 
@@ -1095,7 +1214,7 @@ mod tests {
         assert!(t.remove(0, 0));
         assert_eq!(t.view(0).contains(0), Some(false));
         assert_eq!(t.view(0).contains(5), Some(true));
-        assert_eq!(t.view(0).members(), Some(&[5, 3][..]));
+        assert_eq!(members_of(&t, 0), Some(vec![5, 3]));
         // Insert a new member beyond the inverted index and check it is
         // findable.
         t.insert(0, 9);
@@ -1175,13 +1294,13 @@ mod tests {
         // Converting out of dense recovers the members from the predicate.
         t.convert(0, GroupKind::Sparse, 7, is_member);
         assert_eq!(t.kind(0), GroupKind::Sparse);
-        assert_eq!(t.view(0).members(), Some(&members[..]));
+        assert_eq!(members_of(&t, 0), Some(members.to_vec()));
         // Converting to the same kind is a no-op.
         t.convert(0, GroupKind::Sparse, 7, is_member);
         assert_eq!(t.cardinality(0), 3);
         t.convert(0, GroupKind::Regular, 7, is_member);
         t.convert(0, GroupKind::Sparse, 7, is_member);
-        assert_eq!(t.view(0).members(), Some(&members[..]));
+        assert_eq!(members_of(&t, 0), Some(members.to_vec()));
         t.check_layout(7).unwrap();
     }
 
@@ -1193,10 +1312,10 @@ mod tests {
         assert_eq!(t.view(0).contains(5), Some(true));
         t.check_layout(6).unwrap();
         t.convert(0, GroupKind::OneElement, 6, |i| i == 5);
-        assert_eq!(t.view(0).members(), Some(&[5][..]));
+        assert_eq!(members_of(&t, 0), Some(vec![5]));
         t.convert(0, GroupKind::Dense, 6, |i| i == 5);
         t.convert(0, GroupKind::OneElement, 6, |i| i == 5);
-        assert_eq!(t.view(0).members(), Some(&[5][..]));
+        assert_eq!(members_of(&t, 0), Some(vec![5]));
     }
 
     #[test]
@@ -1221,19 +1340,56 @@ mod tests {
             t.insert(0, idx);
             t.check_layout(idx as usize + 1).unwrap();
         }
-        assert!(t.arena.len() > 400, "relocations left holes behind");
+        assert!(t.arena_len() > 400, "relocations left holes behind");
         for idx in 8..200 {
             assert!(t.remove(0, idx));
         }
         t.reclaim(8);
         t.check_layout(8).unwrap();
-        assert_eq!(t.view(0).members().unwrap().len(), 8);
+        assert_eq!(members_of(&t, 0).unwrap().len(), 8);
         assert!(t.arena_capacity() <= 2 * t.live_words(8) + RECLAIM_SLACK_WORDS);
         assert_eq!(
             t.arena_capacity(),
             20,
             "members and inverted, a quarter of headroom each"
         );
+    }
+
+    #[test]
+    fn width_follows_the_degree_with_hysteresis() {
+        // Every other neighbor is a member: one regular group.
+        let rebuilt = |t: &mut GroupTable, degree: usize| {
+            t.rebuild(degree, |idx| (idx % 2) as u64, |_| GroupKind::Regular);
+            t.check_layout(degree).unwrap();
+            assert_eq!(t.arena_capacity(), t.live_words(degree));
+            let arena_bytes = t.heap_bytes() - std::mem::size_of::<GroupSlot>();
+            assert_eq!(arena_bytes, t.arena_capacity() * word_bytes(t.is_wide()));
+            assert_eq!(t.view(0).memory_bytes(), arena_bytes);
+            t.is_wide()
+        };
+        let mut t = GroupTable::new();
+        assert!(!rebuilt(&mut t, NARROW_LIMIT - 1));
+        assert!(t.fits(NARROW_LIMIT - 1) && !t.fits(NARROW_LIMIT));
+        assert_eq!(t.view(0).contains(NARROW_LIMIT as u32 - 2), Some(true));
+        assert_eq!(t.view(0).contains(NARROW_LIMIT as u32 - 3), Some(false));
+        assert!(rebuilt(&mut t, NARROW_LIMIT));
+        assert!(t.fits(1 << 20));
+        assert_eq!(t.view(0).contains(NARROW_LIMIT as u32 - 2), Some(true));
+        assert_eq!(t.view(0).contains(NARROW_LIMIT as u32 - 1), Some(false));
+        // Wide stays wide down to 2^15 ...
+        assert!(rebuilt(&mut t, NARROW_LIMIT - 1));
+        assert!(rebuilt(&mut t, DEMOTE_BELOW));
+        // ... goes narrow below it, and then needs the limit to widen again.
+        assert!(!rebuilt(&mut t, DEMOTE_BELOW - 1));
+        assert!(!rebuilt(&mut t, DEMOTE_BELOW));
+        assert!(!rebuilt(&mut t, NARROW_LIMIT - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a wide table")]
+    fn a_narrow_table_refuses_an_index_it_cannot_hold() {
+        let mut t = table_of(GroupKind::Regular, &[0, 3, 5]);
+        t.insert(0, NARROW_LIMIT as u32 - 1);
     }
 
     #[test]

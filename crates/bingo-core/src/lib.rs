@@ -31,9 +31,10 @@
 //!  └─ Vec<VertexSpace>                    128 B each, inline
 //!      ├─ group headers   32 B × K        kind, count, segment offsets and
 //!      │                                  capacities, inter-group alias bucket
-//!      ├─ group arena     4 B × words     one u32 arena per vertex
+//!      ├─ group arena     2 B × words     one arena per vertex (4 B words
+//!      │                                  from degree 2^16 − 1 on)
 //!      │    [ members 2^0 | members 2^3 | inverted 2^3 | hole | ... ]
-//!      ├─ adjacency       24 B × d        destination and bias per edge
+//!      ├─ adjacency       12 B × d        destination and bias per edge
 //!      └─ decimal group   boxed           only for floating-point remainders
 //! ```
 //!
@@ -42,15 +43,15 @@
 //! are squeezed out once they outweigh the live words (see
 //! [`group`]). On the 2^18-vertex, 5.24 M-edge benchmark graph, in MiB:
 //!
-//! | | `Vec` per group | one arena per vertex |
-//! |---|---:|---:|
-//! | inline structs | 116 | 32 |
-//! | group headers | 81 | 56 (alias buckets included) |
-//! | members + inverted | 179 | 121 |
-//! | inter-group tables | 46 | in the headers |
-//! | adjacency | 120 | 120 |
-//! | allocator overhead | 128 | 30 |
-//! | RSS added by `build` | 680 | 359 |
+//! | | `Vec` per group | one arena per vertex | 12-byte edges, `u16` arena words |
+//! |---|---:|---:|---:|
+//! | inline structs | 116 | 32 | 32 |
+//! | group headers | 81 | 56 (alias buckets included) | 56 |
+//! | members + inverted | 179 | 121 | 60.5 |
+//! | inter-group tables | 46 | in the headers | in the headers |
+//! | adjacency | 120 | 120 | 60 |
+//! | allocator overhead | 128 | 30 | 35 |
+//! | RSS added by `build` | 680 | 359 | 244 |
 //!
 //! [`MemoryReport::resident_bytes`] reports the live total;
 //! [`MemoryReport::sampling_bytes`] keeps the paper's Figure 11 meaning.

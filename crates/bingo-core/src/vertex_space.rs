@@ -16,8 +16,9 @@
 //! ```text
 //! VertexSpace (128 B)
 //!  ├─ group headers   32 B × K     kind, count, segment offsets, alias bucket
-//!  ├─ group arena     4 B × words  member lists and inverted indices
-//!  ├─ adjacency       24 B × d     destination and bias per edge
+//!  ├─ group arena     2 B × words  member lists and inverted indices
+//!  │                               (4 B from degree 2^16 − 1 on)
+//!  ├─ adjacency       12 B × d     destination and bias per edge
 //!  └─ decimal group   boxed, only while some bias has a fraction
 //! ```
 //!
@@ -260,9 +261,13 @@ impl VertexSpace {
 
     /// Insert the new edge into the radix groups without touching the
     /// inter-group alias table. Returns `true` when the insertion requires a
-    /// full rebuild (a floating-point bias arrived while λ = 1).
+    /// full rebuild instead: a floating-point bias arrived while λ = 1, or
+    /// the degree outgrew the group table's word width.
     fn insert_into_groups(&mut self, idx: u32, bias: Bias) -> bool {
         if !bias.is_integral() && (self.lambda - 1.0).abs() < f64::EPSILON && self.lambda_auto {
+            return true;
+        }
+        if !self.groups.fits(self.adj.degree()) {
             return true;
         }
         let s = ScaledBias::new(bias, self.lambda);
@@ -402,13 +407,16 @@ impl VertexSpace {
         let (mut outcome, before) = self.begin();
 
         // Phase 1: insertions (append + group updates, no rebuild yet).
+        // Once an insertion calls for a full rebuild the groups are stale
+        // until phase 3 rebuilds them, so the rest of the batch only edits
+        // the adjacency list.
         let mut needs_full_rebuild = false;
         for &(dst, bias) in inserts {
             if !bias.is_valid() {
                 continue;
             }
             let idx = self.adj.push(Edge::new(dst, bias)) as u32;
-            needs_full_rebuild |= self.insert_into_groups(idx, bias);
+            needs_full_rebuild = needs_full_rebuild || self.insert_into_groups(idx, bias);
             outcome.inserted += 1;
         }
 
@@ -435,12 +443,16 @@ impl VertexSpace {
             // Remove from group structures while neighbor indices are still
             // valid, then compact the adjacency list in one two-phase pass
             // and patch the moved indices.
-            for &idx in &to_delete {
-                self.remove_from_groups(idx as u32);
+            if !needs_full_rebuild {
+                for &idx in &to_delete {
+                    self.remove_from_groups(idx as u32);
+                }
             }
             let (_removed, moves) = self.adj.delete_many(&to_delete);
-            for (from, to) in moves {
-                self.remap_groups(from as u32, to as u32);
+            if !needs_full_rebuild {
+                for (from, to) in moves {
+                    self.remap_groups(from as u32, to as u32);
+                }
             }
             outcome.deleted = to_delete.len();
         }
@@ -577,7 +589,7 @@ impl VertexSpace {
                 ));
             }
             if let Some(members) = g.members() {
-                let mut members = members.to_vec();
+                let mut members: Vec<u32> = members.collect();
                 members.sort_unstable();
                 if members != expected {
                     return Err(format!(
@@ -753,10 +765,29 @@ mod tests {
     #[test]
     fn invalid_operations_are_rejected() {
         let mut space = vertex2_space(BingoConfig::default());
-        assert!(space.insert(9, Bias::from_int(0)).is_err());
         assert!(space.delete(99).is_err());
         assert!(space.delete_at(17).is_err());
-        assert!(space.update_bias(1, Bias::from_float(-1.0)).is_err());
+        for invalid in [
+            Bias::from_int(0),
+            Bias::from_float(0.0),
+            Bias::from_float(-0.0),
+            Bias::from_float(-1.0),
+            Bias::from_float(f64::NAN),
+            Bias::from_float(f64::INFINITY),
+            Bias::from_float(f64::NEG_INFINITY),
+        ] {
+            assert_eq!(
+                space.insert(9, invalid),
+                Err(BingoError::InvalidBias { dst: 9 })
+            );
+            assert_eq!(
+                space.update_bias(1, invalid),
+                Err(BingoError::InvalidBias { dst: 1 })
+            );
+            assert_eq!(space.apply_batch(&[(9, invalid)], &[]).inserted, 0);
+        }
+        assert_eq!(space.degree(), 3);
+        space.check_invariants().unwrap();
     }
 
     #[test]
@@ -1011,21 +1042,31 @@ mod tests {
     }
 
     #[test]
-    fn streaming_updates_on_a_hub_relocate_o_k_words_per_event() {
+    fn streaming_updates_on_a_wide_hub_relocate_o_k_words_per_event() {
+        let space = hub_relocates_o_k_words_per_event(1 << 16);
+        assert!(space.groups.is_wide());
+    }
+
+    #[test]
+    fn streaming_updates_on_a_narrow_hub_relocate_o_k_words_per_event() {
+        let space = hub_relocates_o_k_words_per_event(1 << 15);
+        assert!(!space.groups.is_wide());
+    }
+
+    fn hub_relocates_o_k_words_per_event(degree: u32) -> VertexSpace {
         use crate::group::RELOCATED_WORDS;
         use rand::Rng;
-        const DEGREE: u32 = 1 << 16;
         const EVENTS: u32 = 10_000;
         let mut rng = Pcg64::seed_from_u64(0x4B);
-        let mut space = regular_hub(DEGREE, &mut rng);
+        let mut space = regular_hub(degree, &mut rng);
         let k = space.num_groups() as u64;
         // Words the groups occupy before the first event.
-        let built = (space.groups.heap_bytes() / 4) as u64;
+        let built = space.groups.arena_capacity() as u64;
         RELOCATED_WORDS.with(|c| c.set(0));
 
         for i in 0..EVENTS {
             space
-                .insert(DEGREE + i, quarter_bits_bias(&mut rng))
+                .insert(degree + i, quarter_bits_bias(&mut rng))
                 .unwrap();
             if i % 1000 == 0 {
                 space.check_invariants().unwrap();
@@ -1051,6 +1092,112 @@ mod tests {
             relocated <= 6 * built + 32 * k * events,
             "{relocated} words relocated over {events} events on {k} groups ({built} words built)"
         );
+        space
+    }
+
+    /// Draw 200 000 samples, bin them by neighbor index modulo 64 and hold
+    /// the chi-square against `exact_probabilities()` at the 99.9 % level.
+    fn assert_samples_match_exact_probabilities(space: &VertexSpace, rng: &mut Pcg64) {
+        use bingo_sampling::stats::{chi_square, chi_square_critical_999};
+        const BINS: usize = 64;
+        let mut expected = [0.0; BINS];
+        for (idx, p) in space.exact_probabilities().into_iter().enumerate() {
+            expected[idx % BINS] += p;
+        }
+        let mut observed = [0usize; BINS];
+        for _ in 0..200_000 {
+            observed[space.sample_index(rng).unwrap() % BINS] += 1;
+        }
+        let chi2 = chi_square(&observed, &expected);
+        assert!(
+            chi2 < chi_square_critical_999(BINS - 1),
+            "chi-square {chi2} at degree {}",
+            space.degree()
+        );
+    }
+
+    #[test]
+    fn a_hub_crossing_the_narrow_limit_is_promoted_once_and_never_flip_flops() {
+        use rand::Rng;
+        const LIMIT: u32 = u16::MAX as u32;
+        let mut rng = Pcg64::seed_from_u64(0x16);
+        let mut space = regular_hub(LIMIT - 2, &mut rng);
+        assert!(!space.groups.is_wide());
+        assert_samples_match_exact_probabilities(&space, &mut rng);
+        let arena_bytes = |space: &VertexSpace| {
+            let report = space.memory_report();
+            report.sparse_bytes + report.regular_bytes
+        };
+        // An exact-size build: the arena is the segments, at two bytes a word.
+        assert_eq!(arena_bytes(&space), 2 * space.groups.arena_capacity());
+
+        // Inserts across the limit: the one that reaches it rebuilds the
+        // space with wide words, the others stream.
+        let rebuilds = space.full_rebuilds();
+        for dst in LIMIT - 2..LIMIT + 4 {
+            let was_wide = space.groups.is_wide();
+            let outcome = space.insert(dst, quarter_bits_bias(&mut rng)).unwrap();
+            space.check_invariants().unwrap();
+            let promoted = space.groups.is_wide() && !was_wide;
+            assert_eq!(promoted, space.degree() == LIMIT as usize);
+            assert_eq!(outcome.full_rebuilds, u32::from(promoted));
+            if promoted {
+                assert_eq!(arena_bytes(&space), 4 * space.groups.arena_capacity());
+            }
+        }
+        assert!(space.groups.is_wide());
+        assert_eq!(space.full_rebuilds(), rebuilds + 1);
+        assert_samples_match_exact_probabilities(&space, &mut rng);
+
+        // Deletes back below the limit stream too: no demotion, no rebuild.
+        while space.degree() > LIMIT as usize - 6 {
+            let idx = rng.gen_range(0..space.degree());
+            space.delete_at(idx).unwrap();
+            space.check_invariants().unwrap();
+        }
+        // ... and so does a hub hovering at the limit.
+        for round in 0..4 {
+            while space.degree() < LIMIT as usize + 2 {
+                space.insert(round, quarter_bits_bias(&mut rng)).unwrap();
+            }
+            space.check_invariants().unwrap();
+            while space.degree() > LIMIT as usize - 2 {
+                space.delete_at(0).unwrap();
+            }
+            space.check_invariants().unwrap();
+        }
+        assert!(space.groups.is_wide());
+        assert_eq!(space.full_rebuilds(), rebuilds + 1);
+        assert_samples_match_exact_probabilities(&space, &mut rng);
+
+        // A rebuild from scratch (here: the first fractional bias under
+        // `Lambda::Auto`) keeps the words wide while the degree is 2^15 or
+        // more (`group.rs` tests the demotion below it).
+        while space.degree() > 1 << 15 {
+            space.delete_at(space.degree() - 1).unwrap();
+        }
+        space.insert(7, Bias::from_float(2.5)).unwrap();
+        assert_eq!(space.full_rebuilds(), rebuilds + 2);
+        assert_eq!(space.degree(), (1 << 15) + 1);
+        assert!(space.groups.is_wide());
+        space.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_batch_that_crosses_the_narrow_limit_rebuilds_once() {
+        const LIMIT: u32 = u16::MAX as u32;
+        let mut rng = Pcg64::seed_from_u64(0x17);
+        let mut space = regular_hub(LIMIT - 3, &mut rng);
+        let inserts: Vec<(VertexId, Bias)> = (0..8)
+            .map(|i| (LIMIT + i, quarter_bits_bias(&mut rng)))
+            .collect();
+        let outcome = space.apply_batch(&inserts, &[0, 1, 2]);
+        assert_eq!((outcome.inserted, outcome.deleted), (8, 3));
+        assert_eq!(outcome.full_rebuilds, 1);
+        assert_eq!(space.degree(), LIMIT as usize + 2);
+        assert!(space.groups.is_wide());
+        space.check_invariants().unwrap();
+        assert_samples_match_exact_probabilities(&space, &mut rng);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Per-vertex dynamic adjacency arrays.
 //!
-//! Each vertex owns a compact array of [`Edge`] records. Insertion appends
+//! Each vertex owns a compact array of 12-byte [`Edge`] records (a `u32`
+//! destination and an 8-byte, 4-aligned [`Bias`]). Insertion appends
 //! (`O(1)` amortized) and deletion swap-removes (`O(1)`), matching the
 //! dynamic-array design Bingo adopts from Hornet. Edges are addressed both
 //! by destination vertex and by *neighbor index* — the position in the
@@ -9,7 +10,8 @@
 
 use crate::{Bias, VertexId};
 
-/// One outgoing edge: destination vertex and sampling bias.
+/// One outgoing edge: destination vertex and sampling bias. 12 bytes — the
+/// record every layer stores once per edge, so its size is pinned.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Destination vertex.
@@ -17,6 +19,8 @@ pub struct Edge {
     /// Sampling bias (transition weight).
     pub bias: Bias,
 }
+
+const _: () = assert!(std::mem::size_of::<Edge>() == 12);
 
 impl Edge {
     /// Create an edge.

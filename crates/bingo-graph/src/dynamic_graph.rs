@@ -144,9 +144,14 @@ impl DynamicGraph {
     pub fn delete_edge_at(&mut self, src: VertexId, neighbor_index: usize) -> Result<SwapDelete> {
         self.check_vertex(src)?;
         let adj = &mut self.adjacency[src as usize];
+        let degree = adj.degree();
         let out = adj
             .swap_delete(neighbor_index)
-            .ok_or(GraphError::EdgeNotFound { src, dst: 0 })?;
+            .ok_or(GraphError::NeighborIndexOutOfRange {
+                src,
+                index: neighbor_index,
+                degree,
+            })?;
         self.num_edges -= 1;
         Ok(out)
     }
@@ -333,7 +338,15 @@ mod tests {
         let before = g.num_edges();
         g.delete_edge_at(2, 1).unwrap();
         assert_eq!(g.num_edges(), before - 1);
-        assert!(g.delete_edge_at(2, 10).is_err());
+        assert_eq!(
+            g.delete_edge_at(2, 10),
+            Err(GraphError::NeighborIndexOutOfRange {
+                src: 2,
+                index: 10,
+                degree: 2
+            })
+        );
+        assert_eq!(g.num_edges(), before - 1);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 use crate::{Bias, DynamicGraph, VertexId};
 use rand::Rng;
 
-/// A single graph mutation.
+/// A single graph mutation. At most 20 bytes (two vertex ids, an 8-byte
+/// 4-aligned [`Bias`] and the tag), so a batch of events stays compact.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UpdateEvent {
     /// Insert the edge `(src, dst)` with the given bias.
@@ -39,6 +40,8 @@ pub enum UpdateEvent {
         bias: Bias,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<UpdateEvent>() <= 20);
 
 impl UpdateEvent {
     /// The source vertex the event applies to (updates are grouped by source

@@ -1,0 +1,54 @@
+//! A global allocator that counts live bytes, for the test binaries that
+//! hold `MemoryReport::resident_bytes` against what the allocator actually
+//! handed out. Each of them is its own binary with a single test, so
+//! nothing else allocates while it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct LiveBytes;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's own layout
+// and pointer unchanged; the counter touches no allocator state.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // relaxed-ok: a statistic that publishes no other data.
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // relaxed-ok: a statistic that publishes no other data.
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // relaxed-ok: a statistic that publishes no other data.
+        LIVE.fetch_add(new_size, Ordering::Relaxed);
+        // relaxed-ok: as above.
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // relaxed-ok: a statistic that publishes no other data.
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LiveBytes = LiveBytes;
+
+/// Bytes currently allocated by this process.
+pub fn live() -> usize {
+    // relaxed-ok: read on the thread that just joined every builder.
+    LIVE.load(Ordering::Relaxed)
+}

@@ -4,58 +4,18 @@
 //! `structure_bytes` is meant to cover everything else the engine holds
 //! (inline per-vertex structs, group headers, arena slack), so that the sum
 //! is what the allocator actually handed out. This binary installs a
-//! global allocator that tracks live bytes and compares. It is its own test
-//! binary, with a single test, so nothing else allocates while it counts.
+//! global allocator that tracks live bytes and compares, to the byte, on a
+//! graph whose group arenas are all narrow (`u16` words) and on one with a
+//! hub past the 2^16 limit, whose arena is wide.
+
+mod common;
 
 use bingo::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use common::live;
+use rand::Rng;
 
-struct LiveBytes;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards to `System` with the caller's own layout
-// and pointer unchanged; the counter touches no allocator state.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // relaxed-ok: a statistic that publishes no other data.
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // relaxed-ok: a statistic that publishes no other data.
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // relaxed-ok: a statistic that publishes no other data.
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
-        // relaxed-ok: as above.
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from this allocator, which is `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // relaxed-ok: a statistic that publishes no other data.
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: `ptr` came from this allocator, which is `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: LiveBytes = LiveBytes;
-
-fn live() -> usize {
-    // relaxed-ok: read on the thread that just joined every builder.
-    LIVE.load(Ordering::Relaxed)
-}
+/// One vertex with more out-edges than a narrow group arena can index.
+const HUB_DEGREE: usize = (1 << 16) + 1000;
 
 #[test]
 fn resident_bytes_match_what_the_build_allocates() {
@@ -74,23 +34,33 @@ fn resident_bytes_match_what_the_build_allocates() {
         },
         &mut rng,
     );
+    let mut with_hub = graph.clone();
+    let hub = (0..graph.num_vertices() as VertexId)
+        .max_by_key(|&v| graph.degree(v))
+        .expect("the graph has vertices");
+    while with_hub.degree(hub) < HUB_DEGREE {
+        let dst = rng.gen_range(0..graph.num_vertices() as VertexId);
+        let bias = Bias::from_int(rng.gen_range(1..=4096u64));
+        with_hub.insert_edge(hub, dst, bias).unwrap();
+    }
     // The first parallel build starts the worker pool, which keeps what it
     // allocates.
     drop(BingoEngine::build(&graph, BingoConfig::default()).unwrap());
 
-    for (name, config) in [
-        ("adaptive", BingoConfig::default()),
-        ("baseline", BingoConfig::baseline()),
+    for (name, graph, config) in [
+        ("adaptive", &graph, BingoConfig::default()),
+        ("baseline", &graph, BingoConfig::baseline()),
+        ("adaptive, wide hub", &with_hub, BingoConfig::default()),
+        ("baseline, wide hub", &with_hub, BingoConfig::baseline()),
     ] {
         let before = live();
-        let engine = BingoEngine::build(&graph, config).unwrap();
+        let engine = BingoEngine::build(graph, config).unwrap();
         let allocated = live() - before;
         let report = engine.memory_report();
         let resident = report.resident_bytes();
-        assert!(
-            resident.abs_diff(allocated) * 10 <= allocated,
-            "{name}: report says {resident} B resident, the allocator holds {allocated} B \
-             ({report:?})"
+        assert_eq!(
+            resident, allocated,
+            "{name}: the report's resident bytes against the allocator's ({report:?})"
         );
         // The part the report used to leave out is not small.
         assert!(report.structure_bytes * 10 > report.sampling_bytes());

@@ -1,0 +1,103 @@
+//! What the engine holds after a long run of balanced update batches,
+//! against what it held when it was built.
+//!
+//! An exact-size build leaves no room to grow: the first insert into a
+//! vertex doubles its adjacency array, full group segments move to the
+//! arena's tail with half again their capacity and leave holes. This binary
+//! applies 200 batches that keep the edge count level and pins how far the
+//! footprint has drifted by then — as a ceiling relative to the post-build
+//! figure, and still equal to the allocator's own count (its own binary,
+//! one test, for the same reason as `memory_accounting.rs`). It is a gauge
+//! for work on growth policies, not a steady state: five times the events
+//! per batch reach 1.69x.
+
+mod common;
+
+use bingo::prelude::*;
+use common::live;
+use rand::Rng;
+
+const BATCHES: usize = 200;
+/// The `engine_batch` workload's 2 500 events per batch on 2^18 vertices,
+/// scaled to this graph's 2^14: after 200 batches about half the vertices
+/// have seen an insert.
+const BATCH_EVENTS: usize = 160;
+/// Resident bytes after the churn, over resident bytes after the build.
+const CEILING: f64 = 1.40;
+/// Inserts and rewrites draw from the law the graph was built with, so the
+/// churn changes which edges exist, not what kind of graph it is.
+const BIASES: BiasDistribution = BiasDistribution::PowerLaw {
+    alpha: 1.6,
+    max: 4096,
+};
+
+#[test]
+fn balanced_churn_keeps_the_footprint_within_its_ceiling() {
+    let mut rng = Pcg64::seed_from_u64(16);
+    let graph = GraphGenerator::RMat {
+        scale: 14,
+        avg_degree: 10,
+        a: 0.57,
+        b: 0.19,
+        c: 0.19,
+    }
+    .generate(BIASES, &mut rng);
+    let n = graph.num_vertices() as VertexId;
+    let mut live_edges: Vec<(VertexId, VertexId)> =
+        graph.edges().map(|(s, e)| (s, e.dst)).collect();
+    // The first parallel build starts the worker pool, which keeps what it
+    // allocates.
+    drop(BingoEngine::build(&graph, BingoConfig::default()).unwrap());
+
+    let before = live();
+    let mut engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
+    let built = engine.memory_report().resident_bytes();
+    assert_eq!(built, live() - before);
+
+    for _ in 0..BATCHES {
+        // Of every five events two insert, two delete a live edge and one
+        // rewrites a live edge's bias; deletes and rewrites are drawn from
+        // the edges live before the batch.
+        let mut events = Vec::with_capacity(BATCH_EVENTS);
+        let mut back = Vec::new();
+        for i in 0..BATCH_EVENTS {
+            let bias = BIASES.sample(&mut rng, 0);
+            if i % 5 < 2 {
+                let (src, dst) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                back.push((src, dst));
+                events.push(UpdateEvent::Insert { src, dst, bias });
+            } else {
+                let (src, dst) = live_edges.swap_remove(rng.gen_range(0..live_edges.len()));
+                if i % 5 < 4 {
+                    events.push(UpdateEvent::Delete { src, dst });
+                } else {
+                    back.push((src, dst));
+                    events.push(UpdateEvent::UpdateBias { src, dst, bias });
+                }
+            }
+        }
+        live_edges.extend(back);
+        let outcome = engine.apply_batch(&UpdateBatch::new(events));
+        assert_eq!(outcome.missing_deletes, 0);
+    }
+    assert_eq!(engine.num_edges(), graph.num_edges());
+    engine.check_invariants().unwrap();
+
+    let report = engine.memory_report();
+    let churned = report.resident_bytes();
+    assert_eq!(
+        churned,
+        live() - before,
+        "the report's resident bytes against the allocator's ({report:?})"
+    );
+    let growth = churned as f64 / built as f64;
+    eprintln!(
+        "built {built} B, after {BATCHES} batches of {BATCH_EVENTS} events {churned} B \
+         ({growth:.3}x; adjacency {} B, structure {} B)",
+        report.adjacency_bytes, report.structure_bytes
+    );
+    assert!(
+        growth <= CEILING,
+        "resident bytes grew {growth:.3}x over the build ({built} -> {churned} B)"
+    );
+}
