@@ -102,6 +102,9 @@ pub struct ResultTable {
     pub headers: Vec<String>,
     /// Rows of cells.
     pub rows: Vec<Vec<String>>,
+    /// What the table covers and what it leaves out, printed between the
+    /// title and the header.
+    pub notes: Vec<String>,
     /// Pre-serialized telemetry JSON (see [`telemetry_json`]) embedded in
     /// [`ResultTable::json_summary`] when present.
     pub telemetry: Option<String>,
@@ -114,6 +117,7 @@ impl ResultTable {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            notes: Vec::new(),
             telemetry: None,
         }
     }
@@ -143,6 +147,9 @@ impl ResultTable {
         }
         let mut out = String::new();
         out.push_str(&format!("\n=== {} ===\n", self.title));
+        for note in &self.notes {
+            out.push_str(&format!("({note})\n"));
+        }
         let fmt_row = |cells: &[String]| -> String {
             cells
                 .iter()
@@ -192,6 +199,13 @@ impl ResultTable {
             .field_num("elapsed_s", format!("{:.3}", elapsed.as_secs_f64()))
             .field_raw("headers", &headers.finish())
             .field_raw("rows", &rows.finish());
+        if !self.notes.is_empty() {
+            let mut notes = JsonArray::new();
+            for note in &self.notes {
+                notes.push_str_elem(note);
+            }
+            obj.field_raw("notes", &notes.finish());
+        }
         if let Some(telemetry) = &self.telemetry {
             obj.field_raw("telemetry", telemetry);
         }

@@ -1,17 +1,21 @@
 //! Figures 9 and 15: parameter sweeps.
 
 use crate::common::{fmt_mib, ExperimentConfig, ResultTable};
-use crate::experiments::memory::dataset_with_bias;
+use crate::experiments::memory::{count_and_share, dataset_with_bias};
 use bingo_baselines::GSamplerBaseline;
+use bingo_core::vertex_space::DIRECT_MAX_DEGREE;
 use bingo_core::{radix, BingoConfig, BingoEngine};
 use bingo_graph::datasets::StandinDataset;
 use bingo_graph::generators::BiasDistribution;
 use bingo_graph::updates::{UpdateKind, UpdateStreamBuilder};
+use bingo_graph::VertexId;
 use bingo_walks::{DeepWalkConfig, EvaluationWorkflow, IngestMode, WalkSpec};
 use rand::Rng;
 
 /// Figure 9 — fraction of edges that fall into each radix group for
-/// uniform, Gaussian and power-law bias distributions (10-bit biases).
+/// uniform, Gaussian and power-law bias distributions (10-bit biases). The
+/// ratios describe the groups of a factorized vertex; the table's note says
+/// how many vertices of the five stand-in graphs are direct instead.
 pub fn fig9(config: &ExperimentConfig) -> ResultTable {
     let distributions = [
         ("Uniform", BiasDistribution::UniformInt { lo: 1, hi: 1023 }),
@@ -64,6 +68,24 @@ pub fn fig9(config: &ExperimentConfig) -> ResultTable {
         }
         table.push_row(row);
     }
+    // The figure itself needs no graph, so the note must not make it build
+    // paper-scale ones: the count is taken at 1/1000 or smaller.
+    let scale = config.scale.max(1_000);
+    let (mut direct, mut vertices) = (0, 0);
+    for dataset in StandinDataset::all() {
+        let mut rng = config.rng(dataset.spec().paper_vertices ^ 9);
+        let graph = dataset.build(scale, &mut rng);
+        vertices += graph.num_vertices();
+        direct += (0..graph.num_vertices())
+            .filter(|&v| graph.degree(v as VertexId) <= DIRECT_MAX_DEGREE)
+            .count();
+    }
+    table.notes.push(format!(
+        "the groups of a factorized vertex; under the adaptive config a vertex of at most \
+         {DIRECT_MAX_DEGREE} edges is direct and keeps none: {} across the five stand-ins at \
+         scale 1/{scale}",
+        count_and_share(direct, vertices)
+    ));
     table
 }
 
@@ -198,6 +220,7 @@ mod tests {
         // Power-law biases: low bits far more populated than high bits.
         let power: Vec<f64> = t.rows[2][1..].iter().map(|s| s.parse().unwrap()).collect();
         assert!(power[0] > power[9] + 0.2);
+        assert!(t.notes[0].contains("is direct and keeps none"));
     }
 
     #[test]

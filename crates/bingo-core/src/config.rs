@@ -15,9 +15,21 @@ pub enum Lambda {
 /// Configuration of the Bingo engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BingoConfig {
-    /// Enable the adaptive group representation of §5.1 (dense /
-    /// one-element / sparse / regular). Disabling it reproduces the "BS"
-    /// baseline of Figures 11 and 13, where every group is regular.
+    /// Enable adaptation, at both levels. Per group, the representations of
+    /// §5.1 (dense / one-element / sparse / regular). Per vertex, the level
+    /// above Equation 9: a vertex of at most
+    /// [`DIRECT_MAX_DEGREE`](crate::vertex_space::DIRECT_MAX_DEGREE) = 16
+    /// edges is *direct* — adjacency and a cached bias total, no groups,
+    /// sampled by one bounded pass — until an insert takes it to 17, and a
+    /// factorized vertex goes back to direct when deletes take it down to
+    /// [`DIRECT_DEMOTE_DEGREE`](crate::vertex_space::DIRECT_DEMOTE_DEGREE)
+    /// = 8. The two are constants, not knobs: 16 is where the benchmark's
+    /// worst-case direct sample (`core.vertex_space.sample_ns.deg16`) still
+    /// reads no slower than the factorized one it replaces, and vertices up
+    /// to there held 41 of the 56 MiB of group headers on the
+    /// `engine_batch` benchmark graph. Disabling adaptation reproduces the
+    /// "BS" baseline of Figures 11 and 13: radix groups on every vertex,
+    /// every group regular.
     pub adaptive: bool,
     /// Dense-group threshold α (percent of the vertex degree). A group
     /// holding more than `α%` of the neighbors is represented as dense.
@@ -57,7 +69,8 @@ impl Default for BingoConfig {
 
 impl BingoConfig {
     /// The baseline configuration ("BS" in the paper's figures): no adaptive
-    /// group representation, every group stored in the regular format.
+    /// representation — every vertex keeps radix groups, every group is
+    /// stored in the regular format.
     pub fn baseline() -> Self {
         BingoConfig {
             adaptive: false,

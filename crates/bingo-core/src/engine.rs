@@ -27,7 +27,9 @@ pub struct BatchOutcome {
     pub deleted: usize,
     /// Deletions that referenced edges not present in the graph.
     pub missing_deletes: usize,
-    /// Vertices whose sampling space was rebuilt from scratch (λ changes).
+    /// Vertices whose sampling space was rebuilt from scratch (λ changes, and
+    /// vertices crossing between the direct and the factorized
+    /// representation).
     pub full_rebuilds: usize,
     /// Number of distinct vertices touched by the batch.
     pub touched_vertices: usize,
@@ -1119,41 +1121,55 @@ mod tests {
 
     #[test]
     fn engine_stats_sum_the_per_vertex_rebuild_counters() {
-        let graph = random_graph(41, 120, 1800);
-        let mut setup = graph.clone();
-        let mut rng = Pcg64::seed_from_u64(42);
-        let stream =
-            UpdateStreamBuilder::new(UpdateKind::Mixed, 400).build(&mut setup, 900, &mut rng);
-        let mut engine = BingoEngine::build(&setup, BingoConfig::default()).unwrap();
-        assert_eq!(engine.stats().inter_rebuilds, 120);
-        assert_eq!(engine.stats().full_rebuilds, 120);
+        for config in [BingoConfig::baseline(), BingoConfig::default()] {
+            let graph = random_graph(41, 120, 1800);
+            let mut setup = graph.clone();
+            let mut rng = Pcg64::seed_from_u64(42);
+            let stream =
+                UpdateStreamBuilder::new(UpdateKind::Mixed, 400).build(&mut setup, 900, &mut rng);
+            let mut engine = BingoEngine::build(&setup, config).unwrap();
+            // Only a factorized vertex has an alias table to build.
+            let factorized = (0..120)
+                .filter(|&v| !engine.vertex_space(v).unwrap().is_direct())
+                .count();
+            assert_eq!(factorized == 120, !config.adaptive);
+            assert_eq!(engine.stats().inter_rebuilds, factorized as u64);
+            assert_eq!(engine.stats().full_rebuilds, 120);
 
-        let (streamed, batched) = stream.events().split_at(450);
-        engine.apply_streaming(&UpdateBatch::new(streamed.to_vec()));
-        // A bias rewrite is a delete plus an insert; a float arriving at an
-        // integer vertex rebuilds it from scratch.
-        let dst = engine.vertex_space(7).unwrap().adjacency().edges()[0].dst;
-        engine.update_bias(7, dst, Bias::from_int(9)).unwrap();
-        engine.insert_edge(7, 8, Bias::from_float(0.5)).unwrap();
-        let mut events = batched.to_vec();
-        events.push(UpdateEvent::Insert {
-            src: 9,
-            dst: 10,
-            bias: Bias::from_float(1.5),
-        });
-        let outcome = engine.apply_batch(&UpdateBatch::new(events));
-        assert_eq!(outcome.full_rebuilds, 1);
-        let v = engine.add_vertex();
-        engine.insert_edge(v, 0, Bias::from_int(3)).unwrap();
-        engine.delete_vertex_out_edges(3).unwrap();
+            let (streamed, batched) = stream.events().split_at(450);
+            engine.apply_streaming(&UpdateBatch::new(streamed.to_vec()));
+            // A bias rewrite is a delete plus an insert; a float arriving at
+            // a factorized integer vertex rebuilds it from scratch.
+            let dst = engine.vertex_space(7).unwrap().adjacency().edges()[0].dst;
+            engine.update_bias(7, dst, Bias::from_int(9)).unwrap();
+            engine.insert_edge(7, 8, Bias::from_float(0.5)).unwrap();
+            let mut events = batched.to_vec();
+            events.push(UpdateEvent::Insert {
+                src: 9,
+                dst: 10,
+                bias: Bias::from_float(1.5),
+            });
+            let outcome = engine.apply_batch(&UpdateBatch::new(events));
+            let v = engine.add_vertex();
+            engine.insert_edge(v, 0, Bias::from_int(3)).unwrap();
+            engine.delete_vertex_out_edges(3).unwrap();
 
-        let (inter, full) = summed_rebuilds(&engine);
-        assert_eq!(engine.stats().inter_rebuilds, inter);
-        assert_eq!(engine.stats().full_rebuilds, full);
-        assert_eq!(full, 121 + 2, "two λ changes and one new vertex");
-        assert!(inter > 121 + 450);
-        assert!(engine.conversion_matrix().checks > 0);
-        engine.check_invariants().unwrap();
+            let (inter, full) = summed_rebuilds(&engine);
+            assert_eq!(engine.stats().full_rebuilds, full);
+            if config.adaptive {
+                // A vertex that went back to direct dropped its alias-table
+                // count with its groups; the engine's total keeps it.
+                assert!(engine.stats().inter_rebuilds >= inter);
+                assert!(full > 121, "some vertex changed representation");
+            } else {
+                assert_eq!(outcome.full_rebuilds, 1);
+                assert_eq!(engine.stats().inter_rebuilds, inter);
+                assert_eq!(full, 121 + 2, "two λ changes and one new vertex");
+                assert!(inter > 121 + 450);
+            }
+            assert!(engine.conversion_matrix().checks > 0);
+            engine.check_invariants().unwrap();
+        }
     }
 
     #[test]
@@ -1186,42 +1202,49 @@ mod tests {
             bias: Bias::from_int(1),
         });
 
-        let mut whole = BingoEngine::build(&setup, BingoConfig::default()).unwrap();
-        let mut by_vertex = whole.clone();
-        let outcome = whole.apply_batch(&UpdateBatch::new(events.clone()));
+        for config in [BingoConfig::baseline(), BingoConfig::default()] {
+            let mut whole = BingoEngine::build(&setup, config).unwrap();
+            let mut by_vertex = whole.clone();
+            let outcome = whole.apply_batch(&UpdateBatch::new(events.clone()));
 
-        // The reference: one batch per source vertex, its events in order.
-        let mut sources: Vec<VertexId> = events.iter().map(UpdateEvent::src).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        let mut expected = BatchOutcome::default();
-        for &src in &sources {
-            let own: Vec<UpdateEvent> = events.iter().filter(|e| e.src() == src).copied().collect();
-            let o = by_vertex.apply_batch(&UpdateBatch::new(own));
-            assert_eq!(o.touched_vertices, 1);
-            expected.inserted += o.inserted;
-            expected.deleted += o.deleted;
-            expected.missing_deletes += o.missing_deletes;
-            expected.full_rebuilds += o.full_rebuilds;
-            expected.touched_vertices += 1;
-        }
-        assert_eq!(outcome, expected);
-        assert_eq!(outcome.touched_vertices, sources.len());
-        for v in 0..80 {
-            let (a, b) = (
-                whole.vertex_space(v).unwrap(),
-                by_vertex.vertex_space(v).unwrap(),
+            // The reference: one batch per source vertex, its events in order.
+            let mut sources: Vec<VertexId> = events.iter().map(UpdateEvent::src).collect();
+            sources.sort_unstable();
+            sources.dedup();
+            let mut expected = BatchOutcome::default();
+            for &src in &sources {
+                let own: Vec<UpdateEvent> =
+                    events.iter().filter(|e| e.src() == src).copied().collect();
+                let o = by_vertex.apply_batch(&UpdateBatch::new(own));
+                assert_eq!(o.touched_vertices, 1);
+                expected.inserted += o.inserted;
+                expected.deleted += o.deleted;
+                expected.missing_deletes += o.missing_deletes;
+                expected.full_rebuilds += o.full_rebuilds;
+                expected.touched_vertices += 1;
+            }
+            assert_eq!(outcome, expected);
+            assert_eq!(outcome.touched_vertices, sources.len());
+            for v in 0..80 {
+                let (a, b) = (
+                    whole.vertex_space(v).unwrap(),
+                    by_vertex.vertex_space(v).unwrap(),
+                );
+                assert_eq!(a.adjacency(), b.adjacency(), "edges of {v}");
+                assert_eq!(a.inter_rebuilds(), b.inter_rebuilds(), "rebuilds of {v}");
+                // Factorized everywhere, every touched vertex shows its one
+                // rebuild in its alias-table counter.
+                if !config.adaptive {
+                    let touched = sources.binary_search(&v).is_ok();
+                    assert_eq!(a.inter_rebuilds(), 1 + u64::from(touched));
+                }
+            }
+            assert_eq!(whole.conversion_matrix(), by_vertex.conversion_matrix());
+            assert_eq!(
+                whole.stats().inter_rebuilds,
+                by_vertex.stats().inter_rebuilds
             );
-            assert_eq!(a.adjacency(), b.adjacency(), "edges of {v}");
-            assert_eq!(a.inter_rebuilds(), b.inter_rebuilds(), "rebuilds of {v}");
-            let touched = sources.binary_search(&v).is_ok();
-            assert_eq!(a.inter_rebuilds(), 1 + u64::from(touched));
+            whole.check_invariants().unwrap();
         }
-        assert_eq!(whole.conversion_matrix(), by_vertex.conversion_matrix());
-        assert_eq!(
-            whole.stats().inter_rebuilds,
-            by_vertex.stats().inter_rebuilds
-        );
-        whole.check_invariants().unwrap();
     }
 }

@@ -318,7 +318,7 @@ fn with_headroom(used: u32) -> u32 {
 }
 
 impl GroupTable {
-    pub(crate) fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         GroupTable {
             slots: Vec::new(),
             arena: Vec::new(),

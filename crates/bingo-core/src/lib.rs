@@ -8,9 +8,11 @@
 //! * [`fixed`] — λ-amortized handling of floating-point biases (§4.3).
 //! * [`group`] — radix groups with the adaptive representations of §5.1
 //!   (dense / one-element / sparse / regular) and the decimal group.
-//! * [`vertex_space`] — the per-vertex two-stage sampling space: inter-group
-//!   alias table + intra-group uniform sampling, with `O(K)` streaming
-//!   updates and batched updates that rebuild once per vertex (§4.2, §5.2).
+//! * [`vertex_space`] — the per-vertex sampling space. Above 16 edges it
+//!   is the paper's two-stage one: inter-group alias table + intra-group
+//!   uniform sampling, with `O(K)` streaming updates and batched updates
+//!   that rebuild once per vertex (§4.2, §5.2). At 16 edges or fewer an
+//!   adaptive vertex is *direct*: no groups, one bounded pass per sample.
 //! * [`engine`] — the whole-graph engine: streaming and parallel batched
 //!   ingestion, `O(1)` neighbor sampling, memory and conversion accounting.
 //! * [`context`] — the epoch-versioned adjacency-fingerprint provider with
@@ -24,18 +26,30 @@
 //! Group adaptation exists so that the groups cost an acceptable amount of
 //! space next to the adjacency array. The engine owns the configuration,
 //! the conversion matrix and the rebuild totals once; a vertex is a
-//! 128-byte [`VertexSpace`] over at most three heap blocks:
+//! 72-byte [`VertexSpace`]. Equation 9 picks a representation per group;
+//! one level up, the space picks one per vertex. Under `adaptive: true` a
+//! vertex of at most [`vertex_space::DIRECT_MAX_DEGREE`] = 16 edges is
+//! *direct* — its adjacency array and a cached bias total, sampled by one
+//! draw below the total and one pass over the edges — and only above that
+//! *factorized*, with everything the radix groups need behind one box. A
+//! factorized vertex goes back to direct when deletes take it down to
+//! [`vertex_space::DIRECT_DEMOTE_DEGREE`] = 8; both changes are one
+//! rebuild from scratch, counted as such. The constants were set on the
+//! benchmark: the direct sample's worst case, degree 16, is the
+//! `core.vertex_space.sample_ns.deg16` row, which did not get slower, and
+//! vertices of 1–16 edges held 41 of the 56 MiB of group headers below.
 //!
 //! ```text
 //! BingoEngine
-//!  └─ Vec<VertexSpace>                    128 B each, inline
-//!      ├─ group headers   32 B × K        kind, count, segment offsets and
-//!      │                                  capacities, inter-group alias bucket
-//!      ├─ group arena     2 B × words     one arena per vertex (4 B words
-//!      │                                  from degree 2^16 − 1 on)
-//!      │    [ members 2^0 | members 2^3 | inverted 2^3 | hole | ... ]
+//!  └─ Vec<VertexSpace>                    72 B each, inline
 //!      ├─ adjacency       12 B × d        destination and bias per edge
-//!      └─ decimal group   boxed           only for floating-point remainders
+//!      └─ factorized      boxed, 80 B     only above 16 edges, or under `baseline()`
+//!          ├─ group headers   32 B × K    kind, count, segment offsets and
+//!          │                              capacities, inter-group alias bucket
+//!          ├─ group arena     2 B × words one arena per vertex (4 B words
+//!          │                              from degree 2^16 − 1 on)
+//!          │    [ members 2^0 | members 2^3 | inverted 2^3 | hole | ... ]
+//!          └─ decimal group   boxed       only for floating-point remainders
 //! ```
 //!
 //! Builds count first and fill an exact-size arena; a segment that outgrows
@@ -43,18 +57,25 @@
 //! are squeezed out once they outweigh the live words (see
 //! [`group`]). On the 2^18-vertex, 5.24 M-edge benchmark graph, in MiB:
 //!
-//! | | `Vec` per group | one arena per vertex | 12-byte edges, `u16` arena words |
-//! |---|---:|---:|---:|
-//! | inline structs | 116 | 32 | 32 |
-//! | group headers | 81 | 56 (alias buckets included) | 56 |
-//! | members + inverted | 179 | 121 | 60.5 |
-//! | inter-group tables | 46 | in the headers | in the headers |
-//! | adjacency | 120 | 120 | 60 |
-//! | allocator overhead | 128 | 30 | 35 |
-//! | RSS added by `build` | 680 | 359 | 244 |
+//! | | `Vec` per group | one arena per vertex | 12-byte edges, `u16` arena words | direct vertices, 72-byte space |
+//! |---|---:|---:|---:|---:|
+//! | inline structs | 116 | 32 | 32 | 18 |
+//! | group headers | 81 | 56 (alias buckets included) | 56 | 15 |
+//! | factorized boxes | | | | 2.6 |
+//! | members + inverted | 179 | 121 | 60.5 | 56.4 |
+//! | inter-group tables | 46 | in the headers | in the headers | in the headers |
+//! | adjacency | 120 | 120 | 60 | 60 |
+//! | allocator overhead | 128 | 30 | 35 | 19 |
+//! | RSS added by `build` | 680 | 359 | 244 | 172 |
+//!
+//! On the flat 400 000-vertex graph of the `service_deepwalk` benchmark,
+//! where 398 337 vertices have 1–16 edges, the last step takes the live
+//! heap from 142 to 64 MiB (headers 50.4 → 0.2, inline structs 48.8 → 27.5).
 //!
 //! [`MemoryReport::resident_bytes`] reports the live total;
-//! [`MemoryReport::sampling_bytes`] keeps the paper's Figure 11 meaning.
+//! [`MemoryReport::sampling_bytes`] keeps the paper's Figure 11 meaning;
+//! [`MemoryReport::direct_vertices`] counts the vertices it has no groups
+//! to report for.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

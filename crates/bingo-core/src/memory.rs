@@ -38,6 +38,10 @@ pub struct MemoryReport {
     pub structure_bytes: usize,
     /// Number of groups of each kind: `[dense, regular, sparse, one-element]`.
     pub group_counts: [usize; 4],
+    /// Number of vertices stored direct (no radix groups at all; see
+    /// [`VertexSpace`](crate::VertexSpace)). Their groups are in none of
+    /// the counts above.
+    pub direct_vertices: usize,
 }
 
 impl MemoryReport {
@@ -135,6 +139,7 @@ impl MemoryReport {
         for i in 0..4 {
             self.group_counts[i] += other.group_counts[i];
         }
+        self.direct_vertices += other.direct_vertices;
     }
 }
 
@@ -191,7 +196,9 @@ mod tests {
         b.add_group(GroupKind::Sparse, 8);
         b.decimal_bytes = 4;
         b.structure_bytes = 7;
+        b.direct_vertices = 3;
         a.merge(&b);
+        assert_eq!(a.direct_vertices, 3);
         assert_eq!(a.structure_bytes, 7);
         assert_eq!(a.sparse_bytes, 16);
         assert_eq!(a.count_for(GroupKind::Sparse), 2);

@@ -1,8 +1,9 @@
-//! Per-vertex hierarchical sampling space (§4).
+//! Per-vertex sampling space (§4), in one of two representations.
 //!
-//! A [`VertexSpace`] owns one vertex's adjacency list together with the
-//! radix groups built over it, the decimal group for fractional bias
-//! remainders, and the inter-group alias table. It supports:
+//! A [`VertexSpace`] owns one vertex's adjacency list. Above
+//! [`DIRECT_MAX_DEGREE`] edges it is **factorized**: the radix groups built
+//! over the list, the decimal group for fractional bias remainders and the
+//! inter-group alias table, which give:
 //!
 //! * `O(1)` sampling: alias-table selection of a group followed by uniform
 //!   (or bounded-rejection, for dense groups) intra-group selection.
@@ -10,16 +11,30 @@
 //! * Batched application of many updates with a single rebuild at the end,
 //!   using the two-phase delete-and-swap compaction for the deletions.
 //!
-//! The space is 128 bytes inline and owns at most three heap blocks for an
-//! all-integer vertex (an isolated vertex owns none):
+//! Group adaptation (§5.1, Equation 9) picks a representation per *group*;
+//! the level above it picks one per *vertex*. Under `adaptive: true` a
+//! vertex rebuilt at [`DIRECT_MAX_DEGREE`] edges or fewer is **direct**: it
+//! keeps the adjacency list and the cached bias total, and nothing else. A
+//! sample is one draw below the total and one pass over the edges, an
+//! update edits the list and re-adds the total — both bounded by the
+//! constant, so still the paper's `O(1)`. The insert that takes a direct
+//! vertex above [`DIRECT_MAX_DEGREE`] factorizes it (one rebuild from
+//! scratch), and a factorized vertex goes back to direct when deletes take
+//! it down to [`DIRECT_DEMOTE_DEGREE`] (one more); both are counted as full
+//! rebuilds. With adaptation off (the paper's "BS") every vertex is
+//! factorized.
+//!
+//! The space is 72 bytes inline. A direct vertex owns one heap block, an
+//! all-integer factorized one four (an isolated vertex owns none):
 //!
 //! ```text
-//! VertexSpace (128 B)
-//!  ├─ group headers   32 B × K     kind, count, segment offsets, alias bucket
-//!  ├─ group arena     2 B × words  member lists and inverted indices
-//!  │                               (4 B from degree 2^16 − 1 on)
+//! VertexSpace (72 B)
 //!  ├─ adjacency       12 B × d     destination and bias per edge
-//!  └─ decimal group   boxed, only while some bias has a fraction
+//!  └─ factorized      boxed, 80 B  only above DIRECT_MAX_DEGREE edges (or "BS")
+//!      ├─ group headers   32 B × K     kind, count, segment offsets, alias bucket
+//!      ├─ group arena     2 B × words  member lists and inverted indices
+//!      │                               (4 B from degree 2^16 − 1 on)
+//!      └─ decimal group   boxed, only while some bias has a fraction
 //! ```
 //!
 //! It keeps no statistics beyond its two rebuild counters: every mutation
@@ -37,6 +52,23 @@ use bingo_graph::adjacency::{AdjacencyList, Edge};
 use bingo_graph::{Bias, VertexId};
 use rand::Rng;
 
+/// The largest degree an adaptive vertex is stored direct at.
+///
+/// Set by measurement, not taste: the direct sample is a scan, so its worst
+/// case is this degree, and the benchmark's `core.vertex_space.sample_ns.deg16`
+/// times exactly that. At 16 it reads 18.3 ns against the 26.4 ns of the
+/// factorized sample it replaces (medians of ten traced pairs, limit 30; see
+/// CHANGES.md, PR 17) while vertices of 1–16 edges hold 73 % of the group
+/// headers on the `engine_batch` graph and nearly all of them on the
+/// `service_deepwalk` one.
+pub const DIRECT_MAX_DEGREE: usize = 16;
+
+/// The degree at which deletes turn a factorized vertex back into a direct
+/// one. Half of [`DIRECT_MAX_DEGREE`], so a vertex hovering around either
+/// constant is not rebuilt over and over: between two rebuilds of one
+/// vertex lie at least eight updates.
+pub const DIRECT_DEMOTE_DEGREE: usize = DIRECT_MAX_DEGREE / 2;
+
 /// What one update — a streaming operation or a per-vertex batch — did to
 /// a vertex's sampling space.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,7 +79,8 @@ pub struct VertexUpdateOutcome {
     pub deleted: usize,
     /// Deletions that referenced edges not present in the graph.
     pub missing_deletes: usize,
-    /// Rebuilds of the whole space from scratch (λ changes).
+    /// Rebuilds of the whole space from scratch (λ changes, and a vertex
+    /// changing between the direct and the factorized representation).
     pub full_rebuilds: u32,
     /// Rebuilds of the inter-group alias table.
     pub inter_rebuilds: u32,
@@ -70,145 +103,71 @@ impl VertexUpdateOutcome {
 /// The decimal group of a vertex none of whose biases has a fraction.
 static NO_DECIMAL: DecimalGroup = DecimalGroup::new();
 
-/// The sampling space of a single vertex.
-///
-/// The representation thresholds are copied out of the [`BingoConfig`] the
-/// space was built with, so a standalone space needs nothing else to mutate
-/// itself; a fixed λ is simply the space's λ.
+/// The group table of a direct vertex.
+static NO_GROUPS: GroupTable = GroupTable::new();
+
+/// The thresholds of Equation 9, as a space copies them out of its config.
+#[derive(Debug, Clone, Copy)]
+struct Classifier {
+    adaptive: bool,
+    alpha_percent: f64,
+    beta_percent: f64,
+}
+
+impl Classifier {
+    /// The representation a group of `cardinality` edges gets on a vertex
+    /// of `degree` edges. With adaptation off (the "BS" baseline) every
+    /// non-empty group is regular.
+    fn classify(self, cardinality: usize, degree: usize) -> GroupKind {
+        if !self.adaptive {
+            return if cardinality == 0 {
+                GroupKind::Empty
+            } else {
+                GroupKind::Regular
+            };
+        }
+        GroupKind::classify(cardinality, degree, self.alpha_percent, self.beta_percent)
+    }
+}
+
+/// Everything only a factorized vertex needs. The methods take the
+/// adjacency list the groups index; the space keeps the two in step.
 #[derive(Debug, Clone)]
-pub struct VertexSpace {
-    adj: AdjacencyList,
+struct Factorized {
     groups: GroupTable,
     /// Present only while some scaled bias has a fractional remainder.
     decimal: Option<Box<DecimalGroup>>,
+    /// The λ amortization factor the groups were built with.
     lambda: f64,
-    alpha_percent: f64,
-    beta_percent: f64,
-    full_rebuilds: u32,
-    adaptive: bool,
-    reclassify_on_streaming: bool,
-    /// `Lambda::Auto`: λ follows the biases instead of staying fixed.
-    lambda_auto: bool,
 }
 
-impl VertexSpace {
-    /// Build the sampling space for an adjacency list.
-    pub fn build(adj: AdjacencyList, config: BingoConfig) -> Self {
-        let mut space = VertexSpace {
-            adj,
-            groups: GroupTable::new(),
-            decimal: None,
-            lambda: match config.lambda {
-                Lambda::Fixed(l) => l.max(1.0),
-                Lambda::Auto => 1.0,
-            },
-            alpha_percent: config.alpha_percent,
-            beta_percent: config.beta_percent,
-            full_rebuilds: 0,
-            adaptive: config.adaptive,
-            reclassify_on_streaming: config.reclassify_on_streaming,
-            lambda_auto: config.lambda == Lambda::Auto,
-        };
-        space.rebuild_from_scratch();
-        space
-    }
-
-    /// The vertex degree.
-    pub fn degree(&self) -> usize {
-        self.adj.degree()
-    }
-
-    /// The adjacency list backing this space.
-    pub fn adjacency(&self) -> &AdjacencyList {
-        &self.adj
-    }
-
-    /// The λ amortization factor currently in use.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// The number of radix groups (K).
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The radix groups in bit order (for inspection in tests and
-    /// experiments).
-    pub fn groups(&self) -> impl ExactSizeIterator<Item = GroupView<'_>> {
-        self.groups.views()
-    }
-
-    /// The radix group of bit `bit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= num_groups()`.
-    pub fn group(&self, bit: usize) -> GroupView<'_> {
-        self.groups.view(bit)
-    }
-
-    /// The decimal group.
-    pub fn decimal_group(&self) -> &DecimalGroup {
-        self.decimal.as_deref().unwrap_or(&NO_DECIMAL)
-    }
-
-    /// Number of inter-group alias rebuilds performed.
-    pub fn inter_rebuilds(&self) -> u64 {
-        u64::from(self.groups.inter_rebuilds())
-    }
-
-    /// Number of full space rebuilds performed.
-    pub fn full_rebuilds(&self) -> u64 {
-        u64::from(self.full_rebuilds)
-    }
-
-    /// An empty outcome, and the rebuild counters to diff against once the
-    /// update is done.
-    fn begin(&self) -> (VertexUpdateOutcome, [u32; 2]) {
-        (
-            VertexUpdateOutcome::default(),
-            [self.groups.inter_rebuilds(), self.full_rebuilds],
-        )
-    }
-
-    fn finish(&self, mut outcome: VertexUpdateOutcome, before: [u32; 2]) -> VertexUpdateOutcome {
-        outcome.inter_rebuilds = self.groups.inter_rebuilds().wrapping_sub(before[0]);
-        outcome.full_rebuilds = self.full_rebuilds.wrapping_sub(before[1]);
-        outcome
-    }
-
-    /// λ for the current biases, and whether the decimal group can be
-    /// non-empty under it.
-    fn resolve_lambda(&self) -> (f64, bool) {
-        let has_float = self.adj.edges().iter().any(|e| !e.bias.is_integral());
-        let lambda = if !self.lambda_auto {
-            self.lambda
-        } else if has_float {
-            let biases: Vec<f64> = self.adj.edges().iter().map(|e| e.bias.value()).collect();
-            choose_lambda(&biases, 2.0)
-        } else {
-            1.0
-        };
-        (lambda, has_float || (lambda - 1.0).abs() >= f64::EPSILON)
-    }
-
+impl Factorized {
     fn scaled(&self, edge: &Edge) -> ScaledBias {
         ScaledBias::new(edge.bias, self.lambda)
     }
 
-    /// Rebuild groups, decimal group, λ and the inter-group alias table from
-    /// the adjacency list. `O(d · K)`.
-    fn rebuild_from_scratch(&mut self) {
-        self.full_rebuilds = self.full_rebuilds.wrapping_add(1);
-        let (lambda, may_have_fractions) = self.resolve_lambda();
+    fn decimal_weight(&self) -> f64 {
+        self.decimal.as_ref().map_or(0.0, |d| d.weight())
+    }
+
+    fn total_weight(&self) -> f64 {
+        self.groups.total_weight() + self.decimal_weight()
+    }
+
+    /// Rebuild groups and decimal group for `lambda` from the adjacency
+    /// list, then the inter-group alias table. `O(d · K)`.
+    fn rebuild(
+        &mut self,
+        edges: &[Edge],
+        lambda: f64,
+        may_have_fractions: bool,
+        classifier: Classifier,
+    ) {
         self.lambda = lambda;
-        let edges = self.adj.edges();
-        let (adaptive, alpha, beta) = (self.adaptive, self.alpha_percent, self.beta_percent);
         self.groups.rebuild(
             edges.len(),
             |idx| ScaledBias::new(edges[idx].bias, lambda).integer,
-            |cardinality| classify(adaptive, alpha, beta, cardinality, edges.len()),
+            |cardinality| classifier.classify(cardinality, edges.len()),
         );
         self.decimal = None;
         if may_have_fractions {
@@ -224,10 +183,6 @@ impl VertexSpace {
         self.rebuild_inter();
     }
 
-    fn decimal_weight(&self) -> f64 {
-        self.decimal.as_ref().map_or(0.0, |d| d.weight())
-    }
-
     /// Rebuild only the inter-group alias table. `O(K)`.
     fn rebuild_inter(&mut self) {
         self.groups.rebuild_inter(self.decimal_weight());
@@ -236,21 +191,24 @@ impl VertexSpace {
     /// Reclassify every group's representation against the current degree,
     /// converting representations and recording the conversions (Table 4),
     /// then let the group arena reclaim the holes relocations left behind.
-    fn reclassify(&mut self, conversions: &mut ConversionMatrix) {
-        let degree = self.adj.degree();
+    fn reclassify(
+        &mut self,
+        edges: &[Edge],
+        classifier: Classifier,
+        conversions: &mut ConversionMatrix,
+    ) {
+        let degree = edges.len();
         let lambda = self.lambda;
-        let (adaptive, alpha, beta) = (self.adaptive, self.alpha_percent, self.beta_percent);
         for bit in 0..self.groups.len() {
             conversions.record_check();
             let current = self.groups.kind(bit);
             let cardinality = self.groups.cardinality(bit);
-            let desired = classify(adaptive, alpha, beta, cardinality, degree);
+            let desired = classifier.classify(cardinality, degree);
             if current == desired {
                 continue;
             }
             // Converting out of a dense group scans the adjacency list to
             // recover the member list.
-            let edges = self.adj.edges();
             self.groups.convert(bit, desired, degree, |i| {
                 radix::in_group(ScaledBias::new(edges[i].bias, lambda).integer, bit as u8)
             });
@@ -259,15 +217,16 @@ impl VertexSpace {
         self.groups.reclaim(degree);
     }
 
-    /// Insert the new edge into the radix groups without touching the
-    /// inter-group alias table. Returns `true` when the insertion requires a
-    /// full rebuild instead: a floating-point bias arrived while λ = 1, or
-    /// the degree outgrew the group table's word width.
-    fn insert_into_groups(&mut self, idx: u32, bias: Bias) -> bool {
-        if !bias.is_integral() && (self.lambda - 1.0).abs() < f64::EPSILON && self.lambda_auto {
+    /// Insert the edge just pushed at neighbor index `idx` (the list now
+    /// holds `degree` edges) into the radix groups without touching the
+    /// inter-group alias table. Returns `true` when the insertion requires
+    /// a full rebuild instead: a floating-point bias arrived while an
+    /// automatic λ is 1, or the degree outgrew the group table's word width.
+    fn insert(&mut self, idx: u32, bias: Bias, degree: usize, lambda_auto: bool) -> bool {
+        if !bias.is_integral() && (self.lambda - 1.0).abs() < f64::EPSILON && lambda_auto {
             return true;
         }
-        if !self.groups.fits(self.adj.degree()) {
+        if !self.groups.fits(degree) {
             return true;
         }
         let s = ScaledBias::new(bias, self.lambda);
@@ -283,35 +242,10 @@ impl VertexSpace {
         false
     }
 
-    /// Streaming insertion of an edge (§4.2): append to the adjacency list,
-    /// update the affected groups, rebuild the inter-group alias table.
-    /// `O(K)`.
-    pub fn insert(&mut self, dst: VertexId, bias: Bias) -> Result<VertexUpdateOutcome> {
-        if !bias.is_valid() {
-            return Err(BingoError::InvalidBias { dst });
-        }
-        let (mut outcome, before) = self.begin();
-        outcome.inserted = 1;
-        let idx = self.adj.push(Edge::new(dst, bias)) as u32;
-        if self.insert_into_groups(idx, bias) {
-            self.rebuild_from_scratch();
-            return Ok(self.finish(outcome, before));
-        }
-        if self.reclassify_on_streaming {
-            self.reclassify(&mut outcome.conversions);
-        }
-        self.rebuild_inter();
-        Ok(self.finish(outcome, before))
-    }
-
-    /// Remove the edge at neighbor index `idx` from all group structures
-    /// (but not yet from the adjacency list).
-    fn remove_from_groups(&mut self, idx: u32) {
-        let edge = match self.adj.edge(idx as usize) {
-            Some(e) => *e,
-            None => return,
-        };
-        let s = self.scaled(&edge);
+    /// Remove `edge`, which sits at neighbor index `idx`, from all group
+    /// structures (the adjacency list still holds it).
+    fn remove(&mut self, idx: u32, edge: &Edge) {
+        let s = self.scaled(edge);
         for bit in radix::decompose(s.integer) {
             if (bit as usize) < self.groups.len() {
                 self.groups.remove(bit as usize, idx);
@@ -327,14 +261,10 @@ impl VertexSpace {
         }
     }
 
-    /// Propagate an adjacency-list move (`old_idx → new_idx`) to all group
-    /// structures. Must be called *after* the adjacency list was compacted.
-    fn remap_groups(&mut self, old_idx: u32, new_idx: u32) {
-        let edge = match self.adj.edge(new_idx as usize) {
-            Some(e) => *e,
-            None => return,
-        };
-        let s = self.scaled(&edge);
+    /// Propagate an adjacency-list move of `edge` (`old_idx → new_idx`) to
+    /// all group structures.
+    fn remap(&mut self, old_idx: u32, new_idx: u32, edge: &Edge) {
+        let s = self.scaled(edge);
         for bit in radix::decompose(s.integer) {
             if (bit as usize) < self.groups.len() {
                 self.groups.remap(bit as usize, old_idx, new_idx);
@@ -347,32 +277,362 @@ impl VertexSpace {
         }
     }
 
+    /// Two-stage sample: a group from the inter-group alias table, then a
+    /// member of it.
+    fn sample_index<R: Rng + ?Sized>(&self, edges: &[Edge], rng: &mut R) -> Option<usize> {
+        if !self.groups.has_inter() {
+            return None;
+        }
+        // Bounded retry: a sampled group can only be empty due to floating
+        // point drift in the alias table; retry a few times before giving up.
+        for _ in 0..64 {
+            let g = self.groups.sample_group(rng);
+            if g == self.groups.len() {
+                if let Some(idx) = self.decimal.as_ref().and_then(|d| d.sample(rng)) {
+                    return Some(idx as usize);
+                }
+                continue;
+            }
+            match self.groups.kind(g) {
+                GroupKind::Empty => continue,
+                GroupKind::Dense => {
+                    // Bounded rejection sampling over the raw adjacency list:
+                    // the acceptance rate is > α% by construction (§5.1).
+                    if edges.is_empty() {
+                        continue;
+                    }
+                    loop {
+                        let i = rng.gen_range(0..edges.len());
+                        if radix::in_group(self.scaled(&edges[i]).integer, g as u8) {
+                            return Some(i);
+                        }
+                    }
+                }
+                _ => {
+                    if let Some(idx) = self.groups.sample_member(g, rng) {
+                        return Some(idx as usize);
+                    }
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The cached bias total of a direct vertex.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum DirectTotal {
+    /// Every bias is integral and the sum fits: the sample is an integer
+    /// draw, so the distribution is exact even beyond 2^53.
+    Exact(u64),
+    /// Some bias has a fraction (or sixteen integers overflowed `u64`).
+    Approx(f64),
+}
+
+impl DirectTotal {
+    fn of(edges: &[Edge]) -> Self {
+        let mut exact = Some(0u64);
+        let mut approx = 0.0;
+        for edge in edges {
+            approx += edge.bias.value();
+            exact = exact.and_then(|sum| sum.checked_add(edge.bias.as_int()?));
+        }
+        exact.map_or(DirectTotal::Approx(approx), DirectTotal::Exact)
+    }
+
+    fn value(self) -> f64 {
+        match self {
+            DirectTotal::Exact(total) => total as f64,
+            DirectTotal::Approx(total) => total,
+        }
+    }
+}
+
+/// The sampling space of a single vertex.
+///
+/// The representation thresholds are copied out of the [`BingoConfig`] the
+/// space was built with, so a standalone space needs nothing else to mutate
+/// itself.
+#[derive(Debug, Clone)]
+pub struct VertexSpace {
+    adj: AdjacencyList,
+    /// `None` while the vertex is direct.
+    factorized: Option<Box<Factorized>>,
+    /// The bias total of a direct vertex: the `u64` sum while
+    /// `direct_exact`, the bits of the `f64` sum otherwise. Read through
+    /// [`VertexSpace::direct_total`].
+    direct_total: u64,
+    alpha_percent: f64,
+    beta_percent: f64,
+    /// `Lambda::Fixed`'s λ; 1 under `Lambda::Auto`.
+    fixed_lambda: f64,
+    full_rebuilds: u32,
+    adaptive: bool,
+    reclassify_on_streaming: bool,
+    /// `Lambda::Auto`: λ follows the biases instead of staying fixed.
+    lambda_auto: bool,
+    direct_exact: bool,
+}
+
+// 2^18 vertices hold 18 MiB of these inline; the engine owns the config and
+// the conversion matrix, and the box what only a factorized vertex needs,
+// so that a space need not.
+const _: () = assert!(std::mem::size_of::<VertexSpace>() <= 72);
+
+impl VertexSpace {
+    /// Build the sampling space for an adjacency list.
+    pub fn build(adj: AdjacencyList, config: BingoConfig) -> Self {
+        let mut space = VertexSpace {
+            adj,
+            factorized: None,
+            direct_total: 0,
+            alpha_percent: config.alpha_percent,
+            beta_percent: config.beta_percent,
+            fixed_lambda: match config.lambda {
+                Lambda::Fixed(l) => l.max(1.0),
+                Lambda::Auto => 1.0,
+            },
+            full_rebuilds: 0,
+            adaptive: config.adaptive,
+            reclassify_on_streaming: config.reclassify_on_streaming,
+            lambda_auto: config.lambda == Lambda::Auto,
+            direct_exact: true,
+        };
+        space.rebuild_from_scratch();
+        space
+    }
+
+    /// The vertex degree.
+    pub fn degree(&self) -> usize {
+        self.adj.degree()
+    }
+
+    /// The adjacency list backing this space.
+    pub fn adjacency(&self) -> &AdjacencyList {
+        &self.adj
+    }
+
+    /// Whether the vertex is stored direct: no radix groups, sampled by one
+    /// pass over its at most [`DIRECT_MAX_DEGREE`] edges.
+    pub fn is_direct(&self) -> bool {
+        self.factorized.is_none()
+    }
+
+    /// The λ amortization factor currently in use (1 for a direct vertex,
+    /// which scales nothing).
+    pub fn lambda(&self) -> f64 {
+        self.factorized.as_ref().map_or(1.0, |f| f.lambda)
+    }
+
+    fn groups_table(&self) -> &GroupTable {
+        self.factorized.as_ref().map_or(&NO_GROUPS, |f| &f.groups)
+    }
+
+    /// The number of radix groups (K); none on a direct vertex.
+    pub fn num_groups(&self) -> usize {
+        self.groups_table().len()
+    }
+
+    /// The radix groups in bit order (for inspection in tests and
+    /// experiments).
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = GroupView<'_>> {
+        self.groups_table().views()
+    }
+
+    /// The radix group of bit `bit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit >= num_groups()`.
+    pub fn group(&self, bit: usize) -> GroupView<'_> {
+        self.groups_table().view(bit)
+    }
+
+    /// The decimal group.
+    pub fn decimal_group(&self) -> &DecimalGroup {
+        self.factorized
+            .as_ref()
+            .and_then(|f| f.decimal.as_deref())
+            .unwrap_or(&NO_DECIMAL)
+    }
+
+    /// Number of inter-group alias rebuilds of the current factorization:
+    /// a direct vertex has none, and a vertex factorized again starts over.
+    /// The engine's [`EngineStats`](crate::EngineStats) keep the running
+    /// total.
+    pub fn inter_rebuilds(&self) -> u64 {
+        u64::from(self.groups_table().inter_rebuilds())
+    }
+
+    /// Number of full space rebuilds performed.
+    pub fn full_rebuilds(&self) -> u64 {
+        u64::from(self.full_rebuilds)
+    }
+
+    fn classifier(&self) -> Classifier {
+        Classifier {
+            adaptive: self.adaptive,
+            alpha_percent: self.alpha_percent,
+            beta_percent: self.beta_percent,
+        }
+    }
+
+    fn direct_total(&self) -> DirectTotal {
+        if self.direct_exact {
+            DirectTotal::Exact(self.direct_total)
+        } else {
+            DirectTotal::Approx(f64::from_bits(self.direct_total))
+        }
+    }
+
+    /// Re-add the cached total of a direct vertex after its edges changed.
+    /// One pass over at most [`DIRECT_MAX_DEGREE`] edges, and no drift: the
+    /// cache always equals a fresh sum.
+    fn refresh_direct_total(&mut self) {
+        (self.direct_total, self.direct_exact) = match DirectTotal::of(self.adj.edges()) {
+            DirectTotal::Exact(total) => (total, true),
+            DirectTotal::Approx(total) => (total.to_bits(), false),
+        };
+    }
+
+    /// Whether a factorized vertex left with `degree` edges goes back to
+    /// direct.
+    fn demotes_at(&self, degree: usize) -> bool {
+        self.adaptive && self.factorized.is_some() && degree <= DIRECT_DEMOTE_DEGREE
+    }
+
+    /// An empty outcome, and the rebuild counters to diff against once the
+    /// update is done.
+    fn begin(&self) -> (VertexUpdateOutcome, [u32; 2]) {
+        (
+            VertexUpdateOutcome::default(),
+            [self.groups_table().inter_rebuilds(), self.full_rebuilds],
+        )
+    }
+
+    fn finish(&self, mut outcome: VertexUpdateOutcome, before: [u32; 2]) -> VertexUpdateOutcome {
+        // An update that leaves the vertex direct rebuilt no alias table: it
+        // either found it direct or dropped its groups, counter and all.
+        outcome.inter_rebuilds = match &self.factorized {
+            Some(f) => f.groups.inter_rebuilds().wrapping_sub(before[0]),
+            None => 0,
+        };
+        outcome.full_rebuilds = self.full_rebuilds.wrapping_sub(before[1]);
+        outcome
+    }
+
+    /// λ for the current biases, and whether the decimal group can be
+    /// non-empty under it.
+    fn resolve_lambda(&self) -> (f64, bool) {
+        let has_float = self.adj.edges().iter().any(|e| !e.bias.is_integral());
+        let lambda = if !self.lambda_auto {
+            self.fixed_lambda
+        } else if has_float {
+            let biases: Vec<f64> = self.adj.edges().iter().map(|e| e.bias.value()).collect();
+            choose_lambda(&biases, 2.0)
+        } else {
+            1.0
+        };
+        (lambda, has_float || (lambda - 1.0).abs() >= f64::EPSILON)
+    }
+
+    /// Rebuild the space from the adjacency list, choosing the
+    /// representation from the degree: direct (drop the groups, re-add the
+    /// total) or factorized (λ, groups, decimal group and inter-group alias
+    /// table, `O(d · K)`).
+    fn rebuild_from_scratch(&mut self) {
+        self.full_rebuilds = self.full_rebuilds.wrapping_add(1);
+        if self.adaptive && self.adj.degree() <= DIRECT_MAX_DEGREE {
+            self.factorized = None;
+            self.refresh_direct_total();
+            return;
+        }
+        let (lambda, may_have_fractions) = self.resolve_lambda();
+        let classifier = self.classifier();
+        self.factorized
+            .get_or_insert_with(|| {
+                Box::new(Factorized {
+                    groups: GroupTable::new(),
+                    decimal: None,
+                    lambda,
+                })
+            })
+            .rebuild(self.adj.edges(), lambda, may_have_fractions, classifier);
+    }
+
+    /// Reclassify the groups (when `reclassify`) and rebuild the inter-group
+    /// alias table: the tail of every update that kept the groups current.
+    fn settle_groups(&mut self, reclassify: bool, conversions: &mut ConversionMatrix) {
+        let classifier = self.classifier();
+        let f = self.factorized.as_mut().expect("the vertex is factorized");
+        if reclassify {
+            f.reclassify(self.adj.edges(), classifier, conversions);
+        }
+        f.rebuild_inter();
+    }
+
+    /// Streaming insertion of an edge (§4.2): append to the adjacency list,
+    /// update the affected groups, rebuild the inter-group alias table.
+    /// `O(K)`. A direct vertex appends and re-adds its total, or is
+    /// factorized if the edge takes it above [`DIRECT_MAX_DEGREE`].
+    pub fn insert(&mut self, dst: VertexId, bias: Bias) -> Result<VertexUpdateOutcome> {
+        if !bias.is_valid() {
+            return Err(BingoError::InvalidBias { dst });
+        }
+        let (mut outcome, before) = self.begin();
+        outcome.inserted = 1;
+        let idx = self.adj.push(Edge::new(dst, bias)) as u32;
+        let degree = self.adj.degree();
+        match self.factorized.as_mut() {
+            None if degree <= DIRECT_MAX_DEGREE => self.refresh_direct_total(),
+            None => self.rebuild_from_scratch(),
+            Some(f) => {
+                if f.insert(idx, bias, degree, self.lambda_auto) {
+                    self.rebuild_from_scratch();
+                } else {
+                    self.settle_groups(self.reclassify_on_streaming, &mut outcome.conversions);
+                }
+            }
+        }
+        Ok(self.finish(outcome, before))
+    }
+
     /// Streaming deletion of the edge at neighbor index `idx` (§4.2):
     /// locate the edge in its groups via the inverted indices, swap it with
     /// each group's tail, swap-delete it from the adjacency list, and remap
-    /// the adjacency entry that moved into the hole. `O(K)`. Returns the
-    /// removed edge.
+    /// the adjacency entry that moved into the hole. `O(K)`. A direct vertex
+    /// swap-deletes and re-adds its total; a factorized one the delete
+    /// leaves with [`DIRECT_DEMOTE_DEGREE`] edges becomes direct. Returns
+    /// the removed edge.
     pub fn delete_at(&mut self, idx: usize) -> Result<(Edge, VertexUpdateOutcome)> {
-        if idx >= self.adj.degree() {
+        let Some(&edge) = self.adj.edge(idx) else {
             return Err(BingoError::NeighborIndexOutOfRange {
                 index: idx,
                 degree: self.adj.degree(),
             });
-        }
+        };
         let (mut outcome, before) = self.begin();
         outcome.deleted = 1;
-        self.remove_from_groups(idx as u32);
+        // The groups of a vertex about to drop them need no upkeep.
+        let demotes = self.demotes_at(self.adj.degree() - 1);
+        let mut groups = self.factorized.as_mut().filter(|_| !demotes);
+        if let Some(f) = groups.as_mut() {
+            f.remove(idx as u32, &edge);
+        }
         let out = self
             .adj
             .swap_delete(idx)
             .expect("index checked against degree");
-        if let Some(old_last) = out.moved_from {
-            self.remap_groups(old_last as u32, idx as u32);
+        if let (Some(f), Some(old_last)) = (groups, out.moved_from) {
+            f.remap(old_last as u32, idx as u32, &self.adj.edges()[idx]);
         }
-        if self.reclassify_on_streaming {
-            self.reclassify(&mut outcome.conversions);
+        if demotes {
+            self.rebuild_from_scratch();
+        } else if self.factorized.is_some() {
+            self.settle_groups(self.reclassify_on_streaming, &mut outcome.conversions);
+        } else {
+            self.refresh_direct_total();
         }
-        self.rebuild_inter();
         Ok((out.removed, self.finish(outcome, before)))
     }
 
@@ -398,7 +658,9 @@ impl VertexSpace {
 
     /// Apply a per-vertex batch of updates: all insertions first, then all
     /// deletions through the two-phase delete-and-swap compaction, then a
-    /// single reclassify + inter-group rebuild (§5.2, Figure 10(a)).
+    /// single reclassify + inter-group rebuild (§5.2, Figure 10(a)). A
+    /// direct vertex only edits its adjacency list; whichever
+    /// representation the vertex ends the batch in, it changes at most once.
     pub fn apply_batch(
         &mut self,
         inserts: &[(VertexId, Bias)],
@@ -407,112 +669,123 @@ impl VertexSpace {
         let (mut outcome, before) = self.begin();
 
         // Phase 1: insertions (append + group updates, no rebuild yet).
-        // Once an insertion calls for a full rebuild the groups are stale
-        // until phase 3 rebuilds them, so the rest of the batch only edits
-        // the adjacency list.
-        let mut needs_full_rebuild = false;
+        // A direct vertex has no groups, and once an insertion calls for a
+        // full rebuild the groups are stale until phase 3 rebuilds them: in
+        // both cases the batch only edits the adjacency list.
+        let mut groups_stale = self.factorized.is_none();
         for &(dst, bias) in inserts {
             if !bias.is_valid() {
                 continue;
             }
             let idx = self.adj.push(Edge::new(dst, bias)) as u32;
-            needs_full_rebuild = needs_full_rebuild || self.insert_into_groups(idx, bias);
+            if let Some(f) = self.factorized.as_mut().filter(|_| !groups_stale) {
+                groups_stale = f.insert(idx, bias, self.adj.degree(), self.lambda_auto);
+            }
             outcome.inserted += 1;
         }
 
         // Phase 2: deletions. Resolve destinations to distinct neighbor
         // indices (duplicate edges are deleted oldest-first, as the paper
         // specifies for re-inserted edges).
-        let mut to_delete: Vec<usize> = Vec::with_capacity(deletes.len());
-        let mut taken = vec![false; self.adj.degree()];
-        for &dst in deletes {
-            let found = self
-                .adj
-                .iter()
-                .find(|(i, e)| e.dst == dst && !taken[*i])
-                .map(|(i, _)| i);
-            match found {
-                Some(i) => {
-                    taken[i] = true;
-                    to_delete.push(i);
-                }
-                None => outcome.missing_deletes += 1,
-            }
-        }
-        if !to_delete.is_empty() {
-            // Remove from group structures while neighbor indices are still
-            // valid, then compact the adjacency list in one two-phase pass
-            // and patch the moved indices.
-            if !needs_full_rebuild {
-                for &idx in &to_delete {
-                    self.remove_from_groups(idx as u32);
+        if !deletes.is_empty() {
+            let mut to_delete: Vec<usize> = Vec::with_capacity(deletes.len());
+            let mut taken = vec![false; self.adj.degree()];
+            for &dst in deletes {
+                let found = self
+                    .adj
+                    .iter()
+                    .find(|(i, e)| e.dst == dst && !taken[*i])
+                    .map(|(i, _)| i);
+                match found {
+                    Some(i) => {
+                        taken[i] = true;
+                        to_delete.push(i);
+                    }
+                    None => outcome.missing_deletes += 1,
                 }
             }
-            let (_removed, moves) = self.adj.delete_many(&to_delete);
-            if !needs_full_rebuild {
-                for (from, to) in moves {
-                    self.remap_groups(from as u32, to as u32);
+            if !to_delete.is_empty() {
+                // Remove from group structures while neighbor indices are
+                // still valid, then compact the adjacency list in one
+                // two-phase pass and patch the moved indices.
+                let mut groups = self.factorized.as_mut().filter(|_| !groups_stale);
+                if let Some(f) = groups.as_mut() {
+                    for &idx in &to_delete {
+                        f.remove(idx as u32, &self.adj.edges()[idx]);
+                    }
                 }
+                let (_removed, moves) = self.adj.delete_many(&to_delete);
+                if let Some(f) = groups {
+                    for (from, to) in moves {
+                        f.remap(from as u32, to as u32, &self.adj.edges()[to]);
+                    }
+                }
+                outcome.deleted = to_delete.len();
             }
-            outcome.deleted = to_delete.len();
         }
 
         // Phase 3: one rebuild for the whole batch.
-        if needs_full_rebuild {
+        let degree = self.adj.degree();
+        if self.factorized.is_none() && degree <= DIRECT_MAX_DEGREE {
+            self.refresh_direct_total();
+        } else if groups_stale || self.demotes_at(degree) {
             self.rebuild_from_scratch();
         } else {
-            self.reclassify(&mut outcome.conversions);
-            self.rebuild_inter();
+            self.settle_groups(true, &mut outcome.conversions);
         }
         self.finish(outcome, before)
     }
 
-    /// Total (λ-scaled) sampling weight of the vertex.
+    /// Total sampling weight of the vertex: λ-scaled when factorized, the
+    /// plain bias total when direct.
     pub fn total_weight(&self) -> f64 {
-        self.groups.total_weight() + self.decimal_weight()
+        match &self.factorized {
+            Some(f) => f.total_weight(),
+            None => self.direct_total().value(),
+        }
     }
 
     /// Sample a neighbor index in `O(1)` expected time (Theorem 4.1
     /// guarantees the distribution equals the bias-proportional one).
     pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
-        if !self.groups.has_inter() {
-            return None;
+        match &self.factorized {
+            Some(f) => f.sample_index(self.adj.edges(), rng),
+            None => self.sample_direct(rng),
         }
-        // Bounded retry: a sampled group can only be empty due to floating
-        // point drift in the alias table; retry a few times before giving up.
-        for _ in 0..64 {
-            let g = self.groups.sample_group(rng);
-            if g == self.groups.len() {
-                if let Some(idx) = self.decimal.as_ref().and_then(|d| d.sample(rng)) {
-                    return Some(idx as usize);
-                }
-                continue;
+    }
+
+    /// Inverse-transform sample of a direct vertex: one draw below the
+    /// cached total, one pass over the edges counting the running sums at or
+    /// below the draw — as many edges lie before the one it fell on. The
+    /// pass has no early exit, so nothing in it depends on the draw but the
+    /// count. Integer totals draw an integer, and integers up to 2^53 add up
+    /// exactly in `f64`; only beyond that does the pass add in `u64`.
+    fn sample_direct<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
+        const EXACT_IN_F64: u64 = 1 << 53;
+        let edges = self.adj.edges();
+        let below = match self.direct_total() {
+            DirectTotal::Exact(0) => return None,
+            DirectTotal::Exact(total) if total > EXACT_IN_F64 => {
+                let below = rng.gen_range(0..total);
+                let mut sum = 0u64;
+                // Integral, and the sum of all of them fits a `u64`.
+                let before = edges.iter().filter(|e| {
+                    sum += e.bias.value() as u64;
+                    sum <= below
+                });
+                return Some(before.count());
             }
-            match self.groups.kind(g) {
-                GroupKind::Empty => continue,
-                GroupKind::Dense => {
-                    // Bounded rejection sampling over the raw adjacency list:
-                    // the acceptance rate is > α% by construction (§5.1).
-                    let degree = self.adj.degree();
-                    if degree == 0 {
-                        continue;
-                    }
-                    loop {
-                        let i = rng.gen_range(0..degree);
-                        let edge = self.adj.edge(i).expect("index within degree");
-                        if radix::in_group(self.scaled(edge).integer, g as u8) {
-                            return Some(i);
-                        }
-                    }
-                }
-                _ => {
-                    if let Some(idx) = self.groups.sample_member(g, rng) {
-                        return Some(idx as usize);
-                    }
-                }
-            }
-        }
-        None
+            DirectTotal::Exact(total) => rng.gen_range(0..total) as f64,
+            DirectTotal::Approx(total) if total > 0.0 => rng.gen::<f64>() * total,
+            DirectTotal::Approx(_) => return None,
+        };
+        let mut sum = 0.0;
+        let before = edges.iter().filter(|e| {
+            sum += e.bias.value();
+            sum <= below
+        });
+        // Rounding can leave a fractional draw a hair past the last sum.
+        Some(before.count().min(edges.len() - 1))
     }
 
     /// Sample a neighbor vertex id.
@@ -525,27 +798,29 @@ impl VertexSpace {
     /// Memory accounting for this vertex (Figure 11 breakdown). The
     /// per-representation fields count what each structure needs, as they
     /// always have; `structure_bytes` is everything else the space occupies
-    /// (the inline struct, the rest of the group headers, arena holes and
-    /// slack), so `resident_bytes()` is what the allocator handed out.
+    /// (the inline struct, the factorized box, the rest of the group
+    /// headers, arena holes and slack), so `resident_bytes()` is what the
+    /// allocator handed out.
     pub fn memory_report(&self) -> MemoryReport {
         let mut report = MemoryReport {
             adjacency_bytes: self.adj.memory_bytes(),
-            inter_group_bytes: self.groups.inter_bytes(),
-            decimal_bytes: self.decimal_group().memory_bytes(),
             ..MemoryReport::default()
         };
-        for g in self.groups.views() {
-            report.add_group(g.kind(), g.memory_bytes());
+        let mut resident = std::mem::size_of::<Self>() + report.adjacency_bytes;
+        match &self.factorized {
+            None => report.direct_vertices = 1,
+            Some(f) => {
+                report.inter_group_bytes = f.groups.inter_bytes();
+                for g in f.groups.views() {
+                    report.add_group(g.kind(), g.memory_bytes());
+                }
+                resident += std::mem::size_of_val(&**f) + f.groups.heap_bytes();
+                if let Some(decimal) = &f.decimal {
+                    report.decimal_bytes = decimal.memory_bytes();
+                    resident += std::mem::size_of_val(&**decimal) + report.decimal_bytes;
+                }
+            }
         }
-        let boxed_decimal = self
-            .decimal
-            .as_ref()
-            .map_or(0, |d| std::mem::size_of_val(&**d));
-        let resident = std::mem::size_of::<Self>()
-            + self.adj.memory_bytes()
-            + self.groups.heap_bytes()
-            + boxed_decimal
-            + report.decimal_bytes;
         report.structure_bytes = resident - report.total_bytes();
         report
     }
@@ -568,17 +843,38 @@ impl VertexSpace {
     /// property-based tests; returns a description of the first violation.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let degree = self.adj.degree();
+        let Some(f) = &self.factorized else {
+            // A direct vertex has no groups and no decimal box to get out
+            // of step (both live in the box it lacks).
+            if !self.adaptive {
+                return Err("direct vertex under a non-adaptive config".to_string());
+            }
+            if degree > DIRECT_MAX_DEGREE {
+                return Err(format!("direct vertex of {degree} edges"));
+            }
+            let fresh = DirectTotal::of(self.adj.edges());
+            if self.direct_total() != fresh {
+                return Err(format!(
+                    "cached total {:?} != recomputed {fresh:?}",
+                    self.direct_total()
+                ));
+            }
+            return Ok(());
+        };
+        if self.demotes_at(degree) {
+            return Err(format!("factorized adaptive vertex of {degree} edges"));
+        }
         // 0. The group arena is laid out consistently.
-        self.groups.check_layout(degree)?;
+        f.groups.check_layout(degree)?;
         // 1. Group cardinalities and memberships match the adjacency biases.
-        for g in self.groups.views() {
+        for g in f.groups.views() {
             let bit = g.bit();
             let expected: Vec<u32> = self
                 .adj
                 .edges()
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| radix::in_group(self.scaled(e).integer, bit))
+                .filter(|(_, e)| radix::in_group(f.scaled(e).integer, bit))
                 .map(|(i, _)| i as u32)
                 .collect();
             if g.cardinality() != expected.len() {
@@ -599,54 +895,29 @@ impl VertexSpace {
             }
         }
         // 2. Decimal group total matches the fractional remainders.
-        let expected_fraction: f64 = self
-            .adj
-            .edges()
-            .iter()
-            .map(|e| self.scaled(e).fraction)
-            .sum();
-        if (self.decimal_weight() - expected_fraction).abs() > 1e-6 {
+        let expected_fraction: f64 = self.adj.edges().iter().map(|e| f.scaled(e).fraction).sum();
+        if (f.decimal_weight() - expected_fraction).abs() > 1e-6 {
             return Err(format!(
                 "decimal weight {} != expected {expected_fraction}",
-                self.decimal_weight()
+                f.decimal_weight()
             ));
         }
         // 3. The inter-group table exists exactly when there is weight.
-        let has_weight = self.total_weight() > 0.0;
-        if has_weight != self.groups.has_inter() {
+        let has_weight = f.total_weight() > 0.0;
+        if has_weight != f.groups.has_inter() {
             return Err("inter-group alias table presence mismatch".to_string());
         }
         // 4. Total scaled weight equals λ × total bias.
         let total_bias: f64 = self.adj.edges().iter().map(|e| e.bias.value()).sum();
-        if (self.total_weight() - total_bias * self.lambda).abs() > 1e-6 * (1.0 + total_bias) {
+        if (f.total_weight() - total_bias * f.lambda).abs() > 1e-6 * (1.0 + total_bias) {
             return Err(format!(
                 "total weight {} != lambda × bias total {}",
-                self.total_weight(),
-                total_bias * self.lambda
+                f.total_weight(),
+                total_bias * f.lambda
             ));
         }
         Ok(())
     }
-}
-
-/// The representation a group of `cardinality` edges gets on a vertex of
-/// `degree` edges. With adaptation off (the "BS" baseline) every non-empty
-/// group is regular.
-fn classify(
-    adaptive: bool,
-    alpha_percent: f64,
-    beta_percent: f64,
-    cardinality: usize,
-    degree: usize,
-) -> GroupKind {
-    if !adaptive {
-        return if cardinality == 0 {
-            GroupKind::Empty
-        } else {
-            GroupKind::Regular
-        };
-    }
-    GroupKind::classify(cardinality, degree, alpha_percent, beta_percent)
 }
 
 #[cfg(test)]
@@ -815,7 +1086,7 @@ mod tests {
         adj.push(Edge::new(5, Bias::from_float(0.32)));
         let config = BingoConfig {
             lambda: Lambda::Fixed(10.0),
-            ..BingoConfig::default()
+            ..BingoConfig::baseline()
         };
         let space = VertexSpace::build(adj, config);
         assert_eq!(space.lambda(), 10.0);
@@ -849,7 +1120,7 @@ mod tests {
 
     #[test]
     fn float_insert_into_integer_space_triggers_full_rebuild() {
-        let mut space = vertex2_space(BingoConfig::default());
+        let mut space = vertex2_space(BingoConfig::baseline());
         assert_eq!(space.lambda(), 1.0);
         let rebuilds_before = space.full_rebuilds();
         space.insert(3, Bias::from_float(0.5)).unwrap();
@@ -865,31 +1136,36 @@ mod tests {
     fn the_decimal_box_goes_when_the_last_fraction_does() {
         let config = BingoConfig {
             lambda: Lambda::Fixed(10.0),
-            ..BingoConfig::default()
+            ..BingoConfig::baseline()
+        };
+        let has_box = |space: &VertexSpace| {
+            let factorized = space.factorized.as_ref().expect("baseline factorizes");
+            factorized.decimal.is_some()
         };
         let mut space = vertex2_space(config);
-        assert!(space.decimal.is_none());
+        assert!(!has_box(&space));
         space.insert(3, Bias::from_float(0.25)).unwrap();
         space.insert(0, Bias::from_float(0.75)).unwrap();
         assert_eq!(space.decimal_group().cardinality(), 2);
         space.delete(3).unwrap();
-        assert!(space.decimal.is_some());
+        assert!(has_box(&space));
         space.apply_batch(&[], &[0]);
-        assert!(space.decimal.is_none());
+        assert!(!has_box(&space));
         assert_eq!(space.memory_report().decimal_bytes, 0);
         space.check_invariants().unwrap();
     }
 
     #[test]
     fn adaptive_classification_creates_dense_and_one_element_groups() {
-        // 10 edges, 9 odd biases (dense 2^0 group), one huge bias for a
-        // one-element group.
+        // 20 edges (a factorized vertex), 19 odd biases (dense 2^0 group),
+        // one huge bias for a one-element group.
         let mut adj = AdjacencyList::new();
-        for i in 0..9u32 {
+        for i in 0..19u32 {
             adj.push(Edge::new(i, Bias::from_int(2 * u64::from(i) + 1)));
         }
-        adj.push(Edge::new(9, Bias::from_int(1 << 12)));
+        adj.push(Edge::new(19, Bias::from_int(1 << 12)));
         let space = VertexSpace::build(adj, BingoConfig::default());
+        assert!(!space.is_direct());
         assert_eq!(space.group(0).kind(), GroupKind::Dense);
         assert_eq!(space.group(12).kind(), GroupKind::OneElement);
         space.check_invariants().unwrap();
@@ -897,7 +1173,7 @@ mod tests {
         // Distribution must still match despite the dense representation.
         let mut rng = Pcg64::seed_from_u64(13);
         let freq =
-            empirical_distribution(|r| space.sample_index(r).unwrap(), 10, 400_000, &mut rng);
+            empirical_distribution(|r| space.sample_index(r).unwrap(), 20, 400_000, &mut rng);
         assert!(max_abs_deviation(&freq, &space.exact_probabilities()) < 0.01);
     }
 
@@ -928,7 +1204,7 @@ mod tests {
 
     #[test]
     fn batch_apply_inserts_and_deletes_with_single_rebuild() {
-        let mut space = vertex2_space(BingoConfig::default());
+        let mut space = vertex2_space(BingoConfig::baseline());
         let rebuilds_before = space.inter_rebuilds();
         let outcome = space.apply_batch(
             &[
@@ -978,29 +1254,31 @@ mod tests {
 
     #[test]
     fn conversions_are_recorded_when_groups_change_kind() {
-        // Start with a small degree (dense groups), then grow the degree so
-        // the same group must become regular/sparse.
+        // Start with every edge in one (dense) group, then grow the degree
+        // so the same group must become regular/sparse.
         let mut adj = AdjacencyList::new();
-        adj.push(Edge::new(0, Bias::from_int(1)));
-        adj.push(Edge::new(1, Bias::from_int(1)));
+        for i in 0..20u32 {
+            adj.push(Edge::new(i, Bias::from_int(1)));
+        }
         let mut space = VertexSpace::build(adj, BingoConfig::default());
         assert_eq!(space.group(0).kind(), GroupKind::Dense);
         let mut total = VertexUpdateOutcome::default();
-        for i in 2..40u32 {
+        for i in 20..400u32 {
             total.merge(&space.insert(i, Bias::from_int(2)).unwrap());
         }
-        // Group 2^0 now holds 2 of 40 edges (5%) → sparse.
+        // Group 2^0 now holds 20 of 400 edges (5%) → sparse.
         assert_eq!(space.group(0).kind(), GroupKind::Sparse);
         assert!(total.conversions.total_conversions() > 0);
-        assert_eq!(total.inserted, 38);
-        assert_eq!(total.inter_rebuilds, 38);
+        assert_eq!(total.inserted, 380);
+        assert_eq!(total.inter_rebuilds, 380);
         space.check_invariants().unwrap();
     }
 
     #[test]
     fn memory_report_counts_every_group() {
-        let space = vertex2_space(BingoConfig::default());
+        let space = vertex2_space(BingoConfig::baseline());
         let report = space.memory_report();
+        assert_eq!(report.direct_vertices, 0);
         let counted: usize = report.group_counts.iter().sum();
         let non_empty = space
             .groups()
@@ -1012,10 +1290,23 @@ mod tests {
     }
 
     #[test]
-    fn the_space_stays_within_128_bytes() {
-        // 2^18 vertices hold 32 MiB of these inline; the engine owns the
-        // config and the conversion matrix so that a space need not.
-        assert!(std::mem::size_of::<VertexSpace>() <= 128);
+    fn a_direct_vertex_is_its_adjacency_and_72_inline_bytes() {
+        assert_eq!(std::mem::size_of::<VertexSpace>(), 72);
+        // The box the module's diagram draws.
+        assert_eq!(std::mem::size_of::<Factorized>(), 80);
+        let space = vertex2_space(BingoConfig::default());
+        assert!(space.is_direct());
+        assert_eq!(space.num_groups(), 0);
+        assert_eq!(space.groups().len(), 0);
+        assert_eq!(space.decimal_group().cardinality(), 0);
+        assert_eq!((space.lambda(), space.total_weight()), (1.0, 12.0));
+        assert_eq!((space.inter_rebuilds(), space.full_rebuilds()), (0, 1));
+        let report = space.memory_report();
+        assert_eq!(report.direct_vertices, 1);
+        assert_eq!(report.group_counts, [0; 4]);
+        assert_eq!(report.sampling_bytes(), 0);
+        assert_eq!(report.adjacency_bytes, space.adjacency().memory_bytes());
+        assert_eq!(report.structure_bytes, 72);
     }
 
     /// A degree-`degree` vertex whose eight radix groups each hold about a
@@ -1044,13 +1335,13 @@ mod tests {
     #[test]
     fn streaming_updates_on_a_wide_hub_relocate_o_k_words_per_event() {
         let space = hub_relocates_o_k_words_per_event(1 << 16);
-        assert!(space.groups.is_wide());
+        assert!(space.groups_table().is_wide());
     }
 
     #[test]
     fn streaming_updates_on_a_narrow_hub_relocate_o_k_words_per_event() {
         let space = hub_relocates_o_k_words_per_event(1 << 15);
-        assert!(!space.groups.is_wide());
+        assert!(!space.groups_table().is_wide());
     }
 
     fn hub_relocates_o_k_words_per_event(degree: u32) -> VertexSpace {
@@ -1061,7 +1352,7 @@ mod tests {
         let mut space = regular_hub(degree, &mut rng);
         let k = space.num_groups() as u64;
         // Words the groups occupy before the first event.
-        let built = space.groups.arena_capacity() as u64;
+        let built = space.groups_table().arena_capacity() as u64;
         RELOCATED_WORDS.with(|c| c.set(0));
 
         for i in 0..EVENTS {
@@ -1109,8 +1400,10 @@ mod tests {
             observed[space.sample_index(rng).unwrap() % BINS] += 1;
         }
         let chi2 = chi_square(&observed, &expected);
+        // A single bin leaves nothing to deviate: any positive bound holds.
+        let occupied = expected.iter().filter(|&&p| p > 0.0).count();
         assert!(
-            chi2 < chi_square_critical_999(BINS - 1),
+            chi2 < chi_square_critical_999(occupied.max(2) - 1),
             "chi-square {chi2} at degree {}",
             space.degree()
         );
@@ -1122,30 +1415,36 @@ mod tests {
         const LIMIT: u32 = u16::MAX as u32;
         let mut rng = Pcg64::seed_from_u64(0x16);
         let mut space = regular_hub(LIMIT - 2, &mut rng);
-        assert!(!space.groups.is_wide());
+        assert!(!space.groups_table().is_wide());
         assert_samples_match_exact_probabilities(&space, &mut rng);
         let arena_bytes = |space: &VertexSpace| {
             let report = space.memory_report();
             report.sparse_bytes + report.regular_bytes
         };
         // An exact-size build: the arena is the segments, at two bytes a word.
-        assert_eq!(arena_bytes(&space), 2 * space.groups.arena_capacity());
+        assert_eq!(
+            arena_bytes(&space),
+            2 * space.groups_table().arena_capacity()
+        );
 
         // Inserts across the limit: the one that reaches it rebuilds the
         // space with wide words, the others stream.
         let rebuilds = space.full_rebuilds();
         for dst in LIMIT - 2..LIMIT + 4 {
-            let was_wide = space.groups.is_wide();
+            let was_wide = space.groups_table().is_wide();
             let outcome = space.insert(dst, quarter_bits_bias(&mut rng)).unwrap();
             space.check_invariants().unwrap();
-            let promoted = space.groups.is_wide() && !was_wide;
+            let promoted = space.groups_table().is_wide() && !was_wide;
             assert_eq!(promoted, space.degree() == LIMIT as usize);
             assert_eq!(outcome.full_rebuilds, u32::from(promoted));
             if promoted {
-                assert_eq!(arena_bytes(&space), 4 * space.groups.arena_capacity());
+                assert_eq!(
+                    arena_bytes(&space),
+                    4 * space.groups_table().arena_capacity()
+                );
             }
         }
-        assert!(space.groups.is_wide());
+        assert!(space.groups_table().is_wide());
         assert_eq!(space.full_rebuilds(), rebuilds + 1);
         assert_samples_match_exact_probabilities(&space, &mut rng);
 
@@ -1166,7 +1465,7 @@ mod tests {
             }
             space.check_invariants().unwrap();
         }
-        assert!(space.groups.is_wide());
+        assert!(space.groups_table().is_wide());
         assert_eq!(space.full_rebuilds(), rebuilds + 1);
         assert_samples_match_exact_probabilities(&space, &mut rng);
 
@@ -1179,7 +1478,7 @@ mod tests {
         space.insert(7, Bias::from_float(2.5)).unwrap();
         assert_eq!(space.full_rebuilds(), rebuilds + 2);
         assert_eq!(space.degree(), (1 << 15) + 1);
-        assert!(space.groups.is_wide());
+        assert!(space.groups_table().is_wide());
         space.check_invariants().unwrap();
     }
 
@@ -1195,7 +1494,7 @@ mod tests {
         assert_eq!((outcome.inserted, outcome.deleted), (8, 3));
         assert_eq!(outcome.full_rebuilds, 1);
         assert_eq!(space.degree(), LIMIT as usize + 2);
-        assert!(space.groups.is_wide());
+        assert!(space.groups_table().is_wide());
         space.check_invariants().unwrap();
         assert_samples_match_exact_probabilities(&space, &mut rng);
     }
@@ -1224,10 +1523,276 @@ mod tests {
             })
             .sum();
         assert!(live > 0);
-        let capacity = space.groups.arena_capacity();
+        let capacity = space.groups_table().arena_capacity();
         assert!(
             capacity <= 2 * live + 16,
             "arena holds {capacity} words for {live} live ones"
         );
+    }
+
+    /// A vertex of `biases.len()` edges to destinations `0, 1, ...`.
+    fn space_of(biases: &[Bias], config: BingoConfig) -> VertexSpace {
+        let edges = biases
+            .iter()
+            .enumerate()
+            .map(|(dst, &bias)| Edge::new(dst as VertexId, bias));
+        VertexSpace::build(edges.collect(), config)
+    }
+
+    /// Integer, fractional, or — every third edge — one among the other.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Biases {
+        Integer,
+        Float,
+        Mixed,
+    }
+
+    impl Biases {
+        fn draw(self, nth: u32, rng: &mut Pcg64) -> Bias {
+            use rand::Rng;
+            if self == Biases::Float || (self == Biases::Mixed && nth.is_multiple_of(3)) {
+                Bias::from_float(rng.gen_range(0.05..40.0))
+            } else {
+                Bias::from_int(rng.gen_range(1..=4095u64))
+            }
+        }
+    }
+
+    #[test]
+    fn a_vertex_changes_representation_once_per_crossing_and_never_in_between() {
+        for biases in [Biases::Integer, Biases::Float, Biases::Mixed] {
+            let mut rng = Pcg64::seed_from_u64(0x17);
+            let mut draws = Pcg64::seed_from_u64(0x71);
+            let mut space = space_of(&[], BingoConfig::default());
+            let mut next_dst = 0;
+            // One event, its invariants, and whether it rebuilt the space.
+            let mut step = |space: &mut VertexSpace, insert: bool| {
+                let outcome = if insert {
+                    next_dst += 1;
+                    let bias = biases.draw(next_dst, &mut rng);
+                    space.insert(next_dst, bias).unwrap()
+                } else {
+                    space.delete_at(space.degree() / 2).unwrap().1
+                };
+                space.check_invariants().unwrap();
+                assert_eq!(outcome.inter_rebuilds, u32::from(!space.is_direct()));
+                outcome.full_rebuilds
+            };
+            assert!(space.is_direct());
+            assert_eq!(space.full_rebuilds(), 1);
+
+            // 0 -> 17: direct all the way up, factorized by the 17th insert.
+            for degree in 1..=DIRECT_MAX_DEGREE + 1 {
+                let rebuilt = step(&mut space, true);
+                assert_eq!(space.is_direct(), degree <= DIRECT_MAX_DEGREE);
+                assert_eq!(rebuilt, u32::from(degree == DIRECT_MAX_DEGREE + 1));
+            }
+            // 17 -> 8: factorized all the way down, direct by the delete
+            // that reaches 8.
+            for degree in (DIRECT_DEMOTE_DEGREE..=DIRECT_MAX_DEGREE).rev() {
+                let rebuilt = step(&mut space, false);
+                assert_eq!(space.is_direct(), degree == DIRECT_DEMOTE_DEGREE);
+                assert_eq!(rebuilt, u32::from(degree == DIRECT_DEMOTE_DEGREE));
+            }
+            assert_eq!(space.full_rebuilds(), 3);
+            // Hovering between 9 and 16 moves nothing, whichever way the
+            // vertex came in: direct now ...
+            let hover =
+                |space: &mut VertexSpace, step: &mut dyn FnMut(&mut VertexSpace, bool) -> u32| {
+                    for _ in 0..4 {
+                        while space.degree() < DIRECT_MAX_DEGREE {
+                            assert_eq!(step(space, true), 0);
+                        }
+                        while space.degree() > DIRECT_DEMOTE_DEGREE + 1 {
+                            assert_eq!(step(space, false), 0);
+                        }
+                    }
+                };
+            hover(&mut space, &mut step);
+            assert!(space.is_direct());
+            // ... and factorized after one more crossing.
+            while space.degree() <= DIRECT_MAX_DEGREE {
+                step(&mut space, true);
+            }
+            assert_eq!(space.full_rebuilds(), 4);
+            assert_eq!(step(&mut space, false), 0);
+            hover(&mut space, &mut step);
+            assert!(!space.is_direct());
+            assert_eq!(space.full_rebuilds(), 4);
+            // 9 -> 0 -> 20: one demotion, an empty vertex, one promotion.
+            while space.degree() > 0 {
+                step(&mut space, false);
+            }
+            assert_eq!(space.full_rebuilds(), 5);
+            assert_eq!(space.total_weight(), 0.0);
+            assert_eq!(space.sample_index(&mut draws), None);
+            while space.degree() < 20 {
+                step(&mut space, true);
+            }
+            assert!(!space.is_direct());
+            assert_eq!(space.full_rebuilds(), 6);
+            assert_samples_match_exact_probabilities(&space, &mut draws);
+        }
+    }
+
+    #[test]
+    fn a_batch_that_crosses_a_representation_threshold_rebuilds_once() {
+        let mut rng = Pcg64::seed_from_u64(0x18);
+        let biases: Vec<Bias> = (0..12).map(|i| Biases::Integer.draw(i, &mut rng)).collect();
+        let mut space = space_of(&biases, BingoConfig::default());
+        assert!(space.is_direct());
+        // Up: 12 + 9 - 2 = 19 edges.
+        let inserts: Vec<(VertexId, Bias)> = (100..109)
+            .map(|dst| (dst, Biases::Integer.draw(dst, &mut rng)))
+            .collect();
+        let outcome = space.apply_batch(&inserts, &[0, 1, 77]);
+        assert_eq!(
+            (outcome.inserted, outcome.deleted, outcome.missing_deletes),
+            (9, 2, 1)
+        );
+        assert_eq!((outcome.full_rebuilds, outcome.inter_rebuilds), (1, 1));
+        assert!(!space.is_direct());
+        space.check_invariants().unwrap();
+        assert_samples_match_exact_probabilities(&space, &mut rng);
+        // Level: a factorized vertex keeps its groups current and settles
+        // them once.
+        let outcome = space.apply_batch(&inserts[..1], &[2]);
+        assert_eq!((outcome.full_rebuilds, outcome.inter_rebuilds), (0, 1));
+        space.check_invariants().unwrap();
+        // Down: 19 + 1 - 12 = 8 edges.
+        let deletes: Vec<VertexId> = (100..109).chain(3..6).collect();
+        let outcome = space.apply_batch(&inserts[..1], &deletes);
+        assert_eq!((outcome.inserted, outcome.deleted), (1, 12));
+        assert_eq!((outcome.full_rebuilds, outcome.inter_rebuilds), (1, 0));
+        assert!(space.is_direct());
+        assert_eq!(space.degree(), DIRECT_DEMOTE_DEGREE);
+        space.check_invariants().unwrap();
+        assert_samples_match_exact_probabilities(&space, &mut rng);
+        // Level again: a direct vertex rebuilds nothing at all.
+        let outcome = space.apply_batch(&inserts[..4], &[6]);
+        assert_eq!((outcome.full_rebuilds, outcome.inter_rebuilds), (0, 0));
+        assert_eq!(outcome.conversions, ConversionMatrix::new());
+        space.check_invariants().unwrap();
+        assert_eq!(space.full_rebuilds(), 3);
+    }
+
+    #[test]
+    fn rewrites_and_emptying_work_in_both_representations() {
+        // `baseline()` factorizes at every degree, `default()` not at these.
+        for config in [BingoConfig::default(), BingoConfig::baseline()] {
+            let mut rng = Pcg64::seed_from_u64(0x19);
+            let mut space = space_of(
+                &[Bias::from_int(5), Bias::from_int(4), Bias::from_float(1.5)],
+                config,
+            );
+            assert_eq!(space.is_direct(), config.adaptive);
+            space.update_bias(1, Bias::from_int(40)).unwrap();
+            space.update_bias(2, Bias::from_int(3)).unwrap();
+            space.check_invariants().unwrap();
+            assert_eq!(space.exact_probabilities().len(), 3);
+            assert_samples_match_exact_probabilities(&space, &mut rng);
+            for dst in [0, 2, 1] {
+                let (removed, outcome) = space.delete(dst).unwrap();
+                assert_eq!((removed.dst, outcome.deleted), (dst, 1));
+                space.check_invariants().unwrap();
+            }
+            assert_eq!((space.degree(), space.total_weight()), (0, 0.0));
+            assert_eq!(space.sample_index(&mut rng), None);
+            assert_eq!(space.delete(0), Err(BingoError::EdgeNotFound { dst: 0 }));
+            space.insert(7, Bias::from_float(0.25)).unwrap();
+            space.insert(8, Bias::from_int(2)).unwrap();
+            space.check_invariants().unwrap();
+            assert_eq!(space.is_direct(), config.adaptive);
+            assert_samples_match_exact_probabilities(&space, &mut rng);
+        }
+    }
+
+    #[test]
+    fn both_representations_sample_the_exact_distribution() {
+        for biases in [Biases::Integer, Biases::Float, Biases::Mixed] {
+            for degree in [1, 2, DIRECT_DEMOTE_DEGREE, DIRECT_MAX_DEGREE, 40] {
+                let mut rng = Pcg64::seed_from_u64(0x1A + degree as u64);
+                let drawn: Vec<Bias> = (0..degree as u32)
+                    .map(|i| biases.draw(i, &mut rng))
+                    .collect();
+                let space = space_of(&drawn, BingoConfig::default());
+                assert_eq!(space.is_direct(), degree <= DIRECT_MAX_DEGREE);
+                space.check_invariants().unwrap();
+                assert_samples_match_exact_probabilities(&space, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    fn a_direct_integer_total_beyond_two_to_53_is_still_drawn_exactly() {
+        let mut rng = Pcg64::seed_from_u64(0x1B);
+        let shares = [1u64 << 53, 1 << 52, 3 << 51, (1 << 52) + 1, 1 << 50];
+        let biases: Vec<Bias> = shares.iter().map(|&w| Bias::from_int(w)).collect();
+        let mut space = space_of(&biases, BingoConfig::default());
+        let total: u64 = shares.iter().sum();
+        assert!(total > 1 << 53 && total % 2 == 1, "an `f64` cannot hold it");
+        assert_eq!(space.direct_total(), DirectTotal::Exact(total));
+        space.check_invariants().unwrap();
+        assert_samples_match_exact_probabilities(&space, &mut rng);
+
+        // An invalid bias is refused with the typed error and changes
+        // nothing, the cached total included.
+        let before = (space.adjacency().clone(), space.direct_total());
+        for invalid in [Bias::from_int(0), Bias::from_float(f64::NAN)] {
+            assert_eq!(
+                space.insert(9, invalid),
+                Err(BingoError::InvalidBias { dst: 9 })
+            );
+            assert_eq!(
+                space.update_bias(0, invalid),
+                Err(BingoError::InvalidBias { dst: 0 })
+            );
+            assert_eq!(space.apply_batch(&[(9, invalid)], &[]).inserted, 0);
+        }
+        assert_eq!((space.adjacency().clone(), space.direct_total()), before);
+        space.check_invariants().unwrap();
+
+        // Integers that overflow a `u64` between them fall back to `f64`.
+        space.insert(5, Bias::from_int(u64::MAX)).unwrap();
+        assert!(matches!(space.direct_total(), DirectTotal::Approx(_)));
+        space.check_invariants().unwrap();
+        // One fraction does too, and taking it away restores the integers.
+        space.delete(5).unwrap();
+        space.insert(6, Bias::from_float(0.5)).unwrap();
+        assert_eq!(
+            space.direct_total(),
+            DirectTotal::Approx(total as f64 + 0.5)
+        );
+        space.delete(6).unwrap();
+        assert_eq!(space.direct_total(), DirectTotal::Exact(total));
+    }
+
+    #[test]
+    fn check_invariants_knows_what_a_direct_vertex_may_hold() {
+        let biases: Vec<Bias> = (1..=DIRECT_MAX_DEGREE as u64).map(Bias::from_int).collect();
+        let space = space_of(&biases, BingoConfig::default());
+        space.check_invariants().unwrap();
+
+        // A cached total that is not the sum of the biases.
+        let mut stale = space.clone();
+        stale.direct_total += 1;
+        assert!(stale
+            .check_invariants()
+            .unwrap_err()
+            .contains("cached total"));
+        let mut stale = space.clone();
+        stale.adj.push(Edge::new(99, Bias::from_int(1)));
+        stale.refresh_direct_total();
+        // More edges than a direct vertex may scan.
+        assert!(stale.check_invariants().unwrap_err().contains("17 edges"));
+        // A direct vertex where adaptation is off.
+        let mut stale = space.clone();
+        stale.adaptive = false;
+        assert!(stale.check_invariants().is_err());
+        // Groups on a vertex small enough to have dropped them.
+        let mut small = space_of(&biases[..DIRECT_DEMOTE_DEGREE], BingoConfig::baseline());
+        small.check_invariants().unwrap();
+        small.adaptive = true;
+        assert!(small.check_invariants().unwrap_err().contains("factorized"));
     }
 }

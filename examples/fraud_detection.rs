@@ -113,9 +113,12 @@ fn main() {
 
     let report = engine.memory_report();
     println!(
-        "\nsampling structures: {:.2} MiB across {} radix groups (dense/regular/sparse/one-element = {:?})",
+        "\nsampling structures: {:.2} MiB across {} radix groups (dense/regular/sparse/one-element = {:?}); \
+         {} of {} vertices direct (at most 16 edges, no groups)",
         report.sampling_bytes() as f64 / (1024.0 * 1024.0),
         report.group_counts.iter().sum::<usize>(),
-        report.group_counts
+        report.group_counts,
+        report.direct_vertices,
+        engine.num_vertices()
     );
 }

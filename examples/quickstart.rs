@@ -6,6 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use bingo::core::VertexSpace;
 use bingo::prelude::*;
 use bingo::walks::model::StepSampler;
 use rand::{Rng, RngCore};
@@ -40,8 +41,14 @@ fn main() {
     let mut engine = BingoEngine::build(&graph, BingoConfig::default()).expect("engine builds");
 
     // Inspect vertex 2's radix groups: biases 5, 4, 3 decompose into groups
-    // 2^0 = {5, 3}, 2^1 = {3}, 2^2 = {5, 4} with group biases 2, 2, 8.
-    let space = engine.vertex_space(2).expect("vertex 2 exists");
+    // 2^0 = {5, 3}, 2^1 = {3}, 2^2 = {5, 4} with group biases 2, 2, 8. The
+    // engine's own vertex 2 keeps none of this: under the default
+    // (adaptive) config a vertex of at most 16 edges is stored direct — its
+    // adjacency and a cached bias total, sampled by one pass — so the
+    // printout factorizes the same three edges with `BingoConfig::baseline()`
+    // (the paper's "BS": groups on every vertex).
+    let adjacency = graph.neighbors(2).expect("vertex 2 exists").clone();
+    let space = VertexSpace::build(adjacency, BingoConfig::baseline());
     println!("vertex 2 has {} radix groups:", space.num_groups());
     for group in space.groups() {
         println!(
@@ -52,6 +59,17 @@ fn main() {
             group.kind()
         );
     }
+    let in_engine = engine.vertex_space(2).expect("vertex 2 exists");
+    println!(
+        "in the engine vertex 2 is {} ({} radix groups, total weight {})",
+        if in_engine.is_direct() {
+            "direct"
+        } else {
+            "factorized"
+        },
+        in_engine.num_groups(),
+        in_engine.total_weight()
+    );
 
     // 3. Sample neighbors of vertex 2 in O(1) and check the empirical
     //    distribution matches the biases 5:4:3.

@@ -76,8 +76,10 @@ fn adaptive_thresholds_change_the_group_mix() {
 #[test]
 fn float_bias_engine_handles_mixed_update_workloads() {
     let mut rng = Pcg64::seed_from_u64(4);
-    // Start from an integer-bias graph, then convert to fractional biases.
-    let base = StandinDataset::Amazon.build(8_000, &mut rng);
+    // Start from an integer-bias graph — a skewed one, so that some vertices
+    // are above the direct threshold and factorized — then convert to
+    // fractional biases.
+    let base = StandinDataset::LiveJournal.build(8_000, &mut rng);
     let mut graph = DynamicGraph::new(base.num_vertices());
     for (src, e) in base.edges() {
         let jitter: f64 = rng.gen();
@@ -92,10 +94,12 @@ fn float_bias_engine_handles_mixed_update_workloads() {
     let outcome = engine.apply_batch(&stream);
     assert_eq!(outcome.inserted, stream.num_insertions());
     engine.check_invariants().unwrap();
-    // λ must be in effect on at least some vertices (fractional biases).
-    let has_scaled_vertex = (0..engine.num_vertices() as VertexId)
-        .any(|v| engine.vertex_space(v).unwrap().lambda() > 1.0);
-    assert!(has_scaled_vertex);
+    // λ must be in effect on every factorized vertex (fractional biases);
+    // a direct vertex scales nothing.
+    let spaces = (0..engine.num_vertices() as VertexId).map(|v| engine.vertex_space(v).unwrap());
+    let (direct, factorized): (Vec<_>, Vec<_>) = spaces.partition(|s| s.is_direct());
+    assert!(!direct.is_empty() && direct.iter().all(|s| s.lambda() == 1.0));
+    assert!(!factorized.is_empty() && factorized.iter().all(|s| s.lambda() > 1.0));
     // Walks still run.
     let walks = WalkEngine::new(5).run_all_vertices(
         &engine,
@@ -106,14 +110,15 @@ fn float_bias_engine_handles_mixed_update_workloads() {
 
 #[test]
 fn fixed_lambda_matches_paper_example_at_engine_scale() {
-    // λ = 10 as in §4.3; the engine must respect the fixed factor.
+    // λ = 10 as in §4.3; the engine must respect the fixed factor. Groups on
+    // every vertex ("BS"): these two-edge vertices would otherwise be direct.
     let mut graph = DynamicGraph::new(3);
     graph.insert_edge(0, 1, Bias::from_float(0.554)).unwrap();
     graph.insert_edge(0, 2, Bias::from_float(0.726)).unwrap();
     graph.insert_edge(1, 2, Bias::from_float(0.32)).unwrap();
     let config = BingoConfig {
         lambda: Lambda::Fixed(10.0),
-        ..BingoConfig::default()
+        ..BingoConfig::baseline()
     };
     let engine = BingoEngine::build(&graph, config).unwrap();
     assert_eq!(engine.vertex_space(0).unwrap().lambda(), 10.0);

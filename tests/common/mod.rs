@@ -1,7 +1,8 @@
-//! A global allocator that counts live bytes, for the test binaries that
-//! hold `MemoryReport::resident_bytes` against what the allocator actually
-//! handed out. Each of them is its own binary with a single test, so
-//! nothing else allocates while it counts.
+//! A global allocator that counts live bytes and allocation calls, for the
+//! test binaries that hold `MemoryReport::resident_bytes` against what the
+//! allocator actually handed out, or an update against what it may
+//! allocate. Each of them is its own binary with a single test, so nothing
+//! else allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -9,6 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 struct LiveBytes;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards to `System` with the caller's own layout
 // and pointer unchanged; the counter touches no allocator state.
@@ -16,6 +18,8 @@ unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // relaxed-ok: a statistic that publishes no other data.
         LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // relaxed-ok: as above.
+        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -23,6 +27,8 @@ unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         // relaxed-ok: a statistic that publishes no other data.
         LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        // relaxed-ok: as above.
+        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -32,6 +38,8 @@ unsafe impl GlobalAlloc for LiveBytes {
         LIVE.fetch_add(new_size, Ordering::Relaxed);
         // relaxed-ok: as above.
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // relaxed-ok: as above.
+        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -48,7 +56,15 @@ unsafe impl GlobalAlloc for LiveBytes {
 static ALLOCATOR: LiveBytes = LiveBytes;
 
 /// Bytes currently allocated by this process.
+#[allow(dead_code)]
 pub fn live() -> usize {
     // relaxed-ok: read on the thread that just joined every builder.
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Allocations and reallocations this process has made so far.
+#[allow(dead_code)]
+pub fn calls() -> usize {
+    // relaxed-ok: read on the only thread that allocates.
+    CALLS.load(Ordering::Relaxed)
 }

@@ -5,12 +5,27 @@
 //! inserts, deletes and bias rewrites, hub churn, a float-into-integer
 //! insert (a λ change) and two `apply_batch` calls, then hashes 100 000
 //! `sample_neighbor` draws plus DeepWalk(40) and node2vec(20) paths. The
-//! constants below were recorded at commit 420444c (the `Vec`-pair layout)
-//! and every later layout must reproduce them: same member order inside
-//! every group, same Vose construction, same RNG draws per sample. The
-//! rebuild and conversion counters are pinned next to the hashes because
-//! the benchmark's `core.engine.*_per_event` rows are built from them; the
-//! last test pins them on the benchmark's own `engine_batch` inputs.
+//! two `*_baseline` constants below were recorded at commit 420444c (the
+//! `Vec`-pair layout) and every later layout must reproduce them: same
+//! member order inside every group, same Vose construction, same RNG draws
+//! per sample. The rebuild and conversion counters are pinned next to the
+//! hashes because the benchmark's `core.engine.*_per_event` rows are built
+//! from them; the last test pins them on the benchmark's own `engine_batch`
+//! inputs.
+//!
+//! The adaptive constants moved once, on purpose, when vertices of at most
+//! 16 edges stopped keeping radix groups (PR 17): such a *direct* vertex
+//! draws one number below its bias total where the factorized one drew an
+//! alias bucket and a member, so the same seed walks other paths; it has no
+//! alias table to rebuild and no groups to check or convert; and a vertex
+//! crossing between the two representations is a full rebuild. What did not
+//! move is the factorized path itself, which
+//! `integer_biases_adaptive_every_vertex_factorized` holds to its
+//! pre-change recording: the same script on a graph none of whose vertices
+//! ever comes near the threshold, pinned at a0ff39f before the direct
+//! representation existed. `integer_biases_adaptive`, `float_biases_adaptive`
+//! and `engine_batch_stream_counters` were re-recorded only after that
+//! fixture and both baselines reproduced their constants.
 
 use bingo::graph::updates::UpdateKind;
 use bingo::prelude::*;
@@ -58,9 +73,34 @@ fn random_edge(engine: &BingoEngine, rng: &mut Pcg64) -> Option<(VertexId, Verte
     Some((src, edges[rng.gen_range(0..edges.len())].dst))
 }
 
+/// The graph a scenario starts from.
+#[derive(Clone, Copy, PartialEq)]
+enum Shape {
+    /// R-MAT, 1 024 vertices, 12 edges each on average: mostly vertices of
+    /// a handful of edges, a few hubs, some isolated ones.
+    Skewed,
+    /// Erdős–Rényi, 256 vertices, 80 edges each on average: no vertex is
+    /// ever at or below [`DENSE_FLOOR`] edges, which the scenario asserts
+    /// after every step.
+    Dense,
+}
+
+/// Every vertex of a [`Shape::Dense`] scenario keeps more edges than this
+/// (the degree at and below which an adaptive vertex is stored direct).
+const DENSE_FLOOR: usize = 16;
+
+fn assert_dense(shape: Shape, engine: &BingoEngine) {
+    if shape == Shape::Dense {
+        let min = (0..engine.num_vertices() as VertexId)
+            .map(|v| engine.degree(v))
+            .min();
+        assert!(min > Some(DENSE_FLOOR), "a vertex fell to {min:?} edges");
+    }
+}
+
 /// Hash of everything sampled after the update sequence, and the
 /// `[inter_rebuilds, full_rebuilds, conversions, checks]` counters.
-fn scenario(float: bool, config: BingoConfig) -> (u64, [u64; 4]) {
+fn scenario(shape: Shape, float: bool, config: BingoConfig) -> (u64, [u64; 4]) {
     let mut rng = Pcg64::seed_from_u64(0xB1460 + u64::from(float));
     let bias = if float {
         BiasDistribution::UniformFloat { lo: 0.05, hi: 40.0 }
@@ -70,18 +110,25 @@ fn scenario(float: bool, config: BingoConfig) -> (u64, [u64; 4]) {
             max: 4095,
         }
     };
-    let mut graph = GraphGenerator::RMat {
-        scale: 10,
-        avg_degree: 12,
-        a: 0.57,
-        b: 0.19,
-        c: 0.19,
+    let mut graph = match shape {
+        Shape::Skewed => GraphGenerator::RMat {
+            scale: 10,
+            avg_degree: 12,
+            a: 0.57,
+            b: 0.19,
+            c: 0.19,
+        },
+        Shape::Dense => GraphGenerator::ErdosRenyi {
+            vertices: 256,
+            edges: 256 * 80,
+        },
     }
     .generate(bias, &mut rng);
     let stream =
         UpdateStreamBuilder::new(UpdateKind::Mixed, 1500).build(&mut graph, 3000, &mut rng);
     let n = graph.num_vertices();
     let mut engine = BingoEngine::build(&graph, config).unwrap();
+    assert_dense(shape, &engine);
 
     // Streaming half: the stream's inserts and deletes, a bias rewrite
     // every seventh event.
@@ -95,6 +142,7 @@ fn scenario(float: bool, config: BingoConfig) -> (u64, [u64; 4]) {
                     .unwrap();
             }
         }
+        assert_dense(shape, &engine);
     }
 
     // Hub churn: grow the largest vertex, then delete from its middle, so
@@ -113,6 +161,7 @@ fn scenario(float: bool, config: BingoConfig) -> (u64, [u64; 4]) {
         let dst = edges[rng.gen_range(0..edges.len())].dst;
         engine.delete_edge(hub, dst).unwrap();
     }
+    assert_dense(shape, &engine);
 
     // A float bias arriving at an all-integer vertex changes λ and rebuilds
     // the whole space; in the float scenario it is one more float.
@@ -148,6 +197,7 @@ fn scenario(float: bool, config: BingoConfig) -> (u64, [u64; 4]) {
             });
         }
         engine.apply_batch(&UpdateBatch::new(batch));
+        assert_dense(shape, &engine);
     }
     engine.check_invariants().unwrap();
 
@@ -199,7 +249,11 @@ fn counters(engine: &BingoEngine) -> [u64; 4] {
 }
 
 fn check(name: &str, float: bool, config: BingoConfig, golden: (u64, [u64; 4])) {
-    let got = scenario(float, config);
+    check_on(Shape::Skewed, name, float, config, golden);
+}
+
+fn check_on(shape: Shape, name: &str, float: bool, config: BingoConfig, golden: (u64, [u64; 4])) {
+    let got = scenario(shape, float, config);
     assert_eq!(
         got, golden,
         "{name}: sampled paths or rebuild counters differ from the recorded layout \
@@ -214,7 +268,18 @@ fn integer_biases_adaptive() {
         "integer/adaptive",
         false,
         BingoConfig::default(),
-        (0x20c3_48b5_9e59_6eaa, [4183, 1026, 1991, 33661]),
+        (0xca64_0d58_30ac_37bf, [2402, 1033, 407, 25550]),
+    );
+}
+
+#[test]
+fn integer_biases_adaptive_every_vertex_factorized() {
+    check_on(
+        Shape::Dense,
+        "integer/adaptive/dense",
+        false,
+        BingoConfig::default(),
+        (0xd803_4a83_643f_4cb4, [3388, 258, 544, 36551]),
     );
 }
 
@@ -234,7 +299,7 @@ fn float_biases_adaptive() {
         "float/adaptive",
         true,
         BingoConfig::default(),
-        (0x6a4c_55a1_ed43_08d7, [4235, 1048, 1619, 25054]),
+        (0xf890_93ac_77b8_8c42, [2360, 1032, 365, 18527]),
     );
 }
 
@@ -278,6 +343,6 @@ fn engine_batch_stream_counters() {
     }
     assert_eq!(
         (counters(&engine), touched),
-        ([354_750, 262_144, 99_224, 1_153_417], 92_606)
+        ([85_492, 262_386, 7_072, 785_649], 92_606)
     );
 }

@@ -10,6 +10,14 @@
 //! one test, for the same reason as `memory_accounting.rs`). It is a gauge
 //! for work on growth policies, not a steady state: five times the events
 //! per batch reach 1.69x.
+//!
+//! Readings: with radix groups on every vertex 6 861 434 B built,
+//! 9 130 154 B after the churn (1.331x, ceiling 1.40). With vertices of at
+//! most 16 edges stored direct — 14 797 of this graph's 16 384 — 4 685 272 B
+//! built, 6 160 404 B after (1.315x): both ends shrink by a third, and the
+//! ratio barely moves, because what grows under churn is the adjacency
+//! arrays (1.97 -> 3.04 MB either way), not the groups. The ceiling keeps
+//! the same 5 % over the reading.
 
 mod common;
 
@@ -23,7 +31,7 @@ const BATCHES: usize = 200;
 /// have seen an insert.
 const BATCH_EVENTS: usize = 160;
 /// Resident bytes after the churn, over resident bytes after the build.
-const CEILING: f64 = 1.40;
+const CEILING: f64 = 1.38;
 /// Inserts and rewrites draw from the law the graph was built with, so the
 /// churn changes which edges exist, not what kind of graph it is.
 const BIASES: BiasDistribution = BiasDistribution::PowerLaw {

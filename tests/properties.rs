@@ -11,11 +11,13 @@
 //! * The per-vertex sampling space keeps its structural invariants under
 //!   arbitrary interleaved insert/delete sequences, both streaming and
 //!   batched.
+//! * An adaptive vertex is direct or factorized as its update history says,
+//!   never as a side effect, and every change is one counted rebuild.
 //! * The two-phase delete-and-swap compaction preserves exactly the
 //!   surviving elements and reports valid moves.
 //! * Alias tables and CDF tables stay consistent under arbitrary weights.
 
-use bingo::core::vertex_space::VertexSpace;
+use bingo::core::vertex_space::{VertexSpace, DIRECT_DEMOTE_DEGREE, DIRECT_MAX_DEGREE};
 use bingo::core::{BingoConfig, Lambda};
 use bingo::prelude::*;
 use bingo::sampling::CdfTable;
@@ -147,6 +149,65 @@ fn batched_and_streaming_vertex_updates_agree() {
             "case {case}"
         );
         assert!(batched.check_invariants().is_ok(), "case {case}");
+    }
+}
+
+/// An adaptive vertex's representation follows its degree with hysteresis:
+/// direct when built at 16 edges or fewer, factorized by the insert that
+/// reaches 17, direct again by the delete that reaches 8 — and every other
+/// event, streaming or batched, leaves it alone. Each change is exactly one
+/// full rebuild, in the outcome and in the space's counter.
+#[test]
+fn the_representation_follows_the_degree_with_hysteresis() {
+    for case in 0..CASES {
+        let mut rng = Pcg64::seed_from_u64(0xD14E_0000 + case);
+        let initial = random_vec(&mut rng, 0..40, 1..4096);
+        let mut space = VertexSpace::build(adjacency_from(&initial), BingoConfig::default());
+        let mut direct = initial.len() <= DIRECT_MAX_DEGREE;
+        let mut rebuilds = 1;
+        assert_eq!(space.is_direct(), direct, "case {case}");
+        for step in 0..200u32 {
+            let before = space.degree();
+            let outcome = match rng.gen_range(0..5u8) {
+                // A batch of a few inserts and deletes: one decision, on the
+                // degree it ends at.
+                0 => {
+                    let inserts: Vec<(VertexId, Bias)> = (0..rng.gen_range(0..6u32))
+                        .map(|i| (1000 + i, Bias::from_int(rng.gen_range(1..4096u64))))
+                        .collect();
+                    let deletes: Vec<VertexId> = (0..rng.gen_range(0..6usize).min(before))
+                        .map(|i| space.adjacency().edges()[i].dst)
+                        .collect();
+                    space.apply_batch(&inserts, &deletes)
+                }
+                1 | 2 if before > 0 => space.delete_at(rng.gen_range(0..before)).unwrap().1,
+                _ => {
+                    let bias = Bias::from_int(rng.gen_range(1..4096u64));
+                    space.insert(2000 + step, bias).unwrap()
+                }
+            };
+            let degree = space.degree();
+            let crossed = if direct {
+                degree > DIRECT_MAX_DEGREE
+            } else {
+                degree <= DIRECT_DEMOTE_DEGREE
+            };
+            direct ^= crossed;
+            rebuilds += u64::from(crossed);
+            assert_eq!(space.is_direct(), direct, "case {case} step {step}");
+            assert_eq!(outcome.full_rebuilds, u32::from(crossed), "case {case}");
+            assert_eq!(space.full_rebuilds(), rebuilds, "case {case}");
+            assert_eq!(
+                space.num_groups() == 0,
+                direct || degree == 0,
+                "case {case}"
+            );
+            assert!(
+                space.check_invariants().is_ok(),
+                "case {case} step {step}: {:?}",
+                space.check_invariants()
+            );
+        }
     }
 }
 
