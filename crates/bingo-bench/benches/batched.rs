@@ -63,7 +63,8 @@ fn bench_two_phase_compaction(c: &mut Criterion) {
             b.iter_batched(
                 || items.clone(),
                 |mut v| {
-                    two_phase_delete_and_swap(&mut v, &deletes);
+                    let (new_len, _moves) = two_phase_delete_and_swap(&mut v, &deletes);
+                    v.truncate(new_len);
                     v
                 },
                 BatchSize::LargeInput,

@@ -67,7 +67,10 @@ pub struct BingoEngine {
 impl BingoEngine {
     /// Build the engine from a snapshot of a dynamic graph.
     ///
-    /// Per-vertex sampling spaces are constructed in parallel.
+    /// Per-vertex sampling spaces are constructed in parallel. No edge is
+    /// copied: each space takes a handle on its vertex's adjacency block,
+    /// and whichever of the graph and the engine writes to a vertex first
+    /// while the other is alive copies that one block.
     pub fn build(graph: &DynamicGraph, config: BingoConfig) -> Result<Self> {
         Self::build_range(graph, 0..graph.num_vertices(), config)
     }
@@ -95,6 +98,7 @@ impl BingoEngine {
         let spaces: Vec<VertexSpace> = (range.start..range.end)
             .into_par_iter()
             .map(|v| {
+                // A handle on the graph's block, not a copy of it.
                 let adj = graph
                     .neighbors(v as VertexId)
                     .expect("vertex within range")

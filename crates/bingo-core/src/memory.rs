@@ -17,7 +17,8 @@ use crate::group::GroupKind;
 /// in bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryReport {
-    /// Adjacency-list storage (the graph itself).
+    /// Adjacency-list storage (the graph itself): every block referenced,
+    /// in full, whether or not another owner holds it too.
     pub adjacency_bytes: usize,
     /// Inter-group alias tables.
     pub inter_group_bytes: usize,
@@ -63,6 +64,13 @@ impl MemoryReport {
 
     /// Bytes actually held: `total_bytes()` plus the structure overhead.
     /// This is the figure to compare against allocator statistics or RSS.
+    ///
+    /// An engine shares the adjacency blocks of the graph it was built from
+    /// (and of its own clones) until one side writes to them, and a shared
+    /// block appears in the report of every owner: while the graph is
+    /// alive, what the build added to the process is `resident_bytes() -
+    /// adjacency_bytes`; once it is dropped the blocks are the engine's
+    /// alone and the engine's share of the heap is `resident_bytes()`.
     pub fn resident_bytes(&self) -> usize {
         self.total_bytes() + self.structure_bytes
     }

@@ -1,6 +1,8 @@
 //! Per-vertex sampling space (§4), in one of two representations.
 //!
-//! A [`VertexSpace`] owns one vertex's adjacency list. Above
+//! A [`VertexSpace`] holds one vertex's adjacency list — the very block of
+//! the graph it was built from, until either side writes to it (see
+//! [`AdjacencyList`]). Above
 //! [`DIRECT_MAX_DEGREE`] edges it is **factorized**: the radix groups built
 //! over the list, the decimal group for fractional bias remainders and the
 //! inter-group alias table, which give:
@@ -24,12 +26,14 @@
 //! rebuilds. With adaptation off (the paper's "BS") every vertex is
 //! factorized.
 //!
-//! The space is 72 bytes inline. A direct vertex owns one heap block, an
-//! all-integer factorized one four (an isolated vertex owns none):
+//! The space is 72 bytes inline. A direct vertex holds one heap block, an
+//! all-integer factorized one four (an isolated vertex holds none):
 //!
 //! ```text
 //! VertexSpace (72 B)
-//!  ├─ adjacency       12 B × d     destination and bias per edge
+//!  ├─ adjacency       12 B × slots destination and bias per edge, behind a
+//!  │                  + 16 B       count header: shared with the graph (and
+//!  │                               the engine's clones) until the first write
 //!  └─ factorized      boxed, 80 B  only above DIRECT_MAX_DEGREE edges (or "BS")
 //!      ├─ group headers   32 B × K     kind, count, segment offsets, alias bucket
 //!      ├─ group arena     2 B × words  member lists and inverted indices
@@ -800,7 +804,9 @@ impl VertexSpace {
     /// always have; `structure_bytes` is everything else the space occupies
     /// (the inline struct, the factorized box, the rest of the group
     /// headers, arena holes and slack), so `resident_bytes()` is what the
-    /// allocator handed out.
+    /// allocator handed out for everything this space references. The
+    /// adjacency block is counted in full even while the graph or a clone
+    /// of this space holds it too.
     pub fn memory_report(&self) -> MemoryReport {
         let mut report = MemoryReport {
             adjacency_bytes: self.adj.memory_bytes(),

@@ -7,8 +7,15 @@
 //! by destination vertex and by *neighbor index* — the position in the
 //! array — because Bingo's radix groups store neighbor indices, not ids
 //! (§4.2).
+//!
+//! The array is a copy-on-write block. Cloning an [`AdjacencyList`] shares
+//! its block instead of copying it, so a graph, the engines built from it
+//! and their clones keep one copy of every vertex's edges between them. The
+//! first mutation through a handle whose block another handle can still
+//! see copies the block once; a block nobody else sees is edited in place.
 
 use crate::{Bias, VertexId};
+use std::sync::Arc;
 
 /// One outgoing edge: destination vertex and sampling bias. 12 bytes — the
 /// record every layer stores once per edge, so its size is pinned.
@@ -42,16 +49,53 @@ pub struct SwapDelete {
 }
 
 /// A dynamic adjacency list for a single vertex.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// `Clone` shares the edges (see the module docs); equality and `Debug`
+/// look at the edges only, never at the capacity or at who else holds the
+/// block.
+#[derive(Clone, Default)]
 pub struct AdjacencyList {
-    edges: Vec<Edge>,
+    /// The block: its length is the capacity, `slots[..len]` are the edges,
+    /// and nothing reads the slots past `len` (a fresh block fills them with
+    /// an invalid-bias edge). `None` until the first edge needs room. It is
+    /// written only through `Arc::get_mut` / `Arc::make_mut`, so never while
+    /// another handle holds it.
+    slots: Option<Arc<[Edge]>>,
+    len: u32,
 }
+
+// `VertexSpace` embeds one of these per vertex; it is as wide as the `Vec`
+// it replaced.
+const _: () = assert!(std::mem::size_of::<AdjacencyList>() == 24);
+
+/// The two reference counts in front of an `Arc`'s payload.
+const BLOCK_HEADER_BYTES: usize = 2 * std::mem::size_of::<usize>();
 
 /// Edges removed by [`AdjacencyList::delete_many`], paired with the
 /// neighbor index they occupied.
 pub type RemovedEdges = Vec<(usize, Edge)>;
 /// `(from, to)` index moves applied to surviving edges during compaction.
 pub type EdgeMoves = Vec<(usize, usize)>;
+
+/// Neighbor indices are 32 bits wide everywhere above this type.
+const MAX_EDGES: usize = u32::MAX as usize;
+
+/// A fresh block of `capacity` slots starting with `edges` and then `more`.
+fn new_block(edges: &[Edge], more: &[Edge], capacity: usize) -> Arc<[Edge]> {
+    assert!(
+        capacity <= MAX_EDGES,
+        "an adjacency block of {capacity} slots"
+    );
+    let pad = Edge::new(0, Bias::from_float(0.0));
+    // One allocation: `repeat_n` knows its length. Fill, then copy — both
+    // straight-line loops.
+    let mut block: Arc<[Edge]> = std::iter::repeat_n(pad, capacity).collect();
+    let slots = Arc::get_mut(&mut block).expect("a block nobody else has seen");
+    let (head, tail) = slots.split_at_mut(edges.len());
+    head.copy_from_slice(edges);
+    tail[..more.len()].copy_from_slice(more);
+    block
+}
 
 impl AdjacencyList {
     /// Create an empty adjacency list.
@@ -62,47 +106,51 @@ impl AdjacencyList {
     /// Create an adjacency list with pre-allocated capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         AdjacencyList {
-            edges: Vec::with_capacity(capacity),
+            slots: (capacity > 0).then(|| new_block(&[], &[], capacity)),
+            len: 0,
         }
     }
 
     /// Number of outgoing edges (the vertex degree).
     #[inline]
     pub fn degree(&self) -> usize {
-        self.edges.len()
+        self.len as usize
     }
 
     /// Whether the vertex has no outgoing edges.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.len == 0
     }
 
     /// The edge at neighbor index `i`.
     #[inline]
     pub fn edge(&self, i: usize) -> Option<&Edge> {
-        self.edges.get(i)
+        self.edges().get(i)
     }
 
     /// All edges in neighbor-index order.
     #[inline]
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        match &self.slots {
+            Some(slots) => &slots[..self.len as usize],
+            None => &[],
+        }
     }
 
     /// Iterator over `(neighbor_index, edge)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Edge)> {
-        self.edges.iter().enumerate()
+        self.edges().iter().enumerate()
     }
 
     /// Sum of all edge biases.
     pub fn total_bias(&self) -> f64 {
-        self.edges.iter().map(|e| e.bias.value()).sum()
+        self.edges().iter().map(|e| e.bias.value()).sum()
     }
 
     /// Maximum edge bias (0.0 when empty).
     pub fn max_bias(&self) -> f64 {
-        self.edges
+        self.edges()
             .iter()
             .map(|e| e.bias.value())
             .fold(0.0, f64::max)
@@ -110,13 +158,56 @@ impl AdjacencyList {
 
     /// Find the neighbor index of the first edge pointing at `dst`.
     pub fn find(&self, dst: VertexId) -> Option<usize> {
-        self.edges.iter().position(|e| e.dst == dst)
+        self.edges().iter().position(|e| e.dst == dst)
+    }
+
+    /// Every slot of the block, writable: the block itself when this handle
+    /// is the only one holding it, else a copy of the same capacity that
+    /// replaces it here and leaves the other holders' untouched.
+    fn slots_mut(&mut self) -> &mut [Edge] {
+        match &mut self.slots {
+            Some(slots) => Arc::make_mut(slots),
+            None => &mut [],
+        }
     }
 
     /// Append an edge, returning its neighbor index.
+    #[inline]
     pub fn push(&mut self, edge: Edge) -> usize {
-        self.edges.push(edge);
-        self.edges.len() - 1
+        let i = self.len as usize;
+        // The bounds check reads the handle only; the one uniqueness check
+        // is the only touch of the block's header. A missing, full or
+        // shared block goes out of line.
+        match &mut self.slots {
+            Some(slots) if i < slots.len() => match Arc::get_mut(slots) {
+                Some(slots) => slots[i] = edge,
+                None => self.push_slow(edge),
+            },
+            _ => self.push_slow(edge),
+        }
+        self.len += 1;
+        i
+    }
+
+    /// [`AdjacencyList::push`] when the block cannot take the edge as it is.
+    #[cold]
+    #[inline(never)]
+    fn push_slow(&mut self, edge: Edge) {
+        let i = self.len as usize;
+        let capacity = self.slots.as_ref().map_or(0, |slots| slots.len());
+        if i < capacity {
+            // Shared, with room: the copy-on-write.
+            self.slots_mut()[i] = edge;
+        } else {
+            // Full (or absent): double, as `Vec` does. Shared or not, the
+            // edges are copied once.
+            assert!(
+                i < MAX_EDGES,
+                "an adjacency list of {MAX_EDGES} edges is full"
+            );
+            let grown = (capacity * 2).clamp(4, MAX_EDGES);
+            self.slots = Some(new_block(self.edges(), &[edge], grown));
+        }
     }
 
     /// Swap-remove the edge at neighbor index `i`.
@@ -126,16 +217,18 @@ impl AdjacencyList {
     /// that stores neighbor indices (Bingo's inverted index does exactly
     /// this).
     pub fn swap_delete(&mut self, i: usize) -> Option<SwapDelete> {
-        if i >= self.edges.len() {
+        if i >= self.len as usize {
             return None;
         }
-        let last = self.edges.len() - 1;
-        let removed = self.edges.swap_remove(i);
-        let moved_from = if i < last { Some(last) } else { None };
+        let last = self.len as usize - 1;
+        let slots = self.slots_mut();
+        let removed = slots[i];
+        slots[i] = slots[last];
+        self.len -= 1;
         Some(SwapDelete {
             removed,
             removed_index: i,
-            moved_from,
+            moved_from: (i < last).then_some(last),
         })
     }
 
@@ -146,38 +239,62 @@ impl AdjacencyList {
     /// occupied) and the `(from, to)` moves applied to surviving edges, so
     /// index structures built on top of the adjacency list can be patched.
     pub fn delete_many(&mut self, neighbor_indices: &[usize]) -> (RemovedEdges, EdgeMoves) {
-        let removed: Vec<(usize, Edge)> = neighbor_indices
-            .iter()
-            .copied()
-            .filter(|&i| i < self.edges.len())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .map(|i| (i, self.edges[i]))
-            .collect();
-        let moves = crate::compaction::two_phase_delete_and_swap(&mut self.edges, neighbor_indices);
+        let len = self.len as usize;
+        let delete = crate::compaction::normalized(neighbor_indices, len);
+        if delete.is_empty() {
+            return (Vec::new(), Vec::new());
+        }
+        let edges = &mut self.slots_mut()[..len];
+        let removed = delete.iter().map(|&i| (i, edges[i])).collect();
+        let (new_len, moves) = crate::compaction::compact(edges, &delete);
+        self.len = new_len as u32;
         (removed, moves)
     }
 
     /// Replace the bias of the edge at neighbor index `i`. Returns the old
     /// bias, or `None` if out of bounds.
     pub fn set_bias(&mut self, i: usize, bias: Bias) -> Option<Bias> {
-        let edge = self.edges.get_mut(i)?;
-        let old = edge.bias;
-        edge.bias = bias;
-        Some(old)
+        if i >= self.len as usize {
+            return None;
+        }
+        Some(std::mem::replace(&mut self.slots_mut()[i].bias, bias))
     }
 
-    /// Bytes of heap memory used by this adjacency list.
+    /// Bytes of heap memory in this list's block: 12 per slot plus the
+    /// block's 16-byte count header, rounded up to the header's alignment;
+    /// 0 without a block. A block shared with other handles is counted in
+    /// full by each of them.
     pub fn memory_bytes(&self) -> usize {
-        self.edges.capacity() * std::mem::size_of::<Edge>()
+        match &self.slots {
+            Some(slots) => (BLOCK_HEADER_BYTES + slots.len() * std::mem::size_of::<Edge>())
+                .next_multiple_of(std::mem::align_of::<usize>()),
+            None => 0,
+        }
+    }
+}
+
+impl PartialEq for AdjacencyList {
+    fn eq(&self, other: &Self) -> bool {
+        self.edges() == other.edges()
+    }
+}
+
+impl std::fmt::Debug for AdjacencyList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AdjacencyList")
+            .field("edges", &self.edges())
+            .finish()
     }
 }
 
 impl FromIterator<Edge> for AdjacencyList {
     fn from_iter<T: IntoIterator<Item = Edge>>(iter: T) -> Self {
-        AdjacencyList {
-            edges: iter.into_iter().collect(),
+        let iter = iter.into_iter();
+        let mut list = AdjacencyList::with_capacity(iter.size_hint().0);
+        for edge in iter {
+            list.push(edge);
         }
+        list
     }
 }
 
@@ -291,9 +408,39 @@ mod tests {
     }
 
     #[test]
-    fn memory_grows_with_capacity() {
+    fn memory_is_the_block_with_its_header() {
         let small = AdjacencyList::with_capacity(2);
         let large = AdjacencyList::with_capacity(1000);
         assert!(large.memory_bytes() > small.memory_bytes());
+        assert_eq!(small.memory_bytes(), 16 + 2 * 12);
+        // An odd capacity pads to the header's 8-byte alignment.
+        assert_eq!(
+            AdjacencyList::with_capacity(3).memory_bytes(),
+            16 + 3 * 12 + 4
+        );
+        assert_eq!(AdjacencyList::new().memory_bytes(), 0);
+        // Growth doubles.
+        let mut adj = sample_list();
+        assert_eq!(adj.memory_bytes(), 16 + 3 * 12 + 4);
+        adj.push(Edge::new(7, Bias::from_int(2)));
+        assert_eq!(adj.memory_bytes(), 16 + 6 * 12);
+    }
+
+    #[test]
+    fn a_write_through_a_shared_handle_leaves_the_other_untouched() {
+        let mut adj = sample_list();
+        let snapshot = adj.clone();
+        adj.set_bias(0, Bias::from_int(9));
+        adj.swap_delete(1);
+        adj.push(Edge::new(7, Bias::from_int(2)));
+        assert_eq!(snapshot, sample_list());
+        assert_ne!(adj, snapshot);
+        // The copy kept the capacity; the snapshot, alone again, is written
+        // in place.
+        assert_eq!(adj.memory_bytes(), snapshot.memory_bytes());
+        let mut snapshot = snapshot;
+        drop(adj);
+        snapshot.delete_many(&[0, 2]);
+        assert_eq!(snapshot.edges(), &[Edge::new(4, Bias::from_int(4))]);
     }
 }

@@ -16,66 +16,70 @@
 //! moves are reported back so index structures built on top of the array
 //! (Bingo's radix groups and inverted indices) can be patched.
 
-/// Compact `items` by removing the entries at `delete_positions`.
+/// Compact `items` by moving the entries at `delete_positions` out of its
+/// first `new_len` slots, and return `new_len` with the moves.
 ///
-/// Returns the list of `(from, to)` moves applied to surviving entries so
-/// callers can remap any external indices. Duplicate and out-of-range
-/// positions are ignored. The relative order of surviving entries is *not*
-/// preserved (this is a swap-based compaction, like the streaming
-/// delete-and-swap).
+/// The slice keeps its length — the caller cuts it (or its own length
+/// field) to `new_len`; what is left behind it is the deleted entries. The
+/// `(from, to)` moves are those applied to surviving entries, so callers
+/// can remap any external indices. Duplicate and out-of-range positions are
+/// ignored. The relative order of surviving entries is *not* preserved
+/// (this is a swap-based compaction, like the streaming delete-and-swap).
 pub fn two_phase_delete_and_swap<T>(
-    items: &mut Vec<T>,
+    items: &mut [T],
     delete_positions: &[usize],
-) -> Vec<(usize, usize)> {
-    let len = items.len();
-    // Deduplicate and bound-check the deletion set.
-    let mut delete: Vec<usize> = delete_positions
-        .iter()
-        .copied()
-        .filter(|&p| p < len)
-        .collect();
+) -> (usize, Vec<(usize, usize)>) {
+    compact(items, &normalized(delete_positions, items.len()))
+}
+
+/// The deletion set of `positions` in an array of `len` entries: in range,
+/// ascending, each once.
+pub(crate) fn normalized(positions: &[usize], len: usize) -> Vec<usize> {
+    let mut delete: Vec<usize> = positions.iter().copied().filter(|&p| p < len).collect();
     delete.sort_unstable();
     delete.dedup();
-    let n = delete.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let tail_start = len - n;
+    delete
+}
+
+/// [`two_phase_delete_and_swap`] over a [`normalized`] deletion set.
+pub(crate) fn compact<T>(items: &mut [T], delete: &[usize]) -> (usize, Vec<(usize, usize)>) {
+    let len = items.len();
+    let tail_start = len - delete.len();
+    let (front_deletes, tail_deletes) =
+        delete.split_at(delete.partition_point(|&p| p < tail_start));
 
     // Phase 1: deletions that fall into the tail region are dropped for free
-    // when we truncate. Identify the tail survivors.
-    let mut is_deleted_tail = vec![false; n];
-    let mut front_deletes = Vec::new();
-    for &p in &delete {
-        if p >= tail_start {
-            is_deleted_tail[p - tail_start] = true;
-        } else {
-            front_deletes.push(p);
-        }
-    }
-    let tail_survivors: Vec<usize> = (tail_start..len)
-        .filter(|&p| !is_deleted_tail[p - tail_start])
-        .collect();
-    debug_assert_eq!(front_deletes.len(), tail_survivors.len());
+    // by the cut. The tail slots they do not name hold the survivors.
+    let mut doomed = tail_deletes.iter().peekable();
+    let tail_survivors = (tail_start..len).filter(|p| doomed.next_if_eq(&p).is_none());
 
     // Phase 2: fill every front hole with a tail survivor.
-    let mut moves = Vec::with_capacity(front_deletes.len());
-    for (&hole, &survivor) in front_deletes.iter().zip(tail_survivors.iter()) {
-        items.swap(hole, survivor);
-        moves.push((survivor, hole));
-    }
-    items.truncate(tail_start);
-    moves
+    let moves = front_deletes
+        .iter()
+        .zip(tail_survivors)
+        .map(|(&hole, survivor)| {
+            items.swap(hole, survivor);
+            (survivor, hole)
+        })
+        .collect();
+    (tail_start, moves)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Compact, then cut the vector to the new length.
+    fn delete_from<T>(items: &mut Vec<T>, delete: &[usize]) -> Vec<(usize, usize)> {
+        let (new_len, moves) = two_phase_delete_and_swap(items, delete);
+        items.truncate(new_len);
+        moves
+    }
+
     fn check(len: usize, delete: &[usize]) {
         let original: Vec<usize> = (0..len).collect();
         let mut items = original.clone();
-        let moves = two_phase_delete_and_swap(&mut items, delete);
+        let moves = delete_from(&mut items, delete);
         // Expected surviving set.
         let mut expected: Vec<usize> = original
             .iter()
@@ -102,7 +106,7 @@ mod tests {
     #[test]
     fn deleting_nothing_is_a_noop() {
         let mut items = vec![1, 2, 3];
-        let moves = two_phase_delete_and_swap(&mut items, &[]);
+        let moves = delete_from(&mut items, &[]);
         assert!(moves.is_empty());
         assert_eq!(items, vec![1, 2, 3]);
     }
@@ -112,7 +116,7 @@ mod tests {
         // Figure 10(b): 10 elements, delete entry 0 while entry 9 is also
         // deleted — entry 9 must NOT be used as filler.
         let mut items: Vec<usize> = (0..10).collect();
-        let moves = two_phase_delete_and_swap(&mut items, &[0, 9]);
+        let moves = delete_from(&mut items, &[0, 9]);
         assert_eq!(items.len(), 8);
         assert!(!items.contains(&0));
         assert!(!items.contains(&9));
@@ -124,7 +128,7 @@ mod tests {
     #[test]
     fn all_deletions_in_tail_produce_no_moves() {
         let mut items: Vec<usize> = (0..6).collect();
-        let moves = two_phase_delete_and_swap(&mut items, &[4, 5]);
+        let moves = delete_from(&mut items, &[4, 5]);
         assert!(moves.is_empty());
         assert_eq!(items, vec![0, 1, 2, 3]);
     }
@@ -132,7 +136,7 @@ mod tests {
     #[test]
     fn all_deletions_in_front_move_tail_forward() {
         let mut items: Vec<usize> = (0..6).collect();
-        let moves = two_phase_delete_and_swap(&mut items, &[0, 1]);
+        let moves = delete_from(&mut items, &[0, 1]);
         assert_eq!(moves.len(), 2);
         assert_eq!(items.len(), 4);
         assert!(!items.contains(&0) && !items.contains(&1));
@@ -141,7 +145,7 @@ mod tests {
     #[test]
     fn delete_everything() {
         let mut items: Vec<usize> = (0..5).collect();
-        let moves = two_phase_delete_and_swap(&mut items, &[0, 1, 2, 3, 4]);
+        let moves = delete_from(&mut items, &[0, 1, 2, 3, 4]);
         assert!(items.is_empty());
         assert!(moves.is_empty());
     }
@@ -149,7 +153,7 @@ mod tests {
     #[test]
     fn duplicates_and_out_of_range_are_ignored() {
         let mut items: Vec<usize> = (0..4).collect();
-        let moves = two_phase_delete_and_swap(&mut items, &[1, 1, 99]);
+        let moves = delete_from(&mut items, &[1, 1, 99]);
         assert_eq!(items.len(), 3);
         assert!(!items.contains(&1));
         assert_eq!(moves, vec![(3, 1)]);

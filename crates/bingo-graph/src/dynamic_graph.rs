@@ -226,7 +226,10 @@ impl DynamicGraph {
             .flat_map(|(v, adj)| adj.edges().iter().map(move |e| (v as VertexId, e)))
     }
 
-    /// Total heap memory used by adjacency storage.
+    /// Total heap memory used by adjacency storage: every vertex's block
+    /// (see [`AdjacencyList::memory_bytes`]) and the inline handles. A clone
+    /// of the graph, or an engine built from it, shares the blocks until one
+    /// side writes to them; a shared block appears in both reports.
     pub fn memory_bytes(&self) -> usize {
         self.adjacency
             .iter()

@@ -1,22 +1,28 @@
 //! What the engine holds after a long run of balanced update batches,
 //! against what it held when it was built.
 //!
-//! An exact-size build leaves no room to grow: the first insert into a
-//! vertex doubles its adjacency array, full group segments move to the
-//! arena's tail with half again their capacity and leave holes. This binary
-//! applies 200 batches that keep the edge count level and pins how far the
+//! A build leaves the group arenas no room to grow: full group segments
+//! move to the arena's tail with half again their capacity and leave holes.
+//! The adjacency blocks are the ones the graph's own inserts grew (the
+//! engine shares them, and owns them once the graph is dropped), so they
+//! start with that slack and double when it is used up. This binary applies
+//! 200 batches that keep the edge count level and pins how far the
 //! footprint has drifted by then — as a ceiling relative to the post-build
 //! figure, and still equal to the allocator's own count (its own binary,
 //! one test, for the same reason as `memory_accounting.rs`). It is a gauge
-//! for work on growth policies, not a steady state: five times the events
-//! per batch reach 1.69x.
+//! for work on growth policies, not a steady state.
 //!
 //! Readings: with radix groups on every vertex 6 861 434 B built,
 //! 9 130 154 B after the churn (1.331x, ceiling 1.40). With vertices of at
 //! most 16 edges stored direct — 14 797 of this graph's 16 384 — 4 685 272 B
 //! built, 6 160 404 B after (1.315x): both ends shrink by a third, and the
-//! ratio barely moves, because what grows under churn is the adjacency
-//! arrays (1.97 -> 3.04 MB either way), not the groups. The ceiling keeps
+//! ratio barely moves, because what grew under churn was the adjacency
+//! arrays (an exact-size copy of the graph's, 1.97 -> 3.04 MB either way),
+//! not the groups. With the graph's own blocks instead of that copy
+//! 5 740 280 B built, 6 453 164 B after (1.124x; adjacency 3.02 -> 3.34 MB):
+//! the build is larger by the slack the graph's copy used to carry beside
+//! the engine's, the churned figure by 5 %, and the ratio falls because the
+//! first insert into a vertex no longer doubles anything. The ceiling keeps
 //! the same 5 % over the reading.
 
 mod common;
@@ -31,7 +37,7 @@ const BATCHES: usize = 200;
 /// have seen an insert.
 const BATCH_EVENTS: usize = 160;
 /// Resident bytes after the churn, over resident bytes after the build.
-const CEILING: f64 = 1.38;
+const CEILING: f64 = 1.18;
 /// Inserts and rewrites draw from the law the graph was built with, so the
 /// churn changes which edges exist, not what kind of graph it is.
 const BIASES: BiasDistribution = BiasDistribution::PowerLaw {
@@ -51,14 +57,19 @@ fn balanced_churn_keeps_the_footprint_within_its_ceiling() {
     }
     .generate(BIASES, &mut rng);
     let n = graph.num_vertices() as VertexId;
+    let edges = graph.num_edges();
     let mut live_edges: Vec<(VertexId, VertexId)> =
         graph.edges().map(|(s, e)| (s, e.dst)).collect();
     // The first parallel build starts the worker pool, which keeps what it
     // allocates.
     drop(BingoEngine::build(&graph, BingoConfig::default()).unwrap());
 
-    let before = live();
+    // The engine shares the graph's adjacency blocks; with the graph gone
+    // they are its alone, and every update below edits them in place.
+    let with_graph = live();
     let mut engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
+    let before = with_graph - graph.memory_bytes();
+    drop(graph);
     let built = engine.memory_report().resident_bytes();
     assert_eq!(built, live() - before);
 
@@ -88,7 +99,7 @@ fn balanced_churn_keeps_the_footprint_within_its_ceiling() {
         let outcome = engine.apply_batch(&UpdateBatch::new(events));
         assert_eq!(outcome.missing_deletes, 0);
     }
-    assert_eq!(engine.num_edges(), graph.num_edges());
+    assert_eq!(engine.num_edges(), edges);
     engine.check_invariants().unwrap();
 
     let report = engine.memory_report();

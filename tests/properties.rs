@@ -15,6 +15,9 @@
 //!   never as a side effect, and every change is one counted rebuild.
 //! * The two-phase delete-and-swap compaction preserves exactly the
 //!   surviving elements and reports valid moves.
+//! * A copy-on-write `AdjacencyList` behaves as a plain `Vec<Edge>` under
+//!   any interleaving of writes, clones and drops, and a clone never sees
+//!   a write made through another handle.
 //! * Alias tables and CDF tables stay consistent under arbitrary weights.
 
 use bingo::core::vertex_space::{VertexSpace, DIRECT_DEMOTE_DEGREE, DIRECT_MAX_DEGREE};
@@ -224,7 +227,8 @@ fn two_phase_compaction_preserves_survivors() {
             .collect();
         let original: Vec<usize> = (0..len).collect();
         let mut items = original.clone();
-        let moves = two_phase_delete_and_swap(&mut items, &deletes);
+        let (new_len, moves) = two_phase_delete_and_swap(&mut items, &deletes);
+        items.truncate(new_len);
         let delete_set: std::collections::HashSet<usize> =
             deletes.iter().copied().filter(|&d| d < len).collect();
         let mut expected: Vec<usize> = original
@@ -241,6 +245,174 @@ fn two_phase_compaction_preserves_survivors() {
             assert!(from >= items.len(), "case {case}");
         }
     }
+}
+
+fn random_edge(rng: &mut Pcg64) -> Edge {
+    let bias = if rng.gen_bool(0.5) {
+        Bias::from_int(rng.gen_range(1..1000u64))
+    } else {
+        Bias::from_float(rng.gen_range(0.01..50.0f64))
+    };
+    Edge::new(rng.gen_range(0..64u32), bias)
+}
+
+/// The list equals its model through every read accessor.
+fn assert_matches_model(list: &AdjacencyList, model: &[Edge], context: &str) {
+    assert_eq!(list.edges(), model, "{context}");
+    assert_eq!(list.degree(), model.len(), "{context}");
+    assert_eq!(list.is_empty(), model.is_empty(), "{context}");
+    assert_eq!(list.edge(model.len()), None, "{context}");
+    assert_eq!(list.edge(0), model.first(), "{context}");
+    let dst = model.last().map_or(0, |e| e.dst);
+    assert_eq!(
+        list.find(dst),
+        model.iter().position(|e| e.dst == dst),
+        "{context}"
+    );
+}
+
+/// An `AdjacencyList` shares its block with its clones and copies it on the
+/// first write through a shared handle. Whatever the interleaving of
+/// `push` / `swap_delete` / `delete_many` / `set_bias` / `clone` / dropping
+/// a clone / carrying on through a clone instead, the list is the `Vec` a
+/// plain implementation would hold, and every clone still alive is the
+/// snapshot taken when it was cloned.
+#[test]
+fn adjacency_list_is_a_vec_and_its_clones_are_snapshots() {
+    for case in 0..CASES {
+        let mut rng = Pcg64::seed_from_u64(0xC0E0_0000 + case);
+        let mut list = match case % 3 {
+            0 => AdjacencyList::new(),
+            1 => AdjacencyList::with_capacity(rng.gen_range(0..40usize)),
+            _ => (0..rng.gen_range(0..40u32))
+                .map(|_| random_edge(&mut rng))
+                .collect(),
+        };
+        let mut model: Vec<Edge> = list.edges().to_vec();
+        let mut clones: Vec<(AdjacencyList, Vec<Edge>)> = Vec::new();
+        for step in 0..300 {
+            let context = format!("case {case} step {step}");
+            match rng.gen_range(0..10u32) {
+                0..=3 => {
+                    let edge = random_edge(&mut rng);
+                    assert_eq!(list.push(edge), model.len(), "{context}");
+                    model.push(edge);
+                }
+                4 => {
+                    let i = rng.gen_range(0..model.len() + 2);
+                    let out = list.swap_delete(i);
+                    if i < model.len() {
+                        let last = model.len() - 1;
+                        let out = out.expect("in range");
+                        assert_eq!(out.removed, model.swap_remove(i), "{context}");
+                        assert_eq!(out.removed_index, i, "{context}");
+                        assert_eq!(out.moved_from, (i < last).then_some(last), "{context}");
+                    } else {
+                        assert_eq!(out, None, "{context}");
+                    }
+                }
+                5 => {
+                    // Duplicates and out-of-range positions included.
+                    let positions: Vec<usize> = (0..rng.gen_range(0..8usize))
+                        .map(|_| rng.gen_range(0..model.len() + 3))
+                        .collect();
+                    let (removed, moves) = list.delete_many(&positions);
+                    let mut expected: Vec<usize> = positions
+                        .iter()
+                        .copied()
+                        .filter(|&i| i < model.len())
+                        .collect();
+                    expected.sort_unstable();
+                    expected.dedup();
+                    let expected: Vec<(usize, Edge)> =
+                        expected.into_iter().map(|i| (i, model[i])).collect();
+                    assert_eq!(removed, expected, "{context}");
+                    // The moves say where every displaced survivor went;
+                    // nothing else changed place.
+                    let before = model.clone();
+                    model.truncate(before.len() - removed.len());
+                    for (from, to) in moves {
+                        assert!(from >= model.len(), "{context}");
+                        model[to] = before[from];
+                    }
+                }
+                6 => {
+                    let i = rng.gen_range(0..model.len() + 2);
+                    let bias = random_edge(&mut rng).bias;
+                    let old = list.set_bias(i, bias);
+                    match model.get_mut(i) {
+                        Some(edge) => {
+                            assert_eq!(old, Some(edge.bias), "{context}");
+                            edge.bias = bias;
+                        }
+                        None => assert_eq!(old, None, "{context}"),
+                    }
+                }
+                7 => clones.push((list.clone(), model.clone())),
+                8 => {
+                    if !clones.is_empty() {
+                        clones.swap_remove(rng.gen_range(0..clones.len()));
+                    }
+                }
+                _ => {
+                    // Carry on through a clone; the list so far becomes one
+                    // of the snapshots.
+                    if !clones.is_empty() {
+                        let k = rng.gen_range(0..clones.len());
+                        let (other, snapshot) = &mut clones[k];
+                        std::mem::swap(&mut list, other);
+                        std::mem::swap(&mut model, snapshot);
+                    }
+                }
+            }
+            assert_matches_model(&list, &model, &context);
+            for (clone, snapshot) in &clones {
+                assert_matches_model(clone, snapshot, &context);
+            }
+        }
+    }
+}
+
+/// Capacity, and whatever deleted edges left in the slots past the length,
+/// are invisible: construction, equality and `Debug` see the edges only.
+#[test]
+fn adjacency_list_shows_only_its_live_edges() {
+    let mut rng = Pcg64::seed_from_u64(0xC0E1_0000);
+    let edges: Vec<Edge> = (0..23).map(|_| random_edge(&mut rng)).collect();
+
+    let roomy = AdjacencyList::with_capacity(100);
+    assert_matches_model(&roomy, &[], "with_capacity");
+    assert_eq!(roomy, AdjacencyList::new());
+    assert!(roomy.memory_bytes() > 0 && AdjacencyList::new().memory_bytes() == 0);
+    assert_eq!(AdjacencyList::with_capacity(0).memory_bytes(), 0);
+
+    let collected: AdjacencyList = edges.iter().copied().collect();
+    assert_matches_model(&collected, &edges, "collect");
+    // An iterator that cannot say how long it is collects to the same list.
+    let filtered: AdjacencyList = edges.iter().copied().filter(|_| true).collect();
+    assert_eq!(filtered, collected);
+
+    // The same edges reached another way: more capacity, and slots past
+    // the length that once held other edges.
+    let mut worn = roomy;
+    for &edge in &edges {
+        worn.push(edge);
+    }
+    for _ in 0..9 {
+        worn.push(random_edge(&mut rng));
+    }
+    worn.delete_many(&(23..30).collect::<Vec<_>>());
+    worn.swap_delete(24);
+    worn.swap_delete(23);
+    assert_ne!(worn.memory_bytes(), collected.memory_bytes());
+    assert_eq!(worn, collected);
+    assert_eq!(format!("{worn:?}"), format!("{collected:?}"));
+    assert!(format!("{collected:?}").matches("Edge {").count() == edges.len());
+
+    let mut shorter = collected.clone();
+    shorter.swap_delete(22);
+    assert_ne!(shorter, collected);
+    assert_eq!(collected.degree(), 23);
 }
 
 /// Alias tables and CDF tables agree on the total weight and only produce
