@@ -77,7 +77,8 @@ pub fn fig11(config: &ExperimentConfig) -> ResultTable {
     }
     table.notes.push(format!(
         "GA keeps no groups on a vertex of at most {DIRECT_MAX_DEGREE} edges (direct); \
-         GA_* and ratio_* cover the rest. Direct vertices: {}",
+         GA_* and ratio_* cover the rest, and both totals include the edge indices of the \
+         factorized vertices. Direct vertices: {}",
         direct.join(", ")
     ));
     table

@@ -44,13 +44,6 @@ pub struct BingoConfig {
     /// Batched updates always reclassify once per touched vertex during the
     /// rebuild phase.
     pub reclassify_on_streaming: bool,
-    /// Size of the engine's hot-hub context cache: the top-k owned vertices
-    /// by degree whose adjacency fingerprints are pre-built once per engine
-    /// generation and handed out as `Arc` clones
-    /// (`BingoEngine::context_fingerprint`). `0` disables pre-building
-    /// (every fingerprint is encoded on demand). Only read on the
-    /// forwarded-context path, so first-order workloads are unaffected.
-    pub context_hot_hubs: usize,
 }
 
 impl Default for BingoConfig {
@@ -62,7 +55,6 @@ impl Default for BingoConfig {
             beta_percent: 10.0,
             lambda: Lambda::Auto,
             reclassify_on_streaming: true,
-            context_hot_hubs: 64,
         }
     }
 }

@@ -58,10 +58,40 @@ pub struct BingoEngine {
     /// Group-representation checks and conversions of every update so far
     /// (Table 4); the spaces report them per update and keep none.
     conversions: ConversionMatrix,
-    /// Hot-hub fingerprint cache for the forwarded-context path; lazily
-    /// built, and a structural edge mutation evicts only the vertices it
-    /// touched (bias-only reweights evict nothing).
+    /// Tally of the fingerprints encoded for the forwarded-context path.
     context: ContextProvider,
+    /// The work lists of [`BingoEngine::apply_batch`], empty between
+    /// batches and kept for their capacity.
+    scratch: BatchScratch,
+}
+
+/// What [`BingoEngine::apply_batch`] sorts a batch into.
+#[derive(Debug, Clone, Default)]
+struct BatchScratch {
+    /// One key per owned event: local source above the event's position in
+    /// the batch.
+    keys: Vec<u64>,
+    /// Per-vertex insert and delete lists, back to back.
+    inserts: Vec<(VertexId, Bias)>,
+    deletes: Vec<VertexId>,
+    /// (local source, end of its inserts, end of its deletes), ascending.
+    runs: Vec<(usize, usize, usize)>,
+}
+
+impl BatchScratch {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.inserts.clear();
+        self.deletes.clear();
+        self.runs.clear();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.keys) + bytes(&self.inserts) + bytes(&self.deletes) + bytes(&self.runs)
+    }
 }
 
 impl BingoEngine {
@@ -143,6 +173,7 @@ impl BingoEngine {
             stats,
             conversions: ConversionMatrix::new(),
             context: ContextProvider::default(),
+            scratch: BatchScratch::default(),
         }
     }
 
@@ -151,6 +182,7 @@ impl BingoEngine {
     fn absorb(&mut self, outcome: &VertexUpdateOutcome) {
         self.stats.inter_rebuilds += u64::from(outcome.inter_rebuilds);
         self.stats.full_rebuilds += u64::from(outcome.full_rebuilds);
+        self.stats.edges_scanned += outcome.edges_scanned;
         self.conversions.merge(&outcome.conversions);
     }
 
@@ -230,17 +262,17 @@ impl BingoEngine {
         }
     }
 
-    /// Whether the edge `(src, dst)` exists.
+    /// Whether the edge `(src, dst)` exists: one probe of `src`'s edge
+    /// index, or a scan of its at most 16 edges if it keeps none.
     pub fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
         self.local(src)
-            .map(|i| self.spaces[i].adjacency().find(dst).is_some())
-            .unwrap_or(false)
+            .is_some_and(|i| self.spaces[i].has_edge(dst))
     }
 
     /// Bias of the first edge `(src, dst)`, if present.
     pub fn edge_bias(&self, src: VertexId, dst: VertexId) -> Option<f64> {
         let space = &self.spaces[self.local(src)?];
-        let idx = space.adjacency().find(dst)?;
+        let idx = space.find(dst)?;
         space.adjacency().edge(idx).map(|e| e.bias.value())
     }
 
@@ -255,109 +287,33 @@ impl BingoEngine {
     /// fingerprint a sharded deployment attaches to forwarded second-order
     /// walkers (membership queries against a vertex another shard owns).
     /// Returns `None` when this engine does not own `v`.
-    ///
-    /// This always allocates a fresh `Vec`; the forwarded-context hot path
-    /// should use [`BingoEngine::context_fingerprint`], which serves hot
-    /// hubs from an epoch-versioned `Arc` cache instead.
     pub fn neighbor_fingerprint(&self, v: VertexId) -> Option<Vec<VertexId>> {
         let space = self.spaces.get(self.local(v)?)?;
-        Some(Self::fingerprint_of(space))
-    }
-
-    fn fingerprint_of(space: &VertexSpace) -> Vec<VertexId> {
         let mut adj: Vec<VertexId> = space.adjacency().edges().iter().map(|e| e.dst).collect();
         adj.sort_unstable();
         adj.dedup();
-        adj
+        Some(adj)
     }
 
-    fn build_hot_set(
-        spaces: &[VertexSpace],
-        base: usize,
-        k: usize,
-    ) -> std::collections::HashMap<VertexId, Arc<Vec<VertexId>>> {
-        if k == 0 || spaces.is_empty() {
-            return std::collections::HashMap::new();
-        }
-        let mut by_degree: Vec<(usize, usize)> = spaces
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.degree(), i))
-            .collect();
-        let k = k.min(by_degree.len());
-        by_degree.select_nth_unstable_by(k - 1, |a, b| b.0.cmp(&a.0));
-        by_degree.truncate(k);
-        by_degree
-            .into_iter()
-            .filter(|&(degree, _)| degree > 0)
-            .map(|(_, i)| {
-                (
-                    (base + i) as VertexId,
-                    Arc::new(Self::fingerprint_of(&spaces[i])),
-                )
-            })
-            .collect()
-    }
+    /// Does nothing: the engine pre-builds no fingerprints (see
+    /// [`crate::context`]). Kept for callers that warmed the set it used
+    /// to keep.
+    pub fn warm_context(&mut self) {}
 
-    /// The adjacency fingerprint of `v` for the forwarded-context path:
-    /// hot hubs (the top [`BingoConfig::context_hot_hubs`] owned vertices
-    /// by degree, snapshotted once and re-encoded in place when a
-    /// structural edge mutation touches them) are served as `Arc` clones;
-    /// cold vertices are encoded on demand. Returns the fingerprint and
-    /// whether it came from the hot cache. `None` when this engine does not own `v`.
-    pub fn context_fingerprint(&mut self, v: VertexId) -> Option<(Arc<Vec<VertexId>>, bool)> {
-        self.local(v)?;
-        self.warm_context();
-        self.context_fingerprint_shared(v)
-    }
-
-    /// Build and install the hot-hub fingerprint set, if it is not already
-    /// built. Sharded deployments call this once at build time, while they
-    /// still hold the engine exclusively, so the concurrent read path —
-    /// [`BingoEngine::context_fingerprint_shared`] — never needs `&mut`.
-    pub fn warm_context(&mut self) {
-        if !self.context.is_built() {
-            let hot =
-                Self::build_hot_set(&self.spaces, self.vertex_base, self.config.context_hot_hubs);
-            self.context.install_hot(hot);
-        }
-    }
-
-    /// [`BingoEngine::context_fingerprint`] through a shared reference:
-    /// serves hot hubs installed by an earlier [`BingoEngine::warm_context`]
-    /// and falls back to an on-demand cold build otherwise. Unlike the
-    /// `&mut` entry point it never builds the hot set.
+    /// [`BingoEngine::neighbor_fingerprint`] for the forwarded-context
+    /// path: behind an `Arc`, so the caller's cache and every walker it
+    /// hands the snapshot to share one copy, and counted. The flag says
+    /// whether the snapshot came pre-built, which it never does. `None`
+    /// when this engine does not own `v`.
     pub fn context_fingerprint_shared(&self, v: VertexId) -> Option<(Arc<Vec<VertexId>>, bool)> {
-        let i = self.local(v)?;
-        if let Some(fp) = self.context.get(v) {
-            return Some((fp, true));
-        }
+        let fingerprint = self.neighbor_fingerprint(v)?;
         self.context.count_cold_build();
-        Some((Arc::new(Self::fingerprint_of(&self.spaces[i])), false))
+        Some((Arc::new(fingerprint), false))
     }
 
-    /// Monotonic activity counters of the hot-hub context provider.
+    /// Monotonic activity counters of the fingerprint path.
     pub fn context_provider_stats(&self) -> ContextProviderStats {
         self.context.stats()
-    }
-
-    /// Invalidate context fingerprints after a structural mutation of the
-    /// out-adjacency of `touched` (owned, deduplicated source vertices).
-    /// Only the touched vertices' snapshots drop, and evicted hot hubs are
-    /// re-encoded in place, so untouched hubs keep their shared `Arc`s
-    /// across structural epochs.
-    fn invalidate_context_for(&mut self, touched: &[VertexId]) {
-        if !self.context.is_built() {
-            // Nothing cached yet — the first warm_context builds from the
-            // already-updated adjacency.
-            return;
-        }
-        for v in self.context.invalidate_vertices(touched) {
-            if let Some(i) = self.local(v) {
-                let fingerprint = Arc::new(Self::fingerprint_of(&self.spaces[i]));
-                self.context.refresh_hot(v, fingerprint);
-            }
-        }
     }
 
     /// Streaming edge insertion (`O(K)` for the affected vertex).
@@ -372,7 +328,6 @@ impl BingoEngine {
         self.absorb(&outcome);
         self.num_edges += 1;
         self.stats.insertions += 1;
-        self.invalidate_context_for(&[src]);
         Ok(())
     }
 
@@ -382,14 +337,10 @@ impl BingoEngine {
         self.absorb(&outcome);
         self.num_edges -= 1;
         self.stats.deletions += 1;
-        self.invalidate_context_for(&[src]);
         Ok(())
     }
 
     /// Streaming bias update of the edge `(src, dst)`.
-    ///
-    /// Context fingerprints stay valid: they are membership sets over the
-    /// neighbor ids, which a bias change never alters.
     pub fn update_bias(&mut self, src: VertexId, dst: VertexId, bias: Bias) -> Result<()> {
         let outcome = self.vertex_space_mut(src)?.update_bias(dst, bias)?;
         self.absorb(&outcome);
@@ -433,7 +384,6 @@ impl BingoEngine {
         self.absorb(&outcome);
         self.num_edges -= outcome.deleted;
         self.stats.deletions += outcome.deleted as u64;
-        self.invalidate_context_for(&[v]);
         Ok(outcome.deleted)
     }
 
@@ -474,7 +424,14 @@ impl BingoEngine {
             events.len() <= u32::MAX as usize,
             "batch positions must fit the low half of a sort key"
         );
-        let mut keys: Vec<u64> = Vec::with_capacity(events.len());
+        // The lists live on the engine between batches, for their capacity.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let BatchScratch {
+            keys,
+            inserts,
+            deletes,
+            runs,
+        } = &mut scratch;
         for (at, event) in events.iter().enumerate() {
             if let Some(src) = self.local(event.src()) {
                 keys.push((src as u64) << 32 | at as u64);
@@ -485,15 +442,7 @@ impl BingoEngine {
         // Per-vertex work lists, back to back. Every owned source an event
         // names gets a run, whatever becomes of the event: each one
         // rebuilds once.
-        let mut inserts: Vec<(VertexId, Bias)> = Vec::with_capacity(keys.len());
-        let mut deletes: Vec<VertexId> = Vec::with_capacity(keys.len());
-        // (local source, end of its inserts, end of its deletes), ascending.
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-        // The vertices whose neighbor-id membership this batch changes —
-        // exactly the fingerprint-invalidation scope (bias-only touches
-        // keep membership intact and stay out of it). Ascending, distinct.
-        let mut structural_srcs: Vec<VertexId> = Vec::new();
-        for key in keys {
+        for &key in keys.iter() {
             let (src, event) = ((key >> 32) as usize, &events[key as u32 as usize]);
             if runs.last().map(|run| run.0) != Some(src) {
                 runs.push((src, 0, 0));
@@ -502,29 +451,19 @@ impl BingoEngine {
             // streaming path: an insert to a vertex outside the global id
             // space would create an edge no walk could ever follow.
             let valid_dst = |dst: VertexId| (dst as usize) < self.global_vertices;
-            let structural = match *event {
+            match *event {
                 UpdateEvent::Insert { dst, bias, .. } => {
                     if valid_dst(dst) {
                         inserts.push((dst, bias));
                     }
-                    valid_dst(dst)
                 }
-                UpdateEvent::Delete { dst, .. } => {
-                    deletes.push(dst);
-                    true
-                }
+                UpdateEvent::Delete { dst, .. } => deletes.push(dst),
                 UpdateEvent::UpdateBias { dst, bias, .. } => {
-                    // Reweights keep the neighbor-id set intact, so they do
-                    // not count as structural for fingerprint invalidation.
                     if valid_dst(dst) {
                         deletes.push(dst);
                         inserts.push((dst, bias));
                     }
-                    false
                 }
-            };
-            if structural && structural_srcs.last() != Some(&event.src()) {
-                structural_srcs.push(event.src());
             }
             let run = runs.last_mut().expect("pushed above");
             (run.1, run.2) = (inserts.len(), deletes.len());
@@ -535,7 +474,7 @@ impl BingoEngine {
         let mut work = Vec::with_capacity(runs.len());
         let (mut spaces, mut base) = (&mut self.spaces[..], 0);
         let (mut inserts_from, mut deletes_from) = (0, 0);
-        for &(src, inserts_to, deletes_to) in &runs {
+        for &(src, inserts_to, deletes_to) in runs.iter() {
             let (space, later_spaces) = std::mem::take(&mut spaces)[src - base..]
                 .split_first_mut()
                 .expect("touched sources are owned");
@@ -576,16 +515,8 @@ impl BingoEngine {
         self.stats.insertions += total.inserted as u64;
         self.stats.deletions += total.deleted as u64;
         self.stats.batches += 1;
-        if !structural_srcs.is_empty() {
-            // Inserts/deletes change neighbor-id membership, so cached
-            // fingerprints of touched vertices are stale. Empty flushes and
-            // bias-only batches leave the hot set intact — epoch ticks
-            // without adjacency changes must not evict it. The batch knows
-            // exactly which source vertices it touched, so invalidation is
-            // scoped to them (`split_by_owner`-style locality) instead of
-            // flushing every hub the batch never went near.
-            self.invalidate_context_for(&structural_srcs);
-        }
+        scratch.clear();
+        self.scratch = scratch;
         total
     }
 
@@ -606,9 +537,11 @@ impl BingoEngine {
                 a
             });
         // Each space counts its own inline bytes; the vector's spare
-        // capacity is nobody's but the engine's.
-        report.structure_bytes +=
-            (self.spaces.capacity() - self.spaces.len()) * std::mem::size_of::<VertexSpace>();
+        // capacity is nobody's but the engine's, and so are the batch work
+        // lists it keeps.
+        report.structure_bytes += (self.spaces.capacity() - self.spaces.len())
+            * std::mem::size_of::<VertexSpace>()
+            + self.scratch.heap_bytes();
         report
     }
 
@@ -967,138 +900,34 @@ mod tests {
     }
 
     #[test]
-    fn context_fingerprints_cache_hot_hubs_per_generation() {
+    fn context_fingerprints_are_encoded_on_demand_and_follow_updates() {
         let graph = random_graph(31, 120, 2400);
-        let mut engine = BingoEngine::build(
-            &graph,
-            BingoConfig {
-                context_hot_hubs: 8,
-                ..BingoConfig::default()
-            },
-        )
-        .unwrap();
+        let mut engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
         let hub = (0..120u32).max_by_key(|&v| engine.degree(v)).unwrap();
-        let cold = (0..120u32).min_by_key(|&v| engine.degree(v)).unwrap();
-        assert_ne!(hub, cold);
 
-        // The hub is served from the hot set, as the same Arc each time.
-        let (fp1, hot1) = engine.context_fingerprint(hub).unwrap();
-        let (fp2, hot2) = engine.context_fingerprint(hub).unwrap();
-        assert!(hot1 && hot2, "top-degree vertex is in the hot set");
-        assert!(
-            Arc::ptr_eq(&fp1, &fp2),
-            "hot snapshots are shared, not rebuilt"
-        );
+        let (fp1, prebuilt) = engine.context_fingerprint_shared(hub).unwrap();
+        assert!(!prebuilt, "the engine pre-builds nothing");
         assert_eq!(Some(fp1.as_ref().clone()), engine.neighbor_fingerprint(hub));
-
-        // A min-degree vertex is encoded on demand.
-        let (_, hot_cold) = engine.context_fingerprint(cold).unwrap();
-        assert!(!hot_cold, "min-degree vertex is not in an 8-entry hot set");
-
+        assert!(fp1.windows(2).all(|pair| pair[0] < pair[1]));
+        engine.warm_context();
         let stats = engine.context_provider_stats();
-        assert_eq!(stats.hot_rebuilds, 1);
-        assert_eq!(stats.hot_hits, 2);
-        assert_eq!(stats.cold_builds, 1);
+        assert_eq!((stats.hot_hits, stats.cold_builds), (0, 1));
 
-        // A mutation invalidates the touched vertex's snapshot; scoped
-        // invalidation refreshes it in place — no whole-set rebuild.
+        // Streamed and batched updates both show in the next one.
         let dst = (0..120u32).find(|&d| !engine.has_edge(hub, d)).unwrap();
         engine.insert_edge(hub, dst, Bias::from_int(3)).unwrap();
-        let (fp3, hot3) = engine.context_fingerprint(hub).unwrap();
-        assert!(hot3);
-        assert!(!Arc::ptr_eq(&fp1, &fp3), "stale snapshot dropped");
-        assert!(fp3.binary_search(&dst).is_ok(), "new edge visible");
-        let stats = engine.context_provider_stats();
-        assert_eq!(stats.hot_rebuilds, 1, "scoped eviction, not a flush");
-        assert_eq!(stats.scoped_evictions, 1);
-        assert_eq!(stats.hot_refreshes, 1);
-
-        // Batched updates invalidate too.
+        let (fp2, _) = engine.context_fingerprint_shared(hub).unwrap();
+        assert!(fp2.binary_search(&dst).is_ok(), "new edge visible");
         let batch = UpdateBatch::new(vec![UpdateEvent::Delete { src: hub, dst }]);
         engine.apply_batch(&batch);
-        let (fp4, _) = engine.context_fingerprint(hub).unwrap();
-        assert!(fp4.binary_search(&dst).is_err(), "deleted edge gone");
-        let rebuilds = engine.context_provider_stats().hot_rebuilds;
-
-        // Bias-only changes keep the cache: membership is unchanged, so
-        // both the streaming reweight and a bias-only batch must serve the
-        // same Arc without a rebuild.
-        let neighbor = fp4[0];
-        engine
-            .update_bias(hub, neighbor, Bias::from_int(7))
-            .unwrap();
-        let (fp5, _) = engine.context_fingerprint(hub).unwrap();
-        assert!(
-            Arc::ptr_eq(&fp4, &fp5),
-            "streaming reweight keeps snapshots"
-        );
-        engine.apply_batch(&UpdateBatch::new(vec![UpdateEvent::UpdateBias {
-            src: hub,
-            dst: neighbor,
-            bias: Bias::from_int(9),
-        }]));
-        let (fp6, _) = engine.context_fingerprint(hub).unwrap();
-        assert!(Arc::ptr_eq(&fp4, &fp6), "bias-only batch keeps snapshots");
-        assert_eq!(engine.context_provider_stats().hot_rebuilds, rebuilds);
+        let (fp3, _) = engine.context_fingerprint_shared(hub).unwrap();
+        assert_eq!(fp3, fp1, "deleted edge gone");
+        assert_eq!(engine.clone().context_provider_stats().cold_builds, 3);
 
         // Non-owned vertices have no fingerprint.
-        let mut shard = BingoEngine::build_range(&graph, 0..10, BingoConfig::default()).unwrap();
-        assert!(shard.context_fingerprint(50).is_none());
-    }
-
-    #[test]
-    fn scoped_invalidation_keeps_untouched_hub_snapshots() {
-        let graph = random_graph(77, 200, 4000);
-        let config = BingoConfig {
-            context_hot_hubs: 16,
-            ..BingoConfig::default()
-        };
-        let mut scoped = BingoEngine::build(&graph, config).unwrap();
-
-        let mut by_degree: Vec<VertexId> = (0..200u32).collect();
-        by_degree.sort_by_key(|&v| std::cmp::Reverse(scoped.degree(v)));
-        let (hub_a, hub_b) = (by_degree[0], by_degree[1]);
-        let (fp_a, hot_a) = scoped.context_fingerprint(hub_a).unwrap();
-        let (_, hot_b) = scoped.context_fingerprint(hub_b).unwrap();
-        assert!(hot_a && hot_b, "both top hubs in a 16-entry hot set");
-
-        // A batch touching only hub_b must leave hub_a's Arc untouched.
-        let dst = (0..200u32).find(|&d| !scoped.has_edge(hub_b, d)).unwrap();
-        let batch = UpdateBatch::new(vec![UpdateEvent::Insert {
-            src: hub_b,
-            dst,
-            bias: Bias::from_int(2),
-        }]);
-        scoped.apply_batch(&batch);
-
-        let (fp_a2, hot_a2) = scoped.context_fingerprint_shared(hub_a).unwrap();
-        assert!(hot_a2, "untouched hub stays hot without a re-warm");
-        assert!(Arc::ptr_eq(&fp_a, &fp_a2), "untouched snapshot survives");
-        let (fp_b2, hot_b2) = scoped.context_fingerprint_shared(hub_b).unwrap();
-        assert!(hot_b2, "touched hub was refreshed in place");
-        assert!(fp_b2.binary_search(&dst).is_ok(), "refresh sees the insert");
-
-        let s = scoped.context_provider_stats();
-        assert_eq!(s.hot_rebuilds, 1);
-        assert_eq!(s.scoped_evictions, 1);
-        assert_eq!(s.hot_refreshes, 1);
-    }
-
-    #[test]
-    fn context_hot_hubs_zero_disables_prebuilding() {
-        let graph = random_graph(32, 40, 400);
-        let mut engine = BingoEngine::build(
-            &graph,
-            BingoConfig {
-                context_hot_hubs: 0,
-                ..BingoConfig::default()
-            },
-        )
-        .unwrap();
-        let hub = (0..40u32).max_by_key(|&v| engine.degree(v)).unwrap();
-        let (_, hot) = engine.context_fingerprint(hub).unwrap();
-        assert!(!hot, "no hot set when disabled");
-        assert_eq!(engine.context_provider_stats().cold_builds, 1);
+        let shard = BingoEngine::build_range(&graph, 0..10, BingoConfig::default()).unwrap();
+        assert!(shard.context_fingerprint_shared(50).is_none());
+        assert_eq!(shard.context_provider_stats().cold_builds, 0);
     }
 
     #[test]

@@ -5,25 +5,30 @@
 //! same sub-bias `2^k`, so intra-group sampling is uniform. Groups are
 //! stored in one of the adaptive representations of §5.1:
 //!
-//! * **Regular** — intra-group neighbor index list plus a full inverted
-//!   index (neighbor index → position), giving `O(1)` locate/delete.
+//! * **Regular** and **sparse** (fewer than β% of the degree) — *listed*
+//!   groups: the intra-group neighbor index list plus a probe table
+//!   (neighbor index → position; `arena.rs` has the table) sized by the list,
+//!   not by the degree, giving `O(1)` locate/delete. The two kinds share
+//!   the layout and differ only in how Equation 9 classifies them.
 //! * **Dense** (more than α% of the degree) — no structure at all; sampling
 //!   rejects against the raw adjacency list and deletions only adjust a
 //!   counter.
 //! * **One-element** — just the single neighbor index.
-//! * **Sparse** (fewer than β% of the degree) — a compact member list
-//!   located by linear scan, avoiding the full-size inverted index.
 //!
-//! All groups of one vertex live in one table (`GroupTable`): a 32-byte header
-//! per group over a single arena that holds every member list and
-//! inverted index as a segment. Dense and one-element groups are header
-//! only. The header also carries the group's bucket of the inter-group
-//! alias table, so a sample reads one header and at most one arena word.
+//! All groups of one vertex live in one table (`GroupTable`): a 24-byte header
+//! per group over a single arena that holds every member list and probe
+//! table as a segment. Dense and one-element groups are header only. The
+//! header also carries the group's bucket of the inter-group alias table,
+//! so a sample reads one header and at most one arena word. One more
+//! segment of the same arena is the vertex's *edge index*, a probe table
+//! from destination to neighbor index over the whole adjacency list, which
+//! is how a delete, a bias rewrite or a membership query finds its edge
+//! without scanning the list.
 //!
 //! ```text
-//! headers  [ 2^0 | 2^1 | 2^2 | ... ]   kind, count, segment offsets, bucket
-//!              |           |  \
-//! arena    [ members 2^0 | members 2^2 | inverted 2^2 | hole | ... ]
+//! headers  [ 2^0 | 2^1 | 2^2 | ... ]   kind, count, segment offset, bucket
+//!              |           |
+//! arena    [ members, table 2^0 | members, table 2^2 | edge index | hole | ... ]
 //! ```
 //!
 //! A segment that outgrows its capacity moves to the arena's tail and
@@ -44,13 +49,13 @@
 //! The *decimal group* (§4.3) stores the fractional remainders of λ-scaled
 //! floating-point biases and is sampled by inverse-transform on demand.
 
+use crate::arena::{self, slots_for, word, word_bytes, words, ProbeTable};
 use crate::radix::MAX_GROUPS;
 use bingo_sampling::validate_weights;
 use rand::Rng;
 
-/// Sentinel for "not present" entries of an inverted index: all ones, in
-/// either width. Writing it narrow truncates it to `u16::MAX`; reading
-/// compares against [`invalid`].
+/// Sentinel for "not present" entries of the decimal group's inverted
+/// index.
 const INVALID: u32 = u32::MAX;
 
 /// Degrees from here on need wide words: a narrow word must hold every
@@ -61,30 +66,9 @@ const NARROW_LIMIT: usize = u16::MAX as usize;
 /// A wide table rebuilt from scratch below this degree becomes narrow again.
 const DEMOTE_BELOW: usize = 1 << 15;
 
-/// The sentinel as [`word`] reads it back.
-#[inline]
-fn invalid(wide: bool) -> u32 {
-    if wide {
-        INVALID
-    } else {
-        u32::from(u16::MAX)
-    }
-}
-
-/// Word `i` of an arena.
-#[inline]
-fn word(arena: &[u16], wide: bool, i: usize) -> u32 {
-    if wide {
-        u32::from(arena[2 * i]) | u32::from(arena[2 * i + 1]) << 16
-    } else {
-        u32::from(arena[i])
-    }
-}
-
-/// Words `off..off + len` of an arena.
-fn words(arena: &[u16], wide: bool, off: u32, len: u32) -> impl Iterator<Item = u32> + '_ {
-    (off as usize..(off + len) as usize).map(move |i| word(arena, wide, i))
-}
+/// The largest degree a table indexes: a group segment or the edge index of
+/// such a vertex, grown by half, still has a `u32` length.
+const MAX_DEGREE: usize = (u32::MAX / 8) as usize;
 
 /// Arena words a vertex may waste before holes are worth squeezing out;
 /// keeps low-degree vertices from compacting over a handful of words.
@@ -103,7 +87,8 @@ pub enum GroupKind {
     /// Fewer than β% of the neighbors (but more than one) fall into this
     /// group.
     Sparse,
-    /// Everything else: full neighbor index list + inverted index.
+    /// Everything else. Stored like a sparse group: neighbor index list
+    /// plus a probe table over it.
     Regular,
 }
 
@@ -149,16 +134,12 @@ struct GroupSlot {
     prob: f64,
     /// Number of edges in the group.
     count: u32,
-    /// Start of the member segment in the arena. A one-element group keeps
-    /// its single neighbor index here instead.
+    /// Start of a listed group's segment in the arena: `cap` member words,
+    /// then the `slots_for(cap)` words of its probe table. A one-element
+    /// group keeps its single neighbor index here instead.
     off: u32,
-    /// Capacity of the member segment, in words.
+    /// Members the segment has room for.
     cap: u32,
-    /// Start of the inverted-index segment (regular groups only).
-    inv_off: u32,
-    /// Length of the inverted index: neighbor indices at or beyond it are
-    /// absent (regular groups only).
-    inv_cap: u32,
     kind: GroupKind,
     /// Inter-group alias bucket: the group drawn when `prob` rejects.
     alias: u8,
@@ -170,14 +151,12 @@ impl GroupSlot {
         count: 0,
         off: 0,
         cap: 0,
-        inv_off: 0,
-        inv_cap: 0,
         kind: GroupKind::Empty,
         alias: 0,
     };
 
     /// Drop the group's contents, keeping its inter-group bucket (the next
-    /// `rebuild_inter` rewrites it). Its arena segments become holes.
+    /// `rebuild_inter` rewrites it). Its arena segment becomes a hole.
     fn clear(&mut self) {
         *self = GroupSlot {
             prob: self.prob,
@@ -185,6 +164,24 @@ impl GroupSlot {
             ..GroupSlot::EMPTY
         };
     }
+
+    /// Whether the group keeps a member list and its probe table.
+    fn is_listed(&self) -> bool {
+        matches!(self.kind, GroupKind::Sparse | GroupKind::Regular)
+    }
+
+    /// The probe table (neighbor index → position) of a listed group.
+    fn table(&self) -> ProbeTable {
+        ProbeTable {
+            off: self.off + self.cap,
+            cap: slots_for(self.cap),
+        }
+    }
+}
+
+/// Arena words of a listed group's segment with room for `cap` members.
+fn segment_words(cap: u32) -> u32 {
+    cap + slots_for(cap)
 }
 
 fn weight_of(count: u32, bit: usize) -> f64 {
@@ -241,42 +238,51 @@ impl<'a> GroupView<'a> {
     /// answer `None` because membership is determined by the bias bit, which
     /// the group does not store.
     pub fn contains(&self, idx: u32) -> Option<bool> {
-        let s = self.slot;
-        match s.kind {
-            GroupKind::Regular => Some(
-                idx < s.inv_cap
-                    && word(self.arena, self.wide, (s.inv_off + idx) as usize)
-                        != invalid(self.wide),
-            ),
-            _ => self.members().map(|mut m| m.any(|m| m == idx)),
+        if self.slot.is_listed() {
+            return Some(position(self.slot, self.arena, self.wide, idx).is_some());
         }
+        self.members().map(|mut m| m.any(|m| m == idx))
     }
 
     /// Bytes this group's representation needs (the Figure 11 breakdown):
     /// a counter for dense groups, the neighbor index for one-element
-    /// groups (both `u32` header fields), the arena segments — at the
-    /// table's word size — for sparse and regular groups.
+    /// groups (both `u32` header fields), the arena segment — member list
+    /// and probe table, at the table's word size — for sparse and regular
+    /// groups.
     pub fn memory_bytes(&self) -> usize {
         let s = self.slot;
-        let words = match s.kind {
-            GroupKind::Empty => return 0,
-            GroupKind::Dense | GroupKind::OneElement => return std::mem::size_of::<u32>(),
-            GroupKind::Sparse => s.cap,
-            GroupKind::Regular => s.cap + s.inv_cap,
-        };
-        words as usize * word_bytes(self.wide)
+        match s.kind {
+            GroupKind::Empty => 0,
+            GroupKind::Dense | GroupKind::OneElement => std::mem::size_of::<u32>(),
+            GroupKind::Sparse | GroupKind::Regular => {
+                segment_words(s.cap) as usize * word_bytes(self.wide)
+            }
+        }
     }
 }
 
+/// Where neighbor `idx` sits in the listed group `slot`: its slot in the
+/// group's probe table and its position in the member list.
+fn position(slot: &GroupSlot, arena: &[u16], wide: bool, idx: u32) -> Option<(u32, u32)> {
+    slot.table()
+        .probe(arena, wide, idx)
+        .find(|&(_, pos)| word(arena, wide, (slot.off + pos) as usize) == idx)
+}
+
 /// Every radix group of one vertex: headers, the arena their segments live
-/// in, and the inter-group alias table spread over the headers.
+/// in, the edge index, and the inter-group alias table spread over the
+/// headers.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupTable {
     slots: Vec<GroupSlot>,
-    /// Member lists and inverted indices, one `u16` half per word (two when
+    /// Member lists and probe tables, one `u16` half per word (two when
     /// `wide`). The arena's end is the tail where relocated segments land;
     /// words no live segment covers are holes.
     arena: Vec<u16>,
+    /// The edge index, a segment of the arena like any other: destination
+    /// → neighbor index, one entry per edge of the adjacency list the
+    /// groups index. Edges to one destination are all in it.
+    index: ProbeTable,
     /// Alias bucket of the decimal group, the table's last candidate.
     tail_prob: f64,
     inter_rebuilds: u32,
@@ -287,15 +293,10 @@ pub(crate) struct GroupTable {
     wide: bool,
 }
 
-/// Bytes of one arena word.
-fn word_bytes(wide: bool) -> usize {
-    std::mem::size_of::<u16>() << usize::from(wide)
-}
-
 #[cfg(test)]
 thread_local! {
-    /// Arena words copied by relocations, compactions and arena growth on
-    /// this thread; the `O(K)`-per-event test reads it.
+    /// Arena words copied or re-entered by relocations, compactions and
+    /// arena growth on this thread; the `O(K)`-per-event test reads it.
     pub(crate) static RELOCATED_WORDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -305,14 +306,13 @@ fn note_relocated(_words: usize) {
     RELOCATED_WORDS.with(|c| c.set(c.get() + _words as u64));
 }
 
-/// Capacity a full segment of `cap` words moves to when it must hold
-/// `needed`.
+/// Room a full list of `cap` entries moves to when it must hold `needed`.
 fn grown(cap: u32, needed: u32) -> u32 {
     (cap + cap / 2).max(needed).max(4)
 }
 
-/// Capacity a segment with `used` live words gets at compaction: a quarter
-/// of headroom, so the next insert does not relocate it straight away.
+/// Room a list of `used` entries gets at compaction: a quarter of
+/// headroom, so the next insert does not relocate it straight away.
 fn with_headroom(used: u32) -> u32 {
     used + used / 4
 }
@@ -322,6 +322,7 @@ impl GroupTable {
         GroupTable {
             slots: Vec::new(),
             arena: Vec::new(),
+            index: ProbeTable::NONE,
             tail_prob: 1.0,
             inter_rebuilds: 0,
             tail_alias: 0,
@@ -333,7 +334,7 @@ impl GroupTable {
     /// Whether the table, at its current width, can index a vertex of
     /// `degree` edges. When it cannot, the caller rebuilds from scratch.
     pub(crate) fn fits(&self, degree: usize) -> bool {
-        self.wide || degree < NARROW_LIMIT
+        (self.wide || degree < NARROW_LIMIT) && degree <= MAX_DEGREE
     }
 
     /// Whether arena words are 32 bits.
@@ -355,14 +356,7 @@ impl GroupTable {
 
     #[inline]
     fn set_word(&mut self, i: u32, value: u32) {
-        let i = i as usize;
-        if self.wide {
-            self.arena[2 * i] = value as u16;
-            self.arena[2 * i + 1] = (value >> 16) as u16;
-        } else {
-            debug_assert!(value == INVALID || value < u32::from(u16::MAX));
-            self.arena[i] = value as u16;
-        }
+        arena::set_word(&mut self.arena, self.wide, i as usize, value);
     }
 
     /// Arena length, in words.
@@ -414,8 +408,9 @@ impl GroupTable {
             .sum()
     }
 
-    /// Rebuild every group from scratch for a vertex of `degree` edges,
-    /// where `integer_of(idx)` is the scaled integer bias of edge `idx` and
+    /// Rebuild every group and the edge index from scratch for a vertex of
+    /// `degree` edges, where `integer_of(idx)` is the scaled integer bias
+    /// of edge `idx`, `dst_of(idx)` its destination and
     /// `classify(cardinality)` the representation a group of that size
     /// gets. Counts first, then fills an arena allocated at exact size, in
     /// neighbor-index order. This is the one place the word width is
@@ -424,15 +419,16 @@ impl GroupTable {
         &mut self,
         degree: usize,
         integer_of: impl Fn(usize) -> u64,
+        dst_of: impl Fn(u32) -> u32,
         classify: impl Fn(usize) -> GroupKind,
     ) {
         assert!(
-            degree < INVALID as usize,
-            "neighbor indices must fit below the u32 sentinel"
+            degree <= MAX_DEGREE,
+            "a vertex of {degree} edges is past what arena offsets can index"
         );
         self.wide = degree >= NARROW_LIMIT || (self.wide && degree >= DEMOTE_BELOW);
         let mut counts = [0u32; MAX_GROUPS];
-        // Largest member of each group: sizes its inverted index.
+        // Largest member of each group: the one a one-element group keeps.
         let mut last = [0u32; MAX_GROUPS];
         let mut all_bits = 0u64;
         for idx in 0..degree {
@@ -461,39 +457,44 @@ impl GroupTable {
                 GroupKind::Sparse | GroupKind::Regular => {
                     slot.off = words as u32;
                     slot.cap = count;
-                    words += count as usize;
-                    if slot.kind == GroupKind::Regular {
-                        slot.inv_off = words as u32;
-                        slot.inv_cap = last[bit] + 1;
-                        words += slot.inv_cap as usize;
-                    }
+                    words += segment_words(count) as usize;
                 }
             }
             self.slots.push(slot);
         }
+        // (A sum past `u32` is caught below, before any offset is used.)
+        self.index = ProbeTable {
+            off: words as u32,
+            cap: slots_for(degree as u32),
+        };
+        words += self.index.cap as usize;
         assert!(
             words < u32::MAX as usize,
             "group arena must stay addressable by u32 offsets"
         );
         self.arena = vec![u16::MAX; words << self.shift()];
 
-        if words > 0 {
-            let mut cursor = [0u32; MAX_GROUPS];
-            for idx in 0..degree {
-                for bit in crate::radix::decompose(integer_of(idx)) {
-                    let slot = self.slots[bit as usize];
-                    if slot.cap == 0 {
-                        continue;
-                    }
-                    let pos = cursor[bit as usize];
-                    cursor[bit as usize] += 1;
-                    self.set_word(slot.off + pos, idx as u32);
-                    if slot.kind == GroupKind::Regular {
-                        self.set_word(slot.inv_off + idx as u32, pos);
-                    }
+        let mut cursor = [0u32; MAX_GROUPS];
+        for idx in 0..degree {
+            for bit in crate::radix::decompose(integer_of(idx)) {
+                let slot = self.slots[bit as usize];
+                if slot.cap == 0 {
+                    continue;
                 }
+                let pos = cursor[bit as usize];
+                cursor[bit as usize] += 1;
+                self.set_word(slot.off + pos, idx as u32);
             }
         }
+        // Lists first, then the tables over them: the same fill a moved or
+        // compacted segment gets.
+        for bit in 0..k {
+            let slot = self.slots[bit];
+            if slot.is_listed() {
+                self.fill_table(&slot);
+            }
+        }
+        self.fill_index(degree as u32, dst_of);
     }
 
     /// Make sure groups `0..bits` exist.
@@ -503,10 +504,10 @@ impl GroupTable {
         }
     }
 
-    /// Reserve `words` fresh words at the arena's tail, filled with the
-    /// inverted-index sentinel, and return their offset. The arena grows by
-    /// half its capacity at a time, so the copy a reallocation makes is
-    /// paid for by the words appended since the last one.
+    /// Reserve `words` fresh words at the arena's tail, all empty, and
+    /// return their offset. The arena grows by half its capacity at a
+    /// time, so the copy a reallocation makes is paid for by the words
+    /// appended since the last one.
     fn alloc(&mut self, words: u32) -> u32 {
         let off = self.arena_len();
         let end = off + words as usize;
@@ -523,56 +524,42 @@ impl GroupTable {
         off as u32
     }
 
-    /// Move a segment to a fresh `new_cap`-word segment at the tail,
-    /// copying its first `used` words. The old words become a hole.
-    fn relocate(&mut self, off: u32, used: u32, new_cap: u32) -> u32 {
-        let new_off = self.alloc(new_cap);
+    /// Enter every member of the listed group `slot` into its probe table,
+    /// which is empty.
+    fn fill_table(&mut self, slot: &GroupSlot) {
+        let table = slot.table();
+        for pos in 0..slot.count {
+            let member = self.word(slot.off + pos);
+            table.insert(&mut self.arena, self.wide, member, pos);
+        }
+        note_relocated(slot.count as usize);
+    }
+
+    /// Move the listed group `slot` to a fresh segment at the tail with
+    /// room for `cap` members: the list is copied, the probe table filled
+    /// afresh at its new size. The old words become a hole.
+    fn regrow(&mut self, slot: &mut GroupSlot, cap: u32) {
+        let off = self.alloc(segment_words(cap));
         let s = self.shift();
         self.arena.copy_within(
-            (off as usize) << s..((off + used) as usize) << s,
-            (new_off as usize) << s,
+            (slot.off as usize) << s..((slot.off + slot.count) as usize) << s,
+            (off as usize) << s,
         );
-        note_relocated(used as usize);
-        new_off
+        note_relocated(slot.count as usize);
+        (slot.off, slot.cap) = (off, cap);
+        self.fill_table(slot);
     }
 
-    /// Append `idx` to the member segment of `slot`, relocating it first if
-    /// it is full. Returns the position `idx` landed at.
-    fn push_member(&mut self, slot: &mut GroupSlot, idx: u32) -> u32 {
+    /// Append `idx` to the listed group `slot`, moving it first if it is
+    /// full.
+    fn push_member(&mut self, slot: &mut GroupSlot, idx: u32) {
         if slot.count == slot.cap {
-            let cap = grown(slot.cap, slot.count + 1);
-            slot.off = self.relocate(slot.off, slot.count, cap);
-            slot.cap = cap;
+            self.regrow(slot, grown(slot.cap, slot.count + 1));
         }
-        let pos = slot.count;
-        self.set_word(slot.off + pos, idx);
+        self.set_word(slot.off + slot.count, idx);
+        slot.table()
+            .insert(&mut self.arena, self.wide, idx, slot.count);
         slot.count += 1;
-        pos
-    }
-
-    /// Point the inverted index of the regular group `slot` at `pos` for
-    /// neighbor `idx`, growing the index if `idx` lies beyond it.
-    fn set_inverted(&mut self, slot: &mut GroupSlot, idx: u32, pos: u32) {
-        if idx >= slot.inv_cap {
-            let cap = grown(slot.inv_cap, idx + 1);
-            slot.inv_off = self.relocate(slot.inv_off, slot.inv_cap, cap);
-            slot.inv_cap = cap;
-        }
-        self.set_word(slot.inv_off + idx, pos);
-    }
-
-    /// Position of neighbor `idx` in the member segment of `slot` (sparse
-    /// groups scan, regular groups look it up).
-    fn position(&self, slot: &GroupSlot, idx: u32) -> Option<u32> {
-        match slot.kind {
-            GroupKind::Sparse => words(&self.arena, self.wide, slot.off, slot.count)
-                .position(|m| m == idx)
-                .map(|p| p as u32),
-            GroupKind::Regular if idx < slot.inv_cap => {
-                Some(self.word(slot.inv_off + idx)).filter(|&p| p != invalid(self.wide))
-            }
-            _ => None,
-        }
     }
 
     /// Add the edge with neighbor index `idx` to group `bit`.
@@ -601,19 +588,12 @@ impl GroupTable {
             GroupKind::OneElement => {
                 let first = slot.off;
                 slot.kind = GroupKind::Sparse;
-                slot.off = self.alloc(2);
-                slot.cap = 2;
-                self.set_word(slot.off, first);
-                self.set_word(slot.off + 1, idx);
-                slot.count = 2;
-            }
-            GroupKind::Sparse => {
+                slot.off = self.alloc(segment_words(2));
+                (slot.cap, slot.count) = (2, 0);
+                self.push_member(&mut slot, first);
                 self.push_member(&mut slot, idx);
             }
-            GroupKind::Regular => {
-                let pos = self.push_member(&mut slot, idx);
-                self.set_inverted(&mut slot, idx, pos);
-            }
+            GroupKind::Sparse | GroupKind::Regular => self.push_member(&mut slot, idx),
         }
         self.slots[bit] = slot;
     }
@@ -636,17 +616,25 @@ impl GroupTable {
                 slot.count = 0;
             }
             GroupKind::Sparse | GroupKind::Regular => {
-                let Some(pos) = self.position(&slot, idx) else {
+                let (table, off, wide) = (slot.table(), slot.off, self.wide);
+                let Some((at, pos)) = position(&slot, &self.arena, wide, idx) else {
                     return false;
                 };
+                // The list is whole while the table closes the gap, so
+                // every other entry still reads its key back.
+                table.remove(&mut self.arena, wide, at, |arena, pos| {
+                    word(arena, wide, (off + pos) as usize)
+                });
                 slot.count -= 1;
-                let moved = self.word(slot.off + slot.count);
-                self.set_word(slot.off + pos, moved);
-                if slot.kind == GroupKind::Regular {
-                    self.set_word(slot.inv_off + idx, INVALID);
-                    if pos < slot.count {
-                        self.set_word(slot.inv_off + moved, pos);
-                    }
+                let last = slot.count;
+                if pos < last {
+                    let moved = self.word(off + last);
+                    let (at, _) = table
+                        .probe(&self.arena, wide, moved)
+                        .find(|&(_, pos)| pos == last)
+                        .expect("every member is in its group's probe table");
+                    table.set(&mut self.arena, wide, at, pos);
+                    self.set_word(off + pos, moved);
                 }
             }
         }
@@ -663,7 +651,7 @@ impl GroupTable {
         if old_idx == new_idx {
             return;
         }
-        let mut slot = self.slots[bit];
+        let slot = &mut self.slots[bit];
         match slot.kind {
             GroupKind::Empty | GroupKind::Dense => {}
             GroupKind::OneElement => {
@@ -672,17 +660,19 @@ impl GroupTable {
                 }
             }
             GroupKind::Sparse | GroupKind::Regular => {
-                let Some(pos) = self.position(&slot, old_idx) else {
+                let (table, off, wide) = (slot.table(), slot.off, self.wide);
+                let Some((at, pos)) = position(slot, &self.arena, wide, old_idx) else {
                     return;
                 };
-                self.set_word(slot.off + pos, new_idx);
-                if slot.kind == GroupKind::Regular {
-                    self.set_word(slot.inv_off + old_idx, INVALID);
-                    self.set_inverted(&mut slot, new_idx, pos);
-                }
+                // The member is the entry's key: out under the old one, in
+                // under the new.
+                table.remove(&mut self.arena, wide, at, |arena, pos| {
+                    word(arena, wide, (off + pos) as usize)
+                });
+                self.set_word(off + pos, new_idx);
+                table.insert(&mut self.arena, wide, new_idx, pos);
             }
         }
-        self.slots[bit] = slot;
     }
 
     /// Uniformly sample a member of group `bit`. Dense groups return
@@ -701,21 +691,9 @@ impl GroupTable {
         }
     }
 
-    /// Build the inverted index of a sparse-laid-out `slot` and make it
-    /// regular.
-    fn add_inverted(&mut self, slot: &mut GroupSlot) {
-        let max = words(&self.arena, self.wide, slot.off, slot.count).max();
-        slot.inv_cap = max.map_or(0, |m| m + 1);
-        slot.inv_off = self.alloc(slot.inv_cap);
-        for pos in 0..slot.count {
-            let member = self.word(slot.off + pos);
-            self.set_word(slot.inv_off + member, pos);
-        }
-        slot.kind = GroupKind::Regular;
-    }
-
     /// Convert group `bit` to the requested representation, keeping its
-    /// members in order.
+    /// members in order. Sparse and regular groups share a layout, so going
+    /// from one to the other only renames the group.
     ///
     /// Dense groups store no members, so converting out of one recovers
     /// them by testing every neighbor index below `degree` with
@@ -742,8 +720,7 @@ impl GroupTable {
             self.slots[bit] = slot;
             return;
         }
-        // The target keeps explicit members: lay them out as a sparse
-        // segment first.
+        // The target keeps explicit members: list them first.
         match slot.kind {
             GroupKind::Dense if kind == GroupKind::OneElement => {
                 match (0..degree).find(|&i| is_member(i)) {
@@ -758,8 +735,8 @@ impl GroupTable {
                 return;
             }
             GroupKind::Dense => {
-                slot.off = self.alloc(slot.count);
                 slot.cap = slot.count;
+                slot.off = self.alloc(segment_words(slot.cap));
                 let mut found = 0;
                 for idx in (0..degree)
                     .filter(|&i| is_member(i))
@@ -769,84 +746,157 @@ impl GroupTable {
                     found += 1;
                 }
                 slot.count = found;
+                self.fill_table(&slot);
             }
             GroupKind::OneElement => {
                 let only = slot.off;
-                slot.off = self.alloc(1);
+                slot.off = self.alloc(segment_words(1));
                 slot.cap = 1;
                 self.set_word(slot.off, only);
+                self.fill_table(&slot);
             }
-            GroupKind::Regular => {
-                slot.inv_off = 0;
-                slot.inv_cap = 0;
-            }
-            GroupKind::Sparse | GroupKind::Empty => {}
+            GroupKind::Sparse | GroupKind::Regular | GroupKind::Empty => {}
         }
-        slot.kind = GroupKind::Sparse;
-        match kind {
-            GroupKind::Regular => self.add_inverted(&mut slot),
-            GroupKind::OneElement => {
-                if slot.count == 0 {
-                    slot.clear();
-                } else {
-                    slot.off = self.word(slot.off);
-                    slot.cap = 0;
-                    slot.kind = kind;
-                }
-            }
-            _ => {}
+        if slot.count == 0 {
+            slot.clear();
+        } else if kind == GroupKind::OneElement {
+            slot.off = self.word(slot.off);
+            slot.cap = 0;
+            slot.kind = kind;
+        } else {
+            slot.kind = kind;
         }
         self.slots[bit] = slot;
     }
 
-    /// Arena words the groups need for a vertex of `degree` edges: every
-    /// member, and for a regular group the inverted entries a neighbor
-    /// index can still reach.
+    /// Lowest neighbor index among the edges to `dst` (the oldest one,
+    /// wherever swap-deletes have left the others), and how many adjacency
+    /// slots — `dst_of` calls — finding it read: the length of the one
+    /// cluster `dst` probes into, whatever the degree.
+    pub(crate) fn find_edge(&self, dst: u32, dst_of: impl Fn(u32) -> u32) -> (Option<u32>, usize) {
+        let (mut lowest, mut scanned) = (None, 0);
+        for (_, idx) in self.index.probe(&self.arena, self.wide, dst) {
+            scanned += 1;
+            if dst_of(idx) == dst && lowest.is_none_or(|lowest| idx < lowest) {
+                lowest = Some(idx);
+            }
+        }
+        (lowest, scanned)
+    }
+
+    /// Whether any edge points at `dst`: [`GroupTable::find_edge`] that
+    /// stops at the first one.
+    pub(crate) fn has_edge(&self, dst: u32, dst_of: impl Fn(u32) -> u32) -> bool {
+        self.index
+            .probe(&self.arena, self.wide, dst)
+            .any(|(_, idx)| dst_of(idx) == dst)
+    }
+
+    /// Enter the edge just pushed at neighbor index `idx` — the list's
+    /// last — into the edge index. An index with no room left moves to the
+    /// tail at half again its size and is filled afresh, like a group.
+    pub(crate) fn index_insert(&mut self, idx: u32, dst_of: impl Fn(u32) -> u32) {
+        if slots_for(idx + 1) <= self.index.cap {
+            self.index
+                .insert(&mut self.arena, self.wide, dst_of(idx), idx);
+        } else {
+            let cap = slots_for(grown(idx, idx + 1));
+            self.index = ProbeTable {
+                off: self.alloc(cap),
+                cap,
+            };
+            self.fill_index(idx + 1, dst_of);
+        }
+    }
+
+    /// Enter edges `0..degree` into the edge index, which is empty.
+    fn fill_index(&mut self, degree: u32, dst_of: impl Fn(u32) -> u32) {
+        for idx in 0..degree {
+            self.index
+                .insert(&mut self.arena, self.wide, dst_of(idx), idx);
+        }
+        note_relocated(degree as usize);
+    }
+
+    /// Take the edge at neighbor index `idx` out of the edge index. The
+    /// adjacency list still holds it, and every other edge the index knows.
+    pub(crate) fn index_remove(&mut self, idx: u32, dst_of: impl Fn(u32) -> u32) {
+        let (at, _) = self
+            .index
+            .probe(&self.arena, self.wide, dst_of(idx))
+            .find(|&(_, found)| found == idx)
+            .expect("every edge is in the edge index");
+        self.index
+            .remove(&mut self.arena, self.wide, at, |_, idx| dst_of(idx));
+    }
+
+    /// The adjacency list moved the edge to `dst` from neighbor index
+    /// `old_idx` to `new_idx`.
+    pub(crate) fn index_remap(&mut self, old_idx: u32, new_idx: u32, dst: u32) {
+        let (at, _) = self
+            .index
+            .probe(&self.arena, self.wide, dst)
+            .find(|&(_, found)| found == old_idx)
+            .expect("every edge is in the edge index");
+        self.index.set(&mut self.arena, self.wide, at, new_idx);
+    }
+
+    /// Bytes of the edge index, at capacity.
+    pub(crate) fn index_bytes(&self) -> usize {
+        self.index.cap as usize * word_bytes(self.wide)
+    }
+
+    /// Arena words a vertex of `degree` edges needs: every listed group's
+    /// members and the probe table over them, and the edge index.
     fn live_words(&self, degree: usize) -> usize {
-        self.slots
-            .iter()
-            .map(|s| match s.kind {
-                GroupKind::Sparse => s.count as usize,
-                GroupKind::Regular => s.count as usize + (s.inv_cap as usize).min(degree),
-                _ => 0,
-            })
-            .sum()
+        let listed = self.slots.iter().filter(|s| s.is_listed());
+        listed
+            .map(|s| segment_words(s.count) as usize)
+            .sum::<usize>()
+            + slots_for(degree as u32) as usize
     }
 
     /// Squeeze holes and unused segment capacity out of the arena once it
-    /// is more than twice what the groups need, by copying the live words
-    /// into a fresh arena. Every member is below `degree`, so inverted
-    /// indices shrink to that length; each segment gets a quarter of
-    /// headroom, so the next insert does not relocate it straight away.
-    /// Each compaction is paid for by the relocations and removals that
-    /// built up the waste, which keeps streaming updates `O(K)` amortised.
-    pub(crate) fn reclaim(&mut self, degree: usize) {
+    /// is more than twice what a vertex of `degree` edges needs, by laying
+    /// the segments out afresh in a new arena: member lists are copied,
+    /// probe tables and the edge index filled again at their new sizes, each
+    /// with a quarter of headroom, so the next insert does not relocate it
+    /// straight away. Each compaction is paid for by the relocations and
+    /// removals that built up the waste, which keeps streaming updates
+    /// `O(K)` amortised.
+    pub(crate) fn reclaim(&mut self, degree: usize, dst_of: impl Fn(u32) -> u32) {
         let live = self.live_words(degree);
         if self.arena_capacity() <= 2 * live + RECLAIM_SLACK_WORDS {
             return;
         }
         let s = self.shift();
-        let mut packed: Vec<u16> = Vec::with_capacity((live + live / 4) << s);
-        let mut pack = |from: u32, used: u32| {
-            let (off, cap) = ((packed.len() >> s) as u32, with_headroom(used));
-            packed.extend_from_slice(
-                &self.arena[(from as usize) << s..((from + used) as usize) << s],
-            );
-            packed.resize(((off + cap) as usize) << s, u16::MAX);
-            (off, cap)
-        };
-        for slot in &mut self.slots {
-            if matches!(slot.kind, GroupKind::Sparse | GroupKind::Regular) {
-                (slot.off, slot.cap) = pack(slot.off, slot.count);
-            }
-            if slot.kind == GroupKind::Regular {
-                (slot.inv_off, slot.inv_cap) = pack(slot.inv_off, slot.inv_cap.min(degree as u32));
+        let old = std::mem::take(&mut self.arena);
+        let mut from = [0u32; MAX_GROUPS];
+        let mut words = 0;
+        for (slot, from) in self.slots.iter_mut().zip(&mut from) {
+            if slot.is_listed() {
+                (*from, slot.off, slot.cap) = (slot.off, words, with_headroom(slot.count));
+                words += segment_words(slot.cap);
             }
         }
-        self.arena = packed;
-        note_relocated(live);
+        self.index = ProbeTable {
+            off: words,
+            cap: slots_for(with_headroom(degree as u32)),
+        };
+        words += self.index.cap;
+        self.arena = vec![u16::MAX; (words as usize) << s];
+        for bit in 0..self.slots.len() {
+            let slot = self.slots[bit];
+            if slot.is_listed() {
+                let (to, from, len) = (slot.off as usize, from[bit] as usize, slot.count as usize);
+                self.arena[to << s..(to + len) << s]
+                    .copy_from_slice(&old[from << s..(from + len) << s]);
+                note_relocated(len);
+                self.fill_table(&slot);
+            }
+        }
+        self.fill_index(degree as u32, dst_of);
     }
-
     /// Rebuild the inter-group alias table in place over the group biases
     /// and the decimal group's weight (Vose's algorithm, the same
     /// construction as `bingo_sampling::AliasTable`). `O(K)`, no
@@ -955,9 +1005,11 @@ impl GroupTable {
 
     /// Check the arena layout: segments lie inside the arena and do not
     /// overlap, every member is a neighbor index below `degree`, and every
-    /// inverted index is the exact inverse of its member list.
+    /// group's probe table holds exactly the group's members, each
+    /// reachable from its home slot.
     pub(crate) fn check_layout(&self, degree: usize) -> Result<(), String> {
-        let mut segments: Vec<(usize, usize, usize)> = Vec::new();
+        let index = (self.index.off as usize, self.index.cap as usize);
+        let mut segments = vec![(index, "the edge index".to_string())];
         for (bit, s) in self.slots.iter().enumerate() {
             match s.kind {
                 GroupKind::Empty if s.count != 0 => {
@@ -970,46 +1022,51 @@ impl GroupTable {
                     if s.count == 0 || s.count > s.cap {
                         return Err(format!("group 2^{bit}: count {} cap {}", s.count, s.cap));
                     }
-                    segments.push((s.off as usize, s.cap as usize, bit));
-                    if s.kind == GroupKind::Regular {
-                        segments.push((s.inv_off as usize, s.inv_cap as usize, bit));
-                    }
+                    let segment = (s.off as usize, segment_words(s.cap) as usize);
+                    segments.push((segment, format!("group 2^{bit}")));
                 }
                 _ => {}
             }
         }
         segments.sort_unstable();
         let mut end = 0;
-        for &(off, cap, bit) in &segments {
-            if off < end || off + cap > self.arena_len() {
+        for ((off, len), owner) in &segments {
+            if *off < end || off + len > self.arena_len() {
                 return Err(format!(
-                    "group 2^{bit}: segment {off}+{cap} overlaps or leaves the arena"
+                    "segment {off}+{len} of {owner} overlaps or leaves the arena"
                 ));
             }
-            end = off + cap;
+            end = off + len;
         }
         for (bit, s) in self.slots.iter().enumerate() {
-            let Some(members) = self.view(bit).members() else {
+            let Some(mut members) = self.view(bit).members() else {
                 continue;
             };
-            for (pos, m) in members.enumerate() {
-                if m as usize >= degree {
-                    return Err(format!("group 2^{bit}: member {m} out of range"));
-                }
-                if s.kind == GroupKind::Regular
-                    && !(m < s.inv_cap && self.word(s.inv_off + m) == pos as u32)
-                {
-                    return Err(format!("group 2^{bit}: inverted index misses member {m}"));
-                }
+            if let Some(m) = members.find(|&m| m as usize >= degree) {
+                return Err(format!("group 2^{bit}: member {m} out of range"));
             }
-            if s.kind == GroupKind::Regular {
-                let inverted = words(&self.arena, self.wide, s.inv_off, s.inv_cap);
-                if inverted.filter(|&p| p != invalid(self.wide)).count() != s.count as usize {
-                    return Err(format!("group 2^{bit}: inverted index has stale entries"));
-                }
+            if s.is_listed() {
+                s.table()
+                    .check(&self.arena, self.wide, s.count, |pos| {
+                        self.word(s.off + pos)
+                    })
+                    .map_err(|e| format!("group 2^{bit}: probe table: {e}"))?;
             }
         }
         Ok(())
+    }
+
+    /// Check the edge index exactly: one entry per edge of a vertex of
+    /// `degree` edges whose destinations `dst_of` reads, each reachable
+    /// from its home slot, and nothing else.
+    pub(crate) fn check_index(
+        &self,
+        degree: usize,
+        dst_of: impl Fn(u32) -> u32,
+    ) -> Result<(), String> {
+        self.index
+            .check(&self.arena, self.wide, degree as u32, dst_of)
+            .map_err(|e| format!("edge index: {e}"))
     }
 }
 
@@ -1136,15 +1193,20 @@ mod tests {
     use bingo_sampling::{AliasTable, Sampler};
     use rand::SeedableRng;
 
-    /// A one-group table holding `members` in the given representation.
+    /// A one-group table holding `members` in the given representation,
+    /// over a vertex whose edge `idx` points at vertex `idx`. The tests
+    /// below edit the groups alone, so only the build's edge index is in
+    /// step with anything.
     fn table_of(kind: GroupKind, members: &[u32]) -> GroupTable {
         let degree = members.iter().max().map_or(0, |&m| m as usize + 1);
         let mut t = GroupTable::new();
         t.rebuild(
             degree,
             |idx| u64::from(members.contains(&(idx as u32))),
+            |idx| idx,
             |_| kind,
         );
+        t.check_index(degree, |idx| idx).unwrap();
         t
     }
 
@@ -1153,9 +1215,9 @@ mod tests {
     }
 
     #[test]
-    fn header_is_32_bytes() {
-        assert_eq!(std::mem::size_of::<GroupSlot>(), 32);
-        assert!(std::mem::size_of::<GroupTable>() <= 64);
+    fn header_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<GroupSlot>(), 24);
+        assert!(std::mem::size_of::<GroupTable>() <= 72);
     }
 
     #[test]
@@ -1205,7 +1267,7 @@ mod tests {
     }
 
     #[test]
-    fn regular_group_inverted_index_consistency() {
+    fn regular_group_probe_table_consistency() {
         let mut t = table_of(GroupKind::Regular, &[0, 3, 5]);
         assert_eq!(t.kind(0), GroupKind::Regular);
         assert_eq!(t.cardinality(0), 3);
@@ -1215,8 +1277,8 @@ mod tests {
         assert_eq!(t.view(0).contains(0), Some(false));
         assert_eq!(t.view(0).contains(5), Some(true));
         assert_eq!(members_of(&t, 0), Some(vec![5, 3]));
-        // Insert a new member beyond the inverted index and check it is
-        // findable.
+        // Insert a new member, which outgrows the exact-size segment, and
+        // check it is findable.
         t.insert(0, 9);
         assert_eq!(t.view(0).contains(9), Some(true));
         t.check_layout(10).unwrap();
@@ -1242,6 +1304,8 @@ mod tests {
         s.remap(0, 2, 9);
         assert_eq!(s.view(0).contains(9), Some(true));
         assert_eq!(s.view(0).contains(2), Some(false));
+        assert_eq!(members_of(&s, 0), Some(vec![1, 9, 3]));
+        s.check_layout(10).unwrap();
         let mut o = table_of(GroupKind::OneElement, &[4]);
         o.remap(0, 4, 8);
         assert_eq!(o.view(0).contains(8), Some(true));
@@ -1254,7 +1318,12 @@ mod tests {
         assert_eq!(t.cardinality(0), 5);
         assert_eq!(t.view(0).contains(0), None);
         assert!(t.view(0).members().is_none());
-        assert_eq!(t.heap_bytes(), std::mem::size_of::<GroupSlot>());
+        // Header and edge index: a dense group has nothing in the arena.
+        assert_eq!(
+            t.heap_bytes(),
+            std::mem::size_of::<GroupSlot>() + t.index_bytes()
+        );
+        assert_eq!(t.index_bytes(), 2 * slots_for(5) as usize);
         t.insert(0, 9);
         assert_eq!(t.cardinality(0), 6);
         assert!(t.remove(0, 9));
@@ -1319,17 +1388,33 @@ mod tests {
     }
 
     #[test]
-    fn memory_ordering_regular_vs_sparse_vs_dense() {
-        let members: Vec<u32> = (0..50).collect();
+    fn a_listed_group_costs_its_cardinality_whatever_the_degree() {
+        // Five members of a 1000-edge vertex: a sparse and a regular group
+        // are laid out alike, list and probe table, and neither pays for
+        // the degree.
+        let members = [3u32, 40, 500, 998, 999];
         let regular = table_of(GroupKind::Regular, &members);
         let sparse = table_of(GroupKind::Sparse, &members);
         let dense = table_of(GroupKind::Dense, &members);
-        assert!(regular.view(0).memory_bytes() > sparse.view(0).memory_bytes());
-        assert!(sparse.view(0).memory_bytes() > dense.view(0).memory_bytes());
-        // The build allocates the arena at exact size.
-        assert_eq!(regular.arena_capacity(), 100);
-        assert_eq!(sparse.arena_capacity(), 50);
-        assert_eq!(dense.arena_capacity(), 0);
+        let listed = 2 * (5 + slots_for(5) as usize);
+        assert_eq!(regular.view(0).memory_bytes(), listed);
+        assert_eq!(sparse.view(0).memory_bytes(), listed);
+        assert_eq!(dense.view(0).memory_bytes(), 4);
+        // The build allocates the arena at exact size: the group's segment
+        // and the edge index.
+        assert_eq!(regular.index.cap, slots_for(1000));
+        assert_eq!(regular.arena_capacity(), 5 + 8 + 1501);
+        assert_eq!(sparse.arena_capacity(), 5 + 8 + 1501);
+        assert_eq!(dense.arena_capacity(), 1501);
+        // Sparse to regular and back renames the group and moves nothing.
+        let mut t = sparse.clone();
+        RELOCATED_WORDS.with(|c| c.set(0));
+        t.convert(0, GroupKind::Regular, 1000, |_| unreachable!());
+        assert_eq!(t.kind(0), GroupKind::Regular);
+        assert_eq!(t.arena, regular.arena);
+        t.convert(0, GroupKind::Sparse, 1000, |_| unreachable!());
+        assert_eq!(t.arena, sparse.arena);
+        assert_eq!(RELOCATED_WORDS.with(|c| c.get()), 0);
     }
 
     #[test]
@@ -1340,18 +1425,20 @@ mod tests {
             t.insert(0, idx);
             t.check_layout(idx as usize + 1).unwrap();
         }
-        assert!(t.arena_len() > 400, "relocations left holes behind");
+        assert!(t.arena_len() > 800, "relocations left holes behind");
         for idx in 8..200 {
             assert!(t.remove(0, idx));
+            t.check_layout(200).unwrap();
         }
-        t.reclaim(8);
+        t.reclaim(8, |idx| idx);
         t.check_layout(8).unwrap();
+        t.check_index(8, |idx| idx).unwrap();
         assert_eq!(members_of(&t, 0).unwrap().len(), 8);
         assert!(t.arena_capacity() <= 2 * t.live_words(8) + RECLAIM_SLACK_WORDS);
         assert_eq!(
             t.arena_capacity(),
-            20,
-            "members and inverted, a quarter of headroom each"
+            10 + 16 + 16,
+            "members, their probe table and the edge index, a quarter of headroom each"
         );
     }
 
@@ -1359,12 +1446,25 @@ mod tests {
     fn width_follows_the_degree_with_hysteresis() {
         // Every other neighbor is a member: one regular group.
         let rebuilt = |t: &mut GroupTable, degree: usize| {
-            t.rebuild(degree, |idx| (idx % 2) as u64, |_| GroupKind::Regular);
+            let dst_of = |idx: u32| idx.wrapping_mul(7919) % 50_000;
+            t.rebuild(
+                degree,
+                |idx| (idx % 2) as u64,
+                dst_of,
+                |_| GroupKind::Regular,
+            );
             t.check_layout(degree).unwrap();
+            t.check_index(degree, dst_of).unwrap();
             assert_eq!(t.arena_capacity(), t.live_words(degree));
             let arena_bytes = t.heap_bytes() - std::mem::size_of::<GroupSlot>();
             assert_eq!(arena_bytes, t.arena_capacity() * word_bytes(t.is_wide()));
-            assert_eq!(t.view(0).memory_bytes(), arena_bytes);
+            assert_eq!(t.view(0).memory_bytes() + t.index_bytes(), arena_bytes);
+            // Destinations repeat: the lowest neighbor index wins.
+            let dst = dst_of(degree as u32 - 1);
+            let (found, scanned) = t.find_edge(dst, dst_of);
+            assert_eq!(found, (0..degree as u32).find(|&i| dst_of(i) == dst));
+            assert!(scanned < 64 && t.has_edge(dst, dst_of));
+            assert_eq!(t.find_edge(50_000, dst_of).0, None);
             t.is_wide()
         };
         let mut t = GroupTable::new();

@@ -7,17 +7,21 @@
 //!   (§4.1, Equations 3–4).
 //! * [`fixed`] — λ-amortized handling of floating-point biases (§4.3).
 //! * [`group`] — radix groups with the adaptive representations of §5.1
-//!   (dense / one-element / sparse / regular) and the decimal group.
+//!   (dense / one-element / sparse / regular), the decimal group, and the
+//!   per-vertex edge index (destination → neighbor index). The last and
+//!   the listed groups' own `neighbor index → position` tables are one
+//!   self-keyed probe table over arena words, used twice.
 //! * [`vertex_space`] — the per-vertex sampling space. Above 16 edges it
 //!   is the paper's two-stage one: inter-group alias table + intra-group
-//!   uniform sampling, with `O(K)` streaming updates and batched updates
-//!   that rebuild once per vertex (§4.2, §5.2). At 16 edges or fewer an
-//!   adaptive vertex is *direct*: no groups, one bounded pass per sample.
+//!   uniform sampling, with `O(K)` streaming updates — locating the edge
+//!   included — and batched updates that rebuild once per vertex (§4.2,
+//!   §5.2). At 16 edges or fewer an adaptive vertex is *direct*: no
+//!   groups, no index, one bounded pass per sample or lookup.
 //! * [`engine`] — the whole-graph engine: streaming and parallel batched
 //!   ingestion, `O(1)` neighbor sampling, memory and conversion accounting.
-//! * [`context`] — the epoch-versioned adjacency-fingerprint provider with
-//!   KnightKing-style hot-hub caches, backing the sharded service's
-//!   forwarded second-order context.
+//! * [`context`] — counters of the adjacency-fingerprint path behind the
+//!   sharded service's forwarded second-order context (the service caches
+//!   the fingerprints; the engine encodes them on demand).
 //! * [`radix_base`] — the arbitrary-radix-base extension of §9.2.
 //! * [`partition`] — 1-D partitioning and walker forwarding (§9.1).
 //!
@@ -43,43 +47,53 @@
 //! BingoEngine
 //!  └─ Vec<VertexSpace>                    72 B each, inline
 //!      ├─ adjacency       12 B × d        destination and bias per edge
-//!      └─ factorized      boxed, 80 B     only above 16 edges, or under `baseline()`
-//!          ├─ group headers   32 B × K    kind, count, segment offsets and
-//!          │                              capacities, inter-group alias bucket
+//!      └─ factorized      boxed, 88 B     only above 16 edges, or under `baseline()`
+//!          ├─ group headers   24 B × K    kind, count, segment offset and
+//!          │                              capacity, inter-group alias bucket
 //!          ├─ group arena     2 B × words one arena per vertex (4 B words
 //!          │                              from degree 2^16 − 1 on)
-//!          │    [ members 2^0 | members 2^3 | inverted 2^3 | hole | ... ]
+//!          │    [ members, table 2^0 | members, table 2^3 | edge index | hole | ... ]
 //!          └─ decimal group   boxed       only for floating-point remainders
 //! ```
 //!
 //! Builds count first and fill an exact-size arena; a segment that outgrows
 //! its capacity is relocated to the arena's tail, never shifted, and holes
 //! are squeezed out once they outweigh the live words (see
-//! [`group`]). On the 2^18-vertex, 5.24 M-edge benchmark graph, in MiB:
+//! [`group`]). A probe table costs one and a half words per entry it has
+//! room for: the edge index that much per edge, a listed group two and a
+//! half words per member where a regular group used to keep a word per
+//! *edge of the vertex* beside its list. On the 2^18-vertex, 5.24 M-edge
+//! benchmark graph, in MiB (the adjacency is the graph's own blocks from
+//! the fifth column on, and no longer the build's):
 //!
-//! | | `Vec` per group | one arena per vertex | 12-byte edges, `u16` arena words | direct vertices, 72-byte space |
-//! |---|---:|---:|---:|---:|
-//! | inline structs | 116 | 32 | 32 | 18 |
-//! | group headers | 81 | 56 (alias buckets included) | 56 | 15 |
-//! | factorized boxes | | | | 2.6 |
-//! | members + inverted | 179 | 121 | 60.5 | 56.4 |
-//! | inter-group tables | 46 | in the headers | in the headers | in the headers |
-//! | adjacency | 120 | 120 | 60 | 60 |
-//! | allocator overhead | 128 | 30 | 35 | 19 |
-//! | RSS added by `build` | 680 | 359 | 244 | 172 |
+//! | | `Vec` per group | one arena per vertex | 12-byte edges, `u16` arena words | direct vertices, 72-byte space | shared adjacency | probe tables |
+//! |---|---:|---:|---:|---:|---:|---:|
+//! | inline structs | 116 | 32 | 32 | 18 | 18 | 18 |
+//! | group headers | 81 | 56 (alias buckets included) | 56 | 15 | 15 | 11.4 |
+//! | factorized boxes | | | | 2.6 | 2.6 | 2.9 |
+//! | members + inverted / probe tables | 179 | 121 | 60.5 | 56.4 | 56.4 | 29.6 |
+//! | edge index | | | | | | 13.4 |
+//! | inter-group tables | 46 | in the headers | in the headers | in the headers | in the headers | in the headers |
+//! | adjacency | 120 | 120 | 60 | 60 | shared | shared |
+//! | allocator overhead | 128 | 30 | 35 | 19 | 18 | 17 |
+//! | RSS added by `build` | 680 | 359 | 244 | 172 | 110 | 93 |
 //!
 //! On the flat 400 000-vertex graph of the `service_deepwalk` benchmark,
-//! where 398 337 vertices have 1–16 edges, the last step takes the live
-//! heap from 142 to 64 MiB (headers 50.4 → 0.2, inline structs 48.8 → 27.5).
+//! where 398 337 vertices have 1–16 edges, the direct-vertex step takes the
+//! live heap from 142 to 64 MiB (headers 50.4 → 0.2, inline structs 48.8 →
+//! 27.5); its 1 516 factorized vertices hold 27 k edges between them, so the
+//! probe tables change nothing there.
 //!
 //! [`MemoryReport::resident_bytes`] reports the live total;
-//! [`MemoryReport::sampling_bytes`] keeps the paper's Figure 11 meaning;
+//! [`MemoryReport::sampling_bytes`] keeps the paper's Figure 11 meaning,
+//! with the edge indices ([`MemoryReport::index_bytes`]) counted in;
 //! [`MemoryReport::direct_vertices`] counts the vertices it has no groups
 //! to report for.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arena;
 pub mod config;
 pub mod context;
 pub mod engine;

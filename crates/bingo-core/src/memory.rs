@@ -26,10 +26,15 @@ pub struct MemoryReport {
     pub dense_bytes: usize,
     /// Intra-group structures of one-element groups.
     pub one_element_bytes: usize,
-    /// Intra-group structures of sparse groups.
+    /// Edge indices: the probe table from destination to neighbor index a
+    /// factorized vertex finds its edges through (a direct vertex scans
+    /// and keeps none).
+    pub index_bytes: usize,
+    /// Intra-group structures of sparse groups (member lists + the probe
+    /// tables over them).
     pub sparse_bytes: usize,
-    /// Intra-group structures of regular groups (member lists + inverted
-    /// indices).
+    /// Intra-group structures of regular groups (member lists + the probe
+    /// tables over them).
     pub regular_bytes: usize,
     /// Decimal-group structures (floating-point remainders).
     pub decimal_bytes: usize,
@@ -47,9 +52,11 @@ pub struct MemoryReport {
 
 impl MemoryReport {
     /// Total bytes used by sampling structures (excluding the adjacency
-    /// lists, which every system needs regardless of sampler).
+    /// lists, which every system needs regardless of sampler), the edge
+    /// indices that keep them updatable in `O(K)` included.
     pub fn sampling_bytes(&self) -> usize {
         self.inter_group_bytes
+            + self.index_bytes
             + self.dense_bytes
             + self.one_element_bytes
             + self.sparse_bytes
@@ -138,6 +145,7 @@ impl MemoryReport {
     pub fn merge(&mut self, other: &MemoryReport) {
         self.adjacency_bytes += other.adjacency_bytes;
         self.inter_group_bytes += other.inter_group_bytes;
+        self.index_bytes += other.index_bytes;
         self.dense_bytes += other.dense_bytes;
         self.one_element_bytes += other.one_element_bytes;
         self.sparse_bytes += other.sparse_bytes;

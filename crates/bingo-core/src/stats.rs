@@ -91,6 +91,10 @@ pub struct EngineStats {
     pub full_rebuilds: u64,
     /// Number of batches ingested.
     pub batches: u64,
+    /// Adjacency slots read while locating the edges that deletes and bias
+    /// rewrites name (streaming + batched): the scan of a direct vertex,
+    /// the edge-index probes of a factorized one.
+    pub edges_scanned: u64,
 }
 
 #[cfg(test)]

@@ -9,7 +9,10 @@
 //!
 //! * `O(1)` sampling: alias-table selection of a group followed by uniform
 //!   (or bounded-rejection, for dense groups) intra-group selection.
-//! * `O(K)` streaming insertion and deletion (K = number of radix groups).
+//! * `O(K)` streaming insertion and deletion (K = number of radix groups),
+//!   locating the edge included: the vertex's *edge index*, a probe table
+//!   from destination to neighbor index kept in the group arena, finds it
+//!   in one cluster of a few slots instead of a scan of the list.
 //! * Batched application of many updates with a single rebuild at the end,
 //!   using the two-phase delete-and-swap compaction for the deletions.
 //!
@@ -34,16 +37,21 @@
 //!  ├─ adjacency       12 B × slots destination and bias per edge, behind a
 //!  │                  + 16 B       count header: shared with the graph (and
 //!  │                               the engine's clones) until the first write
-//!  └─ factorized      boxed, 80 B  only above DIRECT_MAX_DEGREE edges (or "BS")
-//!      ├─ group headers   32 B × K     kind, count, segment offsets, alias bucket
-//!      ├─ group arena     2 B × words  member lists and inverted indices
-//!      │                               (4 B from degree 2^16 − 1 on)
+//!  └─ factorized      boxed, 88 B  only above DIRECT_MAX_DEGREE edges (or "BS")
+//!      ├─ group headers   24 B × K     kind, count, segment offset, alias bucket
+//!      ├─ group arena     2 B × words  member lists with their probe tables,
+//!      │                               and the edge index (4 B from degree
+//!      │                               2^16 − 1 on)
 //!      └─ decimal group   boxed, only while some bias has a fraction
 //! ```
 //!
+//! A direct vertex keeps no index: finding an edge among at most
+//! [`DIRECT_MAX_DEGREE`] is the scan it always was.
+//!
 //! It keeps no statistics beyond its two rebuild counters: every mutation
 //! returns a [`VertexUpdateOutcome`] with the conversions and rebuilds it
-//! caused, for the caller (normally the engine) to accumulate.
+//! caused and the adjacency slots it read to find its edges, for the caller
+//! (normally the engine) to accumulate.
 
 use crate::config::{BingoConfig, Lambda};
 use crate::fixed::{choose_lambda, ScaledBias};
@@ -88,6 +96,10 @@ pub struct VertexUpdateOutcome {
     pub full_rebuilds: u32,
     /// Rebuilds of the inter-group alias table.
     pub inter_rebuilds: u32,
+    /// Adjacency slots read while locating the edges to delete or rewrite:
+    /// the scan of a direct vertex, the edge-index probes of a factorized
+    /// one.
+    pub edges_scanned: u64,
     /// Representation checks and conversions performed (Table 4).
     pub conversions: ConversionMatrix,
 }
@@ -100,6 +112,7 @@ impl VertexUpdateOutcome {
         self.missing_deletes += other.missing_deletes;
         self.full_rebuilds += other.full_rebuilds;
         self.inter_rebuilds += other.inter_rebuilds;
+        self.edges_scanned += other.edges_scanned;
         self.conversions.merge(&other.conversions);
     }
 }
@@ -135,7 +148,8 @@ impl Classifier {
 }
 
 /// Everything only a factorized vertex needs. The methods take the
-/// adjacency list the groups index; the space keeps the two in step.
+/// adjacency list the groups and the edge index cover; the space keeps them
+/// in step.
 #[derive(Debug, Clone)]
 struct Factorized {
     groups: GroupTable,
@@ -158,8 +172,8 @@ impl Factorized {
         self.groups.total_weight() + self.decimal_weight()
     }
 
-    /// Rebuild groups and decimal group for `lambda` from the adjacency
-    /// list, then the inter-group alias table. `O(d · K)`.
+    /// Rebuild groups, edge index and decimal group for `lambda` from the
+    /// adjacency list, then the inter-group alias table. `O(d · K)`.
     fn rebuild(
         &mut self,
         edges: &[Edge],
@@ -171,6 +185,7 @@ impl Factorized {
         self.groups.rebuild(
             edges.len(),
             |idx| ScaledBias::new(edges[idx].bias, lambda).integer,
+            dst_of(edges),
             |cardinality| classifier.classify(cardinality, edges.len()),
         );
         self.decimal = None;
@@ -218,21 +233,24 @@ impl Factorized {
             });
             conversions.record(current, desired);
         }
-        self.groups.reclaim(degree);
+        self.groups.reclaim(degree, dst_of(edges));
     }
 
-    /// Insert the edge just pushed at neighbor index `idx` (the list now
-    /// holds `degree` edges) into the radix groups without touching the
-    /// inter-group alias table. Returns `true` when the insertion requires
-    /// a full rebuild instead: a floating-point bias arrived while an
-    /// automatic λ is 1, or the degree outgrew the group table's word width.
-    fn insert(&mut self, idx: u32, bias: Bias, degree: usize, lambda_auto: bool) -> bool {
+    /// Insert the edge just pushed onto `edges`, its last, into the radix
+    /// groups and the edge index without touching the inter-group alias
+    /// table. Returns `true` when the insertion requires a full rebuild
+    /// instead: a floating-point bias arrived while an automatic λ is 1, or
+    /// the degree outgrew the group table's word width.
+    fn insert(&mut self, edges: &[Edge], lambda_auto: bool) -> bool {
+        let idx = edges.len() as u32 - 1;
+        let bias = edges[idx as usize].bias;
         if !bias.is_integral() && (self.lambda - 1.0).abs() < f64::EPSILON && lambda_auto {
             return true;
         }
-        if !self.groups.fits(degree) {
+        if !self.groups.fits(edges.len()) {
             return true;
         }
+        self.groups.index_insert(idx, dst_of(edges));
         let s = ScaledBias::new(bias, self.lambda);
         self.groups.ensure(radix::groups_for_max_bias(s.integer));
         for bit in radix::decompose(s.integer) {
@@ -246,10 +264,11 @@ impl Factorized {
         false
     }
 
-    /// Remove `edge`, which sits at neighbor index `idx`, from all group
-    /// structures (the adjacency list still holds it).
-    fn remove(&mut self, idx: u32, edge: &Edge) {
-        let s = self.scaled(edge);
+    /// Remove the edge at neighbor index `idx` from all group structures
+    /// and the edge index (the adjacency list, `edges`, still holds it).
+    fn remove(&mut self, idx: u32, edges: &[Edge]) {
+        self.groups.index_remove(idx, dst_of(edges));
+        let s = self.scaled(&edges[idx as usize]);
         for bit in radix::decompose(s.integer) {
             if (bit as usize) < self.groups.len() {
                 self.groups.remove(bit as usize, idx);
@@ -266,8 +285,11 @@ impl Factorized {
     }
 
     /// Propagate an adjacency-list move of `edge` (`old_idx → new_idx`) to
-    /// all group structures.
+    /// all group structures and the edge index.
     fn remap(&mut self, old_idx: u32, new_idx: u32, edge: &Edge) {
+        if old_idx != new_idx {
+            self.groups.index_remap(old_idx, new_idx, edge.dst);
+        }
         let s = self.scaled(edge);
         for bit in radix::decompose(s.integer) {
             if (bit as usize) < self.groups.len() {
@@ -321,6 +343,12 @@ impl Factorized {
         }
         None
     }
+}
+
+/// Destination by neighbor index: how a vertex's edge index reads its keys
+/// back.
+fn dst_of(edges: &[Edge]) -> impl Fn(u32) -> VertexId + '_ {
+    move |idx| edges[idx as usize].dst
 }
 
 /// The cached bias total of a direct vertex.
@@ -576,8 +604,9 @@ impl VertexSpace {
     }
 
     /// Streaming insertion of an edge (§4.2): append to the adjacency list,
-    /// update the affected groups, rebuild the inter-group alias table.
-    /// `O(K)`. A direct vertex appends and re-adds its total, or is
+    /// enter it into the edge index, update the affected groups, rebuild
+    /// the inter-group alias table. `O(K)`, amortised over the moves of
+    /// full segments. A direct vertex appends and re-adds its total, or is
     /// factorized if the edge takes it above [`DIRECT_MAX_DEGREE`].
     pub fn insert(&mut self, dst: VertexId, bias: Bias) -> Result<VertexUpdateOutcome> {
         if !bias.is_valid() {
@@ -585,13 +614,13 @@ impl VertexSpace {
         }
         let (mut outcome, before) = self.begin();
         outcome.inserted = 1;
-        let idx = self.adj.push(Edge::new(dst, bias)) as u32;
+        self.adj.push(Edge::new(dst, bias));
         let degree = self.adj.degree();
         match self.factorized.as_mut() {
             None if degree <= DIRECT_MAX_DEGREE => self.refresh_direct_total(),
             None => self.rebuild_from_scratch(),
             Some(f) => {
-                if f.insert(idx, bias, degree, self.lambda_auto) {
+                if f.insert(self.adj.edges(), self.lambda_auto) {
                     self.rebuild_from_scratch();
                 } else {
                     self.settle_groups(self.reclassify_on_streaming, &mut outcome.conversions);
@@ -602,26 +631,28 @@ impl VertexSpace {
     }
 
     /// Streaming deletion of the edge at neighbor index `idx` (§4.2):
-    /// locate the edge in its groups via the inverted indices, swap it with
+    /// locate the edge in its groups via their probe tables, swap it with
     /// each group's tail, swap-delete it from the adjacency list, and remap
-    /// the adjacency entry that moved into the hole. `O(K)`. A direct vertex
+    /// the adjacency entry that moved into the hole — in the groups and in
+    /// the edge index. `O(K)` expected: a probe reads one cluster of its
+    /// table, whose length does not depend on the degree. A direct vertex
     /// swap-deletes and re-adds its total; a factorized one the delete
     /// leaves with [`DIRECT_DEMOTE_DEGREE`] edges becomes direct. Returns
     /// the removed edge.
     pub fn delete_at(&mut self, idx: usize) -> Result<(Edge, VertexUpdateOutcome)> {
-        let Some(&edge) = self.adj.edge(idx) else {
+        if idx >= self.adj.degree() {
             return Err(BingoError::NeighborIndexOutOfRange {
                 index: idx,
                 degree: self.adj.degree(),
             });
-        };
+        }
         let (mut outcome, before) = self.begin();
         outcome.deleted = 1;
         // The groups of a vertex about to drop them need no upkeep.
         let demotes = self.demotes_at(self.adj.degree() - 1);
         let mut groups = self.factorized.as_mut().filter(|_| !demotes);
         if let Some(f) = groups.as_mut() {
-            f.remove(idx as u32, &edge);
+            f.remove(idx as u32, self.adj.edges());
         }
         let out = self
             .adj
@@ -643,8 +674,43 @@ impl VertexSpace {
     /// Streaming deletion of the first edge pointing at `dst`. Returns the
     /// removed edge.
     pub fn delete(&mut self, dst: VertexId) -> Result<(Edge, VertexUpdateOutcome)> {
-        let idx = self.adj.find(dst).ok_or(BingoError::EdgeNotFound { dst })?;
-        self.delete_at(idx)
+        let (found, scanned) = self.find_counting(dst);
+        let idx = found.ok_or(BingoError::EdgeNotFound { dst })?;
+        let (edge, mut outcome) = self.delete_at(idx)?;
+        outcome.edges_scanned = scanned as u64;
+        Ok((edge, outcome))
+    }
+
+    /// Neighbor index of the first edge pointing at `dst` — the lowest, if
+    /// several do. A factorized vertex asks its edge index, a direct one
+    /// scans its at most [`DIRECT_MAX_DEGREE`] edges.
+    pub fn find(&self, dst: VertexId) -> Option<usize> {
+        self.find_counting(dst).0
+    }
+
+    /// [`VertexSpace::find`], and the number of adjacency slots it read:
+    /// what an update that locates this edge adds to
+    /// [`VertexUpdateOutcome::edges_scanned`].
+    pub fn find_counting(&self, dst: VertexId) -> (Option<usize>, usize) {
+        let edges = self.adj.edges();
+        match &self.factorized {
+            Some(f) => {
+                let (found, scanned) = f.groups.find_edge(dst, dst_of(edges));
+                (found.map(|idx| idx as usize), scanned)
+            }
+            None => {
+                let found = self.adj.find(dst);
+                (found, found.map_or(edges.len(), |idx| idx + 1))
+            }
+        }
+    }
+
+    /// Whether some edge points at `dst`.
+    pub fn has_edge(&self, dst: VertexId) -> bool {
+        match &self.factorized {
+            Some(f) => f.groups.has_edge(dst, dst_of(self.adj.edges())),
+            None => self.adj.find(dst).is_some(),
+        }
     }
 
     /// Update the bias of the first edge pointing at `dst`.
@@ -661,8 +727,9 @@ impl VertexSpace {
     }
 
     /// Apply a per-vertex batch of updates: all insertions first, then all
-    /// deletions through the two-phase delete-and-swap compaction, then a
-    /// single reclassify + inter-group rebuild (§5.2, Figure 10(a)). A
+    /// deletions — each located through the edge index, `O(K)` like a
+    /// streamed one — through the two-phase delete-and-swap compaction,
+    /// then a single reclassify + inter-group rebuild (§5.2, Figure 10(a)). A
     /// direct vertex only edits its adjacency list; whichever
     /// representation the vertex ends the batch in, it changes at most once.
     pub fn apply_batch(
@@ -681,51 +748,57 @@ impl VertexSpace {
             if !bias.is_valid() {
                 continue;
             }
-            let idx = self.adj.push(Edge::new(dst, bias)) as u32;
+            self.adj.push(Edge::new(dst, bias));
             if let Some(f) = self.factorized.as_mut().filter(|_| !groups_stale) {
-                groups_stale = f.insert(idx, bias, self.adj.degree(), self.lambda_auto);
+                groups_stale = f.insert(self.adj.edges(), self.lambda_auto);
             }
             outcome.inserted += 1;
         }
 
         // Phase 2: deletions. Resolve destinations to distinct neighbor
         // indices (duplicate edges are deleted oldest-first, as the paper
-        // specifies for re-inserted edges).
-        if !deletes.is_empty() {
-            let mut to_delete: Vec<usize> = Vec::with_capacity(deletes.len());
-            let mut taken = vec![false; self.adj.degree()];
-            for &dst in deletes {
-                let found = self
-                    .adj
-                    .iter()
-                    .find(|(i, e)| e.dst == dst && !taken[*i])
-                    .map(|(i, _)| i);
-                match found {
-                    Some(i) => {
-                        taken[i] = true;
-                        to_delete.push(i);
+        // specifies for re-inserted edges): the i-th delete of one
+        // destination takes the i-th lowest index pointing at it. With
+        // current groups an edge leaves them and the edge index — neighbor
+        // indices are valid until the compaction below — as soon as it is
+        // resolved, so the next lookup of its destination finds the next
+        // copy. Without them (a direct vertex, or groups a rebuild is about
+        // to replace) the lookup is a scan that skips what is already taken.
+        let mut to_delete: Vec<usize> = Vec::with_capacity(deletes.len());
+        let mut groups = self.factorized.as_mut().filter(|_| !groups_stale);
+        let edges = self.adj.edges();
+        for &dst in deletes {
+            let (found, scanned) = match groups.as_mut() {
+                Some(f) => {
+                    let (found, scanned) = f.groups.find_edge(dst, dst_of(edges));
+                    if let Some(idx) = found {
+                        f.remove(idx, edges);
                     }
-                    None => outcome.missing_deletes += 1,
+                    (found.map(|idx| idx as usize), scanned)
+                }
+                None => {
+                    let mut at = edges.iter().enumerate();
+                    let found = at.position(|(i, e)| e.dst == dst && !to_delete.contains(&i));
+                    (found, found.map_or(edges.len(), |idx| idx + 1))
+                }
+            };
+            outcome.edges_scanned += scanned as u64;
+            match found {
+                Some(idx) => to_delete.push(idx),
+                None => outcome.missing_deletes += 1,
+            }
+        }
+        if !to_delete.is_empty() {
+            // Compact the adjacency list in one two-phase pass and patch
+            // the indices of the edges it moved.
+            to_delete.sort_unstable();
+            let moves = self.adj.delete_sorted(&to_delete);
+            if let Some(f) = groups {
+                for (from, to) in moves {
+                    f.remap(from as u32, to as u32, &self.adj.edges()[to]);
                 }
             }
-            if !to_delete.is_empty() {
-                // Remove from group structures while neighbor indices are
-                // still valid, then compact the adjacency list in one
-                // two-phase pass and patch the moved indices.
-                let mut groups = self.factorized.as_mut().filter(|_| !groups_stale);
-                if let Some(f) = groups.as_mut() {
-                    for &idx in &to_delete {
-                        f.remove(idx as u32, &self.adj.edges()[idx]);
-                    }
-                }
-                let (_removed, moves) = self.adj.delete_many(&to_delete);
-                if let Some(f) = groups {
-                    for (from, to) in moves {
-                        f.remap(from as u32, to as u32, &self.adj.edges()[to]);
-                    }
-                }
-                outcome.deleted = to_delete.len();
-            }
+            outcome.deleted = to_delete.len();
         }
 
         // Phase 3: one rebuild for the whole batch.
@@ -817,6 +890,7 @@ impl VertexSpace {
             None => report.direct_vertices = 1,
             Some(f) => {
                 report.inter_group_bytes = f.groups.inter_bytes();
+                report.index_bytes = f.groups.index_bytes();
                 for g in f.groups.views() {
                     report.add_group(g.kind(), g.memory_bytes());
                 }
@@ -870,8 +944,10 @@ impl VertexSpace {
         if self.demotes_at(degree) {
             return Err(format!("factorized adaptive vertex of {degree} edges"));
         }
-        // 0. The group arena is laid out consistently.
+        // 0. The group arena is laid out consistently, and its probe tables
+        // — the groups' and the edge index — hold exactly what they should.
         f.groups.check_layout(degree)?;
+        f.groups.check_index(degree, dst_of(self.adj.edges()))?;
         // 1. Group cardinalities and memberships match the adjacency biases.
         for g in f.groups.views() {
             let bit = g.bit();
@@ -1299,7 +1375,7 @@ mod tests {
     fn a_direct_vertex_is_its_adjacency_and_72_inline_bytes() {
         assert_eq!(std::mem::size_of::<VertexSpace>(), 72);
         // The box the module's diagram draws.
-        assert_eq!(std::mem::size_of::<Factorized>(), 80);
+        assert_eq!(std::mem::size_of::<Factorized>(), 88);
         let space = vertex2_space(BingoConfig::default());
         assert!(space.is_direct());
         assert_eq!(space.num_groups(), 0);
@@ -1425,7 +1501,7 @@ mod tests {
         assert_samples_match_exact_probabilities(&space, &mut rng);
         let arena_bytes = |space: &VertexSpace| {
             let report = space.memory_report();
-            report.sparse_bytes + report.regular_bytes
+            report.sparse_bytes + report.regular_bytes + report.index_bytes
         };
         // An exact-size build: the arena is the segments, at two bytes a word.
         assert_eq!(
@@ -1520,15 +1596,18 @@ mod tests {
             space.delete_at(idx).unwrap();
         }
         space.check_invariants().unwrap();
+        // A listed group's members and the probe table over them, and the
+        // edge index over the whole list.
+        let table = |entries: usize| entries + entries / 2 + 1;
         let live: usize = space
             .groups()
             .map(|g| match g.kind() {
-                GroupKind::Sparse => g.cardinality(),
-                GroupKind::Regular => g.cardinality() + space.degree(),
+                GroupKind::Sparse | GroupKind::Regular => g.cardinality() + table(g.cardinality()),
                 _ => 0,
             })
-            .sum();
-        assert!(live > 0);
+            .sum::<usize>()
+            + table(space.degree());
+        assert!(live > table(space.degree()));
         let capacity = space.groups_table().arena_capacity();
         assert!(
             capacity <= 2 * live + 16,

@@ -244,11 +244,32 @@ impl AdjacencyList {
         if delete.is_empty() {
             return (Vec::new(), Vec::new());
         }
+        let removed = delete.iter().map(|&i| (i, self.edges()[i])).collect();
+        (removed, self.delete_sorted(&delete))
+    }
+
+    /// [`AdjacencyList::delete_many`] for a caller that has the neighbor
+    /// indices ascending, distinct and in range, and does not need the
+    /// removed edges back: allocates only the moves it returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `neighbor_indices` is not strictly ascending or names an
+    /// index at or beyond the degree.
+    pub fn delete_sorted(&mut self, neighbor_indices: &[usize]) -> EdgeMoves {
+        let len = self.len as usize;
+        assert!(
+            neighbor_indices.windows(2).all(|pair| pair[0] < pair[1])
+                && neighbor_indices.last().is_none_or(|&last| last < len),
+            "neighbor indices to delete must be ascending, distinct and below the degree"
+        );
+        if neighbor_indices.is_empty() {
+            return Vec::new();
+        }
         let edges = &mut self.slots_mut()[..len];
-        let removed = delete.iter().map(|&i| (i, edges[i])).collect();
-        let (new_len, moves) = crate::compaction::compact(edges, &delete);
+        let (new_len, moves) = crate::compaction::compact(edges, neighbor_indices);
         self.len = new_len as u32;
-        (removed, moves)
+        moves
     }
 
     /// Replace the bias of the edge at neighbor index `i`. Returns the old

@@ -610,11 +610,7 @@ impl WalkService {
         for shard_id in 0..num_shards {
             let (start, end) = partitioner.range(shard_id);
             owned_counts.push(end - start);
-            let mut engine = BingoEngine::build_range(graph, start..end, config.engine)?;
-            // Install the hot-hub fingerprint set while we still hold the
-            // engine exclusively: walkers capture forwarded context through
-            // the shared read path, which can serve but not build it.
-            engine.warm_context();
+            let engine = BingoEngine::build_range(graph, start..end, config.engine)?;
             shards.push(ShardState {
                 inbox: Mutex::new_named(VecDeque::new(), "service.shard_inbox"),
                 sched: AtomicU8::new(SCHED_IDLE),
@@ -1713,7 +1709,6 @@ impl ServiceShared {
                 }
             }
         }
-        // The engine evicts and re-encodes the touched hot hubs itself.
         let outcome = engine.apply_batch(&batch);
         let c = &self.counters[shard_id];
         c.updates_applied
@@ -1737,8 +1732,7 @@ impl ServiceShared {
     /// previous vertex — which this shard owns, because it just sampled the
     /// step that left it.
     ///
-    /// Snapshots are built at most once per `(vertex, epoch)` (hot hubs
-    /// come pre-built from the engine's context provider) and reused by
+    /// Snapshots are built at most once per `(vertex, epoch)` and reused by
     /// every walker forwarded in the same wave. What actually ships is
     /// then **negotiated with the receiver's snapshot cache**: a snapshot
     /// the receiver already holds at the same `(vertex, epoch)` ships as a true

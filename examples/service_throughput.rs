@@ -443,7 +443,7 @@ fn main() {
         final_stats.render()
     );
 
-    // Forwarded-context volume of the node2vec wave: hot-hub snapshots are
+    // Forwarded-context volume of the node2vec wave: snapshots are
     // captured once per (vertex, epoch) and Arc-shared by every walker
     // forwarded in the same wave, so the bytes actually materialized shrink
     // far below the exact-Vec-per-forward baseline. The one-line summary is

@@ -1,9 +1,14 @@
-//! What a per-vertex batch may allocate.
+//! What a batch may allocate.
 //!
-//! `VertexSpace::apply_batch` resolves its deletes through a `taken` mask
-//! as long as the vertex's degree. A batch without deletes has nothing to
-//! resolve and must not pay for the mask: on a hub that is kilobytes per
-//! batch for nothing. This binary counts allocator calls (its own binary,
+//! `VertexSpace::apply_batch` finds the edges its deletes name through the
+//! vertex's edge index, one probe each, and takes each out of the index as
+//! it is resolved — so there is no mask over the adjacency list, and what a
+//! batch allocates depends on the batch, never on the degree: the list of
+//! neighbor indices to compact away and the moves the compaction made. A
+//! batch without deletes allocates nothing at all.
+//! `BingoEngine::apply_batch` keeps the lists it sorts a batch into between
+//! calls, so a batch costs the engine one allocation, not six and their
+//! regrowth. This binary counts allocator calls and bytes (its own binary,
 //! one test, for the same reason as `memory_accounting.rs`).
 
 mod common;
@@ -11,11 +16,17 @@ mod common;
 use bingo::core::vertex_space::VertexSpace;
 use bingo::prelude::*;
 use bingo_graph::adjacency::{AdjacencyList, Edge};
+use rand::Rng;
 
 const DEGREE: u32 = 4096;
 
 #[test]
 fn an_insert_only_batch_allocates_only_what_growth_needs() {
+    a_vertex_batch_allocates_for_its_events_not_for_the_degree();
+    an_engine_batch_allocates_half_of_what_it_used_to();
+}
+
+fn a_vertex_batch_allocates_for_its_events_not_for_the_degree() {
     // Room in the adjacency array for every insert below.
     let mut adj = AdjacencyList::with_capacity(DEGREE as usize + 64);
     for dst in 0..DEGREE {
@@ -35,11 +46,92 @@ fn an_insert_only_batch_allocates_only_what_growth_needs() {
         assert_eq!(common::calls() - before, 0, "adaptive: {}", config.adaptive);
         assert_eq!((outcome.inserted, outcome.inter_rebuilds), (1, 1));
 
-        // A delete does need the mask and the index list.
-        let before = common::calls();
-        let outcome = space.apply_batch(&[], &[DEGREE + 2]);
-        assert!(common::calls() - before >= 2);
-        assert_eq!(outcome.deleted, 1);
+        // A delete allocates the one-entry list of indices to compact away
+        // and, unless the edge was the list's last, the one move that
+        // filled its place: a few words, where a mask over the 4 099 edges
+        // was kilobytes.
+        for (dst, moves) in [(DEGREE + 2, 0), (7, 1)] {
+            let (calls, bytes) = (common::calls(), common::handed_out());
+            let outcome = space.apply_batch(&[], &[dst]);
+            assert_eq!(common::calls() - calls, 1 + moves);
+            // (A `Vec` of moves starts with room for four.)
+            assert!(common::handed_out() - bytes <= 8 + 4 * 16 * moves);
+            assert_eq!((outcome.deleted, outcome.missing_deletes), (1, 0));
+            // One cluster of the edge index, not the list.
+            assert!(outcome.edges_scanned <= 16, "{}", outcome.edges_scanned);
+        }
+        // A delete that finds nothing allocates its empty list's room.
+        let bytes = common::handed_out();
+        assert_eq!(space.apply_batch(&[], &[DEGREE + 9]).missing_deletes, 1);
+        assert!(common::handed_out() - bytes <= 8);
         space.check_invariants().unwrap();
     }
+}
+
+/// Allocator calls per event of the stream below at the parent of the
+/// change that took the work lists onto the engine and the mask, the
+/// normalised copy and the removed-edge list out of a vertex's batch
+/// (b83be67: six lists and their regrowth per engine batch, four to five
+/// allocations per vertex with a delete).
+const CALLS_PER_EVENT_BEFORE: f64 = 2.4689;
+
+fn an_engine_batch_allocates_half_of_what_it_used_to() {
+    const BATCHES: usize = 40;
+    const BATCH_EVENTS: usize = 500;
+    let biases = BiasDistribution::PowerLaw {
+        alpha: 1.6,
+        max: 4096,
+    };
+    let mut rng = Pcg64::seed_from_u64(21);
+    let graph = GraphGenerator::RMat {
+        scale: 12,
+        avg_degree: 10,
+        a: 0.57,
+        b: 0.19,
+        c: 0.19,
+    }
+    .generate(biases, &mut rng);
+    let n = graph.num_vertices() as VertexId;
+    let mut live_edges: Vec<(VertexId, VertexId)> =
+        graph.edges().map(|(s, e)| (s, e.dst)).collect();
+    let mut engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
+    // The blocks are the engine's alone: no first write copies one.
+    drop(graph);
+
+    let mut calls = 0;
+    for _ in 0..BATCHES {
+        // Of every five events two insert, two delete a live edge and one
+        // rewrites a live edge's bias.
+        let mut events = Vec::with_capacity(BATCH_EVENTS);
+        let mut back = Vec::new();
+        for i in 0..BATCH_EVENTS {
+            let bias = biases.sample(&mut rng, 0);
+            if i % 5 < 2 {
+                let (src, dst) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                back.push((src, dst));
+                events.push(UpdateEvent::Insert { src, dst, bias });
+            } else {
+                let (src, dst) = live_edges.swap_remove(rng.gen_range(0..live_edges.len()));
+                if i % 5 < 4 {
+                    events.push(UpdateEvent::Delete { src, dst });
+                } else {
+                    back.push((src, dst));
+                    events.push(UpdateEvent::UpdateBias { src, dst, bias });
+                }
+            }
+        }
+        live_edges.extend(back);
+        let batch = UpdateBatch::new(events);
+        let before = common::calls();
+        let outcome = engine.apply_batch(&batch);
+        calls += common::calls() - before;
+        assert_eq!(outcome.missing_deletes, 0);
+    }
+    engine.check_invariants().unwrap();
+    let per_event = calls as f64 / (BATCHES * BATCH_EVENTS) as f64;
+    eprintln!("{calls} allocator calls over {BATCHES} batches: {per_event:.4} per event");
+    assert!(
+        per_event <= CALLS_PER_EVENT_BEFORE / 2.0,
+        "{per_event:.4} allocator calls per batch event, {CALLS_PER_EVENT_BEFORE} before"
+    );
 }

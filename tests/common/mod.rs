@@ -1,4 +1,5 @@
-//! A global allocator that counts live bytes and allocation calls, for the
+//! A global allocator that counts live bytes, bytes ever handed out and
+//! allocation calls, for the
 //! test binaries that hold `MemoryReport::resident_bytes` against what the
 //! allocator actually handed out, or an update against what it may
 //! allocate. Each of them is its own binary with a single test, so nothing
@@ -11,35 +12,36 @@ struct LiveBytes;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+static HANDED_OUT: AtomicUsize = AtomicUsize::new(0);
+
+fn count(bytes: usize) {
+    // relaxed-ok: statistics that publish no other data.
+    LIVE.fetch_add(bytes, Ordering::Relaxed);
+    // relaxed-ok: as above.
+    HANDED_OUT.fetch_add(bytes, Ordering::Relaxed);
+    // relaxed-ok: as above.
+    CALLS.fetch_add(1, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards to `System` with the caller's own layout
 // and pointer unchanged; the counter touches no allocator state.
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // relaxed-ok: a statistic that publishes no other data.
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        // relaxed-ok: as above.
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // relaxed-ok: a statistic that publishes no other data.
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        // relaxed-ok: as above.
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
         // relaxed-ok: a statistic that publishes no other data.
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
-        // relaxed-ok: as above.
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // relaxed-ok: as above.
-        CALLS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -67,4 +69,12 @@ pub fn live() -> usize {
 pub fn calls() -> usize {
     // relaxed-ok: read on the only thread that allocates.
     CALLS.load(Ordering::Relaxed)
+}
+
+/// Bytes this process has ever been handed, freed since or not: what an
+/// operation allocated is the difference of two readings around it.
+#[allow(dead_code)]
+pub fn handed_out() -> usize {
+    // relaxed-ok: read on the only thread that allocates.
+    HANDED_OUT.load(Ordering::Relaxed)
 }

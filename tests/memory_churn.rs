@@ -22,8 +22,14 @@
 //! 5 740 280 B built, 6 453 164 B after (1.124x; adjacency 3.02 -> 3.34 MB):
 //! the build is larger by the slack the graph's copy used to carry beside
 //! the engine's, the churned figure by 5 %, and the ratio falls because the
-//! first insert into a vertex no longer doubles anything. The ceiling keeps
-//! the same 5 % over the reading.
+//! first insert into a vertex no longer doubles anything. With groups sized
+//! by their members (a probe table per listed group instead of a
+//! degree-long inverted index per regular one) and an edge index per
+//! factorized vertex 5 615 170 B built, 6 312 372 B after (1.124x): both
+//! ends 2 % lower, the ratio where it was, and the engine's batch work
+//! lists — kept between batches now, a few KiB here — are in both the report
+//! and the allocator's count. The ceiling keeps the same 5 % over the
+//! reading.
 
 mod common;
 
