@@ -27,15 +27,17 @@ fn build_adjacency(degree: usize, max_bias: u64, seed: u64) -> AdjacencyList {
 /// predicts.
 fn bench_update_vs_k(c: &mut Criterion) {
     let degree = 4096;
+    let config = BingoConfig::default();
     let mut group = c.benchmark_group("bingo_update_vs_K");
     for bits in [4u32, 10, 20] {
         let adj = build_adjacency(degree, (1u64 << bits) - 1, bits as u64);
         group.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |b, _| {
             b.iter_batched(
-                || VertexSpace::build(adj.clone(), BingoConfig::default()),
+                || VertexSpace::build(adj.clone(), config),
                 |mut space| {
-                    space.insert(degree as u32 + 1, Bias::from_int(3)).unwrap();
-                    space.delete_at(0).unwrap();
+                    let bias = Bias::from_int(3);
+                    space.insert(degree as u32 + 1, bias, &config).unwrap();
+                    space.delete_at(0, &config).unwrap();
                     space
                 },
                 BatchSize::SmallInput,

@@ -27,13 +27,14 @@ fn bench_streaming_updates(c: &mut Criterion) {
     for degree in [256usize, 4096, 32768] {
         let adj = build_adjacency(degree, degree as u64);
         let weights: Vec<f64> = adj.edges().iter().map(|e| e.bias.value()).collect();
+        let config = BingoConfig::default();
 
         group.bench_with_input(BenchmarkId::new("bingo_insert", degree), &degree, |b, _| {
             b.iter_batched(
-                || VertexSpace::build(adj.clone(), BingoConfig::default()),
+                || VertexSpace::build(adj.clone(), config),
                 |mut space| {
                     space
-                        .insert(degree as u32 + 1, Bias::from_int(777))
+                        .insert(degree as u32 + 1, Bias::from_int(777), &config)
                         .unwrap();
                     space
                 },
@@ -42,9 +43,9 @@ fn bench_streaming_updates(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("bingo_delete", degree), &degree, |b, _| {
             b.iter_batched(
-                || VertexSpace::build(adj.clone(), BingoConfig::default()),
+                || VertexSpace::build(adj.clone(), config),
                 |mut space| {
-                    space.delete_at(0).unwrap();
+                    space.delete_at(0, &config).unwrap();
                     space
                 },
                 BatchSize::SmallInput,

@@ -5,12 +5,15 @@
 //! repro table3                    # one experiment
 //! repro table3 --scale 500 --batch 10000 --rounds 10 --walk-length 80
 //! repro list                      # list available experiments
+//! repro pairs --pr 22 --parent <bin> --change <bin> --workload engine_batch --seed 7 --n 10 [--trace]
+//!                                 # alternating runs of two builds of the repo benchmark
 //! ```
 //!
 //! Results are printed to stdout and written as CSV files under `results/`.
 
 use bingo_bench::common::ExperimentConfig;
 use bingo_bench::experiments;
+use bingo_bench::pairs::{self, PairsArgs};
 use bingo_bench::ResultTable;
 
 struct Experiment {
@@ -123,6 +126,7 @@ const EXPERIMENTS: &[Experiment] = &[
 
 fn print_usage() {
     eprintln!("usage: repro <experiment|all|list> [--scale N] [--batch N] [--rounds N] [--walk-length N] [--seed N] [--paper-scale]");
+    eprintln!("       repro pairs --pr N --parent <bin> --change <bin> --workload W [--seed N] [--n N] [--trace]");
     eprintln!("experiments:");
     for e in EXPERIMENTS {
         eprintln!("  {:<8} {}", e.name, e.description);
@@ -165,6 +169,17 @@ fn main() {
     };
     if target == "list" {
         print_usage();
+        return;
+    }
+    if target == "pairs" {
+        match PairsArgs::parse(&args[1..]).and_then(|args| pairs::run(&args)) {
+            Ok(path) => println!("\nwritten {}", path.display()),
+            Err(e) => {
+                eprintln!("error: {e}");
+                print_usage();
+                std::process::exit(2);
+            }
+        }
         return;
     }
     let config = match parse_config(&args[1..]) {

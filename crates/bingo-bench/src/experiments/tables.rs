@@ -41,18 +41,20 @@ pub fn table1(config: &ExperimentConfig) -> ResultTable {
         for (i, &b) in biases.iter().enumerate() {
             adj.push(Edge::new(i as u32, Bias::from_int(b)));
         }
-        let mut space = VertexSpace::build(adj, BingoConfig::default());
+        let engine_config = BingoConfig::default();
+        let mut space = VertexSpace::build(adj, engine_config);
         let (_, t) = timed(|| {
             for i in 0..samples_per_op {
+                let bias = Bias::from_int(1 + (i as u64 % 1023));
                 space
-                    .insert((degree + i) as u32, Bias::from_int(1 + (i as u64 % 1023)))
+                    .insert((degree + i) as u32, bias, &engine_config)
                     .unwrap();
             }
         });
         out[0].insert_ns = t.as_nanos() as f64 / samples_per_op as f64;
         let (_, t) = timed(|| {
             for i in 0..samples_per_op {
-                space.delete((degree + i) as u32).unwrap();
+                space.delete((degree + i) as u32, &engine_config).unwrap();
             }
         });
         out[0].delete_ns = t.as_nanos() as f64 / samples_per_op as f64;

@@ -65,6 +65,11 @@ pub struct BingoEngine {
     scratch: BatchScratch,
 }
 
+/// Vertices per slice of the spaces array that [`BingoEngine::build_range`]
+/// hands the pool: a few hundred slices on the benchmark graphs, each some
+/// tens of microseconds of work.
+const BUILD_CHUNK: usize = 256;
+
 /// What [`BingoEngine::apply_batch`] sorts a batch into.
 #[derive(Debug, Clone, Default)]
 struct BatchScratch {
@@ -125,17 +130,27 @@ impl BingoEngine {
                 num_vertices: global_vertices,
             });
         }
-        let spaces: Vec<VertexSpace> = (range.start..range.end)
+        // One array of exactly the owned size, each space built into its
+        // place: the pool gets disjoint slices of it, so no second copy of
+        // the spaces is ever handed out. What a slice holds depends on its
+        // vertices alone, not on who fills it.
+        let mut spaces = Vec::with_capacity(range.len());
+        spaces.resize_with(range.len(), VertexSpace::unbuilt);
+        spaces
+            .chunks_mut(BUILD_CHUNK)
+            .enumerate()
             .into_par_iter()
-            .map(|v| {
-                // A handle on the graph's block, not a copy of it.
-                let adj = graph
-                    .neighbors(v as VertexId)
-                    .expect("vertex within range")
-                    .clone();
-                VertexSpace::build(adj, config)
-            })
-            .collect();
+            .for_each(|(chunk, slots)| {
+                let first = range.start + chunk * BUILD_CHUNK;
+                for (v, slot) in (first..).zip(slots) {
+                    // A handle on the graph's block, not a copy of it.
+                    let adj = graph
+                        .neighbors(v as VertexId)
+                        .expect("vertex within range")
+                        .clone();
+                    *slot = VertexSpace::build(adj, config);
+                }
+            });
         Ok(Self::from_spaces(
             spaces,
             range.start,
@@ -251,10 +266,12 @@ impl BingoEngine {
             })
     }
 
-    fn vertex_space_mut(&mut self, v: VertexId) -> Result<&mut VertexSpace> {
+    /// The space of `v` to change, and the configuration to change it
+    /// under.
+    fn vertex_space_mut(&mut self, v: VertexId) -> Result<(&mut VertexSpace, &BingoConfig)> {
         let num_vertices = self.global_vertices;
         match self.local(v) {
-            Some(i) => Ok(&mut self.spaces[i]),
+            Some(i) => Ok((&mut self.spaces[i], &self.config)),
             None => Err(BingoError::VertexOutOfRange {
                 vertex: v,
                 num_vertices,
@@ -324,7 +341,8 @@ impl BingoEngine {
                 num_vertices: self.global_vertices,
             });
         }
-        let outcome = self.vertex_space_mut(src)?.insert(dst, bias)?;
+        let (space, config) = self.vertex_space_mut(src)?;
+        let outcome = space.insert(dst, bias, config)?;
         self.absorb(&outcome);
         self.num_edges += 1;
         self.stats.insertions += 1;
@@ -333,7 +351,8 @@ impl BingoEngine {
 
     /// Streaming edge deletion (`O(K)` for the affected vertex).
     pub fn delete_edge(&mut self, src: VertexId, dst: VertexId) -> Result<()> {
-        let (_, outcome) = self.vertex_space_mut(src)?.delete(dst)?;
+        let (space, config) = self.vertex_space_mut(src)?;
+        let (_, outcome) = space.delete(dst, config)?;
         self.absorb(&outcome);
         self.num_edges -= 1;
         self.stats.deletions += 1;
@@ -342,7 +361,8 @@ impl BingoEngine {
 
     /// Streaming bias update of the edge `(src, dst)`.
     pub fn update_bias(&mut self, src: VertexId, dst: VertexId, bias: Bias) -> Result<()> {
-        let outcome = self.vertex_space_mut(src)?.update_bias(dst, bias)?;
+        let (space, config) = self.vertex_space_mut(src)?;
+        let outcome = space.update_bias(dst, bias, config)?;
         self.absorb(&outcome);
         Ok(())
     }
@@ -378,9 +398,9 @@ impl BingoEngine {
     ///
     /// Returns the number of edges removed.
     pub fn delete_vertex_out_edges(&mut self, v: VertexId) -> Result<usize> {
-        let space = self.vertex_space_mut(v)?;
+        let (space, config) = self.vertex_space_mut(v)?;
         let dsts: Vec<VertexId> = space.adjacency().edges().iter().map(|e| e.dst).collect();
-        let outcome = space.apply_batch(&[], &dsts);
+        let outcome = space.apply_batch(&[], &dsts, config);
         self.absorb(&outcome);
         self.num_edges -= outcome.deleted;
         self.stats.deletions += outcome.deleted as u64;
@@ -472,6 +492,7 @@ impl BingoEngine {
         // Carve the touched spaces out of the owned slice, each with its
         // run of the two lists.
         let mut work = Vec::with_capacity(runs.len());
+        let config = &self.config;
         let (mut spaces, mut base) = (&mut self.spaces[..], 0);
         let (mut inserts_from, mut deletes_from) = (0, 0);
         for &(src, inserts_to, deletes_to) in runs.iter() {
@@ -497,7 +518,7 @@ impl BingoEngine {
         let applied = work
             .into_par_iter()
             .with_min_len(512)
-            .map(|(space, inserts, deletes)| space.apply_batch(inserts, deletes))
+            .map(|(space, inserts, deletes)| space.apply_batch(inserts, deletes, config))
             .reduce(VertexUpdateOutcome::default, |mut a, b| {
                 a.merge(&b);
                 a
@@ -569,7 +590,7 @@ impl BingoEngine {
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         for (i, s) in self.spaces.iter().enumerate() {
             let v = self.vertex_base + i;
-            s.check_invariants()
+            s.check_invariants(&self.config)
                 .map_err(|e| format!("vertex {v}: {e}"))?;
         }
         let edges: usize = self.spaces.iter().map(VertexSpace::degree).sum();

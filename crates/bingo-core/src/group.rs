@@ -25,9 +25,15 @@
 //! is how a delete, a bias rewrite or a membership query finds its edge
 //! without scanning the list.
 //!
+//! The table is one allocation: its fixed fields (the arena's and the edge
+//! index's handles, λ, the decimal group's box and alias bucket) and, as
+//! the unsized tail behind them, the K headers. So the vertex record points
+//! at the headers directly, and a factorized vertex is two allocations, the
+//! table and the arena.
+//!
 //! ```text
-//! headers  [ 2^0 | 2^1 | 2^2 | ... ]   kind, count, segment offset, bucket
-//!              |           |
+//! table    [ fixed fields | 2^0 | 2^1 | 2^2 | ... ]   kind, count, segment offset, bucket
+//!                 |           |           |
 //! arena    [ members, table 2^0 | members, table 2^2 | edge index | hole | ... ]
 //! ```
 //!
@@ -128,7 +134,7 @@ impl GroupKind {
 /// Fixed-size header of one radix group. The group's bit is its position
 /// in the table.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct GroupSlot {
+pub(crate) struct GroupSlot {
     /// Inter-group alias bucket: probability of keeping this group when its
     /// bucket is drawn.
     prob: f64,
@@ -269,12 +275,10 @@ fn position(slot: &GroupSlot, arena: &[u16], wide: bool, idx: u32) -> Option<(u3
         .find(|&(_, pos)| word(arena, wide, (slot.off + pos) as usize) == idx)
 }
 
-/// Every radix group of one vertex: headers, the arena their segments live
-/// in, the edge index, and the inter-group alias table spread over the
-/// headers.
+/// What a table holds besides its headers: the part of its allocation whose
+/// size does not depend on K.
 #[derive(Debug, Clone)]
-pub(crate) struct GroupTable {
-    slots: Vec<GroupSlot>,
+pub(crate) struct Fixed {
     /// Member lists and probe tables, one `u16` half per word (two when
     /// `wide`). The arena's end is the tail where relocated segments land;
     /// words no live segment covers are holes.
@@ -285,12 +289,47 @@ pub(crate) struct GroupTable {
     index: ProbeTable,
     /// Alias bucket of the decimal group, the table's last candidate.
     tail_prob: f64,
+    /// The decimal group; present only while some scaled bias has a
+    /// fractional remainder. The table carries it for its owner and reads
+    /// nothing of it: the owner passes its weight to `rebuild_inter`.
+    pub(crate) decimal: Option<Box<DecimalGroup>>,
+    /// The λ amortization factor the owner scaled the biases by; carried
+    /// like `decimal`.
+    pub(crate) lambda: f64,
     inter_rebuilds: u32,
     tail_alias: u8,
     /// Whether the groups carry any weight, i.e. the alias table is usable.
     has_inter: bool,
     /// Whether an arena word is two halves. Set by `rebuild` only.
     wide: bool,
+}
+
+impl Fixed {
+    const EMPTY: Fixed = Fixed {
+        arena: Vec::new(),
+        index: ProbeTable::NONE,
+        tail_prob: 1.0,
+        decimal: None,
+        lambda: 1.0,
+        inter_rebuilds: 0,
+        tail_alias: 0,
+        has_inter: false,
+        wide: false,
+    };
+}
+
+/// Every radix group of one vertex: the K headers (with the inter-group
+/// alias table spread over them), and the arena their segments and the edge
+/// index live in. The headers are the unsized tail of the table's own
+/// allocation, so a table is always boxed, a sample reads header and alias
+/// bucket one hop from the vertex record, and K changes — a rebuild that
+/// finds another top bit, an insert that brings a new one — by moving the
+/// table to an allocation of the new size ([`GroupTable::rebuilt`],
+/// [`GroupTable::ensure`]).
+#[derive(Debug)]
+pub(crate) struct GroupTable<S: ?Sized = [GroupSlot]> {
+    pub(crate) fixed: Fixed,
+    slots: S,
 }
 
 #[cfg(test)]
@@ -306,6 +345,28 @@ fn note_relocated(_words: usize) {
     RELOCATED_WORDS.with(|c| c.set(c.get() + _words as u64));
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Where the heap blocks start that a sample on this thread has read
+    /// since a test last emptied the list: the table, its arena, the
+    /// adjacency block.
+    pub(crate) static BLOCKS_READ: std::cell::RefCell<Vec<usize>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Note that the sampling path reads the heap block at `_block`.
+#[inline]
+pub(crate) fn note_read<T: ?Sized>(_block: *const T) {
+    #[cfg(test)]
+    BLOCKS_READ.with(|blocks| {
+        let at = _block.cast::<u8>() as usize;
+        let mut blocks = blocks.borrow_mut();
+        if !blocks.contains(&at) {
+            blocks.push(at);
+        }
+    });
+}
+
 /// Room a full list of `cap` entries moves to when it must hold `needed`.
 fn grown(cap: u32, needed: u32) -> u32 {
     (cap + cap / 2).max(needed).max(4)
@@ -318,55 +379,85 @@ fn with_headroom(used: u32) -> u32 {
 }
 
 impl GroupTable {
-    pub(crate) const fn new() -> Self {
-        GroupTable {
-            slots: Vec::new(),
-            arena: Vec::new(),
-            index: ProbeTable::NONE,
-            tail_prob: 1.0,
-            inter_rebuilds: 0,
-            tail_alias: 0,
-            has_inter: false,
-            wide: false,
+    /// The table of a vertex that has no groups.
+    pub(crate) fn none() -> &'static Self {
+        static NONE: GroupTable<[GroupSlot; 0]> = GroupTable {
+            fixed: Fixed::EMPTY,
+            slots: [],
+        };
+        &NONE
+    }
+
+    /// A table of `k` headers — the first of them copied from `slots`, the
+    /// rest empty — in one allocation with `fixed`.
+    fn boxed(fixed: Fixed, slots: &[GroupSlot], k: usize) -> Box<Self> {
+        fn sized<const K: usize>(fixed: Fixed) -> Box<GroupTable> {
+            Box::new(GroupTable {
+                fixed,
+                slots: [GroupSlot::EMPTY; K],
+            })
         }
+        // Safe Rust sizes an unsized tail by coercion from an array, so by a
+        // constant: one arm per K a 64-bit bias allows.
+        macro_rules! sized_by {
+            ($($k:literal)*) => {
+                match k {
+                    $($k => sized::<$k>(fixed),)*
+                    _ => unreachable!("a bias has at most {MAX_GROUPS} bits"),
+                }
+            };
+        }
+        let mut table = sized_by!(
+            0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+            33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62
+            63 64
+        );
+        let kept = slots.len().min(k);
+        table.slots[..kept].copy_from_slice(&slots[..kept]);
+        table
+    }
+
+    /// A copy in an allocation of its own.
+    pub(crate) fn boxed_clone(&self) -> Box<Self> {
+        Self::boxed(self.fixed.clone(), &self.slots, self.slots.len())
     }
 
     /// Whether the table, at its current width, can index a vertex of
     /// `degree` edges. When it cannot, the caller rebuilds from scratch.
     pub(crate) fn fits(&self, degree: usize) -> bool {
-        (self.wide || degree < NARROW_LIMIT) && degree <= MAX_DEGREE
+        (self.fixed.wide || degree < NARROW_LIMIT) && degree <= MAX_DEGREE
     }
 
     /// Whether arena words are 32 bits.
     #[cfg(test)]
     pub(crate) fn is_wide(&self) -> bool {
-        self.wide
+        self.fixed.wide
     }
 
     /// Arena halves per word, as a shift.
     #[inline]
     fn shift(&self) -> usize {
-        usize::from(self.wide)
+        usize::from(self.fixed.wide)
     }
 
     #[inline]
     fn word(&self, i: u32) -> u32 {
-        word(&self.arena, self.wide, i as usize)
+        word(&self.fixed.arena, self.fixed.wide, i as usize)
     }
 
     #[inline]
     fn set_word(&mut self, i: u32, value: u32) {
-        arena::set_word(&mut self.arena, self.wide, i as usize, value);
+        arena::set_word(&mut self.fixed.arena, self.fixed.wide, i as usize, value);
     }
 
     /// Arena length, in words.
     fn arena_len(&self) -> usize {
-        self.arena.len() >> self.shift()
+        self.fixed.arena.len() >> self.shift()
     }
 
     /// Arena capacity, in words.
     pub(crate) fn arena_capacity(&self) -> usize {
-        self.arena.capacity() >> self.shift()
+        self.fixed.arena.capacity() >> self.shift()
     }
 
     /// Number of groups (K).
@@ -375,15 +466,15 @@ impl GroupTable {
     }
 
     pub(crate) fn inter_rebuilds(&self) -> u32 {
-        self.inter_rebuilds
+        self.fixed.inter_rebuilds
     }
 
     pub(crate) fn view(&self, bit: usize) -> GroupView<'_> {
         GroupView {
             bit: bit as u8,
-            wide: self.wide,
+            wide: self.fixed.wide,
             slot: &self.slots[bit],
-            arena: &self.arena,
+            arena: &self.fixed.arena,
         }
     }
 
@@ -408,25 +499,28 @@ impl GroupTable {
             .sum()
     }
 
-    /// Rebuild every group and the edge index from scratch for a vertex of
+    /// Build every group and the edge index from scratch for a vertex of
     /// `degree` edges, where `integer_of(idx)` is the scaled integer bias
     /// of edge `idx`, `dst_of(idx)` its destination and
     /// `classify(cardinality)` the representation a group of that size
     /// gets. Counts first, then fills an arena allocated at exact size, in
-    /// neighbor-index order. This is the one place the word width is
-    /// chosen. The inter-group table is left for the caller to rebuild.
-    pub(crate) fn rebuild(
-        &mut self,
+    /// neighbor-index order. `prev` is the table the vertex had, if it had
+    /// one: its allocation is used again when K has not changed (this is
+    /// where K follows the biases down as well as up), its width decides
+    /// the new one's (this is the one place the word width is chosen) and
+    /// its rebuild counter runs on. The inter-group table is left for the
+    /// caller to rebuild.
+    pub(crate) fn rebuilt(
+        prev: Option<Box<Self>>,
         degree: usize,
         integer_of: impl Fn(usize) -> u64,
         dst_of: impl Fn(u32) -> u32,
         classify: impl Fn(usize) -> GroupKind,
-    ) {
+    ) -> Box<Self> {
         assert!(
             degree <= MAX_DEGREE,
             "a vertex of {degree} edges is past what arena offsets can index"
         );
-        self.wide = degree >= NARROW_LIMIT || (self.wide && degree >= DEMOTE_BELOW);
         let mut counts = [0u32; MAX_GROUPS];
         // Largest member of each group: the one a one-element group keeps.
         let mut last = [0u32; MAX_GROUPS];
@@ -440,11 +534,17 @@ impl GroupTable {
             }
         }
         let k = crate::radix::groups_for_max_bias(all_bits);
-
-        self.slots.clear();
-        self.slots.reserve_exact(k);
+        let mut table = match prev {
+            Some(prev) if prev.slots.len() == k => prev,
+            Some(mut prev) => {
+                let fixed = std::mem::replace(&mut prev.fixed, Fixed::EMPTY);
+                Self::boxed(fixed, &[], k)
+            }
+            None => Self::boxed(Fixed::EMPTY, &[], k),
+        };
+        table.fixed.wide = degree >= NARROW_LIMIT || (table.fixed.wide && degree >= DEMOTE_BELOW);
         let mut words = 0usize;
-        for bit in 0..k {
+        for (bit, header) in table.slots.iter_mut().enumerate() {
             let count = counts[bit];
             let mut slot = GroupSlot {
                 count,
@@ -460,47 +560,50 @@ impl GroupTable {
                     words += segment_words(count) as usize;
                 }
             }
-            self.slots.push(slot);
+            *header = slot;
         }
         // (A sum past `u32` is caught below, before any offset is used.)
-        self.index = ProbeTable {
+        table.fixed.index = ProbeTable {
             off: words as u32,
             cap: slots_for(degree as u32),
         };
-        words += self.index.cap as usize;
+        words += table.fixed.index.cap as usize;
         assert!(
             words < u32::MAX as usize,
             "group arena must stay addressable by u32 offsets"
         );
-        self.arena = vec![u16::MAX; words << self.shift()];
+        table.fixed.arena = vec![u16::MAX; words << table.shift()];
 
         let mut cursor = [0u32; MAX_GROUPS];
         for idx in 0..degree {
             for bit in crate::radix::decompose(integer_of(idx)) {
-                let slot = self.slots[bit as usize];
+                let slot = table.slots[bit as usize];
                 if slot.cap == 0 {
                     continue;
                 }
                 let pos = cursor[bit as usize];
                 cursor[bit as usize] += 1;
-                self.set_word(slot.off + pos, idx as u32);
+                table.set_word(slot.off + pos, idx as u32);
             }
         }
         // Lists first, then the tables over them: the same fill a moved or
         // compacted segment gets.
-        for bit in 0..k {
-            let slot = self.slots[bit];
+        for bit in 0..table.slots.len() {
+            let slot = table.slots[bit];
             if slot.is_listed() {
-                self.fill_table(&slot);
+                table.fill_table(&slot);
             }
         }
-        self.fill_index(degree as u32, dst_of);
+        table.fill_index(degree as u32, dst_of);
+        table
     }
 
-    /// Make sure groups `0..bits` exist.
-    pub(crate) fn ensure(&mut self, bits: usize) {
-        if self.slots.len() < bits {
-            self.slots.resize(bits, GroupSlot::EMPTY);
+    /// Make sure groups `0..bits` exist: a table with fewer moves, headers
+    /// and all, to an allocation with room for them.
+    pub(crate) fn ensure(this: &mut Box<Self>, bits: usize) {
+        if this.slots.len() < bits {
+            let fixed = std::mem::replace(&mut this.fixed, Fixed::EMPTY);
+            *this = Self::boxed(fixed, &this.slots, bits);
         }
     }
 
@@ -518,9 +621,9 @@ impl GroupTable {
         if end > self.arena_capacity() {
             note_relocated(off);
             let additional = (words as usize).max(self.arena_capacity() / 2);
-            self.arena.reserve_exact(additional << self.shift());
+            self.fixed.arena.reserve_exact(additional << self.shift());
         }
-        self.arena.resize(end << self.shift(), u16::MAX);
+        self.fixed.arena.resize(end << self.shift(), u16::MAX);
         off as u32
     }
 
@@ -530,7 +633,7 @@ impl GroupTable {
         let table = slot.table();
         for pos in 0..slot.count {
             let member = self.word(slot.off + pos);
-            table.insert(&mut self.arena, self.wide, member, pos);
+            table.insert(&mut self.fixed.arena, self.fixed.wide, member, pos);
         }
         note_relocated(slot.count as usize);
     }
@@ -541,7 +644,7 @@ impl GroupTable {
     fn regrow(&mut self, slot: &mut GroupSlot, cap: u32) {
         let off = self.alloc(segment_words(cap));
         let s = self.shift();
-        self.arena.copy_within(
+        self.fixed.arena.copy_within(
             (slot.off as usize) << s..((slot.off + slot.count) as usize) << s,
             (off as usize) << s,
         );
@@ -558,7 +661,7 @@ impl GroupTable {
         }
         self.set_word(slot.off + slot.count, idx);
         slot.table()
-            .insert(&mut self.arena, self.wide, idx, slot.count);
+            .insert(&mut self.fixed.arena, self.fixed.wide, idx, slot.count);
         slot.count += 1;
     }
 
@@ -616,13 +719,13 @@ impl GroupTable {
                 slot.count = 0;
             }
             GroupKind::Sparse | GroupKind::Regular => {
-                let (table, off, wide) = (slot.table(), slot.off, self.wide);
-                let Some((at, pos)) = position(&slot, &self.arena, wide, idx) else {
+                let (table, off, wide) = (slot.table(), slot.off, self.fixed.wide);
+                let Some((at, pos)) = position(&slot, &self.fixed.arena, wide, idx) else {
                     return false;
                 };
                 // The list is whole while the table closes the gap, so
                 // every other entry still reads its key back.
-                table.remove(&mut self.arena, wide, at, |arena, pos| {
+                table.remove(&mut self.fixed.arena, wide, at, |arena, pos| {
                     word(arena, wide, (off + pos) as usize)
                 });
                 slot.count -= 1;
@@ -630,10 +733,10 @@ impl GroupTable {
                 if pos < last {
                     let moved = self.word(off + last);
                     let (at, _) = table
-                        .probe(&self.arena, wide, moved)
+                        .probe(&self.fixed.arena, wide, moved)
                         .find(|&(_, pos)| pos == last)
                         .expect("every member is in its group's probe table");
-                    table.set(&mut self.arena, wide, at, pos);
+                    table.set(&mut self.fixed.arena, wide, at, pos);
                     self.set_word(off + pos, moved);
                 }
             }
@@ -660,17 +763,17 @@ impl GroupTable {
                 }
             }
             GroupKind::Sparse | GroupKind::Regular => {
-                let (table, off, wide) = (slot.table(), slot.off, self.wide);
-                let Some((at, pos)) = position(slot, &self.arena, wide, old_idx) else {
+                let (table, off, wide) = (slot.table(), slot.off, self.fixed.wide);
+                let Some((at, pos)) = position(slot, &self.fixed.arena, wide, old_idx) else {
                     return;
                 };
                 // The member is the entry's key: out under the old one, in
                 // under the new.
-                table.remove(&mut self.arena, wide, at, |arena, pos| {
+                table.remove(&mut self.fixed.arena, wide, at, |arena, pos| {
                     word(arena, wide, (off + pos) as usize)
                 });
                 self.set_word(off + pos, new_idx);
-                table.insert(&mut self.arena, wide, new_idx, pos);
+                table.insert(&mut self.fixed.arena, wide, new_idx, pos);
             }
         }
     }
@@ -686,6 +789,7 @@ impl GroupTable {
             GroupKind::OneElement => Some(slot.off),
             GroupKind::Sparse | GroupKind::Regular => {
                 let pos = rng.gen_range(0..slot.count as usize);
+                note_read(self.fixed.arena.as_ptr());
                 Some(self.word(slot.off + pos as u32))
             }
         }
@@ -775,7 +879,11 @@ impl GroupTable {
     /// cluster `dst` probes into, whatever the degree.
     pub(crate) fn find_edge(&self, dst: u32, dst_of: impl Fn(u32) -> u32) -> (Option<u32>, usize) {
         let (mut lowest, mut scanned) = (None, 0);
-        for (_, idx) in self.index.probe(&self.arena, self.wide, dst) {
+        for (_, idx) in self
+            .fixed
+            .index
+            .probe(&self.fixed.arena, self.fixed.wide, dst)
+        {
             scanned += 1;
             if dst_of(idx) == dst && lowest.is_none_or(|lowest| idx < lowest) {
                 lowest = Some(idx);
@@ -787,8 +895,9 @@ impl GroupTable {
     /// Whether any edge points at `dst`: [`GroupTable::find_edge`] that
     /// stops at the first one.
     pub(crate) fn has_edge(&self, dst: u32, dst_of: impl Fn(u32) -> u32) -> bool {
-        self.index
-            .probe(&self.arena, self.wide, dst)
+        self.fixed
+            .index
+            .probe(&self.fixed.arena, self.fixed.wide, dst)
             .any(|(_, idx)| dst_of(idx) == dst)
     }
 
@@ -796,12 +905,13 @@ impl GroupTable {
     /// last — into the edge index. An index with no room left moves to the
     /// tail at half again its size and is filled afresh, like a group.
     pub(crate) fn index_insert(&mut self, idx: u32, dst_of: impl Fn(u32) -> u32) {
-        if slots_for(idx + 1) <= self.index.cap {
-            self.index
-                .insert(&mut self.arena, self.wide, dst_of(idx), idx);
+        if slots_for(idx + 1) <= self.fixed.index.cap {
+            self.fixed
+                .index
+                .insert(&mut self.fixed.arena, self.fixed.wide, dst_of(idx), idx);
         } else {
             let cap = slots_for(grown(idx, idx + 1));
-            self.index = ProbeTable {
+            self.fixed.index = ProbeTable {
                 off: self.alloc(cap),
                 cap,
             };
@@ -812,8 +922,9 @@ impl GroupTable {
     /// Enter edges `0..degree` into the edge index, which is empty.
     fn fill_index(&mut self, degree: u32, dst_of: impl Fn(u32) -> u32) {
         for idx in 0..degree {
-            self.index
-                .insert(&mut self.arena, self.wide, dst_of(idx), idx);
+            self.fixed
+                .index
+                .insert(&mut self.fixed.arena, self.fixed.wide, dst_of(idx), idx);
         }
         note_relocated(degree as usize);
     }
@@ -822,28 +933,35 @@ impl GroupTable {
     /// adjacency list still holds it, and every other edge the index knows.
     pub(crate) fn index_remove(&mut self, idx: u32, dst_of: impl Fn(u32) -> u32) {
         let (at, _) = self
+            .fixed
             .index
-            .probe(&self.arena, self.wide, dst_of(idx))
+            .probe(&self.fixed.arena, self.fixed.wide, dst_of(idx))
             .find(|&(_, found)| found == idx)
             .expect("every edge is in the edge index");
-        self.index
-            .remove(&mut self.arena, self.wide, at, |_, idx| dst_of(idx));
+        self.fixed
+            .index
+            .remove(&mut self.fixed.arena, self.fixed.wide, at, |_, idx| {
+                dst_of(idx)
+            });
     }
 
     /// The adjacency list moved the edge to `dst` from neighbor index
     /// `old_idx` to `new_idx`.
     pub(crate) fn index_remap(&mut self, old_idx: u32, new_idx: u32, dst: u32) {
         let (at, _) = self
+            .fixed
             .index
-            .probe(&self.arena, self.wide, dst)
+            .probe(&self.fixed.arena, self.fixed.wide, dst)
             .find(|&(_, found)| found == old_idx)
             .expect("every edge is in the edge index");
-        self.index.set(&mut self.arena, self.wide, at, new_idx);
+        self.fixed
+            .index
+            .set(&mut self.fixed.arena, self.fixed.wide, at, new_idx);
     }
 
     /// Bytes of the edge index, at capacity.
     pub(crate) fn index_bytes(&self) -> usize {
-        self.index.cap as usize * word_bytes(self.wide)
+        self.fixed.index.cap as usize * word_bytes(self.fixed.wide)
     }
 
     /// Arena words a vertex of `degree` edges needs: every listed group's
@@ -870,7 +988,7 @@ impl GroupTable {
             return;
         }
         let s = self.shift();
-        let old = std::mem::take(&mut self.arena);
+        let old = std::mem::take(&mut self.fixed.arena);
         let mut from = [0u32; MAX_GROUPS];
         let mut words = 0;
         for (slot, from) in self.slots.iter_mut().zip(&mut from) {
@@ -879,17 +997,17 @@ impl GroupTable {
                 words += segment_words(slot.cap);
             }
         }
-        self.index = ProbeTable {
+        self.fixed.index = ProbeTable {
             off: words,
             cap: slots_for(with_headroom(degree as u32)),
         };
-        words += self.index.cap;
-        self.arena = vec![u16::MAX; (words as usize) << s];
+        words += self.fixed.index.cap;
+        self.fixed.arena = vec![u16::MAX; (words as usize) << s];
         for bit in 0..self.slots.len() {
             let slot = self.slots[bit];
             if slot.is_listed() {
                 let (to, from, len) = (slot.off as usize, from[bit] as usize, slot.count as usize);
-                self.arena[to << s..(to + len) << s]
+                self.fixed.arena[to << s..(to + len) << s]
                     .copy_from_slice(&old[from << s..(from + len) << s]);
                 note_relocated(len);
                 self.fill_table(&slot);
@@ -902,7 +1020,7 @@ impl GroupTable {
     /// construction as `bingo_sampling::AliasTable`). `O(K)`, no
     /// allocation.
     pub(crate) fn rebuild_inter(&mut self, decimal_weight: f64) {
-        self.inter_rebuilds = self.inter_rebuilds.wrapping_add(1);
+        self.fixed.inter_rebuilds = self.fixed.inter_rebuilds.wrapping_add(1);
         let k = self.slots.len();
         let mut weights = [0.0f64; MAX_GROUPS + 1];
         for (bit, slot) in self.slots.iter().enumerate() {
@@ -911,8 +1029,8 @@ impl GroupTable {
         weights[k] = decimal_weight;
         let weights = &weights[..=k];
         let total: f64 = weights.iter().sum();
-        self.has_inter = total > 0.0 && validate_weights(weights).is_ok();
-        if !self.has_inter {
+        self.fixed.has_inter = total > 0.0 && validate_weights(weights).is_ok();
+        if !self.fixed.has_inter {
             return;
         }
         let avg = total / weights.len() as f64;
@@ -957,8 +1075,8 @@ impl GroupTable {
                 slot.alias = alias;
             }
             None => {
-                self.tail_prob = prob;
-                self.tail_alias = alias;
+                self.fixed.tail_prob = prob;
+                self.fixed.tail_alias = alias;
             }
         }
     }
@@ -967,7 +1085,7 @@ impl GroupTable {
     /// weight).
     #[inline]
     pub(crate) fn has_inter(&self) -> bool {
-        self.has_inter
+        self.fixed.has_inter
     }
 
     /// Draw a group from the inter-group alias table: a bit in `0..len()`,
@@ -976,9 +1094,10 @@ impl GroupTable {
     #[inline]
     pub(crate) fn sample_group<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let i = rng.gen_range(0..self.slots.len() + 1);
+        note_read(self);
         let (prob, alias) = match self.slots.get(i) {
             Some(slot) => (slot.prob, slot.alias),
-            None => (self.tail_prob, self.tail_alias),
+            None => (self.fixed.tail_prob, self.fixed.tail_alias),
         };
         if rng.gen::<f64>() < prob {
             i
@@ -990,17 +1109,17 @@ impl GroupTable {
     /// Bytes the inter-group table needs: an 8-byte probability and a
     /// 1-byte alias per candidate (the groups plus the decimal group).
     pub(crate) fn inter_bytes(&self) -> usize {
-        if self.has_inter {
+        if self.fixed.has_inter {
             (self.slots.len() + 1) * (std::mem::size_of::<f64>() + std::mem::size_of::<u8>())
         } else {
             0
         }
     }
 
-    /// Heap bytes the table holds: headers and the arena, at capacity.
+    /// Heap bytes the table holds besides its own allocation (fixed fields
+    /// and headers, `size_of_val` of the table): the arena, at capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<GroupSlot>()
-            + self.arena.capacity() * std::mem::size_of::<u16>()
+        self.fixed.arena.capacity() * std::mem::size_of::<u16>()
     }
 
     /// Check the arena layout: segments lie inside the arena and do not
@@ -1008,7 +1127,7 @@ impl GroupTable {
     /// group's probe table holds exactly the group's members, each
     /// reachable from its home slot.
     pub(crate) fn check_layout(&self, degree: usize) -> Result<(), String> {
-        let index = (self.index.off as usize, self.index.cap as usize);
+        let index = (self.fixed.index.off as usize, self.fixed.index.cap as usize);
         let mut segments = vec![(index, "the edge index".to_string())];
         for (bit, s) in self.slots.iter().enumerate() {
             match s.kind {
@@ -1047,7 +1166,7 @@ impl GroupTable {
             }
             if s.is_listed() {
                 s.table()
-                    .check(&self.arena, self.wide, s.count, |pos| {
+                    .check(&self.fixed.arena, self.fixed.wide, s.count, |pos| {
                         self.word(s.off + pos)
                     })
                     .map_err(|e| format!("group 2^{bit}: probe table: {e}"))?;
@@ -1064,8 +1183,9 @@ impl GroupTable {
         degree: usize,
         dst_of: impl Fn(u32) -> u32,
     ) -> Result<(), String> {
-        self.index
-            .check(&self.arena, self.wide, degree as u32, dst_of)
+        self.fixed
+            .index
+            .check(&self.fixed.arena, self.fixed.wide, degree as u32, dst_of)
             .map_err(|e| format!("edge index: {e}"))
     }
 }
@@ -1197,10 +1317,10 @@ mod tests {
     /// over a vertex whose edge `idx` points at vertex `idx`. The tests
     /// below edit the groups alone, so only the build's edge index is in
     /// step with anything.
-    fn table_of(kind: GroupKind, members: &[u32]) -> GroupTable {
+    fn table_of(kind: GroupKind, members: &[u32]) -> Box<GroupTable> {
         let degree = members.iter().max().map_or(0, |&m| m as usize + 1);
-        let mut t = GroupTable::new();
-        t.rebuild(
+        let t = GroupTable::rebuilt(
+            None,
             degree,
             |idx| u64::from(members.contains(&(idx as u32))),
             |idx| idx,
@@ -1210,14 +1330,46 @@ mod tests {
         t
     }
 
+    /// A table of `k` empty groups.
+    fn empty_table(k: usize) -> Box<GroupTable> {
+        GroupTable::boxed(Fixed::EMPTY, &[], k)
+    }
+
     fn members_of(t: &GroupTable, bit: usize) -> Option<Vec<u32>> {
         t.view(bit).members().map(Iterator::collect)
     }
 
     #[test]
-    fn header_is_24_bytes() {
+    fn a_table_is_64_bytes_and_24_a_header_in_one_allocation() {
         assert_eq!(std::mem::size_of::<GroupSlot>(), 24);
-        assert!(std::mem::size_of::<GroupTable>() <= 72);
+        assert_eq!(std::mem::size_of::<GroupTable<[GroupSlot; 0]>>(), 64);
+        for k in [0, 1, 7, MAX_GROUPS] {
+            let t = empty_table(k);
+            assert_eq!(t.len(), k);
+            assert_eq!(std::mem::size_of_val(&*t), 64 + 24 * k);
+            assert_eq!(t.heap_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn k_grows_by_moving_the_table_and_keeps_every_header() {
+        let mut t = table_of(GroupKind::Regular, &[0, 3, 5]);
+        GroupTable::ensure(&mut t, 1);
+        assert_eq!(t.len(), 1);
+        let before = (t.fixed.arena.clone(), t.fixed.index, t.slots[0]);
+        GroupTable::ensure(&mut t, 9);
+        assert_eq!(t.len(), 9);
+        assert_eq!((t.fixed.arena.clone(), t.fixed.index, t.slots[0]), before);
+        assert!(t.slots[1..].iter().all(|s| *s == GroupSlot::EMPTY));
+        t.insert(8, 4);
+        assert_eq!(members_of(&t, 8), Some(vec![4]));
+        t.check_layout(6).unwrap();
+        t.check_index(6, |idx| idx).unwrap();
+        // A copy is a table of its own.
+        let copy = t.boxed_clone();
+        t.insert(8, 5);
+        assert_eq!(members_of(&copy, 8), Some(vec![4]));
+        assert_eq!(members_of(&copy, 0), Some(vec![0, 3, 5]));
     }
 
     #[test]
@@ -1239,8 +1391,7 @@ mod tests {
 
     #[test]
     fn empty_group_behaviour() {
-        let mut t = GroupTable::new();
-        t.ensure(4);
+        let mut t = empty_table(4);
         assert_eq!(t.kind(3), GroupKind::Empty);
         assert_eq!(t.cardinality(3), 0);
         assert_eq!(t.view(3).weight(), 0.0);
@@ -1252,8 +1403,7 @@ mod tests {
 
     #[test]
     fn insert_progression_empty_one_sparse() {
-        let mut t = GroupTable::new();
-        t.ensure(1);
+        let mut t = empty_table(1);
         t.insert(0, 4);
         assert_eq!(t.kind(0), GroupKind::OneElement);
         t.insert(0, 7);
@@ -1318,11 +1468,8 @@ mod tests {
         assert_eq!(t.cardinality(0), 5);
         assert_eq!(t.view(0).contains(0), None);
         assert!(t.view(0).members().is_none());
-        // Header and edge index: a dense group has nothing in the arena.
-        assert_eq!(
-            t.heap_bytes(),
-            std::mem::size_of::<GroupSlot>() + t.index_bytes()
-        );
+        // The edge index: a dense group has nothing in the arena.
+        assert_eq!(t.heap_bytes(), t.index_bytes());
         assert_eq!(t.index_bytes(), 2 * slots_for(5) as usize);
         t.insert(0, 9);
         assert_eq!(t.cardinality(0), 6);
@@ -1402,18 +1549,18 @@ mod tests {
         assert_eq!(dense.view(0).memory_bytes(), 4);
         // The build allocates the arena at exact size: the group's segment
         // and the edge index.
-        assert_eq!(regular.index.cap, slots_for(1000));
+        assert_eq!(regular.fixed.index.cap, slots_for(1000));
         assert_eq!(regular.arena_capacity(), 5 + 8 + 1501);
         assert_eq!(sparse.arena_capacity(), 5 + 8 + 1501);
         assert_eq!(dense.arena_capacity(), 1501);
         // Sparse to regular and back renames the group and moves nothing.
-        let mut t = sparse.clone();
+        let mut t = sparse.boxed_clone();
         RELOCATED_WORDS.with(|c| c.set(0));
         t.convert(0, GroupKind::Regular, 1000, |_| unreachable!());
         assert_eq!(t.kind(0), GroupKind::Regular);
-        assert_eq!(t.arena, regular.arena);
+        assert_eq!(t.fixed.arena, regular.fixed.arena);
         t.convert(0, GroupKind::Sparse, 1000, |_| unreachable!());
-        assert_eq!(t.arena, sparse.arena);
+        assert_eq!(t.fixed.arena, sparse.fixed.arena);
         assert_eq!(RELOCATED_WORDS.with(|c| c.get()), 0);
     }
 
@@ -1445,18 +1592,20 @@ mod tests {
     #[test]
     fn width_follows_the_degree_with_hysteresis() {
         // Every other neighbor is a member: one regular group.
-        let rebuilt = |t: &mut GroupTable, degree: usize| {
+        let rebuilt = |slot: &mut Option<Box<GroupTable>>, degree: usize| {
             let dst_of = |idx: u32| idx.wrapping_mul(7919) % 50_000;
-            t.rebuild(
+            let prev = slot.take();
+            let t = &**slot.insert(GroupTable::rebuilt(
+                prev,
                 degree,
                 |idx| (idx % 2) as u64,
                 dst_of,
                 |_| GroupKind::Regular,
-            );
+            ));
             t.check_layout(degree).unwrap();
             t.check_index(degree, dst_of).unwrap();
             assert_eq!(t.arena_capacity(), t.live_words(degree));
-            let arena_bytes = t.heap_bytes() - std::mem::size_of::<GroupSlot>();
+            let arena_bytes = t.heap_bytes();
             assert_eq!(arena_bytes, t.arena_capacity() * word_bytes(t.is_wide()));
             assert_eq!(t.view(0).memory_bytes() + t.index_bytes(), arena_bytes);
             // Destinations repeat: the lowest neighbor index wins.
@@ -1467,15 +1616,18 @@ mod tests {
             assert_eq!(t.find_edge(50_000, dst_of).0, None);
             t.is_wide()
         };
-        let mut t = GroupTable::new();
-        assert!(!rebuilt(&mut t, NARROW_LIMIT - 1));
+        let mut slot = None;
+        assert!(!rebuilt(&mut slot, NARROW_LIMIT - 1));
+        let t = slot.as_deref().unwrap();
         assert!(t.fits(NARROW_LIMIT - 1) && !t.fits(NARROW_LIMIT));
         assert_eq!(t.view(0).contains(NARROW_LIMIT as u32 - 2), Some(true));
         assert_eq!(t.view(0).contains(NARROW_LIMIT as u32 - 3), Some(false));
-        assert!(rebuilt(&mut t, NARROW_LIMIT));
+        assert!(rebuilt(&mut slot, NARROW_LIMIT));
+        let t = slot.as_deref().unwrap();
         assert!(t.fits(1 << 20));
         assert_eq!(t.view(0).contains(NARROW_LIMIT as u32 - 2), Some(true));
         assert_eq!(t.view(0).contains(NARROW_LIMIT as u32 - 1), Some(false));
+        let mut t = slot;
         // Wide stays wide down to 2^15 ...
         assert!(rebuilt(&mut t, NARROW_LIMIT - 1));
         assert!(rebuilt(&mut t, DEMOTE_BELOW));
@@ -1499,8 +1651,7 @@ mod tests {
         let mut rng = Pcg64::seed_from_u64(77);
         for case in 0..200 {
             let k = 1 + case % 20;
-            let mut t = GroupTable::new();
-            t.ensure(k);
+            let mut t = empty_table(k);
             for bit in 0..k {
                 for idx in 0..rng.gen_range(0..6u32) {
                     t.insert(bit, idx);

@@ -29,13 +29,17 @@
 //!
 //! Group adaptation exists so that the groups cost an acceptable amount of
 //! space next to the adjacency array. The engine owns the configuration,
-//! the conversion matrix and the rebuild totals once; a vertex is a
-//! 72-byte [`VertexSpace`]. Equation 9 picks a representation per group;
+//! the conversion matrix and the rebuild totals once — it passes the
+//! configuration into every call that changes a space — and a vertex is a
+//! 48-byte [`VertexSpace`]. Equation 9 picks a representation per group;
 //! one level up, the space picks one per vertex. Under `adaptive: true` a
 //! vertex of at most [`vertex_space::DIRECT_MAX_DEGREE`] = 16 edges is
 //! *direct* — its adjacency array and a cached bias total, sampled by one
 //! draw below the total and one pass over the edges — and only above that
-//! *factorized*, with everything the radix groups need behind one box. A
+//! *factorized*, with everything the radix groups need behind one pointer:
+//! the group table, whose K headers are the tail of its own allocation, so
+//! a sample reads the record, the table, one arena word and the adjacency
+//! block — four dependent loads over two heap blocks and the adjacency. A
 //! factorized vertex goes back to direct when deletes take it down to
 //! [`vertex_space::DIRECT_DEMOTE_DEGREE`] = 8; both changes are one
 //! rebuild from scratch, counted as such. The constants were set on the
@@ -45,11 +49,12 @@
 //!
 //! ```text
 //! BingoEngine
-//!  └─ Vec<VertexSpace>                    72 B each, inline
+//!  └─ Vec<VertexSpace>                    48 B each, inline; built in place
 //!      ├─ adjacency       12 B × d        destination and bias per edge
-//!      └─ factorized      boxed, 88 B     only above 16 edges, or under `baseline()`
-//!          ├─ group headers   24 B × K    kind, count, segment offset and
-//!          │                              capacity, inter-group alias bucket
+//!      └─ group table     boxed,          only above 16 edges, or under `baseline()`
+//!          │              64 B + 24 B × K fixed fields (λ, arena and edge-index handles),
+//!          │                              then the K headers: kind, count, segment offset
+//!          │                              and capacity, inter-group alias bucket
 //!          ├─ group arena     2 B × words one arena per vertex (4 B words
 //!          │                              from degree 2^16 − 1 on)
 //!          │    [ members, table 2^0 | members, table 2^3 | edge index | hole | ... ]
@@ -66,23 +71,31 @@
 //! benchmark graph, in MiB (the adjacency is the graph's own blocks from
 //! the fifth column on, and no longer the build's):
 //!
-//! | | `Vec` per group | one arena per vertex | 12-byte edges, `u16` arena words | direct vertices, 72-byte space | shared adjacency | probe tables |
-//! |---|---:|---:|---:|---:|---:|---:|
-//! | inline structs | 116 | 32 | 32 | 18 | 18 | 18 |
-//! | group headers | 81 | 56 (alias buckets included) | 56 | 15 | 15 | 11.4 |
-//! | factorized boxes | | | | 2.6 | 2.6 | 2.9 |
-//! | members + inverted / probe tables | 179 | 121 | 60.5 | 56.4 | 56.4 | 29.6 |
-//! | edge index | | | | | | 13.4 |
-//! | inter-group tables | 46 | in the headers | in the headers | in the headers | in the headers | in the headers |
-//! | adjacency | 120 | 120 | 60 | 60 | shared | shared |
-//! | allocator overhead | 128 | 30 | 35 | 19 | 18 | 17 |
-//! | RSS added by `build` | 680 | 359 | 244 | 172 | 110 | 93 |
+//! | | `Vec` per group | one arena per vertex | 12-byte edges, `u16` arena words | direct vertices, 72-byte space | shared adjacency | probe tables | built in place, 48-byte space, headers in the table |
+//! |---|---:|---:|---:|---:|---:|---:|---:|
+//! | inline structs | 116 | 32 | 32 | 18 | 18 | 18 | 12 |
+//! | group headers | 81 | 56 (alias buckets included) | 56 | 15 | 15 | 11.4 | 11.4 (in the tables) |
+//! | table fixed fields (boxes) | | | | 2.6 | 2.6 | 2.9 | 2.1 |
+//! | members + inverted / probe tables | 179 | 121 | 60.5 | 56.4 | 56.4 | 29.6 | 29.6 |
+//! | edge index | | | | | | 13.4 | 13.4 |
+//! | inter-group tables | 46 | in the headers | in the headers | in the headers | in the headers | in the headers | in the headers |
+//! | adjacency | 120 | 120 | 60 | 60 | shared | shared | shared |
+//! | allocator overhead | 128 | 30 | 35 | 19 | 18 | 17 | ≈ 0 |
+//! | allocations per factorized vertex | | | | 3 | 3 | 3 | 2 |
+//! | RSS added by `build` | 680 | 359 | 244 | 172 | 110 | 93 | 67 |
+//!
+//! The last column's 26 MiB are mostly not in the rows above it: the build
+//! used to collect the spaces through per-chunk vectors and copy them into
+//! the result, and the allocator kept the transient second array (the 17
+//! of "overhead"); it now fills one exactly sized array in place.
 //!
 //! On the flat 400 000-vertex graph of the `service_deepwalk` benchmark,
 //! where 398 337 vertices have 1–16 edges, the direct-vertex step takes the
 //! live heap from 142 to 64 MiB (headers 50.4 → 0.2, inline structs 48.8 →
 //! 27.5); its 1 516 factorized vertices hold 27 k edges between them, so the
-//! probe tables change nothing there.
+//! probe tables change nothing there. The in-place build and the 48-byte
+//! space do: the RSS the build adds goes from 58 to 19 MiB (inline structs
+//! 27.5 → 18.3, and no second copy of them).
 //!
 //! [`MemoryReport::resident_bytes`] reports the live total;
 //! [`MemoryReport::sampling_bytes`] keeps the paper's Figure 11 meaning,

@@ -29,21 +29,31 @@
 //! rebuilds. With adaptation off (the paper's "BS") every vertex is
 //! factorized.
 //!
-//! The space is 72 bytes inline. A direct vertex holds one heap block, an
-//! all-integer factorized one four (an isolated vertex holds none):
+//! The space is 48 bytes inline and keeps no copy of the configuration:
+//! whoever owns it (normally the engine, which has one [`BingoConfig`] for
+//! all of them) passes the configuration to every call that changes it. A
+//! direct vertex holds one heap block, an all-integer factorized one three
+//! (an isolated vertex holds none):
 //!
 //! ```text
-//! VertexSpace (72 B)
+//! VertexSpace (48 B)
 //!  ├─ adjacency       12 B × slots destination and bias per edge, behind a
 //!  │                  + 16 B       count header: shared with the graph (and
 //!  │                               the engine's clones) until the first write
-//!  └─ factorized      boxed, 88 B  only above DIRECT_MAX_DEGREE edges (or "BS")
-//!      ├─ group headers   24 B × K     kind, count, segment offset, alias bucket
+//!  └─ group table     boxed,       only above DIRECT_MAX_DEGREE edges (or "BS"):
+//!      │              64 B + 24 B × K   λ, edge-index and arena handles, then
+//!      │                               the K group headers — kind, count,
+//!      │                               segment offset, alias bucket — in the
+//!      │                               same allocation
 //!      ├─ group arena     2 B × words  member lists with their probe tables,
 //!      │                               and the edge index (4 B from degree
 //!      │                               2^16 − 1 on)
 //!      └─ decimal group   boxed, only while some bias has a fraction
 //! ```
+//!
+//! A factorized sample therefore reads the record, the table (alias bucket
+//! and group header, one block), one arena word and the adjacency block: a
+//! chain of four dependent loads over two heap blocks and the adjacency.
 //!
 //! A direct vertex keeps no index: finding an edge among at most
 //! [`DIRECT_MAX_DEGREE`] is the scan it always was.
@@ -120,86 +130,98 @@ impl VertexUpdateOutcome {
 /// The decimal group of a vertex none of whose biases has a fraction.
 static NO_DECIMAL: DecimalGroup = DecimalGroup::new();
 
-/// The group table of a direct vertex.
-static NO_GROUPS: GroupTable = GroupTable::new();
+/// Tries a dense group's rejection sampling gets before it falls back to a
+/// scan.
+const DENSE_TRIES: usize = 64;
 
-/// The thresholds of Equation 9, as a space copies them out of its config.
-#[derive(Debug, Clone, Copy)]
-struct Classifier {
-    adaptive: bool,
-    alpha_percent: f64,
-    beta_percent: f64,
-}
-
-impl Classifier {
-    /// The representation a group of `cardinality` edges gets on a vertex
-    /// of `degree` edges. With adaptation off (the "BS" baseline) every
-    /// non-empty group is regular.
-    fn classify(self, cardinality: usize, degree: usize) -> GroupKind {
-        if !self.adaptive {
-            return if cardinality == 0 {
-                GroupKind::Empty
-            } else {
-                GroupKind::Regular
-            };
-        }
-        GroupKind::classify(cardinality, degree, self.alpha_percent, self.beta_percent)
+/// The representation Equation 9 gives a group of `cardinality` edges on a
+/// vertex of `degree` edges. With adaptation off (the "BS" baseline) every
+/// non-empty group is regular.
+fn classify(config: &BingoConfig, cardinality: usize, degree: usize) -> GroupKind {
+    if !config.adaptive {
+        return if cardinality == 0 {
+            GroupKind::Empty
+        } else {
+            GroupKind::Regular
+        };
     }
+    GroupKind::classify(
+        cardinality,
+        degree,
+        config.alpha_percent,
+        config.beta_percent,
+    )
 }
 
-/// Everything only a factorized vertex needs. The methods take the
-/// adjacency list the groups and the edge index cover; the space keeps them
-/// in step.
-#[derive(Debug, Clone)]
+/// Everything only a factorized vertex needs: the group table, which also
+/// carries λ and the decimal group. The methods take the adjacency list the
+/// groups and the edge index cover; the space keeps them in step.
+#[derive(Debug)]
 struct Factorized {
-    groups: GroupTable,
-    /// Present only while some scaled bias has a fractional remainder.
-    decimal: Option<Box<DecimalGroup>>,
-    /// The λ amortization factor the groups were built with.
-    lambda: f64,
+    groups: Box<GroupTable>,
+}
+
+impl Clone for Factorized {
+    fn clone(&self) -> Self {
+        Factorized {
+            groups: self.groups.boxed_clone(),
+        }
+    }
 }
 
 impl Factorized {
+    /// The λ amortization factor the groups were built with.
+    fn lambda(&self) -> f64 {
+        self.groups.fixed.lambda
+    }
+
     fn scaled(&self, edge: &Edge) -> ScaledBias {
-        ScaledBias::new(edge.bias, self.lambda)
+        ScaledBias::new(edge.bias, self.lambda())
     }
 
     fn decimal_weight(&self) -> f64 {
-        self.decimal.as_ref().map_or(0.0, |d| d.weight())
+        self.groups
+            .fixed
+            .decimal
+            .as_ref()
+            .map_or(0.0, |d| d.weight())
     }
 
     fn total_weight(&self) -> f64 {
         self.groups.total_weight() + self.decimal_weight()
     }
 
-    /// Rebuild groups, edge index and decimal group for `lambda` from the
-    /// adjacency list, then the inter-group alias table. `O(d · K)`.
-    fn rebuild(
-        &mut self,
+    /// Build groups, edge index and decimal group for `lambda` from the
+    /// adjacency list, then the inter-group alias table; `prev` is what the
+    /// vertex had before, if it was factorized. `O(d · K)`.
+    fn rebuilt(
+        prev: Option<Factorized>,
         edges: &[Edge],
         lambda: f64,
         may_have_fractions: bool,
-        classifier: Classifier,
-    ) {
-        self.lambda = lambda;
-        self.groups.rebuild(
+        config: &BingoConfig,
+    ) -> Self {
+        let mut groups = GroupTable::rebuilt(
+            prev.map(|f| f.groups),
             edges.len(),
             |idx| ScaledBias::new(edges[idx].bias, lambda).integer,
             dst_of(edges),
-            |cardinality| classifier.classify(cardinality, edges.len()),
+            |cardinality| classify(config, cardinality, edges.len()),
         );
-        self.decimal = None;
+        groups.fixed.lambda = lambda;
+        groups.fixed.decimal = None;
         if may_have_fractions {
             for (idx, edge) in edges.iter().enumerate() {
                 let s = ScaledBias::new(edge.bias, lambda);
                 if s.has_fraction() {
-                    self.decimal
-                        .get_or_insert_with(Box::default)
-                        .insert(idx as u32, s.fraction);
+                    let decimal = groups.fixed.decimal.get_or_insert_with(Box::default);
+                    decimal.insert(idx as u32, s.fraction);
                 }
             }
         }
-        self.rebuild_inter();
+        let mut factorized = Factorized { groups };
+        factorized.rebuild_inter();
+        factorized
     }
 
     /// Rebuild only the inter-group alias table. `O(K)`.
@@ -213,16 +235,16 @@ impl Factorized {
     fn reclassify(
         &mut self,
         edges: &[Edge],
-        classifier: Classifier,
+        config: &BingoConfig,
         conversions: &mut ConversionMatrix,
     ) {
         let degree = edges.len();
-        let lambda = self.lambda;
+        let lambda = self.lambda();
         for bit in 0..self.groups.len() {
             conversions.record_check();
             let current = self.groups.kind(bit);
             let cardinality = self.groups.cardinality(bit);
-            let desired = classifier.classify(cardinality, degree);
+            let desired = classify(config, cardinality, degree);
             if current == desired {
                 continue;
             }
@@ -244,22 +266,21 @@ impl Factorized {
     fn insert(&mut self, edges: &[Edge], lambda_auto: bool) -> bool {
         let idx = edges.len() as u32 - 1;
         let bias = edges[idx as usize].bias;
-        if !bias.is_integral() && (self.lambda - 1.0).abs() < f64::EPSILON && lambda_auto {
+        if !bias.is_integral() && (self.lambda() - 1.0).abs() < f64::EPSILON && lambda_auto {
             return true;
         }
         if !self.groups.fits(edges.len()) {
             return true;
         }
         self.groups.index_insert(idx, dst_of(edges));
-        let s = ScaledBias::new(bias, self.lambda);
-        self.groups.ensure(radix::groups_for_max_bias(s.integer));
+        let s = self.scaled(&edges[idx as usize]);
+        GroupTable::ensure(&mut self.groups, radix::groups_for_max_bias(s.integer));
         for bit in radix::decompose(s.integer) {
             self.groups.insert(bit as usize, idx);
         }
         if s.has_fraction() {
-            self.decimal
-                .get_or_insert_with(Box::default)
-                .insert(idx, s.fraction);
+            let decimal = self.groups.fixed.decimal.get_or_insert_with(Box::default);
+            decimal.insert(idx, s.fraction);
         }
         false
     }
@@ -275,10 +296,11 @@ impl Factorized {
             }
         }
         if s.has_fraction() {
-            if let Some(decimal) = self.decimal.as_mut() {
-                decimal.remove(idx);
-                if decimal.is_empty() {
-                    self.decimal = None;
+            let decimal = &mut self.groups.fixed.decimal;
+            if let Some(group) = decimal.as_mut() {
+                group.remove(idx);
+                if group.is_empty() {
+                    *decimal = None;
                 }
             }
         }
@@ -297,7 +319,7 @@ impl Factorized {
             }
         }
         if s.has_fraction() {
-            if let Some(decimal) = self.decimal.as_mut() {
+            if let Some(decimal) = self.groups.fixed.decimal.as_mut() {
                 decimal.remap(old_idx, new_idx);
             }
         }
@@ -314,7 +336,8 @@ impl Factorized {
         for _ in 0..64 {
             let g = self.groups.sample_group(rng);
             if g == self.groups.len() {
-                if let Some(idx) = self.decimal.as_ref().and_then(|d| d.sample(rng)) {
+                let decimal = self.groups.fixed.decimal.as_ref();
+                if let Some(idx) = decimal.and_then(|d| d.sample(rng)) {
                     return Some(idx as usize);
                 }
                 continue;
@@ -322,16 +345,8 @@ impl Factorized {
             match self.groups.kind(g) {
                 GroupKind::Empty => continue,
                 GroupKind::Dense => {
-                    // Bounded rejection sampling over the raw adjacency list:
-                    // the acceptance rate is > α% by construction (§5.1).
-                    if edges.is_empty() {
-                        continue;
-                    }
-                    loop {
-                        let i = rng.gen_range(0..edges.len());
-                        if radix::in_group(self.scaled(&edges[i]).integer, g as u8) {
-                            return Some(i);
-                        }
+                    if let Some(idx) = self.sample_dense(g, edges, rng) {
+                        return Some(idx);
                     }
                 }
                 _ => {
@@ -342,6 +357,34 @@ impl Factorized {
             }
         }
         None
+    }
+
+    /// A uniform member of the dense group `g`, by rejection over the raw
+    /// adjacency list: a try is accepted at more than α% while Equation 9
+    /// calls the group dense (§5.1). With `reclassify_on_streaming` off,
+    /// deletes can thin a group that keeps its kind, and the acceptance rate
+    /// falls toward one in the degree; so the tries are bounded, and past
+    /// them one more draw picks the r-th member, found by one scan.
+    fn sample_dense<R: Rng + ?Sized>(
+        &self,
+        g: usize,
+        edges: &[Edge],
+        rng: &mut R,
+    ) -> Option<usize> {
+        if edges.is_empty() {
+            return None;
+        }
+        crate::group::note_read(edges.as_ptr());
+        let in_group = |edge: &Edge| radix::in_group(self.scaled(edge).integer, g as u8);
+        for _ in 0..DENSE_TRIES {
+            let i = rng.gen_range(0..edges.len());
+            if in_group(&edges[i]) {
+                return Some(i);
+            }
+        }
+        let r = rng.gen_range(0..self.groups.cardinality(g));
+        let mut members = edges.iter().enumerate().filter(|(_, edge)| in_group(edge));
+        members.nth(r).map(|(i, _)| i)
     }
 }
 
@@ -380,58 +423,107 @@ impl DirectTotal {
     }
 }
 
+/// What a space keeps besides its adjacency list: the cached bias total of
+/// a direct vertex ([`DirectTotal`], spelled out) or the groups of a
+/// factorized one. Every variant carries the space's count of full
+/// rebuilds, which the tag's padding has room for and the space has not.
+#[derive(Debug, Clone)]
+enum Repr {
+    Exact {
+        total: u64,
+        full_rebuilds: u32,
+    },
+    Approx {
+        total: f64,
+        full_rebuilds: u32,
+    },
+    Factorized {
+        factorized: Factorized,
+        full_rebuilds: u32,
+    },
+}
+
+impl Repr {
+    fn direct(total: DirectTotal, full_rebuilds: u32) -> Self {
+        match total {
+            DirectTotal::Exact(total) => Repr::Exact {
+                total,
+                full_rebuilds,
+            },
+            DirectTotal::Approx(total) => Repr::Approx {
+                total,
+                full_rebuilds,
+            },
+        }
+    }
+
+    fn full_rebuilds(&self) -> u32 {
+        let (Repr::Exact { full_rebuilds, .. }
+        | Repr::Approx { full_rebuilds, .. }
+        | Repr::Factorized { full_rebuilds, .. }) = self;
+        *full_rebuilds
+    }
+
+    fn direct_total(&self) -> Option<DirectTotal> {
+        match *self {
+            Repr::Exact { total, .. } => Some(DirectTotal::Exact(total)),
+            Repr::Approx { total, .. } => Some(DirectTotal::Approx(total)),
+            Repr::Factorized { .. } => None,
+        }
+    }
+
+    fn factorized(&self) -> Option<&Factorized> {
+        match self {
+            Repr::Factorized { factorized, .. } => Some(factorized),
+            _ => None,
+        }
+    }
+
+    fn factorized_mut(&mut self) -> Option<&mut Factorized> {
+        match self {
+            Repr::Factorized { factorized, .. } => Some(factorized),
+            _ => None,
+        }
+    }
+}
+
 /// The sampling space of a single vertex.
 ///
-/// The representation thresholds are copied out of the [`BingoConfig`] the
-/// space was built with, so a standalone space needs nothing else to mutate
-/// itself.
+/// The space keeps no configuration. [`VertexSpace::build`] and every call
+/// that changes the space take the [`BingoConfig`] to act under, and the
+/// caller passes the same one each time (the engine passes its own); the
+/// sampling and inspection methods need none.
 #[derive(Debug, Clone)]
 pub struct VertexSpace {
     adj: AdjacencyList,
-    /// `None` while the vertex is direct.
-    factorized: Option<Box<Factorized>>,
-    /// The bias total of a direct vertex: the `u64` sum while
-    /// `direct_exact`, the bits of the `f64` sum otherwise. Read through
-    /// [`VertexSpace::direct_total`].
-    direct_total: u64,
-    alpha_percent: f64,
-    beta_percent: f64,
-    /// `Lambda::Fixed`'s λ; 1 under `Lambda::Auto`.
-    fixed_lambda: f64,
-    full_rebuilds: u32,
-    adaptive: bool,
-    reclassify_on_streaming: bool,
-    /// `Lambda::Auto`: λ follows the biases instead of staying fixed.
-    lambda_auto: bool,
-    direct_exact: bool,
+    repr: Repr,
 }
 
-// 2^18 vertices hold 18 MiB of these inline; the engine owns the config and
-// the conversion matrix, and the box what only a factorized vertex needs,
-// so that a space need not.
-const _: () = assert!(std::mem::size_of::<VertexSpace>() <= 72);
+// 2^18 vertices hold 12 MiB of these inline; the engine owns the config and
+// the conversion matrix, and the table's allocation what only a factorized
+// vertex needs, so that a space need not.
+const _: () = assert!(std::mem::size_of::<VertexSpace>() <= 48);
 
 impl VertexSpace {
     /// Build the sampling space for an adjacency list.
     pub fn build(adj: AdjacencyList, config: BingoConfig) -> Self {
-        let mut space = VertexSpace {
-            adj,
-            factorized: None,
-            direct_total: 0,
-            alpha_percent: config.alpha_percent,
-            beta_percent: config.beta_percent,
-            fixed_lambda: match config.lambda {
-                Lambda::Fixed(l) => l.max(1.0),
-                Lambda::Auto => 1.0,
-            },
-            full_rebuilds: 0,
-            adaptive: config.adaptive,
-            reclassify_on_streaming: config.reclassify_on_streaming,
-            lambda_auto: config.lambda == Lambda::Auto,
-            direct_exact: true,
-        };
-        space.rebuild_from_scratch();
+        let mut space = VertexSpace::unbuilt();
+        space.adj = adj;
+        space.rebuild_from_scratch(&config);
         space
+    }
+
+    /// An isolated vertex no build has counted yet: what
+    /// [`BingoEngine::build_range`](crate::BingoEngine::build_range) fills
+    /// its array with before the spaces are built into it.
+    pub(crate) fn unbuilt() -> Self {
+        VertexSpace {
+            adj: AdjacencyList::new(),
+            repr: Repr::Exact {
+                total: 0,
+                full_rebuilds: 0,
+            },
+        }
     }
 
     /// The vertex degree.
@@ -447,17 +539,20 @@ impl VertexSpace {
     /// Whether the vertex is stored direct: no radix groups, sampled by one
     /// pass over its at most [`DIRECT_MAX_DEGREE`] edges.
     pub fn is_direct(&self) -> bool {
-        self.factorized.is_none()
+        self.repr.factorized().is_none()
     }
 
     /// The λ amortization factor currently in use (1 for a direct vertex,
     /// which scales nothing).
     pub fn lambda(&self) -> f64 {
-        self.factorized.as_ref().map_or(1.0, |f| f.lambda)
+        self.repr.factorized().map_or(1.0, Factorized::lambda)
     }
 
     fn groups_table(&self) -> &GroupTable {
-        self.factorized.as_ref().map_or(&NO_GROUPS, |f| &f.groups)
+        match self.repr.factorized() {
+            Some(f) => &f.groups,
+            None => GroupTable::none(),
+        }
     }
 
     /// The number of radix groups (K); none on a direct vertex.
@@ -482,9 +577,10 @@ impl VertexSpace {
 
     /// The decimal group.
     pub fn decimal_group(&self) -> &DecimalGroup {
-        self.factorized
-            .as_ref()
-            .and_then(|f| f.decimal.as_deref())
+        self.groups_table()
+            .fixed
+            .decimal
+            .as_deref()
             .unwrap_or(&NO_DECIMAL)
     }
 
@@ -498,39 +594,21 @@ impl VertexSpace {
 
     /// Number of full space rebuilds performed.
     pub fn full_rebuilds(&self) -> u64 {
-        u64::from(self.full_rebuilds)
-    }
-
-    fn classifier(&self) -> Classifier {
-        Classifier {
-            adaptive: self.adaptive,
-            alpha_percent: self.alpha_percent,
-            beta_percent: self.beta_percent,
-        }
-    }
-
-    fn direct_total(&self) -> DirectTotal {
-        if self.direct_exact {
-            DirectTotal::Exact(self.direct_total)
-        } else {
-            DirectTotal::Approx(f64::from_bits(self.direct_total))
-        }
+        u64::from(self.repr.full_rebuilds())
     }
 
     /// Re-add the cached total of a direct vertex after its edges changed.
     /// One pass over at most [`DIRECT_MAX_DEGREE`] edges, and no drift: the
     /// cache always equals a fresh sum.
     fn refresh_direct_total(&mut self) {
-        (self.direct_total, self.direct_exact) = match DirectTotal::of(self.adj.edges()) {
-            DirectTotal::Exact(total) => (total, true),
-            DirectTotal::Approx(total) => (total.to_bits(), false),
-        };
+        let total = DirectTotal::of(self.adj.edges());
+        self.repr = Repr::direct(total, self.repr.full_rebuilds());
     }
 
     /// Whether a factorized vertex left with `degree` edges goes back to
     /// direct.
-    fn demotes_at(&self, degree: usize) -> bool {
-        self.adaptive && self.factorized.is_some() && degree <= DIRECT_DEMOTE_DEGREE
+    fn demotes_at(&self, degree: usize, config: &BingoConfig) -> bool {
+        config.adaptive && !self.is_direct() && degree <= DIRECT_DEMOTE_DEGREE
     }
 
     /// An empty outcome, and the rebuild counters to diff against once the
@@ -538,32 +616,35 @@ impl VertexSpace {
     fn begin(&self) -> (VertexUpdateOutcome, [u32; 2]) {
         (
             VertexUpdateOutcome::default(),
-            [self.groups_table().inter_rebuilds(), self.full_rebuilds],
+            [
+                self.groups_table().inter_rebuilds(),
+                self.repr.full_rebuilds(),
+            ],
         )
     }
 
     fn finish(&self, mut outcome: VertexUpdateOutcome, before: [u32; 2]) -> VertexUpdateOutcome {
         // An update that leaves the vertex direct rebuilt no alias table: it
         // either found it direct or dropped its groups, counter and all.
-        outcome.inter_rebuilds = match &self.factorized {
+        outcome.inter_rebuilds = match self.repr.factorized() {
             Some(f) => f.groups.inter_rebuilds().wrapping_sub(before[0]),
             None => 0,
         };
-        outcome.full_rebuilds = self.full_rebuilds.wrapping_sub(before[1]);
+        outcome.full_rebuilds = self.repr.full_rebuilds().wrapping_sub(before[1]);
         outcome
     }
 
     /// λ for the current biases, and whether the decimal group can be
     /// non-empty under it.
-    fn resolve_lambda(&self) -> (f64, bool) {
+    fn resolve_lambda(&self, config: &BingoConfig) -> (f64, bool) {
         let has_float = self.adj.edges().iter().any(|e| !e.bias.is_integral());
-        let lambda = if !self.lambda_auto {
-            self.fixed_lambda
-        } else if has_float {
-            let biases: Vec<f64> = self.adj.edges().iter().map(|e| e.bias.value()).collect();
-            choose_lambda(&biases, 2.0)
-        } else {
-            1.0
+        let lambda = match config.lambda {
+            Lambda::Fixed(lambda) => lambda.max(1.0),
+            Lambda::Auto if has_float => {
+                let biases: Vec<f64> = self.adj.edges().iter().map(|e| e.bias.value()).collect();
+                choose_lambda(&biases, 2.0)
+            }
+            Lambda::Auto => 1.0,
         };
         (lambda, has_float || (lambda - 1.0).abs() >= f64::EPSILON)
     }
@@ -572,33 +653,42 @@ impl VertexSpace {
     /// representation from the degree: direct (drop the groups, re-add the
     /// total) or factorized (λ, groups, decimal group and inter-group alias
     /// table, `O(d · K)`).
-    fn rebuild_from_scratch(&mut self) {
-        self.full_rebuilds = self.full_rebuilds.wrapping_add(1);
-        if self.adaptive && self.adj.degree() <= DIRECT_MAX_DEGREE {
-            self.factorized = None;
-            self.refresh_direct_total();
+    fn rebuild_from_scratch(&mut self, config: &BingoConfig) {
+        let full_rebuilds = self.repr.full_rebuilds().wrapping_add(1);
+        let edges = self.adj.edges();
+        if config.adaptive && edges.len() <= DIRECT_MAX_DEGREE {
+            self.repr = Repr::direct(DirectTotal::of(edges), full_rebuilds);
             return;
         }
-        let (lambda, may_have_fractions) = self.resolve_lambda();
-        let classifier = self.classifier();
-        self.factorized
-            .get_or_insert_with(|| {
-                Box::new(Factorized {
-                    groups: GroupTable::new(),
-                    decimal: None,
-                    lambda,
-                })
-            })
-            .rebuild(self.adj.edges(), lambda, may_have_fractions, classifier);
+        let (lambda, may_have_fractions) = self.resolve_lambda(config);
+        let vacated = Repr::Exact {
+            total: 0,
+            full_rebuilds,
+        };
+        let prev = match std::mem::replace(&mut self.repr, vacated) {
+            Repr::Factorized { factorized, .. } => Some(factorized),
+            _ => None,
+        };
+        self.repr = Repr::Factorized {
+            factorized: Factorized::rebuilt(prev, edges, lambda, may_have_fractions, config),
+            full_rebuilds,
+        };
     }
 
     /// Reclassify the groups (when `reclassify`) and rebuild the inter-group
     /// alias table: the tail of every update that kept the groups current.
-    fn settle_groups(&mut self, reclassify: bool, conversions: &mut ConversionMatrix) {
-        let classifier = self.classifier();
-        let f = self.factorized.as_mut().expect("the vertex is factorized");
+    fn settle_groups(
+        &mut self,
+        reclassify: bool,
+        config: &BingoConfig,
+        conversions: &mut ConversionMatrix,
+    ) {
+        let f = self
+            .repr
+            .factorized_mut()
+            .expect("the vertex is factorized");
         if reclassify {
-            f.reclassify(self.adj.edges(), classifier, conversions);
+            f.reclassify(self.adj.edges(), config, conversions);
         }
         f.rebuild_inter();
     }
@@ -608,7 +698,12 @@ impl VertexSpace {
     /// the inter-group alias table. `O(K)`, amortised over the moves of
     /// full segments. A direct vertex appends and re-adds its total, or is
     /// factorized if the edge takes it above [`DIRECT_MAX_DEGREE`].
-    pub fn insert(&mut self, dst: VertexId, bias: Bias) -> Result<VertexUpdateOutcome> {
+    pub fn insert(
+        &mut self,
+        dst: VertexId,
+        bias: Bias,
+        config: &BingoConfig,
+    ) -> Result<VertexUpdateOutcome> {
         if !bias.is_valid() {
             return Err(BingoError::InvalidBias { dst });
         }
@@ -616,14 +711,15 @@ impl VertexSpace {
         outcome.inserted = 1;
         self.adj.push(Edge::new(dst, bias));
         let degree = self.adj.degree();
-        match self.factorized.as_mut() {
+        match self.repr.factorized_mut() {
             None if degree <= DIRECT_MAX_DEGREE => self.refresh_direct_total(),
-            None => self.rebuild_from_scratch(),
+            None => self.rebuild_from_scratch(config),
             Some(f) => {
-                if f.insert(self.adj.edges(), self.lambda_auto) {
-                    self.rebuild_from_scratch();
+                if f.insert(self.adj.edges(), config.lambda == Lambda::Auto) {
+                    self.rebuild_from_scratch(config);
                 } else {
-                    self.settle_groups(self.reclassify_on_streaming, &mut outcome.conversions);
+                    let reclassify = config.reclassify_on_streaming;
+                    self.settle_groups(reclassify, config, &mut outcome.conversions);
                 }
             }
         }
@@ -639,7 +735,11 @@ impl VertexSpace {
     /// swap-deletes and re-adds its total; a factorized one the delete
     /// leaves with [`DIRECT_DEMOTE_DEGREE`] edges becomes direct. Returns
     /// the removed edge.
-    pub fn delete_at(&mut self, idx: usize) -> Result<(Edge, VertexUpdateOutcome)> {
+    pub fn delete_at(
+        &mut self,
+        idx: usize,
+        config: &BingoConfig,
+    ) -> Result<(Edge, VertexUpdateOutcome)> {
         if idx >= self.adj.degree() {
             return Err(BingoError::NeighborIndexOutOfRange {
                 index: idx,
@@ -649,8 +749,8 @@ impl VertexSpace {
         let (mut outcome, before) = self.begin();
         outcome.deleted = 1;
         // The groups of a vertex about to drop them need no upkeep.
-        let demotes = self.demotes_at(self.adj.degree() - 1);
-        let mut groups = self.factorized.as_mut().filter(|_| !demotes);
+        let demotes = self.demotes_at(self.adj.degree() - 1, config);
+        let mut groups = self.repr.factorized_mut().filter(|_| !demotes);
         if let Some(f) = groups.as_mut() {
             f.remove(idx as u32, self.adj.edges());
         }
@@ -662,21 +762,26 @@ impl VertexSpace {
             f.remap(old_last as u32, idx as u32, &self.adj.edges()[idx]);
         }
         if demotes {
-            self.rebuild_from_scratch();
-        } else if self.factorized.is_some() {
-            self.settle_groups(self.reclassify_on_streaming, &mut outcome.conversions);
-        } else {
+            self.rebuild_from_scratch(config);
+        } else if self.is_direct() {
             self.refresh_direct_total();
+        } else {
+            let reclassify = config.reclassify_on_streaming;
+            self.settle_groups(reclassify, config, &mut outcome.conversions);
         }
         Ok((out.removed, self.finish(outcome, before)))
     }
 
     /// Streaming deletion of the first edge pointing at `dst`. Returns the
     /// removed edge.
-    pub fn delete(&mut self, dst: VertexId) -> Result<(Edge, VertexUpdateOutcome)> {
+    pub fn delete(
+        &mut self,
+        dst: VertexId,
+        config: &BingoConfig,
+    ) -> Result<(Edge, VertexUpdateOutcome)> {
         let (found, scanned) = self.find_counting(dst);
         let idx = found.ok_or(BingoError::EdgeNotFound { dst })?;
-        let (edge, mut outcome) = self.delete_at(idx)?;
+        let (edge, mut outcome) = self.delete_at(idx, config)?;
         outcome.edges_scanned = scanned as u64;
         Ok((edge, outcome))
     }
@@ -693,7 +798,7 @@ impl VertexSpace {
     /// [`VertexUpdateOutcome::edges_scanned`].
     pub fn find_counting(&self, dst: VertexId) -> (Option<usize>, usize) {
         let edges = self.adj.edges();
-        match &self.factorized {
+        match self.repr.factorized() {
             Some(f) => {
                 let (found, scanned) = f.groups.find_edge(dst, dst_of(edges));
                 (found.map(|idx| idx as usize), scanned)
@@ -707,7 +812,7 @@ impl VertexSpace {
 
     /// Whether some edge points at `dst`.
     pub fn has_edge(&self, dst: VertexId) -> bool {
-        match &self.factorized {
+        match self.repr.factorized() {
             Some(f) => f.groups.has_edge(dst, dst_of(self.adj.edges())),
             None => self.adj.find(dst).is_some(),
         }
@@ -717,12 +822,17 @@ impl VertexSpace {
     ///
     /// Implemented as delete + insert of the same destination, which is how
     /// the paper describes bias updates (§4.2).
-    pub fn update_bias(&mut self, dst: VertexId, bias: Bias) -> Result<VertexUpdateOutcome> {
+    pub fn update_bias(
+        &mut self,
+        dst: VertexId,
+        bias: Bias,
+        config: &BingoConfig,
+    ) -> Result<VertexUpdateOutcome> {
         if !bias.is_valid() {
             return Err(BingoError::InvalidBias { dst });
         }
-        let (_, mut outcome) = self.delete(dst)?;
-        outcome.merge(&self.insert(dst, bias)?);
+        let (_, mut outcome) = self.delete(dst, config)?;
+        outcome.merge(&self.insert(dst, bias, config)?);
         Ok(outcome)
     }
 
@@ -736,6 +846,7 @@ impl VertexSpace {
         &mut self,
         inserts: &[(VertexId, Bias)],
         deletes: &[VertexId],
+        config: &BingoConfig,
     ) -> VertexUpdateOutcome {
         let (mut outcome, before) = self.begin();
 
@@ -743,14 +854,14 @@ impl VertexSpace {
         // A direct vertex has no groups, and once an insertion calls for a
         // full rebuild the groups are stale until phase 3 rebuilds them: in
         // both cases the batch only edits the adjacency list.
-        let mut groups_stale = self.factorized.is_none();
+        let mut groups_stale = self.is_direct();
         for &(dst, bias) in inserts {
             if !bias.is_valid() {
                 continue;
             }
             self.adj.push(Edge::new(dst, bias));
-            if let Some(f) = self.factorized.as_mut().filter(|_| !groups_stale) {
-                groups_stale = f.insert(self.adj.edges(), self.lambda_auto);
+            if let Some(f) = self.repr.factorized_mut().filter(|_| !groups_stale) {
+                groups_stale = f.insert(self.adj.edges(), config.lambda == Lambda::Auto);
             }
             outcome.inserted += 1;
         }
@@ -765,7 +876,7 @@ impl VertexSpace {
         // copy. Without them (a direct vertex, or groups a rebuild is about
         // to replace) the lookup is a scan that skips what is already taken.
         let mut to_delete: Vec<usize> = Vec::with_capacity(deletes.len());
-        let mut groups = self.factorized.as_mut().filter(|_| !groups_stale);
+        let mut groups = self.repr.factorized_mut().filter(|_| !groups_stale);
         let edges = self.adj.edges();
         for &dst in deletes {
             let (found, scanned) = match groups.as_mut() {
@@ -803,12 +914,12 @@ impl VertexSpace {
 
         // Phase 3: one rebuild for the whole batch.
         let degree = self.adj.degree();
-        if self.factorized.is_none() && degree <= DIRECT_MAX_DEGREE {
+        if self.is_direct() && degree <= DIRECT_MAX_DEGREE {
             self.refresh_direct_total();
-        } else if groups_stale || self.demotes_at(degree) {
-            self.rebuild_from_scratch();
+        } else if groups_stale || self.demotes_at(degree, config) {
+            self.rebuild_from_scratch(config);
         } else {
-            self.settle_groups(true, &mut outcome.conversions);
+            self.settle_groups(true, config, &mut outcome.conversions);
         }
         self.finish(outcome, before)
     }
@@ -816,18 +927,18 @@ impl VertexSpace {
     /// Total sampling weight of the vertex: λ-scaled when factorized, the
     /// plain bias total when direct.
     pub fn total_weight(&self) -> f64 {
-        match &self.factorized {
-            Some(f) => f.total_weight(),
-            None => self.direct_total().value(),
+        match &self.repr {
+            Repr::Factorized { factorized, .. } => factorized.total_weight(),
+            direct => direct.direct_total().map_or(0.0, DirectTotal::value),
         }
     }
 
     /// Sample a neighbor index in `O(1)` expected time (Theorem 4.1
     /// guarantees the distribution equals the bias-proportional one).
     pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
-        match &self.factorized {
-            Some(f) => f.sample_index(self.adj.edges(), rng),
-            None => self.sample_direct(rng),
+        match &self.repr {
+            Repr::Factorized { factorized, .. } => factorized.sample_index(self.adj.edges(), rng),
+            direct => self.sample_direct(direct.direct_total()?, rng),
         }
     }
 
@@ -837,10 +948,10 @@ impl VertexSpace {
     /// pass has no early exit, so nothing in it depends on the draw but the
     /// count. Integer totals draw an integer, and integers up to 2^53 add up
     /// exactly in `f64`; only beyond that does the pass add in `u64`.
-    fn sample_direct<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
+    fn sample_direct<R: Rng + ?Sized>(&self, total: DirectTotal, rng: &mut R) -> Option<usize> {
         const EXACT_IN_F64: u64 = 1 << 53;
         let edges = self.adj.edges();
-        let below = match self.direct_total() {
+        let below = match total {
             DirectTotal::Exact(0) => return None,
             DirectTotal::Exact(total) if total > EXACT_IN_F64 => {
                 let below = rng.gen_range(0..total);
@@ -867,17 +978,17 @@ impl VertexSpace {
 
     /// Sample a neighbor vertex id.
     pub fn sample_neighbor<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<VertexId> {
-        self.sample_index(rng)
-            .and_then(|i| self.adj.edge(i))
-            .map(|e| e.dst)
+        let idx = self.sample_index(rng)?;
+        crate::group::note_read(self.adj.edges().as_ptr());
+        self.adj.edge(idx).map(|e| e.dst)
     }
 
     /// Memory accounting for this vertex (Figure 11 breakdown). The
     /// per-representation fields count what each structure needs, as they
     /// always have; `structure_bytes` is everything else the space occupies
-    /// (the inline struct, the factorized box, the rest of the group
-    /// headers, arena holes and slack), so `resident_bytes()` is what the
-    /// allocator handed out for everything this space references. The
+    /// (the inline struct, the group table's fixed fields, the rest of the
+    /// group headers, arena holes and slack), so `resident_bytes()` is what
+    /// the allocator handed out for everything this space references. The
     /// adjacency block is counted in full even while the graph or a clone
     /// of this space holds it too.
     pub fn memory_report(&self) -> MemoryReport {
@@ -886,7 +997,7 @@ impl VertexSpace {
             ..MemoryReport::default()
         };
         let mut resident = std::mem::size_of::<Self>() + report.adjacency_bytes;
-        match &self.factorized {
+        match self.repr.factorized() {
             None => report.direct_vertices = 1,
             Some(f) => {
                 report.inter_group_bytes = f.groups.inter_bytes();
@@ -894,8 +1005,10 @@ impl VertexSpace {
                 for g in f.groups.views() {
                     report.add_group(g.kind(), g.memory_bytes());
                 }
-                resident += std::mem::size_of_val(&**f) + f.groups.heap_bytes();
-                if let Some(decimal) = &f.decimal {
+                // The table's own allocation — fixed fields and headers —
+                // and the arena it points to.
+                resident += std::mem::size_of_val(&*f.groups) + f.groups.heap_bytes();
+                if let Some(decimal) = &f.groups.fixed.decimal {
                     report.decimal_bytes = decimal.memory_bytes();
                     resident += std::mem::size_of_val(&**decimal) + report.decimal_bytes;
                 }
@@ -919,29 +1032,30 @@ impl VertexSpace {
             .collect()
     }
 
-    /// Check every structural invariant of the sampling space. Used by the
+    /// Check every structural invariant of the sampling space, and that its
+    /// representation is one `config` allows at this degree. Used by the
     /// property-based tests; returns a description of the first violation.
-    pub fn check_invariants(&self) -> std::result::Result<(), String> {
+    pub fn check_invariants(&self, config: &BingoConfig) -> std::result::Result<(), String> {
         let degree = self.adj.degree();
-        let Some(f) = &self.factorized else {
+        let Some(f) = self.repr.factorized() else {
             // A direct vertex has no groups and no decimal box to get out
-            // of step (both live in the box it lacks).
-            if !self.adaptive {
+            // of step (both live in the table it lacks).
+            if !config.adaptive {
                 return Err("direct vertex under a non-adaptive config".to_string());
             }
             if degree > DIRECT_MAX_DEGREE {
                 return Err(format!("direct vertex of {degree} edges"));
             }
             let fresh = DirectTotal::of(self.adj.edges());
-            if self.direct_total() != fresh {
+            if self.repr.direct_total() != Some(fresh) {
                 return Err(format!(
                     "cached total {:?} != recomputed {fresh:?}",
-                    self.direct_total()
+                    self.repr.direct_total()
                 ));
             }
             return Ok(());
         };
-        if self.demotes_at(degree) {
+        if self.demotes_at(degree, config) {
             return Err(format!("factorized adaptive vertex of {degree} edges"));
         }
         // 0. The group arena is laid out consistently, and its probe tables
@@ -991,11 +1105,11 @@ impl VertexSpace {
         }
         // 4. Total scaled weight equals λ × total bias.
         let total_bias: f64 = self.adj.edges().iter().map(|e| e.bias.value()).sum();
-        if (f.total_weight() - total_bias * f.lambda).abs() > 1e-6 * (1.0 + total_bias) {
+        if (f.total_weight() - total_bias * f.lambda()).abs() > 1e-6 * (1.0 + total_bias) {
             return Err(format!(
                 "total weight {} != lambda × bias total {}",
                 f.total_weight(),
-                total_bias * f.lambda
+                total_bias * f.lambda()
             ));
         }
         Ok(())
@@ -1019,7 +1133,8 @@ mod tests {
     fn running_example_groups_match_paper() {
         // Vertex 2, biases 5, 4, 3: group 2^0 = {edges 0, 2}, 2^1 = {2},
         // 2^2 = {0, 1}; group biases 2, 2, 8.
-        let space = vertex2_space(BingoConfig::baseline());
+        let config = BingoConfig::baseline();
+        let space = vertex2_space(config);
         assert_eq!(space.num_groups(), 3);
         assert_eq!(space.group(0).cardinality(), 2);
         assert_eq!(space.group(1).cardinality(), 1);
@@ -1029,7 +1144,7 @@ mod tests {
         assert_eq!(space.group(2).weight(), 8.0);
         assert_eq!(space.total_weight(), 12.0);
         assert_eq!(space.lambda(), 1.0);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 
     #[test]
@@ -1059,25 +1174,27 @@ mod tests {
 
     #[test]
     fn empty_vertex_samples_nothing() {
-        let space = VertexSpace::build(AdjacencyList::new(), BingoConfig::default());
+        let config = BingoConfig::default();
+        let space = VertexSpace::build(AdjacencyList::new(), config);
         let mut rng = Pcg64::seed_from_u64(1);
         assert_eq!(space.sample_index(&mut rng), None);
         assert_eq!(space.total_weight(), 0.0);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 
     #[test]
     fn streaming_insert_matches_paper_figure_5() {
         // Insert edge (2, 3, 3): bias 3 = 2^0 + 2^1, so groups 2^0 and 2^1
         // each gain the new neighbor index 3.
-        let mut space = vertex2_space(BingoConfig::baseline());
-        space.insert(3, Bias::from_int(3)).unwrap();
+        let config = BingoConfig::baseline();
+        let mut space = vertex2_space(config);
+        space.insert(3, Bias::from_int(3), &config).unwrap();
         assert_eq!(space.degree(), 4);
         assert_eq!(space.group(0).cardinality(), 3);
         assert_eq!(space.group(1).cardinality(), 2);
         assert_eq!(space.group(2).cardinality(), 2);
         assert_eq!(space.total_weight(), 15.0);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
 
         // Distribution still matches the biases.
         let mut rng = Pcg64::seed_from_u64(3);
@@ -1088,8 +1205,9 @@ mod tests {
     #[test]
     fn streaming_delete_matches_paper_figure_6() {
         // Delete edge (2, 1, 5): groups 2^0 and 2^2 lose neighbor index 0.
-        let mut space = vertex2_space(BingoConfig::baseline());
-        let (removed, outcome) = space.delete(1).unwrap();
+        let config = BingoConfig::baseline();
+        let mut space = vertex2_space(config);
+        let (removed, outcome) = space.delete(1, &config).unwrap();
         assert_eq!(outcome.deleted, 1);
         assert_eq!(outcome.inter_rebuilds, 1);
         assert_eq!(removed.dst, 1);
@@ -1099,27 +1217,29 @@ mod tests {
         assert_eq!(space.group(1).cardinality(), 1);
         assert_eq!(space.group(2).cardinality(), 1);
         assert_eq!(space.total_weight(), 7.0);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
         // Deleting a missing edge fails cleanly.
-        assert!(space.delete(1).is_err());
+        assert!(space.delete(1, &config).is_err());
     }
 
     #[test]
     fn insert_then_delete_round_trips() {
-        let mut space = vertex2_space(BingoConfig::default());
+        let config = BingoConfig::default();
+        let mut space = vertex2_space(config);
         let before = space.total_weight();
-        space.insert(3, Bias::from_int(6)).unwrap();
-        space.delete(3).unwrap();
+        space.insert(3, Bias::from_int(6), &config).unwrap();
+        space.delete(3, &config).unwrap();
         assert_eq!(space.total_weight(), before);
         assert_eq!(space.degree(), 3);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 
     #[test]
     fn invalid_operations_are_rejected() {
-        let mut space = vertex2_space(BingoConfig::default());
-        assert!(space.delete(99).is_err());
-        assert!(space.delete_at(17).is_err());
+        let config = BingoConfig::default();
+        let mut space = vertex2_space(config);
+        assert!(space.delete(99, &config).is_err());
+        assert!(space.delete_at(17, &config).is_err());
         for invalid in [
             Bias::from_int(0),
             Bias::from_float(0.0),
@@ -1130,24 +1250,25 @@ mod tests {
             Bias::from_float(f64::NEG_INFINITY),
         ] {
             assert_eq!(
-                space.insert(9, invalid),
+                space.insert(9, invalid, &config),
                 Err(BingoError::InvalidBias { dst: 9 })
             );
             assert_eq!(
-                space.update_bias(1, invalid),
+                space.update_bias(1, invalid, &config),
                 Err(BingoError::InvalidBias { dst: 1 })
             );
-            assert_eq!(space.apply_batch(&[(9, invalid)], &[]).inserted, 0);
+            assert_eq!(space.apply_batch(&[(9, invalid)], &[], &config).inserted, 0);
         }
         assert_eq!(space.degree(), 3);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 
     #[test]
     fn update_bias_changes_distribution() {
-        let mut space = vertex2_space(BingoConfig::default());
-        space.update_bias(4, Bias::from_int(100)).unwrap();
-        space.check_invariants().unwrap();
+        let config = BingoConfig::default();
+        let mut space = vertex2_space(config);
+        space.update_bias(4, Bias::from_int(100), &config).unwrap();
+        space.check_invariants(&config).unwrap();
         let mut rng = Pcg64::seed_from_u64(11);
         let mut hits = 0;
         for _ in 0..10_000 {
@@ -1179,7 +1300,7 @@ mod tests {
         assert_eq!(space.group(2).cardinality(), 2);
         assert_eq!(space.decimal_group().cardinality(), 3);
         assert!((space.decimal_group().weight() - 1.0).abs() < 1e-9);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
 
         // Theorem 4.1 still holds with the decimal group in play.
         let mut rng = Pcg64::seed_from_u64(5);
@@ -1193,22 +1314,24 @@ mod tests {
         for i in 0..20u32 {
             adj.push(Edge::new(i, Bias::from_float(0.05 + 0.01 * i as f64)));
         }
-        let space = VertexSpace::build(adj, BingoConfig::default());
+        let config = BingoConfig::default();
+        let space = VertexSpace::build(adj, config);
         assert!(space.lambda() > 1.0);
         let share = space.decimal_group().weight() / space.total_weight();
         assert!(share < 1.0 / 20.0, "decimal share {share} too large");
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 
     #[test]
     fn float_insert_into_integer_space_triggers_full_rebuild() {
-        let mut space = vertex2_space(BingoConfig::baseline());
+        let config = BingoConfig::baseline();
+        let mut space = vertex2_space(config);
         assert_eq!(space.lambda(), 1.0);
         let rebuilds_before = space.full_rebuilds();
-        space.insert(3, Bias::from_float(0.5)).unwrap();
+        space.insert(3, Bias::from_float(0.5), &config).unwrap();
         assert!(space.full_rebuilds() > rebuilds_before);
         assert!(space.lambda() > 1.0);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
         let mut rng = Pcg64::seed_from_u64(9);
         let freq = empirical_distribution(|r| space.sample_index(r).unwrap(), 4, 200_000, &mut rng);
         assert!(max_abs_deviation(&freq, &space.exact_probabilities()) < 0.01);
@@ -1221,20 +1344,20 @@ mod tests {
             ..BingoConfig::baseline()
         };
         let has_box = |space: &VertexSpace| {
-            let factorized = space.factorized.as_ref().expect("baseline factorizes");
-            factorized.decimal.is_some()
+            let factorized = space.repr.factorized().expect("baseline factorizes");
+            factorized.groups.fixed.decimal.is_some()
         };
         let mut space = vertex2_space(config);
         assert!(!has_box(&space));
-        space.insert(3, Bias::from_float(0.25)).unwrap();
-        space.insert(0, Bias::from_float(0.75)).unwrap();
+        space.insert(3, Bias::from_float(0.25), &config).unwrap();
+        space.insert(0, Bias::from_float(0.75), &config).unwrap();
         assert_eq!(space.decimal_group().cardinality(), 2);
-        space.delete(3).unwrap();
+        space.delete(3, &config).unwrap();
         assert!(has_box(&space));
-        space.apply_batch(&[], &[0]);
+        space.apply_batch(&[], &[0], &config);
         assert!(!has_box(&space));
         assert_eq!(space.memory_report().decimal_bytes, 0);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 
     #[test]
@@ -1246,11 +1369,12 @@ mod tests {
             adj.push(Edge::new(i, Bias::from_int(2 * u64::from(i) + 1)));
         }
         adj.push(Edge::new(19, Bias::from_int(1 << 12)));
-        let space = VertexSpace::build(adj, BingoConfig::default());
+        let config = BingoConfig::default();
+        let space = VertexSpace::build(adj, config);
         assert!(!space.is_direct());
         assert_eq!(space.group(0).kind(), GroupKind::Dense);
         assert_eq!(space.group(12).kind(), GroupKind::OneElement);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
 
         // Distribution must still match despite the dense representation.
         let mut rng = Pcg64::seed_from_u64(13);
@@ -1286,7 +1410,8 @@ mod tests {
 
     #[test]
     fn batch_apply_inserts_and_deletes_with_single_rebuild() {
-        let mut space = vertex2_space(BingoConfig::baseline());
+        let config = BingoConfig::baseline();
+        let mut space = vertex2_space(config);
         let rebuilds_before = space.inter_rebuilds();
         let outcome = space.apply_batch(
             &[
@@ -1295,6 +1420,7 @@ mod tests {
                 (5, Bias::from_int(2)),
             ],
             &[1, 4, 99],
+            &config,
         );
         assert_eq!(outcome.inserted, 3);
         assert_eq!(outcome.deleted, 2);
@@ -1302,7 +1428,7 @@ mod tests {
         assert_eq!(space.degree(), 4);
         // Exactly one inter-group rebuild for the whole batch.
         assert_eq!(space.inter_rebuilds(), rebuilds_before + 1);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
 
         let mut rng = Pcg64::seed_from_u64(21);
         let freq = empirical_distribution(|r| space.sample_index(r).unwrap(), 4, 200_000, &mut rng);
@@ -1315,23 +1441,25 @@ mod tests {
         adj.push(Edge::new(1, Bias::from_int(2)));
         adj.push(Edge::new(1, Bias::from_int(4)));
         adj.push(Edge::new(2, Bias::from_int(8)));
-        let mut space = VertexSpace::build(adj, BingoConfig::default());
-        let outcome = space.apply_batch(&[], &[1, 1]);
+        let config = BingoConfig::default();
+        let mut space = VertexSpace::build(adj, config);
+        let outcome = space.apply_batch(&[], &[1, 1], &config);
         assert_eq!(outcome.deleted, 2);
         assert_eq!(space.degree(), 1);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 
     #[test]
     fn batch_with_everything_deleted_leaves_empty_space() {
-        let mut space = vertex2_space(BingoConfig::default());
-        let outcome = space.apply_batch(&[], &[1, 4, 5]);
+        let config = BingoConfig::default();
+        let mut space = vertex2_space(config);
+        let outcome = space.apply_batch(&[], &[1, 4, 5], &config);
         assert_eq!(outcome.deleted, 3);
         assert_eq!(space.degree(), 0);
         assert_eq!(space.total_weight(), 0.0);
         let mut rng = Pcg64::seed_from_u64(2);
         assert_eq!(space.sample_index(&mut rng), None);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 
     #[test]
@@ -1342,18 +1470,19 @@ mod tests {
         for i in 0..20u32 {
             adj.push(Edge::new(i, Bias::from_int(1)));
         }
-        let mut space = VertexSpace::build(adj, BingoConfig::default());
+        let config = BingoConfig::default();
+        let mut space = VertexSpace::build(adj, config);
         assert_eq!(space.group(0).kind(), GroupKind::Dense);
         let mut total = VertexUpdateOutcome::default();
         for i in 20..400u32 {
-            total.merge(&space.insert(i, Bias::from_int(2)).unwrap());
+            total.merge(&space.insert(i, Bias::from_int(2), &config).unwrap());
         }
         // Group 2^0 now holds 20 of 400 edges (5%) → sparse.
         assert_eq!(space.group(0).kind(), GroupKind::Sparse);
         assert!(total.conversions.total_conversions() > 0);
         assert_eq!(total.inserted, 380);
         assert_eq!(total.inter_rebuilds, 380);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 
     #[test]
@@ -1372,10 +1501,10 @@ mod tests {
     }
 
     #[test]
-    fn a_direct_vertex_is_its_adjacency_and_72_inline_bytes() {
-        assert_eq!(std::mem::size_of::<VertexSpace>(), 72);
-        // The box the module's diagram draws.
-        assert_eq!(std::mem::size_of::<Factorized>(), 88);
+    fn a_direct_vertex_is_its_adjacency_and_48_inline_bytes() {
+        assert_eq!(std::mem::size_of::<VertexSpace>(), 48);
+        // The fat pointer to the table, tag and rebuild counter beside it.
+        assert_eq!(std::mem::size_of::<Repr>(), 24);
         let space = vertex2_space(BingoConfig::default());
         assert!(space.is_direct());
         assert_eq!(space.num_groups(), 0);
@@ -1388,7 +1517,93 @@ mod tests {
         assert_eq!(report.group_counts, [0; 4]);
         assert_eq!(report.sampling_bytes(), 0);
         assert_eq!(report.adjacency_bytes, space.adjacency().memory_bytes());
-        assert_eq!(report.structure_bytes, 72);
+        assert_eq!(report.structure_bytes, 48);
+    }
+
+    #[test]
+    fn a_factorized_sample_reads_two_heap_blocks_and_the_adjacency() {
+        use crate::group::BLOCKS_READ;
+        let mut rng = Pcg64::seed_from_u64(0xB10C);
+        let space = regular_hub(1024, &mut rng);
+        let table = space.groups_table();
+        // What the space holds: the table (fixed fields and headers in one
+        // allocation), the arena, the adjacency block.
+        let report = space.memory_report();
+        assert_eq!(
+            report.resident_bytes(),
+            48 + std::mem::size_of_val(table) + table.heap_bytes() + report.adjacency_bytes
+        );
+        assert_eq!(std::mem::size_of_val(table), 64 + 24 * space.num_groups());
+        for _ in 0..1000 {
+            BLOCKS_READ.with(|blocks| blocks.borrow_mut().clear());
+            space.sample_neighbor(&mut rng).unwrap();
+            let read = BLOCKS_READ.with(|blocks| blocks.borrow().clone());
+            let edges = space.adjacency().edges().as_ptr() as usize;
+            assert_eq!(read.len(), 3, "{read:x?}");
+            assert_eq!(read[0], std::ptr::from_ref(table).cast::<u8>() as usize);
+            assert_eq!(read[2], edges);
+        }
+        // A dense group reads no arena word: the table and the adjacency.
+        let biases = vec![Bias::from_int(1); 40];
+        let dense = space_of(&biases, BingoConfig::default());
+        assert_eq!(dense.group(0).kind(), GroupKind::Dense);
+        BLOCKS_READ.with(|blocks| blocks.borrow_mut().clear());
+        dense.sample_neighbor(&mut rng).unwrap();
+        assert_eq!(BLOCKS_READ.with(|blocks| blocks.borrow().len()), 2);
+    }
+
+    #[test]
+    fn a_dense_group_thinned_with_reclassification_off_is_still_drawn_uniformly() {
+        // A hub of 4 096 edges of bias 2, of which 2 048 also carry bit 0:
+        // group 2^0 is dense at the build. With reclassification off it
+        // stays dense while deletes take all but one of its members, and
+        // the acceptance rate of a rejection try falls to 1 in 2 049.
+        let config = BingoConfig {
+            reclassify_on_streaming: false,
+            ..BingoConfig::default()
+        };
+        let biases: Vec<Bias> = (0..4096u64).map(|i| Bias::from_int(2 + i % 2)).collect();
+        let mut space = space_of(&biases, config);
+        assert_eq!(space.group(0).kind(), GroupKind::Dense);
+        while space.group(0).cardinality() > 1 {
+            let odd = space
+                .adjacency()
+                .edges()
+                .iter()
+                .position(|e| e.bias == Bias::from_int(3));
+            space.delete_at(odd.unwrap(), &config).unwrap();
+        }
+        assert_eq!(space.group(0).kind(), GroupKind::Dense);
+        space.check_invariants(&config).unwrap();
+        // The one member left is drawn at its exact share, 3 in 4 099 (one
+        // in 4 099 of them through group 2^0), and every draw returns.
+        let only = space
+            .adjacency()
+            .edges()
+            .iter()
+            .position(|e| e.bias == Bias::from_int(3));
+        let mut rng = Pcg64::seed_from_u64(0xDE);
+        const DRAWS: usize = 400_000;
+        let hits = (0..DRAWS)
+            .filter(|_| space.sample_index(&mut rng) == only)
+            .count();
+        let expected = DRAWS as f64 * 3.0 / 4099.0;
+        assert!(
+            (hits as f64 - expected).abs() < 5.0 * expected.sqrt(),
+            "{hits} hits, {expected} expected"
+        );
+        // Two members: the fallback picks either, by position in the list.
+        let mut pair = space_of(&biases[..2050], config);
+        while pair.group(0).cardinality() > 2 {
+            let odd = pair
+                .adjacency()
+                .edges()
+                .iter()
+                .position(|e| e.bias == Bias::from_int(3));
+            pair.delete_at(odd.unwrap(), &config).unwrap();
+        }
+        assert_eq!(pair.group(0).kind(), GroupKind::Dense);
+        assert_samples_match_exact_probabilities(&pair, &mut rng);
     }
 
     /// A degree-`degree` vertex whose eight radix groups each hold about a
@@ -1427,6 +1642,7 @@ mod tests {
     }
 
     fn hub_relocates_o_k_words_per_event(degree: u32) -> VertexSpace {
+        let config = BingoConfig::default();
         use crate::group::RELOCATED_WORDS;
         use rand::Rng;
         const EVENTS: u32 = 10_000;
@@ -1439,20 +1655,20 @@ mod tests {
 
         for i in 0..EVENTS {
             space
-                .insert(degree + i, quarter_bits_bias(&mut rng))
+                .insert(degree + i, quarter_bits_bias(&mut rng), &config)
                 .unwrap();
             if i % 1000 == 0 {
-                space.check_invariants().unwrap();
+                space.check_invariants(&config).unwrap();
             }
         }
         for i in 0..EVENTS {
             let idx = rng.gen_range(0..space.degree());
-            space.delete_at(idx).unwrap();
+            space.delete_at(idx, &config).unwrap();
             if i % 1000 == 0 {
-                space.check_invariants().unwrap();
+                space.check_invariants(&config).unwrap();
             }
         }
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
 
         // The exact-size build leaves no room, so the first touches move
         // every segment once and squeeze the holes out once (a few times
@@ -1493,6 +1709,7 @@ mod tests {
 
     #[test]
     fn a_hub_crossing_the_narrow_limit_is_promoted_once_and_never_flip_flops() {
+        let config = BingoConfig::default();
         use rand::Rng;
         const LIMIT: u32 = u16::MAX as u32;
         let mut rng = Pcg64::seed_from_u64(0x16);
@@ -1514,8 +1731,10 @@ mod tests {
         let rebuilds = space.full_rebuilds();
         for dst in LIMIT - 2..LIMIT + 4 {
             let was_wide = space.groups_table().is_wide();
-            let outcome = space.insert(dst, quarter_bits_bias(&mut rng)).unwrap();
-            space.check_invariants().unwrap();
+            let outcome = space
+                .insert(dst, quarter_bits_bias(&mut rng), &config)
+                .unwrap();
+            space.check_invariants(&config).unwrap();
             let promoted = space.groups_table().is_wide() && !was_wide;
             assert_eq!(promoted, space.degree() == LIMIT as usize);
             assert_eq!(outcome.full_rebuilds, u32::from(promoted));
@@ -1533,19 +1752,21 @@ mod tests {
         // Deletes back below the limit stream too: no demotion, no rebuild.
         while space.degree() > LIMIT as usize - 6 {
             let idx = rng.gen_range(0..space.degree());
-            space.delete_at(idx).unwrap();
-            space.check_invariants().unwrap();
+            space.delete_at(idx, &config).unwrap();
+            space.check_invariants(&config).unwrap();
         }
         // ... and so does a hub hovering at the limit.
         for round in 0..4 {
             while space.degree() < LIMIT as usize + 2 {
-                space.insert(round, quarter_bits_bias(&mut rng)).unwrap();
+                space
+                    .insert(round, quarter_bits_bias(&mut rng), &config)
+                    .unwrap();
             }
-            space.check_invariants().unwrap();
+            space.check_invariants(&config).unwrap();
             while space.degree() > LIMIT as usize - 2 {
-                space.delete_at(0).unwrap();
+                space.delete_at(0, &config).unwrap();
             }
-            space.check_invariants().unwrap();
+            space.check_invariants(&config).unwrap();
         }
         assert!(space.groups_table().is_wide());
         assert_eq!(space.full_rebuilds(), rebuilds + 1);
@@ -1555,47 +1776,51 @@ mod tests {
         // `Lambda::Auto`) keeps the words wide while the degree is 2^15 or
         // more (`group.rs` tests the demotion below it).
         while space.degree() > 1 << 15 {
-            space.delete_at(space.degree() - 1).unwrap();
+            space.delete_at(space.degree() - 1, &config).unwrap();
         }
-        space.insert(7, Bias::from_float(2.5)).unwrap();
+        space.insert(7, Bias::from_float(2.5), &config).unwrap();
         assert_eq!(space.full_rebuilds(), rebuilds + 2);
         assert_eq!(space.degree(), (1 << 15) + 1);
         assert!(space.groups_table().is_wide());
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 
     #[test]
     fn a_batch_that_crosses_the_narrow_limit_rebuilds_once() {
+        let config = BingoConfig::default();
         const LIMIT: u32 = u16::MAX as u32;
         let mut rng = Pcg64::seed_from_u64(0x17);
         let mut space = regular_hub(LIMIT - 3, &mut rng);
         let inserts: Vec<(VertexId, Bias)> = (0..8)
             .map(|i| (LIMIT + i, quarter_bits_bias(&mut rng)))
             .collect();
-        let outcome = space.apply_batch(&inserts, &[0, 1, 2]);
+        let outcome = space.apply_batch(&inserts, &[0, 1, 2], &config);
         assert_eq!((outcome.inserted, outcome.deleted), (8, 3));
         assert_eq!(outcome.full_rebuilds, 1);
         assert_eq!(space.degree(), LIMIT as usize + 2);
         assert!(space.groups_table().is_wide());
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
         assert_samples_match_exact_probabilities(&space, &mut rng);
     }
 
     #[test]
     fn delete_heavy_churn_hands_arena_holes_back() {
+        let config = BingoConfig::default();
         use rand::Rng;
         let mut rng = Pcg64::seed_from_u64(0xD1);
         let mut space = regular_hub(4096, &mut rng);
         // Grow first, so relocations leave holes behind, then delete nine
         // edges in ten.
         for i in 0..2048 {
-            space.insert(4096 + i, quarter_bits_bias(&mut rng)).unwrap();
+            space
+                .insert(4096 + i, quarter_bits_bias(&mut rng), &config)
+                .unwrap();
         }
         while space.degree() > 600 {
             let idx = rng.gen_range(0..space.degree());
-            space.delete_at(idx).unwrap();
+            space.delete_at(idx, &config).unwrap();
         }
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
         // A listed group's members and the probe table over them, and the
         // edge index over the whole list.
         let table = |entries: usize| entries + entries / 2 + 1;
@@ -1648,18 +1873,19 @@ mod tests {
         for biases in [Biases::Integer, Biases::Float, Biases::Mixed] {
             let mut rng = Pcg64::seed_from_u64(0x17);
             let mut draws = Pcg64::seed_from_u64(0x71);
-            let mut space = space_of(&[], BingoConfig::default());
+            let config = BingoConfig::default();
+            let mut space = space_of(&[], config);
             let mut next_dst = 0;
             // One event, its invariants, and whether it rebuilt the space.
             let mut step = |space: &mut VertexSpace, insert: bool| {
                 let outcome = if insert {
                     next_dst += 1;
                     let bias = biases.draw(next_dst, &mut rng);
-                    space.insert(next_dst, bias).unwrap()
+                    space.insert(next_dst, bias, &config).unwrap()
                 } else {
-                    space.delete_at(space.degree() / 2).unwrap().1
+                    space.delete_at(space.degree() / 2, &config).unwrap().1
                 };
-                space.check_invariants().unwrap();
+                space.check_invariants(&config).unwrap();
                 assert_eq!(outcome.inter_rebuilds, u32::from(!space.is_direct()));
                 outcome.full_rebuilds
             };
@@ -1724,40 +1950,41 @@ mod tests {
     fn a_batch_that_crosses_a_representation_threshold_rebuilds_once() {
         let mut rng = Pcg64::seed_from_u64(0x18);
         let biases: Vec<Bias> = (0..12).map(|i| Biases::Integer.draw(i, &mut rng)).collect();
-        let mut space = space_of(&biases, BingoConfig::default());
+        let config = BingoConfig::default();
+        let mut space = space_of(&biases, config);
         assert!(space.is_direct());
         // Up: 12 + 9 - 2 = 19 edges.
         let inserts: Vec<(VertexId, Bias)> = (100..109)
             .map(|dst| (dst, Biases::Integer.draw(dst, &mut rng)))
             .collect();
-        let outcome = space.apply_batch(&inserts, &[0, 1, 77]);
+        let outcome = space.apply_batch(&inserts, &[0, 1, 77], &config);
         assert_eq!(
             (outcome.inserted, outcome.deleted, outcome.missing_deletes),
             (9, 2, 1)
         );
         assert_eq!((outcome.full_rebuilds, outcome.inter_rebuilds), (1, 1));
         assert!(!space.is_direct());
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
         assert_samples_match_exact_probabilities(&space, &mut rng);
         // Level: a factorized vertex keeps its groups current and settles
         // them once.
-        let outcome = space.apply_batch(&inserts[..1], &[2]);
+        let outcome = space.apply_batch(&inserts[..1], &[2], &config);
         assert_eq!((outcome.full_rebuilds, outcome.inter_rebuilds), (0, 1));
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
         // Down: 19 + 1 - 12 = 8 edges.
         let deletes: Vec<VertexId> = (100..109).chain(3..6).collect();
-        let outcome = space.apply_batch(&inserts[..1], &deletes);
+        let outcome = space.apply_batch(&inserts[..1], &deletes, &config);
         assert_eq!((outcome.inserted, outcome.deleted), (1, 12));
         assert_eq!((outcome.full_rebuilds, outcome.inter_rebuilds), (1, 0));
         assert!(space.is_direct());
         assert_eq!(space.degree(), DIRECT_DEMOTE_DEGREE);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
         assert_samples_match_exact_probabilities(&space, &mut rng);
         // Level again: a direct vertex rebuilds nothing at all.
-        let outcome = space.apply_batch(&inserts[..4], &[6]);
+        let outcome = space.apply_batch(&inserts[..4], &[6], &config);
         assert_eq!((outcome.full_rebuilds, outcome.inter_rebuilds), (0, 0));
         assert_eq!(outcome.conversions, ConversionMatrix::new());
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
         assert_eq!(space.full_rebuilds(), 3);
     }
 
@@ -1771,22 +1998,25 @@ mod tests {
                 config,
             );
             assert_eq!(space.is_direct(), config.adaptive);
-            space.update_bias(1, Bias::from_int(40)).unwrap();
-            space.update_bias(2, Bias::from_int(3)).unwrap();
-            space.check_invariants().unwrap();
+            space.update_bias(1, Bias::from_int(40), &config).unwrap();
+            space.update_bias(2, Bias::from_int(3), &config).unwrap();
+            space.check_invariants(&config).unwrap();
             assert_eq!(space.exact_probabilities().len(), 3);
             assert_samples_match_exact_probabilities(&space, &mut rng);
             for dst in [0, 2, 1] {
-                let (removed, outcome) = space.delete(dst).unwrap();
+                let (removed, outcome) = space.delete(dst, &config).unwrap();
                 assert_eq!((removed.dst, outcome.deleted), (dst, 1));
-                space.check_invariants().unwrap();
+                space.check_invariants(&config).unwrap();
             }
             assert_eq!((space.degree(), space.total_weight()), (0, 0.0));
             assert_eq!(space.sample_index(&mut rng), None);
-            assert_eq!(space.delete(0), Err(BingoError::EdgeNotFound { dst: 0 }));
-            space.insert(7, Bias::from_float(0.25)).unwrap();
-            space.insert(8, Bias::from_int(2)).unwrap();
-            space.check_invariants().unwrap();
+            assert_eq!(
+                space.delete(0, &config),
+                Err(BingoError::EdgeNotFound { dst: 0 })
+            );
+            space.insert(7, Bias::from_float(0.25), &config).unwrap();
+            space.insert(8, Bias::from_int(2), &config).unwrap();
+            space.check_invariants(&config).unwrap();
             assert_eq!(space.is_direct(), config.adaptive);
             assert_samples_match_exact_probabilities(&space, &mut rng);
         }
@@ -1800,9 +2030,10 @@ mod tests {
                 let drawn: Vec<Bias> = (0..degree as u32)
                     .map(|i| biases.draw(i, &mut rng))
                     .collect();
-                let space = space_of(&drawn, BingoConfig::default());
+                let config = BingoConfig::default();
+                let space = space_of(&drawn, config);
                 assert_eq!(space.is_direct(), degree <= DIRECT_MAX_DEGREE);
-                space.check_invariants().unwrap();
+                space.check_invariants(&config).unwrap();
                 assert_samples_match_exact_probabilities(&space, &mut rng);
             }
         }
@@ -1813,71 +2044,81 @@ mod tests {
         let mut rng = Pcg64::seed_from_u64(0x1B);
         let shares = [1u64 << 53, 1 << 52, 3 << 51, (1 << 52) + 1, 1 << 50];
         let biases: Vec<Bias> = shares.iter().map(|&w| Bias::from_int(w)).collect();
-        let mut space = space_of(&biases, BingoConfig::default());
+        let config = BingoConfig::default();
+        let mut space = space_of(&biases, config);
         let total: u64 = shares.iter().sum();
         assert!(total > 1 << 53 && total % 2 == 1, "an `f64` cannot hold it");
-        assert_eq!(space.direct_total(), DirectTotal::Exact(total));
-        space.check_invariants().unwrap();
+        assert_eq!(space.repr.direct_total(), Some(DirectTotal::Exact(total)));
+        space.check_invariants(&config).unwrap();
         assert_samples_match_exact_probabilities(&space, &mut rng);
 
         // An invalid bias is refused with the typed error and changes
         // nothing, the cached total included.
-        let before = (space.adjacency().clone(), space.direct_total());
+        let before = (space.adjacency().clone(), space.repr.direct_total());
         for invalid in [Bias::from_int(0), Bias::from_float(f64::NAN)] {
             assert_eq!(
-                space.insert(9, invalid),
+                space.insert(9, invalid, &config),
                 Err(BingoError::InvalidBias { dst: 9 })
             );
             assert_eq!(
-                space.update_bias(0, invalid),
+                space.update_bias(0, invalid, &config),
                 Err(BingoError::InvalidBias { dst: 0 })
             );
-            assert_eq!(space.apply_batch(&[(9, invalid)], &[]).inserted, 0);
+            assert_eq!(space.apply_batch(&[(9, invalid)], &[], &config).inserted, 0);
         }
-        assert_eq!((space.adjacency().clone(), space.direct_total()), before);
-        space.check_invariants().unwrap();
+        assert_eq!(
+            (space.adjacency().clone(), space.repr.direct_total()),
+            before
+        );
+        space.check_invariants(&config).unwrap();
 
         // Integers that overflow a `u64` between them fall back to `f64`.
-        space.insert(5, Bias::from_int(u64::MAX)).unwrap();
-        assert!(matches!(space.direct_total(), DirectTotal::Approx(_)));
-        space.check_invariants().unwrap();
+        space.insert(5, Bias::from_int(u64::MAX), &config).unwrap();
+        assert!(matches!(space.repr, Repr::Approx { .. }));
+        space.check_invariants(&config).unwrap();
         // One fraction does too, and taking it away restores the integers.
-        space.delete(5).unwrap();
-        space.insert(6, Bias::from_float(0.5)).unwrap();
+        space.delete(5, &config).unwrap();
+        space.insert(6, Bias::from_float(0.5), &config).unwrap();
         assert_eq!(
-            space.direct_total(),
-            DirectTotal::Approx(total as f64 + 0.5)
+            space.repr.direct_total(),
+            Some(DirectTotal::Approx(total as f64 + 0.5))
         );
-        space.delete(6).unwrap();
-        assert_eq!(space.direct_total(), DirectTotal::Exact(total));
+        space.delete(6, &config).unwrap();
+        assert_eq!(space.repr.direct_total(), Some(DirectTotal::Exact(total)));
     }
 
     #[test]
     fn check_invariants_knows_what_a_direct_vertex_may_hold() {
         let biases: Vec<Bias> = (1..=DIRECT_MAX_DEGREE as u64).map(Bias::from_int).collect();
-        let space = space_of(&biases, BingoConfig::default());
-        space.check_invariants().unwrap();
+        let config = BingoConfig::default();
+        let space = space_of(&biases, config);
+        space.check_invariants(&config).unwrap();
 
         // A cached total that is not the sum of the biases.
         let mut stale = space.clone();
-        stale.direct_total += 1;
+        let total = biases.iter().map(|b| b.value() as u64).sum::<u64>();
+        stale.repr = Repr::direct(DirectTotal::Exact(total + 1), 1);
         assert!(stale
-            .check_invariants()
+            .check_invariants(&config)
             .unwrap_err()
             .contains("cached total"));
         let mut stale = space.clone();
         stale.adj.push(Edge::new(99, Bias::from_int(1)));
         stale.refresh_direct_total();
         // More edges than a direct vertex may scan.
-        assert!(stale.check_invariants().unwrap_err().contains("17 edges"));
+        assert!(stale
+            .check_invariants(&config)
+            .unwrap_err()
+            .contains("17 edges"));
         // A direct vertex where adaptation is off.
-        let mut stale = space.clone();
-        stale.adaptive = false;
-        assert!(stale.check_invariants().is_err());
+        let baseline = BingoConfig::baseline();
+        assert!(space.check_invariants(&baseline).is_err());
         // Groups on a vertex small enough to have dropped them.
-        let mut small = space_of(&biases[..DIRECT_DEMOTE_DEGREE], BingoConfig::baseline());
-        small.check_invariants().unwrap();
-        small.adaptive = true;
-        assert!(small.check_invariants().unwrap_err().contains("factorized"));
+        let small = space_of(&biases[..DIRECT_DEMOTE_DEGREE], baseline);
+        small.check_invariants(&baseline).unwrap();
+        assert!(small
+            .check_invariants(&config)
+            .unwrap_err()
+            .contains("factorized"));
     }
 }

@@ -36,13 +36,13 @@ fn a_vertex_batch_allocates_for_its_events_not_for_the_degree() {
         let mut space = VertexSpace::build(adj.clone(), config);
         // The build's arena is exact-size: the first inserts move every
         // segment they touch to the tail, with headroom.
-        space.apply_batch(&[(DEGREE, Bias::from_int(255))], &[]);
-        space.apply_batch(&[(DEGREE + 1, Bias::from_int(255))], &[]);
+        space.apply_batch(&[(DEGREE, Bias::from_int(255))], &[], &config);
+        space.apply_batch(&[(DEGREE + 1, Bias::from_int(255))], &[], &config);
 
         // From here on neither the adjacency array nor the arena has to
         // grow, so an insert-only batch allocates nothing at all.
         let before = common::calls();
-        let outcome = space.apply_batch(&[(DEGREE + 2, Bias::from_int(255))], &[]);
+        let outcome = space.apply_batch(&[(DEGREE + 2, Bias::from_int(255))], &[], &config);
         assert_eq!(common::calls() - before, 0, "adaptive: {}", config.adaptive);
         assert_eq!((outcome.inserted, outcome.inter_rebuilds), (1, 1));
 
@@ -52,7 +52,7 @@ fn a_vertex_batch_allocates_for_its_events_not_for_the_degree() {
         // was kilobytes.
         for (dst, moves) in [(DEGREE + 2, 0), (7, 1)] {
             let (calls, bytes) = (common::calls(), common::handed_out());
-            let outcome = space.apply_batch(&[], &[dst]);
+            let outcome = space.apply_batch(&[], &[dst], &config);
             assert_eq!(common::calls() - calls, 1 + moves);
             // (A `Vec` of moves starts with room for four.)
             assert!(common::handed_out() - bytes <= 8 + 4 * 16 * moves);
@@ -62,9 +62,14 @@ fn a_vertex_batch_allocates_for_its_events_not_for_the_degree() {
         }
         // A delete that finds nothing allocates its empty list's room.
         let bytes = common::handed_out();
-        assert_eq!(space.apply_batch(&[], &[DEGREE + 9]).missing_deletes, 1);
+        assert_eq!(
+            space
+                .apply_batch(&[], &[DEGREE + 9], &config)
+                .missing_deletes,
+            1
+        );
         assert!(common::handed_out() - bytes <= 8);
-        space.check_invariants().unwrap();
+        space.check_invariants(&config).unwrap();
     }
 }
 

@@ -11,7 +11,13 @@
 //! and batched, and after every event `find` must equal the model's first
 //! position for every destination present and a few absent ones,
 //! `exact_probabilities()` the model's weights, and `check_invariants()` —
-//! which checks both kinds of table slot by slot — must hold.
+//! which checks both kinds of table slot by slot — must hold. A second,
+//! shorter stream moves the top bit: K grows with an insert and with a bias
+//! rewrite and shrinks at the next rebuild after the last holder of the top
+//! bit has left, across the same boundaries; it runs under the default
+//! configuration, under `baseline()` and under `Lambda::Fixed(10.0)`,
+//! because a space keeps no configuration of its own and acts under the one
+//! each call passes it.
 //!
 //! The second half pins the counter the tables exist to move:
 //! `edges_scanned`, the adjacency slots read to locate an edge. Its own
@@ -20,8 +26,10 @@
 
 mod common;
 
+use bingo::core::fixed::ScaledBias;
+use bingo::core::radix::groups_for_max_bias;
 use bingo::core::vertex_space::{VertexSpace, DIRECT_DEMOTE_DEGREE, DIRECT_MAX_DEGREE};
-use bingo::core::{BingoError, VertexUpdateOutcome};
+use bingo::core::{BingoError, Lambda, VertexUpdateOutcome};
 use bingo::prelude::*;
 use bingo_graph::adjacency::{AdjacencyList, Edge};
 use bingo_graph::two_phase_delete_and_swap;
@@ -32,6 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[test]
 fn indexed_updates_match_a_scan_and_read_o_k_slots() {
     one_vertex_follows_its_model_across_every_boundary();
+    k_follows_the_top_bit_under_every_configuration();
     a_delete_on_a_wide_hub_reads_o_k_slots_streamed_or_batched();
     hub_churn_scans_a_tenth_of_what_it_used_to();
     a_local_node2vec_step_scans_a_tenth_of_what_it_used_to();
@@ -45,7 +54,12 @@ fn slots_for(entries: usize) -> usize {
 /// One vertex and the `Vec` it must agree with.
 struct Harness {
     space: VertexSpace,
+    /// What every call on `space` is passed; the space keeps no copy.
+    config: BingoConfig,
     model: Vec<(VertexId, Bias)>,
+    /// The K the space must have: the bits of the largest scaled bias at
+    /// its last rebuild from scratch or inserted since, none while direct.
+    k: usize,
     /// Everything the updates reported, summed.
     totals: VertexUpdateOutcome,
     /// Times the vertex changed between direct and factorized.
@@ -59,10 +73,12 @@ struct Harness {
 }
 
 impl Harness {
-    fn new() -> Self {
+    fn new(config: BingoConfig) -> Self {
         Harness {
-            space: VertexSpace::build(AdjacencyList::new(), BingoConfig::default()),
+            space: VertexSpace::build(AdjacencyList::new(), config),
+            config,
             model: Vec::new(),
+            k: 0,
             totals: VertexUpdateOutcome::default(),
             representation_changes: 0,
             emptied: [0; 2],
@@ -80,16 +96,38 @@ impl Harness {
         report.resident_bytes() - report.adjacency_bytes
     }
 
-    /// Run one update and hold the vertex to the model afterwards.
+    /// Bits of `bias` once the space's λ has scaled it.
+    fn bits(&self, bias: Bias) -> usize {
+        groups_for_max_bias(ScaledBias::new(bias, self.space.lambda()).integer)
+    }
+
+    /// Run one update, which inserts `inserted`, and hold the vertex to the
+    /// model afterwards.
     fn apply(
         &mut self,
         full_check: bool,
         batched: bool,
-        update: impl FnOnce(&mut VertexSpace, &mut Vec<(VertexId, Bias)>) -> VertexUpdateOutcome,
+        inserted: &[(VertexId, Bias)],
+        update: impl FnOnce(
+            &mut VertexSpace,
+            &mut Vec<(VertexId, Bias)>,
+            &BingoConfig,
+        ) -> VertexUpdateOutcome,
     ) -> VertexUpdateOutcome {
         let (was_direct, bytes) = (self.space.is_direct(), self.group_bytes());
-        let outcome = update(&mut self.space, &mut self.model);
+        let outcome = update(&mut self.space, &mut self.model, &self.config);
         self.totals.merge(&outcome);
+        let edges = if outcome.full_rebuilds > 0 {
+            self.k = 0;
+            &self.model[..]
+        } else {
+            inserted
+        };
+        if !self.space.is_direct() {
+            let bits = edges.iter().map(|e| self.bits(e.1));
+            self.k = bits.fold(self.k, usize::max);
+        }
+        assert_eq!(self.space.num_groups(), self.k);
         self.representation_changes += usize::from(was_direct != self.space.is_direct());
         if self.model.is_empty() && outcome.deleted > 0 {
             self.emptied[usize::from(batched)] += 1;
@@ -103,23 +141,24 @@ impl Harness {
     }
 
     fn insert(&mut self, full_check: bool, dst: VertexId, bias: Bias) -> VertexUpdateOutcome {
-        self.apply(full_check, false, |space, model| {
+        self.apply(full_check, false, &[(dst, bias)], |space, model, config| {
             model.push((dst, bias));
-            space.insert(dst, bias).unwrap()
+            space.insert(dst, bias, config).unwrap()
         })
     }
 
     /// Streamed delete of the first edge to `dst`, which may not exist.
     fn delete(&mut self, full_check: bool, dst: VertexId) -> VertexUpdateOutcome {
-        self.apply(full_check, false, |space, model| {
+        self.apply(full_check, false, &[], |space, model, config| {
             match model.iter().position(|e| e.0 == dst) {
                 Some(first) => {
-                    let (edge, outcome) = space.delete(dst).unwrap();
+                    let (edge, outcome) = space.delete(dst, config).unwrap();
                     assert_eq!((edge.dst, edge.bias), model.swap_remove(first));
                     outcome
                 }
                 None => {
-                    assert_eq!(space.delete(dst), Err(BingoError::EdgeNotFound { dst }));
+                    let refused = space.delete(dst, config);
+                    assert_eq!(refused, Err(BingoError::EdgeNotFound { dst }));
                     VertexUpdateOutcome::default()
                 }
             }
@@ -129,14 +168,17 @@ impl Harness {
     /// Streamed bias rewrite: the first edge to `dst` goes, a new last one
     /// comes.
     fn update_bias(&mut self, full_check: bool, dst: VertexId, bias: Bias) {
-        self.apply(full_check, false, |space, model| {
+        let present = self.model.iter().any(|e| e.0 == dst);
+        let inserted = [(dst, bias)];
+        let inserted = &inserted[..usize::from(present)];
+        self.apply(full_check, false, inserted, |space, model, config| {
             let Some(first) = model.iter().position(|e| e.0 == dst) else {
-                assert!(space.update_bias(dst, bias).is_err());
+                assert!(space.update_bias(dst, bias, config).is_err());
                 return VertexUpdateOutcome::default();
             };
             model.swap_remove(first);
             model.push((dst, bias));
-            space.update_bias(dst, bias).unwrap()
+            space.update_bias(dst, bias, config).unwrap()
         });
     }
 
@@ -149,7 +191,7 @@ impl Harness {
         inserts: &[(VertexId, Bias)],
         deletes: &[VertexId],
     ) -> VertexUpdateOutcome {
-        self.apply(full_check, true, |space, model| {
+        self.apply(full_check, true, inserts, |space, model, config| {
             model.extend_from_slice(inserts);
             let mut wanted: BTreeMap<VertexId, usize> = BTreeMap::new();
             for &dst in deletes {
@@ -165,7 +207,7 @@ impl Harness {
             let missing: usize = wanted.values().sum();
             let (new_len, _) = two_phase_delete_and_swap(model, &taken);
             model.truncate(new_len);
-            let outcome = space.apply_batch(inserts, deletes);
+            let outcome = space.apply_batch(inserts, deletes, config);
             assert_eq!(
                 (outcome.inserted, outcome.deleted, outcome.missing_deletes),
                 (inserts.len(), taken.len(), missing)
@@ -196,7 +238,7 @@ impl Harness {
             .map(|e| (e.dst, e.bias))
             .eq(self.model.iter().copied()));
         self.space
-            .check_invariants()
+            .check_invariants(&self.config)
             .unwrap_or_else(|e| panic!("{e} at degree {}", self.degree()));
         let mut first: BTreeMap<VertexId, usize> = BTreeMap::new();
         for (idx, &(dst, _)) in self.model.iter().enumerate() {
@@ -256,7 +298,7 @@ fn bias_with(share_0: f64, rng: &mut Pcg64) -> Bias {
 
 fn one_vertex_follows_its_model_across_every_boundary() {
     let mut rng = Pcg64::seed_from_u64(0x1D);
-    let mut h = Harness::new();
+    let mut h = Harness::new(BingoConfig::default());
 
     // 1. Small degrees, a dozen destinations, so duplicates everywhere:
     // back and forth over 16 <-> 17 (promotion) and 9 <-> 8 (demotion), and
@@ -459,6 +501,154 @@ fn one_vertex_follows_its_model_across_every_boundary() {
     );
 }
 
+/// An integer bias whose highest set bit is `top`.
+fn bias_topped(top: u32, rng: &mut Pcg64) -> Bias {
+    Bias::from_int(1 << top | rng.gen_range(0..1u64 << top))
+}
+
+/// The top-bit stream under the default configuration, under `baseline()`
+/// (no direct vertices, every group regular) and under a fixed λ of 10.
+/// The harness holds K to its model after every event — that is the check;
+/// what is asserted here is that the stream does what it is laid out to do.
+fn k_follows_the_top_bit_under_every_configuration() {
+    let fixed_lambda = BingoConfig {
+        lambda: Lambda::Fixed(10.0),
+        ..BingoConfig::default()
+    };
+    for config in [
+        BingoConfig::default(),
+        BingoConfig::baseline(),
+        fixed_lambda,
+    ] {
+        let mut rng = Pcg64::seed_from_u64(0x22);
+        let mut h = Harness::new(config);
+        // Whether the vertex must be direct: the hysteresis of 17 up and 8
+        // down, under an adaptive configuration only.
+        let mut direct = config.adaptive;
+        let mut settle = |h: &Harness| {
+            direct = config.adaptive
+                && h.degree() <= DIRECT_MAX_DEGREE
+                && (direct || h.degree() <= DIRECT_DEMOTE_DEGREE);
+            assert_eq!(h.space.is_direct(), direct, "at degree {}", h.degree());
+            if config.lambda == Lambda::Fixed(10.0) && !direct {
+                assert_eq!(h.space.lambda(), 10.0);
+            }
+            if !config.adaptive {
+                let mut kinds = h.space.groups().map(|g| g.kind());
+                assert!(kinds.all(|k| matches!(k, GroupKind::Regular | GroupKind::Empty)));
+            }
+        };
+
+        // 1. Small degrees. Four-bit biases up over 16 -> 17.
+        for dst in 0..20 {
+            h.insert(true, dst, bias_topped(rng.gen_range(0..4), &mut rng));
+            settle(&h);
+        }
+        let k_small = h.k;
+        assert!(k_small > 0 && !h.space.is_direct());
+        // A new top bit arrives by insert, a higher one by a bias rewrite.
+        h.insert(true, 100, bias_topped(9, &mut rng));
+        assert!(h.k > k_small);
+        let k_insert = h.k;
+        h.update_bias(true, 3, bias_topped(13, &mut rng));
+        assert!(h.k > k_insert);
+        let k_peak = h.k;
+        // A fraction: under `Lambda::Auto` the first one rebuilds the vertex
+        // with a λ above 1, and K follows the scaled biases.
+        let rebuilt = h.insert(true, 200, Bias::from_float(2.55)).full_rebuilds;
+        assert_eq!(rebuilt, u32::from(config.lambda == Lambda::Auto));
+        assert_eq!(h.space.decimal_group().cardinality(), 1);
+        assert!(h.k >= k_peak);
+        let k_peak = h.k;
+        // The holders of the two top bits leave: the headers stay, empty.
+        h.delete(true, 3);
+        h.batch(true, &[], &[100]);
+        assert_eq!(h.k, k_peak);
+        assert_eq!(h.space.group(k_peak - 1).kind(), GroupKind::Empty);
+        h.delete(true, 200);
+        assert_eq!(h.space.decimal_group().cardinality(), 0);
+        // Down over 9 -> 8 and back up over 16 -> 17, three times: a vertex
+        // that goes direct on the way comes back with the K of the biases
+        // it has left, one that never does keeps its headers.
+        for _ in 0..3 {
+            while h.degree() > DIRECT_DEMOTE_DEGREE - 1 {
+                let dst = h.model[rng.gen_range(0..h.degree())].0;
+                if rng.gen_bool(0.5) {
+                    h.delete(true, dst);
+                } else {
+                    h.batch(true, &[], &[dst]);
+                }
+                settle(&h);
+            }
+            while h.degree() < DIRECT_MAX_DEGREE + 2 {
+                let (dst, bias) = (rng.gen_range(0..20), bias_topped(3, &mut rng));
+                if rng.gen_bool(0.5) {
+                    h.insert(true, dst, bias);
+                } else {
+                    h.batch(true, &[(dst, bias)], &[]);
+                }
+                settle(&h);
+            }
+            if config.adaptive {
+                assert!(h.k < k_peak);
+            } else {
+                assert_eq!(h.k, k_peak);
+            }
+        }
+
+        // 2. A hub. Up to the last narrow degrees in batches of nine-bit
+        // biases, two higher top bits by rewrite and by insert, both holders
+        // gone again, and then the insert that reaches the `u16` limit: it
+        // rebuilds the vertex, wide, with the K of what is left.
+        const LIMIT: usize = u16::MAX as usize;
+        while h.degree() < LIMIT - 4 {
+            let room = (LIMIT - 4 - h.degree()).min(4096);
+            let inserts: Vec<(VertexId, Bias)> = (0..room)
+                .map(|_| (rng.gen_range(0..40_000), bias_with(0.25, &mut rng)))
+                .collect();
+            h.batch(room < 4096, &inserts, &[]);
+        }
+        let k_hub = h.k;
+        // (Destinations no batch above draws, so each names one edge.)
+        h.insert(true, 50_001, bias_topped(3, &mut rng));
+        h.update_bias(true, 50_001, bias_topped(17, &mut rng));
+        h.insert(true, 50_000, bias_topped(21, &mut rng));
+        assert!(h.k > k_hub);
+        let k_peak = h.k;
+        h.batch(true, &[], &[50_001, 50_000]);
+        assert_eq!((h.k, h.degree()), (k_peak, LIMIT - 4));
+        let index_bytes = |h: &Harness| h.space.memory_report().index_bytes;
+        for _ in 0..6 {
+            let rebuilt = h
+                .insert(true, rng.gen_range(0..40_000), bias_with(0.25, &mut rng))
+                .full_rebuilds;
+            assert_eq!(rebuilt, u32::from(h.degree() == LIMIT));
+            if rebuilt == 1 {
+                // Rebuilt at exact size, four bytes a slot.
+                assert_eq!(index_bytes(&h), 4 * slots_for(LIMIT));
+            }
+        }
+        assert!(h.k < k_peak && h.k <= k_hub);
+        // On wide words the same again, and back below the limit: nothing
+        // rebuilds, so K only grows.
+        let k_wide = h.k;
+        h.insert(true, 50_002, bias_topped(19, &mut rng));
+        assert!(h.k > k_wide);
+        let k_peak = h.k;
+        while h.degree() > LIMIT - 2 {
+            h.delete(true, h.model[h.degree() - 1].0);
+        }
+        assert_eq!(h.k, k_peak);
+        assert_eq!(h.space.group(k_peak - 1).kind(), GroupKind::Empty);
+        settle(&h);
+        eprintln!(
+            "top bit, adaptive {} λ {:?}: K {k_small} -> {k_insert} -> ... -> {k_hub} -> {k_wide} -> {k_peak}, \
+             {} full rebuilds",
+            config.adaptive, config.lambda, h.totals.full_rebuilds
+        );
+    }
+}
+
 fn a_delete_on_a_wide_hub_reads_o_k_slots_streamed_or_batched() {
     const DEGREE: u32 = 1 << 16;
     let mut rng = Pcg64::seed_from_u64(0x1E);
@@ -468,7 +658,8 @@ fn a_delete_on_a_wide_hub_reads_o_k_slots_streamed_or_batched() {
     for &dst in &present {
         adj.push(Edge::new(dst, bias_with(0.25, &mut rng)));
     }
-    let mut space = VertexSpace::build(adj, BingoConfig::default());
+    let config = BingoConfig::default();
+    let mut space = VertexSpace::build(adj, config);
     let k = space.num_groups() as u64;
     assert!((8..=12).contains(&k));
 
@@ -481,10 +672,10 @@ fn a_delete_on_a_wide_hub_reads_o_k_slots_streamed_or_batched() {
     for i in 0..DELETES {
         let dst = present.swap_remove(rng.gen_range(0..present.len()));
         let outcome = if i % 2 == 0 {
-            space.delete(dst).unwrap().1
+            space.delete(dst, &config).unwrap().1
         } else {
             let (calls, bytes) = (common::calls(), common::handed_out());
-            let outcome = space.apply_batch(&[], &[dst]);
+            let outcome = space.apply_batch(&[], &[dst], &config);
             // The index list and the move: nothing as long as the degree.
             assert!(common::calls() - calls <= 2 && common::handed_out() - bytes <= 72);
             outcome
@@ -496,7 +687,7 @@ fn a_delete_on_a_wide_hub_reads_o_k_slots_streamed_or_batched() {
         // A miss is no dearer.
         assert!(space.find_counting(dst + 1).1 as u64 <= 32 * k);
     }
-    space.check_invariants().unwrap();
+    space.check_invariants(&config).unwrap();
     assert!(
         scanned <= k * DELETES,
         "{scanned} slots over {DELETES} deletes"

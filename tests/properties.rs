@@ -57,7 +57,8 @@ fn radix_factorization_preserves_total_bias() {
     for case in 0..CASES {
         let mut rng = Pcg64::seed_from_u64(0xFAC7_0000 + case);
         let biases = random_vec(&mut rng, 1..200, 1..100_000);
-        let space = VertexSpace::build(adjacency_from(&biases), BingoConfig::default());
+        let config = BingoConfig::default();
+        let space = VertexSpace::build(adjacency_from(&biases), config);
         let total: u64 = biases.iter().sum();
         assert!(
             (space.total_weight() - total as f64).abs() < 1e-6,
@@ -67,7 +68,7 @@ fn radix_factorization_preserves_total_bias() {
             let expected = group.cardinality() as f64 * (1u64 << group.bit()) as f64;
             assert_eq!(group.weight(), expected, "case {case}");
         }
-        assert!(space.check_invariants().is_ok(), "case {case}");
+        assert!(space.check_invariants(&config).is_ok(), "case {case}");
     }
 }
 
@@ -92,16 +93,16 @@ fn vertex_space_invariants_hold_under_streaming_ops() {
             let bias = rng.gen_range(1..1024u64);
             match op {
                 0 => {
-                    space.insert(dst, Bias::from_int(bias)).unwrap();
+                    space.insert(dst, Bias::from_int(bias), &config).unwrap();
                 }
                 _ => {
-                    let _ = space.delete(dst);
+                    let _ = space.delete(dst, &config);
                 }
             }
             assert!(
-                space.check_invariants().is_ok(),
+                space.check_invariants(&config).is_ok(),
                 "case {case}: {:?}",
-                space.check_invariants()
+                space.check_invariants(&config)
             );
         }
     }
@@ -130,19 +131,20 @@ fn batched_and_streaming_vertex_updates_agree() {
             .collect();
         let adj = adjacency_from(&initial);
 
-        let mut streaming = VertexSpace::build(adj.clone(), BingoConfig::default());
+        let config = BingoConfig::default();
+        let mut streaming = VertexSpace::build(adj.clone(), config);
         for &(dst, bias) in &insert_pairs {
-            streaming.insert(dst, bias).unwrap();
+            streaming.insert(dst, bias, &config).unwrap();
         }
         let mut streaming_deleted = 0;
         for &dst in &deletes {
-            if streaming.delete(dst).is_ok() {
+            if streaming.delete(dst, &config).is_ok() {
                 streaming_deleted += 1;
             }
         }
 
-        let mut batched = VertexSpace::build(adj, BingoConfig::default());
-        let outcome = batched.apply_batch(&insert_pairs, &deletes);
+        let mut batched = VertexSpace::build(adj, config);
+        let outcome = batched.apply_batch(&insert_pairs, &deletes, &config);
 
         assert_eq!(outcome.inserted, insert_pairs.len(), "case {case}");
         assert_eq!(outcome.deleted, streaming_deleted, "case {case}");
@@ -151,7 +153,7 @@ fn batched_and_streaming_vertex_updates_agree() {
             (batched.total_weight() - streaming.total_weight()).abs() < 1e-6,
             "case {case}"
         );
-        assert!(batched.check_invariants().is_ok(), "case {case}");
+        assert!(batched.check_invariants(&config).is_ok(), "case {case}");
     }
 }
 
@@ -165,7 +167,8 @@ fn the_representation_follows_the_degree_with_hysteresis() {
     for case in 0..CASES {
         let mut rng = Pcg64::seed_from_u64(0xD14E_0000 + case);
         let initial = random_vec(&mut rng, 0..40, 1..4096);
-        let mut space = VertexSpace::build(adjacency_from(&initial), BingoConfig::default());
+        let config = BingoConfig::default();
+        let mut space = VertexSpace::build(adjacency_from(&initial), config);
         let mut direct = initial.len() <= DIRECT_MAX_DEGREE;
         let mut rebuilds = 1;
         assert_eq!(space.is_direct(), direct, "case {case}");
@@ -181,12 +184,17 @@ fn the_representation_follows_the_degree_with_hysteresis() {
                     let deletes: Vec<VertexId> = (0..rng.gen_range(0..6usize).min(before))
                         .map(|i| space.adjacency().edges()[i].dst)
                         .collect();
-                    space.apply_batch(&inserts, &deletes)
+                    space.apply_batch(&inserts, &deletes, &config)
                 }
-                1 | 2 if before > 0 => space.delete_at(rng.gen_range(0..before)).unwrap().1,
+                1 | 2 if before > 0 => {
+                    space
+                        .delete_at(rng.gen_range(0..before), &config)
+                        .unwrap()
+                        .1
+                }
                 _ => {
                     let bias = Bias::from_int(rng.gen_range(1..4096u64));
-                    space.insert(2000 + step, bias).unwrap()
+                    space.insert(2000 + step, bias, &config).unwrap()
                 }
             };
             let degree = space.degree();
@@ -206,9 +214,9 @@ fn the_representation_follows_the_degree_with_hysteresis() {
                 "case {case}"
             );
             assert!(
-                space.check_invariants().is_ok(),
+                space.check_invariants(&config).is_ok(),
                 "case {case} step {step}: {:?}",
-                space.check_invariants()
+                space.check_invariants(&config)
             );
         }
     }
@@ -466,7 +474,7 @@ fn float_bias_space_preserves_relative_weights() {
             ..BingoConfig::default()
         };
         let space = VertexSpace::build(adj, config);
-        assert!(space.check_invariants().is_ok(), "case {case}");
+        assert!(space.check_invariants(&config).is_ok(), "case {case}");
         let total: f64 = biases.iter().sum();
         // total_weight = λ × Σ bias.
         let lambda = space.lambda();
@@ -481,9 +489,10 @@ fn float_bias_space_preserves_relative_weights() {
 fn regression_empty_delete_list() {
     // Plain test guarding a corner the random cases may not hit: deleting
     // from an empty space and batching with empty inputs.
-    let mut space = VertexSpace::build(AdjacencyList::new(), BingoConfig::default());
-    assert!(space.delete(0).is_err());
-    let outcome = space.apply_batch(&[], &[]);
+    let config = BingoConfig::default();
+    let mut space = VertexSpace::build(AdjacencyList::new(), config);
+    assert!(space.delete(0, &config).is_err());
+    let outcome = space.apply_batch(&[], &[], &config);
     assert_eq!(outcome.inserted + outcome.deleted, 0);
-    assert!(space.check_invariants().is_ok());
+    assert!(space.check_invariants(&config).is_ok());
 }

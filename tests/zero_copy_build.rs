@@ -14,7 +14,7 @@ use bingo::core::vertex_space::VertexSpace;
 use bingo::graph::updates::UpdateKind;
 use bingo::prelude::*;
 use bingo_graph::adjacency::{AdjacencyList, Edge};
-use common::{calls, live};
+use common::{calls, handed_out, live};
 use rand::Rng;
 use std::collections::HashSet;
 
@@ -96,6 +96,41 @@ fn samples(engine: &BingoEngine, seed: u64) -> Vec<Option<VertexId>> {
         .collect()
 }
 
+// 2^18 vertices hold 12 MiB of these.
+const _: () = assert!(std::mem::size_of::<VertexSpace>() <= 48);
+
+/// What a build may cost beyond what it leaves behind. It hands out no
+/// second copy of anything: the spaces are built into one array of exactly
+/// their number (a collect through per-chunk `Vec`s handed the whole array
+/// out twice), so the bytes it is handed are the bytes it leaves live, give
+/// or take the pool's job lists. And a factorized vertex is two
+/// allocations, the group table — fixed fields and headers in one — and its
+/// arena, where headers in a `Vec` of their own made it three; a direct
+/// vertex is none.
+fn a_build_hands_out_what_it_leaves_live(graph: &DynamicGraph, config: BingoConfig) {
+    let (live_before, out_before, calls_before) = (live(), handed_out(), calls());
+    let engine = BingoEngine::build(graph, config).unwrap();
+    let left = live() - live_before;
+    let handed = handed_out() - out_before;
+    let made = calls() - calls_before;
+    let factorized = (0..graph.num_vertices() as VertexId)
+        .filter(|&v| !engine.vertex_space(v).unwrap().is_direct())
+        .count();
+    eprintln!(
+        "build: {handed} B handed out, {left} B left live, {made} calls, {factorized} factorized"
+    );
+    assert!(
+        handed as f64 <= 1.05 * left as f64,
+        "{handed} B handed out for {left} B left live"
+    );
+    // The array and the pool's bookkeeping for one parallel call.
+    const FIXED_CALLS: usize = 8;
+    assert!(
+        made <= 2 * factorized + FIXED_CALLS,
+        "{made} allocator calls for {factorized} factorized vertices"
+    );
+}
+
 /// Allocator calls made by `op`.
 fn calls_of<T>(op: impl FnOnce() -> T) -> usize {
     let before = calls();
@@ -116,17 +151,17 @@ fn list_with_room(degree: u32, capacity: usize) -> AdjacencyList {
 /// insert and a delete (on a factorized vertex these give the group arena
 /// the headroom an exact-size build leaves out), the same again, and a bias
 /// rewrite.
-fn streaming_calls(space: &mut VertexSpace) -> [usize; 5] {
+fn streaming_calls(space: &mut VertexSpace, config: &BingoConfig) -> [usize; 5] {
     let next = space.degree() as VertexId;
     let bias = Bias::from_int(7);
     let calls = [
-        calls_of(|| space.insert(next, bias).unwrap()),
-        calls_of(|| space.delete(next).unwrap()),
-        calls_of(|| space.insert(next, bias).unwrap()),
-        calls_of(|| space.delete(next).unwrap()),
-        calls_of(|| space.update_bias(0, bias).unwrap()),
+        calls_of(|| space.insert(next, bias, config).unwrap()),
+        calls_of(|| space.delete(next, config).unwrap()),
+        calls_of(|| space.insert(next, bias, config).unwrap()),
+        calls_of(|| space.delete(next, config).unwrap()),
+        calls_of(|| space.update_bias(0, bias, config).unwrap()),
     ];
-    space.check_invariants().unwrap();
+    space.check_invariants(config).unwrap();
     calls
 }
 
@@ -139,6 +174,15 @@ fn a_build_shares_the_graphs_blocks_and_neither_side_sees_the_others_writes() {
     // The first parallel build starts the worker pool, which keeps what it
     // allocates; so does the first service's `ensure_pool_workers`.
     drop(BingoEngine::build(&graph, config).unwrap());
+
+    // (o) A build allocates once what it keeps: on a graph with hubs, on one
+    // that is all direct vertices, and with every vertex factorized. (Before
+    // the first service: what its threads free as they wind down would be
+    // counted against the build.)
+    a_build_hands_out_what_it_leaves_live(&graph, config);
+    a_build_hands_out_what_it_leaves_live(&flat(24), config);
+    a_build_hands_out_what_it_leaves_live(&graph, BingoConfig::baseline());
+
     drop(WalkService::build(&graph, ServiceConfig::default()).unwrap());
 
     // (i) A build allocates no adjacency: what it allocates is the report
@@ -290,11 +334,19 @@ fn a_build_shares_the_graphs_blocks_and_neither_side_sees_the_others_writes() {
         let list = list_with_room(degree, capacity);
         let mut still_shared = VertexSpace::build(list.clone(), config);
 
-        let reference = streaming_calls(&mut never_shared);
-        assert_eq!(streaming_calls(&mut once_shared), reference, "{degree}");
+        let reference = streaming_calls(&mut never_shared, &config);
+        assert_eq!(
+            streaming_calls(&mut once_shared, &config),
+            reference,
+            "{degree}"
+        );
         let mut one_copy = reference;
         one_copy[0] += 1;
-        assert_eq!(streaming_calls(&mut still_shared), one_copy, "{degree}");
+        assert_eq!(
+            streaming_calls(&mut still_shared, &config),
+            one_copy,
+            "{degree}"
+        );
         assert_eq!(list, list_with_room(degree, capacity));
         assert_eq!(
             still_shared.adjacency().memory_bytes(),
