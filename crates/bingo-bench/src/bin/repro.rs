@@ -90,37 +90,9 @@ const EXPERIMENTS: &[Experiment] = &[
         run: experiments::fig16,
     },
     Experiment {
-        name: "service",
-        description: "Sharded walk service: throughput under streaming updates vs shard count",
-        run: experiments::service,
-    },
-    Experiment {
-        name: "service_node2vec",
-        description: "Sharded node2vec vs single engine: second-order chi-square equivalence",
-        run: experiments::service_node2vec,
-    },
-    Experiment {
-        name: "gateway",
-        description: "Multi-tenant gateway: weighted fairness and AIMD admission sweep",
-        run: experiments::gateway,
-    },
-    Experiment {
-        name: "obs",
-        description:
-            "Observability plane: exposition endpoint round-trip latency, flight-ring accounting",
-        run: experiments::obs,
-    },
-    Experiment {
-        name: "parallel",
-        description:
-            "Rayon-shim thread team: engine-build/walk-pass speedup vs 1 thread, determinism",
-        run: experiments::parallel,
-    },
-    Experiment {
-        name: "transport",
-        description:
-            "Serialized wire round-trip vs in-process forwarding; snapshot caches under churn",
-        run: experiments::transport,
+        name: "radix_base",
+        description: "Radix-base ablation (§9.2): sample and update cost vs base",
+        run: experiments::radix_base,
     },
 ];
 
@@ -129,7 +101,7 @@ fn print_usage() {
     eprintln!("       repro pairs --pr N --parent <bin> --change <bin> --workload W [--seed N] [--n N] [--trace]");
     eprintln!("experiments:");
     for e in EXPERIMENTS {
-        eprintln!("  {:<8} {}", e.name, e.description);
+        eprintln!("  {:<10} {}", e.name, e.description);
     }
 }
 

@@ -6,7 +6,6 @@ use bingo_graph::updates::{UpdateKind, UpdateStreamBuilder};
 use bingo_graph::{DynamicGraph, UpdateBatch};
 use bingo_sampling::rng::Pcg64;
 use bingo_telemetry::json::{JsonArray, JsonObject};
-use bingo_telemetry::{names, Telemetry};
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -105,9 +104,6 @@ pub struct ResultTable {
     /// What the table covers and what it leaves out, printed between the
     /// title and the header.
     pub notes: Vec<String>,
-    /// Pre-serialized telemetry JSON (see [`telemetry_json`]) embedded in
-    /// [`ResultTable::json_summary`] when present.
-    pub telemetry: Option<String>,
 }
 
 impl ResultTable {
@@ -118,14 +114,7 @@ impl ResultTable {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
-            telemetry: None,
         }
-    }
-
-    /// Attach a run's telemetry ([`telemetry_json`]) so the JSON summary
-    /// carries per-stage latency quantiles and sampled lifecycles.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.telemetry = Some(telemetry_json(telemetry));
     }
 
     /// Append a row.
@@ -178,8 +167,6 @@ impl ResultTable {
     /// trajectory capture (`BENCH_*.json`-style tooling). Built on the
     /// shared [`bingo_telemetry::json`] writer (the offline build
     /// environment has no serde); cell values are emitted as JSON strings.
-    /// When telemetry was [attached](ResultTable::attach_telemetry), the
-    /// summary carries it under a `"telemetry"` field.
     pub fn json_summary(&self, name: &str, elapsed: Duration) -> String {
         let mut headers = JsonArray::new();
         for h in &self.headers {
@@ -205,9 +192,6 @@ impl ResultTable {
                 notes.push_str_elem(note);
             }
             obj.field_raw("notes", &notes.finish());
-        }
-        if let Some(telemetry) = &self.telemetry {
-            obj.field_raw("telemetry", telemetry);
         }
         obj.finish()
     }
@@ -243,59 +227,6 @@ pub fn results_dir() -> PathBuf {
     } else {
         PathBuf::from("results")
     }
-}
-
-/// The serving-stack stage latencies a summary reports, as
-/// `(short key, metric name)` pairs: tenant queue wait, DRR dispatch,
-/// service submit, per-shard step batch, inbox dwell, cross-shard forward
-/// hop, collection, and end-to-end ticket latency.
-pub const STAGE_LATENCIES: &[(&str, &str)] = &[
-    ("queue_wait", names::GATEWAY_TENANT_WAIT_NS),
-    ("dispatch", names::GATEWAY_DISPATCH_NS),
-    ("submit", names::SERVICE_SUBMIT_NS),
-    ("step_batch", names::SERVICE_SHARD_STEP_BATCH_NS),
-    ("inbox_dwell", names::SERVICE_SHARD_INBOX_DWELL_NS),
-    ("forward_hop", names::SERVICE_FORWARD_HOP_NS),
-    ("collect", names::SERVICE_COLLECT_NS),
-    ("ticket", names::SERVICE_TICKET_LATENCY_NS),
-];
-
-/// Serialize a run's telemetry for embedding in a JSON summary:
-/// `latency_ns_p50_p99` (one `[p50, p99]` pair per recorded
-/// [`STAGE_LATENCIES`] stage), the count of complete sampled walker
-/// lifecycles plus one stitched example (preferring a lifecycle with a
-/// cross-shard hop), and the full metric registry. Mirrors the thread-pool
-/// profile into the registry first, so `pool.*` counters are current.
-pub fn telemetry_json(telemetry: &Telemetry) -> String {
-    bingo_service::record_pool_profile(telemetry);
-    let snap = telemetry.snapshot();
-    let mut latencies = JsonObject::new();
-    for &(key, name) in STAGE_LATENCIES {
-        if snap.histogram_across_labels(name).count() > 0 {
-            latencies.field_raw(key, &snap.latency_json(name));
-        }
-    }
-    let mut obj = JsonObject::new();
-    obj.field_raw("latency_ns_p50_p99", &latencies.finish());
-    if let Some(tracer) = telemetry.tracer() {
-        let lines = tracer.complete_lifecycle_lines();
-        obj.field_num("lifecycles_complete", lines.len());
-        obj.field_num("trace_events_dropped", tracer.dropped());
-        let example = lines
-            .iter()
-            .find(|line| line.contains("hop("))
-            .or_else(|| lines.first());
-        if let Some(line) = example {
-            obj.field_str("sample_lifecycle", line);
-        }
-    }
-    obj.field_raw("metrics", &snap.to_json());
-    obj.finish()
-}
-
-/// Format a [`Duration`] in seconds with three decimals.
-pub fn fmt_secs(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
 }
 
 /// Format a byte count as mebibytes with two decimals.
@@ -358,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn json_summary_escapes_and_embeds_telemetry() {
+    fn json_summary_escapes_its_strings() {
         let mut t = ResultTable::new("Quote \" table", &["a"]);
         t.push_row(vec!["x\ny".into()]);
         let plain = t.json_summary("unit", Duration::from_millis(1500));
@@ -366,24 +297,10 @@ mod tests {
         assert!(plain.contains("\"elapsed_s\":1.500"));
         assert!(plain.contains("Quote \\\" table"));
         assert!(plain.contains("x\\ny"));
-        assert!(!plain.contains("telemetry"));
-
-        let tel = Telemetry::enabled(7);
-        tel.histogram(names::SERVICE_COLLECT_NS).record(1 << 12);
-        t.attach_telemetry(&tel);
-        let with_tel = t.json_summary("unit", Duration::from_millis(1500));
-        assert!(with_tel.contains("\"telemetry\":{"));
-        assert!(with_tel.contains("\"collect\":[4096,4096]"));
-        assert!(with_tel.contains("\"lifecycles_complete\":0"));
-        assert!(
-            with_tel.contains(names::POOL_CALLS),
-            "pool profile mirrored"
-        );
     }
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(fmt_secs(Duration::from_millis(1500)), "1.500");
         assert_eq!(fmt_mib(1024 * 1024), "1.00");
         let (x, d) = timed(|| 2 + 2);
         assert_eq!(x, 4);

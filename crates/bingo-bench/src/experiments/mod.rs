@@ -13,29 +13,18 @@
 //! | Integer vs floating-point bias | Figure 14 | [`memory::fig14`] |
 //! | Batch size / walk length / distribution sweeps | Figure 15 | [`sweeps::fig15a`] etc. |
 //! | Piecewise update & sampling breakdown | Figure 16 | [`updates::fig16`] |
-//! | Sharded walk-service throughput sweep | — (beyond the paper) | [`service::service`] |
-//! | Exposition latency + flight-ring accounting | — (beyond the paper) | [`obs::obs`] |
-//! | Sharded node2vec equivalence (chi-square) | — (beyond the paper) | [`service::service_node2vec`] |
-//! | Gateway weighted fairness + AIMD sweep | — (beyond the paper) | [`gateway::gateway`] |
-//! | Shim thread-team speedup + determinism | — (beyond the paper) | [`parallel::parallel`] |
-//! | Serialized transport round-trip + scoped invalidation | — (beyond the paper) | [`transport::transport`] |
+//! | Radix-base ablation | §9.2 (described, not evaluated) | [`sweeps::radix_base`] |
+//!
+//! Only the paper's own artefacts live here. What the serving stack costs is
+//! timed by the repository benchmark (`benchmark/`, one ledger row per
+//! layer); what it must do is asserted by the tests under `tests/`.
 
-pub mod gateway;
 pub mod memory;
-pub mod obs;
-pub mod parallel;
-pub mod service;
 pub mod sweeps;
 pub mod tables;
-pub mod transport;
 pub mod updates;
 
-pub use gateway::gateway;
 pub use memory::{fig11, fig13, fig14};
-pub use obs::obs;
-pub use parallel::parallel;
-pub use service::{service, service_node2vec};
-pub use sweeps::{fig15a, fig15b, fig15c, fig9};
+pub use sweeps::{fig15a, fig15b, fig15c, fig9, radix_base};
 pub use tables::{table1, table2, table3, table4};
-pub use transport::transport;
 pub use updates::{fig12, fig16};

@@ -1,8 +1,9 @@
-//! Figures 9 and 15: parameter sweeps.
+//! Figures 9 and 15 and the §9.2 radix-base ablation: parameter sweeps.
 
-use crate::common::{fmt_mib, ExperimentConfig, ResultTable};
+use crate::common::{fmt_mib, timed, ExperimentConfig, ResultTable};
 use crate::experiments::memory::{count_and_share, dataset_with_bias};
 use bingo_baselines::GSamplerBaseline;
+use bingo_core::radix_base::RadixBaseSpace;
 use bingo_core::vertex_space::DIRECT_MAX_DEGREE;
 use bingo_core::{radix, BingoConfig, BingoEngine};
 use bingo_graph::datasets::StandinDataset;
@@ -197,8 +198,42 @@ pub fn fig15c(config: &ExperimentConfig) -> ResultTable {
     table
 }
 
-#[allow(dead_code)]
-fn silence_unused_rng_bound<R: Rng>(_: &mut R) {}
+/// §9.2 ablation — a larger radix base means fewer groups `K` at the price
+/// of a third sampling level (`base − 1` sub-groups per group): per-sample
+/// and per-update cost of one 8 192-candidate [`RadixBaseSpace`] per base.
+/// The paper describes the design without evaluating it.
+pub fn radix_base(config: &ExperimentConfig) -> ResultTable {
+    const SAMPLES: usize = 200_000;
+    const UPDATES: usize = 200;
+    let mut rng = config.rng(92);
+    let biases: Vec<u64> = (0..8192).map(|_| rng.gen_range(1..1_000_000u64)).collect();
+    let mut table = ResultTable::new(
+        "Radix-base ablation (§9.2): cost per operation vs base (8192 candidates, biases < 10^6)",
+        &["base", "groups", "sample_ns", "insert_delete_ns"],
+    );
+    for base in [2u64, 4, 16, 256] {
+        let mut space = RadixBaseSpace::build(&biases, base);
+        let (_, sampling) = timed(|| {
+            for _ in 0..SAMPLES {
+                std::hint::black_box(space.sample(&mut rng));
+            }
+        });
+        // An insert at the end and its removal leave the space as it was.
+        let (_, updating) = timed(|| {
+            for _ in 0..UPDATES {
+                let idx = space.insert(12345);
+                space.remove(idx);
+            }
+        });
+        table.push_row(vec![
+            base.to_string(),
+            space.num_groups().to_string(),
+            format!("{:.0}", sampling.as_nanos() as f64 / SAMPLES as f64),
+            format!("{:.0}", updating.as_nanos() as f64 / UPDATES as f64),
+        ]);
+    }
+    table
+}
 
 #[cfg(test)]
 mod tests {
@@ -221,6 +256,14 @@ mod tests {
         let power: Vec<f64> = t.rows[2][1..].iter().map(|s| s.parse().unwrap()).collect();
         assert!(power[0] > power[9] + 0.2);
         assert!(t.notes[0].contains("is direct and keeps none"));
+    }
+
+    #[test]
+    fn radix_base_groups_shrink_as_the_base_grows() {
+        let t = radix_base(&smoke_config());
+        let groups: Vec<usize> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
+        // 20-bit biases: ceil(20 / log2(base)) groups.
+        assert_eq!(groups, [20, 10, 5, 3]);
     }
 
     #[test]

@@ -319,13 +319,12 @@ impl BingoEngine {
 
     /// [`BingoEngine::neighbor_fingerprint`] for the forwarded-context
     /// path: behind an `Arc`, so the caller's cache and every walker it
-    /// hands the snapshot to share one copy, and counted. The flag says
-    /// whether the snapshot came pre-built, which it never does. `None`
-    /// when this engine does not own `v`.
-    pub fn context_fingerprint_shared(&self, v: VertexId) -> Option<(Arc<Vec<VertexId>>, bool)> {
+    /// hands the snapshot to share one copy, and counted. `None` when this
+    /// engine does not own `v`.
+    pub fn context_fingerprint_shared(&self, v: VertexId) -> Option<Arc<Vec<VertexId>>> {
         let fingerprint = self.neighbor_fingerprint(v)?;
         self.context.count_cold_build();
-        Some((Arc::new(fingerprint), false))
+        Some(Arc::new(fingerprint))
     }
 
     /// Monotonic activity counters of the fingerprint path.
@@ -926,8 +925,7 @@ mod tests {
         let mut engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
         let hub = (0..120u32).max_by_key(|&v| engine.degree(v)).unwrap();
 
-        let (fp1, prebuilt) = engine.context_fingerprint_shared(hub).unwrap();
-        assert!(!prebuilt, "the engine pre-builds nothing");
+        let fp1 = engine.context_fingerprint_shared(hub).unwrap();
         assert_eq!(Some(fp1.as_ref().clone()), engine.neighbor_fingerprint(hub));
         assert!(fp1.windows(2).all(|pair| pair[0] < pair[1]));
         engine.warm_context();
@@ -937,11 +935,11 @@ mod tests {
         // Streamed and batched updates both show in the next one.
         let dst = (0..120u32).find(|&d| !engine.has_edge(hub, d)).unwrap();
         engine.insert_edge(hub, dst, Bias::from_int(3)).unwrap();
-        let (fp2, _) = engine.context_fingerprint_shared(hub).unwrap();
+        let fp2 = engine.context_fingerprint_shared(hub).unwrap();
         assert!(fp2.binary_search(&dst).is_ok(), "new edge visible");
         let batch = UpdateBatch::new(vec![UpdateEvent::Delete { src: hub, dst }]);
         engine.apply_batch(&batch);
-        let (fp3, _) = engine.context_fingerprint_shared(hub).unwrap();
+        let fp3 = engine.context_fingerprint_shared(hub).unwrap();
         assert_eq!(fp3, fp1, "deleted edge gone");
         assert_eq!(engine.clone().context_provider_stats().cold_builds, 3);
 

@@ -23,7 +23,7 @@
 //!   sharded service's forwarded second-order context (the service caches
 //!   the fingerprints; the engine encodes them on demand).
 //! * [`radix_base`] — the arbitrary-radix-base extension of §9.2.
-//! * [`partition`] — 1-D partitioning and walker forwarding (§9.1).
+//! * [`partition`] — the 1-D vertex → partition map (§9.1).
 //!
 //! ## Memory layout
 //!

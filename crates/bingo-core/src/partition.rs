@@ -1,19 +1,15 @@
-//! 1-D graph partitioning and walker forwarding (§9.1).
+//! 1-D graph partitioning (§9.1).
 //!
 //! Multi-GPU Bingo distributes the graph by 1-D (per-vertex) partitioning
 //! and moves *walkers* between devices rather than shipping sampling
-//! structures. This module reproduces the same scheme at thread scale: the
-//! vertex range is split into contiguous partitions, each partition owns a
-//! [`BingoEngine`] over its local vertices, and a sampling query for a
-//! non-local vertex is "forwarded" to the owning partition (counted, so the
-//! communication volume the paper discusses is observable).
+//! structures. This module holds the vertex → partition map of that scheme:
+//! the vertex range is split into contiguous partitions, uniformly or
+//! balanced by out-degree. The deployment built on it — one range engine
+//! ([`BingoEngine::build_range`](crate::BingoEngine::build_range)) per
+//! partition over the graph's shared edge blocks, walkers forwarded between
+//! them — is `bingo-service`'s `WalkService`.
 
-use crate::config::BingoConfig;
-use crate::engine::BingoEngine;
-use crate::Result;
-use bingo_graph::{Bias, DynamicGraph, VertexId};
-use rand::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
+use bingo_graph::{DynamicGraph, VertexId};
 
 /// Maps vertices to partitions by contiguous ranges (1-D partitioning).
 ///
@@ -56,68 +52,8 @@ impl Partitioner {
         Self::balanced_by_weight(&weights, num_partitions)
     }
 
-    /// Create a visit-frequency-balanced contiguous split: a cheap, seeded
-    /// warm-up walk pass over `graph` observes where biased walkers
-    /// actually *depart from* — hub-adjacent vertices absorb
-    /// disproportionately many steps even after degree balancing, because
-    /// walkers funnel through them — and feeds the observed per-vertex
-    /// departure counts into [`Partitioner::balanced_by_weight`].
-    ///
-    /// The pass runs one short biased walk per vertex directly on the
-    /// dynamic graph (cumulative-bias scan, no engine build), with every
-    /// walk's RNG derived from `seed` and the start vertex alone, so the
-    /// split is bit-identical for a given `(graph, num_partitions, seed)`
-    /// regardless of thread count. Counts are +1-smoothed so isolated
-    /// vertices still carry weight and boundaries stay well-defined on
-    /// sparse graphs.
-    pub fn balanced_by_visits(graph: &DynamicGraph, num_partitions: usize, seed: u64) -> Self {
-        /// Steps per warm-up walk: enough to diffuse a walker past its
-        /// immediate neighborhood, cheap enough to run from every vertex.
-        const WARMUP_WALK_LEN: usize = 8;
-        let n = graph.num_vertices();
-        let mut departures = vec![1usize; n];
-        for start in 0..n {
-            let mut expander = bingo_sampling::rng::SplitMix64::new(
-                seed ^ (start as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let mut rng = bingo_sampling::rng::Pcg64::new(
-                ((expander.next() as u128) << 64) | expander.next() as u128,
-                expander.next() as u128,
-            );
-            let mut current = start as VertexId;
-            for _ in 0..WARMUP_WALK_LEN {
-                let Ok(adjacency) = graph.neighbors(current) else {
-                    break;
-                };
-                let edges = adjacency.edges();
-                let total: f64 = edges.iter().map(|e| e.bias.value()).sum();
-                // A non-finite or non-positive bias mass means there is
-                // nothing to sample from; the walk ends at this vertex.
-                if !total.is_finite() || total <= 0.0 {
-                    break;
-                }
-                departures[current as usize] += 1;
-                // Cumulative-bias linear scan with a [0, 1) draw from the
-                // walk's own stream.
-                let unit = (rng.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                let mut remaining = unit * total;
-                let mut next = edges[edges.len() - 1].dst;
-                for edge in edges {
-                    remaining -= edge.bias.value();
-                    if remaining < 0.0 {
-                        next = edge.dst;
-                        break;
-                    }
-                }
-                current = next;
-            }
-        }
-        Self::balanced_by_weight(&departures, num_partitions)
-    }
-
     /// Create a contiguous split balancing arbitrary per-vertex weights
-    /// (the primitive behind [`Partitioner::balanced_by_degree`] and
-    /// [`Partitioner::balanced_by_visits`]).
+    /// (the primitive behind [`Partitioner::balanced_by_degree`]).
     pub fn balanced_by_weight(weights: &[usize], num_partitions: usize) -> Self {
         let n = weights.len();
         let p = num_partitions.max(1);
@@ -183,135 +119,10 @@ impl Partitioner {
     }
 }
 
-/// A Bingo deployment partitioned across several engines, with walker
-/// forwarding between partitions.
-#[derive(Debug)]
-pub struct PartitionedEngine {
-    partitioner: Partitioner,
-    engines: Vec<BingoEngine>,
-    forwards: AtomicU64,
-    local_hits: AtomicU64,
-}
-
-impl PartitionedEngine {
-    /// Partition `graph` into `num_partitions` engines.
-    ///
-    /// Every engine keeps the full vertex-id space (so destination ids stay
-    /// valid) but only stores the out-edges of the vertices it owns — the
-    /// 1-D edge partitioning the paper adopts from KnightKing.
-    pub fn build(graph: &DynamicGraph, num_partitions: usize, config: BingoConfig) -> Result<Self> {
-        let partitioner = Partitioner::new(graph.num_vertices(), num_partitions);
-        let mut shards: Vec<DynamicGraph> = (0..partitioner.num_partitions())
-            .map(|_| DynamicGraph::new(graph.num_vertices()))
-            .collect();
-        for (src, edge) in graph.edges() {
-            let owner = partitioner.owner(src);
-            shards[owner].insert_edge(src, edge.dst, edge.bias)?;
-        }
-        let engines = shards
-            .iter()
-            .map(|shard| BingoEngine::build(shard, config))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(PartitionedEngine {
-            partitioner,
-            engines,
-            forwards: AtomicU64::new(0),
-            local_hits: AtomicU64::new(0),
-        })
-    }
-
-    /// The partitioner in use.
-    pub fn partitioner(&self) -> Partitioner {
-        self.partitioner.clone()
-    }
-
-    /// The per-partition engines.
-    pub fn engines(&self) -> &[BingoEngine] {
-        &self.engines
-    }
-
-    /// Total number of cross-partition walker forwards observed so far.
-    pub fn forwards(&self) -> u64 {
-        // relaxed-ok: stats counter read for reporting.
-        self.forwards.load(Ordering::Relaxed)
-    }
-
-    /// Total number of partition-local sampling queries observed so far.
-    pub fn local_hits(&self) -> u64 {
-        // relaxed-ok: stats counter read for reporting.
-        self.local_hits.load(Ordering::Relaxed)
-    }
-
-    /// Sample a neighbor of `v` from the partition that owns it, counting a
-    /// forward when the query originates from a different partition.
-    pub fn sample_neighbor_from<R: Rng + ?Sized>(
-        &self,
-        querying_partition: usize,
-        v: VertexId,
-        rng: &mut R,
-    ) -> Option<VertexId> {
-        let owner = self.partitioner.owner(v);
-        if owner == querying_partition {
-            self.local_hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
-        } else {
-            self.forwards.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
-        }
-        self.engines.get(owner)?.sample_neighbor(v, rng)
-    }
-
-    /// Run a biased random walk of `len` steps starting at `start`,
-    /// forwarding the walker between partitions as it crosses ownership
-    /// boundaries (the multi-GPU walking procedure of §9.1). Each step is
-    /// sampled by the partition owning the walker's current vertex; a step
-    /// whose destination lives in a different partition is counted as one
-    /// walker forward.
-    pub fn walk<R: Rng + ?Sized>(&self, start: VertexId, len: usize, rng: &mut R) -> Vec<VertexId> {
-        let mut path = Vec::with_capacity(len + 1);
-        path.push(start);
-        let mut current = start;
-        let mut current_partition = self.partitioner.owner(start);
-        for _ in 0..len {
-            let next = match self.engines[current_partition].sample_neighbor(current, rng) {
-                Some(next) => next,
-                None => break,
-            };
-            let next_partition = self.partitioner.owner(next);
-            if next_partition == current_partition {
-                self.local_hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
-            } else {
-                self.forwards.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stats
-            }
-            current = next;
-            current_partition = next_partition;
-            path.push(next);
-        }
-        path
-    }
-
-    /// Streaming insertion routed to the owning partition.
-    pub fn insert_edge(&mut self, src: VertexId, dst: VertexId, bias: Bias) -> Result<()> {
-        let owner = self.partitioner.owner(src);
-        self.engines[owner].insert_edge(src, dst, bias)
-    }
-
-    /// Streaming deletion routed to the owning partition.
-    pub fn delete_edge(&mut self, src: VertexId, dst: VertexId) -> Result<()> {
-        let owner = self.partitioner.owner(src);
-        self.engines[owner].delete_edge(src, dst)
-    }
-
-    /// Total number of edges across all partitions.
-    pub fn num_edges(&self) -> usize {
-        self.engines.iter().map(BingoEngine::num_edges).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bingo_graph::dynamic_graph::running_example;
-    use bingo_sampling::rng::Pcg64;
-    use rand::SeedableRng;
+    use bingo_graph::Bias;
 
     #[test]
     fn partitioner_covers_all_vertices_exactly_once() {
@@ -394,85 +205,5 @@ mod tests {
             balanced_spread < uniform_spread,
             "balanced {balanced_spread} vs uniform {uniform_spread}"
         );
-    }
-
-    #[test]
-    fn balanced_by_visits_evens_out_walker_load_and_is_deterministic() {
-        // An attractor hub: every ring vertex points back at vertex 0 with
-        // a heavy bias, so walkers keep funnelling through the hub and most
-        // observed *departures* happen there — a skew degree balancing
-        // alone cannot see. The visit-weighted split must give partition 0
-        // far fewer vertices than the uniform split does.
-        let n = 16usize;
-        let mut g = DynamicGraph::new(n);
-        for dst in 1..n as u32 {
-            g.insert_edge(0, dst, Bias::from_int(1)).unwrap();
-        }
-        for v in 1..n as u32 {
-            g.insert_edge(v, 0, Bias::from_int(3)).unwrap();
-            g.insert_edge(v, (v + 1) % n as u32, Bias::from_int(1))
-                .unwrap();
-        }
-        let weighted = Partitioner::balanced_by_visits(&g, 2, 42);
-        // Deterministic: same (graph, partitions, seed) → same boundaries.
-        assert_eq!(weighted, Partitioner::balanced_by_visits(&g, 2, 42));
-        // Covers [0, n) contiguously.
-        assert_eq!(weighted.range(0).0, 0);
-        assert_eq!(weighted.range(1).1, n);
-        assert_eq!(weighted.range(0).1, weighted.range(1).0);
-        // The hub partition shrinks below the uniform n/2 split.
-        let (s, e) = weighted.range(0);
-        assert!(
-            e - s < n / 2,
-            "hub partition kept {} of {n} vertices",
-            e - s
-        );
-    }
-
-    #[test]
-    fn partitioned_engine_preserves_all_edges() {
-        let g = running_example();
-        let pe = PartitionedEngine::build(&g, 3, BingoConfig::default()).unwrap();
-        assert_eq!(pe.num_edges(), g.num_edges());
-        // Edges of vertex 2 live only in its owner's engine.
-        let owner = pe.partitioner().owner(2);
-        assert_eq!(pe.engines()[owner].degree(2), 3);
-        for (p, e) in pe.engines().iter().enumerate() {
-            if p != owner {
-                assert_eq!(e.degree(2), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn walks_cross_partitions_and_count_forwards() {
-        let g = running_example();
-        let pe = PartitionedEngine::build(&g, 3, BingoConfig::default()).unwrap();
-        let mut rng = Pcg64::seed_from_u64(5);
-        let mut total_steps = 0usize;
-        let walks = 50;
-        for _ in 0..walks {
-            let path = pe.walk(0, 10, &mut rng);
-            assert!(!path.is_empty());
-            total_steps += path.len() - 1;
-        }
-        let _ = walks;
-        // Every successful step is either local or forwarded.
-        assert_eq!(pe.forwards() + pe.local_hits(), total_steps as u64);
-        assert!(
-            pe.forwards() > 0,
-            "walks from vertex 0 must cross partitions"
-        );
-    }
-
-    #[test]
-    fn updates_are_routed_to_the_owner() {
-        let g = running_example();
-        let mut pe = PartitionedEngine::build(&g, 2, BingoConfig::default()).unwrap();
-        pe.insert_edge(5, 0, Bias::from_int(2)).unwrap();
-        assert_eq!(pe.num_edges(), g.num_edges() + 1);
-        pe.delete_edge(5, 0).unwrap();
-        assert_eq!(pe.num_edges(), g.num_edges());
-        assert!(pe.delete_edge(5, 0).is_err());
     }
 }

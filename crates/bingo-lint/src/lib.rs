@@ -170,10 +170,10 @@ pub fn lint_files(files: &[FileInput], cfg: &LintConfig) -> Vec<Finding> {
 }
 
 /// Recursively collect the workspace's lintable `.rs` files: `crates/*/src`
-/// and `shims/*/src` (library + shim code). Integration tests, examples
-/// and benches are covered by the rules' own path whitelists where they
-/// matter, and excluded here where they don't (tests are all-test code by
-/// definition; the fixture corpus is known-bad on purpose).
+/// and `shims/*/src` (library + shim code). Integration tests and examples
+/// are covered by the rules' own path whitelists where they matter, and
+/// excluded here where they don't (tests are all-test code by definition;
+/// the fixture corpus is known-bad on purpose).
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<FileInput>> {
     let mut out = Vec::new();
     for top in ["crates", "shims"] {

@@ -32,10 +32,8 @@ pub(crate) const RULE: &str = "determinism";
 fn clock_whitelisted(path: &str) -> bool {
     matches!(
         crate_of(path),
-        // criterion IS the bench harness; its whole purpose is timing.
-        "bingo-telemetry" | "bingo-obs" | "bingo-bench" | "bingo-lint" | "criterion"
+        "bingo-telemetry" | "bingo-obs" | "bingo-bench" | "bingo-lint"
     ) || path.starts_with("examples/")
-        || path.contains("/benches/")
 }
 
 /// Crates whose map iterations must be order-robust (the deterministic

@@ -9,9 +9,8 @@
 //! ## Architecture
 //!
 //! * The vertex space is split into `S` contiguous shards
-//!   (`bingo_core::partition::Partitioner` — uniform, degree-balanced, or
-//!   visit-frequency-weighted via a seeded warm-up walk pass); each shard
-//!   owns a [`bingo_core::BingoEngine`] built over its range with
+//!   (`bingo_core::partition::Partitioner` — uniform or degree-balanced);
+//!   each shard owns a [`bingo_core::BingoEngine`] built over its range with
 //!   [`bingo_core::BingoEngine::build_range`]. Shards are **resumable
 //!   tasks on the process-wide worker pool** (the `rayon` shim's
 //!   persistent parked workers), not dedicated threads, and idle shards
@@ -38,20 +37,19 @@
 //!   served too: a forwarding shard attaches the model-declared context —
 //!   a membership snapshot of the walker's previous vertex — so the
 //!   receiving shard answers membership queries without cross-shard edge
-//!   lookups. Snapshots are exact and cheap: the engine pre-builds hot
-//!   hubs once and re-encodes only the ones a structural update touches
-//!   (`bingo_core::context`), each shard captures a `(vertex, epoch)`
-//!   snapshot — the sorted adjacency behind an `Arc`, see
-//!   `bingo_walks::model` for the wire format — at most once, and what
-//!   ships is **negotiated with the receiver's snapshot cache**: a
-//!   `(vertex, epoch)` the receiver already holds goes as a true 16-byte
-//!   handle ([`CONTEXT_HANDLE_BYTES`]), a miss ships the body and seeds
-//!   the receiver. A structural update batch evicts exactly the vertices
-//!   it touched from both cache tiers; everything else stays warm. A
-//!   missing capture is **not** silently served as "no edge": the
-//!   fallback is counted per shard (`context_misses`) and asserted on in
-//!   debug builds. Finished walks are collected by ticket
-//!   and can be deposited into a
+//!   lookups. Snapshots are exact and cheap: the engine encodes one on
+//!   demand (`bingo_core::context`) — the sorted adjacency behind an
+//!   `Arc`, see `bingo_walks::model` for the wire format — the owning
+//!   shard's snapshot cache holds it, so a `(vertex, epoch)` is captured
+//!   at most once, and what ships is **negotiated with the receiver's
+//!   snapshot cache**: a `(vertex, epoch)` the receiver already holds
+//!   goes as a true 16-byte handle ([`CONTEXT_HANDLE_BYTES`]), a miss
+//!   ships the body and seeds the receiver. A structural update batch
+//!   evicts exactly the vertices it touched from both cache tiers;
+//!   everything else stays warm. A missing capture is **not** silently
+//!   served as "no edge": the fallback is counted per shard
+//!   (`context_misses`) and asserted on in debug builds. Finished walks
+//!   are collected by ticket and can be deposited into a
 //!   [`WalkStore`](bingo_walks::walk_store::WalkStore).
 //! * The **distribution boundary is pluggable** (see the [`transport`]
 //!   module and the workspace README's *Distribution readiness*

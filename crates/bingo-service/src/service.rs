@@ -139,14 +139,6 @@ pub enum PartitionStrategy {
     /// ([`Partitioner::balanced_by_degree`]): on skewed graphs this
     /// equalizes per-shard sampling load instead of vertex counts.
     DegreeBalanced,
-    /// Contiguous ranges balanced by *observed visit frequency*
-    /// ([`Partitioner::balanced_by_visits`]): a cheap seeded warm-up walk
-    /// pass over the graph counts where biased walkers actually step, so
-    /// shards equalize on walk traffic rather than raw degree — attractor
-    /// vertices that absorb walkers weigh more than degree alone predicts.
-    /// The warm-up is seeded from [`ServiceConfig::seed`], keeping the
-    /// split deterministic.
-    VisitWeighted,
 }
 
 /// Configuration of a [`WalkService`].
@@ -498,9 +490,9 @@ pub struct WalkService {
 /// The shim's global cells stay authoritative (they are process-wide, not
 /// per-service); call this right before snapshotting or dumping the
 /// registry so the exposition reflects the latest pool activity. The
-/// nanosecond cells only advance while [`rayon::pool_profiling_enabled`]
-/// is on — [`WalkService::build_with_telemetry`] enables it whenever the
-/// handle is detailed.
+/// nanosecond cells only advance once [`rayon::set_pool_profiling`] has
+/// turned them on — [`WalkService::build_with_telemetry`] does whenever
+/// the handle is detailed.
 pub fn record_pool_profile(telemetry: &Telemetry) {
     let p = rayon::pool_profile();
     telemetry.counter(names::POOL_CALLS).set(p.calls);
@@ -523,9 +515,9 @@ pub fn record_pool_profile(telemetry: &Telemetry) {
 
 impl WalkService {
     /// Build a service over a snapshot of `graph`, partitioning the vertex
-    /// space into [`ServiceConfig::num_shards`] contiguous shards (uniform,
-    /// degree-balanced or visit-weighted per [`ServiceConfig::partition`])
-    /// whose work runs as resumable tasks on the shared worker pool.
+    /// space into [`ServiceConfig::num_shards`] contiguous shards (uniform
+    /// or degree-balanced per [`ServiceConfig::partition`]) whose work runs
+    /// as resumable tasks on the shared worker pool.
     ///
     /// Telemetry runs in the zero-added-cost disabled mode (stats still
     /// work — counters are always live); use
@@ -579,9 +571,6 @@ impl WalkService {
         let partitioner = match config.partition {
             PartitionStrategy::Uniform => Partitioner::new(num_vertices, num_shards),
             PartitionStrategy::DegreeBalanced => Partitioner::balanced_by_degree(graph, num_shards),
-            PartitionStrategy::VisitWeighted => {
-                Partitioner::balanced_by_visits(graph, num_shards, config.seed)
-            }
         };
 
         let counters: Vec<Arc<ShardCounters>> = (0..num_shards)
@@ -1780,10 +1769,9 @@ impl ServiceShared {
             match cache.get(&prev) {
                 Some(&(stamp, ref cached)) => (stamp, cached.clone(), true),
                 None => {
-                    let (adjacency, _hot) = engine.context_fingerprint_shared(prev)?;
                     let ctx = CarriedContext {
                         vertex: prev,
-                        adjacency,
+                        adjacency: engine.context_fingerprint_shared(prev)?,
                     };
                     let stamp = c.epoch.get_acquire();
                     cache.insert(prev, (stamp, ctx.clone()));

@@ -10,17 +10,19 @@
 //! (bounded, never exceeded) and the AIMD window adapts to the service's
 //! inbox occupancy.
 //!
-//! The final line is a machine-readable JSON summary (per-tenant counts,
-//! step shares, queue-wait p50/p99, the AIMD window trace, and the shared
-//! telemetry registry's per-stage latency quantiles) that CI greps. The
-//! run records into one `Telemetry` handle across the gateway and the
-//! service (`BINGO_TELEMETRY=off` opts out), so sampled walker lifecycles
-//! stitch the DRR dispatch to the shard-side spans.
+//! The last line before `ok` is a machine-readable JSON summary
+//! (per-tenant counts, step shares, queue-wait p50/p99, the AIMD window
+//! trace, and the shared telemetry registry's per-stage latency
+//! quantiles); every verdict in it is also an `assert!` here, so the
+//! example exits non-zero on its own. The run records into one
+//! `Telemetry` handle across the gateway and the service
+//! (`BINGO_TELEMETRY=off` opts out), so sampled walker lifecycles stitch
+//! the DRR dispatch to the shard-side spans.
 //!
 //! With `--obs`, the run additionally exposes the whole stack — gateway
 //! and service — through the observability plane on an ephemeral loopback
 //! port (printed as `obs_addr=`), then fetches its own `/healthz` and
-//! `/status` so CI can gate on them in single-process output.
+//! `/status` and asserts on both.
 //!
 //! ```text
 //! cargo run --release --example gateway_fairness [-- --obs]
@@ -266,6 +268,12 @@ fn main() {
                 latencies.field_raw(key, &snap.latency_json(name));
             }
         }
+        for name in [names::GATEWAY_TENANT_WAIT_NS, names::GATEWAY_DISPATCH_NS] {
+            assert!(
+                snap.histogram_across_labels(name).count() > 0,
+                "the gateway must record {name} into the registry it shares with the service"
+            );
+        }
         let lifecycles = telemetry
             .tracer()
             .map(Tracer::complete_lifecycle_lines)
@@ -294,8 +302,8 @@ fn main() {
         None
     };
 
-    // Machine-readable summary (grepped by CI), built on the shared
-    // dependency-free JSON writer.
+    // Machine-readable summary, built on the shared dependency-free JSON
+    // writer.
     let tenant_json = |t: &bingo::gateway::TenantStatsSnapshot, share: f64| {
         let mut obj = JsonObject::new();
         obj.field_str("tenant", t.tenant.as_str())
@@ -356,6 +364,10 @@ fn main() {
         "every offered walk completed"
     );
     assert_eq!(dropped, 0, "no request dropped");
+    assert!(
+        heavy_t.completed_walks == offered_walks && light_t.completed_walks == offered_walks,
+        "both tenants were served in full"
+    );
     assert_eq!(overloaded, 0, "queues absorbed the load without rejection");
     assert!(
         heavy_t.peak_queued_walkers <= QUEUE_BOUND && light_t.peak_queued_walkers <= QUEUE_BOUND,

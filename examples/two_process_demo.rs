@@ -11,7 +11,7 @@
 //! format is canonical — the echo must be byte-identical), and sends it
 //! back. Both sides count raw payload bytes.
 //!
-//! Three claims are proven and printed for CI to gate on:
+//! Three claims are asserted, then printed:
 //!
 //! 1. **Accounted bytes are wire bytes.** The payload bytes the parent
 //!    wrote/read on the socket — and independently, the bytes the child

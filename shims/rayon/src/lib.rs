@@ -2,11 +2,11 @@
 //! runtime** on a **persistent worker pool**.
 //!
 //! The build environment has no registry access, so this shim provides the
-//! rayon entry points the workspace uses (`par_iter`, `par_iter_mut`,
-//! `into_par_iter`, [`join`], [`spawn`]) over its own executor: a
-//! lazily-initialized team of condvar-parked daemon workers fed through a
-//! global injector (see the `runtime` module's docs in the source), shared
-//! by the fork-join combinators here and by `bingo-service`'s shard tasks.
+//! rayon entry points the workspace uses (`par_iter`, `into_par_iter`,
+//! [`spawn`]) over its own executor: a lazily-initialized team of
+//! condvar-parked daemon workers fed through a global injector (see the
+//! `runtime` module's docs in the source), shared by the fork-join
+//! combinators here and by `bingo-service`'s shard tasks.
 //! Engine builds and walk passes in `bingo-core`/`bingo-walks` therefore
 //! run genuinely multi-threaded, and a parallel call costs a queue push —
 //! not a per-call thread spawn (the retired design spawned a scoped team
@@ -17,9 +17,9 @@
 //! * The team size comes from `BINGO_THREADS` (a positive integer), else
 //!   [`std::thread::available_parallelism`]; [`current_num_threads`] reports
 //!   it and [`with_threads`] pins it for a scope (shim extension used by the
-//!   determinism tests and `repro parallel`). Workers are persistent
-//!   daemons: the pool grows to the largest team ever requested (plus
-//!   [`ensure_pool_workers`] floors) and parks idle workers on a condvar.
+//!   determinism tests). Workers are persistent daemons: the pool grows to
+//!   the largest team ever requested (plus [`ensure_pool_workers`] floors)
+//!   and parks idle workers on a condvar.
 //! * Inputs are split into chunks whose boundaries depend only on the input
 //!   length and [`ParIter::with_min_len`] — never on the thread count or on
 //!   which participant claims which chunk — and outputs are reassembled in
@@ -51,26 +51,25 @@
 // shim stays safe code.
 #![deny(unsafe_code)]
 
-pub mod pool;
+mod pool;
 mod runtime;
 
 pub use pool::{
-    current_num_threads, pool_profile, pool_profiling_enabled, reset_pool_profile,
-    set_pool_profiling, with_threads, PoolProfile,
+    current_num_threads, pool_profile, reset_pool_profile, set_pool_profiling, with_threads,
+    PoolProfile,
 };
-pub use runtime::{ensure_pool_workers, join, spawn, spawn_blocking};
+pub use runtime::{ensure_pool_workers, spawn, spawn_blocking};
 
-/// A per-item pipeline stage: feeds each input item through the composed
-/// combinator stack, emitting zero or more outputs (zero for a filtered
-/// item, several after `flatten`).
+/// A per-item pipeline stage: takes each input item through the composed
+/// combinator stack.
 pub trait ParOp<In>: Sync {
     /// The pipeline's output item type at this stage.
     type Out;
-    /// Process one item, passing every produced output to `emit`.
-    fn feed(&self, item: In, emit: &mut dyn FnMut(Self::Out));
+    /// Process one item.
+    fn apply(&self, item: In) -> Self::Out;
 }
 
-/// The identity stage: emits every item unchanged. The stage every freshly
+/// The identity stage: returns every item unchanged. The stage every freshly
 /// constructed [`ParIter`] starts with.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Identity;
@@ -78,8 +77,8 @@ pub struct Identity;
 impl<T> ParOp<T> for Identity {
     type Out = T;
     #[inline]
-    fn feed(&self, item: T, emit: &mut dyn FnMut(T)) {
-        emit(item)
+    fn apply(&self, item: T) -> T {
+        item
     }
 }
 
@@ -96,73 +95,8 @@ where
 {
     type Out = T;
     #[inline]
-    fn feed(&self, item: In, emit: &mut dyn FnMut(T)) {
-        self.inner.feed(item, &mut |x| emit((self.f)(x)))
-    }
-}
-
-/// [`ParIter::filter`] stage.
-pub struct FilterOp<P, F> {
-    inner: P,
-    f: F,
-}
-
-impl<In, P, F> ParOp<In> for FilterOp<P, F>
-where
-    P: ParOp<In>,
-    F: Fn(&P::Out) -> bool + Sync,
-{
-    type Out = P::Out;
-    #[inline]
-    fn feed(&self, item: In, emit: &mut dyn FnMut(P::Out)) {
-        self.inner.feed(item, &mut |x| {
-            if (self.f)(&x) {
-                emit(x)
-            }
-        })
-    }
-}
-
-/// [`ParIter::filter_map`] stage.
-pub struct FilterMapOp<P, F> {
-    inner: P,
-    f: F,
-}
-
-impl<In, P, T, F> ParOp<In> for FilterMapOp<P, F>
-where
-    P: ParOp<In>,
-    F: Fn(P::Out) -> Option<T> + Sync,
-{
-    type Out = T;
-    #[inline]
-    fn feed(&self, item: In, emit: &mut dyn FnMut(T)) {
-        self.inner.feed(item, &mut |x| {
-            if let Some(y) = (self.f)(x) {
-                emit(y)
-            }
-        })
-    }
-}
-
-/// [`ParIter::flatten`] stage.
-pub struct FlattenOp<P> {
-    inner: P,
-}
-
-impl<In, P> ParOp<In> for FlattenOp<P>
-where
-    P: ParOp<In>,
-    P::Out: IntoIterator,
-{
-    type Out = <P::Out as IntoIterator>::Item;
-    #[inline]
-    fn feed(&self, item: In, emit: &mut dyn FnMut(Self::Out)) {
-        self.inner.feed(item, &mut |xs| {
-            for x in xs {
-                emit(x)
-            }
-        })
+    fn apply(&self, item: In) -> T {
+        (self.f)(self.inner.apply(item))
     }
 }
 
@@ -177,7 +111,7 @@ pub struct ParIter<S, P = Identity> {
 
 impl<S: Send> ParIter<S> {
     /// Wrap an already-materialized source.
-    pub fn from_vec(source: Vec<S>) -> Self {
+    fn from_vec(source: Vec<S>) -> Self {
         ParIter {
             source,
             op: Identity,
@@ -188,23 +122,12 @@ impl<S: Send> ParIter<S> {
     /// Pair every item with its index.
     ///
     /// Like rayon, this is only available while the pipeline is still
-    /// index-preserving (directly on a source, before `map`/`filter`/…).
+    /// index-preserving (directly on a source, before `map`).
     pub fn enumerate(self) -> ParIter<(usize, S)> {
         ParIter {
             source: self.source.into_iter().enumerate().collect(),
             op: Identity,
             min_len: self.min_len,
-        }
-    }
-
-    /// Zip with another parallel iterator, truncating to the shorter side.
-    ///
-    /// Index-preserving pipelines only, like [`ParIter::enumerate`].
-    pub fn zip<S2: Send>(self, other: ParIter<S2>) -> ParIter<(S, S2)> {
-        ParIter {
-            source: self.source.into_iter().zip(other.source).collect(),
-            op: Identity,
-            min_len: self.min_len.max(other.min_len),
         }
     }
 }
@@ -227,42 +150,6 @@ where
         }
     }
 
-    /// Keep items matching the predicate.
-    pub fn filter<F>(self, f: F) -> ParIter<S, FilterOp<P, F>>
-    where
-        F: Fn(&P::Out) -> bool + Sync,
-    {
-        ParIter {
-            source: self.source,
-            op: FilterOp { inner: self.op, f },
-            min_len: self.min_len,
-        }
-    }
-
-    /// Keep items for which `f` returns `Some`.
-    pub fn filter_map<T, F>(self, f: F) -> ParIter<S, FilterMapOp<P, F>>
-    where
-        F: Fn(P::Out) -> Option<T> + Sync,
-    {
-        ParIter {
-            source: self.source,
-            op: FilterMapOp { inner: self.op, f },
-            min_len: self.min_len,
-        }
-    }
-
-    /// Flatten nested iterables.
-    pub fn flatten(self) -> ParIter<S, FlattenOp<P>>
-    where
-        P::Out: IntoIterator,
-    {
-        ParIter {
-            source: self.source,
-            op: FlattenOp { inner: self.op },
-            min_len: self.min_len,
-        }
-    }
-
     /// Lower bound on the number of items a chunk may contain. Rayon uses
     /// this to stop splitting; here it coarsens the executor's chunk size
     /// the same way, so tiny per-item workloads are not drowned in task
@@ -281,42 +168,13 @@ where
             min_len,
         } = self;
         let chunks = pool::run_chunks(source, min_len, |chunk| {
-            let mut out = Vec::with_capacity(chunk.len());
-            for item in chunk {
-                op.feed(item, &mut |x| out.push(x));
-            }
-            out
+            chunk.map(|item| op.apply(item)).collect::<Vec<_>>()
         });
         let mut result = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
         for chunk in chunks {
             result.extend(chunk);
         }
         result
-    }
-
-    /// Per-chunk fold with `fold`, then an in-order combine of the chunk
-    /// accumulators with `combine`. The building block for the reductions.
-    fn fold_chunks<A, FOLD, COMBINE>(self, fold: FOLD, combine: COMBINE) -> Option<A>
-    where
-        A: Send,
-        FOLD: Fn(Option<A>, P::Out) -> Option<A> + Sync,
-        COMBINE: Fn(A, A) -> A,
-    {
-        let ParIter {
-            source,
-            op,
-            min_len,
-        } = self;
-        let partials = pool::run_chunks(source, min_len, |chunk| {
-            let mut acc: Option<A> = None;
-            for item in chunk {
-                op.feed(item, &mut |x| {
-                    acc = fold(acc.take(), x);
-                });
-            }
-            acc
-        });
-        partials.into_iter().flatten().reduce(combine)
     }
 
     /// Collect into any `FromIterator` container, preserving input order.
@@ -344,11 +202,15 @@ where
         ID: Fn() -> P::Out + Sync,
         OP: Fn(P::Out, P::Out) -> P::Out + Sync,
     {
-        let folded = self.fold_chunks(
-            |acc: Option<P::Out>, x| Some(op(acc.unwrap_or_else(&identity), x)),
-            &op,
-        );
-        folded.unwrap_or_else(identity)
+        let ParIter {
+            source,
+            op: stage,
+            min_len,
+        } = self;
+        let partials = pool::run_chunks(source, min_len, |chunk| {
+            chunk.fold(identity(), |acc, item| op(acc, stage.apply(item)))
+        });
+        partials.into_iter().reduce(&op).unwrap_or_else(identity)
     }
 
     /// Run `f` on every item.
@@ -367,66 +229,16 @@ where
     where
         T: std::iter::Sum<P::Out> + std::iter::Sum<T> + Send,
     {
-        let partials = {
-            let ParIter {
-                source,
-                op,
-                min_len,
-            } = self;
-            pool::run_chunks(source, min_len, |chunk| {
-                let mut items = Vec::with_capacity(chunk.len());
-                for item in chunk {
-                    op.feed(item, &mut |x| items.push(x));
-                }
-                items.into_iter().sum::<T>()
-            })
-        };
-        partials.into_iter().sum()
-    }
-
-    /// Count the items.
-    pub fn count(self) -> usize {
         let ParIter {
             source,
             op,
             min_len,
         } = self;
-        let partials = pool::run_chunks(source, min_len, |chunk| {
-            let mut n = 0usize;
-            for item in chunk {
-                op.feed(item, &mut |_| n += 1);
-            }
-            n
-        });
-        partials.into_iter().sum()
-    }
-
-    /// Maximum item (the last of equal maxima, as `Iterator::max`).
-    pub fn max(self) -> Option<P::Out>
-    where
-        P::Out: Ord,
-    {
-        self.fold_chunks(
-            |acc: Option<P::Out>, x| match acc {
-                Some(a) if a > x => Some(a),
-                _ => Some(x),
-            },
-            |a, b| if b >= a { b } else { a },
-        )
-    }
-
-    /// Minimum item (the first of equal minima, as `Iterator::min`).
-    pub fn min(self) -> Option<P::Out>
-    where
-        P::Out: Ord,
-    {
-        self.fold_chunks(
-            |acc: Option<P::Out>, x| match acc {
-                Some(a) if a <= x => Some(a),
-                _ => Some(x),
-            },
-            |a, b| if b < a { b } else { a },
-        )
+        pool::run_chunks(source, min_len, |chunk| {
+            chunk.map(|item| op.apply(item)).sum::<T>()
+        })
+        .into_iter()
+        .sum()
     }
 }
 
@@ -462,30 +274,9 @@ where
     }
 }
 
-/// `par_iter_mut()` on exclusive references.
-pub trait IntoParallelRefMutIterator<'data> {
-    /// The item type yielded by exclusive-reference iteration.
-    type Item: Send;
-    /// Iterate by exclusive reference.
-    fn par_iter_mut(&'data mut self) -> ParIter<Self::Item>;
-}
-
-impl<'data, C: 'data + ?Sized> IntoParallelRefMutIterator<'data> for C
-where
-    &'data mut C: IntoIterator,
-    <&'data mut C as IntoIterator>::Item: Send,
-{
-    type Item = <&'data mut C as IntoIterator>::Item;
-    fn par_iter_mut(&'data mut self) -> ParIter<Self::Item> {
-        ParIter::from_vec(self.into_iter().collect())
-    }
-}
-
 pub mod prelude {
     //! Rayon-compatible prelude.
-    pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParIter,
-    };
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter};
 }
 
 #[cfg(test)]
@@ -506,16 +297,6 @@ mod tests {
     fn range_into_par_iter() {
         let squares: Vec<usize> = (0..5usize).into_par_iter().map(|i| i * i).collect();
         assert_eq!(squares, vec![0, 1, 4, 9, 16]);
-    }
-
-    #[test]
-    fn zip_and_mut_iteration() {
-        let mut a = vec![1, 2, 3];
-        let b = vec![10, 20, 30];
-        a.par_iter_mut()
-            .zip(b.par_iter())
-            .for_each(|(x, &y)| *x += y);
-        assert_eq!(a, vec![11, 22, 33]);
     }
 
     #[test]
@@ -541,23 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_filter_map_flatten_enumerate() {
-        let evens: Vec<u32> = (0..100u32)
-            .into_par_iter()
-            .filter(|&x| x % 2 == 0)
-            .collect();
-        assert_eq!(evens.len(), 50);
-        let halves: Vec<u32> = (0..100u32)
-            .into_par_iter()
-            .filter_map(|x| (x % 2 == 0).then_some(x / 2))
-            .collect();
-        assert_eq!(halves, (0..50).collect::<Vec<_>>());
-        let flat: Vec<u32> = (0..10u32)
-            .into_par_iter()
-            .map(|x| vec![x; 3])
-            .flatten()
-            .collect();
-        assert_eq!(flat.len(), 30);
+    fn enumerate_pairs_items_with_their_index() {
         let indexed: Vec<(usize, char)> = ['a', 'b', 'c']
             .par_iter()
             .enumerate()
@@ -567,16 +332,9 @@ mod tests {
     }
 
     #[test]
-    fn sums_min_max_count() {
+    fn integer_sum() {
         let s: u64 = (1..=1000u64).into_par_iter().sum();
         assert_eq!(s, 500_500);
-        assert_eq!(
-            (0..1000u32).into_par_iter().filter(|x| x % 3 == 0).count(),
-            334
-        );
-        assert_eq!((0..1000i32).into_par_iter().max(), Some(999));
-        assert_eq!((0..1000i32).into_par_iter().min(), Some(0));
-        assert_eq!(Vec::<i32>::new().into_par_iter().max(), None);
     }
 
     #[test]

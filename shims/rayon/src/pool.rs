@@ -28,9 +28,8 @@
 //!
 //! The team size is resolved lazily once per process from `BINGO_THREADS`
 //! (else [`std::thread::available_parallelism`]) and can be overridden for a
-//! scope with [`with_threads`] — the hook the determinism tests and the
-//! `repro parallel` experiment use to compare 1-thread and N-thread runs in
-//! one process.
+//! scope with [`with_threads`] — the hook the determinism tests use to
+//! compare 1-thread and N-thread runs in one process.
 //!
 //! ## Panics
 //!
@@ -127,9 +126,9 @@ pub struct PoolProfile {
     /// for a given workload this count is identical under any
     /// `BINGO_THREADS`.
     pub chunks_claimed: u64,
-    /// Work items (chunks, `join` closures) executed by a pool worker
-    /// other than the thread that posted them — the runtime's
-    /// work-stealing traffic. Zero in a single-threaded configuration.
+    /// Chunks executed by a pool worker other than the thread that posted
+    /// them — the runtime's work-stealing traffic. Zero in a
+    /// single-threaded configuration.
     pub steals: u64,
     /// Detached tasks ([`crate::spawn`]) executed by pool workers.
     pub tasks: u64,
@@ -159,7 +158,7 @@ pub fn set_pool_profiling(enabled: bool) {
 }
 
 /// Whether the nanosecond timers are currently on.
-pub fn pool_profiling_enabled() -> bool {
+pub(crate) fn pool_profiling_enabled() -> bool {
     // relaxed-ok: see set_pool_profiling.
     PROFILING.load(Ordering::Relaxed)
 }
@@ -267,11 +266,6 @@ pub(crate) fn mark_pool_worker() {
     IN_POOL_WORKER.with(|flag| flag.set(true));
 }
 
-/// Whether the current thread is executing with pool-worker semantics.
-pub(crate) fn in_pool_worker() -> bool {
-    IN_POOL_WORKER.with(std::cell::Cell::get)
-}
-
 /// Guard that restores the previous pool-worker flag on drop (used by the
 /// posting caller while it participates in its own pass).
 pub(crate) struct WorkerMode(bool);
@@ -323,10 +317,9 @@ pub fn current_num_threads() -> usize {
 
 /// Run `f` with the pool team size pinned to `threads.max(1)` on this
 /// thread (shim extension, not a rayon API). This is how the determinism
-/// tests and the `repro parallel` experiment compare a 1-thread and an
-/// N-thread execution inside one process; `BINGO_THREADS` serves the same
-/// purpose across processes. The override is restored on exit, including
-/// on panic.
+/// tests compare a 1-thread and an N-thread execution inside one process;
+/// `BINGO_THREADS` serves the same purpose across processes. The override
+/// is restored on exit, including on panic.
 pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     struct Restore(Option<usize>);
     impl Drop for Restore {

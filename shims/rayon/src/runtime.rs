@@ -20,8 +20,8 @@
 //!   empty. `bingo-service` sizes the pool to its shard count and runs its
 //!   shard workers as resumable detached tasks on the same team the
 //!   fork-join combinators use.
-//! * Fork-join work ([`crate::pool::run_chunks`], [`join`]) is **borrowed,
-//!   not boxed**: the job lives on the posting caller's stack and a
+//! * Fork-join work ([`crate::pool::run_chunks`]) is **borrowed, not
+//!   boxed**: the job lives on the posting caller's stack and a
 //!   lifetime-erased reference is published through the injector.
 //!
 //! ## Park/unpark protocol
@@ -197,17 +197,14 @@ impl Runtime {
         self.cv.notify_all();
     }
 
-    /// Withdraw `job` from the injector so no *new* helper can pick it up.
-    /// Returns true if the slot was still present (and is now gone);
+    /// Withdraw `job` from the injector so no *new* helper can pick it up;
     /// helpers already inside the job are drained via its latch.
-    fn revoke(&'static self, job: &dyn Job) -> bool {
+    fn revoke(&'static self, job: &dyn Job) {
         let target = job as *const dyn Job as *const ();
-        let mut inject = self.inject.lock();
-        let before = inject.jobs.len();
-        inject
+        self.inject
+            .lock()
             .jobs
             .retain(|slot| slot.job as *const dyn Job as *const () != target);
-        inject.jobs.len() != before
     }
 
     /// Queue a detached task and wake one parked worker for it.
@@ -293,96 +290,6 @@ pub fn spawn_blocking<F: FnOnce() + Send + 'static>(f: F) {
     let workers = rt.inject.lock().workers;
     rt.ensure_workers(workers + 1);
     rt.push_task(Box::new(f));
-}
-
-/// A posted `join` closure: taken by at most one helper, result handed
-/// back through a slot.
-struct JoinJob<B, RB> {
-    join_task: Mutex<Option<B>>,
-    join_result: Mutex<Option<std::thread::Result<RB>>>,
-    latch: Latch,
-}
-
-impl<B, RB> JoinJob<B, RB>
-where
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    fn new(task: B) -> Self {
-        JoinJob {
-            join_task: Mutex::new_named(Some(task), "rayon.join_task"),
-            join_result: Mutex::new_named(None, "rayon.join_result"),
-            latch: Latch::new(),
-        }
-    }
-
-    fn run(&self) {
-        let task = self.join_task.lock().take();
-        if let Some(task) = task {
-            let outcome = catch_unwind(AssertUnwindSafe(task));
-            *self.join_result.lock() = Some(outcome);
-        }
-    }
-}
-
-impl<B, RB> Job for JoinJob<B, RB>
-where
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    fn execute(&self) {
-        pool::note_steals(1);
-        self.run();
-    }
-    fn latch(&self) -> &Latch {
-        &self.latch
-    }
-}
-
-/// Run `a` and `b`, potentially in parallel, returning both results — the
-/// rayon binary splitter.
-///
-/// `b` is posted to the persistent pool while the caller runs `a` inline.
-/// If no parked worker picked `b` up by the time `a` finishes, the caller
-/// revokes it and runs it inline too — so `join` never blocks waiting for
-/// a busy pool, and a single-threaded configuration (`BINGO_THREADS=1`,
-/// nested calls inside a pool worker) degenerates to exactly `(a(), b())`.
-/// Determinism: both closures always run exactly once, and the result
-/// tuple is positional, so scheduling never shows through.
-///
-/// Panics in either closure propagate to the caller with their original
-/// payload (if both panic, `a`'s payload wins), after both closures have
-/// settled — the pool never holds a reference past the call.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if pool::in_pool_worker() || crate::current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    let rt = runtime();
-    rt.ensure_workers(1);
-    let job = JoinJob::new(b);
-    rt.post(&job, 1);
-    let ra = catch_unwind(AssertUnwindSafe(a));
-    if rt.revoke(&job) {
-        // Nobody claimed b: it is exclusively ours again, run it inline.
-        job.run();
-    } else {
-        job.latch.wait_idle();
-    }
-    let rb = job
-        .join_result
-        .into_inner()
-        .expect("join task ran to completion");
-    match (ra, rb) {
-        (Ok(ra), Ok(rb)) => (ra, rb),
-        (Err(payload), _) => resume_unwind(payload),
-        (_, Err(payload)) => resume_unwind(payload),
-    }
 }
 
 /// A chunked fork-join pass over a [`ChunkStore`]: caller and helpers
@@ -545,33 +452,6 @@ mod tests {
     use std::sync::mpsc;
     use std::sync::Mutex as StdMutex;
     use std::time::Duration;
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
-        // Nested joins degrade gracefully.
-        let ((a, b), (c, d)) = with_threads(4, || join(|| join(|| 1, || 2), || join(|| 3, || 4)));
-        assert_eq!((a, b, c, d), (1, 2, 3, 4));
-    }
-
-    #[test]
-    fn join_propagates_panics_from_either_side() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            with_threads(2, || join(|| 1, || panic!("b exploded")))
-        }));
-        let msg = result
-            .expect_err("panic must propagate")
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or_default()
-            .to_string();
-        assert!(msg.contains("b exploded"), "payload: {msg:?}");
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            with_threads(2, || join(|| panic!("a exploded"), || 2))
-        }));
-        assert!(result.is_err());
-    }
 
     #[test]
     fn spawn_runs_detached_tasks_on_the_pool() {

@@ -133,16 +133,3 @@ fn node2vec_runs_on_a_dynamic_graph_after_updates() {
         }
     }
 }
-
-#[test]
-fn partitioned_engine_matches_single_engine_edge_counts() {
-    let graph = test_graph(6, 120, 2000);
-    let single = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
-    let partitioned =
-        bingo::core::partition::PartitionedEngine::build(&graph, 4, BingoConfig::default())
-            .unwrap();
-    assert_eq!(single.num_edges(), partitioned.num_edges());
-    let mut rng = Pcg64::seed_from_u64(11);
-    let path = partitioned.walk(0, 30, &mut rng);
-    assert!(!path.is_empty());
-}

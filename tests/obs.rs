@@ -114,6 +114,20 @@ fn exposition_endpoints_round_trip() {
     let (status, _body) = http_request(addr, "POST /metrics HTTP/1.0\r\n\r\n");
     assert_eq!(status, "HTTP/1.0 405 Method Not Allowed");
 
+    // The obs plane counts itself in the registry it serves: one request
+    // per endpoint above, one watchdog evaluation per /status and /healthz.
+    let snap = telemetry.snapshot();
+    let requests = bingo::telemetry::names::OBS_HTTP_REQUESTS;
+    for endpoint in [
+        "/metrics", "/status", "/healthz", "/flight", "/trace", "other",
+    ] {
+        assert_eq!(snap.counter(requests, &[("endpoint", endpoint)]), 1);
+    }
+    assert_eq!(
+        snap.counter(bingo::telemetry::names::OBS_WATCHDOG_CHECKS, &[]),
+        2
+    );
+
     server.shutdown();
 }
 

@@ -163,6 +163,17 @@ fn trace_ring_stays_bounded_under_saturation() {
     assert_eq!(newest, Some(9_999), "eviction drops the oldest, not newest");
 }
 
+/// The per-stage latency histograms a service records in detailed mode and
+/// never registers when telemetry is disabled.
+const STAGE_HISTOGRAMS: [&str; 6] = [
+    names::SERVICE_SUBMIT_NS,
+    names::SERVICE_SHARD_STEP_BATCH_NS,
+    names::SERVICE_SHARD_INBOX_DWELL_NS,
+    names::SERVICE_FORWARD_HOP_NS,
+    names::SERVICE_COLLECT_NS,
+    names::SERVICE_TICKET_LATENCY_NS,
+];
+
 #[test]
 fn lifecycles_stitch_across_shards_in_a_real_service_run() {
     // Sample every walker so the cross-shard journey is fully recorded,
@@ -244,6 +255,15 @@ fn lifecycles_stitch_across_shards_in_a_real_service_run() {
         "dump shows cross-shard hops:\n{dump}"
     );
     assert_eq!(tracer.complete_lifecycle_lines().len(), starts.len());
+    // The per-stage histograms saw the same run: the mirror image of the
+    // disabled-mode test below.
+    let snap = telemetry.snapshot();
+    for name in STAGE_HISTOGRAMS {
+        assert!(
+            snap.histogram_across_labels(name).count() > 0,
+            "{name} must record in detailed mode"
+        );
+    }
 }
 
 #[test]
@@ -316,14 +336,7 @@ fn disabled_service_registers_no_histograms_but_keeps_stats_live() {
         "steps counted through the registry"
     );
     // …while the latency histograms were never registered.
-    for name in [
-        names::SERVICE_SUBMIT_NS,
-        names::SERVICE_SHARD_STEP_BATCH_NS,
-        names::SERVICE_SHARD_INBOX_DWELL_NS,
-        names::SERVICE_FORWARD_HOP_NS,
-        names::SERVICE_COLLECT_NS,
-        names::SERVICE_TICKET_LATENCY_NS,
-    ] {
+    for name in STAGE_HISTOGRAMS {
         assert_eq!(
             snap.histogram_across_labels(name).count(),
             0,
