@@ -7,9 +7,7 @@ use crate::stats::{
 };
 use crate::window::{AimdConfig, AimdWindow, WindowEvent};
 use bingo_graph::VertexId;
-use bingo_service::{
-    CollectionMode, ServiceError, WalkOutput, WalkRequest, WalkService, WalkTicket,
-};
+use bingo_service::{ServiceError, WalkRequest, WalkService, WalkTicket};
 use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
 use bingo_walks::TenantId;
 use parking_lot::{Condvar, Mutex};
@@ -192,7 +190,6 @@ struct InFlightChunk {
     submission: u64,
     tenant: TenantId,
     indices: Vec<u32>,
-    cost: usize,
 }
 
 /// The multi-tenant admission gateway in front of a [`WalkService`]. See
@@ -384,12 +381,8 @@ impl Gateway {
     pub fn wait(&self, ticket: GatewayTicket) -> Result<GatewayResults, GatewayError> {
         let mut state = self.inner.state.lock();
         loop {
-            let sub = state
-                .submissions
-                .get(&ticket.0)
-                .expect("unknown or already-collected gateway ticket");
-            if sub.remaining == 0 {
-                return Self::take_results(&mut state, ticket);
+            if let Some(results) = Self::take_if_complete(&mut state, ticket) {
+                return results;
             }
             state = self.inner.done_cv.wait(state);
         }
@@ -397,37 +390,35 @@ impl Gateway {
 
     /// Non-blocking completion check; `None` while walks are outstanding.
     pub fn try_wait(&self, ticket: GatewayTicket) -> Option<Result<GatewayResults, GatewayError>> {
-        let mut state = self.inner.state.lock();
+        Self::take_if_complete(&mut self.inner.state.lock(), ticket)
+    }
+
+    fn take_if_complete(
+        state: &mut State,
+        ticket: GatewayTicket,
+    ) -> Option<Result<GatewayResults, GatewayError>> {
         let sub = state
             .submissions
             .get(&ticket.0)
             .expect("unknown or already-collected gateway ticket");
-        if sub.remaining == 0 {
-            Some(Self::take_results(&mut state, ticket))
-        } else {
-            None
+        if sub.remaining != 0 {
+            return None;
         }
-    }
-
-    fn take_results(
-        state: &mut State,
-        ticket: GatewayTicket,
-    ) -> Result<GatewayResults, GatewayError> {
         let sub = state
             .submissions
             .remove(&ticket.0)
             .expect("checked present");
-        if let Some(err) = sub.error {
-            return Err(err);
-        }
-        Ok(GatewayResults {
-            ticket,
-            tenant: sub.tenant,
-            paths: sub
-                .paths
-                .into_iter()
-                .map(|p| p.expect("all walks completed"))
-                .collect(),
+        Some(match sub.error {
+            Some(err) => Err(err),
+            None => Ok(GatewayResults {
+                ticket,
+                tenant: sub.tenant,
+                paths: sub
+                    .paths
+                    .into_iter()
+                    .map(|p| p.expect("all walks completed"))
+                    .collect(),
+            }),
         })
     }
 
@@ -509,27 +500,23 @@ impl Gateway {
     /// return the final statistics. New submissions are refused from the
     /// moment this is called.
     pub fn shutdown(mut self) -> GatewayStats {
-        self.begin_shutdown();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
+        self.stop();
         self.stats()
     }
 
-    fn begin_shutdown(&self) {
-        let mut state = self.inner.state.lock();
-        state.shutdown = true;
-        drop(state);
+    /// Refuse new work, then join the dispatcher once it has drained.
+    fn stop(&mut self) {
+        self.inner.state.lock().shutdown = true;
         self.inner.work_cv.notify_all();
+        if let Some(handle) = self.dispatcher.take() {
+            let _ = handle.join();
+        }
     }
 }
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        self.begin_shutdown();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
+        self.stop();
     }
 }
 
@@ -646,23 +633,14 @@ fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
                         ticket,
                         submission: chunk.submission,
                         tenant: chunk.tenant,
-                        cost: chunk.starts.len(),
                         indices: chunk.indices,
                     });
                 }
                 Err(err) if err.is_retryable() => {
-                    // The target inbox is full right now: park the chunk
-                    // back at its queue front (nothing dropped, deficit
-                    // refunded) and halve the window — we pushed too hard.
-                    if let ServiceError::Saturated { shard, queued, .. } = &err {
-                        inner
-                            .telemetry
-                            .flight()
-                            .record(FlightEventKind::SaturatedBounce {
-                                shard: *shard as u64,
-                                depth: *queued as u64,
-                            });
-                    }
+                    // The target inbox is full right now (the service
+                    // recorded the bounce): park the chunk back at its
+                    // queue front (nothing dropped, deficit refunded) and
+                    // halve the window — we pushed too hard.
                     tenant_accum(&inner, &mut state, &chunk.tenant)
                         .saturated_requeues
                         .inc();
@@ -704,7 +682,7 @@ fn absorb_chunk(
     // Acquire window-budget read.
     inner
         .in_flight_walkers
-        .fetch_sub(chunk.cost, Ordering::AcqRel);
+        .fetch_sub(chunk.indices.len(), Ordering::AcqRel);
     let steps = results.total_steps();
     let accum = tenant_accum(inner, state, &chunk.tenant);
     accum.completed_walks.add(results.paths.len() as u64);
@@ -760,92 +738,5 @@ fn record_window(
             peak_occupancy,
             in_flight: inner.in_flight_walkers.load(Ordering::Acquire), // window-trace sample
         });
-    }
-}
-
-/// A [`WalkClient`](bingo_service::WalkClient)-style front-end over the
-/// gateway: submit the same [`WalkRequest`]s, get a [`WalkOutput`] back.
-pub struct GatewayClient<'a> {
-    gateway: &'a Gateway,
-}
-
-impl Gateway {
-    /// A request front-end mirroring `WalkClient`'s submit/wait surface.
-    pub fn client(&self) -> GatewayClient<'_> {
-        GatewayClient { gateway: self }
-    }
-}
-
-impl<'a> GatewayClient<'a> {
-    /// Queue a request; the returned handle collects the output.
-    pub fn submit(&self, request: WalkRequest) -> Result<GatewayHandle<'a>, GatewayError> {
-        let mode = request.collection_mode();
-        let ticket = self.gateway.submit(request)?;
-        Ok(GatewayHandle {
-            gateway: self.gateway,
-            ticket,
-            mode,
-        })
-    }
-}
-
-/// Handle to an in-progress gateway request.
-pub struct GatewayHandle<'a> {
-    gateway: &'a Gateway,
-    ticket: GatewayTicket,
-    mode: CollectionMode,
-}
-
-impl GatewayHandle<'_> {
-    /// The underlying gateway ticket.
-    pub fn ticket(&self) -> GatewayTicket {
-        self.ticket
-    }
-
-    /// Block until the request completed and return the output in the
-    /// request's collection mode.
-    pub fn wait(self) -> Result<WalkOutput, GatewayError> {
-        let results = self.gateway.wait(self.ticket)?;
-        Ok(into_output(
-            results,
-            self.mode,
-            self.gateway.service().num_vertices(),
-        ))
-    }
-
-    /// Non-blocking poll for the output.
-    pub fn try_collect(&self) -> Option<Result<WalkOutput, GatewayError>> {
-        self.gateway.try_wait(self.ticket).map(|r| {
-            r.map(|results| into_output(results, self.mode, self.gateway.service().num_vertices()))
-        })
-    }
-}
-
-fn into_output(results: GatewayResults, mode: CollectionMode, num_vertices: usize) -> WalkOutput {
-    let total_steps = results.total_steps();
-    match mode {
-        CollectionMode::Paths => WalkOutput {
-            num_walks: results.paths.len(),
-            total_steps,
-            paths: results.paths,
-            visit_counts: None,
-        },
-        CollectionMode::VisitCounts => {
-            let mut counts = vec![0u64; num_vertices];
-            let num_walks = results.paths.len();
-            for path in &results.paths {
-                for &v in path {
-                    if let Some(slot) = counts.get_mut(v as usize) {
-                        *slot += 1;
-                    }
-                }
-            }
-            WalkOutput {
-                paths: Vec::new(),
-                visit_counts: Some(counts),
-                num_walks,
-                total_steps,
-            }
-        }
     }
 }

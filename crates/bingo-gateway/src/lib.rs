@@ -106,10 +106,7 @@ pub mod sched;
 pub mod stats;
 pub mod window;
 
-pub use gateway::{
-    Gateway, GatewayClient, GatewayConfig, GatewayError, GatewayHandle, GatewayResults,
-    GatewayTicket,
-};
+pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayResults, GatewayTicket};
 pub use stats::{GatewayStats, TenantStatsSnapshot, WindowSample};
 pub use window::{AimdConfig, AimdWindow, WindowEvent};
 
@@ -283,27 +280,6 @@ mod tests {
         gateway.wait(t2).unwrap();
         let stats = gateway.shutdown();
         assert_eq!(stats.tenant(&TenantId::new("vip")).unwrap().weight, 2);
-    }
-
-    #[test]
-    fn gateway_client_matches_walk_output_shape() {
-        use bingo_service::CollectionMode;
-        let gateway = Gateway::new(service(24, 32), GatewayConfig::default());
-        let client = gateway.client();
-        let out = client
-            .submit(
-                WalkRequest::spec(spec(5))
-                    .all_vertices()
-                    .collect(CollectionMode::VisitCounts),
-            )
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(out.num_walks, 24);
-        assert_eq!(out.total_steps, 24 * 5);
-        assert!(out.paths.is_empty());
-        let counts = out.visit_counts.expect("visit counts mode");
-        assert_eq!(counts.iter().sum::<u64>() as usize, 24 * 6);
     }
 
     #[test]

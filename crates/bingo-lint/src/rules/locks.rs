@@ -19,9 +19,9 @@
 //! The rule also flags a **lock held across a blocking call** (`recv`,
 //! `recv_timeout`, `join`, `sleep`, and condvar `wait` on a *different*
 //! lock's guard): such a hold extends the critical section by an
-//! unbounded wait and is deadlock-adjacent; intentional designs (the
-//! service's single-drainer hand-off) must say so with
-//! `// lint:allow(lock-discipline): <reason>`.
+//! unbounded wait and is deadlock-adjacent; an intentional design must
+//! say so with `// lint:allow(lock-discipline): <reason>` (the tree has
+//! none).
 //!
 //! The static pass sees every code path but cannot see through calls;
 //! the runtime checker in the `parking_lot` shim (`BINGO_LOCK_CHECK=on`)

@@ -16,7 +16,7 @@
 //!   persistent parked workers), not dedicated threads, and idle shards
 //!   steal forwarded-walker batches from hot shards' inboxes — stealing
 //!   happens at the queue, never at the engine, which stays shard-owned
-//!   behind a read/write lock (see `service` module docs).
+//!   behind a read/write lock (see the [`shard`] module docs).
 //! * An **update router** splits incoming
 //!   [`UpdateBatch`](bingo_graph::UpdateBatch) streams by owning shard
 //!   (`UpdateBatch::split_by_owner` semantics), coalesces streamed events
@@ -41,32 +41,32 @@
 //!   demand (`bingo_core::context`) — the sorted adjacency behind an
 //!   `Arc`, see `bingo_walks::model` for the wire format — the owning
 //!   shard's snapshot cache holds it, so a `(vertex, epoch)` is captured
-//!   at most once, and what ships is **negotiated with the receiver's
-//!   snapshot cache**: a `(vertex, epoch)` the receiver already holds
-//!   goes as a true 16-byte handle ([`CONTEXT_HANDLE_BYTES`]), a miss
-//!   ships the body and seeds the receiver. A structural update batch
-//!   evicts exactly the vertices it touched from both cache tiers;
-//!   everything else stays warm. A missing capture is **not** silently
+//!   at most once, and what a serialized forward ships is **negotiated
+//!   with the receiver's snapshot cache**: a `(vertex, epoch)` the
+//!   receiver already holds goes as a true 16-byte handle
+//!   ([`CONTEXT_HANDLE_BYTES`]), a miss ships the body and seeds the
+//!   receiver. A structural update batch evicts exactly the vertices it
+//!   touched from both cache tiers; everything else stays warm. A missing capture is **not** silently
 //!   served as "no edge": the fallback is counted per shard
-//!   (`context_misses`) and asserted on in debug builds. Finished walks
-//!   are collected by ticket and can be deposited into a
+//!   (`context_misses`) and asserted on in debug builds. A finished walk
+//!   is filed under its ticket by the shard task that finished it; a
+//!   ticket's walks can be deposited into a
 //!   [`WalkStore`](bingo_walks::walk_store::WalkStore).
 //! * The **distribution boundary is pluggable** (see the [`transport`]
-//!   module and the workspace README's *Distribution readiness*
-//!   section): [`TransportMode::Serialized`] round-trips every forwarded
-//!   walker through the versioned wire format of `bingo_walks::wire` —
-//!   encode, carry via a [`ShardTransport`], decode, rebuild from the
-//!   frame alone — so the accounted bytes are real bytes and the same
-//!   forwarding path works across process boundaries
-//!   ([`WalkService::build_with_transport`]; proven by
-//!   `examples/two_process_demo.rs` over a loopback `TcpStream`). Walk
-//!   output is bit-identical to the in-process mode, and a frame that
-//!   fails to arrive intact degrades that one forward to the in-process
-//!   walker, counted as `service.transport.fallbacks`.
-//! * The [`WalkClient`] facade serves the same [`WalkRequest`]s from
-//!   either a sharded service or a plain in-process
-//!   [`BingoEngine`](bingo_core::BingoEngine) — one front-end, two
-//!   backends.
+//!   and [`forward`] modules and the workspace README's *Distribution
+//!   readiness* section): [`TransportMode::Serialized`] round-trips every
+//!   forwarded walker through the versioned wire format of
+//!   `bingo_walks::wire` — negotiate, encode, carry via a
+//!   [`ShardTransport`], decode, rebuild from the frame alone — and bills
+//!   the bytes of the frames it built, so the same forwarding path works
+//!   across process boundaries ([`WalkService::build_with_transport`];
+//!   proven by `examples/two_process_demo.rs` over a loopback
+//!   `TcpStream`). The default [`TransportMode::InProcess`] moves the
+//!   boxed walker with its sender-cached context: it frames, negotiates
+//!   and bills nothing, so every handle and `*bytes*` counter reads 0.
+//!   Walk output is bit-identical in both modes, and a frame that fails
+//!   to arrive intact degrades that one forward to the in-process walker,
+//!   counted as `service.transport.fallbacks`.
 //! * Per-shard throughput, occupancy, epoch, and forwarded-context
 //!   counters (raw vs materialized bytes, snapshot cache hits/misses,
 //!   capture faults) are exposed as [`ServiceStats`]; admission control is
@@ -104,9 +104,10 @@
 //!                └────────────────────────────────────┘
 //! ```
 //!
-//! Direct [`WalkService::submit`]/[`WalkClient`] use stays fully
-//! supported — the gateway is an optional front-end for workloads where
-//! submitters must not starve each other. Both layers record into one
+//! Direct [`WalkService::submit`] use stays fully supported — the gateway
+//! is an optional front-end for workloads where submitters must not
+//! starve each other; both take walks in and hand `wait(ticket).paths`
+//! back. Both layers record into one
 //! shared telemetry handle — see [Observability](#observability) below.
 //!
 //! ## Observability
@@ -174,28 +175,26 @@
 //! discipline statically and `BINGO_LOCK_CHECK=on` checks it at runtime
 //! (see the workspace README's *Concurrency invariants* section):
 //!
-//! * Named locks: `service.pending` (ticket state + the `pending_cv`
-//!   condvar), `service.done_rx` (the collector's end of the completion
-//!   channel), `service.router` (update coalescing), per shard
-//!   `service.shard_inbox` / `service.shard_engine` (an `RwLock`) /
-//!   `service.shard_ctx_cache` (sender-side encode cache) /
-//!   `service.shard_rx_cache` (receiver-side handle-negotiation cache),
-//!   `service.models` (ticket → walk model, for rebuilding serialized
-//!   frames), and `service.termination` (shutdown rendezvous). The
-//!   nested orders are **`done_rx` → `pending`**, **`pending` →
-//!   `models`** (collection drops the model), **`router` →
-//!   `shard_inbox`** (flush pushes while coalescing), and
+//! * Named locks, each constructed and acquired in exactly one file:
+//!   `service.router` (update coalescing, `router.rs`); per shard
+//!   `service.shard_inbox` and `service.shard_engine` (an `RwLock`;
+//!   `shard.rs`); per shard `service.shard_ctx_cache` (sender-side
+//!   snapshot cache) and `service.shard_rx_cache` (receiver-side
+//!   handle-negotiation cache, touched by serialized forwards only;
+//!   `forward.rs`); `service.pending` (the ticket table and its
+//!   `pending_cv` condvar, `collect.rs`); and `service.termination`
+//!   (shutdown rendezvous, `service.rs`). The nested orders are
+//!   **`router` → `shard_inbox`** (flush pushes while coalescing) and
 //!   **`shard_engine` → `shard_ctx_cache`** / **`shard_engine` →
 //!   `shard_rx_cache`** (capture and negotiation under the read guard,
 //!   eviction under the write guard; the two caches are never held
 //!   together) — every path agrees, so the cross-function lock-order
 //!   graph stays acyclic even jointly with the pool's `rayon.*` locks.
-//! * Collection uses a **single-drainer hand-off**: exactly one waiter
-//!   holds `done_rx` and blocks on `recv`, depositing every completion it
-//!   sees and waking peers through `pending_cv`; peers whose ticket is
-//!   already complete never touch the channel. Holding `done_rx` across
-//!   that blocking `recv` is the design, and carries the one
-//!   `lint:allow(lock-discipline)` in the tree.
+//!   `tests/lint.rs` holds this list and these orders to the code.
+//! * `service.pending` nests with nothing: a shard task files a finished
+//!   walk with no other lock held, and a waiter holds it only across its
+//!   own check and condvar park — no lock is ever held across a blocking
+//!   call, and the tree carries no `lint:allow(lock-discipline)`.
 //! * Engines stay **shard-owned** behind `service.shard_engine`: walker
 //!   visits (the owner's or a thief's) sample under the read guard,
 //!   update batches apply under the write guard, and the epoch counter is
@@ -203,7 +202,7 @@
 //!   exactly the epoch the owner's task would have shown it. Forwards and
 //!   completions act only *after* the engine guard drops: no lock edge
 //!   ever leaves an engine toward an inbox, the pool injector, or the
-//!   done channel.
+//!   ticket table.
 //! * Steals drain **leading walker messages only** from a victim's inbox,
 //!   and the inbox guard drops before the victim's engine is read — the
 //!   queue is the unit of theft, never the engine.
@@ -259,17 +258,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
+pub mod collect;
+pub mod forward;
+pub mod request;
+pub mod router;
 pub mod service;
+pub mod shard;
 pub mod stats;
 pub mod transport;
 
-pub use client::{CollectionMode, RequestParts, WalkClient, WalkHandle, WalkOutput, WalkRequest};
+pub use collect::TicketResults;
+pub use forward::{ContextTrace, CONTEXT_HANDLE_BYTES};
+pub use request::{RequestParts, WalkRequest};
+pub use router::IngestReceipt;
 pub use service::{
-    record_pool_profile, AdmissionSnapshot, ContextTrace, IngestReceipt, PartitionStrategy,
-    ServiceConfig, ServiceError, StepTrace, TicketResults, WalkService, WalkTicket,
-    CONTEXT_HANDLE_BYTES,
+    record_pool_profile, AdmissionSnapshot, PartitionStrategy, ServiceConfig, ServiceError,
+    WalkService, WalkTicket,
 };
+pub use shard::StepTrace;
 pub use stats::{ServiceStats, ShardStatsSnapshot};
 pub use transport::{LoopbackTransport, ShardTransport, TransportMode};
 
@@ -457,8 +463,8 @@ mod tests {
 
     #[test]
     fn concurrent_waiters_all_complete() {
-        // Regression: a ticket completed by another waiter's drain loop
-        // must still wake its owner (no lost-wakeup hang in wait()).
+        // Regression: every waiter parked on the shared condvar must wake
+        // when its own ticket completes (no lost-wakeup hang in wait()).
         let graph = ring_graph(32);
         let service = WalkService::build(
             &graph,
@@ -595,6 +601,7 @@ mod tests {
             &graph,
             ServiceConfig {
                 num_shards: 4,
+                transport: TransportMode::Serialized,
                 ..ServiceConfig::default()
             },
         )
@@ -683,12 +690,10 @@ mod tests {
 
     #[test]
     fn wait_and_try_wait_interleave_without_losing_completions() {
-        // Regression for the drain-role race: a non-blocking `try_wait`
-        // poller (the gateway dispatcher's completion loop) can absorb a
-        // blocking waiter's final walk in the window between the waiter
-        // claiming the drain role and parking in `recv()` — the drain
-        // must re-check completeness under the channel lock before
-        // blocking, or the waiter hangs forever.
+        // A blocking waiter beside a non-blocking `try_wait` poller (the
+        // gateway dispatcher's completion loop): each must see exactly its
+        // own tickets complete, and the waiter must never park past its
+        // ticket's last walk.
         let graph = ring_graph(16);
         let service = WalkService::build(
             &graph,
@@ -813,56 +818,6 @@ mod tests {
             2,
             "both rejections counted"
         );
-    }
-
-    #[test]
-    fn chunked_client_completes_under_admission_pressure() {
-        // Regression for the `WalkHandle::wait` panic on `Saturated`
-        // chunk resubmission: several chunked clients oversubscribing a
-        // bounded-inbox service must all complete (rejected chunks back
-        // off and retry instead of panicking the waiter).
-        let graph = ring_graph(64);
-        let service = WalkService::build(
-            &graph,
-            ServiceConfig {
-                num_shards: 2,
-                max_inbox: 8,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        std::thread::scope(|scope| {
-            let service = &service;
-            let handles: Vec<_> = (0..4)
-                .map(|i| {
-                    scope.spawn(move || {
-                        let client = WalkClient::sharded(service);
-                        let starts: Vec<u32> = (0..64).map(|v| (v + 16 * i) % 64).collect();
-                        let request = WalkRequest::spec(spec(50))
-                            .starts(starts)
-                            .max_in_flight(8)
-                            .seed(40 + u64::from(i));
-                        // The *first* chunk can also be rejected while the
-                        // other threads keep the inboxes full; that path
-                        // surfaces the typed error for the caller to back
-                        // off on. Later chunks retry inside `wait`.
-                        let handle = loop {
-                            match client.submit(request.clone()) {
-                                Ok(handle) => break handle,
-                                Err(err) if err.is_retryable() => {
-                                    std::thread::sleep(std::time::Duration::from_micros(200));
-                                }
-                                Err(err) => panic!("unexpected rejection {err:?}"),
-                            }
-                        };
-                        handle.wait().num_walks
-                    })
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), 64, "every chunked request completed");
-            }
-        });
     }
 
     #[test]
@@ -1002,10 +957,11 @@ mod tests {
             )
             .unwrap();
             let results = service.wait(service.submit(node2vec(12), &starts).unwrap());
-            (results.paths, service.shutdown())
+            let receiver_entries = service.snapshot_cache_occupancy().1;
+            (results.paths, service.shutdown(), receiver_entries)
         };
-        let (in_paths, in_stats) = run(TransportMode::InProcess);
-        let (ser_paths, ser_stats) = run(TransportMode::Serialized);
+        let (in_paths, in_stats, in_receiver_entries) = run(TransportMode::InProcess);
+        let (ser_paths, ser_stats, _) = run(TransportMode::Serialized);
         assert_eq!(
             in_paths, ser_paths,
             "the wire round-trip must be invisible to walk output"
@@ -1026,6 +982,14 @@ mod tests {
             "in-process forwards ship nothing"
         );
         assert_eq!(
+            in_receiver_entries, 0,
+            "in-process forwards never touch a receiver cache"
+        );
+        assert!(
+            in_stats.total_handle_offers() == 0 && in_stats.total_context_bytes() == 0,
+            "in-process forwards negotiate and bill nothing"
+        );
+        assert_eq!(
             ser_stats.total_context_misses(),
             0,
             "rebuilt walkers answer every membership query from the frame"
@@ -1043,6 +1007,7 @@ mod tests {
             &graph,
             ServiceConfig {
                 num_shards: 4,
+                transport: TransportMode::Serialized,
                 ..ServiceConfig::default()
             },
         )
@@ -1075,6 +1040,7 @@ mod tests {
             &graph,
             ServiceConfig {
                 num_shards,
+                transport: TransportMode::Serialized,
                 ..ServiceConfig::default()
             },
         )
@@ -1113,6 +1079,7 @@ mod tests {
             &graph,
             ServiceConfig {
                 num_shards: 4,
+                transport: TransportMode::Serialized,
                 ..ServiceConfig::default()
             },
         )

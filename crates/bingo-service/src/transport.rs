@@ -1,7 +1,7 @@
 //! The pluggable distribution boundary between shard workers.
 //!
 //! The service forwards walkers between shards either as in-process
-//! `Box<Walker>` moves (today's zero-copy path) or — in
+//! `Box<Walker>` moves (zero-copy, nothing billed) or — in
 //! [`TransportMode::Serialized`] — by round-tripping every forwarded
 //! walker through the versioned wire format of
 //! [`bingo_walks::wire`]: encode to bytes, hand the bytes to a
@@ -21,9 +21,9 @@ use std::io;
 /// How forwarded walkers cross the shard boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
-    /// Forwarded walkers move as in-process allocations (zero-copy;
-    /// today's path). Byte counters still account what the wire format
-    /// *would* ship, but nothing is serialized.
+    /// Forwarded walkers move as in-process allocations (zero-copy).
+    /// Nothing is serialized, so nothing is negotiated or billed: every
+    /// handle and `*bytes*` counter stays 0.
     #[default]
     InProcess,
     /// Every forwarded walker is encoded to its wire frame, carried by

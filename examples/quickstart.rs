@@ -1,6 +1,6 @@
 //! Quickstart: build a small weighted graph, create the Bingo engine, run a
 //! few biased random walks, stream some updates, and plug a custom walk
-//! model into the unified `WalkClient` front-end.
+//! model into the same `WalkEngine`.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -109,9 +109,9 @@ fn main() {
         walks.paths[0]
     );
 
-    // 6. Walk applications are pluggable: implement `WalkModel` and submit
-    //    it through the unified `WalkClient` — the same request would run
-    //    unchanged on a sharded `WalkService`.
+    // 6. Walk applications are pluggable: implement `WalkModel` and run it
+    //    with `WalkEngine::run_model` — the same model would run unchanged
+    //    on a sharded `WalkService` (`submit_model`).
     #[derive(Debug)]
     struct TemperatureWalk {
         tau: f64,
@@ -147,22 +147,16 @@ fn main() {
         }
     }
 
-    let client = WalkClient::local(&engine);
-    let output = client
-        .submit(
-            WalkRequest::model(Arc::new(TemperatureWalk {
-                tau: 5.0,
-                max_steps: 30,
-            }))
-            .all_vertices()
-            .seed(11),
-        )
-        .expect("request is valid")
-        .wait();
+    let model: SharedWalkModel = Arc::new(TemperatureWalk {
+        tau: 5.0,
+        max_steps: 30,
+    });
+    let starts: Vec<VertexId> = (0..engine.num_vertices() as VertexId).collect();
+    let output = WalkEngine::new(11).run_model(&engine, &model, &starts);
     println!(
-        "custom temperature model via WalkClient: {} walks, {} steps, mean length {:.2}",
-        output.num_walks,
-        output.total_steps,
-        output.total_steps as f64 / output.num_walks as f64
+        "custom temperature model: {} walks, {} steps, mean length {:.2}",
+        output.num_walks(),
+        output.total_steps(),
+        output.total_steps() as f64 / output.num_walks() as f64
     );
 }

@@ -3,8 +3,9 @@
 //! waiting for the wave before the next batch. Then the same service — the
 //! one that applied the updates — is checked: the busiest vertex's
 //! transitions are chi-squared against the fully-updated graph, a node2vec
-//! wave (through the `WalkClient` facade) exercises the forwarded-context
-//! path, and the per-shard `ServiceStats` are printed.
+//! wave exercises the forwarded-context path (over the serialized
+//! transport, so the context bytes it reports were framed), and the
+//! per-shard `ServiceStats` are printed.
 //!
 //! The example asserts what it shows and exits non-zero otherwise. What
 //! the stack *costs* — steps/s, the hottest shard's step share, telemetry
@@ -17,7 +18,7 @@
 
 use bingo::prelude::*;
 use bingo::sampling::stats::{chi_square, chi_square_critical_999};
-use bingo::service::{PartitionStrategy, ServiceConfig};
+use bingo::service::{PartitionStrategy, ServiceConfig, TransportMode};
 use bingo_graph::updates::UpdateKind;
 use std::collections::BTreeMap;
 
@@ -52,6 +53,7 @@ fn main() {
             num_shards: SHARDS,
             seed: 0x7417,
             partition: PartitionStrategy::DegreeBalanced,
+            transport: TransportMode::Serialized,
             ..ServiceConfig::default()
         },
     )
@@ -122,25 +124,22 @@ fn main() {
         probs.len(),
     );
 
-    // A node2vec wave through the unified client: the second-order factor
-    // needs the previous vertex's adjacency, which crosses shards inside
-    // forwarded context fingerprints.
-    let client = WalkClient::sharded(&service);
-    let n2v = client
-        .submit(
-            WalkRequest::spec(WalkSpec::Node2Vec(Node2VecConfig {
+    // A node2vec wave: the second-order factor needs the previous vertex's
+    // adjacency, which crosses shards inside forwarded context
+    // fingerprints.
+    let n2v = service.wait(
+        service
+            .submit_all_vertices(WalkSpec::Node2Vec(Node2VecConfig {
                 walk_length: WALK_LEN,
                 p: 0.5,
                 q: 2.0,
             }))
-            .all_vertices()
-            .collect(CollectionMode::VisitCounts),
-        )
-        .expect("submit node2vec")
-        .wait();
+            .expect("submit node2vec"),
+    );
     println!(
-        "node2vec wave via WalkClient: {} walks, {} steps",
-        n2v.num_walks, n2v.total_steps
+        "node2vec wave: {} walks, {} steps",
+        n2v.paths.len(),
+        n2v.total_steps()
     );
 
     // Snapshots are captured once per (vertex, epoch) and Arc-shared by
@@ -168,7 +167,11 @@ fn main() {
         "every shard applied every batch"
     );
     assert!(stat < critical, "sampling distribution diverged");
-    assert_eq!(n2v.num_walks, mirror.num_vertices(), "node2vec wave served");
+    assert_eq!(
+        n2v.paths.len(),
+        mirror.num_vertices(),
+        "node2vec wave served"
+    );
     assert!(
         stats.total_context_bytes() > 0,
         "node2vec forwards carried context"

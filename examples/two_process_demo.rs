@@ -194,7 +194,7 @@ fn visit_counts(paths: &[Vec<VertexId>]) -> Vec<usize> {
 /// encode-reuse hit rate, receiver handle hit rate).
 fn run_update_phase() -> (f64, f64) {
     let graph = demo_graph();
-    let service = WalkService::build(&graph, config(TransportMode::InProcess)).unwrap();
+    let service = WalkService::build(&graph, config(TransportMode::Serialized)).unwrap();
     let starts: Vec<VertexId> = (0..NUM_VERTICES as VertexId).collect();
     let span = NUM_VERTICES as u32 / SHARDS as u32;
     for round in 0..UPDATE_ROUNDS as u32 {

@@ -26,7 +26,7 @@
 
 pub mod lock_order;
 
-pub use lock_order::{force_enable_lock_check, held_locks, lock_check_enabled};
+pub use lock_order::{force_enable_lock_check, held_locks, lock_check_enabled, observed_order};
 
 use lock_order::{HeldLock, LockMeta};
 use std::fmt;

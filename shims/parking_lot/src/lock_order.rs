@@ -28,7 +28,7 @@
 //! with `BINGO_LOCK_CHECK=on` so the two views check each other.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -308,6 +308,18 @@ pub(crate) fn reacquire(token: Option<(u32, &'static str)>) -> HeldLock {
             HeldLock(Some((id, name)))
         }
     }
+}
+
+/// Every `held -> acquired` pair recorded so far, by display name (checked
+/// acquisitions only). Diagnostic hook for tests: lets a test hold the
+/// documented lock orders to the ones a run actually took.
+pub fn observed_order() -> BTreeSet<(&'static str, &'static str)> {
+    let g = graph().lock().unwrap_or_else(PoisonError::into_inner);
+    // lint:allow(determinism): collected into an ordered set.
+    g.edges
+        .iter()
+        .map(|&(from, to)| (g.name(from), g.name(to)))
+        .collect()
 }
 
 /// Number of locks the current thread holds (checked acquisitions only).

@@ -104,8 +104,8 @@ pub mod prelude {
     pub use bingo_obs::{ObsConfig, ObsServer, WatchdogConfig};
     pub use bingo_sampling::{rng::Pcg64, AliasTable, CdfTable, Sampler};
     pub use bingo_service::{
-        CollectionMode, IngestReceipt, PartitionStrategy, ServiceConfig, ServiceStats,
-        TicketResults, WalkClient, WalkOutput, WalkRequest, WalkService, WalkTicket,
+        IngestReceipt, PartitionStrategy, ServiceConfig, ServiceStats, TicketResults, WalkRequest,
+        WalkService, WalkTicket,
     };
     pub use bingo_telemetry::{Telemetry, TelemetryConfig};
     pub use bingo_walks::{

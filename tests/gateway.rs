@@ -197,7 +197,7 @@ fn saturation_requeues_preserve_every_walk_and_its_order() {
     // retryable Saturated and must come back in order, losing nothing.
     let service = bounded_service(96, 3, 4);
     let gateway = Gateway::new(
-        service,
+        service.clone(),
         GatewayConfig {
             chunk_walkers: 8, // clamped to 4 by the inbox bound
             window: AimdConfig {
@@ -223,4 +223,14 @@ fn saturation_requeues_preserve_every_walk_and_its_order() {
     let t = stats.tenant(&TenantId::new("t")).unwrap();
     assert_eq!(t.completed_walks, 96);
     assert_eq!(t.failed_walks, 0, "nothing dropped");
+    // One bounce, one event: the service records the rejection, the
+    // gateway only requeues.
+    let flight = service.telemetry().flight();
+    assert_eq!(flight.dropped(), 0, "the ring kept every event");
+    let bounces = flight
+        .events()
+        .iter()
+        .filter(|e| e.kind.tag() == "saturated")
+        .count() as u64;
+    assert_eq!(bounces, t.saturated_requeues);
 }

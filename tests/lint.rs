@@ -238,3 +238,154 @@ fn runtime_checker_accepts_consistent_order() {
         drop(ga);
     }
 }
+
+/// The `service.*` locks `bingo-service`'s crate docs list, each with the
+/// one file that may construct and acquire it, and the nested orders the
+/// docs allow between them.
+const SERVICE_LOCKS: [(&str, &str); 7] = [
+    ("service.pending", "collect.rs"),
+    ("service.router", "router.rs"),
+    ("service.shard_ctx_cache", "forward.rs"),
+    ("service.shard_engine", "shard.rs"),
+    ("service.shard_inbox", "shard.rs"),
+    ("service.shard_rx_cache", "forward.rs"),
+    ("service.termination", "service.rs"),
+];
+const SERVICE_LOCK_ORDERS: [(&str, &str); 3] = [
+    ("service.router", "service.shard_inbox"),
+    ("service.shard_engine", "service.shard_ctx_cache"),
+    ("service.shard_engine", "service.shard_rx_cache"),
+];
+
+#[test]
+fn service_lock_census_matches_the_documented_list_and_orders() {
+    use bingo::prelude::*;
+    use bingo::service::TransportMode;
+    use bingo_lint::lexer::{lex, TokKind};
+    use bingo_lint::rules::locks;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    // Static half, token by token: where each `new_named` literal is
+    // constructed, which field holds it, and where that field is acquired.
+    let files: Vec<FileInput> = bingo_lint::workspace_files(repo_root())
+        .expect("workspace walk")
+        .into_iter()
+        .filter(|f| f.path.starts_with("crates/bingo-service/src/"))
+        .collect();
+    let file_name = |path: &str| path.rsplit('/').next().unwrap_or(path).to_string();
+    let mut constructed = Vec::new();
+    let mut name_of_field = BTreeMap::new();
+    let mut acquired = BTreeSet::new();
+    let mut static_edges = Vec::new();
+    for file in &files {
+        let lexed = lex(&file.source);
+        let toks = &lexed.tokens;
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokKind::Ident || lexed.is_test_line(t.line) {
+                continue;
+            }
+            // `field: Mutex::new_named(value, "service.x")`
+            if t.text == "new_named" && i >= 5 && toks[i - 4].text == ":" {
+                let name = toks[i..]
+                    .iter()
+                    .find(|t| t.kind == TokKind::Str)
+                    .expect("new_named takes a name literal");
+                constructed.push((name.text.clone(), file_name(&file.path)));
+                name_of_field.insert(toks[i - 5].text.clone(), name.text.clone());
+            }
+            // `.field.lock()` / `.try_lock()` / `.read()` / `.write()`
+            if ["lock", "try_lock", "read", "write"].contains(&t.text.as_str())
+                && i >= 2
+                && toks[i - 1].text == "."
+                && toks.get(i + 1).is_some_and(|t| t.text == "(")
+                && toks.get(i + 2).is_some_and(|t| t.text == ")")
+            {
+                acquired.insert((toks[i - 2].text.clone(), file_name(&file.path)));
+            }
+        }
+        static_edges.extend(locks::collect(&file.path, &lexed).0);
+    }
+    constructed.sort();
+    let documented: Vec<(String, String)> = SERVICE_LOCKS
+        .iter()
+        .map(|&(name, file)| (name.to_string(), file.to_string()))
+        .collect();
+    assert_eq!(
+        constructed, documented,
+        "each documented lock is constructed once, in its own file, and no other is"
+    );
+    for (field, name) in &name_of_field {
+        let home = &documented
+            .iter()
+            .find(|(n, _)| n == name)
+            .expect("listed")
+            .1;
+        let sites: Vec<&String> = acquired
+            .iter()
+            .filter(|(f, _)| f == field)
+            .map(|(_, file)| file)
+            .collect();
+        assert_eq!(
+            sites,
+            [home],
+            "`{name}` (field `{field}`) is acquired in {home} only"
+        );
+    }
+    // The per-function pass sees an order only when both acquisitions sit
+    // in one function; whatever it does see must be a documented order.
+    for edge in &static_edges {
+        let name = |qualified: &str| {
+            let field = qualified.rsplit('.').next().unwrap_or(qualified);
+            name_of_field.get(field).cloned().unwrap_or_default()
+        };
+        let (from, to) = (name(&edge.from), name(&edge.to));
+        assert!(
+            SERVICE_LOCK_ORDERS.contains(&(from.as_str(), to.as_str())),
+            "undocumented order {from} -> {to} at {}:{}",
+            edge.file,
+            edge.line
+        );
+    }
+
+    // Runtime half: the orders a run actually takes — across functions and
+    // files, which the static pass cannot follow — are exactly the
+    // documented three. Serialized node2vec over a structural update
+    // drives every nested acquisition the service has.
+    parking_lot::force_enable_lock_check();
+    let mut graph = DynamicGraph::new(24);
+    for v in 0..24u32 {
+        graph
+            .insert_edge(v, (v + 1) % 24, Bias::from_int(2))
+            .unwrap();
+        graph
+            .insert_edge(v, (v + 2) % 24, Bias::from_int(1))
+            .unwrap();
+    }
+    let service = WalkService::build(
+        &graph,
+        ServiceConfig {
+            num_shards: 4,
+            transport: TransportMode::Serialized,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let node2vec = WalkSpec::Node2Vec(Node2VecConfig {
+        walk_length: 10,
+        p: 0.5,
+        q: 2.0,
+    });
+    service.wait(service.submit_all_vertices(node2vec).unwrap());
+    service.sync(service.ingest(&UpdateBatch::new(vec![UpdateEvent::Insert {
+        src: 0,
+        dst: 7,
+        bias: Bias::from_int(1),
+    }])));
+    service.wait(service.submit_all_vertices(node2vec).unwrap());
+    service.shutdown();
+    let observed: BTreeSet<(&str, &str)> = parking_lot::observed_order()
+        .into_iter()
+        .filter(|(from, to)| from.starts_with("service.") && to.starts_with("service."))
+        .collect();
+    assert_eq!(observed, BTreeSet::from(SERVICE_LOCK_ORDERS));
+}

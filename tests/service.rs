@@ -12,7 +12,7 @@
 
 use bingo::prelude::*;
 use bingo::sampling::stats::{chi_square, chi_square_critical_999};
-use bingo::service::ServiceConfig;
+use bingo::service::{ServiceConfig, TransportMode};
 use bingo_graph::updates::UpdateKind;
 use bingo_graph::UpdateStreamBuilder;
 use std::collections::HashMap;
@@ -368,6 +368,7 @@ fn sharded_node2vec_matches_single_engine_distribution() {
         ServiceConfig {
             num_shards: 4,
             seed: 0x20D2,
+            transport: TransportMode::Serialized,
             ..ServiceConfig::default()
         },
     )
@@ -429,6 +430,7 @@ fn forwarded_context_matches_true_adjacency() {
         ServiceConfig {
             num_shards: 4,
             seed: 0xC0DE,
+            transport: TransportMode::Serialized,
             record_epochs: true,
             ..ServiceConfig::default()
         },
@@ -638,6 +640,7 @@ fn context_byte_accounting_matches_recorded_traces() {
         ServiceConfig {
             num_shards: 4,
             seed: 0xACC7,
+            transport: TransportMode::Serialized,
             record_epochs: true,
             ..ServiceConfig::default()
         },
@@ -719,56 +722,4 @@ fn submit_all_vertices_on_empty_graph_completes_immediately() {
     );
     let stats = service.shutdown();
     assert_eq!(stats.total_walks_completed(), 0);
-}
-
-#[test]
-fn walk_client_serves_both_backends_with_chunked_polling() {
-    let (graph, _) = node2vec_fanout_graph();
-    let n = graph.num_vertices();
-    let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 6 });
-
-    // Local backend: synchronous, complete at submit time.
-    let engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
-    let local_out = WalkClient::local(&engine)
-        .submit(WalkRequest::spec(spec).all_vertices().seed(9))
-        .unwrap()
-        .wait();
-    assert_eq!(local_out.num_walks, n);
-    assert!(local_out.total_steps > 0);
-
-    // Service backend with an in-flight cap and visit-count collection:
-    // poll try_collect until the chunks drain.
-    let service = WalkService::build(
-        &graph,
-        ServiceConfig {
-            num_shards: 4,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let client = WalkClient::sharded(&service);
-    let mut handle = client
-        .submit(
-            WalkRequest::spec(spec)
-                .all_vertices()
-                .seed(9)
-                .max_in_flight(7)
-                .collect(CollectionMode::VisitCounts),
-        )
-        .unwrap();
-    let output = loop {
-        if let Some(out) = handle.try_collect().unwrap() {
-            break out;
-        }
-        std::thread::yield_now();
-    };
-    assert_eq!(output.num_walks, n);
-    assert!(output.paths.is_empty(), "visit-count mode drops paths");
-    let counts = output.visit_counts.expect("visit counts collected");
-    assert_eq!(counts.len(), n);
-    // Every walk contributes path-length vertices: steps + 1 per walk.
-    assert_eq!(
-        counts.iter().sum::<u64>() as usize,
-        output.total_steps + output.num_walks
-    );
 }
