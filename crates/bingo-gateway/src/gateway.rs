@@ -2,9 +2,7 @@
 //! that runs DRR + AIMD, and the submission/collection API.
 
 use crate::sched::{shard_aligned_chunks, Chunk, DrrScheduler};
-use crate::stats::{
-    percentile_sorted, GatewayStats, TenantAccum, TenantStatsSnapshot, WindowSample,
-};
+use crate::stats::{percentile_sorted, GatewayStats, TenantAccum, TenantStatsSnapshot};
 use crate::window::{AimdConfig, AimdWindow, WindowEvent};
 use bingo_graph::VertexId;
 use bingo_service::{ServiceError, WalkRequest, WalkService, WalkTicket};
@@ -83,9 +81,6 @@ pub struct GatewayConfig {
     /// Dispatcher poll cadence while work is in flight: completions are
     /// absorbed and the AIMD controller ticks at this period.
     pub tick: Duration,
-    /// Retained AIMD window-trace entries (oldest kept; recording stops at
-    /// the cap).
-    pub window_trace_cap: usize,
 }
 
 impl Default for GatewayConfig {
@@ -96,7 +91,6 @@ impl Default for GatewayConfig {
             max_queue_per_tenant: 1 << 20,
             window: AimdConfig::default(),
             tick: Duration::from_micros(500),
-            window_trace_cap: 4096,
         }
     }
 }
@@ -150,8 +144,6 @@ struct State {
     window_now: usize,
     window_min_seen: usize,
     window_max_seen: usize,
-    window_trace: Vec<WindowSample>,
-    dispatch_ticks: u64,
     shutdown: bool,
 }
 
@@ -205,7 +197,7 @@ impl Gateway {
     /// The gateway inherits the service's [`Telemetry`] handle, so its
     /// per-tenant metrics, dispatch latencies and `GatewayDispatch` trace
     /// spans land in the same registry and trace ring as the service's —
-    /// one `dump()` shows the whole stack.
+    /// one `/metrics` scrape or `/trace` read shows the whole stack.
     pub fn new(service: Arc<WalkService>, config: GatewayConfig) -> Gateway {
         let telemetry = service.telemetry().clone();
         Self::with_telemetry(service, config, telemetry)
@@ -238,8 +230,6 @@ impl Gateway {
                     window_now: window.window(),
                     window_min_seen: window.window(),
                     window_max_seen: window.window(),
-                    window_trace: Vec::new(),
-                    dispatch_ticks: 0,
                     shutdown: false,
                 },
                 "gateway.state",
@@ -366,7 +356,6 @@ impl Gateway {
         }
         let new_depth = state.sched.queued_walkers(&tenant);
         let accum = tenant_accum(&self.inner, &mut state, &tenant);
-        accum.submitted_requests += 1;
         accum.submitted_walks.add(starts.len() as u64);
         accum
             .peak_queued_walkers
@@ -440,10 +429,8 @@ impl Gateway {
                             weight: state.sched.weight(tenant),
                             queued_walkers: state.sched.queued_walkers(tenant),
                             peak_queued_walkers: accum.peak_queued_walkers.get().max(0) as usize,
-                            submitted_requests: accum.submitted_requests,
                             submitted_walks: accum.submitted_walks.get(),
                             dispatched_chunks: accum.dispatched_chunks.get(),
-                            dispatched_walks: accum.dispatched_walks,
                             completed_walks: accum.completed_walks.get(),
                             completed_steps: accum.completed_steps.get(),
                             rejected_overloaded: accum.rejected_overloaded.get(),
@@ -452,8 +439,6 @@ impl Gateway {
                             wait_p50: Duration::ZERO,
                             wait_p99: Duration::ZERO,
                             wait_max: Duration::ZERO,
-                            wait_samples: accum.wait_us.len(),
-                            wait_recorded: accum.wait_seen,
                         },
                         accum.wait_us.clone(),
                     )
@@ -464,11 +449,9 @@ impl Gateway {
                 window: state.window_now,
                 window_min_seen: state.window_min_seen,
                 window_max_seen: state.window_max_seen,
-                window_trace: state.window_trace.clone(),
                 // Acquire: pairs with the AcqRel dispatch/absorb updates
                 // so the snapshot is no fresher than the state beside it.
                 in_flight_walkers: self.inner.in_flight_walkers.load(Ordering::Acquire),
-                dispatch_ticks: state.dispatch_ticks,
                 uptime: self.inner.started_at.elapsed(),
             };
             (rows, stats)
@@ -550,14 +533,7 @@ fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
         );
 
         let mut state = inner.state.lock();
-        state.dispatch_ticks += 1;
-        record_window(
-            &inner,
-            &mut state,
-            &window,
-            event,
-            snapshot.peak_occupancy(),
-        );
+        record_window(&inner, &mut state, &window, event);
         for (chunk, results) in completed {
             absorb_chunk(&inner, &mut state, chunk, results);
         }
@@ -605,7 +581,6 @@ fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
                     let wait = chunk.enqueued_at.elapsed();
                     let accum = tenant_accum(&inner, &mut state, &chunk.tenant);
                     accum.dispatched_chunks.inc();
-                    accum.dispatched_walks += chunk.cost() as u64;
                     accum.record_wait(wait);
                     // Stitch DRR-dispatch spans into the sampled walker
                     // lifecycles. The sampling key is the *service* ticket
@@ -646,7 +621,7 @@ fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
                         .inc();
                     state.sched.requeue_front(chunk);
                     let ev = window.on_saturated();
-                    record_window(&inner, &mut state, &window, ev, snapshot.peak_occupancy());
+                    record_window(&inner, &mut state, &window, ev);
                     break;
                 }
                 Err(err) => {
@@ -712,15 +687,9 @@ fn fail_chunk(inner: &Inner, state: &mut State, chunk: Chunk, err: ServiceError)
     }
 }
 
-/// Publish the controller's window into the shared state and extend the
-/// trace on changes.
-fn record_window(
-    inner: &Inner,
-    state: &mut State,
-    window: &AimdWindow,
-    event: WindowEvent,
-    peak_occupancy: f64,
-) {
+/// Publish the controller's window into the shared state and record every
+/// move in the flight recorder.
+fn record_window(inner: &Inner, state: &mut State, window: &AimdWindow, event: WindowEvent) {
     let w = window.window();
     state.window_now = w;
     state.window_min_seen = state.window_min_seen.min(w);
@@ -730,13 +699,5 @@ fn record_window(
             .telemetry
             .flight()
             .record(FlightEventKind::WindowChange { window: w as u64 });
-    }
-    if event != WindowEvent::Hold && state.window_trace.len() < inner.config.window_trace_cap {
-        state.window_trace.push(WindowSample {
-            at: inner.started_at.elapsed(),
-            window: w,
-            peak_occupancy,
-            in_flight: inner.in_flight_walkers.load(Ordering::Acquire), // window-trace sample
-        });
     }
 }

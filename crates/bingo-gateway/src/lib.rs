@@ -35,9 +35,11 @@
 //!   [`GatewayConfig::chunk_walkers`], so fairness granularity is
 //!   per-chunk (a giant request cannot monopolize a turn) and a rejection
 //!   names exactly the one full inbox.
-//! * **Observability** ([`GatewayStats`]): per-tenant queue depth and
-//!   peak, dispatched/completed/rejected counts, queue-wait p50/p99, and
-//!   the AIMD window trace. The gateway records into the **service's**
+//! * **Observability** ([`GatewayStats`], rendered once by
+//!   [`GatewayStats::to_json`]): per-tenant queue depth and peak,
+//!   dispatched/completed/rejected counts, queue-wait p50/p99, and the
+//!   range the AIMD window moved through (each move is also a flight
+//!   event). The gateway records into the **service's**
 //!   telemetry handle
 //!   ([`WalkService::telemetry`](bingo_service::WalkService::telemetry)) —
 //!   build the service with
@@ -107,7 +109,7 @@ pub mod stats;
 pub mod window;
 
 pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayResults, GatewayTicket};
-pub use stats::{GatewayStats, TenantStatsSnapshot, WindowSample};
+pub use stats::{GatewayStats, TenantStatsSnapshot};
 pub use window::{AimdConfig, AimdWindow, WindowEvent};
 
 // The tenant vocabulary lives in `bingo-walks`; re-exported so gateway

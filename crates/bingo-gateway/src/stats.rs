@@ -1,14 +1,17 @@
 //! Gateway observability: per-tenant queue/dispatch/completion counters,
-//! queue-wait percentiles, and the AIMD window trace.
+//! queue-wait percentiles, and the range the AIMD window moved through.
 //!
 //! Like the service's shard counters, the per-tenant accumulators are
 //! **views over the shared telemetry registry** (labeled `tenant="…"`), so
-//! [`GatewayStats`], the registry expositions and external scrapers read
-//! one set of atomics. The queue-wait reservoir (exact microsecond
-//! percentiles) stays gateway-local; detailed telemetry additionally
-//! records waits into the `gateway.tenant.wait_ns` registry histogram.
+//! [`GatewayStats`], the registry's Prometheus exposition and external
+//! scrapers read one set of atomics. The queue-wait reservoir (exact
+//! microsecond percentiles) stays gateway-local; detailed telemetry
+//! additionally records waits into the `gateway.tenant.wait_ns` registry
+//! histogram. [`GatewayStats::to_json`] is the snapshot's one rendering:
+//! the examples print it and the obs plane's `/status` embeds it.
 
 use bingo_sampling::rng::SplitMix64;
+use bingo_telemetry::json::{JsonArray, JsonObject};
 use bingo_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
 use bingo_walks::TenantId;
 use std::time::Duration;
@@ -18,19 +21,13 @@ use std::time::Duration;
 /// `wait_seen` dispatches so far has equal probability
 /// `WAIT_SAMPLE_CAP / wait_seen` of being in the reservoir, so long-run
 /// `wait_p50`/`wait_p99` track the whole run instead of freezing on the
-/// first `WAIT_SAMPLE_CAP` (warm-up) dispatches. Snapshots report both the
-/// retained and the seen count.
+/// first `WAIT_SAMPLE_CAP` (warm-up) dispatches.
 pub const WAIT_SAMPLE_CAP: usize = 65_536;
 
 /// Internal per-tenant accumulator (owned by the gateway state, snapshot
 /// into [`TenantStatsSnapshot`]).
 #[derive(Debug, Default)]
 pub(crate) struct TenantAccum {
-    /// Requests accepted (not in the registry taxonomy; walks are the
-    /// billing unit there).
-    pub submitted_requests: u64,
-    /// Walkers handed to the service (taxonomy tracks chunks).
-    pub dispatched_walks: u64,
     pub submitted_walks: Counter,
     pub dispatched_chunks: Counter,
     pub completed_walks: Counter,
@@ -110,14 +107,11 @@ pub struct TenantStatsSnapshot {
     pub queued_walkers: usize,
     /// Highest queue depth (walkers) ever observed for this tenant.
     pub peak_queued_walkers: usize,
-    /// Requests accepted by [`Gateway::submit`](crate::Gateway::submit).
-    pub submitted_requests: u64,
-    /// Walkers those requests contained.
+    /// Walkers in the requests [`Gateway::submit`](crate::Gateway::submit)
+    /// accepted.
     pub submitted_walks: u64,
     /// Chunks handed to the walk service.
     pub dispatched_chunks: u64,
-    /// Walkers handed to the walk service.
-    pub dispatched_walks: u64,
     /// Walks whose results came back.
     pub completed_walks: u64,
     /// Steps those walks took.
@@ -136,24 +130,6 @@ pub struct TenantStatsSnapshot {
     pub wait_p99: Duration,
     /// Worst retained queue wait.
     pub wait_max: Duration,
-    /// Retained wait samples backing the percentiles (≤
-    /// [`WAIT_SAMPLE_CAP`]; an unbiased reservoir over everything seen).
-    pub wait_samples: usize,
-    /// Total waits ever recorded — `wait_samples` of these are retained.
-    pub wait_recorded: u64,
-}
-
-/// One entry of the AIMD window trace.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowSample {
-    /// Time since the gateway started.
-    pub at: Duration,
-    /// Window value after the adjustment.
-    pub window: usize,
-    /// Peak shard-inbox occupancy observed at the tick.
-    pub peak_occupancy: f64,
-    /// Walkers in flight at the tick.
-    pub in_flight: usize,
 }
 
 /// Aggregate gateway statistics.
@@ -167,13 +143,8 @@ pub struct GatewayStats {
     pub window_min_seen: usize,
     /// Largest window the controller reached.
     pub window_max_seen: usize,
-    /// Window adjustments (trace entries are recorded on every change,
-    /// capped by the configured trace length).
-    pub window_trace: Vec<WindowSample>,
     /// Walkers currently dispatched and not yet completed.
     pub in_flight_walkers: usize,
-    /// Dispatcher loop iterations so far.
-    pub dispatch_ticks: u64,
     /// Wall-clock time since the gateway was built.
     pub uptime: Duration,
 }
@@ -206,47 +177,53 @@ impl GatewayStats {
             .map_or(0.0, |t| t.completed_steps as f64 / total as f64)
     }
 
-    /// Render a per-tenant table for logs and examples.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<12} {:>6} {:>8} {:>9} {:>10} {:>10} {:>11} {:>8} {:>9} {:>9}\n",
-            "tenant",
-            "weight",
-            "queued",
-            "submitted",
-            "dispatched",
-            "completed",
-            "steps",
-            "requeue",
-            "p50_wait",
-            "p99_wait",
-        ));
+    /// The snapshot as one line of JSON — the window, the totals and one
+    /// object per tenant. The examples print it and the obs plane's
+    /// `/status` embeds it as `"gateway"`. Ratios are fixed-precision and
+    /// always finite.
+    pub fn to_json(&self) -> String {
+        let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
+        let mut tenants = JsonArray::new();
         for t in &self.per_tenant {
-            out.push_str(&format!(
-                "{:<12} {:>6} {:>8} {:>9} {:>10} {:>10} {:>11} {:>8} {:>8.1}ms {:>8.1}ms\n",
-                t.tenant.as_str(),
-                t.weight,
-                t.queued_walkers,
-                t.submitted_walks,
-                t.dispatched_walks,
-                t.completed_walks,
-                t.completed_steps,
-                t.saturated_requeues,
-                t.wait_p50.as_secs_f64() * 1e3,
-                t.wait_p99.as_secs_f64() * 1e3,
-            ));
+            let mut tenant = JsonObject::new();
+            tenant
+                .field_str("tenant", t.tenant.as_str())
+                .field_num("weight", t.weight)
+                .field_num("queued_walkers", t.queued_walkers)
+                .field_num("peak_queued_walkers", t.peak_queued_walkers)
+                .field_num("submitted_walks", t.submitted_walks)
+                .field_num("dispatched_chunks", t.dispatched_chunks)
+                .field_num("completed_walks", t.completed_walks)
+                .field_num("completed_steps", t.completed_steps)
+                .field_num(
+                    "step_share",
+                    format!("{:.4}", self.completed_step_share(&t.tenant)),
+                )
+                .field_num("saturated_requeues", t.saturated_requeues)
+                .field_num("rejected_overloaded", t.rejected_overloaded)
+                .field_num("failed_walks", t.failed_walks)
+                .field_num("wait_p50_ms", ms(t.wait_p50))
+                .field_num("wait_p99_ms", ms(t.wait_p99))
+                .field_num("wait_max_ms", ms(t.wait_max));
+            tenants.push_raw(&tenant.finish());
         }
-        out.push_str(&format!(
-            "window {} (seen {}..{}), {} in flight, {} ticks, uptime {:.3}s\n",
-            self.window,
-            self.window_min_seen,
-            self.window_max_seen,
-            self.in_flight_walkers,
-            self.dispatch_ticks,
-            self.uptime.as_secs_f64(),
-        ));
-        out
+        let mut out = JsonObject::new();
+        out.field_num("window", self.window)
+            .field_num("window_min_seen", self.window_min_seen)
+            .field_num("window_max_seen", self.window_max_seen)
+            .field_num("in_flight_walkers", self.in_flight_walkers)
+            .field_num(
+                "queued_walkers",
+                self.per_tenant
+                    .iter()
+                    .map(|t| t.queued_walkers)
+                    .sum::<usize>(),
+            )
+            .field_num("completed_walks", self.total_completed_walks())
+            .field_num("completed_steps", self.total_completed_steps())
+            .field_num("uptime_s", format!("{:.3}", self.uptime.as_secs_f64()))
+            .field_raw("per_tenant", &tenants.finish());
+        out.finish()
     }
 }
 
@@ -330,10 +307,8 @@ mod tests {
             weight: 1,
             queued_walkers: 0,
             peak_queued_walkers: 0,
-            submitted_requests: 0,
             submitted_walks: 0,
             dispatched_chunks: 0,
-            dispatched_walks: 0,
             completed_walks: 0,
             completed_steps: steps,
             rejected_overloaded: 0,
@@ -342,8 +317,6 @@ mod tests {
             wait_p50: Duration::ZERO,
             wait_p99: Duration::ZERO,
             wait_max: Duration::ZERO,
-            wait_samples: 0,
-            wait_recorded: 0,
         };
         let stats = GatewayStats {
             per_tenant: vec![snap("a", 75), snap("b", 25)],
@@ -352,6 +325,22 @@ mod tests {
         assert!((stats.completed_step_share(&TenantId::new("a")) - 0.75).abs() < 1e-12);
         assert!((stats.completed_step_share(&TenantId::new("b")) - 0.25).abs() < 1e-12);
         assert_eq!(stats.completed_step_share(&TenantId::new("c")), 0.0);
-        assert!(stats.render().contains("tenant"));
+        let json = stats.to_json();
+        assert!(json.contains("\"tenant\":\"a\""), "{json}");
+        assert!(json.contains("\"step_share\":0.7500"), "{json}");
+        assert!(json.contains("\"completed_steps\":100"), "{json}");
+    }
+
+    #[test]
+    fn to_json_of_default_stats_is_finite() {
+        // Nothing submitted, no uptime: every ratio guards its zero
+        // denominator, so no `NaN` / `inf` (invalid JSON) is written.
+        let json = GatewayStats::default().to_json();
+        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
+        assert!(
+            !json.contains("NaN") && !json.contains("inf"),
+            "non-finite number in {json}"
+        );
+        assert!(json.contains("\"per_tenant\":[]"), "{json}");
     }
 }

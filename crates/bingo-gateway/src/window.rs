@@ -49,7 +49,8 @@ impl Default for AimdConfig {
     }
 }
 
-/// What one control tick decided — recorded into the window trace.
+/// What one control tick decided — every move but `Hold` is a flight
+/// event (`WindowChange`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowEvent {
     /// Pressure: window multiplied down.

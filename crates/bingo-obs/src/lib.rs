@@ -6,11 +6,12 @@
 //!
 //! * **Exposition server** ([`ObsServer`]): a dependency-free HTTP/1.0
 //!   responder on `std::net::TcpListener` serving `/metrics` (Prometheus
-//!   text format), `/status` (JSON over service/gateway/pool/flight
-//!   state), `/trace` (sampled walker lifecycles), `/flight` (flight
-//!   recorder dump) and `/healthz`. Connections are handled as jobs on
-//!   the persistent worker pool — no dedicated serving threads beyond
-//!   the accept loop itself.
+//!   text format), `/status` (JSON: the watchdog verdict,
+//!   `ServiceStats::to_json`, `GatewayStats::to_json`, the pool profile
+//!   and flight-ring occupancy), `/trace` (sampled walker lifecycles),
+//!   `/flight` (flight recorder dump) and `/healthz`. Connections are
+//!   handled as jobs on the persistent worker pool — no dedicated
+//!   serving threads beyond the accept loop itself.
 //! * **Flight recorder** (re-exported from `bingo-telemetry`): a
 //!   lock-free bounded ring of structured runtime events — steals,
 //!   saturation bounces, window moves, epoch advances, shard

@@ -12,7 +12,7 @@
 //! | endpoint   | body |
 //! |------------|------|
 //! | `/metrics` | Prometheus text format over the whole registry |
-//! | `/status`  | JSON: watchdog + service + gateway + pool + flight |
+//! | `/status`  | JSON: watchdog + `ServiceStats::to_json` + `GatewayStats::to_json` + pool + flight |
 //! | `/trace`   | sampled walker lifecycle lines from the [`Tracer`] ring |
 //! | `/flight`  | flight-recorder dump (most recent structured events) |
 //! | `/healthz` | `ok` (200) or a stall description (503) |
@@ -247,25 +247,16 @@ fn respond(head: &str, inner: &ServerInner) -> (&'static str, &'static str, Stri
 }
 
 fn render_metrics(inner: &ServerInner) -> String {
-    // Fold point-in-time sources into the registry so one scrape sees
-    // everything: pool profile counters and the flight ring's totals.
+    // The pool profile lives in the shim's process-wide cells: fold it
+    // into the registry so the scrape sees it.
     bingo_service::record_pool_profile(&inner.telemetry);
-    let flight = inner.telemetry.flight();
-    inner
-        .telemetry
-        .counter(names::OBS_FLIGHT_RECORDED)
-        .set(flight.recorded());
-    inner
-        .telemetry
-        .counter(names::OBS_FLIGHT_DROPPED)
-        .set(flight.dropped());
     inner.telemetry.snapshot().to_prometheus()
 }
 
 fn render_trace(inner: &ServerInner) -> String {
     match inner.telemetry.tracer() {
         Some(tracer) => tracer.dump(),
-        None => "tracing off (enable detailed telemetry with a trace sample rate)\n".to_string(),
+        None => "tracing off (disabled telemetry; BINGO_TELEMETRY=on turns it on)\n".to_string(),
     }
 }
 
@@ -273,6 +264,8 @@ fn render_status(inner: &ServerInner) -> String {
     let report = inner
         .watchdog
         .check(inner.service.as_deref(), inner.gateway.as_deref());
+    // Same fold as `/metrics`: the pool counters below read the registry.
+    bingo_service::record_pool_profile(&inner.telemetry);
     let snapshot = inner.telemetry.snapshot();
     let mut root = JsonObject::new();
     root.field_raw(
@@ -303,82 +296,20 @@ fn render_status(inner: &ServerInner) -> String {
     dog.field_num("trips", snapshot.counter(names::OBS_WATCHDOG_TRIPS, &[]));
     root.field_raw("watchdog", &dog.finish());
 
-    if let Some(service) = inner.service.as_deref() {
-        let stats = service.stats();
-        let mut svc = JsonObject::new();
-        svc.field_num("shards", stats.per_shard.len());
-        svc.field_num("total_steps", stats.total_steps());
-        svc.field_raw("steps_per_sec", &format!("{:.1}", stats.steps_per_sec()));
-        svc.field_num("walks_completed", stats.total_walks_completed());
-        svc.field_num("queue_depth", stats.total_queue_depth());
-        svc.field_raw(
-            "hottest_step_share",
-            &format!("{:.4}", stats.hottest_step_share()),
-        );
-        // Snapshot-handle negotiation and the serialized-transport byte
-        // flow (zero until a forward offers a handle / ships a frame).
-        svc.field_num("handle_offers", stats.total_handle_offers());
-        svc.field_num("handle_hits", stats.total_handle_hits());
-        svc.field_num("body_requests", stats.total_body_requests());
-        svc.field_raw(
-            "handle_hit_rate",
-            &format!("{:.4}", stats.handle_hit_rate()),
-        );
-        svc.field_num("transport_bytes_sent", stats.total_transport_bytes_sent());
-        svc.field_num("transport_bytes_recv", stats.total_transport_bytes_recv());
-        svc.field_num("transport_fallbacks", stats.total_transport_fallbacks());
-        let total_steps = stats.total_steps().max(1);
-        let mut shards = JsonArray::new();
-        for sh in &stats.per_shard {
-            let mut obj = JsonObject::new();
-            obj.field_num("shard", sh.shard);
-            obj.field_num("steps", sh.steps);
-            obj.field_raw(
-                "step_share",
-                &format!("{:.4}", sh.steps as f64 / total_steps as f64),
-            );
-            obj.field_num("queue_depth", sh.queue_depth);
-            obj.field_num("epoch", sh.epoch);
-            shards.push_raw(&obj.finish());
-        }
-        svc.field_raw("per_shard", &shards.finish());
-        root.field_raw("service", &svc.finish());
-    } else {
-        root.field_raw("service", "null");
-    }
-
-    if let Some(gateway) = inner.gateway.as_deref() {
-        let stats = gateway.stats();
-        let mut gw = JsonObject::new();
-        gw.field_num("window", stats.window);
-        gw.field_num("in_flight_walkers", stats.in_flight_walkers);
-        gw.field_num(
-            "queued_walkers",
-            stats
-                .per_tenant
-                .iter()
-                .map(|t| t.queued_walkers)
-                .sum::<usize>(),
-        );
-        let mut tenants = JsonArray::new();
-        for t in &stats.per_tenant {
-            let mut obj = JsonObject::new();
-            obj.field_str("tenant", t.tenant.as_str());
-            obj.field_num("weight", t.weight);
-            obj.field_num("queued_walkers", t.queued_walkers);
-            obj.field_num("completed_walks", t.completed_walks);
-            obj.field_num("completed_steps", t.completed_steps);
-            obj.field_raw(
-                "step_share",
-                &format!("{:.4}", stats.completed_step_share(&t.tenant)),
-            );
-            tenants.push_raw(&obj.finish());
-        }
-        gw.field_raw("per_tenant", &tenants.finish());
-        root.field_raw("gateway", &gw.finish());
-    } else {
-        root.field_raw("gateway", "null");
-    }
+    root.field_raw(
+        "service",
+        &inner
+            .service
+            .as_deref()
+            .map_or_else(|| "null".to_string(), |s| s.stats().to_json()),
+    );
+    root.field_raw(
+        "gateway",
+        &inner
+            .gateway
+            .as_deref()
+            .map_or_else(|| "null".to_string(), |g| g.stats().to_json()),
+    );
 
     let mut pool = JsonObject::new();
     pool.field_num("workers", rayon::current_num_threads());

@@ -7,7 +7,7 @@
 //! values remembered from the previous evaluation:
 //!
 //! * a **shard** is stalled when its inbox holds queued messages while its
-//!   progress counter (steps + walker arrivals + update batches) has not
+//!   progress counter (steps + walker arrivals + update epoch) has not
 //!   moved for longer than [`WatchdogConfig::stall_after`] across
 //!   evaluations;
 //! * the **gateway** is stalled when its oldest queued chunk
@@ -178,12 +178,7 @@ impl Watchdog {
                 s.stats()
                     .per_shard
                     .iter()
-                    .map(|sh| {
-                        (
-                            sh.steps + sh.walkers_received + sh.update_batches,
-                            sh.queue_depth,
-                        )
-                    })
+                    .map(|sh| (sh.steps + sh.walkers_received + sh.epoch, sh.queue_depth))
                     .collect()
             })
             .unwrap_or_default();

@@ -202,7 +202,7 @@ impl ServiceShared {
     /// Decide what a serialized forward ships for `ctx` and bill it: a
     /// snapshot shard `to` already holds at the same `(vertex, epoch)`
     /// goes as a [`ContextHandle`]; otherwise the encoded body ships and
-    /// seeds `to`'s cache (counted as `service.context.body_request`).
+    /// seeds `to`'s cache (a body request: an offer without a hit).
     /// Bodies no larger than a handle always ship inline.
     /// `context_bytes_raw` is the body-on-every-forward baseline,
     /// `context_bytes_forwarded` what the frame carries.
@@ -231,7 +231,6 @@ impl ServiceShared {
                 }
                 _ => {
                     rx.insert(key, (capture_epoch, ctx.clone()));
-                    c.context_body_requests.inc();
                     (body_len, None)
                 }
             }

@@ -160,10 +160,12 @@
 //! 6 vertices. Spans recorded by different shard tasks stitch on
 //! `(ticket, walker)` — see `bingo_telemetry::Tracer::lifecycles`.
 //!
-//! **Exposition.** Everything above — the registry as Prometheus text,
-//! per-shard stats as JSON, the trace ring, the flight recorder's
-//! structured runtime events (steals, saturation bounces, epoch
-//! advances, shard park/unpark), and a lazy stall watchdog — is served
+//! **Exposition.** A [`ServiceStats`] snapshot has one rendering,
+//! [`ServiceStats::to_json`] (every total and ratio plus one object per
+//! shard), which examples print and `/status` embeds. Everything above —
+//! the registry as Prometheus text, that JSON, the trace ring, the flight
+//! recorder's structured runtime events (steals, saturation bounces,
+//! epoch advances, shard park/unpark), and a lazy stall watchdog — is served
 //! over HTTP by the `bingo-obs` crate (`/metrics`, `/status`, `/trace`,
 //! `/flight`, `/healthz`), opt-in via `BINGO_OBS=host:port`. See the
 //! workspace README's *Observability* section for the endpoint table and
@@ -1021,11 +1023,6 @@ mod tests {
         );
         assert!(stats.total_handle_hits() > 0, "repeat forwards hit");
         assert!(stats.total_body_requests() > 0, "first forwards seed");
-        assert_eq!(
-            stats.total_handle_hits() + stats.total_body_requests(),
-            stats.total_handle_offers(),
-            "every offer either hits or ships the body"
-        );
         assert!(stats.handle_hit_rate() > 0.0);
     }
 

@@ -53,11 +53,6 @@ impl Router {
             coalesce_capacity: coalesce_capacity.max(1),
         }
     }
-
-    /// Flush rounds so far.
-    pub(crate) fn flushes(&self) -> u64 {
-        self.state.lock().flushes
-    }
 }
 
 impl WalkService {

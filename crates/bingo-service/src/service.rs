@@ -18,7 +18,7 @@ use bingo_core::partition::Partitioner;
 use bingo_core::{BingoConfig, BingoEngine, BingoError};
 use bingo_graph::{DynamicGraph, VertexId};
 use bingo_sampling::rng::{Pcg64, SplitMix64};
-use bingo_telemetry::{names, FlightEventKind, Gauge, Histogram, Telemetry, TraceStage};
+use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
 use bingo_walks::{SharedWalkModel, WalkCursor, WalkSpec};
 use parking_lot::{Condvar, Mutex};
 use rand::SeedableRng;
@@ -239,9 +239,6 @@ pub struct WalkService {
     started_at: Instant,
     /// `service.submit_ns`: submit call → all walkers enqueued.
     submit_ns: Histogram,
-    /// `service.update.epoch_lag`: router flushes − slowest shard's epoch,
-    /// refreshed on every [`WalkService::stats`] call.
-    epoch_lag: Gauge,
 }
 
 /// The state shared by the service handle and every shard-task activation
@@ -274,11 +271,12 @@ pub(crate) struct ServiceShared {
 /// [`names::RUNTIME_POOL_TASKS`], [`names::RUNTIME_POOL_PARK_NS`]).
 ///
 /// The shim's global cells stay authoritative (they are process-wide, not
-/// per-service); call this right before snapshotting or dumping the
-/// registry so the exposition reflects the latest pool activity. The
-/// nanosecond cells only advance once [`rayon::set_pool_profiling`] has
-/// turned them on — [`WalkService::build_with_telemetry`] does whenever
-/// the handle is detailed.
+/// per-service); call this right before reading the registry so it
+/// reflects the latest pool activity (the obs plane does on every
+/// `/metrics` and `/status` read). The nanosecond cells only advance once
+/// [`rayon::set_pool_profiling`] has turned them on —
+/// [`WalkService::build_with_telemetry`] does whenever the handle is
+/// detailed.
 pub fn record_pool_profile(telemetry: &Telemetry) {
     let p = rayon::pool_profile();
     telemetry.counter(names::POOL_CALLS).set(p.calls);
@@ -401,7 +399,6 @@ impl WalkService {
             // reporting only; walk output never observes it.
             started_at: Instant::now(),
             submit_ns: telemetry.histogram(names::SERVICE_SUBMIT_NS),
-            epoch_lag: telemetry.gauge(names::SERVICE_UPDATE_EPOCH_LAG),
             shared,
         })
     }
@@ -617,18 +614,10 @@ impl WalkService {
 
     /// Snapshot of per-shard throughput/occupancy counters.
     pub fn stats(&self) -> ServiceStats {
-        // Refresh the update-epoch lag gauge: how many flushed epochs the
-        // slowest shard has not yet applied (0 = fully caught up).
-        let counters = &self.shared.counters;
-        let min_epoch = counters
-            .iter()
-            .map(|c| c.epoch.get_acquire())
-            .min()
-            .unwrap_or(0);
-        self.epoch_lag
-            .set(self.router.flushes().saturating_sub(min_epoch) as i64);
         ServiceStats {
-            per_shard: counters
+            per_shard: self
+                .shared
+                .counters
                 .iter()
                 .enumerate()
                 .map(|(i, c)| c.snapshot(i, self.owned_counts[i]))

@@ -449,7 +449,6 @@ impl ServiceShared {
         let c = &self.counters[shard_id];
         c.updates_applied
             .add((outcome.inserted + outcome.deleted) as u64);
-        c.update_batches.inc();
         // Publish the new generation *after* the batch is fully applied
         // but *before* the write guard drops: a reader that acquires the
         // read lock and sees epoch e knows the engine reflects exactly the

@@ -6,11 +6,14 @@
 //! `ShardCounters` is a
 //! registry-backed handle registered under the stable taxonomy in
 //! [`bingo_telemetry::names`] with a `shard` label, so `ServiceStats`, the
-//! registry's `render()`/Prometheus/JSON expositions and any external
-//! scraper all read the same atomics. Recording cost is unchanged from the
-//! pre-registry raw atomics: handles are resolved once at service build,
-//! and each record is a single relaxed RMW.
+//! registry's Prometheus exposition and any external scraper all read the
+//! same atomics. Recording cost is unchanged from the pre-registry raw
+//! atomics: handles are resolved once at service build, and each record is
+//! a single relaxed RMW. [`ServiceStats::to_json`] is the snapshot's one
+//! rendering: the examples print it and the obs plane's `/status` embeds
+//! it.
 
+use bingo_telemetry::json::{JsonArray, JsonObject};
 use bingo_telemetry::{names, Counter, Gauge, Telemetry};
 use std::time::Duration;
 
@@ -26,7 +29,6 @@ pub(crate) struct ShardCounters {
     pub walkers_forwarded: Counter,
     pub walks_completed: Counter,
     pub updates_applied: Counter,
-    pub update_batches: Counter,
     /// Number of update batches applied so far — the shard's generation
     /// counter. A walk step that reads epoch `e` observed the engine state
     /// after exactly `e` batches. Written with [`Counter::add_release`]
@@ -67,9 +69,6 @@ pub(crate) struct ShardCounters {
     /// Offered handles the receiver's snapshot cache already held at the
     /// same `(vertex, epoch)`: the forward shipped the 16-byte handle.
     pub context_handle_hits: Counter,
-    /// Offered handles the receiver did not hold: the forward shipped the
-    /// encoded body and seeded the receiver's cache.
-    pub context_body_requests: Counter,
     /// Bytes of encoded walker frames this shard handed to the
     /// [`ShardTransport`](crate::ShardTransport) (serialized mode only;
     /// zero in-process).
@@ -107,7 +106,6 @@ impl ShardCounters {
                 .counter_with(names::SERVICE_SHARD_WALKERS_FORWARDED, labels),
             walks_completed: telemetry.counter_with(names::SERVICE_SHARD_WALKS_COMPLETED, labels),
             updates_applied: telemetry.counter_with(names::SERVICE_SHARD_UPDATES_APPLIED, labels),
-            update_batches: telemetry.counter_with(names::SERVICE_SHARD_UPDATE_BATCHES, labels),
             epoch: telemetry.counter_with(names::SERVICE_SHARD_EPOCH, labels),
             queue_depth: telemetry.gauge_with(names::SERVICE_SHARD_QUEUE_DEPTH, labels),
             queue_high_water: telemetry.gauge_with(names::SERVICE_SHARD_QUEUE_HIGH_WATER, labels),
@@ -123,8 +121,6 @@ impl ShardCounters {
             context_handle_offers: telemetry
                 .counter_with(names::SERVICE_CONTEXT_HANDLE_OFFER, labels),
             context_handle_hits: telemetry.counter_with(names::SERVICE_CONTEXT_HANDLE_HIT, labels),
-            context_body_requests: telemetry
-                .counter_with(names::SERVICE_CONTEXT_BODY_REQUEST, labels),
             transport_bytes_sent: telemetry.counter_with(names::TRANSPORT_BYTES_SENT, labels),
             transport_bytes_recv: telemetry.counter_with(names::TRANSPORT_BYTES_RECV, labels),
             transport_fallbacks: telemetry.counter_with(names::SERVICE_TRANSPORT_FALLBACKS, labels),
@@ -161,7 +157,6 @@ impl ShardCounters {
             walkers_forwarded: self.walkers_forwarded.get(),
             walks_completed: self.walks_completed.get(),
             updates_applied: self.updates_applied.get(),
-            update_batches: self.update_batches.get(),
             epoch: self.epoch.get_acquire(),
             queue_depth: self.queue_depth.get().max(0),
             queue_high_water: self.queue_high_water.get().max(0) as u64,
@@ -173,7 +168,6 @@ impl ShardCounters {
             context_misses: self.context_misses.get(),
             context_handle_offers: self.context_handle_offers.get(),
             context_handle_hits: self.context_handle_hits.get(),
-            context_body_requests: self.context_body_requests.get(),
             transport_bytes_sent: self.transport_bytes_sent.get(),
             transport_bytes_recv: self.transport_bytes_recv.get(),
             transport_fallbacks: self.transport_fallbacks.get(),
@@ -203,9 +197,7 @@ pub struct ShardStatsSnapshot {
     /// Update events applied (insertions + deletions; a reweight counts as
     /// one delete plus one insert, as in the batched engine).
     pub updates_applied: u64,
-    /// Update batches applied.
-    pub update_batches: u64,
-    /// The shard's generation counter (== update batches applied).
+    /// The shard's generation counter: update batches applied.
     pub epoch: u64,
     /// Inbox occupancy (messages queued) at snapshot time.
     pub queue_depth: i64,
@@ -231,8 +223,6 @@ pub struct ShardStatsSnapshot {
     pub context_handle_offers: u64,
     /// Offered handles the receiver already held (16-byte forward).
     pub context_handle_hits: u64,
-    /// Offered handles that shipped the body and seeded the receiver.
-    pub context_body_requests: u64,
     /// Encoded walker-frame bytes handed to the transport (serialized
     /// mode only).
     pub transport_bytes_sent: u64,
@@ -361,9 +351,13 @@ impl ServiceStats {
         self.per_shard.iter().map(|s| s.context_handle_hits).sum()
     }
 
-    /// Total offered handles that shipped the body instead.
+    /// Total offered handles that shipped the body instead (and seeded the
+    /// receiver's cache): every offer is a hit or a body request.
+    /// Saturating, because a snapshot taken mid-forward can read a hit
+    /// whose offer it missed.
     pub fn total_body_requests(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.context_body_requests).sum()
+        self.total_handle_offers()
+            .saturating_sub(self.total_handle_hits())
     }
 
     /// Fraction of offered handles the receiver already held (0 when no
@@ -462,99 +456,99 @@ impl ServiceStats {
             / self.per_shard.len() as f64
     }
 
-    /// Render a small per-shard table for logs and examples.
-    pub fn render(&self) -> String {
-        let total_steps = self.total_steps();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:>5}  {:>8}  {:>10}  {:>6}  {:>9}  {:>9}  {:>9}  {:>7}  {:>6}  {:>7}  {:>10}  {:>8}  {:>6}  {:>9}  {:>6}\n",
-            "shard",
-            "owned",
-            "steps",
-            "step%",
-            "walkers",
-            "forwards",
-            "updates",
-            "batches",
-            "qmax",
-            "stolen",
-            "ctx_raw_kb",
-            "ctx_kb",
-            "hit%",
-            "busy",
-            "util%"
-        ));
+    /// The snapshot as one line of JSON — every total and ratio above plus
+    /// one object per shard. The examples print it and the obs plane's
+    /// `/status` embeds it as `"service"`. Ratios are fixed-precision and
+    /// always finite (each guards its zero denominator).
+    pub fn to_json(&self) -> String {
+        let total_steps = self.total_steps().max(1);
+        let mut shards = JsonArray::new();
         for s in &self.per_shard {
-            let ctx_total = s.context_cache_hits + s.context_cache_misses;
-            let hit_pct = if ctx_total > 0 {
-                100.0 * s.context_cache_hits as f64 / ctx_total as f64
-            } else {
-                0.0
-            };
-            let step_pct = if total_steps > 0 {
-                100.0 * s.steps as f64 / total_steps as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "{:>5}  {:>8}  {:>10}  {:>6.1}  {:>9}  {:>9}  {:>9}  {:>7}  {:>6}  {:>7}  {:>10.1}  {:>8.1}  {:>6.1}  {:>8.3}s  {:>5.1}\n",
-                s.shard,
-                s.owned_vertices,
-                s.steps,
-                step_pct,
-                s.walkers_received,
-                s.walkers_forwarded,
-                s.updates_applied,
-                s.update_batches,
-                s.queue_high_water,
-                s.stolen_walkers,
-                s.context_bytes_raw as f64 / 1024.0,
-                s.context_bytes_forwarded as f64 / 1024.0,
-                hit_pct,
-                s.busy.as_secs_f64(),
-                100.0 * s.utilization(self.uptime),
-            ));
+            let lookups = (s.context_cache_hits + s.context_cache_misses).max(1);
+            let mut shard = JsonObject::new();
+            shard
+                .field_num("shard", s.shard)
+                .field_num("owned_vertices", s.owned_vertices)
+                .field_num("steps", s.steps)
+                .field_num(
+                    "step_share",
+                    format!("{:.4}", s.steps as f64 / total_steps as f64),
+                )
+                .field_num("walkers_received", s.walkers_received)
+                .field_num("walkers_forwarded", s.walkers_forwarded)
+                .field_num("walks_completed", s.walks_completed)
+                .field_num("updates_applied", s.updates_applied)
+                .field_num("epoch", s.epoch)
+                .field_num("queue_depth", s.queue_depth)
+                .field_num("queue_high_water", s.queue_high_water)
+                .field_num("stolen_walkers", s.stolen_walkers)
+                .field_num("context_bytes_raw", s.context_bytes_raw)
+                .field_num("context_bytes", s.context_bytes_forwarded)
+                .field_num(
+                    "context_cache_hit_rate",
+                    format!("{:.4}", s.context_cache_hits as f64 / lookups as f64),
+                )
+                .field_num("busy_s", format!("{:.3}", s.busy.as_secs_f64()))
+                .field_num("utilization", format!("{:.4}", s.utilization(self.uptime)));
+            shards.push_raw(&shard.finish());
         }
-        out.push_str(&format!(
-            "total: {} steps ({:.0} steps/s), {} forwards ({:.1}% of steps), {} updates, \
-             {} batches stolen ({} walkers), hottest shard {:.1}% of steps, \
-             context {} -> {} bytes ({:.1}x shrink, {:.1}% cache hits, {} capture faults), \
-             {} saturation rejections, mean utilization {:.1}%, uptime {:.3}s\n",
-            total_steps,
-            self.steps_per_sec(),
-            self.total_forwards(),
-            100.0 * self.forward_ratio(),
-            self.total_updates_applied(),
-            self.total_stolen_batches(),
-            self.total_stolen_walkers(),
-            100.0 * self.hottest_step_share(),
-            self.total_context_bytes_raw(),
-            self.total_context_bytes(),
-            self.context_shrink_factor(),
-            100.0 * self.context_cache_hit_rate(),
-            self.total_context_misses(),
-            self.total_saturated_rejections(),
-            100.0 * self.mean_utilization(),
-            self.uptime.as_secs_f64(),
-        ));
-        out.push_str(&format!(
-            "negotiation: {} handle offers, {} hits ({:.1}% handle hit rate), \
-             {} body requests; transport {} bytes sent / {} bytes recv, {} fallbacks\n",
-            self.total_handle_offers(),
-            self.total_handle_hits(),
-            100.0 * self.handle_hit_rate(),
-            self.total_body_requests(),
-            self.total_transport_bytes_sent(),
-            self.total_transport_bytes_recv(),
-            self.total_transport_fallbacks(),
-        ));
-        out
+        let mut out = JsonObject::new();
+        out.field_num("shards", self.per_shard.len())
+            .field_num("uptime_s", format!("{:.3}", self.uptime.as_secs_f64()))
+            .field_num("total_steps", self.total_steps())
+            .field_num("steps_per_sec", format!("{:.1}", self.steps_per_sec()))
+            .field_num("walks_completed", self.total_walks_completed())
+            .field_num("queue_depth", self.total_queue_depth())
+            .field_num("forwards", self.total_forwards())
+            .field_num("forward_ratio", format!("{:.4}", self.forward_ratio()))
+            .field_num("updates_applied", self.total_updates_applied())
+            .field_num("stolen_batches", self.total_stolen_batches())
+            .field_num("stolen_walkers", self.total_stolen_walkers())
+            .field_num(
+                "hottest_step_share",
+                format!("{:.4}", self.hottest_step_share()),
+            )
+            .field_num(
+                "mean_utilization",
+                format!("{:.4}", self.mean_utilization()),
+            )
+            .field_num("saturated_rejections", self.total_saturated_rejections())
+            .field_num("context_bytes_raw", self.total_context_bytes_raw())
+            .field_num("context_bytes", self.total_context_bytes())
+            .field_num(
+                "context_shrink",
+                format!("{:.2}", self.context_shrink_factor()),
+            )
+            .field_num(
+                "context_cache_hit_rate",
+                format!("{:.4}", self.context_cache_hit_rate()),
+            )
+            .field_num("context_misses", self.total_context_misses())
+            .field_num("handle_offers", self.total_handle_offers())
+            .field_num("handle_hits", self.total_handle_hits())
+            .field_num("body_requests", self.total_body_requests())
+            .field_num("handle_hit_rate", format!("{:.4}", self.handle_hit_rate()))
+            .field_num("transport_bytes_sent", self.total_transport_bytes_sent())
+            .field_num("transport_bytes_recv", self.total_transport_bytes_recv())
+            .field_num("transport_fallbacks", self.total_transport_fallbacks())
+            .field_raw("per_shard", &shards.finish());
+        out.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `to_json` must stay valid JSON on any snapshot: Rust prints a
+    /// non-finite float as `NaN` / `inf`, which no JSON parser accepts.
+    fn assert_finite_json(json: &str) {
+        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
+        assert!(
+            !json.contains("NaN") && !json.contains("inf"),
+            "non-finite number in {json}"
+        );
+    }
 
     #[test]
     fn counters_snapshot_roundtrip() {
@@ -612,7 +606,9 @@ mod tests {
         assert_eq!(stats.total_forwards(), 10);
         assert!((stats.steps_per_sec() - 50.0).abs() < 1e-9);
         assert!((stats.forward_ratio() - 0.1).abs() < 1e-12);
-        assert!(stats.render().contains("steps/s"));
+        let json = stats.to_json();
+        assert!(json.contains("\"steps_per_sec\":50.0"), "{json}");
+        assert!(json.contains("\"forward_ratio\":0.1000"), "{json}");
     }
 
     #[test]
@@ -635,8 +631,9 @@ mod tests {
         assert!((stats.per_shard[0].utilization(stats.uptime) - 0.25).abs() < 1e-12);
         assert!((stats.per_shard[1].utilization(stats.uptime) - 0.75).abs() < 1e-12);
         assert!((stats.mean_utilization() - 0.5).abs() < 1e-12);
-        assert!(stats.render().contains("util%"));
-        assert!(stats.render().contains("mean utilization 50.0%"));
+        let json = stats.to_json();
+        assert!(json.contains("\"utilization\":0.2500"), "per-shard: {json}");
+        assert!(json.contains("\"mean_utilization\":0.5000"), "{json}");
 
         // Degenerate uptimes stay finite and clamped.
         let s = &stats.per_shard[1];
@@ -676,7 +673,9 @@ mod tests {
         assert_eq!(stats.total_context_cache_misses(), 80);
         assert!((stats.context_cache_hit_rate() - 0.6).abs() < 1e-12);
         assert_eq!(stats.total_context_misses(), 2);
-        assert!(stats.render().contains("capture faults"));
+        let json = stats.to_json();
+        assert!(json.contains("\"context_misses\":2"), "{json}");
+        assert!(json.contains("\"context_shrink\":10.00"), "{json}");
 
         // Nothing forwarded: neutral defaults, no division by zero.
         let idle = ServiceStats::default();
@@ -706,11 +705,13 @@ mod tests {
         assert_eq!(stats.total_stolen_batches(), 2);
         assert_eq!(stats.total_stolen_walkers(), 12);
         assert!((stats.hottest_step_share() - 0.7).abs() < 1e-12);
-        let rendered = stats.render();
-        assert!(rendered.contains("2 batches stolen (12 walkers)"));
-        assert!(rendered.contains("hottest shard 70.0% of steps"));
-        assert!(rendered.contains("stolen"), "per-shard steal column");
-        assert!(rendered.contains("step%"), "per-shard step-share column");
+        let json = stats.to_json();
+        assert!(
+            json.contains("\"stolen_batches\":2,\"stolen_walkers\":12"),
+            "{json}"
+        );
+        assert!(json.contains("\"hottest_step_share\":0.7000"), "{json}");
+        assert!(json.contains("\"step_share\":0.3000"), "per-shard: {json}");
         // No steps at all: the share is defined as zero, not NaN.
         assert_eq!(ServiceStats::default().hottest_step_share(), 0.0);
     }
@@ -723,7 +724,6 @@ mod tests {
                     shard: 0,
                     context_handle_offers: 60,
                     context_handle_hits: 45,
-                    context_body_requests: 15,
                     transport_bytes_sent: 4096,
                     transport_fallbacks: 3,
                     ..Default::default()
@@ -732,7 +732,6 @@ mod tests {
                     shard: 1,
                     context_handle_offers: 40,
                     context_handle_hits: 30,
-                    context_body_requests: 10,
                     transport_bytes_recv: 4096,
                     ..Default::default()
                 },
@@ -745,21 +744,22 @@ mod tests {
         assert!((stats.handle_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(stats.total_transport_bytes_sent(), 4096);
         assert_eq!(stats.total_transport_bytes_recv(), 4096);
-        let rendered = stats.render();
-        assert!(rendered.contains("75.0% handle hit rate"));
-        assert!(rendered.contains("4096 bytes sent"));
         assert_eq!(stats.total_transport_fallbacks(), 3);
-        assert!(rendered.contains("3 fallbacks"));
+        let json = stats.to_json();
+        assert!(json.contains("\"body_requests\":25"), "{json}");
+        assert!(json.contains("\"handle_hit_rate\":0.7500"), "{json}");
+        assert!(json.contains("\"transport_bytes_sent\":4096"), "{json}");
+        assert!(json.contains("\"transport_fallbacks\":3"), "{json}");
         // No offers at all: the rate is defined as zero, not NaN.
         assert_eq!(ServiceStats::default().handle_hit_rate(), 0.0);
     }
 
     #[test]
-    fn degenerate_no_forwarding_ratios_stay_finite() {
+    fn degenerate_stats_stay_finite_and_render_valid_json() {
         // A busy single-shard service never forwards: steps accumulate
         // while every context counter stays zero. All derived ratios must
         // come back finite and neutral — no NaN, no division by zero —
-        // and the rendered table must not blow up.
+        // and so must every number `to_json` writes.
         let stats = ServiceStats {
             per_shard: vec![ShardStatsSnapshot {
                 shard: 0,
@@ -774,7 +774,9 @@ mod tests {
         assert_eq!(stats.forward_ratio(), 0.0);
         assert!(stats.context_shrink_factor().is_finite());
         assert!(stats.context_cache_hit_rate().is_finite());
-        assert!(stats.render().contains("0 forwards"));
+        let json = stats.to_json();
+        assert_finite_json(&json);
+        assert!(json.contains("\"forwards\":0"), "{json}");
 
         // Zero uptime (snapshot taken immediately): rate guards hold.
         let instant = ServiceStats {
@@ -784,5 +786,11 @@ mod tests {
         assert_eq!(instant.steps_per_sec(), 0.0);
         assert_eq!(instant.forward_ratio(), 0.0);
         assert!(instant.steps_per_sec().is_finite());
+        assert_finite_json(&instant.to_json());
+
+        // No shards, no uptime: the `Default` a stats reader starts from.
+        let empty = ServiceStats::default().to_json();
+        assert_finite_json(&empty);
+        assert!(empty.contains("\"per_shard\":[]"), "{empty}");
     }
 }

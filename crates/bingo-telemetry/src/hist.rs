@@ -150,29 +150,6 @@ impl HistogramSnapshot {
         }
         bucket_lower_bound(NUM_BUCKETS - 1)
     }
-
-    /// Lower edge of the highest non-empty bucket (0 when empty).
-    pub fn max_bucket_edge(&self) -> u64 {
-        self.buckets
-            .iter()
-            .rposition(|&n| n > 0)
-            .map(bucket_lower_bound)
-            .unwrap_or(0)
-    }
-
-    /// One-line summary: `count=… p50=… p90=… p99=… max≈…` (values are in
-    /// the recorded unit, typically nanoseconds).
-    pub fn render(&self) -> String {
-        format!(
-            "count={} mean={:.0} p50={} p90={} p99={} max≈{}",
-            self.count(),
-            self.mean(),
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.99),
-            self.max_bucket_edge(),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! A tiny dependency-free JSON writer.
 //!
-//! The bench harness, the CI-run examples and the registry's JSON
-//! exposition all emit one-line machine-readable summaries; before this
-//! module each emitter hand-rolled its own escaping and comma placement.
+//! The `repro` harness, the CI-run examples, the service and gateway
+//! stats' `to_json()` and the obs plane's `/status` all emit one-line
+//! machine-readable summaries; before this module each emitter
+//! hand-rolled its own escaping and comma placement.
 //! [`JsonObject`]/[`JsonArray`] centralize that: push fields in order, get
 //! the serialized string back. Numbers are written via `Display`, so
 //! callers keep full control over float formatting (pass a pre-formatted

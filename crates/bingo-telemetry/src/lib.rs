@@ -6,9 +6,11 @@
 //!
 //! * **Metrics** ([`Registry`]): named, labeled counters, gauges and
 //!   deterministic log2-bucketed [`hist`] histograms. Registration takes a
-//!   lock once per metric; recording is lock-free atomics. Snapshots merge
-//!   (associative + commutative) and render as a table, Prometheus-style
-//!   text, or one-line JSON. The name vocabulary lives in [`names`].
+//!   lock once per metric; recording is lock-free atomics. A snapshot has
+//!   one rendering, Prometheus-style text
+//!   ([`RegistrySnapshot::to_prometheus`]); the stats types of the service
+//!   and gateway render their own views as JSON (`to_json()`) over the same
+//!   atomics. The name vocabulary lives in [`names`].
 //! * **Tracing** ([`Tracer`]): per-walker lifecycle spans (submit → tenant
 //!   queue → DRR dispatch → shard step batches → cross-shard forward hops
 //!   → collection) in a bounded ring, with deterministic seeded sampling
@@ -23,8 +25,10 @@
 //! views over them, and they cost exactly what the pre-telemetry raw
 //! atomics cost), while histogram handles become no-ops, `timer()` returns
 //! `None` without reading the clock, and no tracer exists. The detailed
-//! modes ([`Telemetry::enabled`], [`Telemetry::new`]) turn on latency
-//! histograms and (optionally) lifecycle tracing.
+//! mode ([`Telemetry::enabled`]) turns on latency histograms and lifecycle
+//! tracing; [`Telemetry::from_env`] picks one of the two from
+//! `BINGO_TELEMETRY`. The sample rate and both ring bounds are constants
+//! ([`TRACE_SAMPLE_ONE_IN`], [`TRACE_CAPACITY`], [`FLIGHT_CAPACITY`]).
 //!
 //! ```
 //! use bingo_telemetry::{names, Telemetry, TraceStage};
@@ -62,38 +66,19 @@ pub use trace::{TraceEvent, TraceStage, Tracer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How a [`Telemetry`] handle behaves. `Default` is the full detailed mode
-/// with 1-in-64 trace sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Record latency histograms and take timing stamps. When `false`,
-    /// [`Telemetry::timer`] never reads the clock and histogram handles
-    /// are no-ops.
-    pub detailed: bool,
-    /// Seed for the deterministic trace-sampling hash.
-    pub trace_seed: u64,
-    /// Sample one walker in this many (1 = every walker, 0 = tracing
-    /// off). Ignored when `detailed` is `false`.
-    pub trace_sample_one_in: u64,
-    /// Ring-buffer bound on buffered trace events.
-    pub trace_capacity: usize,
-    /// Ring-buffer bound on flight-recorder events. The recorder is always
-    /// live (recording a rare event is a handful of atomic stores), in
-    /// every mode including [`Telemetry::disabled`].
-    pub flight_capacity: usize,
-}
+/// One walker in this many is traced in detailed mode
+/// ([`Telemetry::enabled`]); every layer agrees on the sampled set without
+/// coordination (see [`Tracer::is_sampled`]).
+pub const TRACE_SAMPLE_ONE_IN: u64 = 64;
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            detailed: true,
-            trace_seed: 0xB1960,
-            trace_sample_one_in: 64,
-            trace_capacity: 65_536,
-            flight_capacity: 1024,
-        }
-    }
-}
+/// Bound on buffered trace events: past it the oldest event is evicted and
+/// counted in [`Tracer::dropped`].
+pub const TRACE_CAPACITY: usize = 65_536;
+
+/// Bound on flight-recorder events. The recorder is always live (recording
+/// a rare event is a handful of atomic stores), in every mode including
+/// [`Telemetry::disabled`].
+pub const FLIGHT_CAPACITY: usize = 1024;
 
 struct Inner {
     registry: Registry,
@@ -126,21 +111,13 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A handle with the given behaviour.
-    pub fn new(config: TelemetryConfig) -> Self {
-        let tracer = (config.detailed && config.trace_sample_one_in > 0).then(|| {
-            Tracer::new(
-                config.trace_seed,
-                config.trace_sample_one_in,
-                config.trace_capacity,
-            )
-        });
+    fn with_tracer(tracer: Option<Tracer>) -> Self {
         Telemetry {
             inner: Arc::new(Inner {
                 registry: Registry::new(),
-                detailed: config.detailed,
+                detailed: tracer.is_some(),
                 tracer,
-                flight: FlightRecorder::new(config.flight_capacity),
+                flight: FlightRecorder::new(FLIGHT_CAPACITY),
                 started: Instant::now(),
             }),
         }
@@ -149,20 +126,18 @@ impl Telemetry {
     /// The zero-added-cost mode: live counters/gauges (stats views keep
     /// working), no histograms, no clock reads, no tracing.
     pub fn disabled() -> Self {
-        Telemetry::new(TelemetryConfig {
-            detailed: false,
-            trace_sample_one_in: 0,
-            ..TelemetryConfig::default()
-        })
+        Telemetry::with_tracer(None)
     }
 
-    /// Full detailed mode: histograms plus 1-in-64 lifecycle tracing under
-    /// the given sampling seed.
+    /// Full detailed mode: histograms plus 1-in-[`TRACE_SAMPLE_ONE_IN`]
+    /// lifecycle tracing under the given sampling seed, into a ring of
+    /// [`TRACE_CAPACITY`] events.
     pub fn enabled(trace_seed: u64) -> Self {
-        Telemetry::new(TelemetryConfig {
+        Telemetry::with_tracer(Some(Tracer::new(
             trace_seed,
-            ..TelemetryConfig::default()
-        })
+            TRACE_SAMPLE_ONE_IN,
+            TRACE_CAPACITY,
+        )))
     }
 
     /// Resolve the mode from the `BINGO_TELEMETRY` environment variable:
@@ -282,18 +257,6 @@ impl Telemetry {
     pub fn snapshot(&self) -> RegistrySnapshot {
         self.inner.registry.snapshot()
     }
-
-    /// Human-readable dump: the metric table followed by the stitched
-    /// walker lifecycles (when tracing is on).
-    pub fn dump(&self) -> String {
-        let mut out = String::from("=== telemetry: metrics ===\n");
-        out.push_str(&self.snapshot().render());
-        if let Some(tracer) = &self.inner.tracer {
-            out.push_str("=== telemetry: sampled walker lifecycles ===\n");
-            out.push_str(&tracer.dump());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -331,7 +294,6 @@ mod tests {
         );
         assert_eq!(tel.tracer().unwrap().len(), 1);
         assert_eq!(tel.snapshot().histogram("lat", &[]).quantile(0.5), 1 << 20);
-        assert!(tel.dump().contains("lat"));
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! (shard index, tenant name) ride in labels, not in the name. Durations
 //! are always recorded in **nanoseconds** and suffixed `_ns`.
 //!
+//! Each name is a series of its own: none is derivable from another
+//! (`handle_offer − handle_hit` is the body requests, `epoch` is the
+//! batches applied), and every one is registered by non-test code —
+//! `tests/lint.rs::metric_name_census` holds both the list and its count.
+//!
 //! | name | kind | meaning |
 //! |------|------|---------|
 //! | `service.shard.steps` | counter | steps sampled by a shard |
@@ -13,7 +18,6 @@
 //! | `service.shard.walkers_forwarded` | counter | walkers forwarded to another shard |
 //! | `service.shard.walks_completed` | counter | walks finished on a shard |
 //! | `service.shard.updates_applied` | counter | update events applied |
-//! | `service.shard.update_batches` | counter | update batches applied |
 //! | `service.shard.epoch` | counter | update epoch (Release-published) |
 //! | `service.shard.queue_depth` | gauge | current inbox occupancy |
 //! | `service.shard.queue_high_water` | gauge | max inbox occupancy seen |
@@ -26,7 +30,6 @@
 //! | `service.context.membership_faults` | counter | second-order fallback probes |
 //! | `service.context.handle_offer` | counter | snapshot handles offered to receivers |
 //! | `service.context.handle_hit` | counter | offered handles the receiver held |
-//! | `service.context.body_request` | counter | offered handles that shipped the body |
 //! | `transport.bytes_sent` | counter | encoded walker-frame bytes handed to the transport |
 //! | `transport.bytes_recv` | counter | walker-frame bytes delivered and decoded |
 //! | `service.transport.fallbacks` | counter | serialized forwards that degraded to the in-process walker |
@@ -37,7 +40,6 @@
 //! | `service.forward.hop_ns` | histogram | forward send → dequeue at peer |
 //! | `service.collect_ns` | histogram | walk finish → absorbed at collector |
 //! | `service.ticket.latency_ns` | histogram | submit → ticket complete |
-//! | `service.update.epoch_lag` | gauge | router flushes − slowest shard epoch |
 //! | `gateway.tenant.submitted_walks` | counter | walks offered by a tenant |
 //! | `gateway.tenant.completed_walks` | counter | walks completed for a tenant |
 //! | `gateway.tenant.completed_steps` | counter | steps completed for a tenant |
@@ -60,8 +62,6 @@
 //! | `service.shard.stolen_walkers` | counter | walker visits executed via stealing |
 //! | `obs.http.requests` | counter | exposition requests served (labeled by endpoint) |
 //! | `obs.http.errors` | counter | malformed/unroutable exposition requests |
-//! | `obs.flight.recorded` | counter | flight-recorder events mirrored at snapshot time |
-//! | `obs.flight.dropped` | counter | flight events lost to ring wraparound |
 //! | `obs.watchdog.checks` | counter | lazy watchdog evaluations |
 //! | `obs.watchdog.trips` | counter | stall-watchdog trips (shard or gateway) |
 
@@ -75,8 +75,6 @@ pub const SERVICE_SHARD_WALKERS_FORWARDED: &str = "service.shard.walkers_forward
 pub const SERVICE_SHARD_WALKS_COMPLETED: &str = "service.shard.walks_completed";
 /// `service.shard.updates_applied` — update events applied (counter).
 pub const SERVICE_SHARD_UPDATES_APPLIED: &str = "service.shard.updates_applied";
-/// `service.shard.update_batches` — update batches applied (counter).
-pub const SERVICE_SHARD_UPDATE_BATCHES: &str = "service.shard.update_batches";
 /// `service.shard.epoch` — per-shard update epoch (counter, Release-published).
 pub const SERVICE_SHARD_EPOCH: &str = "service.shard.epoch";
 /// `service.shard.queue_depth` — current inbox occupancy (gauge).
@@ -101,9 +99,6 @@ pub const SERVICE_CONTEXT_MEMBERSHIP_FAULTS: &str = "service.context.membership_
 pub const SERVICE_CONTEXT_HANDLE_OFFER: &str = "service.context.handle_offer";
 /// `service.context.handle_hit` — offered handles the receiver held (counter).
 pub const SERVICE_CONTEXT_HANDLE_HIT: &str = "service.context.handle_hit";
-/// `service.context.body_request` — offered handles that shipped the body
-/// and seeded the receiver's snapshot cache (counter).
-pub const SERVICE_CONTEXT_BODY_REQUEST: &str = "service.context.body_request";
 /// `transport.bytes_sent` — encoded walker-frame bytes handed to the
 /// shard transport (counter; serialized mode only).
 pub const TRANSPORT_BYTES_SENT: &str = "transport.bytes_sent";
@@ -130,8 +125,6 @@ pub const SERVICE_FORWARD_HOP_NS: &str = "service.forward.hop_ns";
 pub const SERVICE_COLLECT_NS: &str = "service.collect_ns";
 /// `service.ticket.latency_ns` — submit → complete (histogram).
 pub const SERVICE_TICKET_LATENCY_NS: &str = "service.ticket.latency_ns";
-/// `service.update.epoch_lag` — router flushes − min shard epoch (gauge).
-pub const SERVICE_UPDATE_EPOCH_LAG: &str = "service.update.epoch_lag";
 /// `gateway.tenant.submitted_walks` — offered walks (counter).
 pub const GATEWAY_TENANT_SUBMITTED_WALKS: &str = "gateway.tenant.submitted_walks";
 /// `gateway.tenant.completed_walks` — completed walks (counter).
@@ -181,12 +174,6 @@ pub const OBS_HTTP_REQUESTS: &str = "obs.http.requests";
 /// `obs.http.errors` — malformed or unroutable exposition requests
 /// (counter).
 pub const OBS_HTTP_ERRORS: &str = "obs.http.errors";
-/// `obs.flight.recorded` — flight-recorder events ever recorded, mirrored
-/// into the registry at snapshot time (counter).
-pub const OBS_FLIGHT_RECORDED: &str = "obs.flight.recorded";
-/// `obs.flight.dropped` — flight events overwritten by ring wraparound,
-/// mirrored at snapshot time (counter).
-pub const OBS_FLIGHT_DROPPED: &str = "obs.flight.dropped";
 /// `obs.watchdog.checks` — lazy stall-watchdog evaluations (counter).
 pub const OBS_WATCHDOG_CHECKS: &str = "obs.watchdog.checks";
 /// `obs.watchdog.trips` — stall-watchdog trips: a shard sat non-empty

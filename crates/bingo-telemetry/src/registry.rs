@@ -1,4 +1,4 @@
-//! The metrics registry: named, labeled metrics with mergeable snapshots.
+//! The metrics registry: named, labeled metrics with point-in-time snapshots.
 //!
 //! Registration (name → shared atomic core) takes a mutex, but it happens
 //! once per metric at construction time; the [`Counter`]/[`Gauge`]/
@@ -7,14 +7,11 @@
 //! in [`crate::names`], per-instance dimensions (shard index, tenant) go
 //! in labels.
 //!
-//! [`RegistrySnapshot`] is an ordered point-in-time copy that merges with
-//! other snapshots (counters/gauges add, histograms add bucket-wise) and
-//! renders three ways: a human-readable table ([`RegistrySnapshot::render`]),
-//! Prometheus-style exposition text ([`RegistrySnapshot::to_prometheus`]),
-//! and one-line JSON ([`RegistrySnapshot::to_json`]).
+//! [`RegistrySnapshot`] is an ordered point-in-time copy with one
+//! rendering: Prometheus-style exposition text
+//! ([`RegistrySnapshot::to_prometheus`]).
 
 use crate::hist::HistogramCore;
-use crate::json::{JsonArray, JsonObject};
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::HistogramSnapshot;
 use parking_lot::Mutex;
@@ -245,45 +242,6 @@ impl RegistrySnapshot {
             .sum()
     }
 
-    /// Fold another snapshot into this one: counters and gauges add,
-    /// histograms merge bucket-wise, unknown keys are inserted. Associative
-    /// and commutative, so shard- or process-local snapshots can be
-    /// combined in any order.
-    pub fn merge(&mut self, other: &RegistrySnapshot) {
-        for (key, value) in &other.entries {
-            match (self.entries.get_mut(key), value) {
-                (Some(MetricValue::Counter(mine)), MetricValue::Counter(theirs)) => {
-                    *mine += theirs;
-                }
-                (Some(MetricValue::Gauge(mine)), MetricValue::Gauge(theirs)) => {
-                    *mine += theirs;
-                }
-                (Some(MetricValue::Histogram(mine)), MetricValue::Histogram(theirs)) => {
-                    mine.merge(theirs);
-                }
-                (Some(_), _) => {} // kind mismatch: keep ours
-                (None, value) => {
-                    self.entries.insert(key.clone(), value.clone());
-                }
-            }
-        }
-    }
-
-    /// Human-readable table, one metric per line in key order.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (key, value) in &self.entries {
-            match value {
-                MetricValue::Counter(v) => out.push_str(&format!("{key:<58} {v}\n")),
-                MetricValue::Gauge(v) => out.push_str(&format!("{key:<58} {v}\n")),
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!("{key:<58} {}\n", h.render()));
-                }
-            }
-        }
-        out
-    }
-
     /// Prometheus-style exposition text: dots in names become underscores,
     /// histograms expand to `_count`/`_sum` plus cumulative `_bucket{le=…}`
     /// series on the log2 bucket upper edges. Label values are escaped per
@@ -339,39 +297,6 @@ impl RegistrySnapshot {
         }
         out
     }
-
-    /// One-line JSON: `{"metric{label=\"v\"}": value, …}`; histograms
-    /// serialize as `{count, sum, p50, p90, p99}`.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        for (key, value) in &self.entries {
-            let key_text = key.to_string();
-            match value {
-                MetricValue::Counter(v) => obj.field_num(&key_text, v),
-                MetricValue::Gauge(v) => obj.field_num(&key_text, v),
-                MetricValue::Histogram(h) => {
-                    let mut inner = JsonObject::new();
-                    inner
-                        .field_num("count", h.count())
-                        .field_num("sum", h.sum())
-                        .field_num("p50", h.quantile(0.50))
-                        .field_num("p90", h.quantile(0.90))
-                        .field_num("p99", h.quantile(0.99));
-                    obj.field_raw(&key_text, &inner.finish())
-                }
-            };
-        }
-        obj.finish()
-    }
-
-    /// `[p50, p99]` of the merged histogram under `name` (across labels),
-    /// as a JSON array string — the shape the repro summaries embed.
-    pub fn latency_json(&self, name: &str) -> String {
-        let h = self.histogram_across_labels(name);
-        let mut arr = JsonArray::new();
-        arr.push_num(h.quantile(0.50)).push_num(h.quantile(0.99));
-        arr.finish()
-    }
 }
 
 /// Escape a label value per the Prometheus text exposition format: only
@@ -411,29 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_adds() {
-        let a = Registry::new();
-        a.counter("c", &[]).add(2);
-        a.gauge("g", &[]).set(-1);
-        a.histogram("h", &[]).record(8);
-        let b = Registry::new();
-        b.counter("c", &[]).add(5);
-        b.histogram("h", &[]).record(8);
-        b.counter("only_b", &[]).add(1);
-
-        let mut left = a.snapshot();
-        left.merge(&b.snapshot());
-        let mut right = b.snapshot();
-        right.merge(&a.snapshot());
-        assert_eq!(left, right, "merge is commutative");
-        assert_eq!(left.counter("c", &[]), 7);
-        assert_eq!(left.gauge("g", &[]), -1);
-        assert_eq!(left.counter("only_b", &[]), 1);
-        assert_eq!(left.histogram("h", &[]).count(), 2);
-        assert_eq!(left.histogram("h", &[]).quantile(0.5), 8);
-    }
-
-    #[test]
     fn prometheus_label_escaping_is_text_format_not_json() {
         let reg = Registry::new();
         // Hostile label values: backslash, double-quote, newline, tab.
@@ -457,21 +359,19 @@ mod tests {
     }
 
     #[test]
-    fn expositions_cover_all_kinds() {
+    fn exposition_covers_all_kinds() {
         let reg = Registry::new();
         reg.counter("svc.steps", &[("shard", "0")]).add(10);
         reg.gauge("svc.lag", &[]).set(2);
         reg.histogram("svc.lat_ns", &[]).record(100);
-        let snap = reg.snapshot();
-        let render = snap.render();
-        assert!(render.contains("svc.steps{shard=\"0\"}"));
-        assert!(render.contains("p99=64"), "100 sits in [64,128): {render}");
-        let prom = snap.to_prometheus();
+        let prom = reg.snapshot().to_prometheus();
         assert!(prom.contains("svc_steps{shard=\"0\"} 10"));
-        assert!(prom.contains("svc_lat_ns_bucket{le=\"128\"} 1"));
+        assert!(prom.contains("svc_lag 2"));
+        assert!(
+            prom.contains("svc_lat_ns_bucket{le=\"128\"} 1"),
+            "100 sits in [64,128)"
+        );
         assert!(prom.contains("svc_lat_ns_count 1"));
-        let json = snap.to_json();
-        assert!(json.contains("\"svc.lag\":2"));
-        assert!(json.contains("\"count\":1"));
+        assert!(prom.contains("svc_lat_ns_sum 100"));
     }
 }

@@ -10,14 +10,15 @@
 //! (bounded, never exceeded) and the AIMD window adapts to the service's
 //! inbox occupancy.
 //!
-//! The last line before `ok` is a machine-readable JSON summary
-//! (per-tenant counts, step shares, queue-wait p50/p99, the AIMD window
-//! trace, and the shared telemetry registry's per-stage latency
-//! quantiles); every verdict in it is also an `assert!` here, so the
-//! example exits non-zero on its own. The run records into one
-//! `Telemetry` handle across the gateway and the service
-//! (`BINGO_TELEMETRY=off` opts out), so sampled walker lifecycles stitch
-//! the DRR dispatch to the shard-side spans.
+//! The last line before `ok` is a machine-readable JSON summary: the
+//! gateway's own `GatewayStats::to_json` (per-tenant counts, step shares,
+//! queue-wait p50/p99, the range the AIMD window moved through) beside the
+//! fairness verdicts; every verdict in it is also an `assert!` here, so
+//! the example exits non-zero on its own. The run records into one
+//! `Telemetry` handle across the gateway and the service, so sampled
+//! walker lifecycles stitch the DRR dispatch to the shard-side spans;
+//! `BINGO_TELEMETRY=off` opts out (no histograms, no tracer — CI runs the
+//! example both ways).
 //!
 //! With `--obs`, the run additionally exposes the whole stack — gateway
 //! and service — through the observability plane on an ephemeral loopback
@@ -31,7 +32,7 @@
 use bingo::gateway::{AimdConfig, TenantId};
 use bingo::obs::{ObsConfig, ObsServer};
 use bingo::prelude::*;
-use bingo::telemetry::json::{JsonArray, JsonObject};
+use bingo::telemetry::json::JsonObject;
 use bingo::telemetry::{names, Tracer};
 use rand::RngCore;
 use std::io::{Read as IoRead, Write as IoWrite};
@@ -217,8 +218,6 @@ fn main() {
         server.shutdown();
     }
     let stats = gateway.stats();
-    println!("\nper-tenant gateway stats:\n{}", stats.render());
-
     let heavy_t = stats.tenant(&heavy_id).expect("heavy tenant exists");
     let light_t = stats.tenant(&light_id).expect("light tenant exists");
     let expected_share = HEAVY_WEIGHT as f64 / (HEAVY_WEIGHT + LIGHT_WEIGHT) as f64;
@@ -238,36 +237,20 @@ fn main() {
         if fairness_ok { "PASS" } else { "FAIL" },
     );
     println!(
-        "drained {} walks in {:.3}s; window {} (seen {}..{}), {} trace entries, \
-         {} saturation requeues",
+        "drained {} walks in {:.3}s; window {} (seen {}..{}), {} saturation requeues",
         total_paths,
         elapsed.as_secs_f64(),
         stats.window,
         stats.window_min_seen,
         stats.window_max_seen,
-        stats.window_trace.len(),
         heavy_t.saturated_requeues + light_t.saturated_requeues,
     );
 
-    // Telemetry view of the same run: per-stage latency quantiles from the
-    // registry shared by the gateway and the service, plus the sampled
-    // walker lifecycles that stitch across both layers.
-    let telemetry_json = if telemetry.is_detailed() {
-        bingo::service::record_pool_profile(&telemetry);
+    // Detailed telemetry: the gateway records into the registry and trace
+    // ring it shares with the service, so a sampled walker's lifecycle
+    // stitches the DRR dispatch to the shard-side spans.
+    let sample_lifecycle = if telemetry.is_detailed() {
         let snap = telemetry.snapshot();
-        let mut latencies = JsonObject::new();
-        for (key, name) in [
-            ("queue_wait", names::GATEWAY_TENANT_WAIT_NS),
-            ("dispatch", names::GATEWAY_DISPATCH_NS),
-            ("step_batch", names::SERVICE_SHARD_STEP_BATCH_NS),
-            ("forward_hop", names::SERVICE_FORWARD_HOP_NS),
-            ("collect", names::SERVICE_COLLECT_NS),
-            ("ticket", names::SERVICE_TICKET_LATENCY_NS),
-        ] {
-            if snap.histogram_across_labels(name).count() > 0 {
-                latencies.field_raw(key, &snap.latency_json(name));
-            }
-        }
         for name in [names::GATEWAY_TENANT_WAIT_NS, names::GATEWAY_DISPATCH_NS] {
             assert!(
                 snap.histogram_across_labels(name).count() > 0,
@@ -278,67 +261,26 @@ fn main() {
             .tracer()
             .map(Tracer::complete_lifecycle_lines)
             .unwrap_or_default();
-        let mut tel = JsonObject::new();
-        tel.field_raw("latency_ns_p50_p99", &latencies.finish())
-            .field_num("lifecycles_complete", lifecycles.len());
-        let dispatched = lifecycles.iter().find(|l| l.contains("dispatch("));
-        if let Some(line) = dispatched.or_else(|| lifecycles.first()) {
-            tel.field_str("sample_lifecycle", line);
-        }
+        let dispatched = lifecycles.iter().find(|l| l.contains("dispatch(")).cloned();
         println!(
             "sampled lifecycles: {} complete; example: {}",
             lifecycles.len(),
-            dispatched
-                .or_else(|| lifecycles.first())
-                .map_or("<none>", String::as_str),
+            dispatched.as_deref().unwrap_or("<none>"),
         );
         assert!(
             dispatched.is_some(),
             "at least one sampled lifecycle must stitch the gateway dispatch \
              to the service spans"
         );
-        Some(tel.finish())
+        dispatched
     } else {
         None
     };
 
-    // Machine-readable summary, built on the shared dependency-free JSON
-    // writer.
-    let tenant_json = |t: &bingo::gateway::TenantStatsSnapshot, share: f64| {
-        let mut obj = JsonObject::new();
-        obj.field_str("tenant", t.tenant.as_str())
-            .field_num("weight", t.weight)
-            .field_num("submitted_walks", t.submitted_walks)
-            .field_num("completed_walks", t.completed_walks)
-            .field_num("completed_steps", t.completed_steps)
-            .field_num("share_at_cut", format!("{share:.4}"))
-            .field_num("peak_queued", t.peak_queued_walkers)
-            .field_num("saturated_requeues", t.saturated_requeues)
-            .field_num("rejected_overloaded", t.rejected_overloaded)
-            .field_num(
-                "wait_p50_ms",
-                format!("{:.3}", t.wait_p50.as_secs_f64() * 1e3),
-            )
-            .field_num(
-                "wait_p99_ms",
-                format!("{:.3}", t.wait_p99.as_secs_f64() * 1e3),
-            );
-        obj.finish()
-    };
-    let mut tenants = JsonArray::new();
-    tenants
-        .push_raw(&tenant_json(heavy_t, heavy_share))
-        .push_raw(&tenant_json(light_t, light_share));
-    // The full trace can run to hundreds of adjustments; print a prefix
-    // (the sawtooth shape shows within a few cycles) plus the total count.
-    let mut trace = JsonArray::new();
-    for s in stats.window_trace.iter().take(48) {
-        trace.push_raw(&format!("[{:.1},{}]", s.at.as_secs_f64() * 1e3, s.window));
-    }
     let mut summary = JsonObject::new();
     summary
         .field_str("experiment", "gateway_fairness")
-        .field_raw("tenants", &tenants.finish())
+        .field_raw("gateway", &stats.to_json())
         .field_num("heavy_share", format!("{heavy_share:.4}"))
         .field_num("light_share", format!("{light_share:.4}"))
         .field_num("expected_share", format!("{expected_share:.4}"))
@@ -346,14 +288,9 @@ fn main() {
         .field_num("dropped", dropped)
         .field_num("overloaded", overloaded)
         .field_num("queue_bound", QUEUE_BOUND)
-        .field_num("window_min", stats.window_min_seen)
-        .field_num("window_max", stats.window_max_seen)
-        .field_num("window_final", stats.window)
-        .field_num("aimd_adjustments", stats.window_trace.len())
-        .field_raw("aimd_trace_ms_window", &trace.finish())
         .field_num("elapsed_s", format!("{:.3}", elapsed.as_secs_f64()));
-    if let Some(tel) = &telemetry_json {
-        summary.field_raw("telemetry", tel);
+    if let Some(line) = &sample_lifecycle {
+        summary.field_str("sample_lifecycle", line);
     }
     println!("{}", summary.finish());
 

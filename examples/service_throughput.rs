@@ -5,7 +5,7 @@
 //! transitions are chi-squared against the fully-updated graph, a node2vec
 //! wave exercises the forwarded-context path (over the serialized
 //! transport, so the context bytes it reports were framed), and the
-//! per-shard `ServiceStats` are printed.
+//! `ServiceStats` are printed as their one JSON rendering.
 //!
 //! The example asserts what it shows and exits non-zero otherwise. What
 //! the stack *costs* — steps/s, the hottest shard's step share, telemetry
@@ -146,17 +146,8 @@ fn main() {
     // every walker forwarded in the same wave, so the bytes materialized
     // fall far below one exact Vec per forward.
     let stats = service.shutdown();
-    println!("\nper-shard service stats:\n{}", stats.render());
+    println!("service stats: {}", stats.to_json());
     let shrink = stats.context_shrink_factor();
-    println!(
-        "ctx_bytes_raw={} ctx_bytes_sent={} cache_hit_rate={:.3} ctx_shrink={shrink:.1}x \
-         context_misses={} hottest_shard_step_share={:.1}",
-        stats.total_context_bytes_raw(),
-        stats.total_context_bytes(),
-        stats.context_cache_hit_rate(),
-        stats.total_context_misses(),
-        100.0 * stats.hottest_step_share(),
-    );
 
     assert!(stream.len() >= 10_000, "example must ingest >= 10k events");
     assert!(

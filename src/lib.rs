@@ -107,7 +107,7 @@ pub mod prelude {
         IngestReceipt, PartitionStrategy, ServiceConfig, ServiceStats, TicketResults, WalkRequest,
         WalkService, WalkTicket,
     };
-    pub use bingo_telemetry::{Telemetry, TelemetryConfig};
+    pub use bingo_telemetry::Telemetry;
     pub use bingo_walks::{
         CarriedContext, ContextRequirement, DeepWalkConfig, Node2VecConfig, PprConfig,
         SharedWalkModel, StepSampler, Transition, TransitionSampler, WalkCursor, WalkEngine,

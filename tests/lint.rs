@@ -389,3 +389,104 @@ fn service_lock_census_matches_the_documented_list_and_orders() {
         .collect();
     assert_eq!(observed, BTreeSet::from(SERVICE_LOCK_ORDERS));
 }
+
+/// The metric taxonomy's size: one constant per series in
+/// `crates/bingo-telemetry/src/names.rs`, none of which restates another.
+const METRIC_NAMES: usize = 51;
+
+#[test]
+fn metric_name_census_every_name_is_registered_by_non_test_code() {
+    use bingo::prelude::*;
+    use bingo_lint::lexer::{lex, TokKind};
+    use std::collections::BTreeSet;
+    use std::io::{Read, Write};
+    use std::sync::Arc;
+
+    // Static half, token by token: the `pub const`s of the taxonomy, and
+    // the ones non-test code under crates/ or shims/ names as
+    // `names::CONST` — the converse of the `metric-names` rule, which
+    // only checks that a literal is in the taxonomy.
+    let names_path = "crates/bingo-telemetry/src/names.rs";
+    let names_src = std::fs::read_to_string(repo_root().join(names_path)).expect("names.rs");
+    let lexed = lex(&names_src);
+    let consts: BTreeSet<String> = lexed
+        .tokens
+        .windows(3)
+        .filter(|w| w[0].text == "pub" && w[1].text == "const")
+        .map(|w| w[2].text.clone())
+        .collect();
+    assert_eq!(consts.len(), METRIC_NAMES, "names.rs constants: {consts:?}");
+    let taxonomy = parse_metric_names(&names_src);
+    assert_eq!(
+        taxonomy.len(),
+        METRIC_NAMES,
+        "one distinct name per constant"
+    );
+    let mut named = BTreeSet::new();
+    for file in bingo_lint::workspace_files(repo_root()).expect("workspace walk") {
+        if !(file.path.starts_with("crates/") || file.path.starts_with("shims/"))
+            || file.path == names_path
+        {
+            continue;
+        }
+        let lexed = lex(&file.source);
+        for w in lexed.tokens.windows(4) {
+            if w[0].text == "names"
+                && w[1].text == ":"
+                && w[2].text == ":"
+                && w[3].kind == TokKind::Ident
+                && !lexed.is_test_line(w[3].line)
+            {
+                named.insert(w[3].text.clone());
+            }
+        }
+    }
+    let unnamed: Vec<&String> = consts.difference(&named).collect();
+    assert!(unnamed.is_empty(), "no non-test code names {unnamed:?}");
+
+    // Runtime half: one pass through every layer — a detailed service
+    // behind a gateway, then one scrape of the obs plane — registers
+    // exactly the taxonomy, no more and no fewer.
+    let telemetry = Telemetry::enabled(0xCE45);
+    let mut graph = DynamicGraph::new(16);
+    for v in 0..16u32 {
+        graph
+            .insert_edge(v, (v + 1) % 16, Bias::from_int(1))
+            .unwrap();
+    }
+    let service = Arc::new(
+        WalkService::build_with_telemetry(
+            &graph,
+            ServiceConfig {
+                num_shards: 2,
+                ..ServiceConfig::default()
+            },
+            telemetry.clone(),
+        )
+        .unwrap(),
+    );
+    let gateway = Arc::new(Gateway::new(Arc::clone(&service), GatewayConfig::default()));
+    let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 4 });
+    let ticket = gateway
+        .submit(WalkRequest::spec(spec).all_vertices().tenant("census"))
+        .unwrap();
+    gateway.wait(ticket).unwrap();
+    let server = ObsServer::serve(
+        ObsConfig::default(),
+        telemetry.clone(),
+        Some(service),
+        Some(gateway),
+    )
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    stream.read_to_string(&mut String::new()).unwrap();
+    server.shutdown();
+    let registered: BTreeSet<String> = telemetry
+        .snapshot()
+        .entries
+        .keys()
+        .map(|key| key.name.clone())
+        .collect();
+    assert_eq!(registered, taxonomy);
+}

@@ -131,6 +131,29 @@ fn exposition_endpoints_round_trip() {
     server.shutdown();
 }
 
+#[test]
+fn status_reports_pool_counters_before_any_scrape() {
+    // The pool profile lives in the shim's process-wide cells; `/status`
+    // reads it from the registry, so it must fold the cells in itself
+    // rather than show whatever the last `/metrics` scrape left there.
+    use rayon::prelude::*;
+    let total: u64 = (0..4096u64).collect::<Vec<_>>().into_par_iter().sum();
+    assert_eq!(total, 4096 * 4095 / 2);
+
+    let server = ObsServer::serve(ObsConfig::default(), Telemetry::disabled(), None, None)
+        .expect("bind an ephemeral loopback port");
+    let (status, body) = http_get(server.local_addr(), "/status");
+    assert_eq!(status, "HTTP/1.0 200 OK");
+    let calls: u64 = body
+        .split_once("\"calls\":")
+        .and_then(|(_, rest)| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|digits| digits.parse().ok())
+        .expect("/status carries the pool's call count");
+    assert!(calls > 0, "a par_iter ran before this read: {body}");
+    assert!(body.contains("\"service\":null,\"gateway\":null"), "{body}");
+    server.shutdown();
+}
+
 /// A walk model whose first step blocks until the test opens the gate —
 /// wedging the shard that executes it mid-step.
 #[derive(Debug)]

@@ -194,7 +194,7 @@ fn hot_shard_batches_are_stolen_by_idle_peers() {
     assert!(
         stats.total_stolen_walkers() > 0,
         "idle peers must steal from the flooded shard: {}",
-        stats.render()
+        stats.to_json()
     );
     assert!(stats.total_stolen_batches() > 0);
     // Stolen visits are executed by non-owners: every step a peer shard

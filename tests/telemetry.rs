@@ -6,6 +6,7 @@ use bingo::prelude::*;
 use bingo::telemetry::hist::HistogramCore;
 use bingo::telemetry::{
     bucket_index, bucket_lower_bound, names, HistogramSnapshot, TraceStage, NUM_BUCKETS,
+    TRACE_CAPACITY,
 };
 use bingo::walks::WalkSpec;
 
@@ -140,12 +141,12 @@ fn sampling_set_is_a_pure_function_of_the_seed() {
 
 #[test]
 fn trace_ring_stays_bounded_under_saturation() {
-    let tel = Telemetry::new(TelemetryConfig {
-        trace_sample_one_in: 1,
-        trace_capacity: 64,
-        ..TelemetryConfig::default()
-    });
-    for w in 0..10_000u32 {
+    // Saturate the detailed mode's own ring: `trace` records whatever its
+    // caller has decided to sample, so every event below is buffered.
+    let tel = Telemetry::enabled(0xB1A5);
+    let overflow = 1_000u32;
+    let total = TRACE_CAPACITY as u32 + overflow;
+    for w in 0..total {
         tel.trace(
             1,
             w,
@@ -157,10 +158,23 @@ fn trace_ring_stays_bounded_under_saturation() {
         );
     }
     let tracer = tel.tracer().expect("tracing on");
-    assert_eq!(tracer.len(), 64, "ring never exceeds its bound");
-    assert_eq!(tracer.dropped(), 10_000 - 64, "evictions are counted");
-    let newest = tracer.events().last().map(|e| e.walker);
-    assert_eq!(newest, Some(9_999), "eviction drops the oldest, not newest");
+    assert_eq!(tracer.len(), TRACE_CAPACITY, "ring never exceeds its bound");
+    assert_eq!(
+        tracer.dropped(),
+        u64::from(overflow),
+        "every eviction is counted"
+    );
+    let events = tracer.events();
+    assert_eq!(
+        events.first().map(|e| e.walker),
+        Some(overflow),
+        "eviction drops the oldest events"
+    );
+    assert_eq!(
+        events.last().map(|e| e.walker),
+        Some(total - 1),
+        "newest kept"
+    );
 }
 
 /// The per-stage latency histograms a service records in detailed mode and
@@ -176,16 +190,12 @@ const STAGE_HISTOGRAMS: [&str; 6] = [
 
 #[test]
 fn lifecycles_stitch_across_shards_in_a_real_service_run() {
-    // Sample every walker so the cross-shard journey is fully recorded,
-    // then check the stitched lifecycle: spans recorded by different shard
-    // worker threads join on (ticket, walker) and alternate step/hop in
-    // ring order.
+    // Enough walkers that the 1-in-64 sample holds several, then check
+    // every sampled lifecycle: spans recorded by different shard worker
+    // threads join on (ticket, walker) and alternate step/hop in ring
+    // order.
     let graph = ring(64);
-    let telemetry = Telemetry::new(TelemetryConfig {
-        trace_seed: 7,
-        trace_sample_one_in: 1,
-        ..TelemetryConfig::default()
-    });
+    let telemetry = Telemetry::enabled(7);
     let service = WalkService::build_with_telemetry(
         &graph,
         ServiceConfig {
@@ -197,18 +207,27 @@ fn lifecycles_stitch_across_shards_in_a_real_service_run() {
     )
     .expect("service builds");
     let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 40 });
-    let starts: Vec<VertexId> = (0..8).map(|i| i * 8).collect();
-    let results = service.wait(service.submit(spec, &starts).expect("submit"));
+    let starts: Vec<VertexId> = (0..1024).map(|i| i % 64).collect();
+    let ticket = service.submit(spec, &starts).expect("submit");
+    let results = service.wait(ticket);
     assert_eq!(results.paths.len(), starts.len());
     let stats = service.shutdown();
     assert!(stats.total_forwards() > 0, "ring walks must cross shards");
 
     let tracer = telemetry.tracer().expect("tracing on");
     let lifecycles = tracer.lifecycles();
+    let sampled = (0..starts.len() as u64)
+        .filter(|&w| telemetry.is_sampled(ticket.id(), w))
+        .count();
+    assert!(
+        sampled > 0,
+        "1-in-64 over {} walkers samples some",
+        starts.len()
+    );
     assert_eq!(
         lifecycles.len(),
-        starts.len(),
-        "every walker sampled at 1-in-1"
+        sampled,
+        "exactly the sampled walkers are traced"
     );
     for ((_, walker), events) in &lifecycles {
         // Exactly one submit first, one collect last.
@@ -254,7 +273,7 @@ fn lifecycles_stitch_across_shards_in_a_real_service_run() {
         dump.contains("hop("),
         "dump shows cross-shard hops:\n{dump}"
     );
-    assert_eq!(tracer.complete_lifecycle_lines().len(), starts.len());
+    assert_eq!(tracer.complete_lifecycle_lines().len(), sampled);
     // The per-stage histograms saw the same run: the mirror image of the
     // disabled-mode test below.
     let snap = telemetry.snapshot();
@@ -351,7 +370,7 @@ fn disabled_service_registers_no_histograms_but_keeps_stats_live() {
 }
 
 #[test]
-fn service_stats_render_reports_utilization() {
+fn service_stats_to_json_reports_utilization() {
     let graph = ring(32);
     let service = WalkService::build(
         &graph,
@@ -366,11 +385,18 @@ fn service_stats_render_reports_utilization() {
     let starts: Vec<VertexId> = (0..32).collect();
     service.wait(service.submit(spec, &starts).expect("submit"));
     let stats = service.shutdown();
-    let rendered = stats.render();
-    assert!(rendered.contains("util%"), "per-shard utilization column");
+    let json = stats.to_json();
+    assert_eq!(
+        json.matches("\"utilization\":").count(),
+        2,
+        "one utilization per shard: {json}"
+    );
     assert!(
-        rendered.contains("mean utilization"),
-        "totals line reports mean utilization:\n{rendered}"
+        json.contains(&format!(
+            "\"mean_utilization\":{:.4}",
+            stats.mean_utilization()
+        )),
+        "totals report mean utilization: {json}"
     );
     assert!(stats.mean_utilization() >= 0.0);
 }
