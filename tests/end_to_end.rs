@@ -4,7 +4,10 @@
 
 use bingo::baselines::{FlowWalkerBaseline, GSamplerBaseline, KnightKingBaseline};
 use bingo::prelude::*;
-use bingo::walks::{DynamicWalkSystem, EvaluationWorkflow, IngestMode, PprConfig};
+use bingo::service::TransportMode;
+use bingo::walks::{
+    DynamicWalkSystem, EvaluationWorkflow, IngestMode, PprConfig, SimpleSamplingConfig,
+};
 use bingo_graph::datasets::StandinDataset;
 use bingo_graph::updates::UpdateKind;
 
@@ -103,6 +106,118 @@ fn bingo_memory_is_bounded_relative_to_baselines() {
     let bingo_mem = DynamicWalkSystem::memory_bytes(&bingo);
     assert!(bingo_mem >= DynamicWalkSystem::memory_bytes(&fw));
     assert!(bingo_mem < 20 * DynamicWalkSystem::memory_bytes(&kk));
+}
+
+/// FNV-1a over every path's length and vertices.
+fn path_hash(paths: &[Vec<VertexId>]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let words = paths
+        .iter()
+        .flat_map(|p| std::iter::once(p.len() as u64).chain(p.iter().map(|&v| u64::from(v))));
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Path hashes of all four built-in walks through each executor: the
+/// parallel `WalkEngine`, a hand-driven `WalkCursor` loop, and a 4-shard
+/// service whose forwards cross the wire (checked equal to the same
+/// service forwarding in process). Recorded before the built-ins moved
+/// from four model structs into one `match` on `WalkSpec`; any change to
+/// a built-in's draw order moves them.
+#[test]
+fn builtin_walks_are_pinned_through_every_executor() {
+    const DEEPWALK: [u64; 3] = [
+        0x7b6c_2d28_9838_e890,
+        0x9e33_cd1d_9804_2147,
+        0x208b_224d_d7ad_1a45,
+    ];
+    const PINNED: [(&str, [u64; 3]); 4] = [
+        ("DeepWalk", DEEPWALK),
+        // The same walk: one biased draw per step, on any bias.
+        ("SimpleSampling", DEEPWALK),
+        (
+            "PPR",
+            [
+                0xfe12_24b5_26a2_5362,
+                0x314b_57a3_31b8_fceb,
+                0xc9f9_3978_39dc_fd32,
+            ],
+        ),
+        (
+            "node2vec",
+            [
+                0xbccb_9442_5719_b9ee,
+                0xeacc_c15c_d303_6866,
+                0x0f1e_c859_8951_b1ab,
+            ],
+        ),
+    ];
+    let graph = test_graph(6, 120, 1500);
+    let engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
+    let starts: Vec<VertexId> = (0..120).collect();
+    let specs = [
+        WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 20 }),
+        WalkSpec::SimpleSampling(SimpleSamplingConfig { walk_length: 20 }),
+        WalkSpec::Ppr(PprConfig {
+            stop_probability: 0.1,
+            max_length: 40,
+        }),
+        WalkSpec::Node2Vec(Node2VecConfig {
+            walk_length: 20,
+            p: 0.5,
+            q: 2.0,
+        }),
+    ];
+    let service_paths = |spec: WalkSpec, transport: TransportMode| {
+        let service = WalkService::build(
+            &graph,
+            ServiceConfig {
+                num_shards: 4,
+                seed: 61,
+                transport,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let paths = service.wait(service.submit(spec, &starts).unwrap()).paths;
+        let stats = service.shutdown();
+        assert_eq!(stats.total_transport_fallbacks(), 0);
+        paths
+    };
+    let mut observed = Vec::new();
+    for spec in specs {
+        let engine_paths = WalkEngine::new(41).run(&engine, &spec, &starts).paths;
+        let cursor_paths: Vec<Vec<VertexId>> = starts
+            .iter()
+            .map(|&start| {
+                let mut rng = Pcg64::seed_from_u64(51 ^ u64::from(start));
+                let mut cursor = WalkCursor::new(spec, start);
+                while cursor.step(&engine, &mut rng).is_some() {}
+                cursor.into_path()
+            })
+            .collect();
+        let wire_paths = service_paths(spec, TransportMode::Serialized);
+        assert_eq!(
+            wire_paths,
+            service_paths(spec, TransportMode::InProcess),
+            "{}: serialized forwards walk the in-process paths",
+            spec.name()
+        );
+        observed.push((
+            spec.name(),
+            [
+                path_hash(&engine_paths),
+                path_hash(&cursor_paths),
+                path_hash(&wire_paths),
+            ],
+        ));
+    }
+    assert_eq!(observed, PINNED);
 }
 
 #[test]
