@@ -346,7 +346,7 @@ impl Gateway {
             state.sched.enqueue(Chunk {
                 tenant: tenant.clone(),
                 submission: id,
-                model: parts.model.clone(),
+                walk: parts.walk.clone(),
                 starts: vertices,
                 indices,
                 shard,
@@ -559,14 +559,10 @@ fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
             };
             let dispatch_started = inner.telemetry.timer();
             let submit_result = match chunk.seed {
-                Some(seed) => {
-                    inner
-                        .service
-                        .submit_model_seeded(chunk.model.clone(), &chunk.starts, seed)
-                }
-                None => inner
+                Some(seed) => inner
                     .service
-                    .submit_model(chunk.model.clone(), &chunk.starts),
+                    .submit_seeded(chunk.walk.clone(), &chunk.starts, seed),
+                None => inner.service.submit(chunk.walk.clone(), &chunk.starts),
             };
             match submit_result {
                 Ok(ticket) => {

@@ -19,7 +19,7 @@
 //! example and tests measure end to end.
 
 use bingo_graph::VertexId;
-use bingo_walks::{SharedWalkModel, TenantId};
+use bingo_walks::{TenantId, Walk};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -35,8 +35,8 @@ pub struct Chunk {
     pub tenant: TenantId,
     /// Gateway submission this chunk belongs to.
     pub submission: u64,
-    /// Walk model to run (shared with every sibling chunk).
-    pub model: SharedWalkModel,
+    /// Walk to run (shared with every sibling chunk).
+    pub walk: Walk,
     /// Start vertices, all owned by [`Chunk::shard`].
     pub starts: Vec<VertexId>,
     /// For each start, its index in the original submission's start list
@@ -271,7 +271,7 @@ mod tests {
         Chunk {
             tenant: TenantId::new(tenant),
             submission,
-            model: WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 4 }).to_model(),
+            walk: WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 4 }).into(),
             starts: vec![0; walkers],
             indices: (0..walkers as u32).collect(),
             shard: 0,

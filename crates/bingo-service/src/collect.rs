@@ -5,9 +5,7 @@
 //! condvar when that was the ticket's last walk. [`WalkService::wait`]
 //! checks its ticket and parks on the same mutex, so a completion can
 //! never slip between the check and the park; [`WalkService::try_wait`]
-//! locks and checks. The table also answers what model a ticket runs, for
-//! the serialized forward path (wire frames carry the path, not the
-//! model).
+//! locks and checks.
 
 use crate::forward::ContextTrace;
 use crate::service::{WalkService, WalkTicket};
@@ -15,7 +13,7 @@ use crate::shard::StepTrace;
 use bingo_graph::VertexId;
 use bingo_telemetry::{names, Histogram, Telemetry, TraceStage};
 use bingo_walks::walk_store::WalkStore;
-use bingo_walks::SharedWalkModel;
+use bingo_walks::Walk;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -25,8 +23,8 @@ use std::time::{Duration, Instant};
 pub struct TicketResults {
     /// The ticket these results answer.
     pub ticket: WalkTicket,
-    /// The walk model that was run.
-    pub model: SharedWalkModel,
+    /// The walk that was run.
+    pub walk: Walk,
     /// One path per submitted start vertex, in submission order.
     pub paths: Vec<Vec<VertexId>>,
     /// Cross-shard hops per walker.
@@ -50,11 +48,11 @@ impl TicketResults {
     /// Deposit the collected walks into a Wharf-style [`WalkStore`] for
     /// incremental maintenance, indexed over `num_vertices` vertices.
     ///
-    /// The store's refresh target is the model's deterministic step cap,
-    /// never PPR's unbounded expected length.
+    /// The store's refresh target is the walk's
+    /// [`refresh_target`](Walk::refresh_target), never PPR's unbounded
+    /// expected length.
     pub fn into_walk_store(self, num_vertices: usize, seed: u64) -> WalkStore {
-        let target = self.model.expected_length().min(self.model.max_steps());
-        WalkStore::from_walks(self.paths, num_vertices, target, seed)
+        WalkStore::from_walks(self.paths, num_vertices, self.walk.refresh_target(), seed)
     }
 }
 
@@ -78,7 +76,7 @@ pub(crate) struct FinishedWalk {
 }
 
 struct PendingTicket {
-    model: SharedWalkModel,
+    walk: Walk,
     walks: Vec<Option<FinishedWalk>>,
     received: usize,
     submitted_at: Instant,
@@ -111,11 +109,11 @@ impl Collector {
 
     /// Open `ticket` with one empty slot per walk. A ticket of zero walks
     /// is complete from the start.
-    pub(crate) fn open(&self, ticket: u64, model: SharedWalkModel, walks: usize) {
+    pub(crate) fn open(&self, ticket: u64, walk: Walk, walks: usize) {
         self.pending.lock().insert(
             ticket,
             PendingTicket {
-                model,
+                walk,
                 walks: (0..walks).map(|_| None).collect(),
                 received: 0,
                 // lint:allow(determinism): latency stamp feeding the
@@ -124,11 +122,6 @@ impl Collector {
                 last_finish: None,
             },
         );
-    }
-
-    /// The model an outstanding ticket runs (`None` once collected).
-    pub(crate) fn model_of(&self, ticket: u64) -> Option<SharedWalkModel> {
-        self.pending.lock().get(&ticket).map(|t| t.model.clone())
     }
 
     /// File a finished walk in its ticket's slot and wake the waiters when
@@ -220,7 +213,7 @@ impl Collector {
         }
         Some(TicketResults {
             ticket,
-            model: entry.model,
+            walk: entry.walk,
             paths,
             hops,
             traces,

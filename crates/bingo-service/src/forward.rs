@@ -11,10 +11,11 @@
 //! [`TransportMode`] is read once, in `wire_carrier`. An in-process
 //! forward moves the boxed walker with its sender-cached context attached:
 //! nothing is framed, so nothing is negotiated and no byte is billed. A
-//! serialized forward negotiates under the owner's read guard, frames,
-//! carries, rebuilds the walker from the delivered bytes alone, and bills
-//! the bytes of the frame it built — every counter named `*bytes*` counts
-//! bytes that sat in a `Vec<u8>`.
+//! serialized forward negotiates under the owner's read guard, frames the
+//! walker and the walk it runs, carries, rebuilds the walker from the
+//! delivered bytes alone — no ticket table is consulted — and bills the
+//! bytes it built: every counter named `*bytes*` counts bytes that sat in
+//! a `Vec<u8>`.
 
 use crate::service::{ServiceShared, WalkService};
 use crate::shard::{ShardMsg, Walker};
@@ -24,7 +25,7 @@ use bingo_graph::VertexId;
 use bingo_sampling::rng::Pcg64;
 use bingo_telemetry::TraceStage;
 use bingo_walks::wire::{self, ContextHandle, FrameContext, WalkerFrame};
-use bingo_walks::{CarriedContext, ContextRequirement, WalkCursor};
+use bingo_walks::{CarriedContext, ContextRequirement, Walk, WalkCursor};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -141,7 +142,7 @@ impl ServiceShared {
         engine: &BingoEngine,
         walker: &mut Walker,
     ) -> Option<ForwardNegotiation> {
-        if walker.cursor.required_context() != ContextRequirement::PreviousAdjacency {
+        if walker.cursor.walk().required_context() != ContextRequirement::PreviousAdjacency {
             return None;
         }
         let state = walker.cursor.state();
@@ -302,18 +303,20 @@ impl ServiceShared {
         self.push(to, ShardMsg::Walker(walker));
     }
 
-    /// Encode the walker into its versioned wire frame, hand the bytes to
-    /// the carrier, decode what arrives, and rebuild the walker **from the
-    /// frame alone** — cursor replayed from the path, RNG restored from
-    /// its raw parts, context taken from the frame (inline body) or
-    /// resolved from the receiver's snapshot cache (negotiated handle).
-    /// The walker the receiving shard processes then contains exactly what
-    /// crossed the wire, so serialized and in-process runs are
-    /// bit-identical by construction, not by assumption.
+    /// Encode the walker into its versioned wire frame and walk section,
+    /// hand the bytes to the carrier, decode what arrives, and rebuild the
+    /// walker **from the bytes alone** — walk named by the walk section,
+    /// cursor replayed from the path, RNG restored from its raw parts,
+    /// context taken from the frame (inline body) or resolved from the
+    /// receiver's snapshot cache (negotiated handle). The walker the
+    /// receiving shard processes then contains exactly what crossed the
+    /// wire, so serialized and in-process runs are bit-identical by
+    /// construction, not by assumption.
     ///
     /// Any failure — carrier error, undecodable bytes, a frame that
-    /// decodes to another walker's `(ticket, index)`, unknown ticket, a
-    /// handle whose snapshot was evicted mid-flight — falls back to the
+    /// decodes to another walker's `(ticket, index)`, a walk section that
+    /// names a custom model for a built-in walker, a handle whose snapshot
+    /// was evicted mid-flight — falls back to the
     /// original in-process walker and is counted as
     /// `service.transport.fallbacks`: the forward degrades to zero-copy
     /// instead of losing the walk (the attach-time context is still on
@@ -346,8 +349,9 @@ impl ServiceShared {
             path: walker.cursor.path().to_vec(),
             context,
         };
-        let mut buf = Vec::with_capacity(frame.encoded_len());
-        let sent = wire::encode_walker(&frame, &mut buf);
+        let spec = walker.cursor.walk().spec();
+        let mut buf = Vec::with_capacity(frame.encoded_len() + wire::walk_section_len(spec));
+        let sent = wire::encode_walker(&frame, &mut buf) + wire::encode_walk(spec, &mut buf);
         self.counters[owner_shard]
             .transport_bytes_sent
             .add(sent as u64);
@@ -363,9 +367,9 @@ impl ServiceShared {
     /// The receiving half of [`ServiceShared::round_trip`]: carry `frame`
     /// to shard `to` and rebuild `sent`'s successor from the delivered
     /// bytes. `None` means the bytes were not usable and `sent` is
-    /// untouched; on success `sent`'s out-of-band diagnostics (step and
-    /// context traces, the dwell stamp — collector-side baggage, not walk
-    /// state) move onto the rebuilt walker.
+    /// untouched; on success `sent`'s out-of-band baggage (step and context
+    /// traces, the dwell stamp, a custom model — which has no wire form)
+    /// moves onto the rebuilt walker.
     fn rebuild_from_wire(
         &self,
         carrier: &dyn ShardTransport,
@@ -374,15 +378,22 @@ impl ServiceShared {
         frame: Vec<u8>,
     ) -> Option<Box<Walker>> {
         let delivered = carrier.carry(to, frame).ok()?;
-        let (decoded, _) = wire::decode_walker(&delivered).ok()?;
+        let (decoded, frame_len) = wire::decode_walker(&delivered).ok()?;
         // The finished walk is filed under the frame's own `(ticket,
         // index)`: a frame that names any walker but the one sent would
         // land in (or past) another walker's result slot.
         if (decoded.ticket, decoded.index) != (sent.ticket, sent.index) {
             return None;
         }
-        let model = self.collector.model_of(decoded.ticket)?;
-        let mut cursor = WalkCursor::resume(model, decoded.path)?;
+        let walk = match (
+            wire::decode_walk(&delivered[frame_len..]).ok()?.0,
+            sent.cursor.walk(),
+        ) {
+            (Some(spec), _) => Walk::Builtin(spec),
+            (None, Walk::Custom(model)) => Walk::Custom(Arc::clone(model)),
+            (None, Walk::Builtin(_)) => return None,
+        };
+        let mut cursor = WalkCursor::resume(walk, decoded.path)?;
         match decoded.context {
             FrameContext::Inline(ctx) => {
                 cursor.set_forward_context(ctx);

@@ -30,10 +30,11 @@
 //!   their start vertices as resumable
 //!   [`WalkCursor`](bingo_walks::WalkCursor)s. A step whose destination
 //!   belongs to another shard re-enqueues the walker at that shard
-//!   (walker forwarding, §9.1 of the paper). Walks are described either by
-//!   a built-in [`WalkSpec`](bingo_walks::WalkSpec) or by any custom
+//!   (walker forwarding, §9.1 of the paper). A submission names a
+//!   [`Walk`](bingo_walks::Walk): a built-in
+//!   [`WalkSpec`](bingo_walks::WalkSpec) or any custom
 //!   [`WalkModel`](bingo_walks::WalkModel) trait object
-//!   ([`WalkService::submit_model`]). Second-order models (node2vec) are
+//!   ([`WalkService::submit`]). Second-order walks (node2vec) are
 //!   served too: a forwarding shard attaches the model-declared context —
 //!   a membership snapshot of the walker's previous vertex — so the
 //!   receiving shard answers membership queries without cross-shard edge
@@ -56,8 +57,9 @@
 //!   and [`forward`] modules and the workspace README's *Distribution
 //!   readiness* section): [`TransportMode::Serialized`] round-trips every
 //!   forwarded walker through the versioned wire format of
-//!   `bingo_walks::wire` — negotiate, encode, carry via a
-//!   [`ShardTransport`], decode, rebuild from the frame alone — and bills
+//!   `bingo_walks::wire` — negotiate, encode the frame and the walk it
+//!   runs, carry via a [`ShardTransport`], decode, rebuild from the bytes
+//!   alone — and bills
 //!   the bytes of the frames it built, so the same forwarding path works
 //!   across process boundaries ([`WalkService::build_with_transport`];
 //!   proven by `examples/two_process_demo.rs` over a loopback
@@ -95,7 +97,7 @@
 //!                │  AIMD in-flight window ◄───────────┼── admission_snapshot()
 //!                └─────┬──────────────────────────────┘    (occupancy +
 //!                      │ shard-aligned chunks               rejection deltas,
-//!                      │ submit_model_seeded()              sampled per tick)
+//!                      │ submit_seeded()                    sampled per tick)
 //!                ┌─────▼──────────────────────────────┐
 //!                │ WalkService                        │
 //!                │  shard inboxes (max_inbox bound)   │
@@ -620,7 +622,7 @@ mod tests {
             .expect("node2vec is servable");
         let results = service.wait(ticket);
         assert_eq!(results.paths.len(), 4);
-        assert_eq!(results.model.name(), "node2vec");
+        assert_eq!(results.walk.name(), "node2vec");
         for path in &results.paths {
             assert_eq!(path.len(), 11, "ring has no dead ends");
             for pair in path.windows(2) {
@@ -863,21 +865,32 @@ mod tests {
             }
         }
 
+        // In process, and over the wire, where the walk section carries
+        // only the custom tag and the model comes with the walker.
         let graph = ring_graph(20);
-        let service = WalkService::build(
-            &graph,
-            ServiceConfig {
-                num_shards: 3,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let ticket = service
-            .submit_model(Arc::new(HalfEvenStop { length: 12 }), &[1, 5, 11])
+        let run = |transport: TransportMode| {
+            let service = WalkService::build(
+                &graph,
+                ServiceConfig {
+                    num_shards: 3,
+                    transport,
+                    ..ServiceConfig::default()
+                },
+            )
             .unwrap();
-        let results = service.wait(ticket);
-        assert_eq!(results.model.name(), "half-even-stop");
-        for path in &results.paths {
+            let model: Arc<dyn WalkModel> = Arc::new(HalfEvenStop { length: 12 });
+            let ticket = service.submit(model, &[1, 5, 11]).unwrap();
+            let results = service.wait(ticket);
+            assert_eq!(results.walk.name(), "half-even-stop");
+            let stats = service.shutdown();
+            assert_eq!(stats.total_transport_fallbacks(), 0);
+            (results.paths, stats.total_forwards())
+        };
+        let (paths, _) = run(TransportMode::InProcess);
+        let (wire_paths, wire_forwards) = run(TransportMode::Serialized);
+        assert_eq!(wire_paths, paths, "the wire carries custom walkers intact");
+        assert!(wire_forwards > 0, "ring walks cross shards");
+        for path in &paths {
             assert!(path.len() <= 13);
             let last = *path.last().unwrap();
             // Terminated at the cap, or at an even vertex past half-way.

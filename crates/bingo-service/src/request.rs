@@ -1,41 +1,37 @@
 //! The walk request builder.
 //!
-//! A [`WalkRequest`] names a walk model, its start vertices, an optional
-//! seed and the tenant it is billed to. It goes to
+//! A [`WalkRequest`] names a walk, its start vertices, an optional seed
+//! and the tenant it is billed to. It goes to
 //! `bingo_gateway::Gateway::submit`, which explodes it with
 //! [`WalkRequest::into_parts`]; a caller holding a [`WalkService`]
 //! submits the same fields through
-//! [`WalkService::submit_model_seeded`](crate::WalkService::submit_model_seeded).
+//! [`WalkService::submit_seeded`](crate::WalkService::submit_seeded).
 //! Either way the walks come back as `wait(ticket).paths`.
 //!
 //! [`WalkService`]: crate::WalkService
 
 use bingo_graph::VertexId;
-use bingo_walks::{SharedWalkModel, TenantId, TicketMeta, WalkSpec};
+use bingo_walks::{TenantId, TicketMeta, Walk};
 
 /// A builder describing one batch of walks.
 #[derive(Debug, Clone)]
 pub struct WalkRequest {
-    model: SharedWalkModel,
+    walk: Walk,
     starts: Option<Vec<VertexId>>,
     seed: Option<u64>,
     meta: TicketMeta,
 }
 
 impl WalkRequest {
-    /// Request walks of an arbitrary [`WalkModel`](bingo_walks::WalkModel).
-    pub fn model(model: SharedWalkModel) -> Self {
+    /// Request walks of a built-in [`WalkSpec`](bingo_walks::WalkSpec)
+    /// or of a shared custom model ([`Walk::Custom`]).
+    pub fn spec(walk: impl Into<Walk>) -> Self {
         WalkRequest {
-            model,
+            walk: walk.into(),
             starts: None,
             seed: None,
             meta: TicketMeta::default(),
         }
-    }
-
-    /// Request walks of a built-in [`WalkSpec`].
-    pub fn spec(spec: WalkSpec) -> Self {
-        Self::model(spec.to_model())
     }
 
     /// Explicit start vertices, one walk per entry (in order).
@@ -84,7 +80,7 @@ impl WalkRequest {
     /// consumes requests this way).
     pub fn into_parts(self) -> RequestParts {
         RequestParts {
-            model: self.model,
+            walk: self.walk,
             starts: self.starts,
             seed: self.seed,
             meta: self.meta,
@@ -96,8 +92,8 @@ impl WalkRequest {
 /// [`WalkRequest::into_parts`].
 #[derive(Debug, Clone)]
 pub struct RequestParts {
-    /// The walk model to run.
-    pub model: SharedWalkModel,
+    /// The walk to run.
+    pub walk: Walk,
     /// Explicit start vertices (`None` = one walk per vertex).
     pub starts: Option<Vec<VertexId>>,
     /// Seed override (`None` = the service's configured seed).

@@ -19,7 +19,7 @@ use bingo_core::{BingoConfig, BingoEngine, BingoError};
 use bingo_graph::{DynamicGraph, VertexId};
 use bingo_sampling::rng::{Pcg64, SplitMix64};
 use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
-use bingo_walks::{SharedWalkModel, WalkCursor, WalkSpec};
+use bingo_walks::{Walk, WalkCursor};
 use parking_lot::{Condvar, Mutex};
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -213,10 +213,10 @@ impl WalkTicket {
 /// the same epoch-checked read path, so stealing moves CPU work without
 /// moving ownership.
 ///
-/// Walks are submitted either as built-in [`WalkSpec`]s
-/// ([`WalkService::submit`]) or as arbitrary
-/// [`WalkModel`](bingo_walks::WalkModel) trait objects
-/// ([`WalkService::submit_model`]). Second-order models (node2vec) are
+/// A submission names a [`Walk`]: a built-in
+/// [`WalkSpec`](bingo_walks::WalkSpec) or a shared custom
+/// [`WalkModel`](bingo_walks::WalkModel) ([`WalkService::submit`]).
+/// Second-order walks (node2vec) are
 /// fully supported: when a walker crosses a shard boundary, the owning
 /// shard captures a membership snapshot of the previous vertex's adjacency
 /// (built at most once per `(vertex, epoch)` and `Arc`-shared across the
@@ -431,34 +431,29 @@ impl WalkService {
     /// Walkers are fanned out to the shards owning their start vertices and
     /// hop between shards as the walk crosses ownership boundaries. Updates
     /// ingested concurrently become visible between steps, never within
-    /// one. All built-in specs are servable, including `Node2Vec`: its
-    /// second-order membership queries are answered from the carried
-    /// adjacency fingerprint captured at forward time.
-    pub fn submit(&self, spec: WalkSpec, starts: &[VertexId]) -> Result<WalkTicket> {
-        self.submit_model(spec.to_model(), starts)
+    /// one. `walk` is a built-in [`WalkSpec`](bingo_walks::WalkSpec) or a
+    /// shared custom model; every built-in is servable, including
+    /// `Node2Vec`: its second-order membership queries are answered from
+    /// the carried adjacency fingerprint captured at forward time.
+    pub fn submit(&self, walk: impl Into<Walk>, starts: &[VertexId]) -> Result<WalkTicket> {
+        self.submit_inner(walk.into(), starts, None)
     }
 
-    /// Submit one walk per start vertex for an arbitrary
-    /// [`WalkModel`](bingo_walks::WalkModel).
-    pub fn submit_model(&self, model: SharedWalkModel, starts: &[VertexId]) -> Result<WalkTicket> {
-        self.submit_inner(model, starts, None)
-    }
-
-    /// [`WalkService::submit_model`] with a per-submission seed overriding
+    /// [`WalkService::submit`] with a per-submission seed overriding
     /// [`ServiceConfig::seed`] (the gateway dispatches a
     /// [`WalkRequest`](crate::WalkRequest)'s seed this way).
-    pub fn submit_model_seeded(
+    pub fn submit_seeded(
         &self,
-        model: SharedWalkModel,
+        walk: impl Into<Walk>,
         starts: &[VertexId],
         seed: u64,
     ) -> Result<WalkTicket> {
-        self.submit_inner(model, starts, Some(seed))
+        self.submit_inner(walk.into(), starts, Some(seed))
     }
 
     fn submit_inner(
         &self,
-        model: SharedWalkModel,
+        walk: Walk,
         starts: &[VertexId],
         seed: Option<u64>,
     ) -> Result<WalkTicket> {
@@ -499,7 +494,7 @@ impl WalkService {
             }
         }
 
-        let ticket = self.open_ticket(model.clone(), starts.len());
+        let ticket = self.open_ticket(walk.clone(), starts.len());
         let base_seed = seed.unwrap_or(self.seed);
         let telemetry = &self.shared.telemetry;
         // One stamp for the whole fanout: every walker of this submission
@@ -523,7 +518,7 @@ impl WalkService {
             let walker = Box::new(Walker {
                 ticket,
                 index: index as u32,
-                cursor: WalkCursor::with_model(model.clone(), start),
+                cursor: WalkCursor::new(walk.clone(), start),
                 rng,
                 hops: 0,
                 trace: Vec::new(),
@@ -566,11 +561,11 @@ impl WalkService {
     }
 
     /// Allocate a ticket id and open its entry of `walks` empty slots.
-    fn open_ticket(&self, model: SharedWalkModel, walks: usize) -> u64 {
+    fn open_ticket(&self, walk: Walk, walks: usize) -> u64 {
         // relaxed-ok: ticket-id allocator; RMW atomicity alone guarantees
         // unique ids, and the ticket is published via the pending mutex.
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        self.shared.collector.open(ticket, model, walks);
+        self.shared.collector.open(ticket, walk, walks);
         ticket
     }
 
@@ -580,12 +575,12 @@ impl WalkService {
     /// request for nothing: it returns an immediately-complete ticket whose
     /// results hold no walks, rather than an [`ServiceError::EmptySubmission`]
     /// error (which is reserved for explicitly empty start lists).
-    pub fn submit_all_vertices(&self, spec: WalkSpec) -> Result<WalkTicket> {
+    pub fn submit_all_vertices(&self, walk: impl Into<Walk>) -> Result<WalkTicket> {
         if self.num_vertices == 0 {
-            return Ok(WalkTicket(self.open_ticket(spec.to_model(), 0)));
+            return Ok(WalkTicket(self.open_ticket(walk.into(), 0)));
         }
         let starts: Vec<VertexId> = (0..self.num_vertices as VertexId).collect();
-        self.submit(spec, &starts)
+        self.submit(walk, &starts)
     }
 
     /// The configured per-shard inbox bound (`0` = unbounded).

@@ -508,7 +508,7 @@ impl ServiceShared {
                 }
                 let epoch = self.counters[owner_shard].epoch.get_acquire();
                 let stepped = walker.cursor.step(&*engine, &mut walker.rng);
-                let context_misses = walker.cursor.take_context_misses();
+                let context_misses = walker.cursor.state().take_context_misses();
                 if context_misses > 0 {
                     // A second-order membership query fell back to this
                     // shard's engine for a vertex it does not own: the

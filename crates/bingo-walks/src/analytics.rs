@@ -29,7 +29,7 @@ pub fn personalized_pagerank<S>(
     seed: u64,
 ) -> Vec<f64>
 where
-    S: TransitionSampler + ?Sized,
+    S: TransitionSampler,
 {
     let starts = vec![source; num_walks];
     let engine = WalkEngine::new(seed);
@@ -55,7 +55,7 @@ pub fn simrank_estimate<S>(
     seed: u64,
 ) -> f64
 where
-    S: TransitionSampler + ?Sized,
+    S: TransitionSampler,
 {
     if a == b {
         return 1.0;
@@ -105,7 +105,7 @@ pub fn random_walk_domination<S>(
     seed: u64,
 ) -> (Vec<VertexId>, usize)
 where
-    S: TransitionSampler + ?Sized,
+    S: TransitionSampler,
 {
     let n = sampler.num_vertices();
     if n == 0 || k == 0 {
@@ -185,7 +185,7 @@ pub fn sample_mini_batch<S, R>(
     rng: &mut R,
 ) -> MiniBatch
 where
-    S: TransitionSampler + ?Sized,
+    S: TransitionSampler,
     R: Rng + ?Sized,
 {
     let mut vertices: Vec<VertexId> = Vec::new();

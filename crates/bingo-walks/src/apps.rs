@@ -1,4 +1,5 @@
-//! Built-in walk applications (§2.2, §6.1) and the resumable walk cursor.
+//! Built-in walk applications (§2.2, §6.1), the [`Walk`] every executor
+//! runs, and the resumable walk cursor.
 //!
 //! * **Biased DeepWalk** — first-order walks of a fixed length; each step
 //!   samples a neighbor proportionally to the edge bias.
@@ -12,23 +13,21 @@
 //! * **Simple sampling** — unbiased fixed-length walks (the
 //!   `random_walk_simple_sampling` kernel of §6).
 //!
-//! The walk *semantics* live in [`model`](crate::model) as
-//! [`WalkModel`](crate::model::WalkModel) implementations; [`WalkSpec`] is
-//! a thin, serializable constructor layer
-//! that names a built-in model and its parameters. Execution — whether a
-//! whole walk ([`WalkSpec::walk`]), one step at a time ([`WalkCursor`]), a
-//! parallel pass ([`WalkEngine`](crate::WalkEngine)) or the sharded service
-//! — always goes through the trait, so custom models plug in everywhere a
-//! spec does.
+//! [`WalkSpec`] *is* the built-in model: a variant names an application
+//! and its parameters, and [`WalkSpec::step`] runs one transition of it
+//! through a single `match` that is generic over the sampler and RNG, so a
+//! built-in step pays no dynamic dispatch. Applications outside the set
+//! implement the open [`WalkModel`](crate::model::WalkModel) trait. Every
+//! executor — a whole walk ([`WalkSpec::walk`]), one step at a time
+//! ([`WalkCursor`]), a parallel pass ([`WalkEngine`](crate::WalkEngine)),
+//! a [`WalkStore`](crate::WalkStore) or the sharded service — holds a
+//! [`Walk`]: a spec or a shared custom model, so a custom model plugs in
+//! everywhere a spec does.
 
-use crate::model::{
-    ContextRequirement, DeepWalkModel, Node2VecModel, PprModel, SharedWalkModel,
-    SimpleSamplingModel, Transition, WalkState,
-};
+use crate::model::{ContextRequirement, SharedWalkModel, Transition, WalkState};
 use crate::TransitionSampler;
 use bingo_graph::VertexId;
-use rand::{Rng, RngCore};
-use std::sync::Arc;
+use rand::Rng;
 
 /// Configuration of biased DeepWalk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,14 +94,8 @@ impl Default for SimpleSamplingConfig {
     }
 }
 
-/// A fully-specified built-in walk application.
-///
-/// This is the constructor layer over the open [`WalkModel`] API: each
-/// variant names a built-in model plus its parameters, and
-/// [`WalkSpec::to_model`] instantiates it. Code that executes walks never
-/// matches on this enum — it drives the model returned by `to_model`.
-///
-/// [`WalkModel`]: crate::model::WalkModel
+/// A built-in walk application and its parameters — the built-in model
+/// itself: [`WalkSpec::step`] is its transition function.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WalkSpec {
     /// Biased DeepWalk.
@@ -116,17 +109,6 @@ pub enum WalkSpec {
 }
 
 impl WalkSpec {
-    /// Instantiate the built-in [`WalkModel`](crate::model::WalkModel) this
-    /// spec describes — the single place where the enum is interpreted.
-    pub fn to_model(&self) -> SharedWalkModel {
-        match *self {
-            WalkSpec::DeepWalk(config) => Arc::new(DeepWalkModel { config }),
-            WalkSpec::Node2Vec(config) => Arc::new(Node2VecModel { config }),
-            WalkSpec::Ppr(config) => Arc::new(PprModel { config }),
-            WalkSpec::SimpleSampling(config) => Arc::new(SimpleSamplingModel { config }),
-        }
-    }
-
     /// Short name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -138,29 +120,66 @@ impl WalkSpec {
     }
 
     /// Expected (or exact) number of steps per walk, used for sizing.
-    ///
-    /// Allocation-free mirror of the model's
-    /// [`expected_length`](crate::model::WalkModel::expected_length) (the
-    /// `spec_names_match_model_names` test keeps the two in lock step).
+    /// Unbounded for PPR with stop probability 0; see
+    /// [`Walk::refresh_target`] for the clamped form.
     pub fn expected_length(&self) -> usize {
         match self {
-            WalkSpec::DeepWalk(c) => c.walk_length,
-            WalkSpec::Node2Vec(c) => c.walk_length,
             WalkSpec::Ppr(c) => (1.0 / c.stop_probability).round() as usize,
-            WalkSpec::SimpleSampling(c) => c.walk_length,
+            _ => self.max_steps(),
         }
     }
 
     /// Hard (deterministic) cap on the number of steps a walk of this spec
     /// can take. Unlike [`expected_length`](WalkSpec::expected_length) this
-    /// is always finite and is what sizing and refresh targets should be
-    /// bounded by.
+    /// is always finite.
     pub fn max_steps(&self) -> usize {
-        match self {
-            WalkSpec::DeepWalk(c) => c.walk_length,
-            WalkSpec::Node2Vec(c) => c.walk_length,
+        match *self {
+            WalkSpec::DeepWalk(DeepWalkConfig { walk_length })
+            | WalkSpec::Node2Vec(Node2VecConfig { walk_length, .. })
+            | WalkSpec::SimpleSampling(SimpleSamplingConfig { walk_length }) => walk_length,
             WalkSpec::Ppr(c) => c.max_length,
-            WalkSpec::SimpleSampling(c) => c.walk_length,
+        }
+    }
+
+    /// What cross-shard state a forwarded walker of this spec needs:
+    /// node2vec's distance factor reads the previous vertex's adjacency.
+    pub fn required_context(&self) -> ContextRequirement {
+        match self {
+            WalkSpec::Node2Vec(_) => ContextRequirement::PreviousAdjacency,
+            _ => ContextRequirement::None,
+        }
+    }
+
+    /// Produce the next transition for a walker in `state` — the contract
+    /// of [`WalkModel::step`](crate::model::WalkModel::step), with the
+    /// sampler and RNG types kept static. A walker at its length cap
+    /// terminates without drawing randomness.
+    pub fn step<S, R>(&self, state: &WalkState, sampler: &S, rng: &mut R) -> Transition
+    where
+        S: TransitionSampler,
+        R: Rng + ?Sized,
+    {
+        if state.steps_taken() >= self.max_steps() {
+            return Transition::Terminate;
+        }
+        match *self {
+            // Simple sampling is DeepWalk on unit biases: the same draw.
+            WalkSpec::DeepWalk(_) | WalkSpec::SimpleSampling(_) => {}
+            WalkSpec::Ppr(c) => {
+                if rng.gen::<f64>() < c.stop_probability {
+                    return Transition::Terminate;
+                }
+            }
+            WalkSpec::Node2Vec(c) => {
+                // The first step has no history: plain biased sampling.
+                if let Some(prev) = state.prev() {
+                    return node2vec_step(c, prev, state, sampler, rng);
+                }
+            }
+        }
+        match sampler.sample_neighbor(state.current(), rng) {
+            Some(next) => Transition::Step(next),
+            None => Transition::Terminate,
         }
     }
 
@@ -172,7 +191,7 @@ impl WalkSpec {
     /// drive the cursor step by step instead.
     pub fn walk<S, R>(&self, sampler: &S, start: VertexId, rng: &mut R) -> Vec<VertexId>
     where
-        S: TransitionSampler + ?Sized,
+        S: TransitionSampler,
         R: Rng + ?Sized,
     {
         let mut cursor = WalkCursor::new(*self, start);
@@ -181,39 +200,170 @@ impl WalkSpec {
     }
 }
 
+/// One node2vec transition after the first step. The factor `1/p`, `1` or
+/// `1/q` is applied by rejection (KnightKing's approach, which the paper
+/// adopts for second-order applications): sample from the static bias
+/// distribution, accept with probability `f / max(f)`.
+///
+/// The distance factor is evaluated on the **directed out-adjacency of the
+/// previous vertex** (`prev → candidate`), so a single membership
+/// fingerprint of `prev` fully determines the factor — which is what lets
+/// the sharded service forward node2vec walkers with a compact carried
+/// context and still reproduce the single-engine transition distribution
+/// exactly.
+fn node2vec_step<S, R>(
+    config: Node2VecConfig,
+    prev: VertexId,
+    state: &WalkState,
+    sampler: &S,
+    rng: &mut R,
+) -> Transition
+where
+    S: TransitionSampler,
+    R: Rng + ?Sized,
+{
+    let inv_p = 1.0 / config.p;
+    let inv_q = 1.0 / config.q;
+    let max_factor = inv_p.max(1.0).max(inv_q);
+    // Expected number of trials is bounded by max_factor / min_factor; cap
+    // defensively to avoid pathological loops on adversarial parameters.
+    for _ in 0..10_000 {
+        let Some(candidate) = sampler.sample_neighbor(state.current(), rng) else {
+            return Transition::Terminate;
+        };
+        let factor = if candidate == prev {
+            inv_p
+        } else if state.prev_adjacent(candidate, sampler) {
+            1.0
+        } else {
+            inv_q
+        };
+        if rng.gen::<f64>() * max_factor < factor {
+            return Transition::Step(candidate);
+        }
+    }
+    Transition::Terminate
+}
+
+/// What an executor runs: a built-in [`WalkSpec`], stepped through its
+/// generic `match`, or a shared custom
+/// [`WalkModel`](crate::model::WalkModel), stepped through the
+/// object-safe trait. Both convert into it, so every executor takes
+/// either: `WalkEngine::new(seed).run(&engine, &spec, &starts)` or
+/// `….run(&engine, &model, &starts)`.
+#[derive(Debug, Clone)]
+pub enum Walk {
+    /// A built-in application.
+    Builtin(WalkSpec),
+    /// A user-defined model.
+    Custom(SharedWalkModel),
+}
+
+impl From<WalkSpec> for Walk {
+    fn from(spec: WalkSpec) -> Self {
+        Walk::Builtin(spec)
+    }
+}
+
+impl From<SharedWalkModel> for Walk {
+    fn from(model: SharedWalkModel) -> Self {
+        Walk::Custom(model)
+    }
+}
+
+impl Walk {
+    /// Short name used in reports.
+    pub fn name(&self) -> &str {
+        match self {
+            Walk::Builtin(spec) => spec.name(),
+            Walk::Custom(model) => model.name(),
+        }
+    }
+
+    /// The built-in spec, `None` for a custom model.
+    pub fn spec(&self) -> Option<&WalkSpec> {
+        match self {
+            Walk::Builtin(spec) => Some(spec),
+            Walk::Custom(_) => None,
+        }
+    }
+
+    /// Hard deterministic cap on the number of steps a walk can take.
+    pub fn max_steps(&self) -> usize {
+        match self {
+            Walk::Builtin(spec) => spec.max_steps(),
+            Walk::Custom(model) => model.max_steps(),
+        }
+    }
+
+    /// The length a stored walk is re-extended to after an update (the
+    /// [`WalkStore`](crate::WalkStore) refresh target): the expected
+    /// length, clamped to the step cap — PPR's expected length is
+    /// unbounded at stop probability 0.
+    pub fn refresh_target(&self) -> usize {
+        let expected = match self {
+            Walk::Builtin(spec) => spec.expected_length(),
+            Walk::Custom(model) => model.expected_length(),
+        };
+        expected.min(self.max_steps())
+    }
+
+    /// The cross-shard context a forwarded walker needs.
+    pub fn required_context(&self) -> ContextRequirement {
+        match self {
+            Walk::Builtin(spec) => spec.required_context(),
+            Walk::Custom(model) => model.required_context(),
+        }
+    }
+
+    /// One transition: a built-in steps with the sampler and RNG types
+    /// intact, a custom model through `&dyn StepSampler` and
+    /// `&mut dyn RngCore`. The draws are the same either way.
+    pub fn step<S, R>(&self, state: &WalkState, sampler: &S, rng: &mut R) -> Transition
+    where
+        S: TransitionSampler,
+        R: Rng + ?Sized,
+    {
+        match self {
+            Walk::Builtin(spec) => spec.step(state, sampler, rng),
+            Walk::Custom(model) => {
+                // `&mut R` is itself a sized `RngCore`, so it erases even
+                // when `R` is unsized.
+                let mut rng = rng;
+                model.step(state, sampler, &mut rng)
+            }
+        }
+    }
+}
+
 /// Resumable, frontier-friendly walker state.
 ///
 /// A `WalkCursor` replaces the walker-owned loop: the owner of the sampling
 /// structure advances the walk one transition at a time with
 /// [`WalkCursor::step`], and can stop, hand the cursor to another shard, or
-/// interleave graph updates between any two steps. Every application —
-/// built-in or user-defined — runs through the same cursor by implementing
-/// [`WalkModel`](crate::model::WalkModel), so the sharded walk service and
-/// the single-machine walker engine share per-step logic.
+/// interleave graph updates between any two steps. Built-in and custom
+/// walks run through the same cursor, so the sharded walk service and the
+/// single-machine walker engine share per-step logic.
 #[derive(Debug, Clone)]
 pub struct WalkCursor {
-    model: SharedWalkModel,
+    walk: Walk,
     state: WalkState,
     path: Vec<VertexId>,
     done: bool,
 }
 
 impl WalkCursor {
-    /// Create a cursor positioned at `start` running a built-in spec.
-    pub fn new(spec: WalkSpec, start: VertexId) -> Self {
-        Self::with_model(spec.to_model(), start)
-    }
-
-    /// Create a cursor positioned at `start` running an arbitrary model.
-    pub fn with_model(model: SharedWalkModel, start: VertexId) -> Self {
+    /// Create a cursor positioned at `start` running `walk` — a
+    /// [`WalkSpec`] or a shared custom model.
+    pub fn new(walk: impl Into<Walk>, start: VertexId) -> Self {
+        let walk = walk.into();
         // Preallocation hint only: clamp so huge PPR max_length values
         // don't reserve memory walks will rarely use.
-        let mut path =
-            Vec::with_capacity(model.expected_length().min(model.max_steps()).min(4095) + 1);
+        let mut path = Vec::with_capacity(walk.refresh_target().min(4095) + 1);
         path.push(start);
-        let state = model.init(start);
+        let state = WalkState::new(start);
         WalkCursor {
-            model,
+            walk,
             state,
             path,
             done: false,
@@ -229,41 +379,30 @@ impl WalkCursor {
     ///
     /// Forwarded walkers are never done (a shard finishes a walker locally
     /// rather than forwarding it), so the rebuilt cursor is live.
-    pub fn resume(model: SharedWalkModel, path: Vec<VertexId>) -> Option<Self> {
-        let mut state = model.init(*path.first()?);
+    pub fn resume(walk: Walk, path: Vec<VertexId>) -> Option<Self> {
+        let mut state = WalkState::new(*path.first()?);
         for &v in &path[1..] {
             state.advance(v);
         }
         debug_assert_eq!(Some(state.current()), path.last().copied());
         debug_assert_eq!(state.steps_taken(), path.len() - 1);
         Some(WalkCursor {
-            model,
+            walk,
             state,
             path,
             done: false,
         })
     }
 
-    /// The model this cursor is running.
-    pub fn model(&self) -> &SharedWalkModel {
-        &self.model
-    }
-
-    /// The cross-shard context the model needs with a forwarded walker.
-    pub fn required_context(&self) -> ContextRequirement {
-        self.model.required_context()
+    /// The walk this cursor is running.
+    pub fn walk(&self) -> &Walk {
+        &self.walk
     }
 
     /// The walker's model-visible state (current/previous vertex, carried
     /// context).
     pub fn state(&self) -> &WalkState {
         &self.state
-    }
-
-    /// Drain the state's missing-context fault counter (see
-    /// [`WalkState::take_context_misses`]).
-    pub fn take_context_misses(&self) -> u64 {
-        self.state.take_context_misses()
     }
 
     /// Attach a forwarded-context membership snapshot of the previous
@@ -303,7 +442,7 @@ impl WalkCursor {
     /// (Probabilistic stops — PPR — are not covered: those require drawing
     /// randomness.)
     pub fn at_length_limit(&self) -> bool {
-        self.steps_taken() >= self.model.max_steps()
+        self.steps_taken() >= self.walk.max_steps()
     }
 
     /// The path visited so far, including the start vertex.
@@ -316,7 +455,7 @@ impl WalkCursor {
         self.path
     }
 
-    /// Advance the walk by one transition produced by the model.
+    /// Advance the walk by one transition.
     ///
     /// Returns the vertex stepped to, or `None` once the walk has
     /// terminated (after which the cursor is [`done`](WalkCursor::is_done)
@@ -327,19 +466,13 @@ impl WalkCursor {
     /// shard before stepping.
     pub fn step<S, R>(&mut self, sampler: &S, rng: &mut R) -> Option<VertexId>
     where
-        S: TransitionSampler + ?Sized,
+        S: TransitionSampler,
         R: Rng + ?Sized,
     {
         if self.done {
             return None;
         }
-        // Erase the generics at the trait boundary: `&mut R` is itself an
-        // RngCore (and Sized), so it coerces to `&mut dyn RngCore` even
-        // when `R` is unsized; `SamplerBridge` does the same for `S`.
-        let mut reborrow: &mut R = rng;
-        let dyn_rng: &mut dyn RngCore = &mut reborrow;
-        let bridge = crate::model::SamplerBridge(sampler);
-        match self.model.step(&self.state, &bridge, dyn_rng) {
+        match self.walk.step(&self.state, sampler, rng) {
             Transition::Step(next) => {
                 self.state.advance(next);
                 self.path.push(next);
@@ -406,39 +539,45 @@ mod tests {
             80
         );
         assert_eq!(WalkSpec::Ppr(PprConfig::default()).expected_length(), 80);
+        // PPR that never stops: an unbounded expectation, a finite cap,
+        // and a refresh target clamped to the cap.
+        let endless = Walk::from(WalkSpec::Ppr(PprConfig {
+            stop_probability: 0.0,
+            max_length: 25,
+        }));
+        assert_eq!(endless.spec().unwrap().expected_length(), usize::MAX);
+        assert_eq!(endless.max_steps(), 25);
+        assert_eq!(endless.refresh_target(), 25);
     }
 
     #[test]
     fn resume_rebuilds_mid_walk_cursor_state() {
-        let model = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 10 }).to_model();
+        let walk = Walk::from(WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 10 }));
         assert!(
-            WalkCursor::resume(model.clone(), vec![]).is_none(),
+            WalkCursor::resume(walk.clone(), vec![]).is_none(),
             "an empty path is not a walker"
         );
-        let fresh = WalkCursor::resume(model.clone(), vec![3]).expect("single-vertex path");
+        let fresh = WalkCursor::resume(walk.clone(), vec![3]).expect("single-vertex path");
         assert_eq!(fresh.current(), 3);
         assert_eq!(fresh.steps_taken(), 0);
         assert_eq!(fresh.state().prev(), None);
         assert!(!fresh.is_done());
-        let mid = WalkCursor::resume(model, vec![3, 1, 2]).expect("mid-walk path");
+        let mid = WalkCursor::resume(walk, vec![3, 1, 2]).expect("mid-walk path");
         assert_eq!(mid.current(), 2);
         assert_eq!(mid.state().prev(), Some(1));
         assert_eq!(mid.steps_taken(), 2);
         assert_eq!(mid.path(), &[3, 1, 2]);
 
-        // A resumed cursor continues exactly like the original: same model,
+        // A resumed cursor continues exactly like the original: same walk,
         // same state, same RNG stream → same next step.
         let engine = cyclic_engine();
-        let mut original =
-            WalkCursor::new(WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 6 }), 0);
+        let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 6 });
+        let mut original = WalkCursor::new(spec, 0);
         let mut rng = Pcg64::seed_from_u64(21);
         original.step(&engine, &mut rng);
         original.step(&engine, &mut rng);
-        let mut resumed = WalkCursor::resume(
-            WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 6 }).to_model(),
-            original.path().to_vec(),
-        )
-        .expect("resume");
+        let mut resumed =
+            WalkCursor::resume(spec.into(), original.path().to_vec()).expect("resume");
         let mut rng_a = Pcg64::seed_from_u64(99);
         let mut rng_b = rng_a.clone();
         assert_eq!(
@@ -446,21 +585,6 @@ mod tests {
             resumed.step(&engine, &mut rng_b)
         );
         assert_eq!(original.path(), resumed.path());
-    }
-
-    #[test]
-    fn spec_names_match_model_names() {
-        for spec in [
-            WalkSpec::DeepWalk(DeepWalkConfig::default()),
-            WalkSpec::Node2Vec(Node2VecConfig::default()),
-            WalkSpec::Ppr(PprConfig::default()),
-            WalkSpec::SimpleSampling(SimpleSamplingConfig::default()),
-        ] {
-            let model = spec.to_model();
-            assert_eq!(spec.name(), model.name());
-            assert_eq!(spec.expected_length(), model.expected_length());
-            assert_eq!(spec.max_steps(), model.max_steps());
-        }
     }
 
     #[test]
@@ -592,70 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn boxed_model_walks_match_enum_spec_walks_step_for_step() {
-        // Trait-object safety: a cursor over `Arc<dyn WalkModel>` built by
-        // hand must reproduce the spec-built cursor exactly under the same
-        // seed, for every built-in application.
-        use crate::model::{DeepWalkModel, Node2VecModel, PprModel, SimpleSamplingModel};
-        let engine = cyclic_engine();
-        let cases: Vec<(WalkSpec, SharedWalkModel)> = vec![
-            (
-                WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 15 }),
-                Arc::new(DeepWalkModel {
-                    config: DeepWalkConfig { walk_length: 15 },
-                }),
-            ),
-            (
-                WalkSpec::Node2Vec(Node2VecConfig {
-                    walk_length: 15,
-                    p: 0.25,
-                    q: 4.0,
-                }),
-                Arc::new(Node2VecModel {
-                    config: Node2VecConfig {
-                        walk_length: 15,
-                        p: 0.25,
-                        q: 4.0,
-                    },
-                }),
-            ),
-            (
-                WalkSpec::Ppr(PprConfig {
-                    stop_probability: 0.1,
-                    max_length: 30,
-                }),
-                Arc::new(PprModel {
-                    config: PprConfig {
-                        stop_probability: 0.1,
-                        max_length: 30,
-                    },
-                }),
-            ),
-            (
-                WalkSpec::SimpleSampling(SimpleSamplingConfig { walk_length: 15 }),
-                Arc::new(SimpleSamplingModel {
-                    config: SimpleSamplingConfig { walk_length: 15 },
-                }),
-            ),
-        ];
-        for (spec, model) in cases {
-            let mut rng_spec = Pcg64::seed_from_u64(0xB0);
-            let mut rng_model = Pcg64::seed_from_u64(0xB0);
-            let mut spec_cursor = WalkCursor::new(spec, 1);
-            let mut model_cursor = WalkCursor::with_model(model, 1);
-            loop {
-                let a = spec_cursor.step(&engine, &mut rng_spec);
-                let b = model_cursor.step(&engine, &mut rng_model);
-                assert_eq!(a, b, "{} diverged", spec.name());
-                if a.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(spec_cursor.path(), model_cursor.path());
-        }
-    }
-
-    #[test]
     fn cursor_respects_walk_length_and_dead_ends() {
         let engine = engine();
         // Vertex 5 has no out-edges: the cursor terminates immediately.
@@ -683,7 +743,7 @@ mod tests {
         let mut rng = Pcg64::seed_from_u64(8);
         let mut cursor = WalkCursor::new(WalkSpec::Node2Vec(Node2VecConfig::default()), 0);
         assert_eq!(
-            cursor.required_context(),
+            cursor.walk().required_context(),
             ContextRequirement::PreviousAdjacency
         );
         use crate::model::CarriedContext;
@@ -699,25 +759,5 @@ mod tests {
         // The next locally-sampled step drops the single-use snapshot.
         cursor.step(&engine, &mut rng).unwrap();
         assert!(cursor.state().carried_context().is_none());
-    }
-
-    #[test]
-    fn walk_spec_dispatches_to_the_right_application() {
-        let engine = cyclic_engine();
-        let mut rng = Pcg64::seed_from_u64(5);
-        for spec in [
-            WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 10 }),
-            WalkSpec::Node2Vec(Node2VecConfig {
-                walk_length: 10,
-                p: 0.5,
-                q: 2.0,
-            }),
-            WalkSpec::Ppr(PprConfig::default()),
-            WalkSpec::SimpleSampling(SimpleSamplingConfig { walk_length: 10 }),
-        ] {
-            let path = spec.walk(&engine, 1, &mut rng);
-            assert!(!path.is_empty());
-            assert_eq!(path[0], 1);
-        }
     }
 }

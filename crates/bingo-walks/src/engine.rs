@@ -9,8 +9,7 @@
 //! `Fn + Send + Sync` — all per-walker state (RNG, cursor) lives inside the
 //! closure body, never in captures.
 
-use crate::apps::{WalkCursor, WalkSpec};
-use crate::model::SharedWalkModel;
+use crate::apps::{Walk, WalkCursor};
 use crate::TransitionSampler;
 use bingo_graph::VertexId;
 use bingo_sampling::rng::Pcg64;
@@ -88,35 +87,22 @@ impl WalkEngine {
         WalkEngine { seed }
     }
 
-    /// Run the application from the given start vertices, one walker per
+    /// Run `walk` — a [`WalkSpec`](crate::WalkSpec), a shared custom
+    /// model or a [`Walk`] — from the given start vertices, one walker per
     /// start, in parallel.
-    pub fn run<S>(&self, sampler: &S, spec: &WalkSpec, starts: &[VertexId]) -> WalkResults
+    pub fn run<S, W>(&self, sampler: &S, walk: &W, starts: &[VertexId]) -> WalkResults
     where
-        S: TransitionSampler + ?Sized,
+        S: TransitionSampler,
+        W: Clone + Into<Walk>,
     {
-        self.run_model(sampler, &spec.to_model(), starts)
-    }
-
-    /// Run an arbitrary [`WalkModel`](crate::model::WalkModel) from the
-    /// given start vertices, one walker per start, in parallel. This is the
-    /// execution primitive; [`WalkEngine::run`] is sugar over it for the
-    /// built-in specs.
-    pub fn run_model<S>(
-        &self,
-        sampler: &S,
-        model: &SharedWalkModel,
-        starts: &[VertexId],
-    ) -> WalkResults
-    where
-        S: TransitionSampler + ?Sized,
-    {
+        let walk: Walk = walk.clone().into();
         let seed = self.seed;
         let paths: Vec<Vec<VertexId>> = starts
             .par_iter()
             .enumerate()
             .map(|(i, &start)| {
                 let mut rng = Pcg64::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-                let mut cursor = WalkCursor::with_model(model.clone(), start);
+                let mut cursor = WalkCursor::new(walk.clone(), start);
                 while cursor.step(sampler, &mut rng).is_some() {}
                 cursor.into_path()
             })
@@ -124,31 +110,23 @@ impl WalkEngine {
         WalkResults { paths }
     }
 
-    /// Run the application with one walker per vertex — the paper's default
-    /// walker configuration (§6.1: "we initialize the vertex count number of
+    /// Run `walk` with one walker per vertex — the paper's default walker
+    /// configuration (§6.1: "we initialize the vertex count number of
     /// random walkers").
-    pub fn run_all_vertices<S>(&self, sampler: &S, spec: &WalkSpec) -> WalkResults
+    pub fn run_all_vertices<S, W>(&self, sampler: &S, walk: &W) -> WalkResults
     where
-        S: TransitionSampler + ?Sized,
+        S: TransitionSampler,
+        W: Clone + Into<Walk>,
     {
         let starts: Vec<VertexId> = (0..sampler.num_vertices() as VertexId).collect();
-        self.run(sampler, spec, &starts)
-    }
-
-    /// One walker per vertex, for an arbitrary model.
-    pub fn run_all_vertices_model<S>(&self, sampler: &S, model: &SharedWalkModel) -> WalkResults
-    where
-        S: TransitionSampler + ?Sized,
-    {
-        let starts: Vec<VertexId> = (0..sampler.num_vertices() as VertexId).collect();
-        self.run_model(sampler, model, &starts)
+        self.run(sampler, walk, &starts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::{DeepWalkConfig, PprConfig};
+    use crate::apps::{DeepWalkConfig, PprConfig, WalkSpec};
     use bingo_core::{BingoConfig, BingoEngine};
     use bingo_graph::{Bias, DynamicGraph};
 

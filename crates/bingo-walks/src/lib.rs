@@ -10,12 +10,14 @@
 //! every baseline system implement, so the applications, the walker engine,
 //! and the evaluation workflow are shared across all systems.
 //!
-//! * [`model`] — the pluggable [`WalkModel`] trait: a
-//!   walk application as an object-safe state machine, plus the built-in
-//!   implementations. Every execution layer drives models through this
-//!   trait; custom applications plug into all of them.
-//! * [`apps`] — the built-in application configurations, the thin
-//!   [`WalkSpec`] constructor layer, and the resumable [`WalkCursor`].
+//! * [`model`] — the pluggable [`WalkModel`] trait: a custom walk
+//!   application as an object-safe state machine, and the walker state
+//!   and sampling surface it steps with.
+//! * [`apps`] — the built-in applications: [`WalkSpec`], their model,
+//!   stepped through one `match` generic over sampler and RNG; the
+//!   [`Walk`] every execution layer holds (a spec or a custom model, so a
+//!   custom application plugs into all of them); and the resumable
+//!   [`WalkCursor`].
 //! * [`engine`] — the parallel walker engine: one RNG stream per walker,
 //!   rayon-parallel execution, visit-count aggregation.
 //! * [`workflow`] — the paper's evaluation loop (§6.1): rounds of update
@@ -27,8 +29,9 @@
 //!   walks: when an edge changes, only the affected suffixes are re-sampled
 //!   from the updated engine (§7.2).
 //! * [`wire`] — versioned fixed-width little-endian codecs for everything
-//!   that crosses a shard boundary: walker frames, carried contexts, and
-//!   the negotiated 16-byte snapshot handles.
+//!   that crosses a shard boundary: walker frames, the walk section that
+//!   names a forwarded walker's walk, carried contexts, and the
+//!   negotiated 16-byte snapshot handles.
 //! * [`tenancy`] — multi-tenant ticket metadata ([`TenantId`],
 //!   [`TicketMeta`]): the shared vocabulary the serving layers
 //!   (`bingo-service`, `bingo-gateway`) use to attribute and fairly
@@ -60,7 +63,7 @@ pub mod workflow;
 
 pub use analytics::{personalized_pagerank, random_walk_domination, sample_mini_batch, MiniBatch};
 pub use apps::{
-    DeepWalkConfig, Node2VecConfig, PprConfig, SimpleSamplingConfig, WalkCursor, WalkSpec,
+    DeepWalkConfig, Node2VecConfig, PprConfig, SimpleSamplingConfig, Walk, WalkCursor, WalkSpec,
 };
 pub use engine::{WalkEngine, WalkResults};
 pub use model::{

@@ -2,18 +2,24 @@
 //!
 //! Bingo's thesis is that radix-based bias factorization serves *arbitrary*
 //! biased walk applications on dynamic graphs — so the walk semantics must
-//! not be a closed enum baked into the execution layers. [`WalkModel`] is
+//! not be a closed set baked into the execution layers. [`WalkModel`] is
 //! the open interface: a walk application is a small state machine that,
 //! given the walker's [`WalkState`] and a sampling surface, produces one
-//! [`Transition`] at a time. Every execution backend in this repository —
-//! [`WalkCursor`](crate::WalkCursor) single-stepping, the parallel
-//! [`WalkEngine`](crate::WalkEngine), [`WalkStore`](crate::WalkStore)
-//! generation, and the sharded `bingo-service` — drives models exclusively
-//! through this trait. The legacy [`WalkSpec`](crate::WalkSpec) enum
-//! survives only as a thin constructor layer over the built-in models.
+//! [`Transition`] at a time.
 //!
-//! The trait is **object-safe**: backends hold `Arc<dyn WalkModel>`, so
-//! user-defined applications plug in without touching any execution code.
+//! The built-in applications (DeepWalk, node2vec, PPR, simple sampling)
+//! do not implement it: [`WalkSpec`](crate::WalkSpec) is their model, and
+//! its one `match` steps them with the sampler and RNG types intact. Every
+//! execution backend in this repository — [`WalkCursor`](crate::WalkCursor)
+//! single-stepping, the parallel [`WalkEngine`](crate::WalkEngine),
+//! [`WalkStore`](crate::WalkStore) generation, and the sharded
+//! `bingo-service` — holds a [`Walk`](crate::Walk), either a spec or a
+//! custom model, so a user-defined application plugs in wherever a spec
+//! does without touching any execution code.
+//!
+//! The trait is **object-safe**: a custom model is shared as
+//! `Arc<dyn WalkModel>` ([`SharedWalkModel`]) and steps through
+//! `&dyn StepSampler` and `&mut dyn RngCore`.
 //!
 //! ## Cross-shard context
 //!
@@ -51,7 +57,8 @@
 //! | 9 | n | the sorted, strictly increasing neighbor ids, each a `u32` LE |
 //!
 //! Walker frames (the whole forwarded walker, version-prefixed the same
-//! way) and the 16-byte snapshot *handle* that replaces a payload when the
+//! way), the walk section naming the walk a forwarded walker runs, and
+//! the 16-byte snapshot *handle* that replaces a payload when the
 //! receiver already caches the snapshot are specified in [`crate::wire`].
 //!
 //! ### Missing-context faults
@@ -133,7 +140,7 @@
 //! let engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
 //! let model: Arc<dyn WalkModel> = Arc::new(TemperatureWalk { tau: 4.0, max_steps: 32 });
 //! let mut rng = Pcg64::seed_from_u64(7);
-//! let mut cursor = WalkCursor::with_model(model, 0);
+//! let mut cursor = WalkCursor::new(model, 0);
 //! while cursor.step(&engine, &mut rng).is_some() {}
 //! assert!(cursor.path().len() <= 33);
 //! ```
@@ -292,7 +299,7 @@ impl WalkState {
     /// non-owned vertices. The condition is counted (drain it with
     /// [`WalkState::take_context_misses`]) instead of silently skewing the
     /// model's distribution.
-    pub fn prev_adjacent(&self, candidate: VertexId, sampler: &dyn StepSampler) -> bool {
+    pub fn prev_adjacent<S: StepSampler + ?Sized>(&self, candidate: VertexId, sampler: &S) -> bool {
         let Some(prev) = self.prev else {
             return false;
         };
@@ -369,7 +376,7 @@ pub trait StepSampler {
     fn owns_vertex(&self, v: VertexId) -> bool;
 }
 
-impl<S: TransitionSampler + ?Sized> StepSampler for S {
+impl<S: TransitionSampler> StepSampler for S {
     fn num_vertices(&self) -> usize {
         TransitionSampler::num_vertices(self)
     }
@@ -392,39 +399,11 @@ impl<S: TransitionSampler + ?Sized> StepSampler for S {
     }
 }
 
-/// Sized adapter over a (possibly unsized) [`TransitionSampler`] reference,
-/// so the execution layers can hand `&dyn StepSampler` to a model even when
-/// their sampler generic is `?Sized`.
-pub struct SamplerBridge<'a, S: TransitionSampler + ?Sized>(pub &'a S);
-
-impl<S: TransitionSampler + ?Sized> StepSampler for SamplerBridge<'_, S> {
-    fn num_vertices(&self) -> usize {
-        TransitionSampler::num_vertices(self.0)
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        TransitionSampler::degree(self.0, v)
-    }
-
-    #[inline]
-    fn sample_neighbor_dyn(&self, v: VertexId, mut rng: &mut dyn RngCore) -> Option<VertexId> {
-        TransitionSampler::sample_neighbor(self.0, v, &mut rng)
-    }
-
-    fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        TransitionSampler::has_edge(self.0, src, dst)
-    }
-
-    fn owns_vertex(&self, v: VertexId) -> bool {
-        TransitionSampler::owns_vertex(self.0, v)
-    }
-}
-
-/// A pluggable walk application: per-walk state initialisation plus a
-/// one-transition step function.
+/// A pluggable walk application: a one-transition step function over the
+/// walker state the executor keeps.
 ///
-/// Implementations must be cheap to share (`Send + Sync`; backends clone an
-/// `Arc<dyn WalkModel>` per walker) and deterministic given the RNG stream:
+/// Implementations must be cheap to share (`Send + Sync`; backends clone
+/// the [`SharedWalkModel`] per walker) and deterministic given the RNG stream:
 /// all randomness must come from the `rng` argument, in a fixed draw order,
 /// so a walk is reproducible for a seed regardless of which backend drives
 /// it.
@@ -447,11 +426,6 @@ pub trait WalkModel: Send + Sync + std::fmt::Debug {
         ContextRequirement::None
     }
 
-    /// Create the walker state for a walk starting at `start`.
-    fn init(&self, start: VertexId) -> WalkState {
-        WalkState::new(start)
-    }
-
     /// Produce the next transition for a walker in `state`.
     ///
     /// The executor applies a returned [`Transition::Step`] to the state
@@ -468,213 +442,17 @@ pub trait WalkModel: Send + Sync + std::fmt::Debug {
     ) -> Transition;
 }
 
-/// A shareable, type-erased walk model — what every backend stores.
+/// A shareable, type-erased custom walk model
+/// ([`Walk::Custom`](crate::Walk::Custom)).
 pub type SharedWalkModel = Arc<dyn WalkModel>;
-
-// ---------------------------------------------------------------------------
-// Built-in models
-// ---------------------------------------------------------------------------
-
-use crate::apps::{DeepWalkConfig, Node2VecConfig, PprConfig, SimpleSamplingConfig};
-use rand::Rng;
-
-/// Biased DeepWalk: first-order, fixed length, one biased sample per step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeepWalkModel {
-    /// The application parameters.
-    pub config: DeepWalkConfig,
-}
-
-impl WalkModel for DeepWalkModel {
-    fn name(&self) -> &str {
-        "DeepWalk"
-    }
-
-    fn expected_length(&self) -> usize {
-        self.config.walk_length
-    }
-
-    fn max_steps(&self) -> usize {
-        self.config.walk_length
-    }
-
-    fn step(
-        &self,
-        state: &WalkState,
-        sampler: &dyn StepSampler,
-        rng: &mut dyn RngCore,
-    ) -> Transition {
-        if state.steps_taken() >= self.config.walk_length {
-            return Transition::Terminate;
-        }
-        match sampler.sample_neighbor_dyn(state.current(), rng) {
-            Some(next) => Transition::Step(next),
-            None => Transition::Terminate,
-        }
-    }
-}
-
-/// Unbiased simple sampling — evaluated on unit-bias graphs, where the
-/// biased sampler and the uniform sampler coincide (§6's
-/// `random_walk_simple_sampling` kernel).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimpleSamplingModel {
-    /// The application parameters.
-    pub config: SimpleSamplingConfig,
-}
-
-impl WalkModel for SimpleSamplingModel {
-    fn name(&self) -> &str {
-        "SimpleSampling"
-    }
-
-    fn expected_length(&self) -> usize {
-        self.config.walk_length
-    }
-
-    fn max_steps(&self) -> usize {
-        self.config.walk_length
-    }
-
-    fn step(
-        &self,
-        state: &WalkState,
-        sampler: &dyn StepSampler,
-        rng: &mut dyn RngCore,
-    ) -> Transition {
-        if state.steps_taken() >= self.config.walk_length {
-            return Transition::Terminate;
-        }
-        match sampler.sample_neighbor_dyn(state.current(), rng) {
-            Some(next) => Transition::Step(next),
-            None => Transition::Terminate,
-        }
-    }
-}
-
-/// Personalized PageRank: terminate with a fixed probability at every step,
-/// hard-capped at `max_length`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PprModel {
-    /// The application parameters.
-    pub config: PprConfig,
-}
-
-impl WalkModel for PprModel {
-    fn name(&self) -> &str {
-        "PPR"
-    }
-
-    fn expected_length(&self) -> usize {
-        (1.0 / self.config.stop_probability).round() as usize
-    }
-
-    fn max_steps(&self) -> usize {
-        self.config.max_length
-    }
-
-    fn step(
-        &self,
-        state: &WalkState,
-        sampler: &dyn StepSampler,
-        rng: &mut dyn RngCore,
-    ) -> Transition {
-        if state.steps_taken() >= self.config.max_length
-            || rng.gen::<f64>() < self.config.stop_probability
-        {
-            return Transition::Terminate;
-        }
-        match sampler.sample_neighbor_dyn(state.current(), rng) {
-            Some(next) => Transition::Step(next),
-            None => Transition::Terminate,
-        }
-    }
-}
-
-/// node2vec: second-order walks. The transition bias is additionally
-/// multiplied by `1/p`, `1` or `1/q` depending on whether the candidate is
-/// the previous vertex, an out-neighbor of the previous vertex, or neither
-/// (Equation 1). Following KnightKing (and the paper, which adopts
-/// KnightKing's approach for second-order applications), the factor is
-/// applied by rejection: sample from the static bias distribution, accept
-/// with probability `f / max(f)`.
-///
-/// The distance factor is evaluated on the **directed out-adjacency of the
-/// previous vertex** (`prev → candidate`), so a single membership
-/// fingerprint of `prev` fully determines the factor — which is what lets
-/// the sharded service forward node2vec walkers with a compact carried
-/// context and still reproduce the single-engine transition distribution
-/// exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Node2VecModel {
-    /// The application parameters.
-    pub config: Node2VecConfig,
-}
-
-impl WalkModel for Node2VecModel {
-    fn name(&self) -> &str {
-        "node2vec"
-    }
-
-    fn expected_length(&self) -> usize {
-        self.config.walk_length
-    }
-
-    fn max_steps(&self) -> usize {
-        self.config.walk_length
-    }
-
-    fn required_context(&self) -> ContextRequirement {
-        ContextRequirement::PreviousAdjacency
-    }
-
-    fn step(
-        &self,
-        state: &WalkState,
-        sampler: &dyn StepSampler,
-        mut rng: &mut dyn RngCore,
-    ) -> Transition {
-        if state.steps_taken() >= self.config.walk_length {
-            return Transition::Terminate;
-        }
-        let current = state.current();
-        let Some(prev) = state.prev() else {
-            // The first step has no history: plain biased sampling.
-            return match sampler.sample_neighbor_dyn(current, rng) {
-                Some(next) => Transition::Step(next),
-                None => Transition::Terminate,
-            };
-        };
-        let inv_p = 1.0 / self.config.p;
-        let inv_q = 1.0 / self.config.q;
-        let max_factor = inv_p.max(1.0).max(inv_q);
-        // Expected number of trials is bounded by max_factor / min_factor;
-        // cap defensively to avoid pathological loops on adversarial
-        // parameters.
-        for _ in 0..10_000 {
-            let Some(candidate) = sampler.sample_neighbor_dyn(current, &mut rng) else {
-                return Transition::Terminate;
-            };
-            let factor = if candidate == prev {
-                inv_p
-            } else if state.prev_adjacent(candidate, sampler) {
-                1.0
-            } else {
-                inv_q
-            };
-            if rng.gen::<f64>() * max_factor < factor {
-                return Transition::Step(candidate);
-            }
-        }
-        Transition::Terminate
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::{DeepWalkConfig, Node2VecConfig, PprConfig, SimpleSamplingConfig};
+    use crate::{Walk, WalkCursor, WalkSpec};
     use bingo_sampling::rng::Pcg64;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// A fixed fan-out sampler for exercising models without an engine.
     #[derive(Debug)]
@@ -719,17 +497,34 @@ mod tests {
     }
 
     #[test]
-    fn deepwalk_model_terminates_at_length() {
-        let model = DeepWalkModel {
-            config: DeepWalkConfig { walk_length: 0 },
-        };
-        let mut rng = Pcg64::seed_from_u64(1);
+    fn builtins_at_their_cap_terminate_without_drawing() {
         let state = WalkState::new(0);
-        assert_eq!(
-            model.step(&state, &fan(), &mut rng),
-            Transition::Terminate,
-            "length-0 walk takes no step and draws no randomness"
-        );
+        for spec in [
+            WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 0 }),
+            WalkSpec::SimpleSampling(SimpleSamplingConfig { walk_length: 0 }),
+            WalkSpec::Node2Vec(Node2VecConfig {
+                walk_length: 0,
+                ..Node2VecConfig::default()
+            }),
+            WalkSpec::Ppr(PprConfig {
+                stop_probability: 0.5,
+                max_length: 0,
+            }),
+        ] {
+            let mut rng = Pcg64::seed_from_u64(1);
+            assert_eq!(
+                spec.step(&state, &fan(), &mut rng),
+                Transition::Terminate,
+                "{}",
+                spec.name()
+            );
+            assert_eq!(
+                rng.to_raw_parts(),
+                Pcg64::seed_from_u64(1).to_raw_parts(),
+                "{} drew",
+                spec.name()
+            );
+        }
     }
 
     #[test]
@@ -819,50 +614,67 @@ mod tests {
     }
 
     #[test]
-    fn node2vec_model_declares_previous_adjacency_context() {
-        let n2v = Node2VecModel {
-            config: Node2VecConfig::default(),
-        };
+    fn only_node2vec_declares_previous_adjacency_context() {
         assert_eq!(
-            n2v.required_context(),
+            WalkSpec::Node2Vec(Node2VecConfig::default()).required_context(),
             ContextRequirement::PreviousAdjacency
         );
-        let dw = DeepWalkModel {
-            config: DeepWalkConfig::default(),
-        };
-        assert_eq!(dw.required_context(), ContextRequirement::None);
+        for spec in [
+            WalkSpec::DeepWalk(DeepWalkConfig::default()),
+            WalkSpec::Ppr(PprConfig::default()),
+            WalkSpec::SimpleSampling(SimpleSamplingConfig::default()),
+        ] {
+            assert_eq!(spec.required_context(), ContextRequirement::None);
+        }
     }
 
     #[test]
-    fn models_are_object_safe_and_usable_boxed() {
-        let models: Vec<Box<dyn WalkModel>> = vec![
-            Box::new(DeepWalkModel {
-                config: DeepWalkConfig { walk_length: 3 },
-            }),
-            Box::new(Node2VecModel {
-                config: Node2VecConfig::default(),
-            }),
-            Box::new(PprModel {
-                config: PprConfig::default(),
-            }),
-            Box::new(SimpleSamplingModel {
-                config: SimpleSamplingConfig { walk_length: 3 },
-            }),
-        ];
-        let sampler = fan();
-        let mut rng = Pcg64::seed_from_u64(9);
-        for model in &models {
-            let state = model.init(0);
-            assert_eq!(state.current(), 0);
-            // One step through the erased surface must produce a transition.
-            let t = model.step(&state, &sampler, &mut rng);
-            match t {
-                Transition::Step(v) => assert!(TransitionSampler::has_edge(&sampler, 0, v)),
-                Transition::Terminate => {}
+    fn a_custom_model_draws_what_the_builtin_draws() {
+        /// DeepWalk written against the erased surface.
+        #[derive(Debug)]
+        struct ErasedDeepWalk(usize);
+
+        impl WalkModel for ErasedDeepWalk {
+            fn name(&self) -> &str {
+                "erased"
             }
-            assert!(!model.name().is_empty());
-            assert!(model.max_steps() > 0);
+            fn expected_length(&self) -> usize {
+                self.0
+            }
+            fn max_steps(&self) -> usize {
+                self.0
+            }
+            fn step(
+                &self,
+                state: &WalkState,
+                sampler: &dyn StepSampler,
+                rng: &mut dyn RngCore,
+            ) -> Transition {
+                if state.steps_taken() >= self.0 {
+                    return Transition::Terminate;
+                }
+                match sampler.sample_neighbor_dyn(state.current(), rng) {
+                    Some(next) => Transition::Step(next),
+                    None => Transition::Terminate,
+                }
+            }
         }
+
+        // Step both through a cursor over the same fan sampler and seed:
+        // same path, and the RNG left in the same state.
+        let sampler = fan();
+        let walk = |walk: Walk| {
+            let mut rng = Pcg64::seed_from_u64(9);
+            let mut cursor = WalkCursor::new(walk, 0);
+            while cursor.step(&sampler, &mut rng).is_some() {}
+            (cursor.into_path(), rng.to_raw_parts())
+        };
+        let custom = walk(Walk::Custom(Arc::new(ErasedDeepWalk(30))));
+        assert_eq!(custom.0.len(), 31);
+        assert_eq!(
+            custom,
+            walk(WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 30 }).into())
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! position, and re-samples their suffixes from the *updated* engine — which
 //! is exactly where Bingo's `O(1)` sampling after an `O(K)` update pays off.
 
-use crate::apps::{WalkCursor, WalkSpec};
-use crate::model::SharedWalkModel;
+use crate::apps::Walk;
+use crate::engine::WalkEngine;
 use crate::TransitionSampler;
 use bingo_graph::VertexId;
 use bingo_sampling::rng::Pcg64;
@@ -43,63 +43,30 @@ pub struct WalkStore {
 }
 
 impl WalkStore {
-    /// Build a store by running `spec` once from every start vertex over
-    /// `sampler` (one walker per vertex, like the paper's evaluation).
-    pub fn generate<S>(sampler: &S, spec: &WalkSpec, seed: u64) -> Self
+    /// Build a store by running `walk` — a [`WalkSpec`](crate::WalkSpec),
+    /// a shared custom model or a [`Walk`] — once from every start vertex
+    /// over `sampler` (one walker per vertex, like the paper's evaluation).
+    pub fn generate<S, W>(sampler: &S, walk: &W, seed: u64) -> Self
     where
-        S: TransitionSampler + ?Sized,
-    {
-        Self::generate_model(sampler, &spec.to_model(), seed)
-    }
-
-    /// Build a store from explicit start vertices.
-    pub fn generate_from<S>(sampler: &S, spec: &WalkSpec, starts: &[VertexId], seed: u64) -> Self
-    where
-        S: TransitionSampler + ?Sized,
-    {
-        Self::generate_model_from(sampler, &spec.to_model(), starts, seed)
-    }
-
-    /// Build a store by running an arbitrary
-    /// [`WalkModel`](crate::model::WalkModel) once from every vertex.
-    pub fn generate_model<S>(sampler: &S, model: &SharedWalkModel, seed: u64) -> Self
-    where
-        S: TransitionSampler + ?Sized,
+        S: TransitionSampler,
+        W: Clone + Into<Walk>,
     {
         let starts: Vec<VertexId> = (0..sampler.num_vertices() as VertexId).collect();
-        Self::generate_model_from(sampler, model, &starts, seed)
+        Self::generate_from(sampler, walk, &starts, seed)
     }
 
-    /// Build a store by driving an arbitrary model from explicit start
-    /// vertices — the generation primitive every spec-based constructor
-    /// routes through.
-    pub fn generate_model_from<S>(
-        sampler: &S,
-        model: &SharedWalkModel,
-        starts: &[VertexId],
-        seed: u64,
-    ) -> Self
+    /// Build a store from explicit start vertices: the paths
+    /// [`WalkEngine::run`] returns for `seed`, which a refresh re-extends
+    /// to the walk's [`refresh_target`](Walk::refresh_target).
+    pub fn generate_from<S, W>(sampler: &S, walk: &W, starts: &[VertexId], seed: u64) -> Self
     where
-        S: TransitionSampler + ?Sized,
+        S: TransitionSampler,
+        W: Clone + Into<Walk>,
     {
-        let walks: Vec<Vec<VertexId>> = starts
-            .par_iter()
-            .enumerate()
-            .map(|(i, &start)| {
-                let mut rng = Pcg64::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-                let mut cursor = WalkCursor::with_model(model.clone(), start);
-                while cursor.step(sampler, &mut rng).is_some() {}
-                cursor.into_path()
-            })
-            .collect();
-        let mut store = WalkStore {
-            walks,
-            index: Vec::new(),
-            target_length: model.expected_length(),
-            seed,
-        };
-        store.rebuild_index(sampler.num_vertices());
-        store
+        let walk: Walk = walk.clone().into();
+        let target_length = walk.refresh_target();
+        let walks = WalkEngine::new(seed).run(sampler, &walk, starts).paths;
+        Self::from_walks(walks, sampler.num_vertices(), target_length, seed)
     }
 
     /// Build a store from walks computed elsewhere (e.g. collected from the
@@ -218,7 +185,7 @@ impl WalkStore {
 
     fn resample_suffixes<S>(&mut self, sampler: &S, affected: Vec<(usize, usize)>) -> RefreshStats
     where
-        S: TransitionSampler + ?Sized,
+        S: TransitionSampler,
     {
         let seed = self.seed;
         let target = self.target_length;
@@ -267,7 +234,7 @@ impl WalkStore {
         _dst: VertexId,
     ) -> RefreshStats
     where
-        S: TransitionSampler + ?Sized,
+        S: TransitionSampler,
     {
         let affected = self.affected_positions(src, None);
         let stats = self.resample_suffixes(sampler, affected);
@@ -282,7 +249,7 @@ impl WalkStore {
     /// deletion.
     pub fn on_edge_deleted<S>(&mut self, sampler: &S, src: VertexId, dst: VertexId) -> RefreshStats
     where
-        S: TransitionSampler + ?Sized,
+        S: TransitionSampler,
     {
         let affected = self.affected_positions(src, Some(dst));
         let stats = self.resample_suffixes(sampler, affected);
@@ -296,7 +263,7 @@ impl WalkStore {
     /// graph (used by tests; returns the first invalid step found).
     pub fn validate<S>(&self, sampler: &S) -> std::result::Result<(), (usize, VertexId, VertexId)>
     where
-        S: TransitionSampler + ?Sized,
+        S: TransitionSampler,
     {
         for (walk_id, walk) in self.walks.iter().enumerate() {
             for pair in walk.windows(2) {
@@ -312,7 +279,7 @@ impl WalkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::DeepWalkConfig;
+    use crate::apps::{DeepWalkConfig, PprConfig, WalkSpec};
     use bingo_core::{BingoConfig, BingoEngine};
     use bingo_graph::{Bias, DynamicGraph};
 
@@ -414,5 +381,24 @@ mod tests {
         let engine = ring_engine(4);
         let store = WalkStore::generate(&engine, &spec(), 1);
         assert!(store.walks_visiting(99).is_empty());
+    }
+    #[test]
+    fn a_ppr_store_that_never_stops_refreshes_to_its_cap() {
+        // PPR with stop probability 0 expects walks of unbounded length;
+        // a refresh must stop at the 25-step cap instead of growing the
+        // walk until allocation fails.
+        let mut engine = ring_engine(16);
+        let spec = WalkSpec::Ppr(PprConfig {
+            stop_probability: 0.0,
+            max_length: 25,
+        });
+        let mut store = WalkStore::generate(&engine, &spec, 3);
+        engine.insert_edge(4, 12, Bias::from_int(5)).unwrap();
+        let stats = store.on_edge_inserted(&engine, 4, 12);
+        assert!(stats.walks_refreshed > 0);
+        for walk in store.walks() {
+            assert!(walk.len() <= 26, "walk of {} vertices", walk.len());
+        }
+        assert!(store.validate(&engine).is_ok());
     }
 }

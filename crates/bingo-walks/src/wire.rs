@@ -40,7 +40,25 @@
 //! The RNG state travels raw (`Pcg64::to_raw_parts`) so a decoded walker
 //! resumes the *exact* random stream: a serialized hop is bit-identical
 //! to an in-process hop.
+//!
+//! A forward is the walker frame followed by its **walk section**
+//! ([`encode_walk`]): one tag byte naming the walk, then that built-in's
+//! parameters, so the receiver rebuilds the walker from the bytes alone.
+//! Step counts travel as `u32` (a cap past `u32::MAX` travels as
+//! `u32::MAX`: no path that long fits in a frame), probabilities and
+//! node2vec's `p`/`q` as raw `f64` bits in a `u64`. A custom model has no
+//! wire form: its tag carries no body, and the receiver takes the model
+//! from the process that sent the walker.
+//!
+//! | tag | walk | body | size |
+//! |--:|---|---|--:|
+//! | 0 | custom model | — | 1 |
+//! | 1 | DeepWalk | `walk_length` (`u32`) | 5 |
+//! | 2 | node2vec | `walk_length` (`u32`), `p`, `q` (`f64` bits) | 21 |
+//! | 3 | PPR | `stop_probability` (`f64` bits), `max_length` (`u32`) | 13 |
+//! | 4 | SimpleSampling | `walk_length` (`u32`) | 5 |
 
+use crate::apps::{DeepWalkConfig, Node2VecConfig, PprConfig, SimpleSamplingConfig, WalkSpec};
 use crate::model::CarriedContext;
 use bingo_graph::VertexId;
 use std::fmt;
@@ -56,6 +74,8 @@ pub enum WireError {
     BadVersion(u8),
     /// A structural invariant failed (explained by the message).
     Corrupt(&'static str),
+    /// A walk section's tag names no known walk.
+    UnknownWalk(u8),
 }
 
 impl fmt::Display for WireError {
@@ -64,6 +84,7 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "wire buffer truncated"),
             WireError::BadVersion(v) => write!(f, "unknown wire version {v}"),
             WireError::Corrupt(why) => write!(f, "corrupt wire buffer: {why}"),
+            WireError::UnknownWalk(tag) => write!(f, "unknown walk tag {tag}"),
         }
     }
 }
@@ -125,6 +146,10 @@ impl<'a> Reader<'a> {
         let mut raw = [0u8; 16];
         raw.copy_from_slice(self.take(16)?);
         Ok(u128::from_le_bytes(raw))
+    }
+
+    fn f64(&mut self) -> Result<f64, WireError> {
+        Ok(f64::from_bits(self.u64()?))
     }
 }
 
@@ -382,6 +407,89 @@ pub fn decode_walker(bytes: &[u8]) -> Result<(WalkerFrame, usize), WireError> {
     Ok((frame, r.pos))
 }
 
+// ---------------------------------------------------------------------------
+// Walk sections
+// ---------------------------------------------------------------------------
+
+const WALK_CUSTOM: u8 = 0;
+const WALK_DEEPWALK: u8 = 1;
+const WALK_NODE2VEC: u8 = 2;
+const WALK_PPR: u8 = 3;
+const WALK_SIMPLE_SAMPLING: u8 = 4;
+
+/// A step count's `u32` wire form, saturating (see the module docs).
+fn steps_u32(steps: usize) -> u32 {
+    u32::try_from(steps).unwrap_or(u32::MAX)
+}
+
+/// Exact number of bytes [`encode_walk`] emits for `spec`.
+pub fn walk_section_len(spec: Option<&WalkSpec>) -> usize {
+    1 + match spec {
+        None => 0,
+        Some(WalkSpec::DeepWalk(_) | WalkSpec::SimpleSampling(_)) => 4,
+        Some(WalkSpec::Node2Vec(_)) => 4 + 8 + 8,
+        Some(WalkSpec::Ppr(_)) => 8 + 4,
+    }
+}
+
+/// Append the walk section naming `spec` — `None` for a custom model,
+/// whose tag carries no body — to `buf`, returning the number of bytes
+/// written (always [`walk_section_len`]).
+pub fn encode_walk(spec: Option<&WalkSpec>, buf: &mut Vec<u8>) -> usize {
+    let start = buf.len();
+    match spec {
+        None => buf.push(WALK_CUSTOM),
+        Some(WalkSpec::DeepWalk(c)) => {
+            buf.push(WALK_DEEPWALK);
+            buf.extend_from_slice(&steps_u32(c.walk_length).to_le_bytes());
+        }
+        Some(WalkSpec::Node2Vec(c)) => {
+            buf.push(WALK_NODE2VEC);
+            buf.extend_from_slice(&steps_u32(c.walk_length).to_le_bytes());
+            buf.extend_from_slice(&c.p.to_bits().to_le_bytes());
+            buf.extend_from_slice(&c.q.to_bits().to_le_bytes());
+        }
+        Some(WalkSpec::Ppr(c)) => {
+            buf.push(WALK_PPR);
+            buf.extend_from_slice(&c.stop_probability.to_bits().to_le_bytes());
+            buf.extend_from_slice(&steps_u32(c.max_length).to_le_bytes());
+        }
+        Some(WalkSpec::SimpleSampling(c)) => {
+            buf.push(WALK_SIMPLE_SAMPLING);
+            buf.extend_from_slice(&steps_u32(c.walk_length).to_le_bytes());
+        }
+    }
+    debug_assert_eq!(buf.len() - start, walk_section_len(spec));
+    buf.len() - start
+}
+
+/// Decode one walk section from the front of `bytes`, returning the
+/// built-in spec it names (`None`: a custom model) and the number of
+/// bytes consumed.
+pub fn decode_walk(bytes: &[u8]) -> Result<(Option<WalkSpec>, usize), WireError> {
+    let mut r = Reader::new(bytes);
+    let spec = match r.u8()? {
+        WALK_CUSTOM => None,
+        WALK_DEEPWALK => Some(WalkSpec::DeepWalk(DeepWalkConfig {
+            walk_length: r.u32()? as usize,
+        })),
+        WALK_NODE2VEC => Some(WalkSpec::Node2Vec(Node2VecConfig {
+            walk_length: r.u32()? as usize,
+            p: r.f64()?,
+            q: r.f64()?,
+        })),
+        WALK_PPR => Some(WalkSpec::Ppr(PprConfig {
+            stop_probability: r.f64()?,
+            max_length: r.u32()? as usize,
+        })),
+        WALK_SIMPLE_SAMPLING => Some(WalkSpec::SimpleSampling(SimpleSamplingConfig {
+            walk_length: r.u32()? as usize,
+        })),
+        tag => return Err(WireError::UnknownWalk(tag)),
+    };
+    Ok((spec, r.pos))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,6 +721,118 @@ mod tests {
         let mut bad = buf;
         bad[58..62].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_walker(&bad), Err(WireError::Truncated));
+    }
+
+    fn random_spec(rng: &mut Pcg64) -> Option<WalkSpec> {
+        let steps = |rng: &mut Pcg64| rng.gen_range(0..=u32::MAX as usize);
+        match rng.gen_range(0..5u8) {
+            0 => None,
+            1 => Some(WalkSpec::DeepWalk(DeepWalkConfig {
+                walk_length: steps(rng),
+            })),
+            2 => Some(WalkSpec::Node2Vec(Node2VecConfig {
+                walk_length: steps(rng),
+                p: rng.gen_range(0.01..10.0),
+                q: rng.gen_range(0.01..10.0),
+            })),
+            3 => Some(WalkSpec::Ppr(PprConfig {
+                stop_probability: rng.gen(),
+                max_length: steps(rng),
+            })),
+            _ => Some(WalkSpec::SimpleSampling(SimpleSamplingConfig {
+                walk_length: steps(rng),
+            })),
+        }
+    }
+
+    #[test]
+    fn walk_section_round_trips_after_a_random_frame() {
+        let mut rng = Pcg64::seed_from_u64(0x3A1C);
+        for _ in 0..300 {
+            let frame = random_frame(&mut rng);
+            let spec = random_spec(&mut rng);
+            let mut buf = Vec::new();
+            let framed = encode_walker(&frame, &mut buf);
+            let written = encode_walk(spec.as_ref(), &mut buf);
+            assert_eq!(written, walk_section_len(spec.as_ref()), "length is exact");
+            assert_eq!(framed + written, buf.len());
+            let (decoded, used) = decode_walker(&buf).expect("frame");
+            assert_eq!(used, framed, "the section starts where the frame ends");
+            let (walk, consumed) = decode_walk(&buf[used..]).expect("walk section");
+            assert_eq!(consumed, written);
+            assert_eq!((decoded, walk), (frame, spec));
+            let mut again = Vec::new();
+            encode_walk(walk.as_ref(), &mut again);
+            assert_eq!(again, buf[used..], "re-encoding is byte-identical");
+        }
+    }
+
+    #[test]
+    fn walk_section_sizes_match_the_table() {
+        let sizes = [
+            (None, 1),
+            (Some(WalkSpec::DeepWalk(DeepWalkConfig::default())), 5),
+            (
+                Some(WalkSpec::SimpleSampling(SimpleSamplingConfig::default())),
+                5,
+            ),
+            (Some(WalkSpec::Ppr(PprConfig::default())), 13),
+            (Some(WalkSpec::Node2Vec(Node2VecConfig::default())), 21),
+        ];
+        for (spec, size) in sizes {
+            assert_eq!(
+                encode_walk(spec.as_ref(), &mut Vec::new()),
+                size,
+                "{spec:?}"
+            );
+        }
+        // A cap past u32::MAX saturates instead of failing the forward.
+        let endless = WalkSpec::Ppr(PprConfig {
+            stop_probability: 0.1,
+            max_length: usize::MAX,
+        });
+        let mut buf = Vec::new();
+        encode_walk(Some(&endless), &mut buf);
+        assert_eq!(
+            decode_walk(&buf).unwrap().0,
+            Some(WalkSpec::Ppr(PprConfig {
+                stop_probability: 0.1,
+                max_length: u32::MAX as usize,
+            }))
+        );
+    }
+
+    #[test]
+    fn walk_section_decode_errs_on_truncation_and_survives_corruption() {
+        let mut rng = Pcg64::seed_from_u64(0x7A1C);
+        for _ in 0..60 {
+            let spec = random_spec(&mut rng);
+            let mut buf = Vec::new();
+            encode_walk(spec.as_ref(), &mut buf);
+            for cut in 0..buf.len() {
+                assert_eq!(
+                    decode_walk(&buf[..cut]),
+                    Err(WireError::Truncated),
+                    "prefix of {cut}/{} bytes must not decode",
+                    buf.len()
+                );
+            }
+            for _ in 0..32 {
+                let mut bad = buf.clone();
+                let at = rng.gen_range(0..bad.len());
+                bad[at] ^= 1 << rng.gen_range(0..8u8);
+                let _ = decode_walk(&bad);
+            }
+        }
+    }
+
+    #[test]
+    fn walk_section_rejects_an_unknown_tag() {
+        for tag in [5u8, 9, 0x80, u8::MAX] {
+            let buf = [tag, 80, 0, 0, 0];
+            assert_eq!(decode_walk(&buf), Err(WireError::UnknownWalk(tag)));
+        }
+        assert_eq!(WireError::UnknownWalk(7).to_string(), "unknown walk tag 7");
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl EvaluationWorkflow {
 
     /// Run the workflow: for every batch, ingest it and then perform a full
     /// walk pass (one walker per vertex).
-    pub fn run<S: DynamicWalkSystem + ?Sized>(
+    pub fn run<S: DynamicWalkSystem>(
         &self,
         system: &mut S,
         batches: &[UpdateBatch],
@@ -144,7 +144,7 @@ impl EvaluationWorkflow {
 
     /// Run only the walk phase (no updates), returning the walk results.
     /// Used by experiments that study sampling in isolation (Figure 16(b)).
-    pub fn walk_only<S: DynamicWalkSystem + ?Sized>(&self, system: &S) -> WalkResults {
+    pub fn walk_only<S: DynamicWalkSystem>(&self, system: &S) -> WalkResults {
         WalkEngine::new(self.seed).run_all_vertices(system, &self.spec)
     }
 }

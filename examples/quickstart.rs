@@ -109,9 +109,10 @@ fn main() {
         walks.paths[0]
     );
 
-    // 6. Walk applications are pluggable: implement `WalkModel` and run it
-    //    with `WalkEngine::run_model` — the same model would run unchanged
-    //    on a sharded `WalkService` (`submit_model`).
+    // 6. Walk applications are pluggable: implement `WalkModel` and hand
+    //    the shared model to `WalkEngine::run` where step 5 passed a
+    //    `WalkSpec` — the same model would run unchanged on a sharded
+    //    `WalkService` (`submit`).
     #[derive(Debug)]
     struct TemperatureWalk {
         tau: f64,
@@ -152,7 +153,7 @@ fn main() {
         max_steps: 30,
     });
     let starts: Vec<VertexId> = (0..engine.num_vertices() as VertexId).collect();
-    let output = WalkEngine::new(11).run_model(&engine, &model, &starts);
+    let output = WalkEngine::new(11).run(&engine, &model, &starts);
     println!(
         "custom temperature model: {} walks, {} steps, mean length {:.2}",
         output.num_walks(),

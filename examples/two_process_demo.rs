@@ -6,8 +6,9 @@
 //! [`ShardTransport`] that writes it, length-prefixed, down a loopback
 //! `TcpStream`. The peer is a *separate process* (this same binary,
 //! re-executed with `--child <port>`) that plays the remote shard host at
-//! the byte level: it reads each frame off the socket, decodes it
-//! (proving the frame is self-contained), re-encodes it (proving the
+//! the byte level: it reads each forward off the socket, decodes the
+//! walker frame and the walk section after it (proving the forward is
+//! self-contained: it names its walk), re-encodes both (proving the
 //! format is canonical — the echo must be byte-identical), and sends it
 //! back. Both sides count raw payload bytes.
 //!
@@ -91,9 +92,10 @@ impl ShardTransport for TcpTransport {
 // The child: a frame-bouncing remote shard host.
 // ---------------------------------------------------------------------
 
-/// Decode every incoming frame, re-encode it, assert the bytes are
-/// identical (the wire format is canonical), echo it back, and on the
-/// shutdown sentinel report how many payload bytes crossed each way.
+/// Decode every incoming forward (walker frame, then walk section),
+/// re-encode it, assert the bytes are identical (the wire format is
+/// canonical), echo it back, and on the shutdown sentinel report how many
+/// payload bytes crossed each way.
 fn run_child(port: u16) -> ! {
     let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("child: connect to parent");
     let (mut recv, mut sent) = (0u64, 0u64);
@@ -116,9 +118,13 @@ fn run_child(port: u16) -> ! {
         recv += frame.len() as u64;
         let (decoded, used) =
             wire::decode_walker(&frame).expect("child: every frame must be self-contained");
-        assert_eq!(used, frame.len(), "child: no trailing bytes in a frame");
+        let (walk, walk_len) =
+            wire::decode_walk(&frame[used..]).expect("child: every forward names its walk");
+        assert!(walk.is_some(), "child: node2vec is a built-in walk");
+        assert_eq!(used + walk_len, frame.len(), "child: no trailing bytes");
         let mut echo = Vec::with_capacity(frame.len());
         wire::encode_walker(&decoded, &mut echo);
+        wire::encode_walk(walk.as_ref(), &mut echo);
         assert_eq!(echo, frame, "child: re-encode must be byte-identical");
         stream
             .write_all(&(echo.len() as u32).to_le_bytes())

@@ -18,8 +18,9 @@
 //!   reservoir) used both inside Bingo and as baselines.
 //! * [`core`] — the paper's contribution: radix-based bias factorization,
 //!   adaptive group representation, streaming and batched updates.
-//! * [`walks`] — random-walk applications (DeepWalk, node2vec, PPR) behind
-//!   the pluggable `WalkModel` trait, and the parallel walker engine.
+//! * [`walks`] — random-walk applications (DeepWalk, node2vec, PPR) as one
+//!   `WalkSpec` model, the pluggable `WalkModel` trait for custom ones, and
+//!   the parallel walker engine.
 //! * [`baselines`] — reimplementations of the systems the paper compares
 //!   against (KnightKing, gSampler, FlowWalker).
 //! * [`service`] — the serving layer: a vertex-sharded, multi-threaded walk
@@ -110,7 +111,7 @@ pub mod prelude {
     pub use bingo_telemetry::Telemetry;
     pub use bingo_walks::{
         CarriedContext, ContextRequirement, DeepWalkConfig, Node2VecConfig, PprConfig,
-        SharedWalkModel, StepSampler, Transition, TransitionSampler, WalkCursor, WalkEngine,
+        SharedWalkModel, StepSampler, Transition, TransitionSampler, Walk, WalkCursor, WalkEngine,
         WalkModel, WalkSpec, WalkState,
     };
     pub use rand::SeedableRng;

@@ -276,6 +276,7 @@ fn service_lock_census_matches_the_documented_list_and_orders() {
     let mut constructed = Vec::new();
     let mut name_of_field = BTreeMap::new();
     let mut acquired = BTreeSet::new();
+    let mut naming_collector = BTreeSet::new();
     let mut static_edges = Vec::new();
     for file in &files {
         let lexed = lex(&file.source);
@@ -283,6 +284,9 @@ fn service_lock_census_matches_the_documented_list_and_orders() {
         for (i, t) in toks.iter().enumerate() {
             if t.kind != TokKind::Ident || lexed.is_test_line(t.line) {
                 continue;
+            }
+            if t.text == "collector" {
+                naming_collector.insert(file_name(&file.path));
             }
             // `field: Mutex::new_named(value, "service.x")`
             if t.text == "new_named" && i >= 5 && toks[i - 4].text == ":" {
@@ -331,6 +335,15 @@ fn service_lock_census_matches_the_documented_list_and_orders() {
             "`{name}` (field `{field}`) is acquired in {home} only"
         );
     }
+    // `service.pending` is only reachable through the collector: the
+    // service opens tickets, a shard files finished walks, and waiters
+    // collect them. A forward rebuilds its walker from the bytes alone,
+    // so `forward.rs` never reaches the ticket table.
+    assert_eq!(
+        naming_collector,
+        BTreeSet::from(["collect.rs", "service.rs", "shard.rs"].map(String::from)),
+        "files that reach the ticket table"
+    );
     // The per-function pass sees an order only when both acquisitions sit
     // in one function; whatever it does see must be a documented order.
     for edge in &static_edges {

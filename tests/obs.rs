@@ -224,7 +224,7 @@ fn wedged_shard_flips_healthz_to_503() {
         entered: Arc::clone(&entered),
     });
     let wedged_ticket = service
-        .submit_model(Arc::clone(&wedge), &[0])
+        .submit(Arc::clone(&wedge), &[0])
         .expect("submit the wedging walker");
     while !entered.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(1));
@@ -232,7 +232,7 @@ fn wedged_shard_flips_healthz_to_503() {
     // A second walker now sits in the wedged shard's inbox: the shard
     // holds queued work while its progress counters are frozen.
     let queued_ticket = service
-        .submit_model(Arc::clone(&wedge), &[1])
+        .submit(Arc::clone(&wedge), &[1])
         .expect("submit the queued walker");
 
     // First check seeds the heartbeat baseline; the second, past the
