@@ -385,10 +385,8 @@ impl ServiceShared {
         if (decoded.ticket, decoded.index) != (sent.ticket, sent.index) {
             return None;
         }
-        let walk = match (
-            wire::decode_walk(&delivered[frame_len..]).ok()?.0,
-            sent.cursor.walk(),
-        ) {
+        let (spec, _) = wire::decode_walk(&delivered[frame_len..]).ok()?;
+        let walk = match (spec, sent.cursor.walk()) {
             (Some(spec), _) => Walk::Builtin(spec),
             (None, Walk::Custom(model)) => Walk::Custom(Arc::clone(model)),
             (None, Walk::Builtin(_)) => return None,

@@ -318,7 +318,8 @@ impl Walk {
 
     /// One transition: a built-in steps with the sampler and RNG types
     /// intact, a custom model through `&dyn StepSampler` and
-    /// `&mut dyn RngCore`. The draws are the same either way.
+    /// `&mut dyn RngCore`, which forwards every word to the same
+    /// generator, so erasing the types changes no draw.
     pub fn step<S, R>(&self, state: &WalkState, sampler: &S, rng: &mut R) -> Transition
     where
         S: TransitionSampler,
