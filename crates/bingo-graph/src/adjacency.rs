@@ -2,11 +2,14 @@
 //!
 //! Each vertex owns a compact array of 12-byte [`Edge`] records (a `u32`
 //! destination and an 8-byte, 4-aligned [`Bias`]). Insertion appends
-//! (`O(1)` amortized) and deletion swap-removes (`O(1)`), matching the
-//! dynamic-array design Bingo adopts from Hornet. Edges are addressed both
-//! by destination vertex and by *neighbor index* — the position in the
-//! array — because Bingo's radix groups store neighbor indices, not ids
-//! (§4.2).
+//! (`O(1)` amortized: a full block is copied into one of twice the
+//! capacity, starting at 4) and deletion swap-removes (`O(1)`), matching the
+//! dynamic-array design Bingo adopts from Hornet. A graph that is still
+//! loading does not push: it builds each vertex's block once, at the
+//! capacity those pushes would have reached (see [`crate::dynamic_graph`]).
+//! Edges are addressed both by destination vertex and by *neighbor index* —
+//! the position in the array — because Bingo's radix groups store neighbor
+//! indices, not ids (§4.2).
 //!
 //! The array is a copy-on-write block. Cloning an [`AdjacencyList`] shares
 //! its block instead of copying it, so a graph, the engines built from it
@@ -109,6 +112,21 @@ impl AdjacencyList {
             slots: (capacity > 0).then(|| new_block(&[], &[], capacity)),
             len: 0,
         }
+    }
+
+    /// Make this empty list `degree` edges long, in one block of the
+    /// capacity pushing that many edges grows it to (4, then doubling), and
+    /// return the `degree` slots for the caller to write the edges into.
+    /// Until then they hold an invalid-bias pad edge.
+    pub(crate) fn load(&mut self, degree: usize) -> &mut [Edge] {
+        debug_assert!(self.slots.is_none(), "a list is loaded once, empty");
+        if degree == 0 {
+            return &mut [];
+        }
+        self.len = degree as u32;
+        let capacity = degree.next_power_of_two().clamp(4, MAX_EDGES);
+        let block = self.slots.insert(new_block(&[], &[], capacity));
+        &mut Arc::get_mut(block).expect("a block nobody else has seen")[..degree]
     }
 
     /// Number of outgoing edges (the vertex degree).
@@ -445,6 +463,23 @@ mod tests {
         assert_eq!(adj.memory_bytes(), 16 + 3 * 12 + 4);
         adj.push(Edge::new(7, Bias::from_int(2)));
         assert_eq!(adj.memory_bytes(), 16 + 6 * 12);
+    }
+
+    #[test]
+    fn a_loaded_list_is_the_pushed_one_to_the_byte() {
+        let edges: Vec<Edge> = (0..70)
+            .map(|dst| Edge::new(dst, Bias::from_int(u64::from(dst) + 1)))
+            .collect();
+        for degree in 0..edges.len() {
+            let mut pushed = AdjacencyList::new();
+            for &edge in &edges[..degree] {
+                pushed.push(edge);
+            }
+            let mut loaded = AdjacencyList::new();
+            loaded.load(degree).copy_from_slice(&edges[..degree]);
+            assert_eq!(loaded, pushed, "{degree}");
+            assert_eq!(loaded.memory_bytes(), pushed.memory_bytes(), "{degree}");
+        }
     }
 
     #[test]

@@ -5,35 +5,253 @@
 //! be mutated by edge insertions, deletions and bias updates. All sampling
 //! structures in `bingo-core` and the baselines are built over this graph,
 //! observing its mutations either one at a time (streaming) or in batches.
+//!
+//! # Loading
+//!
+//! The largest batch a graph ever takes is its first: every edge of the
+//! initial snapshot. So a graph made by [`DynamicGraph::new`] starts out
+//! *loading*, and is built in one pass instead of edge by edge:
+//!
+//! - **Staging.** Until its first read or its first `&mut` call other than
+//!   [`DynamicGraph::insert_edge`], an insert makes the same checks and
+//!   returns the same result as on a settled graph, but only appends the
+//!   edge to a bucket for its source's range of 256 vertices. The neighbor
+//!   index comes from a per-vertex count.
+//! - **The first read builds.** The first `&self` call (any but
+//!   [`DynamicGraph::num_edges`]) builds every vertex's block once, at the
+//!   capacity the pushes would have grown it to, with the same edges in the
+//!   same order, so blocks, [`DynamicGraph::memory_bytes`] and every later
+//!   write are those of a graph that was pushed. It costs one allocation per
+//!   non-isolated vertex and one per bucket, and frees each bucket as its
+//!   range is built, so the bytes live never run more than about one bucket
+//!   past the staged edges or the built graph. Ranges are small because a
+//!   graph may crowd its hubs into a few of them: with ranges of 4 096
+//!   vertices, the bytes live while loading a 2^14-vertex R-MAT graph
+//!   peaked at 1.42 × the graph built, at 256 vertices at 1.09 ×.
+//!   Concurrent first readers wait for that one build, which runs on the
+//!   reading thread.
+//! - **Once.** The next `&mut` call adopts the built lists (or builds them,
+//!   if nothing read first) and the graph is settled for good: later
+//!   inserts push, as streaming updates do.
 
 use crate::adjacency::{AdjacencyList, Edge, SwapDelete};
 use crate::csr::CsrGraph;
 use crate::updates::{UpdateBatch, UpdateEvent};
 use crate::{Bias, GraphError, Result, VertexId};
+use std::sync::{Mutex, OnceLock};
 
 /// A dynamic, directed, weighted graph.
 ///
 /// Undirected graphs are represented by inserting both edge directions, which
-/// is what the dataset generators and loaders do by default.
-#[derive(Debug, Clone, Default)]
+/// is what the dataset generators and loaders do by default. A new graph is
+/// loading until its first read (see the [module docs](self)); a clone is
+/// always settled, and shares the blocks of the graph it was cloned from.
 pub struct DynamicGraph {
+    /// Every vertex's list once the graph is settled; empty while loading.
     adjacency: Vec<AdjacencyList>,
+    /// `Some` while the graph is loading.
+    loading: Option<Loading>,
     num_edges: usize,
 }
 
+/// Vertices per staging bucket (see the module docs).
+const BUCKET_VERTICES: usize = 256;
+
+/// Entries per chunk of a bucket. Chunks never grow, so a bucket holds less
+/// than one chunk of room past its entries and is never copied.
+const CHUNK_ENTRIES: usize = 128;
+
+/// The staged edges' lock is held only to take them out, which cannot panic.
+const UNPOISONED: &str = "nothing panics holding the staged edges";
+
+/// One vertex range's staged edges, in insertion order.
+type Bucket = Vec<Vec<(VertexId, Edge)>>;
+
+/// A loading graph: its staged edges, then the lists its first read built.
+struct Loading {
+    /// Taken out, whole, by the build.
+    staged: Mutex<Staged>,
+    built: OnceLock<Vec<AdjacencyList>>,
+}
+
+#[derive(Default)]
+struct Staged {
+    /// Edges staged per vertex so far.
+    degrees: Vec<u32>,
+    /// Bucket `b` holds the edges of vertices `b * BUCKET_VERTICES ..`.
+    buckets: Vec<Bucket>,
+}
+
+impl Staged {
+    fn new(num_vertices: usize) -> Self {
+        Staged {
+            degrees: vec![0; num_vertices],
+            buckets: vec![Bucket::new(); num_vertices.div_ceil(BUCKET_VERTICES)],
+        }
+    }
+
+    /// Stage `edge` out of `src` and return its neighbor index.
+    fn stage(&mut self, src: VertexId, edge: Edge) -> usize {
+        let degree = &mut self.degrees[src as usize];
+        let index = *degree;
+        *degree = index
+            .checked_add(1)
+            .expect("an adjacency list of u32::MAX edges is full");
+        let bucket = &mut self.buckets[src as usize / BUCKET_VERTICES];
+        match bucket.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK_ENTRIES => chunk.push((src, edge)),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_ENTRIES);
+                chunk.push((src, edge));
+                bucket.push(chunk);
+            }
+        }
+        index as usize
+    }
+
+    /// Every vertex's list, bucket by bucket: each block is made at its
+    /// final capacity, then each edge is written straight into the next
+    /// free slot of its block while the bucket's chunks are freed as they
+    /// are read. What is live runs past the staged edges, or the built
+    /// graph, by about one bucket.
+    fn build(self) -> Vec<AdjacencyList> {
+        let Staged { degrees, buckets } = self;
+        let mut lists = vec![AdjacencyList::new(); degrees.len()];
+        let ranges = lists
+            .chunks_mut(BUCKET_VERTICES)
+            .zip(degrees.chunks(BUCKET_VERTICES));
+        for ((lists, degrees), bucket) in ranges.zip(buckets) {
+            let mut free: Vec<&mut [Edge]> = lists
+                .iter_mut()
+                .zip(degrees)
+                .map(|(list, &degree)| list.load(degree as usize))
+                .collect();
+            for (src, edge) in bucket.into_iter().flatten() {
+                let free = &mut free[src as usize % BUCKET_VERTICES];
+                let (slot, rest) = std::mem::take(free)
+                    .split_first_mut()
+                    .expect("a vertex has as many staged edges as it counted");
+                *slot = edge;
+                *free = rest;
+            }
+        }
+        lists
+    }
+}
+
+impl Loading {
+    /// The staged edges, taken out for the first read's build.
+    fn take_staged(&self) -> Staged {
+        let mut staged = self.staged.lock().expect(UNPOISONED);
+        std::mem::take(&mut *staged)
+    }
+
+    /// The lists, built now if the first read has not built them.
+    fn into_lists(self) -> Vec<AdjacencyList> {
+        let Loading { staged, built } = self;
+        built
+            .into_inner()
+            .unwrap_or_else(|| staged.into_inner().expect(UNPOISONED).build())
+    }
+}
+
+impl Default for DynamicGraph {
+    fn default() -> Self {
+        DynamicGraph::new(0)
+    }
+}
+
+impl Clone for DynamicGraph {
+    fn clone(&self) -> Self {
+        DynamicGraph {
+            adjacency: self.lists().clone(),
+            loading: None,
+            num_edges: self.num_edges,
+        }
+    }
+}
+
+impl std::fmt::Debug for DynamicGraph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DynamicGraph")
+            .field("adjacency", self.lists())
+            .field("num_edges", &self.num_edges)
+            .finish()
+    }
+}
+
+/// The edge `(src, dst)` of a graph of `num_vertices` vertices, or why it
+/// cannot be inserted.
+fn checked_edge(num_vertices: usize, src: VertexId, dst: VertexId, bias: Bias) -> Result<Edge> {
+    for vertex in [src, dst] {
+        if vertex as usize >= num_vertices {
+            return Err(GraphError::VertexOutOfRange {
+                vertex,
+                num_vertices,
+            });
+        }
+    }
+    if !bias.is_valid() {
+        return Err(GraphError::InvalidBias { src, dst });
+    }
+    Ok(Edge::new(dst, bias))
+}
+
 impl DynamicGraph {
-    /// Create a graph with `num_vertices` isolated vertices.
+    /// Create a graph with `num_vertices` isolated vertices. It is loading
+    /// until its first read (see the [module docs](self)).
     pub fn new(num_vertices: usize) -> Self {
         DynamicGraph {
-            adjacency: vec![AdjacencyList::new(); num_vertices],
+            adjacency: Vec::new(),
+            loading: Some(Loading {
+                staged: Mutex::new(Staged::new(num_vertices)),
+                built: OnceLock::new(),
+            }),
             num_edges: 0,
         }
+    }
+
+    /// Every vertex's list. The first call on a loading graph builds them.
+    fn lists(&self) -> &Vec<AdjacencyList> {
+        match &self.loading {
+            None => &self.adjacency,
+            Some(loading) => loading.built.get_or_init(|| loading.take_staged().build()),
+        }
+    }
+
+    /// Every vertex's list, writable. A loading graph settles here for good.
+    fn lists_mut(&mut self) -> &mut Vec<AdjacencyList> {
+        if let Some(loading) = self.loading.take() {
+            self.adjacency = loading.into_lists();
+        }
+        &mut self.adjacency
+    }
+
+    /// `v`'s list, writable.
+    fn list_mut(&mut self, v: VertexId) -> Result<&mut AdjacencyList> {
+        let lists = self.lists_mut();
+        let num_vertices = lists.len();
+        lists
+            .get_mut(v as usize)
+            .ok_or(GraphError::VertexOutOfRange {
+                vertex: v,
+                num_vertices,
+            })
+    }
+
+    /// Where an insert stages its edge: a loading graph nothing has read.
+    fn staging(&mut self) -> Option<&mut Staged> {
+        let loading = self.loading.as_mut()?;
+        if loading.built.get_mut().is_some() {
+            return None;
+        }
+        Some(loading.staged.get_mut().expect(UNPOISONED))
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.adjacency.len()
+        self.lists().len()
     }
 
     /// Number of directed edges currently present.
@@ -44,7 +262,7 @@ impl DynamicGraph {
 
     /// Degree (out-degree) of `v`.
     pub fn degree(&self, v: VertexId) -> usize {
-        self.adjacency
+        self.lists()
             .get(v as usize)
             .map(AdjacencyList::degree)
             .unwrap_or(0)
@@ -52,7 +270,7 @@ impl DynamicGraph {
 
     /// Maximum out-degree over all vertices.
     pub fn max_degree(&self) -> usize {
-        self.adjacency
+        self.lists()
             .iter()
             .map(AdjacencyList::degree)
             .max()
@@ -61,59 +279,54 @@ impl DynamicGraph {
 
     /// Average out-degree.
     pub fn avg_degree(&self) -> f64 {
-        if self.adjacency.is_empty() {
-            0.0
-        } else {
-            self.num_edges as f64 / self.adjacency.len() as f64
+        match self.num_vertices() {
+            0 => 0.0,
+            n => self.num_edges as f64 / n as f64,
         }
     }
 
     /// Adjacency list of `v`.
     pub fn neighbors(&self, v: VertexId) -> Result<&AdjacencyList> {
-        self.adjacency
-            .get(v as usize)
-            .ok_or(GraphError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.adjacency.len(),
-            })
+        let lists = self.lists();
+        lists.get(v as usize).ok_or(GraphError::VertexOutOfRange {
+            vertex: v,
+            num_vertices: lists.len(),
+        })
     }
 
     /// Ensure the graph has at least `n` vertices, growing it if needed.
     pub fn ensure_vertices(&mut self, n: usize) {
-        if n > self.adjacency.len() {
-            self.adjacency.resize(n, AdjacencyList::new());
+        let lists = self.lists_mut();
+        if n > lists.len() {
+            lists.resize(n, AdjacencyList::new());
         }
     }
 
     /// Add a brand-new isolated vertex and return its id.
     pub fn add_vertex(&mut self) -> VertexId {
-        self.adjacency.push(AdjacencyList::new());
-        (self.adjacency.len() - 1) as VertexId
-    }
-
-    fn check_vertex(&self, v: VertexId) -> Result<()> {
-        if (v as usize) < self.adjacency.len() {
-            Ok(())
-        } else {
-            Err(GraphError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.adjacency.len(),
-            })
-        }
+        let lists = self.lists_mut();
+        lists.push(AdjacencyList::new());
+        (lists.len() - 1) as VertexId
     }
 
     /// Insert the directed edge `(src, dst)` with the given bias and return
     /// its neighbor index in `src`'s adjacency list.
     ///
     /// Duplicate edges are allowed (the paper explicitly supports inserting
-    /// a just-deleted edge again); each insertion creates a new slot.
+    /// a just-deleted edge again); each insertion creates a new slot. On a
+    /// loading graph the edge is staged (see the [module docs](self)).
     pub fn insert_edge(&mut self, src: VertexId, dst: VertexId, bias: Bias) -> Result<usize> {
-        self.check_vertex(src)?;
-        self.check_vertex(dst)?;
-        if !bias.is_valid() {
-            return Err(GraphError::InvalidBias { src, dst });
-        }
-        let idx = self.adjacency[src as usize].push(Edge::new(dst, bias));
+        let idx = match self.staging() {
+            Some(staged) => {
+                let edge = checked_edge(staged.degrees.len(), src, dst, bias)?;
+                staged.stage(src, edge)
+            }
+            None => {
+                let lists = self.lists_mut();
+                let edge = checked_edge(lists.len(), src, dst, bias)?;
+                lists[src as usize].push(edge)
+            }
+        };
         self.num_edges += 1;
         Ok(idx)
     }
@@ -130,8 +343,7 @@ impl DynamicGraph {
     /// Returns the [`SwapDelete`] record so samplers mirroring the adjacency
     /// layout (Bingo's inverted index) can update their neighbor indices.
     pub fn delete_edge(&mut self, src: VertexId, dst: VertexId) -> Result<SwapDelete> {
-        self.check_vertex(src)?;
-        let adj = &mut self.adjacency[src as usize];
+        let adj = self.list_mut(src)?;
         let idx = adj.find(dst).ok_or(GraphError::EdgeNotFound { src, dst })?;
         let out = adj
             .swap_delete(idx)
@@ -142,8 +354,7 @@ impl DynamicGraph {
 
     /// Delete the edge at a specific neighbor index of `src`.
     pub fn delete_edge_at(&mut self, src: VertexId, neighbor_index: usize) -> Result<SwapDelete> {
-        self.check_vertex(src)?;
-        let adj = &mut self.adjacency[src as usize];
+        let adj = self.list_mut(src)?;
         let degree = adj.degree();
         let out = adj
             .swap_delete(neighbor_index)
@@ -159,11 +370,10 @@ impl DynamicGraph {
     /// Update the bias of the first edge `(src, dst)` found. Returns the old
     /// bias.
     pub fn update_bias(&mut self, src: VertexId, dst: VertexId, bias: Bias) -> Result<Bias> {
-        self.check_vertex(src)?;
+        let adj = self.list_mut(src)?;
         if !bias.is_valid() {
             return Err(GraphError::InvalidBias { src, dst });
         }
-        let adj = &mut self.adjacency[src as usize];
         let idx = adj.find(dst).ok_or(GraphError::EdgeNotFound { src, dst })?;
         Ok(adj
             .set_bias(idx, bias)
@@ -172,7 +382,7 @@ impl DynamicGraph {
 
     /// Whether the edge `(src, dst)` exists.
     pub fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        self.adjacency
+        self.lists()
             .get(src as usize)
             .map(|adj| adj.find(dst).is_some())
             .unwrap_or(false)
@@ -220,7 +430,7 @@ impl DynamicGraph {
 
     /// Iterator over all `(src, edge)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, &Edge)> {
-        self.adjacency
+        self.lists()
             .iter()
             .enumerate()
             .flat_map(|(v, adj)| adj.edges().iter().map(move |e| (v as VertexId, e)))
@@ -231,11 +441,9 @@ impl DynamicGraph {
     /// of the graph, or an engine built from it, shares the blocks until one
     /// side writes to them; a shared block appears in both reports.
     pub fn memory_bytes(&self) -> usize {
-        self.adjacency
-            .iter()
-            .map(AdjacencyList::memory_bytes)
-            .sum::<usize>()
-            + self.adjacency.capacity() * std::mem::size_of::<AdjacencyList>()
+        let lists = self.lists();
+        lists.iter().map(AdjacencyList::memory_bytes).sum::<usize>()
+            + lists.capacity() * std::mem::size_of::<AdjacencyList>()
     }
 }
 
@@ -424,6 +632,141 @@ mod tests {
             .map(|(_, e)| e.dst)
             .collect();
         assert_eq!(from_two, vec![1, 4, 5]);
+    }
+
+    fn is_loading(graph: &DynamicGraph) -> bool {
+        graph.loading.is_some()
+    }
+
+    /// Three buckets' worth of vertices, some with no edges, one with 40:
+    /// loading, or settled before the first insert, so that every edge is
+    /// pushed.
+    fn three_buckets(pushed: bool) -> DynamicGraph {
+        let n = 2 * BUCKET_VERTICES + 100;
+        let mut graph = DynamicGraph::new(n);
+        if pushed {
+            graph.ensure_vertices(n);
+        }
+        for i in 0..6 * n {
+            let src = (i * 7919 % n) as VertexId;
+            let dst = (i * 104_729 % n) as VertexId;
+            graph
+                .insert_edge(src, dst, Bias::from_int(i as u64 % 9 + 1))
+                .unwrap();
+        }
+        for dst in 0..40 {
+            graph.insert_edge(5, dst, Bias::from_int(2)).unwrap();
+        }
+        graph
+    }
+
+    #[test]
+    fn a_rejected_insert_stages_nothing() {
+        let mut loading = DynamicGraph::new(3);
+        let mut settled = DynamicGraph::new(3);
+        settled.ensure_vertices(3);
+        for g in [&mut loading, &mut settled] {
+            assert!(matches!(
+                g.insert_edge(3, 0, Bias::from_int(1)),
+                Err(GraphError::VertexOutOfRange { vertex: 3, .. })
+            ));
+            assert!(matches!(
+                g.insert_edge(0, 7, Bias::from_int(1)),
+                Err(GraphError::VertexOutOfRange { vertex: 7, .. })
+            ));
+            assert!(matches!(
+                g.insert_edge(0, 1, Bias::from_float(-1.0)),
+                Err(GraphError::InvalidBias { src: 0, dst: 1 })
+            ));
+        }
+        let staged = loading.staging().expect("still loading");
+        assert_eq!(staged.degrees, [0, 0, 0]);
+        assert!(staged.buckets.iter().all(Vec::is_empty));
+        assert_eq!(loading.insert_edge(0, 2, Bias::from_int(4)), Ok(0));
+        assert_eq!(settled.insert_edge(0, 2, Bias::from_int(4)), Ok(0));
+        assert_eq!(loading.num_edges(), 1);
+        assert_eq!(format!("{loading:?}"), format!("{settled:?}"));
+    }
+
+    /// `op` on a loading graph and on its settled twin: the same result and
+    /// the same graph after, and the loading one settled by it.
+    fn as_on_a_settled_twin<T: PartialEq + std::fmt::Debug>(op: impl Fn(&mut DynamicGraph) -> T) {
+        let mut loading = three_buckets(false);
+        let mut settled = three_buckets(true);
+        assert!(is_loading(&loading) && !is_loading(&settled));
+        assert_eq!(op(&mut loading), op(&mut settled));
+        assert!(!is_loading(&loading));
+        assert_eq!(loading.num_edges(), settled.num_edges());
+        assert_eq!(loading.memory_bytes(), settled.memory_bytes());
+        assert!(loading.edges().eq(settled.edges()));
+    }
+
+    #[test]
+    fn every_other_write_settles_a_loading_graph_as_it_finds_it() {
+        as_on_a_settled_twin(|g| g.delete_edge(5, 17));
+        as_on_a_settled_twin(|g| g.delete_edge(5, 99));
+        as_on_a_settled_twin(|g| g.delete_edge(9_000, 1));
+        as_on_a_settled_twin(|g| g.delete_edge_at(5, 3));
+        as_on_a_settled_twin(|g| g.delete_edge_at(5, 400));
+        as_on_a_settled_twin(|g| g.update_bias(5, 30, Bias::from_int(9)));
+        as_on_a_settled_twin(|g| g.update_bias(5, 30, Bias::from_int(0)));
+        as_on_a_settled_twin(|g| {
+            let batch = UpdateBatch::new(vec![
+                UpdateEvent::Insert {
+                    src: 5,
+                    dst: 3,
+                    bias: Bias::from_int(3),
+                },
+                UpdateEvent::Delete { src: 5, dst: 0 },
+                UpdateEvent::Delete { src: 5, dst: 0 },
+                UpdateEvent::UpdateBias {
+                    src: 5,
+                    dst: 1,
+                    bias: Bias::from_int(6),
+                },
+            ]);
+            g.apply_batch(&batch)
+        });
+        as_on_a_settled_twin(|g| g.ensure_vertices(9_000));
+        as_on_a_settled_twin(|g| g.add_vertex());
+    }
+
+    #[test]
+    fn a_clone_of_a_loading_graph_is_settled_and_shares_its_blocks() {
+        let graph = three_buckets(false);
+        let clone = graph.clone();
+        assert!(!is_loading(&clone));
+        assert_eq!(clone.num_edges(), graph.num_edges());
+        let mut shared = 0;
+        for v in 0..graph.num_vertices() as VertexId {
+            let (a, b) = (graph.neighbors(v).unwrap(), clone.neighbors(v).unwrap());
+            assert_eq!(a, b);
+            if !a.is_empty() {
+                assert!(std::ptr::eq(a.edges(), b.edges()), "vertex {v}");
+                shared += 1;
+            }
+        }
+        assert!(shared > BUCKET_VERTICES);
+    }
+
+    #[test]
+    fn concurrent_first_reads_see_one_build() {
+        let graph = three_buckets(false);
+        let barrier = std::sync::Barrier::new(8);
+        let seen: Vec<(usize, usize)> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let lists = graph.lists();
+                        (lists.as_ptr() as usize, lists[5].edges().as_ptr() as usize)
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(seen.iter().all(|&read| read == seen[0]), "{seen:?}");
+        assert!(graph.edges().eq(three_buckets(true).edges()));
     }
 
     #[test]

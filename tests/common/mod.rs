@@ -1,5 +1,5 @@
-//! A global allocator that counts live bytes, bytes ever handed out and
-//! allocation calls, for the
+//! A global allocator that counts live bytes, their high-water mark, bytes
+//! ever handed out and allocation calls, for the
 //! test binaries that hold `MemoryReport::resident_bytes` against what the
 //! allocator actually handed out, or an update against what it may
 //! allocate. Each of them is its own binary with a single test, so nothing
@@ -11,12 +11,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 struct LiveBytes;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 static HANDED_OUT: AtomicUsize = AtomicUsize::new(0);
 
 fn count(bytes: usize) {
     // relaxed-ok: statistics that publish no other data.
-    LIVE.fetch_add(bytes, Ordering::Relaxed);
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    // relaxed-ok: as above.
+    PEAK.fetch_max(live, Ordering::Relaxed);
     // relaxed-ok: as above.
     HANDED_OUT.fetch_add(bytes, Ordering::Relaxed);
     // relaxed-ok: as above.
@@ -62,6 +65,21 @@ static ALLOCATOR: LiveBytes = LiveBytes;
 pub fn live() -> usize {
     // relaxed-ok: read on the thread that just joined every builder.
     LIVE.load(Ordering::Relaxed)
+}
+
+/// The most bytes live at once since the last [`reset_peak`]. A
+/// reallocation counts its new block before it frees the old one.
+#[allow(dead_code)]
+pub fn peak() -> usize {
+    // relaxed-ok: read on the only thread that allocates.
+    PEAK.load(Ordering::Relaxed)
+}
+
+/// Start a new high-water mark at what is live now.
+#[allow(dead_code)]
+pub fn reset_peak() {
+    // relaxed-ok: written on the only thread that allocates.
+    PEAK.store(live(), Ordering::Relaxed);
 }
 
 /// Allocations and reallocations this process has made so far.

@@ -95,6 +95,9 @@ fn resident_bytes_match_what_the_build_allocates() {
     for (name, make, config) in cases {
         let before_graph = live();
         let graph = make(&mut Pcg64::seed_from_u64(14));
+        // A generated graph arrives still loading, and its first read builds
+        // its adjacency blocks: this read keeps them out of the build's
+        // window, and leaves live exactly the graph's `memory_bytes()`.
         let vertices = graph.num_vertices();
         let before_build = live();
         let engine = BingoEngine::build(&graph, config).unwrap();
