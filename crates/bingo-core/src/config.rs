@@ -1,16 +1,18 @@
 //! Engine configuration.
-
-/// How the λ amortization factor for floating-point biases (§4.3) is chosen.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Lambda {
-    /// Pick λ automatically: 1 for all-integer biases, otherwise a power of
-    /// two large enough that the decimal group stays below the `1/d`
-    /// threshold the complexity analysis requires (§4.4) for typical
-    /// degrees.
-    Auto,
-    /// Use a fixed λ.
-    Fixed(f64),
-}
+//!
+//! One switch, because only one trade-off is measured: adaptation on or off
+//! (the paper's group-adaptive design against its "BS" baseline, Figures 11
+//! and 13). Everything else the paper fixes is a constant, not a knob, and no
+//! workload varies it:
+//!
+//! * the group thresholds α = 40 % and β = 10 % (§5.1, chosen empirically by
+//!   the paper), `ALPHA_PERCENT` / `BETA_PERCENT` in `group.rs`;
+//! * λ for floating-point biases (§4.3): 1 while every bias of a vertex is
+//!   integral, otherwise derived from the biases by
+//!   [`choose_lambda`](crate::fixed::choose_lambda) so that the decimal group
+//!   stays below the `1/d` share the complexity analysis needs (§4.4);
+//! * reclassification: every update that keeps a vertex's groups checks
+//!   their kinds against Equation 9 again (Table 4 counts the checks).
 
 /// Configuration of the Bingo engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,31 +33,11 @@ pub struct BingoConfig {
     /// "BS" baseline of Figures 11 and 13: radix groups on every vertex,
     /// every group regular.
     pub adaptive: bool,
-    /// Dense-group threshold α (percent of the vertex degree). A group
-    /// holding more than `α%` of the neighbors is represented as dense.
-    pub alpha_percent: f64,
-    /// Sparse-group threshold β (percent of the vertex degree). A group
-    /// holding fewer than `β%` of the neighbors (and more than one) is
-    /// represented as sparse.
-    pub beta_percent: f64,
-    /// λ amortization factor for floating-point biases.
-    pub lambda: Lambda,
-    /// Reclassify group representations after every streaming update.
-    /// Batched updates always reclassify once per touched vertex during the
-    /// rebuild phase.
-    pub reclassify_on_streaming: bool,
 }
 
 impl Default for BingoConfig {
     fn default() -> Self {
-        // α = 40, β = 10 are the paper's empirically chosen thresholds.
-        BingoConfig {
-            adaptive: true,
-            alpha_percent: 40.0,
-            beta_percent: 10.0,
-            lambda: Lambda::Auto,
-            reclassify_on_streaming: true,
-        }
+        BingoConfig { adaptive: true }
     }
 }
 
@@ -64,31 +46,7 @@ impl BingoConfig {
     /// representation — every vertex keeps radix groups, every group is
     /// stored in the regular format.
     pub fn baseline() -> Self {
-        BingoConfig {
-            adaptive: false,
-            ..Self::default()
-        }
-    }
-
-    /// Resolve the λ factor for a set of biases.
-    ///
-    /// `has_float` says whether any bias is non-integral; `max_bias` is the
-    /// largest bias value of the vertex (used to keep the scaled values well
-    /// inside 64 bits).
-    pub fn resolve_lambda(&self, has_float: bool) -> f64 {
-        match self.lambda {
-            Lambda::Fixed(l) => l.max(1.0),
-            Lambda::Auto => {
-                if has_float {
-                    // 2^10: the decimal remainder of each edge is < 1/1024 of
-                    // its integer part for biases ≥ 1, comfortably keeping
-                    // the decimal group's share below 1/d for real degrees.
-                    1024.0
-                } else {
-                    1.0
-                }
-            }
-        }
+        BingoConfig { adaptive: false }
     }
 }
 
@@ -97,33 +55,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_paper_thresholds() {
-        let c = BingoConfig::default();
-        assert!(c.adaptive);
-        assert_eq!(c.alpha_percent, 40.0);
-        assert_eq!(c.beta_percent, 10.0);
-        assert_eq!(c.lambda, Lambda::Auto);
-    }
-
-    #[test]
-    fn baseline_disables_adaptation() {
+    fn default_adapts_and_baseline_does_not() {
+        assert!(BingoConfig::default().adaptive);
         assert!(!BingoConfig::baseline().adaptive);
-    }
-
-    #[test]
-    fn lambda_resolution() {
-        let auto = BingoConfig::default();
-        assert_eq!(auto.resolve_lambda(false), 1.0);
-        assert_eq!(auto.resolve_lambda(true), 1024.0);
-        let fixed = BingoConfig {
-            lambda: Lambda::Fixed(10.0),
-            ..BingoConfig::default()
-        };
-        assert_eq!(fixed.resolve_lambda(true), 10.0);
-        let degenerate = BingoConfig {
-            lambda: Lambda::Fixed(0.0),
-            ..BingoConfig::default()
-        };
-        assert_eq!(degenerate.resolve_lambda(true), 1.0);
     }
 }

@@ -80,6 +80,12 @@ const MAX_DEGREE: usize = (u32::MAX / 8) as usize;
 /// keeps low-degree vertices from compacting over a handful of words.
 const RECLAIM_SLACK_WORDS: usize = 16;
 
+/// Equation 9's dense threshold α, in percent of the vertex degree, and its
+/// sparse threshold β. Constants, not knobs: they are the values the paper
+/// chose empirically (§5.1), and no workload here varies them.
+const ALPHA_PERCENT: f64 = 40.0;
+const BETA_PERCENT: f64 = 10.0;
+
 /// The adaptive representation categories of Equation 9, plus `Empty` for
 /// groups that currently hold no edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,20 +106,16 @@ pub enum GroupKind {
 
 impl GroupKind {
     /// Classify a group by its cardinality and the vertex degree
-    /// (Equation 9 with the paper's precedence: dense first).
-    pub fn classify(
-        cardinality: usize,
-        degree: usize,
-        alpha_percent: f64,
-        beta_percent: f64,
-    ) -> Self {
+    /// (Equation 9 with the paper's precedence: dense first, at α = 40 %
+    /// and β = 10 %).
+    pub fn classify(cardinality: usize, degree: usize) -> Self {
         if cardinality == 0 || degree == 0 {
             GroupKind::Empty
-        } else if cardinality as f64 / degree as f64 > alpha_percent / 100.0 {
+        } else if cardinality as f64 / degree as f64 > ALPHA_PERCENT / 100.0 {
             GroupKind::Dense
         } else if cardinality == 1 {
             GroupKind::OneElement
-        } else if (cardinality as f64 / degree as f64) < beta_percent / 100.0 {
+        } else if (cardinality as f64 / degree as f64) < BETA_PERCENT / 100.0 {
             GroupKind::Sparse
         } else {
             GroupKind::Regular
@@ -1374,19 +1376,22 @@ mod tests {
 
     #[test]
     fn classify_follows_equation_9() {
-        // α = 40, β = 10 (paper defaults).
-        assert_eq!(GroupKind::classify(0, 10, 40.0, 10.0), GroupKind::Empty);
-        assert_eq!(GroupKind::classify(5, 10, 40.0, 10.0), GroupKind::Dense);
+        // α = 40, β = 10 (the paper's values).
+        assert_eq!(GroupKind::classify(0, 10), GroupKind::Empty);
+        assert_eq!(GroupKind::classify(5, 10), GroupKind::Dense);
         // |G| = 1 is one-element regardless of how small the ratio is.
-        assert_eq!(
-            GroupKind::classify(1, 100, 40.0, 10.0),
-            GroupKind::OneElement
-        );
-        assert_eq!(GroupKind::classify(1, 5, 40.0, 10.0), GroupKind::OneElement);
-        assert_eq!(GroupKind::classify(2, 10, 40.0, 10.0), GroupKind::Regular);
-        assert_eq!(GroupKind::classify(2, 100, 40.0, 10.0), GroupKind::Sparse);
+        assert_eq!(GroupKind::classify(1, 100), GroupKind::OneElement);
+        assert_eq!(GroupKind::classify(1, 5), GroupKind::OneElement);
+        assert_eq!(GroupKind::classify(2, 10), GroupKind::Regular);
+        assert_eq!(GroupKind::classify(2, 100), GroupKind::Sparse);
         // Dense takes precedence even for a single element on tiny degrees.
-        assert_eq!(GroupKind::classify(1, 2, 40.0, 10.0), GroupKind::Dense);
+        assert_eq!(GroupKind::classify(1, 2), GroupKind::Dense);
+        // Both comparisons are strict: exactly α % is not dense, exactly
+        // β % not sparse.
+        assert_eq!(GroupKind::classify(4, 10), GroupKind::Regular);
+        assert_eq!(GroupKind::classify(41, 100), GroupKind::Dense);
+        assert_eq!(GroupKind::classify(10, 100), GroupKind::Regular);
+        assert_eq!(GroupKind::classify(9, 100), GroupKind::Sparse);
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub mod radix_base;
 pub mod stats;
 pub mod vertex_space;
 
-pub use config::{BingoConfig, Lambda};
+pub use config::BingoConfig;
 pub use context::ContextProviderStats;
 pub use engine::{BatchOutcome, BingoEngine};
 pub use group::{DecimalGroup, GroupKind, GroupView};

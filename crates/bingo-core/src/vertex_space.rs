@@ -63,7 +63,7 @@
 //! caused and the adjacency slots it read to find its edges, for the caller
 //! (normally the engine) to accumulate.
 
-use crate::config::{BingoConfig, Lambda};
+use crate::config::BingoConfig;
 use crate::fixed::{choose_lambda, ScaledBias};
 use crate::group::{DecimalGroup, GroupKind, GroupTable, GroupView};
 use crate::memory::MemoryReport;
@@ -145,12 +145,7 @@ fn classify(config: &BingoConfig, cardinality: usize, degree: usize) -> GroupKin
             GroupKind::Regular
         };
     }
-    GroupKind::classify(
-        cardinality,
-        degree,
-        config.alpha_percent,
-        config.beta_percent,
-    )
+    GroupKind::classify(cardinality, degree)
 }
 
 /// Everything only a factorized vertex needs: the group table, which also
@@ -191,16 +186,11 @@ impl Factorized {
         self.groups.total_weight() + self.decimal_weight()
     }
 
-    /// Build groups, edge index and decimal group for `lambda` from the
-    /// adjacency list, then the inter-group alias table; `prev` is what the
-    /// vertex had before, if it was factorized. `O(d · K)`.
-    fn rebuilt(
-        prev: Option<Factorized>,
-        edges: &[Edge],
-        lambda: f64,
-        may_have_fractions: bool,
-        config: &BingoConfig,
-    ) -> Self {
+    /// Choose λ for the adjacency list, build groups, edge index and
+    /// decimal group under it, then the inter-group alias table; `prev` is
+    /// what the vertex had before, if it was factorized. `O(d · K)`.
+    fn rebuilt(prev: Option<Factorized>, edges: &[Edge], config: &BingoConfig) -> Self {
+        let lambda = Self::lambda_for(edges);
         let mut groups = GroupTable::rebuilt(
             prev.map(|f| f.groups),
             edges.len(),
@@ -210,7 +200,8 @@ impl Factorized {
         );
         groups.fixed.lambda = lambda;
         groups.fixed.decimal = None;
-        if may_have_fractions {
+        // λ is 1 exactly when every bias is integral: no remainders.
+        if lambda > 1.0 {
             for (idx, edge) in edges.iter().enumerate() {
                 let s = ScaledBias::new(edge.bias, lambda);
                 if s.has_fraction() {
@@ -222,6 +213,16 @@ impl Factorized {
         let mut factorized = Factorized { groups };
         factorized.rebuild_inter();
         factorized
+    }
+
+    /// λ for `edges` (§4.3): 1 while every bias is integral, so nothing is
+    /// scaled, otherwise the one [`choose_lambda`] derives from the biases.
+    fn lambda_for(edges: &[Edge]) -> f64 {
+        if edges.iter().all(|e| e.bias.is_integral()) {
+            return 1.0;
+        }
+        let biases: Vec<f64> = edges.iter().map(|e| e.bias.value()).collect();
+        choose_lambda(&biases, 2.0)
     }
 
     /// Rebuild only the inter-group alias table. `O(K)`.
@@ -261,12 +262,12 @@ impl Factorized {
     /// Insert the edge just pushed onto `edges`, its last, into the radix
     /// groups and the edge index without touching the inter-group alias
     /// table. Returns `true` when the insertion requires a full rebuild
-    /// instead: a floating-point bias arrived while an automatic λ is 1, or
-    /// the degree outgrew the group table's word width.
-    fn insert(&mut self, edges: &[Edge], lambda_auto: bool) -> bool {
+    /// instead: a floating-point bias arrived while λ is 1, or the degree
+    /// outgrew the group table's word width.
+    fn insert(&mut self, edges: &[Edge]) -> bool {
         let idx = edges.len() as u32 - 1;
         let bias = edges[idx as usize].bias;
-        if !bias.is_integral() && (self.lambda() - 1.0).abs() < f64::EPSILON && lambda_auto {
+        if !bias.is_integral() && (self.lambda() - 1.0).abs() < f64::EPSILON {
             return true;
         }
         if !self.groups.fits(edges.len()) {
@@ -360,11 +361,10 @@ impl Factorized {
     }
 
     /// A uniform member of the dense group `g`, by rejection over the raw
-    /// adjacency list: a try is accepted at more than α% while Equation 9
-    /// calls the group dense (§5.1). With `reclassify_on_streaming` off,
-    /// deletes can thin a group that keeps its kind, and the acceptance rate
-    /// falls toward one in the degree; so the tries are bounded, and past
-    /// them one more draw picks the r-th member, found by one scan.
+    /// adjacency list: every update reclassifies, so a dense group holds
+    /// more than α% of the edges and a try is accepted at least that often
+    /// (§5.1). The tries are bounded all the same, and past them one more
+    /// draw picks the r-th member, found by one scan.
     fn sample_dense<R: Rng + ?Sized>(
         &self,
         g: usize,
@@ -634,21 +634,6 @@ impl VertexSpace {
         outcome
     }
 
-    /// λ for the current biases, and whether the decimal group can be
-    /// non-empty under it.
-    fn resolve_lambda(&self, config: &BingoConfig) -> (f64, bool) {
-        let has_float = self.adj.edges().iter().any(|e| !e.bias.is_integral());
-        let lambda = match config.lambda {
-            Lambda::Fixed(lambda) => lambda.max(1.0),
-            Lambda::Auto if has_float => {
-                let biases: Vec<f64> = self.adj.edges().iter().map(|e| e.bias.value()).collect();
-                choose_lambda(&biases, 2.0)
-            }
-            Lambda::Auto => 1.0,
-        };
-        (lambda, has_float || (lambda - 1.0).abs() >= f64::EPSILON)
-    }
-
     /// Rebuild the space from the adjacency list, choosing the
     /// representation from the degree: direct (drop the groups, re-add the
     /// total) or factorized (λ, groups, decimal group and inter-group alias
@@ -660,7 +645,6 @@ impl VertexSpace {
             self.repr = Repr::direct(DirectTotal::of(edges), full_rebuilds);
             return;
         }
-        let (lambda, may_have_fractions) = self.resolve_lambda(config);
         let vacated = Repr::Exact {
             total: 0,
             full_rebuilds,
@@ -670,26 +654,19 @@ impl VertexSpace {
             _ => None,
         };
         self.repr = Repr::Factorized {
-            factorized: Factorized::rebuilt(prev, edges, lambda, may_have_fractions, config),
+            factorized: Factorized::rebuilt(prev, edges, config),
             full_rebuilds,
         };
     }
 
-    /// Reclassify the groups (when `reclassify`) and rebuild the inter-group
-    /// alias table: the tail of every update that kept the groups current.
-    fn settle_groups(
-        &mut self,
-        reclassify: bool,
-        config: &BingoConfig,
-        conversions: &mut ConversionMatrix,
-    ) {
+    /// Reclassify the groups and rebuild the inter-group alias table: the
+    /// tail of every update that kept the groups current.
+    fn settle_groups(&mut self, config: &BingoConfig, conversions: &mut ConversionMatrix) {
         let f = self
             .repr
             .factorized_mut()
             .expect("the vertex is factorized");
-        if reclassify {
-            f.reclassify(self.adj.edges(), config, conversions);
-        }
+        f.reclassify(self.adj.edges(), config, conversions);
         f.rebuild_inter();
     }
 
@@ -715,11 +692,10 @@ impl VertexSpace {
             None if degree <= DIRECT_MAX_DEGREE => self.refresh_direct_total(),
             None => self.rebuild_from_scratch(config),
             Some(f) => {
-                if f.insert(self.adj.edges(), config.lambda == Lambda::Auto) {
+                if f.insert(self.adj.edges()) {
                     self.rebuild_from_scratch(config);
                 } else {
-                    let reclassify = config.reclassify_on_streaming;
-                    self.settle_groups(reclassify, config, &mut outcome.conversions);
+                    self.settle_groups(config, &mut outcome.conversions);
                 }
             }
         }
@@ -766,8 +742,7 @@ impl VertexSpace {
         } else if self.is_direct() {
             self.refresh_direct_total();
         } else {
-            let reclassify = config.reclassify_on_streaming;
-            self.settle_groups(reclassify, config, &mut outcome.conversions);
+            self.settle_groups(config, &mut outcome.conversions);
         }
         Ok((out.removed, self.finish(outcome, before)))
     }
@@ -861,7 +836,7 @@ impl VertexSpace {
             }
             self.adj.push(Edge::new(dst, bias));
             if let Some(f) = self.repr.factorized_mut().filter(|_| !groups_stale) {
-                groups_stale = f.insert(self.adj.edges(), config.lambda == Lambda::Auto);
+                groups_stale = f.insert(self.adj.edges());
             }
             outcome.inserted += 1;
         }
@@ -919,7 +894,7 @@ impl VertexSpace {
         } else if groups_stale || self.demotes_at(degree, config) {
             self.rebuild_from_scratch(config);
         } else {
-            self.settle_groups(true, config, &mut outcome.conversions);
+            self.settle_groups(config, &mut outcome.conversions);
         }
         self.finish(outcome, before)
     }
@@ -1282,24 +1257,24 @@ mod tests {
 
     #[test]
     fn floating_point_biases_follow_paper_example() {
-        // §4.3 example with λ fixed at 10.
+        // The biases of the §4.3 example. The paper scales them by λ = 10
+        // (`bingo-graph`'s `bias.rs` pins that arithmetic); the engine
+        // doubles λ from 2 until the decimal group's share falls below
+        // 1 / degree: at λ = 4 the remainders 0.216 + 0.904 + 0.28 are 1.4
+        // of 6.4.
         let mut adj = AdjacencyList::new();
         adj.push(Edge::new(1, Bias::from_float(0.554)));
         adj.push(Edge::new(4, Bias::from_float(0.726)));
         adj.push(Edge::new(5, Bias::from_float(0.32)));
-        let config = BingoConfig {
-            lambda: Lambda::Fixed(10.0),
-            ..BingoConfig::baseline()
-        };
+        let config = BingoConfig::baseline();
         let space = VertexSpace::build(adj, config);
-        assert_eq!(space.lambda(), 10.0);
-        // Integer parts 5, 7, 3 → groups 2^0 {5,7,3}, 2^1 {7,3}, 2^2 {5,7}.
-        assert_eq!(space.num_groups(), 3);
-        assert_eq!(space.group(0).cardinality(), 3);
+        assert_eq!(space.lambda(), 4.0);
+        // Integer parts 2, 2, 1 → groups 2^0 {1}, 2^1 {2, 2}.
+        assert_eq!(space.num_groups(), 2);
+        assert_eq!(space.group(0).cardinality(), 1);
         assert_eq!(space.group(1).cardinality(), 2);
-        assert_eq!(space.group(2).cardinality(), 2);
         assert_eq!(space.decimal_group().cardinality(), 3);
-        assert!((space.decimal_group().weight() - 1.0).abs() < 1e-9);
+        assert!((space.decimal_group().weight() - 1.4).abs() < 1e-9);
         space.check_invariants(&config).unwrap();
 
         // Theorem 4.1 still holds with the decimal group in play.
@@ -1339,10 +1314,7 @@ mod tests {
 
     #[test]
     fn the_decimal_box_goes_when_the_last_fraction_does() {
-        let config = BingoConfig {
-            lambda: Lambda::Fixed(10.0),
-            ..BingoConfig::baseline()
-        };
+        let config = BingoConfig::baseline();
         let has_box = |space: &VertexSpace| {
             let factorized = space.repr.factorized().expect("baseline factorizes");
             factorized.groups.fixed.decimal.is_some()
@@ -1552,58 +1524,53 @@ mod tests {
         assert_eq!(BLOCKS_READ.with(|blocks| blocks.borrow().len()), 2);
     }
 
+    /// An RNG that replays `words` and then panics: what a test needs to
+    /// steer a draw down one path.
+    struct Scripted(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("the script covers every draw")
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unreachable!("no draw fills bytes")
+        }
+        fn try_fill_bytes(&mut self, _: &mut [u8]) -> std::result::Result<(), rand::Error> {
+            unreachable!("no draw fills bytes")
+        }
+    }
+
+    /// The word `gen_range(0..n)` turns into `i` (a widening multiply).
+    fn word_for(i: usize, n: usize) -> u64 {
+        (((i as u128) << 64).div_ceil(n as u128)) as u64
+    }
+
     #[test]
-    fn a_dense_group_thinned_with_reclassification_off_is_still_drawn_uniformly() {
-        // A hub of 4 096 edges of bias 2, of which 2 048 also carry bit 0:
-        // group 2^0 is dense at the build. With reclassification off it
-        // stays dense while deletes take all but one of its members, and
-        // the acceptance rate of a rejection try falls to 1 in 2 049.
-        let config = BingoConfig {
-            reclassify_on_streaming: false,
-            ..BingoConfig::default()
-        };
-        let biases: Vec<Bias> = (0..4096u64).map(|i| Bias::from_int(2 + i % 2)).collect();
-        let mut space = space_of(&biases, config);
+    fn a_dense_draw_that_misses_every_try_scans_for_the_rth_member() {
+        // 40 edges, all but the first in group 2^0: dense, and a try that
+        // lands on edge 0 misses it.
+        let biases: Vec<Bias> = (0..40u64)
+            .map(|i| Bias::from_int(2 + u64::from(i > 0)))
+            .collect();
+        let space = space_of(&biases, BingoConfig::default());
         assert_eq!(space.group(0).kind(), GroupKind::Dense);
-        while space.group(0).cardinality() > 1 {
-            let odd = space
-                .adjacency()
-                .edges()
-                .iter()
-                .position(|e| e.bias == Bias::from_int(3));
-            space.delete_at(odd.unwrap(), &config).unwrap();
+        let f = space.repr.factorized().expect("40 edges factorize");
+        let edges = space.adjacency().edges();
+        // A try that lands on a member returns it at once.
+        let mut hit = Scripted(vec![0, 0, word_for(7, 40)].into_iter());
+        assert_eq!(f.sample_dense(0, edges, &mut hit), Some(7));
+        assert_eq!(hit.0.len(), 0);
+        // DENSE_TRIES misses, then the r-th of the 39 members, by one scan.
+        for r in 0..39 {
+            let mut words = vec![0; DENSE_TRIES];
+            words.push(word_for(r, 39));
+            let mut miss = Scripted(words.into_iter());
+            assert_eq!(f.sample_dense(0, edges, &mut miss), Some(r + 1));
+            assert_eq!(miss.0.len(), 0);
         }
-        assert_eq!(space.group(0).kind(), GroupKind::Dense);
-        space.check_invariants(&config).unwrap();
-        // The one member left is drawn at its exact share, 3 in 4 099 (one
-        // in 4 099 of them through group 2^0), and every draw returns.
-        let only = space
-            .adjacency()
-            .edges()
-            .iter()
-            .position(|e| e.bias == Bias::from_int(3));
-        let mut rng = Pcg64::seed_from_u64(0xDE);
-        const DRAWS: usize = 400_000;
-        let hits = (0..DRAWS)
-            .filter(|_| space.sample_index(&mut rng) == only)
-            .count();
-        let expected = DRAWS as f64 * 3.0 / 4099.0;
-        assert!(
-            (hits as f64 - expected).abs() < 5.0 * expected.sqrt(),
-            "{hits} hits, {expected} expected"
-        );
-        // Two members: the fallback picks either, by position in the list.
-        let mut pair = space_of(&biases[..2050], config);
-        while pair.group(0).cardinality() > 2 {
-            let odd = pair
-                .adjacency()
-                .edges()
-                .iter()
-                .position(|e| e.bias == Bias::from_int(3));
-            pair.delete_at(odd.unwrap(), &config).unwrap();
-        }
-        assert_eq!(pair.group(0).kind(), GroupKind::Dense);
-        assert_samples_match_exact_probabilities(&pair, &mut rng);
     }
 
     /// A degree-`degree` vertex whose eight radix groups each hold about a
@@ -1772,8 +1739,8 @@ mod tests {
         assert_eq!(space.full_rebuilds(), rebuilds + 1);
         assert_samples_match_exact_probabilities(&space, &mut rng);
 
-        // A rebuild from scratch (here: the first fractional bias under
-        // `Lambda::Auto`) keeps the words wide while the degree is 2^15 or
+        // A rebuild from scratch (here: the first fractional bias, which
+        // takes λ above 1) keeps the words wide while the degree is 2^15 or
         // more (`group.rs` tests the demotion below it).
         while space.degree() > 1 << 15 {
             space.delete_at(space.degree() - 1, &config).unwrap();

@@ -76,11 +76,8 @@ pub struct GatewayConfig {
     /// Bound on walkers queued per tenant; submissions beyond it are
     /// refused with [`GatewayError::Overloaded`].
     pub max_queue_per_tenant: usize,
-    /// AIMD tuning of the in-flight walker window.
+    /// Bounds of the in-flight walker window.
     pub window: AimdConfig,
-    /// Dispatcher poll cadence while work is in flight: completions are
-    /// absorbed and the AIMD controller ticks at this period.
-    pub tick: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -90,10 +87,14 @@ impl Default for GatewayConfig {
             quantum_walkers: 32,
             max_queue_per_tenant: 1 << 20,
             window: AimdConfig::default(),
-            tick: Duration::from_micros(500),
         }
     }
 }
+
+/// Dispatcher poll cadence while work is in flight: completions are
+/// absorbed and the AIMD controller ticks at this period. A constant, not a
+/// knob: no workload here sets another.
+const TICK: Duration = Duration::from_micros(500);
 
 /// Handle for retrieving one gateway submission's results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -637,7 +638,7 @@ fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
         } else {
             // Work outstanding: wake after a tick to poll completions and
             // re-run the controller (or earlier, on a new submission).
-            let _unused = inner.work_cv.wait_timeout(state, inner.config.tick);
+            let _unused = inner.work_cv.wait_timeout(state, TICK);
         }
     }
 }

@@ -25,11 +25,13 @@
 //! * **Adaptive admission** ([`window`]): the dispatcher samples the
 //!   service's occupancy hook
 //!   ([`WalkService::admission_snapshot`](bingo_service::WalkService::admission_snapshot))
-//!   every tick and sizes its in-flight walker window AIMD-style —
-//!   additive growth while calm and window-limited, multiplicative
-//!   decrease on saturation rejections or high inbox occupancy. A chunk
-//!   the service refuses with a retryable `Saturated` goes back to the
-//!   *front* of its queue (deficit refunded, nothing dropped).
+//!   every tick (500 µs while work is in flight) and sizes its in-flight
+//!   walker window AIMD-style — 8 walkers more while calm and
+//!   window-limited, half on saturation rejections or an inbox more than
+//!   three quarters full. Those are constants; [`AimdConfig`] sets only the
+//!   window's start, floor and ceiling. A chunk the service refuses with a
+//!   retryable `Saturated` goes back to the *front* of its queue (deficit
+//!   refunded, nothing dropped).
 //! * **Chunked dispatch** ([`sched::shard_aligned_chunks`]): start sets
 //!   are split into shard-aligned chunks of at most
 //!   [`GatewayConfig::chunk_walkers`], so fairness granularity is

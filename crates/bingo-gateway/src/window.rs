@@ -5,19 +5,29 @@
 //! [`admission snapshot`](bingo_service::WalkService::admission_snapshot)
 //! and adjusts the window TCP-style:
 //!
-//! * **multiplicative decrease** when pressure shows — a `Saturated`
-//!   rejection was observed (either as a counter delta or first-hand on a
-//!   submit), or the fullest shard inbox is above the configured occupancy
-//!   threshold;
-//! * **additive increase** when the last dispatch round was actually
-//!   limited by the window (growing an unused window would just let a
-//!   later burst overshoot).
+//! * **halving** when pressure shows — a `Saturated` rejection was
+//!   observed (either as a counter delta or first-hand on a submit), or the
+//!   fullest shard inbox is more than three quarters full;
+//! * **additive increase** by 8 walkers when the last dispatch round was
+//!   actually limited by the window (growing an unused window would just
+//!   let a later burst overshoot).
+//!
+//! The step, the halving and the occupancy threshold are constants, not
+//! knobs: no workload here sets other values. What a deployment sizes is
+//! the window's range, [`AimdConfig`].
 //!
 //! Like the scheduler, this is pure state-machine code with no clocks or
 //! service handles, so the control law is unit-testable on synthetic
 //! pressure traces.
 
-/// Tuning of the [`AimdWindow`] control loop.
+/// Walkers added per additive-increase tick.
+const ADDITIVE_STEP: usize = 8;
+
+/// Peak shard-inbox occupancy (fraction of `max_inbox`) above which a tick
+/// counts as pressure even without a rejection.
+const OCCUPANCY_HIGH: f64 = 0.75;
+
+/// The range of the [`AimdWindow`].
 #[derive(Debug, Clone, Copy)]
 pub struct AimdConfig {
     /// Window at gateway start, in walkers.
@@ -27,13 +37,6 @@ pub struct AimdConfig {
     pub min: usize,
     /// Ceiling the window never grows past.
     pub max: usize,
-    /// Walkers added per additive-increase tick.
-    pub additive_step: usize,
-    /// Multiplier applied on decrease (e.g. `0.5` halves the window).
-    pub decrease_factor: f64,
-    /// Peak shard-inbox occupancy (fraction of `max_inbox`) above which a
-    /// tick counts as pressure even without a rejection.
-    pub occupancy_high: f64,
 }
 
 impl Default for AimdConfig {
@@ -42,9 +45,6 @@ impl Default for AimdConfig {
             initial: 64,
             min: 8,
             max: 1024,
-            additive_step: 8,
-            decrease_factor: 0.5,
-            occupancy_high: 0.75,
         }
     }
 }
@@ -53,7 +53,7 @@ impl Default for AimdConfig {
 /// event (`WindowChange`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowEvent {
-    /// Pressure: window multiplied down.
+    /// Pressure: window halved.
     Decrease,
     /// Window-limited and calm: window grew by the additive step.
     Increase,
@@ -105,25 +105,24 @@ impl AimdWindow {
             None => false,
         };
         self.last_rejections = Some(rejections_total);
-        if rejected || peak_occupancy > self.config.occupancy_high {
+        if rejected || peak_occupancy > OCCUPANCY_HIGH {
             self.decrease()
         } else if window_limited && self.window < self.config.max {
-            self.window = (self.window + self.config.additive_step).min(self.config.max);
+            self.window = (self.window + ADDITIVE_STEP).min(self.config.max);
             WindowEvent::Increase
         } else {
             WindowEvent::Hold
         }
     }
 
-    /// Immediate multiplicative decrease — called when a submit comes back
-    /// `Saturated` first-hand, without waiting for the next tick.
+    /// Immediate halving — called when a submit comes back `Saturated`
+    /// first-hand, without waiting for the next tick.
     pub fn on_saturated(&mut self) -> WindowEvent {
         self.decrease()
     }
 
     fn decrease(&mut self) -> WindowEvent {
-        let shrunk = (self.window as f64 * self.config.decrease_factor).floor() as usize;
-        let next = shrunk.max(self.config.min);
+        let next = (self.window / 2).max(self.config.min);
         if next == self.window {
             return WindowEvent::Hold;
         }
@@ -144,7 +143,6 @@ mod tests {
     fn grows_additively_only_when_window_limited() {
         let mut w = window(AimdConfig {
             initial: 32,
-            additive_step: 8,
             ..AimdConfig::default()
         });
         assert_eq!(w.on_tick(0.0, 0, false), WindowEvent::Hold);
@@ -188,7 +186,6 @@ mod tests {
     fn high_occupancy_is_pressure_without_rejections() {
         let mut w = window(AimdConfig {
             initial: 100,
-            occupancy_high: 0.75,
             ..AimdConfig::default()
         });
         assert_eq!(w.on_tick(0.74, 0, false), WindowEvent::Hold);
@@ -201,7 +198,6 @@ mod tests {
         let mut w = window(AimdConfig {
             initial: 40,
             max: 48,
-            additive_step: 8,
             ..AimdConfig::default()
         });
         assert_eq!(w.on_saturated(), WindowEvent::Decrease);

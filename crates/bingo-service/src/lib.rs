@@ -20,9 +20,10 @@
 //! * An **update router** splits incoming
 //!   [`UpdateBatch`](bingo_graph::UpdateBatch) streams by owning shard
 //!   (`UpdateBatch::split_by_owner` semantics), coalesces streamed events
-//!   per shard, and flushes them as **epochs**: every flush sends one batch
-//!   to every shard and bumps its generation counter after the batch is
-//!   fully applied. Because a worker serially interleaves whole batches
+//!   per shard (up to a constant 4 096; [`WalkService::ingest`] flushes a
+//!   batch at once), and flushes them as **epochs**: every flush sends one
+//!   batch to every shard and bumps its generation counter after the batch
+//!   is fully applied. Because a worker serially interleaves whole batches
 //!   with walk steps, an in-flight walk step can never observe a torn
 //!   radix group — the epoch totally orders every step against every
 //!   update batch on that shard.
@@ -421,44 +422,37 @@ mod tests {
 
     #[test]
     fn streamed_events_coalesce_until_capacity() {
+        use crate::router::COALESCE_CAPACITY;
         let graph = ring_graph(16);
         let service = WalkService::build(
             &graph,
             ServiceConfig {
                 num_shards: 2,
-                coalesce_capacity: 3,
                 ..ServiceConfig::default()
             },
         )
         .unwrap();
-        // Two buffered events: no flush yet.
-        assert!(service
-            .ingest_event(UpdateEvent::Insert {
-                src: 0,
-                dst: 5,
-                bias: Bias::from_int(1),
-            })
-            .is_none());
-        assert!(service
-            .ingest_event(UpdateEvent::Insert {
-                src: 1,
-                dst: 5,
-                bias: Bias::from_int(1),
-            })
-            .is_none());
+        let insert = |src: u32| UpdateEvent::Insert {
+            src,
+            dst: 5,
+            bias: Bias::from_int(1),
+        };
+        // One event short of the capacity on shard 0 (vertices 0..8), one
+        // on shard 1: buffered, no flush yet.
+        for i in 0..COALESCE_CAPACITY - 1 {
+            assert!(service.ingest_event(insert(i as u32 % 8)).is_none());
+        }
+        assert!(service.ingest_event(insert(12)).is_none());
         assert_eq!(service.stats().per_shard[0].epoch, 0);
-        // Third event on the same shard triggers the coalesced flush.
-        let receipt = service
-            .ingest_event(UpdateEvent::Insert {
-                src: 2,
-                dst: 5,
-                bias: Bias::from_int(1),
-            })
-            .expect("capacity reached");
+        // The event that fills shard 0's buffer flushes both as one epoch.
+        let receipt = service.ingest_event(insert(3)).expect("capacity reached");
         service.sync(receipt);
         let stats = service.stats();
         assert!(stats.per_shard.iter().all(|s| s.epoch == 1));
-        assert_eq!(stats.total_updates_applied(), 3);
+        assert_eq!(
+            stats.total_updates_applied() as usize,
+            COALESCE_CAPACITY + 1
+        );
         // An explicit flush with empty buffers still advances the epoch.
         let receipt = service.flush();
         assert_eq!(receipt.epoch, 2);

@@ -33,15 +33,19 @@ struct RouterState {
     flushes: u64,
 }
 
+/// Events a shard's router buffer coalesces before
+/// [`WalkService::ingest_event`] flushes every buffer as one epoch. A
+/// constant, not a knob: only streamed single events are coalesced, and no
+/// workload here streams them (the benchmark and the examples ingest
+/// batches, which flush at once).
+pub(crate) const COALESCE_CAPACITY: usize = 4096;
+
 pub(crate) struct Router {
     state: Mutex<RouterState>,
-    /// [`ServiceConfig::coalesce_capacity`](crate::ServiceConfig::coalesce_capacity),
-    /// at least 1.
-    coalesce_capacity: usize,
 }
 
 impl Router {
-    pub(crate) fn new(num_shards: usize, coalesce_capacity: usize) -> Self {
+    pub(crate) fn new(num_shards: usize) -> Self {
         Router {
             state: Mutex::new_named(
                 RouterState {
@@ -50,7 +54,6 @@ impl Router {
                 },
                 "service.router",
             ),
-            coalesce_capacity: coalesce_capacity.max(1),
         }
     }
 }
@@ -73,15 +76,13 @@ impl WalkService {
     }
 
     /// Stream a single event into the router's per-shard buffers. Buffers
-    /// are coalesced until one of them reaches
-    /// [`ServiceConfig::coalesce_capacity`](crate::ServiceConfig::coalesce_capacity),
-    /// then all are flushed as one epoch. Returns a receipt only when a
-    /// flush happened.
+    /// are coalesced until one of them holds 4 096 events, then all are
+    /// flushed as one epoch. Returns a receipt only when a flush happened.
     pub fn ingest_event(&self, event: UpdateEvent) -> Option<IngestReceipt> {
         let mut router = self.router.state.lock();
         let owner = self.shared.partitioner.owner(event.src());
         router.buffers[owner].push(event);
-        (router.buffers[owner].len() >= self.router.coalesce_capacity).then(|| IngestReceipt {
+        (router.buffers[owner].len() >= COALESCE_CAPACITY).then(|| IngestReceipt {
             epoch: self.flush_locked(&mut router),
             events_routed: 1,
         })

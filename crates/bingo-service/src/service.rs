@@ -133,10 +133,6 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Configuration of the per-shard Bingo engines.
     pub engine: BingoConfig,
-    /// Per-shard router buffer size: streamed events are coalesced until
-    /// any shard's buffer reaches this many events, then flushed to all
-    /// shards as one epoch.
-    pub coalesce_capacity: usize,
     /// Record, for every walk step, the epoch of the shard that sampled it,
     /// and every forwarded-context snapshot (used by consistency tests;
     /// costs one `Vec` push per step).
@@ -164,7 +160,6 @@ impl Default for ServiceConfig {
             num_shards: 4,
             seed: 0x5E41_11CE,
             engine: BingoConfig::default(),
-            coalesce_capacity: 4096,
             record_epochs: false,
             max_inbox: 0,
             partition: PartitionStrategy::Uniform,
@@ -388,7 +383,7 @@ impl WalkService {
         let telemetry = &shared.telemetry;
 
         Ok(WalkService {
-            router: Router::new(num_shards, config.coalesce_capacity),
+            router: Router::new(num_shards),
             num_vertices,
             seed: config.seed,
             max_inbox: config.max_inbox,

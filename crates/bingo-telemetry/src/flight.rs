@@ -9,18 +9,19 @@
 //! timestamp, so recording from inside the deterministic pipeline stays
 //! determinism-lint-clean.
 //!
-//! The ring is a fixed array of per-slot seqlocks: a writer claims a slot
-//! with one `fetch_add` on the head counter, marks the slot's sequence odd
-//! while the payload words are in flight, and marks it even (encoding the
-//! claiming tick) when done. Readers snapshot without blocking writers and
-//! simply skip torn slots. When the ring wraps, the oldest events are
-//! overwritten and counted by [`FlightRecorder::dropped`].
+//! The ring is a fixed array of per-slot seqlocks: a writer takes a tick
+//! with one `fetch_add` on the head counter, claims the tick's slot by
+//! moving its sequence from the previous even value to odd while the
+//! payload words are in flight, and marks it even (encoding the tick) when
+//! done. Readers snapshot without blocking writers and simply skip torn
+//! slots. When the ring wraps, the oldest events are overwritten and
+//! counted by [`FlightRecorder::dropped`].
 //!
 //! On panic, [`FlightRecorder::install_panic_hook`] dumps the ring to
 //! stderr so a wedged CI run leaves a diagnosable trail.
 
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -227,22 +228,46 @@ impl FlightRecorder {
         self.ring.slots.len()
     }
 
-    /// Record one event. Wait-free: one `fetch_add` plus five stores.
+    /// Record one event: one `fetch_add`, one compare-exchange and five
+    /// stores. A writer waits only for a writer a full lap behind it that
+    /// is still filling the same slot.
     pub fn record(&self, kind: FlightEventKind) {
         // The tick counter orders events; payload visibility is carried by
-        // the seq Release stores below.
+        // the slot's seq below.
         let tick = self.ring.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.ring.slots[(tick % self.ring.slots.len() as u64) as usize];
+        let odd = tick * 2 + 1;
+        // Claim the slot: move its seq from an even value below ours to our
+        // odd one, waiting out a lap-behind writer still mid-write. Seqs
+        // only grow, so two writers a lap apart cannot both hold it, and one
+        // that finds a later lap there has been overwritten already
+        // (`dropped` counts it). Acquire pairs with the previous writer's
+        // even store, so its payload stores come before ours.
+        loop {
+            let seen = slot.seq.load(Ordering::Relaxed);
+            if seen > odd {
+                return;
+            }
+            let claimed = seen.is_multiple_of(2)
+                && (slot.seq)
+                    .compare_exchange_weak(seen, odd, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok();
+            if claimed {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        // The odd seq is ordered before every payload store: a reader that
+        // sees any of them sees at least this odd seq on its re-read.
+        fence(Ordering::Release);
         let (code, a, b, c) = kind.encode();
-        // Odd seq: payload in flight — readers skip the slot.
-        slot.seq.store(tick * 2 + 1, Ordering::Release);
         slot.code.store(code, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
         slot.c.store(c, Ordering::Relaxed);
         // Even seq encodes the claiming tick, so a reader can pair the
         // payload with its tick and detect overwrites between its loads.
-        slot.seq.store(tick * 2 + 2, Ordering::Release);
+        slot.seq.store(odd + 1, Ordering::Release);
     }
 
     /// Total events ever recorded (including overwritten ones).
@@ -270,7 +295,10 @@ impl FlightRecorder {
             let a = slot.a.load(Ordering::Relaxed);
             let b = slot.b.load(Ordering::Relaxed);
             let c = slot.c.load(Ordering::Relaxed);
-            let s2 = slot.seq.load(Ordering::Acquire);
+            // Orders the payload loads before the re-read: a payload word
+            // from a later writer makes the re-read see its odd seq.
+            fence(Ordering::Acquire);
+            let s2 = slot.seq.load(Ordering::Relaxed);
             if s1 != s2 {
                 continue; // overwritten between the two seq loads
             }
@@ -375,6 +403,21 @@ mod tests {
         // The surviving ticks are the newest four.
         let ticks: Vec<u64> = events.iter().map(|e| e.tick).collect();
         assert_eq!(ticks, vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn a_writer_a_lap_behind_leaves_the_later_event_in_place() {
+        let rec = FlightRecorder::new(2);
+        // Tick 2 already holds slot 0, so tick 0 has been overwritten.
+        let slot = &rec.ring.slots[0];
+        slot.code.store(5, Ordering::Relaxed);
+        slot.a.store(9, Ordering::Relaxed);
+        slot.seq.store(2 * 2 + 2, Ordering::Release);
+        rec.record(FlightEventKind::ShardPark { shard: 0 });
+        let events = rec.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].tick, 2);
+        assert_eq!(events[0].kind, FlightEventKind::ShardPark { shard: 9 });
     }
 
     #[test]

@@ -256,7 +256,13 @@ impl Tracer {
     /// line, in `(ticket, walker)` order. Incomplete lifecycles (evicted
     /// prefixes, in-flight walks) are omitted.
     pub fn complete_lifecycle_lines(&self) -> Vec<String> {
-        self.lifecycles()
+        Self::complete_lines(&self.lifecycles())
+    }
+
+    /// [`complete_lifecycle_lines`](Tracer::complete_lifecycle_lines) of
+    /// one snapshot of the ring.
+    fn complete_lines(lifecycles: &BTreeMap<(u64, u32), Vec<TraceEvent>>) -> Vec<String> {
+        lifecycles
             .iter()
             .filter(|(_, events)| {
                 events
@@ -275,13 +281,12 @@ impl Tracer {
 
     /// Render every complete lifecycle (see
     /// [`complete_lifecycle_lines`](Tracer::complete_lifecycle_lines)) plus
-    /// a trailing summary counting incomplete lifecycles and drops.
+    /// a trailing summary counting incomplete lifecycles and drops, all
+    /// from one read of the ring.
     pub fn dump(&self) -> String {
         let lifecycles = self.lifecycles();
-        let lines = self.complete_lifecycle_lines();
-        // Saturating: events recorded between the two ring reads could
-        // otherwise make `lines` momentarily larger than `lifecycles`.
-        let partial = lifecycles.len().saturating_sub(lines.len());
+        let lines = Self::complete_lines(&lifecycles);
+        let partial = lifecycles.len() - lines.len();
         let mut out = String::new();
         for line in &lines {
             out.push_str(line);

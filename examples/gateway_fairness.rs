@@ -106,11 +106,7 @@ fn main() {
                 initial: 64,
                 min: 32,
                 max: 256,
-                additive_step: 16,
-                decrease_factor: 0.5,
-                occupancy_high: 0.75,
             },
-            ..GatewayConfig::default()
         },
     ));
     // With --obs, expose the full stack for the duration of the run; the

@@ -3,7 +3,7 @@
 //! (§9.2) at whole-engine scale.
 
 use bingo::core::radix_base::RadixBaseSpace;
-use bingo::core::{GroupKind, Lambda};
+use bingo::core::GroupKind;
 use bingo::prelude::*;
 use bingo::sampling::stats::{chi_square, chi_square_critical_999, normalize};
 use bingo_graph::datasets::StandinDataset;
@@ -27,23 +27,38 @@ fn adaptive_engine_uses_every_group_kind_on_skewed_graphs() {
     assert!(report.sampling_bytes() <= baseline.memory_report().sampling_bytes());
 }
 
+/// Every group of `engine` has the kind Equation 9 gives it at the paper's
+/// α = 40 % and β = 10 %.
+fn assert_every_group_is_classified(engine: &BingoEngine) {
+    for v in 0..engine.num_vertices() as VertexId {
+        let space = engine.vertex_space(v).unwrap();
+        for g in space.groups() {
+            assert_eq!(
+                g.kind(),
+                GroupKind::classify(g.cardinality(), space.degree()),
+                "vertex {v}, group 2^{}",
+                g.bit()
+            );
+        }
+    }
+}
+
 #[test]
 fn adaptive_thresholds_change_the_group_mix() {
     let mut rng = Pcg64::seed_from_u64(2);
     let graph = StandinDataset::Google.build(4_000, &mut rng);
-    let default_engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
-    // α = 0 forces every non-empty group to be classified dense.
-    let all_dense_config = BingoConfig {
-        alpha_percent: 0.0,
-        ..BingoConfig::default()
-    };
-    let dense_engine = BingoEngine::build(&graph, all_dense_config).unwrap();
-    let default_report = default_engine.memory_report();
-    let dense_report = dense_engine.memory_report();
-    assert!(dense_report.count_for(GroupKind::Regular) == 0);
-    assert!(dense_report.count_for(GroupKind::Sparse) == 0);
-    assert!(dense_report.sampling_bytes() <= default_report.sampling_bytes());
-    // Sampling must still be correct with the extreme configuration.
+    let mut engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
+    let baseline = BingoEngine::build(&graph, BingoConfig::baseline()).unwrap();
+    // The thresholds are constants: what they classify dense, sparse or
+    // one-element, the all-regular baseline keeps regular.
+    assert_every_group_is_classified(&engine);
+    let (report, baseline_report) = (engine.memory_report(), baseline.memory_report());
+    for kind in [GroupKind::Dense, GroupKind::Sparse, GroupKind::OneElement] {
+        assert!(report.count_for(kind) > 0, "{kind:?}");
+        assert_eq!(baseline_report.count_for(kind), 0, "{kind:?}");
+    }
+    assert!(report.count_for(GroupKind::Regular) < baseline_report.count_for(GroupKind::Regular));
+    // Sampling matches the biases on the hub.
     let v = (0..graph.num_vertices() as VertexId)
         .max_by_key(|&v| graph.degree(v))
         .unwrap();
@@ -57,7 +72,7 @@ fn adaptive_thresholds_change_the_group_mix() {
     let mut rng = Pcg64::seed_from_u64(3);
     let mut counts = vec![0usize; adj.degree()];
     for _ in 0..100_000 {
-        let dst = dense_engine.sample_neighbor(v, &mut rng).unwrap();
+        let dst = engine.sample_neighbor(v, &mut rng).unwrap();
         counts[adj.find(dst).unwrap()] += 1;
     }
     // Merge duplicate destinations (R-MAT stand-ins contain multi-edges).
@@ -71,6 +86,18 @@ fn adaptive_thresholds_change_the_group_mix() {
     let probs: Vec<f64> = merged.values().map(|&(_, p)| p).collect();
     let stat = chi_square(&observed, &probs);
     assert!(stat < chi_square_critical_999(observed.len() - 1) * 1.5);
+    // Every streamed update reclassifies the groups it keeps.
+    let n = graph.num_vertices() as u32;
+    for i in 0..200u32 {
+        let (src, dst) = (i % n, (i * 31 + 7) % n);
+        if src != dst {
+            engine
+                .insert_edge(src, dst, Bias::from_int(u64::from(i % 63) + 1))
+                .unwrap();
+        }
+    }
+    engine.check_invariants().unwrap();
+    assert_every_group_is_classified(&engine);
 }
 
 #[test]
@@ -109,31 +136,6 @@ fn float_bias_engine_handles_mixed_update_workloads() {
 }
 
 #[test]
-fn fixed_lambda_matches_paper_example_at_engine_scale() {
-    // λ = 10 as in §4.3; the engine must respect the fixed factor. Groups on
-    // every vertex ("BS"): these two-edge vertices would otherwise be direct.
-    let mut graph = DynamicGraph::new(3);
-    graph.insert_edge(0, 1, Bias::from_float(0.554)).unwrap();
-    graph.insert_edge(0, 2, Bias::from_float(0.726)).unwrap();
-    graph.insert_edge(1, 2, Bias::from_float(0.32)).unwrap();
-    let config = BingoConfig {
-        lambda: Lambda::Fixed(10.0),
-        ..BingoConfig::baseline()
-    };
-    let engine = BingoEngine::build(&graph, config).unwrap();
-    assert_eq!(engine.vertex_space(0).unwrap().lambda(), 10.0);
-    assert_eq!(
-        engine
-            .vertex_space(0)
-            .unwrap()
-            .decimal_group()
-            .cardinality(),
-        2
-    );
-    engine.check_invariants().unwrap();
-}
-
-#[test]
 fn radix_base_space_agrees_with_binary_engine_distribution() {
     // The §9.2 extension must produce the same distribution as the binary
     // factorization for the same bias vector.
@@ -162,25 +164,4 @@ fn radix_base_space_agrees_with_binary_engine_distribution() {
     let critical = chi_square_critical_999(biases.len() - 1) * 1.5;
     assert!(chi_square(&engine_counts, &expected) < critical);
     assert!(chi_square(&base4_counts, &expected) < critical);
-}
-
-#[test]
-fn reclassification_can_be_disabled_for_streaming() {
-    let mut rng = Pcg64::seed_from_u64(7);
-    let graph = StandinDataset::Amazon.build(8_000, &mut rng);
-    let config = BingoConfig {
-        reclassify_on_streaming: false,
-        ..BingoConfig::default()
-    };
-    let mut engine = BingoEngine::build(&graph, config).unwrap();
-    for i in 0..200u32 {
-        let src = i % graph.num_vertices() as u32;
-        let dst = (i * 31 + 7) % graph.num_vertices() as u32;
-        if src != dst {
-            let _ = engine.insert_edge(src, dst, Bias::from_int(u64::from(i % 63) + 1));
-        }
-    }
-    // Invariants hold even without streaming reclassification; kinds may be
-    // stale relative to the thresholds, which is the intended trade-off.
-    engine.check_invariants().unwrap();
 }

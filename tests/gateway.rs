@@ -56,7 +56,6 @@ fn weighted_tenants_complete_within_tolerance_of_their_weights() {
                 initial: 32,
                 min: 16,
                 max: 96,
-                ..AimdConfig::default()
             },
             ..GatewayConfig::default()
         },

@@ -15,9 +15,8 @@
 //! shorter stream moves the top bit: K grows with an insert and with a bias
 //! rewrite and shrinks at the next rebuild after the last holder of the top
 //! bit has left, across the same boundaries; it runs under the default
-//! configuration, under `baseline()` and under `Lambda::Fixed(10.0)`,
-//! because a space keeps no configuration of its own and acts under the one
-//! each call passes it.
+//! configuration and under `baseline()`, because a space keeps no
+//! configuration of its own and acts under the one each call passes it.
 //!
 //! The second half pins the counter the tables exist to move:
 //! `edges_scanned`, the adjacency slots read to locate an edge. Its own
@@ -29,7 +28,7 @@ mod common;
 use bingo::core::fixed::ScaledBias;
 use bingo::core::radix::groups_for_max_bias;
 use bingo::core::vertex_space::{VertexSpace, DIRECT_DEMOTE_DEGREE, DIRECT_MAX_DEGREE};
-use bingo::core::{BingoError, Lambda, VertexUpdateOutcome};
+use bingo::core::{BingoError, VertexUpdateOutcome};
 use bingo::prelude::*;
 use bingo_graph::adjacency::{AdjacencyList, Edge};
 use bingo_graph::two_phase_delete_and_swap;
@@ -506,20 +505,12 @@ fn bias_topped(top: u32, rng: &mut Pcg64) -> Bias {
     Bias::from_int(1 << top | rng.gen_range(0..1u64 << top))
 }
 
-/// The top-bit stream under the default configuration, under `baseline()`
-/// (no direct vertices, every group regular) and under a fixed λ of 10.
-/// The harness holds K to its model after every event — that is the check;
-/// what is asserted here is that the stream does what it is laid out to do.
+/// The top-bit stream under the default configuration and under
+/// `baseline()` (no direct vertices, every group regular). The harness
+/// holds K to its model after every event — that is the check; what is
+/// asserted here is that the stream does what it is laid out to do.
 fn k_follows_the_top_bit_under_every_configuration() {
-    let fixed_lambda = BingoConfig {
-        lambda: Lambda::Fixed(10.0),
-        ..BingoConfig::default()
-    };
-    for config in [
-        BingoConfig::default(),
-        BingoConfig::baseline(),
-        fixed_lambda,
-    ] {
+    for config in [BingoConfig::default(), BingoConfig::baseline()] {
         let mut rng = Pcg64::seed_from_u64(0x22);
         let mut h = Harness::new(config);
         // Whether the vertex must be direct: the hysteresis of 17 up and 8
@@ -530,9 +521,6 @@ fn k_follows_the_top_bit_under_every_configuration() {
                 && h.degree() <= DIRECT_MAX_DEGREE
                 && (direct || h.degree() <= DIRECT_DEMOTE_DEGREE);
             assert_eq!(h.space.is_direct(), direct, "at degree {}", h.degree());
-            if config.lambda == Lambda::Fixed(10.0) && !direct {
-                assert_eq!(h.space.lambda(), 10.0);
-            }
             if !config.adaptive {
                 let mut kinds = h.space.groups().map(|g| g.kind());
                 assert!(kinds.all(|k| matches!(k, GroupKind::Regular | GroupKind::Empty)));
@@ -553,10 +541,10 @@ fn k_follows_the_top_bit_under_every_configuration() {
         h.update_bias(true, 3, bias_topped(13, &mut rng));
         assert!(h.k > k_insert);
         let k_peak = h.k;
-        // A fraction: under `Lambda::Auto` the first one rebuilds the vertex
-        // with a λ above 1, and K follows the scaled biases.
+        // A fraction: the first one rebuilds the vertex with a λ above 1,
+        // and K follows the scaled biases.
         let rebuilt = h.insert(true, 200, Bias::from_float(2.55)).full_rebuilds;
-        assert_eq!(rebuilt, u32::from(config.lambda == Lambda::Auto));
+        assert_eq!(rebuilt, 1);
         assert_eq!(h.space.decimal_group().cardinality(), 1);
         assert!(h.k >= k_peak);
         let k_peak = h.k;
@@ -642,9 +630,9 @@ fn k_follows_the_top_bit_under_every_configuration() {
         assert_eq!(h.space.group(k_peak - 1).kind(), GroupKind::Empty);
         settle(&h);
         eprintln!(
-            "top bit, adaptive {} λ {:?}: K {k_small} -> {k_insert} -> ... -> {k_hub} -> {k_wide} -> {k_peak}, \
+            "top bit, adaptive {}: K {k_small} -> {k_insert} -> ... -> {k_hub} -> {k_wide} -> {k_peak}, \
              {} full rebuilds",
-            config.adaptive, config.lambda, h.totals.full_rebuilds
+            config.adaptive, h.totals.full_rebuilds
         );
     }
 }

@@ -503,3 +503,46 @@ fn metric_name_census_every_name_is_registered_by_non_test_code() {
         .collect();
     assert_eq!(registered, taxonomy);
 }
+
+/// Public fields of the four configuration structs a deployment fills in.
+/// A knob exists only where a measured trade-off does; a value the paper
+/// fixes, or that no workload varies, is a constant at its one point of use.
+const CONFIG_KNOBS: [(&str, usize); 4] = [
+    ("BingoConfig", 1),
+    ("ServiceConfig", 7),
+    ("GatewayConfig", 4),
+    ("AimdConfig", 3),
+];
+
+#[test]
+fn config_knob_census() {
+    use bingo_lint::lexer::lex;
+    use std::collections::BTreeMap;
+
+    // Token by token: each `pub struct <Name> {` and the `pub <field> :`
+    // up to its closing brace (no field type here has braces).
+    let mut fields: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for file in bingo_lint::workspace_files(repo_root()).expect("workspace walk") {
+        let toks = lex(&file.source).tokens;
+        for (i, w) in toks.windows(4).enumerate() {
+            let name = w[2].text.as_str();
+            if [&w[0].text, &w[1].text, &w[3].text] != ["pub", "struct", "{"]
+                || !CONFIG_KNOBS.iter().any(|&(n, _)| n == name)
+            {
+                continue;
+            }
+            let body = toks[i + 4..].iter().take_while(|t| t.text != "}");
+            let body: Vec<&str> = body.map(|t| t.text.as_str()).collect();
+            let found = body.windows(3).filter(|w| w[0] == "pub" && w[2] == ":");
+            let found = found.map(|w| w[1].to_string()).collect();
+            assert!(
+                fields.insert(name.to_string(), found).is_none(),
+                "`{name}` twice"
+            );
+        }
+    }
+    let counts: Vec<(&str, usize)> = fields.iter().map(|(n, f)| (n.as_str(), f.len())).collect();
+    let mut expected = CONFIG_KNOBS.to_vec();
+    expected.sort_unstable();
+    assert_eq!(counts, expected, "public config fields: {fields:?}");
+}

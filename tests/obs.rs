@@ -4,7 +4,7 @@
 
 use bingo::obs::{ObsConfig, ObsServer, WatchdogConfig};
 use bingo::prelude::*;
-use bingo::telemetry::{FlightEventKind, FlightRecorder};
+use bingo::telemetry::{FlightEvent, FlightEventKind, FlightRecorder};
 use rand::RngCore;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -282,34 +282,61 @@ fn serve_from_env_gates_on_the_env_var() {
 fn flight_ring_wraparound_under_concurrent_writers() {
     const CAPACITY: usize = 64;
     const WRITERS: u64 = 4;
-    const PER_WRITER: u64 = 100;
+    const PER_WRITER: u64 = 20_000;
+    const K: u64 = 0x5A5A_F00D_5A5A_F00D;
+    // Self-checking payloads: every word of an event derives from its
+    // first, so a slot read while two writers' words mix breaks a relation.
+    let event = |x: u64| FlightEventKind::StealExecuted {
+        thief: x,
+        victim: x ^ K,
+        walkers: x.rotate_left(17),
+    };
+    let intact = move |e: &FlightEvent| matches!(e.kind, FlightEventKind::StealExecuted { thief, .. } if e.kind == event(thief));
     let recorder = FlightRecorder::new(CAPACITY);
-    let threads: Vec<_> = (0..WRITERS)
-        .map(|w| {
-            let recorder = recorder.clone();
-            std::thread::spawn(move || {
-                for i in 0..PER_WRITER {
-                    recorder.record(FlightEventKind::EpochAdvance { shard: w, epoch: i });
+    let done = AtomicBool::new(false);
+    // The reader and the writers start together.
+    let start = std::sync::Barrier::new(WRITERS as usize + 1);
+    std::thread::scope(|s| {
+        let (recorder, start) = (&recorder, &start);
+        s.spawn(|| {
+            start.wait();
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                let events = recorder.events();
+                let torn = events.iter().find(|e| !intact(e));
+                assert!(torn.is_none(), "a torn slot read as whole: {torn:?}");
+                if finished {
+                    return;
                 }
+            }
+        });
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_WRITER {
+                        recorder.record(event(w << 32 | i));
+                    }
+                })
             })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("writer thread finishes");
-    }
+            .collect();
+        for t in writers {
+            t.join().expect("writer thread finishes");
+        }
+        done.store(true, Ordering::Release);
+    });
     // The drop counter is exact, not sampled: every slot claim past
     // capacity is one dropped event.
     assert_eq!(recorder.recorded(), WRITERS * PER_WRITER);
     assert_eq!(recorder.dropped(), WRITERS * PER_WRITER - CAPACITY as u64);
+    // Once the writers are done the ring holds exactly the last lap, in
+    // tick order, however the writers raced.
     let events = recorder.events();
-    assert!(!events.is_empty());
-    assert!(
-        events.len() <= CAPACITY,
-        "ring overflowed: {}",
-        events.len()
-    );
-    // Ticks come back sorted even though writers raced.
-    assert!(events.windows(2).all(|w| w[0].tick <= w[1].tick));
+    let ticks: Vec<u64> = events.iter().map(|e| e.tick).collect();
+    let last_lap: Vec<u64> =
+        (WRITERS * PER_WRITER - CAPACITY as u64..WRITERS * PER_WRITER).collect();
+    assert_eq!(ticks, last_lap);
+    assert!(events.iter().all(intact));
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //! * Alias tables and CDF tables stay consistent under arbitrary weights.
 
 use bingo::core::vertex_space::{VertexSpace, DIRECT_DEMOTE_DEGREE, DIRECT_MAX_DEGREE};
-use bingo::core::{BingoConfig, Lambda};
+use bingo::core::BingoConfig;
 use bingo::prelude::*;
 use bingo::sampling::CdfTable;
 use bingo_graph::adjacency::{AdjacencyList, Edge};
@@ -449,30 +449,19 @@ fn alias_and_cdf_tables_are_consistent() {
     }
 }
 
-/// Floating-point biases: λ-scaling preserves relative weights for any λ
-/// choice the engine can make.
+/// Floating-point biases: λ-scaling preserves relative weights for the λ
+/// the engine derives from them.
 #[test]
 fn float_bias_space_preserves_relative_weights() {
     for case in 0..CASES {
         let mut rng = Pcg64::seed_from_u64(0xF10A_0000 + case);
         let len = rng.gen_range(2..40usize);
         let biases: Vec<f64> = (0..len).map(|_| rng.gen_range(0.01..50.0f64)).collect();
-        let fixed_lambda = if rng.gen_bool(0.5) {
-            Some(rng.gen_range(1..1000u32))
-        } else {
-            None
-        };
         let mut adj = AdjacencyList::new();
         for (i, &b) in biases.iter().enumerate() {
             adj.push(Edge::new(i as u32, Bias::from_float(b)));
         }
-        let config = BingoConfig {
-            lambda: match fixed_lambda {
-                Some(l) => Lambda::Fixed(f64::from(l)),
-                None => Lambda::Auto,
-            },
-            ..BingoConfig::default()
-        };
+        let config = BingoConfig::default();
         let space = VertexSpace::build(adj, config);
         assert!(space.check_invariants(&config).is_ok(), "case {case}");
         let total: f64 = biases.iter().sum();
