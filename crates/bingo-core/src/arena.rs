@@ -44,6 +44,17 @@ pub(crate) fn word_bytes(wide: bool) -> usize {
 #[inline]
 pub(crate) fn word(arena: &[u16], wide: bool, i: usize) -> u32 {
     if wide {
+        word_as::<true>(arena, i)
+    } else {
+        word_as::<false>(arena, i)
+    }
+}
+
+/// [`word`] at a width fixed at compile time: the loops that fill a whole
+/// list or table pick the width once, not once per word.
+#[inline]
+pub(crate) fn word_as<const WIDE: bool>(arena: &[u16], i: usize) -> u32 {
+    if WIDE {
         u32::from(arena[2 * i]) | u32::from(arena[2 * i + 1]) << 16
     } else {
         u32::from(arena[i])
@@ -54,6 +65,16 @@ pub(crate) fn word(arena: &[u16], wide: bool, i: usize) -> u32 {
 #[inline]
 pub(crate) fn set_word(arena: &mut [u16], wide: bool, i: usize, value: u32) {
     if wide {
+        set_word_as::<true>(arena, i, value);
+    } else {
+        set_word_as::<false>(arena, i, value);
+    }
+}
+
+/// [`set_word`] at a width fixed at compile time.
+#[inline]
+pub(crate) fn set_word_as<const WIDE: bool>(arena: &mut [u16], i: usize, value: u32) {
+    if WIDE {
         arena[2 * i] = value as u16;
         arena[2 * i + 1] = (value >> 16) as u16;
     } else {
@@ -70,6 +91,17 @@ pub(crate) fn words(
     len: u32,
 ) -> impl Iterator<Item = u32> + '_ {
     (off as usize..(off + len) as usize).map(move |i| word(arena, wide, i))
+}
+
+/// The first of the four 16-bit lanes of `four`, lowest first, that holds
+/// a narrow [`EMPTY`], if one does. A lane of `!four` that is zero is the
+/// only kind that borrows when one is subtracted from every lane, so the
+/// lowest lane flagged is exact (a borrow can only flag lanes above it).
+fn first_empty_lane(four: u64) -> Option<usize> {
+    const ONES: u64 = 0x0001_0001_0001_0001;
+    let inverted = !four;
+    let zero = inverted.wrapping_sub(ONES) & !inverted & ONES << 15;
+    (zero != 0).then(|| zero.trailing_zeros() as usize / 16)
 }
 
 /// Slots a probe table of up to `entries` entries gets: half again as many
@@ -154,11 +186,38 @@ impl ProbeTable {
     /// Add an entry for `key`. The caller sized the table for it
     /// ([`slots_for`]), so an empty slot exists.
     pub(crate) fn insert(self, arena: &mut [u16], wide: bool, key: u32, value: u32) {
+        if wide {
+            self.insert_as::<true>(arena, key, value);
+        } else {
+            self.insert_as::<false>(arena, key, value);
+        }
+    }
+
+    /// [`ProbeTable::insert`] at a width fixed at compile time, for the
+    /// loops that fill a table.
+    #[inline]
+    pub(crate) fn insert_as<const WIDE: bool>(self, arena: &mut [u16], key: u32, value: u32) {
         let mut slot = self.home(key);
-        while self.get(arena, wide, slot) != empty(wide) {
+        if !WIDE && slot + 4 <= self.cap {
+            // At two thirds' load most inserts meet an empty slot within
+            // four: read those four narrow words at once and take the
+            // first empty one, so the usual insert has no branch on the
+            // cluster's length. Past them the probe goes on one by one.
+            let at = (self.off + slot) as usize;
+            let four = arena[at..at + 4]
+                .iter()
+                .rev()
+                .fold(0, |four, &half| four << 16 | u64::from(half));
+            if let Some(lane) = first_empty_lane(four) {
+                arena[at + lane] = value as u16;
+                return;
+            }
+            slot = self.next(slot + 3);
+        }
+        while word_as::<WIDE>(arena, (self.off + slot) as usize) != empty(WIDE) {
             slot = self.next(slot);
         }
-        self.set(arena, wide, slot, value);
+        set_word_as::<WIDE>(arena, (self.off + slot) as usize, value);
     }
 
     /// Remove the entry in `slot` and shift the rest of its cluster back
@@ -325,6 +384,26 @@ mod tests {
             assert!(3 * entries <= 2 * slots_for(entries));
             assert!(slots_for(entries) <= slots_for(entries + 1));
         }
+    }
+
+    #[test]
+    fn the_first_empty_of_four_narrow_words_is_found_whatever_follows() {
+        let four = |lanes: [u16; 4]| {
+            lanes
+                .iter()
+                .rev()
+                .fold(0, |four, &half| four << 16 | u64::from(half))
+        };
+        const E: u16 = u16::MAX;
+        assert_eq!(first_empty_lane(four([E, E, E, E])), Some(0));
+        assert_eq!(first_empty_lane(four([0, E, 0, E])), Some(1));
+        assert_eq!(first_empty_lane(four([7, 0x8000, E, 1])), Some(2));
+        assert_eq!(first_empty_lane(four([0xFFFE, 0x7FFF, 0, E])), Some(3));
+        assert_eq!(
+            first_empty_lane(four([0xFFFE, 0xFFFE, 0xFFFE, 0xFFFE])),
+            None
+        );
+        assert_eq!(first_empty_lane(four([0, 0, 0, 0])), None);
     }
 
     #[test]

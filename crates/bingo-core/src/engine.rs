@@ -16,6 +16,7 @@ use crate::{BingoError, Result};
 use bingo_graph::{Bias, DynamicGraph, UpdateBatch, UpdateEvent, VertexId};
 use rand::Rng;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Outcome of ingesting a batch of updates.
@@ -65,9 +66,9 @@ pub struct BingoEngine {
     scratch: BatchScratch,
 }
 
-/// Vertices per slice of the spaces array that [`BingoEngine::build_range`]
-/// hands the pool: a few hundred slices on the benchmark graphs, each some
-/// tens of microseconds of work.
+/// Vertices per slice of a spaces array that [`BingoEngine::build_ranges`]
+/// hands the pool, from all the ranges in one loop: about a thousand slices
+/// on a 2^18-vertex benchmark graph, each some tens of microseconds of work.
 const BUILD_CHUNK: usize = 256;
 
 /// What [`BingoEngine::apply_batch`] sorts a batch into.
@@ -117,31 +118,62 @@ impl BingoEngine {
     ///
     /// Queries for non-owned vertices behave as if the vertex were isolated
     /// (`degree` 0, `sample_neighbor` → `None`); mutations of non-owned
-    /// sources return [`BingoError::VertexOutOfRange`].
+    /// sources return [`BingoError::VertexOutOfRange`]. A reversed range,
+    /// or one past the graph's vertices, is [`BingoError::InvalidRange`].
     pub fn build_range(
         graph: &DynamicGraph,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         config: BingoConfig,
     ) -> Result<Self> {
+        let mut engines = Self::build_ranges(graph, std::slice::from_ref(&range), config)?;
+        Ok(engines.pop().expect("one engine per range"))
+    }
+
+    /// [`BingoEngine::build_range`] for every range of `ranges`, returning
+    /// the engines in the same order: a sharded service builds all its
+    /// shards with one call. Ranges may be empty and need not be disjoint.
+    /// If any range is reversed or runs past the graph's vertices, the
+    /// first such one is named in a [`BingoError::InvalidRange`] and
+    /// nothing is built.
+    ///
+    /// Every range gets one array of exactly its size, each space built
+    /// into its place. The pool fills the 256-vertex slices of all the
+    /// arrays in one loop, so no range waits for the last slice of
+    /// the one before it, and no second copy of the spaces is ever handed
+    /// out. What a slice holds depends on its vertices alone, not on who
+    /// fills it.
+    pub fn build_ranges(
+        graph: &DynamicGraph,
+        ranges: &[Range<usize>],
+        config: BingoConfig,
+    ) -> Result<Vec<Self>> {
         let global_vertices = graph.num_vertices();
-        if range.end > global_vertices || range.start > range.end {
-            return Err(BingoError::VertexOutOfRange {
-                vertex: range.end as VertexId,
+        if let Some(bad) = ranges
+            .iter()
+            .find(|r| r.start > r.end || r.end > global_vertices)
+        {
+            return Err(BingoError::InvalidRange {
+                range: bad.clone(),
                 num_vertices: global_vertices,
             });
         }
-        // One array of exactly the owned size, each space built into its
-        // place: the pool gets disjoint slices of it, so no second copy of
-        // the spaces is ever handed out. What a slice holds depends on its
-        // vertices alone, not on who fills it.
-        let mut spaces = Vec::with_capacity(range.len());
-        spaces.resize_with(range.len(), VertexSpace::unbuilt);
-        spaces
-            .chunks_mut(BUILD_CHUNK)
-            .enumerate()
+        let mut arrays: Vec<Vec<VertexSpace>> = ranges
+            .iter()
+            .map(|range| {
+                let mut spaces = Vec::with_capacity(range.len());
+                spaces.resize_with(range.len(), VertexSpace::unbuilt);
+                spaces
+            })
+            .collect();
+        arrays
+            .iter_mut()
+            .zip(ranges)
+            .flat_map(|(spaces, range)| {
+                let firsts = (range.start..).step_by(BUILD_CHUNK);
+                firsts.zip(spaces.chunks_mut(BUILD_CHUNK))
+            })
             .into_par_iter()
-            .for_each(|(chunk, slots)| {
-                let first = range.start + chunk * BUILD_CHUNK;
+            .for_each(|(first, slots)| {
                 for (v, slot) in (first..).zip(slots) {
                     // A handle on the graph's block, not a copy of it.
                     let adj = graph
@@ -151,12 +183,11 @@ impl BingoEngine {
                     *slot = VertexSpace::build(adj, config);
                 }
             });
-        Ok(Self::from_spaces(
-            spaces,
-            range.start,
-            global_vertices,
-            config,
-        ))
+        Ok(arrays
+            .into_iter()
+            .zip(ranges)
+            .map(|(spaces, range)| Self::from_spaces(spaces, range.start, global_vertices, config))
+            .collect())
     }
 
     /// Build an engine over an empty graph with `num_vertices` vertices.
@@ -917,6 +948,79 @@ mod tests {
         assert_eq!(outcomes[3].inserted, 1);
         assert!(shards[0].has_edge(10, 90));
         assert!(shards[3].has_edge(80, 3));
+    }
+
+    #[test]
+    fn a_bad_range_is_named_and_an_empty_one_builds() {
+        let graph = random_graph(23, 90, 900);
+        let config = BingoConfig::default();
+        let bad = |range: Range<usize>| {
+            Err(BingoError::InvalidRange {
+                range,
+                num_vertices: 90,
+            })
+        };
+        // Vertices 5 and 10 exist: the range itself is what is wrong.
+        #[allow(clippy::reversed_empty_ranges)]
+        let reversed = 10..5;
+        assert_eq!(
+            BingoEngine::build_range(&graph, reversed.clone(), config).map(|_| ()),
+            bad(reversed.clone())
+        );
+        assert_eq!(
+            BingoEngine::build_range(&graph, 80..91, config).map(|_| ()),
+            bad(80..91)
+        );
+        // The first bad range of several is the one named, and nothing is
+        // built.
+        let ranges = [0..30, 95..95, reversed.clone(), 30..90];
+        assert_eq!(
+            BingoEngine::build_ranges(&graph, &ranges, config).map(|_| ()),
+            bad(95..95)
+        );
+        let message = bad(reversed).unwrap_err().to_string();
+        assert!(message.contains("10..5 is reversed"), "{message}");
+
+        for range in [0..0, 45..45, 90..90] {
+            let empty = BingoEngine::build_range(&graph, range.clone(), config).unwrap();
+            assert_eq!((empty.num_owned(), empty.owned_range()), (0, range));
+            assert_eq!((empty.num_vertices(), empty.num_edges()), (90, 0));
+            empty.check_invariants().unwrap();
+        }
+        assert!(BingoEngine::build_ranges(&graph, &[], config)
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn one_pass_over_four_ranges_builds_what_four_builds_do() {
+        let graph = random_graph(24, 1200, 24_000);
+        let ranges = [0..300, 300..301, 301..301, 301..1200];
+        for config in [BingoConfig::default(), BingoConfig::baseline()] {
+            let together = BingoEngine::build_ranges(&graph, &ranges, config).unwrap();
+            assert_eq!(together.len(), ranges.len());
+            for (engine, range) in together.iter().zip(&ranges) {
+                let alone = BingoEngine::build_range(&graph, range.clone(), config).unwrap();
+                assert_eq!(engine.owned_range(), *range);
+                assert_eq!(engine.num_edges(), alone.num_edges());
+                assert_eq!(engine.stats(), alone.stats());
+                assert_eq!(engine.memory_report(), alone.memory_report());
+                for v in 0..1200 {
+                    assert_eq!(engine.degree(v), alone.degree(v), "degree of {v}");
+                }
+                let stream = |engine: &BingoEngine| {
+                    let mut rng = Pcg64::seed_from_u64(25);
+                    (0..20_000)
+                        .map(|_| {
+                            let v = rng.gen_range(range.start..range.end.max(range.start + 1));
+                            engine.sample_neighbor(v as VertexId, &mut rng)
+                        })
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(stream(engine), stream(&alone));
+                engine.check_invariants().unwrap();
+            }
+        }
     }
 
     #[test]

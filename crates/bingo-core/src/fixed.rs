@@ -49,7 +49,9 @@ impl ScaledBias {
 /// Pick a λ for a vertex such that the decimal group's share of the total
 /// weight is below `1 / degree`, following the analysis of §4.4. Starts at
 /// `initial` and doubles until the bound holds (or a 2^40 cap is reached).
-pub fn choose_lambda(biases: &[f64], initial: f64) -> f64 {
+/// `biases` is read once per λ tried, so a caller passes a view of its
+/// edges rather than a copy of their biases.
+pub fn choose_lambda(biases: impl ExactSizeIterator<Item = f64> + Clone, initial: f64) -> f64 {
     let degree = biases.len();
     if degree == 0 {
         return initial.max(1.0);
@@ -59,7 +61,7 @@ pub fn choose_lambda(biases: &[f64], initial: f64) -> f64 {
     loop {
         let mut integer_sum = 0.0;
         let mut fraction_sum = 0.0;
-        for &b in biases {
+        for b in biases.clone() {
             let scaled = b * lambda;
             integer_sum += scaled.floor();
             fraction_sum += scaled - scaled.floor();
@@ -112,7 +114,7 @@ mod tests {
     #[test]
     fn choose_lambda_meets_the_bound() {
         let biases = [0.554, 0.726, 0.32, 0.149, 0.621];
-        let lambda = choose_lambda(&biases, 2.0);
+        let lambda = choose_lambda(biases.into_iter(), 2.0);
         let mut wi = 0.0;
         let mut wd = 0.0;
         for &b in &biases {
@@ -125,9 +127,9 @@ mod tests {
 
     #[test]
     fn choose_lambda_handles_edge_cases() {
-        assert_eq!(choose_lambda(&[], 4.0), 4.0);
-        assert!(choose_lambda(&[], 0.0) >= 1.0);
+        assert_eq!(choose_lambda(std::iter::empty(), 4.0), 4.0);
+        assert!(choose_lambda(std::iter::empty(), 0.0) >= 1.0);
         // Integer-valued floats are already fine at λ = 1.
-        assert_eq!(choose_lambda(&[2.0, 4.0, 8.0], 1.0), 1.0);
+        assert_eq!(choose_lambda([2.0, 4.0, 8.0].into_iter(), 1.0), 1.0);
     }
 }

@@ -55,8 +55,8 @@
 //! The *decimal group* (§4.3) stores the fractional remainders of λ-scaled
 //! floating-point biases and is sampled by inverse-transform on demand.
 
-use crate::arena::{self, slots_for, word, word_bytes, words, ProbeTable};
-use crate::radix::MAX_GROUPS;
+use crate::arena::{self, set_word_as, slots_for, word, word_as, word_bytes, words, ProbeTable};
+use crate::radix::{decompose, groups_for_max_bias, MAX_GROUPS};
 use bingo_sampling::validate_weights;
 use rand::Rng;
 
@@ -369,6 +369,88 @@ pub(crate) fn note_read<T: ?Sized>(_block: *const T) {
     });
 }
 
+/// Edges whose scaled integers a build from scratch reads at a time: a
+/// 2 KiB stack array, so the passes over them allocate nothing.
+const BUILD_BLOCK: usize = 256;
+
+/// The scaled integers of edges `first..` (at most [`BUILD_BLOCK`], up to
+/// `degree`), written into `block`.
+fn scaled_block(
+    block: &mut [u64; BUILD_BLOCK],
+    first: usize,
+    degree: usize,
+    integer_of: impl Fn(usize) -> u64,
+) -> &[u64] {
+    let block = &mut block[..BUILD_BLOCK.min(degree - first)];
+    for (idx, w) in (first..).zip(block.iter_mut()) {
+        *w = integer_of(idx);
+    }
+    block
+}
+
+/// Byte value `b` spread out to one 16-bit lane per bit: bits 0–3 in the
+/// first word's lanes, bits 4–7 in the second's. Adding up the spreads of
+/// one byte of every integer in a block sums eight bits at once, with no
+/// branch per edge, and no lane can overflow within a block.
+const SPREAD: [[u64; 2]; 256] = {
+    let mut spread = [[0u64; 2]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                spread[byte][bit / 4] |= 1 << (16 * (bit % 4));
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    spread
+};
+
+/// Add how many integers of `block` have each bit to `counts`, and return
+/// the bits any of them has.
+fn count_block(block: &[u64], counts: &mut [u32; MAX_GROUPS]) -> u64 {
+    let bits = block.iter().fold(0, |bits, &w| bits | w);
+    for byte in 0..groups_for_max_bias(bits).div_ceil(8) {
+        let mut lanes = [0u64; 2];
+        for &w in block {
+            let spread = SPREAD[usize::from((w >> (8 * byte)) as u8)];
+            lanes[0] += spread[0];
+            lanes[1] += spread[1];
+        }
+        for (bit, count) in counts[8 * byte..][..8].iter_mut().enumerate() {
+            *count += (lanes[bit / 4] >> (16 * (bit % 4))) as u32 & 0xFFFF;
+        }
+    }
+    bits
+}
+
+/// Append the neighbor index of every edge of `block` (the first being
+/// `first`) to the member list of each listed group (`listed`, a mask of
+/// bits) its integer has the bit of; `cursor[bit]` is where that list's
+/// next member goes. One pass per group and no branch per edge: every
+/// edge's index is written at the cursor, and only a member moves it on,
+/// so a member's write is the one that stays. The word past a finished
+/// list — the first slot of its probe table, as the build lays them out —
+/// keeps the last write of a non-member; the caller empties it again.
+fn scatter<const WIDE: bool>(
+    arena: &mut [u16],
+    block: &[u64],
+    first: u32,
+    listed: u64,
+    cursor: &mut [u32; MAX_GROUPS],
+) {
+    for bit in decompose(listed) {
+        let mut at = cursor[bit as usize];
+        for (idx, &w) in (first..).zip(block) {
+            set_word_as::<WIDE>(arena, at as usize, idx);
+            at += (w >> bit) as u32 & 1;
+        }
+        cursor[bit as usize] = at;
+    }
+}
+
 /// Room a full list of `cap` entries moves to when it must hold `needed`.
 fn grown(cap: u32, needed: u32) -> u32 {
     (cap + cap / 2).max(needed).max(4)
@@ -505,13 +587,26 @@ impl GroupTable {
     /// `degree` edges, where `integer_of(idx)` is the scaled integer bias
     /// of edge `idx`, `dst_of(idx)` its destination and
     /// `classify(cardinality)` the representation a group of that size
-    /// gets. Counts first, then fills an arena allocated at exact size, in
-    /// neighbor-index order. `prev` is the table the vertex had, if it had
-    /// one: its allocation is used again when K has not changed (this is
-    /// where K follows the biases down as well as up), its width decides
-    /// the new one's (this is the one place the word width is chosen) and
-    /// its rebuild counter runs on. The inter-group table is left for the
+    /// gets. `prev` is the table the vertex had, if it had one: its
+    /// allocation is used again when K has not changed (this is where K
+    /// follows the biases down as well as up), its width decides the new
+    /// one's (this is the one place the word width is chosen) and its
+    /// rebuild counter runs on. The inter-group table is left for the
     /// caller to rebuild.
+    ///
+    /// Two passes over the edges, each reading the scaled integers of
+    /// [`BUILD_BLOCK`] edges at a time into one stack array. The *count
+    /// pass* sums every bit of the block's integers with no branch per
+    /// edge, eight bits at once ([`SPREAD`]); the counts give every header
+    /// and the exact size of the arena, which is allocated once. The
+    /// *scatter pass* then writes the neighbor indices into the member
+    /// lists of the listed groups alone, through one write cursor per
+    /// group and without reading a header, and notes the member of each
+    /// one-element group; it is skipped when the vertex has neither. The
+    /// probe tables over the lists and the edge index are filled last. The
+    /// word width is fixed once for each of these loops, and every list
+    /// and table is filled in neighbor-index order, so the table is the one
+    /// an edge-by-edge build makes.
     pub(crate) fn rebuilt(
         prev: Option<Box<Self>>,
         degree: usize,
@@ -523,19 +618,14 @@ impl GroupTable {
             degree <= MAX_DEGREE,
             "a vertex of {degree} edges is past what arena offsets can index"
         );
+        let mut block = [0u64; BUILD_BLOCK];
         let mut counts = [0u32; MAX_GROUPS];
-        // Largest member of each group: the one a one-element group keeps.
-        let mut last = [0u32; MAX_GROUPS];
         let mut all_bits = 0u64;
-        for idx in 0..degree {
-            let w = integer_of(idx);
-            all_bits |= w;
-            for bit in crate::radix::decompose(w) {
-                counts[bit as usize] += 1;
-                last[bit as usize] = idx as u32;
-            }
+        for first in (0..degree).step_by(BUILD_BLOCK) {
+            let block = scaled_block(&mut block, first, degree, &integer_of);
+            all_bits |= count_block(block, &mut counts);
         }
-        let k = crate::radix::groups_for_max_bias(all_bits);
+        let k = groups_for_max_bias(all_bits);
         let mut table = match prev {
             Some(prev) if prev.slots.len() == k => prev,
             Some(mut prev) => {
@@ -546,6 +636,10 @@ impl GroupTable {
         };
         table.fixed.wide = degree >= NARROW_LIMIT || (table.fixed.wide && degree >= DEMOTE_BELOW);
         let mut words = 0usize;
+        // The listed groups and the one-element groups, as bit masks; where
+        // the next member of each listed group goes.
+        let (mut listed, mut single) = (0u64, 0u64);
+        let mut cursor = [0u32; MAX_GROUPS];
         for (bit, header) in table.slots.iter_mut().enumerate() {
             let count = counts[bit];
             let mut slot = GroupSlot {
@@ -555,9 +649,11 @@ impl GroupTable {
             };
             match slot.kind {
                 GroupKind::Empty | GroupKind::Dense => {}
-                GroupKind::OneElement => slot.off = last[bit],
+                GroupKind::OneElement => single |= 1 << bit,
                 GroupKind::Sparse | GroupKind::Regular => {
+                    listed |= 1 << bit;
                     slot.off = words as u32;
+                    cursor[bit] = slot.off;
                     slot.cap = count;
                     words += segment_words(count) as usize;
                 }
@@ -576,25 +672,38 @@ impl GroupTable {
         );
         table.fixed.arena = vec![u16::MAX; words << table.shift()];
 
-        let mut cursor = [0u32; MAX_GROUPS];
-        for idx in 0..degree {
-            for bit in crate::radix::decompose(integer_of(idx)) {
-                let slot = table.slots[bit as usize];
-                if slot.cap == 0 {
-                    continue;
+        if listed | single != 0 {
+            // A one-element group's member: the last edge whose integer has
+            // the bit, which is the only one.
+            let mut only = [0u32; MAX_GROUPS];
+            let arena = &mut table.fixed.arena;
+            for first in (0..degree).step_by(BUILD_BLOCK) {
+                let block = scaled_block(&mut block, first, degree, &integer_of);
+                if table.fixed.wide {
+                    scatter::<true>(arena, block, first as u32, listed, &mut cursor);
+                } else {
+                    scatter::<false>(arena, block, first as u32, listed, &mut cursor);
                 }
-                let pos = cursor[bit as usize];
-                cursor[bit as usize] += 1;
-                table.set_word(slot.off + pos, idx as u32);
+                if single != 0 {
+                    for (idx, &w) in (first as u32..).zip(block) {
+                        for bit in decompose(w & single) {
+                            only[bit as usize] = idx;
+                        }
+                    }
+                }
+            }
+            for bit in decompose(single) {
+                table.slots[bit as usize].off = only[bit as usize];
             }
         }
         // Lists first, then the tables over them: the same fill a moved or
-        // compacted segment gets.
-        for bit in 0..table.slots.len() {
-            let slot = table.slots[bit];
-            if slot.is_listed() {
-                table.fill_table(&slot);
-            }
+        // compacted segment gets. A list fills its segment's room, so the
+        // word past it, which the scatter may have written, is the table's
+        // first slot.
+        for bit in decompose(listed) {
+            let slot = table.slots[bit as usize];
+            table.set_word(slot.off + slot.count, arena::EMPTY);
+            table.fill_table(&slot);
         }
         table.fill_index(degree as u32, dst_of);
         table
@@ -632,10 +741,17 @@ impl GroupTable {
     /// Enter every member of the listed group `slot` into its probe table,
     /// which is empty.
     fn fill_table(&mut self, slot: &GroupSlot) {
-        let table = slot.table();
-        for pos in 0..slot.count {
-            let member = self.word(slot.off + pos);
-            table.insert(&mut self.fixed.arena, self.fixed.wide, member, pos);
+        fn fill<const WIDE: bool>(arena: &mut [u16], slot: &GroupSlot) {
+            let table = slot.table();
+            for pos in 0..slot.count {
+                let member = word_as::<WIDE>(arena, (slot.off + pos) as usize);
+                table.insert_as::<WIDE>(arena, member, pos);
+            }
+        }
+        if self.fixed.wide {
+            fill::<true>(&mut self.fixed.arena, slot);
+        } else {
+            fill::<false>(&mut self.fixed.arena, slot);
         }
         note_relocated(slot.count as usize);
     }
@@ -923,10 +1039,21 @@ impl GroupTable {
 
     /// Enter edges `0..degree` into the edge index, which is empty.
     fn fill_index(&mut self, degree: u32, dst_of: impl Fn(u32) -> u32) {
-        for idx in 0..degree {
-            self.fixed
-                .index
-                .insert(&mut self.fixed.arena, self.fixed.wide, dst_of(idx), idx);
+        fn fill<const WIDE: bool>(
+            arena: &mut [u16],
+            index: ProbeTable,
+            degree: u32,
+            dst_of: impl Fn(u32) -> u32,
+        ) {
+            for idx in 0..degree {
+                index.insert_as::<WIDE>(arena, dst_of(idx), idx);
+            }
+        }
+        let (arena, index) = (&mut self.fixed.arena, self.fixed.index);
+        if self.fixed.wide {
+            fill::<true>(arena, index, degree, dst_of);
+        } else {
+            fill::<false>(arena, index, degree, dst_of);
         }
         note_relocated(degree as usize);
     }
@@ -1190,6 +1317,45 @@ impl GroupTable {
             .check(&self.fixed.arena, self.fixed.wide, degree as u32, dst_of)
             .map_err(|e| format!("edge index: {e}"))
     }
+
+    /// Every field of the table as words, in a fixed order: the headers,
+    /// the fixed fields, the arena (capacity, then every half) and the
+    /// decimal group's contents. What the layout pin hashes.
+    #[cfg(test)]
+    pub(crate) fn layout_words(&self) -> Vec<u64> {
+        let f = &self.fixed;
+        let mut out = vec![self.slots.len() as u64];
+        for s in &self.slots {
+            out.extend([
+                s.prob.to_bits(),
+                s.count.into(),
+                s.off.into(),
+                s.cap.into(),
+                s.kind as u64,
+                s.alias.into(),
+            ]);
+        }
+        out.extend([
+            f.index.off.into(),
+            f.index.cap.into(),
+            f.tail_prob.to_bits(),
+            f.lambda.to_bits(),
+            f.inter_rebuilds.into(),
+            f.tail_alias.into(),
+            f.has_inter.into(),
+            f.wide.into(),
+            f.arena.capacity() as u64,
+        ]);
+        out.extend(f.arena.iter().map(|&half| u64::from(half)));
+        if let Some(d) = &f.decimal {
+            out.extend([d.members.len() as u64, d.inverted.len() as u64]);
+            out.extend(d.members.iter().map(|&m| u64::from(m)));
+            out.extend(d.fractions.iter().map(|f| f.to_bits()));
+            out.extend(d.inverted.iter().map(|&i| u64::from(i)));
+            out.push(d.total.to_bits());
+        }
+        out
+    }
 }
 
 /// The decimal group holding fractional remainders of λ-scaled biases.
@@ -1211,6 +1377,32 @@ impl DecimalGroup {
             inverted: Vec::new(),
             total: 0.0,
         }
+    }
+
+    /// The decimal group of a list whose edge `idx` has the `idx`-th of
+    /// `fractions` as its remainder (zero for none), or `None` when no
+    /// remainder is positive. One pass sizes every vector exactly, the
+    /// second inserts in neighbor-index order.
+    pub(crate) fn of(fractions: impl Iterator<Item = f64> + Clone) -> Option<Self> {
+        let (mut members, mut span) = (0, 0);
+        for (idx, fraction) in fractions.clone().enumerate() {
+            if fraction > 0.0 {
+                (members, span) = (members + 1, idx + 1);
+            }
+        }
+        if members == 0 {
+            return None;
+        }
+        let mut group = DecimalGroup {
+            members: Vec::with_capacity(members),
+            fractions: Vec::with_capacity(members),
+            inverted: vec![INVALID; span],
+            total: 0.0,
+        };
+        for (idx, fraction) in (0..).zip(fractions) {
+            group.insert(idx, fraction);
+        }
+        Some(group)
     }
 
     /// Number of edges with a fractional remainder.

@@ -139,6 +139,14 @@ pub enum BingoError {
         /// Number of vertices the engine manages.
         num_vertices: usize,
     },
+    /// A vertex range to build an engine over is reversed or runs past the
+    /// graph's vertices.
+    InvalidRange {
+        /// The offending range.
+        range: std::ops::Range<usize>,
+        /// Number of vertices in the graph.
+        num_vertices: usize,
+    },
     /// The requested edge does not exist.
     EdgeNotFound {
         /// Destination vertex of the missing edge.
@@ -167,6 +175,22 @@ impl std::fmt::Display for BingoError {
                 vertex,
                 num_vertices,
             } => write!(f, "vertex {vertex} out of range ({num_vertices} vertices)"),
+            BingoError::InvalidRange {
+                range,
+                num_vertices,
+            } if range.start > range.end => {
+                write!(
+                    f,
+                    "vertex range {range:?} is reversed ({num_vertices} vertices)"
+                )
+            }
+            BingoError::InvalidRange {
+                range,
+                num_vertices,
+            } => write!(
+                f,
+                "vertex range {range:?} runs past {num_vertices} vertices"
+            ),
             BingoError::EdgeNotFound { dst } => write!(f, "edge to {dst} not found"),
             BingoError::NeighborIndexOutOfRange { index, degree } => {
                 write!(f, "neighbor index {index} out of range (degree {degree})")

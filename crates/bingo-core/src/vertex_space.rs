@@ -199,17 +199,15 @@ impl Factorized {
             |cardinality| classify(config, cardinality, edges.len()),
         );
         groups.fixed.lambda = lambda;
-        groups.fixed.decimal = None;
         // λ is 1 exactly when every bias is integral: no remainders.
-        if lambda > 1.0 {
-            for (idx, edge) in edges.iter().enumerate() {
-                let s = ScaledBias::new(edge.bias, lambda);
-                if s.has_fraction() {
-                    let decimal = groups.fixed.decimal.get_or_insert_with(Box::default);
-                    decimal.insert(idx as u32, s.fraction);
-                }
-            }
-        }
+        let fractions = edges
+            .iter()
+            .map(|e| ScaledBias::new(e.bias, lambda).fraction);
+        groups.fixed.decimal = if lambda > 1.0 {
+            DecimalGroup::of(fractions).map(Box::new)
+        } else {
+            None
+        };
         let mut factorized = Factorized { groups };
         factorized.rebuild_inter();
         factorized
@@ -221,8 +219,7 @@ impl Factorized {
         if edges.iter().all(|e| e.bias.is_integral()) {
             return 1.0;
         }
-        let biases: Vec<f64> = edges.iter().map(|e| e.bias.value()).collect();
-        choose_lambda(&biases, 2.0)
+        choose_lambda(edges.iter().map(|e| e.bias.value()), 2.0)
     }
 
     /// Rebuild only the inter-group alias table. `O(K)`.
@@ -514,7 +511,7 @@ impl VertexSpace {
     }
 
     /// An isolated vertex no build has counted yet: what
-    /// [`BingoEngine::build_range`](crate::BingoEngine::build_range) fills
+    /// [`BingoEngine::build_ranges`](crate::BingoEngine::build_ranges) fills
     /// its array with before the spaces are built into it.
     pub(crate) fn unbuilt() -> Self {
         VertexSpace {
@@ -1805,6 +1802,104 @@ mod tests {
             capacity <= 2 * live + 16,
             "arena holds {capacity} words for {live} live ones"
         );
+    }
+
+    /// FNV-1a over every field of a factorized vertex's table.
+    fn layout_hash(f: &Factorized) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for word in f.groups.layout_words() {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Every field a build from scratch writes — headers, arena words, edge
+    /// index, width, λ, the inter-group table and the decimal group — hashed
+    /// over seeded adjacency lists. The constants were recorded on the build
+    /// that walked every set bit of every bias and wrote one word at a time;
+    /// any later build must produce the same tables.
+    #[test]
+    fn rebuilt_tables_are_pinned() {
+        use bingo_graph::generators::BiasDistribution;
+        use rand::Rng;
+        let mut rng = Pcg64::seed_from_u64(0x9A7);
+        // Destinations repeat: the edge index keeps duplicate keys.
+        let mut edges = |degree: usize, bias: &dyn Fn(&mut Pcg64) -> Bias| -> Vec<Edge> {
+            (0..degree)
+                .map(|_| {
+                    let dst = rng.gen_range(0..2 * degree as VertexId);
+                    Edge::new(dst, bias(&mut rng))
+                })
+                .collect()
+        };
+        let power_law = |rng: &mut Pcg64| {
+            let dist = BiasDistribution::PowerLaw {
+                alpha: 1.6,
+                max: 4096,
+            };
+            dist.sample(rng, 0)
+        };
+        let float = |rng: &mut Pcg64| Bias::from_float(rng.gen_range(0.05..40.0));
+        // Bit 0 on 45 of 100 edges (dense), bit 1 on 20 (regular), bit 2 on
+        // 5 (sparse), bit 3 on none (empty), bit 4 on one (one-element),
+        // bit 5 on all.
+        let five_kinds: Vec<Edge> = (0..100u32)
+            .map(|i| {
+                let mut w = 1 << 5 | u64::from(i < 45) | u64::from(i % 5 == 0) << 1;
+                w |= u64::from(i % 20 == 3) << 2 | u64::from(i == 99) << 4;
+                Edge::new(i * 7 % 61, Bias::from_int(w))
+            })
+            .collect();
+        let (adaptive, baseline) = (BingoConfig::default(), BingoConfig::baseline());
+        let mut hashes = Vec::new();
+        let mut pin = |f: &Factorized| hashes.push(layout_hash(f));
+
+        for degree in [17, 300, 3000] {
+            let list = edges(degree, &power_law);
+            pin(&Factorized::rebuilt(None, &list, &adaptive));
+            pin(&Factorized::rebuilt(None, &list, &baseline));
+        }
+        let list = edges(500, &float);
+        let f = Factorized::rebuilt(None, &list, &adaptive);
+        assert!(f.lambda() > 1.0 && f.groups.fixed.decimal.is_some());
+        pin(&f);
+
+        let f = Factorized::rebuilt(None, &five_kinds, &adaptive);
+        let kinds: Vec<GroupKind> = f.groups.views().map(|g| g.kind()).collect();
+        for kind in GroupKind::all().into_iter().chain([GroupKind::Empty]) {
+            assert!(kinds.contains(&kind), "no {kind:?} group in {kinds:?}");
+        }
+        pin(&f);
+
+        // Promotion to wide at 2^16 − 1 edges, a rebuild that keeps the
+        // table wide above 2^15 and one that takes it narrow below.
+        let hub = edges(u16::MAX as usize, &power_law);
+        let wide = Factorized::rebuilt(None, &hub, &adaptive);
+        assert!(wide.groups.is_wide());
+        pin(&wide);
+        let still_wide = Factorized::rebuilt(Some(wide), &hub[..40_000], &adaptive);
+        assert!(still_wide.groups.is_wide());
+        pin(&still_wide);
+        let narrow = Factorized::rebuilt(Some(still_wide), &hub[..30_000], &adaptive);
+        assert!(!narrow.groups.is_wide());
+        pin(&narrow);
+
+        let pinned = [
+            0xe409_a7f5_c693_05f2, // power law, 17 edges
+            0xe922_0607_3f33_9f22, //   all regular
+            0xefa7_487d_00c9_e8a8, // power law, 300 edges
+            0xabcb_d70b_a5b2_1169, //   all regular
+            0x154c_28fd_03a4_e815, // power law, 3 000 edges
+            0xcc98_9fa9_a85d_fef3, //   all regular
+            0xcb8f_c8b2_4a51_b204, // float biases, λ > 1
+            0xa7e9_b11e_35cf_7378, // all five kinds
+            0xfe08_7e2e_026f_338c, // 2^16 − 1 edges: wide
+            0x4bdb_150b_5788_3aa4, //   rebuilt at 40 000: still wide
+            0xc523_8080_72b5_61a3, //   rebuilt at 30 000: narrow
+        ];
+        assert_eq!(hashes, pinned);
     }
 
     /// A vertex of `biases.len()` edges to destinations `0, 1, ...`.

@@ -29,7 +29,11 @@
 //!   vertices, the bytes live while loading a 2^14-vertex R-MAT graph
 //!   peaked at 1.42 × the graph built, at 256 vertices at 1.09 ×.
 //!   Concurrent first readers wait for that one build, which runs on the
-//!   reading thread.
+//!   reading thread. It stays there because building the buckets on the
+//!   worker pool, measured, cut the first read from about 0.07 to 0.05 s on
+//!   the benchmark graphs but raised their peak resident set by 17–20 MiB,
+//!   most likely as blocks allocated on pool threads land in other
+//!   allocator arenas.
 //! - **Once.** The next `&mut` call adopts the built lists (or builds them,
 //!   if nothing read first) and the graph is settled for good: later
 //!   inserts push, as streaming updates do.

@@ -10,8 +10,9 @@
 //!
 //! * The vertex space is split into `S` contiguous shards
 //!   (`bingo_core::partition::Partitioner` — uniform or degree-balanced);
-//!   each shard owns a [`bingo_core::BingoEngine`] built over its range with
-//!   [`bingo_core::BingoEngine::build_range`]. Shards are **resumable
+//!   each shard owns a [`bingo_core::BingoEngine`] built over its range,
+//!   all of them in one pass of the pool by
+//!   [`bingo_core::BingoEngine::build_ranges`]. Shards are **resumable
 //!   tasks on the process-wide worker pool** (the `rayon` shim's
 //!   persistent parked workers), not dedicated threads, and idle shards
 //!   steal forwarded-walker batches from hot shards' inboxes — stealing

@@ -22,6 +22,7 @@ use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
 use bingo_walks::{Walk, WalkCursor};
 use parking_lot::{Condvar, Mutex};
 use rand::SeedableRng;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -197,7 +198,7 @@ impl WalkTicket {
 ///
 /// See the crate-level documentation for a quickstart. Internally each
 /// shard owns a [`BingoEngine`] built over its contiguous vertex range
-/// ([`BingoEngine::build_range`]) behind a `RwLock`, and its inbox of
+/// ([`BingoEngine::build_ranges`]) behind a `RwLock`, and its inbox of
 /// walker and update messages is processed by **resumable tasks on the
 /// shared worker pool** (see [`crate::shard`]) — walker visits sample under
 /// the read guard, update batches apply under the write guard, so a walk
@@ -358,14 +359,18 @@ impl WalkService {
         // shutdown can't deadlock behind a task that never gets a slot).
         rayon::ensure_pool_workers(num_shards);
 
-        let mut owned_counts = Vec::with_capacity(num_shards);
-        let mut shards = Vec::with_capacity(num_shards);
-        for shard_id in 0..num_shards {
-            let (start, end) = partitioner.range(shard_id);
-            owned_counts.push(end - start);
-            let engine = BingoEngine::build_range(graph, start..end, config.engine)?;
-            shards.push(ShardState::new(engine));
-        }
+        let ranges: Vec<Range<usize>> = (0..num_shards)
+            .map(|shard_id| {
+                let (start, end) = partitioner.range(shard_id);
+                start..end
+            })
+            .collect();
+        let owned_counts = ranges.iter().map(|r| r.len()).collect();
+        // Every shard's engine in one pass of the pool.
+        let shards = BingoEngine::build_ranges(graph, &ranges, config.engine)?
+            .into_iter()
+            .map(ShardState::new)
+            .collect();
         let shared = Arc::new(ServiceShared {
             shards,
             partitioner,

@@ -26,6 +26,10 @@ const SAMPLES: usize = 100_000;
 
 /// R-MAT, 4 096 vertices, 10 edges each on average.
 fn skewed(seed: u64) -> DynamicGraph {
+    skewed_with(BIASES, seed)
+}
+
+fn skewed_with(biases: BiasDistribution, seed: u64) -> DynamicGraph {
     GraphGenerator::RMat {
         scale: 12,
         avg_degree: 10,
@@ -33,7 +37,7 @@ fn skewed(seed: u64) -> DynamicGraph {
         b: 0.19,
         c: 0.19,
     }
-    .generate(BIASES, &mut Pcg64::seed_from_u64(seed))
+    .generate(biases, &mut Pcg64::seed_from_u64(seed))
 }
 
 /// Erdős–Rényi, 4 096 vertices, every degree near 8: no hubs, so a service
@@ -103,11 +107,17 @@ const _: () = assert!(std::mem::size_of::<VertexSpace>() <= 48);
 /// second copy of anything: the spaces are built into one array of exactly
 /// their number (a collect through per-chunk `Vec`s handed the whole array
 /// out twice), so the bytes it is handed are the bytes it leaves live, give
-/// or take the pool's job lists. And a factorized vertex is two
-/// allocations, the group table — fixed fields and headers in one — and its
-/// arena, where headers in a `Vec` of their own made it three; a direct
-/// vertex is none.
-fn a_build_hands_out_what_it_leaves_live(graph: &DynamicGraph, config: BingoConfig) {
+/// or take the pool's job lists. And a factorized vertex is
+/// `calls_per_factorized` allocations: two on integer biases, the group
+/// table — fixed fields and headers in one — and its arena, where headers
+/// in a `Vec` of their own made it three; six on floating-point ones, where
+/// the decimal group adds its box and three vectors, each at its final
+/// size, and choosing λ copies nothing. A direct vertex is none.
+fn a_build_hands_out_what_it_leaves_live(
+    graph: &DynamicGraph,
+    config: BingoConfig,
+    calls_per_factorized: usize,
+) {
     // A generated graph arrives still loading, and its first read builds
     // its adjacency blocks: read it here, so that they are not counted
     // against the engine's build below.
@@ -130,7 +140,7 @@ fn a_build_hands_out_what_it_leaves_live(graph: &DynamicGraph, config: BingoConf
     // The array and the pool's bookkeeping for one parallel call.
     const FIXED_CALLS: usize = 8;
     assert!(
-        made <= 2 * factorized + FIXED_CALLS,
+        made <= calls_per_factorized * factorized + FIXED_CALLS,
         "{made} allocator calls for {factorized} factorized vertices"
     );
 }
@@ -183,12 +193,14 @@ fn a_build_shares_the_graphs_blocks_and_neither_side_sees_the_others_writes() {
     drop(BingoEngine::build(&graph, config).unwrap());
 
     // (o) A build allocates once what it keeps: on a graph with hubs, on one
-    // that is all direct vertices, and with every vertex factorized. (Before
-    // the first service: what its threads free as they wind down would be
-    // counted against the build.)
-    a_build_hands_out_what_it_leaves_live(&graph, config);
-    a_build_hands_out_what_it_leaves_live(&flat(24), config);
-    a_build_hands_out_what_it_leaves_live(&graph, BingoConfig::baseline());
+    // that is all direct vertices, with every vertex factorized, and on
+    // floating-point biases. (Before the first service: what its threads
+    // free as they wind down would be counted against the build.)
+    a_build_hands_out_what_it_leaves_live(&graph, config, 2);
+    a_build_hands_out_what_it_leaves_live(&flat(24), config, 2);
+    a_build_hands_out_what_it_leaves_live(&graph, BingoConfig::baseline(), 2);
+    let floats = BiasDistribution::UniformFloat { lo: 0.05, hi: 40.0 };
+    a_build_hands_out_what_it_leaves_live(&skewed_with(floats, 26), config, 6);
 
     drop(WalkService::build(&graph, ServiceConfig::default()).unwrap());
 
