@@ -48,11 +48,9 @@ impl TicketResults {
     /// Deposit the collected walks into a Wharf-style [`WalkStore`] for
     /// incremental maintenance, indexed over `num_vertices` vertices.
     ///
-    /// The store's refresh target is the walk's
-    /// [`refresh_target`](Walk::refresh_target), never PPR's unbounded
-    /// expected length.
+    /// The store keeps the ticket's walk, so a refresh resumes it.
     pub fn into_walk_store(self, num_vertices: usize, seed: u64) -> WalkStore {
-        WalkStore::from_walks(self.paths, num_vertices, self.walk.refresh_target(), seed)
+        WalkStore::from_walks(self.paths, num_vertices, self.walk, seed)
     }
 }
 

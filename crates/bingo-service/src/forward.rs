@@ -1,15 +1,14 @@
 //! Walker forwarding: what crosses a shard boundary, and how.
 //!
-//! Two locks live here, both per shard and both taken only while the
-//! owner's engine lock is held (orders `shard_engine` → `shard_ctx_cache`
-//! and `shard_engine` → `shard_rx_cache`; the two are never held
-//! together): the sender-side snapshot cache, which keeps a second-order
-//! model's context from being captured more than once per `(vertex,
-//! epoch)`, and the receiver-side cache a serialized forward negotiates
-//! handles against.
+//! One lock lives here, per shard: `service.shard_ctx_cache`, the map of
+//! the context snapshots the shard captured. Capture, negotiation and
+//! eviction take it under the owner's engine lock (order `shard_engine` →
+//! `shard_ctx_cache`); handle resolution takes it with no other lock held.
+//! "Shard `to` holds this snapshot" is bit `to` on the owner's entry.
 //!
-//! [`TransportMode`] is read once, in `wire_carrier`. An in-process
-//! forward moves the boxed walker with its sender-cached context attached:
+//! [`TransportMode`](crate::TransportMode) is read once, at build: it
+//! decides whether the service keeps a frame carrier. An in-process
+//! forward moves the boxed walker with its captured context attached:
 //! nothing is framed, so nothing is negotiated and no byte is billed. A
 //! serialized forward negotiates under the owner's read guard, frames the
 //! walker and the walk it runs, carries, rebuilds the walker from the
@@ -19,7 +18,8 @@
 
 use crate::service::{ServiceShared, WalkService};
 use crate::shard::{ShardMsg, Walker};
-use crate::transport::{ShardTransport, TransportMode};
+use crate::stats::ShardCounters;
+use crate::transport::ShardTransport;
 use bingo_core::BingoEngine;
 use bingo_graph::VertexId;
 use bingo_sampling::rng::Pcg64;
@@ -27,16 +27,16 @@ use bingo_telemetry::TraceStage;
 use bingo_walks::wire::{self, ContextHandle, FrameContext, WalkerFrame};
 use bingo_walks::{CarriedContext, ContextRequirement, Walk, WalkCursor};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Bytes shipped when the receiver's snapshot cache already holds the
-/// offered `(vertex, epoch)` snapshot: the wire-format
-/// [`ContextHandle`] instead of the payload (re-exported from
-/// [`bingo_walks::wire`], whose encoder defines the layout). Snapshots
-/// whose payload is no larger than the handle always ship inline — a
-/// handle would not save anything — so negotiation only engages past
-/// this size.
+/// Bytes shipped when the receiving shard already holds the offered
+/// `(vertex, epoch)` snapshot: the wire-format [`ContextHandle`] instead
+/// of the payload (re-exported from [`bingo_walks::wire`], whose encoder
+/// defines the layout). Snapshots whose payload is no larger than the
+/// handle always ship inline — a handle would not save anything — so
+/// negotiation only engages past this size.
 pub use bingo_walks::wire::CONTEXT_HANDLE_BYTES;
 
 /// One forwarded-context capture: the previous vertex whose adjacency was
@@ -58,60 +58,96 @@ pub struct ContextTrace {
     /// Bytes billed to `context_bytes_forwarded` for this forward — what
     /// the wire frame ships: the snapshot's encoded size when the receiver
     /// had to be sent the body, [`CONTEXT_HANDLE_BYTES`] when the
-    /// receiver's snapshot cache already held this `(vertex, epoch)` and a
-    /// handle sufficed, 0 for an in-process forward (no frame).
+    /// receiver already held this `(vertex, epoch)` and a handle sufficed,
+    /// 0 for an in-process forward (no frame).
     pub bytes_sent: usize,
-    /// Whether the *sender's* encode cache already held the snapshot
-    /// (encode reuse — independent of the receiver-side handle
-    /// negotiation that decides `bytes_sent`).
+    /// Whether the capturing shard's snapshot map already held the
+    /// snapshot (encode reuse — independent of the handle negotiation that
+    /// decides `bytes_sent`).
     pub cache_hit: bool,
 }
 
-/// One shard's two snapshot caches. Entry presence implies validity:
-/// structural update batches evict exactly the vertices they touched,
-/// while bias-only batches and empty epoch ticks keep both tiers warm
-/// (fingerprints are membership sets, which reweights never alter). One
-/// slot per key, so occupancy is bounded by the forwarded-vertex set no
-/// matter how many epochs pass.
-pub(crate) struct SnapshotCaches {
-    /// Sender side: snapshots captured on this shard, stamped with their
-    /// capture epoch and reused by every walker forwarded in the same
-    /// wave.
-    context_cache: Mutex<HashMap<VertexId, (u64, CarriedContext)>>,
-    /// Receiver side, keyed by `(owner_shard, vertex)`: a serialized
-    /// forward whose `(vertex, epoch)` is already here ships a handle;
-    /// otherwise the body ships and seeds this cache (newer captures
-    /// overwrite). The owning shard's structural updates evict its touched
-    /// keys from every peer's cache.
-    rx_cache: Mutex<HashMap<(u32, VertexId), (u64, CarriedContext)>>,
+/// One shard's snapshot map. Entry presence implies validity: structural
+/// update batches evict exactly the vertices they touched, while bias-only
+/// batches and empty epoch ticks keep entries warm (fingerprints are
+/// membership sets, which reweights never alter). One slot per vertex, so
+/// occupancy is bounded by the forwarded-vertex set no matter how many
+/// epochs pass.
+pub(crate) struct SnapshotCache {
+    entries: Mutex<HashMap<VertexId, Snapshot>>,
 }
 
-impl SnapshotCaches {
+impl SnapshotCache {
     pub(crate) fn new() -> Self {
-        SnapshotCaches {
-            context_cache: Mutex::new_named(HashMap::new(), "service.shard_ctx_cache"),
-            rx_cache: Mutex::new_named(HashMap::new(), "service.shard_rx_cache"),
+        SnapshotCache {
+            entries: Mutex::new_named(HashMap::new(), "service.shard_ctx_cache"),
         }
     }
 }
 
-/// The carrier forwards are framed for: `carrier` under
-/// [`TransportMode::Serialized`], `None` (walkers move in process)
-/// otherwise. The one place the mode is read.
-pub(crate) fn wire_carrier(
-    mode: TransportMode,
-    carrier: Arc<dyn ShardTransport>,
-) -> Option<Arc<dyn ShardTransport>> {
-    (mode == TransportMode::Serialized).then_some(carrier)
+/// A snapshot this shard captured, reused by every walker forwarded while
+/// no structural update touches its vertex.
+struct Snapshot {
+    /// The capture epoch, which names the snapshot in a [`ContextHandle`].
+    epoch: u64,
+    ctx: CarriedContext,
+    /// Bit `s` set: a serialized forward already sent shard `s` this
+    /// snapshot's body, so the next forward to `s` ships a handle. Shards
+    /// past index 63 are never recorded and always receive the body.
+    holders: u64,
+}
+
+/// `shard`'s bit in [`Snapshot::holders`], 0 past index 63.
+fn holder_bit(shard: usize) -> u64 {
+    if shard < 64 {
+        1 << shard
+    } else {
+        0
+    }
+}
+
+impl Snapshot {
+    /// Bill a serialized forward of this snapshot to shard `to` on the
+    /// owner's counters `c`: a body larger than a handle is offered, and
+    /// ships as a [`ContextHandle`] when `to` already holds it; otherwise
+    /// the body ships and `to` becomes a holder (a body request: an offer
+    /// without a hit). `context_bytes_raw` is the body-on-every-forward
+    /// baseline, `context_bytes_forwarded` what the frame carries.
+    fn negotiate(
+        &mut self,
+        owner_shard: usize,
+        to: usize,
+        c: &ShardCounters,
+    ) -> (usize, Option<ContextHandle>) {
+        let body_len = self.ctx.byte_len();
+        let mut shipped = (body_len, None);
+        if body_len > CONTEXT_HANDLE_BYTES {
+            c.context_handle_offers.inc();
+            let bit = holder_bit(to);
+            if self.holders & bit != 0 {
+                c.context_handle_hits.inc();
+                let handle = ContextHandle {
+                    vertex: self.ctx.vertex,
+                    owner_shard: owner_shard as u32,
+                    epoch: self.epoch,
+                };
+                shipped = (CONTEXT_HANDLE_BYTES, Some(handle));
+            }
+            self.holders |= bit;
+        }
+        c.context_bytes_raw.add(body_len as u64);
+        c.context_bytes_forwarded.add(shipped.0 as u64);
+        shipped
+    }
 }
 
 /// What [`ServiceShared::attach_forward_context`] decided for one
 /// forwarded snapshot, carried out of the engine-guarded section.
 pub(crate) struct ForwardNegotiation {
-    /// The *sender's* encode cache already held the snapshot.
+    /// The capturing shard's snapshot map already held the snapshot.
     cache_hit: bool,
-    /// Bytes billed and framed: the body on a receiver miss,
-    /// [`CONTEXT_HANDLE_BYTES`] on a receiver hit, 0 in process.
+    /// Bytes billed and framed: the body when the receiver does not hold
+    /// the snapshot, [`CONTEXT_HANDLE_BYTES`] when it does, 0 in process.
     bytes_sent: usize,
     /// `Some` when the receiver held the `(vertex, epoch)` snapshot: the
     /// wire frame ships this handle instead of the body.
@@ -125,13 +161,12 @@ impl ServiceShared {
     /// step that left it. Snapshots are built at most once per `(vertex,
     /// epoch)` and reused by every walker forwarded in the same wave.
     ///
-    /// The caller holds `owner_shard`'s engine read guard: it pins the
-    /// epoch the fingerprint describes (no update can slip between capture
-    /// and cache insert), and a serialized forward's handle negotiation
-    /// happens under it too, so the owner's eviction sweep (under the
-    /// write guard) can never fall between the capture and the receiver
-    /// cache insert — a snapshot the sweep dropped is never seeded after
-    /// it.
+    /// A serialized forward negotiates under the same map lock
+    /// ([`Snapshot::negotiate`]). The caller holds `owner_shard`'s engine
+    /// read guard: it pins the epoch the fingerprint describes (no update
+    /// can slip between capture and insert), and eviction runs under the
+    /// write guard, so a snapshot and its holder bits always leave
+    /// together.
     ///
     /// Returns `None` when the model carries no context or one is already
     /// attached.
@@ -157,31 +192,34 @@ impl ServiceShared {
         // advance the counter without invalidating membership, so entry
         // presence (upheld by `evict_snapshots`) — not stamp freshness —
         // is what implies validity.
-        let (capture_epoch, ctx, cache_hit) = {
-            let mut cache = self.shards[owner_shard].caches.context_cache.lock();
-            match cache.get(&prev) {
-                Some(&(stamp, ref cached)) => (stamp, cached.clone(), true),
-                None => {
+        let (ctx, cache_hit, (bytes_sent, handle)) = {
+            let mut entries = self.shards[owner_shard].snapshots.entries.lock();
+            let (snapshot, cache_hit) = match entries.entry(prev) {
+                Entry::Occupied(slot) => (slot.into_mut(), true),
+                Entry::Vacant(slot) => {
                     let ctx = CarriedContext {
                         vertex: prev,
                         adjacency: engine.context_fingerprint_shared(prev)?,
                     };
-                    let stamp = c.epoch.get_acquire();
-                    cache.insert(prev, (stamp, ctx.clone()));
-                    (stamp, ctx, false)
+                    let snapshot = Snapshot {
+                        epoch: c.epoch.get_acquire(),
+                        ctx,
+                        holders: 0,
+                    };
+                    (slot.insert(snapshot), false)
                 }
-            }
+            };
+            let shipped = match self.carrier {
+                Some(_) => snapshot.negotiate(owner_shard, to, c),
+                None => (0, None),
+            };
+            (snapshot.ctx.clone(), cache_hit, shipped)
         };
         if cache_hit {
             c.context_cache_hits.inc();
         } else {
             c.context_cache_misses.inc();
         }
-        let (bytes_sent, handle) = if self.carrier.is_some() {
-            self.negotiate(owner_shard, to, capture_epoch, &ctx)
-        } else {
-            (0, None)
-        };
         if self.record_epochs {
             walker.contexts.push(ContextTrace {
                 vertex: ctx.vertex,
@@ -200,70 +238,15 @@ impl ServiceShared {
         })
     }
 
-    /// Decide what a serialized forward ships for `ctx` and bill it: a
-    /// snapshot shard `to` already holds at the same `(vertex, epoch)`
-    /// goes as a [`ContextHandle`]; otherwise the encoded body ships and
-    /// seeds `to`'s cache (a body request: an offer without a hit).
-    /// Bodies no larger than a handle always ship inline.
-    /// `context_bytes_raw` is the body-on-every-forward baseline,
-    /// `context_bytes_forwarded` what the frame carries.
-    fn negotiate(
-        &self,
-        owner_shard: usize,
-        to: usize,
-        capture_epoch: u64,
-        ctx: &CarriedContext,
-    ) -> (usize, Option<ContextHandle>) {
-        let c = &self.counters[owner_shard];
-        let body_len = ctx.byte_len();
-        let (bytes_sent, handle) = if body_len > CONTEXT_HANDLE_BYTES {
-            c.context_handle_offers.inc();
-            let mut rx = self.shards[to].caches.rx_cache.lock();
-            let key = (owner_shard as u32, ctx.vertex);
-            match rx.get(&key) {
-                Some(&(stamp, _)) if stamp == capture_epoch => {
-                    c.context_handle_hits.inc();
-                    let handle = ContextHandle {
-                        vertex: ctx.vertex,
-                        owner_shard: owner_shard as u32,
-                        epoch: capture_epoch,
-                    };
-                    (CONTEXT_HANDLE_BYTES, Some(handle))
-                }
-                _ => {
-                    rx.insert(key, (capture_epoch, ctx.clone()));
-                    (body_len, None)
-                }
-            }
-        } else {
-            (body_len, None)
-        };
-        c.context_bytes_raw.add(body_len as u64);
-        c.context_bytes_forwarded.add(bytes_sent as u64);
-        (bytes_sent, handle)
-    }
-
     /// Drop the snapshots of `touched` — the vertices whose adjacency
-    /// membership a batch on `shard_id` changes — from that shard's sender
-    /// cache and, when forwards are serialized, from every peer's receiver
-    /// cache (which holds copies keyed to this shard), so a stale
-    /// `(vertex, epoch)` can never satisfy a handle offer. Every other
-    /// entry stays warm across the epoch advance. The caller holds
-    /// `shard_id`'s engine write guard.
+    /// membership a batch on `shard_id` changes — from that shard's map,
+    /// holder bits and all, so a stale `(vertex, epoch)` can never satisfy
+    /// a handle. Every other entry stays warm across the epoch advance.
+    /// The caller holds `shard_id`'s engine write guard.
     pub(crate) fn evict_snapshots(&self, shard_id: usize, touched: &[VertexId]) {
-        {
-            let mut cache = self.shards[shard_id].caches.context_cache.lock();
-            for v in touched {
-                cache.remove(v);
-            }
-        }
-        if self.carrier.is_some() {
-            for peer in &self.shards {
-                let mut rx = peer.caches.rx_cache.lock();
-                for &v in touched {
-                    rx.remove(&(shard_id as u32, v));
-                }
-            }
+        let mut entries = self.shards[shard_id].snapshots.entries.lock();
+        for v in touched {
+            entries.remove(v);
         }
     }
 
@@ -308,10 +291,10 @@ impl ServiceShared {
     /// walker **from the bytes alone** — walk named by the walk section,
     /// cursor replayed from the path, RNG restored from its raw parts,
     /// context taken from the frame (inline body) or resolved from the
-    /// receiver's snapshot cache (negotiated handle). The walker the
-    /// receiving shard processes then contains exactly what crossed the
-    /// wire, so serialized and in-process runs are bit-identical by
-    /// construction, not by assumption.
+    /// owner's snapshot map (negotiated handle). The walker the receiving
+    /// shard processes then contains exactly what crossed the wire, so
+    /// serialized and in-process runs are bit-identical by construction,
+    /// not by assumption.
     ///
     /// Any failure — carrier error, undecodable bytes, a frame that
     /// decodes to another walker's `(ticket, index)`, a walk section that
@@ -352,13 +335,14 @@ impl ServiceShared {
         let spec = walker.cursor.walk().spec();
         let mut buf = Vec::with_capacity(frame.encoded_len() + wire::walk_section_len(spec));
         let sent = wire::encode_walker(&frame, &mut buf) + wire::encode_walk(spec, &mut buf);
-        self.counters[owner_shard]
-            .transport_bytes_sent
-            .add(sent as u64);
+        let c = &self.counters[owner_shard];
+        c.transport_bytes_sent.add(sent as u64);
+        // One `u32` per visited vertex.
+        c.transport_path_bytes.add(4 * frame.path.len() as u64);
         match self.rebuild_from_wire(carrier, to, &mut walker, buf) {
             Some(rebuilt) => rebuilt,
             None => {
-                self.counters[owner_shard].transport_fallbacks.inc();
+                c.transport_fallbacks.inc();
                 walker
             }
         }
@@ -397,14 +381,9 @@ impl ServiceShared {
                 cursor.set_forward_context(ctx);
             }
             FrameContext::Handle(h) => {
-                let resolved = {
-                    let rx = self.shards[to].caches.rx_cache.lock();
-                    match rx.get(&(h.owner_shard, h.vertex)) {
-                        Some(&(stamp, ref ctx)) if stamp == h.epoch => Some(ctx.clone()),
-                        _ => None,
-                    }
-                };
-                let ctx = resolved.or_else(|| sent.cursor.state().carried_context().cloned())?;
+                let ctx = self
+                    .resolve_handle(h, to)
+                    .or_else(|| sent.cursor.state().carried_context().cloned())?;
                 cursor.set_forward_context(ctx);
             }
             FrameContext::None => {}
@@ -425,25 +404,33 @@ impl ServiceShared {
             sent_at: sent.sent_at.take(),
         }))
     }
+
+    /// The snapshot `h` names, if its owner still has it at `h`'s epoch
+    /// with shard `to` recorded as a holder.
+    fn resolve_handle(&self, h: ContextHandle, to: usize) -> Option<CarriedContext> {
+        let owner = self.shards.get(h.owner_shard as usize)?;
+        let entries = owner.snapshots.entries.lock();
+        let s = entries.get(&h.vertex)?;
+        (s.epoch == h.epoch && s.holders & holder_bit(to) != 0).then(|| s.ctx.clone())
+    }
 }
 
 impl WalkService {
-    /// Point-in-time occupancy of the context snapshot caches:
-    /// `(sender_entries, receiver_entries)` summed across shards — the
-    /// sender-side encode caches and the receiver-side handle-negotiation
-    /// caches (always empty when forwards move in process). Both are
-    /// one-slot-per-key maps evicted by the structural updates that touch
-    /// them, so occupancy is bounded by the set of vertices that actually
-    /// forwarded context, **not** by how many epochs have passed (the
-    /// regression the bounded-occupancy test pins).
+    /// Point-in-time occupancy of the snapshot maps, summed across shards:
+    /// `(snapshots, holders)` — the snapshots captured, and the shards
+    /// recorded as holding one (always 0 when forwards move in process).
+    /// Both are bounded by the set of vertices that actually forwarded
+    /// context, **not** by how many epochs have passed (the regression the
+    /// bounded-occupancy test pins).
     pub fn snapshot_cache_occupancy(&self) -> (usize, usize) {
-        let mut sender = 0;
-        let mut receiver = 0;
+        let mut occupancy = (0, 0);
         for shard in &self.shared.shards {
-            // Each released before the next is taken.
-            sender += shard.caches.context_cache.lock().len();
-            receiver += shard.caches.rx_cache.lock().len();
+            // Each map is released before the next is taken.
+            let entries = shard.snapshots.entries.lock();
+            let held: u32 = entries.values().map(|s| s.holders.count_ones()).sum();
+            occupancy.0 += entries.len();
+            occupancy.1 += held as usize;
         }
-        (sender, receiver)
+        occupancy
     }
 }

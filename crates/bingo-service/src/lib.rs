@@ -43,13 +43,14 @@
 //!   lookups. Snapshots are exact and cheap: the engine encodes one on
 //!   demand (`bingo_core::context`) — the sorted adjacency behind an
 //!   `Arc`, see `bingo_walks::model` for the wire format — the owning
-//!   shard's snapshot cache holds it, so a `(vertex, epoch)` is captured
-//!   at most once, and what a serialized forward ships is **negotiated
-//!   with the receiver's snapshot cache**: a `(vertex, epoch)` the
-//!   receiver already holds goes as a true 16-byte handle
-//!   ([`CONTEXT_HANDLE_BYTES`]), a miss ships the body and seeds the
-//!   receiver. A structural update batch evicts exactly the vertices it
-//!   touched from both cache tiers; everything else stays warm. A missing capture is **not** silently
+//!   shard's snapshot map holds it, so a `(vertex, epoch)` is captured
+//!   at most once, and what a serialized forward ships is **negotiated**
+//!   on that same entry, which records the shards already sent its body:
+//!   a `(vertex, epoch)` the receiver already holds goes as a true
+//!   16-byte handle ([`CONTEXT_HANDLE_BYTES`]), a miss ships the body and
+//!   records the receiver. A structural update batch evicts exactly the
+//!   vertices it touched, holder bits and all; everything else stays
+//!   warm. A missing capture is **not** silently
 //!   served as "no edge": the fallback is counted per shard
 //!   (`context_misses`) and asserted on in debug builds. A finished walk
 //!   is filed under its ticket by the shard task that finished it; a
@@ -66,7 +67,7 @@
 //!   across process boundaries ([`WalkService::build_with_transport`];
 //!   proven by `examples/two_process_demo.rs` over a loopback
 //!   `TcpStream`). The default [`TransportMode::InProcess`] moves the
-//!   boxed walker with its sender-cached context: it frames, negotiates
+//!   boxed walker with its captured context: it frames, negotiates
 //!   and bills nothing, so every handle and `*bytes*` counter reads 0.
 //!   Walk output is bit-identical in both modes, and a frame that fails
 //!   to arrive intact degrades that one forward to the in-process walker,
@@ -184,18 +185,17 @@
 //! * Named locks, each constructed and acquired in exactly one file:
 //!   `service.router` (update coalescing, `router.rs`); per shard
 //!   `service.shard_inbox` and `service.shard_engine` (an `RwLock`;
-//!   `shard.rs`); per shard `service.shard_ctx_cache` (sender-side
-//!   snapshot cache) and `service.shard_rx_cache` (receiver-side
-//!   handle-negotiation cache, touched by serialized forwards only;
+//!   `shard.rs`); per shard `service.shard_ctx_cache` (the snapshot map,
+//!   whose entries carry the bits of the shards holding them;
 //!   `forward.rs`); `service.pending` (the ticket table and its
 //!   `pending_cv` condvar, `collect.rs`); and `service.termination`
 //!   (shutdown rendezvous, `service.rs`). The nested orders are
 //!   **`router` → `shard_inbox`** (flush pushes while coalescing) and
-//!   **`shard_engine` → `shard_ctx_cache`** / **`shard_engine` →
-//!   `shard_rx_cache`** (capture and negotiation under the read guard,
-//!   eviction under the write guard; the two caches are never held
-//!   together) — every path agrees, so the cross-function lock-order
-//!   graph stays acyclic even jointly with the pool's `rayon.*` locks.
+//!   **`shard_engine` → `shard_ctx_cache`** (capture and negotiation
+//!   under the read guard, eviction under the write guard; a serialized
+//!   forward's handle resolution takes the map with no other lock held)
+//!   — every path agrees, so the cross-function lock-order graph stays
+//!   acyclic even jointly with the pool's `rayon.*` locks.
 //!   `tests/lint.rs` holds this list and these orders to the code.
 //! * `service.pending` nests with nothing: a shard task files a finished
 //!   walk with no other lock held, and a waiter holds it only across its
@@ -967,10 +967,10 @@ mod tests {
             )
             .unwrap();
             let results = service.wait(service.submit(node2vec(12), &starts).unwrap());
-            let receiver_entries = service.snapshot_cache_occupancy().1;
-            (results.paths, service.shutdown(), receiver_entries)
+            let holders = service.snapshot_cache_occupancy().1;
+            (results.paths, service.shutdown(), holders)
         };
-        let (in_paths, in_stats, in_receiver_entries) = run(TransportMode::InProcess);
+        let (in_paths, in_stats, in_holders) = run(TransportMode::InProcess);
         let (ser_paths, ser_stats, _) = run(TransportMode::Serialized);
         assert_eq!(
             in_paths, ser_paths,
@@ -991,10 +991,7 @@ mod tests {
             0,
             "in-process forwards ship nothing"
         );
-        assert_eq!(
-            in_receiver_entries, 0,
-            "in-process forwards never touch a receiver cache"
-        );
+        assert_eq!(in_holders, 0, "in-process forwards record no holder");
         assert!(
             in_stats.total_handle_offers() == 0 && in_stats.total_context_bytes() == 0,
             "in-process forwards negotiate and bill nothing"
@@ -1008,9 +1005,10 @@ mod tests {
 
     #[test]
     fn handle_negotiation_ships_handles_on_repeat_forwards() {
-        // First submission seeds the receivers' snapshot caches (every
-        // offer ships the body); a second identical submission in the same
-        // epoch finds them warm, so offers resolve to 16-byte handles.
+        // The first submission records each receiver as a holder of the
+        // snapshots it was sent (every offer ships the body); a second
+        // identical submission in the same epoch finds them recorded, so
+        // offers resolve to 16-byte handles.
         let graph = ring_graph(24);
         let starts: Vec<u32> = (0..24).collect();
         let service = WalkService::build(
@@ -1036,9 +1034,9 @@ mod tests {
 
     #[test]
     fn snapshot_cache_occupancy_stays_bounded_across_epochs() {
-        // Satellite regression: snapshot caches hold one slot per key, so
-        // a long structural-update stream must not grow them — occupancy
-        // is bounded by the forwarded-vertex set, never by epoch count.
+        // Regression: the snapshot maps hold one slot per vertex, so a
+        // long structural-update stream must not grow them — occupancy is
+        // bounded by the forwarded-vertex set, never by epoch count.
         let graph = ring_graph(16);
         let num_shards = 4usize;
         let service = WalkService::build(
@@ -1059,18 +1057,18 @@ mod tests {
                 bias: Bias::from_int(1),
             }]));
             service.sync(receipt);
-            let (sender, receiver) = service.snapshot_cache_occupancy();
+            let (snapshots, holders) = service.snapshot_cache_occupancy();
             assert!(
-                sender <= 16,
-                "sender cache exceeds the vertex set: {sender}"
+                snapshots <= 16,
+                "snapshots exceed the vertex set: {snapshots}"
             );
             assert!(
-                receiver <= num_shards * 16,
-                "receiver caches exceed (shard, vertex) keys: {receiver}"
+                holders <= num_shards * 16,
+                "holders exceed (shard, vertex) pairs: {holders}"
             );
         }
-        let (sender, receiver) = service.snapshot_cache_occupancy();
-        assert!(sender > 0 || receiver > 0, "walks populated the caches");
+        let (snapshots, holders) = service.snapshot_cache_occupancy();
+        assert!(snapshots > 0 || holders > 0, "walks populated the maps");
         service.shutdown();
     }
 
@@ -1078,7 +1076,7 @@ mod tests {
     fn scoped_invalidation_keeps_untouched_snapshots_warm() {
         // A structural batch evicts only the vertices it touched. The
         // batch touches one vertex per shard (the router splits it by
-        // owner), so at most four snapshots may leave the sender tier.
+        // owner), so at most four snapshots may leave the maps.
         let graph = ring_graph(16);
         let service = WalkService::build(
             &graph,
@@ -1107,7 +1105,7 @@ mod tests {
         service.shutdown();
         assert!(
             before.0 > 0 && before.1 > 0,
-            "walks populated both cache tiers: {before:?}"
+            "walks captured snapshots and recorded holders: {before:?}"
         );
         assert!(
             after.0 + 4 >= before.0,

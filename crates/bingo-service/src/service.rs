@@ -3,13 +3,12 @@
 //!
 //! The rest of the crate is filed by the lock it guards — [`crate::router`]
 //! (`service.router`), [`crate::shard`] (`service.shard_inbox`,
-//! `service.shard_engine`), [`crate::forward`] (`service.shard_ctx_cache`,
-//! `service.shard_rx_cache`), [`crate::collect`] (`service.pending`) — and
+//! `service.shard_engine`), [`crate::forward`] (`service.shard_ctx_cache`),
+//! [`crate::collect`] (`service.pending`) — and
 //! each adds its part of the public API as an `impl WalkService` block of
 //! its own. This file keeps `service.termination`, the shutdown rendezvous.
 
 use crate::collect::Collector;
-use crate::forward;
 use crate::router::Router;
 use crate::shard::{ShardHists, ShardMsg, ShardState, Walker};
 use crate::stats::{ServiceStats, ShardCounters};
@@ -250,7 +249,7 @@ pub(crate) struct ServiceShared {
     pub(crate) hists: ShardHists,
     pub(crate) record_epochs: bool,
     /// The frame carrier serialized forwards go through; `None` moves
-    /// walkers in process (see [`forward::wire_carrier`]).
+    /// walkers in process. The one place [`TransportMode`] is read.
     pub(crate) carrier: Option<Arc<dyn ShardTransport>>,
     pub(crate) collector: Collector,
     /// Number of shards that have processed their Shutdown message; the
@@ -379,7 +378,7 @@ impl WalkService {
                 .collect(),
             hists: ShardHists::new(&telemetry),
             record_epochs: config.record_epochs,
-            carrier: forward::wire_carrier(config.transport, carrier),
+            carrier: (config.transport == TransportMode::Serialized).then_some(carrier),
             collector: Collector::new(&telemetry),
             termination: Mutex::new_named(0, "service.termination"),
             termination_cv: Condvar::new(),

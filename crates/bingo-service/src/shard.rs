@@ -26,7 +26,7 @@
 //! private RNG and the engine epoch it sampled under.
 
 use crate::collect::FinishedWalk;
-use crate::forward::{ContextTrace, ForwardNegotiation, SnapshotCaches};
+use crate::forward::{ContextTrace, ForwardNegotiation, SnapshotCache};
 use crate::service::ServiceShared;
 use bingo_core::BingoEngine;
 use bingo_graph::{UpdateBatch, UpdateEvent, VertexId};
@@ -134,7 +134,7 @@ impl ShardHists {
 }
 
 /// One shard's task-visible state: inbox, scheduling latch, engine and
-/// snapshot caches. Everything a peer needs for stealing lives here behind
+/// snapshot map. Everything a peer needs for stealing lives here behind
 /// its own lock — and the engine is only ever reached through `engine`,
 /// never through the inbox, so a thief can drain a queue without touching
 /// sampling state.
@@ -154,9 +154,9 @@ pub(crate) struct ShardState {
     /// sample under the read guard; update batches apply under the write
     /// guard, so no step ever observes a torn update.
     engine: RwLock<BingoEngine>,
-    /// The forwarded-context caches, locked only by `forward.rs` and only
-    /// while `engine` is held.
-    pub(crate) caches: SnapshotCaches,
+    /// The forwarded-context snapshots this shard captured, locked only by
+    /// `forward.rs`.
+    pub(crate) snapshots: SnapshotCache,
 }
 
 impl ShardState {
@@ -166,7 +166,7 @@ impl ShardState {
             sched: AtomicU8::new(SCHED_IDLE),
             terminated: AtomicBool::new(false),
             engine: RwLock::new_named(engine, "service.shard_engine"),
-            caches: SnapshotCaches::new(),
+            snapshots: SnapshotCache::new(),
         }
     }
 }

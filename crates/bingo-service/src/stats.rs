@@ -66,13 +66,15 @@ pub(crate) struct ShardCounters {
     /// (bodies no larger than a handle always ship inline and are not
     /// offered).
     pub context_handle_offers: Counter,
-    /// Offered handles the receiver's snapshot cache already held at the
-    /// same `(vertex, epoch)`: the forward shipped the 16-byte handle.
+    /// Offered handles whose receiver held the same `(vertex, epoch)`
+    /// (its holder bit was set): the forward shipped the 16-byte handle.
     pub context_handle_hits: Counter,
     /// Bytes of encoded walker frames this shard handed to the
     /// [`ShardTransport`](crate::ShardTransport) (serialized mode only;
     /// zero in-process).
     pub transport_bytes_sent: Counter,
+    /// The visited path's part of `transport_bytes_sent`, 4 B per vertex.
+    pub transport_path_bytes: Counter,
     /// Bytes of walker frames delivered *to* this shard by the transport
     /// and successfully decoded (serialized mode only).
     pub transport_bytes_recv: Counter,
@@ -122,6 +124,8 @@ impl ShardCounters {
                 .counter_with(names::SERVICE_CONTEXT_HANDLE_OFFER, labels),
             context_handle_hits: telemetry.counter_with(names::SERVICE_CONTEXT_HANDLE_HIT, labels),
             transport_bytes_sent: telemetry.counter_with(names::TRANSPORT_BYTES_SENT, labels),
+            transport_path_bytes: telemetry
+                .counter_with(names::SERVICE_TRANSPORT_PATH_BYTES, labels),
             transport_bytes_recv: telemetry.counter_with(names::TRANSPORT_BYTES_RECV, labels),
             transport_fallbacks: telemetry.counter_with(names::SERVICE_TRANSPORT_FALLBACKS, labels),
             saturated_rejections: telemetry
@@ -169,6 +173,7 @@ impl ShardCounters {
             context_handle_offers: self.context_handle_offers.get(),
             context_handle_hits: self.context_handle_hits.get(),
             transport_bytes_sent: self.transport_bytes_sent.get(),
+            transport_path_bytes: self.transport_path_bytes.get(),
             transport_bytes_recv: self.transport_bytes_recv.get(),
             transport_fallbacks: self.transport_fallbacks.get(),
             saturated_rejections: self.saturated_rejections.get(),
@@ -226,6 +231,8 @@ pub struct ShardStatsSnapshot {
     /// Encoded walker-frame bytes handed to the transport (serialized
     /// mode only).
     pub transport_bytes_sent: u64,
+    /// The visited-path part of `transport_bytes_sent`.
+    pub transport_path_bytes: u64,
     /// Walker-frame bytes delivered to this shard and decoded (serialized
     /// mode only).
     pub transport_bytes_recv: u64,
@@ -346,13 +353,13 @@ impl ServiceStats {
         self.per_shard.iter().map(|s| s.context_handle_offers).sum()
     }
 
-    /// Total offered handles the receiver's snapshot cache already held.
+    /// Total offered handles the receiver already held.
     pub fn total_handle_hits(&self) -> u64 {
         self.per_shard.iter().map(|s| s.context_handle_hits).sum()
     }
 
-    /// Total offered handles that shipped the body instead (and seeded the
-    /// receiver's cache): every offer is a hit or a body request.
+    /// Total offered handles that shipped the body instead (and recorded
+    /// the receiver as a holder): every offer is a hit or a body request.
     /// Saturating, because a snapshot taken mid-forward can read a hit
     /// whose offer it missed.
     pub fn total_body_requests(&self) -> u64 {
@@ -376,6 +383,12 @@ impl ServiceStats {
     /// (serialized mode only; zero in-process).
     pub fn total_transport_bytes_sent(&self) -> u64 {
         self.per_shard.iter().map(|s| s.transport_bytes_sent).sum()
+    }
+
+    /// Total path bytes of the frames handed to the transport. The header
+    /// bytes are the rest: sent − path − [`Self::total_context_bytes`].
+    pub fn total_transport_path_bytes(&self) -> u64 {
+        self.per_shard.iter().map(|s| s.transport_path_bytes).sum()
     }
 
     /// Total walker-frame bytes delivered and decoded (serialized mode
@@ -529,6 +542,7 @@ impl ServiceStats {
             .field_num("body_requests", self.total_body_requests())
             .field_num("handle_hit_rate", format!("{:.4}", self.handle_hit_rate()))
             .field_num("transport_bytes_sent", self.total_transport_bytes_sent())
+            .field_num("transport_path_bytes", self.total_transport_path_bytes())
             .field_num("transport_bytes_recv", self.total_transport_bytes_recv())
             .field_num("transport_fallbacks", self.total_transport_fallbacks())
             .field_raw("per_shard", &shards.finish());
@@ -725,6 +739,7 @@ mod tests {
                     context_handle_offers: 60,
                     context_handle_hits: 45,
                     transport_bytes_sent: 4096,
+                    transport_path_bytes: 1024,
                     transport_fallbacks: 3,
                     ..Default::default()
                 },
@@ -743,12 +758,16 @@ mod tests {
         assert_eq!(stats.total_body_requests(), 25);
         assert!((stats.handle_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(stats.total_transport_bytes_sent(), 4096);
+        assert_eq!(stats.total_transport_path_bytes(), 1024);
         assert_eq!(stats.total_transport_bytes_recv(), 4096);
         assert_eq!(stats.total_transport_fallbacks(), 3);
         let json = stats.to_json();
         assert!(json.contains("\"body_requests\":25"), "{json}");
         assert!(json.contains("\"handle_hit_rate\":0.7500"), "{json}");
-        assert!(json.contains("\"transport_bytes_sent\":4096"), "{json}");
+        assert!(
+            json.contains("\"transport_bytes_sent\":4096,\"transport_path_bytes\":1024"),
+            "{json}"
+        );
         assert!(json.contains("\"transport_fallbacks\":3"), "{json}");
         // No offers at all: the rate is defined as zero, not NaN.
         assert_eq!(ServiceStats::default().handle_hit_rate(), 0.0);

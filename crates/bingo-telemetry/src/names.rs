@@ -32,6 +32,7 @@
 //! | `service.context.handle_hit` | counter | offered handles the receiver held |
 //! | `transport.bytes_sent` | counter | encoded walker-frame bytes handed to the transport |
 //! | `transport.bytes_recv` | counter | walker-frame bytes delivered and decoded |
+//! | `service.transport.path_bytes` | counter | the visited-path part of `transport.bytes_sent` |
 //! | `service.transport.fallbacks` | counter | serialized forwards that degraded to the in-process walker |
 //! | `service.submit_ns` | histogram | submit call → all walkers enqueued |
 //! | `service.shard.step_batch_ns` | histogram | one walker visit on a shard |
@@ -105,6 +106,11 @@ pub const TRANSPORT_BYTES_SENT: &str = "transport.bytes_sent";
 /// `transport.bytes_recv` — walker-frame bytes delivered and decoded
 /// (counter; serialized mode only).
 pub const TRANSPORT_BYTES_RECV: &str = "transport.bytes_recv";
+/// `service.transport.path_bytes` — the visited-path part of
+/// `transport.bytes_sent`, one `u32` per vertex (counter; serialized mode
+/// only). Header bytes are `bytes_sent − path_bytes −
+/// service.context.bytes_forwarded`.
+pub const SERVICE_TRANSPORT_PATH_BYTES: &str = "service.transport.path_bytes";
 /// `service.transport.fallbacks` — serialized forwards whose frame was
 /// sent but not usable on arrival (carrier error, undecodable or
 /// mis-addressed bytes, unknown ticket, unresolvable handle), so the

@@ -14,8 +14,12 @@
 //! that took the removed edge), truncates those walks at the affected
 //! position, and re-samples their suffixes from the *updated* engine — which
 //! is exactly where Bingo's `O(1)` sampling after an `O(K)` update pays off.
+//! A refreshed walk continues the walk it was: the store keeps its
+//! [`Walk`] and resumes a [`WalkCursor`] on the kept prefix, so a node2vec
+//! suffix still weighs its steps by the previous vertex and a PPR suffix
+//! still stops with the walk's stop probability.
 
-use crate::apps::Walk;
+use crate::apps::{Walk, WalkCursor};
 use crate::engine::WalkEngine;
 use crate::TransitionSampler;
 use bingo_graph::VertexId;
@@ -33,12 +37,13 @@ pub struct RefreshStats {
 }
 
 /// A corpus of stored walks with an inverted vertex → walk-position index.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WalkStore {
     walks: Vec<Vec<VertexId>>,
     /// `index[v]` lists `(walk_id, position)` pairs where vertex `v` occurs.
     index: Vec<Vec<(u32, u32)>>,
-    target_length: usize,
+    /// The walk every stored path runs; a refresh resumes it.
+    walk: Walk,
     seed: u64,
 }
 
@@ -56,32 +61,30 @@ impl WalkStore {
     }
 
     /// Build a store from explicit start vertices: the paths
-    /// [`WalkEngine::run`] returns for `seed`, which a refresh re-extends
-    /// to the walk's [`refresh_target`](Walk::refresh_target).
+    /// [`WalkEngine::run`] returns for `seed`.
     pub fn generate_from<S, W>(sampler: &S, walk: &W, starts: &[VertexId], seed: u64) -> Self
     where
         S: TransitionSampler,
         W: Clone + Into<Walk>,
     {
         let walk: Walk = walk.clone().into();
-        let target_length = walk.refresh_target();
         let walks = WalkEngine::new(seed).run(sampler, &walk, starts).paths;
-        Self::from_walks(walks, sampler.num_vertices(), target_length, seed)
+        Self::from_walks(walks, sampler.num_vertices(), walk, seed)
     }
 
     /// Build a store from walks computed elsewhere (e.g. collected from the
-    /// sharded walk service). `target_length` is the length refreshed walks
-    /// are re-extended to, and `seed` drives suffix re-sampling.
+    /// sharded walk service). `walk` is the walk they ran, which a refresh
+    /// resumes, and `seed` drives suffix re-sampling.
     pub fn from_walks(
         walks: Vec<Vec<VertexId>>,
         num_vertices: usize,
-        target_length: usize,
+        walk: impl Into<Walk>,
         seed: u64,
     ) -> Self {
         let mut store = WalkStore {
             walks,
             index: Vec::new(),
-            target_length,
+            walk: walk.into(),
             seed,
         };
         store.rebuild_index(num_vertices);
@@ -154,6 +157,7 @@ impl WalkStore {
         let Some(entries) = self.index.get(src as usize) else {
             return Vec::new();
         };
+        let target_length = self.walk.refresh_target();
         for &(walk_id, pos) in entries {
             let walk = &self.walks[walk_id as usize];
             let pos = pos as usize;
@@ -161,7 +165,7 @@ impl WalkStore {
             if pos + 1 >= walk.len() {
                 // A walk that *ended* at src could now be extendable after an
                 // insertion; treat it as affected from its last position.
-                if removed_dst.is_none() && walk.len() - 1 < self.target_length {
+                if removed_dst.is_none() && walk.len() - 1 < target_length {
                     affected
                         .entry(walk_id as usize)
                         .and_modify(|p| *p = (*p).min(pos))
@@ -188,30 +192,20 @@ impl WalkStore {
         S: TransitionSampler,
     {
         let seed = self.seed;
-        let target = self.target_length;
         let stats: Vec<(usize, usize, Vec<VertexId>)> = affected
             .par_iter()
             .map(|&(walk_id, from_pos)| {
-                let walk = &self.walks[walk_id];
                 let mut rng = Pcg64::seed_from_u64(
                     seed ^ (walk_id as u64).wrapping_mul(0xA24B_AED4) ^ (from_pos as u64) << 32,
                 );
                 // Keep the prefix up to and including `from_pos`, then
-                // re-sample from the (updated) engine until the target
-                // length is reached again.
-                let mut new_walk: Vec<VertexId> = walk[..=from_pos].to_vec();
-                let prefix_len = new_walk.len();
-                let mut current = new_walk[prefix_len - 1];
-                while new_walk.len() <= target {
-                    match sampler.sample_neighbor(current, &mut rng) {
-                        Some(next) => {
-                            new_walk.push(next);
-                            current = next;
-                        }
-                        None => break,
-                    }
-                }
-                (walk_id, new_walk.len() - prefix_len, new_walk)
+                // resume the walk on the (updated) engine until it ends.
+                let prefix = self.walks[walk_id][..=from_pos].to_vec();
+                let mut cursor = WalkCursor::resume(self.walk.clone(), prefix)
+                    .expect("a kept prefix holds at least the start vertex");
+                while cursor.step(sampler, &mut rng).is_some() {}
+                let new_walk = cursor.into_path();
+                (walk_id, new_walk.len() - from_pos - 1, new_walk)
             })
             .collect();
         let mut result = RefreshStats::default();
@@ -279,7 +273,7 @@ impl WalkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::{DeepWalkConfig, PprConfig, WalkSpec};
+    use crate::apps::{DeepWalkConfig, Node2VecConfig, PprConfig, WalkSpec};
     use bingo_core::{BingoConfig, BingoEngine};
     use bingo_graph::{Bias, DynamicGraph};
 
@@ -382,6 +376,75 @@ mod tests {
         let store = WalkStore::generate(&engine, &spec(), 1);
         assert!(store.walks_visiting(99).is_empty());
     }
+
+    #[test]
+    fn a_refreshed_ppr_suffix_stops_at_the_walks_rate() {
+        // A resumed PPR walk stops before each step with probability s, so
+        // a suffix of k steps has probability (1 − s)^k · s: mean
+        // (1 − s) / s = 9 at s = 0.1, far below the 400-step cap.
+        let mut engine = ring_engine(16);
+        let spec = WalkSpec::Ppr(PprConfig {
+            stop_probability: 0.1,
+            max_length: 400,
+        });
+        let starts: Vec<VertexId> = (0..4_000).map(|i| i % 16).collect();
+        let mut store = WalkStore::generate_from(&engine, &spec, &starts, 11);
+        engine.insert_edge(4, 12, Bias::from_int(5)).unwrap();
+        let stats = store.on_edge_inserted(&engine, 4, 12);
+        assert!(stats.walks_refreshed > 1_000, "{stats:?}");
+        let mean = stats.steps_resampled as f64 / stats.walks_refreshed as f64;
+        assert!((mean - 9.0).abs() < 0.6, "mean suffix of {mean} steps");
+        assert!(store.validate(&engine).is_ok());
+    }
+
+    #[test]
+    fn a_refreshed_node2vec_suffix_backtracks_at_the_second_order_rate() {
+        // An undirected 16-cycle: a step from m, having come from one
+        // neighbor, returns there with weight 1/p = 4 against 1/q = 1 for
+        // the other neighbor (never adjacent to the first): 4/5 of steps
+        // backtrack, where a first-order draw would backtrack half of them.
+        let n = 16u32;
+        let mut graph = DynamicGraph::new(n as usize);
+        for v in 0..n {
+            graph
+                .insert_edge(v, (v + 1) % n, Bias::from_int(1))
+                .unwrap();
+            graph
+                .insert_edge(v, (v + n - 1) % n, Bias::from_int(1))
+                .unwrap();
+        }
+        let mut engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
+        let spec = WalkSpec::Node2Vec(Node2VecConfig {
+            walk_length: 20,
+            p: 0.25,
+            q: 1.0,
+        });
+        let starts: Vec<VertexId> = (0..3_200).map(|i| i % n).collect();
+        let mut store = WalkStore::generate_from(&engine, &spec, &starts, 13);
+        let before = store.walks().to_vec();
+        engine.insert_edge(0, 8, Bias::from_int(1)).unwrap();
+        let stats = store.on_edge_inserted(&engine, 0, 8);
+        assert!(stats.walks_refreshed > 500, "{stats:?}");
+        let (mut backtracks, mut steps) = (0usize, 0usize);
+        for (old, new) in before.iter().zip(store.walks()) {
+            // The refresh resumed at the first departure from vertex 0.
+            let Some(from) = old[..old.len() - 1].iter().position(|&v| v == 0) else {
+                continue;
+            };
+            for i in from.max(1)..new.len() - 1 {
+                // Vertices 0 and 8 are off the plain cycle now.
+                if new[i] != 0 && new[i] != 8 {
+                    steps += 1;
+                    backtracks += usize::from(new[i - 1] == new[i + 1]);
+                }
+            }
+        }
+        assert!(steps > 5_000, "{steps} refreshed steps");
+        let rate = backtracks as f64 / steps as f64;
+        assert!((rate - 0.8).abs() < 0.03, "backtrack rate {rate}");
+        assert!(store.validate(&engine).is_ok());
+    }
+
     #[test]
     fn a_ppr_store_that_never_stops_refreshes_to_its_cap() {
         // PPR with stop probability 0 expects walks of unbounded length;

@@ -23,10 +23,9 @@
 //!    with the same seed, so the chi-square statistic over visit counts
 //!    is unchanged (and both pass the 99.9% uniformity gate — the demo
 //!    graph is vertex-transitive).
-//! 3. **Snapshot caches survive churn.** Under an update-heavy phase,
-//!    scoped context invalidation evicts only the touched vertices, so
-//!    both the sender-side encode-reuse hit rate and the receiver-side
-//!    handle hit rate stay above 90% (flushing every snapshot a
+//! 3. **Snapshots survive churn.** Under an update-heavy phase, scoped
+//!    context invalidation evicts only the touched vertices, so both the
+//!    encode-reuse hit rate and the handle hit rate stay above 90% (flushing every snapshot a
 //!    structurally updated shard owns measured 78% on this workload).
 //!
 //! ```text
@@ -173,8 +172,8 @@ fn config(transport: TransportMode) -> ServiceConfig {
 /// Submit `WAVES` identical node2vec waves from every vertex and return
 /// the concatenated paths (wave order preserved) plus the final stats.
 /// Repeat waves in one epoch are what make handle negotiation hit: the
-/// first wave seeds every receiver cache, later waves ship 16-byte
-/// handles.
+/// first wave records every receiver as a holder, later waves ship
+/// 16-byte handles.
 fn run_waves(service: &WalkService) -> Vec<Vec<VertexId>> {
     let starts: Vec<VertexId> = (0..NUM_VERTICES as VertexId).collect();
     let mut paths = Vec::new();

@@ -653,7 +653,29 @@ fn context_byte_accounting_matches_recorded_traces() {
     });
     let starts: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
     let results = service.wait(service.submit(spec, &starts).unwrap());
+    let partitioner = service.partitioner();
     let stats = service.shutdown();
+
+    // The frames split exactly into path, context and header bytes. A
+    // walker leaves from path index i when step i crossed into another
+    // shard's range before the 12-step cap, with i + 1 vertices (4 bytes
+    // each) on its path; every frame has the same 62 bytes of fixed fields
+    // (`bingo_walks::wire`) and the node2vec walk section.
+    let (mut forwards, mut path_bytes) = (0u64, 0u64);
+    for path in &results.paths {
+        for i in 1..path.len().min(12) {
+            if partitioner.owner(path[i]) != partitioner.owner(path[i - 1]) {
+                forwards += 1;
+                path_bytes += 4 * (i as u64 + 1);
+            }
+        }
+    }
+    assert_eq!(stats.total_forwards(), forwards);
+    assert_eq!(stats.total_transport_path_bytes(), path_bytes);
+    let header_bytes =
+        stats.total_transport_bytes_sent() - path_bytes - stats.total_context_bytes();
+    let frame_header = 62 + bingo::walks::wire::walk_section_len(Some(&spec)) as u64;
+    assert_eq!(header_bytes, forwards * frame_header);
 
     // `context_bytes_forwarded` is exactly the sum of the billed bytes of
     // every recorded capture, and `context_bytes_raw` is the sum of what
