@@ -13,7 +13,8 @@ use rand::Rng;
 
 /// Figure 11 — memory consumption of the baseline (all-regular, "BS") vs the
 /// group-adaptive design ("GA"), overall and per group kind, plus the ratio
-/// of group kinds per dataset. The last column is the verdict CI gates on:
+/// of group kinds per dataset, and how many adjacency blocks keep narrow
+/// (8-byte) and wide (12-byte) slots. The last column is the verdict CI gates on:
 /// the adaptive design must need strictly fewer sampling bytes than the
 /// baseline on every dataset. The ratios are over the groups GA keeps: a
 /// vertex of at most [`DIRECT_MAX_DEGREE`] edges is direct under GA and has
@@ -34,6 +35,8 @@ pub fn fig11(config: &ExperimentConfig) -> ResultTable {
             "ratio_regular",
             "ratio_sparse",
             "ratio_one_element",
+            "narrow_blocks",
+            "wide_blocks",
             "GA_lt_BS",
         ],
     );
@@ -67,6 +70,8 @@ pub fn fig11(config: &ExperimentConfig) -> ResultTable {
             format!("{:.3}", ratios[1]),
             format!("{:.3}", ratios[2]),
             format!("{:.3}", ratios[3]),
+            ga.narrow_blocks.to_string(),
+            ga.wide_blocks.to_string(),
             if ga.sampling_bytes() < bs.sampling_bytes() {
                 "PASS"
             } else {
@@ -241,7 +246,12 @@ mod tests {
             // Over the groups GA keeps; a flat graph may keep none at all.
             let ratios: f64 = row[8..12].iter().map(|s| s.parse::<f64>().unwrap()).sum();
             assert!((ratios - 1.0).abs() < 0.01 || ratios == 0.0);
-            assert_eq!(row[12], "PASS", "GA must need fewer bytes than BS: {row:?}");
+            // The stand-ins' biases are integers below 2^32: every block narrow.
+            assert!(
+                row[12].parse::<usize>().unwrap() > 0 && row[13] == "0",
+                "{row:?}"
+            );
+            assert_eq!(row[14], "PASS", "GA must need fewer bytes than BS: {row:?}");
         }
         assert!(t.notes[0].contains("AM ") && t.notes[0].contains("TW "));
         assert!(t.render().contains("Direct vertices: AM "));

@@ -337,7 +337,11 @@ impl BingoEngine {
     /// Returns `None` when this engine does not own `v`.
     pub fn neighbor_fingerprint(&self, v: VertexId) -> Option<Vec<VertexId>> {
         let space = self.spaces.get(self.local(v)?)?;
-        let mut adj: Vec<VertexId> = space.adjacency().edges().iter().map(|e| e.dst).collect();
+        let edges = space.adjacency().edges();
+        // `for_each` reads the slots in one pass per width; `collect` would
+        // ask the iterator for one edge at a time.
+        let mut adj = Vec::with_capacity(edges.len());
+        edges.iter().for_each(|e| adj.push(e.dst));
         adj.sort_unstable();
         adj.dedup();
         Some(adj)
@@ -1096,7 +1100,7 @@ mod tests {
             engine.apply_streaming(&UpdateBatch::new(streamed.to_vec()));
             // A bias rewrite is a delete plus an insert; a float arriving at
             // a factorized integer vertex rebuilds it from scratch.
-            let dst = engine.vertex_space(7).unwrap().adjacency().edges()[0].dst;
+            let dst = engine.vertex_space(7).unwrap().adjacency().dst(0);
             engine.update_bias(7, dst, Bias::from_int(9)).unwrap();
             engine.insert_edge(7, 8, Bias::from_float(0.5)).unwrap();
             let mut events = batched.to_vec();

@@ -48,6 +48,12 @@ pub struct MemoryReport {
     /// [`VertexSpace`](crate::VertexSpace)). Their groups are in none of
     /// the counts above.
     pub direct_vertices: usize,
+    /// Number of adjacency blocks with narrow slots: 8 bytes an edge, every
+    /// bias an integer below 2^32 (see
+    /// [`AdjacencyList`](bingo_graph::AdjacencyList)).
+    pub narrow_blocks: usize,
+    /// Number of adjacency blocks with wide slots: 12 bytes an edge.
+    pub wide_blocks: usize,
 }
 
 impl MemoryReport {
@@ -156,6 +162,8 @@ impl MemoryReport {
             self.group_counts[i] += other.group_counts[i];
         }
         self.direct_vertices += other.direct_vertices;
+        self.narrow_blocks += other.narrow_blocks;
+        self.wide_blocks += other.wide_blocks;
     }
 }
 
@@ -213,8 +221,12 @@ mod tests {
         b.decimal_bytes = 4;
         b.structure_bytes = 7;
         b.direct_vertices = 3;
+        a.narrow_blocks = 2;
+        b.narrow_blocks = 5;
+        b.wide_blocks = 1;
         a.merge(&b);
         assert_eq!(a.direct_vertices, 3);
+        assert_eq!((a.narrow_blocks, a.wide_blocks), (7, 1));
         assert_eq!(a.structure_bytes, 7);
         assert_eq!(a.sparse_bytes, 16);
         assert_eq!(a.count_for(GroupKind::Sparse), 2);

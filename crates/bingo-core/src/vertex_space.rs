@@ -37,9 +37,11 @@
 //!
 //! ```text
 //! VertexSpace (48 B)
-//!  ├─ adjacency       12 B × slots destination and bias per edge, behind a
-//!  │                  + 16 B       count header: shared with the graph (and
-//!  │                               the engine's clones) until the first write
+//!  ├─ adjacency       8 B × slots  destination and bias per edge — 8 B while
+//!  │                  or 12 B      every bias is an integer below 2^32, else
+//!  │                  + 16 B       12 — behind a count header: shared with the
+//!  │                               graph (and the engine's clones) until the
+//!  │                               first write
 //!  └─ group table     boxed,       only above DIRECT_MAX_DEGREE edges (or "BS"):
 //!      │              64 B + 24 B × K   λ, edge-index and arena handles, then
 //!      │                               the K group headers — kind, count,
@@ -70,7 +72,7 @@ use crate::memory::MemoryReport;
 use crate::radix;
 use crate::stats::ConversionMatrix;
 use crate::{BingoError, Result};
-use bingo_graph::adjacency::{AdjacencyList, Edge};
+use bingo_graph::adjacency::{AdjacencyList, Edge, Edges};
 use bingo_graph::{Bias, VertexId};
 use rand::Rng;
 
@@ -170,8 +172,8 @@ impl Factorized {
         self.groups.fixed.lambda
     }
 
-    fn scaled(&self, edge: &Edge) -> ScaledBias {
-        ScaledBias::new(edge.bias, self.lambda())
+    fn scaled(&self, bias: Bias) -> ScaledBias {
+        ScaledBias::new(bias, self.lambda())
     }
 
     fn decimal_weight(&self) -> f64 {
@@ -189,12 +191,12 @@ impl Factorized {
     /// Choose λ for the adjacency list, build groups, edge index and
     /// decimal group under it, then the inter-group alias table; `prev` is
     /// what the vertex had before, if it was factorized. `O(d · K)`.
-    fn rebuilt(prev: Option<Factorized>, edges: &[Edge], config: &BingoConfig) -> Self {
+    fn rebuilt(prev: Option<Factorized>, edges: Edges<'_>, config: &BingoConfig) -> Self {
         let lambda = Self::lambda_for(edges);
         let mut groups = GroupTable::rebuilt(
             prev.map(|f| f.groups),
             edges.len(),
-            |idx| ScaledBias::new(edges[idx].bias, lambda).integer,
+            |idx| ScaledBias::new(edges.bias(idx), lambda).integer,
             dst_of(edges),
             |cardinality| classify(config, cardinality, edges.len()),
         );
@@ -215,7 +217,7 @@ impl Factorized {
 
     /// λ for `edges` (§4.3): 1 while every bias is integral, so nothing is
     /// scaled, otherwise the one [`choose_lambda`] derives from the biases.
-    fn lambda_for(edges: &[Edge]) -> f64 {
+    fn lambda_for(edges: Edges<'_>) -> f64 {
         if edges.iter().all(|e| e.bias.is_integral()) {
             return 1.0;
         }
@@ -232,7 +234,7 @@ impl Factorized {
     /// then let the group arena reclaim the holes relocations left behind.
     fn reclassify(
         &mut self,
-        edges: &[Edge],
+        edges: Edges<'_>,
         config: &BingoConfig,
         conversions: &mut ConversionMatrix,
     ) {
@@ -249,7 +251,7 @@ impl Factorized {
             // Converting out of a dense group scans the adjacency list to
             // recover the member list.
             self.groups.convert(bit, desired, degree, |i| {
-                radix::in_group(ScaledBias::new(edges[i].bias, lambda).integer, bit as u8)
+                radix::in_group(ScaledBias::new(edges.bias(i), lambda).integer, bit as u8)
             });
             conversions.record(current, desired);
         }
@@ -261,9 +263,9 @@ impl Factorized {
     /// table. Returns `true` when the insertion requires a full rebuild
     /// instead: a floating-point bias arrived while λ is 1, or the degree
     /// outgrew the group table's word width.
-    fn insert(&mut self, edges: &[Edge]) -> bool {
+    fn insert(&mut self, edges: Edges<'_>) -> bool {
         let idx = edges.len() as u32 - 1;
-        let bias = edges[idx as usize].bias;
+        let bias = edges.bias(idx as usize);
         if !bias.is_integral() && (self.lambda() - 1.0).abs() < f64::EPSILON {
             return true;
         }
@@ -271,7 +273,7 @@ impl Factorized {
             return true;
         }
         self.groups.index_insert(idx, dst_of(edges));
-        let s = self.scaled(&edges[idx as usize]);
+        let s = self.scaled(bias);
         GroupTable::ensure(&mut self.groups, radix::groups_for_max_bias(s.integer));
         for bit in radix::decompose(s.integer) {
             self.groups.insert(bit as usize, idx);
@@ -285,9 +287,9 @@ impl Factorized {
 
     /// Remove the edge at neighbor index `idx` from all group structures
     /// and the edge index (the adjacency list, `edges`, still holds it).
-    fn remove(&mut self, idx: u32, edges: &[Edge]) {
+    fn remove(&mut self, idx: u32, edges: Edges<'_>) {
         self.groups.index_remove(idx, dst_of(edges));
-        let s = self.scaled(&edges[idx as usize]);
+        let s = self.scaled(edges.bias(idx as usize));
         for bit in radix::decompose(s.integer) {
             if (bit as usize) < self.groups.len() {
                 self.groups.remove(bit as usize, idx);
@@ -306,11 +308,11 @@ impl Factorized {
 
     /// Propagate an adjacency-list move of `edge` (`old_idx → new_idx`) to
     /// all group structures and the edge index.
-    fn remap(&mut self, old_idx: u32, new_idx: u32, edge: &Edge) {
+    fn remap(&mut self, old_idx: u32, new_idx: u32, edge: Edge) {
         if old_idx != new_idx {
             self.groups.index_remap(old_idx, new_idx, edge.dst);
         }
-        let s = self.scaled(edge);
+        let s = self.scaled(edge.bias);
         for bit in radix::decompose(s.integer) {
             if (bit as usize) < self.groups.len() {
                 self.groups.remap(bit as usize, old_idx, new_idx);
@@ -325,7 +327,7 @@ impl Factorized {
 
     /// Two-stage sample: a group from the inter-group alias table, then a
     /// member of it.
-    fn sample_index<R: Rng + ?Sized>(&self, edges: &[Edge], rng: &mut R) -> Option<usize> {
+    fn sample_index<R: Rng + ?Sized>(&self, edges: Edges<'_>, rng: &mut R) -> Option<usize> {
         if !self.groups.has_inter() {
             return None;
         }
@@ -365,30 +367,33 @@ impl Factorized {
     fn sample_dense<R: Rng + ?Sized>(
         &self,
         g: usize,
-        edges: &[Edge],
+        edges: Edges<'_>,
         rng: &mut R,
     ) -> Option<usize> {
         if edges.is_empty() {
             return None;
         }
         crate::group::note_read(edges.as_ptr());
-        let in_group = |edge: &Edge| radix::in_group(self.scaled(edge).integer, g as u8);
+        let in_group = |bias: Bias| radix::in_group(self.scaled(bias).integer, g as u8);
         for _ in 0..DENSE_TRIES {
             let i = rng.gen_range(0..edges.len());
-            if in_group(&edges[i]) {
+            if in_group(edges.bias(i)) {
                 return Some(i);
             }
         }
         let r = rng.gen_range(0..self.groups.cardinality(g));
-        let mut members = edges.iter().enumerate().filter(|(_, edge)| in_group(edge));
+        let mut members = edges
+            .iter()
+            .enumerate()
+            .filter(|(_, edge)| in_group(edge.bias));
         members.nth(r).map(|(i, _)| i)
     }
 }
 
 /// Destination by neighbor index: how a vertex's edge index reads its keys
 /// back.
-fn dst_of(edges: &[Edge]) -> impl Fn(u32) -> VertexId + '_ {
-    move |idx| edges[idx as usize].dst
+fn dst_of(edges: Edges<'_>) -> impl Fn(u32) -> VertexId + '_ {
+    move |idx| edges.dst(idx as usize)
 }
 
 /// The cached bias total of a direct vertex.
@@ -402,7 +407,7 @@ enum DirectTotal {
 }
 
 impl DirectTotal {
-    fn of(edges: &[Edge]) -> Self {
+    fn of(edges: Edges<'_>) -> Self {
         let mut exact = Some(0u64);
         let mut approx = 0.0;
         for edge in edges {
@@ -732,7 +737,8 @@ impl VertexSpace {
             .swap_delete(idx)
             .expect("index checked against degree");
         if let (Some(f), Some(old_last)) = (groups, out.moved_from) {
-            f.remap(old_last as u32, idx as u32, &self.adj.edges()[idx]);
+            let moved = self.adj.edge(idx).expect("the moved edge is in range");
+            f.remap(old_last as u32, idx as u32, moved);
         }
         if demotes {
             self.rebuild_from_scratch(config);
@@ -878,7 +884,8 @@ impl VertexSpace {
             let moves = self.adj.delete_sorted(&to_delete);
             if let Some(f) = groups {
                 for (from, to) in moves {
-                    f.remap(from as u32, to as u32, &self.adj.edges()[to]);
+                    let moved = self.adj.edge(to).expect("the moved edge is in range");
+                    f.remap(from as u32, to as u32, moved);
                 }
             }
             outcome.deleted = to_delete.len();
@@ -968,6 +975,12 @@ impl VertexSpace {
             adjacency_bytes: self.adj.memory_bytes(),
             ..MemoryReport::default()
         };
+        let blocks = if self.adj.is_narrow() {
+            &mut report.narrow_blocks
+        } else {
+            &mut report.wide_blocks
+        };
+        *blocks = usize::from(report.adjacency_bytes > 0);
         let mut resident = std::mem::size_of::<Self>() + report.adjacency_bytes;
         match self.repr.factorized() {
             None => report.direct_vertices = 1,
@@ -1042,7 +1055,7 @@ impl VertexSpace {
                 .edges()
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| radix::in_group(f.scaled(e).integer, bit))
+                .filter(|(_, e)| radix::in_group(f.scaled(e.bias).integer, bit))
                 .map(|(i, _)| i as u32)
                 .collect();
             if g.cardinality() != expected.len() {
@@ -1063,7 +1076,12 @@ impl VertexSpace {
             }
         }
         // 2. Decimal group total matches the fractional remainders.
-        let expected_fraction: f64 = self.adj.edges().iter().map(|e| f.scaled(e).fraction).sum();
+        let expected_fraction: f64 = self
+            .adj
+            .edges()
+            .iter()
+            .map(|e| f.scaled(e.bias).fraction)
+            .sum();
         if (f.decimal_weight() - expected_fraction).abs() > 1e-6 {
             return Err(format!(
                 "decimal weight {} != expected {expected_fraction}",
@@ -1855,18 +1873,22 @@ mod tests {
         let (adaptive, baseline) = (BingoConfig::default(), BingoConfig::baseline());
         let mut hashes = Vec::new();
         let mut pin = |f: &Factorized| hashes.push(layout_hash(f));
+        let rebuilt = |prev, edges: &[Edge], config| {
+            let list: AdjacencyList = edges.iter().copied().collect();
+            Factorized::rebuilt(prev, list.edges(), config)
+        };
 
         for degree in [17, 300, 3000] {
             let list = edges(degree, &power_law);
-            pin(&Factorized::rebuilt(None, &list, &adaptive));
-            pin(&Factorized::rebuilt(None, &list, &baseline));
+            pin(&rebuilt(None, &list, &adaptive));
+            pin(&rebuilt(None, &list, &baseline));
         }
         let list = edges(500, &float);
-        let f = Factorized::rebuilt(None, &list, &adaptive);
+        let f = rebuilt(None, &list, &adaptive);
         assert!(f.lambda() > 1.0 && f.groups.fixed.decimal.is_some());
         pin(&f);
 
-        let f = Factorized::rebuilt(None, &five_kinds, &adaptive);
+        let f = rebuilt(None, &five_kinds, &adaptive);
         let kinds: Vec<GroupKind> = f.groups.views().map(|g| g.kind()).collect();
         for kind in GroupKind::all().into_iter().chain([GroupKind::Empty]) {
             assert!(kinds.contains(&kind), "no {kind:?} group in {kinds:?}");
@@ -1876,13 +1898,13 @@ mod tests {
         // Promotion to wide at 2^16 − 1 edges, a rebuild that keeps the
         // table wide above 2^15 and one that takes it narrow below.
         let hub = edges(u16::MAX as usize, &power_law);
-        let wide = Factorized::rebuilt(None, &hub, &adaptive);
+        let wide = rebuilt(None, &hub, &adaptive);
         assert!(wide.groups.is_wide());
         pin(&wide);
-        let still_wide = Factorized::rebuilt(Some(wide), &hub[..40_000], &adaptive);
+        let still_wide = rebuilt(Some(wide), &hub[..40_000], &adaptive);
         assert!(still_wide.groups.is_wide());
         pin(&still_wide);
-        let narrow = Factorized::rebuilt(Some(still_wide), &hub[..30_000], &adaptive);
+        let narrow = rebuilt(Some(still_wide), &hub[..30_000], &adaptive);
         assert!(!narrow.groups.is_wide());
         pin(&narrow);
 

@@ -1,7 +1,6 @@
 //! Per-vertex dynamic adjacency arrays.
 //!
-//! Each vertex owns a compact array of 12-byte [`Edge`] records (a `u32`
-//! destination and an 8-byte, 4-aligned [`Bias`]). Insertion appends
+//! Each vertex owns a compact array of edge slots. Insertion appends
 //! (`O(1)` amortized: a full block is copied into one of twice the
 //! capacity, starting at 4) and deletion swap-removes (`O(1)`), matching the
 //! dynamic-array design Bingo adopts from Hornet. A graph that is still
@@ -10,6 +9,24 @@
 //! Edges are addressed both by destination vertex and by *neighbor index* —
 //! the position in the array — because Bingo's radix groups store neighbor
 //! indices, not ids (§4.2).
+//!
+//! # Slot widths
+//!
+//! A block holds its slots in one of two widths, and the data picks it:
+//!
+//! - **narrow**, 8 bytes a slot: the `u32` destination and the bias as one
+//!   `u32` word. Only an integer bias below 2^32 keeps in it.
+//! - **wide**, 12 bytes a slot: the destination and the two halves of any
+//!   [`Bias`].
+//!
+//! Every block is allocated at the width its edges need: narrow when each of
+//! them keeps narrow. That happens at a loading graph's first read, on a
+//! growth copy and on a copy-on-write copy. A write that hands a narrow block
+//! a bias that does not keep narrow widens it with one copy; nothing narrows
+//! a block in place. Readers never see the width: [`AdjacencyList::edges`]
+//! returns [`Edges`], which hands out the 12-byte [`Edge`] by value.
+//!
+//! # Sharing
 //!
 //! The array is a copy-on-write block. Cloning an [`AdjacencyList`] shares
 //! its block instead of copying it, so a graph, the engines built from it
@@ -21,7 +38,7 @@ use crate::{Bias, VertexId};
 use std::sync::Arc;
 
 /// One outgoing edge: destination vertex and sampling bias. 12 bytes — the
-/// record every layer stores once per edge, so its size is pinned.
+/// value every reader of an adjacency list is handed, so its size is pinned.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Destination vertex.
@@ -51,24 +68,31 @@ pub struct SwapDelete {
     pub moved_from: Option<usize>,
 }
 
+/// Words in a narrow slot: the destination, then an integer bias.
+const NARROW: usize = 2;
+/// Words in a wide slot: the destination, then the two halves of the bias.
+const WIDE: usize = 3;
+
 /// A dynamic adjacency list for a single vertex.
 ///
 /// `Clone` shares the edges (see the module docs); equality and `Debug`
-/// look at the edges only, never at the capacity or at who else holds the
-/// block.
+/// look at the edges only, never at the capacity, the slot width or who
+/// else holds the block.
 #[derive(Clone, Default)]
 pub struct AdjacencyList {
-    /// The block: its length is the capacity, `slots[..len]` are the edges,
-    /// and nothing reads the slots past `len` (a fresh block fills them with
-    /// an invalid-bias edge). `None` until the first edge needs room. It is
-    /// written only through `Arc::get_mut` / `Arc::make_mut`, so never while
-    /// another handle holds it.
-    slots: Option<Arc<[Edge]>>,
+    /// The block: capacity × slot-width words, slot `i` at word
+    /// `i × width`; `len` slots are edges, and nothing reads the slots past
+    /// them (a fresh block fills them with zeros: an invalid-bias edge at
+    /// either width). `None` until the first edge needs room. It is written
+    /// only through `Arc::get_mut`, so never while another handle holds it.
+    slots: Option<Arc<[u32]>>,
     len: u32,
+    /// Whether the slots are wide; in the handle's padding.
+    wide: bool,
 }
 
 // `VertexSpace` embeds one of these per vertex; it is as wide as the `Vec`
-// it replaced.
+// it replaced, the width flag included.
 const _: () = assert!(std::mem::size_of::<AdjacencyList>() == 24);
 
 /// The two reference counts in front of an `Arc`'s payload.
@@ -83,21 +107,89 @@ pub type EdgeMoves = Vec<(usize, usize)>;
 /// Neighbor indices are 32 bits wide everywhere above this type.
 const MAX_EDGES: usize = u32::MAX as usize;
 
-/// A fresh block of `capacity` slots starting with `edges` and then `more`.
-fn new_block(edges: &[Edge], more: &[Edge], capacity: usize) -> Arc<[Edge]> {
+/// Words per slot of a block of that width.
+fn width(wide: bool) -> usize {
+    if wide {
+        WIDE
+    } else {
+        NARROW
+    }
+}
+
+/// A block of `words` zeros, in one allocation: `repeat_n` knows its length.
+fn zeroed(words: usize) -> Arc<[u32]> {
+    std::iter::repeat_n(0, words).collect()
+}
+
+/// Write `edge` into `slot`, whose length is the block's width. A narrow
+/// slot takes only an edge that keeps narrow.
+#[inline]
+fn write_slot(slot: &mut [u32], edge: Edge) {
+    match slot {
+        [dst, bias] => {
+            *dst = edge.dst;
+            *bias = edge
+                .bias
+                .narrow()
+                .expect("a narrow slot holds an integer bias below 2^32");
+        }
+        [dst, lo, hi] => {
+            *dst = edge.dst;
+            [*lo, *hi] = edge.bias.halves();
+        }
+        _ => unreachable!("a slot is two or three words"),
+    }
+}
+
+/// The edge a narrow slot holds.
+#[inline]
+fn narrow_edge(&[dst, bias]: &[u32; NARROW]) -> Edge {
+    Edge::new(dst, Bias::from_narrow(bias))
+}
+
+/// The edge a wide slot holds.
+#[inline]
+fn wide_edge(&[dst, lo, hi]: &[u32; WIDE]) -> Edge {
+    Edge::new(dst, Bias::from_halves([lo, hi]))
+}
+
+/// A fresh block of `capacity` slots starting with `edges`, and whether it
+/// is wide: narrow exactly when every one of `edges` keeps narrow.
+fn new_block(edges: impl Iterator<Item = Edge> + Clone, capacity: usize) -> (Arc<[u32]>, bool) {
     assert!(
         capacity <= MAX_EDGES,
         "an adjacency block of {capacity} slots"
     );
-    let pad = Edge::new(0, Bias::from_float(0.0));
-    // One allocation: `repeat_n` knows its length. Fill, then copy — both
-    // straight-line loops.
-    let mut block: Arc<[Edge]> = std::iter::repeat_n(pad, capacity).collect();
-    let slots = Arc::get_mut(&mut block).expect("a block nobody else has seen");
-    let (head, tail) = slots.split_at_mut(edges.len());
-    head.copy_from_slice(edges);
-    tail[..more.len()].copy_from_slice(more);
-    block
+    let wide = !edges.clone().all(|e| e.bias.narrow().is_some());
+    let width = width(wide);
+    let mut block = zeroed(capacity * width);
+    let words = Arc::get_mut(&mut block).expect("a block nobody else has seen");
+    for (slot, edge) in words.chunks_exact_mut(width).zip(edges) {
+        write_slot(slot, edge);
+    }
+    (block, wide)
+}
+
+/// The slots a loading list's edges are written into, in order: see
+/// [`AdjacencyList::load`].
+pub(crate) struct Fill<'a> {
+    words: &'a mut [u32],
+    width: usize,
+}
+
+impl Fill<'_> {
+    /// Write the next edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics past the degree the list was loaded with, or on an edge that
+    /// does not keep narrow in a list loaded narrow.
+    #[inline]
+    pub(crate) fn put(&mut self, edge: Edge) {
+        let (slot, rest) = std::mem::take(&mut self.words).split_at_mut(self.width);
+        write_slot(slot, edge);
+        self.words = rest;
+    }
 }
 
 impl AdjacencyList {
@@ -106,27 +198,37 @@ impl AdjacencyList {
         Self::default()
     }
 
-    /// Create an adjacency list with pre-allocated capacity.
+    /// Create an adjacency list with pre-allocated capacity (narrow: it has
+    /// no edge that needs wide slots yet).
     pub fn with_capacity(capacity: usize) -> Self {
         AdjacencyList {
-            slots: (capacity > 0).then(|| new_block(&[], &[], capacity)),
-            len: 0,
+            slots: (capacity > 0).then(|| new_block(std::iter::empty(), capacity).0),
+            ..AdjacencyList::default()
         }
     }
 
     /// Make this empty list `degree` edges long, in one block of the
-    /// capacity pushing that many edges grows it to (4, then doubling), and
-    /// return the `degree` slots for the caller to write the edges into.
-    /// Until then they hold an invalid-bias pad edge.
-    pub(crate) fn load(&mut self, degree: usize) -> &mut [Edge] {
+    /// capacity pushing that many edges grows it to (4, then doubling) and
+    /// wide if `wide`, and return the slots for the caller to write the
+    /// edges into. Until then they hold an invalid-bias pad edge.
+    pub(crate) fn load(&mut self, degree: usize, wide: bool) -> Fill<'_> {
         debug_assert!(self.slots.is_none(), "a list is loaded once, empty");
+        let width = width(wide);
         if degree == 0 {
-            return &mut [];
+            return Fill {
+                words: &mut [],
+                width,
+            };
         }
         self.len = degree as u32;
+        self.wide = wide;
         let capacity = degree.next_power_of_two().clamp(4, MAX_EDGES);
-        let block = self.slots.insert(new_block(&[], &[], capacity));
-        &mut Arc::get_mut(block).expect("a block nobody else has seen")[..degree]
+        let block = self.slots.insert(zeroed(capacity * width));
+        let words = Arc::get_mut(block).expect("a block nobody else has seen");
+        Fill {
+            words: &mut words[..degree * width],
+            width,
+        }
     }
 
     /// Number of outgoing edges (the vertex degree).
@@ -141,23 +243,60 @@ impl AdjacencyList {
         self.len == 0
     }
 
+    /// Slots the block has room for (0 without a block).
+    pub fn capacity(&self) -> usize {
+        self.slots
+            .as_ref()
+            .map_or(0, |block| block.len() / width(self.wide))
+    }
+
+    /// Whether the slots are narrow, 8 bytes each (see the module docs). A
+    /// list without a block has no wide edge, so it is narrow.
+    #[inline]
+    pub fn is_narrow(&self) -> bool {
+        !self.wide
+    }
+
     /// The edge at neighbor index `i`.
     #[inline]
-    pub fn edge(&self, i: usize) -> Option<&Edge> {
+    pub fn edge(&self, i: usize) -> Option<Edge> {
         self.edges().get(i)
+    }
+
+    /// The destination of the edge at neighbor index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the degree.
+    #[inline]
+    pub fn dst(&self, i: usize) -> VertexId {
+        self.edges().dst(i)
+    }
+
+    /// The bias of the edge at neighbor index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the degree.
+    #[inline]
+    pub fn bias(&self, i: usize) -> Bias {
+        self.edges().bias(i)
     }
 
     /// All edges in neighbor-index order.
     #[inline]
-    pub fn edges(&self) -> &[Edge] {
-        match &self.slots {
-            Some(slots) => &slots[..self.len as usize],
-            None => &[],
-        }
+    pub fn edges(&self) -> Edges<'_> {
+        let words = self.slots.as_deref().unwrap_or(&[]);
+        let len = self.len as usize;
+        Edges(if self.wide {
+            Slots::Wide(&words.as_chunks::<WIDE>().0[..len])
+        } else {
+            Slots::Narrow(&words.as_chunks::<NARROW>().0[..len])
+        })
     }
 
     /// Iterator over `(neighbor_index, edge)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Edge)> {
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Edge)> + '_ {
         self.edges().iter().enumerate()
     }
 
@@ -176,56 +315,112 @@ impl AdjacencyList {
 
     /// Find the neighbor index of the first edge pointing at `dst`.
     pub fn find(&self, dst: VertexId) -> Option<usize> {
-        self.edges().iter().position(|e| e.dst == dst)
+        // One scan per width: a node2vec step asks this of a direct vertex
+        // for every candidate it draws.
+        match self.edges().0 {
+            Slots::Narrow(slots) => slots.iter().position(|slot| slot[0] == dst),
+            Slots::Wide(slots) => slots.iter().position(|slot| slot[0] == dst),
+        }
     }
 
-    /// Every slot of the block, writable: the block itself when this handle
-    /// is the only one holding it, else a copy of the same capacity that
-    /// replaces it here and leaves the other holders' untouched.
-    fn slots_mut(&mut self) -> &mut [Edge] {
-        match &mut self.slots {
-            Some(slots) => Arc::make_mut(slots),
-            None => &mut [],
+    /// Replace the block with one [`new_block`] made.
+    fn adopt(&mut self, (block, wide): (Arc<[u32]>, bool)) {
+        self.slots = Some(block);
+        self.wide = wide;
+    }
+
+    /// Every word of the block, writable, and the width of its slots: the
+    /// block itself when this handle is the only one holding it, else a copy
+    /// of the same capacity — at the width its edges need — that replaces it
+    /// here and leaves the other holders' untouched.
+    fn words_mut(&mut self) -> (&mut [u32], usize) {
+        let shared = self
+            .slots
+            .as_mut()
+            .is_some_and(|block| Arc::get_mut(block).is_none());
+        if shared {
+            self.adopt(new_block(self.edges().iter(), self.capacity()));
         }
+        let width = width(self.wide);
+        match &mut self.slots {
+            Some(block) => (
+                Arc::get_mut(block).expect("this handle alone holds the block"),
+                width,
+            ),
+            None => (&mut [], width),
+        }
+    }
+
+    /// Write `edge` into slot `i` in place, if the block lets it: this
+    /// handle alone holds it, it has a slot `i`, and it is wide or `edge`
+    /// keeps narrow. Whether it did.
+    #[inline]
+    fn put_in_place(&mut self, i: usize, edge: Edge) -> bool {
+        let wide = self.wide;
+        let width = width(wide);
+        // The checks read the handle and the edge; the one uniqueness check
+        // is the only touch of the block's header.
+        match &mut self.slots {
+            Some(block)
+                if (i + 1) * width <= block.len() && (wide || edge.bias.narrow().is_some()) =>
+            {
+                match Arc::get_mut(block) {
+                    Some(words) => {
+                        write_slot(&mut words[i * width..(i + 1) * width], edge);
+                        true
+                    }
+                    None => false,
+                }
+            }
+            _ => false,
+        }
+    }
+
+    /// The edges with `edge` at neighbor index `i`, in a fresh block of
+    /// `capacity` slots: an index below the degree replaces that edge, the
+    /// degree appends it.
+    fn copy_with(&mut self, i: usize, edge: Edge, capacity: usize) {
+        let edges = self.edges();
+        let replaced = edges
+            .iter()
+            .enumerate()
+            .map(move |(j, e)| if j == i { edge } else { e });
+        let appended = (i == edges.len()).then_some(edge);
+        self.adopt(new_block(replaced.chain(appended), capacity));
     }
 
     /// Append an edge, returning its neighbor index.
     #[inline]
     pub fn push(&mut self, edge: Edge) -> usize {
         let i = self.len as usize;
-        // The bounds check reads the handle only; the one uniqueness check
-        // is the only touch of the block's header. A missing, full or
-        // shared block goes out of line.
-        match &mut self.slots {
-            Some(slots) if i < slots.len() => match Arc::get_mut(slots) {
-                Some(slots) => slots[i] = edge,
-                None => self.push_slow(edge),
-            },
-            _ => self.push_slow(edge),
+        // A missing, full or shared block, or a narrow one handed a wide
+        // edge, goes out of line.
+        if !self.put_in_place(i, edge) {
+            self.push_slow(edge);
         }
         self.len += 1;
         i
     }
 
-    /// [`AdjacencyList::push`] when the block cannot take the edge as it is.
+    /// [`AdjacencyList::push`] when the block cannot take the edge as it is:
+    /// one copy, at the width every edge then needs, of the same capacity —
+    /// the copy-on-write, or the widening — or, if full (or absent), of
+    /// twice it, as `Vec` does.
     #[cold]
     #[inline(never)]
     fn push_slow(&mut self, edge: Edge) {
         let i = self.len as usize;
-        let capacity = self.slots.as_ref().map_or(0, |slots| slots.len());
-        if i < capacity {
-            // Shared, with room: the copy-on-write.
-            self.slots_mut()[i] = edge;
+        let capacity = self.capacity();
+        let capacity = if i < capacity {
+            capacity
         } else {
-            // Full (or absent): double, as `Vec` does. Shared or not, the
-            // edges are copied once.
             assert!(
                 i < MAX_EDGES,
                 "an adjacency list of {MAX_EDGES} edges is full"
             );
-            let grown = (capacity * 2).clamp(4, MAX_EDGES);
-            self.slots = Some(new_block(self.edges(), &[edge], grown));
-        }
+            (capacity * 2).clamp(4, MAX_EDGES)
+        };
+        self.copy_with(i, edge, capacity);
     }
 
     /// Swap-remove the edge at neighbor index `i`.
@@ -235,13 +430,10 @@ impl AdjacencyList {
     /// that stores neighbor indices (Bingo's inverted index does exactly
     /// this).
     pub fn swap_delete(&mut self, i: usize) -> Option<SwapDelete> {
-        if i >= self.len as usize {
-            return None;
-        }
+        let removed = self.edge(i)?;
         let last = self.len as usize - 1;
-        let slots = self.slots_mut();
-        let removed = slots[i];
-        slots[i] = slots[last];
+        let (words, width) = self.words_mut();
+        words.copy_within(last * width..(last + 1) * width, i * width);
         self.len -= 1;
         Some(SwapDelete {
             removed,
@@ -262,7 +454,11 @@ impl AdjacencyList {
         if delete.is_empty() {
             return (Vec::new(), Vec::new());
         }
-        let removed = delete.iter().map(|&i| (i, self.edges()[i])).collect();
+        let edges = self.edges();
+        let removed = delete
+            .iter()
+            .map(|&i| (i, edges.get(i).expect("in range")))
+            .collect();
         (removed, self.delete_sorted(&delete))
     }
 
@@ -284,28 +480,37 @@ impl AdjacencyList {
         if neighbor_indices.is_empty() {
             return Vec::new();
         }
-        let edges = &mut self.slots_mut()[..len];
-        let (new_len, moves) = crate::compaction::compact(edges, neighbor_indices);
+        let (words, width) = self.words_mut();
+        let (new_len, moves) = if width == WIDE {
+            let slots = &mut words.as_chunks_mut::<WIDE>().0[..len];
+            crate::compaction::compact(slots, neighbor_indices)
+        } else {
+            let slots = &mut words.as_chunks_mut::<NARROW>().0[..len];
+            crate::compaction::compact(slots, neighbor_indices)
+        };
         self.len = new_len as u32;
         moves
     }
 
     /// Replace the bias of the edge at neighbor index `i`. Returns the old
-    /// bias, or `None` if out of bounds.
+    /// bias, or `None` if out of bounds. A bias a narrow block cannot hold
+    /// widens it, in the one copy a shared block would take anyway.
     pub fn set_bias(&mut self, i: usize, bias: Bias) -> Option<Bias> {
-        if i >= self.len as usize {
-            return None;
+        let old = self.edge(i)?;
+        let edge = Edge::new(old.dst, bias);
+        if !self.put_in_place(i, edge) {
+            self.copy_with(i, edge, self.capacity());
         }
-        Some(std::mem::replace(&mut self.slots_mut()[i].bias, bias))
+        Some(old.bias)
     }
 
-    /// Bytes of heap memory in this list's block: 12 per slot plus the
-    /// block's 16-byte count header, rounded up to the header's alignment;
-    /// 0 without a block. A block shared with other handles is counted in
-    /// full by each of them.
+    /// Bytes of heap memory in this list's block: 8 per narrow slot or 12
+    /// per wide one, plus the block's 16-byte count header, rounded up to
+    /// the header's alignment; 0 without a block. A block shared with other
+    /// handles is counted in full by each of them.
     pub fn memory_bytes(&self) -> usize {
         match &self.slots {
-            Some(slots) => (BLOCK_HEADER_BYTES + slots.len() * std::mem::size_of::<Edge>())
+            Some(block) => (BLOCK_HEADER_BYTES + std::mem::size_of_val(&**block))
                 .next_multiple_of(std::mem::align_of::<usize>()),
             None => 0,
         }
@@ -334,6 +539,182 @@ impl FromIterator<Edge> for AdjacencyList {
             list.push(edge);
         }
         list
+    }
+}
+
+/// An adjacency list's edges in neighbor-index order, read by value whatever
+/// the width of the slots they are kept in.
+#[derive(Clone, Copy)]
+pub struct Edges<'a>(Slots<'a>);
+
+#[derive(Clone, Copy)]
+enum Slots<'a> {
+    Narrow(&'a [[u32; NARROW]]),
+    Wide(&'a [[u32; WIDE]]),
+}
+
+impl<'a> Edges<'a> {
+    /// Number of edges.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Slots::Narrow(slots) => slots.len(),
+            Slots::Wide(slots) => slots.len(),
+        }
+    }
+
+    /// Whether there are none.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The edge at neighbor index `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<Edge> {
+        match self.0 {
+            Slots::Narrow(slots) => slots.get(i).map(narrow_edge),
+            Slots::Wide(slots) => slots.get(i).map(wide_edge),
+        }
+    }
+
+    /// The destination of the edge at neighbor index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub fn dst(&self, i: usize) -> VertexId {
+        match self.0 {
+            Slots::Narrow(slots) => slots[i][0],
+            Slots::Wide(slots) => slots[i][0],
+        }
+    }
+
+    /// The bias of the edge at neighbor index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub fn bias(&self, i: usize) -> Bias {
+        match self.0 {
+            Slots::Narrow(slots) => narrow_edge(&slots[i]).bias,
+            Slots::Wide(slots) => wide_edge(&slots[i]).bias,
+        }
+    }
+
+    /// The edges, in order.
+    #[inline]
+    pub fn iter(&self) -> EdgeIter<'a> {
+        EdgeIter(match self.0 {
+            Slots::Narrow(slots) => SlotIter::Narrow(slots.iter()),
+            Slots::Wide(slots) => SlotIter::Wide(slots.iter()),
+        })
+    }
+
+    /// The edges, copied out.
+    pub fn to_vec(&self) -> Vec<Edge> {
+        self.iter().collect()
+    }
+
+    /// Where the block's first slot is: the identity of the block, for
+    /// telling whether two lists share one.
+    pub fn as_ptr(&self) -> *const u32 {
+        match self.0 {
+            Slots::Narrow(slots) => slots.as_ptr().cast(),
+            Slots::Wide(slots) => slots.as_ptr().cast(),
+        }
+    }
+}
+
+impl PartialEq for Edges<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl PartialEq<[Edge]> for Edges<'_> {
+    fn eq(&self, other: &[Edge]) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter().copied())
+    }
+}
+
+impl PartialEq<Vec<Edge>> for Edges<'_> {
+    fn eq(&self, other: &Vec<Edge>) -> bool {
+        *self == **other
+    }
+}
+
+impl std::fmt::Debug for Edges<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for Edges<'a> {
+    type Item = Edge;
+    type IntoIter = EdgeIter<'a>;
+
+    fn into_iter(self) -> EdgeIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator of [`Edges::iter`].
+#[derive(Clone)]
+pub struct EdgeIter<'a>(SlotIter<'a>);
+
+#[derive(Clone)]
+enum SlotIter<'a> {
+    Narrow(std::slice::Iter<'a, [u32; NARROW]>),
+    Wide(std::slice::Iter<'a, [u32; WIDE]>),
+}
+
+impl Iterator for EdgeIter<'_> {
+    type Item = Edge;
+
+    #[inline]
+    fn next(&mut self) -> Option<Edge> {
+        match &mut self.0 {
+            SlotIter::Narrow(slots) => slots.next().map(narrow_edge),
+            SlotIter::Wide(slots) => slots.next().map(wide_edge),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.len();
+        (len, Some(len))
+    }
+
+    // Sums, counts and `for` loops match the width once, not per edge.
+    #[inline]
+    fn fold<B, F: FnMut(B, Edge) -> B>(self, init: B, mut f: F) -> B {
+        match self.0 {
+            SlotIter::Narrow(slots) => slots.fold(init, |acc, slot| f(acc, narrow_edge(slot))),
+            SlotIter::Wide(slots) => slots.fold(init, |acc, slot| f(acc, wide_edge(slot))),
+        }
+    }
+}
+
+impl DoubleEndedIterator for EdgeIter<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<Edge> {
+        match &mut self.0 {
+            SlotIter::Narrow(slots) => slots.next_back().map(narrow_edge),
+            SlotIter::Wide(slots) => slots.next_back().map(wide_edge),
+        }
+    }
+}
+
+impl ExactSizeIterator for EdgeIter<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        match &self.0 {
+            SlotIter::Narrow(slots) => slots.len(),
+            SlotIter::Wide(slots) => slots.len(),
+        }
     }
 }
 
@@ -385,7 +766,7 @@ mod tests {
         assert_eq!(out.removed_index, 0);
         assert_eq!(out.moved_from, Some(2));
         // Edge to 5 moved into slot 0.
-        assert_eq!(adj.edge(0).unwrap().dst, 5);
+        assert_eq!(adj.dst(0), 5);
         assert_eq!(adj.degree(), 2);
     }
 
@@ -410,7 +791,7 @@ mod tests {
         let mut adj = sample_list();
         let old = adj.set_bias(1, Bias::from_int(9)).unwrap();
         assert_eq!(old.value(), 4.0);
-        assert_eq!(adj.edge(1).unwrap().bias.value(), 9.0);
+        assert_eq!(adj.bias(1).value(), 9.0);
         assert!(adj.set_bias(7, Bias::from_int(1)).is_none());
     }
 
@@ -451,18 +832,51 @@ mod tests {
         let small = AdjacencyList::with_capacity(2);
         let large = AdjacencyList::with_capacity(1000);
         assert!(large.memory_bytes() > small.memory_bytes());
-        assert_eq!(small.memory_bytes(), 16 + 2 * 12);
-        // An odd capacity pads to the header's 8-byte alignment.
-        assert_eq!(
-            AdjacencyList::with_capacity(3).memory_bytes(),
-            16 + 3 * 12 + 4
-        );
+        assert_eq!(small.memory_bytes(), 16 + 2 * 8);
+        assert_eq!(AdjacencyList::with_capacity(3).memory_bytes(), 16 + 3 * 8);
         assert_eq!(AdjacencyList::new().memory_bytes(), 0);
         // Growth doubles.
         let mut adj = sample_list();
-        assert_eq!(adj.memory_bytes(), 16 + 3 * 12 + 4);
+        assert_eq!(adj.memory_bytes(), 16 + 3 * 8);
         adj.push(Edge::new(7, Bias::from_int(2)));
+        assert_eq!(adj.memory_bytes(), 16 + 6 * 8);
+        assert_eq!(adj.capacity(), 6);
+        // A float widens in place of the same capacity; an odd capacity of
+        // wide slots pads to the header's 8-byte alignment.
+        adj.set_bias(0, Bias::from_float(0.5));
         assert_eq!(adj.memory_bytes(), 16 + 6 * 12);
+        let mut odd = AdjacencyList::with_capacity(3);
+        odd.push(Edge::new(1, Bias::from_int(1 << 32)));
+        assert_eq!(odd.memory_bytes(), 16 + 3 * 12 + 4);
+    }
+
+    #[test]
+    fn an_edge_reads_back_as_it_was_written_at_either_width() {
+        let max = u64::from(u32::MAX);
+        let biases = [
+            Bias::from_int(1),
+            Bias::from_int(max),
+            Bias::from_int(max + 1),
+            Bias::from_float(3.0),
+            Bias::from_float(0.125),
+        ];
+        for (k, &wide) in biases.iter().enumerate() {
+            let mut adj = AdjacencyList::new();
+            let mut edges = Vec::new();
+            for (dst, &bias) in biases[..k].iter().enumerate() {
+                edges.push(Edge::new(dst as VertexId, bias));
+                adj.push(edges[dst]);
+            }
+            assert!(adj.is_narrow() == (k <= 2), "{k}");
+            edges.push(Edge::new(u32::MAX, wide));
+            adj.push(edges[k]);
+            assert_eq!(adj.edges(), edges);
+            assert_eq!(adj.is_narrow(), k < 2, "{k}");
+            assert_eq!(adj.edges().iter().next_back(), Some(edges[k]));
+            assert_eq!(adj.bias(k), wide);
+            assert_eq!(adj.dst(k), u32::MAX);
+            assert!(adj.edges().iter().rev().eq(edges.iter().rev().copied()));
+        }
     }
 
     #[test]
@@ -470,15 +884,26 @@ mod tests {
         let edges: Vec<Edge> = (0..70)
             .map(|dst| Edge::new(dst, Bias::from_int(u64::from(dst) + 1)))
             .collect();
-        for degree in 0..edges.len() {
-            let mut pushed = AdjacencyList::new();
-            for &edge in &edges[..degree] {
-                pushed.push(edge);
+        let wide_edges: Vec<Edge> = edges
+            .iter()
+            .map(|e| Edge::new(e.dst, Bias::from_float(e.bias.value() / 4.0)))
+            .collect();
+        for edges in [&edges, &wide_edges] {
+            let wide = !edges[0].bias.is_integral();
+            for degree in 0..edges.len() {
+                let mut pushed = AdjacencyList::new();
+                for &edge in &edges[..degree] {
+                    pushed.push(edge);
+                }
+                let mut loaded = AdjacencyList::new();
+                let mut fill = loaded.load(degree, wide);
+                for &edge in &edges[..degree] {
+                    fill.put(edge);
+                }
+                assert_eq!(loaded, pushed, "{degree}");
+                assert_eq!(loaded.memory_bytes(), pushed.memory_bytes(), "{degree}");
+                assert_eq!(loaded.is_narrow(), pushed.is_narrow(), "{degree}");
             }
-            let mut loaded = AdjacencyList::new();
-            loaded.load(degree).copy_from_slice(&edges[..degree]);
-            assert_eq!(loaded, pushed, "{degree}");
-            assert_eq!(loaded.memory_bytes(), pushed.memory_bytes(), "{degree}");
         }
     }
 
@@ -497,6 +922,6 @@ mod tests {
         let mut snapshot = snapshot;
         drop(adj);
         snapshot.delete_many(&[0, 2]);
-        assert_eq!(snapshot.edges(), &[Edge::new(4, Bias::from_int(4))]);
+        assert_eq!(snapshot.edges(), vec![Edge::new(4, Bias::from_int(4))]);
     }
 }

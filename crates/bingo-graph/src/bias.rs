@@ -101,6 +101,39 @@ impl Bias {
     pub fn as_int(&self) -> Option<u64> {
         self.is_integral().then(|| self.value() as u64)
     }
+
+    /// The one word a narrow adjacency slot keeps this bias in: an integer
+    /// bias below 2^32 (see [`AdjacencyList`](crate::AdjacencyList)).
+    #[inline]
+    pub(crate) fn narrow(self) -> Option<u32> {
+        let value = self.value();
+        (self.is_integral() && value <= f64::from(u32::MAX)).then_some(value as u32)
+    }
+
+    /// The bias a narrow slot's word stands for: `from_int` of it. A slot
+    /// holds only a valid bias, so the word is not 0 and the check
+    /// `from_int` makes is not needed.
+    #[inline]
+    pub(crate) fn from_narrow(word: u32) -> Self {
+        debug_assert!(word > 0, "a narrow slot holds a valid bias");
+        let bits = f64::from(word).to_bits();
+        Bias {
+            lo: bits as u32,
+            hi: (bits >> 32) as u32 | INTEGRAL,
+        }
+    }
+
+    /// The two words a wide adjacency slot keeps this bias in.
+    #[inline]
+    pub(crate) fn halves(self) -> [u32; 2] {
+        [self.lo, self.hi]
+    }
+
+    /// The bias [`Bias::halves`] returned these words for.
+    #[inline]
+    pub(crate) fn from_halves([lo, hi]: [u32; 2]) -> Self {
+        Bias { lo, hi }
+    }
 }
 
 impl From<u64> for Bias {
@@ -193,6 +226,27 @@ mod tests {
         }
         // Above 2^53 the f64 rounds, as it always has.
         assert_eq!(Bias::from_int((1 << 53) + 1).as_int(), Some(1 << 53));
+    }
+
+    #[test]
+    fn a_bias_keeps_narrow_exactly_when_it_is_an_integer_below_two_to_32() {
+        let max = u64::from(u32::MAX);
+        for v in [1, 2, 5, 1 << 31, max - 1, max] {
+            let b = Bias::from_int(v);
+            assert_eq!(b.narrow(), Some(v as u32));
+            assert_eq!(Bias::from_narrow(v as u32), b, "{v}: bit for bit");
+        }
+        for b in [
+            Bias::from_int(max + 1),
+            Bias::from_int(1 << 53),
+            Bias::from_int(u64::MAX),
+            Bias::from_float(1.0),
+            Bias::from_float(0.5),
+            Bias::from_int(0),
+        ] {
+            assert_eq!(b.narrow(), None, "{b:?}");
+            assert_eq!(Bias::from_halves(b.halves()), b, "{b:?}");
+        }
     }
 
     #[test]

@@ -15,19 +15,24 @@
 //! - **Staging.** Until its first read or its first `&mut` call other than
 //!   [`DynamicGraph::insert_edge`], an insert makes the same checks and
 //!   returns the same result as on a settled graph, but only appends the
-//!   edge to a bucket for its source's range of 256 vertices. The neighbor
-//!   index comes from a per-vertex count.
+//!   edge, as a 16-byte `(src, Edge)` record, to a bucket for its source's
+//!   range of 256 vertices. The neighbor index comes from a per-vertex
+//!   count, and a per-vertex bit records whether some staged bias needs a
+//!   wide slot (see [`crate::adjacency`]).
 //! - **The first read builds.** The first `&self` call (any but
 //!   [`DynamicGraph::num_edges`]) builds every vertex's block once, at the
-//!   capacity the pushes would have grown it to, with the same edges in the
-//!   same order, so blocks, [`DynamicGraph::memory_bytes`] and every later
-//!   write are those of a graph that was pushed. It costs one allocation per
-//!   non-isolated vertex and one per bucket, and frees each bucket as its
-//!   range is built, so the bytes live never run more than about one bucket
-//!   past the staged edges or the built graph. Ranges are small because a
-//!   graph may crowd its hubs into a few of them: with ranges of 4 096
-//!   vertices, the bytes live while loading a 2^14-vertex R-MAT graph
-//!   peaked at 1.42 × the graph built, at 256 vertices at 1.09 ×.
+//!   capacity the pushes would have grown it to and the slot width they
+//!   would have left it at, with the same edges in the same order, so
+//!   blocks, [`DynamicGraph::memory_bytes`] and every later write are those
+//!   of a graph that was pushed. A block of narrow slots takes 8 bytes an
+//!   edge, half a staged record, so the blocks fit in what the freed
+//!   records leave. It costs one allocation per non-isolated vertex and one
+//!   per bucket, and frees each bucket as its range is built, so the bytes
+//!   live never run more than about one bucket past the staged edges or the
+//!   built graph. Ranges are small because a graph may crowd its hubs into
+//!   a few of them: with ranges of 4 096 vertices, the bytes live while
+//!   loading a 2^14-vertex R-MAT graph of 12-byte slots peaked at 1.42 ×
+//!   the graph built, at 256 vertices at 1.09 ×.
 //!   Concurrent first readers wait for that one build, which runs on the
 //!   reading thread. It stays there because building the buckets on the
 //!   worker pool, measured, cut the first read from about 0.07 to 0.05 s on
@@ -38,7 +43,7 @@
 //!   if nothing read first) and the graph is settled for good: later
 //!   inserts push, as streaming updates do.
 
-use crate::adjacency::{AdjacencyList, Edge, SwapDelete};
+use crate::adjacency::{AdjacencyList, Edge, Fill, SwapDelete};
 use crate::csr::CsrGraph;
 use crate::updates::{UpdateBatch, UpdateEvent};
 use crate::{Bias, GraphError, Result, VertexId};
@@ -82,6 +87,9 @@ struct Loading {
 struct Staged {
     /// Edges staged per vertex so far.
     degrees: Vec<u32>,
+    /// Bit `v % 64` of word `v / 64` is set once `v` has staged an edge
+    /// that does not keep in a narrow slot: its block is built wide.
+    wide: Vec<u64>,
     /// Bucket `b` holds the edges of vertices `b * BUCKET_VERTICES ..`.
     buckets: Vec<Bucket>,
 }
@@ -90,6 +98,7 @@ impl Staged {
     fn new(num_vertices: usize) -> Self {
         Staged {
             degrees: vec![0; num_vertices],
+            wide: vec![0; num_vertices.div_ceil(64)],
             buckets: vec![Bucket::new(); num_vertices.div_ceil(BUCKET_VERTICES)],
         }
     }
@@ -101,6 +110,9 @@ impl Staged {
         *degree = index
             .checked_add(1)
             .expect("an adjacency list of u32::MAX edges is full");
+        if edge.bias.narrow().is_none() {
+            self.wide[src as usize / 64] |= 1 << (src % 64);
+        }
         let bucket = &mut self.buckets[src as usize / BUCKET_VERTICES];
         match bucket.last_mut() {
             Some(chunk) if chunk.len() < CHUNK_ENTRIES => chunk.push((src, edge)),
@@ -114,29 +126,32 @@ impl Staged {
     }
 
     /// Every vertex's list, bucket by bucket: each block is made at its
-    /// final capacity, then each edge is written straight into the next
-    /// free slot of its block while the bucket's chunks are freed as they
-    /// are read. What is live runs past the staged edges, or the built
-    /// graph, by about one bucket.
+    /// final capacity and the width its edges need, then each edge is
+    /// written straight into the next free slot of its block while the
+    /// bucket's chunks are freed as they are read. What is live runs past
+    /// the staged edges, or the built graph, by about one bucket.
     fn build(self) -> Vec<AdjacencyList> {
-        let Staged { degrees, buckets } = self;
+        let Staged {
+            degrees,
+            wide,
+            buckets,
+        } = self;
         let mut lists = vec![AdjacencyList::new(); degrees.len()];
         let ranges = lists
             .chunks_mut(BUCKET_VERTICES)
             .zip(degrees.chunks(BUCKET_VERTICES));
-        for ((lists, degrees), bucket) in ranges.zip(buckets) {
-            let mut free: Vec<&mut [Edge]> = lists
+        for (b, ((lists, degrees), bucket)) in ranges.zip(buckets).enumerate() {
+            let first = b * BUCKET_VERTICES;
+            let mut free: Vec<Fill<'_>> = lists
                 .iter_mut()
                 .zip(degrees)
-                .map(|(list, &degree)| list.load(degree as usize))
+                .zip(first..)
+                .map(|((list, &degree), v)| {
+                    list.load(degree as usize, wide[v / 64] & 1 << (v % 64) != 0)
+                })
                 .collect();
             for (src, edge) in bucket.into_iter().flatten() {
-                let free = &mut free[src as usize % BUCKET_VERTICES];
-                let (slot, rest) = std::mem::take(free)
-                    .split_first_mut()
-                    .expect("a vertex has as many staged edges as it counted");
-                *slot = edge;
-                *free = rest;
+                free[src as usize % BUCKET_VERTICES].put(edge);
             }
         }
         lists
@@ -433,7 +448,7 @@ impl DynamicGraph {
     }
 
     /// Iterator over all `(src, edge)` pairs.
-    pub fn edges(&self) -> impl Iterator<Item = (VertexId, &Edge)> {
+    pub fn edges(&self) -> impl Iterator<Item = (VertexId, Edge)> + '_ {
         self.lists()
             .iter()
             .enumerate()
@@ -642,9 +657,9 @@ mod tests {
         graph.loading.is_some()
     }
 
-    /// Three buckets' worth of vertices, some with no edges, one with 40:
-    /// loading, or settled before the first insert, so that every edge is
-    /// pushed.
+    /// Three buckets' worth of vertices, some with no edges, one with 40,
+    /// two with an edge only a wide slot holds: loading, or settled before
+    /// the first insert, so that every edge is pushed.
     fn three_buckets(pushed: bool) -> DynamicGraph {
         let n = 2 * BUCKET_VERTICES + 100;
         let mut graph = DynamicGraph::new(n);
@@ -661,7 +676,23 @@ mod tests {
         for dst in 0..40 {
             graph.insert_edge(5, dst, Bias::from_int(2)).unwrap();
         }
+        graph.insert_edge(7, 1, Bias::from_float(0.5)).unwrap();
+        graph.insert_edge(300, 2, Bias::from_int(1 << 32)).unwrap();
         graph
+    }
+
+    #[test]
+    fn a_loaded_block_is_wide_only_where_an_edge_needs_it() {
+        let (loading, pushed) = (three_buckets(false), three_buckets(true));
+        for v in 0..loading.num_vertices() as VertexId {
+            let list = loading.neighbors(v).unwrap();
+            assert_eq!(list.is_narrow(), ![7, 300].contains(&v), "vertex {v}");
+            assert_eq!(list.is_narrow(), pushed.neighbors(v).unwrap().is_narrow());
+            assert_eq!(
+                list.memory_bytes(),
+                pushed.neighbors(v).unwrap().memory_bytes()
+            );
+        }
     }
 
     #[test]
@@ -746,7 +777,7 @@ mod tests {
             let (a, b) = (graph.neighbors(v).unwrap(), clone.neighbors(v).unwrap());
             assert_eq!(a, b);
             if !a.is_empty() {
-                assert!(std::ptr::eq(a.edges(), b.edges()), "vertex {v}");
+                assert_eq!(a.edges().as_ptr(), b.edges().as_ptr(), "vertex {v}");
                 shared += 1;
             }
         }

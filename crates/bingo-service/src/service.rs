@@ -18,7 +18,7 @@ use bingo_core::{BingoConfig, BingoEngine, BingoError};
 use bingo_graph::{DynamicGraph, VertexId};
 use bingo_sampling::rng::{Pcg64, SplitMix64};
 use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
-use bingo_walks::{Walk, WalkCursor};
+use bingo_walks::{Walk, WalkCursor, WalkSpec};
 use parking_lot::{Condvar, Mutex};
 use rand::SeedableRng;
 use std::ops::Range;
@@ -54,6 +54,13 @@ pub enum ServiceError {
         /// such a batch verbatim loops forever; it must be split instead.
         retryable: bool,
     },
+    /// A node2vec submission whose `p` or `q` is not finite and positive.
+    InvalidNode2Vec {
+        /// The submitted return parameter.
+        p: f64,
+        /// The submitted in-out parameter.
+        q: f64,
+    },
     /// An error bubbled up from the engine layer.
     Core(BingoError),
 }
@@ -80,6 +87,12 @@ impl std::fmt::Display for ServiceError {
                     "batch exceeds capacity — split it"
                 }
             ),
+            ServiceError::InvalidNode2Vec { p, q } => {
+                write!(
+                    f,
+                    "node2vec p = {p}, q = {q}: both must be finite and positive"
+                )
+            }
             ServiceError::Core(e) => write!(f, "engine error: {e}"),
         }
     }
@@ -209,7 +222,7 @@ impl WalkTicket {
 /// moving ownership.
 ///
 /// A submission names a [`Walk`]: a built-in
-/// [`WalkSpec`](bingo_walks::WalkSpec) or a shared custom
+/// [`WalkSpec`] or a shared custom
 /// [`WalkModel`](bingo_walks::WalkModel) ([`WalkService::submit`]).
 /// Second-order walks (node2vec) are
 /// fully supported: when a walker crosses a shard boundary, the owning
@@ -430,7 +443,7 @@ impl WalkService {
     /// Walkers are fanned out to the shards owning their start vertices and
     /// hop between shards as the walk crosses ownership boundaries. Updates
     /// ingested concurrently become visible between steps, never within
-    /// one. `walk` is a built-in [`WalkSpec`](bingo_walks::WalkSpec) or a
+    /// one. `walk` is a built-in [`WalkSpec`] or a
     /// shared custom model; every built-in is servable, including
     /// `Node2Vec`: its second-order membership queries are answered from
     /// the carried adjacency fingerprint captured at forward time.
@@ -458,6 +471,11 @@ impl WalkService {
     ) -> Result<WalkTicket> {
         if starts.is_empty() {
             return Err(ServiceError::EmptySubmission);
+        }
+        if let Some(WalkSpec::Node2Vec(c)) = walk.spec() {
+            if !c.has_valid_parameters() {
+                return Err(ServiceError::InvalidNode2Vec { p: c.p, q: c.q });
+            }
         }
         for &s in starts {
             if (s as usize) >= self.num_vertices {

@@ -53,6 +53,16 @@ pub struct Node2VecConfig {
     pub q: f64,
 }
 
+impl Node2VecConfig {
+    /// Whether `p` and `q` are finite and positive: the factors `1/p` and
+    /// `1/q` are then finite and positive, and every candidate can be
+    /// accepted. (At `p = 0` every candidate but the way back is rejected
+    /// against an infinite maximum, so every walk ends at its second step.)
+    pub fn has_valid_parameters(&self) -> bool {
+        [self.p, self.q].iter().all(|x| x.is_finite() && *x > 0.0)
+    }
+}
+
 impl Default for Node2VecConfig {
     fn default() -> Self {
         Node2VecConfig {
@@ -200,6 +210,13 @@ impl WalkSpec {
     }
 }
 
+/// Candidates a node2vec step draws and rejects before it gives up and ends
+/// the walk ([`WalkState::rejection_capped`]). The expected number of trials
+/// is at most `max(1/p, 1, 1/q) / min(1/p, 1, 1/q)`; the cap only bites on
+/// extreme parameters or a vertex whose every candidate has the smallest
+/// factor.
+pub const NODE2VEC_MAX_TRIALS: usize = 10_000;
+
 /// One node2vec transition after the first step. The factor `1/p`, `1` or
 /// `1/q` is applied by rejection (KnightKing's approach, which the paper
 /// adopts for second-order applications): sample from the static bias
@@ -225,9 +242,7 @@ where
     let inv_p = 1.0 / config.p;
     let inv_q = 1.0 / config.q;
     let max_factor = inv_p.max(1.0).max(inv_q);
-    // Expected number of trials is bounded by max_factor / min_factor; cap
-    // defensively to avoid pathological loops on adversarial parameters.
-    for _ in 0..10_000 {
+    for _ in 0..NODE2VEC_MAX_TRIALS {
         let Some(candidate) = sampler.sample_neighbor(state.current(), rng) else {
             return Transition::Terminate;
         };
@@ -242,6 +257,7 @@ where
             return Transition::Step(candidate);
         }
     }
+    state.note_rejection_cap();
     Transition::Terminate
 }
 

@@ -21,6 +21,11 @@ use rayon::prelude::*;
 pub struct WalkResults {
     /// One path per walker, in walker order.
     pub paths: Vec<Vec<VertexId>>,
+    /// Walks a rejection loop ended early: node2vec steps that rejected
+    /// every candidate for
+    /// [`NODE2VEC_MAX_TRIALS`](crate::apps::NODE2VEC_MAX_TRIALS) trials
+    /// (see [`WalkState::rejection_capped`](crate::WalkState::rejection_capped)).
+    pub rejection_capped: usize,
 }
 
 impl WalkResults {
@@ -97,17 +102,22 @@ impl WalkEngine {
     {
         let walk: Walk = walk.clone().into();
         let seed = self.seed;
-        let paths: Vec<Vec<VertexId>> = starts
+        let walks: Vec<(Vec<VertexId>, bool)> = starts
             .par_iter()
             .enumerate()
             .map(|(i, &start)| {
                 let mut rng = Pcg64::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
                 let mut cursor = WalkCursor::new(walk.clone(), start);
                 while cursor.step(sampler, &mut rng).is_some() {}
-                cursor.into_path()
+                let capped = cursor.state().rejection_capped();
+                (cursor.into_path(), capped)
             })
             .collect();
-        WalkResults { paths }
+        let rejection_capped = walks.iter().filter(|(_, capped)| *capped).count();
+        WalkResults {
+            paths: walks.into_iter().map(|(path, _)| path).collect(),
+            rejection_capped,
+        }
     }
 
     /// Run `walk` with one walker per vertex — the paper's default walker

@@ -473,11 +473,19 @@ pub fn decode_walk(bytes: &[u8]) -> Result<(Option<WalkSpec>, usize), WireError>
         WALK_DEEPWALK => Some(WalkSpec::DeepWalk(DeepWalkConfig {
             walk_length: r.u32()? as usize,
         })),
-        WALK_NODE2VEC => Some(WalkSpec::Node2Vec(Node2VecConfig {
-            walk_length: r.u32()? as usize,
-            p: r.f64()?,
-            q: r.f64()?,
-        })),
+        WALK_NODE2VEC => {
+            let config = Node2VecConfig {
+                walk_length: r.u32()? as usize,
+                p: r.f64()?,
+                q: r.f64()?,
+            };
+            if !config.has_valid_parameters() {
+                return Err(WireError::Corrupt(
+                    "node2vec p and q must be finite and positive",
+                ));
+            }
+            Some(WalkSpec::Node2Vec(config))
+        }
         WALK_PPR => Some(WalkSpec::Ppr(PprConfig {
             stop_probability: r.f64()?,
             max_length: r.u32()? as usize,
@@ -800,6 +808,25 @@ mod tests {
                 max_length: u32::MAX as usize,
             }))
         );
+    }
+
+    #[test]
+    fn a_node2vec_section_with_a_p_or_q_that_is_not_finite_and_positive_is_corrupt() {
+        for bad in [0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (p, q) in [(bad, 2.0), (0.5, bad)] {
+                let spec = WalkSpec::Node2Vec(Node2VecConfig {
+                    walk_length: 80,
+                    p,
+                    q,
+                });
+                let mut buf = Vec::new();
+                encode_walk(Some(&spec), &mut buf);
+                assert!(
+                    matches!(decode_walk(&buf), Err(WireError::Corrupt(_))),
+                    "p = {p}, q = {q}"
+                );
+            }
+        }
     }
 
     #[test]

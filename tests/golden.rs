@@ -70,7 +70,7 @@ fn random_edge(engine: &BingoEngine, rng: &mut Pcg64) -> Option<(VertexId, Verte
     if edges.is_empty() {
         return None;
     }
-    Some((src, edges[rng.gen_range(0..edges.len())].dst))
+    Some((src, edges.dst(rng.gen_range(0..edges.len()))))
 }
 
 /// The graph a scenario starts from.
@@ -158,7 +158,7 @@ fn scenario(shape: Shape, float: bool, config: BingoConfig) -> (u64, [u64; 4]) {
     }
     for _ in 0..300 {
         let edges = engine.vertex_space(hub).unwrap().adjacency().edges();
-        let dst = edges[rng.gen_range(0..edges.len())].dst;
+        let dst = edges.dst(rng.gen_range(0..edges.len()));
         engine.delete_edge(hub, dst).unwrap();
     }
     assert_dense(shape, &engine);

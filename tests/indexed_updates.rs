@@ -792,7 +792,7 @@ fn hub_churn_scans_a_tenth_of_what_it_used_to() {
     let mut events = Vec::new();
     for src in 0..n {
         let space = engine.vertex_space(src).unwrap();
-        if let Some(edge) = space.adjacency().edges().last() {
+        if let Some(edge) = space.adjacency().edges().iter().next_back() {
             expected += space.find_counting(edge.dst).1 as u64;
             events.push(UpdateEvent::Delete { src, dst: edge.dst });
         }

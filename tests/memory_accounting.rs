@@ -6,9 +6,12 @@
 //! is what the allocator actually handed out. This binary installs a
 //! global allocator that tracks live bytes and compares, to the byte, on a
 //! graph whose group arenas are all narrow (`u16` words), on one with a
-//! hub past the 2^16 limit, whose arena is wide, and on a flat-degree graph
+//! hub past the 2^16 limit, whose arena is wide, on a flat-degree graph
 //! (the `service_deepwalk` benchmark's shape) nearly all of whose vertices
-//! are direct under the adaptive config and keep no groups at all.
+//! are direct under the adaptive config and keep no groups at all, and on
+//! one where every third vertex has an edge whose bias (a float, or an
+//! integer past 2^32) only a wide, 12-byte adjacency slot holds; every
+//! other graph here keeps all its blocks narrow, at 8 bytes a slot.
 //!
 //! An engine shares the adjacency blocks of the graph it was built from, so
 //! there are two readings per case. While the graph is alive the build has
@@ -79,18 +82,34 @@ fn resident_bytes_match_what_the_build_allocates() {
         }
         graph
     };
+    // Every third vertex gets one edge a narrow slot cannot hold, before
+    // the first read: its block is built wide.
+    let mixed = |rng: &mut Pcg64| {
+        let mut graph = rmat(rng);
+        let n = graph.num_vertices() as VertexId;
+        for v in (0..n).step_by(3) {
+            let bias = match v % 2 {
+                0 => Bias::from_float(rng.gen_range(0.5..8.0)),
+                _ => Bias::from_int(rng.gen_range(1 << 32..1 << 40)),
+            };
+            graph.insert_edge(v, rng.gen_range(0..n), bias).unwrap();
+        }
+        graph
+    };
     // The first parallel build starts the worker pool, which keeps what it
     // allocates.
     drop(BingoEngine::build(&rmat(&mut Pcg64::seed_from_u64(14)), BingoConfig::default()).unwrap());
 
     type MakeGraph<'a> = &'a dyn Fn(&mut Pcg64) -> DynamicGraph;
-    let cases: [(&str, MakeGraph, BingoConfig); 6] = [
+    let cases: [(&str, MakeGraph, BingoConfig); 8] = [
         ("adaptive", &rmat, BingoConfig::default()),
         ("baseline", &rmat, BingoConfig::baseline()),
         ("adaptive, wide hub", &with_hub, BingoConfig::default()),
         ("baseline, wide hub", &with_hub, BingoConfig::baseline()),
         ("adaptive, flat", &flat, BingoConfig::default()),
         ("baseline, flat", &flat, BingoConfig::baseline()),
+        ("adaptive, mixed widths", &mixed, BingoConfig::default()),
+        ("baseline, mixed widths", &mixed, BingoConfig::baseline()),
     ];
     for (name, make, config) in cases {
         let before_graph = live();
@@ -99,6 +118,9 @@ fn resident_bytes_match_what_the_build_allocates() {
         // its adjacency blocks: this read keeps them out of the build's
         // window, and leaves live exactly the graph's `memory_bytes()`.
         let vertices = graph.num_vertices();
+        let non_isolated = (0..vertices as VertexId)
+            .filter(|&v| graph.degree(v) > 0)
+            .count();
         let before_build = live();
         let engine = BingoEngine::build(&graph, config).unwrap();
         let allocated = live() - before_build;
@@ -135,10 +157,23 @@ fn resident_bytes_match_what_the_build_allocates() {
         if config.adaptive && name.ends_with("flat") {
             assert!(report.direct_vertices * 100 > vertices * 95, "{name}");
         }
+        // One block per non-isolated vertex; wide only where an edge needs it.
+        let blocks = report.narrow_blocks + report.wide_blocks;
+        assert_eq!(blocks, non_isolated, "{name}");
+        if name.ends_with("widths") {
+            assert_eq!(report.wide_blocks, vertices.div_ceil(3), "{name}");
+        } else {
+            assert_eq!(report.wide_blocks, 0, "{name}");
+        }
         eprintln!(
             "{name}: the build allocated {allocated} B, resident {resident} B, of which \
-             adjacency {} B and structure {} B; {} of {vertices} vertices direct",
-            report.adjacency_bytes, report.structure_bytes, report.direct_vertices
+             adjacency {} B ({} narrow blocks, {} wide) and structure {} B; {} of {vertices} \
+             vertices direct",
+            report.adjacency_bytes,
+            report.narrow_blocks,
+            report.wide_blocks,
+            report.structure_bytes,
+            report.direct_vertices
         );
     }
 }

@@ -17,7 +17,8 @@
 //!   surviving elements and reports valid moves.
 //! * A copy-on-write `AdjacencyList` behaves as a plain `Vec<Edge>` under
 //!   any interleaving of writes, clones and drops, and a clone never sees
-//!   a write made through another handle.
+//!   a write made through another handle. Its slots are narrow or wide
+//!   exactly as the width rules say, and a clone's width never changes.
 //! * Alias tables and CDF tables stay consistent under arbitrary weights.
 
 use bingo::core::vertex_space::{VertexSpace, DIRECT_DEMOTE_DEGREE, DIRECT_MAX_DEGREE};
@@ -182,7 +183,7 @@ fn the_representation_follows_the_degree_with_hysteresis() {
                         .map(|i| (1000 + i, Bias::from_int(rng.gen_range(1..4096u64))))
                         .collect();
                     let deletes: Vec<VertexId> = (0..rng.gen_range(0..6usize).min(before))
-                        .map(|i| space.adjacency().edges()[i].dst)
+                        .map(|i| space.adjacency().dst(i))
                         .collect();
                     space.apply_batch(&inserts, &deletes, &config)
                 }
@@ -255,22 +256,45 @@ fn two_phase_compaction_preserves_survivors() {
     }
 }
 
-fn random_edge(rng: &mut Pcg64) -> Edge {
-    let bias = if rng.gen_bool(0.5) {
-        Bias::from_int(rng.gen_range(1..1000u64))
-    } else {
-        Bias::from_float(rng.gen_range(0.01..50.0f64))
+/// An edge whose bias is, with probability `wide`, one only a wide slot
+/// holds (an integer above 2^32 or a float), and otherwise an integer that
+/// keeps narrow; the 2^32 boundary is drawn often on both sides.
+fn edge_of_width(rng: &mut Pcg64, wide: f64) -> Edge {
+    const MAX: u64 = u32::MAX as u64;
+    let bias = match (rng.gen_bool(wide), rng.gen_range(0..4u32)) {
+        (false, 0) => Bias::from_int(MAX),
+        (false, _) => Bias::from_int(rng.gen_range(1..1000u64)),
+        (true, 0) => Bias::from_int(MAX + 1),
+        (true, 1) => Bias::from_int(rng.gen_range(MAX + 1..1 << 53)),
+        (true, _) => Bias::from_float(rng.gen_range(0.01..50.0f64)),
     };
     Edge::new(rng.gen_range(0..64u32), bias)
 }
 
+fn random_edge(rng: &mut Pcg64) -> Edge {
+    edge_of_width(rng, 0.5)
+}
+
+/// Whether a narrow slot holds `edge`: an integer bias below 2^32.
+fn keeps_narrow(edge: &Edge) -> bool {
+    edge.bias.as_int().is_some_and(|v| v <= u64::from(u32::MAX))
+}
+
 /// The list equals its model through every read accessor.
 fn assert_matches_model(list: &AdjacencyList, model: &[Edge], context: &str) {
-    assert_eq!(list.edges(), model, "{context}");
+    assert_eq!(list.edges(), *model, "{context}");
     assert_eq!(list.degree(), model.len(), "{context}");
     assert_eq!(list.is_empty(), model.is_empty(), "{context}");
     assert_eq!(list.edge(model.len()), None, "{context}");
-    assert_eq!(list.edge(0), model.first(), "{context}");
+    assert_eq!(list.edge(0), model.first().copied(), "{context}");
+    for (i, e) in model.iter().enumerate() {
+        assert_eq!((list.dst(i), list.bias(i)), (e.dst, e.bias), "{context}");
+    }
+    // A narrow list holds only edges that keep narrow.
+    assert!(
+        !list.is_narrow() || model.iter().all(keeps_narrow),
+        "{context}"
+    );
     let dst = model.last().map_or(0, |e| e.dst);
     assert_eq!(
         list.find(dst),
@@ -279,32 +303,67 @@ fn assert_matches_model(list: &AdjacencyList, model: &[Edge], context: &str) {
     );
 }
 
+/// The block a handle holds, as the width rules see it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Block {
+    /// `None` without a block.
+    at: Option<*const u32>,
+    narrow: bool,
+}
+
+fn block_of(list: &AdjacencyList) -> Block {
+    Block {
+        at: (list.memory_bytes() > 0).then(|| list.edges().as_ptr()),
+        narrow: list.is_narrow(),
+    }
+}
+
 /// An `AdjacencyList` shares its block with its clones and copies it on the
 /// first write through a shared handle. Whatever the interleaving of
 /// `push` / `swap_delete` / `delete_many` / `set_bias` / `clone` / dropping
 /// a clone / carrying on through a clone instead, the list is the `Vec` a
 /// plain implementation would hold, and every clone still alive is the
 /// snapshot taken when it was cloned.
+///
+/// The width rules, checked after every write: a write copies the block
+/// exactly when the block is shared, a push finds it full, or a narrow
+/// block is handed a bias that does not keep narrow; a copy is narrow
+/// exactly when every edge it is made with keeps narrow (for a delete, the
+/// edges before it); a write that does not copy leaves the width alone. A
+/// clone's block — width and address — never changes while the list writes,
+/// widening included.
 #[test]
 fn adjacency_list_is_a_vec_and_its_clones_are_snapshots() {
+    // Copies that widened a narrow block, and that took a wide one narrow.
+    let (mut widened, mut narrowed) = (0, 0);
     for case in 0..CASES {
         let mut rng = Pcg64::seed_from_u64(0xC0E0_0000 + case);
+        // From all narrow to half the edges wide.
+        let wide = [0.0, 0.02, 0.1, 0.5][case as usize % 4];
         let mut list = match case % 3 {
             0 => AdjacencyList::new(),
             1 => AdjacencyList::with_capacity(rng.gen_range(0..40usize)),
             _ => (0..rng.gen_range(0..40u32))
-                .map(|_| random_edge(&mut rng))
+                .map(|_| edge_of_width(&mut rng, wide))
                 .collect(),
         };
         let mut model: Vec<Edge> = list.edges().to_vec();
-        let mut clones: Vec<(AdjacencyList, Vec<Edge>)> = Vec::new();
+        let mut clones: Vec<(AdjacencyList, Vec<Edge>, Block)> = Vec::new();
         for step in 0..300 {
             let context = format!("case {case} step {step}");
+            let before = block_of(&list);
+            let shared = before.at.is_some() && clones.iter().any(|c| c.2.at == before.at);
+            let full = list.degree() == list.capacity();
+            let pre_write = model.clone();
+            // For a write: the edges a copy of the block is made with, and
+            // whether the write copies even if the block is not shared.
+            let mut write: Option<(&[Edge], bool)> = None;
             match rng.gen_range(0..10u32) {
                 0..=3 => {
-                    let edge = random_edge(&mut rng);
+                    let edge = edge_of_width(&mut rng, wide);
                     assert_eq!(list.push(edge), model.len(), "{context}");
                     model.push(edge);
+                    write = Some((&model, full || (before.narrow && !keeps_narrow(&edge))));
                 }
                 4 => {
                     let i = rng.gen_range(0..model.len() + 2);
@@ -315,6 +374,7 @@ fn adjacency_list_is_a_vec_and_its_clones_are_snapshots() {
                         assert_eq!(out.removed, model.swap_remove(i), "{context}");
                         assert_eq!(out.removed_index, i, "{context}");
                         assert_eq!(out.moved_from, (i < last).then_some(last), "{context}");
+                        write = Some((&pre_write, false));
                     } else {
                         assert_eq!(out, None, "{context}");
                     }
@@ -343,20 +403,29 @@ fn adjacency_list_is_a_vec_and_its_clones_are_snapshots() {
                         assert!(from >= model.len(), "{context}");
                         model[to] = before[from];
                     }
+                    if !removed.is_empty() {
+                        write = Some((&pre_write, false));
+                    }
                 }
                 6 => {
                     let i = rng.gen_range(0..model.len() + 2);
-                    let bias = random_edge(&mut rng).bias;
+                    let bias = edge_of_width(&mut rng, wide).bias;
                     let old = list.set_bias(i, bias);
                     match model.get_mut(i) {
                         Some(edge) => {
                             assert_eq!(old, Some(edge.bias), "{context}");
                             edge.bias = bias;
+                            let widens = before.narrow && !keeps_narrow(edge);
+                            write = Some((&model, widens));
                         }
                         None => assert_eq!(old, None, "{context}"),
                     }
                 }
-                7 => clones.push((list.clone(), model.clone())),
+                7 => {
+                    let clone = list.clone();
+                    assert_eq!(block_of(&clone), before, "{context}: a clone shares");
+                    clones.push((clone, model.clone(), before));
+                }
                 8 => {
                     if !clones.is_empty() {
                         clones.swap_remove(rng.gen_range(0..clones.len()));
@@ -367,18 +436,41 @@ fn adjacency_list_is_a_vec_and_its_clones_are_snapshots() {
                     // of the snapshots.
                     if !clones.is_empty() {
                         let k = rng.gen_range(0..clones.len());
-                        let (other, snapshot) = &mut clones[k];
+                        let (other, snapshot, block) = &mut clones[k];
                         std::mem::swap(&mut list, other);
                         std::mem::swap(&mut model, snapshot);
+                        *block = block_of(other);
                     }
                 }
             }
+            if let Some((made_with, forced)) = write {
+                let after = block_of(&list);
+                let copied = after.at != before.at;
+                assert_eq!(
+                    copied,
+                    shared || forced,
+                    "{context}: {before:?} -> {after:?}"
+                );
+                let narrow = if copied {
+                    made_with.iter().all(keeps_narrow)
+                } else {
+                    before.narrow
+                };
+                assert_eq!(after.narrow, narrow, "{context}: {before:?} -> {after:?}");
+                widened += usize::from(before.narrow && !after.narrow);
+                narrowed += usize::from(!before.narrow && after.narrow);
+            }
             assert_matches_model(&list, &model, &context);
-            for (clone, snapshot) in &clones {
+            for (clone, snapshot, block) in &clones {
                 assert_matches_model(clone, snapshot, &context);
+                assert_eq!(block_of(clone), *block, "{context}: a clone's block moved");
             }
         }
     }
+    assert!(
+        widened > 50 && narrowed > 20,
+        "{widened} widened, {narrowed} narrowed"
+    );
 }
 
 /// Capacity, and whatever deleted edges left in the slots past the length,

@@ -745,3 +745,66 @@ fn submit_all_vertices_on_empty_graph_completes_immediately() {
     let stats = service.shutdown();
     assert_eq!(stats.total_walks_completed(), 0);
 }
+
+/// node2vec on a directed path with `q = 1e9`: from its second step on, the
+/// only candidate is no neighbor of the previous vertex, so every draw is
+/// rejected with probability `1 − 1/(2 · 10^9)` and the step gives up at its
+/// trial cap. The walk engine and the service both end those walks and
+/// count them; a `p` or `q` that is not finite and positive never gets that
+/// far.
+#[test]
+fn node2vec_walks_ended_at_the_rejection_cap_are_counted() {
+    let n = 8;
+    let mut graph = DynamicGraph::new(n);
+    for v in 0..n as VertexId - 1 {
+        graph.insert_edge(v, v + 1, Bias::from_int(1)).unwrap();
+    }
+    let spec = |p: f64, q: f64| {
+        WalkSpec::Node2Vec(Node2VecConfig {
+            walk_length: 10,
+            p,
+            q,
+        })
+    };
+    let starts: Vec<VertexId> = (0..n as VertexId).collect();
+    // The walks from the last two vertices end at the path's end instead.
+    let capped = n - 2;
+
+    let engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
+    let results = WalkEngine::new(5).run(&engine, &spec(0.5, 1e9), &starts);
+    assert_eq!(results.rejection_capped, capped);
+    for (start, path) in starts.iter().zip(&results.paths) {
+        let expected: Vec<VertexId> = (*start..(*start + 2).min(n as VertexId)).collect();
+        assert_eq!(*path, expected, "one step, then the cap");
+    }
+    let unbent = WalkEngine::new(5).run(&engine, &spec(0.5, 2.0), &starts);
+    assert_eq!(unbent.rejection_capped, 0);
+
+    for mode in [TransportMode::InProcess, TransportMode::Serialized] {
+        let service = WalkService::build(
+            &graph,
+            ServiceConfig {
+                num_shards: 2,
+                transport: mode,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let ticket = service.submit(spec(0.5, 1e9), &starts).unwrap();
+        assert_eq!(service.wait(ticket).paths.len(), n);
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for (p, q) in [(bad, 1.0), (1.0, bad)] {
+                let err = service.submit(spec(p, q), &starts).unwrap_err();
+                assert!(
+                    matches!(err, bingo::service::ServiceError::InvalidNode2Vec { .. }),
+                    "{mode:?} p = {p}, q = {q}: {err:?}"
+                );
+            }
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.total_node2vec_capped(), capped as u64, "{mode:?}");
+        assert!(stats
+            .to_json()
+            .contains(&format!("\"node2vec_capped\":{capped}")));
+    }
+}

@@ -52,14 +52,14 @@ fn flat(seed: u64) -> DynamicGraph {
 
 /// Every `(src, edge)` of the graph, in order.
 fn edges_of(graph: &DynamicGraph) -> Vec<(VertexId, Edge)> {
-    graph.edges().map(|(src, edge)| (src, *edge)).collect()
+    graph.edges().collect()
 }
 
 fn engine_edges(engine: &BingoEngine) -> Vec<(VertexId, Edge)> {
     (0..engine.num_vertices() as VertexId)
         .flat_map(|v| {
             let edges = engine.vertex_space(v).unwrap().adjacency().edges();
-            edges.iter().map(move |edge| (v, *edge))
+            edges.iter().map(move |edge| (v, edge))
         })
         .collect()
 }
@@ -329,7 +329,7 @@ fn a_build_shares_the_graphs_blocks_and_neither_side_sees_the_others_writes() {
     let v = (0..vertices as VertexId)
         .find(|&v| graph.degree(v) == 5)
         .expect("a vertex of five edges, in a block of eight");
-    let first = graph.neighbors(v).unwrap().edges()[0].dst;
+    let first = graph.neighbors(v).unwrap().dst(0);
     drop(graph);
     for engine in [&mut built, &mut streamed] {
         let ops = [
