@@ -17,7 +17,7 @@
 //! a `Vec<u8>`.
 
 use crate::service::{ServiceShared, WalkService};
-use crate::shard::{ShardMsg, Walker};
+use crate::shard::Walker;
 use crate::stats::ShardCounters;
 use crate::transport::ShardTransport;
 use bingo_core::BingoEngine;
@@ -283,7 +283,7 @@ impl ServiceShared {
             }
             None => walker,
         };
-        self.push(to, ShardMsg::Walker(walker));
+        self.push_walker(to, walker);
     }
 
     /// Encode the walker into its versioned wire frame and walk section,

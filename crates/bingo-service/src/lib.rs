@@ -18,16 +18,12 @@
 //!   steal forwarded-walker batches from hot shards' inboxes — stealing
 //!   happens at the queue, never at the engine, which stays shard-owned
 //!   behind a read/write lock (see the [`shard`] module docs).
-//! * An **update router** splits incoming
-//!   [`UpdateBatch`](bingo_graph::UpdateBatch) streams by owning shard
-//!   (`UpdateBatch::split_by_owner` semantics), coalesces streamed events
-//!   per shard (up to a constant 4 096; [`WalkService::ingest`] flushes a
-//!   batch at once), and flushes them as **epochs**: every flush sends one
-//!   batch to every shard and bumps its generation counter after the batch
-//!   is fully applied. Because a worker serially interleaves whole batches
-//!   with walk steps, an in-flight walk step can never observe a torn
-//!   radix group — the epoch totally orders every step against every
-//!   update batch on that shard.
+//! * An **update router** splits each ingested
+//!   [`UpdateBatch`](bingo_graph::UpdateBatch) by owning shard
+//!   (`UpdateBatch::split_by_owner`) and flushes it at once as one
+//!   **epoch**: every shard queues its slice beside its walkers, applies it
+//!   at its next activation ahead of them, and bumps its generation counter
+//!   once the slice is fully applied — see [Consistency](#consistency).
 //! * The **walk scheduler** fans submitted walks out to the shards owning
 //!   their start vertices as resumable
 //!   [`WalkCursor`](bingo_walks::WalkCursor)s. A step whose destination
@@ -183,33 +179,34 @@
 //! (see the workspace README's *Concurrency invariants* section):
 //!
 //! * Named locks, each constructed and acquired in exactly one file:
-//!   `service.router` (update coalescing, `router.rs`); per shard
+//!   `service.router` (the flush counter, `router.rs`); per shard
 //!   `service.shard_inbox` and `service.shard_engine` (an `RwLock`;
 //!   `shard.rs`); per shard `service.shard_ctx_cache` (the snapshot map,
 //!   whose entries carry the bits of the shards holding them;
 //!   `forward.rs`); `service.pending` (the ticket table and its
-//!   `pending_cv` condvar, `collect.rs`); and `service.termination`
-//!   (shutdown rendezvous, `service.rs`). The nested orders are
-//!   **`router` → `shard_inbox`** (flush pushes while coalescing) and
+//!   `pending_cv` condvar, `collect.rs`); and `service.progress` (the
+//!   rendezvous `sync` and shutdown park on, `service.rs`). The nested
+//!   orders are **`router` → `shard_inbox`** (a flush queues its slices
+//!   under the router lock, so two flushes never interleave) and
 //!   **`shard_engine` → `shard_ctx_cache`** (capture and negotiation
 //!   under the read guard, eviction under the write guard; a serialized
 //!   forward's handle resolution takes the map with no other lock held)
 //!   — every path agrees, so the cross-function lock-order graph stays
 //!   acyclic even jointly with the pool's `rayon.*` locks.
 //!   `tests/lint.rs` holds this list and these orders to the code.
-//! * `service.pending` nests with nothing: a shard task files a finished
-//!   walk with no other lock held, and a waiter holds it only across its
-//!   own check and condvar park — no lock is ever held across a blocking
-//!   call, and the tree carries no `lint:allow(lock-discipline)`.
+//! * `service.pending` and `service.progress` nest with nothing: a shard
+//!   task files a finished walk, or announces applied updates, with no
+//!   other lock held, and a waiter holds either only across its own check
+//!   and condvar park — no lock is ever held across a blocking call, and
+//!   the tree carries no `lint:allow(lock-discipline)`.
 //! * Engines stay **shard-owned** behind `service.shard_engine`: walker
 //!   visits (the owner's or a thief's) sample under the read guard,
 //!   update batches apply under the write guard, and the epoch counter is
-//!   published inside the write guard — so a stolen visit observes
-//!   exactly the epoch the owner's task would have shown it. Forwards and
-//!   completions act only *after* the engine guard drops: no lock edge
-//!   ever leaves an engine toward an inbox, the pool injector, or the
-//!   ticket table.
-//! * Steals drain **leading walker messages only** from a victim's inbox,
+//!   published inside the write guard. Forwards and completions act only
+//!   *after* the engine guard drops: no lock edge ever leaves an engine
+//!   toward an inbox, the pool injector, the ticket table or
+//!   `service.progress`.
+//! * Steals take walkers, never pending updates, from a victim's inbox,
 //!   and the inbox guard drops before the victim's engine is read — the
 //!   queue is the unit of theft, never the engine.
 //! * Atomics: ticket IDs are `Relaxed` RMW allocations (annotated
@@ -218,6 +215,23 @@
 //!   idle transition publishes with `Release` before its lost-wakeup
 //!   recheck — nothing in this crate uses an atomic for inter-thread sync
 //!   without `Acquire`/`Release`.
+//!
+//! ## Consistency
+//!
+//! What a walk step observes while updates stream in (asserted in
+//! `tests/service.rs` for DeepWalk and node2vec over both transports):
+//!
+//! * A step samples one epoch of its source's shard: the first `e` flushed
+//!   slices, never part of one.
+//! * On one shard, a walker's epochs never decrease.
+//! * A flushed batch becomes visible at that shard's next activation,
+//!   ahead of every walker still queued there.
+//! * A thief may still run a queued walker at the victim's current epoch,
+//!   before the victim applies a pending batch.
+//! * After [`WalkService::sync`] returns for a receipt, every new step sees
+//!   the receipt's events.
+//! * Across shards, a walker may step on a shard that has not yet applied
+//!   flushes another shard already showed it; nothing bounds that lag yet.
 //!
 //! ## Quickstart
 //!
@@ -419,45 +433,6 @@ mod tests {
         let stats = service.stats();
         assert!(stats.per_shard.iter().all(|s| s.epoch == 1));
         assert_eq!(stats.total_updates_applied(), 2);
-    }
-
-    #[test]
-    fn streamed_events_coalesce_until_capacity() {
-        use crate::router::COALESCE_CAPACITY;
-        let graph = ring_graph(16);
-        let service = WalkService::build(
-            &graph,
-            ServiceConfig {
-                num_shards: 2,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let insert = |src: u32| UpdateEvent::Insert {
-            src,
-            dst: 5,
-            bias: Bias::from_int(1),
-        };
-        // One event short of the capacity on shard 0 (vertices 0..8), one
-        // on shard 1: buffered, no flush yet.
-        for i in 0..COALESCE_CAPACITY - 1 {
-            assert!(service.ingest_event(insert(i as u32 % 8)).is_none());
-        }
-        assert!(service.ingest_event(insert(12)).is_none());
-        assert_eq!(service.stats().per_shard[0].epoch, 0);
-        // The event that fills shard 0's buffer flushes both as one epoch.
-        let receipt = service.ingest_event(insert(3)).expect("capacity reached");
-        service.sync(receipt);
-        let stats = service.stats();
-        assert!(stats.per_shard.iter().all(|s| s.epoch == 1));
-        assert_eq!(
-            stats.total_updates_applied() as usize,
-            COALESCE_CAPACITY + 1
-        );
-        // An explicit flush with empty buffers still advances the epoch.
-        let receipt = service.flush();
-        assert_eq!(receipt.epoch, 2);
-        service.sync(receipt);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! `service.shard_engine`), [`crate::forward`] (`service.shard_ctx_cache`),
 //! [`crate::collect`] (`service.pending`) — and
 //! each adds its part of the public API as an `impl WalkService` block of
-//! its own. This file keeps `service.termination`, the shutdown rendezvous.
+//! its own. This file keeps `service.progress`, the rendezvous `sync` and
+//! `stop_workers` park on.
 
 use crate::collect::Collector;
-use crate::router::Router;
-use crate::shard::{ShardHists, ShardMsg, ShardState, Walker};
+use crate::router::{IngestReceipt, Router};
+use crate::shard::{ShardHists, ShardState, Walker};
 use crate::stats::{ServiceStats, ShardCounters};
 use crate::transport::{LoopbackTransport, ShardTransport, TransportMode};
 use bingo_core::partition::Partitioner;
@@ -211,15 +212,13 @@ impl WalkTicket {
 /// See the crate-level documentation for a quickstart. Internally each
 /// shard owns a [`BingoEngine`] built over its contiguous vertex range
 /// ([`BingoEngine::build_ranges`]) behind a `RwLock`, and its inbox of
-/// walker and update messages is processed by **resumable tasks on the
-/// shared worker pool** (see [`crate::shard`]) — walker visits sample under
-/// the read guard, update batches apply under the write guard, so a walk
-/// step can never observe a partially applied ("torn") update, and the
-/// per-shard epoch counter totally orders steps against update batches.
-/// Idle shard tasks steal forwarded-walker batches from hot shards'
-/// inboxes; a stolen visit runs against the owning shard's engine through
-/// the same epoch-checked read path, so stealing moves CPU work without
-/// moving ownership.
+/// walkers and pending update batches is processed by **resumable tasks on
+/// the shared worker pool** (see [`crate::shard`]) — walker visits sample
+/// under the read guard, update batches apply under the write guard, so a
+/// walk step can never observe a partially applied ("torn") update. Idle
+/// shard tasks steal walkers from hot shards' inboxes and run them against
+/// the owning shard's engine, so stealing moves CPU work without moving
+/// ownership.
 ///
 /// A submission names a [`Walk`]: a built-in
 /// [`WalkSpec`] or a shared custom
@@ -265,10 +264,12 @@ pub(crate) struct ServiceShared {
     /// walkers in process. The one place [`TransportMode`] is read.
     pub(crate) carrier: Option<Arc<dyn ShardTransport>>,
     pub(crate) collector: Collector,
-    /// Number of shards that have processed their Shutdown message; the
-    /// condvar wakes `stop_workers` when it reaches `shards.len()`.
-    termination: Mutex<usize>,
-    termination_cv: Condvar,
+    /// Number of shards that have terminated. A shard activation locks it
+    /// and notifies `progress_cv` after it applies updates (waking `sync`)
+    /// and when it terminates (waking `stop_workers`), always with no other
+    /// lock held.
+    progress: Mutex<usize>,
+    progress_cv: Condvar,
 }
 
 /// Mirror the thread-pool shim's cumulative profile into `telemetry`'s
@@ -393,14 +394,14 @@ impl WalkService {
             record_epochs: config.record_epochs,
             carrier: (config.transport == TransportMode::Serialized).then_some(carrier),
             collector: Collector::new(&telemetry),
-            termination: Mutex::new_named(0, "service.termination"),
-            termination_cv: Condvar::new(),
+            progress: Mutex::new_named(0, "service.progress"),
+            progress_cv: Condvar::new(),
             telemetry,
         });
         let telemetry = &shared.telemetry;
 
         Ok(WalkService {
-            router: Router::new(num_shards),
+            router: Router::new(),
             num_vertices,
             seed: config.seed,
             max_inbox: config.max_inbox,
@@ -544,7 +545,7 @@ impl WalkService {
                 sampled,
                 sent_at: enqueued_at,
             });
-            self.shared.push(owner, ShardMsg::Walker(walker));
+            self.shared.push_walker(owner, walker);
         }
         if let Some(started) = enqueued_at {
             self.submit_ns.record_duration(started.elapsed());
@@ -638,9 +639,25 @@ impl WalkService {
         }
     }
 
+    /// Block until every shard has applied all updates up to and including
+    /// `receipt`'s epoch, i.e. the ingested events are visible to every new
+    /// walk step. Parks on `service.progress` until the shards get there.
+    pub fn sync(&self, receipt: IngestReceipt) {
+        let reached = || {
+            self.shared
+                .counters
+                .iter()
+                .all(|c| c.epoch.get_acquire() >= receipt.epoch)
+        };
+        let mut progress = self.shared.progress.lock();
+        while !reached() {
+            progress = self.shared.progress_cv.wait(progress);
+        }
+    }
+
     /// Stop all shard tasks and return the final statistics. Outstanding
-    /// tickets should be waited on first; walkers still in flight when the
-    /// shutdown message overtakes them are dropped.
+    /// tickets should be waited on first: walkers still queued or in
+    /// flight when a shard stops are dropped.
     pub fn shutdown(mut self) -> ServiceStats {
         self.stop_workers();
         self.stats()
@@ -651,25 +668,24 @@ impl WalkService {
             return;
         }
         self.stopped = true;
+        self.shared.push_shutdown();
         let n = self.shared.shards.len();
-        for shard in 0..n {
-            self.shared.push(shard, ShardMsg::Shutdown);
-        }
-        // Park until every shard task has processed its Shutdown. The pool
-        // workers are daemon threads shared across services, so there is
-        // no JoinHandle to join — termination is a counted condvar.
-        let mut done = self.shared.termination.lock();
+        // Park until every shard task has terminated. The pool workers are
+        // daemon threads shared across services, so there is no JoinHandle
+        // to join — termination is a counted condvar.
+        let mut done = self.shared.progress.lock();
         while *done < n {
-            done = self.shared.termination_cv.wait(done);
+            done = self.shared.progress_cv.wait(done);
         }
     }
 }
 
 impl ServiceShared {
-    /// Count one more shard as terminated and wake `stop_workers`.
-    pub(crate) fn mark_terminated(&self) {
-        *self.termination.lock() += 1;
-        self.termination_cv.notify_all();
+    /// Wake everything parked on `service.progress`, counting one more
+    /// terminated shard if `terminated`. Called with no other lock held.
+    pub(crate) fn note_progress(&self, terminated: bool) {
+        *self.progress.lock() += usize::from(terminated);
+        self.progress_cv.notify_all();
     }
 }
 

@@ -7,23 +7,24 @@
 //! Each shard is a small state machine (`ShardState`: a locked inbox
 //! plus a schedule flag) whose work runs as **resumable tasks on the
 //! process-wide worker pool** (the `rayon` shim's persistent parked
-//! workers, grown to at least `num_shards` at build). Pushing a message
-//! CASes the shard's flag from `IDLE` to `SCHEDULED` and spawns one
-//! activation; an activation drains a bounded batch from the inbox,
-//! processes it, and either re-enqueues itself (inbox still hot), steals
+//! workers, grown to at least `num_shards` at build). A push CASes the
+//! shard's flag from `IDLE` to `SCHEDULED` and spawns one activation. An
+//! activation takes every pending update batch and up to `TASK_BATCH`
+//! walkers under one inbox lock, applies the updates first, runs the
+//! walkers, and then either re-enqueues itself (inbox still hot), steals
 //! from a hot peer, or goes idle with a lost-wakeup-safe recheck.
 //!
 //! # Stealing happens at the queue, never at the engine
 //!
-//! An idle shard task may drain a batch of *forwarded-walker* messages
-//! from the front of a hot peer's inbox and execute them — **against the
-//! owning shard's engine**, through the same epoch-checked read path the
-//! owner uses. Engines stay shard-owned behind a `RwLock`: walker visits
-//! hold a read guard, update batches hold the write guard, so a steal can
-//! never observe a torn update and per-shard epoch ordering is preserved
-//! (thieves stop at the first non-walker message). Stealing is always on
-//! and never changes walk output — paths depend only on each walker's
-//! private RNG and the engine epoch it sampled under.
+//! An idle shard task may drain a batch of walkers from a hot peer's
+//! walker queue and run them **against the owning shard's engine**,
+//! through the same read path the owner uses. Engines stay shard-owned
+//! behind a `RwLock`: walker visits hold a read guard and update batches
+//! hold the write guard, so no step observes a torn update. A stolen
+//! walker steps at the victim's current epoch; an update still pending
+//! there is applied by the victim's next activation. Stealing never
+//! changes walk output without concurrent updates: paths depend only on
+//! each walker's private RNG and the engine epoch it sampled under.
 
 use crate::collect::FinishedWalk;
 use crate::forward::{ContextTrace, ForwardNegotiation, SnapshotCache};
@@ -35,15 +36,15 @@ use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
 use bingo_walks::WalkCursor;
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Messages one shard-task activation processes before re-enqueueing
-/// itself, bounding how long a single shard can monopolize a pool worker.
+/// Walkers one shard-task activation runs before re-enqueueing itself,
+/// bounding how long a single shard can monopolize a pool worker.
 const TASK_BATCH: usize = 32;
-/// Maximum consecutive walker messages a thief drains from the front of a
-/// victim's inbox in one steal.
+/// Maximum walkers a thief drains from a victim's walker queue in one
+/// steal.
 const STEAL_BATCH: usize = 8;
 /// Minimum inbox depth that makes a shard worth stealing from (and that
 /// triggers help wakeups of idle peers on enqueue).
@@ -95,15 +96,31 @@ pub(crate) struct Walker {
     pub(crate) sent_at: Option<Instant>,
 }
 
-pub(crate) enum ShardMsg {
-    Walker(Box<Walker>),
-    /// Pre-split update batch for this shard; applying it bumps the shard's
-    /// epoch by one, even when the batch is empty (epochs advance uniformly
-    /// across shards, one per router flush). The stamp is the router-side
-    /// flush time (`None` unless telemetry is detailed), for the
-    /// inbox-dwell histogram.
-    Update(UpdateBatch, Option<Instant>),
-    Shutdown,
+/// One shard's queued work, behind `service.shard_inbox`.
+#[derive(Default)]
+struct Inbox {
+    /// Walkers waiting for a visit, in arrival order.
+    walkers: VecDeque<Box<Walker>>,
+    /// Flushed update batches not yet applied, in flush order. Applying one
+    /// bumps the shard's epoch by one, even when it is empty (one epoch per
+    /// router flush on every shard). The stamp is the flush time (`None`
+    /// unless telemetry is detailed), for the inbox-dwell histogram.
+    updates: Vec<(UpdateBatch, Option<Instant>)>,
+    /// Set by `stop_workers`: later walkers are dropped, like sends on a
+    /// closed channel, and the next activation terminates the shard.
+    shutdown: bool,
+}
+
+impl Inbox {
+    fn has_work(&self) -> bool {
+        !self.walkers.is_empty() || !self.updates.is_empty() || self.shutdown
+    }
+
+    /// Up to `max` walkers from the front of the queue.
+    fn take_walkers(&mut self, max: usize) -> VecDeque<Box<Walker>> {
+        let n = self.walkers.len().min(max);
+        self.walkers.drain(..n).collect()
+    }
 }
 
 /// The shard-loop latency histograms, resolved once at service build.
@@ -114,7 +131,7 @@ pub(crate) struct ShardHists {
     /// `service.shard.step_batch_ns`: one walker visit (arrival →
     /// finish/forward).
     step_batch_ns: Histogram,
-    /// `service.shard.inbox_dwell_ns`: message enqueue → dequeue.
+    /// `service.shard.inbox_dwell_ns`: walker or update enqueue → dequeue.
     inbox_dwell_ns: Histogram,
     /// `service.shard.update_apply_ns`: one update-batch application.
     update_apply_ns: Histogram,
@@ -139,17 +156,16 @@ impl ShardHists {
 /// never through the inbox, so a thief can drain a queue without touching
 /// sampling state.
 pub(crate) struct ShardState {
-    /// FIFO message queue. Pushers append under the lock; the shard's own
-    /// task drains bounded batches from the front; thieves pop leading
-    /// `Walker` messages only, preserving the shard's walker/update order.
-    inbox: Mutex<VecDeque<ShardMsg>>,
+    /// Walkers and pending update batches. Pushers append under the lock;
+    /// the shard's own task takes every update and a bounded batch of
+    /// walkers; thieves take walkers only.
+    inbox: Mutex<Inbox>,
     /// Two-state scheduling latch ([`SCHED_IDLE`]/[`SCHED_SCHEDULED`]):
     /// makes "at most one activation in flight per shard" a CAS and makes
     /// wakeups lost-wakeup-safe (see `run_shard_task`'s idle transition).
+    /// The activation that terminates the shard leaves it `SCHEDULED`, so
+    /// nothing is scheduled on a stopped shard.
     sched: AtomicU8,
-    /// Set once this shard has processed [`ShardMsg::Shutdown`]. Pushes to
-    /// a terminated shard are dropped, like sends on a closed channel.
-    terminated: AtomicBool,
     /// The shard's engine. Walker visits — the owner's or a thief's —
     /// sample under the read guard; update batches apply under the write
     /// guard, so no step ever observes a torn update.
@@ -162,9 +178,8 @@ pub(crate) struct ShardState {
 impl ShardState {
     pub(crate) fn new(engine: BingoEngine) -> Self {
         ShardState {
-            inbox: Mutex::new_named(VecDeque::new(), "service.shard_inbox"),
+            inbox: Mutex::new_named(Inbox::default(), "service.shard_inbox"),
             sched: AtomicU8::new(SCHED_IDLE),
-            terminated: AtomicBool::new(false),
             engine: RwLock::new_named(engine, "service.shard_engine"),
             snapshots: SnapshotCache::new(),
         }
@@ -187,21 +202,20 @@ enum VisitOutcome {
 }
 
 impl ServiceShared {
-    /// Enqueue a message on `shard`'s inbox and guarantee an activation
-    /// will process it. When the enqueue leaves a deep backlog, idle peers
-    /// are woken too so they can steal from it.
-    pub(crate) fn push(self: &Arc<Self>, shard: usize, msg: ShardMsg) {
-        if self.shards[shard].terminated.load(Ordering::Acquire) {
-            // Shutdown raced this send: drop the message, like a send on a
-            // closed channel (in-flight walkers are abandoned).
-            return;
-        }
-        let depth;
-        {
+    /// Queue `walker` on `shard` and guarantee an activation will run it.
+    /// When the push leaves a deep backlog, idle peers are woken too so
+    /// they can steal from it.
+    pub(crate) fn push_walker(self: &Arc<Self>, shard: usize, walker: Box<Walker>) {
+        let depth = {
             let mut inbox = self.shards[shard].inbox.lock();
-            inbox.push_back(msg);
-            depth = inbox.len();
-        }
+            if inbox.shutdown {
+                // Shutdown raced this send: drop the walker, like a send on
+                // a closed channel.
+                return;
+            }
+            inbox.walkers.push_back(walker);
+            inbox.walkers.len()
+        };
         self.counters[shard].on_enqueue();
         self.schedule(shard);
         if depth >= STEAL_THRESHOLD {
@@ -209,14 +223,40 @@ impl ServiceShared {
         }
     }
 
+    /// Queue one flush: slice `s` of `splits` on shard `s`. Each shard's
+    /// next activation applies its slice before any walker still queued
+    /// there runs.
+    pub(crate) fn push_updates(
+        self: &Arc<Self>,
+        splits: Vec<UpdateBatch>,
+        flushed_at: Option<Instant>,
+    ) {
+        for (shard, split) in splits.into_iter().enumerate() {
+            self.shards[shard]
+                .inbox
+                .lock()
+                .updates
+                .push((split, flushed_at));
+            self.counters[shard].on_enqueue();
+            self.schedule(shard);
+        }
+    }
+
+    /// Ask every shard to stop: its next activation applies any pending
+    /// updates, drops its queued walkers and terminates.
+    pub(crate) fn push_shutdown(self: &Arc<Self>) {
+        for (shard, state) in self.shards.iter().enumerate() {
+            state.inbox.lock().shutdown = true;
+            self.schedule(shard);
+        }
+    }
+
     /// Make sure an activation is queued for `shard`: CAS the latch from
     /// IDLE to SCHEDULED and spawn one on the pool. A failed CAS means an
-    /// activation is already in flight and will re-check the inbox before
-    /// the shard goes idle — no message can be stranded.
+    /// activation is already in flight (or the shard has terminated); a
+    /// live one re-checks the inbox before the shard goes idle, so no
+    /// push can be stranded.
     fn schedule(self: &Arc<Self>, shard: usize) {
-        if self.shards[shard].terminated.load(Ordering::Acquire) {
-            return;
-        }
         if self.shards[shard]
             .sched
             .compare_exchange(
@@ -248,31 +288,25 @@ impl ServiceShared {
         }
     }
 
-    /// One shard-task activation: drain a bounded batch from the inbox
-    /// (under the lock), process it (outside the lock), then either
-    /// re-enqueue, steal, or go idle with a lost-wakeup-safe recheck.
+    /// One shard-task activation: take every pending update and a bounded
+    /// batch of walkers (under one inbox lock), apply the updates, run the
+    /// walkers (outside the lock), then either re-enqueue, steal, or go
+    /// idle with a lost-wakeup-safe recheck.
     fn run_shard_task(self: Arc<Self>, shard_id: usize) {
         let me = &self.shards[shard_id];
-        let mut batch = Vec::with_capacity(TASK_BATCH);
-        {
+        let (updates, walkers, shutdown) = {
             let mut inbox = me.inbox.lock();
-            while batch.len() < TASK_BATCH {
-                match inbox.pop_front() {
-                    Some(msg) => batch.push(msg),
-                    None => break,
-                }
-            }
-        }
-        for msg in batch {
-            self.counters[shard_id].on_dequeue();
-            // This stamp predates telemetry (it feeds `busy_nanos`), so
-            // detailed mode reuses it for dwell/step-batch/apply timing
-            // without adding clock reads to the disabled hot path.
-            // lint:allow(determinism): worker busy-time stamp; stats only,
-            // never influences sampling or walk output.
-            let started = Instant::now();
-            match msg {
-                ShardMsg::Update(update, flushed_at) => {
+            (
+                std::mem::take(&mut inbox.updates),
+                inbox.take_walkers(TASK_BATCH),
+                inbox.shutdown,
+            )
+        };
+        if !updates.is_empty() {
+            // In flush order, one epoch each, each under its own write
+            // guard.
+            for (update, flushed_at) in updates {
+                self.run_dequeued(shard_id, shard_id, |started| {
                     self.record_dwell(flushed_at, started, false);
                     self.apply_update(shard_id, update);
                     if self.hists.update_apply_ns.is_enabled() {
@@ -280,24 +314,27 @@ impl ServiceShared {
                             .update_apply_ns
                             .record_duration(started.elapsed());
                     }
-                }
-                ShardMsg::Walker(walker) => self.drive_walker(shard_id, shard_id, walker, started),
-                ShardMsg::Shutdown => {
-                    // Messages still queued (or drained into this batch)
-                    // are dropped, like a closed channel's.
-                    me.terminated.store(true, Ordering::Release);
-                    self.mark_terminated();
-                    return;
-                }
+                });
             }
-            self.counters[shard_id]
-                .busy_nanos
-                .add(started.elapsed().as_nanos() as u64);
+            // The write guards have dropped: wake `sync` with no engine
+            // lock held.
+            self.note_progress(false);
+        }
+        if shutdown {
+            // Walkers still queued, or taken into this batch, are dropped,
+            // like a closed channel's.
+            self.note_progress(true);
+            return;
+        }
+        for walker in walkers {
+            self.run_dequeued(shard_id, shard_id, |started| {
+                self.drive_walker(shard_id, shard_id, walker, started);
+            });
         }
         // Inbox still hot: keep the SCHEDULED claim, yield this worker
         // slot, and continue on a fresh activation so one shard never
         // monopolizes a pool worker.
-        if !me.inbox.lock().is_empty() {
+        if me.inbox.lock().has_work() {
             let shared = Arc::clone(&self);
             rayon::spawn(move || shared.run_shard_task(shard_id));
             return;
@@ -317,19 +354,15 @@ impl ServiceShared {
         self.telemetry.flight().record(FlightEventKind::ShardPark {
             shard: shard_id as u64,
         });
-        if !me.inbox.lock().is_empty() {
+        if me.inbox.lock().has_work() {
             self.schedule(shard_id);
         }
     }
 
     /// Steal at the queue, never at the engine: drain up to
-    /// [`STEAL_BATCH`] *leading walker messages* from the deepest
-    /// backlogged peer and execute them here — against the victim's
-    /// engine, through the same epoch-checked read path the owner uses.
-    /// Stopping at the first non-walker message preserves the victim's
-    /// walker/update order, so a stolen visit observes exactly the epoch
-    /// the owner's task would have shown it. Returns whether anything was
-    /// stolen.
+    /// [`STEAL_BATCH`] walkers from the deepest backlogged peer and run
+    /// them here, against the victim's engine at its current epoch.
+    /// Returns whether anything was stolen.
     fn try_steal(self: &Arc<Self>, thief: usize) -> bool {
         // Pick the deepest backlog at or past the threshold — depth gauges
         // only, no peer locks taken during selection.
@@ -346,19 +379,11 @@ impl ServiceShared {
         let Some((victim, _)) = victim else {
             return false;
         };
-        let mut stolen = Vec::new();
-        {
-            let mut inbox = self.shards[victim].inbox.lock();
-            while stolen.len() < STEAL_BATCH && matches!(inbox.front(), Some(ShardMsg::Walker(_))) {
-                match inbox.pop_front() {
-                    Some(ShardMsg::Walker(walker)) => stolen.push(walker),
-                    _ => unreachable!("front was just matched as a walker"),
-                }
-            }
-            // The inbox guard drops here, BEFORE any engine lock is taken:
-            // holding it across the visit would deadlock against the
-            // victim's own task (engine acquired while inbox wanted).
-        }
+        // The inbox guard drops at the end of this statement, BEFORE any
+        // engine lock is taken: holding it across the visit would deadlock
+        // against the victim's own task (engine acquired while inbox
+        // wanted).
+        let stolen = self.shards[victim].inbox.lock().take_walkers(STEAL_BATCH);
         if stolen.is_empty() {
             return false;
         }
@@ -375,18 +400,30 @@ impl ServiceShared {
         for walker in stolen {
             // Queue-depth accounting stays with the victim (its inbox
             // shrank); execution time is billed to the thief.
-            self.counters[victim].on_dequeue();
-            // lint:allow(determinism): busy-time stamp; stats only.
-            let started = Instant::now();
-            self.drive_walker(thief, victim, walker, started);
-            self.counters[thief]
-                .busy_nanos
-                .add(started.elapsed().as_nanos() as u64);
+            self.run_dequeued(victim, thief, |started| {
+                self.drive_walker(thief, victim, walker, started);
+            });
         }
         true
     }
 
-    /// Record how long a message sat in this shard's inbox (and, for a
+    /// Run one item taken from `owner`'s inbox, billing its time to
+    /// `exec`'s busy counter.
+    fn run_dequeued(&self, owner: usize, exec: usize, run: impl FnOnce(Instant)) {
+        self.counters[owner].on_dequeue();
+        // This stamp predates telemetry (it feeds `busy_nanos`), so
+        // detailed mode reuses it for dwell/step-batch/apply timing without
+        // adding clock reads to the disabled hot path.
+        // lint:allow(determinism): worker busy-time stamp; stats only,
+        // never influences sampling or walk output.
+        let started = Instant::now();
+        run(started);
+        self.counters[exec]
+            .busy_nanos
+            .add(started.elapsed().as_nanos() as u64);
+    }
+
+    /// Record how long a walker or update sat in this shard's inbox (and, for a
     /// forwarded walker, the full forward-hop latency: peer send →
     /// dequeue here). `sent_at` is `None` unless telemetry is detailed.
     fn record_dwell(&self, sent_at: Option<Instant>, dequeued_at: Instant, forwarded: bool) {

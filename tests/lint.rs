@@ -244,11 +244,11 @@ fn runtime_checker_accepts_consistent_order() {
 /// docs allow between them.
 const SERVICE_LOCKS: [(&str, &str); 6] = [
     ("service.pending", "collect.rs"),
+    ("service.progress", "service.rs"),
     ("service.router", "router.rs"),
     ("service.shard_ctx_cache", "forward.rs"),
     ("service.shard_engine", "shard.rs"),
     ("service.shard_inbox", "shard.rs"),
-    ("service.termination", "service.rs"),
 ];
 const SERVICE_LOCK_ORDERS: [(&str, &str); 2] = [
     ("service.router", "service.shard_inbox"),
@@ -361,7 +361,9 @@ fn service_lock_census_matches_the_documented_list_and_orders() {
     // Runtime half: the orders a run actually takes — across functions and
     // files, which the static pass cannot follow — are exactly the
     // documented two. Serialized node2vec over a structural update
-    // drives every nested acquisition the service has.
+    // drives every nested acquisition the service has. The `sync` below
+    // parks on `service.progress` before the first wave is waited on, so
+    // its walkers are still queued or in flight.
     parking_lot::force_enable_lock_check();
     let mut graph = DynamicGraph::new(24);
     for v in 0..24u32 {
@@ -386,12 +388,13 @@ fn service_lock_census_matches_the_documented_list_and_orders() {
         p: 0.5,
         q: 2.0,
     });
-    service.wait(service.submit_all_vertices(node2vec).unwrap());
+    let first = service.submit_all_vertices(node2vec).unwrap();
     service.sync(service.ingest(&UpdateBatch::new(vec![UpdateEvent::Insert {
         src: 0,
         dst: 7,
         bias: Bias::from_int(1),
     }])));
+    service.wait(first);
     service.wait(service.submit_all_vertices(node2vec).unwrap());
     service.shutdown();
     let observed: BTreeSet<(&str, &str)> = parking_lot::observed_order()

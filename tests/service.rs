@@ -8,14 +8,17 @@
 //!   forwarded walker must equal the previous vertex's true adjacency;
 //! * update/walk interleaving — while update batches stream in, every walk
 //!   step must traverse an edge that was alive at the epoch the owning
-//!   shard had reached when it sampled the step (no torn or stale groups).
+//!   shard had reached when it sampled the step (no torn or stale groups),
+//!   and a flushed batch is applied ahead of the walkers queued behind it.
 
 use bingo::prelude::*;
 use bingo::sampling::stats::{chi_square, chi_square_critical_999};
 use bingo::service::{ServiceConfig, TransportMode};
 use bingo_graph::updates::UpdateKind;
 use bingo_graph::UpdateStreamBuilder;
+use rand::RngCore;
 use std::collections::HashMap;
+use std::sync::{Arc, Barrier};
 
 /// A graph whose vertex 0 has neighbors owned by all four shards, with
 /// biases spanning several radix groups.
@@ -129,8 +132,28 @@ fn sharded_sampling_matches_single_engine_distribution() {
     );
 }
 
+/// The consistency contract under concurrent updates, for a first- and a
+/// second-order walk over both transports.
 #[test]
 fn concurrent_updates_and_walks_respect_epoch_liveness() {
+    let deepwalk = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 20 });
+    let node2vec = WalkSpec::Node2Vec(Node2VecConfig {
+        walk_length: 20,
+        p: 0.5,
+        q: 2.0,
+    });
+    for spec in [deepwalk, node2vec] {
+        for transport in [TransportMode::InProcess, TransportMode::Serialized] {
+            check_epoch_liveness(spec, transport);
+        }
+    }
+}
+
+/// Every step traverses an edge alive at the (shard, epoch) it records, a
+/// walker's epochs on one shard never decrease, and a wave submitted after
+/// `sync` runs entirely at the last epoch.
+fn check_epoch_liveness(spec: WalkSpec, transport: TransportMode) {
+    let case = format!("{} over {transport:?}", spec.name());
     // Build a base graph plus a valid mixed update stream.
     let mut rng = Pcg64::seed_from_u64(0xEC0);
     let mut graph = GraphGenerator::ErdosRenyi {
@@ -148,12 +171,12 @@ fn concurrent_updates_and_walks_respect_epoch_liveness() {
             num_shards,
             seed: 0xE90C,
             record_epochs: true,
+            transport,
             ..ServiceConfig::default()
         },
     )
     .unwrap();
     let partitioner = service.partitioner();
-    let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 20 });
 
     // Interleave: one wave of walks between every pair of update batches,
     // WITHOUT waiting for the walks before ingesting the next batch.
@@ -206,79 +229,201 @@ fn concurrent_updates_and_walks_respect_epoch_liveness() {
         snapshots.push(live.clone());
     }
 
-    // Every traced step must traverse an edge alive at its (shard, epoch).
+    // Every traced step must traverse an edge alive at its (shard, epoch),
+    // and a walker's epochs on any one shard never go back.
     let mut checked = 0usize;
     for wave in waves.iter().chain(std::iter::once(&final_wave)) {
         for (path, trace) in wave.paths.iter().zip(&wave.traces) {
-            assert_eq!(trace.len(), path.len() - 1, "one trace entry per step");
+            assert_eq!(
+                trace.len(),
+                path.len() - 1,
+                "{case}: one trace entry per step"
+            );
+            let mut last_epoch = vec![0u64; num_shards];
             for t in trace {
                 assert_eq!(
                     partitioner.owner(t.src),
                     t.shard,
-                    "steps are sampled by the owner of their source"
+                    "{case}: steps are sampled by the owner of their source"
                 );
                 let epoch = t.epoch as usize;
-                assert!(epoch < snapshots.len(), "epoch within the flushed range");
+                assert!(
+                    epoch < snapshots.len(),
+                    "{case}: epoch within the flushed range"
+                );
                 let alive = snapshots[epoch][t.shard]
                     .get(&(t.src, t.dst))
                     .copied()
                     .unwrap_or(0);
                 assert!(
                     alive > 0,
-                    "step {}→{} on shard {} not alive at epoch {}",
+                    "{case}: step {}→{} on shard {} not alive at epoch {}",
                     t.src,
                     t.dst,
                     t.shard,
                     t.epoch
                 );
+                assert!(
+                    t.epoch >= last_epoch[t.shard],
+                    "{case}: a walker went back from epoch {} to {} on shard {}",
+                    last_epoch[t.shard],
+                    t.epoch,
+                    t.shard
+                );
+                last_epoch[t.shard] = t.epoch;
                 checked += 1;
             }
         }
     }
-    assert!(checked > 1000, "enough steps were checked ({checked})");
+    assert!(
+        checked > 1000,
+        "{case}: enough steps were checked ({checked})"
+    );
 
     // The quiesced wave must run entirely at the final epoch.
     let final_epoch = batches.len() as u64;
     for trace in &final_wave.traces {
         for t in trace {
-            assert_eq!(t.epoch, final_epoch, "post-sync steps see every update");
+            assert_eq!(
+                t.epoch, final_epoch,
+                "{case}: post-sync steps see every update"
+            );
         }
     }
 
     let stats = service.shutdown();
     assert_eq!(
         stats.per_shard.iter().map(|s| s.epoch).max().unwrap(),
-        final_epoch
+        final_epoch,
+        "{case}"
     );
-    assert_eq!(stats.total_updates_applied() as usize, {
-        // Deletions of already-deleted duplicates are skipped by the
-        // engine, exactly as the mirror skips them; insertions all apply.
-        let mut mirror_applied = 0usize;
-        let mut live: HashMap<(VertexId, VertexId), i64> = HashMap::new();
-        for (src, edge) in graph.edges() {
-            *live.entry((src, edge.dst)).or_insert(0) += 1;
-        }
-        for batch in &batches {
-            for event in batch.events() {
-                match *event {
-                    UpdateEvent::Insert { src, dst, .. } => {
-                        *live.entry((src, dst)).or_insert(0) += 1;
-                        mirror_applied += 1;
-                    }
-                    UpdateEvent::Delete { src, dst } => {
-                        if let Some(c) = live.get_mut(&(src, dst)) {
-                            if *c > 0 {
-                                *c -= 1;
-                                mirror_applied += 1;
+    assert_eq!(
+        stats.total_updates_applied() as usize,
+        {
+            // Deletions of already-deleted duplicates are skipped by the
+            // engine, exactly as the mirror skips them; insertions all apply.
+            let mut mirror_applied = 0usize;
+            let mut live: HashMap<(VertexId, VertexId), i64> = HashMap::new();
+            for (src, edge) in graph.edges() {
+                *live.entry((src, edge.dst)).or_insert(0) += 1;
+            }
+            for batch in &batches {
+                for event in batch.events() {
+                    match *event {
+                        UpdateEvent::Insert { src, dst, .. } => {
+                            *live.entry((src, dst)).or_insert(0) += 1;
+                            mirror_applied += 1;
+                        }
+                        UpdateEvent::Delete { src, dst } => {
+                            if let Some(c) = live.get_mut(&(src, dst)) {
+                                if *c > 0 {
+                                    *c -= 1;
+                                    mirror_applied += 1;
+                                }
                             }
                         }
+                        UpdateEvent::UpdateBias { .. } => mirror_applied += 2,
                     }
-                    UpdateEvent::UpdateBias { .. } => mirror_applied += 2,
                 }
             }
-        }
-        mirror_applied
+            mirror_applied
+        },
+        "{case}"
+    );
+}
+
+/// A one-step walk whose single step meets the test at `entered`, then
+/// parks at `gate` until the test meets it there too — holding the shard's
+/// activation (and its engine read guard) mid-visit in between.
+#[derive(Debug)]
+struct GateModel {
+    entered: Arc<Barrier>,
+    gate: Arc<Barrier>,
+}
+
+impl WalkModel for GateModel {
+    fn name(&self) -> &str {
+        "gate"
+    }
+
+    fn expected_length(&self) -> usize {
+        1
+    }
+
+    fn max_steps(&self) -> usize {
+        1
+    }
+
+    fn step(
+        &self,
+        _state: &WalkState,
+        _sampler: &dyn StepSampler,
+        _rng: &mut dyn RngCore,
+    ) -> Transition {
+        self.entered.wait();
+        self.gate.wait();
+        Transition::Terminate
+    }
+}
+
+/// A flushed batch is applied ahead of every walker still queued on its
+/// shard: walkers submitted before an `ingest`, but not yet dequeued when
+/// it lands, step at the new epoch.
+#[test]
+fn an_update_overtakes_queued_walkers() {
+    let n = 16u32;
+    let mut graph = DynamicGraph::new(n as usize);
+    for v in 0..n {
+        graph
+            .insert_edge(v, (v + 1) % n, Bias::from_int(1))
+            .unwrap();
+    }
+    // One shard: no peer can steal the queued walkers.
+    let service = WalkService::build(
+        &graph,
+        ServiceConfig {
+            num_shards: 1,
+            record_epochs: true,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let entered = Arc::new(Barrier::new(2));
+    let gate = Arc::new(Barrier::new(2));
+    let model: SharedWalkModel = Arc::new(GateModel {
+        entered: Arc::clone(&entered),
+        gate: Arc::clone(&gate),
     });
+    let gated = service.submit(model, &[0]).unwrap();
+    entered.wait();
+    // The shard's activation is parked inside the gate's step: these
+    // walkers queue behind it, and the update queues after them.
+    let starts: Vec<VertexId> = (0..n).collect();
+    let queued = service
+        .submit(
+            WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 6 }),
+            &starts,
+        )
+        .unwrap();
+    let receipt = service.ingest(&UpdateBatch::new(vec![UpdateEvent::Insert {
+        src: 0,
+        dst: 8,
+        bias: Bias::from_int(1),
+    }]));
+    // Only now may the update apply: until the gate opens, its step holds
+    // the engine read guard the write guard waits on.
+    gate.wait();
+    assert_eq!(receipt.epoch, 1);
+    service.wait(gated);
+    let results = service.wait(queued);
+    service.sync(receipt);
+    for trace in &results.traces {
+        assert_eq!(trace.len(), 6);
+        for t in trace {
+            assert_eq!(t.epoch, 1, "a queued walker stepped before the update");
+        }
+    }
+    service.shutdown();
 }
 
 /// A 4-shard graph engineered so node2vec's second transition out of vertex
