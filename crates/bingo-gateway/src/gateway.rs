@@ -168,13 +168,13 @@ struct Inner {
     dispatch_ns: Histogram,
 }
 
-/// Get-or-register the per-tenant accumulator, registering its counters
-/// in the shared telemetry registry on first sight of the tenant.
-fn tenant_accum<'a>(inner: &Inner, state: &'a mut State, tenant: &TenantId) -> &'a mut TenantAccum {
+/// The per-tenant accumulator. [`Gateway::submit`] registers it before it
+/// bills or queues anything to the tenant.
+fn tenant_accum<'a>(state: &'a mut State, tenant: &TenantId) -> &'a mut TenantAccum {
     state
         .tenants
-        .entry(tenant.clone())
-        .or_insert_with(|| TenantAccum::register(&inner.telemetry, tenant.as_str()))
+        .get_mut(tenant)
+        .expect("`submit` registers a tenant before billing it")
 }
 
 /// A chunk the dispatcher has submitted and is polling for completion.
@@ -301,15 +301,22 @@ impl Gateway {
         let partitioner = self.inner.service.partitioner();
 
         let mut state = self.inner.state.lock();
+        if !state.tenants.contains_key(&tenant) {
+            // First sight: register its counters with the state unlocked,
+            // so no registry lock nests under it.
+            drop(state);
+            let mut accum = TenantAccum::register(&self.inner.telemetry, tenant.as_str());
+            state = self.inner.state.lock();
+            accum.index = state.tenants.len() as u32;
+            state.tenants.entry(tenant.clone()).or_insert(accum);
+        }
         if state.shutdown {
             return Err(GatewayError::ShuttingDown);
         }
         let queued = state.sched.queued_walkers(&tenant);
         let capacity = self.inner.config.max_queue_per_tenant;
         if queued + starts.len() > capacity {
-            tenant_accum(&self.inner, &mut state, &tenant)
-                .rejected_overloaded
-                .inc();
+            tenant_accum(&mut state, &tenant).rejected_overloaded.inc();
             return Err(GatewayError::Overloaded {
                 tenant,
                 queued,
@@ -356,7 +363,7 @@ impl Gateway {
             });
         }
         let new_depth = state.sched.queued_walkers(&tenant);
-        let accum = tenant_accum(&self.inner, &mut state, &tenant);
+        let accum = tenant_accum(&mut state, &tenant);
         accum.submitted_walks.add(starts.len() as u64);
         accum
             .peak_queued_walkers
@@ -427,6 +434,7 @@ impl Gateway {
                     (
                         TenantStatsSnapshot {
                             tenant: tenant.clone(),
+                            index: accum.index,
                             weight: state.sched.weight(tenant),
                             queued_walkers: state.sched.queued_walkers(tenant),
                             peak_queued_walkers: accum.peak_queued_walkers.get().max(0) as usize,
@@ -576,7 +584,7 @@ fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
                         .in_flight_walkers
                         .fetch_add(chunk.cost(), Ordering::AcqRel);
                     let wait = chunk.enqueued_at.elapsed();
-                    let accum = tenant_accum(&inner, &mut state, &chunk.tenant);
+                    let accum = tenant_accum(&mut state, &chunk.tenant);
                     accum.dispatched_chunks.inc();
                     accum.record_wait(wait);
                     // Stitch DRR-dispatch spans into the sampled walker
@@ -586,18 +594,14 @@ fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
                     // span a moment ago, so the gateway agrees on the
                     // sampled set without any coordination.
                     if inner.telemetry.tracer().is_some() {
-                        let wait_ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
-                        for idx in 0..chunk.starts.len() as u64 {
-                            if inner.telemetry.is_sampled(ticket.id(), idx) {
-                                inner.telemetry.trace(
-                                    ticket.id(),
-                                    idx as u32,
-                                    TraceStage::GatewayDispatch {
-                                        tenant: chunk.tenant.as_str().to_string(),
-                                        wait_ns,
-                                        gateway_ticket: chunk.submission,
-                                    },
-                                );
+                        let stage = TraceStage::GatewayDispatch {
+                            tenant: accum.index,
+                            wait_ns: u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
+                            gateway_ticket: chunk.submission,
+                        };
+                        for idx in 0..chunk.starts.len() as u32 {
+                            if inner.telemetry.is_sampled(ticket.id(), idx.into()) {
+                                inner.telemetry.trace(ticket.id(), idx, stage);
                             }
                         }
                     }
@@ -613,7 +617,7 @@ fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
                     // recorded the bounce): park the chunk back at its
                     // queue front (nothing dropped, deficit refunded) and
                     // halve the window — we pushed too hard.
-                    tenant_accum(&inner, &mut state, &chunk.tenant)
+                    tenant_accum(&mut state, &chunk.tenant)
                         .saturated_requeues
                         .inc();
                     state.sched.requeue_front(chunk);
@@ -656,7 +660,7 @@ fn absorb_chunk(
         .in_flight_walkers
         .fetch_sub(chunk.indices.len(), Ordering::AcqRel);
     let steps = results.total_steps();
-    let accum = tenant_accum(inner, state, &chunk.tenant);
+    let accum = tenant_accum(state, &chunk.tenant);
     accum.completed_walks.add(results.paths.len() as u64);
     accum.completed_steps.add(steps as u64);
     if let Some(sub) = state.submissions.get_mut(&chunk.submission) {
@@ -673,7 +677,7 @@ fn absorb_chunk(
 /// Terminal rejection of a chunk: record the failure on its submission so
 /// the waiter receives a typed error instead of hanging.
 fn fail_chunk(inner: &Inner, state: &mut State, chunk: Chunk, err: ServiceError) {
-    let accum = tenant_accum(inner, state, &chunk.tenant);
+    let accum = tenant_accum(state, &chunk.tenant);
     accum.failed_walks.add(chunk.cost() as u64);
     if let Some(sub) = state.submissions.get_mut(&chunk.submission) {
         sub.error.get_or_insert(GatewayError::Rejected(err));

@@ -48,8 +48,9 @@
 //!   [`WalkService::build_with_telemetry`](bingo_service::WalkService::build_with_telemetry)
 //!   and the gateway's `gateway.tenant.wait_ns` / `gateway.dispatch_ns`
 //!   histograms land in the same registry as the shard-side stages, and
-//!   sampled walker lifecycles stitch a `dispatch(...)` span between
-//!   `submit` and the per-shard `step`/`hop` spans. See the
+//!   sampled walker lifecycles stitch a `dispatch(tenant<i> …)` span (`i`
+//!   is the tenant's `"index"` in `to_json`, its first-submission order)
+//!   between `submit` and the per-shard `step`/`hop` spans. See the
 //!   "Observability" section of the `bingo_service` crate docs for the
 //!   metric taxonomy and trace schema. The `bingo-obs` crate serves all
 //!   of it over HTTP (`/metrics`, `/status`, `/healthz`, …) and watches

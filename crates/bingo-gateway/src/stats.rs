@@ -28,6 +28,8 @@ pub const WAIT_SAMPLE_CAP: usize = 65_536;
 /// into [`TenantStatsSnapshot`]).
 #[derive(Debug, Default)]
 pub(crate) struct TenantAccum {
+    /// First-submission order number, carried by `GatewayDispatch` spans.
+    pub index: u32,
     pub submitted_walks: Counter,
     pub dispatched_chunks: Counter,
     pub completed_walks: Counter,
@@ -101,6 +103,8 @@ impl TenantAccum {
 pub struct TenantStatsSnapshot {
     /// The tenant.
     pub tenant: TenantId,
+    /// Its first-submission order number, which its trace spans carry.
+    pub index: u32,
     /// Its current scheduling weight.
     pub weight: u32,
     /// Walkers queued at the gateway right now.
@@ -188,6 +192,7 @@ impl GatewayStats {
             let mut tenant = JsonObject::new();
             tenant
                 .field_str("tenant", t.tenant.as_str())
+                .field_num("index", t.index)
                 .field_num("weight", t.weight)
                 .field_num("queued_walkers", t.queued_walkers)
                 .field_num("peak_queued_walkers", t.peak_queued_walkers)
@@ -304,6 +309,7 @@ mod tests {
 
         let snap = |name: &str, steps: u64| TenantStatsSnapshot {
             tenant: TenantId::new(name),
+            index: u32::from(name == "b"),
             weight: 1,
             queued_walkers: 0,
             peak_queued_walkers: 0,
@@ -326,7 +332,8 @@ mod tests {
         assert!((stats.completed_step_share(&TenantId::new("b")) - 0.25).abs() < 1e-12);
         assert_eq!(stats.completed_step_share(&TenantId::new("c")), 0.0);
         let json = stats.to_json();
-        assert!(json.contains("\"tenant\":\"a\""), "{json}");
+        assert!(json.contains("\"tenant\":\"a\",\"index\":0"), "{json}");
+        assert!(json.contains("\"tenant\":\"b\",\"index\":1"), "{json}");
         assert!(json.contains("\"step_share\":0.7500"), "{json}");
         assert!(json.contains("\"completed_steps\":100"), "{json}");
     }

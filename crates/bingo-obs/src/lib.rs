@@ -8,13 +8,13 @@
 //!   responder on `std::net::TcpListener` serving `/metrics` (Prometheus
 //!   text format), `/status` (JSON: the watchdog verdict,
 //!   `ServiceStats::to_json`, `GatewayStats::to_json`, the pool profile
-//!   and flight-ring occupancy), `/trace` (sampled walker lifecycles),
-//!   `/flight` (flight recorder dump) and `/healthz`. Connections are
-//!   handled as jobs on the persistent worker pool — no dedicated
-//!   serving threads beyond the accept loop itself.
-//! * **Flight recorder** (re-exported from `bingo-telemetry`): a
-//!   lock-free bounded ring of structured runtime events — steals,
-//!   saturation bounces, window moves, epoch advances, shard
+//!   and both event rings' occupancy), `/trace` (sampled walker
+//!   lifecycles), `/flight` (flight recorder dump) and `/healthz`.
+//!   Connections are handled as jobs on the persistent worker pool — no
+//!   dedicated serving threads beyond the accept loop itself.
+//! * **Flight recorder** (re-exported from `bingo-telemetry`): a bounded
+//!   lock-free ring, the tracer's ring type, of structured runtime events
+//!   — steals, saturation bounces, window moves, epoch advances, shard
 //!   park/unpark — dumped via `/flight` and automatically on panic.
 //! * **Stall watchdog** ([`Watchdog`]): a lazy progress-heartbeat check
 //!   evaluated on `/healthz` and `/status` reads (no background clock

@@ -12,8 +12,8 @@
 //! | endpoint   | body |
 //! |------------|------|
 //! | `/metrics` | Prometheus text format over the whole registry |
-//! | `/status`  | JSON: watchdog + `ServiceStats::to_json` + `GatewayStats::to_json` + pool + flight |
-//! | `/trace`   | sampled walker lifecycle lines from the [`Tracer`] ring |
+//! | `/status`  | JSON: watchdog + `ServiceStats::to_json` + `GatewayStats::to_json` + pool + the flight and trace rings' `{capacity, recorded, dropped}` (`trace` is `null` with tracing off) |
+//! | `/trace`   | sampled walker lifecycle lines from the [`Tracer`]'s event ring |
 //! | `/flight`  | flight-recorder dump (most recent structured events) |
 //! | `/healthz` | `ok` (200) or a stall description (503) |
 //!
@@ -322,14 +322,22 @@ fn render_status(inner: &ServerInner) -> String {
     pool.field_num("tasks", snapshot.counter(names::RUNTIME_POOL_TASKS, &[]));
     root.field_raw("pool", &pool.finish());
 
-    let flight = inner.telemetry.flight();
-    let mut fl = JsonObject::new();
-    fl.field_num("capacity", flight.capacity());
-    fl.field_num("recorded", flight.recorded());
-    fl.field_num("dropped", flight.dropped());
-    root.field_raw("flight", &fl.finish());
+    let fl = inner.telemetry.flight();
+    let flight = ring_json(fl.capacity(), fl.recorded(), fl.dropped());
+    root.field_raw("flight", &flight);
+    let trace = inner.telemetry.tracer();
+    let trace = trace.map(|t| ring_json(t.capacity(), t.recorded(), t.dropped()));
+    root.field_raw("trace", trace.as_deref().unwrap_or("null"));
 
     let mut body = root.finish();
     body.push('\n');
     body
+}
+
+/// One event ring's occupancy: the flight and trace blocks of `/status`.
+fn ring_json(capacity: usize, recorded: u64, dropped: u64) -> String {
+    let mut ring = JsonObject::new();
+    ring.field_num("capacity", capacity);
+    ring.field_num("recorded", recorded);
+    ring.field_num("dropped", dropped).finish()
 }

@@ -117,7 +117,8 @@
 //! [`Telemetry`](bingo_telemetry::Telemetry) handle
 //! ([`WalkService::build_with_telemetry`]; the gateway clones the
 //! service's handle via [`WalkService::telemetry`], so gateway and shard
-//! spans share one registry and one trace ring).
+//! spans share one registry and one trace ring, which records without a
+//! lock).
 //!
 //! **Metric taxonomy.** Names are stable, dot-separated
 //! `layer.scope.metric` constants in [`bingo_telemetry::names`]
@@ -143,22 +144,26 @@
 //! **Lifecycle traces.** Detailed mode samples walkers
 //! **deterministically** — a pure hash of `(seed, ticket, walker)`, so the
 //! sampled set is identical across runs, thread counts and layers — and
-//! records spans into a bounded ring: `submit` → (`dispatch` when fronted
-//! by the gateway) → per-shard `step` batches → cross-shard `hop`s (with
-//! cache hit/miss and billed context bytes) → `collect`. A dump line reads
-//! like
+//! records spans, without taking a lock, into a bounded lock-free ring
+//! (the flight recorder's ring type, a second instance): `submit` →
+//! (`dispatch` when fronted by the gateway) → per-shard `step` batches →
+//! cross-shard `hop`s (with cache hit/miss and billed context bytes) →
+//! `collect`. A dump line reads like
 //!
 //! ```text
-//! t5/w24: submit(s3 v441) -> dispatch(heavy g1 wait=883823ns)
-//!   -> step(s3 x1 @e0) -> hop(s3->s1 miss 0B) -> step(s1 x1 @e0)
-//!   -> collect(len=6 hops=3 3384692ns)
+//! t5/w24: submit(s3 v441) -> dispatch(tenant0 g1 wait=883823ns)
+//!   -> step(s3 x1 @e0) -> hop(s3->s1 miss 0B) -> step(s1 x2 @e0)
+//!   -> hop(s1->s0 hit 0B) -> step(s0 x1 @e0) -> hop(s0->s2 miss 0B)
+//!   -> step(s2 x1 @e0) -> collect(len=6 hops=3 3384692ns)
 //! ```
 //!
 //! — walker 24 of service ticket 5 started on shard 3 at vertex 441, was
-//! dispatched by the gateway for tenant `heavy` after an 884µs queue wait,
-//! stepped on shard 3 at update epoch 0, hopped to shard 1 without a
-//! context-cache hit, and was collected after 3 hops with a final path of
-//! 6 vertices. Spans recorded by different shard tasks stitch on
+//! dispatched by the gateway as part of gateway ticket 1 of tenant 0 (the
+//! first tenant to submit; `/status` lists each tenant's `"index"`) after
+//! an 884µs queue wait, took 5 steps on four shards at update epoch 0 with
+//! 3 hops (one context-cache hit; in-process forwards bill no bytes), and
+//! finished its 6-vertex path 3.4 ms after service ticket 5 was
+//! submitted. Spans recorded by different shard tasks stitch on
 //! `(ticket, walker)` — see `bingo_telemetry::Tracer::lifecycles`.
 //!
 //! **Exposition.** A [`ServiceStats`] snapshot has one rendering,
@@ -199,6 +204,10 @@
 //!   other lock held, and a waiter holds either only across its own check
 //!   and condvar park — no lock is ever held across a blocking call, and
 //!   the tree carries no `lint:allow(lock-discipline)`.
+//! * Spans recorded under these locks (a step batch under the engine read
+//!   guard, a collect under `service.pending`) take no lock: the tracer's
+//!   ring is lock-free, and `tests/lint.rs` fails if a checked run takes
+//!   any `telemetry.*` lock under a `service.*` or `gateway.*` one.
 //! * Engines stay **shard-owned** behind `service.shard_engine`: walker
 //!   visits (the owner's or a thief's) sample under the read guard,
 //!   update batches apply under the write guard, and the epoch counter is

@@ -1,24 +1,23 @@
-//! `flight` — a lock-free bounded ring of structured runtime events.
+//! `flight` — the crate's one event ring, and the flight recorder's
+//! structured runtime events in it.
 //!
-//! The flight recorder is the post-mortem counterpart to the sampled
-//! [`Tracer`](crate::Tracer): instead of following individual walkers it
-//! records *rare, load-bearing* runtime transitions — a steal executing, a
-//! `Saturated` bounce, an AIMD window change, an epoch advance, a shard
-//! parking or unparking, a watchdog trip. Events carry a **relative tick**
-//! (the monotonically increasing record index), never a wall-clock
-//! timestamp, so recording from inside the deterministic pipeline stays
-//! determinism-lint-clean.
+//! The ring is a fixed array of per-slot seqlocks over five payload
+//! words: a writer takes a tick with one `fetch_add` on the head counter,
+//! claims the tick's slot by moving its sequence from the previous even
+//! value to odd while the payload words are in flight, and marks it even
+//! (encoding the tick) when done. Readers snapshot without blocking
+//! writers and skip torn slots. When the ring wraps, the oldest events are
+//! overwritten and counted, exactly, as dropped. A detailed
+//! [`Telemetry`](crate::Telemetry) has two: the [`Tracer`](crate::Tracer)'s
+//! sampled walker spans, and the [`FlightRecorder`]'s *rare, load-bearing*
+//! runtime transitions — a steal executing, a `Saturated` bounce, an AIMD
+//! window change, an epoch advance, a shard parking or unparking, a
+//! watchdog trip. Events carry a **relative tick** (the record index),
+//! never a wall-clock timestamp, so recording from inside the
+//! deterministic pipeline stays determinism-lint-clean.
 //!
-//! The ring is a fixed array of per-slot seqlocks: a writer takes a tick
-//! with one `fetch_add` on the head counter, claims the tick's slot by
-//! moving its sequence from the previous even value to odd while the
-//! payload words are in flight, and marks it even (encoding the tick) when
-//! done. Readers snapshot without blocking writers and simply skip torn
-//! slots. When the ring wraps, the oldest events are overwritten and
-//! counted by [`FlightRecorder::dropped`].
-//!
-//! On panic, [`FlightRecorder::install_panic_hook`] dumps the ring to
-//! stderr so a wedged CI run leaves a diagnosable trail.
+//! On panic, [`FlightRecorder::install_panic_hook`] dumps the flight ring
+//! to stderr so a wedged CI run leaves a diagnosable trail.
 
 use std::io::Write;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
@@ -81,23 +80,23 @@ pub enum FlightEventKind {
 }
 
 impl FlightEventKind {
-    fn encode(self) -> (u64, u64, u64, u64) {
+    fn encode(self) -> [u64; WORDS] {
         match self {
             FlightEventKind::StealExecuted {
                 thief,
                 victim,
                 walkers,
-            } => (1, thief, victim, walkers),
-            FlightEventKind::SaturatedBounce { shard, depth } => (2, shard, depth, 0),
-            FlightEventKind::WindowChange { window } => (3, window, 0, 0),
-            FlightEventKind::EpochAdvance { shard, epoch } => (4, shard, epoch, 0),
-            FlightEventKind::ShardPark { shard } => (5, shard, 0, 0),
-            FlightEventKind::ShardUnpark { shard } => (6, shard, 0, 0),
-            FlightEventKind::WatchdogTrip { shard, depth } => (7, shard, depth, 0),
+            } => [1, thief, victim, walkers, 0],
+            FlightEventKind::SaturatedBounce { shard, depth } => [2, shard, depth, 0, 0],
+            FlightEventKind::WindowChange { window } => [3, window, 0, 0, 0],
+            FlightEventKind::EpochAdvance { shard, epoch } => [4, shard, epoch, 0, 0],
+            FlightEventKind::ShardPark { shard } => [5, shard, 0, 0, 0],
+            FlightEventKind::ShardUnpark { shard } => [6, shard, 0, 0, 0],
+            FlightEventKind::WatchdogTrip { shard, depth } => [7, shard, depth, 0, 0],
         }
     }
 
-    fn decode(code: u64, a: u64, b: u64, c: u64) -> Option<Self> {
+    fn decode([code, a, b, c, _]: [u64; WORDS]) -> Option<Self> {
         Some(match code {
             1 => FlightEventKind::StealExecuted {
                 thief: a,
@@ -168,74 +167,54 @@ impl FlightEvent {
     }
 }
 
-/// One ring slot: a seqlock over four payload words. `seq == 0` means the
-/// slot has never been written; odd means a write is in flight; even
+/// Payload words per ring slot.
+pub(crate) const WORDS: usize = 5;
+
+/// One ring slot: a seqlock over [`WORDS`] payload words. `seq == 0` means
+/// the slot has never been written; odd means a write is in flight; even
 /// `2*tick + 2` means tick `tick`'s payload is complete.
 struct Slot {
     seq: AtomicU64,
-    code: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-    c: AtomicU64,
+    words: [AtomicU64; WORDS],
 }
 
-impl Slot {
-    fn empty() -> Self {
-        Slot {
-            seq: AtomicU64::new(0),
-            code: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-            c: AtomicU64::new(0),
-        }
-    }
-}
-
-struct Ring {
+/// The crate's one event ring (see the module docs): the [`FlightRecorder`]
+/// and the [`Tracer`](crate::Tracer) each encode their events as words.
+pub(crate) struct EventRing {
     head: AtomicU64,
     slots: Box<[Slot]>,
 }
 
-/// The bounded, lock-free flight recorder. Cloning shares the ring.
-#[derive(Clone)]
-pub struct FlightRecorder {
-    ring: Arc<Ring>,
-}
-
-impl std::fmt::Debug for FlightRecorder {
+impl std::fmt::Debug for EventRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("capacity", &self.capacity())
-            .field("recorded", &self.recorded())
-            .finish()
+        write!(f, "EventRing({} of {})", self.recorded(), self.capacity())
     }
 }
 
-impl FlightRecorder {
-    /// A recorder holding the last `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        FlightRecorder {
-            ring: Arc::new(Ring {
-                head: AtomicU64::new(0),
-                slots: (0..capacity).map(|_| Slot::empty()).collect(),
-            }),
+impl EventRing {
+    pub(crate) fn new(capacity: usize) -> Self {
+        let slot = |_| Slot {
+            seq: AtomicU64::new(0),
+            words: std::array::from_fn(|_| AtomicU64::new(0)),
+        };
+        EventRing {
+            head: AtomicU64::new(0),
+            slots: (0..capacity.max(1)).map(slot).collect(),
         }
     }
 
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.ring.slots.len()
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
     }
 
-    /// Record one event: one `fetch_add`, one compare-exchange and five
+    /// Record one event: one `fetch_add`, one compare-exchange and six
     /// stores. A writer waits only for a writer a full lap behind it that
     /// is still filling the same slot.
-    pub fn record(&self, kind: FlightEventKind) {
+    pub(crate) fn push(&self, words: [u64; WORDS]) {
         // The tick counter orders events; payload visibility is carried by
         // the slot's seq below.
-        let tick = self.ring.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.ring.slots[(tick % self.ring.slots.len() as u64) as usize];
+        let tick = self.head.fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[(tick % self.slots.len() as u64) as usize];
         let odd = tick * 2 + 1;
         // Claim the slot: move its seq from an even value below ours to our
         // odd one, waiting out a lap-behind writer still mid-write. Seqs
@@ -260,41 +239,33 @@ impl FlightRecorder {
         // The odd seq is ordered before every payload store: a reader that
         // sees any of them sees at least this odd seq on its re-read.
         fence(Ordering::Release);
-        let (code, a, b, c) = kind.encode();
-        slot.code.store(code, Ordering::Relaxed);
-        slot.a.store(a, Ordering::Relaxed);
-        slot.b.store(b, Ordering::Relaxed);
-        slot.c.store(c, Ordering::Relaxed);
+        for (word, value) in slot.words.iter().zip(words) {
+            word.store(value, Ordering::Relaxed);
+        }
         // Even seq encodes the claiming tick, so a reader can pair the
         // payload with its tick and detect overwrites between its loads.
         slot.seq.store(odd + 1, Ordering::Release);
     }
 
-    /// Total events ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.ring.head.load(Ordering::Acquire)
+    pub(crate) fn recorded(&self) -> u64 {
+        self.head.load(Ordering::Acquire)
     }
 
-    /// Events lost to ring wraparound: everything recorded beyond the
-    /// ring's capacity has overwritten an older slot.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.recorded().saturating_sub(self.capacity() as u64)
     }
 
-    /// Snapshot the ring's readable events, oldest first. Slots with a
-    /// write in flight (or overwritten mid-read) are skipped rather than
-    /// reported torn.
-    pub fn events(&self) -> Vec<FlightEvent> {
+    /// Snapshot the readable events as `(tick, words)`, oldest first.
+    /// Slots with a write in flight (or overwritten mid-read) are skipped
+    /// rather than reported torn.
+    pub(crate) fn read(&self) -> Vec<(u64, [u64; WORDS])> {
         let mut out = Vec::with_capacity(self.capacity());
-        for slot in self.ring.slots.iter() {
+        for slot in self.slots.iter() {
             let s1 = slot.seq.load(Ordering::Acquire);
             if s1 == 0 || s1 % 2 == 1 {
                 continue; // never written, or write in flight
             }
-            let code = slot.code.load(Ordering::Relaxed);
-            let a = slot.a.load(Ordering::Relaxed);
-            let b = slot.b.load(Ordering::Relaxed);
-            let c = slot.c.load(Ordering::Relaxed);
+            let words = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
             // Orders the payload loads before the re-read: a payload word
             // from a later writer makes the re-read see its odd seq.
             fence(Ordering::Acquire);
@@ -302,13 +273,53 @@ impl FlightRecorder {
             if s1 != s2 {
                 continue; // overwritten between the two seq loads
             }
-            let tick = s1 / 2 - 1;
-            if let Some(kind) = FlightEventKind::decode(code, a, b, c) {
-                out.push(FlightEvent { tick, kind });
-            }
+            out.push((s1 / 2 - 1, words));
         }
-        out.sort_by_key(|e| e.tick);
+        out.sort_unstable_by_key(|&(tick, _)| tick);
         out
+    }
+}
+
+/// The bounded, lock-free flight recorder. Cloning shares the ring.
+#[derive(Clone, Debug)]
+pub struct FlightRecorder {
+    ring: Arc<EventRing>,
+}
+
+impl FlightRecorder {
+    /// A recorder holding the last `capacity` events (minimum 1).
+    pub fn new(capacity: usize) -> Self {
+        FlightRecorder {
+            ring: Arc::new(EventRing::new(capacity)),
+        }
+    }
+
+    /// Ring capacity in events.
+    pub fn capacity(&self) -> usize {
+        self.ring.capacity()
+    }
+
+    /// Record one event without a lock (see the module docs).
+    pub fn record(&self, kind: FlightEventKind) {
+        self.ring.push(kind.encode());
+    }
+
+    /// Total events ever recorded (including overwritten ones).
+    pub fn recorded(&self) -> u64 {
+        self.ring.recorded()
+    }
+
+    /// Events lost to wraparound: each one recorded past the capacity.
+    pub fn dropped(&self) -> u64 {
+        self.ring.dropped()
+    }
+
+    /// Snapshot the ring's readable events, oldest first; torn slots are
+    /// skipped.
+    pub fn events(&self) -> Vec<FlightEvent> {
+        let decode =
+            |(tick, words)| FlightEventKind::decode(words).map(|kind| FlightEvent { tick, kind });
+        self.ring.read().into_iter().filter_map(decode).collect()
     }
 
     /// Human-readable dump of the ring: a header with capacity, recorded
@@ -410,8 +421,8 @@ mod tests {
         let rec = FlightRecorder::new(2);
         // Tick 2 already holds slot 0, so tick 0 has been overwritten.
         let slot = &rec.ring.slots[0];
-        slot.code.store(5, Ordering::Relaxed);
-        slot.a.store(9, Ordering::Relaxed);
+        slot.words[0].store(5, Ordering::Relaxed);
+        slot.words[1].store(9, Ordering::Relaxed);
         slot.seq.store(2 * 2 + 2, Ordering::Release);
         rec.record(FlightEventKind::ShardPark { shard: 0 });
         let events = rec.events();

@@ -13,8 +13,9 @@
 //!   atomics. The name vocabulary lives in [`names`].
 //! * **Tracing** ([`Tracer`]): per-walker lifecycle spans (submit → tenant
 //!   queue → DRR dispatch → shard step batches → cross-shard forward hops
-//!   → collection) in a bounded ring, with deterministic seeded sampling
-//!   so every layer agrees on the sampled walker set without coordination.
+//!   → collection) in a bounded lock-free ring, the [`flight`] recorder's
+//!   ring type, with deterministic seeded sampling so every layer agrees
+//!   on the sampled walker set without coordination.
 //! * **Profiling**: the rayon-shim pool and the shard loops feed busy/idle
 //!   nanos, batch-apply times and inbox dwell through the same registry.
 //!
@@ -71,8 +72,8 @@ use std::time::{Duration, Instant};
 /// coordination (see [`Tracer::is_sampled`]).
 pub const TRACE_SAMPLE_ONE_IN: u64 = 64;
 
-/// Bound on buffered trace events: past it the oldest event is evicted and
-/// counted in [`Tracer::dropped`].
+/// Bound on buffered trace events (48 bytes each, allocated at once): past
+/// it the oldest event is overwritten and counted in [`Tracer::dropped`].
 pub const TRACE_CAPACITY: usize = 65_536;
 
 /// Bound on flight-recorder events. The recorder is always live (recording

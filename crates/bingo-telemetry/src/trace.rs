@@ -22,17 +22,17 @@
 //!
 //! ## Bounding
 //!
-//! Events land in a bounded ring: when full, the **oldest** event is
-//! evicted and counted in [`Tracer::dropped`]. Saturation therefore costs
-//! recent history, never memory.
+//! Events land, as five words each, in the crate's one lock-free ring
+//! type (see [`flight`](crate::flight)): when full, the **oldest** event
+//! is overwritten and counted in [`Tracer::dropped`]. Saturation costs
+//! recent history, never memory, and recording takes no lock.
 
-use parking_lot::Mutex;
+use crate::flight::{EventRing, WORDS};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One stage of a walker's lifecycle. All fields are plain data so events
-/// can be rendered, diffed and asserted on without touching the stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One stage of a walker's lifecycle. All fields are integers, so an event
+/// is five words in the ring and recording it touches no heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceStage {
     /// The walker was created by a service submit and enqueued on its
     /// starting shard.
@@ -45,8 +45,8 @@ pub enum TraceStage {
     /// The gateway's DRR scheduler dispatched the chunk containing this
     /// walker to the service.
     GatewayDispatch {
-        /// Owning tenant.
-        tenant: String,
+        /// Owning tenant's `"index"` in the gateway's stats.
+        tenant: u32,
         /// Nanoseconds the chunk waited in the tenant queue.
         wait_ns: u64,
         /// The gateway-side ticket the walker belongs to.
@@ -79,9 +79,82 @@ pub enum TraceStage {
         path_len: u32,
         /// Cross-shard hops the walker took.
         hops: u32,
-        /// Nanoseconds from walk finish to absorption.
+        /// Nanoseconds from the ticket's submit to the walk's finish.
         latency_ns: u64,
     },
+}
+
+/// One event as the ring's five words: stage code (high half) and walker,
+/// the ticket, then up to three stage fields.
+fn encode(ticket: u64, walker: u32, stage: TraceStage) -> [u64; WORDS] {
+    use TraceStage::*;
+    let (code, [a, b, c]) = match stage {
+        Submit { shard, start } => (1, [shard.into(), start, 0]),
+        GatewayDispatch {
+            tenant,
+            wait_ns,
+            gateway_ticket,
+        } => (2, [tenant.into(), wait_ns, gateway_ticket]),
+        StepBatch {
+            shard,
+            steps,
+            epoch,
+        } => (3, [shard.into(), steps.into(), epoch]),
+        ForwardHop {
+            from_shard,
+            to_shard,
+            cache_hit,
+            bytes,
+        } => {
+            let shards = u64::from(from_shard) << 32 | u64::from(to_shard);
+            (4, [shards, cache_hit.into(), bytes])
+        }
+        Collect {
+            path_len,
+            hops,
+            latency_ns,
+        } => (5, [path_len.into(), hops.into(), latency_ns]),
+    };
+    [code << 32 | u64::from(walker), ticket, a, b, c]
+}
+
+/// Inverse of [`encode`]; `None` for an unknown stage code.
+fn decode(seq: u64, [head, ticket, a, b, c]: [u64; WORDS]) -> Option<TraceEvent> {
+    use TraceStage::*;
+    let stage = match head >> 32 {
+        1 => Submit {
+            shard: a as u32,
+            start: b,
+        },
+        2 => GatewayDispatch {
+            tenant: a as u32,
+            wait_ns: b,
+            gateway_ticket: c,
+        },
+        3 => StepBatch {
+            shard: a as u32,
+            steps: b as u32,
+            epoch: c,
+        },
+        4 => ForwardHop {
+            from_shard: (a >> 32) as u32,
+            to_shard: a as u32,
+            cache_hit: b != 0,
+            bytes: c,
+        },
+        5 => Collect {
+            path_len: a as u32,
+            hops: b as u32,
+            latency_ns: c,
+        },
+        _ => return None,
+    };
+    Some(TraceEvent {
+        ticket,
+        walker: head as u32,
+        seq,
+        stage,
+    })
 }
 
 impl TraceStage {
@@ -93,7 +166,7 @@ impl TraceStage {
                 tenant,
                 wait_ns,
                 gateway_ticket,
-            } => format!("dispatch({tenant} g{gateway_ticket} wait={wait_ns}ns)"),
+            } => format!("dispatch(tenant{tenant} g{gateway_ticket} wait={wait_ns}ns)"),
             TraceStage::StepBatch {
                 shard,
                 steps,
@@ -118,13 +191,13 @@ impl TraceStage {
 }
 
 /// One recorded event: which walker, when (global sequence), what stage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Service ticket the walker belongs to.
     pub ticket: u64,
     /// Walker index within the ticket.
     pub walker: u32,
-    /// Global record order (monotonic across all threads).
+    /// Global record order: the ring's tick, monotonic across threads.
     pub seq: u64,
     /// The lifecycle stage.
     pub stage: TraceStage,
@@ -143,10 +216,7 @@ fn splitmix(mut z: u64) -> u64 {
 /// The bounded, deterministically-sampling trace collector.
 #[derive(Debug)]
 pub struct Tracer {
-    ring: Mutex<std::collections::VecDeque<TraceEvent>>,
-    capacity: usize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
+    ring: EventRing,
     seed: u64,
     /// Sampling threshold: a walker is traced iff its hash < threshold.
     threshold: u64,
@@ -162,13 +232,7 @@ impl Tracer {
             n => u64::MAX / n,
         };
         Tracer {
-            ring: Mutex::new_named(
-                std::collections::VecDeque::with_capacity(capacity.min(4096)),
-                "telemetry.trace.ring",
-            ),
-            capacity: capacity.max(1),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: EventRing::new(capacity),
             seed,
             threshold,
         }
@@ -192,28 +256,16 @@ impl Tracer {
         h < self.threshold
     }
 
-    /// Record a stage for a sampled walker. Callers gate on
+    /// Record a stage for a sampled walker, without a lock. Callers gate on
     /// [`is_sampled`](Tracer::is_sampled) (or a cached copy of its answer)
     /// before paying for event construction.
     pub fn record(&self, ticket: u64, walker: u32, stage: TraceStage) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let event = TraceEvent {
-            ticket,
-            walker,
-            seq,
-            stage,
-        };
-        let mut ring = self.ring.lock();
-        if ring.len() >= self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(event);
+        self.ring.push(encode(ticket, walker, stage));
     }
 
     /// Number of events currently buffered (never exceeds the capacity).
     pub fn len(&self) -> usize {
-        self.ring.lock().len()
+        self.ring.recorded().min(self.capacity() as u64) as usize
     }
 
     /// Whether no events are buffered.
@@ -223,19 +275,25 @@ impl Tracer {
 
     /// The ring's bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
+    }
+
+    /// Total events ever recorded (including evicted ones).
+    pub fn recorded(&self) -> u64 {
+        self.ring.recorded()
     }
 
     /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// A copy of the buffered events in record (seq) order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = self.ring.lock().iter().cloned().collect();
-        events.sort_by_key(|e| e.seq);
+        let events = self.ring.read().into_iter();
         events
+            .filter_map(|(seq, words)| decode(seq, words))
+            .collect()
     }
 
     /// Buffered events grouped per walker: `(ticket, walker)` → events in
@@ -353,6 +411,60 @@ mod tests {
         assert_eq!(t.dropped(), 92);
         let events = t.events();
         assert_eq!(events.first().map(|e| e.walker), Some(92), "oldest evicted");
+    }
+
+    #[test]
+    fn every_stage_round_trips_through_the_ring_at_field_extremes() {
+        let max = u64::MAX;
+        let mut stages = Vec::new();
+        for (small, wide) in [(u32::MAX, max), (0, 0)] {
+            stages.extend([
+                TraceStage::Submit {
+                    shard: small,
+                    start: wide,
+                },
+                TraceStage::GatewayDispatch {
+                    tenant: small,
+                    wait_ns: wide,
+                    gateway_ticket: wide,
+                },
+                TraceStage::StepBatch {
+                    shard: small,
+                    steps: small,
+                    epoch: wide,
+                },
+                TraceStage::Collect {
+                    path_len: small,
+                    hops: small,
+                    latency_ns: wide,
+                },
+            ]);
+            for cache_hit in [true, false] {
+                stages.push(TraceStage::ForwardHop {
+                    from_shard: small,
+                    to_shard: u32::MAX - small,
+                    cache_hit,
+                    bytes: wide,
+                });
+            }
+        }
+        let t = Tracer::new(0, 1, stages.len());
+        for (i, &stage) in stages.iter().enumerate() {
+            let (ticket, walker) = if i % 2 == 0 { (max, u32::MAX) } else { (0, 0) };
+            t.record(ticket, walker, stage);
+        }
+        let events = t.events();
+        assert_eq!(events.len(), stages.len());
+        for (i, (event, &stage)) in events.iter().zip(&stages).enumerate() {
+            let (ticket, walker) = if i % 2 == 0 { (max, u32::MAX) } else { (0, 0) };
+            let expected = TraceEvent {
+                ticket,
+                walker,
+                seq: i as u64,
+                stage,
+            };
+            assert_eq!(*event, expected);
+        }
     }
 
     #[test]

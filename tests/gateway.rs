@@ -110,8 +110,10 @@ fn weighted_tenants_complete_within_tolerance_of_their_weights() {
          (heavy {heavy_cut} vs light {light_cut} steps at cut)"
     );
     // Everything offered completed — queued under pressure, never dropped.
-    for id in [&heavy, &light] {
+    // Tenants are numbered in first-submission order: heavy submits first.
+    for (index, id) in [&heavy, &light].into_iter().enumerate() {
         let t = stats.tenant(id).expect("tenant served");
+        assert_eq!(t.index as usize, index, "tenant {id}");
         assert_eq!(t.completed_walks, offered_per_tenant, "tenant {id}");
         assert_eq!(t.failed_walks, 0);
         assert_eq!(t.rejected_overloaded, 0);

@@ -404,6 +404,65 @@ fn service_lock_census_matches_the_documented_list_and_orders() {
     assert_eq!(observed, BTreeSet::from(SERVICE_LOCK_ORDERS));
 }
 
+#[test]
+fn no_lock_under_a_service_or_gateway_lock_reaches_telemetry() {
+    use bingo::gateway::{Gateway, GatewayConfig};
+    use bingo::prelude::*;
+    use bingo::telemetry::{Telemetry, TraceStage};
+    use std::sync::Arc;
+
+    // Detailed telemetry records spans under the service's and the
+    // gateway's locks (a step batch under the engine guard, a collect
+    // under the ticket table, a dispatch under the gateway state): none of
+    // them may take a telemetry lock there.
+    parking_lot::force_enable_lock_check();
+    let mut graph = DynamicGraph::new(64);
+    for v in 0..64u32 {
+        graph
+            .insert_edge(v, (v + 1) % 64, Bias::from_int(2))
+            .unwrap();
+        graph
+            .insert_edge(v, (v + 7) % 64, Bias::from_int(1))
+            .unwrap();
+    }
+    let telemetry = Telemetry::enabled(0x10C4);
+    let config = ServiceConfig {
+        num_shards: 4,
+        ..ServiceConfig::default()
+    };
+    let service = WalkService::build_with_telemetry(&graph, config, telemetry.clone()).unwrap();
+    let gateway = Gateway::new(Arc::new(service), GatewayConfig::default());
+    let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 12 });
+    let tickets: Vec<_> = (0..4)
+        .map(|round| {
+            let starts: Vec<VertexId> = (0..256).map(|k| (k + round) % 64).collect();
+            let request = WalkRequest::spec(spec).starts(starts).tenant("lint");
+            gateway.submit(request).unwrap()
+        })
+        .collect();
+    for ticket in tickets {
+        gateway.wait(ticket).unwrap();
+    }
+    gateway.shutdown();
+    // The run must have recorded both kinds of span, or the census below
+    // would pass without looking at them.
+    let events = telemetry.tracer().expect("tracing on").events();
+    let has = |f: fn(&TraceStage) -> bool| events.iter().any(|e| f(&e.stage));
+    assert!(has(|s| matches!(s, TraceStage::GatewayDispatch { .. })));
+    assert!(has(|s| matches!(s, TraceStage::Collect { .. })));
+    let into_telemetry: Vec<(&str, &str)> = parking_lot::observed_order()
+        .into_iter()
+        .filter(|(from, to)| {
+            (from.starts_with("service.") || from.starts_with("gateway."))
+                && to.starts_with("telemetry.")
+        })
+        .collect();
+    assert!(
+        into_telemetry.is_empty(),
+        "telemetry locks taken under serving locks: {into_telemetry:?}"
+    );
+}
+
 /// The metric taxonomy's size: one constant per series in
 /// `crates/bingo-telemetry/src/names.rs`, none of which restates another.
 const METRIC_NAMES: usize = 53;

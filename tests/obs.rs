@@ -1,10 +1,13 @@
 //! End-to-end tests for the observability plane: the exposition server's
 //! HTTP endpoints, the stall watchdog's 503 flip on a deliberately wedged
-//! shard, and the flight recorder's concurrency and panic-dump contracts.
+//! shard, the event ring's concurrency contract under both the flight
+//! recorder and the tracer, and the flight recorder's panic dump.
 
 use bingo::obs::{ObsConfig, ObsServer, WatchdogConfig};
 use bingo::prelude::*;
-use bingo::telemetry::{FlightEvent, FlightEventKind, FlightRecorder};
+use bingo::telemetry::{
+    FlightEvent, FlightEventKind, FlightRecorder, TraceEvent, TraceStage, Tracer,
+};
 use rand::RngCore;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -99,7 +102,19 @@ fn exposition_endpoints_round_trip() {
     assert_eq!(status, "HTTP/1.0 200 OK");
     assert!(body.contains("\"healthy\":true"), "status: {body}");
     assert!(body.contains("\"per_shard\":["), "status: {body}");
-    assert!(body.contains("\"flight\":{"), "status: {body}");
+    // Both event rings report one shape; nothing overflowed in this run.
+    let flight = telemetry.flight();
+    assert!(flight.recorded() > 0, "the run parked and unparked shards");
+    assert!(
+        body.contains("\"flight\":{\"capacity\":1024,\"recorded\":"),
+        "status: {body}"
+    );
+    let tracer = telemetry.tracer().expect("tracing on");
+    let trace = format!(
+        "\"trace\":{{\"capacity\":65536,\"recorded\":{},\"dropped\":0}}",
+        tracer.recorded()
+    );
+    assert!(body.contains(&trace), "status: {body}");
 
     let (status, body) = http_get(addr, "/healthz");
     assert_eq!(status, "HTTP/1.0 200 OK");
@@ -340,6 +355,73 @@ fn flight_ring_wraparound_under_concurrent_writers() {
     let last_lap: Vec<u64> =
         (WRITERS * PER_WRITER - CAPACITY as u64..WRITERS * PER_WRITER).collect();
     assert_eq!(ticks, last_lap);
+    assert!(events.iter().all(intact));
+}
+
+#[test]
+fn trace_ring_wraparound_under_concurrent_writers() {
+    const CAPACITY: usize = 64;
+    const WRITERS: u64 = 4;
+    const PER_WRITER: u64 = 20_000;
+    const K: u64 = 0xA5A5_0DF0_A5A5_0DF0;
+    // Self-checking payloads over all five words: the ticket, the walker
+    // and every stage field derive from one counter, so a slot read while
+    // two writers' words mix breaks a relation.
+    let event = |x: u64| {
+        let stage = TraceStage::GatewayDispatch {
+            tenant: x as u32 ^ 0x5A5A_5A5A,
+            wait_ns: x.rotate_left(17),
+            gateway_ticket: x ^ K,
+        };
+        (x, (x >> 32) as u32 ^ x as u32, stage)
+    };
+    let intact = move |e: &TraceEvent| event(e.ticket) == (e.ticket, e.walker, e.stage);
+    let tracer = Tracer::new(0, 1, CAPACITY);
+    let done = AtomicBool::new(false);
+    // The reader and the writers start together.
+    let start = std::sync::Barrier::new(WRITERS as usize + 1);
+    std::thread::scope(|s| {
+        let (tracer, start) = (&tracer, &start);
+        s.spawn(|| {
+            start.wait();
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                let events = tracer.events();
+                let torn = events.iter().find(|e| !intact(e));
+                assert!(torn.is_none(), "a torn slot read as whole: {torn:?}");
+                if finished {
+                    return;
+                }
+            }
+        });
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_WRITER {
+                        let (ticket, walker, stage) = event(w << 32 | i);
+                        tracer.record(ticket, walker, stage);
+                    }
+                })
+            })
+            .collect();
+        for t in writers {
+            t.join().expect("writer thread finishes");
+        }
+        done.store(true, Ordering::Release);
+    });
+    // The drop counter is exact: every record past capacity is one
+    // evicted event.
+    assert_eq!(tracer.recorded(), WRITERS * PER_WRITER);
+    assert_eq!(tracer.dropped(), WRITERS * PER_WRITER - CAPACITY as u64);
+    assert_eq!(tracer.len(), CAPACITY);
+    // Once the writers are done the ring holds exactly the last lap, in
+    // tick order, however the writers raced.
+    let events = tracer.events();
+    let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+    let last_lap: Vec<u64> =
+        (WRITERS * PER_WRITER - CAPACITY as u64..WRITERS * PER_WRITER).collect();
+    assert_eq!(seqs, last_lap);
     assert!(events.iter().all(intact));
 }
 
