@@ -15,24 +15,33 @@
 //! - **Staging.** Until its first read or its first `&mut` call other than
 //!   [`DynamicGraph::insert_edge`], an insert makes the same checks and
 //!   returns the same result as on a settled graph, but only appends the
-//!   edge, as a 16-byte `(src, Edge)` record, to a bucket for its source's
-//!   range of 256 vertices. The neighbor index comes from a per-vertex
-//!   count, and a per-vertex bit records whether some staged bias needs a
-//!   wide slot (see [`crate::adjacency`]).
+//!   edge to a bucket for its source's range of 256 vertices, as a 9-byte
+//!   record: the source's offset in the range, the destination and the
+//!   bias's narrow word (see [`crate::adjacency`]). A bias with no narrow
+//!   form is staged as word 0, which no narrow slot holds, and waits in its
+//!   bucket's list of wide biases, in insertion order. The neighbor index
+//!   comes from a per-vertex count, and a per-vertex bit records whether
+//!   some staged bias needs a wide slot.
 //! - **The first read builds.** The first `&self` call (any but
 //!   [`DynamicGraph::num_edges`]) builds every vertex's block once, at the
 //!   capacity the pushes would have grown it to and the slot width they
 //!   would have left it at, with the same edges in the same order, so
 //!   blocks, [`DynamicGraph::memory_bytes`] and every later write are those
-//!   of a graph that was pushed. A block of narrow slots takes 8 bytes an
-//!   edge, half a staged record, so the blocks fit in what the freed
-//!   records leave. It costs one allocation per non-isolated vertex and one
-//!   per bucket, and frees each bucket as its range is built, so the bytes
-//!   live never run more than about one bucket past the staged edges or the
-//!   built graph. Ranges are small because a graph may crowd its hubs into
-//!   a few of them: with ranges of 4 096 vertices, the bytes live while
-//!   loading a 2^14-vertex R-MAT graph of 12-byte slots peaked at 1.42 ×
-//!   the graph built, at 256 vertices at 1.09 ×.
+//!   of a graph that was pushed. It costs one allocation per non-isolated
+//!   vertex and one per bucket, and frees each bucket as its range is built,
+//!   so the bytes live never run more than about one bucket past the staged
+//!   edges or the built graph. The records take fewer bytes than the blocks
+//!   built from them: 9 an edge, against an 8-byte narrow slot plus its share
+//!   of the block's 16-byte header and spare capacity. So the built graph,
+//!   not the staging, sets the load's high-water mark: the graph plus one
+//!   bucket's records. That matters past the load, because the allocator
+//!   keeps the heap a load reached resident: a byte a block saves is a byte
+//!   of resident memory only while no staging sits above the graph, and
+//!   would otherwise only widen the hole the freed records leave. Ranges are
+//!   small because a graph may crowd its hubs into a few of them: with
+//!   ranges of 4 096 vertices, the bytes live while loading a 2^14-vertex
+//!   R-MAT graph of 12-byte slots peaked at 1.42 × the graph built, at 256
+//!   vertices at 1.09 ×.
 //!   Concurrent first readers wait for that one build, which runs on the
 //!   reading thread. It stays there because building the buckets on the
 //!   worker pool, measured, cut the first read from about 0.07 to 0.05 s on
@@ -66,15 +75,43 @@ pub struct DynamicGraph {
 /// Vertices per staging bucket (see the module docs).
 const BUCKET_VERTICES: usize = 256;
 
-/// Entries per chunk of a bucket. Chunks never grow, so a bucket holds less
-/// than one chunk of room past its entries and is never copied.
-const CHUNK_ENTRIES: usize = 128;
+/// Records per chunk of a bucket. Chunks never grow, so a bucket holds less
+/// than one chunk of room past its records and is never copied.
+const CHUNK_RECORDS: usize = 128;
 
 /// The staged edges' lock is held only to take them out, which cannot panic.
 const UNPOISONED: &str = "nothing panics holding the staged edges";
 
+/// A staged edge: the source's offset in its bucket, then the destination
+/// and the bias's narrow word, little-endian.
+type Record = [u8; 9];
+
+/// The word a record stages a bias with no narrow form under. No narrow
+/// slot holds it: a narrow bias is a valid integer, so at least 1.
+const WIDE_WORD: u32 = 0;
+
+/// The record of an edge to `dst` with narrow word `word`, out of the
+/// vertex at `offset` in its bucket.
+fn record(offset: usize, dst: VertexId, word: u32) -> Record {
+    let [d0, d1, d2, d3] = dst.to_le_bytes();
+    let [w0, w1, w2, w3] = word.to_le_bytes();
+    [offset as u8, d0, d1, d2, d3, w0, w1, w2, w3]
+}
+
+/// The offset, destination and word of a [`record`].
+#[inline]
+fn fields(&[offset, d0, d1, d2, d3, w0, w1, w2, w3]: &Record) -> (usize, VertexId, u32) {
+    let dst = VertexId::from_le_bytes([d0, d1, d2, d3]);
+    (offset as usize, dst, u32::from_le_bytes([w0, w1, w2, w3]))
+}
+
 /// One vertex range's staged edges, in insertion order.
-type Bucket = Vec<Vec<(VertexId, Edge)>>;
+#[derive(Clone, Default)]
+struct Bucket {
+    chunks: Vec<Vec<Record>>,
+    /// The bias of every record staged with [`WIDE_WORD`], in order.
+    wide_biases: Vec<Bias>,
+}
 
 /// A loading graph: its staged edges, then the lists its first read built.
 struct Loading {
@@ -99,27 +136,31 @@ impl Staged {
         Staged {
             degrees: vec![0; num_vertices],
             wide: vec![0; num_vertices.div_ceil(64)],
-            buckets: vec![Bucket::new(); num_vertices.div_ceil(BUCKET_VERTICES)],
+            buckets: vec![Bucket::default(); num_vertices.div_ceil(BUCKET_VERTICES)],
         }
     }
 
     /// Stage `edge` out of `src` and return its neighbor index.
     fn stage(&mut self, src: VertexId, edge: Edge) -> usize {
-        let degree = &mut self.degrees[src as usize];
+        let src = src as usize;
+        let degree = &mut self.degrees[src];
         let index = *degree;
         *degree = index
             .checked_add(1)
             .expect("an adjacency list of u32::MAX edges is full");
-        if edge.bias.narrow().is_none() {
-            self.wide[src as usize / 64] |= 1 << (src % 64);
-        }
-        let bucket = &mut self.buckets[src as usize / BUCKET_VERTICES];
-        match bucket.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK_ENTRIES => chunk.push((src, edge)),
+        let bucket = &mut self.buckets[src / BUCKET_VERTICES];
+        let word = edge.bias.narrow().unwrap_or_else(|| {
+            self.wide[src / 64] |= 1 << (src % 64);
+            bucket.wide_biases.push(edge.bias);
+            WIDE_WORD
+        });
+        let record = record(src % BUCKET_VERTICES, edge.dst, word);
+        match bucket.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK_RECORDS => chunk.push(record),
             _ => {
-                let mut chunk = Vec::with_capacity(CHUNK_ENTRIES);
-                chunk.push((src, edge));
-                bucket.push(chunk);
+                let mut chunk = Vec::with_capacity(CHUNK_RECORDS);
+                chunk.push(record);
+                bucket.chunks.push(chunk);
             }
         }
         index as usize
@@ -150,8 +191,14 @@ impl Staged {
                     list.load(degree as usize, wide[v / 64] & 1 << (v % 64) != 0)
                 })
                 .collect();
-            for (src, edge) in bucket.into_iter().flatten() {
-                free[src as usize % BUCKET_VERTICES].put(edge);
+            let mut wide_biases = bucket.wide_biases.into_iter();
+            for record in bucket.chunks.into_iter().flatten() {
+                let (offset, dst, word) = fields(&record);
+                let bias = match word {
+                    WIDE_WORD => wide_biases.next().expect("one wide bias per wide record"),
+                    word => Bias::from_narrow(word),
+                };
+                free[offset].put(Edge::new(dst, bias));
             }
         }
         lists
@@ -657,9 +704,16 @@ mod tests {
         graph.loading.is_some()
     }
 
+    /// The vertices [`three_buckets`] gives edges only a wide slot holds:
+    /// three in the first bucket (at offsets 0 and 255 among them), offset
+    /// 255 of the second, and offset 0 and the last vertex of the third,
+    /// partial one.
+    const WIDE_SOURCES: [VertexId; 8] = [0, 7, 255, 300, 511, 512, 600, 611];
+
     /// Three buckets' worth of vertices, some with no edges, one with 40,
-    /// two with an edge only a wide slot holds: loading, or settled before
-    /// the first insert, so that every edge is pushed.
+    /// and the [`WIDE_SOURCES`] with edges only a wide slot holds amid
+    /// narrow ones: loading, or settled before the first insert, so that
+    /// every edge is pushed.
     fn three_buckets(pushed: bool) -> DynamicGraph {
         let n = 2 * BUCKET_VERTICES + 100;
         let mut graph = DynamicGraph::new(n);
@@ -672,6 +726,17 @@ mod tests {
             graph
                 .insert_edge(src, dst, Bias::from_int(i as u64 % 9 + 1))
                 .unwrap();
+            if i % 200 == 100 {
+                // Each wide source gets a float, then an integer past
+                // 2^32, between its narrow edges.
+                let k = i / 200;
+                let src = WIDE_SOURCES[k % WIDE_SOURCES.len()];
+                let bias = match k / WIDE_SOURCES.len() % 2 {
+                    0 => Bias::from_float(0.5 + k as f64),
+                    _ => Bias::from_int((1 << 32) + k as u64),
+                };
+                graph.insert_edge(src, dst, bias).unwrap();
+            }
         }
         for dst in 0..40 {
             graph.insert_edge(5, dst, Bias::from_int(2)).unwrap();
@@ -685,14 +750,22 @@ mod tests {
     fn a_loaded_block_is_wide_only_where_an_edge_needs_it() {
         let (loading, pushed) = (three_buckets(false), three_buckets(true));
         for v in 0..loading.num_vertices() as VertexId {
-            let list = loading.neighbors(v).unwrap();
-            assert_eq!(list.is_narrow(), ![7, 300].contains(&v), "vertex {v}");
-            assert_eq!(list.is_narrow(), pushed.neighbors(v).unwrap().is_narrow());
-            assert_eq!(
-                list.memory_bytes(),
-                pushed.neighbors(v).unwrap().memory_bytes()
-            );
+            let (list, twin) = (loading.neighbors(v).unwrap(), pushed.neighbors(v).unwrap());
+            assert_eq!(list.is_narrow(), !WIDE_SOURCES.contains(&v), "vertex {v}");
+            assert_eq!(list.is_narrow(), twin.is_narrow());
+            assert_eq!(list.memory_bytes(), twin.memory_bytes());
+            assert_eq!(list, twin, "vertex {v}");
         }
+        // The wide edges are mid-list, of both kinds.
+        for v in WIDE_SOURCES {
+            let edges = loading.neighbors(v).unwrap().edges();
+            let wide: Vec<usize> = (0..edges.len())
+                .filter(|&i| edges.bias(i).narrow().is_none())
+                .collect();
+            assert!(wide.len() >= 2, "vertex {v}: {edges:?}");
+            assert!(wide[0] > 0 && wide[0] + 1 < edges.len(), "vertex {v}");
+        }
+        assert!(loading.edges().eq(pushed.edges()));
     }
 
     #[test]
@@ -716,7 +789,10 @@ mod tests {
         }
         let staged = loading.staging().expect("still loading");
         assert_eq!(staged.degrees, [0, 0, 0]);
-        assert!(staged.buckets.iter().all(Vec::is_empty));
+        assert!(staged
+            .buckets
+            .iter()
+            .all(|b| b.chunks.is_empty() && b.wide_biases.is_empty()));
         assert_eq!(loading.insert_edge(0, 2, Bias::from_int(4)), Ok(0));
         assert_eq!(settled.insert_edge(0, 2, Bias::from_int(4)), Ok(0));
         assert_eq!(loading.num_edges(), 1);

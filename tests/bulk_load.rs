@@ -7,12 +7,13 @@
 //! to one whose every edge was pushed — each neighbor index returned, the
 //! edge order, each vertex's block bytes — and holds the load to the
 //! allocator's own count (its own binary, one test, as `memory_accounting.rs`
-//! is): from `new` through the first read the live bytes never run more
-//! than the handle array and one bucket's blocks past the staged edges
-//! (16 bytes a record; the graph left behind is smaller, at 8 bytes a
-//! narrow slot), the first read makes one allocation per non-isolated
-//! vertex and per bucket and a few more, and nothing but the graph is left
-//! live after it.
+//! is): the staged edges take fewer bytes than the graph built from them (9
+//! bytes a record against 8 a narrow slot plus the block's header and spare
+//! capacity), so from `new` through the first read the live bytes never run
+//! more than the staged per-vertex index and one bucket's records past the
+//! built graph; the first read makes one allocation per non-isolated vertex
+//! and per bucket and a few more, and nothing but the graph is left live
+//! after it.
 
 mod common;
 
@@ -21,8 +22,11 @@ use common::{calls, live, peak, reset_peak};
 use rand::Rng;
 use rayon::prelude::*;
 
-/// Vertices per staging bucket, as `bingo_graph::dynamic_graph` stages them.
+/// Vertices per staging bucket, records per chunk of a bucket and bytes per
+/// record, as `bingo_graph::dynamic_graph` stages them.
 const BUCKET_VERTICES: usize = 256;
+const CHUNK_RECORDS: usize = 128;
+const RECORD_BYTES: usize = 9;
 
 type Row = (VertexId, VertexId, Bias);
 
@@ -129,27 +133,31 @@ fn a_loaded_graph_is_the_pushed_graph_built_in_one_pass() {
         let settled = graph.memory_bytes();
         let load_peak = peak() - before;
         assert_eq!(live() - before, settled, "{name}: only the graph is left");
-        // The load may run one bucket's blocks, and the array of handles,
-        // past the staged edges: the built graph is made bucket by bucket,
-        // each bucket's staged edges freed as they are read.
-        let lists = n * std::mem::size_of::<bingo_graph::AdjacencyList>();
+        // The graph is built bucket by bucket, each bucket's records freed
+        // as they are read, and a bucket's blocks outweigh its records: the
+        // load may run one bucket's records past the built graph, and the
+        // per-vertex count and wide bit it stages, which live until the
+        // build ends. (These graphs have no wide edge, so no bucket holds a
+        // list of wide biases.)
+        let index = n * std::mem::size_of::<u32>() + n.div_ceil(64) * std::mem::size_of::<u64>();
         let biggest_bucket = (0..n)
             .step_by(BUCKET_VERTICES)
             .map(|first| {
-                (first..(first + BUCKET_VERTICES).min(n))
-                    .map(|v| graph.neighbors(v as VertexId).unwrap().memory_bytes())
-                    .sum::<usize>()
+                let records = (first..(first + BUCKET_VERTICES).min(n))
+                    .map(|v| graph.degree(v as VertexId))
+                    .sum::<usize>();
+                records.next_multiple_of(CHUNK_RECORDS) * RECORD_BYTES
             })
             .max()
             .unwrap_or(0);
-        let bound = 1.02 * (staged + lists + biggest_bucket) as f64;
+        let bound = 1.02 * (settled + index + biggest_bucket) as f64;
         assert!(
             load_peak as f64 <= bound,
-            "{name}: {load_peak} B live at the peak of a load that stages {staged} B \
-             (+ {lists} B of handles, + {biggest_bucket} B in the biggest bucket)"
+            "{name}: {load_peak} B live at the peak of a load that builds {settled} B \
+             (+ {index} B of staged index, + {biggest_bucket} B of records in the biggest bucket)"
         );
         assert!(
-            settled < staged,
+            staged < settled,
             "{name}: {settled} B settled from {staged} B staged"
         );
         let non_isolated = (0..n as VertexId).filter(|&v| graph.degree(v) > 0).count();
@@ -159,9 +167,10 @@ fn a_loaded_graph_is_the_pushed_graph_built_in_one_pass() {
             "{name}: {first_read} allocator calls for {non_isolated} non-isolated vertices"
         );
         eprintln!(
-            "{name}: peak {load_peak} B for {staged} B staged ({:.3}x), {settled} B settled; \
-             first read {first_read} calls, {non_isolated} non-isolated vertices, {buckets} buckets",
-            load_peak as f64 / staged as f64
+            "{name}: peak {load_peak} B for {staged} B staged, {settled} B settled ({:.3}x), \
+             bound {bound:.0} B; first read {first_read} calls, {non_isolated} non-isolated \
+             vertices, {buckets} buckets",
+            load_peak as f64 / settled as f64
         );
     }
 

@@ -5,12 +5,12 @@
 //! move to the arena's tail with half again their capacity and leave holes.
 //! The adjacency blocks are the ones the graph's own inserts grew (the
 //! engine shares them, and owns them once the graph is dropped), so they
-//! start with that slack and double when it is used up. This binary applies
-//! 200 batches that keep the edge count level and pins how far the
-//! footprint has drifted by then — as a ceiling relative to the post-build
-//! figure, and still equal to the allocator's own count (its own binary,
-//! one test, for the same reason as `memory_accounting.rs`). It is a gauge
-//! for work on growth policies, not a steady state.
+//! start with that slack and grow by half again when it is used up. This
+//! binary applies 200 batches that keep the edge count level and pins how
+//! far the footprint has drifted by then — as a ceiling relative to the
+//! post-build figure, and still equal to the allocator's own count (its own
+//! binary, one test, for the same reason as `memory_accounting.rs`). It is a
+//! gauge for work on growth policies, not a steady state.
 //!
 //! Readings: with radix groups on every vertex 6 861 434 B built,
 //! 9 130 154 B after the churn (1.331x, ceiling 1.40). With vertices of at
@@ -29,7 +29,11 @@
 //! ends 2 % lower, the ratio where it was, and the engine's batch work
 //! lists — kept between batches now, a few KiB here — are in both the report
 //! and the allocator's count. The ceiling keeps the same 5 % over the
-//! reading.
+//! reading. With 8-byte narrow slots 4 228 714 B built, 4 827 852 B after
+//! (1.142x; adjacency 2.30 MB after). With blocks sized in half steps (4,
+//! 6, 9, 13, … instead of powers of two) 4 020 578 B built, 4 603 508 B
+//! after (1.145x; adjacency 2.07 MB after): both ends 5 % lower, the ratio
+//! where it was.
 
 mod common;
 
