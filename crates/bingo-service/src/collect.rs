@@ -7,9 +7,7 @@
 //! never slip between the check and the park; [`WalkService::try_wait`]
 //! locks and checks.
 
-use crate::forward::ContextTrace;
 use crate::service::{WalkService, WalkTicket};
-use crate::shard::StepTrace;
 use bingo_graph::VertexId;
 use bingo_telemetry::{names, Histogram, Telemetry, TraceStage};
 use bingo_walks::walk_store::WalkStore;
@@ -27,14 +25,6 @@ pub struct TicketResults {
     pub walk: Walk,
     /// One path per submitted start vertex, in submission order.
     pub paths: Vec<Vec<VertexId>>,
-    /// Cross-shard hops per walker.
-    pub hops: Vec<u32>,
-    /// Per-step epoch traces (empty unless
-    /// [`ServiceConfig::record_epochs`](crate::ServiceConfig::record_epochs)).
-    pub traces: Vec<Vec<StepTrace>>,
-    /// Forwarded-context captures per walker (empty unless
-    /// [`ServiceConfig::record_epochs`](crate::ServiceConfig::record_epochs)).
-    pub contexts: Vec<Vec<ContextTrace>>,
     /// Wall-clock time from submission to the last walker finishing.
     pub latency: Duration,
 }
@@ -60,8 +50,6 @@ pub(crate) struct FinishedWalk {
     pub(crate) index: u32,
     pub(crate) path: Vec<VertexId>,
     pub(crate) hops: u32,
-    pub(crate) trace: Vec<StepTrace>,
-    pub(crate) contexts: Vec<ContextTrace>,
     /// Second-order membership queries this walk answered without carried
     /// context on a non-owning shard (capture faults).
     pub(crate) context_misses: u64,
@@ -184,9 +172,6 @@ impl Collector {
             .unwrap_or_default();
         self.ticket_latency_ns.record_duration(latency);
         let mut paths = Vec::with_capacity(entry.walks.len());
-        let mut hops = Vec::with_capacity(entry.walks.len());
-        let mut traces = Vec::with_capacity(entry.walks.len());
-        let mut contexts = Vec::with_capacity(entry.walks.len());
         for finished in entry.walks {
             let f = finished.expect("all walks received");
             // Loud in debug builds, and deliberately on the *waiter's*
@@ -205,17 +190,11 @@ impl Collector {
                 f.context_misses,
             );
             paths.push(f.path);
-            hops.push(f.hops);
-            traces.push(f.trace);
-            contexts.push(f.contexts);
         }
         Some(TicketResults {
             ticket,
             walk: entry.walk,
             paths,
-            hops,
-            traces,
-            contexts,
             latency,
         })
     }

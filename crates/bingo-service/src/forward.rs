@@ -39,34 +39,6 @@ use std::sync::Arc;
 /// negotiation only engages past this size.
 pub use bingo_walks::wire::CONTEXT_HANDLE_BYTES;
 
-/// One forwarded-context capture: the previous vertex whose adjacency was
-/// snapshotted and the membership snapshot that travelled with the walker
-/// (recorded when
-/// [`ServiceConfig::record_epochs`](crate::ServiceConfig::record_epochs) is
-/// set).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContextTrace {
-    /// The vertex whose out-adjacency was captured (the walker's previous
-    /// vertex at forward time).
-    pub vertex: VertexId,
-    /// The sorted adjacency fingerprint the snapshot holds.
-    pub adjacency: Vec<VertexId>,
-    /// Shard that owned `vertex` and captured the snapshot.
-    pub shard: usize,
-    /// The capturing shard's epoch at capture time.
-    pub epoch: u64,
-    /// Bytes billed to `context_bytes_forwarded` for this forward — what
-    /// the wire frame ships: the snapshot's encoded size when the receiver
-    /// had to be sent the body, [`CONTEXT_HANDLE_BYTES`] when the
-    /// receiver already held this `(vertex, epoch)` and a handle sufficed,
-    /// 0 for an in-process forward (no frame).
-    pub bytes_sent: usize,
-    /// Whether the capturing shard's snapshot map already held the
-    /// snapshot (encode reuse — independent of the handle negotiation that
-    /// decides `bytes_sent`).
-    pub cache_hit: bool,
-}
-
 /// One shard's snapshot map. Entry presence implies validity: structural
 /// update batches evict exactly the vertices they touched, while bias-only
 /// batches and empty epoch ticks keep entries warm (fingerprints are
@@ -220,16 +192,6 @@ impl ServiceShared {
         } else {
             c.context_cache_misses.inc();
         }
-        if self.record_epochs {
-            walker.contexts.push(ContextTrace {
-                vertex: ctx.vertex,
-                adjacency: ctx.adjacency.as_ref().clone(),
-                shard: owner_shard,
-                epoch: c.epoch.get_acquire(),
-                bytes_sent,
-                cache_hit,
-            });
-        }
         walker.cursor.set_forward_context(ctx);
         Some(ForwardNegotiation {
             cache_hit,
@@ -351,9 +313,9 @@ impl ServiceShared {
     /// The receiving half of [`ServiceShared::round_trip`]: carry `frame`
     /// to shard `to` and rebuild `sent`'s successor from the delivered
     /// bytes. `None` means the bytes were not usable and `sent` is
-    /// untouched; on success `sent`'s out-of-band baggage (step and context
-    /// traces, the dwell stamp, a custom model — which has no wire form)
-    /// moves onto the rebuilt walker.
+    /// untouched; on success `sent`'s out-of-band baggage (the dwell stamp,
+    /// a custom model — which has no wire form) moves onto the rebuilt
+    /// walker.
     fn rebuild_from_wire(
         &self,
         carrier: &dyn ShardTransport,
@@ -397,8 +359,6 @@ impl ServiceShared {
             cursor,
             rng: Pcg64::from_raw_parts(decoded.rng_state, decoded.rng_inc),
             hops: decoded.hops,
-            trace: std::mem::take(&mut sent.trace),
-            contexts: std::mem::take(&mut sent.contexts),
             context_misses: decoded.context_misses,
             sampled: decoded.sampled,
             sent_at: sent.sent_at.take(),

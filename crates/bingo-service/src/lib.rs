@@ -227,10 +227,12 @@
 //!
 //! ## Consistency
 //!
-//! What a walk step observes while updates stream in (asserted in
-//! `tests/service.rs` for DeepWalk and node2vec over both transports):
+//! What a walk step observes while updates stream in (asserted on the
+//! paths tickets return by `PathChecker` in `tests/service.rs`, for
+//! DeepWalk and node2vec over both transports):
 //!
-//! * A step samples one epoch of its source's shard: the first `e` flushed
+//! * A visit — a walker's run of consecutive steps on one shard, under one
+//!   read guard — samples one epoch of that shard: the first `e` flushed
 //!   slices, never part of one.
 //! * On one shard, a walker's epochs never decrease.
 //! * A flushed batch becomes visible at that shard's next activation,
@@ -241,6 +243,12 @@
 //!   the receipt's events.
 //! * Across shards, a walker may step on a shard that has not yet applied
 //!   flushes another shard already showed it; nothing bounds that lag yet.
+//! * A cross-shard node2vec step reads the current vertex's weights at the
+//!   receiver's epoch, and the previous vertex's membership as of the
+//!   sender's epoch when it forwarded: a snapshot's presence in the
+//!   sender's map means it is valid, and eviction runs under the sender's
+//!   write guard. The two epochs may differ by as much as the cross-shard
+//!   lag, which is unbounded.
 //!
 //! ## Quickstart
 //!
@@ -297,14 +305,13 @@ pub mod stats;
 pub mod transport;
 
 pub use collect::TicketResults;
-pub use forward::{ContextTrace, CONTEXT_HANDLE_BYTES};
+pub use forward::CONTEXT_HANDLE_BYTES;
 pub use request::{RequestParts, WalkRequest};
 pub use router::IngestReceipt;
 pub use service::{
     record_pool_profile, AdmissionSnapshot, PartitionStrategy, ServiceConfig, ServiceError,
     WalkService, WalkTicket,
 };
-pub use shard::StepTrace;
 pub use stats::{ServiceStats, ShardStatsSnapshot};
 pub use transport::{LoopbackTransport, ShardTransport, TransportMode};
 
@@ -895,34 +902,22 @@ mod tests {
     }
 
     #[test]
-    fn traces_record_epochs_when_enabled() {
+    fn sync_on_a_receipt_past_the_last_flush_returns() {
+        // A receipt's fields are public, so a caller can name an epoch no
+        // flush has reached: `sync` waits for the flushes there are.
         let graph = ring_graph(12);
-        let service = WalkService::build(
-            &graph,
-            ServiceConfig {
-                num_shards: 3,
-                record_epochs: true,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let r0 = service.wait(service.submit(spec(4), &[0]).unwrap());
-        assert_eq!(r0.traces[0].len(), 4);
-        assert!(r0.traces[0].iter().all(|t| t.epoch == 0));
-
-        let receipt = service.ingest(&UpdateBatch::new(vec![UpdateEvent::Insert {
-            src: 0,
-            dst: 6,
-            bias: Bias::from_int(1),
-        }]));
-        service.sync(receipt);
-        let r1 = service.wait(service.submit(spec(4), &[0]).unwrap());
-        assert!(r1.traces[0].iter().all(|t| t.epoch == 1));
-        // Traced steps match the path.
-        for (trace, pair) in r1.traces[0].iter().zip(r1.paths[0].windows(2)) {
-            assert_eq!(trace.src, pair[0]);
-            assert_eq!(trace.dst, pair[1]);
-        }
+        let service = WalkService::build(&graph, ServiceConfig::default()).unwrap();
+        service.sync(IngestReceipt {
+            epoch: 3,
+            events_routed: 0,
+        });
+        let receipt = service.ingest(&UpdateBatch::new(Vec::new()));
+        assert_eq!(receipt.epoch, 1);
+        service.sync(IngestReceipt {
+            epoch: 5,
+            ..receipt
+        });
+        assert!(service.stats().per_shard.iter().all(|s| s.epoch == 1));
     }
 
     fn node2vec(len: usize) -> WalkSpec {

@@ -35,6 +35,11 @@ impl Router {
             flushes: Mutex::new_named(0, "service.router"),
         }
     }
+
+    /// Flushes so far: the epoch of the last receipt issued.
+    pub(crate) fn flushes(&self) -> u64 {
+        *self.flushes.lock()
+    }
 }
 
 impl WalkService {

@@ -147,10 +147,6 @@ pub struct ServiceConfig {
     pub seed: u64,
     /// Configuration of the per-shard Bingo engines.
     pub engine: BingoConfig,
-    /// Record, for every walk step, the epoch of the shard that sampled it,
-    /// and every forwarded-context snapshot (used by consistency tests;
-    /// costs one `Vec` push per step).
-    pub record_epochs: bool,
     /// Admission bound on each shard's inbox: a submission is rejected with
     /// [`ServiceError::Saturated`] when it would push a shard's queue depth
     /// past this many messages. `0` (the default) keeps inboxes unbounded.
@@ -174,7 +170,6 @@ impl Default for ServiceConfig {
             num_shards: 4,
             seed: 0x5E41_11CE,
             engine: BingoConfig::default(),
-            record_epochs: false,
             max_inbox: 0,
             partition: PartitionStrategy::Uniform,
             transport: TransportMode::default(),
@@ -259,7 +254,6 @@ pub(crate) struct ServiceShared {
     /// The observability handle every layer records into.
     pub(crate) telemetry: Telemetry,
     pub(crate) hists: ShardHists,
-    pub(crate) record_epochs: bool,
     /// The frame carrier serialized forwards go through; `None` moves
     /// walkers in process. The one place [`TransportMode`] is read.
     pub(crate) carrier: Option<Arc<dyn ShardTransport>>,
@@ -391,7 +385,6 @@ impl WalkService {
                 .map(|shard| ShardCounters::register(&telemetry, shard))
                 .collect(),
             hists: ShardHists::new(&telemetry),
-            record_epochs: config.record_epochs,
             carrier: (config.transport == TransportMode::Serialized).then_some(carrier),
             collector: Collector::new(&telemetry),
             progress: Mutex::new_named(0, "service.progress"),
@@ -539,8 +532,6 @@ impl WalkService {
                 cursor: WalkCursor::new(walk.clone(), start),
                 rng,
                 hops: 0,
-                trace: Vec::new(),
-                contexts: Vec::new(),
                 context_misses: 0,
                 sampled,
                 sent_at: enqueued_at,
@@ -642,12 +633,15 @@ impl WalkService {
     /// Block until every shard has applied all updates up to and including
     /// `receipt`'s epoch, i.e. the ingested events are visible to every new
     /// walk step. Parks on `service.progress` until the shards get there.
+    /// An epoch past the last flush waits for the flushes there are.
     pub fn sync(&self, receipt: IngestReceipt) {
+        // Read under `service.router`, released before `service.progress`.
+        let epoch = receipt.epoch.min(self.router.flushes());
         let reached = || {
             self.shared
                 .counters
                 .iter()
-                .all(|c| c.epoch.get_acquire() >= receipt.epoch)
+                .all(|c| c.epoch.get_acquire() >= epoch)
         };
         let mut progress = self.shared.progress.lock();
         while !reached() {

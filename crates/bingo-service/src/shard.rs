@@ -27,7 +27,7 @@
 //! each walker's private RNG and the engine epoch it sampled under.
 
 use crate::collect::FinishedWalk;
-use crate::forward::{ContextTrace, ForwardNegotiation, SnapshotCache};
+use crate::forward::{ForwardNegotiation, SnapshotCache};
 use crate::service::ServiceShared;
 use bingo_core::BingoEngine;
 use bingo_graph::{UpdateBatch, UpdateEvent, VertexId};
@@ -57,22 +57,6 @@ const SCHED_IDLE: u8 = 0;
 /// guaranteed to re-check the inbox before the shard goes idle.
 const SCHED_SCHEDULED: u8 = 1;
 
-/// One step of a serviced walk, annotated with the generation counter of
-/// the shard that sampled it (recorded when
-/// [`ServiceConfig::record_epochs`](crate::ServiceConfig::record_epochs) is
-/// set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepTrace {
-    /// Vertex the step departed from.
-    pub src: VertexId,
-    /// Vertex the step arrived at.
-    pub dst: VertexId,
-    /// Shard that owned `src` and sampled the step.
-    pub shard: usize,
-    /// The shard's epoch (update batches applied) when the step was taken.
-    pub epoch: u64,
-}
-
 /// A walker in flight: a resumable cursor plus its private RNG stream.
 pub(crate) struct Walker {
     pub(crate) ticket: u64,
@@ -80,8 +64,6 @@ pub(crate) struct Walker {
     pub(crate) cursor: WalkCursor,
     pub(crate) rng: Pcg64,
     pub(crate) hops: u32,
-    pub(crate) trace: Vec<StepTrace>,
-    pub(crate) contexts: Vec<ContextTrace>,
     /// Second-order membership queries degraded by a missing carried
     /// context (capture faults), accumulated across shards.
     pub(crate) context_misses: u64,
@@ -516,7 +498,6 @@ impl ServiceShared {
     ) {
         self.record_dwell(walker.sent_at.take(), visit_start, walker.hops > 0);
         self.counters[owner_shard].walkers_received.inc();
-        let record = self.record_epochs;
         let mut visit_steps: u32 = 0;
         let outcome = {
             let engine = self.shards[owner_shard].engine.read();
@@ -543,7 +524,6 @@ impl ServiceShared {
                     walker.hops += 1;
                     break VisitOutcome::Forward { to: owner, context };
                 }
-                let epoch = self.counters[owner_shard].epoch.get_acquire();
                 let stepped = walker.cursor.step(&*engine, &mut walker.rng);
                 let context_misses = walker.cursor.state().take_context_misses();
                 if context_misses > 0 {
@@ -560,21 +540,11 @@ impl ServiceShared {
                         .context_misses
                         .add(context_misses);
                 }
-                match stepped {
-                    Some(next) => {
-                        self.counters[exec_shard].steps.inc();
-                        visit_steps += 1;
-                        if record {
-                            walker.trace.push(StepTrace {
-                                src: current,
-                                dst: next,
-                                shard: owner_shard,
-                                epoch,
-                            });
-                        }
-                    }
-                    None => break VisitOutcome::Finished,
+                if stepped.is_none() {
+                    break VisitOutcome::Finished;
                 }
+                self.counters[exec_shard].steps.inc();
+                visit_steps += 1;
             };
             self.end_visit(owner_shard, &walker, visit_start, visit_steps);
             outcome
@@ -600,8 +570,6 @@ impl ServiceShared {
             sampled: walker.sampled,
             path: walker.cursor.into_path(),
             hops: walker.hops,
-            trace: walker.trace,
-            contexts: walker.contexts,
             // lint:allow(determinism): collect-latency stamp (telemetry).
             finished_at: Instant::now(),
         });

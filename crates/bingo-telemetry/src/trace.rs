@@ -59,7 +59,8 @@ pub enum TraceStage {
         shard: u32,
         /// Steps taken during this visit.
         steps: u32,
-        /// The shard's update epoch at the end of the visit.
+        /// The shard's update epoch every step of the visit sampled under:
+        /// the visit holds the engine's read guard throughout.
         epoch: u64,
     },
     /// The walker crossed an ownership boundary and was forwarded.

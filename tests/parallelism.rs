@@ -17,7 +17,7 @@
 //! any thread count with stealing on or off.
 
 use bingo::prelude::*;
-use bingo::service::ServiceConfig;
+use bingo::service::{ServiceConfig, TransportMode};
 use bingo::walks::WalkStore;
 
 fn test_graph(vertices: usize, edges: usize, seed: u64) -> DynamicGraph {
@@ -112,15 +112,21 @@ fn walk_engine_results_are_thread_count_independent() {
 }
 
 /// One sharded node2vec wave (second-order, so walkers are forwarded with
-/// carried context) under a pinned team size and shard count. Returns the
-/// result paths, slotted by walker index.
-fn service_walk_paths(graph: &DynamicGraph, threads: usize, shards: usize) -> Vec<Vec<VertexId>> {
+/// carried context) under a pinned team size, shard count and transport.
+/// Returns the result paths, slotted by walker index.
+fn service_walk_paths(
+    graph: &DynamicGraph,
+    threads: usize,
+    shards: usize,
+    transport: TransportMode,
+) -> Vec<Vec<VertexId>> {
     rayon::with_threads(threads, || {
         let service = WalkService::build(
             graph,
             ServiceConfig {
                 num_shards: shards,
                 seed: 0x57EA_11CE,
+                transport,
                 ..ServiceConfig::default()
             },
         )
@@ -143,16 +149,22 @@ fn service_results_are_thread_and_shard_count_independent() {
     // state at the observed epoch — never on which shard task (owner or
     // thief) executed the visit, on how many workers the pool has, or on
     // how the vertex space is sharded. The reference is a 1-shard service:
-    // it never forwards a walker and has no peer to steal from.
+    // it never forwards a walker, so it carries no context, and has no peer
+    // to steal from. Over the serialized transport the 4-shard walkers
+    // rebuild their carried fingerprints from the frame or a handle; a
+    // wrong fingerprint changes a node2vec draw, so the paths match only if
+    // every carried context is the previous vertex's true adjacency.
     let graph = test_graph(240, 1900, 0x0577_EA11);
-    let baseline = service_walk_paths(&graph, 1, 1);
+    let baseline = service_walk_paths(&graph, 1, 1, TransportMode::InProcess);
     assert_eq!(baseline.len(), graph.num_vertices());
-    for threads in [1, 2, 4, 8] {
-        assert_eq!(
-            service_walk_paths(&graph, threads, 4),
-            baseline,
-            "4-shard WalkResults diverged from 1 shard at {threads} threads"
-        );
+    for transport in [TransportMode::InProcess, TransportMode::Serialized] {
+        for threads in [1, 2, 4, 8] {
+            assert_eq!(
+                service_walk_paths(&graph, threads, 4, transport),
+                baseline,
+                "4-shard {transport:?} WalkResults diverged from 1 shard at {threads} threads"
+            );
+        }
     }
 }
 

@@ -4,20 +4,22 @@
 //!   single-engine edge-transition distribution (chi-square test), for
 //!   first-order walks *and* for node2vec's second-order transitions
 //!   (which require the forwarded adjacency-fingerprint context);
-//! * forwarded-context integrity — every context snapshot attached to a
-//!   forwarded walker must equal the previous vertex's true adjacency;
-//! * update/walk interleaving — while update batches stream in, every walk
-//!   step must traverse an edge that was alive at the epoch the owning
-//!   shard had reached when it sampled the step (no torn or stale groups),
-//!   and a flushed batch is applied ahead of the walkers queued behind it.
+//! * the consistency contract, read off the paths a ticket returns — while
+//!   update batches stream in, each visit of a walker to a shard samples
+//!   one epoch of that shard, a walker's epochs on one shard never
+//!   decrease, a wave submitted after `sync` sees every update, and a
+//!   flushed batch is applied ahead of the walkers queued behind it;
+//! * context accounting — the bytes, cache and handle counters a
+//!   serialized node2vec wave bills, derived from its paths.
 
+use bingo::core::partition::Partitioner;
 use bingo::prelude::*;
 use bingo::sampling::stats::{chi_square, chi_square_critical_999};
 use bingo::service::{ServiceConfig, TransportMode};
 use bingo_graph::updates::UpdateKind;
 use bingo_graph::UpdateStreamBuilder;
 use rand::RngCore;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Barrier};
 
 /// A graph whose vertex 0 has neighbors owned by all four shards, with
@@ -132,6 +134,106 @@ fn sharded_sampling_matches_single_engine_distribution() {
     );
 }
 
+/// The consistency contract, checked from what a ticket returns — its
+/// paths — beside the graph, the update stream and the partitioner.
+///
+/// The checker mirrors each shard's edge multiset, one snapshot per epoch:
+/// shard `s` at epoch `e` holds its initial owned edges plus the first `e`
+/// per-shard slices of the stream. A walk's maximal run of consecutive
+/// steps whose sources one shard owns is one visit; a visit holds that
+/// shard's engine read guard, so it samples exactly one epoch.
+struct PathChecker {
+    partitioner: Partitioner,
+    /// `snapshots[e][s]`: shard `s`'s live edge counts at epoch `e`.
+    snapshots: Vec<Vec<HashMap<(VertexId, VertexId), i64>>>,
+    /// What the engines count as applied: every insert, every delete of a
+    /// live edge, and a bias rewrite as a delete plus an insert.
+    applied: u64,
+}
+
+impl PathChecker {
+    fn new(graph: &DynamicGraph, batches: &[UpdateBatch], partitioner: Partitioner) -> Self {
+        let num_shards = partitioner.num_partitions();
+        let mut live: Vec<HashMap<(VertexId, VertexId), i64>> = vec![HashMap::new(); num_shards];
+        for (src, edge) in graph.edges() {
+            *live[partitioner.owner(src)]
+                .entry((src, edge.dst))
+                .or_insert(0) += 1;
+        }
+        let mut snapshots = vec![live.clone()];
+        let mut applied = 0;
+        for batch in batches {
+            let splits = batch.split_by_owner(num_shards, |v| partitioner.owner(v));
+            for (shard, split) in splits.iter().enumerate() {
+                for event in split.events() {
+                    match *event {
+                        UpdateEvent::Insert { src, dst, .. } => {
+                            *live[shard].entry((src, dst)).or_insert(0) += 1;
+                            applied += 1;
+                        }
+                        UpdateEvent::Delete { src, dst } => {
+                            // The engine skips a delete of a missing edge.
+                            if let Some(c) = live[shard].get_mut(&(src, dst)).filter(|c| **c > 0) {
+                                *c -= 1;
+                                applied += 1;
+                            }
+                        }
+                        // Liveness unchanged.
+                        UpdateEvent::UpdateBias { .. } => applied += 2,
+                    }
+                }
+            }
+            snapshots.push(live.clone());
+        }
+        PathChecker {
+            partitioner,
+            snapshots,
+            applied,
+        }
+    }
+
+    fn final_epoch(&self) -> usize {
+        self.snapshots.len() - 1
+    }
+
+    /// Whether the step `src → dst` is alive at `epoch` on `src`'s shard.
+    fn alive(&self, epoch: usize, src: VertexId, dst: VertexId) -> bool {
+        let shard = self.partitioner.owner(src);
+        self.snapshots[epoch][shard]
+            .get(&(src, dst))
+            .is_some_and(|&c| c > 0)
+    }
+
+    /// Check one walk: every visit is alive at one epoch, and that epoch
+    /// never decreases along the walk for its shard. Taking the earliest
+    /// feasible epoch for each visit is exact — it leaves every later
+    /// visit to that shard the most room. Returns the steps checked.
+    fn check(&self, path: &[VertexId]) -> Result<usize, String> {
+        let steps = path.len().saturating_sub(1);
+        let mut floor = vec![0usize; self.partitioner.num_partitions()];
+        let mut start = 0;
+        while start < steps {
+            let shard = self.partitioner.owner(path[start]);
+            let mut end = start + 1;
+            while end < steps && self.partitioner.owner(path[end]) == shard {
+                end += 1;
+            }
+            let visit = &path[start..=end];
+            let epoch = (floor[shard]..self.snapshots.len())
+                .find(|&e| visit.windows(2).all(|w| self.alive(e, w[0], w[1])))
+                .ok_or_else(|| {
+                    format!(
+                        "visit {visit:?} on shard {shard} is alive at no one epoch from {} on",
+                        floor[shard]
+                    )
+                })?;
+            floor[shard] = epoch;
+            start = end;
+        }
+        Ok(steps)
+    }
+}
+
 /// The consistency contract under concurrent updates, for a first- and a
 /// second-order walk over both transports.
 #[test]
@@ -149,9 +251,9 @@ fn concurrent_updates_and_walks_respect_epoch_liveness() {
     }
 }
 
-/// Every step traverses an edge alive at the (shard, epoch) it records, a
-/// walker's epochs on one shard never decrease, and a wave submitted after
-/// `sync` runs entirely at the last epoch.
+/// Every visit of every walk is alive at one epoch of its shard, a
+/// walker's epochs on one shard never decrease, and every step of a wave
+/// submitted after `sync` is alive at the last epoch.
 fn check_epoch_liveness(spec: WalkSpec, transport: TransportMode) {
     let case = format!("{} over {transport:?}", spec.name());
     // Build a base graph plus a valid mixed update stream.
@@ -164,19 +266,16 @@ fn check_epoch_liveness(spec: WalkSpec, transport: TransportMode) {
     let stream = UpdateStreamBuilder::new(UpdateKind::Mixed, 800).build(&mut graph, 600, &mut rng);
     let batches = stream.chunks(100);
 
-    let num_shards = 4;
     let service = WalkService::build(
         &graph,
         ServiceConfig {
-            num_shards,
+            num_shards: 4,
             seed: 0xE90C,
-            record_epochs: true,
             transport,
             ..ServiceConfig::default()
         },
     )
     .unwrap();
-    let partitioner = service.partitioner();
 
     // Interleave: one wave of walks between every pair of update batches,
     // WITHOUT waiting for the walks before ingesting the next batch.
@@ -196,83 +295,14 @@ fn check_epoch_liveness(spec: WalkSpec, transport: TransportMode) {
 
     let waves: Vec<_> = tickets.into_iter().map(|t| service.wait(t)).collect();
     let final_wave = service.wait(final_ticket);
+    let checker = PathChecker::new(&graph, &batches, service.partitioner());
 
-    // Mirror the router: per-shard edge-multiset timeline, one snapshot per
-    // epoch. Shard s at epoch e holds the initial owned edges plus the
-    // first e per-shard slices of the update stream.
-    let mut live: Vec<HashMap<(VertexId, VertexId), i64>> = vec![HashMap::new(); num_shards];
-    for (src, edge) in graph.edges() {
-        *live[partitioner.owner(src)]
-            .entry((src, edge.dst))
-            .or_insert(0) += 1;
-    }
-    let mut snapshots: Vec<Vec<HashMap<(VertexId, VertexId), i64>>> = vec![live.clone()];
-    for batch in &batches {
-        let splits = batch.split_by_owner(num_shards, |v| partitioner.owner(v));
-        for (shard, split) in splits.iter().enumerate() {
-            for event in split.events() {
-                match *event {
-                    UpdateEvent::Insert { src, dst, .. } => {
-                        *live[shard].entry((src, dst)).or_insert(0) += 1;
-                    }
-                    UpdateEvent::Delete { src, dst } => {
-                        if let Some(c) = live[shard].get_mut(&(src, dst)) {
-                            if *c > 0 {
-                                *c -= 1;
-                            }
-                        }
-                    }
-                    UpdateEvent::UpdateBias { .. } => { /* liveness unchanged */ }
-                }
-            }
-        }
-        snapshots.push(live.clone());
-    }
-
-    // Every traced step must traverse an edge alive at its (shard, epoch),
-    // and a walker's epochs on any one shard never go back.
     let mut checked = 0usize;
     for wave in waves.iter().chain(std::iter::once(&final_wave)) {
-        for (path, trace) in wave.paths.iter().zip(&wave.traces) {
-            assert_eq!(
-                trace.len(),
-                path.len() - 1,
-                "{case}: one trace entry per step"
-            );
-            let mut last_epoch = vec![0u64; num_shards];
-            for t in trace {
-                assert_eq!(
-                    partitioner.owner(t.src),
-                    t.shard,
-                    "{case}: steps are sampled by the owner of their source"
-                );
-                let epoch = t.epoch as usize;
-                assert!(
-                    epoch < snapshots.len(),
-                    "{case}: epoch within the flushed range"
-                );
-                let alive = snapshots[epoch][t.shard]
-                    .get(&(t.src, t.dst))
-                    .copied()
-                    .unwrap_or(0);
-                assert!(
-                    alive > 0,
-                    "{case}: step {}→{} on shard {} not alive at epoch {}",
-                    t.src,
-                    t.dst,
-                    t.shard,
-                    t.epoch
-                );
-                assert!(
-                    t.epoch >= last_epoch[t.shard],
-                    "{case}: a walker went back from epoch {} to {} on shard {}",
-                    last_epoch[t.shard],
-                    t.epoch,
-                    t.shard
-                );
-                last_epoch[t.shard] = t.epoch;
-                checked += 1;
-            }
+        for path in &wave.paths {
+            checked += checker
+                .check(path)
+                .unwrap_or_else(|e| panic!("{case}: {e}"));
         }
     }
     assert!(
@@ -280,13 +310,14 @@ fn check_epoch_liveness(spec: WalkSpec, transport: TransportMode) {
         "{case}: enough steps were checked ({checked})"
     );
 
-    // The quiesced wave must run entirely at the final epoch.
-    let final_epoch = batches.len() as u64;
-    for trace in &final_wave.traces {
-        for t in trace {
-            assert_eq!(
-                t.epoch, final_epoch,
-                "{case}: post-sync steps see every update"
+    let final_epoch = checker.final_epoch();
+    for path in &final_wave.paths {
+        for w in path.windows(2) {
+            assert!(
+                checker.alive(final_epoch, w[0], w[1]),
+                "{case}: post-sync step {}→{} is not alive at epoch {final_epoch}",
+                w[0],
+                w[1]
             );
         }
     }
@@ -294,41 +325,48 @@ fn check_epoch_liveness(spec: WalkSpec, transport: TransportMode) {
     let stats = service.shutdown();
     assert_eq!(
         stats.per_shard.iter().map(|s| s.epoch).max().unwrap(),
-        final_epoch,
+        final_epoch as u64,
         "{case}"
     );
-    assert_eq!(
-        stats.total_updates_applied() as usize,
-        {
-            // Deletions of already-deleted duplicates are skipped by the
-            // engine, exactly as the mirror skips them; insertions all apply.
-            let mut mirror_applied = 0usize;
-            let mut live: HashMap<(VertexId, VertexId), i64> = HashMap::new();
-            for (src, edge) in graph.edges() {
-                *live.entry((src, edge.dst)).or_insert(0) += 1;
-            }
-            for batch in &batches {
-                for event in batch.events() {
-                    match *event {
-                        UpdateEvent::Insert { src, dst, .. } => {
-                            *live.entry((src, dst)).or_insert(0) += 1;
-                            mirror_applied += 1;
-                        }
-                        UpdateEvent::Delete { src, dst } => {
-                            if let Some(c) = live.get_mut(&(src, dst)) {
-                                if *c > 0 {
-                                    *c -= 1;
-                                    mirror_applied += 1;
-                                }
-                            }
-                        }
-                        UpdateEvent::UpdateBias { .. } => mirror_applied += 2,
-                    }
-                }
-            }
-            mirror_applied
+    assert_eq!(stats.total_updates_applied(), checker.applied, "{case}");
+}
+
+/// The checker rejects what the contract forbids: a visit whose steps are
+/// alive only at two different epochs, and a shard's epoch going back
+/// between two visits of one walk.
+#[test]
+fn the_path_checker_rejects_torn_visits_and_epochs_going_back() {
+    // Two shards: 0 owns {0, 1}, 1 owns {2, 3}. Epoch 0 holds 0→1 and 1→3
+    // on shard 0; epoch 1 holds 1→0 and 0→2 instead; 2→1 lives throughout.
+    let mut graph = DynamicGraph::new(4);
+    for (src, dst) in [(0, 1), (1, 3), (2, 1)] {
+        graph.insert_edge(src, dst, Bias::from_int(1)).unwrap();
+    }
+    let batch = UpdateBatch::new(vec![
+        UpdateEvent::Delete { src: 0, dst: 1 },
+        UpdateEvent::Delete { src: 1, dst: 3 },
+        UpdateEvent::Insert {
+            src: 1,
+            dst: 0,
+            bias: Bias::from_int(1),
         },
-        "{case}"
+        UpdateEvent::Insert {
+            src: 0,
+            dst: 2,
+            bias: Bias::from_int(1),
+        },
+    ]);
+    let checker = PathChecker::new(&graph, &[batch], Partitioner::new(4, 2));
+    for ok in [&[0, 1][..], &[1, 0], &[0, 1, 3], &[2, 1, 0, 2], &[0, 2, 1]] {
+        assert_eq!(checker.check(ok), Ok(ok.len() - 1), "{ok:?}");
+    }
+    // 0→1 is alive only at epoch 0 and 1→0 only at epoch 1: one visit
+    // cannot have sampled both.
+    assert!(checker.check(&[0, 1, 0]).is_err(), "torn visit accepted");
+    // Shard 0's first visit (0→2) needs epoch 1, its second (1→3) epoch 0.
+    assert!(
+        checker.check(&[0, 2, 1, 3]).is_err(),
+        "a shard's epoch went back"
     );
 }
 
@@ -368,7 +406,8 @@ impl WalkModel for GateModel {
 
 /// A flushed batch is applied ahead of every walker still queued on its
 /// shard: walkers submitted before an `ingest`, but not yet dequeued when
-/// it lands, step at the new epoch.
+/// it lands, step at the new epoch — which the paths show, since the batch
+/// replaces vertex 0's only edge 0→1 with 0→8.
 #[test]
 fn an_update_overtakes_queued_walkers() {
     let n = 16u32;
@@ -383,7 +422,6 @@ fn an_update_overtakes_queued_walkers() {
         &graph,
         ServiceConfig {
             num_shards: 1,
-            record_epochs: true,
             ..ServiceConfig::default()
         },
     )
@@ -405,11 +443,14 @@ fn an_update_overtakes_queued_walkers() {
             &starts,
         )
         .unwrap();
-    let receipt = service.ingest(&UpdateBatch::new(vec![UpdateEvent::Insert {
-        src: 0,
-        dst: 8,
-        bias: Bias::from_int(1),
-    }]));
+    let receipt = service.ingest(&UpdateBatch::new(vec![
+        UpdateEvent::Delete { src: 0, dst: 1 },
+        UpdateEvent::Insert {
+            src: 0,
+            dst: 8,
+            bias: Bias::from_int(1),
+        },
+    ]));
     // Only now may the update apply: until the gate opens, its step holds
     // the engine read guard the write guard waits on.
     gate.wait();
@@ -417,12 +458,15 @@ fn an_update_overtakes_queued_walkers() {
     service.wait(gated);
     let results = service.wait(queued);
     service.sync(receipt);
-    for trace in &results.traces {
-        assert_eq!(trace.len(), 6);
-        for t in trace {
-            assert_eq!(t.epoch, 1, "a queued walker stepped before the update");
+    let mut from_zero = 0;
+    for path in &results.paths {
+        assert_eq!(path.len(), 7);
+        for w in path.windows(2).filter(|w| w[0] == 0) {
+            assert_eq!(w[1], 8, "a queued walker stepped before the update");
+            from_zero += 1;
         }
     }
+    assert!(from_zero > 0, "some queued walker passed vertex 0");
     service.shutdown();
 }
 
@@ -567,67 +611,6 @@ fn sharded_node2vec_matches_single_engine_distribution() {
     );
 }
 
-#[test]
-fn forwarded_context_matches_true_adjacency() {
-    let (graph, _) = node2vec_fanout_graph();
-    let service = WalkService::build(
-        &graph,
-        ServiceConfig {
-            num_shards: 4,
-            seed: 0xC0DE,
-            transport: TransportMode::Serialized,
-            record_epochs: true,
-            ..ServiceConfig::default()
-        },
-    )
-    .unwrap();
-    let partitioner = service.partitioner();
-    let spec = WalkSpec::Node2Vec(Node2VecConfig {
-        walk_length: 12,
-        p: 0.5,
-        q: 2.0,
-    });
-    let starts: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
-    let results = service.wait(service.submit(spec, &starts).unwrap());
-
-    let mut captured = 0usize;
-    for contexts in &results.contexts {
-        for ctx in contexts {
-            // The capture happened on the shard owning the snapshotted
-            // vertex...
-            assert_eq!(
-                partitioner.owner(ctx.vertex),
-                ctx.shard,
-                "context captured by the owner of vertex {}",
-                ctx.vertex
-            );
-            // ...and the fingerprint is exactly that vertex's sorted true
-            // out-adjacency (the graph saw no updates in this test).
-            let mut expected: Vec<VertexId> = graph
-                .neighbors(ctx.vertex)
-                .expect("vertex in range")
-                .edges()
-                .iter()
-                .map(|e| e.dst)
-                .collect();
-            expected.sort_unstable();
-            expected.dedup();
-            assert_eq!(
-                ctx.adjacency, expected,
-                "carried context of vertex {} diverged",
-                ctx.vertex
-            );
-            captured += 1;
-        }
-    }
-    assert!(
-        captured > 0,
-        "multi-shard node2vec must capture forwarded contexts"
-    );
-    let stats = service.shutdown();
-    assert!(stats.total_context_bytes() > 0);
-}
-
 /// A 4-shard graph whose node2vec walks cross two shard boundaries on
 /// consecutive steps: vertex 0 (shard 0) routes almost all walks to
 /// `HUB1 = 15` (shard 1), which routes almost all second steps to
@@ -710,7 +693,6 @@ fn sharded_node2vec_across_two_boundaries_matches_analytic_distribution() {
         ServiceConfig {
             num_shards: 4,
             seed: 0x2B0D,
-            record_epochs: true,
             ..ServiceConfig::default()
         },
     )
@@ -735,20 +717,9 @@ fn sharded_node2vec_across_two_boundaries_matches_analytic_distribution() {
         "two-boundary node2vec off: chi2 {stat:.2} vs {critical:.2} ({counts:?})"
     );
 
-    // The walkers that took the 0→HUB1→HUB2 spine were forwarded twice
-    // with a capture each time: context for vertex 0 (captured on
-    // shard 0), consumed at HUB1, then context for HUB1 re-captured on
-    // shard 1 for the forward to shard 2.
-    let recaptured = results
-        .contexts
-        .iter()
-        .filter(|ctxs| ctxs.iter().any(|c| c.vertex == 0) && ctxs.iter().any(|c| c.vertex == HUB1))
-        .count();
-    assert!(
-        recaptured > trials / 2,
-        "consecutive boundary crossings re-capture context ({recaptured})"
-    );
-
+    // The chi-square above, with no membership query answered without
+    // carried context, requires HUB1's snapshot to have been re-captured
+    // on shard 1 after vertex 0's was consumed there.
     let stats = service.shutdown();
     assert_eq!(
         stats.total_context_misses(),
@@ -778,7 +749,7 @@ fn sharded_node2vec_across_two_boundaries_matches_analytic_distribution() {
 }
 
 #[test]
-fn context_byte_accounting_matches_recorded_traces() {
+fn context_byte_accounting_matches_the_paths() {
     let (graph, _) = node2vec_fanout_graph();
     let service = WalkService::build(
         &graph,
@@ -786,7 +757,6 @@ fn context_byte_accounting_matches_recorded_traces() {
             num_shards: 4,
             seed: 0xACC7,
             transport: TransportMode::Serialized,
-            record_epochs: true,
             ..ServiceConfig::default()
         },
     )
@@ -801,67 +771,75 @@ fn context_byte_accounting_matches_recorded_traces() {
     let partitioner = service.partitioner();
     let stats = service.shutdown();
 
-    // The frames split exactly into path, context and header bytes. A
-    // walker leaves from path index i when step i crossed into another
+    // A walker leaves from path index i when step i crossed into another
     // shard's range before the 12-step cap, with i + 1 vertices (4 bytes
-    // each) on its path; every frame has the same 62 bytes of fixed fields
-    // (`bingo_walks::wire`) and the node2vec walk section.
+    // each) on its path. The cursor drops carried context on every step,
+    // so that forward captures path[i - 1] afresh: its sorted adjacency,
+    // on its owner's snapshot map. No update runs, so nothing is evicted:
+    // a vertex misses that map once, and a body larger than a handle is
+    // offered on every forward and shipped once per (vertex, receiver) —
+    // a body request — then rides the 16-byte handle. A smaller body is
+    // never offered and always ships.
+    let handle = bingo::service::CONTEXT_HANDLE_BYTES;
     let (mut forwards, mut path_bytes) = (0u64, 0u64);
+    let (mut raw, mut billed, mut offers, mut hits) = (0u64, 0u64, 0u64, 0u64);
+    let mut captured = HashSet::new();
+    let mut holders = HashSet::new();
     for path in &results.paths {
         for i in 1..path.len().min(12) {
-            if partitioner.owner(path[i]) != partitioner.owner(path[i - 1]) {
-                forwards += 1;
-                path_bytes += 4 * (i as u64 + 1);
+            let to = partitioner.owner(path[i]);
+            if to == partitioner.owner(path[i - 1]) {
+                continue;
+            }
+            forwards += 1;
+            path_bytes += 4 * (i as u64 + 1);
+            let prev = path[i - 1];
+            captured.insert(prev);
+            let neighbors: HashSet<VertexId> = graph
+                .neighbors(prev)
+                .expect("vertex in range")
+                .edges()
+                .iter()
+                .map(|e| e.dst)
+                .collect();
+            let body = CarriedContext::exact_wire_len(neighbors.len());
+            raw += body as u64;
+            if body <= handle {
+                billed += body as u64;
+            } else if holders.insert((prev, to)) {
+                offers += 1;
+                billed += body as u64;
+            } else {
+                offers += 1;
+                hits += 1;
+                billed += handle as u64;
             }
         }
     }
     assert_eq!(stats.total_forwards(), forwards);
     assert_eq!(stats.total_transport_path_bytes(), path_bytes);
+    // The frames split exactly into path, context and header bytes: every
+    // frame has the same 62 bytes of fixed fields (`bingo_walks::wire`)
+    // and the node2vec walk section.
     let header_bytes =
         stats.total_transport_bytes_sent() - path_bytes - stats.total_context_bytes();
     let frame_header = 62 + bingo::walks::wire::walk_section_len(Some(&spec)) as u64;
     assert_eq!(header_bytes, forwards * frame_header);
 
-    // `context_bytes_forwarded` is exactly the sum of the billed bytes of
-    // every recorded capture, and `context_bytes_raw` is the sum of what
-    // the exact-Vec baseline would have shipped for the same captures.
-    let traces: Vec<_> = results.contexts.iter().flatten().collect();
-    assert!(!traces.is_empty());
-    let billed: u64 = traces.iter().map(|t| t.bytes_sent as u64).sum();
     assert_eq!(stats.total_context_bytes(), billed);
-    let raw: u64 = traces
-        .iter()
-        .map(|t| CarriedContext::exact_wire_len(t.adjacency.len()) as u64)
-        .sum();
     assert_eq!(stats.total_context_bytes_raw(), raw);
-    // Per-trace billing follows handle negotiation: a snapshot bigger
-    // than a handle is offered to the receiver, and bills either the
-    // 16-byte handle (receiver already held the snapshot) or the full
-    // body (first forward of that snapshot to this owner). Small
-    // snapshots are never offered and always ship the body.
-    let mut offered = 0u64;
-    let mut handle_billed = 0u64;
-    for t in &traces {
-        let wire = CarriedContext::exact_wire_len(t.adjacency.len());
-        if wire > bingo::service::CONTEXT_HANDLE_BYTES {
-            offered += 1;
-            if t.bytes_sent == bingo::service::CONTEXT_HANDLE_BYTES {
-                handle_billed += 1;
-            } else {
-                assert_eq!(t.bytes_sent, wire, "non-handle forwards bill the body");
-            }
-        } else {
-            assert_eq!(t.bytes_sent, wire, "small snapshots are never offered");
-        }
-    }
-    assert_eq!(stats.total_handle_offers(), offered);
-    assert_eq!(stats.total_handle_hits(), handle_billed);
-    assert_eq!(stats.total_body_requests(), offered - handle_billed);
-    assert!(handle_billed > 0, "repeat forwards ride the 16-byte handle");
-    // Cache bookkeeping: one hit or miss per capture, and reuse happened.
+    assert_eq!(stats.total_handle_offers(), offers);
+    assert_eq!(stats.total_handle_hits(), hits);
+    assert_eq!(stats.total_body_requests(), offers - hits);
+    assert!(hits > 0, "repeat forwards ride the 16-byte handle");
     assert_eq!(
-        stats.total_context_cache_hits() + stats.total_context_cache_misses(),
-        traces.len() as u64
+        stats.total_context_cache_misses(),
+        captured.len() as u64,
+        "one capture per forwarded vertex"
+    );
+    assert_eq!(
+        stats.total_context_cache_hits(),
+        forwards - captured.len() as u64
     );
     assert!(
         stats.total_context_cache_hits() > 0,
