@@ -611,6 +611,81 @@ fn sharded_node2vec_matches_single_engine_distribution() {
     );
 }
 
+/// Paths of one serialized node2vec wave over `graph` on `num_shards`
+/// shards, with the service's stats and partitioner.
+fn serialized_node2vec_wave(
+    graph: &DynamicGraph,
+    num_shards: usize,
+    starts: &[VertexId],
+) -> (Vec<Vec<VertexId>>, ServiceStats, Partitioner) {
+    let service = WalkService::build(
+        graph,
+        ServiceConfig {
+            num_shards,
+            seed: 0xC0DE,
+            transport: TransportMode::Serialized,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let spec = WalkSpec::Node2Vec(Node2VecConfig {
+        walk_length: 12,
+        p: 0.5,
+        q: 2.0,
+    });
+    let results = service.wait(service.submit(spec, starts).unwrap());
+    let partitioner = service.partitioner();
+    (results.paths, service.shutdown(), partitioner)
+}
+
+#[test]
+fn forwarded_context_matches_true_adjacency() {
+    // A 1-shard service never forwards a walker: every node2vec step reads
+    // the previous vertex's adjacency from its own engine. A 4-shard
+    // service reads it from the carried fingerprint instead — rebuilt from
+    // the frame body on a vertex's first forward to a shard, resolved from
+    // a 16-byte handle after that. Walker RNG streams do not depend on the
+    // shard count, so the paths match the 1-shard reference only if every
+    // carried fingerprint is the previous vertex's true adjacency.
+    //
+    // Handle path: 400 walkers from vertex 0 cross to the hub's shard, and
+    // the hub's draw weights 15 by 1 (an out-neighbor of 0) but 5, 12, 33
+    // and 38 by 1/q. Body path: every vertex of a dense graph (12
+    // out-edges among 40 vertices, spanning all shards) is forwarded, and
+    // shares most of its out-neighbors with the vertices it steps to.
+    let (fanout, _) = node2vec_fanout_graph();
+    let mut dense = DynamicGraph::new(40);
+    for v in 0..40u32 {
+        for k in 1..=12u32 {
+            dense
+                .insert_edge(v, (v + 3 * k) % 40, Bias::from_int(1 + (v * k) as u64 % 9))
+                .unwrap();
+        }
+    }
+    let all: Vec<VertexId> = (0..40).collect();
+    let from_zero: Vec<VertexId> = all.iter().copied().chain([0; 400]).collect();
+    for (name, graph, starts) in [("fanout", &fanout, &from_zero), ("dense", &dense, &all)] {
+        let (reference, local, _) = serialized_node2vec_wave(graph, 1, starts);
+        let (sharded, stats, partitioner) = serialized_node2vec_wave(graph, 4, starts);
+        assert_eq!(local.total_forwards(), 0);
+        assert!(
+            stats.total_forwards() > 0 && stats.total_context_bytes() > 0,
+            "{name}: multi-shard node2vec must forward walkers with context"
+        );
+        if name == "fanout" {
+            // Walkers crossed into the hub's shard right after vertex 0,
+            // so the hub step read vertex 0's carried fingerprint.
+            assert_ne!(partitioner.owner(0), partitioner.owner(HUB));
+            assert!(sharded.iter().any(|p| p.windows(2).any(|w| w == [0, HUB])));
+            assert!(stats.total_handle_hits() > 0);
+        }
+        assert_eq!(
+            sharded, reference,
+            "{name}: carried context diverged from adjacency"
+        );
+    }
+}
+
 /// A 4-shard graph whose node2vec walks cross two shard boundaries on
 /// consecutive steps: vertex 0 (shard 0) routes almost all walks to
 /// `HUB1 = 15` (shard 1), which routes almost all second steps to
