@@ -1,21 +1,25 @@
 //! Counters of the engine's adjacency-fingerprint path.
 //!
-//! Sharded deployments attach a membership snapshot of a walker's previous
-//! vertex — its sorted, deduplicated neighbor ids — to every forwarded
-//! second-order walker. The engine encodes one on demand
-//! ([`BingoEngine::context_fingerprint_shared`](crate::BingoEngine::context_fingerprint_shared));
-//! keeping it is the caller's business: `bingo-service` holds each
-//! snapshot in a per-shard cache for as long as no structural update
-//! touches the vertex, so the engine is asked once per `(vertex, epoch)`.
+//! A fingerprint is the sorted, deduplicated neighbor ids of one vertex
+//! ([`VertexSpace::sorted_neighbors`](crate::VertexSpace::sorted_neighbors)),
+//! encoded on demand. Sharded deployments no longer keep one per forwarded
+//! vertex: `bingo-service` snapshots a walker's previous vertex as a clone
+//! of the owner's [`VertexSpace`](crate::VertexSpace) — two reference
+//! counts, sharing the adjacency block and the group table copy-on-write —
+//! and answers membership with
+//! [`VertexSpace::has_edge`](crate::VertexSpace::has_edge). The fingerprint
+//! path now serves two callers only: the body of a serialized forward,
+//! built from the snapshot when one ships, and the benchmark's micro
+//! measurement through
+//! [`BingoEngine::context_fingerprint_shared`](crate::BingoEngine::context_fingerprint_shared),
+//! which these counters tally.
 //!
 //! The engine used to pre-build the fingerprints of its top-degree
 //! vertices as well and re-encode them in place whenever a batch touched
 //! them. Under hub churn that re-sorted the largest adjacency lists on
-//! every batch whether or not anyone asked for them again, below a cache
-//! that already absorbed the repeats: with the pre-build off,
-//! `service_node2vec_wire` applied twice the update events per second at
-//! the same steps per second (CHANGES.md, PR 21). Local membership is a
-//! probe of the vertex's edge index and needs no fingerprint at all.
+//! every batch whether or not anyone asked for them again: with the
+//! pre-build off, `service_node2vec_wire` applied twice the update events
+//! per second at the same steps per second (as recorded in CHANGES.md).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

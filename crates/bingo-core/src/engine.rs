@@ -331,20 +331,12 @@ impl BingoEngine {
         self.spaces.get(self.local(v)?)?.sample_neighbor(rng)
     }
 
-    /// Sorted, deduplicated out-neighbor ids of `v` — the compact adjacency
-    /// fingerprint a sharded deployment attaches to forwarded second-order
-    /// walkers (membership queries against a vertex another shard owns).
-    /// Returns `None` when this engine does not own `v`.
+    /// Sorted, deduplicated out-neighbor ids of `v`
+    /// ([`VertexSpace::sorted_neighbors`]) — the membership fingerprint a
+    /// serialized forward ships as the body of a snapshot of `v`. Returns
+    /// `None` when this engine does not own `v`.
     pub fn neighbor_fingerprint(&self, v: VertexId) -> Option<Vec<VertexId>> {
-        let space = self.spaces.get(self.local(v)?)?;
-        let edges = space.adjacency().edges();
-        // `for_each` reads the slots in one pass per width; `collect` would
-        // ask the iterator for one edge at a time.
-        let mut adj = Vec::with_capacity(edges.len());
-        edges.iter().for_each(|e| adj.push(e.dst));
-        adj.sort_unstable();
-        adj.dedup();
-        Some(adj)
+        Some(self.spaces.get(self.local(v)?)?.sorted_neighbors())
     }
 
     /// Does nothing: the engine pre-builds no fingerprints (see
@@ -352,10 +344,10 @@ impl BingoEngine {
     /// to keep.
     pub fn warm_context(&mut self) {}
 
-    /// [`BingoEngine::neighbor_fingerprint`] for the forwarded-context
-    /// path: behind an `Arc`, so the caller's cache and every walker it
-    /// hands the snapshot to share one copy, and counted. `None` when this
-    /// engine does not own `v`.
+    /// [`BingoEngine::neighbor_fingerprint`] behind an `Arc`, and counted
+    /// in [`BingoEngine::context_provider_stats`]. `None` when this engine
+    /// does not own `v`. A walk service does not call it: its snapshots are
+    /// clones of the owner's [`VertexSpace`] (see [`crate::context`]).
     pub fn context_fingerprint_shared(&self, v: VertexId) -> Option<Arc<Vec<VertexId>>> {
         let fingerprint = self.neighbor_fingerprint(v)?;
         self.context.count_cold_build();

@@ -29,7 +29,10 @@
 //! index's handles, λ, the decimal group's box and alias bucket) and, as
 //! the unsized tail behind them, the K headers. So the vertex record points
 //! at the headers directly, and a factorized vertex is two allocations, the
-//! table and the arena.
+//! table and the arena. The table sits behind an `Arc` and is written
+//! copy-on-write (`GroupTable::make_mut`), as an adjacency block is: a
+//! clone of the vertex costs a reference count, and the first write
+//! through either handle copies the table for itself.
 //!
 //! ```text
 //! table    [ fixed fields | 2^0 | 2^1 | 2^2 | ... ]   kind, count, segment offset, bucket
@@ -59,6 +62,7 @@ use crate::arena::{self, set_word_as, slots_for, word, word_as, word_bytes, word
 use crate::radix::{decompose, groups_for_max_bias, MAX_GROUPS};
 use bingo_sampling::validate_weights;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Sentinel for "not present" entries of the decimal group's inverted
 /// index.
@@ -323,11 +327,11 @@ impl Fixed {
 /// Every radix group of one vertex: the K headers (with the inter-group
 /// alias table spread over them), and the arena their segments and the edge
 /// index live in. The headers are the unsized tail of the table's own
-/// allocation, so a table is always boxed, a sample reads header and alias
-/// bucket one hop from the vertex record, and K changes — a rebuild that
-/// finds another top bit, an insert that brings a new one — by moving the
-/// table to an allocation of the new size ([`GroupTable::rebuilt`],
-/// [`GroupTable::ensure`]).
+/// allocation, so a table is always behind a pointer (an `Arc`), a sample
+/// reads header and alias bucket one hop from the vertex record, and K
+/// changes — a rebuild that finds another top bit, an insert that brings a
+/// new one — by moving the table to an allocation of the new size
+/// ([`GroupTable::rebuilt`], [`GroupTable::ensure`]).
 #[derive(Debug)]
 pub(crate) struct GroupTable<S: ?Sized = [GroupSlot]> {
     pub(crate) fixed: Fixed,
@@ -473,10 +477,10 @@ impl GroupTable {
     }
 
     /// A table of `k` headers — the first of them copied from `slots`, the
-    /// rest empty — in one allocation with `fixed`.
-    fn boxed(fixed: Fixed, slots: &[GroupSlot], k: usize) -> Box<Self> {
-        fn sized<const K: usize>(fixed: Fixed) -> Box<GroupTable> {
-            Box::new(GroupTable {
+    /// rest empty — in one allocation with `fixed` and the `Arc`'s counts.
+    fn with_headers(fixed: Fixed, slots: &[GroupSlot], k: usize) -> Arc<Self> {
+        fn sized<const K: usize>(fixed: Fixed) -> Arc<GroupTable> {
+            Arc::new(GroupTable {
                 fixed,
                 slots: [GroupSlot::EMPTY; K],
             })
@@ -497,13 +501,26 @@ impl GroupTable {
             63 64
         );
         let kept = slots.len().min(k);
-        table.slots[..kept].copy_from_slice(&slots[..kept]);
+        Arc::get_mut(&mut table)
+            .expect("a table nobody else has seen")
+            .slots[..kept]
+            .copy_from_slice(&slots[..kept]);
         table
     }
 
     /// A copy in an allocation of its own.
-    pub(crate) fn boxed_clone(&self) -> Box<Self> {
-        Self::boxed(self.fixed.clone(), &self.slots, self.slots.len())
+    pub(crate) fn copied(&self) -> Arc<Self> {
+        Self::with_headers(self.fixed.clone(), &self.slots, self.slots.len())
+    }
+
+    /// The table behind `this`, to write: the table itself while no other
+    /// handle holds it, else a copy that replaces it here and leaves the
+    /// other holders' untouched.
+    pub(crate) fn make_mut(this: &mut Arc<Self>) -> &mut Self {
+        if Arc::get_mut(this).is_none() {
+            *this = this.copied();
+        }
+        Arc::get_mut(this).expect("this handle alone holds the table")
     }
 
     /// Whether the table, at its current width, can index a vertex of
@@ -608,12 +625,12 @@ impl GroupTable {
     /// and table is filled in neighbor-index order, so the table is the one
     /// an edge-by-edge build makes.
     pub(crate) fn rebuilt(
-        prev: Option<Box<Self>>,
+        prev: Option<Arc<Self>>,
         degree: usize,
         integer_of: impl Fn(usize) -> u64,
         dst_of: impl Fn(u32) -> u32,
         classify: impl Fn(usize) -> GroupKind,
-    ) -> Box<Self> {
+    ) -> Arc<Self> {
         assert!(
             degree <= MAX_DEGREE,
             "a vertex of {degree} edges is past what arena offsets can index"
@@ -626,14 +643,28 @@ impl GroupTable {
             all_bits |= count_block(block, &mut counts);
         }
         let k = groups_for_max_bias(all_bits);
-        let mut table = match prev {
-            Some(prev) if prev.slots.len() == k => prev,
-            Some(mut prev) => {
-                let fixed = std::mem::replace(&mut prev.fixed, Fixed::EMPTY);
-                Self::boxed(fixed, &[], k)
-            }
-            None => Self::boxed(Fixed::EMPTY, &[], k),
+        let mut shared = match prev {
+            Some(mut prev) => match Arc::get_mut(&mut prev) {
+                Some(table) if table.slots.len() != k => {
+                    let fixed = std::mem::replace(&mut table.fixed, Fixed::EMPTY);
+                    Self::with_headers(fixed, &[], k)
+                }
+                Some(_) => prev,
+                // Another handle holds the old table: of its fixed fields a
+                // rebuild keeps only the width and the rebuild count.
+                None => Self::with_headers(
+                    Fixed {
+                        wide: prev.fixed.wide,
+                        inter_rebuilds: prev.fixed.inter_rebuilds,
+                        ..Fixed::EMPTY
+                    },
+                    &[],
+                    k,
+                ),
+            },
+            None => Self::with_headers(Fixed::EMPTY, &[], k),
         };
+        let table = Arc::get_mut(&mut shared).expect("a table no other handle holds");
         table.fixed.wide = degree >= NARROW_LIMIT || (table.fixed.wide && degree >= DEMOTE_BELOW);
         let mut words = 0usize;
         // The listed groups and the one-element groups, as bit masks; where
@@ -706,15 +737,19 @@ impl GroupTable {
             table.fill_table(&slot);
         }
         table.fill_index(degree as u32, dst_of);
-        table
+        shared
     }
 
     /// Make sure groups `0..bits` exist: a table with fewer moves, headers
-    /// and all, to an allocation with room for them.
-    pub(crate) fn ensure(this: &mut Box<Self>, bits: usize) {
+    /// and all, to an allocation with room for them (a table another handle
+    /// holds is copied into it).
+    pub(crate) fn ensure(this: &mut Arc<Self>, bits: usize) {
         if this.slots.len() < bits {
-            let fixed = std::mem::replace(&mut this.fixed, Fixed::EMPTY);
-            *this = Self::boxed(fixed, &this.slots, bits);
+            let fixed = match Arc::get_mut(this) {
+                Some(table) => std::mem::replace(&mut table.fixed, Fixed::EMPTY),
+                None => this.fixed.clone(),
+            };
+            *this = Self::with_headers(fixed, &this.slots, bits);
         }
     }
 
@@ -1507,11 +1542,29 @@ mod tests {
     use bingo_sampling::{AliasTable, Sampler};
     use rand::SeedableRng;
 
+    /// A table handle the tests write through as a space does: copy on
+    /// write, so a clone is a snapshot.
+    #[derive(Clone)]
+    struct Table(Arc<GroupTable>);
+
+    impl std::ops::Deref for Table {
+        type Target = GroupTable;
+        fn deref(&self) -> &GroupTable {
+            &self.0
+        }
+    }
+
+    impl std::ops::DerefMut for Table {
+        fn deref_mut(&mut self) -> &mut GroupTable {
+            GroupTable::make_mut(&mut self.0)
+        }
+    }
+
     /// A one-group table holding `members` in the given representation,
     /// over a vertex whose edge `idx` points at vertex `idx`. The tests
     /// below edit the groups alone, so only the build's edge index is in
     /// step with anything.
-    fn table_of(kind: GroupKind, members: &[u32]) -> Box<GroupTable> {
+    fn table_of(kind: GroupKind, members: &[u32]) -> Table {
         let degree = members.iter().max().map_or(0, |&m| m as usize + 1);
         let t = GroupTable::rebuilt(
             None,
@@ -1521,12 +1574,12 @@ mod tests {
             |_| kind,
         );
         t.check_index(degree, |idx| idx).unwrap();
-        t
+        Table(t)
     }
 
     /// A table of `k` empty groups.
-    fn empty_table(k: usize) -> Box<GroupTable> {
-        GroupTable::boxed(Fixed::EMPTY, &[], k)
+    fn empty_table(k: usize) -> Table {
+        Table(GroupTable::with_headers(Fixed::EMPTY, &[], k))
     }
 
     fn members_of(t: &GroupTable, bit: usize) -> Option<Vec<u32>> {
@@ -1548,10 +1601,10 @@ mod tests {
     #[test]
     fn k_grows_by_moving_the_table_and_keeps_every_header() {
         let mut t = table_of(GroupKind::Regular, &[0, 3, 5]);
-        GroupTable::ensure(&mut t, 1);
+        GroupTable::ensure(&mut t.0, 1);
         assert_eq!(t.len(), 1);
         let before = (t.fixed.arena.clone(), t.fixed.index, t.slots[0]);
-        GroupTable::ensure(&mut t, 9);
+        GroupTable::ensure(&mut t.0, 9);
         assert_eq!(t.len(), 9);
         assert_eq!((t.fixed.arena.clone(), t.fixed.index, t.slots[0]), before);
         assert!(t.slots[1..].iter().all(|s| *s == GroupSlot::EMPTY));
@@ -1559,9 +1612,12 @@ mod tests {
         assert_eq!(members_of(&t, 8), Some(vec![4]));
         t.check_layout(6).unwrap();
         t.check_index(6, |idx| idx).unwrap();
-        // A copy is a table of its own.
-        let copy = t.boxed_clone();
+        // A clone shares the table until either side writes, and the
+        // writer copies it.
+        let copy = t.clone();
+        assert!(std::ptr::eq(&*copy, &*t));
         t.insert(8, 5);
+        assert!(!std::ptr::eq(&*copy, &*t));
         assert_eq!(members_of(&copy, 8), Some(vec![4]));
         assert_eq!(members_of(&copy, 0), Some(vec![0, 3, 5]));
     }
@@ -1751,7 +1807,7 @@ mod tests {
         assert_eq!(sparse.arena_capacity(), 5 + 8 + 1501);
         assert_eq!(dense.arena_capacity(), 1501);
         // Sparse to regular and back renames the group and moves nothing.
-        let mut t = sparse.boxed_clone();
+        let mut t = Table(sparse.copied());
         RELOCATED_WORDS.with(|c| c.set(0));
         t.convert(0, GroupKind::Regular, 1000, |_| unreachable!());
         assert_eq!(t.kind(0), GroupKind::Regular);
@@ -1789,7 +1845,7 @@ mod tests {
     #[test]
     fn width_follows_the_degree_with_hysteresis() {
         // Every other neighbor is a member: one regular group.
-        let rebuilt = |slot: &mut Option<Box<GroupTable>>, degree: usize| {
+        let rebuilt = |slot: &mut Option<Arc<GroupTable>>, degree: usize| {
             let dst_of = |idx: u32| idx.wrapping_mul(7919) % 50_000;
             let prev = slot.take();
             let t = &**slot.insert(GroupTable::rebuilt(

@@ -19,9 +19,9 @@
 //!   groups, no index, one bounded pass per sample or lookup.
 //! * [`engine`] — the whole-graph engine: streaming and parallel batched
 //!   ingestion, `O(1)` neighbor sampling, memory and conversion accounting.
-//! * [`context`] — counters of the adjacency-fingerprint path behind the
-//!   sharded service's forwarded second-order context (the service caches
-//!   the fingerprints; the engine encodes them on demand).
+//! * [`context`] — counters of the adjacency-fingerprint path: the sorted
+//!   neighbor ids a serialized forward ships for a snapshot (the service
+//!   keeps a clone of the owner's vertex space, not the ids).
 //! * [`radix_base`] — the arbitrary-radix-base extension of §9.2.
 //! * [`partition`] — the 1-D vertex → partition map (§9.1).
 //!

@@ -84,6 +84,9 @@ impl MemoryReport {
     /// alive, what the build added to the process is `resident_bytes() -
     /// adjacency_bytes`; once it is dropped the blocks are the engine's
     /// alone and the engine's share of the heap is `resident_bytes()`.
+    /// Group tables are shared the same way — by the clones of an engine
+    /// or of a vertex space, such as the snapshots a walk service keeps —
+    /// and a shared table, too, is counted in full by every owner.
     pub fn resident_bytes(&self) -> usize {
         self.total_bytes() + self.structure_bytes
     }

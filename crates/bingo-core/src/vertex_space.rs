@@ -75,6 +75,7 @@ use crate::{BingoError, Result};
 use bingo_graph::adjacency::{AdjacencyList, Edge, Edges};
 use bingo_graph::{Bias, VertexId};
 use rand::Rng;
+use std::sync::Arc;
 
 /// The largest degree an adaptive vertex is stored direct at.
 ///
@@ -153,20 +154,22 @@ fn classify(config: &BingoConfig, cardinality: usize, degree: usize) -> GroupKin
 /// Everything only a factorized vertex needs: the group table, which also
 /// carries λ and the decimal group. The methods take the adjacency list the
 /// groups and the edge index cover; the space keeps them in step.
-#[derive(Debug)]
+///
+/// The table is shared by every clone of the space and written
+/// copy-on-write, like the adjacency block beside it: reads go through the
+/// `Arc`, writes through [`Factorized::table`].
+#[derive(Debug, Clone)]
 struct Factorized {
-    groups: Box<GroupTable>,
-}
-
-impl Clone for Factorized {
-    fn clone(&self) -> Self {
-        Factorized {
-            groups: self.groups.boxed_clone(),
-        }
-    }
+    groups: Arc<GroupTable>,
 }
 
 impl Factorized {
+    /// The table, to write: copied first while a clone of the space holds
+    /// it too.
+    fn table(&mut self) -> &mut GroupTable {
+        GroupTable::make_mut(&mut self.groups)
+    }
+
     /// The λ amortization factor the groups were built with.
     fn lambda(&self) -> f64 {
         self.groups.fixed.lambda
@@ -193,13 +196,16 @@ impl Factorized {
     /// what the vertex had before, if it was factorized. `O(d · K)`.
     fn rebuilt(prev: Option<Factorized>, edges: Edges<'_>, config: &BingoConfig) -> Self {
         let lambda = Self::lambda_for(edges);
-        let mut groups = GroupTable::rebuilt(
-            prev.map(|f| f.groups),
-            edges.len(),
-            |idx| ScaledBias::new(edges.bias(idx), lambda).integer,
-            dst_of(edges),
-            |cardinality| classify(config, cardinality, edges.len()),
-        );
+        let mut factorized = Factorized {
+            groups: GroupTable::rebuilt(
+                prev.map(|f| f.groups),
+                edges.len(),
+                |idx| ScaledBias::new(edges.bias(idx), lambda).integer,
+                dst_of(edges),
+                |cardinality| classify(config, cardinality, edges.len()),
+            ),
+        };
+        let groups = factorized.table();
         groups.fixed.lambda = lambda;
         // λ is 1 exactly when every bias is integral: no remainders.
         let fractions = edges
@@ -210,7 +216,6 @@ impl Factorized {
         } else {
             None
         };
-        let mut factorized = Factorized { groups };
         factorized.rebuild_inter();
         factorized
     }
@@ -226,7 +231,8 @@ impl Factorized {
 
     /// Rebuild only the inter-group alias table. `O(K)`.
     fn rebuild_inter(&mut self) {
-        self.groups.rebuild_inter(self.decimal_weight());
+        let decimal_weight = self.decimal_weight();
+        self.table().rebuild_inter(decimal_weight);
     }
 
     /// Reclassify every group's representation against the current degree,
@@ -240,22 +246,23 @@ impl Factorized {
     ) {
         let degree = edges.len();
         let lambda = self.lambda();
-        for bit in 0..self.groups.len() {
+        let groups = self.table();
+        for bit in 0..groups.len() {
             conversions.record_check();
-            let current = self.groups.kind(bit);
-            let cardinality = self.groups.cardinality(bit);
+            let current = groups.kind(bit);
+            let cardinality = groups.cardinality(bit);
             let desired = classify(config, cardinality, degree);
             if current == desired {
                 continue;
             }
             // Converting out of a dense group scans the adjacency list to
             // recover the member list.
-            self.groups.convert(bit, desired, degree, |i| {
+            groups.convert(bit, desired, degree, |i| {
                 radix::in_group(ScaledBias::new(edges.bias(i), lambda).integer, bit as u8)
             });
             conversions.record(current, desired);
         }
-        self.groups.reclaim(degree, dst_of(edges));
+        groups.reclaim(degree, dst_of(edges));
     }
 
     /// Insert the edge just pushed onto `edges`, its last, into the radix
@@ -272,14 +279,15 @@ impl Factorized {
         if !self.groups.fits(edges.len()) {
             return true;
         }
-        self.groups.index_insert(idx, dst_of(edges));
         let s = self.scaled(bias);
         GroupTable::ensure(&mut self.groups, radix::groups_for_max_bias(s.integer));
+        let groups = self.table();
+        groups.index_insert(idx, dst_of(edges));
         for bit in radix::decompose(s.integer) {
-            self.groups.insert(bit as usize, idx);
+            groups.insert(bit as usize, idx);
         }
         if s.has_fraction() {
-            let decimal = self.groups.fixed.decimal.get_or_insert_with(Box::default);
+            let decimal = groups.fixed.decimal.get_or_insert_with(Box::default);
             decimal.insert(idx, s.fraction);
         }
         false
@@ -288,15 +296,16 @@ impl Factorized {
     /// Remove the edge at neighbor index `idx` from all group structures
     /// and the edge index (the adjacency list, `edges`, still holds it).
     fn remove(&mut self, idx: u32, edges: Edges<'_>) {
-        self.groups.index_remove(idx, dst_of(edges));
         let s = self.scaled(edges.bias(idx as usize));
+        let groups = self.table();
+        groups.index_remove(idx, dst_of(edges));
         for bit in radix::decompose(s.integer) {
-            if (bit as usize) < self.groups.len() {
-                self.groups.remove(bit as usize, idx);
+            if (bit as usize) < groups.len() {
+                groups.remove(bit as usize, idx);
             }
         }
         if s.has_fraction() {
-            let decimal = &mut self.groups.fixed.decimal;
+            let decimal = &mut groups.fixed.decimal;
             if let Some(group) = decimal.as_mut() {
                 group.remove(idx);
                 if group.is_empty() {
@@ -309,17 +318,18 @@ impl Factorized {
     /// Propagate an adjacency-list move of `edge` (`old_idx → new_idx`) to
     /// all group structures and the edge index.
     fn remap(&mut self, old_idx: u32, new_idx: u32, edge: Edge) {
-        if old_idx != new_idx {
-            self.groups.index_remap(old_idx, new_idx, edge.dst);
-        }
         let s = self.scaled(edge.bias);
+        let groups = self.table();
+        if old_idx != new_idx {
+            groups.index_remap(old_idx, new_idx, edge.dst);
+        }
         for bit in radix::decompose(s.integer) {
-            if (bit as usize) < self.groups.len() {
-                self.groups.remap(bit as usize, old_idx, new_idx);
+            if (bit as usize) < groups.len() {
+                groups.remap(bit as usize, old_idx, new_idx);
             }
         }
         if s.has_fraction() {
-            if let Some(decimal) = self.groups.fixed.decimal.as_mut() {
+            if let Some(decimal) = groups.fixed.decimal.as_mut() {
                 decimal.remap(old_idx, new_idx);
             }
         }
@@ -500,6 +510,9 @@ pub struct VertexSpace {
     adj: AdjacencyList,
     repr: Repr,
 }
+
+/// The two reference counts in front of a group table in its allocation.
+const TABLE_COUNTS_BYTES: usize = 2 * std::mem::size_of::<usize>();
 
 // 2^18 vertices hold 12 MiB of these inline; the engine owns the config and
 // the conversion matrix, and the table's allocation what only a factorized
@@ -788,12 +801,34 @@ impl VertexSpace {
         }
     }
 
-    /// Whether some edge points at `dst`.
+    /// Whether some edge points at `dst`: one probe of the edge index, or
+    /// a scan of at most [`DIRECT_MAX_DEGREE`] edges on a direct vertex.
     pub fn has_edge(&self, dst: VertexId) -> bool {
         match self.repr.factorized() {
             Some(f) => f.groups.has_edge(dst, dst_of(self.adj.edges())),
             None => self.adj.find(dst).is_some(),
         }
+    }
+
+    /// The destination of every edge, in neighbor-index order (repeats
+    /// included), in a new `Vec`.
+    pub fn destinations(&self) -> Vec<VertexId> {
+        let edges = self.adj.edges();
+        // `for_each` reads the slots in one pass per width; `collect` would
+        // ask the iterator for one edge at a time.
+        let mut ids = Vec::with_capacity(edges.len());
+        edges.iter().for_each(|e| ids.push(e.dst));
+        ids
+    }
+
+    /// The distinct destinations of the edges in increasing order: the
+    /// membership fingerprint a sharded deployment ships for a vertex
+    /// another shard asks about. `O(d log d)`, in a new `Vec`.
+    pub fn sorted_neighbors(&self) -> Vec<VertexId> {
+        let mut ids = self.destinations();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
     /// Update the bias of the first edge pointing at `dst`.
@@ -968,8 +1003,8 @@ impl VertexSpace {
     /// (the inline struct, the group table's fixed fields, the rest of the
     /// group headers, arena holes and slack), so `resident_bytes()` is what
     /// the allocator handed out for everything this space references. The
-    /// adjacency block is counted in full even while the graph or a clone
-    /// of this space holds it too.
+    /// adjacency block and the group table are counted in full even while
+    /// the graph or a clone of this space holds them too.
     pub fn memory_report(&self) -> MemoryReport {
         let mut report = MemoryReport {
             adjacency_bytes: self.adj.memory_bytes(),
@@ -990,9 +1025,10 @@ impl VertexSpace {
                 for g in f.groups.views() {
                     report.add_group(g.kind(), g.memory_bytes());
                 }
-                // The table's own allocation — fixed fields and headers —
-                // and the arena it points to.
-                resident += std::mem::size_of_val(&*f.groups) + f.groups.heap_bytes();
+                // The table's own allocation — the `Arc`'s counts, fixed
+                // fields and headers — and the arena it points to.
+                resident +=
+                    TABLE_COUNTS_BYTES + std::mem::size_of_val(&*f.groups) + f.groups.heap_bytes();
                 if let Some(decimal) = &f.groups.fixed.decimal {
                     report.decimal_bytes = decimal.memory_bytes();
                     resident += std::mem::size_of_val(&**decimal) + report.decimal_bytes;
@@ -1003,8 +1039,11 @@ impl VertexSpace {
         report
     }
 
-    /// Exact per-neighbor transition probabilities implied by the current
-    /// structures. Used by tests to verify Theorem 4.1.
+    /// Per-neighbor transition probabilities of the adjacency list: each
+    /// edge's bias divided by the sum of its biases. The ground truth the
+    /// samples are tested against (Theorem 4.1); it reads nothing of the
+    /// radix groups, the decimal group or the alias tables, so it does not
+    /// check that those structures encode the weights.
     pub fn exact_probabilities(&self) -> Vec<f64> {
         let total: f64 = self.adj.edges().iter().map(|e| e.bias.value()).sum();
         if total <= 0.0 {
@@ -1513,12 +1552,12 @@ mod tests {
         let mut rng = Pcg64::seed_from_u64(0xB10C);
         let space = regular_hub(1024, &mut rng);
         let table = space.groups_table();
-        // What the space holds: the table (fixed fields and headers in one
-        // allocation), the arena, the adjacency block.
+        // What the space holds: the table (the `Arc`'s counts, fixed fields
+        // and headers in one allocation), the arena, the adjacency block.
         let report = space.memory_report();
         assert_eq!(
             report.resident_bytes(),
-            48 + std::mem::size_of_val(table) + table.heap_bytes() + report.adjacency_bytes
+            48 + 16 + std::mem::size_of_val(table) + table.heap_bytes() + report.adjacency_bytes
         );
         assert_eq!(std::mem::size_of_val(table), 64 + 24 * space.num_groups());
         for _ in 0..1000 {

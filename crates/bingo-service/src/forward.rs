@@ -2,9 +2,19 @@
 //!
 //! One lock lives here, per shard: `service.shard_ctx_cache`, the map of
 //! the context snapshots the shard captured. Capture, negotiation and
-//! eviction take it under the owner's engine lock (order `shard_engine` →
+//! release take it under the owner's engine lock (order `shard_engine` →
 //! `shard_ctx_cache`); handle resolution takes it with no other lock held.
 //! "Shard `to` holds this snapshot" is bit `to` on the owner's entry.
+//!
+//! A snapshot is a copy-on-write handle on the owner's `VertexSpace`
+//! ([`CarriedContext::captured`]): capturing one clones two reference
+//! counts, and a membership query probes the vertex's edge index. Its
+//! wire body is still the sorted distinct neighbor ids, built when a body
+//! ships. A batch releases the map's handles on the vertices it writes
+//! before it writes them, so the map never pins an old version and the
+//! write happens in place: the vertices whose membership it changes leave
+//! the map, holder bits and all; those only reweighted are re-captured
+//! afterwards under the same epoch and holder bits.
 //!
 //! [`TransportMode`](crate::TransportMode) is read once, at build: it
 //! decides whether the service keeps a frame carrier. An in-process
@@ -21,7 +31,7 @@ use crate::shard::Walker;
 use crate::stats::ShardCounters;
 use crate::transport::ShardTransport;
 use bingo_core::BingoEngine;
-use bingo_graph::VertexId;
+use bingo_graph::{UpdateBatch, UpdateEvent, VertexId};
 use bingo_sampling::rng::Pcg64;
 use bingo_telemetry::TraceStage;
 use bingo_walks::wire::{self, ContextHandle, FrameContext, WalkerFrame};
@@ -39,22 +49,41 @@ use std::sync::Arc;
 /// negotiation only engages past this size.
 pub use bingo_walks::wire::CONTEXT_HANDLE_BYTES;
 
-/// One shard's snapshot map. Entry presence implies validity: structural
-/// update batches evict exactly the vertices they touched, while bias-only
-/// batches and empty epoch ticks keep entries warm (fingerprints are
-/// membership sets, which reweights never alter). One slot per vertex, so
-/// occupancy is bounded by the forwarded-vertex set no matter how many
-/// epochs pass.
+/// One shard's snapshot map: per forwarded vertex, a copy-on-write handle
+/// on the owner's `VertexSpace`, not a copy of its adjacency. Entry
+/// presence implies validity: structural update batches evict exactly the
+/// vertices they touched, while bias rewrites and empty epoch ticks keep
+/// entries warm (a snapshot answers membership, which reweights never
+/// alter; a reweighted vertex is re-captured under the same epoch). One
+/// slot per vertex, so occupancy is bounded by the forwarded-vertex set no
+/// matter how many epochs pass, and an entry's bytes do not grow with the
+/// vertex's degree.
 pub(crate) struct SnapshotCache {
-    entries: Mutex<HashMap<VertexId, Snapshot>>,
+    entries: Mutex<Snapshots>,
 }
 
 impl SnapshotCache {
     pub(crate) fn new() -> Self {
+        let snapshots = Snapshots {
+            map: HashMap::new(),
+            bodies: Vec::new(),
+        };
         SnapshotCache {
-            entries: Mutex::new_named(HashMap::new(), "service.shard_ctx_cache"),
+            entries: Mutex::new_named(snapshots, "service.shard_ctx_cache"),
         }
     }
+}
+
+/// What the lock guards: the snapshots, and the vertices whose snapshot
+/// shipped a body since the shard last applied a batch. A body is sorted
+/// once and serves every peer that asks for it in the same epoch; once
+/// the next batches are in, [`ServiceShared::shed_bodies`] drops the ids
+/// again (the space answers membership, and a later ship sorts them
+/// afresh), so the map keeps sorted ids only for what shipped within one
+/// epoch.
+struct Snapshots {
+    map: HashMap<VertexId, Snapshot>,
+    bodies: Vec<VertexId>,
 }
 
 /// A snapshot this shard captured, reused by every walker forwarded while
@@ -67,6 +96,8 @@ struct Snapshot {
     /// snapshot's body, so the next forward to `s` ships a handle. Shards
     /// past index 63 are never recorded and always receive the body.
     holders: u64,
+    /// Whether the vertex is in [`Snapshots::bodies`].
+    body_listed: bool,
 }
 
 /// `shard`'s bit in [`Snapshot::holders`], 0 past index 63.
@@ -84,12 +115,14 @@ impl Snapshot {
     /// ships as a [`ContextHandle`] when `to` already holds it; otherwise
     /// the body ships and `to` becomes a holder (a body request: an offer
     /// without a hit). `context_bytes_raw` is the body-on-every-forward
-    /// baseline, `context_bytes_forwarded` what the frame carries.
+    /// baseline, `context_bytes_forwarded` what the frame carries. A body
+    /// that ships is noted in `bodies`.
     fn negotiate(
         &mut self,
         owner_shard: usize,
         to: usize,
         c: &ShardCounters,
+        bodies: &mut Vec<VertexId>,
     ) -> (usize, Option<ContextHandle>) {
         let body_len = self.ctx.byte_len();
         let mut shipped = (body_len, None);
@@ -106,6 +139,10 @@ impl Snapshot {
                 shipped = (CONTEXT_HANDLE_BYTES, Some(handle));
             }
             self.holders |= bit;
+        }
+        if shipped.1.is_none() && !self.body_listed {
+            self.body_listed = true;
+            bodies.push(self.ctx.vertex);
         }
         c.context_bytes_raw.add(body_len as u64);
         c.context_bytes_forwarded.add(shipped.0 as u64);
@@ -130,13 +167,14 @@ impl ServiceShared {
     /// Capture the model-declared cross-shard context before forwarding:
     /// for second-order models, a membership snapshot of the walker's
     /// previous vertex — which this shard owns, because it just sampled the
-    /// step that left it. Snapshots are built at most once per `(vertex,
-    /// epoch)` and reused by every walker forwarded in the same wave.
+    /// step that left it. A snapshot is a clone of the vertex's space,
+    /// taken at most once per `(vertex, epoch)` and shared by every walker
+    /// forwarded in the same wave.
     ///
     /// A serialized forward negotiates under the same map lock
     /// ([`Snapshot::negotiate`]). The caller holds `owner_shard`'s engine
-    /// read guard: it pins the epoch the fingerprint describes (no update
-    /// can slip between capture and insert), and eviction runs under the
+    /// read guard: it pins the epoch the snapshot describes (no update
+    /// can slip between capture and insert), and release runs under the
     /// write guard, so a snapshot and its holder bits always leave
     /// together.
     ///
@@ -162,27 +200,26 @@ impl ServiceShared {
         let c = &self.counters[owner_shard];
         // The stored stamp is the *capture* epoch: bias-only epoch ticks
         // advance the counter without invalidating membership, so entry
-        // presence (upheld by `evict_snapshots`) — not stamp freshness —
+        // presence (upheld by `release_snapshots`) — not stamp freshness —
         // is what implies validity.
         let (ctx, cache_hit, (bytes_sent, handle)) = {
             let mut entries = self.shards[owner_shard].snapshots.entries.lock();
-            let (snapshot, cache_hit) = match entries.entry(prev) {
+            let Snapshots { map, bodies } = &mut *entries;
+            let (snapshot, cache_hit) = match map.entry(prev) {
                 Entry::Occupied(slot) => (slot.into_mut(), true),
                 Entry::Vacant(slot) => {
-                    let ctx = CarriedContext {
-                        vertex: prev,
-                        adjacency: engine.context_fingerprint_shared(prev)?,
-                    };
+                    let space = engine.vertex_space(prev).ok()?.clone();
                     let snapshot = Snapshot {
                         epoch: c.epoch.get_acquire(),
-                        ctx,
+                        ctx: CarriedContext::captured(prev, space),
                         holders: 0,
+                        body_listed: false,
                     };
                     (slot.insert(snapshot), false)
                 }
             };
             let shipped = match self.carrier {
-                Some(_) => snapshot.negotiate(owner_shard, to, c),
+                Some(_) => snapshot.negotiate(owner_shard, to, c, bodies),
                 None => (0, None),
             };
             (snapshot.ctx.clone(), cache_hit, shipped)
@@ -200,15 +237,86 @@ impl ServiceShared {
         })
     }
 
-    /// Drop the snapshots of `touched` — the vertices whose adjacency
-    /// membership a batch on `shard_id` changes — from that shard's map,
-    /// holder bits and all, so a stale `(vertex, epoch)` can never satisfy
-    /// a handle. Every other entry stays warm across the epoch advance.
-    /// The caller holds `shard_id`'s engine write guard.
-    pub(crate) fn evict_snapshots(&self, shard_id: usize, touched: &[VertexId]) {
+    /// Release `shard_id`'s handles on the vertices `batch` writes, before
+    /// it writes them, so no snapshot pins a version the write would have
+    /// to copy ([`CarriedContext::release`]: one a walker in flight still
+    /// carries is frozen into its sorted ids). The snapshots of the
+    /// vertices whose membership the batch
+    /// changes (any insert or delete) leave the map, holder bits and all,
+    /// so a stale `(vertex, epoch)` can never satisfy a handle. Those only
+    /// reweighted leave too, but their `(vertex, epoch, holders)` is
+    /// returned for [`ServiceShared::recapture_snapshots`]. Every other
+    /// entry stays warm across the epoch advance. The caller holds
+    /// `shard_id`'s engine write guard.
+    pub(crate) fn release_snapshots(
+        &self,
+        shard_id: usize,
+        batch: &UpdateBatch,
+    ) -> Vec<(VertexId, u64, u64)> {
         let mut entries = self.shards[shard_id].snapshots.entries.lock();
-        for v in touched {
-            entries.remove(v);
+        let map = &mut entries.map;
+        if map.is_empty() {
+            return Vec::new();
+        }
+        let reweight = |e: &UpdateEvent| matches!(e, UpdateEvent::UpdateBias { .. });
+        for e in batch.events().iter().filter(|e| !reweight(e)) {
+            if let Some(s) = map.remove(&e.src()) {
+                s.ctx.release();
+            }
+        }
+        let mut released = Vec::new();
+        for e in batch.events().iter().filter(|e| reweight(e)) {
+            if let Some(s) = map.remove(&e.src()) {
+                s.ctx.release();
+                released.push((e.src(), s.epoch, s.holders));
+            }
+        }
+        released
+    }
+
+    /// Once an activation of `shard_id` has applied its batches and woken
+    /// `sync`, drop the sorted ids of the snapshots that shipped a body
+    /// since the last time. No engine guard is held and no waiter waits on
+    /// it: it frees memory and answers nobody.
+    pub(crate) fn shed_bodies(&self, shard_id: usize) {
+        let mut entries = self.shards[shard_id].snapshots.entries.lock();
+        let Snapshots { map, bodies } = &mut *entries;
+        for v in bodies.drain(..) {
+            if let Some(s) = map.get_mut(&v) {
+                s.ctx.shed_body();
+                s.body_listed = false;
+            }
+        }
+    }
+
+    /// Capture the reweighted vertices [`ServiceShared::release_snapshots`]
+    /// returned again, now that the batch is in, each under the epoch and
+    /// holder bits it had: its membership did not change, so a handle
+    /// naming that epoch still resolves to the same answers. The caller
+    /// still holds `shard_id`'s engine write guard.
+    pub(crate) fn recapture_snapshots(
+        &self,
+        shard_id: usize,
+        engine: &BingoEngine,
+        released: Vec<(VertexId, u64, u64)>,
+    ) {
+        if released.is_empty() {
+            return;
+        }
+        let mut entries = self.shards[shard_id].snapshots.entries.lock();
+        for (vertex, epoch, holders) in released {
+            if let Ok(space) = engine.vertex_space(vertex) {
+                let ctx = CarriedContext::captured(vertex, space.clone());
+                entries.map.insert(
+                    vertex,
+                    Snapshot {
+                        epoch,
+                        ctx,
+                        holders,
+                        body_listed: false,
+                    },
+                );
+            }
         }
     }
 
@@ -370,7 +478,7 @@ impl ServiceShared {
     fn resolve_handle(&self, h: ContextHandle, to: usize) -> Option<CarriedContext> {
         let owner = self.shards.get(h.owner_shard as usize)?;
         let entries = owner.snapshots.entries.lock();
-        let s = entries.get(&h.vertex)?;
+        let s = entries.map.get(&h.vertex)?;
         (s.epoch == h.epoch && s.holders & holder_bit(to) != 0).then(|| s.ctx.clone())
     }
 }
@@ -387,8 +495,8 @@ impl WalkService {
         for shard in &self.shared.shards {
             // Each map is released before the next is taken.
             let entries = shard.snapshots.entries.lock();
-            let held: u32 = entries.values().map(|s| s.holders.count_ones()).sum();
-            occupancy.0 += entries.len();
+            let held: u32 = entries.map.values().map(|s| s.holders.count_ones()).sum();
+            occupancy.0 += entries.map.len();
             occupancy.1 += held as usize;
         }
         occupancy

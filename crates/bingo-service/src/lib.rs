@@ -36,17 +36,25 @@
 //!   served too: a forwarding shard attaches the model-declared context —
 //!   a membership snapshot of the walker's previous vertex — so the
 //!   receiving shard answers membership queries without cross-shard edge
-//!   lookups. Snapshots are exact and cheap: the engine encodes one on
-//!   demand (`bingo_core::context`) — the sorted adjacency behind an
-//!   `Arc`, see `bingo_walks::model` for the wire format — the owning
-//!   shard's snapshot map holds it, so a `(vertex, epoch)` is captured
-//!   at most once, and what a serialized forward ships is **negotiated**
-//!   on that same entry, which records the shards already sent its body:
-//!   a `(vertex, epoch)` the receiver already holds goes as a true
-//!   16-byte handle ([`CONTEXT_HANDLE_BYTES`]), a miss ships the body and
-//!   records the receiver. A structural update batch evicts exactly the
-//!   vertices it touched, holder bits and all; everything else stays
-//!   warm. A missing capture is **not** silently
+//!   lookups. Snapshots are exact and cheap: a snapshot is a
+//!   copy-on-write handle on the owner's `VertexSpace` (two reference
+//!   counts, no copy of the adjacency; membership is one probe of the
+//!   vertex's edge index), while its wire body is still the sorted
+//!   distinct neighbor ids, built when a body ships (see
+//!   `bingo_walks::model` for the wire format). The owning shard's
+//!   snapshot map holds it, so a `(vertex, epoch)` is captured at most
+//!   once, and what a serialized forward ships is **negotiated** on that
+//!   same entry, which records the shards already sent its body: a
+//!   `(vertex, epoch)` the receiver already holds goes as a true 16-byte
+//!   handle ([`CONTEXT_HANDLE_BYTES`]), a miss ships the body and records
+//!   the receiver. A batch releases the map's handles on the vertices it
+//!   writes before writing them, so the map never pins an old version: a
+//!   structural batch evicts exactly the vertices it touched, holder bits
+//!   and all, a vertex only reweighted is re-captured under the same
+//!   epoch and holder bits, and everything else stays warm. A snapshot
+//!   still carried by a walker in flight is frozen into its sorted ids on
+//!   release, so the walker answers as at capture and the write happens
+//!   in place. A missing capture is **not** silently
 //!   served as "no edge": the fallback is counted per shard
 //!   (`context_misses`) and asserted on in debug builds. A finished walk
 //!   is filed under its ticket by the shard task that finished it; a
@@ -1091,6 +1099,46 @@ mod tests {
             "scoped eviction dropped more than the touched vertices: {before:?} -> {after:?}"
         );
         assert!(after.0 > 0, "untouched snapshots survive a scoped eviction");
+    }
+
+    #[test]
+    fn a_reweight_recaptures_snapshots_under_their_epoch_and_holders() {
+        // A bias-only batch changes no membership: each snapshot it names
+        // leaves the map before the write and comes back after it with the
+        // epoch and holder bits it had, so no walker captures it again.
+        let graph = ring_graph(16);
+        let service = WalkService::build(
+            &graph,
+            ServiceConfig {
+                num_shards: 4,
+                transport: TransportMode::Serialized,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let starts: Vec<u32> = (0..16).collect();
+        service.wait(service.submit(node2vec(10), &starts).unwrap());
+        let before = service.snapshot_cache_occupancy();
+        let events: Vec<UpdateEvent> = (0..16u32)
+            .map(|src| UpdateEvent::UpdateBias {
+                src,
+                dst: (src + 1) % 16,
+                bias: Bias::from_int(5),
+            })
+            .collect();
+        service.sync(service.ingest(&UpdateBatch::new(events)));
+        let after = service.snapshot_cache_occupancy();
+        let misses = service.stats().total_context_cache_misses();
+        service.wait(service.submit(node2vec(10), &starts).unwrap());
+        let stats = service.stats();
+        service.shutdown();
+        assert!(before.0 > 0 && before.1 > 0, "{before:?}");
+        assert_eq!(after, before, "every snapshot and holder bit came back");
+        assert!(
+            stats.total_context_cache_misses() - misses <= 16 - before.0 as u64,
+            "only vertices without a snapshot were captured again"
+        );
+        assert_eq!(stats.total_transport_fallbacks(), 0);
     }
 
     /// Run node2vec over every vertex of a 24-ring on 4 serialized shards

@@ -440,7 +440,8 @@ impl WalkService {
     /// one. `walk` is a built-in [`WalkSpec`] or a
     /// shared custom model; every built-in is servable, including
     /// `Node2Vec`: its second-order membership queries are answered from
-    /// the carried adjacency fingerprint captured at forward time.
+    /// the membership snapshot of the previous vertex captured at forward
+    /// time.
     pub fn submit(&self, walk: impl Into<Walk>, starts: &[VertexId]) -> Result<WalkTicket> {
         self.submit_inner(walk.into(), starts, None)
     }

@@ -30,7 +30,7 @@ use crate::collect::FinishedWalk;
 use crate::forward::{ForwardNegotiation, SnapshotCache};
 use crate::service::ServiceShared;
 use bingo_core::BingoEngine;
-use bingo_graph::{UpdateBatch, UpdateEvent, VertexId};
+use bingo_graph::UpdateBatch;
 use bingo_sampling::rng::Pcg64;
 use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
 use bingo_walks::WalkCursor;
@@ -301,6 +301,7 @@ impl ServiceShared {
             // The write guards have dropped: wake `sync` with no engine
             // lock held.
             self.note_progress(false);
+            self.shed_bodies(shard_id);
         }
         if shutdown {
             // Walkers still queued, or taken into this batch, are dropped,
@@ -447,24 +448,12 @@ impl ServiceShared {
     }
 
     fn apply_update(&self, shard_id: usize, batch: UpdateBatch) {
-        // The vertices whose adjacency membership this batch changes —
-        // the exact invalidation scope. Bias-only events stay out of it:
-        // fingerprints are membership sets, which reweights never alter.
-        let mut touched: Vec<VertexId> = batch
-            .events()
-            .iter()
-            .filter(|e| !matches!(e, UpdateEvent::UpdateBias { .. }))
-            .map(|e| e.src())
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
         let mut engine = self.shards[shard_id].engine.write();
-        if !touched.is_empty() {
-            // Snapshots captured under the previous epoch may describe
-            // adjacencies this batch changes.
-            self.evict_snapshots(shard_id, &touched);
-        }
+        // Snapshots share the vertices' structures: released first, the
+        // batch writes them in place instead of copying them.
+        let reweighted = self.release_snapshots(shard_id, &batch);
         let outcome = engine.apply_batch(&batch);
+        self.recapture_snapshots(shard_id, &engine, reweighted);
         let c = &self.counters[shard_id];
         c.updates_applied
             .add((outcome.inserted + outcome.deleted) as u64);

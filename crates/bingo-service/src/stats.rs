@@ -53,13 +53,14 @@ pub(crate) struct ShardCounters {
     /// Forwards whose membership snapshot was reused from this shard's
     /// `(vertex, epoch)` cache.
     pub context_cache_hits: Counter,
-    /// Forwards whose snapshot had to be encoded (cold vertex or first use
+    /// Forwards whose snapshot had to be captured (cold vertex or first use
     /// this epoch).
     pub context_cache_misses: Counter,
     /// Second-order membership queries that fell back to this shard's
     /// engine for a vertex it does not own because the forwarded context
     /// was missing or mismatched (capture faults — should stay zero; the
-    /// worker also `debug_assert!`s on it).
+    /// collector also `debug_assert!`s that each finished walk recorded
+    /// none, on the waiter's thread when it collects the ticket).
     pub context_misses: Counter,
     /// Forwards where this shard offered the receiver a `(vertex, epoch)`
     /// snapshot handle instead of unconditionally shipping the body

@@ -772,7 +772,7 @@ mod tests {
         assert!(cursor.set_forward_context(CarriedContext::exact(0, vec![1, 2])));
         let ctx = cursor.state().carried_context().unwrap();
         assert_eq!(ctx.vertex, 0);
-        assert_eq!(*ctx.adjacency, [1, 2]);
+        assert_eq!(*ctx.sorted_ids(), [1, 2]);
         // The next locally-sampled step drops the single-use snapshot.
         cursor.step(&engine, &mut rng).unwrap();
         assert!(cursor.state().carried_context().is_none());

@@ -37,11 +37,20 @@
 //!
 //! ### Carried-context wire format
 //!
-//! A [`CarriedContext`] is the pair `(vertex, adjacency)`: the sorted,
-//! deduplicated out-neighbor ids of the snapshotted vertex behind an
-//! `Arc`, so sharded and single-engine runs answer membership queries
-//! *identically* and a hot snapshot is shared by every walker forwarded
-//! in the same wave without a copy.
+//! A [`CarriedContext`] names the snapshotted vertex and answers
+//! membership for its out-adjacency as it was at capture, so sharded and
+//! single-engine runs answer membership queries *identically*. The owning
+//! shard captures it as a clone of its [`bingo_core::VertexSpace`]
+//! ([`CarriedContext::captured`]): two reference counts, with adjacency
+//! block and group table shared copy-on-write, so a snapshot costs no copy
+//! of the adjacency, and a membership query is one probe of the vertex's
+//! edge index ([`bingo_core::VertexSpace::has_edge`]). Before the owner
+//! next writes the vertex it releases its handle
+//! ([`CarriedContext::release`]); a snapshot some walker still carries is
+//! then frozen into its sorted ids, so the write happens in place and the
+//! walker still answers as at capture. On the wire a snapshot is always
+//! the sorted, deduplicated out-neighbor ids, built when a body ships; a
+//! decoded body answers by binary search.
 //!
 //! All integers are **fixed-width little-endian**; nothing on the wire is
 //! `usize` or otherwise platform-dependent. The codecs live in
@@ -146,10 +155,11 @@
 //! ```
 
 use crate::TransitionSampler;
+use bingo_core::VertexSpace;
 use bingo_graph::VertexId;
 use rand::RngCore;
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Cross-shard state a model needs alongside a forwarded walker.
 ///
@@ -162,9 +172,9 @@ pub enum ContextRequirement {
     None,
     /// The model issues membership queries against the *previous* vertex's
     /// out-adjacency (second-order applications such as node2vec). The
-    /// forwarding shard must attach a sorted adjacency fingerprint of the
-    /// previous vertex ([`WalkState::carried_context`]) because the
-    /// receiving shard does not own that vertex's edges.
+    /// forwarding shard must attach a membership snapshot of the previous
+    /// vertex ([`WalkState::carried_context`]) because the receiving shard
+    /// does not own that vertex's edges.
     PreviousAdjacency,
 }
 
@@ -184,16 +194,79 @@ pub const CONTEXT_ENVELOPE_BYTES: usize =
     1 + std::mem::size_of::<VertexId>() + std::mem::size_of::<u32>();
 
 /// A membership snapshot of one vertex's out-adjacency, captured by the
-/// shard that owns it and carried with a forwarded walker. See the module
-/// docs for the wire format.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// shard that owns it and carried with a forwarded walker. Cloning one is
+/// a reference count. Two snapshots are equal when they name the same
+/// vertex and the same neighbor set. See the module docs for the wire
+/// format.
+#[derive(Debug, Clone)]
 pub struct CarriedContext {
     /// The vertex whose adjacency was snapshotted.
     pub vertex: VertexId,
-    /// The sorted, deduplicated out-neighbor ids (binary-searchable).
-    /// Behind an `Arc` so a hot vertex's snapshot is captured once per
-    /// epoch and attaching it to another walker is a pointer clone.
-    pub adjacency: Arc<Vec<VertexId>>,
+    members: Members,
+}
+
+/// Where a [`CarriedContext`] answers membership from.
+#[derive(Debug, Clone)]
+enum Members {
+    /// Sorted, deduplicated neighbor ids: a decoded wire body, or a
+    /// context built with [`CarriedContext::exact`].
+    Ids(Arc<Vec<VertexId>>),
+    /// A capture of the owner's space, shared by every clone.
+    Captured(Arc<Captured>),
+}
+
+/// A clone of the owner's vertex space until the owner releases it
+/// ([`CarriedContext::release`]), and the sorted ids it has, built when
+/// something first asks for them.
+#[derive(Debug)]
+struct Captured {
+    /// Locked for the length of one query.
+    state: Mutex<Capture>,
+    /// How many distinct neighbors the snapshot has, once counted.
+    distinct: OnceLock<u32>,
+}
+
+#[derive(Debug)]
+enum Capture {
+    /// Not released: the owner's space, and the sorted ids once a body
+    /// was built, kept while another body may ship.
+    Live {
+        space: VertexSpace,
+        body: Option<Arc<Vec<VertexId>>>,
+    },
+    /// Released while carried, before a body was built: the destinations
+    /// the space had, sorted by the first query rather than under the
+    /// owner's write guard.
+    Frozen(Vec<VertexId>),
+    /// Released, and sorted.
+    Sorted(Arc<Vec<VertexId>>),
+}
+
+impl Captured {
+    fn state(&self) -> MutexGuard<'_, Capture> {
+        // Every write replaces the state whole, so a query that panicked
+        // under the lock left nothing half done.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Capture {
+    /// The sorted, deduplicated ids, built on first use.
+    fn body(&mut self) -> &Arc<Vec<VertexId>> {
+        if let Capture::Frozen(ids) = self {
+            let mut ids = std::mem::take(ids);
+            ids.sort_unstable();
+            ids.dedup();
+            *self = Capture::Sorted(Arc::new(ids));
+        }
+        match self {
+            Capture::Live { space, body } => {
+                body.get_or_insert_with(|| Arc::new(space.sorted_neighbors()))
+            }
+            Capture::Sorted(ids) => ids,
+            Capture::Frozen(_) => unreachable!("sorted above"),
+        }
+    }
 }
 
 impl CarriedContext {
@@ -201,23 +274,97 @@ impl CarriedContext {
     pub fn exact(vertex: VertexId, adjacency: Vec<VertexId>) -> Self {
         CarriedContext {
             vertex,
-            adjacency: Arc::new(adjacency),
+            members: Members::Ids(Arc::new(adjacency)),
         }
     }
 
-    /// Whether `candidate` is an out-neighbor of the snapshotted vertex.
-    pub fn contains(&self, candidate: VertexId) -> bool {
-        self.adjacency.binary_search(&candidate).is_ok()
+    /// Snapshot `vertex` as `space`, a clone of the owner's space: it
+    /// shares the owner's adjacency block and group table copy-on-write
+    /// and copies nothing. The owner must [`release`](Self::release) it
+    /// before it next writes the vertex, or the write copies them.
+    pub fn captured(vertex: VertexId, space: VertexSpace) -> Self {
+        CarriedContext {
+            vertex,
+            members: Members::Captured(Arc::new(Captured {
+                state: Mutex::new(Capture::Live { space, body: None }),
+                distinct: OnceLock::new(),
+            })),
+        }
     }
 
-    /// Number of adjacency entries the snapshot holds.
+    /// Give up the owner's handle on a captured snapshot, before the owner
+    /// writes the vertex. If some clone still carries it — a walker in
+    /// flight — the snapshot is frozen first: it keeps the sorted ids of a
+    /// body it built, or else copies the space's destinations (`O(d)`, to
+    /// be sorted by the first query), so the space it shared leaves every
+    /// clone and the write happens in place. With no other clone nothing
+    /// is kept.
+    pub fn release(self) {
+        if let Members::Captured(captured) = self.members {
+            if Arc::strong_count(&captured) > 1 {
+                let mut state = captured.state();
+                let frozen = match &*state {
+                    Capture::Live {
+                        body: Some(ids), ..
+                    } => Capture::Sorted(Arc::clone(ids)),
+                    Capture::Live { space, body: None } => Capture::Frozen(space.destinations()),
+                    Capture::Frozen(_) | Capture::Sorted(_) => return,
+                };
+                *state = frozen;
+            }
+        }
+    }
+
+    /// Drop the sorted ids a captured snapshot built for its wire body
+    /// while it still has the space to answer from: the owner calls it
+    /// once no body of this snapshot will ship again.
+    pub fn shed_body(&self) {
+        if let Members::Captured(captured) = &self.members {
+            if let Capture::Live { body, .. } = &mut *captured.state() {
+                *body = None;
+            }
+        }
+    }
+
+    /// Whether `candidate` is an out-neighbor of the snapshotted vertex:
+    /// one probe of a captured space's edge index, or a binary search over
+    /// sorted ids.
+    pub fn contains(&self, candidate: VertexId) -> bool {
+        let mut state = match &self.members {
+            Members::Ids(ids) => return ids.binary_search(&candidate).is_ok(),
+            Members::Captured(captured) => captured.state(),
+        };
+        match &mut *state {
+            Capture::Live { space, .. } => space.has_edge(candidate),
+            released => released.body().binary_search(&candidate).is_ok(),
+        }
+    }
+
+    /// Number of distinct out-neighbors the snapshot holds: the entries of
+    /// its wire body, which a captured space builds to count them.
     pub fn len(&self) -> usize {
-        self.adjacency.len()
+        match &self.members {
+            Members::Ids(ids) => ids.len(),
+            Members::Captured(captured) => *captured
+                .distinct
+                .get_or_init(|| captured.state().body().len() as u32)
+                as usize,
+        }
     }
 
     /// Whether the snapshotted vertex has no out-neighbors.
     pub fn is_empty(&self) -> bool {
-        self.adjacency.is_empty()
+        self.len() == 0
+    }
+
+    /// The sorted, deduplicated out-neighbor ids: the wire body. A
+    /// captured space sorts them when first asked (`O(d log d)`) and keeps
+    /// them until [`shed_body`](Self::shed_body).
+    pub fn sorted_ids(&self) -> Arc<Vec<VertexId>> {
+        match &self.members {
+            Members::Ids(ids) => Arc::clone(ids),
+            Members::Captured(captured) => Arc::clone(captured.state().body()),
+        }
     }
 
     /// Wire size of this context in bytes: envelope plus payload.
@@ -232,6 +379,14 @@ impl CarriedContext {
         CONTEXT_ENVELOPE_BYTES + std::mem::size_of::<VertexId>() * neighbors
     }
 }
+
+impl PartialEq for CarriedContext {
+    fn eq(&self, other: &Self) -> bool {
+        self.vertex == other.vertex && self.sorted_ids() == other.sorted_ids()
+    }
+}
+
+impl Eq for CarriedContext {}
 
 /// Walker-private state visible to a [`WalkModel`] at every step.
 ///

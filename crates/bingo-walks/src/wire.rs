@@ -171,13 +171,16 @@ const CONTEXT_WIRE_VERSION: u8 = 1;
 
 /// Append the wire encoding of `ctx` to `buf`, returning the number of
 /// bytes written — always exactly [`CarriedContext::byte_len`], which is
-/// what makes the service's byte accounting honest.
+/// what makes the service's byte accounting honest. The body of a
+/// captured snapshot ([`CarriedContext::captured`]) is sorted here, when it
+/// ships.
 pub fn encode_context(ctx: &CarriedContext, buf: &mut Vec<u8>) -> usize {
     let start = buf.len();
     buf.push(CONTEXT_WIRE_VERSION);
     buf.extend_from_slice(&ctx.vertex.to_le_bytes());
-    buf.extend_from_slice(&len_u32(4 * ctx.len()).to_le_bytes());
-    for &v in ctx.adjacency.iter() {
+    let ids = ctx.sorted_ids();
+    buf.extend_from_slice(&len_u32(4 * ids.len()).to_le_bytes());
+    for &v in ids.iter() {
         buf.extend_from_slice(&v.to_le_bytes());
     }
     debug_assert_eq!(

@@ -11,6 +11,7 @@
 mod common;
 
 use bingo::core::vertex_space::VertexSpace;
+use bingo::core::GroupView;
 use bingo::graph::updates::UpdateKind;
 use bingo::prelude::*;
 use bingo_graph::adjacency::{AdjacencyList, Edge};
@@ -98,6 +99,150 @@ fn samples(engine: &BingoEngine, seed: u64) -> Vec<Option<VertexId>> {
     (0..SAMPLES)
         .map(|_| engine.sample_neighbor(rng.gen_range(0..n), &mut rng))
         .collect()
+}
+
+/// The structures of `written` are those of `fresh`, an engine built from
+/// the same edges: every list in the same order; where both are factorized
+/// the same λ and, bit by bit, the same kind and members (a written table
+/// keeps the top groups an insert added, empty, until its next rebuild);
+/// where one is direct, a degree inside the hysteresis band.
+fn same_structures(written: &BingoEngine, fresh: &BingoEngine) {
+    assert!(engine_edges(written) == engine_edges(fresh));
+    let members = |g: GroupView<'_>| {
+        let mut m: Option<Vec<u32>> = g.members().map(Iterator::collect);
+        if let Some(m) = m.as_mut() {
+            m.sort_unstable();
+        }
+        (g.kind(), g.cardinality(), m)
+    };
+    for v in 0..written.num_vertices() as VertexId {
+        let (a, b) = (
+            written.vertex_space(v).unwrap(),
+            fresh.vertex_space(v).unwrap(),
+        );
+        if a.is_direct() != b.is_direct() {
+            assert!((9..=16).contains(&a.degree()), "vertex {v}");
+            continue;
+        }
+        assert_eq!(a.lambda(), b.lambda(), "vertex {v}");
+        let k = a.num_groups().min(b.num_groups());
+        for bit in 0..k {
+            assert_eq!(members(a.group(bit)), members(b.group(bit)), "{v}: 2^{bit}");
+        }
+        for extra in a.groups().skip(k).chain(b.groups().skip(k)) {
+            assert_eq!(extra.kind(), GroupKind::Empty, "vertex {v}");
+        }
+    }
+}
+
+/// Section (ii'): write `batch` and a few streaming events through an
+/// engine on `graph` while a clone of it and a snapshot of every vertex
+/// written are alive.
+fn written_through_clones_and_snapshots(
+    graph: &DynamicGraph,
+    batch: &UpdateBatch,
+    config: BingoConfig,
+) {
+    let mut engine = BingoEngine::build(graph, config).unwrap();
+    let clone = engine.clone();
+    let (clone_edges, clone_samples) = (engine_edges(&clone), samples(&clone, 30));
+    let touched: HashSet<VertexId> = batch.events().iter().map(|e| e.src()).collect();
+    let untouched = |degree: usize| {
+        (0..graph.num_vertices() as VertexId)
+            .find(|&v| graph.degree(v) == degree && !touched.contains(&v))
+            .expect("a vertex of that degree the batch leaves alone")
+    };
+    let (up, down) = (untouched(16), untouched(17));
+    let hub = (0..graph.num_vertices() as VertexId)
+        .filter(|v| !touched.contains(v))
+        .max_by_key(|&v| graph.degree(v))
+        .unwrap();
+    assert!(!engine.vertex_space(hub).unwrap().is_direct());
+    assert!(engine.vertex_space(up).unwrap().is_direct());
+    assert!(!engine.vertex_space(down).unwrap().is_direct());
+
+    let mut written: Vec<VertexId> = touched.iter().copied().chain([up, down, hub]).collect();
+    written.sort_unstable();
+    written.dedup();
+    let snapshots: Vec<(CarriedContext, CarriedContext, Vec<VertexId>)> = written
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            let ctx = CarriedContext::captured(v, engine.vertex_space(v).unwrap().clone());
+            let carried = ctx.clone();
+            if i % 2 == 0 {
+                ctx.clone().release();
+            }
+            (ctx, carried, engine.neighbor_fingerprint(v).unwrap())
+        })
+        .collect();
+
+    let mut mirror = graph.clone();
+    assert_eq!(engine.apply_batch(batch).missing_deletes, 0);
+    assert_eq!(mirror.apply_batch(batch), batch.len());
+    let mut rng = Pcg64::seed_from_u64(31);
+    let far = graph.num_vertices() as VertexId - 1;
+    engine.insert_edge(up, far, Bias::from_int(3)).unwrap();
+    mirror.insert_edge(up, far, Bias::from_int(3)).unwrap();
+    let gone = graph.neighbors(down).unwrap().dst(0);
+    engine.delete_edge(down, gone).unwrap();
+    mirror.delete_edge(down, gone).unwrap();
+    // Destinations the hub links to once, so "the first edge to it" is
+    // the same edge in the engine and in the mirror.
+    let hub_dsts: Vec<VertexId> = graph
+        .neighbors(hub)
+        .unwrap()
+        .edges()
+        .iter()
+        .map(|e| e.dst)
+        .collect();
+    let once = hub_dsts
+        .iter()
+        .filter(|&&d| hub_dsts.iter().filter(|&&x| x == d).count() == 1);
+    for &dst in once {
+        let bias = BIASES.sample(&mut rng, 0);
+        engine.update_bias(hub, dst, bias).unwrap();
+        mirror.update_bias(hub, dst, bias).unwrap();
+    }
+    assert!(!engine.vertex_space(up).unwrap().is_direct(), "17 edges");
+    assert_eq!(engine.vertex_space(down).unwrap().degree(), 16);
+    engine.check_invariants().unwrap();
+
+    // The snapshots answer as at capture, released or not, and so do the
+    // clones they handed out; the wire body is the ids at capture.
+    for (ctx, carried, ids) in &snapshots {
+        let now = engine.neighbor_fingerprint(ctx.vertex).unwrap();
+        for s in [ctx, carried] {
+            for &x in ids.iter().chain(&now) {
+                assert_eq!(
+                    s.contains(x),
+                    ids.binary_search(&x).is_ok(),
+                    "{} -> {x}",
+                    ctx.vertex
+                );
+            }
+            assert_eq!(*s.sorted_ids(), *ids);
+            assert_eq!(s.len(), ids.len());
+        }
+    }
+    // The clone samples what it sampled before the writes.
+    assert!(engine_edges(&clone) == clone_edges);
+    assert!(samples(&clone, 30) == clone_samples);
+    clone.check_invariants().unwrap();
+    // The written engine is a fresh build of the graph it now holds, and
+    // that graph has the mirror's edges (which of two parallel edges a
+    // rewrite or a delete names may differ).
+    let sorted = |edges: Vec<(VertexId, Edge)>| {
+        let mut keys: Vec<_> = edges.iter().map(|(v, e)| (*v, e.dst)).collect();
+        keys.sort_unstable();
+        keys
+    };
+    assert_eq!(sorted(engine_edges(&engine)), sorted(edges_of(&mirror)));
+    let mut same_graph = DynamicGraph::new(graph.num_vertices());
+    for (src, edge) in engine_edges(&engine) {
+        same_graph.insert_edge(src, edge.dst, edge.bias).unwrap();
+    }
+    same_structures(&engine, &BingoEngine::build(&same_graph, config).unwrap());
 }
 
 // 2^18 vertices hold 12 MiB of these.
@@ -287,6 +432,14 @@ fn a_build_shares_the_graphs_blocks_and_neither_side_sees_the_others_writes() {
     assert_ne!(edges_of(&written), before);
     engine.check_invariants().unwrap();
     drop((engine, written));
+
+    // (ii') Isolation from what shares an engine's group tables as well as
+    // its blocks: a clone of the engine, and snapshots of the vertices the
+    // writes touch (what a walk service forwards), half of them released
+    // while a carried clone lives on (a walker in flight). The writes are
+    // the batch, a vertex taken from 16 edges to 17 and another from 17
+    // to 16, and bias rewrites on the biggest hub the batch leaves alone.
+    written_through_clones_and_snapshots(&graph, &batch, config);
 
     // (iii) Sharing changes nothing that is sampled: an engine on the
     // graph's own blocks, the graph alive, against one on blocks made by
