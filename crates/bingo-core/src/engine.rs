@@ -229,6 +229,7 @@ impl BingoEngine {
         self.stats.inter_rebuilds += u64::from(outcome.inter_rebuilds);
         self.stats.full_rebuilds += u64::from(outcome.full_rebuilds);
         self.stats.edges_scanned += outcome.edges_scanned;
+        self.stats.arena_words_moved += outcome.arena_words_moved;
         self.conversions.merge(&outcome.conversions);
     }
 

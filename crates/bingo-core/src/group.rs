@@ -40,10 +40,15 @@
 //! arena    [ members, table 2^0 | members, table 2^2 | edge index | hole | ... ]
 //! ```
 //!
-//! A segment that outgrows its capacity moves to the arena's tail and
-//! leaves a hole; nothing is ever shifted, so an insert or delete costs
-//! `O(1)` amortised words per group. Holes (and capacity the segments no
-//! longer use) are squeezed out when they outweigh the live words.
+//! A segment that outgrows its capacity moves to the arena's tail with a
+//! quarter again its room and leaves a hole; nothing is ever shifted, so an
+//! insert or delete costs `O(1)` amortised words per group. The arena
+//! itself grows by an eighth. Once holes and capacity the segments no
+//! longer use pass half the live words, the segments are laid out again
+//! inside the arena's own buffer, which then shrinks in place: a churned
+//! vertex stays near the size of a fresh build, and its memory stays in
+//! the block (and the allocator arena) it was built in. Every word moved
+//! is counted (`GroupTable::words_moved`).
 //!
 //! An arena word holds a neighbor index or a position in a member list,
 //! both below the vertex degree. The arena is a buffer of `u16` halves: a
@@ -302,6 +307,10 @@ pub(crate) struct Fixed {
     /// The λ amortization factor the owner scaled the biases by; carried
     /// like `decimal`.
     pub(crate) lambda: f64,
+    /// Arena words copied or entered afresh since the table was first
+    /// built: segment moves, compactions, edge-index refills and the
+    /// arena's own reallocations. A rebuild from scratch runs it on.
+    words_moved: u64,
     inter_rebuilds: u32,
     tail_alias: u8,
     /// Whether the groups carry any weight, i.e. the alias table is usable.
@@ -317,6 +326,7 @@ impl Fixed {
         tail_prob: 1.0,
         decimal: None,
         lambda: 1.0,
+        words_moved: 0,
         inter_rebuilds: 0,
         tail_alias: 0,
         has_inter: false,
@@ -336,19 +346,6 @@ impl Fixed {
 pub(crate) struct GroupTable<S: ?Sized = [GroupSlot]> {
     pub(crate) fixed: Fixed,
     slots: S,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Arena words copied or re-entered by relocations, compactions and
-    /// arena growth on this thread; the `O(K)`-per-event test reads it.
-    pub(crate) static RELOCATED_WORDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-#[inline]
-fn note_relocated(_words: usize) {
-    #[cfg(test)]
-    RELOCATED_WORDS.with(|c| c.set(c.get() + _words as u64));
 }
 
 #[cfg(test)]
@@ -455,15 +452,31 @@ fn scatter<const WIDE: bool>(
     }
 }
 
-/// Room a full list of `cap` entries moves to when it must hold `needed`.
+/// Room a full member list of `cap` entries moves to when it must hold
+/// `needed`: a quarter again, so the words a move copies are paid for by
+/// the inserts since the last one.
 fn grown(cap: u32, needed: u32) -> u32 {
-    (cap + cap / 2).max(needed).max(4)
+    (cap + cap / 4).max(needed).max(4)
 }
 
-/// Room a list of `used` entries gets at compaction: a quarter of
-/// headroom, so the next insert does not relocate it straight away.
+/// Room a member list of `used` entries gets at compaction: an eighth of
+/// headroom, so the next insert does not move it straight away.
 fn with_headroom(used: u32) -> u32 {
-    used + used / 4
+    used + used / 8
+}
+
+/// Entries the edge index of a full list of `degree` edges moves to:
+/// half again. The index has more room than a member list, at growth and
+/// at compaction ([`index_headroom`]), because its probes read adjacency
+/// slots: an eighth would lengthen the clusters a delete scans.
+fn index_grown(degree: u32) -> u32 {
+    (degree + degree / 2).max(degree + 1).max(4)
+}
+
+/// Entries the edge index of `degree` edges has room for at compaction: a
+/// quarter of headroom.
+fn index_headroom(degree: u32) -> u32 {
+    degree + degree / 4
 }
 
 impl GroupTable {
@@ -570,6 +583,16 @@ impl GroupTable {
         self.fixed.inter_rebuilds
     }
 
+    /// Arena words moved since the table was first built (see
+    /// `Fixed::words_moved`); a caller diffs two readings around an update.
+    pub(crate) fn words_moved(&self) -> u64 {
+        self.fixed.words_moved
+    }
+
+    fn note_moved(&mut self, words: usize) {
+        self.fixed.words_moved += words as u64;
+    }
+
     pub(crate) fn view(&self, bit: usize) -> GroupView<'_> {
         GroupView {
             bit: bit as u8,
@@ -651,10 +674,11 @@ impl GroupTable {
                 }
                 Some(_) => prev,
                 // Another handle holds the old table: of its fixed fields a
-                // rebuild keeps only the width and the rebuild count.
+                // rebuild keeps only the width and the two counters.
                 None => Self::with_headers(
                     Fixed {
                         wide: prev.fixed.wide,
+                        words_moved: prev.fixed.words_moved,
                         inter_rebuilds: prev.fixed.inter_rebuilds,
                         ..Fixed::EMPTY
                     },
@@ -754,9 +778,9 @@ impl GroupTable {
     }
 
     /// Reserve `words` fresh words at the arena's tail, all empty, and
-    /// return their offset. The arena grows by half its capacity at a
-    /// time, so the copy a reallocation makes is paid for by the words
-    /// appended since the last one.
+    /// return their offset. The arena grows by an eighth of its capacity at
+    /// a time, so the copy a reallocation makes is paid for by the words
+    /// appended since the last one, and a vertex carries little slack.
     fn alloc(&mut self, words: u32) -> u32 {
         let off = self.arena_len();
         let end = off + words as usize;
@@ -765,8 +789,8 @@ impl GroupTable {
             "group arena must stay addressable by u32 offsets"
         );
         if end > self.arena_capacity() {
-            note_relocated(off);
-            let additional = (words as usize).max(self.arena_capacity() / 2);
+            self.note_moved(off);
+            let additional = (words as usize).max(self.arena_capacity() / 8);
             self.fixed.arena.reserve_exact(additional << self.shift());
         }
         self.fixed.arena.resize(end << self.shift(), u16::MAX);
@@ -788,7 +812,6 @@ impl GroupTable {
         } else {
             fill::<false>(&mut self.fixed.arena, slot);
         }
-        note_relocated(slot.count as usize);
     }
 
     /// Move the listed group `slot` to a fresh segment at the tail with
@@ -801,9 +824,9 @@ impl GroupTable {
             (slot.off as usize) << s..((slot.off + slot.count) as usize) << s,
             (off as usize) << s,
         );
-        note_relocated(slot.count as usize);
         (slot.off, slot.cap) = (off, cap);
         self.fill_table(slot);
+        self.note_moved(2 * slot.count as usize);
     }
 
     /// Append `idx` to the listed group `slot`, moving it first if it is
@@ -1004,6 +1027,7 @@ impl GroupTable {
                 }
                 slot.count = found;
                 self.fill_table(&slot);
+                self.note_moved(found as usize);
             }
             GroupKind::OneElement => {
                 let only = slot.off;
@@ -1011,6 +1035,7 @@ impl GroupTable {
                 slot.cap = 1;
                 self.set_word(slot.off, only);
                 self.fill_table(&slot);
+                self.note_moved(1);
             }
             GroupKind::Sparse | GroupKind::Regular | GroupKind::Empty => {}
         }
@@ -1063,12 +1088,13 @@ impl GroupTable {
                 .index
                 .insert(&mut self.fixed.arena, self.fixed.wide, dst_of(idx), idx);
         } else {
-            let cap = slots_for(grown(idx, idx + 1));
+            let cap = slots_for(index_grown(idx));
             self.fixed.index = ProbeTable {
                 off: self.alloc(cap),
                 cap,
             };
             self.fill_index(idx + 1, dst_of);
+            self.note_moved(idx as usize + 1);
         }
     }
 
@@ -1090,7 +1116,6 @@ impl GroupTable {
         } else {
             fill::<false>(arena, index, degree, dst_of);
         }
-        note_relocated(degree as usize);
     }
 
     /// Take the edge at neighbor index `idx` out of the edge index. The
@@ -1138,47 +1163,104 @@ impl GroupTable {
             + slots_for(degree as u32) as usize
     }
 
-    /// Squeeze holes and unused segment capacity out of the arena once it
-    /// is more than twice what a vertex of `degree` edges needs, by laying
-    /// the segments out afresh in a new arena: member lists are copied,
-    /// probe tables and the edge index filled again at their new sizes, each
-    /// with a quarter of headroom, so the next insert does not relocate it
-    /// straight away. Each compaction is paid for by the relocations and
-    /// removals that built up the waste, which keeps streaming updates
-    /// `O(K)` amortised.
+    /// Squeeze holes and unused segment capacity out of the arena, inside
+    /// its own buffer, once its capacity passes what a vertex of `degree`
+    /// edges needs by half (and [`RECLAIM_SLACK_WORDS`]). A compaction
+    /// leaves at most a quarter of headroom, so the next one waits for at
+    /// least a quarter of the live words to be wasted again.
+    ///
+    /// The segments keep their order and move toward the front: each member
+    /// list is copied, with an eighth of headroom, and its probe table
+    /// filled again at the new size; the edge index goes last, with a
+    /// quarter of headroom, and is filled again. The buffer then shrinks
+    /// in place with one `shrink_to`. Where a list's new words would reach
+    /// a list not yet moved, every list goes through a scratch copy of the
+    /// live list words instead.
+    ///
+    /// Keeping the buffer keeps the vertex's memory in the block, and the
+    /// allocator arena, it was built in: a fresh buffer would be allocated
+    /// wherever the compacting thread allocates, and the block freed
+    /// behind it could not be reused there. Each compaction is paid for by
+    /// the relocations and removals that built up the waste, which keeps
+    /// streaming updates `O(K)` amortised.
     pub(crate) fn reclaim(&mut self, degree: usize, dst_of: impl Fn(u32) -> u32) {
         let live = self.live_words(degree);
-        if self.arena_capacity() <= 2 * live + RECLAIM_SLACK_WORDS {
+        if self.arena_capacity() <= live + live / 2 + RECLAIM_SLACK_WORDS {
             return;
         }
-        let s = self.shift();
-        let old = std::mem::take(&mut self.fixed.arena);
-        let mut from = [0u32; MAX_GROUPS];
-        let mut words = 0;
-        for (slot, from) in self.slots.iter_mut().zip(&mut from) {
+        // The listed groups in arena order, each with where its list is now.
+        let mut order = [(0u32, 0u8); MAX_GROUPS];
+        let mut listed = 0;
+        for (bit, slot) in self.slots.iter().enumerate() {
             if slot.is_listed() {
-                (*from, slot.off, slot.cap) = (slot.off, words, with_headroom(slot.count));
-                words += segment_words(slot.cap);
+                order[listed] = (slot.off, bit as u8);
+                listed += 1;
             }
+        }
+        let order = &mut order[..listed];
+        order.sort_unstable();
+        let (mut words, mut list_words, mut in_place) = (0, 0, true);
+        for (i, &(_, bit)) in order.iter().enumerate() {
+            let slot = &mut self.slots[usize::from(bit)];
+            in_place &= order
+                .get(i + 1)
+                .is_none_or(|&(next, _)| words + slot.count <= next);
+            (slot.off, slot.cap) = (words, with_headroom(slot.count));
+            words += segment_words(slot.cap);
+            list_words += slot.count as usize;
         }
         self.fixed.index = ProbeTable {
             off: words,
-            cap: slots_for(with_headroom(degree as u32)),
+            cap: slots_for(index_headroom(degree as u32)),
         };
         words += self.fixed.index.cap;
-        self.fixed.arena = vec![u16::MAX; (words as usize) << s];
-        for bit in 0..self.slots.len() {
-            let slot = self.slots[bit];
-            if slot.is_listed() {
-                let (to, from, len) = (slot.off as usize, from[bit] as usize, slot.count as usize);
-                self.fixed.arena[to << s..(to + len) << s]
-                    .copy_from_slice(&old[from << s..(from + len) << s]);
-                note_relocated(len);
-                self.fill_table(&slot);
+
+        let s = self.shift();
+        let (arena, slots) = (&mut self.fixed.arena, &self.slots);
+        let end = (words as usize) << s;
+        if end > arena.len() {
+            arena.resize(end, u16::MAX);
+        }
+        let list =
+            |from: u32, slot: &GroupSlot| (from as usize) << s..((from + slot.count) as usize) << s;
+        if in_place {
+            for &(from, bit) in order.iter() {
+                let slot = &slots[usize::from(bit)];
+                arena.copy_within(list(from, slot), (slot.off as usize) << s);
+            }
+        } else {
+            let mut scratch = Vec::with_capacity(list_words << s);
+            for &(from, bit) in order.iter() {
+                scratch.extend_from_slice(&arena[list(from, &slots[usize::from(bit)])]);
+            }
+            let mut rest = &scratch[..];
+            for &(_, bit) in order.iter() {
+                let slot = &slots[usize::from(bit)];
+                let (head, tail) = rest.split_at((slot.count as usize) << s);
+                arena[list(slot.off, slot)].copy_from_slice(head);
+                rest = tail;
             }
         }
+        // Every word past a list, up to the next segment, and the edge index
+        // are empty again.
+        for &(_, bit) in order.iter() {
+            let slot = &slots[usize::from(bit)];
+            arena[((slot.off + slot.count) as usize) << s
+                ..((slot.off + segment_words(slot.cap)) as usize) << s]
+                .fill(u16::MAX);
+        }
+        arena[(self.fixed.index.off as usize) << s..end].fill(u16::MAX);
+        arena.truncate(end);
+        arena.shrink_to(end);
+
+        for &(_, bit) in order.iter() {
+            let slot = self.slots[usize::from(bit)];
+            self.fill_table(&slot);
+        }
         self.fill_index(degree as u32, dst_of);
+        self.note_moved(2 * list_words + degree);
     }
+
     /// Rebuild the inter-group alias table in place over the group biases
     /// and the decimal group's weight (Vose's algorithm, the same
     /// construction as `bingo_sampling::AliasTable`). `O(K)`, no
@@ -1587,13 +1669,13 @@ mod tests {
     }
 
     #[test]
-    fn a_table_is_64_bytes_and_24_a_header_in_one_allocation() {
+    fn a_table_is_72_bytes_and_24_a_header_in_one_allocation() {
         assert_eq!(std::mem::size_of::<GroupSlot>(), 24);
-        assert_eq!(std::mem::size_of::<GroupTable<[GroupSlot; 0]>>(), 64);
+        assert_eq!(std::mem::size_of::<GroupTable<[GroupSlot; 0]>>(), 72);
         for k in [0, 1, 7, MAX_GROUPS] {
             let t = empty_table(k);
             assert_eq!(t.len(), k);
-            assert_eq!(std::mem::size_of_val(&*t), 64 + 24 * k);
+            assert_eq!(std::mem::size_of_val(&*t), 72 + 24 * k);
             assert_eq!(t.heap_bytes(), 0);
         }
     }
@@ -1808,13 +1890,13 @@ mod tests {
         assert_eq!(dense.arena_capacity(), 1501);
         // Sparse to regular and back renames the group and moves nothing.
         let mut t = Table(sparse.copied());
-        RELOCATED_WORDS.with(|c| c.set(0));
+        assert_eq!(t.words_moved(), 0, "a build moves nothing");
         t.convert(0, GroupKind::Regular, 1000, |_| unreachable!());
         assert_eq!(t.kind(0), GroupKind::Regular);
         assert_eq!(t.fixed.arena, regular.fixed.arena);
         t.convert(0, GroupKind::Sparse, 1000, |_| unreachable!());
         assert_eq!(t.fixed.arena, sparse.fixed.arena);
-        assert_eq!(RELOCATED_WORDS.with(|c| c.get()), 0);
+        assert_eq!(t.words_moved(), 0);
     }
 
     #[test]
@@ -1834,12 +1916,54 @@ mod tests {
         t.check_layout(8).unwrap();
         t.check_index(8, |idx| idx).unwrap();
         assert_eq!(members_of(&t, 0).unwrap().len(), 8);
-        assert!(t.arena_capacity() <= 2 * t.live_words(8) + RECLAIM_SLACK_WORDS);
+        let live = t.live_words(8);
+        assert_eq!(live, 8 + 13 + 13);
+        assert!(t.arena_capacity() <= live + live / 2 + RECLAIM_SLACK_WORDS);
         assert_eq!(
             t.arena_capacity(),
-            10 + 16 + 16,
-            "members, their probe table and the edge index, a quarter of headroom each"
+            9 + 14 + 16,
+            "members and their probe table with an eighth of headroom, \
+             the edge index with a quarter"
         );
+    }
+
+    #[test]
+    fn compaction_through_scratch_keeps_every_list_in_order() {
+        // Edges 0..100 are in group 2^0, 100 and 101 in 2^1, 102..302 in
+        // 2^2: the exact-size build lays the three segments out in that
+        // order. Once edges 132..302 are gone the arena is past the
+        // trigger, and 2^0's eighth of headroom puts 2^1's list on words
+        // 2^2's list still holds: every list goes through the scratch copy.
+        let bits = |idx: usize| match idx {
+            0..100 => 1,
+            100..102 => 2,
+            _ => 4,
+        };
+        let mut t = Table(GroupTable::rebuilt(
+            None,
+            302,
+            bits,
+            |idx| idx,
+            |_| GroupKind::Regular,
+        ));
+        assert_eq!(t.arena_capacity(), 251 + 6 + 501 + 454);
+        for idx in (132..302).rev() {
+            assert!(t.remove(2, idx));
+        }
+        let degree = 132;
+        let live = t.live_words(degree);
+        assert_eq!(live, 251 + 6 + 76 + 199);
+        assert!(t.arena_capacity() > live + live / 2 + RECLAIM_SLACK_WORDS);
+        t.reclaim(degree, |idx| idx);
+        t.check_layout(degree).unwrap();
+        t.check_index(degree, |idx| idx).unwrap();
+        assert_eq!(members_of(&t, 0), Some((0..100).collect()));
+        assert_eq!(members_of(&t, 1), Some(vec![100, 101]));
+        assert_eq!(members_of(&t, 2), Some((102..132).collect()));
+        // Room for 112, 2 and 33 members, each with its probe table, and
+        // an edge index with room for 165 edges.
+        assert_eq!(t.arena_capacity(), (112 + 169) + (2 + 4) + (33 + 50) + 248);
+        assert_eq!(t.words_moved(), 2 * (100 + 2 + 30) + 132);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //!  └─ Vec<VertexSpace>                    48 B each, inline; built in place
 //!      ├─ adjacency       12 B × d        destination and bias per edge
 //!      └─ group table     boxed,          only above 16 edges, or under `baseline()`
-//!          │              64 B + 24 B × K fixed fields (λ, arena and edge-index handles),
+//!          │              72 B + 24 B × K fixed fields (λ, arena and edge-index handles),
 //!          │                              then the K headers: kind, count, segment offset
 //!          │                              and capacity, inter-group alias bucket
 //!          ├─ group arena     2 B × words one arena per vertex (4 B words
@@ -62,10 +62,13 @@
 //! ```
 //!
 //! Builds count first and fill an exact-size arena; a segment that outgrows
-//! its capacity is relocated to the arena's tail, never shifted, and holes
-//! are squeezed out once they outweigh the live words (see
-//! [`group`]). A probe table costs one and a half words per entry it has
-//! room for: the edge index that much per edge, a listed group two and a
+//! its capacity is relocated to the arena's tail with a quarter again its
+//! room, never shifted, and once holes and slack pass half the live words
+//! the segments are laid out again inside the arena's own buffer, which
+//! shrinks in place (see
+//! [`group`]); the words each update moves are counted
+//! ([`EngineStats::arena_words_moved`]). A probe table costs one and a
+//! half words per entry it has room for: the edge index that much per edge, a listed group two and a
 //! half words per member where a regular group used to keep a word per
 //! *edge of the vertex* beside its list. On the 2^18-vertex, 5.24 M-edge
 //! benchmark graph, in MiB (the adjacency is the graph's own blocks from

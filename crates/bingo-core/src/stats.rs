@@ -95,6 +95,9 @@ pub struct EngineStats {
     /// rewrites name (streaming + batched): the scan of a direct vertex,
     /// the edge-index probes of a factorized one.
     pub edges_scanned: u64,
+    /// Group-arena words the updates copied or entered afresh (see
+    /// [`VertexUpdateOutcome::arena_words_moved`](crate::VertexUpdateOutcome::arena_words_moved)).
+    pub arena_words_moved: u64,
 }
 
 #[cfg(test)]

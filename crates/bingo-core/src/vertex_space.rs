@@ -43,7 +43,7 @@
 //!  │                               graph (and the engine's clones) until the
 //!  │                               first write
 //!  └─ group table     boxed,       only above DIRECT_MAX_DEGREE edges (or "BS"):
-//!      │              64 B + 24 B × K   λ, edge-index and arena handles, then
+//!      │              72 B + 24 B × K   λ, edge-index and arena handles, then
 //!      │                               the K group headers — kind, count,
 //!      │                               segment offset, alias bucket — in the
 //!      │                               same allocation
@@ -113,6 +113,11 @@ pub struct VertexUpdateOutcome {
     /// the scan of a direct vertex, the edge-index probes of a factorized
     /// one.
     pub edges_scanned: u64,
+    /// Group-arena words copied or entered afresh: member lists moved to
+    /// a bigger segment and their probe tables refilled, compactions, edge
+    /// index refills and the arena's own reallocations. A rebuild from
+    /// scratch moves none.
+    pub arena_words_moved: u64,
     /// Representation checks and conversions performed (Table 4).
     pub conversions: ConversionMatrix,
 }
@@ -126,6 +131,7 @@ impl VertexUpdateOutcome {
         self.full_rebuilds += other.full_rebuilds;
         self.inter_rebuilds += other.inter_rebuilds;
         self.edges_scanned += other.edges_scanned;
+        self.arena_words_moved += other.arena_words_moved;
         self.conversions.merge(&other.conversions);
     }
 }
@@ -626,24 +632,33 @@ impl VertexSpace {
         config.adaptive && !self.is_direct() && degree <= DIRECT_DEMOTE_DEGREE
     }
 
-    /// An empty outcome, and the rebuild counters to diff against once the
-    /// update is done.
-    fn begin(&self) -> (VertexUpdateOutcome, [u32; 2]) {
+    /// An empty outcome, and the rebuild counters and arena words moved to
+    /// diff against once the update is done.
+    fn begin(&self) -> (VertexUpdateOutcome, ([u32; 2], u64)) {
+        let groups = self.groups_table();
         (
             VertexUpdateOutcome::default(),
-            [
-                self.groups_table().inter_rebuilds(),
-                self.repr.full_rebuilds(),
-            ],
+            (
+                [groups.inter_rebuilds(), self.repr.full_rebuilds()],
+                groups.words_moved(),
+            ),
         )
     }
 
-    fn finish(&self, mut outcome: VertexUpdateOutcome, before: [u32; 2]) -> VertexUpdateOutcome {
-        // An update that leaves the vertex direct rebuilt no alias table: it
-        // either found it direct or dropped its groups, counter and all.
-        outcome.inter_rebuilds = match self.repr.factorized() {
-            Some(f) => f.groups.inter_rebuilds().wrapping_sub(before[0]),
-            None => 0,
+    fn finish(
+        &self,
+        mut outcome: VertexUpdateOutcome,
+        (before, moved): ([u32; 2], u64),
+    ) -> VertexUpdateOutcome {
+        // An update that leaves the vertex direct rebuilt no alias table and
+        // keeps no arena: it either found it direct or dropped its groups,
+        // counters and all.
+        (outcome.inter_rebuilds, outcome.arena_words_moved) = match self.repr.factorized() {
+            Some(f) => (
+                f.groups.inter_rebuilds().wrapping_sub(before[0]),
+                f.groups.words_moved().saturating_sub(moved),
+            ),
+            None => (0, 0),
         };
         outcome.full_rebuilds = self.repr.full_rebuilds().wrapping_sub(before[1]);
         outcome
@@ -1559,7 +1574,7 @@ mod tests {
             report.resident_bytes(),
             48 + 16 + std::mem::size_of_val(table) + table.heap_bytes() + report.adjacency_bytes
         );
-        assert_eq!(std::mem::size_of_val(table), 64 + 24 * space.num_groups());
+        assert_eq!(std::mem::size_of_val(table), 72 + 24 * space.num_groups());
         for _ in 0..1000 {
             BLOCKS_READ.with(|blocks| blocks.borrow_mut().clear());
             space.sample_neighbor(&mut rng).unwrap();
@@ -1664,7 +1679,6 @@ mod tests {
 
     fn hub_relocates_o_k_words_per_event(degree: u32) -> VertexSpace {
         let config = BingoConfig::default();
-        use crate::group::RELOCATED_WORDS;
         use rand::Rng;
         const EVENTS: u32 = 10_000;
         let mut rng = Pcg64::seed_from_u64(0x4B);
@@ -1672,31 +1686,33 @@ mod tests {
         let k = space.num_groups() as u64;
         // Words the groups occupy before the first event.
         let built = space.groups_table().arena_capacity() as u64;
-        RELOCATED_WORDS.with(|c| c.set(0));
+        let mut total = VertexUpdateOutcome::default();
 
         for i in 0..EVENTS {
-            space
+            let outcome = space
                 .insert(degree + i, quarter_bits_bias(&mut rng), &config)
                 .unwrap();
+            total.merge(&outcome);
             if i % 1000 == 0 {
                 space.check_invariants(&config).unwrap();
             }
         }
         for i in 0..EVENTS {
             let idx = rng.gen_range(0..space.degree());
-            space.delete_at(idx, &config).unwrap();
+            total.merge(&space.delete_at(idx, &config).unwrap().1);
             if i % 1000 == 0 {
                 space.check_invariants(&config).unwrap();
             }
         }
         space.check_invariants(&config).unwrap();
+        assert_eq!(total.full_rebuilds, 0);
 
         // The exact-size build leaves no room, so the first touches move
         // every segment once and squeeze the holes out once (a few times
         // what was built). From then on segments have headroom and an event
         // moves a bounded number of words per group, amortised — an `O(d)`
         // shift per event would be three orders of magnitude over this.
-        let relocated = RELOCATED_WORDS.with(|c| c.get());
+        let relocated = total.arena_words_moved;
         let events = 2 * u64::from(EVENTS);
         assert!(
             relocated <= 6 * built + 32 * k * events,
@@ -1854,9 +1870,11 @@ mod tests {
             .sum::<usize>()
             + table(space.degree());
         assert!(live > table(space.degree()));
+        // A compaction fires once the arena holds half the live words (and
+        // 16) beyond them.
         let capacity = space.groups_table().arena_capacity();
         assert!(
-            capacity <= 2 * live + 16,
+            capacity <= live + live / 2 + 16,
             "arena holds {capacity} words for {live} live ones"
         );
     }

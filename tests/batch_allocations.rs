@@ -8,12 +8,16 @@
 //! batch without deletes allocates nothing at all.
 //! `BingoEngine::apply_batch` keeps the lists it sorts a batch into between
 //! calls, so a batch costs the engine one allocation, not six and their
-//! regrowth. This binary counts allocator calls and bytes (its own binary,
-//! one test, for the same reason as `memory_accounting.rs`).
+//! regrowth. A compaction of a vertex's group arena lays the segments out
+//! again inside the arena's own buffer and shrinks it in place, so the
+//! batch that triggers it allocates nothing the size of the arena. This
+//! binary counts allocator calls and bytes (its own binary, one test, for
+//! the same reason as `memory_accounting.rs`).
 
 mod common;
 
 use bingo::core::vertex_space::VertexSpace;
+use bingo::core::GroupKind;
 use bingo::prelude::*;
 use bingo_graph::adjacency::{AdjacencyList, Edge};
 use rand::Rng;
@@ -24,6 +28,7 @@ const DEGREE: u32 = 4096;
 fn an_insert_only_batch_allocates_only_what_growth_needs() {
     a_vertex_batch_allocates_for_its_events_not_for_the_degree();
     an_engine_batch_allocates_half_of_what_it_used_to();
+    a_compaction_keeps_its_buffer();
 }
 
 fn a_vertex_batch_allocates_for_its_events_not_for_the_degree() {
@@ -139,4 +144,51 @@ fn an_engine_batch_allocates_half_of_what_it_used_to() {
         per_event <= CALLS_PER_EVENT_BEFORE / 2.0,
         "{per_event:.4} allocator calls per batch event, {CALLS_PER_EVENT_BEFORE} before"
     );
+}
+
+fn a_compaction_keeps_its_buffer() {
+    // Twelve sparse groups of about 340 members each: the arena holds
+    // their lists, the probe tables over them and the edge index.
+    let mut adj = AdjacencyList::with_capacity(DEGREE as usize);
+    for dst in 0..DEGREE {
+        adj.push(Edge::new(dst, Bias::from_int(1 << (dst % 12))));
+    }
+    let config = BingoConfig::default();
+    let mut space = VertexSpace::build(adj, config);
+    assert!(space.groups().all(|g| g.kind() == GroupKind::Sparse));
+    // The build's arena is exact-size: deletes shrink the live words under
+    // it until the waste passes half of them, and the arena compacts.
+    let mut compactions = 0;
+    let mut next = DEGREE;
+    while compactions < 3 {
+        let deletes: Vec<VertexId> = (next - 32..next).collect();
+        next -= 32;
+        let resident = space.memory_report().resident_bytes();
+        common::reset_largest();
+        let reallocs = common::reallocs();
+        let outcome = space.apply_batch(&[], &deletes, &config);
+        let (largest, reallocs) = (common::largest(), common::reallocs() - reallocs);
+        assert_eq!(outcome.deleted, 32);
+        if space.memory_report().resident_bytes() >= resident {
+            continue;
+        }
+        // Compacted: the batch moved every list and refilled every probe
+        // table, and the segments now fill the arena.
+        compactions += 1;
+        space.check_invariants(&config).unwrap();
+        assert!(outcome.arena_words_moved >= 3 * space.degree() as u64);
+        let report = space.memory_report();
+        let arena = report.sparse_bytes + report.index_bytes;
+        // The buffer was shrunk in place: the one reallocation, and no
+        // fresh block anywhere near the arena's size (a scratch copy of
+        // the lists, when one is needed, is under a third of it).
+        assert!(
+            largest < arena / 2,
+            "the compacting batch allocated {largest} B afresh for a {arena} B arena"
+        );
+        assert!(
+            reallocs <= 1,
+            "{reallocs} reallocations in the compacting batch"
+        );
+    }
 }

@@ -1,5 +1,6 @@
 //! A global allocator that counts live bytes, their high-water mark, bytes
-//! ever handed out and allocation calls, for the
+//! ever handed out, allocation calls, reallocations and the largest fresh
+//! allocation, for the
 //! test binaries that hold `MemoryReport::resident_bytes` against what the
 //! allocator actually handed out, or an update against what it may
 //! allocate. Each of them is its own binary with a single test, so nothing
@@ -14,6 +15,15 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 static HANDED_OUT: AtomicUsize = AtomicUsize::new(0);
+static REALLOCS: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+/// Count a fresh allocation (not a reallocation) of `bytes`.
+fn count_fresh(bytes: usize) {
+    // relaxed-ok: a statistic that publishes no other data.
+    LARGEST.fetch_max(bytes, Ordering::Relaxed);
+    count(bytes);
+}
 
 fn count(bytes: usize) {
     // relaxed-ok: statistics that publish no other data.
@@ -30,13 +40,13 @@ fn count(bytes: usize) {
 // and pointer unchanged; the counter touches no allocator state.
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count_fresh(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count_fresh(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -44,6 +54,8 @@ unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
         // relaxed-ok: a statistic that publishes no other data.
+        REALLOCS.fetch_add(1, Ordering::Relaxed);
+        // relaxed-ok: as above.
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -87,6 +99,29 @@ pub fn reset_peak() {
 pub fn calls() -> usize {
     // relaxed-ok: read on the only thread that allocates.
     CALLS.load(Ordering::Relaxed)
+}
+
+/// Reallocations (growing or shrinking a block, moved or not) this
+/// process has made so far; [`calls`] counts them too.
+#[allow(dead_code)]
+pub fn reallocs() -> usize {
+    // relaxed-ok: read on the only thread that allocates.
+    REALLOCS.load(Ordering::Relaxed)
+}
+
+/// The largest fresh allocation (reallocations aside) since the last
+/// [`reset_largest`].
+#[allow(dead_code)]
+pub fn largest() -> usize {
+    // relaxed-ok: read on the only thread that allocates.
+    LARGEST.load(Ordering::Relaxed)
+}
+
+/// Start a new window for [`largest`].
+#[allow(dead_code)]
+pub fn reset_largest() {
+    // relaxed-ok: written on the only thread that allocates.
+    LARGEST.store(0, Ordering::Relaxed);
 }
 
 /// Bytes this process has ever been handed, freed since or not: what an

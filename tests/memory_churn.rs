@@ -1,16 +1,22 @@
 //! What the engine holds after a long run of balanced update batches,
-//! against what it held when it was built.
+//! against what it held when it was built and against a fresh build of the
+//! edges it ends with.
 //!
 //! A build leaves the group arenas no room to grow: full group segments
-//! move to the arena's tail with half again their capacity and leave holes.
-//! The adjacency blocks are the ones the graph's own inserts grew (the
-//! engine shares them, and owns them once the graph is dropped), so they
-//! start with that slack and grow by half again when it is used up. This
-//! binary applies 200 batches that keep the edge count level and pins how
-//! far the footprint has drifted by then — as a ceiling relative to the
-//! post-build figure, and still equal to the allocator's own count (its own
-//! binary, one test, for the same reason as `memory_accounting.rs`). It is a
-//! gauge for work on growth policies, not a steady state.
+//! move to the arena's tail with a quarter again their capacity and leave
+//! holes, which a compaction squeezes out once they pass a quarter of the
+//! live words. The adjacency blocks are the ones the graph's own inserts
+//! grew (the engine shares them, and owns them once the graph is dropped),
+//! so they start with that slack and grow when it is used up. This binary
+//! applies 200 batches that keep the edge count level and pins three things
+//! (its own binary, one test, for the same reason as `memory_accounting.rs`):
+//! how far the footprint has drifted by then, as a ceiling relative to the
+//! post-build figure and still equal to the allocator's own count; the tax
+//! of the churn, the churned footprint over that of an engine built afresh
+//! from the same edges (holes, arena slack, over-grown segments and
+//! blocks); and the group-arena words the updates moved per event, an
+//! `O(K)` amortisation figure with no noise in it. It is a gauge for work on
+//! growth policies, not a steady state.
 //!
 //! Readings: with radix groups on every vertex 6 861 434 B built,
 //! 9 130 154 B after the churn (1.331x, ceiling 1.40). With vertices of at
@@ -33,7 +39,17 @@
 //! (1.142x; adjacency 2.30 MB after). With blocks sized in half steps (4,
 //! 6, 9, 13, … instead of powers of two) 4 020 578 B built, 4 603 508 B
 //! after (1.145x; adjacency 2.07 MB after): both ends 5 % lower, the ratio
-//! where it was.
+//! where it was. With group tables copied on write behind an `Arc` (16 B of
+//! counts each) 4 046 002 B built, 4 629 636 B after (1.144x), 1.145x a
+//! fresh build of the churned edges (4 043 130 B). With segments that grow by a
+//! quarter, an arena that grows by an eighth, compaction inside the arena's
+//! own buffer once it holds half the live words beyond them (an eighth of
+//! headroom per list, a quarter for the edge index), and a words-moved
+//! counter in every table (8 B more each): 4 058 714 B built, 4 473 128 B
+//! after (1.102x), 1.103x the fresh build (4 055 794 B), 38.5 arena words
+//! moved per event (ceiling 40.4, the reading plus 5 %). The two ratios
+//! keep a ceiling of 1.14, under the file's 5 % over the reading, so that
+//! the growth policy before this one (1.144x, 1.145x) fails them both.
 
 mod common;
 
@@ -47,7 +63,13 @@ const BATCHES: usize = 200;
 /// have seen an insert.
 const BATCH_EVENTS: usize = 160;
 /// Resident bytes after the churn, over resident bytes after the build.
-const CEILING: f64 = 1.18;
+const CEILING: f64 = 1.14;
+/// Resident bytes after the churn, over those of an engine built afresh
+/// from the edges the churn left.
+const TAX_CEILING: f64 = 1.14;
+/// Group-arena words the updates moved, per event
+/// (`EngineStats::arena_words_moved`).
+const MOVED_PER_EVENT_CEILING: f64 = 40.4;
 /// Inserts and rewrites draw from the law the graph was built with, so the
 /// churn changes which edges exist, not what kind of graph it is.
 const BIASES: BiasDistribution = BiasDistribution::PowerLaw {
@@ -131,5 +153,23 @@ fn balanced_churn_keeps_the_footprint_within_its_ceiling() {
     assert!(
         growth <= CEILING,
         "resident bytes grew {growth:.3}x over the build ({built} -> {churned} B)"
+    );
+
+    // The same edges, loaded into a graph and built afresh: exact-size
+    // arenas and adjacency blocks of the load's capacity classes.
+    let graph = engine.snapshot_graph();
+    let fresh_engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
+    drop(graph);
+    let fresh = fresh_engine.memory_report().resident_bytes();
+    let tax = churned as f64 / fresh as f64;
+    let moved = engine.stats().arena_words_moved as f64 / (BATCHES * BATCH_EVENTS) as f64;
+    eprintln!("a fresh build holds {fresh} B ({tax:.3}x); {moved:.1} arena words moved per event");
+    assert!(
+        tax <= TAX_CEILING,
+        "the churned engine holds {tax:.3}x a fresh build of its edges ({churned} against {fresh} B)"
+    );
+    assert!(
+        moved <= MOVED_PER_EVENT_CEILING,
+        "{moved:.1} arena words moved per event"
     );
 }
