@@ -30,9 +30,10 @@ pub enum GatewayError {
         /// The configured per-tenant bound (walkers).
         capacity: usize,
     },
-    /// The underlying service rejected the request with a non-admission
-    /// error (validation: empty start set, vertex out of range) — or a
-    /// chunk hit a non-retryable rejection at dispatch time.
+    /// The request failed [`WalkService::check_submission`] at submit
+    /// (empty start set, vertex out of range, a node2vec `p` or `q` the
+    /// service refuses) and nothing was queued — or a chunk hit a
+    /// non-retryable rejection at dispatch time.
     Rejected(ServiceError),
     /// The gateway is shutting down and accepts no new work.
     ShuttingDown,
@@ -278,25 +279,16 @@ impl Gateway {
     /// Unlike submitting straight to the service, a request that would
     /// saturate a shard inbox is *parked*, not rejected: it waits in its
     /// tenant's queue until the dispatcher can admit its chunks within
-    /// the fairness and backpressure budgets. Only a tenant exceeding its
-    /// own queue bound is refused ([`GatewayError::Overloaded`]).
+    /// the fairness and backpressure budgets. Only a request the service
+    /// would refuse ([`GatewayError::Rejected`]) or a tenant exceeding its
+    /// own queue bound ([`GatewayError::Overloaded`]) is refused.
     pub fn submit(&self, request: WalkRequest) -> Result<GatewayTicket, GatewayError> {
         let num_vertices = self.inner.service.num_vertices();
         let parts = request.into_parts();
         let starts = parts
             .starts
             .unwrap_or_else(|| (0..num_vertices as VertexId).collect());
-        if starts.is_empty() {
-            return Err(GatewayError::Rejected(ServiceError::EmptySubmission));
-        }
-        for &s in &starts {
-            if (s as usize) >= num_vertices {
-                return Err(GatewayError::Rejected(ServiceError::VertexOutOfRange {
-                    vertex: s,
-                    num_vertices,
-                }));
-            }
-        }
+        self.inner.service.check_submission(&parts.walk, &starts)?;
         let tenant = parts.meta.tenant.clone();
         let partitioner = self.inner.service.partitioner();
 

@@ -75,12 +75,12 @@ impl TenantAccum {
 
     pub(crate) fn record_wait(&mut self, wait: Duration) {
         self.wait_ns.record_duration(wait);
-        self.record_wait_capped(wait, WAIT_SAMPLE_CAP);
+        self.record_wait_in_reservoir(wait, WAIT_SAMPLE_CAP);
     }
 
     /// Algorithm R with an explicit cap (unit tests use a small one so the
     /// post-cap regime is reachable without 65k+ pushes).
-    pub(crate) fn record_wait_capped(&mut self, wait: Duration, cap: usize) {
+    pub(crate) fn record_wait_in_reservoir(&mut self, wait: Duration, cap: usize) {
         let us = wait.as_micros().min(u128::from(u64::MAX)) as u64;
         self.wait_seen += 1;
         if self.wait_us.len() < cap {
@@ -252,14 +252,14 @@ mod tests {
         let mut accum = TenantAccum::default();
         // Warm-up: `cap` fast dispatches at 100µs.
         for _ in 0..cap {
-            accum.record_wait_capped(Duration::from_micros(100), cap);
+            accum.record_wait_in_reservoir(Duration::from_micros(100), cap);
         }
         assert_eq!(accum.wait_us.len(), cap);
         assert_eq!(accum.wait_seen, cap as u64);
         // Then a long steady state 9× larger at 900µs. The truncating cap
         // this replaces would keep p50 frozen at 100µs forever.
         for _ in 0..9 * cap {
-            accum.record_wait_capped(Duration::from_micros(900), cap);
+            accum.record_wait_in_reservoir(Duration::from_micros(900), cap);
         }
         assert_eq!(accum.wait_us.len(), cap, "reservoir never exceeds cap");
         assert_eq!(accum.wait_seen, 10 * cap as u64);
@@ -284,7 +284,7 @@ mod tests {
         let feed = |n: u64| {
             let mut accum = TenantAccum::default();
             for i in 0..n {
-                accum.record_wait_capped(Duration::from_micros(i * 7 % 1000), 128);
+                accum.record_wait_in_reservoir(Duration::from_micros(i * 7 % 1000), 128);
             }
             accum.wait_us
         };

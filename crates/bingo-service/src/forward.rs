@@ -368,8 +368,9 @@ impl ServiceShared {
     ///
     /// Any failure — carrier error, undecodable bytes, a frame that
     /// decodes to another walker's `(ticket, index)`, a walk section that
-    /// names a custom model for a built-in walker, a handle whose snapshot
-    /// was evicted mid-flight — falls back to the
+    /// names a custom model for a built-in walker, a path naming a vertex
+    /// past the graph or longer than the walk's `max_steps() + 1`, a
+    /// handle whose snapshot was evicted mid-flight — falls back to the
     /// original in-process walker and is counted as
     /// `service.transport.fallbacks`: the forward degrades to zero-copy
     /// instead of losing the walk (the attach-time context is still on
@@ -445,6 +446,16 @@ impl ServiceShared {
             (None, Walk::Custom(model)) => Walk::Custom(Arc::clone(model)),
             (None, Walk::Builtin(_)) => return None,
         };
+        // A path the service cannot hold — a vertex past the graph, more
+        // vertices than the walk takes steps — is unusable bytes too.
+        if decoded.path.len() > walk.max_steps().saturating_add(1)
+            || decoded
+                .path
+                .iter()
+                .any(|&v| v as usize >= self.num_vertices)
+        {
+            return None;
+        }
         let mut cursor = WalkCursor::resume(walk, decoded.path)?;
         match decoded.context {
             FrameContext::Inline(ctx) => {

@@ -254,7 +254,7 @@
 //! * A cross-shard node2vec step reads the current vertex's weights at the
 //!   receiver's epoch, and the previous vertex's membership as of the
 //!   sender's epoch when it forwarded: a snapshot's presence in the
-//!   sender's map means it is valid, and eviction runs under the sender's
+//!   sender's map means it is valid, and release runs under the sender's
 //!   write guard. The two epochs may differ by as much as the cross-shard
 //!   lag, which is unbounded.
 //!

@@ -19,6 +19,7 @@ use bingo_core::{BingoConfig, BingoEngine, BingoError};
 use bingo_graph::{DynamicGraph, VertexId};
 use bingo_sampling::rng::{Pcg64, SplitMix64};
 use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
+use bingo_walks::apps::NODE2VEC_MAX_SPREAD;
 use bingo_walks::{Walk, WalkCursor, WalkSpec};
 use parking_lot::{Condvar, Mutex};
 use rand::SeedableRng;
@@ -55,7 +56,11 @@ pub enum ServiceError {
         /// such a batch verbatim loops forever; it must be split instead.
         retryable: bool,
     },
-    /// A node2vec submission whose `p` or `q` is not finite and positive.
+    /// A node2vec submission whose `p` or `q` is not finite and positive,
+    /// or whose spread `max(p, 1, q) / min(p, 1, q)` exceeds
+    /// [`NODE2VEC_MAX_SPREAD`]: a step costs up to the spread in expected
+    /// rejection draws, so the bound keeps every step's cost bounded
+    /// ([`Node2VecConfig::has_valid_parameters`](bingo_walks::Node2VecConfig::has_valid_parameters)).
     InvalidNode2Vec {
         /// The submitted return parameter.
         p: f64,
@@ -91,7 +96,9 @@ impl std::fmt::Display for ServiceError {
             ServiceError::InvalidNode2Vec { p, q } => {
                 write!(
                     f,
-                    "node2vec p = {p}, q = {q}: both must be finite and positive"
+                    "node2vec p = {p}, q = {q}: both must be finite and positive, with \
+                     max(p, 1, q) / min(p, 1, q) at most {NODE2VEC_MAX_SPREAD} \
+                     (the expected draws per step)"
                 )
             }
             ServiceError::Core(e) => write!(f, "engine error: {e}"),
@@ -230,7 +237,6 @@ pub struct WalkService {
     /// activation in flight on the pool.
     pub(crate) shared: Arc<ServiceShared>,
     pub(crate) router: Router,
-    num_vertices: usize,
     seed: u64,
     max_inbox: usize,
     owned_counts: Vec<usize>,
@@ -248,6 +254,8 @@ pub struct WalkService {
 pub(crate) struct ServiceShared {
     pub(crate) shards: Vec<ShardState>,
     pub(crate) partitioner: Partitioner,
+    /// Number of vertices in the serviced graph.
+    pub(crate) num_vertices: usize,
     /// Registry-backed per-shard counters ([`ServiceStats`] is a view over
     /// them).
     pub(crate) counters: Vec<ShardCounters>,
@@ -381,6 +389,7 @@ impl WalkService {
         let shared = Arc::new(ServiceShared {
             shards,
             partitioner,
+            num_vertices,
             counters: (0..num_shards)
                 .map(|shard| ShardCounters::register(&telemetry, shard))
                 .collect(),
@@ -395,7 +404,6 @@ impl WalkService {
 
         Ok(WalkService {
             router: Router::new(),
-            num_vertices,
             seed: config.seed,
             max_inbox: config.max_inbox,
             owned_counts,
@@ -423,7 +431,7 @@ impl WalkService {
 
     /// Number of vertices in the serviced graph.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.shared.num_vertices
     }
 
     /// The vertex partitioner (shard = `partitioner().owner(v)`).
@@ -458,12 +466,12 @@ impl WalkService {
         self.submit_inner(walk.into(), starts, Some(seed))
     }
 
-    fn submit_inner(
-        &self,
-        walk: Walk,
-        starts: &[VertexId],
-        seed: Option<u64>,
-    ) -> Result<WalkTicket> {
+    /// The checks [`WalkService::submit`] makes before it enqueues
+    /// anything: a non-empty start list, a node2vec `p` and `q` that
+    /// [`Node2VecConfig::has_valid_parameters`](bingo_walks::Node2VecConfig::has_valid_parameters)
+    /// accepts, and start vertices in range. The gateway makes them at its
+    /// own submit, so a request it queues never fails them at dispatch.
+    pub fn check_submission(&self, walk: &Walk, starts: &[VertexId]) -> Result<()> {
         if starts.is_empty() {
             return Err(ServiceError::EmptySubmission);
         }
@@ -473,13 +481,23 @@ impl WalkService {
             }
         }
         for &s in starts {
-            if (s as usize) >= self.num_vertices {
+            if (s as usize) >= self.num_vertices() {
                 return Err(ServiceError::VertexOutOfRange {
                     vertex: s,
-                    num_vertices: self.num_vertices,
+                    num_vertices: self.num_vertices(),
                 });
             }
         }
+        Ok(())
+    }
+
+    fn submit_inner(
+        &self,
+        walk: Walk,
+        starts: &[VertexId],
+        seed: Option<u64>,
+    ) -> Result<WalkTicket> {
+        self.check_submission(&walk, starts)?;
         if self.max_inbox > 0 {
             // Admission control: reject the whole submission up front when
             // any target shard cannot absorb its share. The check is a
@@ -586,10 +604,10 @@ impl WalkService {
     /// results hold no walks, rather than an [`ServiceError::EmptySubmission`]
     /// error (which is reserved for explicitly empty start lists).
     pub fn submit_all_vertices(&self, walk: impl Into<Walk>) -> Result<WalkTicket> {
-        if self.num_vertices == 0 {
+        if self.num_vertices() == 0 {
             return Ok(WalkTicket(self.open_ticket(walk.into(), 0)));
         }
-        let starts: Vec<VertexId> = (0..self.num_vertices as VertexId).collect();
+        let starts: Vec<VertexId> = (0..self.num_vertices() as VertexId).collect();
         self.submit(walk, &starts)
     }
 

@@ -549,9 +549,6 @@ impl ServiceShared {
 
     fn finish_walker(&self, owner_shard: usize, walker: Walker) {
         self.counters[owner_shard].walks_completed.inc();
-        if walker.cursor.state().rejection_capped() {
-            self.counters[owner_shard].node2vec_capped.inc();
-        }
         self.collector.file(FinishedWalk {
             ticket: walker.ticket,
             index: walker.index,

@@ -92,9 +92,6 @@ pub(crate) struct ShardCounters {
     pub stolen_batches: Counter,
     /// Walker visits this shard executed via stealing.
     pub stolen_walkers: Counter,
-    /// Walks that ended on this shard because a node2vec step rejected
-    /// every candidate it drew for its trial cap.
-    pub node2vec_capped: Counter,
 }
 
 impl ShardCounters {
@@ -136,7 +133,6 @@ impl ShardCounters {
                 .counter_with(names::SERVICE_SHARD_SATURATED_REJECTIONS, labels),
             stolen_batches: telemetry.counter_with(names::SERVICE_SHARD_STOLEN_BATCHES, labels),
             stolen_walkers: telemetry.counter_with(names::SERVICE_SHARD_STOLEN_WALKERS, labels),
-            node2vec_capped: telemetry.counter_with(names::SERVICE_SHARD_NODE2VEC_CAPPED, labels),
         }
     }
 
@@ -184,7 +180,6 @@ impl ShardCounters {
             saturated_rejections: self.saturated_rejections.get(),
             stolen_batches: self.stolen_batches.get(),
             stolen_walkers: self.stolen_walkers.get(),
-            node2vec_capped: self.node2vec_capped.get(),
         }
     }
 }
@@ -252,8 +247,6 @@ pub struct ShardStatsSnapshot {
     pub stolen_batches: u64,
     /// Walker visits this shard executed via stealing.
     pub stolen_walkers: u64,
-    /// Walks that ended here at node2vec's rejection cap.
-    pub node2vec_capped: u64,
 }
 
 impl ShardStatsSnapshot {
@@ -426,11 +419,6 @@ impl ServiceStats {
         self.per_shard.iter().map(|s| s.stolen_walkers).sum()
     }
 
-    /// Total walks a node2vec step ended at its rejection cap.
-    pub fn total_node2vec_capped(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.node2vec_capped).sum()
-    }
-
     /// The hottest shard's share of total executed steps, in `[0, 1]`
     /// (0 when nothing stepped). With stealing active this measures how
     /// evenly *execution* spread across shard tasks — the load-balance
@@ -503,7 +491,6 @@ impl ServiceStats {
                 .field_num("walkers_received", s.walkers_received)
                 .field_num("walkers_forwarded", s.walkers_forwarded)
                 .field_num("walks_completed", s.walks_completed)
-                .field_num("node2vec_capped", s.node2vec_capped)
                 .field_num("updates_applied", s.updates_applied)
                 .field_num("epoch", s.epoch)
                 .field_num("queue_depth", s.queue_depth)
@@ -525,7 +512,6 @@ impl ServiceStats {
             .field_num("total_steps", self.total_steps())
             .field_num("steps_per_sec", format!("{:.1}", self.steps_per_sec()))
             .field_num("walks_completed", self.total_walks_completed())
-            .field_num("node2vec_capped", self.total_node2vec_capped())
             .field_num("queue_depth", self.total_queue_depth())
             .field_num("forwards", self.total_forwards())
             .field_num("forward_ratio", format!("{:.4}", self.forward_ratio()))

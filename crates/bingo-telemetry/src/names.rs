@@ -74,9 +74,6 @@ pub const SERVICE_SHARD_WALKERS_RECEIVED: &str = "service.shard.walkers_received
 pub const SERVICE_SHARD_WALKERS_FORWARDED: &str = "service.shard.walkers_forwarded";
 /// `service.shard.walks_completed` — walks finished (counter).
 pub const SERVICE_SHARD_WALKS_COMPLETED: &str = "service.shard.walks_completed";
-/// `service.shard.node2vec_capped` — walks a node2vec step ended after
-/// rejecting every candidate for its trial cap (counter).
-pub const SERVICE_SHARD_NODE2VEC_CAPPED: &str = "service.shard.node2vec_capped";
 /// `service.shard.updates_applied` — update events applied (counter).
 pub const SERVICE_SHARD_UPDATES_APPLIED: &str = "service.shard.updates_applied";
 /// `service.shard.epoch` — per-shard update epoch (counter, Release-published).

@@ -6,7 +6,9 @@
 //! * **node2vec** — second-order walks: the transition bias is additionally
 //!   multiplied by `1/p`, `1` or `1/q` depending on the relation between the
 //!   previous vertex and the candidate (Equation 1), applied by
-//!   KnightKing-style rejection.
+//!   KnightKing-style rejection. A step draws until it accepts, which costs
+//!   at most `s = max(p, 1, q) / min(p, 1, q)` draws in expectation; `s` is
+//!   bounded by [`NODE2VEC_MAX_SPREAD`].
 //! * **Personalized PageRank (PPR)** — walks terminate at every step with a
 //!   fixed probability (1/80 in the evaluation, for an expected length of
 //!   80).
@@ -47,19 +49,27 @@ impl Default for DeepWalkConfig {
 pub struct Node2VecConfig {
     /// Number of steps per walk.
     pub walk_length: usize,
-    /// Return parameter `p` (the paper uses 0.5).
+    /// Return parameter `p` (the paper uses 0.5). Finite and positive,
+    /// with `max(p, 1, q) / min(p, 1, q)` at most [`NODE2VEC_MAX_SPREAD`]:
+    /// a step then costs at most that many draws in expectation.
     pub p: f64,
-    /// In-out parameter `q` (the paper uses 2.0).
+    /// In-out parameter `q` (the paper uses 2.0). Bounded with `p`; see
+    /// [`Node2VecConfig::p`].
     pub q: f64,
 }
 
 impl Node2VecConfig {
-    /// Whether `p` and `q` are finite and positive: the factors `1/p` and
-    /// `1/q` are then finite and positive, and every candidate can be
-    /// accepted. (At `p = 0` every candidate but the way back is rejected
-    /// against an infinite maximum, so every walk ends at its second step.)
+    /// Whether `p` and `q` are finite and positive and their spread
+    /// `s = max(p, 1, q) / min(p, 1, q)` is at most [`NODE2VEC_MAX_SPREAD`].
+    /// `s` is the ratio of the largest factor of `1/p`, `1`, `1/q` to the
+    /// smallest, so a rejection draw is accepted with probability at least
+    /// `1/s` and a step costs at most `s` draws in expectation. The
+    /// service, the gateway and the wire decoder refuse a spec that fails
+    /// this; a step on one panics.
     pub fn has_valid_parameters(&self) -> bool {
-        [self.p, self.q].iter().all(|x| x.is_finite() && *x > 0.0)
+        let (p, q) = (self.p, self.q);
+        [p, q].iter().all(|x| x.is_finite() && *x > 0.0)
+            && p.max(1.0).max(q) / p.min(1.0).min(q) <= NODE2VEC_MAX_SPREAD
     }
 }
 
@@ -210,17 +220,22 @@ impl WalkSpec {
     }
 }
 
-/// Candidates a node2vec step draws and rejects before it gives up and ends
-/// the walk ([`WalkState::rejection_capped`]). The expected number of trials
-/// is at most `max(1/p, 1, 1/q) / min(1/p, 1, 1/q)`; the cap only bites on
-/// extreme parameters or a vertex whose every candidate has the smallest
-/// factor.
-pub const NODE2VEC_MAX_TRIALS: usize = 10_000;
+/// The largest spread `max(p, 1, q) / min(p, 1, q)` a node2vec spec may
+/// have ([`Node2VecConfig::has_valid_parameters`]). A rejection draw is
+/// accepted with probability at least `1/s`, so a step costs at most
+/// `s` draws in expectation and more than `40·s` with probability below
+/// `e^-40`. Every `p` and `q` in `[1/64, 64]` pass. A constant, not a knob.
+pub const NODE2VEC_MAX_SPREAD: f64 = 4096.0;
 
 /// One node2vec transition after the first step. The factor `1/p`, `1` or
 /// `1/q` is applied by rejection (KnightKing's approach, which the paper
 /// adopts for second-order applications): sample from the static bias
-/// distribution, accept with probability `f / max(f)`.
+/// distribution, accept with probability `f / max(f)`, and draw again
+/// until a candidate is accepted. The accepted candidate is distributed
+/// exactly as `w · f`. A draw is accepted with probability at least
+/// `min(f) / max(f) = 1/s`, so a step costs at most
+/// `s ≤ NODE2VEC_MAX_SPREAD` draws in expectation; the spread is asserted,
+/// so a spec that skipped validation panics instead of spinning.
 ///
 /// The distance factor is evaluated on the **directed out-adjacency of the
 /// previous vertex** (`prev → candidate`), so a single membership
@@ -239,10 +254,17 @@ where
     S: TransitionSampler,
     R: Rng + ?Sized,
 {
+    assert!(
+        config.has_valid_parameters(),
+        "node2vec p = {}, q = {}: both must be finite and positive, with \
+         max(p, 1, q) / min(p, 1, q) at most {NODE2VEC_MAX_SPREAD}",
+        config.p,
+        config.q
+    );
     let inv_p = 1.0 / config.p;
     let inv_q = 1.0 / config.q;
     let max_factor = inv_p.max(1.0).max(inv_q);
-    for _ in 0..NODE2VEC_MAX_TRIALS {
+    loop {
         let Some(candidate) = sampler.sample_neighbor(state.current(), rng) else {
             return Transition::Terminate;
         };
@@ -257,8 +279,6 @@ where
             return Transition::Step(candidate);
         }
     }
-    state.note_rejection_cap();
-    Transition::Terminate
 }
 
 /// What an executor runs: a built-in [`WalkSpec`], stepped through its
@@ -655,6 +675,38 @@ mod tests {
             low_p > high_p,
             "low p should backtrack more: {low_p} vs {high_p}"
         );
+    }
+
+    #[test]
+    fn node2vec_parameters_pass_up_to_the_spread_bound() {
+        let config = |p: f64, q: f64| Node2VecConfig {
+            walk_length: 80,
+            p,
+            q,
+        };
+        // Every corner of [1/64, 64]², the paper's (0.5, 2) and spreads of
+        // exactly the bound from one side of 1.
+        for (p, q) in [
+            (1.0 / 64.0, 64.0),
+            (64.0, 1.0 / 64.0),
+            (1.0 / 64.0, 1.0 / 64.0),
+            (64.0, 64.0),
+            (0.5, 2.0),
+            (NODE2VEC_MAX_SPREAD, 1.0),
+            (1.0, 1.0 / NODE2VEC_MAX_SPREAD),
+        ] {
+            assert!(config(p, q).has_valid_parameters(), "p = {p}, q = {q}");
+        }
+        for (p, q) in [
+            (1.0 / 64.0, 65.0),
+            (1.0, NODE2VEC_MAX_SPREAD * 1.001),
+            (1.0 / NODE2VEC_MAX_SPREAD, 1.001),
+            (0.0, 1.0),
+            (1.0, f64::NAN),
+            (f64::INFINITY, 1.0),
+        ] {
+            assert!(!config(p, q).has_valid_parameters(), "p = {p}, q = {q}");
+        }
     }
 
     #[test]

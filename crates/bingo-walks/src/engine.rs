@@ -21,11 +21,6 @@ use rayon::prelude::*;
 pub struct WalkResults {
     /// One path per walker, in walker order.
     pub paths: Vec<Vec<VertexId>>,
-    /// Walks a rejection loop ended early: node2vec steps that rejected
-    /// every candidate for
-    /// [`NODE2VEC_MAX_TRIALS`](crate::apps::NODE2VEC_MAX_TRIALS) trials
-    /// (see [`WalkState::rejection_capped`](crate::WalkState::rejection_capped)).
-    pub rejection_capped: usize,
 }
 
 impl WalkResults {
@@ -102,22 +97,17 @@ impl WalkEngine {
     {
         let walk: Walk = walk.clone().into();
         let seed = self.seed;
-        let walks: Vec<(Vec<VertexId>, bool)> = starts
+        let paths = starts
             .par_iter()
             .enumerate()
             .map(|(i, &start)| {
                 let mut rng = Pcg64::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
                 let mut cursor = WalkCursor::new(walk.clone(), start);
                 while cursor.step(sampler, &mut rng).is_some() {}
-                let capped = cursor.state().rejection_capped();
-                (cursor.into_path(), capped)
+                cursor.into_path()
             })
             .collect();
-        let rejection_capped = walks.iter().filter(|(_, capped)| *capped).count();
-        WalkResults {
-            paths: walks.into_iter().map(|(path, _)| path).collect(),
-            rejection_capped,
-        }
+        WalkResults { paths }
     }
 
     /// Run `walk` with one walker per vertex — the paper's default walker

@@ -405,9 +405,6 @@ pub struct WalkState {
     /// module docs). A `Cell` so the read-only model query surface can
     /// record the fault.
     context_misses: Cell<u64>,
-    /// Whether a rejection loop gave up and ended the walk (node2vec's
-    /// trial cap; see [`WalkState::rejection_capped`]).
-    rejection_capped: Cell<bool>,
 }
 
 impl WalkState {
@@ -419,7 +416,6 @@ impl WalkState {
             steps_taken: 0,
             carried: None,
             context_misses: Cell::new(0),
-            rejection_capped: Cell::new(false),
         }
     }
 
@@ -487,22 +483,6 @@ impl WalkState {
     /// `context_misses` statistic.
     pub fn take_context_misses(&self) -> u64 {
         self.context_misses.take()
-    }
-
-    /// Whether the walk ended because a rejection loop gave up on it: a
-    /// node2vec step rejects every candidate it draws for
-    /// [`NODE2VEC_MAX_TRIALS`](crate::apps::NODE2VEC_MAX_TRIALS) trials
-    /// and terminates the walk instead of stepping. Such a walk is shorter
-    /// than the distribution says, so the executors count it:
-    /// [`WalkResults::rejection_capped`](crate::WalkResults::rejection_capped)
-    /// and the service's per-shard `node2vec_capped` counter.
-    pub fn rejection_capped(&self) -> bool {
-        self.rejection_capped.get()
-    }
-
-    /// Record that a rejection loop gave up on the walk.
-    pub(crate) fn note_rejection_cap(&self) {
-        self.rejection_capped.set(true);
     }
 
     /// Record one taken transition: `prev ← current`, `current ← next`.

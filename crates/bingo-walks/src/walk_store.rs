@@ -23,7 +23,7 @@ use crate::apps::{Walk, WalkCursor};
 use crate::engine::WalkEngine;
 use crate::TransitionSampler;
 use bingo_graph::VertexId;
-use bingo_sampling::rng::Pcg64;
+use bingo_sampling::rng::{Pcg64, SplitMix64};
 use rand::SeedableRng;
 use rayon::prelude::*;
 
@@ -45,6 +45,8 @@ pub struct WalkStore {
     /// The walk every stored path runs; a refresh resumes it.
     walk: Walk,
     seed: u64,
+    /// Refresh passes run so far; each pass seeds its suffixes afresh.
+    refreshes: u64,
 }
 
 impl WalkStore {
@@ -86,6 +88,7 @@ impl WalkStore {
             index: Vec::new(),
             walk: walk.into(),
             seed,
+            refreshes: 0,
         };
         store.rebuild_index(num_vertices);
         store
@@ -191,13 +194,12 @@ impl WalkStore {
     where
         S: TransitionSampler,
     {
-        let seed = self.seed;
+        let (seed, refresh) = (self.seed, self.refreshes);
+        self.refreshes += 1;
         let stats: Vec<(usize, usize, Vec<VertexId>)> = affected
             .par_iter()
             .map(|&(walk_id, from_pos)| {
-                let mut rng = Pcg64::seed_from_u64(
-                    seed ^ (walk_id as u64).wrapping_mul(0xA24B_AED4) ^ (from_pos as u64) << 32,
-                );
+                let mut rng = Pcg64::seed_from_u64(suffix_seed(seed, refresh, walk_id, from_pos));
                 // Keep the prefix up to and including `from_pos`, then
                 // resume the walk on the (updated) engine until it ends.
                 let prefix = self.walks[walk_id][..=from_pos].to_vec();
@@ -268,6 +270,16 @@ impl WalkStore {
         }
         Ok(())
     }
+}
+
+/// The RNG seed of one re-sampled suffix: the store's seed, the refresh
+/// pass, the walk and the position, each folded in through a SplitMix64
+/// round (the scheme of the service's walker seeds). A walk refreshed twice
+/// at one position draws fresh uniforms the second time.
+fn suffix_seed(seed: u64, refresh: u64, walk_id: usize, pos: usize) -> u64 {
+    [refresh, walk_id as u64, pos as u64]
+        .into_iter()
+        .fold(seed, |acc, x| SplitMix64::new(acc ^ x).next())
 }
 
 #[cfg(test)]
@@ -368,6 +380,27 @@ mod tests {
             // every refreshed walk must reach the full target length again.
             assert_eq!(walk.len(), 13, "walk not restored: {walk:?}");
         }
+    }
+
+    #[test]
+    fn a_second_refresh_of_the_same_event_draws_fresh_uniforms() {
+        // The same insertion reported twice on an unchanged engine affects
+        // the same walks at the same positions; the second pass must not
+        // replay the first one's uniforms.
+        let mut engine = ring_engine(16);
+        let mut store = WalkStore::generate(&engine, &spec(), 5);
+        engine.insert_edge(4, 12, Bias::from_int(3)).unwrap();
+        let first = store.on_edge_inserted(&engine, 4, 12);
+        let once = store.walks().to_vec();
+        let second = store.on_edge_inserted(&engine, 4, 12);
+        assert!(first.walks_refreshed > 0);
+        assert_eq!(second.walks_refreshed, first.walks_refreshed);
+        assert_ne!(
+            store.walks(),
+            &once[..],
+            "the second refresh replayed the first"
+        );
+        assert!(store.validate(&engine).is_ok());
     }
 
     #[test]

@@ -484,7 +484,9 @@ pub fn decode_walk(bytes: &[u8]) -> Result<(Option<WalkSpec>, usize), WireError>
             };
             if !config.has_valid_parameters() {
                 return Err(WireError::Corrupt(
-                    "node2vec p and q must be finite and positive",
+                    "node2vec p and q must be finite and positive, with \
+                     max(p, 1, q) / min(p, 1, q) at most 4096 \
+                     (the expected draws per step)",
                 ));
             }
             Some(WalkSpec::Node2Vec(config))

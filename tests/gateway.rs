@@ -12,6 +12,7 @@
 
 use bingo::gateway::{AimdConfig, Gateway, GatewayConfig, GatewayError, TenantId};
 use bingo::prelude::*;
+use bingo::service::ServiceError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -234,4 +235,53 @@ fn saturation_requeues_preserve_every_walk_and_its_order() {
         .filter(|e| e.kind.tag() == "saturated")
         .count() as u64;
     assert_eq!(bounces, t.saturated_requeues);
+}
+
+#[test]
+fn an_invalid_node2vec_spec_is_refused_at_submit() {
+    // A p or q the service refuses — zero, negative, NaN, infinite, or a
+    // spread max(p, 1, q) / min(p, 1, q) above 4096 — comes back from
+    // `submit` itself: nothing is queued, and no chunk fails at dispatch.
+    let service = bounded_service(64, 2, 0);
+    let gateway = Gateway::new(service.clone(), GatewayConfig::default());
+    let node2vec = |p: f64, q: f64| {
+        WalkSpec::Node2Vec(Node2VecConfig {
+            walk_length: 8,
+            p,
+            q,
+        })
+    };
+    let mut bad = vec![(1.0 / 64.0, 65.0), (1.0, 8192.0)];
+    for x in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        bad.extend([(x, 1.0), (1.0, x)]);
+    }
+    for (p, q) in bad {
+        let request = WalkRequest::spec(node2vec(p, q))
+            .starts((0..16).collect())
+            .tenant("t");
+        match gateway.submit(request) {
+            Err(GatewayError::Rejected(ServiceError::InvalidNode2Vec { .. })) => {}
+            other => panic!("p = {p}, q = {q}: expected a refusal, got {other:?}"),
+        }
+        assert_eq!(gateway.stats().in_flight_walkers, 0);
+    }
+    assert!(
+        gateway.stats().tenant(&TenantId::new("t")).is_none(),
+        "a refused request registers nothing"
+    );
+    // The tenant's valid request afterwards is the only work it has.
+    let ticket = gateway
+        .submit(
+            WalkRequest::spec(node2vec(0.5, 2.0))
+                .starts((0..16).collect())
+                .tenant("t"),
+        )
+        .unwrap();
+    assert_eq!(gateway.wait(ticket).unwrap().paths.len(), 16);
+    let stats = gateway.shutdown();
+    let t = stats.tenant(&TenantId::new("t")).unwrap();
+    assert_eq!(t.submitted_walks, 16);
+    assert_eq!(t.completed_walks, 16);
+    assert_eq!(t.failed_walks, 0);
+    assert_eq!(service.stats().total_walks_completed(), 16);
 }

@@ -15,7 +15,8 @@
 use bingo::core::partition::Partitioner;
 use bingo::prelude::*;
 use bingo::sampling::stats::{chi_square, chi_square_critical_999};
-use bingo::service::{ServiceConfig, TransportMode};
+use bingo::service::{ServiceConfig, ShardTransport, TransportMode};
+use bingo::walks::{wire, WireError};
 use bingo_graph::updates::UpdateKind;
 use bingo_graph::UpdateStreamBuilder;
 use rand::RngCore;
@@ -944,40 +945,42 @@ fn submit_all_vertices_on_empty_graph_completes_immediately() {
     assert_eq!(stats.total_walks_completed(), 0);
 }
 
-/// node2vec on a directed path with `q = 1e9`: from its second step on, the
-/// only candidate is no neighbor of the previous vertex, so every draw is
-/// rejected with probability `1 − 1/(2 · 10^9)` and the step gives up at its
-/// trial cap. The walk engine and the service both end those walks and
-/// count them; a `p` or `q` that is not finite and positive never gets that
-/// far.
-#[test]
-fn node2vec_walks_ended_at_the_rejection_cap_are_counted() {
-    let n = 8;
+/// A directed path `0 → 1 → … → n − 1` of unit biases.
+fn directed_path(n: usize) -> DynamicGraph {
     let mut graph = DynamicGraph::new(n);
     for v in 0..n as VertexId - 1 {
         graph.insert_edge(v, v + 1, Bias::from_int(1)).unwrap();
     }
-    let spec = |p: f64, q: f64| {
-        WalkSpec::Node2Vec(Node2VecConfig {
-            walk_length: 10,
-            p,
-            q,
-        })
+    graph
+}
+
+fn node2vec(walk_length: usize, p: f64, q: f64) -> WalkSpec {
+    WalkSpec::Node2Vec(Node2VecConfig { walk_length, p, q })
+}
+
+/// node2vec on a directed path at the spread bound, `p = 1, q = 4096`: from
+/// its second step on, the only candidate is no neighbor of the previous
+/// vertex, so each draw is accepted with probability 1/4096. A step draws
+/// until it accepts, so every walk runs to its full length or to the
+/// path's end, through the engine and through a 2-shard service under both
+/// transports.
+#[test]
+fn node2vec_walks_at_the_spread_bound_run_to_full_length() {
+    let n = 12;
+    let walk_length = 10;
+    let graph = directed_path(n);
+    let spec = node2vec(walk_length, 1.0, 4096.0);
+    let starts: Vec<VertexId> = (0..2 * n as VertexId).map(|i| i % n as VertexId).collect();
+    let full = |start: VertexId| -> Vec<VertexId> {
+        (start..=(start + walk_length as VertexId).min(n as VertexId - 1)).collect()
     };
-    let starts: Vec<VertexId> = (0..n as VertexId).collect();
-    // The walks from the last two vertices end at the path's end instead.
-    let capped = n - 2;
+    let expected: Vec<Vec<VertexId>> = starts.iter().map(|&s| full(s)).collect();
 
     let engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
-    let results = WalkEngine::new(5).run(&engine, &spec(0.5, 1e9), &starts);
-    assert_eq!(results.rejection_capped, capped);
-    for (start, path) in starts.iter().zip(&results.paths) {
-        let expected: Vec<VertexId> = (*start..(*start + 2).min(n as VertexId)).collect();
-        assert_eq!(*path, expected, "one step, then the cap");
-    }
-    let unbent = WalkEngine::new(5).run(&engine, &spec(0.5, 2.0), &starts);
-    assert_eq!(unbent.rejection_capped, 0);
-
+    assert_eq!(
+        WalkEngine::new(5).run(&engine, &spec, &starts).paths,
+        expected
+    );
     for mode in [TransportMode::InProcess, TransportMode::Serialized] {
         let service = WalkService::build(
             &graph,
@@ -988,21 +991,233 @@ fn node2vec_walks_ended_at_the_rejection_cap_are_counted() {
             },
         )
         .unwrap();
-        let ticket = service.submit(spec(0.5, 1e9), &starts).unwrap();
-        assert_eq!(service.wait(ticket).paths.len(), n);
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            for (p, q) in [(bad, 1.0), (1.0, bad)] {
-                let err = service.submit(spec(p, q), &starts).unwrap_err();
-                assert!(
-                    matches!(err, bingo::service::ServiceError::InvalidNode2Vec { .. }),
-                    "{mode:?} p = {p}, q = {q}: {err:?}"
-                );
+        let ticket = service.submit(spec, &starts).unwrap();
+        assert_eq!(service.wait(ticket).paths, expected, "{mode:?}");
+        assert!(service.shutdown().total_forwards() > 0, "{mode:?}");
+    }
+}
+
+/// A `p` or `q` that is not finite and positive, or a spread
+/// `max(p, 1, q) / min(p, 1, q)` above 4096, is refused where a spec enters:
+/// by the service's submit and by the wire decoder (the gateway's submit:
+/// `tests/gateway.rs`). A bare engine asserts it on the step that would use
+/// it.
+#[test]
+fn node2vec_parameters_past_the_bound_are_refused_where_specs_enter() {
+    let mut bad = vec![(1.0 / 64.0, 65.0), (1.0, 8192.0), (1.0 / 4097.0, 1.0)];
+    for x in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        bad.extend([(x, 1.0), (1.0, x)]);
+    }
+    let graph = directed_path(4);
+    let engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
+    let service = WalkService::build(
+        &graph,
+        ServiceConfig {
+            num_shards: 2,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    for (p, q) in bad {
+        let spec = node2vec(10, p, q);
+        let err = service.submit(spec, &[0]).unwrap_err();
+        assert!(
+            matches!(err, bingo::service::ServiceError::InvalidNode2Vec { .. }),
+            "p = {p}, q = {q}: {err:?}"
+        );
+        assert!(err.to_string().contains("at most 4096"), "{err}");
+
+        let mut section = Vec::new();
+        wire::encode_walk(Some(&spec), &mut section);
+        assert!(
+            matches!(wire::decode_walk(&section), Err(WireError::Corrupt(_))),
+            "p = {p}, q = {q}"
+        );
+
+        let panic = std::panic::catch_unwind(|| WalkEngine::new(1).run(&engine, &spec, &[0]))
+            .expect_err("a bare engine asserts the bound on the second step");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("the assert formats its message");
+        assert!(
+            message.contains("max(p, 1, q) / min(p, 1, q) at most 4096"),
+            "{message}"
+        );
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.total_walks_completed(), 0, "nothing was queued");
+}
+
+/// Vertex 0 (shard 0) steps to `HUB` (shard 1) almost always; `HUB`'s
+/// candidates carry all three node2vec factors against the previous vertex
+/// 0: the way back, two out-neighbors of 0 and four vertices 0 has no edge
+/// to. Weights put 59 %, 38 % and 3 % of the exact mass on the three.
+fn three_factor_graph() -> (DynamicGraph, Vec<(VertexId, u64)>) {
+    let n = 40;
+    let mut graph = DynamicGraph::new(n);
+    graph.insert_edge(0, HUB, Bias::from_int(1000)).unwrap();
+    graph.insert_edge(0, 15, Bias::from_int(1)).unwrap();
+    graph.insert_edge(0, 7, Bias::from_int(1)).unwrap();
+    let fanout: Vec<(VertexId, u64)> = vec![
+        (0, 6),    // backtrack → factor 1/p
+        (15, 150), // out-neighbor of 0 → factor 1
+        (7, 100),  // out-neighbor of 0 → factor 1
+        (5, 256),  // no edge from 0 → factor 1/q
+        (12, 384), // no edge from 0 → factor 1/q
+        (33, 320), // no edge from 0 → factor 1/q
+        (38, 320), // no edge from 0 → factor 1/q
+    ];
+    for &(dst, w) in &fanout {
+        graph.insert_edge(HUB, dst, Bias::from_int(w)).unwrap();
+    }
+    for v in 1..n as VertexId {
+        if v != HUB {
+            graph
+                .insert_edge(v, (v + 1) % n as VertexId, Bias::from_int(1))
+                .unwrap();
+        }
+    }
+    (graph, fanout)
+}
+
+/// At `p = 1/64, q = 64` — the bound's spread of 4096 — the second hop out
+/// of `HUB` follows the exact `w · f` weights, chi-square at the 0.999
+/// critical value, through the engine and through a 2-shard serialized
+/// service that forwards every walker from vertex 0 to `HUB`'s shard.
+#[test]
+fn node2vec_at_the_spread_bound_matches_the_exact_second_order_weights() {
+    let (graph, fanout) = three_factor_graph();
+    let (p, q) = (1.0 / 64.0, 64.0);
+    let spec = node2vec(2, p, q);
+    let factor = |dst: VertexId| {
+        if dst == 0 {
+            1.0 / p
+        } else if graph.has_edge(0, dst) {
+            1.0
+        } else {
+            1.0 / q
+        }
+    };
+    let masses: Vec<f64> = fanout
+        .iter()
+        .map(|&(dst, w)| w as f64 * factor(dst))
+        .collect();
+    let total: f64 = masses.iter().sum();
+    let probs: Vec<f64> = masses.iter().map(|m| m / total).collect();
+    let slot: HashMap<VertexId, usize> = fanout
+        .iter()
+        .enumerate()
+        .map(|(i, &(dst, _))| (dst, i))
+        .collect();
+    let critical = chi_square_critical_999(fanout.len() - 1);
+    let trials = 20_000;
+    let starts = vec![0 as VertexId; trials];
+    let check = |name: &str, paths: &[Vec<VertexId>]| {
+        let mut counts = vec![0usize; fanout.len()];
+        for path in paths {
+            if path.len() == 3 && path[1] == HUB {
+                counts[slot[&path[2]]] += 1;
             }
         }
+        assert!(counts.iter().sum::<usize>() > trials * 99 / 100, "{name}");
+        let stat = chi_square(&counts, &probs);
+        assert!(
+            stat < critical,
+            "{name}: chi2 {stat:.2} vs critical {critical:.2} ({counts:?})"
+        );
+    };
+
+    let engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
+    check(
+        "engine",
+        &WalkEngine::new(0x3F).run(&engine, &spec, &starts).paths,
+    );
+
+    let service = WalkService::build(
+        &graph,
+        ServiceConfig {
+            num_shards: 2,
+            seed: 0x3F,
+            transport: TransportMode::Serialized,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    assert_ne!(
+        service.partitioner().owner(0),
+        service.partitioner().owner(HUB)
+    );
+    let results = service.wait(service.submit(spec, &starts).unwrap());
+    check("2-shard serialized service", &results.paths);
+    let stats = service.shutdown();
+    assert!(stats.total_context_bytes() > 0);
+    assert_eq!(stats.total_context_misses(), 0);
+}
+
+/// An edit to a frame's visited path.
+type PathRewrite = fn(&mut Vec<VertexId>);
+
+/// A carrier that rewrites the visited path of every frame it carries and
+/// re-encodes it; the walk section behind the frame is passed through.
+struct PathRewriter(PathRewrite);
+
+impl ShardTransport for PathRewriter {
+    fn name(&self) -> &'static str {
+        "path-rewriter"
+    }
+
+    fn carry(&self, _to: usize, frame: Vec<u8>) -> std::io::Result<Vec<u8>> {
+        let (mut decoded, used) = wire::decode_walker(&frame).expect("the service frames decode");
+        (self.0)(&mut decoded.path);
+        let mut out = Vec::with_capacity(frame.len());
+        wire::encode_walker(&decoded, &mut out);
+        out.extend_from_slice(&frame[used..]);
+        Ok(out)
+    }
+}
+
+/// A serialized forward whose decoded path names a vertex past the graph,
+/// or holds more vertices than the walk's `max_steps() + 1`, is unusable
+/// bytes: the walker falls back to its in-process self, so the paths equal
+/// the in-process run and every forward counts as a fallback.
+#[test]
+fn a_forward_whose_path_the_service_cannot_hold_falls_back() {
+    let (graph, _) = cross_shard_fanout_graph();
+    let spec = node2vec(12, 0.5, 2.0);
+    let starts: Vec<VertexId> = (0..40).collect();
+    let config = |transport| ServiceConfig {
+        num_shards: 2,
+        seed: 0xFA11,
+        transport,
+        ..ServiceConfig::default()
+    };
+    let reference = {
+        let service = WalkService::build(&graph, config(TransportMode::InProcess)).unwrap();
+        service.wait(service.submit(spec, &starts).unwrap()).paths
+    };
+    let rewrites: [(&str, PathRewrite); 2] = [
+        ("a vertex past the graph", |path| path[0] = u32::MAX),
+        ("a path past max_steps + 1", |path| {
+            let last = *path.last().unwrap();
+            path.resize(12 + 2, last);
+        }),
+    ];
+    for (name, rewrite) in rewrites {
+        let service = WalkService::build_with_transport(
+            &graph,
+            config(TransportMode::Serialized),
+            Telemetry::disabled(),
+            Arc::new(PathRewriter(rewrite)),
+        )
+        .unwrap();
+        let paths = service.wait(service.submit(spec, &starts).unwrap()).paths;
+        assert_eq!(paths, reference, "{name}");
         let stats = service.shutdown();
-        assert_eq!(stats.total_node2vec_capped(), capped as u64, "{mode:?}");
-        assert!(stats
-            .to_json()
-            .contains(&format!("\"node2vec_capped\":{capped}")));
+        assert!(stats.total_forwards() > 0, "{name}");
+        assert_eq!(
+            stats.total_transport_fallbacks(),
+            stats.total_forwards(),
+            "{name}"
+        );
     }
 }
