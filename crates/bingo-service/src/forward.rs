@@ -12,9 +12,8 @@
 //! wire body is still the sorted distinct neighbor ids, built when a body
 //! ships. A batch releases the map's handles on the vertices it writes
 //! before it writes them, so the map never pins an old version and the
-//! write happens in place: the vertices whose membership it changes leave
-//! the map, holder bits and all; those only reweighted are re-captured
-//! afterwards under the same epoch and holder bits.
+//! write happens in place: every vertex it writes leaves the map, holder
+//! bits and all, and the next forward from it captures it afresh.
 //!
 //! [`TransportMode`](crate::TransportMode) is read once, at build: it
 //! decides whether the service keeps a frame carrier. An in-process
@@ -31,7 +30,7 @@ use crate::shard::Walker;
 use crate::stats::ShardCounters;
 use crate::transport::ShardTransport;
 use bingo_core::BingoEngine;
-use bingo_graph::{UpdateBatch, UpdateEvent, VertexId};
+use bingo_graph::{UpdateBatch, VertexId};
 use bingo_sampling::rng::Pcg64;
 use bingo_telemetry::TraceStage;
 use bingo_walks::wire::{self, ContextHandle, FrameContext, WalkerFrame};
@@ -51,13 +50,11 @@ pub use bingo_walks::wire::CONTEXT_HANDLE_BYTES;
 
 /// One shard's snapshot map: per forwarded vertex, a copy-on-write handle
 /// on the owner's `VertexSpace`, not a copy of its adjacency. Entry
-/// presence implies validity: structural update batches evict exactly the
-/// vertices they touched, while bias rewrites and empty epoch ticks keep
-/// entries warm (a snapshot answers membership, which reweights never
-/// alter; a reweighted vertex is re-captured under the same epoch). One
-/// slot per vertex, so occupancy is bounded by the forwarded-vertex set no
-/// matter how many epochs pass, and an entry's bytes do not grow with the
-/// vertex's degree.
+/// presence implies validity: a batch evicts exactly the vertices it
+/// writes, whatever the event kind, while every other entry stays warm
+/// across the epoch advance. One slot per vertex, so occupancy is bounded
+/// by the forwarded-vertex set no matter how many epochs pass, and an
+/// entry's bytes do not grow with the vertex's degree.
 pub(crate) struct SnapshotCache {
     entries: Mutex<Snapshots>,
 }
@@ -87,7 +84,7 @@ struct Snapshots {
 }
 
 /// A snapshot this shard captured, reused by every walker forwarded while
-/// no structural update touches its vertex.
+/// no batch writes its vertex.
 struct Snapshot {
     /// The capture epoch, which names the snapshot in a [`ContextHandle`].
     epoch: u64,
@@ -198,10 +195,10 @@ impl ServiceShared {
             return None;
         }
         let c = &self.counters[owner_shard];
-        // The stored stamp is the *capture* epoch: bias-only epoch ticks
-        // advance the counter without invalidating membership, so entry
-        // presence (upheld by `release_snapshots`) — not stamp freshness —
-        // is what implies validity.
+        // The stored stamp is the *capture* epoch: a batch that does not
+        // write `prev` advances the counter without invalidating its
+        // snapshot, so entry presence (upheld by `release_snapshots`) — not
+        // stamp freshness — is what implies validity.
         let (ctx, cache_hit, (bytes_sent, handle)) = {
             let mut entries = self.shards[owner_shard].snapshots.entries.lock();
             let Snapshots { map, bodies } = &mut *entries;
@@ -240,38 +237,22 @@ impl ServiceShared {
     /// Release `shard_id`'s handles on the vertices `batch` writes, before
     /// it writes them, so no snapshot pins a version the write would have
     /// to copy ([`CarriedContext::release`]: one a walker in flight still
-    /// carries is frozen into its sorted ids). The snapshots of the
-    /// vertices whose membership the batch
-    /// changes (any insert or delete) leave the map, holder bits and all,
-    /// so a stale `(vertex, epoch)` can never satisfy a handle. Those only
-    /// reweighted leave too, but their `(vertex, epoch, holders)` is
-    /// returned for [`ServiceShared::recapture_snapshots`]. Every other
-    /// entry stays warm across the epoch advance. The caller holds
-    /// `shard_id`'s engine write guard.
-    pub(crate) fn release_snapshots(
-        &self,
-        shard_id: usize,
-        batch: &UpdateBatch,
-    ) -> Vec<(VertexId, u64, u64)> {
+    /// carries is frozen into its sorted ids). Each leaves the map, holder
+    /// bits and all, whatever the event kind, so a stale `(vertex, epoch)`
+    /// can never satisfy a handle; the next forward from the vertex
+    /// captures it afresh. Every other entry stays warm across the epoch
+    /// advance. The caller holds `shard_id`'s engine write guard.
+    pub(crate) fn release_snapshots(&self, shard_id: usize, batch: &UpdateBatch) {
         let mut entries = self.shards[shard_id].snapshots.entries.lock();
         let map = &mut entries.map;
         if map.is_empty() {
-            return Vec::new();
+            return;
         }
-        let reweight = |e: &UpdateEvent| matches!(e, UpdateEvent::UpdateBias { .. });
-        for e in batch.events().iter().filter(|e| !reweight(e)) {
+        for e in batch.events() {
             if let Some(s) = map.remove(&e.src()) {
                 s.ctx.release();
             }
         }
-        let mut released = Vec::new();
-        for e in batch.events().iter().filter(|e| reweight(e)) {
-            if let Some(s) = map.remove(&e.src()) {
-                s.ctx.release();
-                released.push((e.src(), s.epoch, s.holders));
-            }
-        }
-        released
     }
 
     /// Once an activation of `shard_id` has applied its batches and woken
@@ -285,37 +266,6 @@ impl ServiceShared {
             if let Some(s) = map.get_mut(&v) {
                 s.ctx.shed_body();
                 s.body_listed = false;
-            }
-        }
-    }
-
-    /// Capture the reweighted vertices [`ServiceShared::release_snapshots`]
-    /// returned again, now that the batch is in, each under the epoch and
-    /// holder bits it had: its membership did not change, so a handle
-    /// naming that epoch still resolves to the same answers. The caller
-    /// still holds `shard_id`'s engine write guard.
-    pub(crate) fn recapture_snapshots(
-        &self,
-        shard_id: usize,
-        engine: &BingoEngine,
-        released: Vec<(VertexId, u64, u64)>,
-    ) {
-        if released.is_empty() {
-            return;
-        }
-        let mut entries = self.shards[shard_id].snapshots.entries.lock();
-        for (vertex, epoch, holders) in released {
-            if let Ok(space) = engine.vertex_space(vertex) {
-                let ctx = CarriedContext::captured(vertex, space.clone());
-                entries.map.insert(
-                    vertex,
-                    Snapshot {
-                        epoch,
-                        ctx,
-                        holders,
-                        body_listed: false,
-                    },
-                );
             }
         }
     }

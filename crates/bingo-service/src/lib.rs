@@ -14,10 +14,11 @@
 //!   all of them in one pass of the pool by
 //!   [`bingo_core::BingoEngine::build_ranges`]. Shards are **resumable
 //!   tasks on the process-wide worker pool** (the `rayon` shim's
-//!   persistent parked workers), not dedicated threads, and idle shards
-//!   steal forwarded-walker batches from hot shards' inboxes — stealing
-//!   happens at the queue, never at the engine, which stays shard-owned
-//!   behind a read/write lock (see the [`shard`] module docs).
+//!   persistent parked workers), not dedicated threads, and a shard task
+//!   on its way to idle steals forwarded-walker batches from a hot
+//!   shard's inbox — stealing happens at the queue, never at the engine,
+//!   which stays shard-owned behind a read/write lock (see the [`shard`]
+//!   module docs).
 //! * An **update router** splits each ingested
 //!   [`UpdateBatch`](bingo_graph::UpdateBatch) by owning shard
 //!   (`UpdateBatch::split_by_owner`) and flushes it at once as one
@@ -49,12 +50,12 @@
 //!   handle ([`CONTEXT_HANDLE_BYTES`]), a miss ships the body and records
 //!   the receiver. A batch releases the map's handles on the vertices it
 //!   writes before writing them, so the map never pins an old version: a
-//!   structural batch evicts exactly the vertices it touched, holder bits
-//!   and all, a vertex only reweighted is re-captured under the same
-//!   epoch and holder bits, and everything else stays warm. A snapshot
-//!   still carried by a walker in flight is frozen into its sorted ids on
-//!   release, so the walker answers as at capture and the write happens
-//!   in place. A missing capture is **not** silently
+//!   batch evicts exactly the vertices it writes, holder bits and all,
+//!   whatever the event kind, the next forward captures them afresh, and
+//!   everything else stays warm. A snapshot still carried by a walker in
+//!   flight is frozen into its sorted ids on release, so the walker
+//!   answers as at capture and the write happens in place. A missing
+//!   capture is **not** silently
 //!   served as "no edge": the fallback is counted per shard
 //!   (`context_misses`) and asserted on in debug builds. A finished walk
 //!   is filed under its ticket by the shard task that finished it; a
@@ -202,7 +203,7 @@
 //!   orders are **`router` → `shard_inbox`** (a flush queues its slices
 //!   under the router lock, so two flushes never interleave) and
 //!   **`shard_engine` → `shard_ctx_cache`** (capture and negotiation
-//!   under the read guard, eviction under the write guard; a serialized
+//!   under the read guard, release under the write guard; a serialized
 //!   forward's handle resolution takes the map with no other lock held)
 //!   — every path agrees, so the cross-function lock-order graph stays
 //!   acyclic even jointly with the pool's `rayon.*` locks.
@@ -224,7 +225,8 @@
 //!   toward an inbox, the pool injector, the ticket table or
 //!   `service.progress`.
 //! * Steals take walkers, never pending updates, from a victim's inbox,
-//!   and the inbox guard drops before the victim's engine is read — the
+//!   and only from a victim that has applied every batch flushed to it;
+//!   the inbox guard drops before the victim's engine is read — the
 //!   queue is the unit of theft, never the engine.
 //! * Atomics: ticket IDs are `Relaxed` RMW allocations (annotated
 //!   `relaxed-ok`); per-shard stats counters are `Relaxed` (telemetry
@@ -245,8 +247,6 @@
 //! * On one shard, a walker's epochs never decrease.
 //! * A flushed batch becomes visible at that shard's next activation,
 //!   ahead of every walker still queued there.
-//! * A thief may still run a queued walker at the victim's current epoch,
-//!   before the victim applies a pending batch.
 //! * After [`WalkService::sync`] returns for a receipt, every new step sees
 //!   the receipt's events.
 //! * Across shards, a walker may step on a shard that has not yet applied
@@ -1102,10 +1102,10 @@ mod tests {
     }
 
     #[test]
-    fn a_reweight_recaptures_snapshots_under_their_epoch_and_holders() {
-        // A bias-only batch changes no membership: each snapshot it names
-        // leaves the map before the write and comes back after it with the
-        // epoch and holder bits it had, so no walker captures it again.
+    fn a_reweight_releases_the_snapshots_it_writes() {
+        // A bias-only batch writes the vertices it reweights: each of
+        // their snapshots leaves the map, holder bits and all, and the next
+        // forward from the vertex captures it afresh.
         let graph = ring_graph(16);
         let service = WalkService::build(
             &graph,
@@ -1119,6 +1119,7 @@ mod tests {
         let starts: Vec<u32> = (0..16).collect();
         service.wait(service.submit(node2vec(10), &starts).unwrap());
         let before = service.snapshot_cache_occupancy();
+        // Every vertex is reweighted, so every captured one is written.
         let events: Vec<UpdateEvent> = (0..16u32)
             .map(|src| UpdateEvent::UpdateBias {
                 src,
@@ -1130,13 +1131,15 @@ mod tests {
         let after = service.snapshot_cache_occupancy();
         let misses = service.stats().total_context_cache_misses();
         service.wait(service.submit(node2vec(10), &starts).unwrap());
-        let stats = service.stats();
-        service.shutdown();
+        let again = service.snapshot_cache_occupancy();
+        let stats = service.shutdown();
         assert!(before.0 > 0 && before.1 > 0, "{before:?}");
-        assert_eq!(after, before, "every snapshot and holder bit came back");
-        assert!(
-            stats.total_context_cache_misses() - misses <= 16 - before.0 as u64,
-            "only vertices without a snapshot were captured again"
+        assert_eq!(after, (0, 0), "every written snapshot left the map");
+        assert!(again.0 > 0, "the next wave captured the vertices again");
+        assert_eq!(
+            stats.total_context_cache_misses() - misses,
+            again.0 as u64,
+            "every snapshot in the map is a fresh capture"
         );
         assert_eq!(stats.total_transport_fallbacks(), 0);
     }

@@ -217,10 +217,11 @@ impl WalkTicket {
 /// walkers and pending update batches is processed by **resumable tasks on
 /// the shared worker pool** (see [`crate::shard`]) — walker visits sample
 /// under the read guard, update batches apply under the write guard, so a
-/// walk step can never observe a partially applied ("torn") update. Idle
-/// shard tasks steal walkers from hot shards' inboxes and run them against
-/// the owning shard's engine, so stealing moves CPU work without moving
-/// ownership.
+/// walk step can never observe a partially applied ("torn") update. A
+/// shard task on its way to idle steals walkers from a hot shard's inbox,
+/// once that shard has applied every batch flushed to it, and runs them
+/// against the owning shard's engine, so stealing moves CPU work without
+/// moving ownership.
 ///
 /// A submission names a [`Walk`]: a built-in
 /// [`WalkSpec`] or a shared custom

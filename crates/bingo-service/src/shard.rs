@@ -16,15 +16,17 @@
 //!
 //! # Stealing happens at the queue, never at the engine
 //!
-//! An idle shard task may drain a batch of walkers from a hot peer's
-//! walker queue and run them **against the owning shard's engine**,
-//! through the same read path the owner uses. Engines stay shard-owned
-//! behind a `RwLock`: walker visits hold a read guard and update batches
-//! hold the write guard, so no step observes a torn update. A stolen
-//! walker steps at the victim's current epoch; an update still pending
-//! there is applied by the victim's next activation. Stealing never
-//! changes walk output without concurrent updates: paths depend only on
-//! each walker's private RNG and the engine epoch it sampled under.
+//! A shard task that runs out of work of its own, on its way to idle,
+//! may drain a batch of walkers from a hot peer's walker queue and run
+//! them **against the owning shard's engine**, through the same read path
+//! the owner uses. Engines stay shard-owned behind a `RwLock`: walker
+//! visits hold a read guard and update batches hold the write guard, so
+//! no step observes a torn update. A thief takes walkers only from a
+//! victim that has applied every batch flushed to it, checked under the
+//! victim's inbox lock: a pending batch goes ahead of every walker queued
+//! behind it, stolen or not. Stealing never changes walk output without
+//! concurrent updates: paths depend only on each walker's private RNG and
+//! the engine epoch it sampled under.
 
 use crate::collect::FinishedWalk;
 use crate::forward::{ForwardNegotiation, SnapshotCache};
@@ -46,8 +48,7 @@ const TASK_BATCH: usize = 32;
 /// Maximum walkers a thief drains from a victim's walker queue in one
 /// steal.
 const STEAL_BATCH: usize = 8;
-/// Minimum inbox depth that makes a shard worth stealing from (and that
-/// triggers help wakeups of idle peers on enqueue).
+/// Minimum inbox depth that makes a shard worth stealing from.
 const STEAL_THRESHOLD: usize = 4;
 
 /// [`ShardState::sched`]: no activation is scheduled; the next push must
@@ -88,6 +89,10 @@ struct Inbox {
     /// router flush on every shard). The stamp is the flush time (`None`
     /// unless telemetry is detailed), for the inbox-dwell histogram.
     updates: Vec<(UpdateBatch, Option<Instant>)>,
+    /// Batches ever queued here: the shard's epoch once all are applied.
+    /// An activation takes `updates` before it applies them, so only this
+    /// count tells a thief that a batch taken is not yet in.
+    flushes: u64,
     /// Set by `stop_workers`: later walkers are dropped, like sends on a
     /// closed channel, and the next activation terminates the shard.
     shutdown: bool,
@@ -140,7 +145,7 @@ impl ShardHists {
 pub(crate) struct ShardState {
     /// Walkers and pending update batches. Pushers append under the lock;
     /// the shard's own task takes every update and a bounded batch of
-    /// walkers; thieves take walkers only.
+    /// walkers; thieves take walkers only, once every batch is applied.
     inbox: Mutex<Inbox>,
     /// Two-state scheduling latch ([`SCHED_IDLE`]/[`SCHED_SCHEDULED`]):
     /// makes "at most one activation in flight per shard" a CAS and makes
@@ -185,10 +190,8 @@ enum VisitOutcome {
 
 impl ServiceShared {
     /// Queue `walker` on `shard` and guarantee an activation will run it.
-    /// When the push leaves a deep backlog, idle peers are woken too so
-    /// they can steal from it.
     pub(crate) fn push_walker(self: &Arc<Self>, shard: usize, walker: Box<Walker>) {
-        let depth = {
+        {
             let mut inbox = self.shards[shard].inbox.lock();
             if inbox.shutdown {
                 // Shutdown raced this send: drop the walker, like a send on
@@ -196,13 +199,9 @@ impl ServiceShared {
                 return;
             }
             inbox.walkers.push_back(walker);
-            inbox.walkers.len()
-        };
+        }
         self.counters[shard].on_enqueue();
         self.schedule(shard);
-        if depth >= STEAL_THRESHOLD {
-            self.wake_helpers(shard);
-        }
     }
 
     /// Queue one flush: slice `s` of `splits` on shard `s`. Each shard's
@@ -214,11 +213,11 @@ impl ServiceShared {
         flushed_at: Option<Instant>,
     ) {
         for (shard, split) in splits.into_iter().enumerate() {
-            self.shards[shard]
-                .inbox
-                .lock()
-                .updates
-                .push((split, flushed_at));
+            {
+                let mut inbox = self.shards[shard].inbox.lock();
+                inbox.updates.push((split, flushed_at));
+                inbox.flushes += 1;
+            }
             self.counters[shard].on_enqueue();
             self.schedule(shard);
         }
@@ -259,17 +258,6 @@ impl ServiceShared {
         }
     }
 
-    /// Help trigger: schedule every idle peer of a hot shard. A woken peer
-    /// with an empty inbox of its own goes straight to the steal path; the
-    /// CAS in `schedule` makes this free for peers already running.
-    fn wake_helpers(self: &Arc<Self>, hot: usize) {
-        for peer in 0..self.shards.len() {
-            if peer != hot {
-                self.schedule(peer);
-            }
-        }
-    }
-
     /// One shard-task activation: take every pending update and a bounded
     /// batch of walkers (under one inbox lock), apply the updates, run the
     /// walkers (outside the lock), then either re-enqueue, steal, or go
@@ -278,9 +266,15 @@ impl ServiceShared {
         let me = &self.shards[shard_id];
         let (updates, walkers, shutdown) = {
             let mut inbox = me.inbox.lock();
+            // A stopping shard takes every walker, to drop them below.
+            let max = if inbox.shutdown {
+                usize::MAX
+            } else {
+                TASK_BATCH
+            };
             (
                 std::mem::take(&mut inbox.updates),
-                inbox.take_walkers(TASK_BATCH),
+                inbox.take_walkers(max),
                 inbox.shutdown,
             )
         };
@@ -304,8 +298,9 @@ impl ServiceShared {
             self.shed_bodies(shard_id);
         }
         if shutdown {
-            // Walkers still queued, or taken into this batch, are dropped,
-            // like a closed channel's.
+            // Every walker still queued is dropped, like a closed
+            // channel's, and leaves the depth gauge with it.
+            self.counters[shard_id].on_drop(walkers.len());
             self.note_progress(true);
             return;
         }
@@ -344,7 +339,8 @@ impl ServiceShared {
 
     /// Steal at the queue, never at the engine: drain up to
     /// [`STEAL_BATCH`] walkers from the deepest backlogged peer and run
-    /// them here, against the victim's engine at its current epoch.
+    /// them here, against the victim's engine. A victim with a flushed
+    /// batch not yet applied keeps its walkers: they step after the batch.
     /// Returns whether anything was stolen.
     fn try_steal(self: &Arc<Self>, thief: usize) -> bool {
         // Pick the deepest backlog at or past the threshold — depth gauges
@@ -362,11 +358,18 @@ impl ServiceShared {
         let Some((victim, _)) = victim else {
             return false;
         };
-        // The inbox guard drops at the end of this statement, BEFORE any
-        // engine lock is taken: holding it across the visit would deadlock
-        // against the victim's own task (engine acquired while inbox
-        // wanted).
-        let stolen = self.shards[victim].inbox.lock().take_walkers(STEAL_BATCH);
+        // The inbox guard drops at the end of this block, BEFORE any engine
+        // lock is taken: holding it across the visit would deadlock against
+        // the victim's own task (engine acquired while inbox wanted).
+        let stolen = {
+            let mut inbox = self.shards[victim].inbox.lock();
+            // The epoch is published under the write guard once a batch is
+            // in, so equality means no batch is pending or mid-apply.
+            if inbox.flushes != self.counters[victim].epoch.get_acquire() {
+                return false;
+            }
+            inbox.take_walkers(STEAL_BATCH)
+        };
         if stolen.is_empty() {
             return false;
         }
@@ -451,9 +454,8 @@ impl ServiceShared {
         let mut engine = self.shards[shard_id].engine.write();
         // Snapshots share the vertices' structures: released first, the
         // batch writes them in place instead of copying them.
-        let reweighted = self.release_snapshots(shard_id, &batch);
+        self.release_snapshots(shard_id, &batch);
         let outcome = engine.apply_batch(&batch);
-        self.recapture_snapshots(shard_id, &engine, reweighted);
         let c = &self.counters[shard_id];
         c.updates_applied
             .add((outcome.inserted + outcome.deleted) as u64);

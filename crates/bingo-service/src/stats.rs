@@ -147,6 +147,12 @@ impl ShardCounters {
         }
     }
 
+    /// Take `n` walkers a stopping shard dropped off the depth gauge,
+    /// leaving the high-water mark as it was.
+    pub(crate) fn on_drop(&self, n: usize) {
+        self.queue_depth.add(-(n as i64));
+    }
+
     /// Current inbox occupancy (momentary; can read slightly negative
     /// during a concurrent enqueue/dequeue race).
     pub(crate) fn queue_depth(&self) -> i64 {
@@ -421,9 +427,8 @@ impl ServiceStats {
 
     /// The hottest shard's share of total executed steps, in `[0, 1]`
     /// (0 when nothing stepped). With stealing active this measures how
-    /// evenly *execution* spread across shard tasks — the load-balance
-    /// number the CI gate checks — independent of which shard owned the
-    /// vertices.
+    /// evenly *execution* spread across shard tasks, independent of which
+    /// shard owned the vertices.
     pub fn hottest_step_share(&self) -> f64 {
         let total = self.total_steps();
         if total == 0 {

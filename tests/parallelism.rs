@@ -170,10 +170,11 @@ fn service_results_are_thread_and_shard_count_independent() {
 
 #[test]
 fn hot_shard_batches_are_stolen_by_idle_peers() {
-    // Every walk starts on shard 0 and is one step long, so shard 0's
-    // inbox floods far past the steal threshold while shards 1–3 sit
-    // idle: the help-trigger must let them drain batches from shard 0's
-    // inbox, and the stolen visits are attributed to the thieves.
+    // Every flood walk starts on shard 0 and is one step long, so shard
+    // 0's inbox floods far past the steal threshold. Each of shards 1–3
+    // runs one walk of its own; on its way to idle its task must drain
+    // batches from shard 0's inbox, and the stolen visits are attributed
+    // to the thieves.
     let n = 64usize;
     let mut graph = DynamicGraph::new(n);
     for v in 0..n as VertexId {
@@ -191,18 +192,17 @@ fn hot_shard_batches_are_stolen_by_idle_peers() {
         },
     )
     .unwrap();
+    let one_step = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 1 });
     let starts = vec![0 as VertexId; trials];
-    let results = service.wait(
-        service
-            .submit(
-                WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 1 }),
-                &starts,
-            )
-            .unwrap(),
-    );
-    assert_eq!(results.paths.len(), trials);
+    let flood = service.submit(one_step, &starts).unwrap();
+    // One walk in each peer's uniform 16-vertex range, queued behind the
+    // flood: one step each, never leaving its shard.
+    let own = service.submit(one_step, &[16, 32, 48]).unwrap();
+    let own_steps = service.wait(own).total_steps() as u64;
+    assert_eq!(own_steps, 3);
+    assert_eq!(service.wait(flood).paths.len(), trials);
     let stats = service.shutdown();
-    assert_eq!(stats.total_steps(), trials as u64);
+    assert_eq!(stats.total_steps(), trials as u64 + own_steps);
     assert!(
         stats.total_stolen_walkers() > 0,
         "idle peers must steal from the flooded shard: {}",
@@ -210,12 +210,16 @@ fn hot_shard_batches_are_stolen_by_idle_peers() {
     );
     assert!(stats.total_stolen_batches() > 0);
     // Stolen visits are executed by non-owners: every step a peer shard
-    // reports here came out of shard 0's inbox.
+    // reports here is its own walk's or came out of shard 0's inbox.
     let peer_steps: u64 = stats.per_shard[1..].iter().map(|s| s.steps).sum();
     let peer_stolen: u64 = stats.per_shard[1..].iter().map(|s| s.stolen_walkers).sum();
-    assert_eq!(peer_steps, peer_stolen, "peer steps all come from steals");
     assert_eq!(
-        stats.per_shard[0].steps + peer_steps,
+        peer_steps,
+        own_steps + peer_stolen,
+        "peer steps are their own walks' plus stolen visits"
+    );
+    assert_eq!(
+        stats.per_shard[0].steps + peer_stolen,
         trials as u64,
         "owner + thieves cover every visit"
     );

@@ -8,7 +8,8 @@
 //!   update batches stream in, each visit of a walker to a shard samples
 //!   one epoch of that shard, a walker's epochs on one shard never
 //!   decrease, a wave submitted after `sync` sees every update, and a
-//!   flushed batch is applied ahead of the walkers queued behind it;
+//!   flushed batch is applied ahead of the walkers queued behind it,
+//!   whether the owner runs them or a peer would steal them;
 //! * context accounting — the bytes, cache and handle counters a
 //!   serialized node2vec wave bills, derived from its paths.
 
@@ -22,6 +23,7 @@ use bingo_graph::UpdateStreamBuilder;
 use rand::RngCore;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 /// A graph whose vertex 0 has neighbors owned by all four shards, with
 /// biases spanning several radix groups.
@@ -121,9 +123,10 @@ fn sharded_sampling_matches_single_engine_distribution() {
     // All walkers were dequeued on vertex 0's owner shard, and one-step
     // walkers finish where their last step was taken instead of being
     // forwarded for a no-op step (the scheduler's length-limit check).
-    // Steps are attributed to the *executing* shard: idle peers may steal
-    // batches out of the hot shard's inbox, so shard 0's own step count
-    // plus the stolen visits (one step each here) covers every trial.
+    // Steps are attributed to the *executing* shard. A peer steals only on
+    // its way to idle, and here no peer has a walk or a batch of its own to
+    // start an activation, so stolen visits (one step each) should read 0;
+    // either way shard 0's own steps plus them cover every trial.
     let stats = service.shutdown();
     assert_eq!(stats.total_steps(), trials as u64);
     assert_eq!(stats.total_forwards(), 0);
@@ -469,6 +472,118 @@ fn an_update_overtakes_queued_walkers() {
     }
     assert!(from_zero > 0, "some queued walker passed vertex 0");
     service.shutdown();
+}
+
+/// A flushed batch goes ahead of the walkers queued on its shard even
+/// when an idle peer would steal them: shard 0 is parked mid-visit by the
+/// gate walker, 64 walkers queue behind it, then a batch that replaces
+/// vertex 0's only edge 0→1 with 0→8. Each peer runs one walk of its own
+/// and, on its way to idle, finds shard 0 deep but with a batch pending:
+/// it must leave those walkers to shard 0, which applies the batch first.
+#[test]
+fn a_pending_batch_overtakes_walkers_a_peer_would_steal() {
+    for transport in [TransportMode::InProcess, TransportMode::Serialized] {
+        pending_batch_overtakes_would_be_thieves(transport);
+    }
+}
+
+fn pending_batch_overtakes_would_be_thieves(transport: TransportMode) {
+    let n = 16u32;
+    let mut graph = DynamicGraph::new(n as usize);
+    for v in 0..n {
+        graph
+            .insert_edge(v, (v + 1) % n, Bias::from_int(1))
+            .unwrap();
+    }
+    let service = WalkService::build(
+        &graph,
+        ServiceConfig {
+            num_shards: 4,
+            transport,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let entered = Arc::new(Barrier::new(2));
+    let gate = Arc::new(Barrier::new(2));
+    let model: SharedWalkModel = Arc::new(GateModel {
+        entered: Arc::clone(&entered),
+        gate: Arc::clone(&gate),
+    });
+    let gated = service.submit(model, &[0]).unwrap();
+    entered.wait();
+    let queued = service
+        .submit(
+            WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 6 }),
+            &[0; 64],
+        )
+        .unwrap();
+    let receipt = service.ingest(&UpdateBatch::new(vec![
+        UpdateEvent::Delete { src: 0, dst: 1 },
+        UpdateEvent::Insert {
+            src: 0,
+            dst: 8,
+            bias: Bias::from_int(1),
+        },
+    ]));
+    // One walk on each of shards 1–3 (uniform ranges of 4 vertices), so
+    // each peer's task runs and reaches its idle transition.
+    let own = service
+        .submit(
+            WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 1 }),
+            &[5, 9, 13],
+        )
+        .unwrap();
+    assert_eq!(service.wait(own).total_steps(), 3);
+    // Give a thief time to act, as it would past a batch it ignores.
+    let deadline = Instant::now() + Duration::from_millis(300);
+    while service.stats().total_stolen_walkers() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    gate.wait();
+    service.wait(gated);
+    let results = service.wait(queued);
+    service.sync(receipt);
+    for path in &results.paths {
+        assert_eq!(path.len(), 7);
+        for w in path.windows(2).filter(|w| w[0] == 0) {
+            assert_eq!(
+                w[1], 8,
+                "{transport:?}: a queued walker stepped 0→1 before the batch"
+            );
+        }
+    }
+    service.shutdown();
+}
+
+/// `shutdown` drops the walkers still queued, and they leave the depth
+/// gauge with them: the final stats show no phantom backlog, which the
+/// obs watchdog would read as a stalled shard.
+#[test]
+fn shutdown_leaves_no_walker_on_the_depth_gauge() {
+    let n = 64u32;
+    let mut graph = DynamicGraph::new(n as usize);
+    for v in 0..n {
+        graph
+            .insert_edge(v, (v + 1) % n, Bias::from_int(1))
+            .unwrap();
+    }
+    let service = WalkService::build(
+        &graph,
+        ServiceConfig {
+            num_shards: 1,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    service
+        .submit(
+            WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 80 }),
+            &[0; 5_000],
+        )
+        .unwrap();
+    let stats = service.shutdown();
+    assert_eq!(stats.total_queue_depth(), 0, "{}", stats.to_json());
 }
 
 /// A 4-shard graph engineered so node2vec's second transition out of vertex
