@@ -15,8 +15,8 @@
 //!   [`bingo_core::BingoEngine::build_ranges`]. Shards are **resumable
 //!   tasks on the process-wide worker pool** (the `rayon` shim's
 //!   persistent parked workers), not dedicated threads, and a shard task
-//!   on its way to idle steals forwarded-walker batches from a hot
-//!   shard's inbox — stealing happens at the queue, never at the engine,
+//!   on its way to idle (woken for it when a peer's backlog grows) steals
+//!   forwarded-walker batches from a hot shard's inbox — stealing happens at the queue, never at the engine,
 //!   which stays shard-owned behind a read/write lock (see the [`shard`]
 //!   module docs).
 //! * An **update router** splits each ingested

@@ -218,7 +218,8 @@ impl WalkTicket {
 /// the shared worker pool** (see [`crate::shard`]) — walker visits sample
 /// under the read guard, update batches apply under the write guard, so a
 /// walk step can never observe a partially applied ("torn") update. A
-/// shard task on its way to idle steals walkers from a hot shard's inbox,
+/// shard task on its way to idle (woken for it when a peer's backlog
+/// grows) steals walkers from a hot shard's inbox,
 /// once that shard has applied every batch flushed to it, and runs them
 /// against the owning shard's engine, so stealing moves CPU work without
 /// moving ownership.

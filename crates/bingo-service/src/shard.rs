@@ -19,9 +19,11 @@
 //! A shard task that runs out of work of its own, on its way to idle,
 //! may drain a batch of walkers from a hot peer's walker queue and run
 //! them **against the owning shard's engine**, through the same read path
-//! the owner uses. Engines stay shard-owned behind a `RwLock`: walker
-//! visits hold a read guard and update batches hold the write guard, so
-//! no step observes a torn update. A thief takes walkers only from a
+//! the owner uses. A push that leaves a deep backlog schedules the idle
+//! peers for this (the help trigger), and so does an activation that
+//! applied batches and left one. Engines stay shard-owned behind a
+//! `RwLock`: walker visits hold a read guard and update batches hold the
+//! write guard, so no step observes a torn update. A thief takes walkers only from a
 //! victim that has applied every batch flushed to it, checked under the
 //! victim's inbox lock: a pending batch goes ahead of every walker queued
 //! behind it, stolen or not. Stealing never changes walk output without
@@ -48,7 +50,8 @@ const TASK_BATCH: usize = 32;
 /// Maximum walkers a thief drains from a victim's walker queue in one
 /// steal.
 const STEAL_BATCH: usize = 8;
-/// Minimum inbox depth that makes a shard worth stealing from.
+/// Minimum inbox depth that makes a shard worth stealing from (and that
+/// triggers help wakeups of idle peers).
 const STEAL_THRESHOLD: usize = 4;
 
 /// [`ShardState::sched`]: no activation is scheduled; the next push must
@@ -190,8 +193,10 @@ enum VisitOutcome {
 
 impl ServiceShared {
     /// Queue `walker` on `shard` and guarantee an activation will run it.
+    /// When the push leaves a deep backlog, idle peers are woken too so
+    /// they can steal from it.
     pub(crate) fn push_walker(self: &Arc<Self>, shard: usize, walker: Box<Walker>) {
-        {
+        let depth = {
             let mut inbox = self.shards[shard].inbox.lock();
             if inbox.shutdown {
                 // Shutdown raced this send: drop the walker, like a send on
@@ -199,9 +204,13 @@ impl ServiceShared {
                 return;
             }
             inbox.walkers.push_back(walker);
-        }
+            inbox.walkers.len()
+        };
         self.counters[shard].on_enqueue();
         self.schedule(shard);
+        if depth >= STEAL_THRESHOLD {
+            self.wake_helpers(shard);
+        }
     }
 
     /// Queue one flush: slice `s` of `splits` on shard `s`. Each shard's
@@ -258,6 +267,17 @@ impl ServiceShared {
         }
     }
 
+    /// Help trigger: schedule every idle peer of a hot shard. A woken peer
+    /// with an empty inbox of its own goes straight to the steal path; the
+    /// CAS in `schedule` makes this free for peers already running.
+    fn wake_helpers(self: &Arc<Self>, hot: usize) {
+        for peer in 0..self.shards.len() {
+            if peer != hot {
+                self.schedule(peer);
+            }
+        }
+    }
+
     /// One shard-task activation: take every pending update and a bounded
     /// batch of walkers (under one inbox lock), apply the updates, run the
     /// walkers (outside the lock), then either re-enqueue, steal, or go
@@ -296,6 +316,13 @@ impl ServiceShared {
             // lock held.
             self.note_progress(false);
             self.shed_bodies(shard_id);
+            // Peers woken while the batches were pending went idle without
+            // stealing: wake them again if the backlog is still deep.
+            // The walkers this activation took still count on the gauge.
+            let backlog = self.counters[shard_id].queue_depth() - walkers.len() as i64;
+            if !shutdown && backlog >= STEAL_THRESHOLD as i64 {
+                self.wake_helpers(shard_id);
+            }
         }
         if shutdown {
             // Every walker still queued is dropped, like a closed

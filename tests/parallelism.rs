@@ -170,11 +170,64 @@ fn service_results_are_thread_and_shard_count_independent() {
 
 #[test]
 fn hot_shard_batches_are_stolen_by_idle_peers() {
-    // Every flood walk starts on shard 0 and is one step long, so shard
-    // 0's inbox floods far past the steal threshold. Each of shards 1–3
-    // runs one walk of its own; on its way to idle its task must drain
-    // batches from shard 0's inbox, and the stolen visits are attributed
-    // to the thieves.
+    // Every walk starts on shard 0 and is one step long, so shard 0's
+    // inbox floods far past the steal threshold while shards 1–3 sit
+    // idle: the help-trigger must let them drain batches from shard 0's
+    // inbox, and the stolen visits are attributed to the thieves.
+    let n = 64usize;
+    let mut graph = DynamicGraph::new(n);
+    for v in 0..n as VertexId {
+        graph
+            .insert_edge(v, (v + 1) % n as VertexId, Bias::from_int(1))
+            .unwrap();
+    }
+    let trials = 40_000;
+    let service = WalkService::build(
+        &graph,
+        ServiceConfig {
+            num_shards: 4,
+            seed: 0x57EA,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let starts = vec![0 as VertexId; trials];
+    let results = service.wait(
+        service
+            .submit(
+                WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 1 }),
+                &starts,
+            )
+            .unwrap(),
+    );
+    assert_eq!(results.paths.len(), trials);
+    let stats = service.shutdown();
+    assert_eq!(stats.total_steps(), trials as u64);
+    assert!(
+        stats.total_stolen_walkers() > 0,
+        "idle peers must steal from the flooded shard: {}",
+        stats.to_json()
+    );
+    assert!(stats.total_stolen_batches() > 0);
+    // Stolen visits are executed by non-owners: every step a peer shard
+    // reports here came out of shard 0's inbox.
+    let peer_steps: u64 = stats.per_shard[1..].iter().map(|s| s.steps).sum();
+    let peer_stolen: u64 = stats.per_shard[1..].iter().map(|s| s.stolen_walkers).sum();
+    assert_eq!(peer_steps, peer_stolen, "peer steps all come from steals");
+    assert_eq!(
+        stats.per_shard[0].steps + peer_steps,
+        trials as u64,
+        "owner + thieves cover every visit"
+    );
+}
+
+#[test]
+fn peers_with_walks_of_their_own_steal_from_a_hot_shard() {
+    // The same flood on shard 0, but each of shards 1–3 also runs one walk
+    // of its own, so its task reaches the idle transition whether or not
+    // the help trigger woke it: on its way to idle it must drain batches
+    // from shard 0's inbox, and the stolen visits are attributed to the
+    // thieves.
     let n = 64usize;
     let mut graph = DynamicGraph::new(n);
     for v in 0..n as VertexId {

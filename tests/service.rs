@@ -123,10 +123,9 @@ fn sharded_sampling_matches_single_engine_distribution() {
     // All walkers were dequeued on vertex 0's owner shard, and one-step
     // walkers finish where their last step was taken instead of being
     // forwarded for a no-op step (the scheduler's length-limit check).
-    // Steps are attributed to the *executing* shard. A peer steals only on
-    // its way to idle, and here no peer has a walk or a batch of its own to
-    // start an activation, so stolen visits (one step each) should read 0;
-    // either way shard 0's own steps plus them cover every trial.
+    // Steps are attributed to the *executing* shard: idle peers may steal
+    // batches out of the hot shard's inbox, so shard 0's own step count
+    // plus the stolen visits (one step each here) covers every trial.
     let stats = service.shutdown();
     assert_eq!(stats.total_steps(), trials as u64);
     assert_eq!(stats.total_forwards(), 0);
@@ -476,10 +475,11 @@ fn an_update_overtakes_queued_walkers() {
 
 /// A flushed batch goes ahead of the walkers queued on its shard even
 /// when an idle peer would steal them: shard 0 is parked mid-visit by the
-/// gate walker, 64 walkers queue behind it, then a batch that replaces
-/// vertex 0's only edge 0→1 with 0→8. Each peer runs one walk of its own
-/// and, on its way to idle, finds shard 0 deep but with a batch pending:
-/// it must leave those walkers to shard 0, which applies the batch first.
+/// gate walker, a batch that replaces vertex 0's only edge 0→1 with 0→8
+/// queues behind it, then 64 walkers. Each peer is woken by the backlog
+/// and runs one walk of its own; on its way to idle it finds shard 0 deep
+/// but with a batch pending, and must leave those walkers to shard 0,
+/// which applies the batch first.
 #[test]
 fn a_pending_batch_overtakes_walkers_a_peer_would_steal() {
     for transport in [TransportMode::InProcess, TransportMode::Serialized] {
@@ -512,20 +512,15 @@ fn pending_batch_overtakes_would_be_thieves(transport: TransportMode) {
     });
     let gated = service.submit(model, &[0]).unwrap();
     entered.wait();
+    let receipt = service.ingest(&replace_0_to_1_with_0_to_8());
+    // The batch is pending behind the parked activation; these walkers
+    // queue behind it, and their backlog wakes the idle peers.
     let queued = service
         .submit(
             WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 6 }),
             &[0; 64],
         )
         .unwrap();
-    let receipt = service.ingest(&UpdateBatch::new(vec![
-        UpdateEvent::Delete { src: 0, dst: 1 },
-        UpdateEvent::Insert {
-            src: 0,
-            dst: 8,
-            bias: Bias::from_int(1),
-        },
-    ]));
     // One walk on each of shards 1–3 (uniform ranges of 4 vertices), so
     // each peer's task runs and reaches its idle transition.
     let own = service
@@ -540,6 +535,9 @@ fn pending_batch_overtakes_would_be_thieves(transport: TransportMode) {
     while service.stats().total_stolen_walkers() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
+    // The gate opens before anything is asserted: a failure must not leave
+    // shard 0 parked under a service that waits for it on drop.
+    let stolen_while_pending = service.stats().total_stolen_walkers();
     gate.wait();
     service.wait(gated);
     let results = service.wait(queued);
@@ -553,7 +551,79 @@ fn pending_batch_overtakes_would_be_thieves(transport: TransportMode) {
             );
         }
     }
+    assert_eq!(
+        stolen_while_pending, 0,
+        "{transport:?}: a walker was stolen past a pending batch"
+    );
     service.shutdown();
+}
+
+/// The batch the pending-batch tests ingest: vertex 0's only edge 0→1
+/// becomes 0→8, so a path shows which side of it a step sampled.
+fn replace_0_to_1_with_0_to_8() -> UpdateBatch {
+    UpdateBatch::new(vec![
+        UpdateEvent::Delete { src: 0, dst: 1 },
+        UpdateEvent::Insert {
+            src: 0,
+            dst: 8,
+            bias: Bias::from_int(1),
+        },
+    ])
+}
+
+/// Peers the pending-batch rule sent away come back once the batch is in:
+/// the activation that applies it wakes them while the backlog is still
+/// deep. Shard 0 is parked by the gate walker, a batch queues behind it,
+/// then one-step walkers from vertex 0 (they finish on shard 0, so nothing
+/// is ever pushed to a peer). Every peer the backlog wakes finds the batch
+/// pending and parks; after the gate opens, only the wake-up that follows
+/// the batch can bring a thief back.
+#[test]
+fn thieves_sent_away_by_a_pending_batch_return_once_it_is_applied() {
+    let n = 16u32;
+    let mut graph = DynamicGraph::new(n as usize);
+    for v in 0..n {
+        graph
+            .insert_edge(v, (v + 1) % n, Bias::from_int(1))
+            .unwrap();
+    }
+    let service = WalkService::build(
+        &graph,
+        ServiceConfig {
+            num_shards: 4,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let entered = Arc::new(Barrier::new(2));
+    let gate = Arc::new(Barrier::new(2));
+    let model: SharedWalkModel = Arc::new(GateModel {
+        entered: Arc::clone(&entered),
+        gate: Arc::clone(&gate),
+    });
+    let gated = service.submit(model, &[0]).unwrap();
+    entered.wait();
+    let receipt = service.ingest(&replace_0_to_1_with_0_to_8());
+    let starts = vec![0 as VertexId; 40_000];
+    let flood = service
+        .submit(
+            WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 1 }),
+            &starts,
+        )
+        .unwrap();
+    let stolen_while_pending = service.stats().total_stolen_walkers();
+    gate.wait();
+    service.wait(gated);
+    let results = service.wait(flood);
+    service.sync(receipt);
+    assert_eq!(stolen_while_pending, 0);
+    assert!(results.paths.iter().all(|p| p == &[0, 8]));
+    let stats = service.shutdown();
+    assert!(
+        stats.total_stolen_walkers() > 0,
+        "no peer came back to the backlog once the batch was in: {}",
+        stats.to_json()
+    );
 }
 
 /// `shutdown` drops the walkers still queued, and they leave the depth
