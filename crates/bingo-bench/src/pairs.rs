@@ -17,7 +17,10 @@
 //! The benchmark prints its result as the last line of stdout (one JSON
 //! object: `correct`, `attempted`, `failed`, `metrics`) and the throughput
 //! of its untraced pass in a line of prose on stderr; a timed run's result
-//! has only `setup_s` and `peak_rss_mb`, so the prose is read too.
+//! has only `setup_s` and `peak_rss_mb`, so the prose is read too. A run
+//! that printed the stack-tax ladder (a traced `engine_batch` run) also
+//! gets the ratios of [`LADDER_RATIOS`], each from that run's own rungs,
+//! summarized like any metric, lower being better.
 
 use crate::common::results_dir;
 use std::path::PathBuf;
@@ -26,6 +29,17 @@ use std::process::Command;
 /// The seed `BENCHMARK.json`'s command runs under when none is given; a
 /// file for any other seed says so in its name.
 const DEFAULT_SEED: u64 = 7;
+
+/// The ladder ratios a run's `ladder.*` rows yield, `(upper, lower)`: the
+/// ratio `ladder.<upper>/<lower>` is how much the layers between the two
+/// rungs multiply a step's cost.
+pub const LADDER_RATIOS: [(&str, &str); 5] = [
+    ("service_shards1", "walk_engine"),
+    ("service_shards4", "service_shards1"),
+    ("service_serialized", "walk_engine"),
+    ("gateway", "service_shards4"),
+    ("telemetry_on", "service_shards4"),
+];
 
 /// A parsed JSON value. Objects keep their keys in file order.
 #[derive(Debug, Clone, PartialEq)]
@@ -361,6 +375,18 @@ impl Reading {
         found.map(|&(_, value)| value)
     }
 
+    /// Append the [`LADDER_RATIOS`] of this run's rungs; a run without
+    /// them (or with a rung at 0) gets none.
+    fn add_ladder_ratios(&mut self) {
+        for (upper, lower) in LADDER_RATIOS {
+            let rung = |name: &str| self.metric(&format!("ladder.{name}"));
+            if let (Some(up), Some(low)) = (rung(upper), rung(lower).filter(|&v| v > 0.0)) {
+                let name = format!("ladder.{upper}/{lower}");
+                self.metrics.push((name, up / low));
+            }
+        }
+    }
+
     fn to_json(&self) -> Json {
         let mut fields = vec![
             ("correct".to_string(), Json::Bool(self.correct)),
@@ -409,12 +435,14 @@ fn read_output(stdout: &str, stderr: &str) -> Result<Reading, String> {
             }
         }
     }
-    Ok(Reading {
+    let mut reading = Reading {
         correct: field("correct")? == &Json::Bool(true),
         failed: field("failed")?.num().unwrap_or(f64::NAN),
         attempted: field("attempted")?.num().unwrap_or(f64::NAN),
         metrics,
-    })
+    };
+    reading.add_ladder_ratios();
+    Ok(reading)
 }
 
 /// The `q`-quantile of `sorted`, interpolating between neighbours.
@@ -692,6 +720,50 @@ mod tests {
         let higher = summarize("m", "higher", &parent, &change);
         assert_eq!(higher.change_wins, 1, "a tie counts for neither side");
         assert_eq!(quantile(&[3.0], 0.75), 3.0);
+    }
+
+    #[test]
+    fn ladder_ratios_come_from_each_runs_own_rungs() {
+        let line = |walk_engine: f64, gateway: f64| {
+            let rungs = [
+                ("walk_engine", walk_engine),
+                ("service_shards1", 2.0 * walk_engine),
+                ("service_shards4", 3.0 * walk_engine),
+                ("service_serialized", 8.0 * walk_engine),
+                ("gateway", gateway),
+                ("telemetry_on", 3.6 * walk_engine),
+            ];
+            let metrics: Vec<String> = rungs
+                .iter()
+                .map(|(rung, ns)| {
+                    format!("\"ladder.{rung}\":{{\"value\":{ns},\"unit\":\"ns/step\"}}")
+                })
+                .collect();
+            format!(
+                "{{\"correct\":true,\"attempted\":1,\"failed\":0,\"metrics\":{{{}}}}}",
+                metrics.join(",")
+            )
+        };
+        let reading = read_output(&line(10.0, 36.0), "").unwrap();
+        let ratio = |r: &Reading, name: &str| r.metric(&format!("ladder.{name}")).unwrap();
+        assert_eq!(ratio(&reading, "service_shards1/walk_engine"), 2.0);
+        assert_eq!(ratio(&reading, "service_shards4/service_shards1"), 1.5);
+        assert_eq!(ratio(&reading, "service_serialized/walk_engine"), 8.0);
+        assert_eq!(ratio(&reading, "gateway/service_shards4"), 1.2);
+        assert!((ratio(&reading, "telemetry_on/service_shards4") - 1.2).abs() < 1e-12);
+        assert_eq!(reading.metrics.len(), 6 + LADDER_RATIOS.len());
+        // Each run's ratio is its own: a faster engine rung in one run
+        // does not borrow the other run's service rungs.
+        let other = read_output(&line(20.0, 66.0), "").unwrap();
+        let gateway = [&reading, &other].map(|r| ratio(r, "gateway/service_shards4"));
+        assert_eq!(gateway, [1.2, 1.1]);
+        let summary = summarize("ladder.gateway/service_shards4", "lower", &[1.2], &[1.1]);
+        assert_eq!(summary.change_wins, 1);
+        // Rungs at 0 (another workload's traced run) or none at all: no
+        // ratios.
+        assert_eq!(read_output(&line(0.0, 0.0), "").unwrap().metrics.len(), 6);
+        let timed = "{\"correct\":true,\"attempted\":1,\"failed\":0,\"metrics\":{}}";
+        assert!(read_output(timed, "").unwrap().metrics.is_empty());
     }
 
     #[test]

@@ -5,12 +5,11 @@ use crate::sched::{shard_aligned_chunks, Chunk, DrrScheduler};
 use crate::stats::{percentile_sorted, GatewayStats, TenantAccum, TenantStatsSnapshot};
 use crate::window::{AimdConfig, AimdWindow, WindowEvent};
 use bingo_graph::VertexId;
-use bingo_service::{ServiceError, WalkRequest, WalkService, WalkTicket};
+use bingo_service::{ServiceError, TicketResults, WalkRequest, WalkService, WalkTicket};
 use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
 use bingo_walks::TenantId;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -92,9 +91,10 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Dispatcher poll cadence while work is in flight: completions are
-/// absorbed and the AIMD controller ticks at this period. A constant, not a
-/// knob: no workload here sets another.
+/// Retry backoff for the one wait no notification ends: work is queued and
+/// nothing of the gateway's is in flight, because another submitter's
+/// walkers bounced the head chunk or the window is below it. A constant,
+/// not a knob: no workload here sets another.
 const TICK: Duration = Duration::from_micros(500);
 
 /// Handle for retrieving one gateway submission's results.
@@ -146,21 +146,25 @@ struct State {
     window_now: usize,
     window_min_seen: usize,
     window_max_seen: usize,
+    /// Walkers dispatched to the service and not yet absorbed.
+    in_flight_walkers: usize,
+    /// Tickets the completion notifier reported, not yet absorbed.
+    completed: Vec<WalkTicket>,
     shutdown: bool,
 }
 
+/// What the gateway handle, the dispatcher and the completion notifier
+/// share. The service is not in it: the notifier lives in the service's
+/// ticket table, so holding the service here would make a cycle.
 struct Inner {
-    service: Arc<WalkService>,
     config: GatewayConfig,
     /// `chunk_walkers` clamped to the service inbox bound.
     chunk_cap: usize,
     state: Mutex<State>,
-    /// Wakes the dispatcher on submissions and shutdown.
+    /// Wakes the dispatcher on completions, submissions and shutdown.
     work_cv: Condvar,
     /// Wakes submission waiters on completions.
     done_cv: Condvar,
-    /// Walkers dispatched to the service and not yet completed.
-    in_flight_walkers: AtomicUsize,
     started_at: Instant,
     /// Shared observability handle — by default the service's own, so
     /// gateway and service metrics/traces land in one registry.
@@ -178,18 +182,11 @@ fn tenant_accum<'a>(state: &'a mut State, tenant: &TenantId) -> &'a mut TenantAc
         .expect("`submit` registers a tenant before billing it")
 }
 
-/// A chunk the dispatcher has submitted and is polling for completion.
-struct InFlightChunk {
-    ticket: WalkTicket,
-    submission: u64,
-    tenant: TenantId,
-    indices: Vec<u32>,
-}
-
 /// The multi-tenant admission gateway in front of a [`WalkService`]. See
 /// the crate-level documentation for the design tour.
 pub struct Gateway {
     inner: Arc<Inner>,
+    service: Arc<WalkService>,
     dispatcher: Option<JoinHandle<()>>,
 }
 
@@ -220,7 +217,6 @@ impl Gateway {
         };
         let window = AimdWindow::new(config.window);
         let inner = Arc::new(Inner {
-            service,
             config,
             chunk_cap,
             state: Mutex::new_named(
@@ -232,13 +228,14 @@ impl Gateway {
                     window_now: window.window(),
                     window_min_seen: window.window(),
                     window_max_seen: window.window(),
+                    in_flight_walkers: 0,
+                    completed: Vec::new(),
                     shutdown: false,
                 },
                 "gateway.state",
             ),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            in_flight_walkers: AtomicUsize::new(0),
             // lint:allow(determinism): uptime epoch for stats/telemetry
             // only; never feeds walk output.
             started_at: Instant::now(),
@@ -246,21 +243,22 @@ impl Gateway {
             telemetry,
         });
         let dispatcher = {
-            let inner = inner.clone();
+            let (inner, service) = (inner.clone(), service.clone());
             std::thread::Builder::new()
                 .name("bingo-gateway-dispatch".into())
-                .spawn(move || run_dispatcher(inner, window))
+                .spawn(move || run_dispatcher(inner, service, window))
                 .expect("spawn gateway dispatcher")
         };
         Gateway {
             inner,
+            service,
             dispatcher: Some(dispatcher),
         }
     }
 
     /// The fronted walk service.
     pub fn service(&self) -> &WalkService {
-        &self.inner.service
+        &self.service
     }
 
     /// Configure `tenant`'s scheduling weight ahead of its submissions.
@@ -283,14 +281,14 @@ impl Gateway {
     /// would refuse ([`GatewayError::Rejected`]) or a tenant exceeding its
     /// own queue bound ([`GatewayError::Overloaded`]) is refused.
     pub fn submit(&self, request: WalkRequest) -> Result<GatewayTicket, GatewayError> {
-        let num_vertices = self.inner.service.num_vertices();
+        let num_vertices = self.service.num_vertices();
         let parts = request.into_parts();
         let starts = parts
             .starts
             .unwrap_or_else(|| (0..num_vertices as VertexId).collect());
-        self.inner.service.check_submission(&parts.walk, &starts)?;
+        self.service.check_submission(&parts.walk, &starts)?;
         let tenant = parts.meta.tenant.clone();
-        let partitioner = self.inner.service.partitioner();
+        let partitioner = self.service.partitioner();
 
         let mut state = self.inner.state.lock();
         if !state.tenants.contains_key(&tenant) {
@@ -369,35 +367,16 @@ impl Gateway {
     /// failed terminally) and return the assembled results.
     pub fn wait(&self, ticket: GatewayTicket) -> Result<GatewayResults, GatewayError> {
         let mut state = self.inner.state.lock();
-        loop {
-            if let Some(results) = Self::take_if_complete(&mut state, ticket) {
-                return results;
+        let sub = loop {
+            match state.submissions.get(&ticket.0) {
+                Some(sub) if sub.remaining == 0 => break state.submissions.remove(&ticket.0),
+                Some(_) => state = self.inner.done_cv.wait(state),
+                None => panic!("unknown or already-collected gateway ticket"),
             }
-            state = self.inner.done_cv.wait(state);
-        }
-    }
-
-    /// Non-blocking completion check; `None` while walks are outstanding.
-    pub fn try_wait(&self, ticket: GatewayTicket) -> Option<Result<GatewayResults, GatewayError>> {
-        Self::take_if_complete(&mut self.inner.state.lock(), ticket)
-    }
-
-    fn take_if_complete(
-        state: &mut State,
-        ticket: GatewayTicket,
-    ) -> Option<Result<GatewayResults, GatewayError>> {
-        let sub = state
-            .submissions
-            .get(&ticket.0)
-            .expect("unknown or already-collected gateway ticket");
-        if sub.remaining != 0 {
-            return None;
-        }
-        let sub = state
-            .submissions
-            .remove(&ticket.0)
-            .expect("checked present");
-        Some(match sub.error {
+        };
+        drop(state);
+        let sub = sub.expect("checked present");
+        match sub.error {
             Some(err) => Err(err),
             None => Ok(GatewayResults {
                 ticket,
@@ -408,7 +387,7 @@ impl Gateway {
                     .map(|p| p.expect("all walks completed"))
                     .collect(),
             }),
-        })
+        }
     }
 
     /// Point-in-time gateway statistics.
@@ -450,9 +429,7 @@ impl Gateway {
                 window: state.window_now,
                 window_min_seen: state.window_min_seen,
                 window_max_seen: state.window_max_seen,
-                // Acquire: pairs with the AcqRel dispatch/absorb updates
-                // so the snapshot is no fresher than the state beside it.
-                in_flight_walkers: self.inner.in_flight_walkers.load(Ordering::Acquire),
+                in_flight_walkers: state.in_flight_walkers,
                 uptime: self.inner.started_at.elapsed(),
             };
             (rows, stats)
@@ -504,105 +481,104 @@ impl Drop for Gateway {
     }
 }
 
-/// The dispatcher loop: absorb completions, tick the AIMD controller,
-/// dispatch under DRR within the window, park until there is work.
-fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
-    let mut in_flight: Vec<InFlightChunk> = Vec::new();
-    let mut window_limited = false;
-    loop {
-        // Phase 1 — poll in-flight tickets, outside the state lock (the
-        // service has its own locking; holding ours would serialize
-        // submitters against completion polling for no reason).
-        let mut completed = Vec::new();
-        let mut i = 0;
-        while i < in_flight.len() {
-            match inner.service.try_wait(in_flight[i].ticket) {
-                Some(results) => {
-                    let chunk = in_flight.swap_remove(i);
-                    completed.push((chunk, results));
-                }
-                None => i += 1,
+/// The dispatcher loop: absorb the chunks the service reported complete,
+/// step the AIMD controller, dispatch under DRR within the window, park
+/// until a completion, a submission or shutdown wakes it. Gateway and
+/// service locks never nest: the service is called with `gateway.state`
+/// released, and the notifier runs under no service lock.
+fn run_dispatcher(inner: Arc<Inner>, service: Arc<WalkService>, mut window: AimdWindow) {
+    let notify: Arc<dyn Fn(WalkTicket) + Send + Sync> = {
+        let inner = Arc::clone(&inner);
+        Arc::new(move |ticket| {
+            let mut state = inner.state.lock();
+            state.completed.push(ticket);
+            // The dispatcher parks only with the list empty, so the first
+            // push is the one that must wake it.
+            if state.completed.len() == 1 {
+                drop(state);
+                inner.work_cv.notify_all();
             }
-        }
-
-        // Phase 2 — AIMD control tick on the service's occupancy hook.
-        let snapshot = inner.service.admission_snapshot();
+        })
+    };
+    // Each dispatched chunk, keyed by its service ticket.
+    let mut in_flight: HashMap<WalkTicket, Chunk> = HashMap::new();
+    let (mut completed, mut absorbed) = (Vec::new(), Vec::new());
+    let mut window_limited = false;
+    let mut state = inner.state.lock();
+    loop {
+        // Take exactly the notified chunks' results, with the lock
+        // released, then step the controller on the service's occupancy
+        // hook.
+        std::mem::swap(&mut completed, &mut state.completed);
+        drop(state);
+        absorbed.extend(completed.drain(..).map(|ticket| {
+            let chunk = in_flight.remove(&ticket).expect("a dispatched chunk");
+            let results = service.try_wait(ticket);
+            (chunk, results.expect("a notified ticket is complete"))
+        }));
+        let snapshot = service.admission_snapshot();
         let event = window.on_tick(
             snapshot.peak_occupancy(),
             snapshot.saturated_rejections,
             window_limited,
         );
-
-        let mut state = inner.state.lock();
+        state = inner.state.lock();
         record_window(&inner, &mut state, &window, event);
-        for (chunk, results) in completed {
-            absorb_chunk(&inner, &mut state, chunk, results);
+        for (chunk, results) in absorbed.drain(..) {
+            state.in_flight_walkers -= chunk.cost();
+            settle(&inner, &mut state, chunk, Ok(results));
         }
 
-        // Phase 3 — dispatch within the window, fairness order decided by
-        // the DRR scheduler.
+        // Dispatch within the window, fairness order decided by the DRR
+        // scheduler: pop a chunk under the lock, submit it without, and
+        // account the outcome under the lock again.
         window_limited = false;
         loop {
-            // Acquire: the AIMD budget decision must observe every
-            // completed absorb's fetch_sub (AcqRel) — a stale occupancy
-            // here would over-admit past the window.
-            let occupied = inner.in_flight_walkers.load(Ordering::Acquire);
-            let budget = window.window().saturating_sub(occupied);
-            if budget == 0 {
-                window_limited = !state.sched.is_empty();
-                break;
-            }
-            let Some(chunk) = state.sched.next(budget) else {
+            let budget = window.window().saturating_sub(state.in_flight_walkers);
+            let next = (budget > 0).then(|| state.sched.next(budget)).flatten();
+            let Some(chunk) = next else {
                 // Queue non-empty but nothing fit the remaining budget:
                 // the window, not the queues, is the limiter.
                 window_limited = !state.sched.is_empty();
                 break;
             };
+            let tenant_index = tenant_accum(&mut state, &chunk.tenant).index;
+            drop(state);
             let dispatch_started = inner.telemetry.timer();
-            let submit_result = match chunk.seed {
-                Some(seed) => inner
-                    .service
-                    .submit_seeded(chunk.walk.clone(), &chunk.starts, seed),
-                None => inner.service.submit(chunk.walk.clone(), &chunk.starts),
-            };
-            match submit_result {
-                Ok(ticket) => {
-                    if let Some(started) = dispatch_started {
-                        inner.dispatch_ns.record_duration(started.elapsed());
+            let submitted = service.submit_notify(
+                chunk.walk.clone(),
+                &chunk.starts,
+                chunk.seed,
+                Arc::clone(&notify),
+            );
+            let wait = chunk.enqueued_at.elapsed();
+            if let Ok(ticket) = &submitted {
+                if let Some(started) = dispatch_started {
+                    inner.dispatch_ns.record_duration(started.elapsed());
+                }
+                // Stitch dispatch spans into the sampled lifecycles, keyed
+                // as the service keyed their Submit spans.
+                if inner.telemetry.tracer().is_some() {
+                    let stage = TraceStage::GatewayDispatch {
+                        tenant: tenant_index,
+                        wait_ns: u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
+                        gateway_ticket: chunk.submission,
+                    };
+                    for idx in 0..chunk.starts.len() as u32 {
+                        if inner.telemetry.is_sampled(ticket.id(), idx.into()) {
+                            inner.telemetry.trace(ticket.id(), idx, stage);
+                        }
                     }
-                    // AcqRel: synchronization-bearing occupancy counter —
-                    // the dispatcher's window budget reads it with Acquire.
-                    inner
-                        .in_flight_walkers
-                        .fetch_add(chunk.cost(), Ordering::AcqRel);
-                    let wait = chunk.enqueued_at.elapsed();
+                }
+            }
+            state = inner.state.lock();
+            match submitted {
+                Ok(ticket) => {
+                    state.in_flight_walkers += chunk.cost();
                     let accum = tenant_accum(&mut state, &chunk.tenant);
                     accum.dispatched_chunks.inc();
                     accum.record_wait(wait);
-                    // Stitch DRR-dispatch spans into the sampled walker
-                    // lifecycles. The sampling key is the *service* ticket
-                    // plus the walker's index within this chunk — the same
-                    // key the service hashed when it recorded the Submit
-                    // span a moment ago, so the gateway agrees on the
-                    // sampled set without any coordination.
-                    if inner.telemetry.tracer().is_some() {
-                        let stage = TraceStage::GatewayDispatch {
-                            tenant: accum.index,
-                            wait_ns: u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
-                            gateway_ticket: chunk.submission,
-                        };
-                        for idx in 0..chunk.starts.len() as u32 {
-                            if inner.telemetry.is_sampled(ticket.id(), idx.into()) {
-                                inner.telemetry.trace(ticket.id(), idx, stage);
-                            }
-                        }
-                    }
-                    in_flight.push(InFlightChunk {
-                        ticket,
-                        submission: chunk.submission,
-                        tenant: chunk.tenant,
-                        indices: chunk.indices,
-                    });
+                    in_flight.insert(ticket, chunk);
                 }
                 Err(err) if err.is_retryable() => {
                     // The target inbox is full right now (the service
@@ -617,62 +593,53 @@ fn run_dispatcher(inner: Arc<Inner>, mut window: AimdWindow) {
                     record_window(&inner, &mut state, &window, ev);
                     break;
                 }
-                Err(err) => {
-                    fail_chunk(&inner, &mut state, chunk, err);
-                }
+                Err(err) => settle(&inner, &mut state, chunk, Err(err)),
             }
         }
 
-        // Phase 4 — exit or park.
+        // Exit, go round again, or park.
         if state.shutdown && state.sched.is_empty() && in_flight.is_empty() {
             break;
         }
-        if in_flight.is_empty() && state.sched.is_empty() {
-            // Fully idle: sleep until a submission (or shutdown) arrives —
-            // zero CPU while the gateway has nothing to do.
-            let _unused = inner.work_cv.wait(state);
+        if !state.completed.is_empty() {
+            continue;
+        }
+        if in_flight.is_empty() && !state.sched.is_empty() {
+            // Queued work and nothing of ours in flight: no completion
+            // will come to wake us, so retry after a tick.
+            state = inner.work_cv.wait_timeout(state, TICK).0;
         } else {
-            // Work outstanding: wake after a tick to poll completions and
-            // re-run the controller (or earlier, on a new submission).
-            let _unused = inner.work_cv.wait_timeout(state, TICK);
+            // A completion, a submission or shutdown wakes us.
+            state = inner.work_cv.wait(state);
         }
     }
 }
 
-/// Fold one completed chunk into its submission and tenant counters.
-fn absorb_chunk(
+/// Settle a chunk on its tenant and submission: a completed chunk's paths,
+/// or the error of one the service refused for good, for the waiter.
+fn settle(
     inner: &Inner,
     state: &mut State,
-    chunk: InFlightChunk,
-    results: bingo_service::TicketResults,
+    chunk: Chunk,
+    outcome: Result<TicketResults, ServiceError>,
 ) {
-    // AcqRel: releases this chunk's completion to the dispatcher's
-    // Acquire window-budget read.
-    inner
-        .in_flight_walkers
-        .fetch_sub(chunk.indices.len(), Ordering::AcqRel);
-    let steps = results.total_steps();
     let accum = tenant_accum(state, &chunk.tenant);
-    accum.completed_walks.add(results.paths.len() as u64);
-    accum.completed_steps.add(steps as u64);
-    if let Some(sub) = state.submissions.get_mut(&chunk.submission) {
-        for (&index, path) in chunk.indices.iter().zip(results.paths) {
-            sub.paths[index as usize] = Some(path);
+    match &outcome {
+        Ok(results) => {
+            accum.completed_walks.add(results.paths.len() as u64);
+            accum.completed_steps.add(results.total_steps() as u64);
         }
-        sub.remaining = sub.remaining.saturating_sub(chunk.indices.len());
-        if sub.remaining == 0 {
-            inner.done_cv.notify_all();
-        }
+        Err(_) => accum.failed_walks.add(chunk.cost() as u64),
     }
-}
-
-/// Terminal rejection of a chunk: record the failure on its submission so
-/// the waiter receives a typed error instead of hanging.
-fn fail_chunk(inner: &Inner, state: &mut State, chunk: Chunk, err: ServiceError) {
-    let accum = tenant_accum(state, &chunk.tenant);
-    accum.failed_walks.add(chunk.cost() as u64);
     if let Some(sub) = state.submissions.get_mut(&chunk.submission) {
-        sub.error.get_or_insert(GatewayError::Rejected(err));
+        match outcome {
+            Ok(results) => {
+                for (&index, path) in chunk.indices.iter().zip(results.paths) {
+                    sub.paths[index as usize] = Some(path);
+                }
+            }
+            Err(err) => _ = sub.error.get_or_insert(GatewayError::Rejected(err)),
+        }
         sub.remaining = sub.remaining.saturating_sub(chunk.cost());
         if sub.remaining == 0 {
             inner.done_cv.notify_all();

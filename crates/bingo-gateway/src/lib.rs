@@ -22,11 +22,13 @@
 //!   tenant completes ~75% of the steps against a weight-1 tenant under
 //!   saturating offered load (measured end to end by
 //!   `examples/gateway_fairness.rs` and the DRR property tests).
-//! * **Adaptive admission** ([`window`]): the dispatcher samples the
-//!   service's occupancy hook
+//! * **Adaptive admission** ([`window`]): the service tells the
+//!   dispatcher when a chunk completes (each chunk is submitted with a
+//!   notifier, [`WalkService::submit_notify`](bingo_service::WalkService::submit_notify)),
+//!   and on every wake-up the dispatcher absorbs exactly the notified
+//!   chunks, samples the service's occupancy hook
 //!   ([`WalkService::admission_snapshot`](bingo_service::WalkService::admission_snapshot))
-//!   every tick (500 µs while work is in flight) and sizes its in-flight
-//!   walker window AIMD-style — 8 walkers more while calm and
+//!   and sizes its in-flight walker window AIMD-style — 8 walkers more while calm and
 //!   window-limited, half on saturation rejections or an inbox more than
 //!   three quarters full. Those are constants; [`AimdConfig`] sets only the
 //!   window's start, floor and ceiling. A chunk the service refuses with a

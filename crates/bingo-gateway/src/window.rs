@@ -1,7 +1,9 @@
 //! AIMD control of the gateway's in-flight walker window.
 //!
 //! The dispatcher never pushes walkers into the service faster than its
-//! current *window* allows. Every tick it samples the service's
+//! current *window* allows. Every time it wakes — on a chunk completion, a
+//! submission, or the retry backoff while nothing of its own is in flight
+//! — it samples the service's
 //! [`admission snapshot`](bingo_service::WalkService::admission_snapshot)
 //! and adjusts the window TCP-style:
 //!
@@ -20,10 +22,10 @@
 //! service handles, so the control law is unit-testable on synthetic
 //! pressure traces.
 
-/// Walkers added per additive-increase tick.
+/// Walkers added per additive-increase step.
 const ADDITIVE_STEP: usize = 8;
 
-/// Peak shard-inbox occupancy (fraction of `max_inbox`) above which a tick
+/// Peak shard-inbox occupancy (fraction of `max_inbox`) above which a step
 /// counts as pressure even without a rejection.
 const OCCUPANCY_HIGH: f64 = 0.75;
 
@@ -49,7 +51,7 @@ impl Default for AimdConfig {
     }
 }
 
-/// What one control tick decided — every move but `Hold` is a flight
+/// What one control step decided — every move but `Hold` is a flight
 /// event (`WindowChange`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowEvent {
@@ -66,8 +68,8 @@ pub enum WindowEvent {
 pub struct AimdWindow {
     config: AimdConfig,
     window: usize,
-    /// Rejection counter at the previous tick (`None` before the first
-    /// sample — the first tick only establishes the baseline, otherwise
+    /// Rejection counter at the previous step (`None` before the first
+    /// sample — the first step only establishes the baseline, otherwise
     /// rejections from before the gateway existed would read as pressure).
     last_rejections: Option<u64>,
 }
@@ -90,8 +92,8 @@ impl AimdWindow {
         self.window
     }
 
-    /// One control tick: `peak_occupancy` is the fullest inbox as a
-    /// fraction of its bound, `rejections_total` the service's cumulative
+    /// One control step, taken on each dispatcher wake-up:
+    /// `peak_occupancy` is the fullest inbox as a fraction of its bound, `rejections_total` the service's cumulative
     /// saturation-rejection counter, and `window_limited` whether the last
     /// dispatch round stopped because the window was full.
     pub fn on_tick(
@@ -116,7 +118,7 @@ impl AimdWindow {
     }
 
     /// Immediate halving — called when a submit comes back `Saturated`
-    /// first-hand, without waiting for the next tick.
+    /// first-hand, without waiting for the next wake-up.
     pub fn on_saturated(&mut self) -> WindowEvent {
         self.decrease()
     }

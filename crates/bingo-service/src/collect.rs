@@ -1,11 +1,13 @@
 //! Collection: the ticket table behind `service.pending`.
 //!
 //! A walk is filed where it finishes: the shard task that ran its last
-//! step puts it in its ticket's slot (`Collector::file`) and signals the
-//! condvar when that was the ticket's last walk. [`WalkService::wait`]
-//! checks its ticket and parks on the same mutex, so a completion can
-//! never slip between the check and the park; [`WalkService::try_wait`]
-//! locks and checks.
+//! step puts it in its ticket's slot (`Collector::file`). A ticket's last
+//! walk signals the condvar, then calls the ticket's notifier, if any
+//! ([`WalkService::submit_notify`]), with `service.pending` released.
+//! [`WalkService::wait`] checks its ticket and parks on the same mutex, so
+//! a completion can never slip between the check and the park;
+//! [`WalkService::try_wait`] locks and checks. Results are built, and
+//! capture faults asserted, on the thread that takes them.
 
 use crate::service::{WalkService, WalkTicket};
 use bingo_graph::VertexId;
@@ -14,7 +16,11 @@ use bingo_walks::walk_store::WalkStore;
 use bingo_walks::Walk;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A ticket's completion notifier ([`WalkService::submit_notify`]).
+pub(crate) type Notify = Arc<dyn Fn(WalkTicket) + Send + Sync>;
 
 /// Results of one walk submission.
 #[derive(Debug, Clone)]
@@ -68,6 +74,8 @@ struct PendingTicket {
     submitted_at: Instant,
     /// Latest worker-side completion time seen so far.
     last_finish: Option<Instant>,
+    /// Called once, with no lock held, when the last walk is filed.
+    notify: Option<Notify>,
 }
 
 /// The outstanding tickets and the condvar their waiters park on.
@@ -95,7 +103,7 @@ impl Collector {
 
     /// Open `ticket` with one empty slot per walk. A ticket of zero walks
     /// is complete from the start.
-    pub(crate) fn open(&self, ticket: u64, walk: Walk, walks: usize) {
+    pub(crate) fn open(&self, ticket: u64, walk: Walk, walks: usize, notify: Option<Notify>) {
         self.pending.lock().insert(
             ticket,
             PendingTicket {
@@ -106,15 +114,18 @@ impl Collector {
                 // ticket-latency histogram (telemetry only).
                 submitted_at: Instant::now(),
                 last_finish: None,
+                notify,
             },
         );
     }
 
-    /// File a finished walk in its ticket's slot and wake the waiters when
-    /// that completes the ticket. Called by the shard task that finished
+    /// File a finished walk in its ticket's slot and, when that completes
+    /// the ticket, wake the waiters and then call its notifier with
+    /// `service.pending` released. Called by the shard task that finished
     /// the walk, with no other lock held.
     pub(crate) fn file(&self, finished: FinishedWalk) {
         let finished_at = finished.finished_at;
+        let ticket = WalkTicket(finished.ticket);
         let complete = {
             let mut pending = self.pending.lock();
             let Some(entry) = pending.get_mut(&finished.ticket) else {
@@ -142,13 +153,16 @@ impl Collector {
                     .map_or(finished_at, |t| t.max(finished_at)),
             );
             entry.walks[slot] = Some(finished);
-            entry.received == entry.walks.len()
+            (entry.received == entry.walks.len()).then(|| entry.notify.take())
         };
         if self.collect_ns.is_enabled() {
             self.collect_ns.record_duration(finished_at.elapsed());
         }
-        if complete {
+        if let Some(notify) = complete {
             self.pending_cv.notify_all();
+            if let Some(notify) = notify {
+                notify(ticket);
+            }
         }
     }
 

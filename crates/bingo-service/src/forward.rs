@@ -258,16 +258,21 @@ impl ServiceShared {
     /// Once an activation of `shard_id` has applied its batches and woken
     /// `sync`, drop the sorted ids of the snapshots that shipped a body
     /// since the last time. No engine guard is held and no waiter waits on
-    /// it: it frees memory and answers nobody.
+    /// it: it frees memory and answers nobody. The ids are freed after the
+    /// map's guard drops, so a handle resolution never waits on the free.
     pub(crate) fn shed_bodies(&self, shard_id: usize) {
         let mut entries = self.shards[shard_id].snapshots.entries.lock();
         let Snapshots { map, bodies } = &mut *entries;
-        for v in bodies.drain(..) {
-            if let Some(s) = map.get_mut(&v) {
-                s.ctx.shed_body();
+        let shed: Vec<_> = bodies
+            .drain(..)
+            .filter_map(|v| {
+                let s = map.get_mut(&v)?;
                 s.body_listed = false;
-            }
-        }
+                s.ctx.shed_body()
+            })
+            .collect();
+        drop(entries);
+        drop(shed);
     }
 
     /// Send `walker` on to shard `to`, with no engine lock held: the

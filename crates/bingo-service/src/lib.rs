@@ -103,10 +103,11 @@
 //!                │  depth cap)                        │
 //!                │  deficit-round-robin dispatcher    │
 //!                │  AIMD in-flight window ◄───────────┼── admission_snapshot()
-//!                └─────┬──────────────────────────────┘    (occupancy +
-//!                      │ shard-aligned chunks               rejection deltas,
-//!                      │ submit_seeded()                    sampled per tick)
-//!                ┌─────▼──────────────────────────────┐
+//!                └─────┬──────────────────▲───────────┘    (occupancy +
+//!                      │ shard-aligned    │ completion      rejection deltas,
+//!                      │ chunks,          │ notifier        sampled per wake-up)
+//!                      │ submit_notify()  │ (ticket only)
+//!                ┌─────▼──────────────────┴───────────┐
 //!                │ WalkService                        │
 //!                │  shard inboxes (max_inbox bound)   │
 //!                │  shard tasks + BingoEngines on the │
@@ -212,7 +213,13 @@
 //!   task files a finished walk, or announces applied updates, with no
 //!   other lock held, and a waiter holds either only across its own check
 //!   and condvar park — no lock is ever held across a blocking call, and
-//!   the tree carries no `lint:allow(lock-discipline)`.
+//!   the tree carries no `lint:allow(lock-discipline)`. A shard task that
+//!   files a ticket's last walk calls the ticket's notifier after
+//!   `service.pending` drops, with no lock held.
+//! * Gateway and service locks never nest, in either direction: the
+//!   gateway's dispatcher calls the service with `gateway.state`
+//!   released, and its notifier takes `gateway.state` under no service
+//!   lock (`tests/lint.rs` checks both directions on a run).
 //! * Spans recorded under these locks (a step batch under the engine read
 //!   guard, a collect under `service.pending`) take no lock: the tracer's
 //!   ring is lock-free, and `tests/lint.rs` fails if a checked run takes
@@ -225,9 +232,11 @@
 //!   toward an inbox, the pool injector, the ticket table or
 //!   `service.progress`.
 //! * Steals take walkers, never pending updates, from a victim's inbox,
-//!   and only from a victim that has applied every batch flushed to it;
-//!   the inbox guard drops before the victim's engine is read — the
-//!   queue is the unit of theft, never the engine.
+//!   and only from a victim that has applied every batch flushed to it
+//!   (a thief probes the backlogged peers deepest first, one inbox lock
+//!   at a time, and passes over one with a batch pending); the inbox
+//!   guard drops before the victim's engine is read — the queue is the
+//!   unit of theft, never the engine.
 //! * Atomics: ticket IDs are `Relaxed` RMW allocations (annotated
 //!   `relaxed-ok`); per-shard stats counters are `Relaxed` (telemetry
 //!   registry); the per-shard scheduling latch CASes `AcqRel` and the
@@ -688,10 +697,10 @@ mod tests {
 
     #[test]
     fn wait_and_try_wait_interleave_without_losing_completions() {
-        // A blocking waiter beside a non-blocking `try_wait` poller (the
-        // gateway dispatcher's completion loop): each must see exactly its
-        // own tickets complete, and the waiter must never park past its
-        // ticket's last walk.
+        // A blocking waiter beside a notified submitter (the gateway
+        // dispatcher's completion path): each must see exactly its own
+        // tickets complete, the waiter must never park past its ticket's
+        // last walk, and a notified ticket's results must be there at once.
         let graph = ring_graph(16);
         let service = WalkService::build(
             &graph,
@@ -711,23 +720,62 @@ mod tests {
                 }
                 steps
             });
-            let poller = scope.spawn(move || {
+            let notified = scope.spawn(move || {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let notify: Arc<dyn Fn(WalkTicket) + Send + Sync> =
+                    Arc::new(move |t| tx.send(t).unwrap());
                 let mut steps = 0usize;
                 for _ in 0..300 {
-                    let t = service.submit(spec(3), &[2, 10]).unwrap();
-                    loop {
-                        if let Some(r) = service.try_wait(t) {
-                            steps += r.total_steps();
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
+                    let t = service
+                        .submit_notify(spec(3), &[2, 10], None, Arc::clone(&notify))
+                        .unwrap();
+                    assert_eq!(rx.recv().unwrap(), t, "only this ticket is in flight");
+                    let results = service.try_wait(t).expect("a notified ticket is complete");
+                    steps += results.total_steps();
                 }
                 steps
             });
             assert_eq!(waiter.join().unwrap(), 300 * 2 * 3);
-            assert_eq!(poller.join().unwrap(), 300 * 2 * 3);
+            assert_eq!(notified.join().unwrap(), 300 * 2 * 3);
         });
+    }
+
+    #[test]
+    fn a_notifier_fires_once_per_ticket_with_no_service_lock_held() {
+        // The checker counts the locks a thread holds, so turn it on.
+        parking_lot::force_enable_lock_check();
+        let service = WalkService::build(
+            &ring_graph(16),
+            ServiceConfig {
+                num_shards: 4,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let notify: Arc<dyn Fn(WalkTicket) + Send + Sync> =
+            Arc::new(move |t| tx.send((t, parking_lot::held_locks())).unwrap());
+        let tickets: Vec<WalkTicket> = (0..64)
+            .map(|k| {
+                let starts = [k % 16, (k + 5) % 16, (k + 11) % 16];
+                service
+                    .submit_notify(spec(9), &starts, Some(k.into()), Arc::clone(&notify))
+                    .unwrap()
+            })
+            .collect();
+        drop(notify);
+        let mut seen = std::collections::HashSet::new();
+        for _ in &tickets {
+            let (t, held) = rx.recv().unwrap();
+            assert_eq!(held, 0, "ticket {} notified under a lock", t.id());
+            assert!(seen.insert(t), "ticket {} notified twice", t.id());
+            assert_eq!(service.try_wait(t).unwrap().paths.len(), 3);
+        }
+        assert!(tickets.iter().all(|t| seen.contains(t)));
+        // Every shard task has terminated, and with it every entry that
+        // held a notifier: no further call can come.
+        service.shutdown();
+        assert!(rx.recv().is_err(), "a notifier fired twice");
     }
 
     #[test]

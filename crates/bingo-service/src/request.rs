@@ -5,7 +5,7 @@
 //! `bingo_gateway::Gateway::submit`, which explodes it with
 //! [`WalkRequest::into_parts`]; a caller holding a [`WalkService`]
 //! submits the same fields through
-//! [`WalkService::submit_seeded`](crate::WalkService::submit_seeded).
+//! [`WalkService::submit_notify`](crate::WalkService::submit_notify).
 //! Either way the walks come back as `wait(ticket).paths`.
 //!
 //! [`WalkService`]: crate::WalkService

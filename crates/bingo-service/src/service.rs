@@ -9,7 +9,7 @@
 //! its own. This file keeps `service.progress`, the rendezvous `sync` and
 //! `stop_workers` park on.
 
-use crate::collect::Collector;
+use crate::collect::{Collector, Notify};
 use crate::router::{IngestReceipt, Router};
 use crate::shard::{ShardHists, ShardState, Walker};
 use crate::stats::{ServiceStats, ShardCounters};
@@ -200,7 +200,7 @@ fn walker_seed(base: u64, ticket: u64, index: u64) -> u64 {
 
 /// Handle for retrieving the results of one walk submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WalkTicket(u64);
+pub struct WalkTicket(pub(crate) u64);
 
 impl WalkTicket {
     /// The ticket's numeric id.
@@ -453,19 +453,22 @@ impl WalkService {
     /// the membership snapshot of the previous vertex captured at forward
     /// time.
     pub fn submit(&self, walk: impl Into<Walk>, starts: &[VertexId]) -> Result<WalkTicket> {
-        self.submit_inner(walk.into(), starts, None)
+        self.submit_inner(walk.into(), starts, None, None)
     }
 
-    /// [`WalkService::submit`] with a per-submission seed overriding
-    /// [`ServiceConfig::seed`] (the gateway dispatches a
-    /// [`WalkRequest`](crate::WalkRequest)'s seed this way).
-    pub fn submit_seeded(
+    /// [`WalkService::submit`] with an optional seed overriding
+    /// [`ServiceConfig::seed`], and a notifier called once with the ticket
+    /// when its last walk is filed: on a pool worker, with no service lock
+    /// held, so it should only signal and leave [`WalkService::try_wait`]
+    /// to the caller's thread. The gateway dispatches this way.
+    pub fn submit_notify(
         &self,
         walk: impl Into<Walk>,
         starts: &[VertexId],
-        seed: u64,
+        seed: Option<u64>,
+        notify: Arc<dyn Fn(WalkTicket) + Send + Sync>,
     ) -> Result<WalkTicket> {
-        self.submit_inner(walk.into(), starts, Some(seed))
+        self.submit_inner(walk.into(), starts, seed, Some(notify))
     }
 
     /// The checks [`WalkService::submit`] makes before it enqueues
@@ -498,6 +501,7 @@ impl WalkService {
         walk: Walk,
         starts: &[VertexId],
         seed: Option<u64>,
+        notify: Option<Notify>,
     ) -> Result<WalkTicket> {
         self.check_submission(&walk, starts)?;
         if self.max_inbox > 0 {
@@ -526,7 +530,7 @@ impl WalkService {
             }
         }
 
-        let ticket = self.open_ticket(walk.clone(), starts.len());
+        let ticket = self.open_ticket(walk.clone(), starts.len(), notify);
         let base_seed = seed.unwrap_or(self.seed);
         let telemetry = &self.shared.telemetry;
         // One stamp for the whole fanout: every walker of this submission
@@ -591,11 +595,11 @@ impl WalkService {
     }
 
     /// Allocate a ticket id and open its entry of `walks` empty slots.
-    fn open_ticket(&self, walk: Walk, walks: usize) -> u64 {
+    fn open_ticket(&self, walk: Walk, walks: usize, notify: Option<Notify>) -> u64 {
         // relaxed-ok: ticket-id allocator; RMW atomicity alone guarantees
         // unique ids, and the ticket is published via the pending mutex.
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        self.shared.collector.open(ticket, walk, walks);
+        self.shared.collector.open(ticket, walk, walks, notify);
         ticket
     }
 
@@ -607,7 +611,7 @@ impl WalkService {
     /// error (which is reserved for explicitly empty start lists).
     pub fn submit_all_vertices(&self, walk: impl Into<Walk>) -> Result<WalkTicket> {
         if self.num_vertices() == 0 {
-            return Ok(WalkTicket(self.open_ticket(walk.into(), 0)));
+            return Ok(WalkTicket(self.open_ticket(walk.into(), 0, None)));
         }
         let starts: Vec<VertexId> = (0..self.num_vertices() as VertexId).collect();
         self.submit(walk, &starts)

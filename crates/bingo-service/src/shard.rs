@@ -26,9 +26,10 @@
 //! write guard, so no step observes a torn update. A thief takes walkers only from a
 //! victim that has applied every batch flushed to it, checked under the
 //! victim's inbox lock: a pending batch goes ahead of every walker queued
-//! behind it, stolen or not. Stealing never changes walk output without
-//! concurrent updates: paths depend only on each walker's private RNG and
-//! the engine epoch it sampled under.
+//! behind it, stolen or not, and the thief tries the next-deepest backlog.
+//! Stealing never changes walk output without concurrent updates: paths
+//! depend only on each walker's private RNG and the engine epoch it
+//! sampled under.
 
 use crate::collect::FinishedWalk;
 use crate::forward::{ForwardNegotiation, SnapshotCache};
@@ -365,41 +366,35 @@ impl ServiceShared {
     }
 
     /// Steal at the queue, never at the engine: drain up to
-    /// [`STEAL_BATCH`] walkers from the deepest backlogged peer and run
-    /// them here, against the victim's engine. A victim with a flushed
-    /// batch not yet applied keeps its walkers: they step after the batch.
+    /// [`STEAL_BATCH`] walkers from a backlogged peer and run them here,
+    /// against the victim's engine. Peers at or past the threshold are
+    /// probed deepest first; one with a flushed batch not yet applied keeps
+    /// its walkers (they step after the batch) and the next is tried.
     /// Returns whether anything was stolen.
     fn try_steal(self: &Arc<Self>, thief: usize) -> bool {
-        // Pick the deepest backlog at or past the threshold — depth gauges
-        // only, no peer locks taken during selection.
-        let mut victim: Option<(usize, usize)> = None;
-        for (peer, counters) in self.counters.iter().enumerate() {
-            if peer == thief {
-                continue;
-            }
-            let depth = counters.queue_depth().max(0) as usize;
-            if depth >= STEAL_THRESHOLD && victim.is_none_or(|(_, best)| depth > best) {
-                victim = Some((peer, depth));
-            }
-        }
-        let Some((victim, _)) = victim else {
-            return false;
-        };
-        // The inbox guard drops at the end of this block, BEFORE any engine
-        // lock is taken: holding it across the visit would deadlock against
-        // the victim's own task (engine acquired while inbox wanted).
-        let stolen = {
-            let mut inbox = self.shards[victim].inbox.lock();
+        // Rank the backlogs by depth gauge alone, no peer lock taken.
+        let mut peers: Vec<(usize, usize)> = (0..self.counters.len())
+            .filter(|&peer| peer != thief)
+            .map(|peer| (peer, self.counters[peer].queue_depth().max(0) as usize))
+            .filter(|&(_, depth)| depth >= STEAL_THRESHOLD)
+            .collect();
+        peers.sort_by_key(|&(peer, depth)| (std::cmp::Reverse(depth), peer));
+        // Each probe holds one inbox guard, dropped BEFORE any engine lock
+        // is taken: holding it across the visit would deadlock against the
+        // victim's own task (engine acquired while inbox wanted).
+        let taken = peers.into_iter().find_map(|(peer, _)| {
+            let mut inbox = self.shards[peer].inbox.lock();
             // The epoch is published under the write guard once a batch is
             // in, so equality means no batch is pending or mid-apply.
-            if inbox.flushes != self.counters[victim].epoch.get_acquire() {
-                return false;
+            if inbox.flushes != self.counters[peer].epoch.get_acquire() {
+                return None;
             }
-            inbox.take_walkers(STEAL_BATCH)
-        };
-        if stolen.is_empty() {
+            let stolen = inbox.take_walkers(STEAL_BATCH);
+            (!stolen.is_empty()).then_some((peer, stolen))
+        });
+        let Some((victim, stolen)) = taken else {
             return false;
-        }
+        };
         let c = &self.counters[thief];
         c.stolen_batches.inc();
         c.stolen_walkers.add(stolen.len() as u64);

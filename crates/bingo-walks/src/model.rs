@@ -315,14 +315,17 @@ impl CarriedContext {
         }
     }
 
-    /// Drop the sorted ids a captured snapshot built for its wire body
+    /// Take the sorted ids a captured snapshot built for its wire body
     /// while it still has the space to answer from: the owner calls it
-    /// once no body of this snapshot will ship again.
-    pub fn shed_body(&self) {
-        if let Members::Captured(captured) = &self.members {
-            if let Capture::Live { body, .. } = &mut *captured.state() {
-                *body = None;
-            }
+    /// once no body of this snapshot will ship again, and frees what it
+    /// returns where freeing holds up nobody.
+    pub fn shed_body(&self) -> Option<Arc<Vec<VertexId>>> {
+        match &self.members {
+            Members::Captured(captured) => match &mut *captured.state() {
+                Capture::Live { body, .. } => body.take(),
+                _ => None,
+            },
+            Members::Ids(_) => None,
         }
     }
 

@@ -8,13 +8,20 @@
 //!   `Overloaded` without touching already-queued work, and saturation
 //!   bounces requeue (never drop) chunks;
 //! * result integrity — chunked, fairness-reordered dispatch still
-//!   returns every path in submission order.
+//!   returns every path in submission order;
+//! * the one timed wait — a chunk bounced by walkers the gateway did not
+//!   submit, with nothing of its own in flight, is retried without any
+//!   completion to wake the dispatcher.
 
 use bingo::gateway::{AimdConfig, Gateway, GatewayConfig, GatewayError, TenantId};
 use bingo::prelude::*;
 use bingo::service::ServiceError;
-use std::sync::Arc;
-use std::time::Duration;
+use gate::GateModel;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
+
+#[path = "common/gate.rs"]
+mod gate;
 
 fn ring_graph(n: usize) -> DynamicGraph {
     let mut g = DynamicGraph::new(n);
@@ -284,4 +291,58 @@ fn an_invalid_node2vec_spec_is_refused_at_submit() {
     assert_eq!(t.completed_walks, 16);
     assert_eq!(t.failed_walks, 0);
     assert_eq!(service.stats().total_walks_completed(), 16);
+}
+
+#[test]
+fn a_chunk_bounced_by_foreign_walkers_is_retried_with_nothing_in_flight() {
+    // One shard, so no peer steals the walkers queued behind the gate.
+    let max_inbox = 4;
+    let service = bounded_service(16, 1, max_inbox);
+    let entered = Arc::new(Barrier::new(2));
+    let gate = Arc::new(Barrier::new(2));
+    let model: SharedWalkModel = Arc::new(GateModel {
+        entered: Arc::clone(&entered),
+        gate: Arc::clone(&gate),
+    });
+    let gated = service.submit(model, &[0]).unwrap();
+    entered.wait();
+    // The shard's activation is parked in the gate's step: these walkers,
+    // submitted straight to the service, fill its inbox to the bound.
+    let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 4 });
+    let filler = service.submit(spec, &[1, 2, 3, 4]).unwrap();
+    assert_eq!(service.admission_snapshot().queue_depths, [max_inbox]);
+
+    let gateway = Arc::new(Gateway::new(service.clone(), GatewayConfig::default()));
+    let ticket = gateway
+        .submit(WalkRequest::spec(spec).starts(vec![5, 6]).tenant("t"))
+        .unwrap();
+    let bounced = || {
+        let events = service.telemetry().flight().events();
+        events.iter().any(|e| e.kind.tag() == "saturated")
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !bounced() {
+        assert!(Instant::now() < deadline, "the gateway never dispatched");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(gateway.stats().in_flight_walkers, 0, "nothing in flight");
+    // Once the gate opens the inbox drains, and no completion of the
+    // gateway's own is coming: only the timed retry can dispatch the chunk.
+    gate.wait();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = Arc::clone(&gateway);
+    let waiter = std::thread::spawn(move || tx.send(waiter.wait(ticket)).unwrap());
+    let results = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the bounced chunk is retried and completes")
+        .unwrap();
+    waiter.join().unwrap();
+    assert_eq!(results.paths.len(), 2);
+    assert_eq!(results.paths[0][0], 5);
+    assert_eq!(service.wait(filler).paths.len(), 4);
+    service.wait(gated);
+    let stats = gateway.stats();
+    let t = stats.tenant(&TenantId::new("t")).unwrap();
+    assert!(t.saturated_requeues >= 1);
+    assert_eq!(t.completed_walks, 2);
 }

@@ -461,6 +461,20 @@ fn no_lock_under_a_service_or_gateway_lock_reaches_telemetry() {
         into_telemetry.is_empty(),
         "telemetry locks taken under serving locks: {into_telemetry:?}"
     );
+    // Gateway and service locks never nest, in either direction: the
+    // dispatcher calls the service with `gateway.state` released, and a
+    // completion notifier runs with no service lock held.
+    let across: Vec<(&str, &str)> = parking_lot::observed_order()
+        .into_iter()
+        .filter(|(from, to)| {
+            let (g, s) = ("gateway.", "service.");
+            (from.starts_with(g) && to.starts_with(s)) || (from.starts_with(s) && to.starts_with(g))
+        })
+        .collect();
+    assert!(
+        across.is_empty(),
+        "gateway and service locks nested: {across:?}"
+    );
 }
 
 /// The metric taxonomy's size: one constant per series in

@@ -20,10 +20,13 @@ use bingo::service::{ServiceConfig, ShardTransport, TransportMode};
 use bingo::walks::{wire, WireError};
 use bingo_graph::updates::UpdateKind;
 use bingo_graph::UpdateStreamBuilder;
-use rand::RngCore;
+use gate::GateModel;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+
+#[path = "common/gate.rs"]
+mod gate;
 
 /// A graph whose vertex 0 has neighbors owned by all four shards, with
 /// biases spanning several radix groups.
@@ -371,40 +374,6 @@ fn the_path_checker_rejects_torn_visits_and_epochs_going_back() {
         checker.check(&[0, 2, 1, 3]).is_err(),
         "a shard's epoch went back"
     );
-}
-
-/// A one-step walk whose single step meets the test at `entered`, then
-/// parks at `gate` until the test meets it there too — holding the shard's
-/// activation (and its engine read guard) mid-visit in between.
-#[derive(Debug)]
-struct GateModel {
-    entered: Arc<Barrier>,
-    gate: Arc<Barrier>,
-}
-
-impl WalkModel for GateModel {
-    fn name(&self) -> &str {
-        "gate"
-    }
-
-    fn expected_length(&self) -> usize {
-        1
-    }
-
-    fn max_steps(&self) -> usize {
-        1
-    }
-
-    fn step(
-        &self,
-        _state: &WalkState,
-        _sampler: &dyn StepSampler,
-        _rng: &mut dyn RngCore,
-    ) -> Transition {
-        self.entered.wait();
-        self.gate.wait();
-        Transition::Terminate
-    }
 }
 
 /// A flushed batch is applied ahead of every walker still queued on its
