@@ -5,8 +5,8 @@
 //! repro table3                    # one experiment
 //! repro table3 --scale 500 --batch 10000 --rounds 10 --walk-length 80
 //! repro list                      # list available experiments
-//! repro pairs --pr 22 --parent <bin> --change <bin> --workload engine_batch --seed 7 --n 10 [--trace]
-//!                                 # alternating runs of two builds of the repo benchmark
+//! repro pairs --pr 22 --parent <bin> --change <bin> --workload engine_batch --seed 7 --n 10 [--trace | --setup]
+//!                                 # alternating runs (or set-ups) of two builds of the repo benchmark
 //! ```
 //!
 //! Results are printed to stdout and written as CSV files under `results/`.
@@ -98,7 +98,7 @@ const EXPERIMENTS: &[Experiment] = &[
 
 fn print_usage() {
     eprintln!("usage: repro <experiment|all|list> [--scale N] [--batch N] [--rounds N] [--walk-length N] [--seed N] [--paper-scale]");
-    eprintln!("       repro pairs --pr N --parent <bin> --change <bin> --workload W [--seed N] [--n N] [--trace]");
+    eprintln!("       repro pairs --pr N --parent <bin> --change <bin> --workload W [--seed N] [--n N] [--trace | --setup]");
     eprintln!("experiments:");
     for e in EXPERIMENTS {
         eprintln!("  {:<10} {}", e.name, e.description);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro pairs --pr 22 --parent <bin> --change <bin> --workload service_deepwalk \
-//!             --seed 7 --n 10 [--trace]
+//!             --seed 7 --n 10 [--trace | --setup]
 //! ```
 //!
 //! Runs the two `bingo-benchmark` binaries `n` times each, one pair after
@@ -21,6 +21,13 @@
 //! that printed the stack-tax ladder (a traced `engine_batch` run) also
 //! gets the ratios of [`LADDER_RATIOS`], each from that run's own rungs,
 //! summarized like any metric, lower being better.
+//!
+//! With `--setup` each run is one `bingo-benchmark setup` child instead: a
+//! single set-up in a fresh process, its seconds the only line of stdout.
+//! The seconds are summarized as `setup_s` like any metric into
+//! `results/pairs/PR<pr>-<workload>[-seed<s>]-setup.json`. That is the
+//! re-check for a ledger's `setup_s` row, which back-to-back ledgers swing
+//! by about its bound.
 
 use crate::common::results_dir;
 use std::path::PathBuf;
@@ -302,18 +309,21 @@ pub struct PairsArgs {
     pub n: usize,
     /// Traced runs (per-layer metrics) instead of timed ones.
     pub trace: bool,
+    /// `bingo-benchmark setup` children (one set-up each) instead of runs.
+    pub setup: bool,
 }
 
 impl PairsArgs {
     /// Parse the flags after `repro pairs`.
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let (mut pr, mut parent, mut change, mut workload) = (None, None, None, None);
-        let (mut seed, mut n, mut trace) = (DEFAULT_SEED, 10, false);
+        let (mut seed, mut n, mut trace, mut setup) = (DEFAULT_SEED, 10, false, false);
         let mut i = 0;
         while i < args.len() {
             let key = args[i].as_str();
-            if key == "--trace" {
-                trace = true;
+            if key == "--trace" || key == "--setup" {
+                trace |= key == "--trace";
+                setup |= key == "--setup";
                 i += 1;
                 continue;
             }
@@ -336,6 +346,9 @@ impl PairsArgs {
             }
             i += 2;
         }
+        if trace && setup {
+            return Err("--trace and --setup exclude each other".to_string());
+        }
         Ok(PairsArgs {
             pr: pr.ok_or("missing --pr")?,
             parent: parent.ok_or("missing --parent")?,
@@ -344,7 +357,17 @@ impl PairsArgs {
             seed,
             n,
             trace,
+            setup,
         })
+    }
+
+    /// What each run is, as the table's heading says it.
+    fn mode(&self) -> &'static str {
+        match (self.trace, self.setup) {
+            (true, _) => "traced",
+            (_, true) => "setup",
+            _ => "timed",
+        }
     }
 
     /// Where the readings go.
@@ -353,8 +376,9 @@ impl PairsArgs {
         if self.seed != DEFAULT_SEED {
             name.push_str(&format!("-seed{}", self.seed));
         }
-        if self.trace {
-            name.push_str("-traced");
+        if self.mode() != "timed" {
+            name.push('-');
+            name.push_str(self.mode());
         }
         results_dir().join("pairs").join(name + ".json")
     }
@@ -443,6 +467,20 @@ fn read_output(stdout: &str, stderr: &str) -> Result<Reading, String> {
     };
     reading.add_ladder_ratios();
     Ok(reading)
+}
+
+/// Read a `bingo-benchmark setup` child's output: its set-up's seconds,
+/// the only line of stdout.
+fn read_setup(stdout: &str) -> Result<Reading, String> {
+    let line = stdout.trim();
+    let seconds: f64 =
+        (line.parse()).map_err(|_| format!("a set-up child printed {line:?}, not its seconds"))?;
+    Ok(Reading {
+        correct: true,
+        failed: 0.0,
+        attempted: 1.0,
+        metrics: vec![("setup_s".to_string(), seconds)],
+    })
 }
 
 /// The `q`-quantile of `sorted`, interpolating between neighbours.
@@ -562,23 +600,34 @@ pub fn run(args: &PairsArgs) -> Result<PathBuf, String> {
     for pair in 0..args.n {
         // Even pairs run the parent first, odd ones the change.
         for side in [pair % 2, 1 - pair % 2] {
-            let output = Command::new(binaries[side])
+            let mut command = Command::new(binaries[side]);
+            if args.setup {
+                command.arg("setup");
+            }
+            command
                 .args(["--workload", &args.workload])
-                .args(["--seed", &args.seed.to_string()])
-                .args(["--seconds", &seconds.to_string()])
-                .args(["--trace", if args.trace { "1" } else { "0" }])
+                .args(["--seed", &args.seed.to_string()]);
+            if !args.setup {
+                command
+                    .args(["--seconds", &seconds.to_string()])
+                    .args(["--trace", if args.trace { "1" } else { "0" }]);
+            }
+            let output = command
                 .output()
                 .map_err(|e| format!("{}: {e}", binaries[side].display()))?;
-            let reading = read_output(
-                &String::from_utf8_lossy(&output.stdout),
-                &String::from_utf8_lossy(&output.stderr),
-            )?;
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            let reading = if args.setup {
+                read_setup(&stdout)?
+            } else {
+                read_output(&stdout, &String::from_utf8_lossy(&output.stderr))?
+            };
             eprintln!(
-                "pair {} {}: correct {} failed {} peak_rss_mb {:?}",
+                "pair {} {}: correct {} failed {} setup_s {:?} peak_rss_mb {:?}",
                 pair + 1,
                 ["parent", "change"][side],
                 reading.correct,
                 reading.failed,
+                reading.metric("setup_s"),
                 reading.metric("peak_rss_mb")
             );
             readings[side].push(reading);
@@ -604,6 +653,8 @@ pub fn run(args: &PairsArgs) -> Result<PathBuf, String> {
         summaries.push(summarize(name, way, &parent, &change));
     }
 
+    // A set-up child runs no pass.
+    let seconds = if args.setup { 0 } else { seconds };
     let all = |f: &dyn Fn(&Reading) -> bool| readings.iter().flatten().all(f);
     let side_readings =
         |side: usize| Json::Arr(readings[side].iter().map(Reading::to_json).collect());
@@ -614,6 +665,10 @@ pub fn run(args: &PairsArgs) -> Result<PathBuf, String> {
         (
             "trace".to_string(),
             Json::Num(f64::from(u8::from(args.trace))),
+        ),
+        (
+            "setup".to_string(),
+            Json::Num(f64::from(u8::from(args.setup))),
         ),
         ("pairs".to_string(), Json::Num(args.n as f64)),
         (
@@ -645,12 +700,16 @@ pub fn run(args: &PairsArgs) -> Result<PathBuf, String> {
     std::fs::write(&path, document.pretty()).map_err(|e| format!("{}: {e}", path.display()))?;
 
     println!(
-        "## `{}` — {}, seed {}, {} run, {} s, {} pairs{}",
+        "## `{}` — {}, seed {}, {} run{}, {} pairs{}",
         path.file_name().unwrap_or_default().to_string_lossy(),
         args.workload,
         args.seed,
-        if args.trace { "traced" } else { "timed" },
-        seconds,
+        args.mode(),
+        if args.setup {
+            String::new()
+        } else {
+            format!(", {seconds} s")
+        },
         args.n,
         if all(&|r| r.correct && r.failed == 0.0) {
             ", every run correct with failed 0"
@@ -767,6 +826,33 @@ mod tests {
     }
 
     #[test]
+    fn setup_children_are_summarized_like_any_metric() {
+        // Seconds as five set-up children per side printed them.
+        let parent = ["0.61\n", "0.55\n", "0.58\n", "0.72\n", "0.57\n"];
+        let change = ["0.56\n", "0.57\n", "0.54\n", "0.60\n", "0.55\n"];
+        let seconds = |outputs: &[&str]| -> Vec<f64> {
+            outputs
+                .iter()
+                .map(|out| {
+                    let reading = read_setup(out).unwrap();
+                    assert!(reading.correct && reading.failed == 0.0);
+                    assert_eq!(reading.metrics.len(), 1);
+                    reading.metric("setup_s").unwrap()
+                })
+                .collect()
+        };
+        let (parent, change) = (seconds(&parent), seconds(&change));
+        assert_eq!(parent[3], 0.72);
+        let summary = summarize("setup_s", "lower", &parent, &change);
+        assert_eq!(summary.sides[0], [0.58, 0.57, 0.61]);
+        assert_eq!(summary.sides[1], [0.56, 0.55, 0.57]);
+        assert_eq!((summary.change_wins, summary.pairs), (4, 5));
+        // A child that failed prints no seconds.
+        assert!(read_setup("").is_err());
+        assert!(read_setup("set-up failed\n").is_err());
+    }
+
+    #[test]
     fn flags_name_the_file() {
         let flags = |extra: &[&str]| {
             let base = [
@@ -790,6 +876,12 @@ mod tests {
         assert!(traced
             .output_path()
             .ends_with("results/pairs/PR22-w-seed11-traced.json"));
+        let setup = flags(&["--setup", "--n", "6"]).unwrap();
+        assert_eq!((setup.setup, setup.trace, setup.n), (true, false, 6));
+        assert!(setup
+            .output_path()
+            .ends_with("results/pairs/PR22-w-setup.json"));
+        assert!(flags(&["--setup", "--trace"]).is_err());
         assert!(flags(&["--bogus", "1"]).is_err());
         assert!(flags(&["--n"]).is_err());
         assert!(PairsArgs::parse(&[]).is_err());

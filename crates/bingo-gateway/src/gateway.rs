@@ -1,7 +1,7 @@
 //! The gateway proper: bounded per-tenant queues, the dispatcher thread
 //! that runs DRR + AIMD, and the submission/collection API.
 
-use crate::sched::{shard_aligned_chunks, Chunk, DrrScheduler};
+use crate::sched::{Chunk, DrrScheduler};
 use crate::stats::{percentile_sorted, GatewayStats, TenantAccum, TenantStatsSnapshot};
 use crate::window::{AimdConfig, AimdWindow, WindowEvent};
 use bingo_graph::VertexId;
@@ -66,9 +66,11 @@ impl From<ServiceError> for GatewayError {
 /// Configuration of a [`Gateway`].
 #[derive(Debug, Clone, Copy)]
 pub struct GatewayConfig {
-    /// Maximum walkers per dispatched chunk. Clamped to the service's
-    /// `max_inbox` (when bounded) so a chunk can always fit an empty
-    /// inbox — a larger chunk would be rejected as non-retryable.
+    /// Maximum walkers per dispatched chunk: a submission goes out as
+    /// consecutive slices of its start list of at most this many walkers.
+    /// Clamped to the service's `max_inbox` (when bounded): a shard's share
+    /// of a chunk is then at most the bound, so the chunk always fits
+    /// empty inboxes — a larger share would be rejected as non-retryable.
     pub chunk_walkers: usize,
     /// DRR deficit earned per weight unit per round, in walkers. Values
     /// near `chunk_walkers` give the tightest weighted interleaving.
@@ -129,8 +131,9 @@ impl GatewayResults {
 /// One gateway submission being assembled from chunk completions.
 struct Submission {
     tenant: TenantId,
-    /// One slot per original start, filled as chunks complete.
-    paths: Vec<Option<Vec<VertexId>>>,
+    /// One path per original start, filled as chunks complete (empty
+    /// until then).
+    paths: Vec<Vec<VertexId>>,
     /// Walks not yet accounted (completed or failed).
     remaining: usize,
     /// Terminal failure, if any chunk was rejected non-retryably.
@@ -288,7 +291,6 @@ impl Gateway {
             .unwrap_or_else(|| (0..num_vertices as VertexId).collect());
         self.service.check_submission(&parts.walk, &starts)?;
         let tenant = parts.meta.tenant.clone();
-        let partitioner = self.service.partitioner();
 
         let mut state = self.inner.state.lock();
         if !state.tenants.contains_key(&tenant) {
@@ -329,7 +331,7 @@ impl Gateway {
             id,
             Submission {
                 tenant: tenant.clone(),
-                paths: (0..starts.len()).map(|_| None).collect(),
+                paths: vec![Vec::new(); starts.len()],
                 remaining: starts.len(),
                 error: None,
             },
@@ -337,17 +339,14 @@ impl Gateway {
         // lint:allow(determinism): queue-wait timestamp feeding the
         // tenant wait histogram (telemetry); walks never observe it.
         let now = Instant::now();
-        for (shard, group) in
-            shard_aligned_chunks(&starts, |v| partitioner.owner(v), self.inner.chunk_cap)
-        {
-            let (indices, vertices): (Vec<u32>, Vec<VertexId>) = group.into_iter().unzip();
+        let cap = self.inner.chunk_cap;
+        for (i, part) in starts.chunks(cap).enumerate() {
             state.sched.enqueue(Chunk {
                 tenant: tenant.clone(),
                 submission: id,
                 walk: parts.walk.clone(),
-                starts: vertices,
-                indices,
-                shard,
+                starts: part.to_vec(),
+                first: i * cap,
                 seed: parts.seed,
                 enqueued_at: now,
             });
@@ -381,11 +380,7 @@ impl Gateway {
             None => Ok(GatewayResults {
                 ticket,
                 tenant: sub.tenant,
-                paths: sub
-                    .paths
-                    .into_iter()
-                    .map(|p| p.expect("all walks completed"))
-                    .collect(),
+                paths: sub.paths,
             }),
         }
     }
@@ -634,8 +629,9 @@ fn settle(
     if let Some(sub) = state.submissions.get_mut(&chunk.submission) {
         match outcome {
             Ok(results) => {
-                for (&index, path) in chunk.indices.iter().zip(results.paths) {
-                    sub.paths[index as usize] = Some(path);
+                let slots = &mut sub.paths[chunk.first..chunk.first + chunk.cost()];
+                for (slot, path) in slots.iter_mut().zip(results.paths) {
+                    *slot = path;
                 }
             }
             Err(err) => _ = sub.error.get_or_insert(GatewayError::Rejected(err)),

@@ -34,11 +34,12 @@
 //!   window's start, floor and ceiling. A chunk the service refuses with a
 //!   retryable `Saturated` goes back to the *front* of its queue (deficit
 //!   refunded, nothing dropped).
-//! * **Chunked dispatch** ([`sched::shard_aligned_chunks`]): start sets
-//!   are split into shard-aligned chunks of at most
-//!   [`GatewayConfig::chunk_walkers`], so fairness granularity is
-//!   per-chunk (a giant request cannot monopolize a turn) and a rejection
-//!   names exactly the one full inbox.
+//! * **Chunked dispatch** ([`sched::Chunk`]): a start list is cut into
+//!   consecutive slices of at most [`GatewayConfig::chunk_walkers`], each
+//!   dispatched as one service ticket whatever shards its starts lie on,
+//!   so fairness granularity is per-chunk (a giant request cannot
+//!   monopolize a turn) and a completed chunk's paths go back into its
+//!   submission as one slice.
 //! * **Observability** ([`GatewayStats`], rendered once by
 //!   [`GatewayStats::to_json`]): per-tenant queue depth and peak,
 //!   dispatched/completed/rejected counts, queue-wait p50/p99, and the

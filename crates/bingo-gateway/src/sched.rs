@@ -6,6 +6,11 @@
 //! [`DrrScheduler`] and asks it for the next dispatchable chunk whenever
 //! the in-flight window has room.
 //!
+//! A [`Chunk`] is a contiguous slice of one submission's start list, at
+//! most [`GatewayConfig::chunk_walkers`](crate::GatewayConfig::chunk_walkers)
+//! walkers long, so fairness granularity is per-chunk, not per-request: a
+//! giant submission cannot monopolize a dispatch turn.
+//!
 //! ## The algorithm
 //!
 //! Classic deficit round robin over per-tenant FIFO queues, with the
@@ -23,12 +28,9 @@ use bingo_walks::{TenantId, Walk};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
-/// One shard-aligned slice of a gateway submission: the unit the
-/// dispatcher admits into the walk service. Keeping chunks shard-aligned
-/// means (a) fairness granularity is per-chunk, not per-request — a giant
-/// submission cannot monopolize a dispatch turn — and (b) a
-/// `Saturated` rejection names exactly the inbox that is full, so other
-/// shards keep receiving work.
+/// One contiguous slice of a gateway submission's start list: the unit
+/// the dispatcher admits into the walk service, as one service ticket
+/// whose starts may lie on any shards.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     /// Tenant the chunk is billed to.
@@ -37,13 +39,11 @@ pub struct Chunk {
     pub submission: u64,
     /// Walk to run (shared with every sibling chunk).
     pub walk: Walk,
-    /// Start vertices, all owned by [`Chunk::shard`].
+    /// Start vertices: `starts[i]` is the submission's start `first + i`.
     pub starts: Vec<VertexId>,
-    /// For each start, its index in the original submission's start list
-    /// (parallel to `starts`) — results are reassembled through this map.
-    pub indices: Vec<u32>,
-    /// The shard owning every start vertex.
-    pub shard: usize,
+    /// Index of `starts[0]` in the submission's start list; the chunk's
+    /// paths are written back from there.
+    pub first: usize,
     /// Per-submission seed override forwarded to the service.
     pub seed: Option<u64>,
     /// When the chunk entered its tenant queue (queue-wait measurement).
@@ -55,33 +55,6 @@ impl Chunk {
     pub fn cost(&self) -> usize {
         self.starts.len()
     }
-}
-
-/// Split a submission's start list into shard-aligned chunks of at most
-/// `max_chunk` walkers, preserving submission order within each shard.
-/// Returns `(shard, Vec<(original_index, vertex)>)` groups.
-pub fn shard_aligned_chunks(
-    starts: &[VertexId],
-    owner: impl Fn(VertexId) -> usize,
-    max_chunk: usize,
-) -> Vec<(usize, Vec<(u32, VertexId)>)> {
-    let max_chunk = max_chunk.max(1);
-    let mut open: HashMap<usize, Vec<(u32, VertexId)>> = HashMap::new();
-    let mut sealed = Vec::new();
-    for (i, &v) in starts.iter().enumerate() {
-        let shard = owner(v);
-        let group = open.entry(shard).or_default();
-        group.push((i as u32, v));
-        if group.len() >= max_chunk {
-            sealed.push((shard, std::mem::take(group)));
-        }
-    }
-    let mut rest: Vec<(usize, Vec<(u32, VertexId)>)> =
-        open.into_iter().filter(|(_, g)| !g.is_empty()).collect();
-    // Deterministic tail order (HashMap iteration is not).
-    rest.sort_by_key(|(shard, _)| *shard);
-    sealed.extend(rest);
-    sealed
 }
 
 struct TenantQueue {
@@ -273,8 +246,7 @@ mod tests {
             submission,
             walk: WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 4 }).into(),
             starts: vec![0; walkers],
-            indices: (0..walkers as u32).collect(),
-            shard: 0,
+            first: 0,
             seed: None,
             enqueued_at: Instant::now(),
         }
@@ -429,27 +401,5 @@ mod tests {
         assert_eq!(sched.oldest_enqueued_at(), Some(first_at));
         while sched.next(usize::MAX).is_some() {}
         assert!(sched.oldest_enqueued_at().is_none());
-    }
-
-    #[test]
-    fn shard_aligned_chunking_partitions_and_bounds() {
-        // Owner = v / 10 (contiguous ranges of 10).
-        let starts: Vec<VertexId> = (0..35).collect();
-        let chunks = shard_aligned_chunks(&starts, |v| (v / 10) as usize, 4);
-        let mut seen = [false; 35];
-        for (shard, group) in &chunks {
-            assert!(group.len() <= 4, "chunk bounded");
-            for &(idx, v) in group {
-                assert_eq!((v / 10) as usize, *shard, "chunk is shard-aligned");
-                assert_eq!(starts[idx as usize], v, "index maps back");
-                assert!(!seen[idx as usize], "no duplicates");
-                seen[idx as usize] = true;
-            }
-            // Order within a chunk preserves submission order.
-            for pair in group.windows(2) {
-                assert!(pair[0].0 < pair[1].0);
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every start covered");
     }
 }

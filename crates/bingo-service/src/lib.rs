@@ -104,9 +104,9 @@
 //!                │  deficit-round-robin dispatcher    │
 //!                │  AIMD in-flight window ◄───────────┼── admission_snapshot()
 //!                └─────┬──────────────────▲───────────┘    (occupancy +
-//!                      │ shard-aligned    │ completion      rejection deltas,
-//!                      │ chunks,          │ notifier        sampled per wake-up)
-//!                      │ submit_notify()  │ (ticket only)
+//!                      │ chunks,          │ completion      rejection deltas,
+//!                      │ submit_notify()  │ notifier        sampled per wake-up)
+//!                      │                  │ (ticket only)
 //!                ┌─────▼──────────────────┴───────────┐
 //!                │ WalkService                        │
 //!                │  shard inboxes (max_inbox bound)   │

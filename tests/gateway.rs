@@ -9,6 +9,8 @@
 //!   bounces requeue (never drop) chunks;
 //! * result integrity — chunked, fairness-reordered dispatch still
 //!   returns every path in submission order;
+//! * the dispatch unit — a ticket goes out as consecutive slices of at
+//!   most `chunk_walkers` starts, whatever shards the starts lie on;
 //! * the one timed wait — a chunk bounced by walkers the gateway did not
 //!   submit, with nothing of its own in flight, is retried without any
 //!   completion to wake the dispatcher.
@@ -242,6 +244,46 @@ fn saturation_requeues_preserve_every_walk_and_its_order() {
         .filter(|e| e.kind.tag() == "saturated")
         .count() as u64;
     assert_eq!(bounces, t.saturated_requeues);
+}
+
+#[test]
+fn a_ticket_goes_out_in_contiguous_size_capped_chunks() {
+    // Starts interleave the four shards (0, 16, 32, 48, 1, 17, …), so a
+    // chunk per shard would be four chunks for either ticket.
+    let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 6 });
+    for (chunk_walkers, n, chunks) in [(32, 16, 1), (16, 40, 3)] {
+        // A service each: tenant counters live in the service's registry.
+        let service = bounded_service(64, 4, 0);
+        let starts: Vec<VertexId> = (0..n).map(|i| i % 4 * 16 + i / 4).collect();
+        let mut per_shard = [0; 4];
+        for &v in &starts {
+            per_shard[service.partitioner().owner(v)] += 1;
+        }
+        assert_eq!(per_shard, [n / 4; 4], "every shard holds a quarter");
+        let gateway = Gateway::new(
+            service,
+            GatewayConfig {
+                chunk_walkers,
+                ..GatewayConfig::default()
+            },
+        );
+        let ticket = gateway
+            .submit(WalkRequest::spec(spec).starts(starts.clone()).tenant("t"))
+            .unwrap();
+        let results = gateway.wait(ticket).unwrap();
+        assert_eq!(results.paths.len(), starts.len(), "every start covered");
+        for (path, &start) in results.paths.iter().zip(&starts) {
+            assert_eq!(path[0], start, "each path back at its start's index");
+            assert_eq!(path.len(), 7);
+        }
+        let stats = gateway.shutdown();
+        let t = stats.tenant(&TenantId::new("t")).unwrap();
+        assert_eq!(
+            t.dispatched_chunks, chunks,
+            "{n} starts at chunk_walkers {chunk_walkers}: ⌈n / cap⌉ chunks"
+        );
+        assert_eq!((t.completed_walks, t.failed_walks), (u64::from(n), 0));
+    }
 }
 
 #[test]
