@@ -118,7 +118,10 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(&b.to_string()),
-            Json::Num(n) => out.push_str(&n.to_string()),
+            Json::Num(n) if n.is_finite() => out.push_str(&n.to_string()),
+            // JSON has no NaN or infinity; the benchmark's writer prints
+            // `null` for them too.
+            Json::Num(_) => out.push_str("null"),
             Json::Str(s) => {
                 out.push('"');
                 out.push_str(&bingo_telemetry::json::escape(s));
@@ -743,6 +746,24 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         let nested = Json::parse(r#"{"a":[],"b":{},"c":[null,false,-1.5e3,"q\"\n"]}"#).unwrap();
         assert_eq!(Json::parse(&nested.pretty()).unwrap(), nested);
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        let stdout = "{\"correct\":true,\"attempted\":null,\"failed\":null,\"metrics\":{}}";
+        let reading = read_output(stdout, "").unwrap();
+        assert!(reading.failed.is_nan() && reading.attempted.is_nan());
+        let fields = vec![
+            ("failed".to_string(), Json::Num(reading.failed)),
+            ("inf".to_string(), Json::Num(f64::NEG_INFINITY)),
+            ("ok".to_string(), Json::Num(2.5)),
+        ];
+        let text = Json::Obj(fields).pretty();
+        assert_eq!(
+            text,
+            "{\n \"failed\": null,\n \"inf\": null,\n \"ok\": 2.5\n}\n"
+        );
+        assert!(Json::parse(&text).is_ok(), "{text}");
     }
 
     #[test]

@@ -5,9 +5,8 @@ use crate::sched::{Chunk, DrrScheduler};
 use crate::stats::{percentile_sorted, GatewayStats, TenantAccum, TenantStatsSnapshot};
 use crate::window::{AimdConfig, AimdWindow, WindowEvent};
 use bingo_graph::VertexId;
-use bingo_service::{ServiceError, TicketResults, WalkRequest, WalkService, WalkTicket};
+use bingo_service::{ServiceError, TenantId, TicketResults, WalkRequest, WalkService, WalkTicket};
 use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
-use bingo_walks::TenantId;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -169,9 +168,11 @@ struct Inner {
     /// Wakes submission waiters on completions.
     done_cv: Condvar,
     started_at: Instant,
-    /// Shared observability handle — by default the service's own, so
-    /// gateway and service metrics/traces land in one registry.
+    /// The service's observability handle, so gateway and service
+    /// metrics/traces land in one registry.
     telemetry: Telemetry,
+    /// This gateway's `gateway` instance label on that registry.
+    instance: String,
     /// `gateway.dispatch_ns`: one service-submit call at dispatch.
     dispatch_ns: Histogram,
 }
@@ -199,19 +200,12 @@ impl Gateway {
     /// The gateway inherits the service's [`Telemetry`] handle, so its
     /// per-tenant metrics, dispatch latencies and `GatewayDispatch` trace
     /// spans land in the same registry and trace ring as the service's —
-    /// one `/metrics` scrape or `/trace` read shows the whole stack.
+    /// one `/metrics` scrape or `/trace` read shows the whole stack. Its
+    /// metrics carry a `gateway="<n>"` instance label, so two gateways over
+    /// one service keep their own counts.
     pub fn new(service: Arc<WalkService>, config: GatewayConfig) -> Gateway {
         let telemetry = service.telemetry().clone();
-        Self::with_telemetry(service, config, telemetry)
-    }
-
-    /// [`Gateway::new`] recording into an explicit [`Telemetry`] handle
-    /// (e.g. to isolate gateway metrics from a shared service's).
-    pub fn with_telemetry(
-        service: Arc<WalkService>,
-        config: GatewayConfig,
-        telemetry: Telemetry,
-    ) -> Gateway {
+        let instance = telemetry.registry().instance("gateway");
         let max_inbox = service.max_inbox();
         let chunk_cap = if max_inbox > 0 {
             config.chunk_walkers.clamp(1, max_inbox)
@@ -242,8 +236,10 @@ impl Gateway {
             // lint:allow(determinism): uptime epoch for stats/telemetry
             // only; never feeds walk output.
             started_at: Instant::now(),
-            dispatch_ns: telemetry.histogram(names::GATEWAY_DISPATCH_NS),
+            dispatch_ns: telemetry
+                .histogram_with(names::GATEWAY_DISPATCH_NS, &[("gateway", &instance)]),
             telemetry,
+            instance,
         });
         let dispatcher = {
             let (inner, service) = (inner.clone(), service.clone());
@@ -264,14 +260,16 @@ impl Gateway {
         &self.service
     }
 
-    /// Configure `tenant`'s scheduling weight ahead of its submissions.
-    /// Submissions carrying an explicit [`WalkRequest::weight`] update it
-    /// too (most recent explicit setting wins); submissions without one
-    /// inherit it.
+    /// Configure `tenant`'s scheduling weight ahead of its submissions
+    /// (`0` is read as `1`). Submissions carrying an explicit
+    /// [`WalkRequest::weight`] update it too (most recent explicit setting
+    /// wins); submissions without one inherit it.
     pub fn set_tenant_weight(&self, tenant: impl Into<TenantId>, weight: u32) {
-        let tenant = tenant.into();
-        let mut state = self.inner.state.lock();
-        state.sched.set_weight(&tenant, weight.max(1));
+        self.inner
+            .state
+            .lock()
+            .sched
+            .set_weight(&tenant.into(), weight);
     }
 
     /// Queue a request for dispatch, billed to the request's tenant
@@ -284,20 +282,24 @@ impl Gateway {
     /// would refuse ([`GatewayError::Rejected`]) or a tenant exceeding its
     /// own queue bound ([`GatewayError::Overloaded`]) is refused.
     pub fn submit(&self, request: WalkRequest) -> Result<GatewayTicket, GatewayError> {
+        let WalkRequest {
+            walk,
+            starts,
+            seed,
+            tenant,
+            weight,
+        } = request;
         let num_vertices = self.service.num_vertices();
-        let parts = request.into_parts();
-        let starts = parts
-            .starts
-            .unwrap_or_else(|| (0..num_vertices as VertexId).collect());
-        self.service.check_submission(&parts.walk, &starts)?;
-        let tenant = parts.meta.tenant.clone();
+        let starts = starts.unwrap_or_else(|| (0..num_vertices as VertexId).collect());
+        self.service.check_submission(&walk, &starts)?;
 
         let mut state = self.inner.state.lock();
         if !state.tenants.contains_key(&tenant) {
             // First sight: register its counters with the state unlocked,
             // so no registry lock nests under it.
             drop(state);
-            let mut accum = TenantAccum::register(&self.inner.telemetry, tenant.as_str());
+            let mut accum =
+                TenantAccum::register(&self.inner.telemetry, &self.inner.instance, &tenant);
             state = self.inner.state.lock();
             accum.index = state.tenants.len() as u32;
             state.tenants.entry(tenant.clone()).or_insert(accum);
@@ -319,10 +321,8 @@ impl Gateway {
         // request without one inherits whatever is configured (via
         // `set_tenant_weight` or an earlier weighted request) instead of
         // resetting it to the default.
-        if parts.meta.weight.is_some() {
-            state
-                .sched
-                .set_weight(&tenant, parts.meta.effective_weight());
+        if let Some(weight) = weight {
+            state.sched.set_weight(&tenant, weight);
         }
 
         let id = state.next_submission;
@@ -344,10 +344,10 @@ impl Gateway {
             state.sched.enqueue(Chunk {
                 tenant: tenant.clone(),
                 submission: id,
-                walk: parts.walk.clone(),
+                walk: walk.clone(),
                 starts: part.to_vec(),
                 first: i * cap,
-                seed: parts.seed,
+                seed,
                 enqueued_at: now,
             });
         }

@@ -118,9 +118,9 @@ pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayResults, GatewayT
 pub use stats::{GatewayStats, TenantStatsSnapshot};
 pub use window::{AimdConfig, AimdWindow, WindowEvent};
 
-// The tenant vocabulary lives in `bingo-walks`; re-exported so gateway
-// users name tenants without a direct dependency.
-pub use bingo_walks::{TenantId, TicketMeta};
+// Re-exported so gateway users name tenants without a direct
+// `bingo-service` dependency.
+pub use bingo_service::TenantId;
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,8 @@
 //! example and tests measure end to end.
 
 use bingo_graph::VertexId;
-use bingo_walks::{TenantId, Walk};
+use bingo_service::TenantId;
+use bingo_walks::Walk;
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -90,7 +91,9 @@ impl DrrScheduler {
         }
     }
 
-    /// Set (or update) a tenant's weight. Registers the tenant if new.
+    /// Set (or update) a tenant's weight. Registers the tenant if new. A
+    /// weight of 0 would starve the tenant forever, so it is read as 1:
+    /// this is the one place a weight is clamped.
     pub fn set_weight(&mut self, tenant: &TenantId, weight: u32) {
         let entry = self
             .tenants
@@ -372,6 +375,18 @@ mod tests {
             }
         }
         assert!(got_slow, "large head chunk eventually dispatched");
+    }
+
+    #[test]
+    fn a_zero_weight_is_read_as_one() {
+        let mut sched = DrrScheduler::new(8);
+        let (starved, heavy) = (TenantId::new("starved"), TenantId::new("heavy"));
+        assert_eq!(sched.weight(&starved), 1, "an unknown tenant weighs 1");
+        sched.set_weight(&starved, 0);
+        sched.set_weight(&heavy, 5);
+        assert_eq!((sched.weight(&starved), sched.weight(&heavy)), (1, 5));
+        sched.enqueue(chunk("starved", 1, 8));
+        assert_eq!(sched.next(usize::MAX).map(|c| c.submission), Some(1));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! queue-wait percentiles, and the range the AIMD window moved through.
 //!
 //! Like the service's shard counters, the per-tenant accumulators are
-//! **views over the shared telemetry registry** (labeled `tenant="…"`), so
+//! **views over the shared telemetry registry** (labeled `gateway="<n>"`
+//! and `tenant="…"`), so
 //! [`GatewayStats`], the registry's Prometheus exposition and external
 //! scrapers read one set of atomics. The queue-wait reservoir (exact
 //! microsecond percentiles) stays gateway-local; detailed telemetry
@@ -11,9 +12,9 @@
 //! the examples print it and the obs plane's `/status` embeds it.
 
 use bingo_sampling::rng::SplitMix64;
+use bingo_service::TenantId;
 use bingo_telemetry::json::{JsonArray, JsonObject};
 use bingo_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
-use bingo_walks::TenantId;
 use std::time::Duration;
 
 /// Cap on retained queue-wait samples per tenant. Retention beyond the cap
@@ -53,9 +54,9 @@ pub(crate) struct TenantAccum {
 
 impl TenantAccum {
     /// Resolve this tenant's counter set from the shared registry, keyed
-    /// by a `tenant` label.
-    pub(crate) fn register(telemetry: &Telemetry, tenant: &str) -> Self {
-        let labels: &[(&str, &str)] = &[("tenant", tenant)];
+    /// by the `gateway` instance label and a `tenant` label.
+    pub(crate) fn register(telemetry: &Telemetry, gateway: &str, tenant: &TenantId) -> Self {
+        let labels: &[(&str, &str)] = &[("gateway", gateway), ("tenant", tenant.as_str())];
         TenantAccum {
             submitted_walks: telemetry.counter_with(names::GATEWAY_TENANT_SUBMITTED_WALKS, labels),
             dispatched_chunks: telemetry

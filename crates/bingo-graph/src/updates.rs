@@ -178,7 +178,6 @@ pub struct UpdateStreamBuilder {
     kind: UpdateKind,
     reserve: usize,
     bias: Option<Bias>,
-    seedable_biases: bool,
 }
 
 impl UpdateStreamBuilder {
@@ -189,7 +188,6 @@ impl UpdateStreamBuilder {
             kind,
             reserve,
             bias: None,
-            seedable_biases: true,
         }
     }
 
@@ -197,12 +195,6 @@ impl UpdateStreamBuilder {
     /// bias it had in the original graph.
     pub fn with_fixed_bias(mut self, bias: Bias) -> Self {
         self.bias = Some(bias);
-        self
-    }
-
-    /// When enabled (default), inserted edges reuse their original bias.
-    pub fn reuse_original_bias(mut self, reuse: bool) -> Self {
-        self.seedable_biases = reuse;
         self
     }
 
@@ -251,11 +243,7 @@ impl UpdateStreamBuilder {
                 }
                 let (src, dst, bias) = pool_b[b_cursor % pool_b.len()];
                 b_cursor += 1;
-                let bias = match (self.bias, self.seedable_biases) {
-                    (Some(b), _) => b,
-                    (None, true) => bias,
-                    (None, false) => Bias::from_int(1),
-                };
+                let bias = self.bias.unwrap_or(bias);
                 events.push(UpdateEvent::Insert { src, dst, bias });
                 a_edges.push((src, dst, bias));
             } else {

@@ -91,12 +91,12 @@ pub(crate) struct Collector {
 }
 
 impl Collector {
-    pub(crate) fn new(telemetry: &Telemetry) -> Self {
+    pub(crate) fn new(telemetry: &Telemetry, labels: &[(&str, &str)]) -> Self {
         Collector {
             pending: Mutex::new_named(HashMap::new(), "service.pending"),
             pending_cv: Condvar::new(),
-            collect_ns: telemetry.histogram(names::SERVICE_COLLECT_NS),
-            ticket_latency_ns: telemetry.histogram(names::SERVICE_TICKET_LATENCY_NS),
+            collect_ns: telemetry.histogram_with(names::SERVICE_COLLECT_NS, labels),
+            ticket_latency_ns: telemetry.histogram_with(names::SERVICE_TICKET_LATENCY_NS, labels),
             telemetry: telemetry.clone(),
         }
     }

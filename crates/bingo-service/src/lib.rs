@@ -133,7 +133,12 @@
 //! **Metric taxonomy.** Names are stable, dot-separated
 //! `layer.scope.metric` constants in [`bingo_telemetry::names`]
 //! (`service.shard.*`, `service.context.*`, `gateway.tenant.*`, `pool.*`);
-//! per-instance dimensions (shard index, tenant) ride in labels. Counters
+//! per-instance dimensions ride in labels, and they include the instance:
+//! every metric a service registers carries `service="<n>"` and every one
+//! a gateway registers `gateway="<n>"`, numbered per registry from `"0"`,
+//! so two services (or gateways) on one handle never share a series;
+//! shard index and tenant come after it. Only the process-wide `pool.*`
+//! counters are unlabeled. Counters
 //! and gauges are **always live** — [`ServiceStats`] and the gateway's
 //! stats are views over the registry's atomics, costing exactly what raw
 //! atomics cost — while duration histograms (log2-bucketed, nanoseconds,
@@ -323,7 +328,7 @@ pub mod transport;
 
 pub use collect::TicketResults;
 pub use forward::CONTEXT_HANDLE_BYTES;
-pub use request::{RequestParts, WalkRequest};
+pub use request::{TenantId, WalkRequest, DEFAULT_TENANT};
 pub use router::IngestReceipt;
 pub use service::{
     record_pool_profile, AdmissionSnapshot, PartitionStrategy, ServiceConfig, ServiceError,
@@ -331,11 +336,6 @@ pub use service::{
 };
 pub use stats::{ServiceStats, ShardStatsSnapshot};
 pub use transport::{LoopbackTransport, ShardTransport, TransportMode};
-
-// The tenant metadata of `WalkRequest` lives in `bingo-walks` (walk-model
-// layer); re-exported so service users configure it without a direct
-// `bingo-walks` dependency.
-pub use bingo_walks::{TenantId, TicketMeta};
 
 #[cfg(test)]
 mod tests {

@@ -145,6 +145,11 @@ pub enum PartitionStrategy {
 }
 
 /// Configuration of a [`WalkService`].
+///
+/// Shard engines are always built with [`BingoConfig::default`], the
+/// paper's adaptive configuration; the "BS" baseline
+/// ([`BingoConfig::baseline`]) is built directly as a [`BingoEngine`]
+/// (`repro` does).
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Number of vertex shards (resumable tasks on the shared worker
@@ -152,8 +157,6 @@ pub struct ServiceConfig {
     pub num_shards: usize,
     /// Seed from which every walker's RNG stream is derived.
     pub seed: u64,
-    /// Configuration of the per-shard Bingo engines.
-    pub engine: BingoConfig,
     /// Admission bound on each shard's inbox: a submission is rejected with
     /// [`ServiceError::Saturated`] when it would push a shard's queue depth
     /// past this many messages. `0` (the default) keeps inboxes unbounded.
@@ -176,7 +179,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             num_shards: 4,
             seed: 0x5E41_11CE,
-            engine: BingoConfig::default(),
             max_inbox: 0,
             partition: PartitionStrategy::Uniform,
             transport: TransportMode::default(),
@@ -325,8 +327,9 @@ impl WalkService {
     }
 
     /// [`WalkService::build`] recording into the given [`Telemetry`]
-    /// handle. All per-shard counters register in its metric registry
-    /// (labeled `shard="<i>"`); when the handle is detailed, the per-stage
+    /// handle. All its metrics register in the handle's registry under
+    /// this service's `service="<n>"` label (per-shard counters add
+    /// `shard="<i>"`); when the handle is detailed, the per-stage
     /// latency histograms (`service.submit_ns`,
     /// `service.shard.step_batch_ns`, `service.shard.inbox_dwell_ns`,
     /// `service.forward.hop_ns`, `service.collect_ns`, …) and sampled
@@ -383,8 +386,11 @@ impl WalkService {
             })
             .collect();
         let owned_counts = ranges.iter().map(|r| r.len()).collect();
+        // Every metric this service registers carries its instance label.
+        let instance = telemetry.registry().instance("service");
+        let labels: &[(&str, &str)] = &[("service", &instance)];
         // Every shard's engine in one pass of the pool.
-        let shards = BingoEngine::build_ranges(graph, &ranges, config.engine)?
+        let shards = BingoEngine::build_ranges(graph, &ranges, BingoConfig::default())?
             .into_iter()
             .map(ShardState::new)
             .collect();
@@ -393,11 +399,11 @@ impl WalkService {
             partitioner,
             num_vertices,
             counters: (0..num_shards)
-                .map(|shard| ShardCounters::register(&telemetry, shard))
+                .map(|shard| ShardCounters::register(&telemetry, &instance, shard))
                 .collect(),
-            hists: ShardHists::new(&telemetry),
+            hists: ShardHists::new(&telemetry, labels),
             carrier: (config.transport == TransportMode::Serialized).then_some(carrier),
-            collector: Collector::new(&telemetry),
+            collector: Collector::new(&telemetry, labels),
             progress: Mutex::new_named(0, "service.progress"),
             progress_cv: Condvar::new(),
             telemetry,
@@ -414,7 +420,7 @@ impl WalkService {
             // lint:allow(determinism): uptime epoch for stats/latency
             // reporting only; walk output never observes it.
             started_at: Instant::now(),
-            submit_ns: telemetry.histogram(names::SERVICE_SUBMIT_NS),
+            submit_ns: telemetry.histogram_with(names::SERVICE_SUBMIT_NS, labels),
             shared,
         })
     }

@@ -115,9 +115,9 @@ impl Inbox {
 }
 
 /// The shard-loop latency histograms, resolved once at service build.
-/// Unlabeled (one distribution across shards — per-shard load skew already
-/// shows in the busy/utilization counters); no-op handles that never
-/// appear in the registry when telemetry is disabled.
+/// Labeled by service only (one distribution across shards — per-shard
+/// load skew already shows in the busy/utilization counters); no-op
+/// handles that never appear in the registry when telemetry is disabled.
 pub(crate) struct ShardHists {
     /// `service.shard.step_batch_ns`: one walker visit (arrival →
     /// finish/forward).
@@ -131,12 +131,13 @@ pub(crate) struct ShardHists {
 }
 
 impl ShardHists {
-    pub(crate) fn new(telemetry: &Telemetry) -> Self {
+    pub(crate) fn new(telemetry: &Telemetry, labels: &[(&str, &str)]) -> Self {
+        let histogram = |name| telemetry.histogram_with(name, labels);
         ShardHists {
-            step_batch_ns: telemetry.histogram(names::SERVICE_SHARD_STEP_BATCH_NS),
-            inbox_dwell_ns: telemetry.histogram(names::SERVICE_SHARD_INBOX_DWELL_NS),
-            update_apply_ns: telemetry.histogram(names::SERVICE_SHARD_UPDATE_APPLY_NS),
-            forward_hop_ns: telemetry.histogram(names::SERVICE_FORWARD_HOP_NS),
+            step_batch_ns: histogram(names::SERVICE_SHARD_STEP_BATCH_NS),
+            inbox_dwell_ns: histogram(names::SERVICE_SHARD_INBOX_DWELL_NS),
+            update_apply_ns: histogram(names::SERVICE_SHARD_UPDATE_APPLY_NS),
+            forward_hop_ns: histogram(names::SERVICE_FORWARD_HOP_NS),
         }
     }
 }

@@ -96,12 +96,13 @@ pub(crate) struct ShardCounters {
 
 impl ShardCounters {
     /// Resolve this shard's counter set from the shared registry, keyed by
-    /// a `shard` label. Counters and gauges are always live (disabled
-    /// telemetry only turns off histograms and tracing), so the stats
-    /// snapshots below work in every mode.
-    pub(crate) fn register(telemetry: &Telemetry, shard: usize) -> Self {
+    /// the `service` instance label and a `shard` label. Counters and
+    /// gauges are always live (disabled telemetry only turns off
+    /// histograms and tracing), so the stats snapshots below work in every
+    /// mode.
+    pub(crate) fn register(telemetry: &Telemetry, service: &str, shard: usize) -> Self {
         let s = shard.to_string();
-        let labels: &[(&str, &str)] = &[("shard", &s)];
+        let labels: &[(&str, &str)] = &[("service", service), ("shard", &s)];
         ShardCounters {
             steps: telemetry.counter_with(names::SERVICE_SHARD_STEPS, labels),
             walkers_received: telemetry.counter_with(names::SERVICE_SHARD_WALKERS_RECEIVED, labels),
@@ -587,19 +588,17 @@ mod tests {
     #[test]
     fn registered_counters_are_registry_views() {
         let telemetry = Telemetry::disabled();
-        let c = ShardCounters::register(&telemetry, 2);
+        let c = ShardCounters::register(&telemetry, "0", 2);
         c.steps.add(7);
         c.epoch.add_release(1);
         let snap = telemetry.snapshot();
+        let labels = &[("service", "0"), ("shard", "2")];
         assert_eq!(
-            snap.counter(names::SERVICE_SHARD_STEPS, &[("shard", "2")]),
+            snap.counter(names::SERVICE_SHARD_STEPS, labels),
             7,
             "ShardCounters and the registry share one atomic"
         );
-        assert_eq!(
-            snap.counter(names::SERVICE_SHARD_EPOCH, &[("shard", "2")]),
-            1
-        );
+        assert_eq!(snap.counter(names::SERVICE_SHARD_EPOCH, labels), 1);
         assert_eq!(c.snapshot(2, 10).steps, 7);
     }
 

@@ -4,8 +4,10 @@
 //! once per metric at construction time; the [`Counter`]/[`Gauge`]/
 //! [`Histogram`] handles it returns record lock-free ever after. Metric
 //! identity is `(name, labels)`: the name comes from the stable taxonomy
-//! in [`crate::names`], per-instance dimensions (shard index, tenant) go
-//! in labels.
+//! in [`crate::names`], per-instance dimensions (the owning service or
+//! gateway, shard index, tenant) go in labels. [`Registry::instance`]
+//! numbers the services and gateways that share one registry, so each
+//! owns its own series.
 //!
 //! [`RegistrySnapshot`] is an ordered point-in-time copy with one
 //! rendering: Prometheus-style exposition text
@@ -69,6 +71,8 @@ enum Slot {
 #[derive(Clone)]
 pub struct Registry {
     slots: Arc<Mutex<BTreeMap<MetricKey, Slot>>>,
+    /// Instances handed out so far, per kind ([`Registry::instance`]).
+    instances: Arc<Mutex<BTreeMap<String, u32>>>,
 }
 
 impl Default for Registry {
@@ -85,7 +89,22 @@ impl Registry {
                 BTreeMap::new(),
                 "telemetry.registry.slots",
             )),
+            instances: Arc::new(Mutex::new_named(
+                BTreeMap::new(),
+                "telemetry.registry.instances",
+            )),
         }
+    }
+
+    /// The label value of the next instance of `kind` (`"service"`,
+    /// `"gateway"`) to register here: `"0"` for the first, then `"1"`, …
+    /// An owner labels every metric it registers with `(kind, value)`, so
+    /// two of them on one registry never share a series.
+    pub fn instance(&self, kind: &str) -> String {
+        let mut instances = self.instances.lock();
+        let next = instances.entry(kind.to_string()).or_insert(0);
+        *next += 1;
+        (*next - 1).to_string()
     }
 
     fn slot<T>(
@@ -333,6 +352,16 @@ mod tests {
         let other = reg.counter("x.count", &[("shard", "1")]);
         assert_eq!(other.get(), 0);
         assert!(std::panic::catch_unwind(|| reg.gauge("x.count", &[("shard", "0")])).is_err());
+    }
+
+    #[test]
+    fn instances_are_numbered_per_kind_and_per_registry() {
+        let reg = Registry::new();
+        assert_eq!(reg.instance("service"), "0");
+        assert_eq!(reg.instance("gateway"), "0");
+        assert_eq!(reg.instance("service"), "1");
+        assert_eq!(reg.clone().instance("service"), "2", "clones share");
+        assert_eq!(Registry::new().instance("service"), "0");
     }
 
     #[test]

@@ -32,10 +32,6 @@
 //!   that crosses a shard boundary: walker frames, the walk section that
 //!   names a forwarded walker's walk, carried contexts, and the
 //!   negotiated 16-byte snapshot handles.
-//! * [`tenancy`] — multi-tenant ticket metadata ([`TenantId`],
-//!   [`TicketMeta`]): the shared vocabulary the serving layers
-//!   (`bingo-service`, `bingo-gateway`) use to attribute and fairly
-//!   schedule walk submissions.
 //!
 //! ## Parallel execution contract
 //!
@@ -56,7 +52,6 @@ pub mod analytics;
 pub mod apps;
 pub mod engine;
 pub mod model;
-pub mod tenancy;
 pub mod walk_store;
 pub mod wire;
 pub mod workflow;
@@ -70,7 +65,6 @@ pub use model::{
     CarriedContext, ContextRequirement, SharedWalkModel, StepSampler, Transition, WalkModel,
     WalkState,
 };
-pub use tenancy::{TenantId, TicketMeta};
 pub use walk_store::{RefreshStats, WalkStore};
 pub use wire::{ContextHandle, FrameContext, WalkerFrame, WireError};
 pub use workflow::{EvaluationWorkflow, IngestMode, IngestStats, RoundReport, WorkflowReport};

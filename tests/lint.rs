@@ -583,7 +583,7 @@ fn metric_name_census_every_name_is_registered_by_non_test_code() {
 /// fixes, or that no workload varies, is a constant at its one point of use.
 const CONFIG_KNOBS: [(&str, usize); 4] = [
     ("BingoConfig", 1),
-    ("ServiceConfig", 6),
+    ("ServiceConfig", 5),
     ("GatewayConfig", 4),
     ("AimdConfig", 3),
 ];

@@ -370,6 +370,78 @@ fn disabled_service_registers_no_histograms_but_keeps_stats_live() {
 }
 
 #[test]
+fn services_and_gateways_sharing_a_telemetry_keep_their_own_series() {
+    use bingo::gateway::{Gateway, GatewayConfig, TenantId};
+    use std::sync::Arc;
+
+    // Two services on one handle: only A ingests and walks. B's stats,
+    // which `sync`, the steal gate and admission read, must not see A's.
+    let graph = ring(16);
+    let telemetry = Telemetry::enabled(0xA11A5);
+    let config = ServiceConfig {
+        num_shards: 2,
+        ..ServiceConfig::default()
+    };
+    let build = || WalkService::build_with_telemetry(&graph, config, telemetry.clone()).unwrap();
+    let (a, b) = (build(), build());
+    for k in 0..3 {
+        let insert = |src: VertexId| UpdateEvent::Insert {
+            src,
+            dst: src + 3,
+            bias: Bias::from_int(1),
+        };
+        a.sync(a.ingest(&UpdateBatch::new(vec![insert(k), insert(8 + k)])));
+    }
+    let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 16 });
+    a.wait(a.submit(spec, &[0, 8]).unwrap());
+    let epochs =
+        |s: &WalkService| -> Vec<u64> { s.stats().per_shard.iter().map(|s| s.epoch).collect() };
+    assert_eq!(epochs(&a), [3, 3]);
+    assert_eq!(epochs(&b), [0, 0], "B applied no batch");
+    assert!(a.stats().total_steps() > 0);
+    assert_eq!(b.stats().total_steps(), 0, "B ran no walk");
+    assert_eq!(b.stats().total_updates_applied(), 0);
+    // A lone or first instance reads "0", the next "1".
+    let snap = telemetry.snapshot();
+    let epoch = |service| {
+        snap.counter(
+            names::SERVICE_SHARD_EPOCH,
+            &[("service", service), ("shard", "1")],
+        )
+    };
+    assert_eq!((epoch("0"), epoch("1")), (3, 0));
+    let submits = |service| {
+        snap.histogram(names::SERVICE_SUBMIT_NS, &[("service", service)])
+            .count()
+    };
+    assert_eq!((submits("0"), submits("1")), (1, 0));
+    b.shutdown();
+
+    // Two gateways over A billing the same tenant name: one chunk through
+    // the first, three (40 starts at a cap of 16) through the second.
+    let service = Arc::new(a);
+    let config = GatewayConfig {
+        chunk_walkers: 16,
+        ..GatewayConfig::default()
+    };
+    let first = Gateway::new(Arc::clone(&service), config);
+    let second = Gateway::new(Arc::clone(&service), config);
+    let request = |n: VertexId| {
+        let starts = (0..n).map(|i| i % 16).collect();
+        WalkRequest::spec(spec).starts(starts).tenant("t")
+    };
+    first.wait(first.submit(request(16)).unwrap()).unwrap();
+    second.wait(second.submit(request(40)).unwrap()).unwrap();
+    let chunks = |g: &Gateway| {
+        g.stats()
+            .tenant(&TenantId::new("t"))
+            .unwrap()
+            .dispatched_chunks
+    };
+    assert_eq!((chunks(&first), chunks(&second)), (1, 3));
+}
+
+#[test]
 fn service_stats_to_json_reports_utilization() {
     let graph = ring(32);
     let service = WalkService::build(

@@ -385,7 +385,7 @@ fn a_build_shares_the_graphs_blocks_and_neither_side_sees_the_others_writes() {
         let (mut engines, mut smallest) = (0, usize::MAX);
         for shard in 0..4 {
             let (start, end) = partitioner.range(shard);
-            let report = BingoEngine::build_range(&graph, start..end, service_config.engine)
+            let report = BingoEngine::build_range(&graph, start..end, BingoConfig::default())
                 .unwrap()
                 .memory_report();
             engines += report.resident_bytes() - report.adjacency_bytes;
