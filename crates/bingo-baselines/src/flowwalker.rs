@@ -17,7 +17,6 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct FlowWalkerBaseline {
     graph: DynamicGraph,
-    reloads: u64,
 }
 
 impl FlowWalkerBaseline {
@@ -25,18 +24,12 @@ impl FlowWalkerBaseline {
     pub fn build(graph: &DynamicGraph) -> Self {
         FlowWalkerBaseline {
             graph: graph.clone(),
-            reloads: 0,
         }
     }
 
     /// The underlying graph.
     pub fn graph(&self) -> &DynamicGraph {
         &self.graph
-    }
-
-    /// Number of graph reloads (one per ingested batch).
-    pub fn reloads(&self) -> u64 {
-        self.reloads
     }
 }
 
@@ -100,8 +93,7 @@ impl DynamicWalkSystem for FlowWalkerBaseline {
             }
         }
         // "Reload" the graph: FlowWalker keeps no sampling structure, so the
-        // reload is just the graph mutation above plus a bookkeeping bump.
-        self.reloads += 1;
+        // reload is just the graph mutation above.
         IngestStats {
             applied,
             skipped,
@@ -161,7 +153,6 @@ mod tests {
         let stats = fw.ingest(&batch, IngestMode::Streaming);
         assert_eq!(stats.applied, 3);
         assert_eq!(stats.skipped, 1);
-        assert_eq!(fw.reloads(), 1);
         assert!(fw.has_edge(5, 0));
         assert!(!fw.has_edge(2, 1));
         assert_eq!(fw.edge_bias(2, 4), Some(10.0));

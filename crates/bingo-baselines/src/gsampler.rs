@@ -44,7 +44,7 @@ impl GSamplerBaseline {
 
     /// Rebuild the CSR snapshot and every per-vertex CDF from the current
     /// graph state. `O(V + E)`.
-    pub fn reconstruct(&mut self) {
+    fn reconstruct(&mut self) {
         self.csr = self.graph.to_csr();
         let n = self.csr.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -69,7 +69,7 @@ impl GSamplerBaseline {
     }
 
     /// The per-vertex CDF slice (cumulative biases of `v`'s edges).
-    pub fn vertex_cdf(&self, v: VertexId) -> &[f64] {
+    fn vertex_cdf(&self, v: VertexId) -> &[f64] {
         let v = v as usize;
         if v + 1 >= self.offsets.len() {
             return &[];

@@ -223,7 +223,7 @@ pub fn table3(config: &ExperimentConfig) -> ResultTable {
 
 /// Table 3 restricted to specific datasets / applications (used for quick
 /// runs and by the unit tests).
-pub fn table3_filtered(
+fn table3_filtered(
     config: &ExperimentConfig,
     datasets: &[StandinDataset],
     apps: &[&str],

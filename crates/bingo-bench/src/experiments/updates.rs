@@ -5,7 +5,6 @@ use bingo_baselines::FlowWalkerBaseline;
 use bingo_core::{BingoConfig, BingoEngine};
 use bingo_graph::datasets::StandinDataset;
 use bingo_graph::updates::UpdateKind;
-use bingo_graph::Bias;
 use bingo_sampling::rng::Pcg64;
 use bingo_walks::{DynamicWalkSystem, IngestMode, TransitionSampler};
 use rand::{Rng, SeedableRng};
@@ -165,25 +164,6 @@ fn sample_targets(engine: &BingoEngine, n: usize, seed: u64) -> Vec<bingo_graph:
     targets
 }
 
-/// Measure raw streaming ingestion rate (updates per second) for one
-/// dataset; used by the README quickstart numbers and tests.
-pub fn streaming_ingestion_rate(config: &ExperimentConfig, dataset: StandinDataset) -> f64 {
-    let (graph, batches) = config.prepare(dataset, UpdateKind::Mixed);
-    let mut engine = BingoEngine::build(&graph, BingoConfig::default()).unwrap();
-    let total: usize = batches.iter().map(|b| b.len()).sum();
-    let (_, elapsed) = timed(|| {
-        for batch in &batches {
-            engine.apply_streaming(batch);
-        }
-    });
-    total as f64 / elapsed.as_secs_f64().max(1e-9)
-}
-
-#[allow(dead_code)]
-fn keep_bias_import_alive() -> Bias {
-    Bias::from_int(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,11 +200,5 @@ mod tests {
                 assert!(cell.parse::<f64>().unwrap() >= 0.0);
             }
         }
-    }
-
-    #[test]
-    fn streaming_rate_is_positive() {
-        let config = smoke_config();
-        assert!(streaming_ingestion_rate(&config, StandinDataset::Amazon) > 0.0);
     }
 }

@@ -103,7 +103,7 @@ impl Json {
     }
 
     /// Serialize with one space of indentation per level.
-    pub fn pretty(&self) -> String {
+    fn pretty(&self) -> String {
         let mut out = String::new();
         self.write(0, &mut out);
         out.push('\n');
@@ -374,7 +374,7 @@ impl PairsArgs {
     }
 
     /// Where the readings go.
-    pub fn output_path(&self) -> PathBuf {
+    fn output_path(&self) -> PathBuf {
         let mut name = format!("PR{}-{}", self.pr, self.workload);
         if self.seed != DEFAULT_SEED {
             name.push_str(&format!("-seed{}", self.seed));

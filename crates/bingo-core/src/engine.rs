@@ -8,7 +8,7 @@
 //! which is the CPU equivalent of the paper's per-vertex GPU kernels.
 
 use crate::config::BingoConfig;
-use crate::context::{ContextProvider, ContextProviderStats};
+use crate::context::ContextProviderStats;
 use crate::memory::MemoryReport;
 use crate::stats::{ConversionMatrix, EngineStats};
 use crate::vertex_space::{VertexSpace, VertexUpdateOutcome};
@@ -59,8 +59,6 @@ pub struct BingoEngine {
     /// Group-representation checks and conversions of every update so far
     /// (Table 4); the spaces report them per update and keep none.
     conversions: ConversionMatrix,
-    /// Tally of the fingerprints encoded for the forwarded-context path.
-    context: ContextProvider,
     /// The work lists of [`BingoEngine::apply_batch`], empty between
     /// batches and kept for their capacity.
     scratch: BatchScratch,
@@ -218,7 +216,6 @@ impl BingoEngine {
             config,
             stats,
             conversions: ConversionMatrix::new(),
-            context: ContextProvider::default(),
             scratch: BatchScratch::default(),
         }
     }
@@ -237,21 +234,6 @@ impl BingoEngine {
     /// of owned vertices for whole-graph engines.
     pub fn num_vertices(&self) -> usize {
         self.global_vertices
-    }
-
-    /// Global id of the first owned vertex (0 for whole-graph engines).
-    pub fn vertex_base(&self) -> usize {
-        self.vertex_base
-    }
-
-    /// Number of vertices whose out-edges this engine owns.
-    pub fn num_owned(&self) -> usize {
-        self.spaces.len()
-    }
-
-    /// The contiguous global-id range of owned vertices.
-    pub fn owned_range(&self) -> std::ops::Range<usize> {
-        self.vertex_base..self.vertex_base + self.spaces.len()
     }
 
     /// Whether this engine owns vertex `v`'s out-edges.
@@ -345,19 +327,18 @@ impl BingoEngine {
     /// to keep.
     pub fn warm_context(&mut self) {}
 
-    /// [`BingoEngine::neighbor_fingerprint`] behind an `Arc`, and counted
-    /// in [`BingoEngine::context_provider_stats`]. `None` when this engine
-    /// does not own `v`. A walk service does not call it: its snapshots are
-    /// clones of the owner's [`VertexSpace`] (see [`crate::context`]).
+    /// [`BingoEngine::neighbor_fingerprint`] behind an `Arc`. `None` when
+    /// this engine does not own `v`. A walk service does not call it: its
+    /// snapshots are clones of the owner's [`VertexSpace`] (see
+    /// [`crate::context`]).
     pub fn context_fingerprint_shared(&self, v: VertexId) -> Option<Arc<Vec<VertexId>>> {
-        let fingerprint = self.neighbor_fingerprint(v)?;
-        self.context.count_cold_build();
-        Some(Arc::new(fingerprint))
+        Some(Arc::new(self.neighbor_fingerprint(v)?))
     }
 
-    /// Monotonic activity counters of the fingerprint path.
+    /// Counters of the fingerprint path: zeros, since the engine keeps no
+    /// pre-built set and counts no encoding (see [`crate::context`]).
     pub fn context_provider_stats(&self) -> ContextProviderStats {
-        self.context.stats()
+        ContextProviderStats::default()
     }
 
     /// Streaming edge insertion (`O(K)` for the affected vertex).
@@ -415,23 +396,6 @@ impl BingoEngine {
         self.spaces.push(space);
         self.global_vertices = self.vertex_base + self.spaces.len();
         (self.vertex_base + self.spaces.len() - 1) as VertexId
-    }
-
-    /// Delete vertex `v` by removing all of its **out-edges** (the paper
-    /// implements vertex deletion through edge deletions). The vertex id
-    /// stays valid but isolated; edges pointing *at* `v` from other vertices
-    /// are untouched, matching how the 1-D-partitioned GPU implementation
-    /// handles it (each owner only touches its own adjacency).
-    ///
-    /// Returns the number of edges removed.
-    pub fn delete_vertex_out_edges(&mut self, v: VertexId) -> Result<usize> {
-        let (space, config) = self.vertex_space_mut(v)?;
-        let dsts: Vec<VertexId> = space.adjacency().edges().iter().map(|e| e.dst).collect();
-        let outcome = space.apply_batch(&[], &dsts, config);
-        self.absorb(&outcome);
-        self.num_edges -= outcome.deleted;
-        self.stats.deletions += outcome.deleted as u64;
-        Ok(outcome.deleted)
     }
 
     /// Apply a single update event in streaming mode.
@@ -844,26 +808,14 @@ mod tests {
     }
 
     #[test]
-    fn add_vertex_and_delete_vertex_out_edges() {
+    fn add_vertex_appends_an_isolated_vertex() {
         let mut engine = engine_from_running_example(BingoConfig::default());
         let v = engine.add_vertex();
         assert_eq!(v, 6);
         assert_eq!(engine.num_vertices(), 7);
         engine.insert_edge(v, 2, Bias::from_int(3)).unwrap();
         assert_eq!(engine.degree(v), 1);
-
-        // Deleting vertex 2's out-edges empties its space but keeps the id.
-        let removed = engine.delete_vertex_out_edges(2).unwrap();
-        assert_eq!(removed, 3);
-        assert_eq!(engine.degree(2), 0);
-        let mut rng = Pcg64::seed_from_u64(1);
-        assert_eq!(engine.sample_neighbor(2, &mut rng), None);
-        // Edges pointing at vertex 2 are untouched.
-        assert!(engine.has_edge(0, 2));
         engine.check_invariants().unwrap();
-        // Deleting an already-isolated vertex's edges removes nothing.
-        assert_eq!(engine.delete_vertex_out_edges(2).unwrap(), 0);
-        assert!(engine.delete_vertex_out_edges(99).is_err());
     }
 
     #[test]
@@ -873,9 +825,7 @@ mod tests {
         let mid = BingoEngine::build_range(&graph, 30..60, BingoConfig::default()).unwrap();
 
         assert_eq!(mid.num_vertices(), 90);
-        assert_eq!(mid.num_owned(), 30);
-        assert_eq!(mid.vertex_base(), 30);
-        assert_eq!(mid.owned_range(), 30..60);
+        assert_eq!((mid.vertex_base, mid.spaces.len()), (30, 30));
         mid.check_invariants().unwrap();
 
         let mut owned_edges = 0;
@@ -980,7 +930,7 @@ mod tests {
 
         for range in [0..0, 45..45, 90..90] {
             let empty = BingoEngine::build_range(&graph, range.clone(), config).unwrap();
-            assert_eq!((empty.num_owned(), empty.owned_range()), (0, range));
+            assert_eq!((empty.vertex_base, empty.spaces.len()), (range.start, 0));
             assert_eq!((empty.num_vertices(), empty.num_edges()), (90, 0));
             empty.check_invariants().unwrap();
         }
@@ -998,7 +948,10 @@ mod tests {
             assert_eq!(together.len(), ranges.len());
             for (engine, range) in together.iter().zip(&ranges) {
                 let alone = BingoEngine::build_range(&graph, range.clone(), config).unwrap();
-                assert_eq!(engine.owned_range(), *range);
+                assert_eq!(
+                    (engine.vertex_base, engine.spaces.len()),
+                    (range.start, range.len())
+                );
                 assert_eq!(engine.num_edges(), alone.num_edges());
                 assert_eq!(engine.stats(), alone.stats());
                 assert_eq!(engine.memory_report(), alone.memory_report());
@@ -1030,8 +983,7 @@ mod tests {
         assert_eq!(Some(fp1.as_ref().clone()), engine.neighbor_fingerprint(hub));
         assert!(fp1.windows(2).all(|pair| pair[0] < pair[1]));
         engine.warm_context();
-        let stats = engine.context_provider_stats();
-        assert_eq!((stats.hot_hits, stats.cold_builds), (0, 1));
+        assert_eq!(engine.context_provider_stats().hot_hits, 0);
 
         // Streamed and batched updates both show in the next one.
         let dst = (0..120u32).find(|&d| !engine.has_edge(hub, d)).unwrap();
@@ -1042,12 +994,10 @@ mod tests {
         engine.apply_batch(&batch);
         let fp3 = engine.context_fingerprint_shared(hub).unwrap();
         assert_eq!(fp3, fp1, "deleted edge gone");
-        assert_eq!(engine.clone().context_provider_stats().cold_builds, 3);
 
         // Non-owned vertices have no fingerprint.
         let shard = BingoEngine::build_range(&graph, 0..10, BingoConfig::default()).unwrap();
         assert!(shard.context_fingerprint_shared(50).is_none());
-        assert_eq!(shard.context_provider_stats().cold_builds, 0);
     }
 
     #[test]
@@ -1105,7 +1055,14 @@ mod tests {
             let outcome = engine.apply_batch(&UpdateBatch::new(events));
             let v = engine.add_vertex();
             engine.insert_edge(v, 0, Bias::from_int(3)).unwrap();
-            engine.delete_vertex_out_edges(3).unwrap();
+            let out_edges_of_3 = engine.vertex_space(3).unwrap().adjacency().edges();
+            let deletes: UpdateBatch = (0..out_edges_of_3.len())
+                .map(|i| UpdateEvent::Delete {
+                    src: 3,
+                    dst: out_edges_of_3.dst(i),
+                })
+                .collect();
+            engine.apply_batch(&deletes);
 
             let (inter, full) = summed_rebuilds(&engine);
             assert_eq!(engine.stats().full_rebuilds, full);

@@ -3,8 +3,8 @@
 //! The core contribution of the Bingo paper: a radix-based bias
 //! factorization sampling engine for dynamically changing weighted graphs.
 //!
-//! * [`radix`] — the bias decomposition `D(w)` and group biases `W(p_k)`
-//!   (§4.1, Equations 3–4).
+//! * [`radix`] — the bias decomposition `D(w)` and the group count `K`
+//!   (§4.1, Equation 3).
 //! * [`fixed`] — λ-amortized handling of floating-point biases (§4.3).
 //! * [`group`] — radix groups with the adaptive representations of §5.1
 //!   (dense / one-element / sparse / regular), the decimal group, and the
@@ -19,9 +19,9 @@
 //!   groups, no index, one bounded pass per sample or lookup.
 //! * [`engine`] — the whole-graph engine: streaming and parallel batched
 //!   ingestion, `O(1)` neighbor sampling, memory and conversion accounting.
-//! * [`context`] — counters of the adjacency-fingerprint path: the sorted
-//!   neighbor ids a serialized forward ships for a snapshot (the service
-//!   keeps a clone of the owner's vertex space, not the ids).
+//! * [`context`] — the adjacency-fingerprint path: the sorted neighbor ids
+//!   a serialized forward ships for a snapshot (the service keeps a clone
+//!   of the owner's vertex space, not the ids).
 //! * [`radix_base`] — the arbitrary-radix-base extension of §9.2.
 //! * [`partition`] — the 1-D vertex → partition map (§9.1).
 //!

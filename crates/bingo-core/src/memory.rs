@@ -91,17 +91,6 @@ impl MemoryReport {
         self.total_bytes() + self.structure_bytes
     }
 
-    /// Bytes attributed to a particular group kind.
-    pub fn bytes_for(&self, kind: GroupKind) -> usize {
-        match kind {
-            GroupKind::Dense => self.dense_bytes,
-            GroupKind::OneElement => self.one_element_bytes,
-            GroupKind::Sparse => self.sparse_bytes,
-            GroupKind::Regular => self.regular_bytes,
-            GroupKind::Empty => 0,
-        }
-    }
-
     /// Number of groups of a particular kind.
     pub fn count_for(&self, kind: GroupKind) -> usize {
         match kind {
@@ -190,9 +179,7 @@ mod tests {
         assert_eq!(r.sampling_bytes(), 61);
         assert_eq!(r.total_bytes(), 161);
         assert_eq!(r.resident_bytes(), 200);
-        assert_eq!(r.bytes_for(GroupKind::Regular), 40);
         assert_eq!(r.count_for(GroupKind::Dense), 1);
-        assert_eq!(r.bytes_for(GroupKind::Empty), 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl Partitioner {
 
     /// Create a contiguous split balancing arbitrary per-vertex weights
     /// (the primitive behind [`Partitioner::balanced_by_degree`]).
-    pub fn balanced_by_weight(weights: &[usize], num_partitions: usize) -> Self {
+    fn balanced_by_weight(weights: &[usize], num_partitions: usize) -> Self {
         let n = weights.len();
         let p = num_partitions.max(1);
         let total: usize = weights.iter().sum();

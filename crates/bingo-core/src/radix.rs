@@ -38,13 +38,6 @@ pub fn decompose(bias: u64) -> RadixDecomposition {
     RadixDecomposition { remaining: bias }
 }
 
-/// Number of radix groups an integer bias participates in
-/// (`t = popcount(w)` in the space-complexity analysis of §4.4).
-#[inline]
-pub fn popcount(bias: u64) -> u32 {
-    bias.count_ones()
-}
-
 /// Number of groups needed to represent biases up to `max_bias`
 /// (`K = log2(max(w)) + 1`).
 #[inline]
@@ -61,30 +54,6 @@ pub fn groups_for_max_bias(max_bias: u64) -> usize {
 #[inline]
 pub fn in_group(bias: u64, bit: u8) -> bool {
     bit < 64 && bias & (1u64 << bit) != 0
-}
-
-/// The sub-bias an integer bias contributes to group `k` (`w ∧ 2^k`).
-#[inline]
-pub fn sub_bias(bias: u64, bit: u8) -> u64 {
-    if bit < 64 {
-        bias & (1u64 << bit)
-    } else {
-        0
-    }
-}
-
-/// Compute all group biases `W(p_k)` for a slice of integer biases
-/// (Equation 4). The returned vector has `groups_for_max_bias(max)` entries.
-pub fn group_biases(biases: &[u64]) -> Vec<u64> {
-    let max = biases.iter().copied().max().unwrap_or(0);
-    let k = groups_for_max_bias(max);
-    let mut groups = vec![0u64; k];
-    for &w in biases {
-        for bit in decompose(w) {
-            groups[bit as usize] += 1u64 << bit;
-        }
-    }
-    groups
 }
 
 #[cfg(test)]
@@ -110,9 +79,7 @@ mod tests {
     }
 
     #[test]
-    fn popcount_and_group_count() {
-        assert_eq!(popcount(5), 2);
-        assert_eq!(popcount(0), 0);
+    fn group_count() {
         assert_eq!(groups_for_max_bias(0), 0);
         assert_eq!(groups_for_max_bias(1), 1);
         assert_eq!(groups_for_max_bias(5), 3);
@@ -121,36 +88,10 @@ mod tests {
     }
 
     #[test]
-    fn membership_and_sub_bias() {
+    fn membership() {
         assert!(in_group(5, 0));
         assert!(!in_group(5, 1));
         assert!(in_group(5, 2));
         assert!(!in_group(5, 64));
-        assert_eq!(sub_bias(5, 2), 4);
-        assert_eq!(sub_bias(5, 1), 0);
-        assert_eq!(sub_bias(5, 80), 0);
-    }
-
-    #[test]
-    fn running_example_group_biases() {
-        // Vertex 2: biases 5, 4, 3 → group 2^0 = {5, 3}, 2^1 = {3}, 2^2 = {5, 4}.
-        // Group biases: 2, 2, 8 (as stated in §4.1 of the paper).
-        let groups = group_biases(&[5, 4, 3]);
-        assert_eq!(groups, vec![2, 2, 8]);
-        let total: u64 = groups.iter().sum();
-        assert_eq!(total, 12);
-    }
-
-    #[test]
-    fn group_biases_handle_empty_and_zero() {
-        assert!(group_biases(&[]).is_empty());
-        assert!(group_biases(&[0, 0]).is_empty());
-    }
-
-    #[test]
-    fn group_bias_totals_equal_bias_totals() {
-        let biases = [7u64, 13, 1, 255, 1024, 9999];
-        let groups = group_biases(&biases);
-        assert_eq!(groups.iter().sum::<u64>(), biases.iter().sum::<u64>());
     }
 }

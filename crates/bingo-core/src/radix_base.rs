@@ -92,7 +92,7 @@ impl RadixBaseSpace {
     }
 
     /// Rebuild every level from the stored biases. `O(d · K_b)`.
-    pub fn rebuild(&mut self) {
+    fn rebuild(&mut self) {
         let max = self.biases.iter().copied().max().unwrap_or(0);
         let mut num_groups = 0usize;
         let mut m = max;

@@ -1054,23 +1054,6 @@ impl VertexSpace {
         report
     }
 
-    /// Per-neighbor transition probabilities of the adjacency list: each
-    /// edge's bias divided by the sum of its biases. The ground truth the
-    /// samples are tested against (Theorem 4.1); it reads nothing of the
-    /// radix groups, the decimal group or the alias tables, so it does not
-    /// check that those structures encode the weights.
-    pub fn exact_probabilities(&self) -> Vec<f64> {
-        let total: f64 = self.adj.edges().iter().map(|e| e.bias.value()).sum();
-        if total <= 0.0 {
-            return vec![0.0; self.adj.degree()];
-        }
-        self.adj
-            .edges()
-            .iter()
-            .map(|e| e.bias.value() / total)
-            .collect()
-    }
-
     /// Check every structural invariant of the sampling space, and that its
     /// representation is one `config` allows at this degree. Used by the
     /// property-based tests; returns a description of the first violation.
@@ -1198,7 +1181,7 @@ mod tests {
             let mut rng = Pcg64::seed_from_u64(42);
             let freq =
                 empirical_distribution(|r| space.sample_index(r).unwrap(), 3, 300_000, &mut rng);
-            let expected = space.exact_probabilities();
+            let expected = normalized_biases(&space);
             assert!(
                 max_abs_deviation(&freq, &expected) < 0.01,
                 "distribution deviates: {freq:?} vs {expected:?}"
@@ -1243,7 +1226,7 @@ mod tests {
         // Distribution still matches the biases.
         let mut rng = Pcg64::seed_from_u64(3);
         let freq = empirical_distribution(|r| space.sample_index(r).unwrap(), 4, 200_000, &mut rng);
-        assert!(max_abs_deviation(&freq, &space.exact_probabilities()) < 0.01);
+        assert!(max_abs_deviation(&freq, &normalized_biases(&space)) < 0.01);
     }
 
     #[test]
@@ -1349,7 +1332,7 @@ mod tests {
         // Theorem 4.1 still holds with the decimal group in play.
         let mut rng = Pcg64::seed_from_u64(5);
         let freq = empirical_distribution(|r| space.sample_index(r).unwrap(), 3, 300_000, &mut rng);
-        assert!(max_abs_deviation(&freq, &space.exact_probabilities()) < 0.01);
+        assert!(max_abs_deviation(&freq, &normalized_biases(&space)) < 0.01);
     }
 
     #[test]
@@ -1378,7 +1361,7 @@ mod tests {
         space.check_invariants(&config).unwrap();
         let mut rng = Pcg64::seed_from_u64(9);
         let freq = empirical_distribution(|r| space.sample_index(r).unwrap(), 4, 200_000, &mut rng);
-        assert!(max_abs_deviation(&freq, &space.exact_probabilities()) < 0.01);
+        assert!(max_abs_deviation(&freq, &normalized_biases(&space)) < 0.01);
     }
 
     #[test]
@@ -1421,7 +1404,7 @@ mod tests {
         let mut rng = Pcg64::seed_from_u64(13);
         let freq =
             empirical_distribution(|r| space.sample_index(r).unwrap(), 20, 400_000, &mut rng);
-        assert!(max_abs_deviation(&freq, &space.exact_probabilities()) < 0.01);
+        assert!(max_abs_deviation(&freq, &normalized_biases(&space)) < 0.01);
     }
 
     #[test]
@@ -1473,7 +1456,7 @@ mod tests {
 
         let mut rng = Pcg64::seed_from_u64(21);
         let freq = empirical_distribution(|r| space.sample_index(r).unwrap(), 4, 200_000, &mut rng);
-        assert!(max_abs_deviation(&freq, &space.exact_probabilities()) < 0.01);
+        assert!(max_abs_deviation(&freq, &normalized_biases(&space)) < 0.01);
     }
 
     #[test]
@@ -1721,13 +1704,23 @@ mod tests {
         space
     }
 
+    /// Each edge's bias divided by the sum of the adjacency list's biases,
+    /// in neighbor order: the transition probabilities samples are tested
+    /// against (Theorem 4.1). It reads none of the radix groups, the
+    /// decimal group or the alias tables.
+    fn normalized_biases(space: &VertexSpace) -> Vec<f64> {
+        let edges = space.adjacency().edges();
+        let total: f64 = edges.iter().map(|e| e.bias.value()).sum();
+        edges.iter().map(|e| e.bias.value() / total).collect()
+    }
+
     /// Draw 200 000 samples, bin them by neighbor index modulo 64 and hold
-    /// the chi-square against `exact_probabilities()` at the 99.9 % level.
+    /// the chi-square against [`normalized_biases`] at the 99.9 % level.
     fn assert_samples_match_exact_probabilities(space: &VertexSpace, rng: &mut Pcg64) {
         use bingo_sampling::stats::{chi_square, chi_square_critical_999};
         const BINS: usize = 64;
         let mut expected = [0.0; BINS];
-        for (idx, p) in space.exact_probabilities().into_iter().enumerate() {
+        for (idx, p) in normalized_biases(space).into_iter().enumerate() {
             expected[idx % BINS] += p;
         }
         let mut observed = [0usize; BINS];
@@ -2142,7 +2135,7 @@ mod tests {
             space.update_bias(1, Bias::from_int(40), &config).unwrap();
             space.update_bias(2, Bias::from_int(3), &config).unwrap();
             space.check_invariants(&config).unwrap();
-            assert_eq!(space.exact_probabilities().len(), 3);
+            assert_eq!(normalized_biases(&space).len(), 3);
             assert_samples_match_exact_probabilities(&space, &mut rng);
             for dst in [0, 2, 1] {
                 let (removed, outcome) = space.delete(dst, &config).unwrap();

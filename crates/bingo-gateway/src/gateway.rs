@@ -289,9 +289,16 @@ impl Gateway {
             tenant,
             weight,
         } = request;
+        // One walk per vertex of an empty graph is a request for nothing,
+        // as `WalkService::submit_all_vertices` has it: a submission with
+        // no chunks that `wait` returns at once. Only an explicitly empty
+        // start list is an `EmptySubmission`.
         let num_vertices = self.service.num_vertices();
+        let explicit = starts.is_some();
         let starts = starts.unwrap_or_else(|| (0..num_vertices as VertexId).collect());
-        self.service.check_submission(&walk, &starts)?;
+        if explicit || num_vertices > 0 {
+            self.service.check_submission(&walk, &starts)?;
+        }
 
         let mut state = self.inner.state.lock();
         if !state.tenants.contains_key(&tenant) {

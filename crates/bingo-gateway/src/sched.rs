@@ -118,11 +118,6 @@ impl DrrScheduler {
         self.tenants.get(tenant).map_or(0, |t| t.queued_walkers)
     }
 
-    /// Walkers queued across all tenants.
-    pub fn total_queued(&self) -> usize {
-        self.tenants.values().map(|t| t.queued_walkers).sum()
-    }
-
     /// Whether any chunk is queued.
     pub fn is_empty(&self) -> bool {
         self.active.is_empty()
@@ -278,7 +273,6 @@ mod tests {
         assert_eq!(shares["a"], 320);
         assert_eq!(shares["b"], 320);
         assert!(sched.is_empty());
-        assert_eq!(sched.total_queued(), 0);
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl GatewayStats {
     }
 
     /// Total completed steps across all tenants.
-    pub fn total_completed_steps(&self) -> u64 {
+    fn total_completed_steps(&self) -> u64 {
         self.per_tenant.iter().map(|t| t.completed_steps).sum()
     }
 

@@ -6,7 +6,7 @@
 //! destination and bias arrays.
 
 use crate::dynamic_graph::DynamicGraph;
-use crate::{Bias, VertexId};
+use crate::VertexId;
 
 /// A read-only CSR snapshot of a [`DynamicGraph`].
 #[derive(Debug, Clone, Default)]
@@ -35,20 +35,6 @@ impl CsrGraph {
             }
             offsets.push(dsts.len());
         }
-        CsrGraph {
-            offsets,
-            dsts,
-            biases,
-        }
-    }
-
-    /// Build directly from offset / destination / bias arrays.
-    ///
-    /// Panics in debug builds if the arrays are inconsistent; intended for
-    /// tests and generators that already hold CSR data.
-    pub fn from_parts(offsets: Vec<usize>, dsts: Vec<VertexId>, biases: Vec<f64>) -> Self {
-        debug_assert_eq!(dsts.len(), biases.len());
-        debug_assert_eq!(*offsets.last().unwrap_or(&0), dsts.len());
         CsrGraph {
             offsets,
             dsts,
@@ -98,19 +84,6 @@ impl CsrGraph {
         &self.biases[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// Convert the snapshot back into a dynamic graph (used by baselines that
-    /// "reload" the graph after updates).
-    pub fn to_dynamic(&self) -> DynamicGraph {
-        let mut g = DynamicGraph::new(self.num_vertices());
-        for v in 0..self.num_vertices() as VertexId {
-            for (d, b) in self.neighbors(v).iter().zip(self.biases(v)) {
-                g.insert_edge(v, *d, Bias::from_float(*b))
-                    .expect("CSR data is valid");
-            }
-        }
-        g
-    }
-
     /// Total heap memory used by the snapshot.
     pub fn memory_bytes(&self) -> usize {
         self.offsets.capacity() * std::mem::size_of::<usize>()
@@ -150,24 +123,6 @@ mod tests {
         assert_eq!(csr.degree(100), 0);
         assert!(csr.neighbors(100).is_empty());
         assert!(csr.biases(100).is_empty());
-    }
-
-    #[test]
-    fn round_trip_through_dynamic() {
-        let g = running_example();
-        let back = g.to_csr().to_dynamic();
-        assert_eq!(back.num_edges(), g.num_edges());
-        assert_eq!(back.degree(2), 3);
-        assert!((back.neighbors(2).unwrap().total_bias() - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_parts_builds_expected_shape() {
-        let csr = CsrGraph::from_parts(vec![0, 2, 2, 3], vec![1, 2, 0], vec![1.0, 2.0, 3.0]);
-        assert_eq!(csr.num_vertices(), 3);
-        assert_eq!(csr.degree(0), 2);
-        assert_eq!(csr.degree(1), 0);
-        assert_eq!(csr.neighbors(2), &[0]);
     }
 
     #[test]

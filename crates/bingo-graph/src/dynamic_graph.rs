@@ -360,14 +360,6 @@ impl DynamicGraph {
         })
     }
 
-    /// Ensure the graph has at least `n` vertices, growing it if needed.
-    pub fn ensure_vertices(&mut self, n: usize) {
-        let lists = self.lists_mut();
-        if n > lists.len() {
-            lists.resize(n, AdjacencyList::new());
-        }
-    }
-
     /// Add a brand-new isolated vertex and return its id.
     pub fn add_vertex(&mut self) -> VertexId {
         let lists = self.lists_mut();
@@ -414,21 +406,6 @@ impl DynamicGraph {
         let out = adj
             .swap_delete(idx)
             .expect("index returned by find is valid");
-        self.num_edges -= 1;
-        Ok(out)
-    }
-
-    /// Delete the edge at a specific neighbor index of `src`.
-    pub fn delete_edge_at(&mut self, src: VertexId, neighbor_index: usize) -> Result<SwapDelete> {
-        let adj = self.list_mut(src)?;
-        let degree = adj.degree();
-        let out = adj
-            .swap_delete(neighbor_index)
-            .ok_or(GraphError::NeighborIndexOutOfRange {
-                src,
-                index: neighbor_index,
-                degree,
-            })?;
         self.num_edges -= 1;
         Ok(out)
     }
@@ -610,23 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_edge_at_index() {
-        let mut g = super::running_example();
-        let before = g.num_edges();
-        g.delete_edge_at(2, 1).unwrap();
-        assert_eq!(g.num_edges(), before - 1);
-        assert_eq!(
-            g.delete_edge_at(2, 10),
-            Err(GraphError::NeighborIndexOutOfRange {
-                src: 2,
-                index: 10,
-                degree: 2
-            })
-        );
-        assert_eq!(g.num_edges(), before - 1);
-    }
-
-    #[test]
     fn update_bias_returns_old_value() {
         let mut g = super::running_example();
         let old = g.update_bias(2, 4, Bias::from_int(9)).unwrap();
@@ -645,15 +605,12 @@ mod tests {
     }
 
     #[test]
-    fn ensure_and_add_vertices() {
+    fn add_vertex_appends_an_isolated_vertex() {
         let mut g = DynamicGraph::new(2);
-        g.ensure_vertices(5);
-        assert_eq!(g.num_vertices(), 5);
-        g.ensure_vertices(3); // no shrink
-        assert_eq!(g.num_vertices(), 5);
         let v = g.add_vertex();
-        assert_eq!(v, 5);
-        assert_eq!(g.num_vertices(), 6);
+        assert_eq!(v, 2);
+        assert_eq!(g.num_vertices(), 3);
+        assert_eq!(g.degree(v), 0);
     }
 
     #[test]
@@ -718,7 +675,7 @@ mod tests {
         let n = 2 * BUCKET_VERTICES + 100;
         let mut graph = DynamicGraph::new(n);
         if pushed {
-            graph.ensure_vertices(n);
+            graph.lists_mut();
         }
         for i in 0..6 * n {
             let src = (i * 7919 % n) as VertexId;
@@ -772,7 +729,7 @@ mod tests {
     fn a_rejected_insert_stages_nothing() {
         let mut loading = DynamicGraph::new(3);
         let mut settled = DynamicGraph::new(3);
-        settled.ensure_vertices(3);
+        settled.lists_mut();
         for g in [&mut loading, &mut settled] {
             assert!(matches!(
                 g.insert_edge(3, 0, Bias::from_int(1)),
@@ -817,8 +774,6 @@ mod tests {
         as_on_a_settled_twin(|g| g.delete_edge(5, 17));
         as_on_a_settled_twin(|g| g.delete_edge(5, 99));
         as_on_a_settled_twin(|g| g.delete_edge(9_000, 1));
-        as_on_a_settled_twin(|g| g.delete_edge_at(5, 3));
-        as_on_a_settled_twin(|g| g.delete_edge_at(5, 400));
         as_on_a_settled_twin(|g| g.update_bias(5, 30, Bias::from_int(9)));
         as_on_a_settled_twin(|g| g.update_bias(5, 30, Bias::from_int(0)));
         as_on_a_settled_twin(|g| {
@@ -838,7 +793,6 @@ mod tests {
             ]);
             g.apply_batch(&batch)
         });
-        as_on_a_settled_twin(|g| g.ensure_vertices(9_000));
         as_on_a_settled_twin(|g| g.add_vertex());
     }
 

@@ -63,15 +63,6 @@ pub enum GraphError {
         /// Destination vertex.
         dst: VertexId,
     },
-    /// A neighbor index is outside a vertex's adjacency list.
-    NeighborIndexOutOfRange {
-        /// Source vertex.
-        src: VertexId,
-        /// The offending neighbor index.
-        index: usize,
-        /// Degree of `src`.
-        degree: usize,
-    },
     /// An edge bias was invalid (negative, zero, NaN or infinite).
     InvalidBias {
         /// Source vertex.
@@ -98,10 +89,6 @@ impl std::fmt::Display for GraphError {
                 num_vertices,
             } => write!(f, "vertex {vertex} out of range ({num_vertices} vertices)"),
             GraphError::EdgeNotFound { src, dst } => write!(f, "edge ({src}, {dst}) not found"),
-            GraphError::NeighborIndexOutOfRange { src, index, degree } => write!(
-                f,
-                "neighbor index {index} of vertex {src} out of range (degree {degree})"
-            ),
             GraphError::InvalidBias { src, dst } => {
                 write!(f, "invalid bias for edge ({src}, {dst})")
             }

@@ -37,7 +37,7 @@ pub struct GraphSummary {
 
 /// Compute the out-degree histogram: `histogram[d]` = number of vertices of
 /// degree `d`.
-pub fn degree_histogram(graph: &DynamicGraph) -> Vec<usize> {
+fn degree_histogram(graph: &DynamicGraph) -> Vec<usize> {
     let mut histogram = vec![0usize; graph.max_degree() + 1];
     for v in 0..graph.num_vertices() as VertexId {
         histogram[graph.degree(v)] += 1;
@@ -45,26 +45,10 @@ pub fn degree_histogram(graph: &DynamicGraph) -> Vec<usize> {
     histogram
 }
 
-/// Cumulative degree distribution: fraction of vertices with degree ≤ d.
-pub fn degree_cdf(graph: &DynamicGraph) -> Vec<f64> {
-    let histogram = degree_histogram(graph);
-    let n: usize = histogram.iter().sum();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut cdf = Vec::with_capacity(histogram.len());
-    let mut running = 0usize;
-    for count in histogram {
-        running += count;
-        cdf.push(running as f64 / n as f64);
-    }
-    cdf
-}
-
 /// Fit a power-law exponent to a histogram by least-squares regression in
 /// log-log space, ignoring empty buckets and bucket zero. Returns `None`
 /// when fewer than three non-empty buckets exist.
-pub fn fit_powerlaw_exponent(histogram: &[usize]) -> Option<f64> {
+fn fit_powerlaw_exponent(histogram: &[usize]) -> Option<f64> {
     let points: Vec<(f64, f64)> = histogram
         .iter()
         .enumerate()
@@ -136,14 +120,11 @@ mod tests {
     use crate::Bias;
 
     #[test]
-    fn histogram_and_cdf_of_running_example() {
+    fn histogram_of_running_example() {
         let g = running_example();
         let histogram = degree_histogram(&g);
         // Degrees: v0=2, v1=1, v2=3, v3=1, v4=1, v5=0.
         assert_eq!(histogram, vec![1, 3, 1, 1]);
-        let cdf = degree_cdf(&g);
-        assert!((cdf.last().unwrap() - 1.0).abs() < 1e-12);
-        assert!((cdf[1] - 4.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -166,7 +147,6 @@ mod tests {
         assert_eq!(s.bias_mean, 0.0);
         assert_eq!(s.isolated_vertices, 3);
         assert_eq!(s.degree_powerlaw_alpha, None);
-        assert!(degree_cdf(&DynamicGraph::new(0)).is_empty());
     }
 
     #[test]

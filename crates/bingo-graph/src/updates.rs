@@ -55,7 +55,7 @@ impl UpdateEvent {
     }
 
     /// Whether this event is an insertion.
-    pub fn is_insert(&self) -> bool {
+    fn is_insert(&self) -> bool {
         matches!(self, UpdateEvent::Insert { .. })
     }
 
@@ -105,17 +105,6 @@ impl UpdateBatch {
     /// Number of deletions in the batch.
     pub fn num_deletions(&self) -> usize {
         self.events.iter().filter(|e| e.is_delete()).count()
-    }
-
-    /// Group the events by source vertex, preserving per-vertex order.
-    /// This is the CPU-side "reordering requests" step of Figure 10(a).
-    pub fn group_by_vertex(&self) -> Vec<(VertexId, Vec<UpdateEvent>)> {
-        let mut groups: std::collections::BTreeMap<VertexId, Vec<UpdateEvent>> =
-            std::collections::BTreeMap::new();
-        for &event in &self.events {
-            groups.entry(event.src()).or_default().push(event);
-        }
-        groups.into_iter().collect()
     }
 
     /// Split the batch into chunks of at most `chunk_size` events.
@@ -177,32 +166,24 @@ pub enum UpdateKind {
 pub struct UpdateStreamBuilder {
     kind: UpdateKind,
     reserve: usize,
-    bias: Option<Bias>,
 }
 
 impl UpdateStreamBuilder {
     /// Create a builder for the given workload kind, reserving
     /// `reserve` edges for the insertion pool.
     pub fn new(kind: UpdateKind, reserve: usize) -> Self {
-        UpdateStreamBuilder {
-            kind,
-            reserve,
-            bias: None,
-        }
+        UpdateStreamBuilder { kind, reserve }
     }
 
-    /// Force every inserted edge to use a fixed bias instead of reusing the
-    /// bias it had in the original graph.
-    pub fn with_fixed_bias(mut self, bias: Bias) -> Self {
-        self.bias = Some(bias);
-        self
-    }
-
-    /// Prepare the graph and generate `count` update events.
+    /// Prepare the graph and generate up to `count` update events.
     ///
     /// The graph is mutated: the reserved edges are removed (they form set
     /// B). The returned events are valid to apply in order against the
-    /// mutated graph.
+    /// mutated graph. An insert re-adds the next edge of B with its
+    /// original bias, cycling through B; a delete removes a random edge
+    /// still present. An event whose pool is empty — an insert when B is
+    /// empty, a delete when no edge is left — is skipped, so the batch
+    /// holds fewer than `count` events then.
     pub fn build<R: Rng + ?Sized>(
         &self,
         graph: &mut DynamicGraph,
@@ -243,7 +224,6 @@ impl UpdateStreamBuilder {
                 }
                 let (src, dst, bias) = pool_b[b_cursor % pool_b.len()];
                 b_cursor += 1;
-                let bias = self.bias.unwrap_or(bias);
                 events.push(UpdateEvent::Insert { src, dst, bias });
                 a_edges.push((src, dst, bias));
             } else {
@@ -314,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_counts_and_grouping() {
+    fn batch_counts() {
         let batch = UpdateBatch::new(vec![
             UpdateEvent::Insert {
                 src: 1,
@@ -331,11 +311,6 @@ mod tests {
         assert_eq!(batch.len(), 3);
         assert_eq!(batch.num_insertions(), 2);
         assert_eq!(batch.num_deletions(), 1);
-        let groups = batch.group_by_vertex();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, 0);
-        assert_eq!(groups[1].0, 1);
-        assert_eq!(groups[1].1.len(), 2);
     }
 
     #[test]
@@ -410,17 +385,23 @@ mod tests {
     }
 
     #[test]
-    fn fixed_bias_overrides_original() {
-        let mut g = running_example();
+    fn inserts_re_add_reserved_edges_and_an_empty_pool_is_skipped() {
+        let original = running_example();
+        let mut g = original.clone();
         let mut rng = StepRng::new(5, 11);
-        let batch = UpdateStreamBuilder::new(UpdateKind::InsertOnly, 4)
-            .with_fixed_bias(Bias::from_int(42))
-            .build(&mut g, 4, &mut rng);
+        let batch = UpdateStreamBuilder::new(UpdateKind::InsertOnly, 4).build(&mut g, 4, &mut rng);
+        assert_eq!(batch.len(), 4);
         for e in batch.events() {
-            if let UpdateEvent::Insert { bias, .. } = e {
-                assert_eq!(bias.value(), 42.0);
-            }
+            let UpdateEvent::Insert { src, dst, bias } = *e else {
+                panic!("an insert-only stream made {e:?}");
+            };
+            let adj = original.neighbors(src).unwrap();
+            assert!(adj.edges().iter().any(|x| x.dst == dst && x.bias == bias));
         }
+        // Nothing reserved, nothing to insert: every event is skipped.
+        let mut g = original.clone();
+        let batch = UpdateStreamBuilder::new(UpdateKind::InsertOnly, 0).build(&mut g, 4, &mut rng);
+        assert!(batch.is_empty());
     }
 
     #[test]

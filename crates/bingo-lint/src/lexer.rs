@@ -15,7 +15,7 @@
 //!   resolved to line ranges so rules can skip test-only code.
 //!
 //! Tokens carry their 1-based line for findings and for the
-//! statement-window escape-hatch search ([`Lexed::statement_start_line`]).
+//! statement-window escape-hatch search ([`Lexed::window_has_comment`]).
 
 use std::collections::HashMap;
 
@@ -73,7 +73,7 @@ impl Lexed {
     /// `;`, `{` or `}`. Escape-hatch comments are honored anywhere from
     /// one line above that through the flagged line, which covers
     /// rustfmt-wrapped multi-line chains.
-    pub fn statement_start_line(&self, idx: usize) -> u32 {
+    fn statement_start_line(&self, idx: usize) -> u32 {
         let mut start = self.tokens[idx].line;
         for i in (0..idx).rev() {
             let t = &self.tokens[i];

@@ -242,7 +242,7 @@ pub fn parse_metric_names(source: &str) -> BTreeSet<String> {
 
 /// Load the `lint.allow` baseline: one `<rule> <path-prefix>` entry per
 /// line, `#` comments and blank lines ignored.
-pub fn parse_baseline(text: &str) -> Vec<(String, String)> {
+fn parse_baseline(text: &str) -> Vec<(String, String)> {
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))

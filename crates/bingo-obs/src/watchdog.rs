@@ -157,11 +157,6 @@ impl Watchdog {
         self.config
     }
 
-    /// Trips recorded so far (shard episodes + gateway episodes).
-    pub fn trips(&self) -> u64 {
-        self.trips.get()
-    }
-
     /// Run one lazy evaluation against the current stack state.
     pub fn check(
         &self,
@@ -263,7 +258,7 @@ mod tests {
                 .counter(names::OBS_WATCHDOG_CHECKS, &[]),
             1
         );
-        assert_eq!(dog.trips(), 0);
+        assert_eq!(dog.trips.get(), 0);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   `O(d)` construction, `O(log d)` sampling, `O(1)` append / `O(d)` delete.
 //! * [`RejectionSampler`] — rejection sampling against the maximum bias:
 //!   `O(1)` updates, expected `O(d·max(w)/Σw)` sampling.
-//! * [`reservoir`] — weighted reservoir sampling (the FlowWalker substrate):
-//!   no auxiliary state, `O(d)` per sample.
+//! * [`reservoir_sample_indexed`] — weighted reservoir sampling (the
+//!   FlowWalker substrate): no auxiliary state, `O(d)` per sample.
 //!
 //! All samplers implement the [`Sampler`] trait and operate on non-negative
 //! `f64` weights. Deterministic, seedable RNGs live in [`rng`].
@@ -29,7 +29,7 @@ pub mod stats;
 pub use alias::AliasTable;
 pub use its::CdfTable;
 pub use rejection::RejectionSampler;
-pub use reservoir::{reservoir_sample_indexed, reservoir_sample_weighted};
+pub use reservoir::reservoir_sample_indexed;
 
 use rand::Rng;
 

@@ -30,37 +30,9 @@ impl RejectionSampler {
         })
     }
 
-    /// The current maximum weight (the rejection envelope).
-    pub fn max_weight(&self) -> f64 {
-        self.max_weight
-    }
-
     /// The raw weights.
     pub fn weights(&self) -> &[f64] {
         &self.weights
-    }
-
-    /// Expected number of trials per sample: `d · max(w) / Σ w`.
-    pub fn expected_trials(&self) -> f64 {
-        if self.total == 0.0 {
-            return f64::INFINITY;
-        }
-        self.weights.len() as f64 * self.max_weight / self.total
-    }
-
-    /// Sample and also report how many trials were needed (used by the
-    /// rejection-rate experiments).
-    pub fn sample_counting<R: Rng + ?Sized>(&self, rng: &mut R) -> (usize, u32) {
-        debug_assert!(!self.weights.is_empty() && self.max_weight > 0.0);
-        let mut trials = 0;
-        loop {
-            trials += 1;
-            let i = rng.gen_range(0..self.weights.len());
-            let threshold = rng.gen::<f64>() * self.max_weight;
-            if threshold < self.weights[i] {
-                return (i, trials);
-            }
-        }
     }
 
     /// Number of memory bytes used (the weight vector only).
@@ -84,7 +56,14 @@ impl Sampler for RejectionSampler {
 
     #[inline]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.sample_counting(rng).0
+        debug_assert!(!self.weights.is_empty() && self.max_weight > 0.0);
+        loop {
+            let i = rng.gen_range(0..self.weights.len());
+            let threshold = rng.gen::<f64>() * self.max_weight;
+            if threshold < self.weights[i] {
+                return i;
+            }
+        }
     }
 }
 
@@ -175,41 +154,20 @@ mod tests {
     }
 
     #[test]
-    fn expected_trials_reflects_skew() {
-        let uniform = RejectionSampler::new(&[1.0; 10]).unwrap();
-        assert!((uniform.expected_trials() - 1.0).abs() < 1e-9);
-        let skewed = RejectionSampler::new(&[100.0, 1.0, 1.0, 1.0]).unwrap();
-        assert!(skewed.expected_trials() > 3.0);
-    }
-
-    #[test]
-    fn empirical_trials_track_expectation() {
-        let s = RejectionSampler::new(&[10.0, 1.0, 1.0, 1.0, 1.0]).unwrap();
-        let mut rng = Pcg64::seed_from_u64(22);
-        let mut total_trials = 0u64;
-        let n = 50_000;
-        for _ in 0..n {
-            total_trials += u64::from(s.sample_counting(&mut rng).1);
-        }
-        let mean = total_trials as f64 / n as f64;
-        assert!((mean - s.expected_trials()).abs() < 0.15 * s.expected_trials());
-    }
-
-    #[test]
     fn insert_updates_envelope() {
         let mut s = RejectionSampler::new(&[1.0, 2.0]).unwrap();
         s.insert(10.0).unwrap();
-        assert_eq!(s.max_weight(), 10.0);
+        assert_eq!(s.max_weight, 10.0);
         assert_eq!(s.total_weight(), 13.0);
     }
 
     #[test]
     fn removing_max_rescans_envelope() {
         let mut s = RejectionSampler::new(&[1.0, 9.0, 2.0]).unwrap();
-        assert_eq!(s.max_weight(), 9.0);
+        assert_eq!(s.max_weight, 9.0);
         let moved = s.remove(1).unwrap();
         assert_eq!(moved, Some(2));
-        assert_eq!(s.max_weight(), 2.0);
+        assert_eq!(s.max_weight, 2.0);
         assert!((s.total_weight() - 3.0).abs() < 1e-12);
     }
 
@@ -217,10 +175,10 @@ mod tests {
     fn update_weight_maintains_envelope_and_total() {
         let mut s = RejectionSampler::new(&[4.0, 2.0]).unwrap();
         s.update_weight(0, 1.0).unwrap();
-        assert_eq!(s.max_weight(), 2.0);
+        assert_eq!(s.max_weight, 2.0);
         assert!((s.total_weight() - 3.0).abs() < 1e-12);
         s.update_weight(1, 20.0).unwrap();
-        assert_eq!(s.max_weight(), 20.0);
+        assert_eq!(s.max_weight, 20.0);
     }
 
     #[test]

@@ -6,44 +6,17 @@
 //! therefore free, but each sample costs a full `O(d)` scan, which is the
 //! asymptotic weakness Figure 16 of the paper measures.
 //!
-//! Two variants are provided:
-//!
-//! * [`reservoir_sample_weighted`] — the classical A-Res scheme of Efraimidis
-//!   and Spirakis: each item gets key `u^(1/w)` and the maximum key wins.
-//! * [`reservoir_sample_indexed`] — a single-pass "running total" scheme that
-//!   replaces the current winner with item `i` with probability
-//!   `w_i / Σ_{j ≤ i} w_j`; it avoids `powf` in the hot loop.
+//! [`reservoir_sample_indexed`] is the single-pass "running total" scheme:
+//! item `i` replaces the current winner with probability
+//! `w_i / Σ_{j ≤ i} w_j`. It draws one uniform per item and needs no
+//! `powf`, unlike the A-Res keys `u^(1/w)` of Efraimidis and Spirakis,
+//! which select with the same distribution.
 
 use rand::Rng;
 
-/// Weighted reservoir sampling (A-Res): returns the index of the selected
-/// item, or `None` if the iterator is empty or all weights are zero.
-///
-/// Complexity: one pass, `O(d)` time, `O(1)` space.
-pub fn reservoir_sample_weighted<R, I>(weights: I, rng: &mut R) -> Option<usize>
-where
-    R: Rng + ?Sized,
-    I: IntoIterator<Item = f64>,
-{
-    let mut best_key = f64::NEG_INFINITY;
-    let mut best_idx: Option<usize> = None;
-    for (i, w) in weights.into_iter().enumerate() {
-        if w <= 0.0 || !w.is_finite() {
-            continue;
-        }
-        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let key = u.powf(1.0 / w);
-        if key > best_key {
-            best_key = key;
-            best_idx = Some(i);
-        }
-    }
-    best_idx
-}
-
 /// Single-pass weighted selection using running totals: item `i` replaces the
-/// current selection with probability `w_i / Σ_{j ≤ i} w_j`. Equivalent in
-/// distribution to [`reservoir_sample_weighted`] but cheaper per item.
+/// current selection with probability `w_i / Σ_{j ≤ i} w_j`. Returns `None`
+/// if the iterator is empty or all weights are zero.
 ///
 /// Complexity: one pass, `O(d)` time, `O(1)` space.
 pub fn reservoir_sample_indexed<R, I>(weights: I, rng: &mut R) -> Option<usize>
@@ -65,37 +38,6 @@ where
     selected
 }
 
-/// Draw `k` distinct indices by weighted reservoir sampling without
-/// replacement (A-Res with a small reservoir). Returns fewer than `k`
-/// indices if fewer than `k` items have positive weight.
-pub fn reservoir_sample_k<R, I>(weights: I, k: usize, rng: &mut R) -> Vec<usize>
-where
-    R: Rng + ?Sized,
-    I: IntoIterator<Item = f64>,
-{
-    if k == 0 {
-        return Vec::new();
-    }
-    // (key, index) min-heap emulated with a sorted small vector; k is small
-    // in every use in this repository (mini-batch sampling).
-    let mut reservoir: Vec<(f64, usize)> = Vec::with_capacity(k);
-    for (i, w) in weights.into_iter().enumerate() {
-        if w <= 0.0 || !w.is_finite() {
-            continue;
-        }
-        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let key = u.powf(1.0 / w);
-        if reservoir.len() < k {
-            reservoir.push((key, i));
-            reservoir.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite keys"));
-        } else if key > reservoir[0].0 {
-            reservoir[0] = (key, i);
-            reservoir.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite keys"));
-        }
-    }
-    reservoir.into_iter().map(|(_, i)| i).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,10 +48,6 @@ mod tests {
     #[test]
     fn empty_input_returns_none() {
         let mut rng = Pcg64::seed_from_u64(1);
-        assert_eq!(
-            reservoir_sample_weighted(std::iter::empty(), &mut rng),
-            None
-        );
         assert_eq!(reservoir_sample_indexed(std::iter::empty(), &mut rng), None);
     }
 
@@ -117,7 +55,6 @@ mod tests {
     fn all_zero_weights_return_none() {
         let mut rng = Pcg64::seed_from_u64(2);
         let w = [0.0, 0.0, 0.0];
-        assert_eq!(reservoir_sample_weighted(w.iter().copied(), &mut rng), None);
         assert_eq!(reservoir_sample_indexed(w.iter().copied(), &mut rng), None);
     }
 
@@ -127,28 +64,10 @@ mod tests {
         let w = [0.0, 7.0, 0.0];
         for _ in 0..100 {
             assert_eq!(
-                reservoir_sample_weighted(w.iter().copied(), &mut rng),
-                Some(1)
-            );
-            assert_eq!(
                 reservoir_sample_indexed(w.iter().copied(), &mut rng),
                 Some(1)
             );
         }
-    }
-
-    #[test]
-    fn ares_distribution_matches_weights() {
-        let w = [5.0, 4.0, 3.0];
-        let mut rng = Pcg64::seed_from_u64(4);
-        let freq = empirical_distribution(
-            |r| reservoir_sample_weighted(w.iter().copied(), r).unwrap(),
-            3,
-            200_000,
-            &mut rng,
-        );
-        assert!((freq[0] - 5.0 / 12.0).abs() < 0.01);
-        assert!((freq[2] - 3.0 / 12.0).abs() < 0.01);
     }
 
     #[test]
@@ -176,26 +95,5 @@ mod tests {
         }
         // 15 degrees of freedom, 0.999 critical value ≈ 37.7.
         assert!(chi_square_uniformity(&counts) < 37.7);
-    }
-
-    #[test]
-    fn sample_k_returns_distinct_indices() {
-        let w = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut rng = Pcg64::seed_from_u64(7);
-        let picks = reservoir_sample_k(w.iter().copied(), 3, &mut rng);
-        assert_eq!(picks.len(), 3);
-        let mut sorted = picks.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 3);
-    }
-
-    #[test]
-    fn sample_k_handles_k_larger_than_population() {
-        let w = [1.0, 2.0];
-        let mut rng = Pcg64::seed_from_u64(8);
-        let picks = reservoir_sample_k(w.iter().copied(), 10, &mut rng);
-        assert_eq!(picks.len(), 2);
-        assert!(reservoir_sample_k(w.iter().copied(), 0, &mut rng).is_empty());
     }
 }

@@ -63,13 +63,6 @@ impl Pcg64 {
         xored.rotate_right(rot)
     }
 
-    /// Derive an independent stream, used to give each parallel walker or
-    /// update kernel its own generator.
-    pub fn split(&mut self, stream: u64) -> Self {
-        let s = ((self.next() as u128) << 64) | self.next() as u128;
-        Pcg64::new(s, stream as u128)
-    }
-
     /// The raw `(state, increment)` pair, for serializing an in-flight
     /// generator (e.g. a forwarded walker's RNG crossing a process
     /// boundary). Round-trips exactly through
@@ -136,79 +129,6 @@ impl SeedableRng for Pcg64 {
     }
 }
 
-/// Xorshift64* generator — the fastest option, used in hot sampling loops of
-/// the benchmark harness where statistical quality requirements are mild.
-#[derive(Debug, Clone)]
-pub struct Xorshift64 {
-    state: u64,
-}
-
-impl Xorshift64 {
-    /// Create a generator; a zero seed is remapped to a fixed non-zero value.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            state: if seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                seed
-            },
-        }
-    }
-
-    /// Produce the next 64-bit output.
-    #[allow(clippy::should_implement_trait)]
-    #[inline]
-    pub fn next(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-impl RngCore for Xorshift64 {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> std::result::Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for Xorshift64 {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        Xorshift64::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(seed: u64) -> Self {
-        Xorshift64::new(SplitMix64::new(seed).next())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,16 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn pcg_split_streams_differ() {
-        let mut base = Pcg64::seed_from_u64(5);
-        let mut s1 = base.split(1);
-        let mut s2 = base.split(2);
-        let a: Vec<u64> = (0..20).map(|_| s1.next()).collect();
-        let b: Vec<u64> = (0..20).map(|_| s2.next()).collect();
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn pcg_raw_parts_round_trip_mid_stream() {
         let mut rng = Pcg64::seed_from_u64(11);
         for _ in 0..17 {
@@ -284,24 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn xorshift_nonzero_and_deterministic() {
-        let mut a = Xorshift64::seed_from_u64(0);
-        let mut b = Xorshift64::seed_from_u64(0);
-        for _ in 0..100 {
-            let x = a.next();
-            assert_eq!(x, b.next());
-            assert_ne!(x, 0);
-        }
-    }
-
-    #[test]
     fn fill_bytes_covers_partial_chunks() {
         let mut rng = Pcg64::seed_from_u64(3);
         let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-        let mut rng = Xorshift64::seed_from_u64(3);
-        let mut buf = [0u8; 7];
         rng.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
     }

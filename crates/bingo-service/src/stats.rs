@@ -260,7 +260,7 @@ impl ShardStatsSnapshot {
     /// Fraction of `uptime` this shard's worker spent processing messages
     /// (busy / uptime, clamped to `[0, 1]`; 0 when uptime is zero). The
     /// complement is idle time parked on the inbox.
-    pub fn utilization(&self, uptime: Duration) -> f64 {
+    fn utilization(&self, uptime: Duration) -> f64 {
         let secs = uptime.as_secs_f64();
         if secs > 0.0 {
             (self.busy.as_secs_f64() / secs).clamp(0.0, 1.0)
@@ -445,7 +445,7 @@ impl ServiceStats {
     }
 
     /// Walk steps per wall-clock second since service start.
-    pub fn steps_per_sec(&self) -> f64 {
+    fn steps_per_sec(&self) -> f64 {
         let secs = self.uptime.as_secs_f64();
         if secs > 0.0 {
             self.total_steps() as f64 / secs

@@ -107,13 +107,6 @@ impl JsonArray {
         self
     }
 
-    /// Push a numeric element (anything `Display`, written verbatim).
-    pub fn push_num(&mut self, value: impl std::fmt::Display) -> &mut Self {
-        let text = value.to_string();
-        self.sep().push_str(&text);
-        self
-    }
-
     /// Push an element that is already serialized JSON.
     pub fn push_raw(&mut self, json: &str) -> &mut Self {
         self.sep().push_str(json);
@@ -133,7 +126,7 @@ mod tests {
     #[test]
     fn escapes_and_nests() {
         let mut inner = JsonArray::new();
-        inner.push_num(1).push_num(2.5).push_str_elem("a\"b");
+        inner.push_raw("1").push_raw("2.5").push_str_elem("a\"b");
         let mut obj = JsonObject::new();
         obj.field_str("name", "line\nbreak")
             .field_num("count", 7)

@@ -264,8 +264,8 @@ impl RegistrySnapshot {
     /// Prometheus-style exposition text: dots in names become underscores,
     /// histograms expand to `_count`/`_sum` plus cumulative `_bucket{le=…}`
     /// series on the log2 bucket upper edges. Label values are escaped per
-    /// the Prometheus text format ([`escape_prometheus_label`]), which is
-    /// *not* JSON escaping.
+    /// the Prometheus text format (backslash, double quote and newline),
+    /// which is *not* JSON escaping.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for (key, value) in &self.entries {
@@ -324,7 +324,7 @@ impl RegistrySnapshot {
 /// through verbatim. This is deliberately *not* JSON escaping: JSON's
 /// `\t`/`\r`/`\uXXXX` sequences are invalid in Prometheus label values and
 /// make scrapers reject the whole exposition.
-pub fn escape_prometheus_label(value: &str) -> String {
+fn escape_prometheus_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

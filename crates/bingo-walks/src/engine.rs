@@ -34,15 +34,6 @@ impl WalkResults {
         self.paths.len()
     }
 
-    /// Average walk length (in steps).
-    pub fn average_length(&self) -> f64 {
-        if self.paths.is_empty() {
-            0.0
-        } else {
-            self.total_steps() as f64 / self.paths.len() as f64
-        }
-    }
-
     /// Per-vertex visit counts — the statistic PPR, SimRank and random-walk
     /// domination derive their scores from (§1).
     pub fn visit_counts(&self, num_vertices: usize) -> Vec<u64> {
@@ -153,7 +144,6 @@ mod tests {
         assert_eq!(results.paths[1][0], 5);
         assert_eq!(results.paths[2][0], 9);
         assert_eq!(results.total_steps(), 60);
-        assert!((results.average_length() - 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -192,7 +182,6 @@ mod tests {
     fn empty_results_are_harmless() {
         let results = WalkResults::default();
         assert_eq!(results.total_steps(), 0);
-        assert_eq!(results.average_length(), 0.0);
         assert_eq!(results.visit_frequencies(4), vec![0.0; 4]);
     }
 }

@@ -7,7 +7,7 @@
 //! (update time vs. walk time) is what Figures 13 and 16 report.
 
 use crate::apps::WalkSpec;
-use crate::engine::{WalkEngine, WalkResults};
+use crate::engine::WalkEngine;
 use crate::DynamicWalkSystem;
 use bingo_graph::UpdateBatch;
 use std::time::Duration;
@@ -78,16 +78,6 @@ impl WorkflowReport {
     pub fn total_updates(&self) -> usize {
         self.rounds.iter().map(|r| r.updates_applied).sum()
     }
-
-    /// Update ingestion throughput in updates per second.
-    pub fn update_throughput(&self) -> f64 {
-        let secs = self.total_update_time().as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.total_updates() as f64 / secs
-        }
-    }
 }
 
 /// The evaluation workflow driver.
@@ -141,12 +131,6 @@ impl EvaluationWorkflow {
             memory_bytes: system.memory_bytes(),
         }
     }
-
-    /// Run only the walk phase (no updates), returning the walk results.
-    /// Used by experiments that study sampling in isolation (Figure 16(b)).
-    pub fn walk_only<S: DynamicWalkSystem>(&self, system: &S) -> WalkResults {
-        WalkEngine::new(self.seed).run_all_vertices(system, &self.spec)
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +171,7 @@ mod tests {
         assert!(report.total_updates() > 0);
         assert!(report.total_time() >= report.total_walk_time());
         assert!(report.memory_bytes > 0);
-        assert!(report.update_throughput() > 0.0);
+        assert!(!report.total_update_time().is_zero());
         assert!(report.rounds.iter().all(|r| r.walk_steps > 0));
         engine.check_invariants().unwrap();
     }
@@ -207,19 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn walk_only_does_not_mutate_the_system() {
-        let (engine, _) = setup(3);
-        let edges_before = engine.num_edges();
-        let workflow = EvaluationWorkflow::new(
-            WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 8 }),
-            IngestMode::Batched,
-        );
-        let results = workflow.walk_only(&engine);
-        assert_eq!(results.num_walks(), engine.num_vertices());
-        assert_eq!(engine.num_edges(), edges_before);
-    }
-
-    #[test]
     fn empty_batch_list_produces_empty_report() {
         let (mut engine, _) = setup(4);
         let workflow = EvaluationWorkflow::new(
@@ -229,6 +200,5 @@ mod tests {
         let report = workflow.run(&mut engine, &[]);
         assert!(report.rounds.is_empty());
         assert_eq!(report.total_updates(), 0);
-        assert_eq!(report.update_throughput(), 0.0);
     }
 }

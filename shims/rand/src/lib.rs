@@ -3,9 +3,9 @@
 //! The build environment for this repository has no access to crates.io, so
 //! this local shim provides exactly the surface the workspace uses:
 //! [`RngCore`], [`Rng`] (`gen`, `gen_range`, `gen_bool`), [`SeedableRng`],
-//! [`Error`], and [`rngs::mock::StepRng`]. Generators themselves
-//! (`Pcg64`, `Xorshift64`, …) live in `bingo-sampling::rng` and only rely on
-//! these traits.
+//! [`Error`], and [`rngs::mock::StepRng`]. The generator itself
+//! (`Pcg64`) lives in `bingo-sampling::rng` and only relies on these
+//! traits.
 //!
 //! Semantics follow rand 0.8 where observable: `gen::<f64>()` is uniform in
 //! `[0, 1)` built from the top 53 bits of `next_u64`, and integer

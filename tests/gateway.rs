@@ -13,7 +13,9 @@
 //!   most `chunk_walkers` starts, whatever shards the starts lie on;
 //! * the one timed wait — a chunk bounced by walkers the gateway did not
 //!   submit, with nothing of its own in flight, is retried without any
-//!   completion to wake the dispatcher.
+//!   completion to wake the dispatcher;
+//! * the empty graph — one walk per vertex of no vertices is a ticket that
+//!   is already complete, as on the service.
 
 use bingo::gateway::{AimdConfig, Gateway, GatewayConfig, GatewayError, TenantId};
 use bingo::prelude::*;
@@ -284,6 +286,30 @@ fn a_ticket_goes_out_in_contiguous_size_capped_chunks() {
         );
         assert_eq!((t.completed_walks, t.failed_walks), (u64::from(n), 0));
     }
+}
+
+#[test]
+fn all_vertices_of_an_empty_graph_is_a_ticket_already_complete() {
+    // `WalkService::submit_all_vertices` answers this request with an
+    // empty ticket; the gateway must too, and queue nothing for it.
+    let service =
+        Arc::new(WalkService::build(&DynamicGraph::new(0), ServiceConfig::default()).unwrap());
+    let gateway = Gateway::new(service, GatewayConfig::default());
+    let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 4 });
+    let ticket = gateway
+        .submit(WalkRequest::spec(spec).all_vertices().tenant("t"))
+        .expect("one walk per vertex of no vertices is a valid request");
+    let results = gateway.wait(ticket).unwrap();
+    assert!(results.paths.is_empty());
+    assert_eq!(results.total_steps(), 0);
+    // An explicitly empty start list is still an error.
+    assert!(matches!(
+        gateway.submit(WalkRequest::spec(spec).starts(vec![]).tenant("t")),
+        Err(GatewayError::Rejected(ServiceError::EmptySubmission))
+    ));
+    let stats = gateway.shutdown();
+    let t = stats.tenant(&TenantId::new("t")).unwrap();
+    assert_eq!((t.submitted_walks, t.dispatched_chunks), (0, 0));
 }
 
 #[test]

@@ -620,3 +620,120 @@ fn config_knob_census() {
     expected.sort_unstable();
     assert_eq!(counts, expected, "public config fields: {fields:?}");
 }
+
+/// Public functions of the library crates whose name no other `.rs` file
+/// of the repository mentions, with the reason each stays public. A new
+/// `pub fn` that nothing calls fails `uncalled_pub_fn_census` until it
+/// gains a caller, becomes private, is deleted, or is listed here.
+const UNCALLED_PUB_FNS: [(&str, &str, &str); 9] = [
+    (
+        "crates/bingo-graph/src/io.rs",
+        "load_edge_list",
+        "loads a real dataset from disk",
+    ),
+    (
+        "crates/bingo-graph/src/io.rs",
+        "read_edge_list",
+        "reads a real dataset from any reader",
+    ),
+    (
+        "crates/bingo-graph/src/io.rs",
+        "save_edge_list",
+        "writes a graph for other tools",
+    ),
+    (
+        "crates/bingo-graph/src/io.rs",
+        "write_edge_list",
+        "writes a graph to any writer",
+    ),
+    (
+        "crates/bingo-walks/src/analytics.rs",
+        "simrank_estimate",
+        "downstream analytics over walks",
+    ),
+    (
+        "crates/bingo-walks/src/analytics.rs",
+        "visit_ranking",
+        "downstream analytics over walks",
+    ),
+    (
+        "crates/bingo-walks/src/walk_store.rs",
+        "generate_from",
+        "WalkStore refresh API, to be reworked",
+    ),
+    (
+        "crates/bingo-walks/src/walk_store.rs",
+        "validate",
+        "WalkStore refresh API, to be reworked",
+    ),
+    (
+        "crates/bingo-walks/src/wire.rs",
+        "decode_context",
+        "inverse of encode_context, which the benchmark calls",
+    ),
+];
+
+#[test]
+fn uncalled_pub_fn_census() {
+    use bingo_lint::lexer::{lex, TokKind};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn collect(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                collect(&path, root, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let rel = path.strip_prefix(root).expect("under the root");
+                let source = std::fs::read_to_string(&path).expect("readable source");
+                out.push((rel.to_string_lossy().replace('\\', "/"), source));
+            }
+        }
+    }
+
+    // Every file a caller can live in: the libraries and shims, the root
+    // package, its tests and examples, and the benchmark.
+    let root = repo_root();
+    let mut files: Vec<(String, String)> = bingo_lint::workspace_files(root)
+        .expect("workspace walk")
+        .into_iter()
+        .map(|f| (f.path, f.source))
+        .collect();
+    for dir in ["tests", "examples", "benchmark/src", "benchmark/tests"] {
+        collect(&root.join(dir), root, &mut files);
+    }
+    let mut idents: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut defined: Vec<(&str, String)> = Vec::new();
+    let lexed: Vec<_> = files.iter().map(|(_, source)| lex(source)).collect();
+    for ((path, _), lexed) in files.iter().zip(&lexed) {
+        let toks = &lexed.tokens;
+        let names = toks.iter().filter(|t| t.kind == TokKind::Ident);
+        idents.insert(path, names.map(|t| t.text.as_str()).collect());
+        if !(path.starts_with("crates/") && path.contains("/src/")) {
+            continue;
+        }
+        for w in toks.windows(3) {
+            if w[0].text == "pub" && w[1].text == "fn" && !lexed.is_test_line(w[0].line) {
+                defined.push((path, w[2].text.clone()));
+            }
+        }
+    }
+    let uncalled: BTreeSet<(&str, &str)> = defined
+        .iter()
+        .filter(|(path, name)| {
+            !idents
+                .iter()
+                .any(|(other, names)| other != path && names.contains(name.as_str()))
+        })
+        .map(|(path, name)| (*path, name.as_str()))
+        .collect();
+    let pinned: BTreeSet<(&str, &str)> = UNCALLED_PUB_FNS.iter().map(|&(p, n, _)| (p, n)).collect();
+    assert_eq!(
+        uncalled, pinned,
+        "a pub fn no other file names must gain a caller, become private, \
+         be deleted, or be listed with its reason in UNCALLED_PUB_FNS"
+    );
+}
