@@ -1,16 +1,18 @@
-//! The gateway proper: bounded per-tenant queues, the dispatcher thread
-//! that runs DRR + AIMD, and the submission/collection API.
+//! The gateway proper: bounded per-tenant queues, DRR + AIMD dispatch
+//! wherever work appears, and the submission/collection API.
 
 use crate::sched::{Chunk, DrrScheduler};
 use crate::stats::{percentile_sorted, GatewayStats, TenantAccum, TenantStatsSnapshot};
-use crate::window::{AimdConfig, AimdWindow, WindowEvent};
+use crate::window::{AimdConfig, AimdWindow};
 use bingo_graph::VertexId;
-use bingo_service::{ServiceError, TenantId, TicketResults, WalkRequest, WalkService, WalkTicket};
+use bingo_service::{
+    AdmissionSnapshot, ServiceError, TenantId, TicketResults, WalkRequest, WalkService, WalkTicket,
+};
 use bingo_telemetry::{names, FlightEventKind, Histogram, Telemetry, TraceStage};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::ops::Range;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Errors produced by the gateway.
@@ -92,7 +94,7 @@ impl Default for GatewayConfig {
     }
 }
 
-/// Retry backoff for the one wait no notification ends: work is queued and
+/// Retry backoff for the one wait no completion ends: work is queued and
 /// nothing of the gateway's is in flight, because another submitter's
 /// walkers bounced the head chunk or the window is below it. A constant,
 /// not a knob: no workload here sets another.
@@ -139,33 +141,54 @@ struct Submission {
     error: Option<GatewayError>,
 }
 
+/// A dispatched chunk's tenant, submission and slice of that submission's
+/// starts: what settling it needs. Its completion notifier carries one.
+struct Slot(TenantId, u64, Range<usize>);
+
+impl Slot {
+    fn of(chunk: &Chunk) -> Slot {
+        let slice = chunk.first..chunk.first + chunk.cost();
+        Slot(chunk.tenant.clone(), chunk.submission, slice)
+    }
+}
+
 /// Everything guarded by the gateway's state mutex.
 struct State {
     sched: DrrScheduler,
     submissions: HashMap<u64, Submission>,
     tenants: HashMap<TenantId, TenantAccum>,
     next_submission: u64,
-    window_now: usize,
+    /// Stepped once per absorbed chunk and per stall retry.
+    window: AimdWindow,
+    /// Whether the last pump left work queued that the window held back.
+    window_limited: bool,
     window_min_seen: usize,
     window_max_seen: usize,
-    /// Walkers dispatched to the service and not yet absorbed.
+    /// Walkers reserved by a pump or dispatched, and not yet settled.
     in_flight_walkers: usize,
-    /// Tickets the completion notifier reported, not yet absorbed.
-    completed: Vec<WalkTicket>,
+    /// Chunks whose service call a pump has under way. `stop` waits for
+    /// none, so a notifier never holds the last reference to the service.
+    dispatching: usize,
     shutdown: bool,
 }
 
-/// What the gateway handle, the dispatcher and the completion notifier
-/// share. The service is not in it: the notifier lives in the service's
-/// ticket table, so holding the service here would make a cycle.
+impl State {
+    /// Nothing of the gateway's is in the service or on its way there.
+    fn idle(&self) -> bool {
+        self.in_flight_walkers == 0 && self.dispatching == 0
+    }
+}
+
+/// What the gateway handle and the completion notifiers share. The
+/// service is held by `Weak`: the notifiers live in the service's ticket
+/// table, so a strong reference here would make a cycle.
 struct Inner {
     config: GatewayConfig,
     /// `chunk_walkers` clamped to the service inbox bound.
     chunk_cap: usize,
+    service: Weak<WalkService>,
     state: Mutex<State>,
-    /// Wakes the dispatcher on completions, submissions and shutdown.
-    work_cv: Condvar,
-    /// Wakes submission waiters on completions.
+    /// Wakes `wait` and `stop` on completions, stalls and the drain.
     done_cv: Condvar,
     started_at: Instant,
     /// The service's observability handle, so gateway and service
@@ -191,11 +214,11 @@ fn tenant_accum<'a>(state: &'a mut State, tenant: &TenantId) -> &'a mut TenantAc
 pub struct Gateway {
     inner: Arc<Inner>,
     service: Arc<WalkService>,
-    dispatcher: Option<JoinHandle<()>>,
 }
 
 impl Gateway {
-    /// Build a gateway over `service` and spawn its dispatcher thread.
+    /// Build a gateway over `service`. It starts no thread: chunks are
+    /// dispatched by the threads that submit, complete and wait.
     ///
     /// The gateway inherits the service's [`Telemetry`] handle, so its
     /// per-tenant metrics, dispatch latencies and `GatewayDispatch` trace
@@ -206,32 +229,31 @@ impl Gateway {
     pub fn new(service: Arc<WalkService>, config: GatewayConfig) -> Gateway {
         let telemetry = service.telemetry().clone();
         let instance = telemetry.registry().instance("gateway");
-        let max_inbox = service.max_inbox();
-        let chunk_cap = if max_inbox > 0 {
-            config.chunk_walkers.clamp(1, max_inbox)
-        } else {
-            config.chunk_walkers.max(1)
+        let chunk_cap = match service.max_inbox() {
+            0 => config.chunk_walkers.max(1),
+            max_inbox => config.chunk_walkers.clamp(1, max_inbox),
         };
         let window = AimdWindow::new(config.window);
         let inner = Arc::new(Inner {
             config,
             chunk_cap,
+            service: Arc::downgrade(&service),
             state: Mutex::new_named(
                 State {
                     sched: DrrScheduler::new(config.quantum_walkers.max(1)),
                     submissions: HashMap::new(),
                     tenants: HashMap::new(),
                     next_submission: 1,
-                    window_now: window.window(),
                     window_min_seen: window.window(),
                     window_max_seen: window.window(),
+                    window,
+                    window_limited: false,
                     in_flight_walkers: 0,
-                    completed: Vec::new(),
+                    dispatching: 0,
                     shutdown: false,
                 },
                 "gateway.state",
             ),
-            work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             // lint:allow(determinism): uptime epoch for stats/telemetry
             // only; never feeds walk output.
@@ -241,23 +263,7 @@ impl Gateway {
             telemetry,
             instance,
         });
-        let dispatcher = {
-            let (inner, service) = (inner.clone(), service.clone());
-            std::thread::Builder::new()
-                .name("bingo-gateway-dispatch".into())
-                .spawn(move || run_dispatcher(inner, service, window))
-                .expect("spawn gateway dispatcher")
-        };
-        Gateway {
-            inner,
-            service,
-            dispatcher: Some(dispatcher),
-        }
-    }
-
-    /// The fronted walk service.
-    pub fn service(&self) -> &WalkService {
-        &self.service
+        Gateway { inner, service }
     }
 
     /// Configure `tenant`'s scheduling weight ahead of its submissions
@@ -273,12 +279,13 @@ impl Gateway {
     }
 
     /// Queue a request for dispatch, billed to the request's tenant
-    /// ([`WalkRequest::tenant`], default tenant when unset).
+    /// ([`WalkRequest::tenant`], default tenant when unset), then dispatch
+    /// what the window admits on the calling thread.
     ///
     /// Unlike submitting straight to the service, a request that would
     /// saturate a shard inbox is *parked*, not rejected: it waits in its
-    /// tenant's queue until the dispatcher can admit its chunks within
-    /// the fairness and backpressure budgets. Only a request the service
+    /// tenant's queue until its chunks can be admitted within the fairness
+    /// and backpressure budgets. Only a request the service
     /// would refuse ([`GatewayError::Rejected`]) or a tenant exceeding its
     /// own queue bound ([`GatewayError::Overloaded`]) is refused.
     pub fn submit(&self, request: WalkRequest) -> Result<GatewayTicket, GatewayError> {
@@ -364,8 +371,7 @@ impl Gateway {
         accum
             .peak_queued_walkers
             .raise(i64::try_from(new_depth).unwrap_or(i64::MAX));
-        drop(state);
-        self.inner.work_cv.notify_all();
+        drop(pump(&self.inner, &self.service, state));
         Ok(GatewayTicket(id))
     }
 
@@ -376,7 +382,7 @@ impl Gateway {
         let sub = loop {
             match state.submissions.get(&ticket.0) {
                 Some(sub) if sub.remaining == 0 => break state.submissions.remove(&ticket.0),
-                Some(_) => state = self.inner.done_cv.wait(state),
+                Some(_) => state = self.park(state),
                 None => panic!("unknown or already-collected gateway ticket"),
             }
         };
@@ -392,12 +398,30 @@ impl Gateway {
         }
     }
 
+    /// Park on `done_cv`. With work queued and nothing in flight no
+    /// completion is coming: after one [`TICK`], step the window (it may be
+    /// what holds the head chunk back) and pump the retry.
+    fn park<'a>(&'a self, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        if state.sched.is_empty() || !state.idle() {
+            return self.inner.done_cv.wait(state);
+        }
+        let (state, timeout) = self.inner.done_cv.wait_timeout(state, TICK);
+        if !timeout.timed_out() {
+            return state;
+        }
+        drop(state);
+        let snapshot = self.service.admission_snapshot();
+        let mut state = self.inner.state.lock();
+        step_window(&self.inner, &mut state, &snapshot);
+        pump(&self.inner, &self.service, state)
+    }
+
     /// Point-in-time gateway statistics.
     pub fn stats(&self) -> GatewayStats {
         // Copy the raw material out under the lock; the O(n log n)
         // percentile work happens after releasing it, so pollers sampling
-        // stats in a tight loop don't serialize the dispatcher (which
-        // needs this mutex for every dispatch and absorb).
+        // stats in a tight loop don't serialize the pumps (which need
+        // this mutex for every dispatch and settle).
         let (mut rows, mut stats) = {
             let state = self.inner.state.lock();
             let rows: Vec<(TenantStatsSnapshot, Vec<u64>)> = state
@@ -428,7 +452,7 @@ impl Gateway {
                 .collect();
             let stats = GatewayStats {
                 per_tenant: Vec::new(),
-                window: state.window_now,
+                window: state.window.window(),
                 window_min_seen: state.window_min_seen,
                 window_max_seen: state.window_max_seen,
                 in_flight_walkers: state.in_flight_walkers,
@@ -452,27 +476,24 @@ impl Gateway {
     /// watchdog uses this to spot a gateway whose backlog sits still
     /// (e.g. a wedged service keeping the window shut).
     pub fn oldest_queued_age(&self) -> Option<Duration> {
-        let oldest = {
-            let state = self.inner.state.lock();
-            state.sched.oldest_enqueued_at()
-        };
+        let oldest = self.inner.state.lock().sched.oldest_enqueued_at();
         oldest.map(|at| at.elapsed())
     }
 
-    /// Drain every queued and in-flight chunk, stop the dispatcher, and
-    /// return the final statistics. New submissions are refused from the
-    /// moment this is called.
-    pub fn shutdown(mut self) -> GatewayStats {
+    /// Drain every queued and in-flight chunk and return the final
+    /// statistics. New submissions are refused from the moment this is
+    /// called.
+    pub fn shutdown(self) -> GatewayStats {
         self.stop();
         self.stats()
     }
 
-    /// Refuse new work, then join the dispatcher once it has drained.
-    fn stop(&mut self) {
-        self.inner.state.lock().shutdown = true;
-        self.inner.work_cv.notify_all();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
+    /// Refuse new work, then park until nothing is queued or in flight.
+    fn stop(&self) {
+        let mut state = self.inner.state.lock();
+        state.shutdown = true;
+        while !(state.sched.is_empty() && state.idle()) {
+            state = self.park(state);
         }
     }
 }
@@ -483,181 +504,169 @@ impl Drop for Gateway {
     }
 }
 
-/// The dispatcher loop: absorb the chunks the service reported complete,
-/// step the AIMD controller, dispatch under DRR within the window, park
-/// until a completion, a submission or shutdown wakes it. Gateway and
-/// service locks never nest: the service is called with `gateway.state`
-/// released, and the notifier runs under no service lock.
-fn run_dispatcher(inner: Arc<Inner>, service: Arc<WalkService>, mut window: AimdWindow) {
-    let notify: Arc<dyn Fn(WalkTicket) + Send + Sync> = {
-        let inner = Arc::clone(&inner);
-        Arc::new(move |ticket| {
-            let mut state = inner.state.lock();
-            state.completed.push(ticket);
-            // The dispatcher parks only with the list empty, so the first
-            // push is the one that must wake it.
-            if state.completed.len() == 1 {
-                drop(state);
-                inner.work_cv.notify_all();
-            }
-        })
-    };
-    // Each dispatched chunk, keyed by its service ticket.
-    let mut in_flight: HashMap<WalkTicket, Chunk> = HashMap::new();
-    let (mut completed, mut absorbed) = (Vec::new(), Vec::new());
-    let mut window_limited = false;
-    let mut state = inner.state.lock();
+/// Dispatch DRR picks while the window has room: pop a chunk and reserve
+/// its walkers under `gateway.state`, submit it with the state released,
+/// then account the outcome. Runs on whichever thread made work available
+/// (a submitter, a completion notifier, a waiter retrying a stall).
+fn pump<'a>(
+    inner: &'a Arc<Inner>,
+    service: &WalkService,
+    mut state: MutexGuard<'a, State>,
+) -> MutexGuard<'a, State> {
+    state.window_limited = false;
     loop {
-        // Take exactly the notified chunks' results, with the lock
-        // released, then step the controller on the service's occupancy
-        // hook.
-        std::mem::swap(&mut completed, &mut state.completed);
+        let in_flight = state.in_flight_walkers;
+        let budget = state.window.window().saturating_sub(in_flight);
+        let Some(chunk) = state.sched.next(budget) else {
+            // Queue non-empty but nothing fit the remaining budget: the
+            // window, not the queues, is the limiter.
+            state.window_limited = !state.sched.is_empty();
+            break;
+        };
+        state.in_flight_walkers += chunk.cost();
+        state.dispatching += 1;
+        let tenant_index = tenant_accum(&mut state, &chunk.tenant).index;
         drop(state);
-        absorbed.extend(completed.drain(..).map(|ticket| {
-            let chunk = in_flight.remove(&ticket).expect("a dispatched chunk");
-            let results = service.try_wait(ticket);
-            (chunk, results.expect("a notified ticket is complete"))
-        }));
-        let snapshot = service.admission_snapshot();
-        let event = window.on_tick(
-            snapshot.peak_occupancy(),
-            snapshot.saturated_rejections,
-            window_limited,
+        let dispatch_started = inner.telemetry.timer();
+        let submitted = service.submit_notify(
+            chunk.walk.clone(),
+            &chunk.starts,
+            chunk.seed,
+            notifier(inner, Slot::of(&chunk)),
         );
-        state = inner.state.lock();
-        record_window(&inner, &mut state, &window, event);
-        for (chunk, results) in absorbed.drain(..) {
-            state.in_flight_walkers -= chunk.cost();
-            settle(&inner, &mut state, chunk, Ok(results));
-        }
-
-        // Dispatch within the window, fairness order decided by the DRR
-        // scheduler: pop a chunk under the lock, submit it without, and
-        // account the outcome under the lock again.
-        window_limited = false;
-        loop {
-            let budget = window.window().saturating_sub(state.in_flight_walkers);
-            let next = (budget > 0).then(|| state.sched.next(budget)).flatten();
-            let Some(chunk) = next else {
-                // Queue non-empty but nothing fit the remaining budget:
-                // the window, not the queues, is the limiter.
-                window_limited = !state.sched.is_empty();
-                break;
-            };
-            let tenant_index = tenant_accum(&mut state, &chunk.tenant).index;
-            drop(state);
-            let dispatch_started = inner.telemetry.timer();
-            let submitted = service.submit_notify(
-                chunk.walk.clone(),
-                &chunk.starts,
-                chunk.seed,
-                Arc::clone(&notify),
-            );
-            let wait = chunk.enqueued_at.elapsed();
-            if let Ok(ticket) = &submitted {
-                if let Some(started) = dispatch_started {
-                    inner.dispatch_ns.record_duration(started.elapsed());
-                }
-                // Stitch dispatch spans into the sampled lifecycles, keyed
-                // as the service keyed their Submit spans.
-                if inner.telemetry.tracer().is_some() {
-                    let stage = TraceStage::GatewayDispatch {
-                        tenant: tenant_index,
-                        wait_ns: u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
-                        gateway_ticket: chunk.submission,
-                    };
-                    for idx in 0..chunk.starts.len() as u32 {
-                        if inner.telemetry.is_sampled(ticket.id(), idx.into()) {
-                            inner.telemetry.trace(ticket.id(), idx, stage);
-                        }
+        let wait = chunk.enqueued_at.elapsed();
+        if let Ok(ticket) = &submitted {
+            if let Some(started) = dispatch_started {
+                inner.dispatch_ns.record_duration(started.elapsed());
+            }
+            // Stitch dispatch spans into the sampled lifecycles, keyed as
+            // the service keyed their Submit spans.
+            if inner.telemetry.tracer().is_some() {
+                let stage = TraceStage::GatewayDispatch {
+                    tenant: tenant_index,
+                    wait_ns: u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
+                    gateway_ticket: chunk.submission,
+                };
+                for idx in 0..chunk.starts.len() as u32 {
+                    if inner.telemetry.is_sampled(ticket.id(), idx.into()) {
+                        inner.telemetry.trace(ticket.id(), idx, stage);
                     }
                 }
             }
-            state = inner.state.lock();
-            match submitted {
-                Ok(ticket) => {
-                    state.in_flight_walkers += chunk.cost();
-                    let accum = tenant_accum(&mut state, &chunk.tenant);
-                    accum.dispatched_chunks.inc();
-                    accum.record_wait(wait);
-                    in_flight.insert(ticket, chunk);
-                }
-                Err(err) if err.is_retryable() => {
-                    // The target inbox is full right now (the service
-                    // recorded the bounce): park the chunk back at its
-                    // queue front (nothing dropped, deficit refunded) and
-                    // halve the window — we pushed too hard.
-                    tenant_accum(&mut state, &chunk.tenant)
-                        .saturated_requeues
-                        .inc();
-                    state.sched.requeue_front(chunk);
-                    let ev = window.on_saturated();
-                    record_window(&inner, &mut state, &window, ev);
-                    break;
-                }
-                Err(err) => settle(&inner, &mut state, chunk, Err(err)),
+        }
+        state = inner.state.lock();
+        state.dispatching -= 1;
+        match submitted {
+            Ok(_) => {
+                let accum = tenant_accum(&mut state, &chunk.tenant);
+                accum.dispatched_chunks.inc();
+                accum.record_wait(wait);
             }
-        }
-
-        // Exit, go round again, or park.
-        if state.shutdown && state.sched.is_empty() && in_flight.is_empty() {
-            break;
-        }
-        if !state.completed.is_empty() {
-            continue;
-        }
-        if in_flight.is_empty() && !state.sched.is_empty() {
-            // Queued work and nothing of ours in flight: no completion
-            // will come to wake us, so retry after a tick.
-            state = inner.work_cv.wait_timeout(state, TICK).0;
-        } else {
-            // A completion, a submission or shutdown wakes us.
-            state = inner.work_cv.wait(state);
+            Err(err) if err.is_retryable() => {
+                // A full inbox bounced it (the service recorded that): back
+                // to its queue front, deficit refunded, window halved.
+                state.in_flight_walkers -= chunk.cost();
+                tenant_accum(&mut state, &chunk.tenant)
+                    .saturated_requeues
+                    .inc();
+                state.sched.requeue_front(chunk);
+                let moved = state.window.on_saturated();
+                record_window(inner, &mut state, moved);
+                break;
+            }
+            Err(err) => _ = settle(inner, &mut state, &Slot::of(&chunk), Err(err)),
         }
     }
+    // No completion will pump queued work with nothing in flight: wake the
+    // waiters to retry after a tick (and `stop`, once drained).
+    if state.idle() && (state.shutdown || !state.sched.is_empty()) {
+        inner.done_cv.notify_all();
+    }
+    state
 }
 
-/// Settle a chunk on its tenant and submission: a completed chunk's paths,
-/// or the error of one the service refused for good, for the waiter.
+/// The completion notifier of the chunk at `slot`, called by the service
+/// on a pool worker with no service lock held: take the results, settle
+/// them, step the AIMD window once and pump.
+fn notifier(inner: &Arc<Inner>, slot: Slot) -> Arc<dyn Fn(WalkTicket) + Send + Sync> {
+    let inner = Arc::clone(inner);
+    Arc::new(move |ticket| {
+        let service = inner
+            .service
+            .upgrade()
+            .expect("a gateway keeps its service until every chunk is settled");
+        let results = service
+            .try_wait(ticket)
+            .expect("a notified ticket is complete");
+        let snapshot = service.admission_snapshot();
+        let mut state = inner.state.lock();
+        let woke = settle(&inner, &mut state, &slot, Ok(results));
+        step_window(&inner, &mut state, &snapshot);
+        let state = pump(&inner, &service, state);
+        // Let go of the service under the lock: `stop` cannot see the drain
+        // first, so this is never the last reference (whose drop would wait
+        // for this very shard activation to end).
+        drop(service);
+        drop(state);
+        if woke {
+            // Hand the woken waiter this core now, not after this worker's
+            // time slice of further shard work.
+            std::thread::yield_now();
+        }
+    })
+}
+
+/// Settle a chunk out of the window, on its tenant and into its
+/// submission: its paths, or the error of one the service refused for
+/// good. Returns whether that woke the submission's waiters.
 fn settle(
     inner: &Inner,
     state: &mut State,
-    chunk: Chunk,
+    Slot(tenant, submission, slice): &Slot,
     outcome: Result<TicketResults, ServiceError>,
-) {
-    let accum = tenant_accum(state, &chunk.tenant);
+) -> bool {
+    state.in_flight_walkers -= slice.len();
+    let accum = tenant_accum(state, tenant);
     match &outcome {
         Ok(results) => {
             accum.completed_walks.add(results.paths.len() as u64);
             accum.completed_steps.add(results.total_steps() as u64);
         }
-        Err(_) => accum.failed_walks.add(chunk.cost() as u64),
+        Err(_) => accum.failed_walks.add(slice.len() as u64),
     }
-    if let Some(sub) = state.submissions.get_mut(&chunk.submission) {
+    if let Some(sub) = state.submissions.get_mut(submission) {
+        sub.remaining = sub.remaining.saturating_sub(slice.len());
         match outcome {
             Ok(results) => {
-                let slots = &mut sub.paths[chunk.first..chunk.first + chunk.cost()];
-                for (slot, path) in slots.iter_mut().zip(results.paths) {
+                for (slot, path) in sub.paths[slice.clone()].iter_mut().zip(results.paths) {
                     *slot = path;
                 }
             }
             Err(err) => _ = sub.error.get_or_insert(GatewayError::Rejected(err)),
         }
-        sub.remaining = sub.remaining.saturating_sub(chunk.cost());
         if sub.remaining == 0 {
             inner.done_cv.notify_all();
+            return true;
         }
     }
+    false
 }
 
-/// Publish the controller's window into the shared state and record every
-/// move in the flight recorder.
-fn record_window(inner: &Inner, state: &mut State, window: &AimdWindow, event: WindowEvent) {
-    let w = window.window();
-    state.window_now = w;
+/// One AIMD step on the service's occupancy hook.
+fn step_window(inner: &Inner, state: &mut State, snapshot: &AdmissionSnapshot) {
+    let (occupancy, rejections) = (snapshot.peak_occupancy(), snapshot.saturated_rejections);
+    let moved = state
+        .window
+        .on_tick(occupancy, rejections, state.window_limited);
+    record_window(inner, state, moved);
+}
+
+/// Record the window's range, and a move in the flight recorder.
+fn record_window(inner: &Inner, state: &mut State, moved: bool) {
+    let w = state.window.window();
     state.window_min_seen = state.window_min_seen.min(w);
     state.window_max_seen = state.window_max_seen.max(w);
-    if event != WindowEvent::Hold {
+    if moved {
         inner
             .telemetry
             .flight()

@@ -14,26 +14,27 @@
 //!   of erroring. Queues are bounded per tenant
 //!   ([`GatewayConfig::max_queue_per_tenant`]); only a tenant exceeding
 //!   its own bound is refused, with [`GatewayError::Overloaded`].
-//! * **Fair scheduling** ([`sched`]): a dispatcher thread drains the
-//!   queues by deficit round robin with configurable per-tenant weights
+//! * **Fair scheduling** ([`sched`]): with no thread of its own, the
+//!   gateway drains the queues where work appears (`submit`, completions,
+//!   stalled waiters) by deficit round robin with configurable per-tenant weights
 //!   ([`WalkRequest::weight`](bingo_service::WalkRequest::weight),
 //!   [`Gateway::set_tenant_weight`]). While tenants stay backlogged, each
 //!   receives dispatch bandwidth proportional to its weight — a weight-3
 //!   tenant completes ~75% of the steps against a weight-1 tenant under
 //!   saturating offered load (measured end to end by
 //!   `examples/gateway_fairness.rs` and the DRR property tests).
-//! * **Adaptive admission** ([`window`]): the service tells the
-//!   dispatcher when a chunk completes (each chunk is submitted with a
-//!   notifier, [`WalkService::submit_notify`](bingo_service::WalkService::submit_notify)),
-//!   and on every wake-up the dispatcher absorbs exactly the notified
-//!   chunks, samples the service's occupancy hook
-//!   ([`WalkService::admission_snapshot`](bingo_service::WalkService::admission_snapshot))
-//!   and sizes its in-flight walker window AIMD-style — 8 walkers more while calm and
+//! * **Adaptive admission** ([`window`]): each chunk carries a notifier
+//!   ([`WalkService::submit_notify`](bingo_service::WalkService::submit_notify))
+//!   that, on completion, settles it, samples the service's occupancy hook
+//!   ([`WalkService::admission_snapshot`](bingo_service::WalkService::admission_snapshot)),
+//!   steps the in-flight walker window and dispatches the next chunks. The
+//!   window moves AIMD-style — 8 walkers more while calm and
 //!   window-limited, half on saturation rejections or an inbox more than
 //!   three quarters full. Those are constants; [`AimdConfig`] sets only the
 //!   window's start, floor and ceiling. A chunk the service refuses with a
 //!   retryable `Saturated` goes back to the *front* of its queue (deficit
-//!   refunded, nothing dropped).
+//!   refunded, nothing dropped); with nothing in flight, `wait` and
+//!   `shutdown` retry it every 500 µs.
 //! * **Chunked dispatch** ([`sched::Chunk`]): a start list is cut into
 //!   consecutive slices of at most [`GatewayConfig::chunk_walkers`], each
 //!   dispatched as one service ticket whatever shards its starts lie on,
@@ -116,7 +117,7 @@ pub mod window;
 
 pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayResults, GatewayTicket};
 pub use stats::{GatewayStats, TenantStatsSnapshot};
-pub use window::{AimdConfig, AimdWindow, WindowEvent};
+pub use window::{AimdConfig, AimdWindow};
 
 // Re-exported so gateway users name tenants without a direct
 // `bingo-service` dependency.
@@ -231,7 +232,7 @@ mod tests {
 
     #[test]
     fn saturated_chunks_requeue_and_finish_under_tiny_inboxes() {
-        // max_inbox 4 with chunk/window larger: the dispatcher must hit
+        // max_inbox 4 with chunk/window larger: the pump must hit
         // Saturated, requeue at the front, shrink the window, and still
         // complete everything (nothing dropped).
         let gateway = Gateway::new(

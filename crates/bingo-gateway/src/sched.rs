@@ -2,9 +2,9 @@
 //!
 //! The scheduler is deliberately pure bookkeeping — no threads, no clocks,
 //! no service handles — so its fairness properties are unit-testable in
-//! isolation. The dispatcher thread (see [`crate::Gateway`]) owns one
-//! [`DrrScheduler`] and asks it for the next dispatchable chunk whenever
-//! the in-flight window has room.
+//! isolation. The gateway (see [`crate::Gateway`]) owns one
+//! [`DrrScheduler`] and, wherever work appears, asks it for the next
+//! dispatchable chunk while the in-flight window has room.
 //!
 //! A [`Chunk`] is a contiguous slice of one submission's start list, at
 //! most [`GatewayConfig::chunk_walkers`](crate::GatewayConfig::chunk_walkers)
@@ -30,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
 /// One contiguous slice of a gateway submission's start list: the unit
-/// the dispatcher admits into the walk service, as one service ticket
+/// the gateway admits into the walk service, as one service ticket
 /// whose starts may lie on any shards.
 #[derive(Debug, Clone)]
 pub struct Chunk {
@@ -71,7 +71,7 @@ struct TenantQueue {
 }
 
 /// The deficit-round-robin scheduler: per-tenant FIFO chunk queues plus
-/// the active ring the dispatcher cycles through.
+/// the active ring the pump cycles through.
 pub struct DrrScheduler {
     /// Deficit earned per visit per weight unit, in walkers.
     quantum: usize,

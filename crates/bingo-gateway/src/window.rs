@@ -1,9 +1,8 @@
 //! AIMD control of the gateway's in-flight walker window.
 //!
-//! The dispatcher never pushes walkers into the service faster than its
-//! current *window* allows. Every time it wakes — on a chunk completion, a
-//! submission, or the retry backoff while nothing of its own is in flight
-//! — it samples the service's
+//! The gateway never pushes walkers into the service faster than its
+//! current *window* allows. Each absorbed completion — and each retry
+//! backoff while nothing of its own is in flight — samples the service's
 //! [`admission snapshot`](bingo_service::WalkService::admission_snapshot)
 //! and adjusts the window TCP-style:
 //!
@@ -51,18 +50,6 @@ impl Default for AimdConfig {
     }
 }
 
-/// What one control step decided — every move but `Hold` is a flight
-/// event (`WindowChange`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowEvent {
-    /// Pressure: window halved.
-    Decrease,
-    /// Window-limited and calm: window grew by the additive step.
-    Increase,
-    /// No change.
-    Hold,
-}
-
 /// The AIMD window state machine.
 #[derive(Debug, Clone)]
 pub struct AimdWindow {
@@ -92,44 +79,40 @@ impl AimdWindow {
         self.window
     }
 
-    /// One control step, taken on each dispatcher wake-up:
-    /// `peak_occupancy` is the fullest inbox as a fraction of its bound, `rejections_total` the service's cumulative
-    /// saturation-rejection counter, and `window_limited` whether the last
-    /// dispatch round stopped because the window was full.
+    /// One control step, taken on each absorbed completion (and each
+    /// retry while nothing is in flight): `peak_occupancy` is the fullest
+    /// inbox as a fraction of its bound, `rejections_total` the service's
+    /// cumulative saturation-rejection counter, and `window_limited`
+    /// whether the last dispatch round left work the window held back.
+    /// Returns whether the window moved (each move is a flight event).
     pub fn on_tick(
         &mut self,
         peak_occupancy: f64,
         rejections_total: u64,
         window_limited: bool,
-    ) -> WindowEvent {
-        let rejected = match self.last_rejections {
-            Some(prev) => rejections_total > prev,
-            None => false,
-        };
+    ) -> bool {
+        let rejected = self
+            .last_rejections
+            .is_some_and(|prev| rejections_total > prev);
         self.last_rejections = Some(rejections_total);
         if rejected || peak_occupancy > OCCUPANCY_HIGH {
-            self.decrease()
-        } else if window_limited && self.window < self.config.max {
-            self.window = (self.window + ADDITIVE_STEP).min(self.config.max);
-            WindowEvent::Increase
+            self.on_saturated()
         } else {
-            WindowEvent::Hold
+            let before = self.window;
+            if window_limited {
+                self.window = (self.window + ADDITIVE_STEP).min(self.config.max);
+            }
+            self.window != before
         }
     }
 
     /// Immediate halving — called when a submit comes back `Saturated`
-    /// first-hand, without waiting for the next wake-up.
-    pub fn on_saturated(&mut self) -> WindowEvent {
-        self.decrease()
-    }
-
-    fn decrease(&mut self) -> WindowEvent {
-        let next = (self.window / 2).max(self.config.min);
-        if next == self.window {
-            return WindowEvent::Hold;
-        }
-        self.window = next;
-        WindowEvent::Decrease
+    /// first-hand, without waiting for the next completion. Returns
+    /// whether the window moved.
+    pub fn on_saturated(&mut self) -> bool {
+        let before = self.window;
+        self.window = (self.window / 2).max(self.config.min);
+        self.window != before
     }
 }
 
@@ -147,9 +130,9 @@ mod tests {
             initial: 32,
             ..AimdConfig::default()
         });
-        assert_eq!(w.on_tick(0.0, 0, false), WindowEvent::Hold);
+        assert!(!w.on_tick(0.0, 0, false));
         assert_eq!(w.window(), 32, "unused window does not grow");
-        assert_eq!(w.on_tick(0.0, 0, true), WindowEvent::Increase);
+        assert!(w.on_tick(0.0, 0, true));
         assert_eq!(w.window(), 40);
     }
 
@@ -160,17 +143,18 @@ mod tests {
             min: 10,
             ..AimdConfig::default()
         });
-        assert_eq!(w.on_tick(0.0, 5, true), WindowEvent::Increase);
+        assert!(w.on_tick(0.0, 5, true));
+        assert_eq!(w.window(), 72);
         // Counter moved 5 → 7: pressure.
-        assert_eq!(w.on_tick(0.0, 7, true), WindowEvent::Decrease);
+        assert!(w.on_tick(0.0, 7, true));
         assert_eq!(w.window(), 36);
         // Repeated pressure bottoms out at the floor, then holds.
         for total in 8..32 {
             w.on_tick(0.0, total, true);
         }
         assert_eq!(w.window(), 10);
-        // At the floor a further decrease is a no-op and reads as Hold.
-        assert_eq!(w.on_tick(0.0, 100, true), WindowEvent::Hold);
+        // At the floor a further decrease is a no-op: the window holds.
+        assert!(!w.on_tick(0.0, 100, true));
         assert_eq!(w.window(), 10, "floor");
     }
 
@@ -179,9 +163,10 @@ mod tests {
         let mut w = window(AimdConfig::default());
         // 1000 rejections happened before this gateway attached; they are
         // history, not pressure.
-        assert_eq!(w.on_tick(0.0, 1000, false), WindowEvent::Hold);
-        assert_eq!(w.on_tick(0.0, 1000, false), WindowEvent::Hold);
-        assert_eq!(w.on_tick(0.0, 1001, false), WindowEvent::Decrease);
+        assert!(!w.on_tick(0.0, 1000, false));
+        assert!(!w.on_tick(0.0, 1000, false));
+        assert!(w.on_tick(0.0, 1001, false));
+        assert_eq!(w.window(), 32);
     }
 
     #[test]
@@ -190,8 +175,8 @@ mod tests {
             initial: 100,
             ..AimdConfig::default()
         });
-        assert_eq!(w.on_tick(0.74, 0, false), WindowEvent::Hold);
-        assert_eq!(w.on_tick(0.76, 0, false), WindowEvent::Decrease);
+        assert!(!w.on_tick(0.74, 0, false));
+        assert!(w.on_tick(0.76, 0, false));
         assert_eq!(w.window(), 50);
     }
 
@@ -202,12 +187,12 @@ mod tests {
             max: 48,
             ..AimdConfig::default()
         });
-        assert_eq!(w.on_saturated(), WindowEvent::Decrease);
+        assert!(w.on_saturated());
         assert_eq!(w.window(), 20);
         for _ in 0..10 {
             w.on_tick(0.0, 0, true);
         }
         assert_eq!(w.window(), 48, "ceiling");
-        assert_eq!(w.on_tick(0.0, 0, true), WindowEvent::Hold);
+        assert!(!w.on_tick(0.0, 0, true));
     }
 }

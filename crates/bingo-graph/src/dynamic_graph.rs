@@ -360,13 +360,6 @@ impl DynamicGraph {
         })
     }
 
-    /// Add a brand-new isolated vertex and return its id.
-    pub fn add_vertex(&mut self) -> VertexId {
-        let lists = self.lists_mut();
-        lists.push(AdjacencyList::new());
-        (lists.len() - 1) as VertexId
-    }
-
     /// Insert the directed edge `(src, dst)` with the given bias and return
     /// its neighbor index in `src`'s adjacency list.
     ///
@@ -605,15 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn add_vertex_appends_an_isolated_vertex() {
-        let mut g = DynamicGraph::new(2);
-        let v = g.add_vertex();
-        assert_eq!(v, 2);
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.degree(v), 0);
-    }
-
-    #[test]
     fn apply_events_roundtrip() {
         let mut g = DynamicGraph::new(4);
         g.apply(&UpdateEvent::Insert {
@@ -793,7 +777,6 @@ mod tests {
             ]);
             g.apply_batch(&batch)
         });
-        as_on_a_settled_twin(|g| g.add_vertex());
     }
 
     #[test]

@@ -38,6 +38,7 @@ use bingo_walks::{CarriedContext, ContextRequirement, Walk, WalkCursor};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bytes shipped when the receiving shard already holds the offered
@@ -57,6 +58,9 @@ pub use bingo_walks::wire::CONTEXT_HANDLE_BYTES;
 /// entry's bytes do not grow with the vertex's degree.
 pub(crate) struct SnapshotCache {
     entries: Mutex<Snapshots>,
+    /// The epoch the shard's last shed covered, published after the shed
+    /// has freed its ids: one store per activation that applied batches.
+    shed_epoch: AtomicU64,
 }
 
 impl SnapshotCache {
@@ -67,6 +71,7 @@ impl SnapshotCache {
         };
         SnapshotCache {
             entries: Mutex::new_named(snapshots, "service.shard_ctx_cache"),
+            shed_epoch: AtomicU64::new(0),
         }
     }
 }
@@ -257,11 +262,17 @@ impl ServiceShared {
 
     /// Once an activation of `shard_id` has applied its batches and woken
     /// `sync`, drop the sorted ids of the snapshots that shipped a body
-    /// since the last time. No engine guard is held and no waiter waits on
-    /// it: it frees memory and answers nobody. The ids are freed after the
-    /// map's guard drops, so a handle resolution never waits on the free.
+    /// since the last time, then publish the epoch the shed covered. No
+    /// engine guard is held and `sync` does not wait on it: it frees
+    /// memory, and only [`WalkService::snapshot_cache_occupancy`] reads
+    /// the published epoch. The ids are freed after the map's guard drops,
+    /// so a handle resolution never waits on the free.
     pub(crate) fn shed_bodies(&self, shard_id: usize) {
-        let mut entries = self.shards[shard_id].snapshots.entries.lock();
+        // Only this shard's activation applies its batches, so the epoch
+        // stays put until the store below.
+        let epoch = self.counters[shard_id].epoch.get_acquire();
+        let cache = &self.shards[shard_id].snapshots;
+        let mut entries = cache.entries.lock();
         let Snapshots { map, bodies } = &mut *entries;
         let shed: Vec<_> = bodies
             .drain(..)
@@ -273,6 +284,7 @@ impl ServiceShared {
             .collect();
         drop(entries);
         drop(shed);
+        cache.shed_epoch.store(epoch, Ordering::Release);
     }
 
     /// Send `walker` on to shard `to`, with no engine lock held: the
@@ -456,9 +468,17 @@ impl WalkService {
     /// Both are bounded by the set of vertices that actually forwarded
     /// context, **not** by how many epochs have passed (the regression the
     /// bounded-occupancy test pins).
+    ///
+    /// Returns once every shard has shed the bodies of the batches it has
+    /// applied, so what they held is freed before the reading: a test that
+    /// measures memory right after it does not count a late shed.
     pub fn snapshot_cache_occupancy(&self) -> (usize, usize) {
         let mut occupancy = (0, 0);
-        for shard in &self.shared.shards {
+        for (shard, counters) in self.shared.shards.iter().zip(&self.shared.counters) {
+            while shard.snapshots.shed_epoch.load(Ordering::Acquire) != counters.epoch.get_acquire()
+            {
+                std::thread::yield_now();
+            }
             // Each map is released before the next is taken.
             let entries = shard.snapshots.entries.lock();
             let held: u32 = entries.map.values().map(|s| s.holders.count_ones()).sum();

@@ -101,12 +101,14 @@
 //!                │  per-tenant FIFO queues (bounded:  │
 //!                │  GatewayError::Overloaded past the │
 //!                │  depth cap)                        │
-//!                │  deficit-round-robin dispatcher    │
+//!                │  deficit-round-robin pump, run by  │
+//!                │  submit, notifiers and waiters     │
 //!                │  AIMD in-flight window ◄───────────┼── admission_snapshot()
 //!                └─────┬──────────────────▲───────────┘    (occupancy +
 //!                      │ chunks,          │ completion      rejection deltas,
-//!                      │ submit_notify()  │ notifier        sampled per wake-up)
-//!                      │                  │ (ticket only)
+//!                      │ submit_notify()  │ notifier        sampled per absorbed
+//!                      │                  │ (try_wait,      chunk)
+//!                      │                  │ then pumps)
 //!                ┌─────▼──────────────────┴───────────┐
 //!                │ WalkService                        │
 //!                │  shard inboxes (max_inbox bound)   │
@@ -222,9 +224,10 @@
 //!   files a ticket's last walk calls the ticket's notifier after
 //!   `service.pending` drops, with no lock held.
 //! * Gateway and service locks never nest, in either direction: the
-//!   gateway's dispatcher calls the service with `gateway.state`
-//!   released, and its notifier takes `gateway.state` under no service
-//!   lock (`tests/lint.rs` checks both directions on a run).
+//!   gateway's pump calls the service with `gateway.state` released, and
+//!   a notifier takes `gateway.state` under no service lock — it takes
+//!   its chunk's results before, and pumps the next chunks with the state
+//!   released again (`tests/lint.rs` checks both directions on a run).
 //! * Spans recorded under these locks (a step batch under the engine read
 //!   guard, a collect under `service.pending`) take no lock: the tracer's
 //!   ring is lock-free, and `tests/lint.rs` fails if a checked run takes
@@ -697,8 +700,8 @@ mod tests {
 
     #[test]
     fn wait_and_try_wait_interleave_without_losing_completions() {
-        // A blocking waiter beside a notified submitter (the gateway
-        // dispatcher's completion path): each must see exactly its own
+        // A blocking waiter beside a notified submitter (the gateway's
+        // completion path): each must see exactly its own
         // tickets complete, the waiter must never park past its ticket's
         // last walk, and a notified ticket's results must be there at once.
         let graph = ring_graph(16);

@@ -465,8 +465,10 @@ impl WalkService {
     /// [`WalkService::submit`] with an optional seed overriding
     /// [`ServiceConfig::seed`], and a notifier called once with the ticket
     /// when its last walk is filed: on a pool worker, with no service lock
-    /// held, so it should only signal and leave [`WalkService::try_wait`]
-    /// to the caller's thread. The gateway dispatches this way.
+    /// held, so the notifier may call the service — take the results with
+    /// [`WalkService::try_wait`], submit more work. It must not block on
+    /// walks, since it runs inside a shard activation. The gateway
+    /// dispatches this way.
     pub fn submit_notify(
         &self,
         walk: impl Into<Walk>,

@@ -1,13 +1,14 @@
 //! Sampled walker lifecycle tracing.
 //!
 //! A walk that matters travels far: it is submitted (possibly through the
-//! gateway's tenant queues and DRR dispatcher), visits one shard per
+//! gateway's tenant queues and DRR pump), visits one shard per
 //! ownership range it enters, forwards itself across shards with a carried
 //! context, and is finally absorbed by the collector. The [`Tracer`]
 //! records that journey as a sequence of [`TraceEvent`]s keyed by
 //! `(ticket, walker)` so the full lifecycle of one walk can be stitched
 //! back together from a single dump — including the spans recorded by
-//! *different shard threads and the gateway dispatcher*, which share
+//! *different shard threads and whichever thread pumped the gateway*,
+//! which share
 //! nothing but the ticket id.
 //!
 //! ## Sampling

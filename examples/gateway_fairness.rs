@@ -2,10 +2,12 @@
 //! weights push identical walk workloads through `bingo-gateway` against a
 //! LiveJournal stand-in served by a bounded-inbox `WalkService`.
 //!
-//! While both tenants are backlogged, the deficit-round-robin dispatcher
-//! must grant them step bandwidth in proportion to their weights: at the
-//! moment the heavy tenant finishes its offered load, its share of all
-//! completed steps must sit within ±10 percentage points of 75%. No
+//! While both tenants are backlogged, the gateway's deficit-round-robin
+//! pump — run by the submitting thread and by each chunk's completion
+//! notifier, with no thread of the gateway's own — must grant them step
+//! bandwidth in proportion to their weights: at the moment the heavy
+//! tenant finishes its offered load, its share of all completed steps
+//! must sit within ±10 percentage points of 75%. No
 //! request may be dropped — saturation parks chunks in the tenant queues
 //! (bounded, never exceeded) and the AIMD window adapts to the service's
 //! inbox occupancy.
@@ -127,8 +129,7 @@ fn main() {
 
     // Saturating offered load: both tenants enqueue their full workload up
     // front (interleaved, so neither gets a head start), far more than the
-    // in-flight window admits at once — the DRR dispatcher decides who
-    // drains.
+    // in-flight window admits at once — the DRR pump decides who drains.
     let offered_walks = (REQUESTS_PER_TENANT * WALKS_PER_REQUEST) as u64;
     let spec = WalkSpec::DeepWalk(DeepWalkConfig {
         walk_length: WALK_LEN,

@@ -12,8 +12,10 @@
 //! * the dispatch unit — a ticket goes out as consecutive slices of at
 //!   most `chunk_walkers` starts, whatever shards the starts lie on;
 //! * the one timed wait — a chunk bounced by walkers the gateway did not
-//!   submit, with nothing of its own in flight, is retried without any
-//!   completion to wake the dispatcher;
+//!   submit, with nothing of its own in flight, is retried by its waiter
+//!   without any completion to pump it;
+//! * the drain — `shutdown` and a drop retry and drain queued tickets that
+//!   nobody waits on, since the gateway has no thread of its own;
 //! * the empty graph — one walk per vertex of no vertices is a ticket that
 //!   is already complete, as on the service.
 
@@ -163,7 +165,7 @@ fn queue_overflow_rejects_only_the_oversized_tenant() {
             Err(other) => panic!("unexpected error {other:?}"),
         }
     }
-    // The loop above races the dispatcher (a fast drain can keep the queue
+    // The loop above races the pumps (a fast drain can keep the queue
     // under the bound), so force a deterministic overflow: one submission
     // larger than the whole bound is refused no matter how much was
     // drained, because admission checks `queued + incoming > capacity`.
@@ -413,4 +415,72 @@ fn a_chunk_bounced_by_foreign_walkers_is_retried_with_nothing_in_flight() {
     let t = stats.tenant(&TenantId::new("t")).unwrap();
     assert!(t.saturated_requeues >= 1);
     assert_eq!(t.completed_walks, 2);
+}
+
+#[test]
+fn shutdown_and_drop_drain_work_still_queued_with_no_waiter() {
+    // Walkers the gateway did not submit hold the one shard's inbox full
+    // behind a gate, so every chunk bounces and the tickets stay queued
+    // with nothing of the gateway's in flight. Nobody calls `wait`:
+    // `shutdown`, then a drop, must retry and drain them on their own.
+    let max_inbox = 4;
+    let bound = Duration::from_secs(20);
+    let spec = WalkSpec::DeepWalk(DeepWalkConfig { walk_length: 6 });
+    for drop_it in [false, true] {
+        let service = bounded_service(32, 1, max_inbox);
+        let entered = Arc::new(Barrier::new(2));
+        let gate = Arc::new(Barrier::new(2));
+        let model: SharedWalkModel = Arc::new(GateModel {
+            entered: Arc::clone(&entered),
+            gate: Arc::clone(&gate),
+        });
+        let gated = service.submit(model, &[0]).unwrap();
+        entered.wait();
+        let filler = service.submit(spec, &[1, 2, 3, 4]).unwrap();
+        let gateway = Gateway::new(
+            service.clone(),
+            GatewayConfig {
+                chunk_walkers: max_inbox,
+                window: AimdConfig {
+                    initial: 8,
+                    min: max_inbox,
+                    max: 8,
+                },
+                ..GatewayConfig::default()
+            },
+        );
+        for k in 0..4u32 {
+            let starts = (8 * k..8 * k + 8).collect();
+            gateway
+                .submit(WalkRequest::spec(spec).starts(starts).tenant("t"))
+                .unwrap();
+        }
+        let queued = gateway.stats();
+        let t = queued.tenant(&TenantId::new("t")).unwrap();
+        assert_eq!((t.submitted_walks, t.queued_walkers), (32, 32));
+        assert_eq!(queued.in_flight_walkers, 0, "every chunk bounced");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let closer = std::thread::spawn(move || {
+            let stats = (!drop_it).then(|| gateway.shutdown());
+            tx.send(stats).unwrap();
+        });
+        // The inbox drains once the gate opens; only the closer can
+        // dispatch the queued chunks then.
+        gate.wait();
+        let stats = rx
+            .recv_timeout(bound)
+            .expect("shutdown or drop drains the queued tickets within the bound");
+        closer.join().unwrap();
+        if let Some(stats) = stats {
+            let t = stats.tenant(&TenantId::new("t")).unwrap();
+            assert_eq!(t.completed_walks, t.submitted_walks);
+            assert_eq!(t.failed_walks, 0);
+            assert!(t.saturated_requeues >= 1);
+            assert_eq!(stats.in_flight_walkers, 0);
+        }
+        assert_eq!(service.wait(filler).paths.len(), 4);
+        service.wait(gated);
+        assert_eq!(service.stats().total_walks_completed(), 1 + 4 + 32);
+    }
 }

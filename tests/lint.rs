@@ -462,7 +462,7 @@ fn no_lock_under_a_service_or_gateway_lock_reaches_telemetry() {
         "telemetry locks taken under serving locks: {into_telemetry:?}"
     );
     // Gateway and service locks never nest, in either direction: the
-    // dispatcher calls the service with `gateway.state` released, and a
+    // pump calls the service with `gateway.state` released, and a
     // completion notifier runs with no service lock held.
     let across: Vec<(&str, &str)> = parking_lot::observed_order()
         .into_iter()
@@ -474,6 +474,51 @@ fn no_lock_under_a_service_or_gateway_lock_reaches_telemetry() {
     assert!(
         across.is_empty(),
         "gateway and service locks nested: {across:?}"
+    );
+}
+
+/// The one file whose non-test code may start an operating-system thread:
+/// the worker pool every layer runs on.
+const THREAD_SPAWNERS: [&str; 1] = ["shims/rayon/src/runtime.rs"];
+
+#[test]
+fn only_the_pool_spawns_threads() {
+    use bingo_lint::lexer::lex;
+
+    // Token by token (`::` lexes as two `:`): every `thread::spawn` or
+    // `thread::Builder` outside test code. Work is dispatched where it
+    // appears or on the pool, never on a thread of a layer's own.
+    let mut found = Vec::new();
+    for file in bingo_lint::workspace_files(repo_root()).expect("workspace walk") {
+        if !(file.path.starts_with("crates/") || file.path.starts_with("shims/")) {
+            continue;
+        }
+        let lexed = lex(&file.source);
+        for w in lexed.tokens.windows(4) {
+            let texts = [&w[0].text, &w[1].text, &w[2].text];
+            if texts == ["thread", ":", ":"]
+                && matches!(w[3].text.as_str(), "spawn" | "Builder")
+                && !lexed.is_test_line(w[0].line)
+            {
+                found.push(format!("{}:{}", file.path, w[0].line));
+            }
+        }
+    }
+    let stray: Vec<&String> = found
+        .iter()
+        .filter(|at| {
+            !THREAD_SPAWNERS
+                .iter()
+                .any(|f| at.starts_with(&format!("{f}:")))
+        })
+        .collect();
+    assert!(
+        stray.is_empty(),
+        "threads spawned outside the pool: {stray:?}"
+    );
+    assert!(
+        !found.is_empty(),
+        "the pool's own spawn was not seen, so the scan saw nothing"
     );
 }
 
@@ -625,7 +670,12 @@ fn config_knob_census() {
 /// of the repository mentions, with the reason each stays public. A new
 /// `pub fn` that nothing calls fails `uncalled_pub_fn_census` until it
 /// gains a caller, becomes private, is deleted, or is listed here.
-const UNCALLED_PUB_FNS: [(&str, &str, &str); 9] = [
+const UNCALLED_PUB_FNS: [(&str, &str, &str); 10] = [
+    (
+        "crates/bingo-core/src/engine.rs",
+        "add_vertex",
+        "grows the last shard's range; the engine's rebuild-counter test probes it",
+    ),
     (
         "crates/bingo-graph/src/io.rs",
         "load_edge_list",
