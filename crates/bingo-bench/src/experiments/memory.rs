@@ -13,8 +13,9 @@ use rand::Rng;
 
 /// Figure 11 — memory consumption of the baseline (all-regular, "BS") vs the
 /// group-adaptive design ("GA"), overall and per group kind, plus the ratio
-/// of group kinds per dataset, and how many adjacency blocks keep narrow
-/// (8-byte) and wide (12-byte) slots. The last column is the verdict CI gates on:
+/// of group kinds per dataset, and how many adjacency blocks keep compact
+/// (6-byte), narrow (8-byte) and wide (12-byte) slots. The last column is
+/// the verdict CI gates on:
 /// the adaptive design must need strictly fewer sampling bytes than the
 /// baseline on every dataset. The ratios are over the groups GA keeps: a
 /// vertex of at most [`DIRECT_MAX_DEGREE`] edges is direct under GA and has
@@ -35,6 +36,7 @@ pub fn fig11(config: &ExperimentConfig) -> ResultTable {
             "ratio_regular",
             "ratio_sparse",
             "ratio_one_element",
+            "compact_blocks",
             "narrow_blocks",
             "wide_blocks",
             "GA_lt_BS",
@@ -70,6 +72,7 @@ pub fn fig11(config: &ExperimentConfig) -> ResultTable {
             format!("{:.3}", ratios[1]),
             format!("{:.3}", ratios[2]),
             format!("{:.3}", ratios[3]),
+            ga.compact_blocks.to_string(),
             ga.narrow_blocks.to_string(),
             ga.wide_blocks.to_string(),
             if ga.sampling_bytes() < bs.sampling_bytes() {
@@ -246,12 +249,13 @@ mod tests {
             // Over the groups GA keeps; a flat graph may keep none at all.
             let ratios: f64 = row[8..12].iter().map(|s| s.parse::<f64>().unwrap()).sum();
             assert!((ratios - 1.0).abs() < 0.01 || ratios == 0.0);
-            // The stand-ins' biases are integers below 2^32: every block narrow.
+            // The stand-ins' biases are integers below 2^16: every block
+            // compact.
             assert!(
-                row[12].parse::<usize>().unwrap() > 0 && row[13] == "0",
+                row[12].parse::<usize>().unwrap() > 0 && row[13] == "0" && row[14] == "0",
                 "{row:?}"
             );
-            assert_eq!(row[14], "PASS", "GA must need fewer bytes than BS: {row:?}");
+            assert_eq!(row[15], "PASS", "GA must need fewer bytes than BS: {row:?}");
         }
         assert!(t.notes[0].contains("AM ") && t.notes[0].contains("TW "));
         assert!(t.render().contains("Direct vertices: AM "));

@@ -50,7 +50,8 @@
 //! ```text
 //! BingoEngine
 //!  └─ Vec<VertexSpace>                    48 B each, inline; built in place
-//!      ├─ adjacency       12 B × d        destination and bias per edge
+//!      ├─ adjacency       6 B × slots     destination and bias per edge (8 or 12 B
+//!      │                                  a slot when a bias needs it; shared with the graph)
 //!      └─ group table     boxed,          only above 16 edges, or under `baseline()`
 //!          │              72 B + 24 B × K fixed fields (λ, arena and edge-index handles),
 //!          │                              then the K headers: kind, count, segment offset
@@ -74,23 +75,29 @@
 //! benchmark graph, in MiB (the adjacency is the graph's own blocks from
 //! the fifth column on, and no longer the build's):
 //!
-//! | | `Vec` per group | one arena per vertex | 12-byte edges, `u16` arena words | direct vertices, 72-byte space | shared adjacency | probe tables | built in place, 48-byte space, headers in the table |
-//! |---|---:|---:|---:|---:|---:|---:|---:|
-//! | inline structs | 116 | 32 | 32 | 18 | 18 | 18 | 12 |
-//! | group headers | 81 | 56 (alias buckets included) | 56 | 15 | 15 | 11.4 | 11.4 (in the tables) |
-//! | table fixed fields (boxes) | | | | 2.6 | 2.6 | 2.9 | 2.1 |
-//! | members + inverted / probe tables | 179 | 121 | 60.5 | 56.4 | 56.4 | 29.6 | 29.6 |
-//! | edge index | | | | | | 13.4 | 13.4 |
-//! | inter-group tables | 46 | in the headers | in the headers | in the headers | in the headers | in the headers | in the headers |
-//! | adjacency | 120 | 120 | 60 | 60 | shared | shared | shared |
-//! | allocator overhead | 128 | 30 | 35 | 19 | 18 | 17 | ≈ 0 |
-//! | allocations per factorized vertex | | | | 3 | 3 | 3 | 2 |
-//! | RSS added by `build` | 680 | 359 | 244 | 172 | 110 | 93 | 67 |
+//! | | `Vec` per group | one arena per vertex | 12-byte edges, `u16` arena words | direct vertices, 72-byte space | shared adjacency | probe tables | built in place, 48-byte space, headers in the table | 6-byte edges |
+//! |---|---:|---:|---:|---:|---:|---:|---:|---:|
+//! | inline structs | 116 | 32 | 32 | 18 | 18 | 18 | 12 | unchanged |
+//! | group headers | 81 | 56 (alias buckets included) | 56 | 15 | 15 | 11.4 | 11.4 (in the tables) | unchanged |
+//! | table fixed fields (boxes) | | | | 2.6 | 2.6 | 2.9 | 2.1 | unchanged |
+//! | members + inverted / probe tables | 179 | 121 | 60.5 | 56.4 | 56.4 | 29.6 | 29.6 | unchanged |
+//! | edge index | | | | | | 13.4 | 13.4 | unchanged |
+//! | inter-group tables | 46 | in the headers | in the headers | in the headers | in the headers | in the headers | in the headers | in the headers |
+//! | adjacency | 120 | 120 | 60 | 60 | shared | shared | shared | shared: 41.2 of blocks, 53.9 at 8 B a slot |
+//! | allocator overhead | 128 | 30 | 35 | 19 | 18 | 17 | ≈ 0 | unchanged |
+//! | allocations per factorized vertex | | | | 3 | 3 | 3 | 2 | 2 |
+//! | RSS added by `build` | 680 | 359 | 244 | 172 | 110 | 93 | 67 | 59 (the graph's first read: 74 → 59) |
 //!
-//! The last column's 26 MiB are mostly not in the rows above it: the build
+//! The seventh column's 26 MiB are mostly not in the rows above it: the build
 //! used to collect the spaces through per-chunk vectors and copy them into
 //! the result, and the allocator kept the transient second array (the 17
-//! of "overhead"); it now fills one exactly sized array in place.
+//! of "overhead"); it now fills one exactly sized array in place. The last
+//! column is the same probe on seed 7, the tree with compact (6-byte) slots
+//! against its parent with narrow (8-byte) ones, both measured then: every
+//! one of the 156 854 blocks is compact (the largest bias is 37 553), the
+//! build's own RSS is 58 → 59 (it shares the blocks), the graph's 74 → 59,
+//! [`MemoryReport::resident_bytes`] 123.1 → 110.5 and bytes per edge
+//! 24.6 → 22.1.
 //!
 //! On the flat 400 000-vertex graph of the `service_deepwalk` benchmark,
 //! where 398 337 vertices have 1–16 edges, the direct-vertex step takes the

@@ -48,9 +48,12 @@ pub struct MemoryReport {
     /// [`VertexSpace`](crate::VertexSpace)). Their groups are in none of
     /// the counts above.
     pub direct_vertices: usize,
-    /// Number of adjacency blocks with narrow slots: 8 bytes an edge, every
-    /// bias an integer below 2^32 (see
+    /// Number of adjacency blocks with compact slots: 6 bytes an edge, every
+    /// bias an integer from 1 to 2^16 − 1 (see
     /// [`AdjacencyList`](bingo_graph::AdjacencyList)).
+    pub compact_blocks: usize,
+    /// Number of adjacency blocks with narrow slots: 8 bytes an edge, every
+    /// bias an integer below 2^32, some past 2^16 − 1.
     pub narrow_blocks: usize,
     /// Number of adjacency blocks with wide slots: 12 bytes an edge.
     pub wide_blocks: usize,
@@ -154,6 +157,7 @@ impl MemoryReport {
             self.group_counts[i] += other.group_counts[i];
         }
         self.direct_vertices += other.direct_vertices;
+        self.compact_blocks += other.compact_blocks;
         self.narrow_blocks += other.narrow_blocks;
         self.wide_blocks += other.wide_blocks;
     }
@@ -214,9 +218,14 @@ mod tests {
         a.narrow_blocks = 2;
         b.narrow_blocks = 5;
         b.wide_blocks = 1;
+        a.compact_blocks = 4;
+        b.compact_blocks = 9;
         a.merge(&b);
         assert_eq!(a.direct_vertices, 3);
-        assert_eq!((a.narrow_blocks, a.wide_blocks), (7, 1));
+        assert_eq!(
+            (a.compact_blocks, a.narrow_blocks, a.wide_blocks),
+            (13, 7, 1)
+        );
         assert_eq!(a.structure_bytes, 7);
         assert_eq!(a.sparse_bytes, 16);
         assert_eq!(a.count_for(GroupKind::Sparse), 2);

@@ -72,7 +72,7 @@ use crate::memory::MemoryReport;
 use crate::radix;
 use crate::stats::ConversionMatrix;
 use crate::{BingoError, Result};
-use bingo_graph::adjacency::{AdjacencyList, Edge, Edges};
+use bingo_graph::adjacency::{AdjacencyList, Edge, Edges, SlotWidth};
 use bingo_graph::{Bias, VertexId};
 use rand::Rng;
 use std::sync::Arc;
@@ -1025,10 +1025,10 @@ impl VertexSpace {
             adjacency_bytes: self.adj.memory_bytes(),
             ..MemoryReport::default()
         };
-        let blocks = if self.adj.is_narrow() {
-            &mut report.narrow_blocks
-        } else {
-            &mut report.wide_blocks
+        let blocks = match self.adj.slot_width() {
+            SlotWidth::Compact => &mut report.compact_blocks,
+            SlotWidth::Narrow => &mut report.narrow_blocks,
+            SlotWidth::Wide => &mut report.wide_blocks,
         };
         *blocks = usize::from(report.adjacency_bytes > 0);
         let mut resident = std::mem::size_of::<Self>() + report.adjacency_bytes;

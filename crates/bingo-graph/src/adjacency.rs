@@ -12,19 +12,28 @@
 //!
 //! # Slot widths
 //!
-//! A block holds its slots in one of two widths, and the data picks it:
+//! A block is a run of `u16` words, and its slots come in one of three
+//! widths; the data picks it:
 //!
-//! - **narrow**, 8 bytes a slot: the `u32` destination and the bias as one
-//!   `u32` word. Only an integer bias below 2^32 keeps in it.
+//! - **compact**, 6 bytes a slot: the `u32` destination and the bias as one
+//!   `u16` word. Only an integer bias from 1 to 2^16 − 1 keeps in it.
+//! - **narrow**, 8 bytes a slot: the destination and the bias as one `u32`.
+//!   Only an integer bias below 2^32 keeps in it.
 //! - **wide**, 12 bytes a slot: the destination and the two halves of any
 //!   [`Bias`].
 //!
-//! Every block is allocated at the width its edges need: narrow when each of
-//! them keeps narrow. That happens at a loading graph's first read, on a
-//! growth copy and on a copy-on-write copy. A write that hands a narrow block
-//! a bias that does not keep narrow widens it with one copy; nothing narrows
-//! a block in place. Readers never see the width: [`AdjacencyList::edges`]
-//! returns [`Edges`], which hands out the 12-byte [`Edge`] by value.
+//! One codec, generic over the slot's word count (3, 4 or 6), reads and
+//! writes all three: the destination is the first two words, the bias the
+//! rest, low word first. A slot's destination and bias stay adjacent: a
+//! reader of one edge reads one slot, and a scan reads fewer cache lines
+//! the narrower the slots.
+//!
+//! Every block is allocated at the narrowest width its edges allow. That
+//! happens at a loading graph's first read, on a growth copy and on a
+//! copy-on-write copy. A write that hands a block a bias its width cannot
+//! hold widens it with one copy; nothing narrows a block in place. Readers
+//! never see the width: [`AdjacencyList::edges`] returns [`Edges`], which
+//! hands out the 12-byte [`Edge`] by value.
 //!
 //! # Sharing
 //!
@@ -68,10 +77,111 @@ pub struct SwapDelete {
     pub moved_from: Option<usize>,
 }
 
-/// Words in a narrow slot: the destination, then an integer bias.
-const NARROW: usize = 2;
+/// Words in a compact slot: the destination, then the bias as one word.
+const COMPACT: usize = 3;
+/// Words in a narrow slot: the destination, then the bias as a `u32`.
+const NARROW: usize = 4;
 /// Words in a wide slot: the destination, then the two halves of the bias.
-const WIDE: usize = 3;
+const WIDE: usize = 6;
+
+/// `$body` with `$W` the words in a slot of `$width`: one source, compiled
+/// once for each width's slot size.
+macro_rules! by_width {
+    ($width:expr, $W:ident => $body:expr) => {
+        match $width {
+            SlotWidth::Compact => {
+                const $W: usize = COMPACT;
+                $body
+            }
+            SlotWidth::Narrow => {
+                const $W: usize = NARROW;
+                $body
+            }
+            SlotWidth::Wide => {
+                const $W: usize = WIDE;
+                $body
+            }
+        }
+    };
+}
+
+/// `$body` with `$slots` bound to whichever width's value a [`PerWidth`]
+/// holds.
+macro_rules! each_width {
+    ($value:expr, $slots:ident => $body:expr) => {
+        match $value {
+            PerWidth::Compact($slots) => $body,
+            PerWidth::Narrow($slots) => $body,
+            PerWidth::Wide($slots) => $body,
+        }
+    };
+}
+
+/// The width of a block's slots (see the module docs), narrowest first.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SlotWidth {
+    /// 6 bytes: the destination and an integer bias from 1 to 2^16 − 1.
+    #[default]
+    Compact,
+    /// 8 bytes: the destination and an integer bias below 2^32.
+    Narrow,
+    /// 12 bytes: the destination and any bias.
+    Wide,
+}
+
+impl SlotWidth {
+    /// The narrowest width whose slot holds `bias`.
+    #[inline]
+    pub(crate) fn of(bias: Bias) -> SlotWidth {
+        match bias.narrow() {
+            Some(word) if word <= u32::from(u16::MAX) => SlotWidth::Compact,
+            Some(_) => SlotWidth::Narrow,
+            None => SlotWidth::Wide,
+        }
+    }
+
+    /// `u16` words in a slot.
+    #[inline]
+    fn words(self) -> usize {
+        by_width!(self, W => W)
+    }
+}
+
+/// The `u32` in words `k` and `k + 1` of a slot, low word first.
+#[inline]
+fn word_pair(slot: &[u16], k: usize) -> u32 {
+    u32::from(slot[k]) | u32::from(slot[k + 1]) << 16
+}
+
+/// The destination a slot of `W` words holds.
+#[inline]
+fn slot_dst<const W: usize>(slot: &[u16; W]) -> VertexId {
+    word_pair(slot, 0)
+}
+
+/// The edge a slot of `W` words holds.
+#[inline]
+fn decode<const W: usize>(slot: &[u16; W]) -> Edge {
+    let bias = match W {
+        COMPACT => Bias::from_narrow(u32::from(slot[2])),
+        NARROW => Bias::from_narrow(word_pair(slot, 2)),
+        _ => Bias::from_halves([word_pair(slot, 2), word_pair(slot, 4)]),
+    };
+    Edge::new(slot_dst(slot), bias)
+}
+
+/// The slot of `W` words that holds `edge`, if its bias keeps at that
+/// width.
+#[inline]
+fn encode<const W: usize>(edge: Edge) -> Option<[u16; W]> {
+    let [lo, hi] = match W {
+        COMPACT => [u32::from(edge.bias.compact()?), 0],
+        NARROW => [edge.bias.narrow()?, 0],
+        _ => edge.bias.halves(),
+    };
+    let words = [edge.dst, lo, hi].map(|word| [word as u16, (word >> 16) as u16]);
+    Some(std::array::from_fn(|k| words.as_flattened()[k]))
+}
 
 /// A dynamic adjacency list for a single vertex.
 ///
@@ -82,17 +192,17 @@ const WIDE: usize = 3;
 pub struct AdjacencyList {
     /// The block: capacity × slot-width words, slot `i` at word
     /// `i × width`; `len` slots are edges, and nothing reads the slots past
-    /// them (a fresh block fills them with zeros: an invalid-bias edge at
-    /// either width). `None` until the first edge needs room. It is written
-    /// only through `Arc::get_mut`, so never while another handle holds it.
-    slots: Option<Arc<[u32]>>,
+    /// them (a fresh block fills them with zeros). `None` until the first
+    /// edge needs room. It is written only through `Arc::get_mut`, so never
+    /// while another handle holds it.
+    slots: Option<Arc<[u16]>>,
     len: u32,
-    /// Whether the slots are wide; in the handle's padding.
-    wide: bool,
+    /// The width of the slots; in the handle's padding.
+    width: SlotWidth,
 }
 
 // `VertexSpace` embeds one of these per vertex; it is as wide as the `Vec`
-// it replaced, the width flag included.
+// it replaced, the width tag included.
 const _: () = assert!(std::mem::size_of::<AdjacencyList>() == 24);
 
 /// The two reference counts in front of an `Arc`'s payload.
@@ -124,74 +234,41 @@ fn class_for(degree: usize) -> usize {
     capacity
 }
 
-/// Words per slot of a block of that width.
-fn width(wide: bool) -> usize {
-    if wide {
-        WIDE
-    } else {
-        NARROW
-    }
-}
-
 /// A block of `words` zeros, in one allocation: `repeat_n` knows its length.
-fn zeroed(words: usize) -> Arc<[u32]> {
+fn zeroed(words: usize) -> Arc<[u16]> {
     std::iter::repeat_n(0, words).collect()
 }
 
-/// Write `edge` into `slot`, whose length is the block's width. A narrow
-/// slot takes only an edge that keeps narrow.
-#[inline]
-fn write_slot(slot: &mut [u32], edge: Edge) {
-    match slot {
-        [dst, bias] => {
-            *dst = edge.dst;
-            *bias = edge
-                .bias
-                .narrow()
-                .expect("a narrow slot holds an integer bias below 2^32");
-        }
-        [dst, lo, hi] => {
-            *dst = edge.dst;
-            [*lo, *hi] = edge.bias.halves();
-        }
-        _ => unreachable!("a slot is two or three words"),
-    }
-}
-
-/// The edge a narrow slot holds.
-#[inline]
-fn narrow_edge(&[dst, bias]: &[u32; NARROW]) -> Edge {
-    Edge::new(dst, Bias::from_narrow(bias))
-}
-
-/// The edge a wide slot holds.
-#[inline]
-fn wide_edge(&[dst, lo, hi]: &[u32; WIDE]) -> Edge {
-    Edge::new(dst, Bias::from_halves([lo, hi]))
-}
-
-/// A fresh block of `capacity` slots starting with `edges`, and whether it
-/// is wide: narrow exactly when every one of `edges` keeps narrow.
-fn new_block(edges: impl Iterator<Item = Edge> + Clone, capacity: usize) -> (Arc<[u32]>, bool) {
+/// A fresh block of `capacity` slots starting with `edges`, at the
+/// narrowest width that holds every one of them.
+fn new_block(
+    edges: impl Iterator<Item = Edge> + Clone,
+    capacity: usize,
+) -> (Arc<[u16]>, SlotWidth) {
     assert!(
         capacity <= MAX_EDGES,
         "an adjacency block of {capacity} slots"
     );
-    let wide = !edges.clone().all(|e| e.bias.narrow().is_some());
-    let width = width(wide);
-    let mut block = zeroed(capacity * width);
+    let width = edges
+        .clone()
+        .map(|e| SlotWidth::of(e.bias))
+        .max()
+        .unwrap_or_default();
+    let mut block = zeroed(capacity * width.words());
     let words = Arc::get_mut(&mut block).expect("a block nobody else has seen");
-    for (slot, edge) in words.chunks_exact_mut(width).zip(edges) {
-        write_slot(slot, edge);
-    }
-    (block, wide)
+    by_width!(width, W => {
+        for (slot, edge) in words.as_chunks_mut::<W>().0.iter_mut().zip(edges) {
+            *slot = encode(edge).expect("the block is as wide as its widest edge");
+        }
+    });
+    (block, width)
 }
 
 /// The slots a loading list's edges are written into, in order: see
 /// [`AdjacencyList::load`].
 pub(crate) struct Fill<'a> {
-    words: &'a mut [u32],
-    width: usize,
+    words: &'a mut [u16],
+    width: SlotWidth,
 }
 
 impl Fill<'_> {
@@ -199,13 +276,17 @@ impl Fill<'_> {
     ///
     /// # Panics
     ///
-    /// Panics past the degree the list was loaded with, or on an edge that
-    /// does not keep narrow in a list loaded narrow.
+    /// Panics past the degree the list was loaded with, or on an edge whose
+    /// bias does not keep at the width the list was loaded with.
     #[inline]
     pub(crate) fn put(&mut self, edge: Edge) {
-        let (slot, rest) = std::mem::take(&mut self.words).split_at_mut(self.width);
-        write_slot(slot, edge);
-        self.words = rest;
+        by_width!(self.width, W => {
+            let (slot, rest) = std::mem::take(&mut self.words)
+                .split_first_chunk_mut::<W>()
+                .expect("no edge past the loaded degree");
+            *slot = encode(edge).expect("a loaded list is as wide as its widest edge");
+            self.words = rest;
+        })
     }
 }
 
@@ -215,8 +296,8 @@ impl AdjacencyList {
         Self::default()
     }
 
-    /// Create an adjacency list with pre-allocated capacity (narrow: it has
-    /// no edge that needs wide slots yet).
+    /// Create an adjacency list with pre-allocated capacity (compact: it
+    /// has no edge that needs a wider slot yet).
     pub fn with_capacity(capacity: usize) -> Self {
         AdjacencyList {
             slots: (capacity > 0).then(|| new_block(std::iter::empty(), capacity).0),
@@ -226,11 +307,10 @@ impl AdjacencyList {
 
     /// Make this empty list `degree` edges long, in one block of the
     /// capacity pushing that many edges grows it to (4, then half again) and
-    /// wide if `wide`, and return the slots for the caller to write the
-    /// edges into. Until then they hold an invalid-bias pad edge.
-    pub(crate) fn load(&mut self, degree: usize, wide: bool) -> Fill<'_> {
+    /// of slots `width` wide, and return the slots for the caller to write
+    /// the edges into. Until then they hold zeros.
+    pub(crate) fn load(&mut self, degree: usize, width: SlotWidth) -> Fill<'_> {
         debug_assert!(self.slots.is_none(), "a list is loaded once, empty");
-        let width = width(wide);
         if degree == 0 {
             return Fill {
                 words: &mut [],
@@ -238,12 +318,12 @@ impl AdjacencyList {
             };
         }
         self.len = degree as u32;
-        self.wide = wide;
+        self.width = width;
         let capacity = class_for(degree);
-        let block = self.slots.insert(zeroed(capacity * width));
+        let block = self.slots.insert(zeroed(capacity * width.words()));
         let words = Arc::get_mut(block).expect("a block nobody else has seen");
         Fill {
-            words: &mut words[..degree * width],
+            words: &mut words[..degree * width.words()],
             width,
         }
     }
@@ -264,14 +344,14 @@ impl AdjacencyList {
     pub fn capacity(&self) -> usize {
         self.slots
             .as_ref()
-            .map_or(0, |block| block.len() / width(self.wide))
+            .map_or(0, |block| block.len() / self.width.words())
     }
 
-    /// Whether the slots are narrow, 8 bytes each (see the module docs). A
-    /// list without a block has no wide edge, so it is narrow.
+    /// The width of the slots (see the module docs). A list without a block
+    /// has no edge that needs a wider slot, so it is compact.
     #[inline]
-    pub fn is_narrow(&self) -> bool {
-        !self.wide
+    pub fn slot_width(&self) -> SlotWidth {
+        self.width
     }
 
     /// The edge at neighbor index `i`.
@@ -305,10 +385,10 @@ impl AdjacencyList {
     pub fn edges(&self) -> Edges<'_> {
         let words = self.slots.as_deref().unwrap_or(&[]);
         let len = self.len as usize;
-        Edges(if self.wide {
-            Slots::Wide(&words.as_chunks::<WIDE>().0[..len])
-        } else {
-            Slots::Narrow(&words.as_chunks::<NARROW>().0[..len])
+        Edges(match self.width {
+            SlotWidth::Compact => PerWidth::Compact(&words.as_chunks().0[..len]),
+            SlotWidth::Narrow => PerWidth::Narrow(&words.as_chunks().0[..len]),
+            SlotWidth::Wide => PerWidth::Wide(&words.as_chunks().0[..len]),
         })
     }
 
@@ -334,23 +414,22 @@ impl AdjacencyList {
     pub fn find(&self, dst: VertexId) -> Option<usize> {
         // One scan per width: a node2vec step asks this of a direct vertex
         // for every candidate it draws.
-        match self.edges().0 {
-            Slots::Narrow(slots) => slots.iter().position(|slot| slot[0] == dst),
-            Slots::Wide(slots) => slots.iter().position(|slot| slot[0] == dst),
-        }
+        each_width!(self.edges().0, slots => {
+            slots.iter().position(|slot| slot_dst(slot) == dst)
+        })
     }
 
     /// Replace the block with one [`new_block`] made.
-    fn adopt(&mut self, (block, wide): (Arc<[u32]>, bool)) {
+    fn adopt(&mut self, (block, width): (Arc<[u16]>, SlotWidth)) {
         self.slots = Some(block);
-        self.wide = wide;
+        self.width = width;
     }
 
     /// Every word of the block, writable, and the width of its slots: the
     /// block itself when this handle is the only one holding it, else a copy
-    /// of the same capacity — at the width its edges need — that replaces it
-    /// here and leaves the other holders' untouched.
-    fn words_mut(&mut self) -> (&mut [u32], usize) {
+    /// of the same capacity — at the narrowest width its edges allow — that
+    /// replaces it here and leaves the other holders' untouched.
+    fn words_mut(&mut self) -> (&mut [u16], SlotWidth) {
         let shared = self
             .slots
             .as_mut()
@@ -358,7 +437,7 @@ impl AdjacencyList {
         if shared {
             self.adopt(new_block(self.edges().iter(), self.capacity()));
         }
-        let width = width(self.wide);
+        let width = self.width;
         match &mut self.slots {
             Some(block) => (
                 Arc::get_mut(block).expect("this handle alone holds the block"),
@@ -369,28 +448,27 @@ impl AdjacencyList {
     }
 
     /// Write `edge` into slot `i` in place, if the block lets it: this
-    /// handle alone holds it, it has a slot `i`, and it is wide or `edge`
-    /// keeps narrow. Whether it did.
+    /// handle alone holds it, it has a slot `i`, and its width holds the
+    /// edge's bias. Whether it did.
     #[inline]
     fn put_in_place(&mut self, i: usize, edge: Edge) -> bool {
-        let wide = self.wide;
-        let width = width(wide);
-        // The checks read the handle and the edge; the one uniqueness check
-        // is the only touch of the block's header.
-        match &mut self.slots {
-            Some(block)
-                if (i + 1) * width <= block.len() && (wide || edge.bias.narrow().is_some()) =>
-            {
-                match Arc::get_mut(block) {
+        by_width!(self.width, W => {
+            // The checks read the handle and the edge; the one uniqueness
+            // check is the only touch of the block's header.
+            let Some(slot) = encode::<W>(edge) else {
+                return false;
+            };
+            match &mut self.slots {
+                Some(block) if (i + 1) * W <= block.len() => match Arc::get_mut(block) {
                     Some(words) => {
-                        write_slot(&mut words[i * width..(i + 1) * width], edge);
+                        words.as_chunks_mut::<W>().0[i] = slot;
                         true
                     }
                     None => false,
-                }
+                },
+                _ => false,
             }
-            _ => false,
-        }
+        })
     }
 
     /// The edges with `edge` at neighbor index `i`, in a fresh block of
@@ -410,8 +488,8 @@ impl AdjacencyList {
     #[inline]
     pub fn push(&mut self, edge: Edge) -> usize {
         let i = self.len as usize;
-        // A missing, full or shared block, or a narrow one handed a wide
-        // edge, goes out of line.
+        // A missing, full or shared block, or one too narrow for the edge,
+        // goes out of line.
         if !self.put_in_place(i, edge) {
             self.push_slow(edge);
         }
@@ -420,9 +498,9 @@ impl AdjacencyList {
     }
 
     /// [`AdjacencyList::push`] when the block cannot take the edge as it is:
-    /// one copy, at the width every edge then needs, of the same capacity —
-    /// the copy-on-write, or the widening — or, if full (or absent), of the
-    /// next capacity class.
+    /// one copy, at the narrowest width every edge then allows, of the same
+    /// capacity — the copy-on-write, or the widening — or, if full (or
+    /// absent), of the next capacity class.
     #[cold]
     #[inline(never)]
     fn push_slow(&mut self, edge: Edge) {
@@ -450,6 +528,7 @@ impl AdjacencyList {
         let removed = self.edge(i)?;
         let last = self.len as usize - 1;
         let (words, width) = self.words_mut();
+        let width = width.words();
         words.copy_within(last * width..(last + 1) * width, i * width);
         self.len -= 1;
         Some(SwapDelete {
@@ -498,20 +577,17 @@ impl AdjacencyList {
             return Vec::new();
         }
         let (words, width) = self.words_mut();
-        let (new_len, moves) = if width == WIDE {
-            let slots = &mut words.as_chunks_mut::<WIDE>().0[..len];
+        let (new_len, moves) = by_width!(width, W => {
+            let slots = &mut words.as_chunks_mut::<W>().0[..len];
             crate::compaction::compact(slots, neighbor_indices)
-        } else {
-            let slots = &mut words.as_chunks_mut::<NARROW>().0[..len];
-            crate::compaction::compact(slots, neighbor_indices)
-        };
+        });
         self.len = new_len as u32;
         moves
     }
 
     /// Replace the bias of the edge at neighbor index `i`. Returns the old
-    /// bias, or `None` if out of bounds. A bias a narrow block cannot hold
-    /// widens it, in the one copy a shared block would take anyway.
+    /// bias, or `None` if out of bounds. A bias the block's width cannot
+    /// hold widens it, in the one copy a shared block would take anyway.
     pub fn set_bias(&mut self, i: usize, bias: Bias) -> Option<Bias> {
         let old = self.edge(i)?;
         let edge = Edge::new(old.dst, bias);
@@ -521,10 +597,10 @@ impl AdjacencyList {
         Some(old.bias)
     }
 
-    /// Bytes of heap memory in this list's block: 8 per narrow slot or 12
-    /// per wide one, plus the block's 16-byte count header, rounded up to
-    /// the header's alignment; 0 without a block. A block shared with other
-    /// handles is counted in full by each of them.
+    /// Bytes of heap memory in this list's block: 6 per compact slot, 8 per
+    /// narrow one or 12 per wide one, plus the block's 16-byte count header,
+    /// rounded up to the header's alignment; 0 without a block. A block
+    /// shared with other handles is counted in full by each of them.
     pub fn memory_bytes(&self) -> usize {
         match &self.slots {
             Some(block) => (BLOCK_HEADER_BYTES + std::mem::size_of_val(&**block))
@@ -559,25 +635,27 @@ impl FromIterator<Edge> for AdjacencyList {
     }
 }
 
+/// One value per slot width: a block's slots, or an iterator over them.
+#[derive(Clone, Copy)]
+enum PerWidth<C, N, W> {
+    Compact(C),
+    Narrow(N),
+    Wide(W),
+}
+
 /// An adjacency list's edges in neighbor-index order, read by value whatever
 /// the width of the slots they are kept in.
 #[derive(Clone, Copy)]
 pub struct Edges<'a>(Slots<'a>);
 
-#[derive(Clone, Copy)]
-enum Slots<'a> {
-    Narrow(&'a [[u32; NARROW]]),
-    Wide(&'a [[u32; WIDE]]),
-}
+/// A block's live slots, as slots of its width.
+type Slots<'a> = PerWidth<&'a [[u16; COMPACT]], &'a [[u16; NARROW]], &'a [[u16; WIDE]]>;
 
 impl<'a> Edges<'a> {
     /// Number of edges.
     #[inline]
     pub fn len(&self) -> usize {
-        match self.0 {
-            Slots::Narrow(slots) => slots.len(),
-            Slots::Wide(slots) => slots.len(),
-        }
+        each_width!(self.0, slots => slots.len())
     }
 
     /// Whether there are none.
@@ -589,10 +667,7 @@ impl<'a> Edges<'a> {
     /// The edge at neighbor index `i`.
     #[inline]
     pub fn get(&self, i: usize) -> Option<Edge> {
-        match self.0 {
-            Slots::Narrow(slots) => slots.get(i).map(narrow_edge),
-            Slots::Wide(slots) => slots.get(i).map(wide_edge),
-        }
+        each_width!(self.0, slots => slots.get(i).map(decode))
     }
 
     /// The destination of the edge at neighbor index `i`.
@@ -602,10 +677,7 @@ impl<'a> Edges<'a> {
     /// Panics if `i` is out of bounds.
     #[inline]
     pub fn dst(&self, i: usize) -> VertexId {
-        match self.0 {
-            Slots::Narrow(slots) => slots[i][0],
-            Slots::Wide(slots) => slots[i][0],
-        }
+        each_width!(self.0, slots => slot_dst(&slots[i]))
     }
 
     /// The bias of the edge at neighbor index `i`.
@@ -615,18 +687,16 @@ impl<'a> Edges<'a> {
     /// Panics if `i` is out of bounds.
     #[inline]
     pub fn bias(&self, i: usize) -> Bias {
-        match self.0 {
-            Slots::Narrow(slots) => narrow_edge(&slots[i]).bias,
-            Slots::Wide(slots) => wide_edge(&slots[i]).bias,
-        }
+        each_width!(self.0, slots => decode(&slots[i]).bias)
     }
 
     /// The edges, in order.
     #[inline]
     pub fn iter(&self) -> EdgeIter<'a> {
         EdgeIter(match self.0 {
-            Slots::Narrow(slots) => SlotIter::Narrow(slots.iter()),
-            Slots::Wide(slots) => SlotIter::Wide(slots.iter()),
+            PerWidth::Compact(slots) => PerWidth::Compact(slots.iter()),
+            PerWidth::Narrow(slots) => PerWidth::Narrow(slots.iter()),
+            PerWidth::Wide(slots) => PerWidth::Wide(slots.iter()),
         })
     }
 
@@ -637,11 +707,8 @@ impl<'a> Edges<'a> {
 
     /// Where the block's first slot is: the identity of the block, for
     /// telling whether two lists share one.
-    pub fn as_ptr(&self) -> *const u32 {
-        match self.0 {
-            Slots::Narrow(slots) => slots.as_ptr().cast(),
-            Slots::Wide(slots) => slots.as_ptr().cast(),
-        }
+    pub fn as_ptr(&self) -> *const u16 {
+        each_width!(self.0, slots => slots.as_ptr().cast())
     }
 }
 
@@ -682,21 +749,19 @@ impl<'a> IntoIterator for Edges<'a> {
 #[derive(Clone)]
 pub struct EdgeIter<'a>(SlotIter<'a>);
 
-#[derive(Clone)]
-enum SlotIter<'a> {
-    Narrow(std::slice::Iter<'a, [u32; NARROW]>),
-    Wide(std::slice::Iter<'a, [u32; WIDE]>),
-}
+/// An iterator over the slots of one width.
+type SlotIter<'a> = PerWidth<
+    std::slice::Iter<'a, [u16; COMPACT]>,
+    std::slice::Iter<'a, [u16; NARROW]>,
+    std::slice::Iter<'a, [u16; WIDE]>,
+>;
 
 impl Iterator for EdgeIter<'_> {
     type Item = Edge;
 
     #[inline]
     fn next(&mut self) -> Option<Edge> {
-        match &mut self.0 {
-            SlotIter::Narrow(slots) => slots.next().map(narrow_edge),
-            SlotIter::Wide(slots) => slots.next().map(wide_edge),
-        }
+        each_width!(&mut self.0, slots => slots.next().map(decode))
     }
 
     #[inline]
@@ -708,30 +773,21 @@ impl Iterator for EdgeIter<'_> {
     // Sums, counts and `for` loops match the width once, not per edge.
     #[inline]
     fn fold<B, F: FnMut(B, Edge) -> B>(self, init: B, mut f: F) -> B {
-        match self.0 {
-            SlotIter::Narrow(slots) => slots.fold(init, |acc, slot| f(acc, narrow_edge(slot))),
-            SlotIter::Wide(slots) => slots.fold(init, |acc, slot| f(acc, wide_edge(slot))),
-        }
+        each_width!(self.0, slots => slots.fold(init, |acc, slot| f(acc, decode(slot))))
     }
 }
 
 impl DoubleEndedIterator for EdgeIter<'_> {
     #[inline]
     fn next_back(&mut self) -> Option<Edge> {
-        match &mut self.0 {
-            SlotIter::Narrow(slots) => slots.next_back().map(narrow_edge),
-            SlotIter::Wide(slots) => slots.next_back().map(wide_edge),
-        }
+        each_width!(&mut self.0, slots => slots.next_back().map(decode))
     }
 }
 
 impl ExactSizeIterator for EdgeIter<'_> {
     #[inline]
     fn len(&self) -> usize {
-        match &self.0 {
-            SlotIter::Narrow(slots) => slots.len(),
-            SlotIter::Wide(slots) => slots.len(),
-        }
+        each_width!(&self.0, slots => slots.len())
     }
 }
 
@@ -849,19 +905,24 @@ mod tests {
         let small = AdjacencyList::with_capacity(2);
         let large = AdjacencyList::with_capacity(1000);
         assert!(large.memory_bytes() > small.memory_bytes());
-        assert_eq!(small.memory_bytes(), 16 + 2 * 8);
-        assert_eq!(AdjacencyList::with_capacity(3).memory_bytes(), 16 + 3 * 8);
+        // Compact slots; an odd count of them pads to the header's 8-byte
+        // alignment.
+        assert_eq!(small.memory_bytes(), 16 + 2 * 6 + 4);
+        assert_eq!(AdjacencyList::with_capacity(4).memory_bytes(), 16 + 4 * 6);
         assert_eq!(AdjacencyList::new().memory_bytes(), 0);
         // Growth goes to the next class: half again, 4 at least.
         let mut adj = sample_list();
-        assert_eq!(adj.memory_bytes(), 16 + 3 * 8);
+        assert_eq!(adj.memory_bytes(), 16 + 3 * 6 + 6);
         adj.push(Edge::new(7, Bias::from_int(2)));
-        assert_eq!(adj.memory_bytes(), 16 + 4 * 8);
+        assert_eq!(adj.memory_bytes(), 16 + 4 * 6);
         assert_eq!(adj.capacity(), 4);
         adj.push(Edge::new(8, Bias::from_int(2)));
         assert_eq!(adj.capacity(), 6);
-        // A float widens in place of the same capacity; an odd capacity of
-        // wide slots pads to the header's 8-byte alignment.
+        assert_eq!(adj.memory_bytes(), 16 + 6 * 6 + 4);
+        // A bias past 2^16 − 1 widens to narrow slots, and a float to wide
+        // ones, each at the same capacity.
+        adj.set_bias(1, Bias::from_int(1 << 16));
+        assert_eq!(adj.memory_bytes(), 16 + 6 * 8);
         adj.set_bias(0, Bias::from_float(0.5));
         assert_eq!(adj.memory_bytes(), 16 + 6 * 12);
         let mut odd = AdjacencyList::with_capacity(3);
@@ -870,32 +931,128 @@ mod tests {
     }
 
     #[test]
-    fn an_edge_reads_back_as_it_was_written_at_either_width() {
-        let max = u64::from(u32::MAX);
+    fn an_edge_reads_back_as_it_was_written_at_every_width() {
+        let max16 = u64::from(u16::MAX);
+        let max32 = u64::from(u32::MAX);
+        // Each bias with the narrowest width that holds it.
         let biases = [
-            Bias::from_int(1),
-            Bias::from_int(max),
-            Bias::from_int(max + 1),
-            Bias::from_float(3.0),
-            Bias::from_float(0.125),
+            (Bias::from_int(1), SlotWidth::Compact),
+            (Bias::from_int(max16), SlotWidth::Compact),
+            (Bias::from_int(max16 + 1), SlotWidth::Narrow),
+            (Bias::from_int(max32), SlotWidth::Narrow),
+            (Bias::from_int(max32 + 1), SlotWidth::Wide),
+            (Bias::from_float(3.0), SlotWidth::Wide),
+            (Bias::from_float(0.125), SlotWidth::Wide),
         ];
-        for (k, &wide) in biases.iter().enumerate() {
+        for (k, &(last, width)) in biases.iter().enumerate() {
             let mut adj = AdjacencyList::new();
             let mut edges = Vec::new();
-            for (dst, &bias) in biases[..k].iter().enumerate() {
+            for (dst, &(bias, _)) in biases[..k].iter().enumerate() {
                 edges.push(Edge::new(dst as VertexId, bias));
                 adj.push(edges[dst]);
             }
-            assert!(adj.is_narrow() == (k <= 2), "{k}");
-            edges.push(Edge::new(u32::MAX, wide));
+            let before = biases[..k].iter().map(|b| b.1).max().unwrap_or_default();
+            assert_eq!(adj.slot_width(), before, "{k}");
+            edges.push(Edge::new(u32::MAX, last));
             adj.push(edges[k]);
             assert_eq!(adj.edges(), edges);
-            assert_eq!(adj.is_narrow(), k < 2, "{k}");
+            assert_eq!(adj.slot_width(), before.max(width), "{k}");
             assert_eq!(adj.edges().iter().next_back(), Some(edges[k]));
-            assert_eq!(adj.bias(k), wide);
+            assert_eq!(adj.bias(k), last);
             assert_eq!(adj.dst(k), u32::MAX);
+            assert_eq!(adj.find(u32::MAX), Some(k));
             assert!(adj.edges().iter().rev().eq(edges.iter().rev().copied()));
         }
+    }
+
+    /// A list of `len` compact edges in a block of capacity 9, alone or
+    /// with a clone holding its block.
+    fn compact_list(len: u32) -> AdjacencyList {
+        let mut adj = AdjacencyList::with_capacity(9);
+        for dst in 0..len {
+            adj.push(Edge::new(dst, Bias::from_int(u64::from(dst) + 1)));
+        }
+        adj
+    }
+
+    #[test]
+    fn a_block_widens_with_one_copy_to_the_width_its_new_bias_needs() {
+        use SlotWidth::{Compact, Narrow, Wide};
+        let cases = [
+            // Compact to narrow at the first integer past 2^16 − 1.
+            (Bias::from_int(1 << 16), Compact, Narrow),
+            // Compact or narrow to wide at a float or an integer past 2^32 − 1.
+            (Bias::from_float(2.0), Compact, Wide),
+            (Bias::from_int(1 << 32), Compact, Wide),
+            (Bias::from_float(2.0), Narrow, Wide),
+            (Bias::from_int(1 << 32), Narrow, Wide),
+            // A bias the width holds writes in place.
+            (Bias::from_int(u64::from(u16::MAX)), Compact, Compact),
+            (Bias::from_int(u64::from(u32::MAX)), Narrow, Narrow),
+        ];
+        for (k, &(bias, from, to)) in cases.iter().enumerate() {
+            for by_push in [false, true] {
+                let mut adj = compact_list(5);
+                if from == Narrow {
+                    adj.set_bias(4, Bias::from_int(70_000));
+                }
+                assert_eq!(adj.slot_width(), from, "{k}");
+                let (at, capacity) = (adj.edges().as_ptr(), adj.capacity());
+                let mut expected = adj.edges().to_vec();
+                if by_push {
+                    adj.push(Edge::new(9, bias));
+                    expected.push(Edge::new(9, bias));
+                } else {
+                    adj.set_bias(2, bias);
+                    expected[2].bias = bias;
+                }
+                assert_eq!(adj.edges(), expected, "{k}");
+                assert_eq!(adj.slot_width(), to, "{k}");
+                assert_eq!(adj.capacity(), capacity, "{k}: one copy, same capacity");
+                assert_eq!(adj.edges().as_ptr() == at, from == to, "{k}");
+                // Nothing narrows a block in place: writing narrow biases
+                // back leaves the width.
+                adj.set_bias(2, Bias::from_int(1));
+                adj.swap_delete(5.min(adj.degree() - 1));
+                assert_eq!(adj.slot_width(), to, "{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_copy_takes_the_narrowest_width_and_a_shared_block_is_never_widened() {
+        let mut adj = compact_list(6);
+        adj.set_bias(0, Bias::from_float(0.5));
+        adj.set_bias(1, Bias::from_int(1 << 20));
+        assert_eq!(adj.slot_width(), SlotWidth::Wide);
+        // The float goes: a copy-on-write copy is narrow, the widest edge
+        // left needs no more.
+        adj.swap_delete(0);
+        let snapshot = adj.clone();
+        let block = snapshot.edges().as_ptr();
+        adj.set_bias(2, Bias::from_int(3));
+        assert_eq!(adj.slot_width(), SlotWidth::Narrow);
+        assert_eq!(snapshot.slot_width(), SlotWidth::Wide);
+        // The 2^20 goes too: the next copy, a growth copy, is compact.
+        adj.swap_delete(1);
+        while adj.degree() < adj.capacity() {
+            adj.push(Edge::new(7, Bias::from_int(7)));
+        }
+        adj.push(Edge::new(8, Bias::from_int(8)));
+        assert_eq!(adj.slot_width(), SlotWidth::Compact);
+        // A shared compact block handed a wide bias: the writer copies, wide;
+        // the other holder keeps its block and width.
+        let held = adj.clone();
+        let at = held.edges().as_ptr();
+        adj.set_bias(0, Bias::from_float(1.5));
+        assert_eq!(adj.slot_width(), SlotWidth::Wide);
+        assert_eq!(
+            (held.slot_width(), held.edges().as_ptr()),
+            (SlotWidth::Compact, at)
+        );
+        assert_eq!(held.bias(0), Bias::from_int(6));
+        assert_eq!(snapshot.edges().as_ptr(), block);
+        assert_eq!(snapshot.bias(0), Bias::from_int(6));
     }
 
     #[test]
@@ -903,25 +1060,35 @@ mod tests {
         let edges: Vec<Edge> = (0..70)
             .map(|dst| Edge::new(dst, Bias::from_int(u64::from(dst) + 1)))
             .collect();
+        let narrow_edges: Vec<Edge> = edges
+            .iter()
+            .map(|e| Edge::new(e.dst, Bias::from_int(e.bias.as_int().unwrap() << 16)))
+            .collect();
         let wide_edges: Vec<Edge> = edges
             .iter()
             .map(|e| Edge::new(e.dst, Bias::from_float(e.bias.value() / 4.0)))
             .collect();
-        for edges in [&edges, &wide_edges] {
-            let wide = !edges[0].bias.is_integral();
+        for (edges, width) in [
+            (&edges, SlotWidth::Compact),
+            (&narrow_edges, SlotWidth::Narrow),
+            (&wide_edges, SlotWidth::Wide),
+        ] {
             for degree in 0..edges.len() {
                 let mut pushed = AdjacencyList::new();
                 for &edge in &edges[..degree] {
                     pushed.push(edge);
                 }
                 let mut loaded = AdjacencyList::new();
-                let mut fill = loaded.load(degree, wide);
+                let mut fill = loaded.load(degree, width);
                 for &edge in &edges[..degree] {
                     fill.put(edge);
                 }
                 assert_eq!(loaded, pushed, "{degree}");
                 assert_eq!(loaded.memory_bytes(), pushed.memory_bytes(), "{degree}");
-                assert_eq!(loaded.is_narrow(), pushed.is_narrow(), "{degree}");
+                if degree > 0 {
+                    assert_eq!(loaded.slot_width(), width, "{degree}");
+                    assert_eq!(pushed.slot_width(), width, "{degree}");
+                }
             }
         }
     }
@@ -931,7 +1098,7 @@ mod tests {
         let mut pushed = AdjacencyList::new();
         for degree in 0..=4096 {
             let mut loaded = AdjacencyList::new();
-            loaded.load(degree, false);
+            loaded.load(degree, SlotWidth::Compact);
             assert_eq!(loaded.capacity(), pushed.capacity(), "{degree}");
             pushed.push(Edge::new(1, Bias::from_int(1)));
         }

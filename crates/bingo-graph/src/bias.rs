@@ -9,6 +9,11 @@
 //! strictly positive and finite, so its sign bit is free: it carries the
 //! "constructed as an integer" flag that lets the engine skip the λ
 //! machinery when it is not needed.
+//!
+//! An adjacency slot keeps a bias in fewer words when it can (see
+//! [`AdjacencyList`](crate::AdjacencyList)): an integer bias below 2^32 as
+//! its **narrow** `u32` word, and one from 1 to 2^16 − 1 as its **compact**
+//! `u16` word. Either word decodes to the very `from_int` bias, bit for bit.
 
 /// A non-negative edge bias (transition weight).
 ///
@@ -110,9 +115,16 @@ impl Bias {
         (self.is_integral() && value <= f64::from(u32::MAX)).then_some(value as u32)
     }
 
-    /// The bias a narrow slot's word stands for: `from_int` of it. A slot
-    /// holds only a valid bias, so the word is not 0 and the check
-    /// `from_int` makes is not needed.
+    /// The one word a compact adjacency slot keeps this bias in: an integer
+    /// bias from 1 to 2^16 − 1.
+    #[inline]
+    pub(crate) fn compact(self) -> Option<u16> {
+        self.narrow().and_then(|word| u16::try_from(word).ok())
+    }
+
+    /// The bias a narrow or compact slot's word stands for: `from_int` of
+    /// it. A slot holds only a valid bias, so the word is not 0 and the
+    /// check `from_int` makes is not needed.
     #[inline]
     pub(crate) fn from_narrow(word: u32) -> Self {
         debug_assert!(word > 0, "a narrow slot holds a valid bias");
@@ -231,7 +243,7 @@ mod tests {
     #[test]
     fn a_bias_keeps_narrow_exactly_when_it_is_an_integer_below_two_to_32() {
         let max = u64::from(u32::MAX);
-        for v in [1, 2, 5, 1 << 31, max - 1, max] {
+        for v in [1, 2, 5, 1 << 16, 1 << 31, max - 1, max] {
             let b = Bias::from_int(v);
             assert_eq!(b.narrow(), Some(v as u32));
             assert_eq!(Bias::from_narrow(v as u32), b, "{v}: bit for bit");
@@ -246,6 +258,32 @@ mod tests {
         ] {
             assert_eq!(b.narrow(), None, "{b:?}");
             assert_eq!(Bias::from_halves(b.halves()), b, "{b:?}");
+        }
+    }
+
+    #[test]
+    fn a_bias_keeps_compact_exactly_when_it_is_an_integer_below_two_to_16() {
+        let mut state = 16;
+        let edge_cases = [1, 2, 5, 255, 256, 1 << 15, (1 << 16) - 2, (1 << 16) - 1];
+        let seeded = std::iter::repeat_with(|| 1 + splitmix(&mut state) % 0xFFFF);
+        for v in edge_cases.into_iter().chain(seeded.take(20_000)) {
+            let b = Bias::from_int(v);
+            assert_eq!(b.compact(), Some(v as u16), "{v}");
+            let word = u32::from(b.compact().unwrap());
+            assert_eq!(Bias::from_narrow(word), b, "{v}: bit for bit");
+            assert_eq!(Bias::from_narrow(word).as_int(), Some(v));
+        }
+        for b in [
+            Bias::from_int(1 << 16),
+            Bias::from_int((1 << 16) + 1),
+            Bias::from_int(u64::from(u32::MAX)),
+            Bias::from_int(1 << 40),
+            Bias::from_float(1.0),
+            Bias::from_float(0.5),
+            Bias::from_float(65_535.0),
+            Bias::from_int(0),
+        ] {
+            assert_eq!(b.compact(), None, "{b:?}");
         }
     }
 

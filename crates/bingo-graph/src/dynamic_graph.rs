@@ -15,33 +15,37 @@
 //! - **Staging.** Until its first read or its first `&mut` call other than
 //!   [`DynamicGraph::insert_edge`], an insert makes the same checks and
 //!   returns the same result as on a settled graph, but only appends the
-//!   edge to a bucket for its source's range of 256 vertices, as a 9-byte
+//!   edge to a bucket for its source's range of 256 vertices, as a 7-byte
 //!   record: the source's offset in the range, the destination and the
-//!   bias's narrow word (see [`crate::adjacency`]). A bias with no narrow
-//!   form is staged as word 0, which no narrow slot holds, and waits in its
-//!   bucket's list of wide biases, in insertion order. The neighbor index
-//!   comes from a per-vertex count, and a per-vertex bit records whether
-//!   some staged bias needs a wide slot.
+//!   bias's compact `u16` word (see [`crate::adjacency`]). A bias with no
+//!   compact form is staged as word 0, which no compact slot holds, and
+//!   waits in its bucket's side list, in insertion order. The neighbor
+//!   index comes from a per-vertex count, and two per-vertex bits record
+//!   whether some staged bias needs a narrow slot and whether one needs a
+//!   wide slot.
 //! - **The first read builds.** The first `&self` call (any but
 //!   [`DynamicGraph::num_edges`]) builds every vertex's block once, at the
 //!   capacity the pushes would have grown it to and the slot width they
-//!   would have left it at, with the same edges in the same order, so
-//!   blocks, [`DynamicGraph::memory_bytes`] and every later write are those
-//!   of a graph that was pushed. It costs one allocation per non-isolated
-//!   vertex and one per bucket, and frees each bucket as its range is built,
-//!   so the bytes live never run more than about one bucket past the staged
-//!   edges or the built graph. The records take fewer bytes than the blocks
-//!   built from them: 9 an edge, against an 8-byte narrow slot plus its share
-//!   of the block's 16-byte header and spare capacity. So the built graph,
-//!   not the staging, sets the load's high-water mark: the graph plus one
-//!   bucket's records. That matters past the load, because the allocator
-//!   keeps the heap a load reached resident: a byte a block saves is a byte
-//!   of resident memory only while no staging sits above the graph, and
-//!   would otherwise only widen the hole the freed records leave. Ranges are
-//!   small because a graph may crowd its hubs into a few of them: with
-//!   ranges of 4 096 vertices, the bytes live while loading a 2^14-vertex
-//!   R-MAT graph of 12-byte slots peaked at 1.42 × the graph built, at 256
-//!   vertices at 1.09 ×.
+//!   would have left it at (the narrowest its edges allow), with the same
+//!   edges in the same order, so blocks, [`DynamicGraph::memory_bytes`]
+//!   and every later write are those of a graph that was pushed. It costs
+//!   one allocation per non-isolated vertex and one per bucket, and frees
+//!   each bucket as its range is built, so the bytes live never run more
+//!   than about one bucket past the staged edges or the built graph. The
+//!   records take no more bytes than the blocks built from them: 7 an edge,
+//!   against a 6-byte compact slot plus its share of the block's 16-byte
+//!   header and spare capacity — about 18 % of a block, so about even on a
+//!   hub and less than the block on every small vertex. (The 9-byte records
+//!   of 8-byte narrow slots would outweigh compact hub blocks.) So the
+//!   built graph, not the staging, sets the load's high-water mark: the
+//!   graph plus one bucket's records. That matters past the load, because
+//!   the allocator keeps the heap a load reached resident: a byte a block
+//!   saves is a byte of resident memory only while no staging sits above
+//!   the graph, and would otherwise only widen the hole the freed records
+//!   leave. Ranges are small because a graph may crowd its hubs into a few
+//!   of them: with ranges of 4 096 vertices, the bytes live while loading a
+//!   2^14-vertex R-MAT graph of 12-byte slots peaked at 1.42 × the graph
+//!   built, at 256 vertices at 1.09 ×.
 //!   Concurrent first readers wait for that one build, which runs on the
 //!   reading thread. It stays there because building the buckets on the
 //!   worker pool, measured, cut the first read from about 0.07 to 0.05 s on
@@ -52,7 +56,7 @@
 //!   if nothing read first) and the graph is settled for good: later
 //!   inserts push, as streaming updates do.
 
-use crate::adjacency::{AdjacencyList, Edge, Fill, SwapDelete};
+use crate::adjacency::{AdjacencyList, Edge, Fill, SlotWidth, SwapDelete};
 use crate::csr::CsrGraph;
 use crate::updates::{UpdateBatch, UpdateEvent};
 use crate::{Bias, GraphError, Result, VertexId};
@@ -83,34 +87,34 @@ const CHUNK_RECORDS: usize = 128;
 const UNPOISONED: &str = "nothing panics holding the staged edges";
 
 /// A staged edge: the source's offset in its bucket, then the destination
-/// and the bias's narrow word, little-endian.
-type Record = [u8; 9];
+/// and the bias's compact word, little-endian.
+type Record = [u8; 7];
 
-/// The word a record stages a bias with no narrow form under. No narrow
-/// slot holds it: a narrow bias is a valid integer, so at least 1.
-const WIDE_WORD: u32 = 0;
+/// The word a record stages a bias with no compact form under. No compact
+/// slot holds it: a compact bias is a valid integer, so at least 1.
+const SIDE_WORD: u16 = 0;
 
-/// The record of an edge to `dst` with narrow word `word`, out of the
+/// The record of an edge to `dst` with compact word `word`, out of the
 /// vertex at `offset` in its bucket.
-fn record(offset: usize, dst: VertexId, word: u32) -> Record {
+fn record(offset: usize, dst: VertexId, word: u16) -> Record {
     let [d0, d1, d2, d3] = dst.to_le_bytes();
-    let [w0, w1, w2, w3] = word.to_le_bytes();
-    [offset as u8, d0, d1, d2, d3, w0, w1, w2, w3]
+    let [w0, w1] = word.to_le_bytes();
+    [offset as u8, d0, d1, d2, d3, w0, w1]
 }
 
 /// The offset, destination and word of a [`record`].
 #[inline]
-fn fields(&[offset, d0, d1, d2, d3, w0, w1, w2, w3]: &Record) -> (usize, VertexId, u32) {
+fn fields(&[offset, d0, d1, d2, d3, w0, w1]: &Record) -> (usize, VertexId, u16) {
     let dst = VertexId::from_le_bytes([d0, d1, d2, d3]);
-    (offset as usize, dst, u32::from_le_bytes([w0, w1, w2, w3]))
+    (offset as usize, dst, u16::from_le_bytes([w0, w1]))
 }
 
 /// One vertex range's staged edges, in insertion order.
 #[derive(Clone, Default)]
 struct Bucket {
     chunks: Vec<Vec<Record>>,
-    /// The bias of every record staged with [`WIDE_WORD`], in order.
-    wide_biases: Vec<Bias>,
+    /// The bias of every record staged with [`SIDE_WORD`], in order.
+    side_biases: Vec<Bias>,
 }
 
 /// A loading graph: its staged edges, then the lists its first read built.
@@ -125,7 +129,11 @@ struct Staged {
     /// Edges staged per vertex so far.
     degrees: Vec<u32>,
     /// Bit `v % 64` of word `v / 64` is set once `v` has staged an edge
-    /// that does not keep in a narrow slot: its block is built wide.
+    /// that needs a narrow slot: unless it is wide, its block is built
+    /// narrow.
+    narrow: Vec<u64>,
+    /// The same bit, set once `v` has staged an edge that needs a wide
+    /// slot: its block is built wide.
     wide: Vec<u64>,
     /// Bucket `b` holds the edges of vertices `b * BUCKET_VERTICES ..`.
     buckets: Vec<Bucket>,
@@ -135,6 +143,7 @@ impl Staged {
     fn new(num_vertices: usize) -> Self {
         Staged {
             degrees: vec![0; num_vertices],
+            narrow: vec![0; num_vertices.div_ceil(64)],
             wide: vec![0; num_vertices.div_ceil(64)],
             buckets: vec![Bucket::default(); num_vertices.div_ceil(BUCKET_VERTICES)],
         }
@@ -149,10 +158,14 @@ impl Staged {
             .checked_add(1)
             .expect("an adjacency list of u32::MAX edges is full");
         let bucket = &mut self.buckets[src / BUCKET_VERTICES];
-        let word = edge.bias.narrow().unwrap_or_else(|| {
-            self.wide[src / 64] |= 1 << (src % 64);
-            bucket.wide_biases.push(edge.bias);
-            WIDE_WORD
+        let word = edge.bias.compact().unwrap_or_else(|| {
+            let needs = match SlotWidth::of(edge.bias) {
+                SlotWidth::Wide => &mut self.wide,
+                _ => &mut self.narrow,
+            };
+            needs[src / 64] |= 1 << (src % 64);
+            bucket.side_biases.push(edge.bias);
+            SIDE_WORD
         });
         let record = record(src % BUCKET_VERTICES, edge.dst, word);
         match bucket.chunks.last_mut() {
@@ -167,16 +180,27 @@ impl Staged {
     }
 
     /// Every vertex's list, bucket by bucket: each block is made at its
-    /// final capacity and the width its edges need, then each edge is
+    /// final capacity and the narrowest width its edges allow, then each edge is
     /// written straight into the next free slot of its block while the
     /// bucket's chunks are freed as they are read. What is live runs past
     /// the staged edges, or the built graph, by about one bucket.
     fn build(self) -> Vec<AdjacencyList> {
         let Staged {
             degrees,
+            narrow,
             wide,
             buckets,
         } = self;
+        let width = |v: usize| {
+            let set = |bits: &[u64]| bits[v / 64] & 1 << (v % 64) != 0;
+            if set(&wide) {
+                SlotWidth::Wide
+            } else if set(&narrow) {
+                SlotWidth::Narrow
+            } else {
+                SlotWidth::Compact
+            }
+        };
         let mut lists = vec![AdjacencyList::new(); degrees.len()];
         let ranges = lists
             .chunks_mut(BUCKET_VERTICES)
@@ -187,16 +211,14 @@ impl Staged {
                 .iter_mut()
                 .zip(degrees)
                 .zip(first..)
-                .map(|((list, &degree), v)| {
-                    list.load(degree as usize, wide[v / 64] & 1 << (v % 64) != 0)
-                })
+                .map(|((list, &degree), v)| list.load(degree as usize, width(v)))
                 .collect();
-            let mut wide_biases = bucket.wide_biases.into_iter();
+            let mut side_biases = bucket.side_biases.into_iter();
             for record in bucket.chunks.into_iter().flatten() {
                 let (offset, dst, word) = fields(&record);
                 let bias = match word {
-                    WIDE_WORD => wide_biases.next().expect("one wide bias per wide record"),
-                    word => Bias::from_narrow(word),
+                    SIDE_WORD => side_biases.next().expect("one side bias per side record"),
+                    word => Bias::from_narrow(u32::from(word)),
                 };
                 free[offset].put(Edge::new(dst, bias));
             }
@@ -651,10 +673,28 @@ mod tests {
     /// partial one.
     const WIDE_SOURCES: [VertexId; 8] = [0, 7, 255, 300, 511, 512, 600, 611];
 
-    /// Three buckets' worth of vertices, some with no edges, one with 40,
-    /// and the [`WIDE_SOURCES`] with edges only a wide slot holds amid
-    /// narrow ones: loading, or settled before the first insert, so that
-    /// every edge is pushed.
+    /// The vertices [`three_buckets`] gives edges only a narrow or wider
+    /// slot holds: offset 3 of the first bucket, offsets 0 and 1 of the
+    /// second, and three wide sources, which stay wide. Each has a compact
+    /// edge before its first narrow one.
+    const NARROW_SOURCES: [VertexId; 6] = [3, 257, 511, 256, 611, 255];
+
+    /// The narrowest width `v`'s block in [`three_buckets`] can take.
+    fn width_of(v: VertexId) -> SlotWidth {
+        if WIDE_SOURCES.contains(&v) {
+            SlotWidth::Wide
+        } else if NARROW_SOURCES.contains(&v) {
+            SlotWidth::Narrow
+        } else {
+            SlotWidth::Compact
+        }
+    }
+
+    /// Three buckets' worth of vertices, one with 40 edges, the
+    /// [`NARROW_SOURCES`] with integer biases past 2^16 − 1 amid compact
+    /// ones, and the [`WIDE_SOURCES`] with edges only a wide slot holds:
+    /// loading, or settled before the first insert, so that every edge is
+    /// pushed.
     fn three_buckets(pushed: bool) -> DynamicGraph {
         let n = 2 * BUCKET_VERTICES + 100;
         let mut graph = DynamicGraph::new(n);
@@ -667,6 +707,17 @@ mod tests {
             graph
                 .insert_edge(src, dst, Bias::from_int(i as u64 % 9 + 1))
                 .unwrap();
+            if i % 200 == 150 {
+                // Each narrow source gets the first integer past 2^16 − 1,
+                // then one near 2^32, between its compact edges.
+                let k = i / 200;
+                let src = NARROW_SOURCES[k % NARROW_SOURCES.len()];
+                let bias = match k / NARROW_SOURCES.len() % 2 {
+                    0 => Bias::from_int((1 << 16) + k as u64),
+                    _ => Bias::from_int(u64::from(u32::MAX) - k as u64),
+                };
+                graph.insert_edge(src, dst, bias).unwrap();
+            }
             if i % 200 == 100 {
                 // Each wide source gets a float, then an integer past
                 // 2^32, between its narrow edges.
@@ -688,23 +739,24 @@ mod tests {
     }
 
     #[test]
-    fn a_loaded_block_is_wide_only_where_an_edge_needs_it() {
+    fn a_loaded_block_is_as_narrow_as_its_edges_allow() {
         let (loading, pushed) = (three_buckets(false), three_buckets(true));
         for v in 0..loading.num_vertices() as VertexId {
             let (list, twin) = (loading.neighbors(v).unwrap(), pushed.neighbors(v).unwrap());
-            assert_eq!(list.is_narrow(), !WIDE_SOURCES.contains(&v), "vertex {v}");
-            assert_eq!(list.is_narrow(), twin.is_narrow());
+            assert!(!list.is_empty(), "vertex {v}");
+            assert_eq!(list.slot_width(), width_of(v), "vertex {v}");
+            assert_eq!(list.slot_width(), twin.slot_width());
             assert_eq!(list.memory_bytes(), twin.memory_bytes());
             assert_eq!(list, twin, "vertex {v}");
         }
-        // The wide edges are mid-list, of both kinds.
-        for v in WIDE_SOURCES {
+        // The edges that set the width are mid-list, of both kinds each.
+        for v in WIDE_SOURCES.into_iter().chain(NARROW_SOURCES) {
             let edges = loading.neighbors(v).unwrap().edges();
-            let wide: Vec<usize> = (0..edges.len())
-                .filter(|&i| edges.bias(i).narrow().is_none())
+            let setting: Vec<usize> = (0..edges.len())
+                .filter(|&i| SlotWidth::of(edges.bias(i)) == width_of(v))
                 .collect();
-            assert!(wide.len() >= 2, "vertex {v}: {edges:?}");
-            assert!(wide[0] > 0 && wide[0] + 1 < edges.len(), "vertex {v}");
+            assert!(setting.len() >= 2, "vertex {v}: {edges:?}");
+            assert!(setting[0] > 0 && setting[0] + 1 < edges.len(), "vertex {v}");
         }
         assert!(loading.edges().eq(pushed.edges()));
     }
@@ -733,7 +785,7 @@ mod tests {
         assert!(staged
             .buckets
             .iter()
-            .all(|b| b.chunks.is_empty() && b.wide_biases.is_empty()));
+            .all(|b| b.chunks.is_empty() && b.side_biases.is_empty()));
         assert_eq!(loading.insert_edge(0, 2, Bias::from_int(4)), Ok(0));
         assert_eq!(settled.insert_edge(0, 2, Bias::from_int(4)), Ok(0));
         assert_eq!(loading.num_edges(), 1);

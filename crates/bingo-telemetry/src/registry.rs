@@ -26,19 +26,24 @@ use std::sync::Arc;
 pub struct MetricKey {
     /// Taxonomy name, e.g. `service.shard.steps`.
     pub name: String,
-    /// Ordered label pairs, e.g. `[("shard", "2")]`.
-    pub labels: Vec<(String, String)>,
+    /// The ordered label pairs as the exposition text writes them between
+    /// the braces, values escaped, e.g. `service="0",shard="2"`: one string
+    /// per metric, where a `Vec` of owned pairs took five allocations and
+    /// about five times the bytes.
+    pub labels: String,
 }
 
 impl MetricKey {
     /// Build a key from a name and label pairs.
     pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
+        let labels = labels
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{}\"", escape_prometheus_label(v)))
+            .collect::<Vec<_>>()
+            .join(",");
         MetricKey {
             name: name.to_string(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
+            labels,
         }
     }
 }
@@ -47,14 +52,7 @@ impl fmt::Display for MetricKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.name)?;
         if !self.labels.is_empty() {
-            f.write_str("{")?;
-            for (i, (k, v)) in self.labels.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(",")?;
-                }
-                write!(f, "{k}=\"{v}\"")?;
-            }
-            f.write_str("}")?;
+            write!(f, "{{{}}}", self.labels)?;
         }
         Ok(())
     }
@@ -271,18 +269,17 @@ impl RegistrySnapshot {
         for (key, value) in &self.entries {
             let name = key.name.replace('.', "_");
             let labels = |extra: Option<(&str, String)>| -> String {
-                let mut pairs: Vec<String> = key
-                    .labels
-                    .iter()
-                    .map(|(k, v)| format!("{k}=\"{}\"", escape_prometheus_label(v)))
-                    .collect();
+                let mut pairs = key.labels.clone();
                 if let Some((k, v)) = extra {
-                    pairs.push(format!("{k}=\"{v}\""));
+                    if !pairs.is_empty() {
+                        pairs.push(',');
+                    }
+                    pairs.push_str(&format!("{k}=\"{v}\""));
                 }
                 if pairs.is_empty() {
                     String::new()
                 } else {
-                    format!("{{{}}}", pairs.join(","))
+                    format!("{{{pairs}}}")
                 }
             };
             match value {

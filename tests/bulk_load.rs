@@ -7,13 +7,14 @@
 //! to one whose every edge was pushed — each neighbor index returned, the
 //! edge order, each vertex's block bytes — and holds the load to the
 //! allocator's own count (its own binary, one test, as `memory_accounting.rs`
-//! is): the staged edges take fewer bytes than the graph built from them (9
-//! bytes a record against 8 a narrow slot plus the block's header and spare
-//! capacity), so from `new` through the first read the live bytes never run
-//! more than the staged per-vertex index and one bucket's records past the
-//! built graph; the first read makes one allocation per non-isolated vertex
-//! and per bucket and a few more, and nothing but the graph is left live
-//! after it.
+//! is): the staged edges take fewer bytes than the graph built from them (7
+//! bytes a record against 6 a compact slot plus the block's header and
+//! spare capacity), so from `new` through the first read the live bytes
+//! never run more than the staged per-vertex index and one bucket's staged
+//! edges past the built graph; the first read makes one allocation per
+//! non-isolated vertex and per bucket and a few more, and nothing but the
+//! graph is left live after it. One of the graphs mixes all three slot
+//! widths: a bias with no compact form is staged in its bucket's side list.
 
 mod common;
 
@@ -26,7 +27,7 @@ use rayon::prelude::*;
 /// record, as `bingo_graph::dynamic_graph` stages them.
 const BUCKET_VERTICES: usize = 256;
 const CHUNK_RECORDS: usize = 128;
-const RECORD_BYTES: usize = 9;
+const RECORD_BYTES: usize = 7;
 
 type Row = (VertexId, VertexId, Bias);
 
@@ -58,6 +59,31 @@ fn rows(generator: GraphGenerator, seed: u64) -> (usize, Vec<Row>) {
         .map(|(src, dst)| (src, dst, biases.sample(&mut rng, 0)))
         .collect();
     (n, rows)
+}
+
+/// `rows` with every 50th bias shifted past 2^16 − 1, which only a narrow
+/// or wide slot holds, and every 97th a float, which only a wide one holds.
+fn three_widths((n, rows): (usize, Vec<Row>)) -> (usize, Vec<Row>) {
+    let rows = rows
+        .into_iter()
+        .enumerate()
+        .map(|(i, (src, dst, bias))| {
+            let bias = if i % 97 == 0 {
+                Bias::from_float(bias.value() + 0.5)
+            } else if i % 50 == 0 {
+                Bias::from_int(bias.as_int().unwrap() << 16)
+            } else {
+                bias
+            };
+            (src, dst, bias)
+        })
+        .collect();
+    (n, rows)
+}
+
+/// Whether a compact slot holds `bias`: an integer below 2^16.
+fn keeps_compact(bias: Bias) -> bool {
+    bias.as_int().is_some_and(|v| v <= u64::from(u16::MAX))
 }
 
 /// Every row inserted into a new graph, which stays loading.
@@ -102,9 +128,12 @@ fn samples(engine: &BingoEngine, seed: u64) -> Vec<Option<VertexId>> {
 
 #[test]
 fn a_loaded_graph_is_the_pushed_graph_built_in_one_pass() {
-    for (name, generator, seed) in [("R-MAT", RMAT, 27), ("Erdős–Rényi", ERDOS_RENYI, 28)] {
-        let (n, rows) = rows(generator, seed);
-
+    let cases = [
+        ("R-MAT", rows(RMAT, 27), 27),
+        ("Erdős–Rényi", rows(ERDOS_RENYI, 28), 28),
+        ("R-MAT, three widths", three_widths(rows(RMAT, 31)), 31),
+    ];
+    for (name, (n, rows), seed) in cases {
         // (i) The same graph, block for block.
         let (loaded, pushed) = loaded_and_pushed(n, &rows, seed);
         assert_eq!(loaded.num_edges(), pushed.num_edges(), "{name}");
@@ -117,6 +146,22 @@ fn a_loaded_graph_is_the_pushed_graph_built_in_one_pass() {
             );
         }
         assert_eq!(loaded.memory_bytes(), pushed.memory_bytes(), "{name}");
+        let mut widths = [0usize; 3];
+        for v in 0..n as VertexId {
+            let (list, twin) = (loaded.neighbors(v).unwrap(), pushed.neighbors(v).unwrap());
+            assert_eq!(list.slot_width(), twin.slot_width(), "{name}: vertex {v}");
+            if !list.is_empty() {
+                widths[list.slot_width() as usize] += 1;
+            }
+        }
+        if name.ends_with("three widths") {
+            assert!(
+                widths.iter().all(|&blocks| blocks > 100),
+                "{name}: {widths:?}"
+            );
+        } else {
+            assert_eq!(widths[1] + widths[2], 0, "{name}: {widths:?}");
+        }
         drop((loaded, pushed));
 
         // (ii) What the load costs, to the allocator's count.
@@ -135,18 +180,30 @@ fn a_loaded_graph_is_the_pushed_graph_built_in_one_pass() {
         assert_eq!(live() - before, settled, "{name}: only the graph is left");
         // The graph is built bucket by bucket, each bucket's records freed
         // as they are read, and a bucket's blocks outweigh its records: the
-        // load may run one bucket's records past the built graph, and the
-        // per-vertex count and wide bit it stages, which live until the
-        // build ends. (These graphs have no wide edge, so no bucket holds a
-        // list of wide biases.)
-        let index = n * std::mem::size_of::<u32>() + n.div_ceil(64) * std::mem::size_of::<u64>();
+        // load may run one bucket's staged edges past the built graph, and
+        // the per-vertex count and two width bits it stages, which live
+        // until the build ends. A bucket's staged edges are its records and
+        // its side list: the bias of each record with no compact form, in
+        // a `Vec` that grew by pushes (4, 8, 16, … biases).
+        let index =
+            n * std::mem::size_of::<u32>() + 2 * n.div_ceil(64) * std::mem::size_of::<u64>();
         let biggest_bucket = (0..n)
             .step_by(BUCKET_VERTICES)
             .map(|first| {
-                let records = (first..(first + BUCKET_VERTICES).min(n))
-                    .map(|v| graph.degree(v as VertexId))
-                    .sum::<usize>();
+                let lists = (first..(first + BUCKET_VERTICES).min(n))
+                    .map(|v| graph.neighbors(v as VertexId).unwrap());
+                let records = lists.clone().map(|list| list.degree()).sum::<usize>();
+                let side = lists
+                    .flat_map(|list| list.edges())
+                    .filter(|edge| !keeps_compact(edge.bias))
+                    .count();
+                let side_capacity = if side == 0 {
+                    0
+                } else {
+                    side.next_power_of_two().max(4)
+                };
                 records.next_multiple_of(CHUNK_RECORDS) * RECORD_BYTES
+                    + side_capacity * std::mem::size_of::<Bias>()
             })
             .max()
             .unwrap_or(0);
@@ -154,7 +211,7 @@ fn a_loaded_graph_is_the_pushed_graph_built_in_one_pass() {
         assert!(
             load_peak as f64 <= bound,
             "{name}: {load_peak} B live at the peak of a load that builds {settled} B \
-             (+ {index} B of staged index, + {biggest_bucket} B of records in the biggest bucket)"
+             (+ {index} B of staged index, + {biggest_bucket} B staged in the biggest bucket)"
         );
         assert!(
             staged < settled,

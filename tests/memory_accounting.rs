@@ -8,10 +8,12 @@
 //! graph whose group arenas are all narrow (`u16` words), on one with a
 //! hub past the 2^16 limit, whose arena is wide, on a flat-degree graph
 //! (the `service_deepwalk` benchmark's shape) nearly all of whose vertices
-//! are direct under the adaptive config and keep no groups at all, and on
-//! one where every third vertex has an edge whose bias (a float, or an
-//! integer past 2^32) only a wide, 12-byte adjacency slot holds; every
-//! other graph here keeps all its blocks narrow, at 8 bytes a slot.
+//! are direct under the adaptive config and keep no groups at all, on one
+//! where every third vertex has an edge whose bias (a float, or an integer
+//! past 2^32) only a wide, 12-byte adjacency slot holds, and on one that
+//! also gives every third vertex after those an integer bias past 2^16 − 1,
+//! which only a narrow (8-byte) or wide slot holds. Every other block here
+//! is compact, at 6 bytes a slot: all other biases are below 2^16.
 //!
 //! An engine shares the adjacency blocks of the graph it was built from, so
 //! there are two readings per case. While the graph is alive the build has
@@ -82,7 +84,7 @@ fn resident_bytes_match_what_the_build_allocates() {
         }
         graph
     };
-    // Every third vertex gets one edge a narrow slot cannot hold, before
+    // Every third vertex gets one edge only a wide slot holds, before
     // the first read: its block is built wide.
     let mixed = |rng: &mut Pcg64| {
         let mut graph = rmat(rng);
@@ -96,12 +98,23 @@ fn resident_bytes_match_what_the_build_allocates() {
         }
         graph
     };
+    // The same, and every third vertex after those gets one edge a compact
+    // slot cannot hold: its block is built narrow.
+    let three_widths = |rng: &mut Pcg64| {
+        let mut graph = mixed(rng);
+        let n = graph.num_vertices() as VertexId;
+        for v in (1..n).step_by(3) {
+            let bias = Bias::from_int(rng.gen_range(1 << 16..1 << 32));
+            graph.insert_edge(v, rng.gen_range(0..n), bias).unwrap();
+        }
+        graph
+    };
     // The first parallel build starts the worker pool, which keeps what it
     // allocates.
     drop(BingoEngine::build(&rmat(&mut Pcg64::seed_from_u64(14)), BingoConfig::default()).unwrap());
 
     type MakeGraph<'a> = &'a dyn Fn(&mut Pcg64) -> DynamicGraph;
-    let cases: [(&str, MakeGraph, BingoConfig); 8] = [
+    let cases: [(&str, MakeGraph, BingoConfig); 10] = [
         ("adaptive", &rmat, BingoConfig::default()),
         ("baseline", &rmat, BingoConfig::baseline()),
         ("adaptive, wide hub", &with_hub, BingoConfig::default()),
@@ -110,6 +123,16 @@ fn resident_bytes_match_what_the_build_allocates() {
         ("baseline, flat", &flat, BingoConfig::baseline()),
         ("adaptive, mixed widths", &mixed, BingoConfig::default()),
         ("baseline, mixed widths", &mixed, BingoConfig::baseline()),
+        (
+            "adaptive, three widths",
+            &three_widths,
+            BingoConfig::default(),
+        ),
+        (
+            "baseline, three widths",
+            &three_widths,
+            BingoConfig::baseline(),
+        ),
     ];
     for (name, make, config) in cases {
         let before_graph = live();
@@ -157,19 +180,27 @@ fn resident_bytes_match_what_the_build_allocates() {
         if config.adaptive && name.ends_with("flat") {
             assert!(report.direct_vertices * 100 > vertices * 95, "{name}");
         }
-        // One block per non-isolated vertex; wide only where an edge needs it.
-        let blocks = report.narrow_blocks + report.wide_blocks;
+        // One block per non-isolated vertex; narrow or wide only where an
+        // edge needs it.
+        let blocks = report.compact_blocks + report.narrow_blocks + report.wide_blocks;
         assert_eq!(blocks, non_isolated, "{name}");
         if name.ends_with("widths") {
             assert_eq!(report.wide_blocks, vertices.div_ceil(3), "{name}");
         } else {
             assert_eq!(report.wide_blocks, 0, "{name}");
         }
+        if name.ends_with("three widths") {
+            let narrow = (1..vertices).step_by(3).count();
+            assert_eq!(report.narrow_blocks, narrow, "{name}");
+        } else {
+            assert_eq!(report.narrow_blocks, 0, "{name}");
+        }
         eprintln!(
             "{name}: the build allocated {allocated} B, resident {resident} B, of which \
-             adjacency {} B ({} narrow blocks, {} wide) and structure {} B; {} of {vertices} \
-             vertices direct",
+             adjacency {} B ({} compact blocks, {} narrow, {} wide) and structure {} B; {} of \
+             {vertices} vertices direct",
             report.adjacency_bytes,
+            report.compact_blocks,
             report.narrow_blocks,
             report.wide_blocks,
             report.structure_bytes,

@@ -50,6 +50,10 @@
 //! moved per event (ceiling 40.4, the reading plus 5 %). The two ratios
 //! keep a ceiling of 1.14, under the file's 5 % over the reading, so that
 //! the growth policy before this one (1.144x, 1.145x) fails them both.
+//! With 6-byte compact slots 3 646 922 B built, 4 024 992 B after (1.104x;
+//! adjacency 1.62 MB after), 1.105x the fresh build (3 643 098 B), 38.5
+//! words moved per event: both ends 10 % lower, the ratios within 0.002 of
+//! where they were, the ceilings unchanged.
 
 mod common;
 
