@@ -105,18 +105,6 @@ macro_rules! by_width {
     };
 }
 
-/// `$body` with `$slots` bound to whichever width's value a [`PerWidth`]
-/// holds.
-macro_rules! each_width {
-    ($value:expr, $slots:ident => $body:expr) => {
-        match $value {
-            PerWidth::Compact($slots) => $body,
-            PerWidth::Narrow($slots) => $body,
-            PerWidth::Wide($slots) => $body,
-        }
-    };
-}
-
 /// The width of a block's slots (see the module docs), narrowest first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SlotWidth {
@@ -384,12 +372,10 @@ impl AdjacencyList {
     #[inline]
     pub fn edges(&self) -> Edges<'_> {
         let words = self.slots.as_deref().unwrap_or(&[]);
-        let len = self.len as usize;
-        Edges(match self.width {
-            SlotWidth::Compact => PerWidth::Compact(&words.as_chunks().0[..len]),
-            SlotWidth::Narrow => PerWidth::Narrow(&words.as_chunks().0[..len]),
-            SlotWidth::Wide => PerWidth::Wide(&words.as_chunks().0[..len]),
-        })
+        Edges {
+            words: &words[..self.len as usize * self.width.words()],
+            width: self.width,
+        }
     }
 
     /// Iterator over `(neighbor_index, edge)` pairs.
@@ -414,8 +400,9 @@ impl AdjacencyList {
     pub fn find(&self, dst: VertexId) -> Option<usize> {
         // One scan per width: a node2vec step asks this of a direct vertex
         // for every candidate it draws.
-        each_width!(self.edges().0, slots => {
-            slots.iter().position(|slot| slot_dst(slot) == dst)
+        let words = self.edges().words;
+        by_width!(self.width, W => {
+            words.as_chunks::<W>().0.iter().position(|slot| slot_dst(slot) == dst)
         })
     }
 
@@ -635,39 +622,32 @@ impl FromIterator<Edge> for AdjacencyList {
     }
 }
 
-/// One value per slot width: a block's slots, or an iterator over them.
-#[derive(Clone, Copy)]
-enum PerWidth<C, N, W> {
-    Compact(C),
-    Narrow(N),
-    Wide(W),
-}
-
 /// An adjacency list's edges in neighbor-index order, read by value whatever
 /// the width of the slots they are kept in.
 #[derive(Clone, Copy)]
-pub struct Edges<'a>(Slots<'a>);
-
-/// A block's live slots, as slots of its width.
-type Slots<'a> = PerWidth<&'a [[u16; COMPACT]], &'a [[u16; NARROW]], &'a [[u16; WIDE]]>;
+pub struct Edges<'a> {
+    /// The live slots' words.
+    words: &'a [u16],
+    width: SlotWidth,
+}
 
 impl<'a> Edges<'a> {
     /// Number of edges.
     #[inline]
     pub fn len(&self) -> usize {
-        each_width!(self.0, slots => slots.len())
+        by_width!(self.width, W => self.words.len() / W)
     }
 
     /// Whether there are none.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.words.is_empty()
     }
 
     /// The edge at neighbor index `i`.
     #[inline]
     pub fn get(&self, i: usize) -> Option<Edge> {
-        each_width!(self.0, slots => slots.get(i).map(decode))
+        by_width!(self.width, W => self.words.as_chunks::<W>().0.get(i).map(decode))
     }
 
     /// The destination of the edge at neighbor index `i`.
@@ -677,7 +657,7 @@ impl<'a> Edges<'a> {
     /// Panics if `i` is out of bounds.
     #[inline]
     pub fn dst(&self, i: usize) -> VertexId {
-        each_width!(self.0, slots => slot_dst(&slots[i]))
+        by_width!(self.width, W => slot_dst(&self.words.as_chunks::<W>().0[i]))
     }
 
     /// The bias of the edge at neighbor index `i`.
@@ -687,17 +667,16 @@ impl<'a> Edges<'a> {
     /// Panics if `i` is out of bounds.
     #[inline]
     pub fn bias(&self, i: usize) -> Bias {
-        each_width!(self.0, slots => decode(&slots[i]).bias)
+        by_width!(self.width, W => decode(&self.words.as_chunks::<W>().0[i]).bias)
     }
 
     /// The edges, in order.
     #[inline]
     pub fn iter(&self) -> EdgeIter<'a> {
-        EdgeIter(match self.0 {
-            PerWidth::Compact(slots) => PerWidth::Compact(slots.iter()),
-            PerWidth::Narrow(slots) => PerWidth::Narrow(slots.iter()),
-            PerWidth::Wide(slots) => PerWidth::Wide(slots.iter()),
-        })
+        EdgeIter {
+            words: self.words,
+            width: self.width,
+        }
     }
 
     /// The edges, copied out.
@@ -708,7 +687,7 @@ impl<'a> Edges<'a> {
     /// Where the block's first slot is: the identity of the block, for
     /// telling whether two lists share one.
     pub fn as_ptr(&self) -> *const u16 {
-        each_width!(self.0, slots => slots.as_ptr().cast())
+        self.words.as_ptr()
     }
 }
 
@@ -747,21 +726,22 @@ impl<'a> IntoIterator for Edges<'a> {
 
 /// The iterator of [`Edges::iter`].
 #[derive(Clone)]
-pub struct EdgeIter<'a>(SlotIter<'a>);
-
-/// An iterator over the slots of one width.
-type SlotIter<'a> = PerWidth<
-    std::slice::Iter<'a, [u16; COMPACT]>,
-    std::slice::Iter<'a, [u16; NARROW]>,
-    std::slice::Iter<'a, [u16; WIDE]>,
->;
+pub struct EdgeIter<'a> {
+    /// The words of the slots not yet read from either end.
+    words: &'a [u16],
+    width: SlotWidth,
+}
 
 impl Iterator for EdgeIter<'_> {
     type Item = Edge;
 
     #[inline]
     fn next(&mut self) -> Option<Edge> {
-        each_width!(&mut self.0, slots => slots.next().map(decode))
+        by_width!(self.width, W => {
+            let (slot, rest) = self.words.split_first_chunk::<W>()?;
+            self.words = rest;
+            Some(decode(slot))
+        })
     }
 
     #[inline]
@@ -773,21 +753,28 @@ impl Iterator for EdgeIter<'_> {
     // Sums, counts and `for` loops match the width once, not per edge.
     #[inline]
     fn fold<B, F: FnMut(B, Edge) -> B>(self, init: B, mut f: F) -> B {
-        each_width!(self.0, slots => slots.fold(init, |acc, slot| f(acc, decode(slot))))
+        by_width!(self.width, W => {
+            let slots = self.words.as_chunks::<W>().0.iter();
+            slots.fold(init, |acc, slot| f(acc, decode(slot)))
+        })
     }
 }
 
 impl DoubleEndedIterator for EdgeIter<'_> {
     #[inline]
     fn next_back(&mut self) -> Option<Edge> {
-        each_width!(&mut self.0, slots => slots.next_back().map(decode))
+        by_width!(self.width, W => {
+            let (rest, slot) = self.words.split_last_chunk::<W>()?;
+            self.words = rest;
+            Some(decode(slot))
+        })
     }
 }
 
 impl ExactSizeIterator for EdgeIter<'_> {
     #[inline]
     fn len(&self) -> usize {
-        each_width!(&self.0, slots => slots.len())
+        by_width!(self.width, W => self.words.len() / W)
     }
 }
 

@@ -15,14 +15,16 @@
 //! - **Staging.** Until its first read or its first `&mut` call other than
 //!   [`DynamicGraph::insert_edge`], an insert makes the same checks and
 //!   returns the same result as on a settled graph, but only appends the
-//!   edge to a bucket for its source's range of 256 vertices, as a 7-byte
-//!   record: the source's offset in the range, the destination and the
-//!   bias's compact `u16` word (see [`crate::adjacency`]). A bias with no
-//!   compact form is staged as word 0, which no compact slot holds, and
-//!   waits in its bucket's side list, in insertion order. The neighbor
-//!   index comes from a per-vertex count, and two per-vertex bits record
-//!   whether some staged bias needs a narrow slot and whether one needs a
-//!   wide slot.
+//!   edge to a bucket for its source's range of 128 vertices, as a record
+//!   as long as the slot it will fill needs: the source's offset in the
+//!   range, the destination, then the bias's compact `u16` word in a 7-byte
+//!   record or its narrow `u32` word in a 9-byte one (see
+//!   [`crate::adjacency`]); the offset's byte keeps the record's length in
+//!   its top bit. A bias with neither form is staged in a 7-byte record as
+//!   word 0, which no compact slot holds, and waits in its bucket's list of
+//!   wide biases, in insertion order. The neighbor index comes from a
+//!   per-vertex count, and two per-vertex bits record whether some staged
+//!   bias needs a narrow slot and whether one needs a wide slot.
 //! - **The first read builds.** The first `&self` call (any but
 //!   [`DynamicGraph::num_edges`]) builds every vertex's block once, at the
 //!   capacity the pushes would have grown it to and the slot width they
@@ -32,20 +34,23 @@
 //!   one allocation per non-isolated vertex and one per bucket, and frees
 //!   each bucket as its range is built, so the bytes live never run more
 //!   than about one bucket past the staged edges or the built graph. The
-//!   records take no more bytes than the blocks built from them: 7 an edge,
-//!   against a 6-byte compact slot plus its share of the block's 16-byte
-//!   header and spare capacity — about 18 % of a block, so about even on a
-//!   hub and less than the block on every small vertex. (The 9-byte records
-//!   of 8-byte narrow slots would outweigh compact hub blocks.) So the
-//!   built graph, not the staging, sets the load's high-water mark: the
-//!   graph plus one bucket's records. That matters past the load, because
-//!   the allocator keeps the heap a load reached resident: a byte a block
-//!   saves is a byte of resident memory only while no staging sits above
-//!   the graph, and would otherwise only widen the hole the freed records
-//!   leave. Ranges are small because a graph may crowd its hubs into a few
-//!   of them: with ranges of 4 096 vertices, the bytes live while loading a
-//!   2^14-vertex R-MAT graph of 12-byte slots peaked at 1.42 × the graph
-//!   built, at 256 vertices at 1.09 ×.
+//!   records take no more bytes than the blocks built from them: 7 an edge
+//!   against a 6-byte compact slot, 9 against an 8-byte narrow one, each
+//!   slot with its share of the block's 16-byte header and spare capacity —
+//!   about 18 % of a block, so about even on a hub and less than the block
+//!   on every small vertex. (Records of one length, 9 bytes, would outweigh
+//!   compact hub blocks.) A wide edge stages 15 bytes, its record and its
+//!   side-list entry, against a 12-byte slot: a little more than its block
+//!   on a hub. So the built graph, not the staging, sets the load's
+//!   high-water mark: the graph plus one bucket's records. That matters
+//!   past the load, because the allocator keeps the heap a load reached
+//!   resident: a byte a block saves is a byte of resident memory only while
+//!   no staging sits above the graph, and would otherwise only widen the
+//!   hole the freed records leave. Ranges are small because a graph may
+//!   crowd its hubs into a few of them: with ranges of 4 096 vertices, the
+//!   bytes live while loading a 2^14-vertex R-MAT graph of 12-byte slots
+//!   peaked at 1.42 × the graph built, at 256 vertices at 1.09 ×; 128
+//!   leave the offset's byte its length bit.
 //!   Concurrent first readers wait for that one build, which runs on the
 //!   reading thread. It stays there because building the buckets on the
 //!   worker pool, measured, cut the first read from about 0.07 to 0.05 s on
@@ -76,45 +81,85 @@ pub struct DynamicGraph {
     num_edges: usize,
 }
 
-/// Vertices per staging bucket (see the module docs).
-const BUCKET_VERTICES: usize = 256;
+/// Vertices per staging bucket (see the module docs): an offset in one
+/// leaves the top bit of a record's first byte free.
+const BUCKET_VERTICES: usize = 128;
 
-/// Records per chunk of a bucket. Chunks never grow, so a bucket holds less
-/// than one chunk of room past its records and is never copied.
-const CHUNK_RECORDS: usize = 128;
+/// Bytes per chunk of a bucket. Chunks never grow, so a bucket holds less
+/// than one chunk of room past its records (and under a record's length at
+/// the end of each full chunk) and is never copied.
+const CHUNK_BYTES: usize = 1024;
 
 /// The staged edges' lock is held only to take them out, which cannot panic.
 const UNPOISONED: &str = "nothing panics holding the staged edges";
 
-/// A staged edge: the source's offset in its bucket, then the destination
-/// and the bias's compact word, little-endian.
-type Record = [u8; 7];
+/// The top bit of a record's first byte, set on a 9-byte record: one that
+/// ends in a narrow word, not a compact one.
+const LONG: u8 = 0x80;
 
-/// The word a record stages a bias with no compact form under. No compact
+/// The compact word a 7-byte record stages a wide bias under. No compact
 /// slot holds it: a compact bias is a valid integer, so at least 1.
 const SIDE_WORD: u16 = 0;
-
-/// The record of an edge to `dst` with compact word `word`, out of the
-/// vertex at `offset` in its bucket.
-fn record(offset: usize, dst: VertexId, word: u16) -> Record {
-    let [d0, d1, d2, d3] = dst.to_le_bytes();
-    let [w0, w1] = word.to_le_bytes();
-    [offset as u8, d0, d1, d2, d3, w0, w1]
-}
-
-/// The offset, destination and word of a [`record`].
-#[inline]
-fn fields(&[offset, d0, d1, d2, d3, w0, w1]: &Record) -> (usize, VertexId, u16) {
-    let dst = VertexId::from_le_bytes([d0, d1, d2, d3]);
-    (offset as usize, dst, u16::from_le_bytes([w0, w1]))
-}
 
 /// One vertex range's staged edges, in insertion order.
 #[derive(Clone, Default)]
 struct Bucket {
-    chunks: Vec<Vec<Record>>,
+    /// The chunk records are appended to, beside the bucket's other fields
+    /// so that staging a record reads no chunk list. Records, little-endian:
+    /// the source's offset in the bucket (with [`LONG`] on a 9-byte record),
+    /// the destination, and the bias's compact word (7 bytes) or narrow
+    /// word (9 bytes).
+    last: Vec<u8>,
+    /// The chunks before it.
+    full: Vec<Vec<u8>>,
     /// The bias of every record staged with [`SIDE_WORD`], in order.
     side_biases: Vec<Bias>,
+}
+
+impl Bucket {
+    /// Append `record`, in a new chunk if the last one has no room for it.
+    #[inline]
+    fn put<const N: usize>(&mut self, record: [u8; N]) {
+        if self.last.capacity() - self.last.len() < N {
+            self.start_chunk();
+        }
+        self.last.extend_from_slice(&record);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn start_chunk(&mut self) {
+        let last = std::mem::replace(&mut self.last, Vec::with_capacity(CHUNK_BYTES));
+        if !last.is_empty() {
+            self.full.push(last);
+        }
+    }
+}
+
+/// The record at the front of `bytes`: its source's offset in the bucket,
+/// its edge — a [`SIDE_WORD`]'s bias the next of `side_biases` — and the
+/// bytes after it.
+#[inline]
+fn read<'a>(
+    bytes: &'a [u8],
+    side_biases: &mut impl Iterator<Item = Bias>,
+) -> (usize, Edge, &'a [u8]) {
+    const WHOLE: &str = "a chunk holds whole records";
+    let (&first, rest) = bytes.split_first().expect(WHOLE);
+    let (&dst, rest) = rest.split_first_chunk().expect(WHOLE);
+    let (bias, rest) = if first & LONG == 0 {
+        let (&word, rest) = rest.split_first_chunk().expect(WHOLE);
+        let bias = match u16::from_le_bytes(word) {
+            SIDE_WORD => side_biases.next().expect("one wide bias per side record"),
+            word => Bias::from_narrow(u32::from(word)),
+        };
+        (bias, rest)
+    } else {
+        let (&word, rest) = rest.split_first_chunk().expect(WHOLE);
+        (Bias::from_narrow(u32::from_le_bytes(word)), rest)
+    };
+    let edge = Edge::new(VertexId::from_le_bytes(dst), bias);
+    (usize::from(first & !LONG), edge, rest)
 }
 
 /// A loading graph: its staged edges, then the lists its first read built.
@@ -158,30 +203,32 @@ impl Staged {
             .checked_add(1)
             .expect("an adjacency list of u32::MAX edges is full");
         let bucket = &mut self.buckets[src / BUCKET_VERTICES];
-        let word = edge.bias.compact().unwrap_or_else(|| {
-            let needs = match SlotWidth::of(edge.bias) {
-                SlotWidth::Wide => &mut self.wide,
-                _ => &mut self.narrow,
-            };
-            needs[src / 64] |= 1 << (src % 64);
-            bucket.side_biases.push(edge.bias);
-            SIDE_WORD
-        });
-        let record = record(src % BUCKET_VERTICES, edge.dst, word);
-        match bucket.chunks.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK_RECORDS => chunk.push(record),
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK_RECORDS);
-                chunk.push(record);
-                bucket.chunks.push(chunk);
+        let offset = (src % BUCKET_VERTICES) as u8;
+        let [d0, d1, d2, d3] = edge.dst.to_le_bytes();
+        let bit = 1 << (src % 64);
+        match edge.bias.narrow() {
+            Some(word) if word <= u32::from(u16::MAX) => {
+                let [w0, w1] = (word as u16).to_le_bytes();
+                bucket.put([offset, d0, d1, d2, d3, w0, w1]);
+            }
+            Some(word) => {
+                self.narrow[src / 64] |= bit;
+                let [w0, w1, w2, w3] = word.to_le_bytes();
+                bucket.put([offset | LONG, d0, d1, d2, d3, w0, w1, w2, w3]);
+            }
+            None => {
+                self.wide[src / 64] |= bit;
+                bucket.side_biases.push(edge.bias);
+                let [w0, w1] = SIDE_WORD.to_le_bytes();
+                bucket.put([offset, d0, d1, d2, d3, w0, w1]);
             }
         }
         index as usize
     }
 
     /// Every vertex's list, bucket by bucket: each block is made at its
-    /// final capacity and the narrowest width its edges allow, then each edge is
-    /// written straight into the next free slot of its block while the
+    /// final capacity and the narrowest width its edges allow, then each
+    /// edge is written straight into the next free slot of its block while the
     /// bucket's chunks are freed as they are read. What is live runs past
     /// the staged edges, or the built graph, by about one bucket.
     fn build(self) -> Vec<AdjacencyList> {
@@ -213,14 +260,19 @@ impl Staged {
                 .zip(first..)
                 .map(|((list, &degree), v)| list.load(degree as usize, width(v)))
                 .collect();
-            let mut side_biases = bucket.side_biases.into_iter();
-            for record in bucket.chunks.into_iter().flatten() {
-                let (offset, dst, word) = fields(&record);
-                let bias = match word {
-                    SIDE_WORD => side_biases.next().expect("one side bias per side record"),
-                    word => Bias::from_narrow(u32::from(word)),
-                };
-                free[offset].put(Edge::new(dst, bias));
+            let Bucket {
+                last,
+                full,
+                side_biases,
+            } = bucket;
+            let mut side_biases = side_biases.into_iter();
+            for chunk in full.into_iter().chain([last]) {
+                let mut bytes = &chunk[..];
+                while !bytes.is_empty() {
+                    let (offset, edge, rest) = read(bytes, &mut side_biases);
+                    free[offset].put(edge);
+                    bytes = rest;
+                }
             }
         }
         lists
@@ -668,16 +720,16 @@ mod tests {
     }
 
     /// The vertices [`three_buckets`] gives edges only a wide slot holds:
-    /// three in the first bucket (at offsets 0 and 255 among them), offset
-    /// 255 of the second, and offset 0 and the last vertex of the third,
-    /// partial one.
-    const WIDE_SOURCES: [VertexId; 8] = [0, 7, 255, 300, 511, 512, 600, 611];
+    /// three in the first bucket (at offsets 0 and 127 among them), offset
+    /// 44 and the last of the second, and offset 0, offset 88 and the last
+    /// vertex of the third, partial one.
+    const WIDE_SOURCES: [VertexId; 8] = [0, 7, 127, 172, 255, 256, 344, 355];
 
     /// The vertices [`three_buckets`] gives edges only a narrow or wider
     /// slot holds: offset 3 of the first bucket, offsets 0 and 1 of the
     /// second, and three wide sources, which stay wide. Each has a compact
     /// edge before its first narrow one.
-    const NARROW_SOURCES: [VertexId; 6] = [3, 257, 511, 256, 611, 255];
+    const NARROW_SOURCES: [VertexId; 6] = [255, 3, 129, 128, 355, 127];
 
     /// The narrowest width `v`'s block in [`three_buckets`] can take.
     fn width_of(v: VertexId) -> SlotWidth {
@@ -701,7 +753,7 @@ mod tests {
         if pushed {
             graph.lists_mut();
         }
-        for i in 0..6 * n {
+        for i in 0..12 * n {
             let src = (i * 7919 % n) as VertexId;
             let dst = (i * 104_729 % n) as VertexId;
             graph
@@ -734,7 +786,7 @@ mod tests {
             graph.insert_edge(5, dst, Bias::from_int(2)).unwrap();
         }
         graph.insert_edge(7, 1, Bias::from_float(0.5)).unwrap();
-        graph.insert_edge(300, 2, Bias::from_int(1 << 32)).unwrap();
+        graph.insert_edge(172, 2, Bias::from_int(1 << 32)).unwrap();
         graph
     }
 
@@ -785,7 +837,7 @@ mod tests {
         assert!(staged
             .buckets
             .iter()
-            .all(|b| b.chunks.is_empty() && b.side_biases.is_empty()));
+            .all(|b| b.last.is_empty() && b.full.is_empty() && b.side_biases.is_empty()));
         assert_eq!(loading.insert_edge(0, 2, Bias::from_int(4)), Ok(0));
         assert_eq!(settled.insert_edge(0, 2, Bias::from_int(4)), Ok(0));
         assert_eq!(loading.num_edges(), 1);

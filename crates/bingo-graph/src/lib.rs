@@ -34,7 +34,7 @@ pub mod io;
 pub mod stats;
 pub mod updates;
 
-pub use adjacency::{AdjacencyList, Edge, SlotWidth};
+pub use adjacency::{AdjacencyList, Edge};
 pub use bias::Bias;
 pub use compaction::two_phase_delete_and_swap;
 pub use csr::CsrGraph;

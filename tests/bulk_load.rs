@@ -8,13 +8,15 @@
 //! edge order, each vertex's block bytes — and holds the load to the
 //! allocator's own count (its own binary, one test, as `memory_accounting.rs`
 //! is): the staged edges take fewer bytes than the graph built from them (7
-//! bytes a record against 6 a compact slot plus the block's header and
-//! spare capacity), so from `new` through the first read the live bytes
-//! never run more than the staged per-vertex index and one bucket's staged
-//! edges past the built graph; the first read makes one allocation per
-//! non-isolated vertex and per bucket and a few more, and nothing but the
-//! graph is left live after it. One of the graphs mixes all three slot
-//! widths: a bias with no compact form is staged in its bucket's side list.
+//! bytes a record against 6 a compact slot, 9 against 8 a narrow one, each
+//! plus the block's header and spare capacity), so from `new` through the
+//! first read the live bytes never run more than the staged per-vertex
+//! index and one bucket's staged edges past the built graph; the first read
+//! makes one allocation per non-isolated vertex and per bucket and a few
+//! more, and nothing but the graph is left live after it. One of the graphs
+//! mixes all three slot widths, and one keeps every bias in a narrow slot:
+//! a narrow bias is staged in a 9-byte record, a wide one in a 7-byte
+//! record and its bucket's side list.
 
 mod common;
 
@@ -23,11 +25,25 @@ use common::{calls, live, peak, reset_peak};
 use rand::Rng;
 use rayon::prelude::*;
 
-/// Vertices per staging bucket, records per chunk of a bucket and bytes per
-/// record, as `bingo_graph::dynamic_graph` stages them.
-const BUCKET_VERTICES: usize = 256;
-const CHUNK_RECORDS: usize = 128;
-const RECORD_BYTES: usize = 7;
+/// Vertices per staging bucket and bytes per chunk of a bucket, as
+/// `bingo_graph::dynamic_graph` stages them.
+const BUCKET_VERTICES: usize = 128;
+const CHUNK_BYTES: usize = 1024;
+
+/// Bytes of the record that stages an edge of `bias`: 9 for a narrow bias
+/// (an integer from 2^16 to 2^32 − 1), 7 for any other.
+fn record_bytes(bias: Bias) -> usize {
+    match bias.as_int() {
+        Some(v) if (1 << 16..=u64::from(u32::MAX)).contains(&v) => 9,
+        _ => 7,
+    }
+}
+
+/// Whether only a wide slot holds `bias`, so that it is staged in its
+/// bucket's side list: a float or an integer past 2^32 − 1.
+fn is_wide(bias: Bias) -> bool {
+    bias.as_int().is_none_or(|v| v > u64::from(u32::MAX))
+}
 
 type Row = (VertexId, VertexId, Bias);
 
@@ -81,9 +97,14 @@ fn three_widths((n, rows): (usize, Vec<Row>)) -> (usize, Vec<Row>) {
     (n, rows)
 }
 
-/// Whether a compact slot holds `bias`: an integer below 2^16.
-fn keeps_compact(bias: Bias) -> bool {
-    bias.as_int().is_some_and(|v| v <= u64::from(u16::MAX))
+/// `rows` with every bias shifted past 2^16 − 1, which only a narrow or
+/// wide slot holds.
+fn narrow((n, rows): (usize, Vec<Row>)) -> (usize, Vec<Row>) {
+    let rows = rows
+        .into_iter()
+        .map(|(src, dst, bias)| (src, dst, Bias::from_int(bias.as_int().unwrap() << 16)))
+        .collect();
+    (n, rows)
 }
 
 /// Every row inserted into a new graph, which stays loading.
@@ -132,6 +153,7 @@ fn a_loaded_graph_is_the_pushed_graph_built_in_one_pass() {
         ("R-MAT", rows(RMAT, 27), 27),
         ("Erdős–Rényi", rows(ERDOS_RENYI, 28), 28),
         ("R-MAT, three widths", three_widths(rows(RMAT, 31)), 31),
+        ("R-MAT, narrow", narrow(rows(RMAT, 32)), 32),
     ];
     for (name, (n, rows), seed) in cases {
         // (i) The same graph, block for block.
@@ -154,7 +176,9 @@ fn a_loaded_graph_is_the_pushed_graph_built_in_one_pass() {
                 widths[list.slot_width() as usize] += 1;
             }
         }
-        if name.ends_with("three widths") {
+        if name.ends_with("narrow") {
+            assert_eq!(widths[0] + widths[2], 0, "{name}: {widths:?}");
+        } else if name.ends_with("three widths") {
             assert!(
                 widths.iter().all(|&blocks| blocks > 100),
                 "{name}: {widths:?}"
@@ -182,28 +206,26 @@ fn a_loaded_graph_is_the_pushed_graph_built_in_one_pass() {
         // as they are read, and a bucket's blocks outweigh its records: the
         // load may run one bucket's staged edges past the built graph, and
         // the per-vertex count and two width bits it stages, which live
-        // until the build ends. A bucket's staged edges are its records and
-        // its side list: the bias of each record with no compact form, in
-        // a `Vec` that grew by pushes (4, 8, 16, … biases).
+        // until the build ends. A bucket's staged edges are its chunks —
+        // each filled to within a long record of its end, but the last —
+        // and its side list: the bias of each wide edge, in a `Vec` that
+        // grew by pushes (4, 8, 16, … biases).
         let index =
             n * std::mem::size_of::<u32>() + 2 * n.div_ceil(64) * std::mem::size_of::<u64>();
         let biggest_bucket = (0..n)
             .step_by(BUCKET_VERTICES)
             .map(|first| {
-                let lists = (first..(first + BUCKET_VERTICES).min(n))
-                    .map(|v| graph.neighbors(v as VertexId).unwrap());
-                let records = lists.clone().map(|list| list.degree()).sum::<usize>();
-                let side = lists
-                    .flat_map(|list| list.edges())
-                    .filter(|edge| !keeps_compact(edge.bias))
-                    .count();
+                let edges = (first..(first + BUCKET_VERTICES).min(n))
+                    .flat_map(|v| graph.neighbors(v as VertexId).unwrap().edges());
+                let records = edges.clone().map(|e| record_bytes(e.bias)).sum::<usize>();
+                let chunks = records.div_ceil(CHUNK_BYTES - 8);
+                let side = edges.filter(|e| is_wide(e.bias)).count();
                 let side_capacity = if side == 0 {
                     0
                 } else {
                     side.next_power_of_two().max(4)
                 };
-                records.next_multiple_of(CHUNK_RECORDS) * RECORD_BYTES
-                    + side_capacity * std::mem::size_of::<Bias>()
+                chunks * CHUNK_BYTES + side_capacity * std::mem::size_of::<Bias>()
             })
             .max()
             .unwrap_or(0);
