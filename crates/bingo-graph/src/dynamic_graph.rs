@@ -97,6 +97,8 @@ const UNPOISONED: &str = "nothing panics holding the staged edges";
 /// ends in a narrow word, not a compact one.
 const LONG: u8 = 0x80;
 
+const _: () = assert!(BUCKET_VERTICES <= LONG as usize);
+
 /// The compact word a 7-byte record stages a wide bias under. No compact
 /// slot holds it: a compact bias is a valid integer, so at least 1.
 const SIDE_WORD: u16 = 0;
